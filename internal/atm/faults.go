@@ -139,22 +139,21 @@ type FaultStats struct {
 // FIFO wire first.
 type Injector struct {
 	s     *sim.Scheduler
+	n     int // hosts
 	inner Medium
 
 	policy *Faults
 	rng    *rand.Rand
 	nth    int // droppable-frame counter for DropEveryN
 
-	// Per-link mode (sharded clusters): one independent RNG stream and
+	// Per-link mode (s is a shard lane): one independent RNG stream and
 	// DropEveryN counter per (src, dst) pair, each derived from the policy
 	// seed, the endpoints, and the medium kind. Frames of one pair always
 	// originate on the source host's lane, so each stream is consumed
-	// sequentially even when lanes run in parallel — and a single-lane run
-	// keeps the legacy world-global stream, bit-identical to earlier
-	// releases.
-	links   []faultLink // n*n, indexed src*n+dst; nil when unsharded
-	n       int
-	schedOf func(h int) *sim.Scheduler
+	// sequentially even when lanes run in parallel — and a standalone
+	// scheduler keeps the legacy world-global stream, bit-identical to
+	// earlier releases.
+	links []faultLink // n*n, indexed src*n+dst; nil when standalone
 
 	Stats FaultStats
 }
@@ -165,17 +164,11 @@ type faultLink struct {
 	nth int
 }
 
-// NewInjector wraps inner with a (initially empty) fault policy.
-func NewInjector(s *sim.Scheduler, inner Medium) *Injector {
-	return &Injector{s: s, inner: inner}
-}
-
-// Shard switches the injector to per-link fault streams for an n-host
-// sharded cluster, with schedOf naming each host's lane scheduler (fault
-// decisions and added delays happen on the frame's source lane).
-func (in *Injector) Shard(n int, schedOf func(h int) *sim.Scheduler) {
-	in.n = n
-	in.schedOf = schedOf
+// NewInjector wraps inner, the medium of an n-host cluster built on s, with
+// an (initially empty) fault policy. Fault decisions and added delays happen
+// on the frame's source lane.
+func NewInjector(s *sim.Scheduler, n int, inner Medium) *Injector {
+	return &Injector{s: s, n: n, inner: inner}
 }
 
 // splitmix64 is the SplitMix64 finalizer: a cheap, well-mixed hash for
@@ -206,7 +199,7 @@ func (in *Injector) Set(f Faults) error {
 	}
 	cp := f
 	in.policy = &cp
-	if in.n > 0 {
+	if in.s.Shard() != nil {
 		in.links = make([]faultLink, in.n*in.n)
 		for src := 0; src < in.n; src++ {
 			for dst := 0; dst < in.n; dst++ {
@@ -238,14 +231,8 @@ func (in *Injector) Kind() MediumKind { return in.inner.Kind() }
 // MTU implements Medium.
 func (in *Injector) MTU() int { return in.inner.MTU() }
 
-// srcSched reports the scheduler owning frames from host src: its lane on
-// a sharded cluster, the world scheduler otherwise.
-func (in *Injector) srcSched(src int) *sim.Scheduler {
-	if in.schedOf == nil {
-		return in.s
-	}
-	return in.schedOf(src)
-}
+// srcSched reports the scheduler owning frames from host src.
+func (in *Injector) srcSched(src int) *sim.Scheduler { return in.s.Node(src, in.n) }
 
 // plan decides one frame's fate: dropped, or delivered once (or twice, when
 // duplicated) with the listed extra delays. It consumes randomness only when

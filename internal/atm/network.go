@@ -46,19 +46,17 @@ type Medium interface {
 // Injector wrapping every medium (faults.go) owns misbehavior.
 //
 // The segment is a world-global resource, so it is built as a sim.Stage
-// homed on lane 0 when sharded (NewShardedEthernet): every Deliver detours
-// to the home lane carrying its source stamp, reserves the wire backdated
-// to the stamp, and routes the frame out to the destination's lane — the
-// contention arithmetic is identical to the single-scheduler segment, and
-// on a single scheduler the stage degrades to the historical inline path.
+// homed on the world's scheduler: every Deliver detours to the home lane
+// carrying its source stamp, reserves the wire backdated to the stamp, and
+// routes the frame out to the destination's lane. On a standalone scheduler
+// every hop of that is inline, so the contention arithmetic is the same
+// either way.
 type Ethernet struct {
 	s     *sim.Scheduler
+	n     int // hosts, for placing src/dst on their node schedulers
 	c     Costs
 	stage *sim.Stage
 	wire  *sim.FIFO
-
-	scheds []*sim.Scheduler // per-host lane scheduler; nil when unsharded
-	laneOf []int
 
 	// CSMACD enables collision modeling: a station finding the medium
 	// busy pays a random exponential backoff (in slot times) scaled by the
@@ -74,42 +72,17 @@ type Ethernet struct {
 	queued     int
 }
 
-// NewEthernet builds the shared segment.
-func NewEthernet(s *sim.Scheduler, c Costs) *Ethernet {
-	return &Ethernet{s: s, c: c, stage: sim.NewStage(s), wire: sim.NewFIFO(s, "ether")}
-}
-
-// NewShardedEthernet builds the shared segment homed on lane 0 of sh, with
-// host i's frames delivered onto lane laneOf[i]. The model's spans bound
-// the shard lookahead: the minimum frame wire time covers the stamp-to-
-// completion window and the propagation+driver tail covers the
+// NewEthernet builds the shared segment for n hosts, homed on s. The
+// model's spans bound s's lookahead: the minimum frame wire time covers the
+// stamp-to-completion window and the propagation+driver tail covers the
 // completion-to-delivery hop, so both must be at least the lookahead.
-func NewShardedEthernet(sh *sim.Shard, laneOf []int, c Costs) *Ethernet {
+func NewEthernet(s *sim.Scheduler, n int, c Costs) *Ethernet {
 	minSpan := sim.Duration(FrameWireBytes(0)) * c.EthPerByte
 	post := c.EthPropDelay + c.DriverEthPerFrame
-	if minSpan < sh.Lookahead() || post < sh.Lookahead() {
-		panic(fmt.Sprintf("ethernet: frame span %v / delivery tail %v below shard lookahead %v", minSpan, post, sh.Lookahead()))
+	if la := s.Lookahead(); minSpan < la || post < la {
+		panic(fmt.Sprintf("ethernet: frame span %v / delivery tail %v below shard lookahead %v", minSpan, post, la))
 	}
-	home := sh.Lane(0)
-	e := &Ethernet{s: home, c: c, stage: sim.NewStage(home), wire: sim.NewFIFO(home, "ether"), laneOf: laneOf}
-	for _, l := range laneOf {
-		e.scheds = append(e.scheds, sh.Lane(l))
-	}
-	return e
-}
-
-func (e *Ethernet) schedOf(host int) *sim.Scheduler {
-	if e.scheds == nil {
-		return e.s
-	}
-	return e.scheds[host]
-}
-
-func (e *Ethernet) lane(host int) int {
-	if e.laneOf == nil {
-		return 0
-	}
-	return e.laneOf[host]
+	return &Ethernet{s: s, n: n, c: c, stage: sim.NewStage(s), wire: sim.NewFIFO(s, "ether")}
 }
 
 // Kind implements Medium.
@@ -126,14 +99,14 @@ func FrameWireBytes(n int) int {
 	return n + EthOverheadBytes
 }
 
-// Deliver implements Medium. Must be called from src's lane context on a
-// sharded segment; deliver runs on dst's lane.
+// Deliver implements Medium. Must be called from src's lane context;
+// deliver runs on dst's lane.
 func (e *Ethernet) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) bool {
 	if n > EthMTU {
 		panic(fmt.Sprintf("ethernet: frame payload %d exceeds MTU", n))
 	}
 	wire := sim.Duration(FrameWireBytes(n)) * e.c.EthPerByte
-	e.stage.Request(e.schedOf(src), func(t0 sim.Time) {
+	e.stage.Request(e.s.Node(src, e.n), func(t0 sim.Time) {
 		if e.CSMACD && e.wire.BusyUntil() > t0 {
 			// Contended medium: model collisions + truncated binary
 			// exponential backoff. The backoff window doubles with the number
@@ -151,7 +124,7 @@ func (e *Ethernet) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) bo
 		end := e.wire.ReserveAt(t0, wire)
 		e.stage.At(end, func() {
 			e.queued--
-			e.stage.Exit(e.lane(dst), end+sim.Time(e.c.EthPropDelay+e.c.DriverEthPerFrame), deliver)
+			e.stage.Exit(e.s.Node(dst, e.n).LaneID(), end+sim.Time(e.c.EthPropDelay+e.c.DriverEthPerFrame), deliver)
 		})
 	})
 	return true
@@ -163,47 +136,30 @@ func (e *Ethernet) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) bo
 // there is no cross-host contention except at a shared destination port.
 //
 // Because every per-host resource (uplink, downlink, NIC time) belongs to
-// exactly one host, the fabric shards cleanly: NewShardedATMNet pins host
-// i's FIFOs to its lane, and the switch-forwarding hop — the only point
-// where a packet leaves its source host — crosses lanes through Route,
-// with SwitchDelay as the lookahead bound. On a single scheduler the hop
-// degrades to a plain timer, bit-identical to the historical model. The
-// shared Ethernet segment serializes all hosts on one wire and shards as
-// a lane-0-homed sim.Stage instead (NewShardedEthernet).
+// exactly one host, the fabric shards cleanly: host i's FIFOs live on its
+// node scheduler, and the switch-forwarding hop — the only point where a
+// packet leaves its source host — goes through Route, with SwitchDelay as
+// the lookahead bound. The shared Ethernet segment serializes all hosts on
+// one wire and is a sim.Stage instead.
 type ATMNet struct {
 	s        *sim.Scheduler
 	c        Costs
 	up, down []*sim.FIFO
 	ports    []*portArbiter
-
-	scheds []*sim.Scheduler // per-host lane scheduler; nil when unsharded
-	laneOf []int
 }
 
-// NewATMNet builds the switch with n host ports.
+// NewATMNet builds the switch with n host ports for the world built on s.
+// The switch forwarding delay must be at least s's lookahead (it is the
+// only cross-lane hop).
 func NewATMNet(s *sim.Scheduler, n int, c Costs) *ATMNet {
+	if c.SwitchDelay < s.Lookahead() {
+		panic(fmt.Sprintf("atm: switch delay %v below shard lookahead %v", c.SwitchDelay, s.Lookahead()))
+	}
 	a := &ATMNet{s: s, c: c}
 	for i := 0; i < n; i++ {
-		a.up = append(a.up, sim.NewFIFO(s, fmt.Sprintf("atm-up%d", i)))
-		a.down = append(a.down, sim.NewFIFO(s, fmt.Sprintf("atm-down%d", i)))
-		a.ports = append(a.ports, &portArbiter{})
-	}
-	return a
-}
-
-// NewShardedATMNet builds the switch with host i's port FIFOs pinned to
-// lane laneOf[i]. The switch forwarding delay must be at least the shard's
-// lookahead (it is the only cross-lane hop).
-func NewShardedATMNet(sh *sim.Shard, laneOf []int, c Costs) *ATMNet {
-	if c.SwitchDelay < sh.Lookahead() {
-		panic(fmt.Sprintf("atm: switch delay %v below shard lookahead %v", c.SwitchDelay, sh.Lookahead()))
-	}
-	a := &ATMNet{s: sh.Lane(0), c: c, laneOf: laneOf}
-	for i, l := range laneOf {
-		ls := sh.Lane(l)
-		a.scheds = append(a.scheds, ls)
-		a.up = append(a.up, sim.NewFIFO(ls, fmt.Sprintf("atm-up%d", i)))
-		a.down = append(a.down, sim.NewFIFO(ls, fmt.Sprintf("atm-down%d", i)))
+		hs := s.Node(i, n)
+		a.up = append(a.up, sim.NewFIFO(hs, fmt.Sprintf("atm-up%d", i)))
+		a.down = append(a.down, sim.NewFIFO(hs, fmt.Sprintf("atm-down%d", i)))
 		a.ports = append(a.ports, &portArbiter{})
 	}
 	return a
@@ -214,14 +170,14 @@ func NewShardedATMNet(sh *sim.Shard, laneOf []int, c Costs) *ATMNet {
 // several senders, so when two packets reach the switch output at the same
 // virtual instant, which one wins decides both their delivery order and
 // their queueing delays. Event execution order at equal timestamps is a
-// kernel artifact — insertion order on the single scheduler, the
-// (lane, sequence) merge on the shard — so reserving the FIFO directly in
-// arrival order would let the two kernels resolve the tie differently.
+// kernel artifact — insertion order on a standalone scheduler, the
+// (lane, sequence) merge on a shard — so reserving the FIFO directly in
+// arrival order would let the two drivers resolve the tie differently.
 // Instead arrivals buffer for one sub-cell arbitration window and reserve
 // in (stamp, source-port) order, the ASX-200's fixed port priority:
 // reservations are backdated to their stamps (FIFO.ReserveAt), so untied
 // traffic keeps bit-identical timing and tied packets get one canonical
-// winner on both kernels.
+// winner under both.
 type portArbiter struct {
 	pending []portReq
 	flushAt sim.Time // scheduled flush; zero when none pending
@@ -286,19 +242,7 @@ func (a *ATMNet) flush(dst int) {
 	}
 }
 
-func (a *ATMNet) schedOf(host int) *sim.Scheduler {
-	if a.scheds == nil {
-		return a.s
-	}
-	return a.scheds[host]
-}
-
-func (a *ATMNet) lane(host int) int {
-	if a.laneOf == nil {
-		return 0
-	}
-	return a.laneOf[host]
-}
+func (a *ATMNet) schedOf(host int) *sim.Scheduler { return a.s.Node(host, len(a.up)) }
 
 // Kind implements Medium.
 func (a *ATMNet) Kind() MediumKind { return OverATM }
@@ -306,8 +250,7 @@ func (a *ATMNet) Kind() MediumKind { return OverATM }
 // MTU implements Medium (Classical IP over ATM).
 func (a *ATMNet) MTU() int { return ATMMTU }
 
-// Deliver implements Medium. Must be called from src's lane context on a
-// sharded fabric.
+// Deliver implements Medium. Must be called from src's lane context.
 func (a *ATMNet) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) bool {
 	wireBytes := AAL5WireBytes(n)
 	if opts.AAL34 {
@@ -320,11 +263,10 @@ func (a *ATMNet) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) bool
 	// (backdated to the switch-hop arrival) and schedules inbound SAR plus
 	// the STREAMS driver after the serialization completes. The switch hop
 	// routes to the destination's lane, so the downlink is reserved in
-	// destination context at the same virtual time the single-scheduler
-	// model reserved it.
+	// destination context.
 	ss.After(a.c.I960PerPacket, func() {
 		a.up[src].UseAsync(wire, func() {
-			ss.RouteAfter(a.lane(dst), a.c.SwitchDelay, func() {
+			ss.RouteAfter(a.schedOf(dst).LaneID(), a.c.SwitchDelay, func() {
 				a.enqueue(dst, src, wire, deliver)
 			})
 		})

@@ -7,10 +7,10 @@ import (
 	"repro/internal/sim"
 )
 
-// The sharded ATM fabric is the same cost model on a different kernel:
-// deliveries — including downlink contention at a shared destination port
-// from sources on different lanes — must land at exactly the
-// single-scheduler times.
+// The ATM fabric on shard lanes is the same cost model under a different
+// driver: deliveries — including downlink contention at a shared
+// destination port from sources on different lanes — must land at exactly
+// the single-scheduler times.
 func TestShardedATMNetMatchesSingleScheduler(t *testing.T) {
 	c := DefaultCosts()
 	run := func(a *ATMNet, drive func() (sim.Time, error)) []sim.Time {
@@ -28,7 +28,7 @@ func TestShardedATMNetMatchesSingleScheduler(t *testing.T) {
 	s := sim.NewScheduler(1)
 	want := run(NewATMNet(s, 3, c), s.Run)
 	sh := sim.NewShard(1, 3, c.SwitchDelay)
-	got := run(NewShardedATMNet(sh, []int{0, 1, 2}, c), sh.Run)
+	got := run(NewATMNet(sh.Lane(0), 3, c), sh.Run)
 	if len(want) != 3 || len(got) != 3 {
 		t.Fatalf("deliveries: single %v, sharded %v", want, got)
 	}
@@ -49,20 +49,20 @@ func TestShardedEthernetMatchesSingleScheduler(t *testing.T) {
 		ends := make([]sim.Time, 4)
 		// All hosts contend for the wire at t=0, then host 0 sends again.
 		e.Deliver(0, 2, 700, DeliverOpts{}, func() {
-			ends[0] = e.schedOf(2).Now()
-			e.Deliver(2, 1, 40, DeliverOpts{}, func() { ends[3] = e.schedOf(1).Now() })
+			ends[0] = e.s.Node(2, 3).Now()
+			e.Deliver(2, 1, 40, DeliverOpts{}, func() { ends[3] = e.s.Node(1, 3).Now() })
 		})
-		e.Deliver(1, 2, 300, DeliverOpts{}, func() { ends[1] = e.schedOf(2).Now() })
-		e.Deliver(2, 0, 1, DeliverOpts{}, func() { ends[2] = e.schedOf(0).Now() })
+		e.Deliver(1, 2, 300, DeliverOpts{}, func() { ends[1] = e.s.Node(2, 3).Now() })
+		e.Deliver(2, 0, 1, DeliverOpts{}, func() { ends[2] = e.s.Node(0, 3).Now() })
 		if _, err := drive(); err != nil {
 			t.Fatal(err)
 		}
 		return ends
 	}
 	s := sim.NewScheduler(1)
-	want := run(NewEthernet(s, c), s.Run)
+	want := run(NewEthernet(s, 3, c), s.Run)
 	sh := sim.NewShard(1, 3, c.SwitchDelay)
-	got := run(NewShardedEthernet(sh, []int{0, 1, 2}, c), sh.Run)
+	got := run(NewEthernet(sh.Lane(0), 3, c), sh.Run)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("delivery %d at %v sharded, %v single (all: %v vs %v)", i, got[i], want[i], got, want)
@@ -82,7 +82,7 @@ func TestShardedEthernetRejectsLongLookahead(t *testing.T) {
 			t.Fatal("expected panic for lookahead above the delivery tail")
 		}
 	}()
-	NewShardedEthernet(sh, []int{0, 1}, c)
+	NewEthernet(sh.Lane(0), 2, c)
 }
 
 func TestShardedATMNetRejectsShortSwitchDelay(t *testing.T) {
@@ -93,5 +93,5 @@ func TestShardedATMNetRejectsShortSwitchDelay(t *testing.T) {
 			t.Fatal("expected panic for switch delay below lookahead")
 		}
 	}()
-	NewShardedATMNet(sh, []int{0, 1}, c)
+	NewATMNet(sh.Lane(0), 2, c)
 }

@@ -44,9 +44,11 @@ func TestCheckScaleGate(t *testing.T) {
 	good := ScaleReport{
 		SchemaVersion: scaleSchemaVersion,
 		MaxProcs:      1,
+		// The sharded-over-single speedup is recorded, not floored: the two
+		// run the same proc switch, so a ratio near 1 is a clean report.
 		Points: []ScalePoint{
-			{Ranks: 64, Identical: true, SingleEvPerSec: 1e6, ShardEvPerSec: 3e6, Speedup: 3, ParallelEvPerSec: 3e6, ParallelSpeedup: 1},
-			{Ranks: 1024, Identical: true, SingleEvPerSec: 1e6, ShardEvPerSec: 3e6, Speedup: 3, ParallelEvPerSec: 3e6, ParallelSpeedup: 1},
+			{Ranks: 64, Identical: true, SingleEvPerSec: 2.5e6, ShardEvPerSec: 3e6, Speedup: 1.2, ParallelEvPerSec: 3e6, ParallelSpeedup: 1},
+			{Ranks: 1024, Identical: true, SingleEvPerSec: 2.5e6, ShardEvPerSec: 3e6, Speedup: 1.2, ParallelEvPerSec: 3e6, ParallelSpeedup: 1},
 		},
 		Collectives: []ScaleCollPoint{
 			{Op: "barrier", Ranks: 1024, Identical: true}, // backendless = mem (schema v0)
@@ -66,11 +68,6 @@ func TestCheckScaleGate(t *testing.T) {
 	bad.Points = append([]ScalePoint(nil), good.Points...)
 	bad.Points[1].Identical = false
 	requireFail(t, CheckScale(bad, nil, 0.10), "diverged")
-
-	bad = good
-	bad.Points = append([]ScalePoint(nil), good.Points...)
-	bad.Points[1].Speedup = 1.5
-	requireFail(t, CheckScale(bad, nil, 0.10), "below the")
 
 	bad = good
 	bad.Points = good.Points[:1] // no >=1024-rank point
@@ -111,7 +108,7 @@ func TestCheckScaleGate(t *testing.T) {
 	// a baseline-only 16384 point do not.
 	base := good
 	base.Points = append([]ScalePoint(nil), good.Points...)
-	base.Points = append(base.Points, ScalePoint{Ranks: 16384, Identical: true, SingleEvPerSec: 1e6, ShardEvPerSec: 3e6, Speedup: 3})
+	base.Points = append(base.Points, ScalePoint{Ranks: 16384, Identical: true, SingleEvPerSec: 2.5e6, ShardEvPerSec: 3e6, Speedup: 1.2})
 	cur := good
 	cur.Points = append([]ScalePoint(nil), good.Points...)
 	cur.Points[1].ShardEvPerSec = 3e6 * 0.95

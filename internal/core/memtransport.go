@@ -12,11 +12,11 @@ import (
 // platform cost model, and as the executable specification of the
 // Transport contract that the Meiko and cluster transports implement.
 //
-// The fabric runs on either kernel: on a single scheduler (NewMemFabric)
-// every delivery is a plain timer event, and on a shard
-// (NewShardedMemFabric) each rank's endpoint lives on its node's lane and
-// deliveries cross lanes through Route — the flat Latency is the shard's
-// natural lookahead bound.
+// The fabric is built on whatever scheduler the world was given: each
+// rank's endpoint lives on that rank's node scheduler (sim.Scheduler.Node)
+// and deliveries go through Route, which crosses lanes on a shard and is a
+// plain timer on a standalone scheduler. The flat Latency is the natural
+// lookahead bound.
 type MemFabric struct {
 	S        *sim.Scheduler
 	Latency  sim.Duration
@@ -24,57 +24,34 @@ type MemFabric struct {
 	Credits  int // per-(sender,receiver) bounce bytes; 0 means unlimited
 	PollCost sim.Duration
 
-	sh     *sim.Shard
-	laneOf []int // world rank -> lane; nil when single-scheduler
-
+	n   int // job size, learned from the first attached engine
 	eps map[int]*MemTransport
 }
 
-// NewMemFabric returns a fabric for the given scheduler. Attach endpoints
-// with Attach before running.
+// NewMemFabric returns a fabric for the world built on s. The fabric
+// latency must be at least s's lookahead, or cross-lane deliveries would
+// land inside the epoch window. Attach endpoints with Attach before
+// running.
 func NewMemFabric(s *sim.Scheduler, latency sim.Duration, eager int) *MemFabric {
+	if latency < s.Lookahead() {
+		panic(fmt.Sprintf("memtransport: fabric latency %v below shard lookahead %v", latency, s.Lookahead()))
+	}
 	return &MemFabric{S: s, Latency: latency, Eager: eager, eps: make(map[int]*MemTransport)}
 }
 
-// NewShardedMemFabric returns a fabric whose rank endpoints are pinned to
-// shard lanes by laneOf (world rank -> lane). The fabric latency must be at
-// least the shard's lookahead, or cross-lane deliveries would land inside
-// the epoch window.
-func NewShardedMemFabric(sh *sim.Shard, laneOf []int, latency sim.Duration, eager int) *MemFabric {
-	if latency < sh.Lookahead() {
-		panic(fmt.Sprintf("memtransport: fabric latency %v below shard lookahead %v", latency, sh.Lookahead()))
-	}
-	return &MemFabric{
-		S: sh.Lane(0), Latency: latency, Eager: eager,
-		sh: sh, laneOf: laneOf, eps: make(map[int]*MemTransport),
-	}
-}
-
 // schedFor reports the scheduler owning rank's endpoint.
-func (f *MemFabric) schedFor(rank int) *sim.Scheduler {
-	if f.sh == nil {
-		return f.S
-	}
-	return f.sh.Lane(f.laneOf[rank])
-}
+func (f *MemFabric) schedFor(rank int) *sim.Scheduler { return f.S.Node(rank, f.n) }
 
-// laneFor reports rank's lane (0 on a single scheduler, where Route
-// degrades to a local timer anyway).
-func (f *MemFabric) laneFor(rank int) int {
-	if f.laneOf == nil {
-		return 0
-	}
-	return f.laneOf[rank]
-}
+// laneFor reports rank's lane.
+func (f *MemFabric) laneFor(rank int) int { return f.schedFor(rank).LaneID() }
 
 // crossLane reports whether a and b live on different lanes.
-func (f *MemFabric) crossLane(a, b int) bool {
-	return f.laneOf != nil && f.laneOf[a] != f.laneOf[b]
-}
+func (f *MemFabric) crossLane(a, b int) bool { return f.schedFor(a) != f.schedFor(b) }
 
-// Attach creates the rank's transport and wires it to engine e. In a
-// sharded fabric, e must have been built on its rank's lane scheduler.
+// Attach creates the rank's transport and wires it to engine e, which must
+// have been built on its rank's node scheduler.
 func (f *MemFabric) Attach(e *Engine) *MemTransport {
+	f.n = e.Size()
 	s := f.schedFor(e.Rank())
 	t := &MemTransport{
 		fab:       f,
@@ -126,8 +103,7 @@ func (t *MemTransport) creditsFor(dst int) int {
 
 // deliver ships pkt to dst after the fabric latency. Every call site runs
 // on t's own lane (sends from the rank's proc, credit/CTS turnarounds from
-// delivery context), so Route's staging is always lane-local; on a
-// single-scheduler fabric Route degrades to a plain timer.
+// delivery context), so Route's staging is always lane-local.
 func (t *MemTransport) deliver(dst int, pkt *Packet) {
 	t.NSent++
 	t.s.RouteAfter(t.fab.laneFor(dst), t.fab.Latency, func() {
@@ -171,8 +147,8 @@ func (t *MemTransport) drainSendQ(dst int) {
 	t.sendQ[dst] = q
 }
 
-// bounce allocates delivery storage for a payload copy. Same-lane (and
-// single-scheduler) transfers draw from the sender engine's pool and the
+// bounce allocates delivery storage for a payload copy. Same-lane
+// transfers draw from the sender engine's pool and the
 // receiving engine recycles the buffer after copy-out — safe because both
 // ends share one scheduler. A cross-lane Put would mutate the source
 // lane's freelist from the destination lane, so those transfers use plain

@@ -148,8 +148,8 @@ func (m *Machine) NewFatTree() *FatTree {
 	if t.HopLatency <= 0 {
 		t.HopLatency = 1
 	}
-	if sh := m.S.Shard(); sh != nil && t.HopLatency < sh.Lookahead() {
-		panic(fmt.Sprintf("meiko: fat-tree hop latency %v below shard lookahead %v", t.HopLatency, sh.Lookahead()))
+	if t.HopLatency < m.S.Lookahead() {
+		panic(fmt.Sprintf("meiko: fat-tree hop latency %v below shard lookahead %v", t.HopLatency, m.S.Lookahead()))
 	}
 	t.stage = sim.NewStage(m.S)
 	t.down = make([][][]*sim.FIFO, stages)

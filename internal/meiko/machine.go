@@ -11,13 +11,13 @@ import (
 // per-byte serialization on the sender's injection port; each node's Elan
 // is a serial resource, so co-processor occupancy queues realistically.
 //
-// A machine can be built on a single scheduler (NewMachine) or with its
-// nodes pinned to shard lanes (NewShardedMachine): each node's Elan and
-// injection-port FIFOs then live on that node's lane, and the wire-latency
-// hop between nodes crosses lanes through Route — WireLatency is the
-// natural lookahead bound. The staged fat-tree model homes its shared
-// switch stages on lane 0 as a sim.Stage (see NewFatTree); with the tree
-// attached the lookahead bound tightens to HopLatency = WireLatency/2.
+// The machine is built on whatever scheduler the world was given: node i's
+// Elan and injection-port FIFOs live on its node scheduler
+// (sim.Scheduler.Node), and the wire-latency hop between nodes goes through
+// Route — WireLatency is the natural lookahead bound. The staged fat-tree
+// model homes its shared switch stages on S as a sim.Stage (see
+// NewFatTree); with the tree attached the lookahead bound tightens to
+// HopLatency = WireLatency/2.
 type Machine struct {
 	S     *sim.Scheduler
 	Costs Costs
@@ -27,51 +27,39 @@ type Machine struct {
 	Tree *FatTree
 }
 
-// NewMachine builds an n-node CS/2 on scheduler s.
+// NewMachine builds an n-node CS/2 for the world built on s. The wire
+// latency must be at least s's lookahead or cross-node deliveries would
+// land inside the epoch window.
 func NewMachine(s *sim.Scheduler, n int, c Costs) *Machine {
+	if sim.Duration(c.WireLatency) < s.Lookahead() {
+		panic(fmt.Sprintf("meiko: wire latency %v below shard lookahead %v", c.WireLatency, s.Lookahead()))
+	}
 	m := &Machine{S: s, Costs: c}
 	for i := 0; i < n; i++ {
-		m.Nodes = append(m.Nodes, newNode(m, i, s, 0))
+		ns := s.Node(i, n)
+		m.Nodes = append(m.Nodes, &Node{
+			ID:   i,
+			M:    m,
+			S:    ns,
+			Lane: ns.LaneID(),
+			Elan: sim.NewFIFO(ns, fmt.Sprintf("elan%d", i)),
+			Out:  sim.NewFIFO(ns, fmt.Sprintf("link%d", i)),
+		})
 	}
 	return m
-}
-
-// NewShardedMachine builds an n-node CS/2 with node i pinned to lane
-// laneOf[i]. The wire latency must be at least the shard's lookahead or
-// cross-node deliveries would land inside the epoch window.
-func NewShardedMachine(sh *sim.Shard, laneOf []int, n int, c Costs) *Machine {
-	if sim.Duration(c.WireLatency) < sh.Lookahead() {
-		panic(fmt.Sprintf("meiko: wire latency %v below shard lookahead %v", c.WireLatency, sh.Lookahead()))
-	}
-	m := &Machine{S: sh.Lane(0), Costs: c}
-	for i := 0; i < n; i++ {
-		m.Nodes = append(m.Nodes, newNode(m, i, sh.Lane(laneOf[i]), laneOf[i]))
-	}
-	return m
-}
-
-func newNode(m *Machine, id int, s *sim.Scheduler, lane int) *Node {
-	return &Node{
-		ID:   id,
-		M:    m,
-		S:    s,
-		Lane: lane,
-		Elan: sim.NewFIFO(s, fmt.Sprintf("elan%d", id)),
-		Out:  sim.NewFIFO(s, fmt.Sprintf("link%d", id)),
-	}
 }
 
 // Node is one CS/2 node: the SPARC is modeled by whatever proc runs the
 // application; the Elan and the injection port are serial resources, both
-// owned by the node's scheduler (its shard lane, when sharded).
+// owned by the node's scheduler.
 type Node struct {
 	ID   int
 	M    *Machine
-	S    *sim.Scheduler // this node's (lane) scheduler
-	Lane int
-	Elan *sim.FIFO // Elan co-processor occupancy
-	Out  *sim.FIFO // network injection port
-	Port *Tport    // attached tport widget, if any
+	S    *sim.Scheduler // this node's scheduler
+	Lane int            // S.LaneID(), the Route address of this node
+	Elan *sim.FIFO      // Elan co-processor occupancy
+	Out  *sim.FIFO      // network injection port
+	Port *Tport         // attached tport widget, if any
 }
 
 // Txn models a user-level remote transaction carrying nbytes of payload to
@@ -159,9 +147,7 @@ func (n *Node) Broadcast(nbytes int, onLocal func(), deliver func(dst *Node)) {
 // is attached, otherwise at the flat wire latency (the serialization on
 // the source injection port has already been paid by the caller). The
 // wire hop is where traffic leaves the source node's lane, so fn runs on
-// the destination's scheduler; on a single-scheduler machine Route
-// degrades to a plain timer and the timing is bit-identical to the
-// historical After path.
+// the destination's scheduler.
 func (m *Machine) transit(src *Node, dst, nbytes int, perByte sim.Duration, fn func()) {
 	if m.Tree != nil {
 		m.Tree.Deliver(src.ID, dst, nbytes, perByte, fn)
@@ -181,14 +167,14 @@ type Event struct {
 	cond *sim.Cond
 }
 
-// NewEvent returns an unset event on machine m (on lane 0 of a sharded
-// machine; node-local events come from Node.NewEvent).
+// NewEvent returns an unset event on m.S (node-local events come from
+// Node.NewEvent).
 func (m *Machine) NewEvent() *Event {
 	return &Event{s: m.S, c: m.Costs, cond: sim.NewCond(m.S)}
 }
 
 // NewEvent returns an unset event owned by n's scheduler, so waits and
-// device completions stay lane-local on a sharded machine.
+// device completions stay lane-local.
 func (n *Node) NewEvent() *Event {
 	return &Event{s: n.S, c: n.M.Costs, cond: sim.NewCond(n.S)}
 }

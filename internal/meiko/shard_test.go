@@ -7,8 +7,9 @@ import (
 	"repro/internal/sim"
 )
 
-// The sharded machine is the same cost model on a different kernel: raw
-// media operations must complete at exactly the single-scheduler times.
+// The machine on shard lanes is the same cost model under a different
+// driver: raw media operations must complete at exactly the
+// single-scheduler times.
 func TestShardedMachineMatchesSingleScheduler(t *testing.T) {
 	c := DefaultCosts()
 	type result struct{ txn, dmaLocal, dmaRemote, bcast1, bcast2 sim.Time }
@@ -35,7 +36,7 @@ func TestShardedMachineMatchesSingleScheduler(t *testing.T) {
 	s := sim.NewScheduler(1)
 	want := run(NewMachine(s, 3, c), s.Run)
 	sh := sim.NewShard(1, 3, sim.Duration(c.WireLatency))
-	got := run(NewShardedMachine(sh, []int{0, 1, 2}, 3, c), sh.Run)
+	got := run(NewMachine(sh.Lane(0), 3, c), sh.Run)
 	if got != want {
 		t.Fatalf("sharded machine times %+v != single-scheduler times %+v", got, want)
 	}
@@ -60,7 +61,7 @@ func TestShardedMachineElanContention(t *testing.T) {
 	s := sim.NewScheduler(1)
 	want := run(NewMachine(s, 3, c), s.Run)
 	sh := sim.NewShard(1, 3, sim.Duration(c.WireLatency))
-	got := run(NewShardedMachine(sh, []int{0, 1, 2}, 3, c), sh.Run)
+	got := run(NewMachine(sh.Lane(0), 3, c), sh.Run)
 	if len(got) != len(want) {
 		t.Fatalf("deliveries: %d vs %d", len(got), len(want))
 	}
@@ -96,9 +97,8 @@ func TestShardedMachineFatTreeMatchesSingleScheduler(t *testing.T) {
 	}
 	s := sim.NewScheduler(1)
 	want := run(NewMachine(s, n, c), s.Run)
-	lanes := []int{0, 0, 1, 1, 2, 2, 3, 3}
 	sh := sim.NewShard(1, 4, sim.Duration(c.WireLatency)/2)
-	got := run(NewShardedMachine(sh, lanes, n, c), sh.Run)
+	got := run(NewMachine(sh.Lane(0), n, c), sh.Run)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("delivery %d at %v sharded, %v single", i, got[i], want[i])
@@ -114,7 +114,7 @@ func TestShardedMachineRejectsFatTreeShortHop(t *testing.T) {
 	// WireLatency satisfies the flat-wire bound but the tree's HopLatency
 	// (WireLatency/2) does not: attaching the tree must panic.
 	sh := sim.NewShard(1, 2, sim.Duration(c.WireLatency))
-	m := NewShardedMachine(sh, []int{0, 1}, 2, c)
+	m := NewMachine(sh.Lane(0), 2, c)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic attaching a fat tree with hop latency below lookahead")
@@ -131,5 +131,5 @@ func TestShardedMachineRejectsShortWire(t *testing.T) {
 			t.Fatal("expected panic for wire latency below lookahead")
 		}
 	}()
-	NewShardedMachine(sh, []int{0, 1}, 2, c)
+	NewMachine(sh.Lane(0), 2, c)
 }

@@ -25,37 +25,47 @@ func BenchmarkEventDispatch(b *testing.B) {
 }
 
 func BenchmarkProcSwitch(b *testing.B) {
-	s := NewScheduler(1)
-	s.Spawn("p", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Advance(time.Nanosecond)
-		}
-	})
-	b.ResetTimer()
-	if _, err := s.Run(); err != nil {
-		b.Fatal(err)
+	for _, k := range kernels {
+		b.Run(k.name, func(b *testing.B) {
+			s, run, _ := newTestKernel(k.lanes, 0)
+			s.Spawn("p", func(p *Proc) {
+				for i := 0; i < b.N; i++ {
+					p.Advance(time.Nanosecond)
+				}
+			})
+			b.ResetTimer()
+			if _, err := run(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 
+// BenchmarkCondHandoff measures the Cond wait/signal cycle between two
+// procs on one scheduler.
 func BenchmarkCondHandoff(b *testing.B) {
-	s := NewScheduler(1)
-	c1 := NewCond(s)
-	c2 := NewCond(s)
-	// a spawns first, so it is parked on c1 before b's first signal.
-	s.Spawn("a", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			c1.Wait(p)
-			c2.Signal()
-		}
-	})
-	s.Spawn("b", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			c1.Signal()
-			c2.Wait(p)
-		}
-	})
-	b.ResetTimer()
-	if _, err := s.Run(); err != nil {
-		b.Fatal(err)
+	for _, k := range kernels {
+		b.Run(k.name, func(b *testing.B) {
+			s, run, _ := newTestKernel(k.lanes, 0)
+			c1 := NewCond(s)
+			c2 := NewCond(s)
+			// a spawns first, so it is parked on c1 before b's first signal.
+			s.Spawn("a", func(p *Proc) {
+				for i := 0; i < b.N; i++ {
+					c1.Wait(p)
+					c2.Signal()
+				}
+			})
+			s.Spawn("b", func(p *Proc) {
+				for i := 0; i < b.N; i++ {
+					c1.Signal()
+					c2.Wait(p)
+				}
+			})
+			b.ResetTimer()
+			if _, err := run(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

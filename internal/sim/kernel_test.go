@@ -1,0 +1,197 @@
+package sim
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+)
+
+// kernels lists every way the one kernel is driven: a standalone Scheduler
+// under its own Run, and shard lanes — one, and several — under the epoch
+// loop. Proc lifecycle behavior must not depend on the driver, so the tests
+// and benchmarks below run over the whole table.
+var kernels = []struct {
+	name  string
+	lanes int // 0: standalone scheduler
+}{
+	{"scheduler", 0},
+	{"shard-1lane", 1},
+	{"shard", 4},
+}
+
+// testNodes is the world size the table tests place procs over: with the
+// 4-lane shard every lane gets one node, and the last node is off lane 0.
+const testNodes = 4
+
+// newTestKernel builds one table entry: the root scheduler (place procs
+// with root.Node(i, testNodes)) and its driver's Run and Shutdown.
+func newTestKernel(lanes int, maxEvents uint64) (root *Scheduler, run func() (Time, error), shutdown func()) {
+	if lanes == 0 {
+		s := NewScheduler(1)
+		s.MaxEvents = maxEvents
+		return s, s.Run, s.Shutdown
+	}
+	sh := NewShard(1, lanes, time.Microsecond)
+	sh.MaxEvents = maxEvents
+	return sh.Lane(0), sh.Run, sh.Shutdown
+}
+
+// settleGoroutines waits for exited goroutines to be reaped and reports
+// the count.
+func settleGoroutines(baseline int) int {
+	for i := 0; i < 100 && runtime.NumGoroutine() > baseline; i++ {
+		runtime.Gosched()
+	}
+	return runtime.NumGoroutine()
+}
+
+func TestNodePlacement(t *testing.T) {
+	s := NewScheduler(1)
+	if s.Node(3, 8) != s || s.LaneID() != 0 || s.Lookahead() != 0 {
+		t.Fatalf("standalone: Node = %p (want %p), LaneID = %d, Lookahead = %v", s.Node(3, 8), s, s.LaneID(), s.Lookahead())
+	}
+	sh := NewShard(1, 3, time.Microsecond)
+	// The block map i*lanes/n, asked from any lane.
+	for i, want := range []int{0, 0, 0, 1, 1, 1, 2, 2} {
+		got := sh.Lane(2).Node(i, 8)
+		if got != sh.Lane(want) || got.LaneID() != want {
+			t.Fatalf("node %d of 8 on lane %d, want %d", i, got.LaneID(), want)
+		}
+	}
+	if la := sh.Lane(1).Lookahead(); la != time.Microsecond {
+		t.Fatalf("lane Lookahead = %v", la)
+	}
+	// NewKernel clamps lanes to nodes and only shards above one lane.
+	if k := NewKernel(1, 1, 8, time.Microsecond, 7); k.Shard() != nil || k.MaxEvents != 7 {
+		t.Fatalf("NewKernel(lanes=1) built a shard or lost the limit")
+	}
+	if k := NewKernel(1, 16, 4, time.Microsecond, 7); k.Shard().Lanes() != 4 || k.Shard().MaxEvents != 7 || k.LaneID() != 0 {
+		t.Fatalf("NewKernel(lanes=16, nodes=4): %d lanes", k.Shard().Lanes())
+	}
+}
+
+// A panic or runtime.Goexit (t.Fatal) inside a proc body must surface from
+// Run on the goroutine that called it, and leave the kernel in a state
+// Shutdown can reap: the other procs run no further user code and their
+// coroutines are released.
+func TestProcUnwindSurfacesFromRun(t *testing.T) {
+	for _, k := range kernels {
+		for _, how := range []string{"panic", "goexit"} {
+			t.Run(k.name+"/"+how, func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				root, run, shutdown := newTestKernel(k.lanes, 0)
+				resumed := false
+				for i := 0; i < testNodes; i++ {
+					s := root.Node(i, testNodes)
+					c := NewCond(s)
+					s.Spawn(fmt.Sprintf("stuck%d", i), func(p *Proc) {
+						c.Wait(p)
+						resumed = true
+					})
+				}
+				root.Node(testNodes-1, testNodes).Spawn("bad", func(p *Proc) {
+					p.Advance(10)
+					if how == "panic" {
+						panic("boom")
+					}
+					runtime.Goexit()
+				})
+				// Run on a goroutine of its own: Goexit ends its caller.
+				var recovered any
+				returned := false
+				var wg sync.WaitGroup
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer func() { recovered = recover() }()
+					run()
+					returned = true
+				}()
+				wg.Wait()
+				if returned {
+					t.Fatal("Run returned normally past a proc that unwound")
+				}
+				if how == "panic" && recovered != "boom" {
+					t.Fatalf("recovered %v from Run's goroutine, want the proc's panic value", recovered)
+				}
+				if how == "goexit" && recovered != nil {
+					t.Fatalf("Goexit surfaced as panic %v", recovered)
+				}
+				shutdown()
+				shutdown() // idempotent
+				if resumed {
+					t.Fatal("parked proc resumed user code during Shutdown")
+				}
+				if g := settleGoroutines(before); g > before {
+					t.Fatalf("goroutines leaked: %d before, %d after", before, g)
+				}
+			})
+		}
+	}
+}
+
+func TestShutdownReleasesParkedProcs(t *testing.T) {
+	for _, k := range kernels {
+		t.Run(k.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			for round := 0; round < 5; round++ {
+				root, run, shutdown := newTestKernel(k.lanes, 0)
+				resumed := false
+				for i := 0; i < testNodes; i++ {
+					s := root.Node(i, testNodes)
+					c := NewCond(s)
+					for j := 0; j < 10; j++ {
+						s.Spawn(fmt.Sprintf("stuck%d.%d", i, j), func(p *Proc) {
+							c.Wait(p)
+							resumed = true
+						})
+					}
+				}
+				var de *DeadlockError
+				if _, err := run(); !errors.As(err, &de) || len(de.Parked) != 10*testNodes {
+					t.Fatalf("err = %v, want a deadlock naming %d procs", err, 10*testNodes)
+				}
+				shutdown()
+				if resumed {
+					t.Fatal("parked proc resumed user code during Shutdown")
+				}
+			}
+			if g := settleGoroutines(before); g > before {
+				t.Fatalf("goroutines leaked: %d before, %d after", before, g)
+			}
+		})
+	}
+}
+
+// Procs that were spawned but never dispatched (the run hit a limit first)
+// must be reaped by Shutdown without their bodies ever running.
+func TestShutdownNeverDispatchedProcRunsNoUserCode(t *testing.T) {
+	for _, k := range kernels {
+		t.Run(k.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			root, run, shutdown := newTestKernel(k.lanes, 2)
+			s := root.Node(testNodes-1, testNodes)
+			// Three same-scheduler events ahead of the spawn push it over its
+			// budget before the spawn's dispatch event can run.
+			for i := 0; i < 3; i++ {
+				s.At(0, func() {})
+			}
+			ran := false
+			s.Spawn("late", func(p *Proc) { ran = true })
+			var le *LimitError
+			if _, err := run(); !errors.As(err, &le) {
+				t.Fatalf("err = %v, want LimitError", err)
+			}
+			shutdown()
+			if ran {
+				t.Fatal("never-dispatched proc body ran during Shutdown")
+			}
+			if g := settleGoroutines(before); g > before {
+				t.Fatalf("goroutines leaked: %d before, %d after", before, g)
+			}
+		})
+	}
+}

@@ -7,9 +7,10 @@ import (
 	"sync"
 )
 
-// Shard is the control plane of the sharded kernel: a set of per-node
-// data-plane lanes (each a full Scheduler with its own event queue, proc
-// set, and RNG stream) synchronized by a conservative lookahead barrier.
+// Shard is the control plane that drives several Schedulers as one world:
+// a set of per-node data-plane lanes (each a full Scheduler with its own
+// event queue, proc set, and RNG stream) synchronized by a conservative
+// lookahead barrier.
 //
 // Execution proceeds in epochs. Each epoch the control plane finds the
 // earliest pending event time T0 across lanes and sets the horizon
@@ -94,12 +95,29 @@ func NewShard(seed int64, n int, lookahead Duration) *Shard {
 	sh := &Shard{lanes: make([]*Scheduler, n), lookahead: Time(lookahead)}
 	for i := range sh.lanes {
 		ln := NewScheduler(seed + int64(i))
-		ln.coro = true
 		ln.shard = sh
 		ln.lane = i
 		sh.lanes[i] = ln
 	}
 	return sh
+}
+
+// NewKernel returns the scheduler an n-node world is built on, chosen by
+// the lane count its caller asked for: a standalone Scheduler for lanes <=
+// 1, otherwise lane 0 of a Shard of min(lanes, nodes) lanes with the given
+// lookahead (the model's minimum cross-node latency). maxEvents bounds the
+// run either way. Models place node i with Node(i, nodes), and whoever
+// runs the world drives Shard() when it is non-nil and the scheduler
+// itself otherwise.
+func NewKernel(seed int64, lanes, nodes int, lookahead Duration, maxEvents uint64) *Scheduler {
+	if lanes <= 1 {
+		s := NewScheduler(seed)
+		s.MaxEvents = maxEvents
+		return s
+	}
+	sh := NewShard(seed, min(lanes, nodes), lookahead)
+	sh.MaxEvents = maxEvents
+	return sh.Lane(0)
 }
 
 // Lanes reports the number of lanes.
@@ -109,10 +127,6 @@ func (sh *Shard) Lanes() int { return len(sh.lanes) }
 // built. Everything reachable from a lane's procs must be lane-local;
 // cross-lane effects go through Route.
 func (sh *Shard) Lane(i int) *Scheduler { return sh.lanes[i] }
-
-// Lookahead reports the shard's lookahead bound. Media use it to validate
-// that their cross-lane latencies qualify.
-func (sh *Shard) Lookahead() Duration { return Duration(sh.lookahead) }
 
 // Stats reports control-plane counters for the run so far.
 func (sh *Shard) Stats() ShardStats {
@@ -294,7 +308,7 @@ func (sh *Shard) stopWorkers() {
 // Run drives all lanes to completion under the epoch/lookahead barrier and
 // returns the final virtual time. Deadlock (all queues and outboxes
 // drained with procs still parked) and limit overruns surface exactly as
-// on the single-lane kernel, as *DeadlockError / *LimitError.
+// from Scheduler.Run, as *DeadlockError / *LimitError.
 func (sh *Shard) Run() (Time, error) {
 	if sh.Parallel && len(sh.lanes) > 1 && sh.work == nil {
 		sh.startWorkers()
@@ -348,8 +362,8 @@ func (sh *Shard) Run() (Time, error) {
 	}
 }
 
-// Shutdown terminates every lane's parked procs (linear per lane; see
-// Scheduler.Shutdown). Call after Run returns an error.
+// Shutdown stops every lane's unfinished procs (linear per lane; see
+// Scheduler.Shutdown). Call after Run returns an error or panics.
 func (sh *Shard) Shutdown() {
 	for _, ln := range sh.lanes {
 		ln.Shutdown()

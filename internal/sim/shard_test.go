@@ -15,7 +15,7 @@ import (
 
 func TestShardSingleLaneMatchesScheduler(t *testing.T) {
 	// The same two-proc program on a standalone scheduler and on a 1-lane
-	// shard (coroutine procs) must produce identical timelines.
+	// shard must produce identical timelines.
 	var traces [2][]string
 	run := func(idx int, s *Scheduler, drive func() (Time, error)) {
 		log := func(p *Proc, what string) {
@@ -47,7 +47,7 @@ func TestShardSingleLaneMatchesScheduler(t *testing.T) {
 }
 
 func TestShardLaneYieldOrdersSameInstantEvents(t *testing.T) {
-	// Same-instant Yield/event ordering must hold on coroutine lanes too:
+	// Same-instant Yield/event ordering must hold under the epoch loop too:
 	// an event queued before the Yield runs first.
 	sh := NewShard(1, 2, time.Microsecond)
 	ln := sh.Lane(1)
@@ -183,77 +183,6 @@ func TestShardDeadlockDetected(t *testing.T) {
 		t.Fatalf("parked = %v", de.Parked)
 	}
 	sh.Shutdown()
-}
-
-func TestShardShutdownReleasesParkedProcs(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for i := 0; i < 5; i++ {
-		sh := NewShard(1, 4, time.Microsecond)
-		for l := 0; l < 4; l++ {
-			ln := sh.Lane(l)
-			c := NewCond(ln)
-			for j := 0; j < 10; j++ {
-				ln.Spawn(fmt.Sprintf("stuck%d.%d", l, j), func(p *Proc) { c.Wait(p) })
-			}
-		}
-		if _, err := sh.Run(); err == nil {
-			t.Fatal("expected deadlock")
-		}
-		sh.Shutdown()
-	}
-	for i := 0; i < 100 && runtime.NumGoroutine() > before+5; i++ {
-		runtime.Gosched()
-	}
-	if g := runtime.NumGoroutine(); g > before+5 {
-		t.Fatalf("goroutines leaked: %d before, %d after", before, g)
-	}
-}
-
-// Procs that were spawned but never dispatched (the run hit a limit first)
-// must be reaped by Shutdown without their bodies ever running — on both
-// kernels.
-func TestShutdownNeverDispatchedProcRunsNoUserCode(t *testing.T) {
-	t.Run("scheduler", func(t *testing.T) {
-		before := runtime.NumGoroutine()
-		s := NewScheduler(1)
-		s.MaxEvents = 2
-		for i := 0; i < 3; i++ {
-			s.At(0, func() {})
-		}
-		ran := false
-		s.Spawn("late", func(p *Proc) { ran = true })
-		if _, err := s.Run(); err == nil {
-			t.Fatal("expected limit error")
-		}
-		s.Shutdown()
-		if ran {
-			t.Fatal("never-dispatched proc body ran during Shutdown")
-		}
-		for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
-			runtime.Gosched()
-		}
-		if g := runtime.NumGoroutine(); g > before {
-			t.Fatalf("goroutines leaked: %d before, %d after", before, g)
-		}
-	})
-	t.Run("shard", func(t *testing.T) {
-		sh := NewShard(1, 2, time.Microsecond)
-		sh.MaxEvents = 2
-		// Three same-lane events ahead of the spawn push the lane over its
-		// budget before the spawn's dispatch event can run.
-		for i := 0; i < 3; i++ {
-			sh.Lane(1).At(0, func() {})
-		}
-		ran := false
-		sh.Lane(1).Spawn("late", func(p *Proc) { ran = true })
-		if _, err := sh.Run(); err == nil {
-			t.Fatal("expected limit error")
-		}
-		sh.Shutdown()
-		if ran {
-			t.Fatal("never-dispatched lane proc body ran during Shutdown")
-		}
-	})
 }
 
 // --- allocation-free scheduling ---
@@ -474,46 +403,6 @@ func TestShardStatsAccounting(t *testing.T) {
 }
 
 // --- benchmarks ---
-
-// BenchmarkLaneProcSwitch measures the coroutine-based proc switch on a
-// shard lane; compare BenchmarkProcSwitch for the channel-based kernel.
-func BenchmarkLaneProcSwitch(b *testing.B) {
-	sh := NewShard(1, 1, time.Microsecond)
-	sh.Lane(0).Spawn("p", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Advance(time.Nanosecond)
-		}
-	})
-	b.ResetTimer()
-	if _, err := sh.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkLaneCondHandoff measures the Cond wait/signal cycle between two
-// coroutine procs on one lane.
-func BenchmarkLaneCondHandoff(b *testing.B) {
-	sh := NewShard(1, 1, time.Microsecond)
-	s := sh.Lane(0)
-	c1 := NewCond(s)
-	c2 := NewCond(s)
-	s.Spawn("a", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			c1.Wait(p)
-			c2.Signal()
-		}
-	})
-	s.Spawn("b", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			c1.Signal()
-			c2.Wait(p)
-		}
-	})
-	b.ResetTimer()
-	if _, err := sh.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
 
 // BenchmarkShardCrossLaneRoute measures the full cross-lane path: stage,
 // barrier merge, and destination dispatch, ping-ponging between two lanes.

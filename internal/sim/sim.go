@@ -1,32 +1,31 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // A simulation consists of a Scheduler owning a virtual clock and an event
-// queue, plus any number of Procs (logical processes). Procs run as
-// goroutines, but the kernel enforces that at any instant exactly one of
-// {the scheduler, one proc} executes; control is handed off over channels,
-// which also provides the happens-before edges that make shared model state
-// race-free without locks.
+// queue, plus any number of Procs (logical processes). Procs run as runtime
+// coroutines (iter.Pull), so at any instant exactly one of {the scheduler,
+// one proc} executes; the coroutine switch also provides the happens-before
+// edges that make shared model state race-free without locks.
 //
 // Time is virtual: a Proc consumes time only by calling Advance (modeling
 // computation or device occupancy) or by blocking on a Cond/FIFO until some
 // event wakes it. Event ordering is (time, sequence), so runs are fully
 // deterministic for a given program and seed.
 //
-// Two kernels share this machinery. The default single-lane kernel above is
-// the reference: one Scheduler, one event queue, channel handoffs. The
-// sharded kernel (see Shard) partitions a world into per-node lanes — each
-// lane is a Scheduler in its own right — synchronized by a conservative
-// lookahead barrier; lane procs switch on runtime coroutines (iter.Pull)
-// instead of channels, which removes the goroutine round-trip per switch.
-// Scheduling is allocation-free in both: events are pooled on an intrusive
-// freelist and proc wakeups are typed events, not closures.
+// There is one kernel and two ways to drive it. A standalone Scheduler is
+// driven by its own Run: one event queue, one clock. A Shard partitions a
+// world into per-node lanes — each lane is the same Scheduler, running the
+// same code — and drives them in epochs under a conservative lookahead
+// barrier, with cross-lane events going through Route. NewKernel picks
+// between the two from a lane count, and Scheduler.Node places a world's
+// nodes on whichever was picked, so models are written once. Scheduling is
+// allocation-free: events are pooled on an intrusive freelist and proc
+// wakeups are typed events, not closures.
 package sim
 
 import (
 	"fmt"
 	"iter"
 	"math/rand"
-	"runtime"
 	"sort"
 	"time"
 )
@@ -114,24 +113,21 @@ func (q *eventQueue) pop() *event {
 
 // Scheduler owns the virtual clock and the event queue.
 //
-// A Scheduler must be driven by Run (or Step) from the goroutine that
-// created it. Event callbacks and Proc bodies may freely schedule further
-// events, spawn procs, and signal conditions.
+// A standalone Scheduler is driven by Run (or Step). Event callbacks and
+// Proc bodies may freely schedule further events, spawn procs, and signal
+// conditions. A panic or Goexit (t.Fatal) inside a proc body unwinds onto
+// the goroutine driving the scheduler, as it would from an event callback.
 //
 // A Scheduler may also be one lane of a Shard (see NewShard), in which case
 // it is driven by the shard's epoch loop instead of Run, and cross-lane
-// events go through Route.
+// events go through Route. Nothing else differs between the two.
 type Scheduler struct {
-	now     Time
-	events  eventQueue
-	free    *event // event freelist (intrusive, via event.next)
-	seq     uint64
-	yield   chan struct{} // proc -> scheduler: parked or finished
-	procs   map[*Proc]struct{}
-	current *Proc // proc holding the execution token, nil if scheduler
-	rng     *rand.Rand
-	stopped bool
-	coro    bool // lane mode: procs switch on coroutines, not channels
+	now    Time
+	events eventQueue
+	free   *event // event freelist (intrusive, via event.next)
+	seq    uint64
+	procs  map[*Proc]struct{}
+	rng    *rand.Rand
 	// Limits guard against runaway models; zero means no limit.
 	MaxEvents uint64
 	MaxTime   Time
@@ -149,7 +145,6 @@ type Scheduler struct {
 // NewScheduler returns a Scheduler with the deterministic RNG seeded by seed.
 func NewScheduler(seed int64) *Scheduler {
 	return &Scheduler{
-		yield: make(chan struct{}),
 		procs: make(map[*Proc]struct{}),
 		rng:   rand.New(rand.NewSource(seed)),
 	}
@@ -164,17 +159,36 @@ func (s *Scheduler) Now() Time { return s.now }
 // shard has its own stream.
 func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 
-// LaneID reports which shard lane this scheduler is, or -1 for a standalone
-// (single-lane kernel) scheduler.
-func (s *Scheduler) LaneID() int {
-	if s.shard == nil {
-		return -1
-	}
-	return s.lane
-}
+// LaneID reports which shard lane this scheduler is: the Route address of
+// everything built on it. A standalone scheduler is lane 0 of itself.
+func (s *Scheduler) LaneID() int { return s.lane }
 
 // Shard reports the shard this scheduler is a lane of, or nil.
 func (s *Scheduler) Shard() *Shard { return s.shard }
+
+// Lookahead reports the minimum latency a cross-lane Route from this
+// scheduler must carry: the shard's lookahead, or zero when standalone
+// (where every Route is a local timer). Models validate their cross-node
+// latencies against it at construction.
+func (s *Scheduler) Lookahead() Duration {
+	if s.shard == nil {
+		return 0
+	}
+	return Duration(s.shard.lookahead)
+}
+
+// Node reports the scheduler that owns node i of an n-node world built on
+// s: s itself when standalone, otherwise lane i*lanes/n of s's shard. The
+// block map is the one placement every model uses — it keeps lane order
+// equal to node order, which is what makes a Stage's same-instant merge
+// order (srcLane, srcSeq) equal rank order on every lane count.
+func (s *Scheduler) Node(i, n int) *Scheduler {
+	if s.shard == nil {
+		return s
+	}
+	lanes := s.shard.lanes
+	return lanes[i*len(lanes)/n]
+}
 
 // alloc draws a recycled event or grows the pool by one.
 func (s *Scheduler) alloc() *event {
@@ -215,36 +229,22 @@ func (s *Scheduler) After(d Duration, fn func()) { s.At(s.now+Time(d), fn) }
 // atProc schedules a proc wakeup without allocating a closure.
 func (s *Scheduler) atProc(t Time, p *Proc) { s.schedule(t, nil, p) }
 
-// Proc is a logical process: a goroutine whose execution interleaves with
-// events under the scheduler's single execution token. On a standalone
-// scheduler the handoff is a channel pair; on a shard lane it is a runtime
-// coroutine switch (iter.Pull), which is several times cheaper.
+// Proc is a logical process: a coroutine whose execution interleaves with
+// events under the scheduler's single execution token. A switch is one
+// iter.Pull resume or yield, on a standalone scheduler and a shard lane
+// alike.
 type Proc struct {
-	s     *Scheduler
-	name  string
-	state procState
-	done  bool
+	s    *Scheduler
+	name string
+	done bool
 
-	// Channel kernel.
-	resume chan struct{}
-
-	// Coroutine kernel.
 	next    func() (struct{}, bool)
 	stop    func()
 	yieldTo func(struct{}) bool
 }
 
-type procState int
-
-const (
-	procReady procState = iota
-	procRunning
-	procParked
-	procDone
-)
-
-// procStopped is the panic sentinel that unwinds a coroutine proc during
-// Shutdown without running further user code.
+// procStopped is the panic sentinel that unwinds a proc during Shutdown
+// without running further user code.
 type procStopped struct{}
 
 // Name reports the name the proc was spawned with.
@@ -261,86 +261,41 @@ func (p *Proc) Now() Time { return p.s.now }
 func (s *Scheduler) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{s: s, name: name}
 	s.procs[p] = struct{}{}
-	if s.coro {
-		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
-			p.yieldTo = yield
-			defer func() {
-				p.state = procDone
-				p.done = true
-				delete(s.procs, p)
-				if r := recover(); r != nil {
-					if _, ok := r.(procStopped); !ok {
-						panic(r)
-					}
-				}
-			}()
-			fn(p)
-		})
-	} else {
-		p.resume = make(chan struct{})
-		go func() {
-			<-p.resume // wait for first dispatch
-			if s.stopped {
-				// Shut down before ever running: exit without user code.
-				p.state = procDone
-				p.done = true
-				delete(s.procs, p)
-				s.yield <- struct{}{}
-				return
-			}
-			fn(p)
-			p.state = procDone
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yieldTo = yield
+		defer func() {
 			p.done = true
 			delete(s.procs, p)
-			s.yield <- struct{}{}
+			if r := recover(); r != nil {
+				if _, ok := r.(procStopped); !ok {
+					panic(r) // a model bug: surfaces from next() in dispatch
+				}
+			}
 		}()
-	}
+		fn(p)
+	})
 	s.atProc(s.now, p)
 	return p
 }
 
-// dispatch hands the execution token to p and blocks until p parks or
-// finishes. Must be called from scheduler context.
+// dispatch hands the execution token to p and returns once p parks or
+// finishes. Must be called from scheduler context. If p's body panics or
+// calls Goexit, iter.Pull re-raises that here, on the goroutine driving the
+// scheduler.
 func (s *Scheduler) dispatch(p *Proc) {
-	if p.done {
-		return
-	}
-	prev := s.current
-	s.current = p
-	p.state = procRunning
-	if s.coro {
+	if !p.done {
 		p.next()
-	} else {
-		p.resume <- struct{}{}
-		<-s.yield
 	}
-	s.current = prev
 }
 
-// park gives the execution token back to the scheduler and blocks until the
-// proc is dispatched again. Must be called from p's goroutine. If the
-// scheduler has been shut down in the meantime, the goroutine exits here
+// park gives the execution token back to the scheduler and returns once the
+// proc is dispatched again. Must be called from p's coroutine. If the
+// scheduler is shut down in the meantime, the coroutine unwinds from here
 // instead of resuming user code.
 func (p *Proc) park() {
-	p.state = procParked
-	s := p.s
-	if s.coro {
-		if !p.yieldTo(struct{}{}) {
-			// Shutdown stopped the coroutine: unwind without user code.
-			panic(procStopped{})
-		}
-	} else {
-		s.yield <- struct{}{}
-		<-p.resume
-		if s.stopped {
-			p.state = procDone
-			p.done = true
-			delete(s.procs, p)
-			s.yield <- struct{}{}
-			runtime.Goexit()
-		}
+	if !p.yieldTo(struct{}{}) {
+		panic(procStopped{})
 	}
-	p.state = procRunning
 }
 
 // Advance consumes d of virtual time: the proc parks and is woken once the
@@ -562,34 +517,18 @@ func (s *Scheduler) Run() (Time, error) {
 // Events reports how many events have executed.
 func (s *Scheduler) Events() uint64 { return s.nEvents }
 
-// Shutdown terminates every parked proc goroutine (they exit inside park
-// without running further user code; procs spawned but never dispatched
-// exit without running any user code at all). Call after Run returns an
-// error (deadlock, limit) to avoid leaking goroutines; a clean Run has
-// nothing left to stop. Shutdown is linear in the number of procs: the
-// survivors are collected once, then each is woken exactly once — procs
-// remove themselves from the table as they exit.
+// Shutdown stops every unfinished proc: parked procs unwind inside park
+// without running further user code, and procs spawned but never dispatched
+// never run at all. Call it after Run returns an error (deadlock, limit) or
+// is unwound by a panic, so their coroutines are not leaked; after a clean
+// Run there is nothing left to stop.
 func (s *Scheduler) Shutdown() {
-	s.stopped = true
-	ps := make([]*Proc, 0, len(s.procs))
 	for p := range s.procs {
-		ps = append(ps, p)
-	}
-	for _, p := range ps {
-		if p.done {
-			continue
-		}
-		if s.coro {
-			// stop resumes the suspended coroutine with yield -> false;
-			// park unwinds it without user code. A proc that was never
-			// dispatched never runs at all.
-			p.stop()
-			p.done = true
-			p.state = procDone
-			delete(s.procs, p)
-		} else {
-			p.resume <- struct{}{}
-			<-s.yield
-		}
+		// stop resumes a suspended coroutine with yield -> false, so park
+		// unwinds it; one that never started, or whose body already
+		// unwound, is only marked finished.
+		p.stop()
+		p.done = true
+		delete(s.procs, p)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -416,28 +415,6 @@ func TestTimeMicroseconds(t *testing.T) {
 	}
 	if d := Time(42).Duration(); d != 42 {
 		t.Fatalf("Duration = %v", d)
-	}
-}
-
-func TestShutdownReleasesParkedProcs(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for i := 0; i < 5; i++ {
-		s := NewScheduler(1)
-		c := NewCond(s)
-		for j := 0; j < 10; j++ {
-			s.Spawn(fmt.Sprintf("stuck%d", j), func(p *Proc) { c.Wait(p) })
-		}
-		if _, err := s.Run(); err == nil {
-			t.Fatal("expected deadlock")
-		}
-		s.Shutdown()
-	}
-	// Give exited goroutines a moment to be reaped.
-	for i := 0; i < 100 && runtime.NumGoroutine() > before+5; i++ {
-		runtime.Gosched()
-	}
-	if g := runtime.NumGoroutine(); g > before+5 {
-		t.Fatalf("goroutines leaked: %d before, %d after", before, g)
 	}
 }
 

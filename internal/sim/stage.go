@@ -19,7 +19,7 @@ package sim
 // callback the model reserves its FIFOs *backdated to t0* (FIFO.ReserveAt,
 // ExtendBusy from a t0-floored start): queueing arithmetic depends only on
 // the stamp and the resource horizon, so the deferred processing computes
-// the same occupancy the single-lane kernel computes inline.
+// the same occupancy a standalone scheduler computes inline.
 //
 // Safety: the entry detour lands at t0 + ε, which is always at or beyond
 // the sending epoch's horizon (a sender executing inside the window has
@@ -35,11 +35,7 @@ type Stage struct {
 // NewStage builds a stage homed on the given scheduler (the lane that owns
 // the resource's state; lane 0 by convention for world-global resources).
 func NewStage(home *Scheduler) *Stage {
-	st := &Stage{home: home}
-	if home.shard != nil {
-		st.eps = home.shard.lookahead
-	}
-	return st
+	return &Stage{home: home, eps: Time(home.Lookahead())}
 }
 
 // Home reports the scheduler owning the stage's state. Processing

@@ -69,6 +69,9 @@ const (
 // World owns the per-rank endpoints of one job and the shared communicator
 // state (context-id allocation). It is created by the platform runners.
 type World struct {
+	// S is the scheduler the world was built on (see sim.NewKernel): rank r
+	// lives on S.Node(r, Size()), and Launch drives S.Shard() when S is a
+	// shard lane, S itself otherwise.
 	S     *sim.Scheduler
 	Bcast BcastAlg
 	// Tune forces collective algorithms by registered name, per operation
@@ -90,12 +93,6 @@ type World struct {
 	shrinkCtxs map[string]int
 	rankDone   []sim.Time
 
-	// Sharded-kernel wiring; nil/empty on single-scheduler worlds. Sh is
-	// the control plane and laneOf maps world rank -> lane; Launch spawns
-	// each rank on its lane and drives Sh.Run instead of S.Run.
-	Sh     *sim.Shard
-	laneOf []int
-
 	// group is the world communicator's identity rank mapping, built once
 	// and shared read-only by every rank's Comm — at thousands of ranks,
 	// per-rank copies cost O(n²) memory and blow the cache on every
@@ -103,7 +100,8 @@ type World struct {
 	group []int
 }
 
-// NewWorld wraps endpoints (one per rank, indexed by rank) into a world.
+// NewWorld wraps endpoints (one per rank, indexed by rank, each built on
+// its rank's node scheduler) into a world.
 func NewWorld(s *sim.Scheduler, eps []core.Endpoint) *World {
 	group := make([]int, len(eps))
 	for i := range group {
@@ -112,22 +110,8 @@ func NewWorld(s *sim.Scheduler, eps []core.Endpoint) *World {
 	return &World{S: s, eps: eps, nextCtx: 2, rankDone: make([]sim.Time, len(eps)), group: group}
 }
 
-// NewShardedWorld wraps endpoints built on sh's lanes (rank i's endpoint
-// on lane laneOf[i]) into a world driven by the sharded kernel. W.S is
-// lane 0, for callers that need a scheduler handle for world-global state.
-func NewShardedWorld(sh *sim.Shard, eps []core.Endpoint, laneOf []int) *World {
-	w := NewWorld(sh.Lane(0), eps)
-	w.Sh, w.laneOf = sh, laneOf
-	return w
-}
-
 // Sched reports the scheduler that owns rank r.
-func (w *World) Sched(r int) *sim.Scheduler {
-	if w.Sh == nil {
-		return w.S
-	}
-	return w.Sh.Lane(w.laneOf[r])
-}
+func (w *World) Sched(r int) *sim.Scheduler { return w.S.Node(r, len(w.eps)) }
 
 // Size reports the number of ranks.
 func (w *World) Size() int { return len(w.eps) }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -13,13 +14,16 @@ import (
 )
 
 // memWorld builds an n-rank world over the reference in-memory transport.
-func memWorld(n int) *World {
-	s := sim.NewScheduler(1)
-	s.MaxEvents = 5_000_000
+func memWorld(n int) *World { return memWorldLanes(n, 0) }
+
+// memWorldLanes is memWorld on a standalone scheduler (lanes <= 1) or on
+// that many shard lanes.
+func memWorldLanes(n, lanes int) *World {
+	s := sim.NewKernel(1, lanes, n, time.Microsecond, 5_000_000)
 	fab := core.NewMemFabric(s, time.Microsecond, 180)
 	eps := make([]core.Endpoint, n)
 	for i := range eps {
-		e := core.NewEngine(s, i, n, core.EngineCosts{}, nil)
+		e := core.NewEngine(s.Node(i, n), i, n, core.EngineCosts{}, nil)
 		fab.Attach(e)
 		eps[i] = e
 	}
@@ -638,6 +642,39 @@ func TestDeadlockSurfacesAsError(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("deadlocked program reported success")
+	}
+}
+
+// A panic in one rank's body unwinds through Launch on the caller's
+// goroutine; Launch must still reap the other ranks — parked in Recv, or
+// never dispatched — so their coroutines are not leaked.
+func TestLaunchReapsRanksWhenBodyPanics(t *testing.T) {
+	for _, lanes := range []int{0, 4} {
+		t.Run(fmt.Sprintf("lanes%d", lanes), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			func() {
+				defer func() {
+					if r := recover(); r != "rank 2 exploded" {
+						t.Fatalf("recovered %v, want the rank body's panic", r)
+					}
+				}()
+				Launch(memWorldLanes(8, lanes), func(c *Comm) error {
+					if c.Rank() == 2 {
+						c.Compute(time.Microsecond)
+						panic("rank 2 exploded")
+					}
+					_, err := c.Recv(AnySource, AnyTag, make([]byte, 1))
+					return err
+				})
+				t.Fatal("Launch returned past a panicking rank")
+			}()
+			for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
+				runtime.Gosched()
+			}
+			if g := runtime.NumGoroutine(); g > before {
+				t.Fatalf("goroutines leaked: %d before, %d after", before, g)
+			}
+		})
 	}
 }
 

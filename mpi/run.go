@@ -29,8 +29,8 @@ type Report struct {
 	Protocol []error
 	// Events is the total simulation events the run executed.
 	Events uint64
-	// Shard holds the control-plane counters when the world ran on the
-	// sharded kernel; nil on the single-lane kernel.
+	// Shard holds the control-plane counters when the world ran on shard
+	// lanes; nil on a standalone scheduler.
 	Shard *sim.ShardStats
 }
 
@@ -77,29 +77,32 @@ func Launch(w *World, body func(c *Comm) error) (*Report, error) {
 			rep.RankElapsed[i] = p.Now().Duration()
 		})
 	}
-	var end sim.Time
-	var err error
-	if w.Sh != nil {
-		end, err = w.Sh.Run()
-		if err != nil {
-			w.Sh.Shutdown()
-		}
-		st := w.Sh.Stats()
+	// One kernel, two drivers: a shard's epoch loop when the world was built
+	// on lanes, the scheduler's own Run otherwise.
+	var kernel interface {
+		Run() (sim.Time, error)
+		Shutdown()
+		Events() uint64
+	} = w.S
+	sh := w.S.Shard()
+	if sh != nil {
+		kernel = sh
+	}
+	// Reap parked ranks however Run ends — an error (deadlock, limit), or a
+	// rank-body panic or Goexit unwinding through it — so a failed run does
+	// not leak their coroutines. After a clean run this is a no-op.
+	defer kernel.Shutdown()
+	end, err := kernel.Run()
+	rep.Events = kernel.Events()
+	if sh != nil {
+		st := sh.Stats()
 		rep.Shard = &st
-		rep.Events = st.Events
 		// Fold the control-plane counters into the merged account so every
 		// reporting surface (cmd/trace, bench JSON) sees them.
 		rep.Acct.Incr("shard-epochs", int64(st.Epochs))
 		rep.Acct.Incr("shard-stalls", int64(st.Stalls))
 		rep.Acct.Incr("shard-routed", int64(st.Routed))
 		rep.Acct.SetMax("shard-mailbox-max", int64(st.MailboxHighWater))
-	} else {
-		end, err = w.S.Run()
-		if err != nil {
-			// Reap parked rank goroutines so failed runs don't leak.
-			w.S.Shutdown()
-		}
-		rep.Events = w.S.Events()
 	}
 	rep.Elapsed = end.Duration()
 	for i := 0; i < n; i++ {

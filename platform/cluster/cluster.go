@@ -131,38 +131,17 @@ func newWorld(cfg Config) (*mpi.World, *atm.Cluster, error) {
 	if faults == nil && cfg.LossRate > 0 {
 		faults = &atm.Faults{Seed: cfg.Seed, Loss: cfg.LossRate}
 	}
-	var (
-		cl     *atm.Cluster
-		sh     *sim.Shard
-		laneOf []int
-	)
 	if faults != nil && cfg.Transport == SHM {
 		return nil, nil, fmt.Errorf("cluster/shm: fault injection is not supported (a memory segment has no lossy wire)")
 	}
-	if cfg.Lanes > 1 {
-		lanes := cfg.Lanes
-		if lanes > cfg.Hosts {
-			lanes = cfg.Hosts
-		}
-		// One lane per host block; the minimum cross-lane latency — the
-		// switch forwarding delay, or the segment visibility latency on
-		// shm — is the lookahead bound.
-		lookahead := costs.SwitchDelay
-		if cfg.Transport == SHM {
-			lookahead = costs.ShmLatency
-		}
-		sh = sim.NewShard(cfg.Seed+1, lanes, lookahead)
-		sh.MaxEvents = 500_000_000
-		laneOf = make([]int, cfg.Hosts)
-		for i := range laneOf {
-			laneOf[i] = i * lanes / cfg.Hosts
-		}
-		cl = atm.NewShardedCluster(sh, laneOf, costs)
-	} else {
-		s := sim.NewScheduler(cfg.Seed + 1)
-		s.MaxEvents = 500_000_000
-		cl = atm.NewCluster(s, cfg.Hosts, costs)
+	// The minimum cross-lane latency — the switch forwarding delay, or the
+	// segment visibility latency on shm — is the lookahead bound.
+	lookahead := costs.SwitchDelay
+	if cfg.Transport == SHM {
+		lookahead = costs.ShmLatency
 	}
+	s := sim.NewKernel(cfg.Seed+1, cfg.Lanes, cfg.Hosts, lookahead, 500_000_000)
+	cl := atm.NewCluster(s, cfg.Hosts, costs)
 	if faults != nil {
 		if err := cl.SetFaults(*faults); err != nil {
 			return nil, nil, err
@@ -225,12 +204,7 @@ func newWorld(cfg Config) (*mpi.World, *atm.Cluster, error) {
 		}
 	}
 
-	var w *mpi.World
-	if sh != nil {
-		w = mpi.NewShardedWorld(sh, eps, laneOf)
-	} else {
-		w = mpi.NewWorld(cl.S, eps)
-	}
+	w := mpi.NewWorld(s, eps)
 	w.Bcast = cfg.Bcast // BcastAuto defers to the collective layer's selector
 	// Failure-detection latency: how long after a death survivors take to
 	// declare the peer dead (see mpi.World.ScheduleKills). Scaled to each

@@ -74,35 +74,15 @@ func NewWorld(cfg Config) (*mpi.World, *meiko.Machine) {
 	if cfg.Costs != nil {
 		costs = *cfg.Costs
 	}
-	var (
-		m      *meiko.Machine
-		sh     *sim.Shard
-		laneOf []int
-	)
-	if cfg.Lanes > 1 {
-		lanes := cfg.Lanes
-		if lanes > cfg.Nodes {
-			lanes = cfg.Nodes
-		}
-		// The lookahead bound is the minimum cross-lane stage latency: the
-		// flat wire hop, or the per-switch hop (WireLatency/2) once the
-		// fat tree stages the route.
-		lookahead := sim.Duration(costs.WireLatency)
-		if cfg.FatTree {
-			lookahead /= 2
-		}
-		sh = sim.NewShard(cfg.Seed+1, lanes, lookahead)
-		sh.MaxEvents = 500_000_000
-		laneOf = make([]int, cfg.Nodes)
-		for i := range laneOf {
-			laneOf[i] = i * lanes / cfg.Nodes
-		}
-		m = meiko.NewShardedMachine(sh, laneOf, cfg.Nodes, costs)
-	} else {
-		s := sim.NewScheduler(cfg.Seed + 1)
-		s.MaxEvents = 500_000_000
-		m = meiko.NewMachine(s, cfg.Nodes, costs)
+	// The lookahead bound is the minimum cross-lane stage latency: the flat
+	// wire hop, or the per-switch hop (WireLatency/2) once the fat tree
+	// stages the route.
+	lookahead := sim.Duration(costs.WireLatency)
+	if cfg.FatTree {
+		lookahead /= 2
 	}
+	s := sim.NewKernel(cfg.Seed+1, cfg.Lanes, cfg.Nodes, lookahead, 500_000_000)
+	m := meiko.NewMachine(s, cfg.Nodes, costs)
 	if cfg.FatTree {
 		m.Tree = m.NewFatTree()
 	}
@@ -127,12 +107,7 @@ func NewWorld(cfg Config) (*mpi.World, *meiko.Machine) {
 		}
 	}
 
-	var w *mpi.World
-	if sh != nil {
-		w = mpi.NewShardedWorld(sh, eps, laneOf)
-	} else {
-		w = mpi.NewWorld(m.S, eps)
-	}
+	w := mpi.NewWorld(s, eps)
 	switch {
 	case cfg.Bcast != mpi.BcastAuto:
 		w.Bcast = cfg.Bcast

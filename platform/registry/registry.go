@@ -186,8 +186,8 @@ func Build(s Spec) (*mpi.World, error) {
 	if err != nil {
 		return nil, err
 	}
-	if w.Sh != nil {
-		w.Sh.Parallel = s.Parallel
+	if sh := w.S.Shard(); sh != nil {
+		sh.Parallel = s.Parallel
 	} else if s.Parallel {
 		return nil, fmt.Errorf("backend %q: Parallel needs the sharded kernel (set Lanes > 1)", s.Key())
 	}
@@ -228,42 +228,18 @@ func init() {
 		if eager == 0 {
 			eager = 180
 		}
-		var w *mpi.World
-		if s.Lanes > 1 {
-			// Sharded kernel: one lane per node, ranks block-mapped onto
-			// lanes, with the fabric's flat latency as the lookahead bound.
-			lanes := s.Lanes
-			if lanes > s.Ranks {
-				lanes = s.Ranks
-			}
-			sh := sim.NewShard(s.Seed+1, lanes, time.Microsecond)
-			sh.MaxEvents = 500_000_000
-			laneOf := make([]int, s.Ranks)
-			for i := range laneOf {
-				laneOf[i] = i * lanes / s.Ranks
-			}
-			fab := core.NewShardedMemFabric(sh, laneOf, time.Microsecond, eager)
-			fab.Credits = s.Credit
-			eps := make([]core.Endpoint, s.Ranks)
-			for i := range eps {
-				e := core.NewEngine(sh.Lane(laneOf[i]), i, s.Ranks, core.EngineCosts{}, nil)
-				fab.Attach(e)
-				eps[i] = e
-			}
-			w = mpi.NewShardedWorld(sh, eps, laneOf)
-		} else {
-			sched := sim.NewScheduler(s.Seed + 1)
-			sched.MaxEvents = 500_000_000
-			fab := core.NewMemFabric(sched, time.Microsecond, eager)
-			fab.Credits = s.Credit
-			eps := make([]core.Endpoint, s.Ranks)
-			for i := range eps {
-				e := core.NewEngine(sched, i, s.Ranks, core.EngineCosts{}, nil)
-				fab.Attach(e)
-				eps[i] = e
-			}
-			w = mpi.NewWorld(sched, eps)
+		// Ranks are block-mapped onto lanes (one scheduler when Lanes <= 1),
+		// with the fabric's flat latency as the lookahead bound.
+		sched := sim.NewKernel(s.Seed+1, s.Lanes, s.Ranks, time.Microsecond, 500_000_000)
+		fab := core.NewMemFabric(sched, time.Microsecond, eager)
+		fab.Credits = s.Credit
+		eps := make([]core.Endpoint, s.Ranks)
+		for i := range eps {
+			e := core.NewEngine(sched.Node(i, s.Ranks), i, s.Ranks, core.EngineCosts{}, nil)
+			fab.Attach(e)
+			eps[i] = e
 		}
+		w := mpi.NewWorld(sched, eps)
 		if s.Bcast != mpi.BcastAuto {
 			w.Bcast = s.Bcast
 		}
