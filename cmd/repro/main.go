@@ -1,13 +1,17 @@
 // Command repro regenerates every table and figure of the paper's
-// evaluation, printing the same series the paper plots.
+// evaluation, printing the same series the paper plots, and runs the
+// registered benchmark suites against their committed records.
 //
 // Usage:
 //
-//	repro -all              # every figure, table and ablation
+//	repro -all              # every figure, table, ablation and suite
 //	repro -fig 1,2,7        # specific figures
 //	repro -table1           # the overhead breakdown
 //	repro -ablations        # the extension experiments
 //	repro -full             # paper-complete sweep ranges (slower)
+//	repro -suite rma,scale -baseline . -out out
+//	                        # run suites, gate each against ./BENCH_<name>.json,
+//	                        # write the fresh records to out/
 package main
 
 import (
@@ -27,38 +31,18 @@ func main() {
 	table1 := flag.Bool("table1", false, "regenerate Table 1")
 	matmul := flag.Bool("matmul", false, "run the matrix-multiply experiment (§6.1)")
 	ablations := flag.Bool("ablations", false, "run the ablation experiments")
-	anchors := flag.Bool("anchors", false, "print the calibration-anchor comparison")
-	collectives := flag.Bool("collectives", false, "sweep every collective algorithm across sizes and derive crossovers")
-	faults := flag.Bool("faults", false, "sweep latency and bandwidth across injected loss rates on every cluster transport")
-	matchbench := flag.Bool("matchbench", false, "run the receive-matching microbenchmarks (indexed vs linear, allocation profile)")
-	rma := flag.Bool("rma", false, "run the one-sided (RMA) sweep and the RDMA-write rendezvous ablation")
-	scale := flag.Bool("scale", false, "run the kernel scale sweep (sharded vs single-lane, 64-4096 ranks; 16384 with -full)")
-	chaos := flag.Bool("chaos", false, "sweep kill schedules x loss over every kill-capable backend and lane count")
-	workloads := flag.Bool("workloads", false, "sweep every macro-workload pattern across backends x kernels with record/replay verification")
 	all := flag.Bool("all", false, "run everything")
 	full := flag.Bool("full", false, "use the paper's full sweep ranges")
 	iters := flag.Int("iters", 5, "repetitions per point")
 	svgDir := flag.String("svg", "", "also write each figure as an SVG chart into this directory")
-	jsonPath := flag.String("json", "BENCH_anchors.json", "with -anchors: write the machine-readable record here (\"\" disables)")
-	collJSONPath := flag.String("colljson", "BENCH_collectives.json", "with -collectives: write the machine-readable record here (\"\" disables)")
-	faultsJSONPath := flag.String("faultsjson", "BENCH_faults.json", "with -faults: write the machine-readable record here (\"\" disables)")
-	matchJSONPath := flag.String("matchjson", "BENCH_match.json", "with -matchbench: write the machine-readable record here (\"\" disables)")
-	matchBaseline := flag.String("matchbaseline", "", "with -matchbench: compare against this committed baseline and exit nonzero on >10% regression")
-	rmaJSONPath := flag.String("rmajson", "BENCH_rma.json", "with -rma: write the machine-readable record here (\"\" disables)")
-	rmaBaseline := flag.String("rmabaseline", "", "with -rma: compare against this committed baseline and exit nonzero on regression (the RTR>RTS/CTS floor applies regardless)")
-	scaleJSONPath := flag.String("scalejson", "BENCH_scale.json", "with -scale: write the machine-readable record here (\"\" disables)")
-	scaleBaseline := flag.String("scalebaseline", "", "with -scale: compare against this committed baseline and exit nonzero on >10% events/sec regression or any allocs/op increase")
-	chaosJSONPath := flag.String("chaosjson", "BENCH_chaos.json", "with -chaos: write the machine-readable record here (\"\" disables)")
-	chaosBaseline := flag.String("chaosbaseline", "", "with -chaos: compare against this committed baseline and exit nonzero on lost survival or >10% latency regression (the 100%-survival floor for single-failure schedules applies regardless)")
-	workloadsJSONPath := flag.String("workloadsjson", "BENCH_workloads.json", "with -workloads: write the machine-readable record here (\"\" disables)")
-	workloadsBaseline := flag.String("workloadsbaseline", "", "with -workloads: compare against this committed baseline and exit nonzero on a dropped point or >10% p99/throughput regression (the byte-identical re-record and replay floors apply regardless)")
+	suiteSpec := flag.String("suite", "", "comma-separated benchmark suites to run, or \"all\" (an unknown name lists the registered ones)")
+	baselineDir := flag.String("baseline", "", "with -suite: gate each suite against BENCH_<name>.json in this directory and exit nonzero on a regression (the static floors apply regardless)")
+	outDir := flag.String("out", "", "with -suite: write each fresh BENCH_<name>.json into this directory")
 	flag.Parse()
 
 	o := bench.Opts{Iters: *iters, Full: *full}
-	var figures []bench.Figure
 	emit := func(f bench.Figure) {
 		fmt.Println(f)
-		figures = append(figures, f)
 		if *svgDir == "" {
 			return
 		}
@@ -83,32 +67,18 @@ func main() {
 		for i := 1; i <= 9; i++ {
 			want[fmt.Sprint(i)] = true
 		}
-		*table1 = true
-		*matmul = true
-		*ablations = true
+		*table1, *matmul, *ablations, *suiteSpec = true, true, true, "all"
 	}
-	if *all {
-		*anchors = true
-		*collectives = true
-		*faults = true
-		*matchbench = true
-		*rma = true
-		*scale = true
-		*chaos = true
-		*workloads = true
-	}
-	if len(want) == 0 && !*table1 && !*matmul && !*ablations && !*anchors && !*collectives && !*faults && !*matchbench && !*rma && !*scale && !*chaos && !*workloads {
+	if len(want) == 0 && !*table1 && !*matmul && !*ablations && *suiteSpec == "" {
 		flag.Usage()
 		return
 	}
-	var anchorTable []bench.Anchor
-	if *anchors {
-		as, err := bench.Anchors(o)
-		if err != nil {
-			log.Fatalf("anchors: %v", err)
+	var suites []bench.Suite
+	if *suiteSpec != "" {
+		var err error
+		if suites, err = bench.Suites(*suiteSpec); err != nil {
+			log.Fatal(err)
 		}
-		anchorTable = as
-		fmt.Println(bench.FormatAnchors(as))
 	}
 
 	type figFn func(bench.Opts) (bench.Figure, error)
@@ -163,236 +133,24 @@ func main() {
 		}
 	}
 
-	if *collectives {
-		rep, err := bench.Collectives(o)
+	// Every suite runs even after one fails its gate, so one invocation
+	// reports every regression and writes every record.
+	failed := false
+	for _, s := range suites {
+		res, err := s.RunDir(o, *baselineDir, *outDir)
 		if err != nil {
-			log.Fatalf("collectives: %v", err)
-		}
-		fmt.Println(bench.FormatCollectives(rep))
-		if *collJSONPath != "" {
-			data, err := rep.Marshal()
-			if err != nil {
-				log.Fatalf("collectives json: %v", err)
-			}
-			if err := os.WriteFile(*collJSONPath, data, 0o644); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("wrote %s", *collJSONPath)
-		}
-	}
-
-	if *faults {
-		rep, err := bench.Faults(o)
-		if err != nil {
-			log.Fatalf("faults: %v", err)
-		}
-		fmt.Println(bench.FormatFaults(rep))
-		if *faultsJSONPath != "" {
-			data, err := rep.Marshal()
-			if err != nil {
-				log.Fatalf("faults json: %v", err)
-			}
-			if err := os.WriteFile(*faultsJSONPath, data, 0o644); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("wrote %s", *faultsJSONPath)
-		}
-	}
-
-	if *matchbench {
-		// Read the baseline before writing the fresh record, so the gate can
-		// compare and overwrite the same path (CI uploads the fresh copy as
-		// an artifact).
-		var base *bench.MatchReport
-		if *matchBaseline != "" {
-			data, err := os.ReadFile(*matchBaseline)
-			if err != nil {
-				log.Fatalf("matchbench baseline: %v", err)
-			}
-			b, err := bench.UnmarshalMatch(data)
-			if err != nil {
-				log.Fatalf("matchbench baseline: %v", err)
-			}
-			base = &b
-		}
-		rep, err := bench.MatchBench(o)
-		if err != nil {
-			log.Fatalf("matchbench: %v", err)
-		}
-		fmt.Println(bench.FormatMatch(rep))
-		if *matchJSONPath != "" {
-			data, err := rep.Marshal()
-			if err != nil {
-				log.Fatalf("matchbench json: %v", err)
-			}
-			if err := os.WriteFile(*matchJSONPath, data, 0o644); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("wrote %s", *matchJSONPath)
-		}
-		if fails := bench.CheckMatch(rep, base, 0.10); len(fails) > 0 {
-			for _, f := range fails {
-				log.Printf("matchbench regression: %s", f)
-			}
-			os.Exit(1)
-		}
-	}
-
-	if *rma {
-		var base *bench.RMAReport
-		if *rmaBaseline != "" {
-			data, err := os.ReadFile(*rmaBaseline)
-			if err != nil {
-				log.Fatalf("rma baseline: %v", err)
-			}
-			b, err := bench.UnmarshalRMA(data)
-			if err != nil {
-				log.Fatalf("rma baseline: %v", err)
-			}
-			base = &b
-		}
-		rep, err := bench.RMABench(o)
-		if err != nil {
-			log.Fatalf("rma: %v", err)
-		}
-		fmt.Println(bench.FormatRMA(rep))
-		if *rmaJSONPath != "" {
-			data, err := rep.Marshal()
-			if err != nil {
-				log.Fatalf("rma json: %v", err)
-			}
-			if err := os.WriteFile(*rmaJSONPath, data, 0o644); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("wrote %s", *rmaJSONPath)
-		}
-		if fails := bench.CheckRMA(rep, base, 0.10); len(fails) > 0 {
-			for _, f := range fails {
-				log.Printf("rma regression: %s", f)
-			}
-			os.Exit(1)
-		}
-	}
-
-	if *scale {
-		var base *bench.ScaleReport
-		if *scaleBaseline != "" {
-			data, err := os.ReadFile(*scaleBaseline)
-			if err != nil {
-				log.Fatalf("scale baseline: %v", err)
-			}
-			b, err := bench.UnmarshalScale(data)
-			if err != nil {
-				log.Fatalf("scale baseline: %v", err)
-			}
-			base = &b
-		}
-		rep, err := bench.ScaleBench(o)
-		if err != nil {
-			log.Fatalf("scale: %v", err)
-		}
-		fmt.Println(bench.FormatScale(rep))
-		if *scaleJSONPath != "" {
-			data, err := rep.Marshal()
-			if err != nil {
-				log.Fatalf("scale json: %v", err)
-			}
-			if err := os.WriteFile(*scaleJSONPath, data, 0o644); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("wrote %s", *scaleJSONPath)
-		}
-		if fails := bench.CheckScale(rep, base, 0.10); len(fails) > 0 {
-			for _, f := range fails {
-				log.Printf("scale regression: %s", f)
-			}
-			os.Exit(1)
-		}
-	}
-
-	if *chaos {
-		var base *bench.ChaosReport
-		if *chaosBaseline != "" {
-			data, err := os.ReadFile(*chaosBaseline)
-			if err != nil {
-				log.Fatalf("chaos baseline: %v", err)
-			}
-			b, err := bench.UnmarshalChaos(data)
-			if err != nil {
-				log.Fatalf("chaos baseline: %v", err)
-			}
-			base = &b
-		}
-		rep, err := bench.Chaos(o)
-		if err != nil {
-			log.Fatalf("chaos: %v", err)
-		}
-		fmt.Println(bench.FormatChaos(rep))
-		if *chaosJSONPath != "" {
-			data, err := rep.Marshal()
-			if err != nil {
-				log.Fatalf("chaos json: %v", err)
-			}
-			if err := os.WriteFile(*chaosJSONPath, data, 0o644); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("wrote %s", *chaosJSONPath)
-		}
-		if fails := bench.CheckChaos(rep, base, 0.10); len(fails) > 0 {
-			for _, f := range fails {
-				log.Printf("chaos gate: %s", f)
-			}
-			os.Exit(1)
-		}
-	}
-
-	if *workloads {
-		var base *bench.WorkloadsReport
-		if *workloadsBaseline != "" {
-			data, err := os.ReadFile(*workloadsBaseline)
-			if err != nil {
-				log.Fatalf("workloads baseline: %v", err)
-			}
-			b, err := bench.UnmarshalWorkloads(data)
-			if err != nil {
-				log.Fatalf("workloads baseline: %v", err)
-			}
-			base = &b
-		}
-		rep, err := bench.Workloads(o)
-		if err != nil {
-			log.Fatalf("workloads: %v", err)
-		}
-		fmt.Println(bench.FormatWorkloads(rep))
-		if *workloadsJSONPath != "" {
-			data, err := rep.Marshal()
-			if err != nil {
-				log.Fatalf("workloads json: %v", err)
-			}
-			if err := os.WriteFile(*workloadsJSONPath, data, 0o644); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("wrote %s", *workloadsJSONPath)
-		}
-		if fails := bench.CheckWorkloads(rep, base, 0.10); len(fails) > 0 {
-			for _, f := range fails {
-				log.Printf("workloads gate: %s", f)
-			}
-			os.Exit(1)
-		}
-	}
-
-	// With -anchors, the same run also lands as a machine-readable record
-	// (anchors plus any figures regenerated above) for perf-trajectory
-	// tracking across revisions.
-	if *anchors && *jsonPath != "" {
-		data, err := bench.NewAnchorsReport(anchorTable, figures).Marshal()
-		if err != nil {
-			log.Fatalf("anchors json: %v", err)
-		}
-		if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("wrote %s", *jsonPath)
+		fmt.Println(res.Text)
+		if *outDir != "" {
+			log.Printf("wrote %s", filepath.Join(*outDir, s.File()))
+		}
+		for _, f := range res.Findings {
+			log.Printf("%s gate: %s", s.Name, f)
+			failed = true
+		}
+	}
+	if failed {
+		os.Exit(1)
 	}
 }

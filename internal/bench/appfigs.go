@@ -28,36 +28,21 @@ func LinsolveMeiko(impl string, procs, n int) (float64, error) {
 // Figure7 regenerates "Meiko Linear Equation Solver": time vs processes
 // for the MPICH and low-latency implementations.
 func Figure7(o Opts) (Figure, error) {
-	o = o.Norm()
 	procs := []int{1, 2, 4, 8}
 	n := 64
 	if o.Full {
 		procs = []int{1, 2, 4, 8, 16, 32}
 		n = 128
 	}
-	var mpich, lowlat Series
-	mpich.Name = "mpich"
-	lowlat.Name = "low latency"
-	for _, p := range procs {
-		m, err := LinsolveMeiko("mpich", p, n)
-		if err != nil {
-			return Figure{}, err
-		}
-		l, err := LinsolveMeiko("lowlatency", p, n)
-		if err != nil {
-			return Figure{}, err
-		}
-		mpich.Points = append(mpich.Points, Point{p, m})
-		lowlat.Points = append(lowlat.Points, Point{p, l})
-	}
 	return Figure{
 		ID:     "Figure 7",
 		Title:  "Meiko Linear Equation Solver",
 		XLabel: "# processes",
 		YLabel: "s",
-		Series: []Series{mpich, lowlat},
 		Notes:  []string{"hardware broadcast vs MPICH's point-to-point broadcast"},
-	}, nil
+	}.sweep(procs,
+		curve{"mpich", func(p int) (float64, error) { return LinsolveMeiko("mpich", p, n) }},
+		curve{"low latency", func(p int) (float64, error) { return LinsolveMeiko("lowlatency", p, n) }})
 }
 
 // ParticlesMeiko runs the Figure 8 ring and reports the slowest rank's
@@ -76,33 +61,18 @@ func ParticlesMeiko(impl string, procs, n int) (float64, error) {
 // Figure8 regenerates "Meiko Particle Pairwise Interactions": 24 particles
 // on 1-8 processes.
 func Figure8(o Opts) (Figure, error) {
-	o = o.Norm()
 	procs := []int{1, 2, 4, 8}
 	if o.Full {
 		procs = []int{1, 2, 3, 4, 6, 8}
-	}
-	var mpich, lowlat Series
-	mpich.Name = "mpich"
-	lowlat.Name = "low latency"
-	for _, p := range procs {
-		m, err := ParticlesMeiko("mpich", p, 24)
-		if err != nil {
-			return Figure{}, err
-		}
-		l, err := ParticlesMeiko("lowlatency", p, 24)
-		if err != nil {
-			return Figure{}, err
-		}
-		mpich.Points = append(mpich.Points, Point{p, m})
-		lowlat.Points = append(lowlat.Points, Point{p, l})
 	}
 	return Figure{
 		ID:     "Figure 8",
 		Title:  "Meiko Particle Pairwise Interactions (24 particles)",
 		XLabel: "# processors",
 		YLabel: "us",
-		Series: []Series{mpich, lowlat},
-	}, nil
+	}.sweep(procs,
+		curve{"mpich", func(p int) (float64, error) { return ParticlesMeiko("mpich", p, 24) }},
+		curve{"low latency", func(p int) (float64, error) { return ParticlesMeiko("lowlatency", p, 24) }})
 }
 
 // ParticlesCluster runs the Figure 9 ring over TCP and reports the slowest
@@ -121,78 +91,47 @@ func ParticlesCluster(net string, procs, n int) (float64, error) {
 // Figure9 regenerates "TCP Particle Pairwise Interactions": 128 particles,
 // Ethernet vs ATM.
 func Figure9(o Opts) (Figure, error) {
-	o = o.Norm()
-	procs := []int{2, 4, 8}
-	var eth, am Series
-	eth.Name = "Ethernet"
-	am.Name = "ATM"
-	for _, p := range procs {
-		e, err := ParticlesCluster("eth", p, 128)
-		if err != nil {
-			return Figure{}, err
-		}
-		a, err := ParticlesCluster("atm", p, 128)
-		if err != nil {
-			return Figure{}, err
-		}
-		eth.Points = append(eth.Points, Point{p, e})
-		am.Points = append(am.Points, Point{p, a})
-	}
 	return Figure{
 		ID:     "Figure 9",
 		Title:  "TCP Particle Pairwise Interactions (128 particles)",
 		XLabel: "# processors",
 		YLabel: "us",
-		Series: []Series{eth, am},
 		Notes:  []string{"paper: ATM wins — no contention and larger messages exploit its bandwidth"},
-	}, nil
+	}.sweep([]int{2, 4, 8},
+		curve{"Ethernet", func(p int) (float64, error) { return ParticlesCluster("eth", p, 128) }},
+		curve{"ATM", func(p int) (float64, error) { return ParticlesCluster("atm", p, 128) }})
 }
 
 // MatMulMeiko regenerates the matrix-multiply result mentioned in §6.1
 // ("performance results are similar to that of the linear equation
 // solver").
 func MatMulMeiko(o Opts) (Figure, error) {
-	o = o.Norm()
 	procs := []int{1, 2, 4, 8}
 	n := 48
 	if o.Full {
 		procs = []int{1, 2, 4, 8, 16}
 		n = 96
 	}
-	var mpich, lowlat Series
-	mpich.Name = "mpich"
-	lowlat.Name = "low latency"
-	run := func(impl string, p int) (float64, error) {
-		var el time.Duration
-		_, err := registry.Run(registry.Spec{Platform: "meiko", Impl: impl, Ranks: p}, func(c *mpi.Comm) error {
-			res, err := apps.MatMul(c, apps.MatMulConfig{N: n})
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				el = res.Elapsed
-			}
-			return nil
-		})
-		return el.Seconds(), err
-	}
-	for _, p := range procs {
-		m, err := run("mpich", p)
-		if err != nil {
-			return Figure{}, err
+	run := func(impl string) func(int) (float64, error) {
+		return func(p int) (float64, error) {
+			var el time.Duration
+			_, err := registry.Run(registry.Spec{Platform: "meiko", Impl: impl, Ranks: p}, func(c *mpi.Comm) error {
+				res, err := apps.MatMul(c, apps.MatMulConfig{N: n})
+				if err != nil {
+					return err
+				}
+				if c.Rank() == 0 {
+					el = res.Elapsed
+				}
+				return nil
+			})
+			return el.Seconds(), err
 		}
-		l, err := run("lowlatency", p)
-		if err != nil {
-			return Figure{}, err
-		}
-		mpich.Points = append(mpich.Points, Point{p, m})
-		lowlat.Points = append(lowlat.Points, Point{p, l})
 	}
 	return Figure{
 		ID:     "MatMul (§6.1)",
 		Title:  "Meiko Matrix Multiply",
 		XLabel: "# processes",
 		YLabel: "s",
-		Series: []Series{mpich, lowlat},
-	}, nil
+	}.sweep(procs, curve{"mpich", run("mpich")}, curve{"low latency", run("lowlatency")})
 }

@@ -92,6 +92,33 @@ func (f Figure) String() string {
 	return b.String()
 }
 
+// curve is one series of a swept figure: its name and the measurement at
+// one value of the swept parameter.
+type curve struct {
+	name string
+	at   func(x int) (float64, error)
+}
+
+// sweep measures every curve at every x and returns f with the series
+// filled in. Each measurement builds its own world, so the order is
+// immaterial.
+func (f Figure) sweep(xs []int, curves ...curve) (Figure, error) {
+	f.Series = make([]Series, len(curves))
+	for i, c := range curves {
+		f.Series[i].Name = c.name
+	}
+	for _, x := range xs {
+		for i, c := range curves {
+			y, err := c.at(x)
+			if err != nil {
+				return Figure{}, err
+			}
+			f.Series[i].Points = append(f.Series[i].Points, Point{x, y})
+		}
+	}
+	return f, nil
+}
+
 func lookup(s Series, x int) (float64, bool) {
 	for _, p := range s.Points {
 		if p.X == x {

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -14,7 +13,7 @@ import (
 	"repro/platform/registry"
 )
 
-// The -chaos sweep: kill schedules × injected loss over every
+// The chaos suite: kill schedules × injected loss over every
 // kill-capable backend and lane count. Each point runs the ULFM recovery
 // loop (apps.FTShrink) under a pinned fault schedule and records whether
 // the survivors completed with the right answer, how long detection took
@@ -50,22 +49,6 @@ type ChaosReport struct {
 	ShrinkP99US  float64      `json:"shrink_p99_us"`
 }
 
-// Marshal renders the report as indented JSON with a trailing newline.
-func (r ChaosReport) Marshal() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// UnmarshalChaos parses a committed baseline.
-func UnmarshalChaos(data []byte) (ChaosReport, error) {
-	var r ChaosReport
-	err := json.Unmarshal(data, &r)
-	return r, err
-}
-
 const chaosRanks = 4
 
 // chaosBackends are the kill-capable backends (every poll-model engine;
@@ -79,7 +62,7 @@ var chaosBackends = []string{
 // deaths land (for detection-latency accounting). Kills land inside every
 // rank's 100µs compute phase, so the collective is interrupted, not
 // dodged. The multi-failure schedule is reported but not survival-gated:
-// CheckChaos requires 100% survival for the single-failure points.
+// checkChaos requires 100% survival for the single-failure points.
 var chaosSchedules = []struct {
 	Kills string
 	At    []time.Duration
@@ -247,13 +230,13 @@ func FormatChaos(r ChaosReport) string {
 	return b.String()
 }
 
-// CheckChaos gates the sweep. Static floors, baseline or not: every
+// checkChaos gates the sweep. Static floors, baseline or not: every
 // fault-free point and every single-failure point must survive (the
 // multi-failure points are reported, not gated). Against a committed
 // baseline: survival must not drop anywhere, no point may disappear, and
-// detection/shrink latency may not regress more than tol on any point
+// detection/shrink latency may not regress more than suiteTol on any point
 // that both runs survived.
-func CheckChaos(r ChaosReport, base *ChaosReport, tol float64) []string {
+func checkChaos(r ChaosReport, base *ChaosReport) []string {
 	var fails []string
 	for _, p := range r.Points {
 		if p.Failures <= 1 && !p.Survived {
@@ -264,30 +247,15 @@ func CheckChaos(r ChaosReport, base *ChaosReport, tol float64) []string {
 	if base == nil {
 		return fails
 	}
-	key := func(p ChaosPoint) string {
-		return fmt.Sprintf("%s|%d|%g|%s", p.Backend, p.Lanes, p.Loss, p.Kills)
-	}
-	cur := make(map[string]ChaosPoint, len(r.Points))
-	for _, p := range r.Points {
-		cur[key(p)] = p
-	}
-	for _, bp := range base.Points {
-		p, ok := cur[key(bp)]
-		if !ok {
-			fails = append(fails, fmt.Sprintf("baseline point %s dropped from the sweep", key(bp)))
-			continue
-		}
-		if bp.Survived && !p.Survived {
-			fails = append(fails, fmt.Sprintf("%s: survived in baseline, not now", key(bp)))
-		}
-		if bp.Survived && p.Survived {
-			if p.DetectUS > bp.DetectUS*(1+tol) {
-				fails = append(fails, fmt.Sprintf("%s: detection %.1fus vs baseline %.1fus", key(bp), p.DetectUS, bp.DetectUS))
+	survived := func(p ChaosPoint) bool { return p.Survived }
+	return append(fails, drift("point", r.Points, base.Points,
+		func(p ChaosPoint) string { return fmt.Sprintf("%s|%d|%g|%s", p.Backend, p.Lanes, p.Loss, p.Kills) }, suiteTol,
+		higher("survived", func(p ChaosPoint) float64 {
+			if p.Survived {
+				return 1
 			}
-			if p.ShrinkUS > bp.ShrinkUS*(1+tol) {
-				fails = append(fails, fmt.Sprintf("%s: shrink %.1fus vs baseline %.1fus", key(bp), p.ShrinkUS, bp.ShrinkUS))
-			}
-		}
-	}
-	return fails
+			return 0
+		}),
+		lower("detection us", func(p ChaosPoint) float64 { return p.DetectUS }).when(survived),
+		lower("shrink us", func(p ChaosPoint) float64 { return p.ShrinkUS }).when(survived))...)
 }

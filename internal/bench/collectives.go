@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -10,7 +9,7 @@ import (
 	"repro/platform/registry"
 )
 
-// The collective-algorithm sweep (cmd/repro -collectives): measure every
+// The collective-algorithm sweep (cmd/repro -suite collectives): measure every
 // registered algorithm of every collective across message sizes on each
 // backend, and derive the empirical crossover points — the measured
 // counterpart of the selector's thresholds in internal/coll.
@@ -44,15 +43,6 @@ type CollCrossover struct {
 	Bytes int    `json:"bytes"`
 	From  string `json:"from"`
 	To    string `json:"to"`
-}
-
-// Marshal renders the report as indented JSON with a trailing newline.
-func (r CollectivesReport) Marshal() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
 }
 
 // collOps are the swept collectives; barrier has no payload, so it gets a
@@ -238,19 +228,13 @@ func FormatCollectives(r CollectivesReport) string {
 	var b strings.Builder
 	for _, cb := range r.Backends {
 		for _, co := range cb.Ops {
-			f := Figure{
+			f := FigureJSON{
 				ID:     "collectives " + cb.Backend,
 				Title:  fmt.Sprintf("%s across algorithms (%d ranks)", co.Op, r.Ranks),
 				XLabel: "bytes",
 				YLabel: "us/call",
-			}
-			for _, s := range co.Series {
-				ser := Series{Name: s.Name}
-				for _, p := range s.Points {
-					ser.Points = append(ser.Points, Point{X: int(p[0]), Y: p[1]})
-				}
-				f.Series = append(f.Series, ser)
-			}
+				Series: co.Series,
+			}.figure()
 			for _, x := range co.Crossovers {
 				f.Notes = append(f.Notes, fmt.Sprintf("crossover at %d bytes: %s -> %s", x.Bytes, x.From, x.To))
 			}

@@ -1,14 +1,13 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
 	"repro/platform/registry"
 )
 
-// The -faults sweep: how each cluster transport degrades as the fault layer
+// The faults suite: how each cluster transport degrades as the fault layer
 // injects datagram loss. TCP segments and U-Net frames ride links whose
 // loss recovery the model deliberately omits (TCP is treated as a reliable
 // stream; the U-Net switch links are flow controlled), so their series are
@@ -32,15 +31,6 @@ type FaultsBackend struct {
 	Backend      string    `json:"backend"`
 	LatencyUS    []float64 `json:"latency_us"`
 	BandwidthMBs []float64 `json:"bandwidth_mbs"`
-}
-
-// Marshal renders the report as indented JSON with a trailing newline.
-func (r FaultsReport) Marshal() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
 }
 
 // faultsSeed pins the fault RNG so the sweep is reproducible run to run.

@@ -12,15 +12,11 @@ func TestFaultsSweepDeterministic(t *testing.T) {
 		t.Skip("two full sweeps")
 	}
 	run := func() []byte {
-		rep, err := Faults(Opts{Iters: 1})
+		res, err := suiteNamed(t, "faults").Run(Opts{Iters: 1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := rep.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+		return res.Record
 	}
 	a, b := run(), run()
 	if !bytes.Equal(a, b) {

@@ -17,21 +17,6 @@ func Figure1(o Opts) (Figure, error) {
 	if !o.Full {
 		sizes = []int{1, 64, 128, 180, 256, 384, 512}
 	}
-	var eager, rndv Series
-	eager.Name = "Buffering"
-	rndv.Name = "No buffering"
-	for _, n := range sizes {
-		e, err := MeikoPingPong("lowlatency", 1<<20, n, o.Iters) // force eager
-		if err != nil {
-			return Figure{}, err
-		}
-		r, err := MeikoPingPong("lowlatency", 1, n, o.Iters) // force rendezvous
-		if err != nil {
-			return Figure{}, err
-		}
-		eager.Points = append(eager.Points, Point{n, e})
-		rndv.Points = append(rndv.Points, Point{n, r})
-	}
 	cross, err := Figure1Crossover()
 	if err != nil {
 		return Figure{}, err
@@ -41,9 +26,10 @@ func Figure1(o Opts) (Figure, error) {
 		Title:  "Meiko transfer mechanisms (round-trip time)",
 		XLabel: "bytes",
 		YLabel: "us",
-		Series: []Series{eager, rndv},
 		Notes:  []string{fmt.Sprintf("measured crossover ~%d bytes (paper: 180)", cross)},
-	}, nil
+	}.sweep(sizes,
+		curve{"Buffering", func(n int) (float64, error) { return MeikoPingPong("lowlatency", 1<<20, n, o.Iters) }}, // force eager
+		curve{"No buffering", func(n int) (float64, error) { return MeikoPingPong("lowlatency", 1, n, o.Iters) }})  // force rendezvous
 }
 
 // Figure1Crossover scans for the eager/rendezvous break-even size.
@@ -71,153 +57,80 @@ func Figure1Crossover() (int, error) {
 // implementation, and the raw tport widget.
 func Figure2(o Opts) (Figure, error) {
 	o = o.Norm()
-	var mpich, lowlat, tport Series
-	mpich.Name = "MPI(mpich)"
-	lowlat.Name = "MPI(low latency)"
-	tport.Name = "Meiko tport"
-	for _, n := range latencySizes(o.Full) {
-		m, err := MeikoPingPong("mpich", 0, n, o.Iters)
-		if err != nil {
-			return Figure{}, err
-		}
-		l, err := MeikoPingPong("lowlatency", 0, n, o.Iters)
-		if err != nil {
-			return Figure{}, err
-		}
-		mpich.Points = append(mpich.Points, Point{n, m})
-		lowlat.Points = append(lowlat.Points, Point{n, l})
-		tport.Points = append(tport.Points, Point{n, TportPingPong(n, o.Iters)})
-	}
 	return Figure{
 		ID:     "Figure 2",
 		Title:  "Meiko round-trip latency",
 		XLabel: "bytes",
 		YLabel: "us",
-		Series: []Series{mpich, lowlat, tport},
 		Notes:  []string{"paper anchors at 1 byte: tport 52, low latency 104, mpich 210 us"},
-	}, nil
+	}.sweep(latencySizes(o.Full),
+		curve{"MPI(mpich)", func(n int) (float64, error) { return MeikoPingPong("mpich", 0, n, o.Iters) }},
+		curve{"MPI(low latency)", func(n int) (float64, error) { return MeikoPingPong("lowlatency", 0, n, o.Iters) }},
+		curve{"Meiko tport", func(n int) (float64, error) { return TportPingPong(n, o.Iters), nil }})
 }
 
 // Figure3 regenerates "Meiko bandwidth" for large transfers.
 func Figure3(o Opts) (Figure, error) {
-	o = o.Norm()
-	var mpich, lowlat, tport Series
-	mpich.Name = "MPI(mpich)"
-	lowlat.Name = "MPI(low latency)"
-	tport.Name = "Meiko tport"
-	for _, n := range bandwidthSizes(o.Full) {
-		m, err := MeikoBandwidth("mpich", n, 4)
-		if err != nil {
-			return Figure{}, err
-		}
-		l, err := MeikoBandwidth("lowlatency", n, 4)
-		if err != nil {
-			return Figure{}, err
-		}
-		mpich.Points = append(mpich.Points, Point{n, m})
-		lowlat.Points = append(lowlat.Points, Point{n, l})
-		tport.Points = append(tport.Points, Point{n, TportBandwidth(n, 4)})
-	}
 	return Figure{
 		ID:     "Figure 3",
 		Title:  "Meiko bandwidth",
 		XLabel: "bytes",
 		YLabel: "MB/s",
-		Series: []Series{mpich, lowlat, tport},
 		Notes:  []string{"paper: best DMA bandwidth of 39 MB/s nearly reached"},
-	}, nil
+	}.sweep(bandwidthSizes(o.Full),
+		curve{"MPI(mpich)", func(n int) (float64, error) { return MeikoBandwidth("mpich", n, 4) }},
+		curve{"MPI(low latency)", func(n int) (float64, error) { return MeikoBandwidth("lowlatency", n, 4) }},
+		curve{"Meiko tport", func(n int) (float64, error) { return TportBandwidth(n, 4), nil }})
 }
 
 // Figure4 regenerates "ATM round-trip latency": TCP vs UDP vs Fore AAL4.
 func Figure4(o Opts) (Figure, error) {
 	o = o.Norm()
-	var tcp, udp, aal4 Series
-	tcp.Name = "TCP"
-	udp.Name = "UDP"
-	aal4.Name = "Fore aal4"
-	for _, n := range latencySizes(o.Full) {
-		tcp.Points = append(tcp.Points, Point{n, RawTCPPingPong(atm.OverATM, n, o.Iters)})
-		udp.Points = append(udp.Points, Point{n, RawUDPPingPong(atm.OverATM, n, o.Iters)})
-		aal4.Points = append(aal4.Points, Point{n, RawAAL4PingPong(n, o.Iters)})
-	}
 	return Figure{
 		ID:     "Figure 4",
 		Title:  "ATM round-trip latency (raw transports)",
 		XLabel: "bytes",
 		YLabel: "us",
-		Series: []Series{tcp, udp, aal4},
 		Notes:  []string{"paper: except for small sizes the protocols are indistinguishable (STREAMS overhead)"},
-	}, nil
+	}.sweep(latencySizes(o.Full),
+		curve{"TCP", func(n int) (float64, error) { return RawTCPPingPong(atm.OverATM, n, o.Iters), nil }},
+		curve{"UDP", func(n int) (float64, error) { return RawUDPPingPong(atm.OverATM, n, o.Iters), nil }},
+		curve{"Fore aal4", func(n int) (float64, error) { return RawAAL4PingPong(n, o.Iters), nil }})
 }
 
 // Figure5 regenerates "TCP round-trip latency": MPI over TCP vs raw TCP on
 // both media.
 func Figure5(o Opts) (Figure, error) {
 	o = o.Norm()
-	var mpiATM, mpiEth, tcpATM, tcpEth Series
-	mpiATM.Name = "mpi/tcp/atm"
-	mpiEth.Name = "mpi/tcp/eth"
-	tcpATM.Name = "tcp/atm"
-	tcpEth.Name = "tcp/eth"
-	sizes := latencySizes(o.Full)
-	sizes = append(sizes, 8192)
-	for _, n := range sizes {
-		a, err := ClusterPingPong("tcp", "atm", n, o.Iters)
-		if err != nil {
-			return Figure{}, err
-		}
-		e, err := ClusterPingPong("tcp", "eth", n, o.Iters)
-		if err != nil {
-			return Figure{}, err
-		}
-		mpiATM.Points = append(mpiATM.Points, Point{n, a})
-		mpiEth.Points = append(mpiEth.Points, Point{n, e})
-		tcpATM.Points = append(tcpATM.Points, Point{n, RawTCPPingPong(atm.OverATM, n, o.Iters)})
-		tcpEth.Points = append(tcpEth.Points, Point{n, RawTCPPingPong(atm.OverEthernet, n, o.Iters)})
-	}
 	return Figure{
 		ID:     "Figure 5",
 		Title:  "TCP round-trip latency",
 		XLabel: "bytes",
 		YLabel: "us",
-		Series: []Series{mpiATM, mpiEth, tcpATM, tcpEth},
 		Notes:  []string{"paper anchors at 1 byte: tcp/eth 925, tcp/atm 1065 us; MPI adds envelope reads + matching"},
-	}, nil
+	}.sweep(append(latencySizes(o.Full), 8192),
+		curve{"mpi/tcp/atm", func(n int) (float64, error) { return ClusterPingPong("tcp", "atm", n, o.Iters) }},
+		curve{"mpi/tcp/eth", func(n int) (float64, error) { return ClusterPingPong("tcp", "eth", n, o.Iters) }},
+		curve{"tcp/atm", func(n int) (float64, error) { return RawTCPPingPong(atm.OverATM, n, o.Iters), nil }},
+		curve{"tcp/eth", func(n int) (float64, error) { return RawTCPPingPong(atm.OverEthernet, n, o.Iters), nil }})
 }
 
 // Figure6 regenerates "TCP bandwidth".
 func Figure6(o Opts) (Figure, error) {
-	o = o.Norm()
-	var mpiATM, mpiEth, tcpATM, tcpEth Series
-	mpiATM.Name = "mpi/tcp/atm"
-	mpiEth.Name = "mpi/tcp/eth"
-	tcpATM.Name = "tcp/atm"
-	tcpEth.Name = "tcp/eth"
 	sizes := []int{16 << 10, 64 << 10}
 	if o.Full {
 		sizes = []int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 512 << 10}
-	}
-	for _, n := range sizes {
-		a, err := ClusterBandwidth("tcp", "atm", n, 4)
-		if err != nil {
-			return Figure{}, err
-		}
-		e, err := ClusterBandwidth("tcp", "eth", n, 4)
-		if err != nil {
-			return Figure{}, err
-		}
-		mpiATM.Points = append(mpiATM.Points, Point{n, a})
-		mpiEth.Points = append(mpiEth.Points, Point{n, e})
-		tcpATM.Points = append(tcpATM.Points, Point{n, RawTCPBandwidth(atm.OverATM, 4*n)})
-		tcpEth.Points = append(tcpEth.Points, Point{n, RawTCPBandwidth(atm.OverEthernet, 4*n)})
 	}
 	return Figure{
 		ID:     "Figure 6",
 		Title:  "TCP bandwidth",
 		XLabel: "bytes",
 		YLabel: "MB/s",
-		Series: []Series{mpiATM, mpiEth, tcpATM, tcpEth},
-	}, nil
+	}.sweep(sizes,
+		curve{"mpi/tcp/atm", func(n int) (float64, error) { return ClusterBandwidth("tcp", "atm", n, 4) }},
+		curve{"mpi/tcp/eth", func(n int) (float64, error) { return ClusterBandwidth("tcp", "eth", n, 4) }},
+		curve{"tcp/atm", func(n int) (float64, error) { return RawTCPBandwidth(atm.OverATM, 4*n), nil }},
+		curve{"tcp/eth", func(n int) (float64, error) { return RawTCPBandwidth(atm.OverEthernet, 4*n), nil }})
 }
 
 // Table1Data is the regenerated Table 1: the MPI-over-TCP overhead

@@ -1,12 +1,12 @@
 package bench
 
-import "encoding/json"
+import "strings"
 
-// AnchorsReport is the machine-readable record cmd/repro writes as
+// AnchorsReport is the machine-readable record the anchors suite writes as
 // BENCH_anchors.json: the calibration anchors (the paper's 1-byte round
 // trips, the eager/rendezvous crossover, bandwidth and overhead numbers)
-// plus any figures regenerated in the same invocation (latency curves,
-// broadcast ablations), for perf-trajectory tracking across revisions.
+// plus Figures 1 and 2 (the Meiko latency curves), for perf-trajectory
+// tracking across revisions.
 type AnchorsReport struct {
 	Anchors []AnchorJSON `json:"anchors"`
 	Figures []FigureJSON `json:"figures,omitempty"`
@@ -65,11 +65,49 @@ func NewAnchorsReport(as []Anchor, figs []Figure) AnchorsReport {
 	return rep
 }
 
-// Marshal renders the report as indented JSON with a trailing newline.
-func (r AnchorsReport) Marshal() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
+// anchorsRecord measures the anchors suite's record: the ten calibration
+// anchors plus Figures 1 and 2.
+func anchorsRecord(o Opts) (AnchorsReport, error) {
+	as, err := Anchors(o)
 	if err != nil {
-		return nil, err
+		return AnchorsReport{}, err
 	}
-	return append(b, '\n'), nil
+	f1, err := Figure1(o)
+	if err != nil {
+		return AnchorsReport{}, err
+	}
+	f2, err := Figure2(o)
+	if err != nil {
+		return AnchorsReport{}, err
+	}
+	return NewAnchorsReport(as, []Figure{f1, f2}), nil
+}
+
+// figure rebuilds the plottable figure from its record.
+func (fj FigureJSON) figure() Figure {
+	f := Figure{ID: fj.ID, Title: fj.Title, XLabel: fj.XLabel, YLabel: fj.YLabel}
+	for _, s := range fj.Series {
+		ser := Series{Name: s.Name}
+		for _, p := range s.Points {
+			ser.Points = append(ser.Points, Point{X: int(p[0]), Y: p[1]})
+		}
+		f.Series = append(f.Series, ser)
+	}
+	return f
+}
+
+// formatAnchorsReport renders the record as the anchor table followed by
+// its figures.
+func formatAnchorsReport(r AnchorsReport) string {
+	as := make([]Anchor, len(r.Anchors))
+	for i, a := range r.Anchors {
+		as[i] = Anchor{Name: a.Name, Unit: a.Unit, Paper: a.Paper, Measured: a.Measured, Tolerance: a.Tolerance}
+	}
+	var b strings.Builder
+	b.WriteString(FormatAnchors(as))
+	for _, fj := range r.Figures {
+		b.WriteByte('\n')
+		b.WriteString(fj.figure().String())
+	}
+	return b.String()
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -33,7 +32,7 @@ type MatchScenario struct {
 // MatchReport is the machine-readable record cmd/repro writes as
 // BENCH_match.json: per-scenario measurements plus indexed-vs-linear
 // speedup ratios. The committed copy is the regression baseline CI
-// compares against (see CheckMatch).
+// compares against (see checkMatch).
 type MatchReport struct {
 	Scenarios []MatchScenario    `json:"scenarios"`
 	Speedups  map[string]float64 `json:"speedups"`
@@ -183,6 +182,22 @@ func MatchBench(o Opts) (MatchReport, error) {
 	return rep, nil
 }
 
+// matchSpeedup is one entry of MatchReport.Speedups, pulled out of the map
+// so the table and the gate walk the ratios in name order.
+type matchSpeedup struct {
+	name  string
+	ratio float64
+}
+
+func sortedSpeedups(m map[string]float64) []matchSpeedup {
+	out := make([]matchSpeedup, 0, len(m))
+	for k, v := range m {
+		out = append(out, matchSpeedup{k, v})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
 // FormatMatch renders the report as a table.
 func FormatMatch(r MatchReport) string {
 	var b strings.Builder
@@ -191,13 +206,8 @@ func FormatMatch(r MatchReport) string {
 	for _, s := range r.Scenarios {
 		fmt.Fprintf(&b, "  %-28s %12.1f %10d %10d\n", s.Name, s.NsPerOp, s.AllocsPerOp, s.BytesPerOp)
 	}
-	var names []string
-	for k := range r.Speedups {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		fmt.Fprintf(&b, "  %-28s %11.1fx indexed over linear\n", k, r.Speedups[k])
+	for _, sp := range sortedSpeedups(r.Speedups) {
+		fmt.Fprintf(&b, "  %-28s %11.1fx indexed over linear\n", sp.name, sp.ratio)
 	}
 	return b.String()
 }
@@ -211,23 +221,22 @@ const (
 	matchGateAlloc   = "eager/recv-path" // must stay allocation-free
 )
 
-// CheckMatch compares a fresh report against the committed baseline and
-// returns the list of regressions (empty means the gate passes). tol is
-// the fractional slack on speedup ratios (0.10 = fail on >10% regression).
-// Allocation counts are exact and deterministic, so any increase over the
-// baseline fails. Absolute ns/op is never compared — it is hardware-bound.
-// base may be nil (first run, no baseline yet): only the static floors
-// apply.
-func CheckMatch(cur MatchReport, base *MatchReport, tol float64) []string {
+// checkMatch gates a fresh report: the static floors always, and against a
+// baseline the allocation counts exactly (they are deterministic, so any
+// change means the hot path changed) and the speedup ratios within suiteTol.
+// Absolute ns/op is never compared — it is hardware-bound.
+func checkMatch(cur MatchReport, base *MatchReport) []string {
 	var fails []string
-	curAllocs := map[string]int64{}
+	allocs, found := int64(0), false
 	for _, s := range cur.Scenarios {
-		curAllocs[s.Name] = s.AllocsPerOp
+		if s.Name == matchGateAlloc {
+			allocs, found = s.AllocsPerOp, true
+		}
 	}
-	if a, ok := curAllocs[matchGateAlloc]; !ok {
+	if !found {
 		fails = append(fails, fmt.Sprintf("scenario %s missing from report", matchGateAlloc))
-	} else if a != 0 {
-		fails = append(fails, fmt.Sprintf("%s allocates %d objects/op, want 0", matchGateAlloc, a))
+	} else if allocs != 0 {
+		fails = append(fails, fmt.Sprintf("%s allocates %d objects/op, want 0", matchGateAlloc, allocs))
 	}
 	if sp, ok := cur.Speedups[matchGateSpeedup]; !ok {
 		fails = append(fails, fmt.Sprintf("speedup %s missing from report", matchGateSpeedup))
@@ -237,41 +246,10 @@ func CheckMatch(cur MatchReport, base *MatchReport, tol float64) []string {
 	if base == nil {
 		return fails
 	}
-	for _, bs := range base.Scenarios {
-		a, ok := curAllocs[bs.Name]
-		if !ok {
-			fails = append(fails, fmt.Sprintf("scenario %s dropped from report", bs.Name))
-			continue
-		}
-		if a > bs.AllocsPerOp {
-			fails = append(fails, fmt.Sprintf("%s allocs/op %d exceeds baseline %d", bs.Name, a, bs.AllocsPerOp))
-		}
-	}
-	for name, bsp := range base.Speedups {
-		sp, ok := cur.Speedups[name]
-		if !ok {
-			fails = append(fails, fmt.Sprintf("speedup %s dropped from report", name))
-			continue
-		}
-		if sp < bsp*(1-tol) {
-			fails = append(fails, fmt.Sprintf("%s speedup %.2fx regressed >%.0f%% from baseline %.2fx", name, sp, tol*100, bsp))
-		}
-	}
-	return fails
-}
-
-// Marshal renders the report as indented JSON with a trailing newline.
-func (r MatchReport) Marshal() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// UnmarshalMatch parses a BENCH_match.json baseline.
-func UnmarshalMatch(data []byte) (MatchReport, error) {
-	var r MatchReport
-	err := json.Unmarshal(data, &r)
-	return r, err
+	fails = append(fails, drift("scenario", cur.Scenarios, base.Scenarios,
+		func(s MatchScenario) string { return s.Name }, 0,
+		lower("allocs/op", func(s MatchScenario) float64 { return float64(s.AllocsPerOp) }))...)
+	return append(fails, drift("speedup", sortedSpeedups(cur.Speedups), sortedSpeedups(base.Speedups),
+		func(s matchSpeedup) string { return s.name }, suiteTol,
+		higher("indexed over linear", func(s matchSpeedup) float64 { return s.ratio }))...)
 }

@@ -19,11 +19,11 @@ import (
 
 // ---- MPI-level measurement primitives --------------------------------
 
-// mpiPingPong runs an n-byte ping-pong for iters round trips under any
-// world and reports the mean RTT in microseconds.
-func mpiPingPong(w *mpi.World, n, iters int) (float64, error) {
+// pingPongReport runs an n-byte ping-pong for iters round trips under any
+// world and reports the mean RTT in microseconds plus the launch report.
+func pingPongReport(w *mpi.World, n, iters int) (float64, *mpi.Report, error) {
 	var rtt time.Duration
-	_, err := mpi.Launch(w, func(c *mpi.Comm) error {
+	rep, err := mpi.Launch(w, func(c *mpi.Comm) error {
 		data := make([]byte, n)
 		buf := make([]byte, n)
 		if c.Rank() == 0 {
@@ -51,7 +51,13 @@ func mpiPingPong(w *mpi.World, n, iters int) (float64, error) {
 		}
 		return nil
 	})
-	return float64(rtt) / 1e3, err
+	return float64(rtt) / 1e3, rep, err
+}
+
+// mpiPingPong is pingPongReport's mean RTT alone.
+func mpiPingPong(w *mpi.World, n, iters int) (float64, error) {
+	us, _, err := pingPongReport(w, n, iters)
+	return us, err
 }
 
 // mpiBandwidth streams iters chunks one way and reports MB/s.
@@ -127,6 +133,31 @@ func ClusterBandwidth(tr, net string, chunk, iters int) (float64, error) {
 
 // ---- raw substrate primitives ----------------------------------------
 
+// rawPingPong runs iters round trips between two procs on s — proc 0 sends
+// then receives, proc 1 mirrors it — and reports the mean RTT in µs. The
+// four callbacks are the substrate's send and receive on each side.
+func rawPingPong(s *sim.Scheduler, iters int, send0, recv0, send1, recv1 func(*sim.Proc)) float64 {
+	var rtt sim.Duration
+	s.Spawn("h0", func(p *sim.Proc) {
+		start := p.Now()
+		for i := 0; i < iters; i++ {
+			send0(p)
+			recv0(p)
+		}
+		rtt = sim.Duration(p.Now()-start) / sim.Duration(iters)
+	})
+	s.Spawn("h1", func(p *sim.Proc) {
+		for i := 0; i < iters; i++ {
+			recv1(p)
+			send1(p)
+		}
+	})
+	if _, err := s.Run(); err != nil {
+		panic(fmt.Sprintf("raw pingpong: %v", err))
+	}
+	return float64(rtt) / 1e3
+}
+
 // TportPingPong measures the raw tport widget RTT (Figure 2's base line).
 func TportPingPong(size, iters int) float64 {
 	s := sim.NewScheduler(1)
@@ -135,27 +166,12 @@ func TportPingPong(size, iters int) float64 {
 	t0 := m.NewTport(m.Nodes[0])
 	t1 := m.NewTport(m.Nodes[1])
 	data := make([]byte, size)
-	var rtt sim.Duration
-	s.Spawn("n0", func(p *sim.Proc) {
-		buf := make([]byte, size)
-		start := p.Now()
-		for i := 0; i < iters; i++ {
-			t0.Send(p, 1, 7, data)
-			t0.Recv(p, 7, ^uint64(0), buf)
-		}
-		rtt = sim.Duration(p.Now()-start) / sim.Duration(iters)
-	})
-	s.Spawn("n1", func(p *sim.Proc) {
-		buf := make([]byte, size)
-		for i := 0; i < iters; i++ {
-			t1.Recv(p, 7, ^uint64(0), buf)
-			t1.Send(p, 0, 7, data)
-		}
-	})
-	if _, err := s.Run(); err != nil {
-		panic(fmt.Sprintf("tport pingpong: %v", err))
-	}
-	return float64(rtt) / 1e3
+	buf0, buf1 := make([]byte, size), make([]byte, size)
+	return rawPingPong(s, iters,
+		func(p *sim.Proc) { t0.Send(p, 1, 7, data) },
+		func(p *sim.Proc) { t0.Recv(p, 7, ^uint64(0), buf0) },
+		func(p *sim.Proc) { t1.Send(p, 0, 7, data) },
+		func(p *sim.Proc) { t1.Recv(p, 7, ^uint64(0), buf1) })
 }
 
 // TportBandwidth measures raw tport streaming bandwidth in MB/s.
@@ -197,27 +213,12 @@ func RawTCPPingPong(net atm.MediumKind, size, iters int) float64 {
 	s, cl := rawCluster()
 	a, b := cl.TCPPair(0, 1, net)
 	msg := make([]byte, size)
-	var rtt sim.Duration
-	s.Spawn("h0", func(p *sim.Proc) {
-		buf := make([]byte, size)
-		start := p.Now()
-		for i := 0; i < iters; i++ {
-			a.Write(p, msg)
-			a.ReadFull(p, buf)
-		}
-		rtt = sim.Duration(p.Now()-start) / sim.Duration(iters)
-	})
-	s.Spawn("h1", func(p *sim.Proc) {
-		buf := make([]byte, size)
-		for i := 0; i < iters; i++ {
-			b.ReadFull(p, buf)
-			b.Write(p, msg)
-		}
-	})
-	if _, err := s.Run(); err != nil {
-		panic(fmt.Sprintf("tcp pingpong: %v", err))
-	}
-	return float64(rtt) / 1e3
+	buf0, buf1 := make([]byte, size), make([]byte, size)
+	return rawPingPong(s, iters,
+		func(p *sim.Proc) { a.Write(p, msg) },
+		func(p *sim.Proc) { a.ReadFull(p, buf0) },
+		func(p *sim.Proc) { b.Write(p, msg) },
+		func(p *sim.Proc) { b.ReadFull(p, buf1) })
 }
 
 // RawTCPBandwidth measures one-way raw TCP throughput in MB/s.
@@ -246,92 +247,44 @@ func RawTCPBandwidth(net atm.MediumKind, total int) float64 {
 	return float64(total) / elapsed.Seconds() / 1e6
 }
 
+// datagramSocket is the send/receive pair the raw UDP and AAL3/4 sockets
+// share.
+type datagramSocket interface {
+	SendTo(p *sim.Proc, dst int, data []byte)
+	RecvFrom(p *sim.Proc, buf []byte) (int, int)
+}
+
+// datagramPingPong ping-pongs size-byte datagrams between hosts 0 and 1,
+// a fresh payload per send.
+func datagramPingPong(s *sim.Scheduler, s0, s1 datagramSocket, size, iters int) float64 {
+	buf0, buf1 := make([]byte, size), make([]byte, size)
+	return rawPingPong(s, iters,
+		func(p *sim.Proc) { s0.SendTo(p, 1, make([]byte, size)) },
+		func(p *sim.Proc) { s0.RecvFrom(p, buf0) },
+		func(p *sim.Proc) { s1.SendTo(p, 0, make([]byte, size)) },
+		func(p *sim.Proc) { s1.RecvFrom(p, buf1) })
+}
+
 // RawUDPPingPong measures raw (unreliable) UDP RTT in µs.
 func RawUDPPingPong(net atm.MediumKind, size, iters int) float64 {
 	s, cl := rawCluster()
-	u0 := cl.UDPSocket(0, net)
-	u1 := cl.UDPSocket(1, net)
-	var rtt sim.Duration
-	s.Spawn("h0", func(p *sim.Proc) {
-		buf := make([]byte, size)
-		start := p.Now()
-		for i := 0; i < iters; i++ {
-			u0.SendTo(p, 1, make([]byte, size))
-			u0.RecvFrom(p, buf)
-		}
-		rtt = sim.Duration(p.Now()-start) / sim.Duration(iters)
-	})
-	s.Spawn("h1", func(p *sim.Proc) {
-		buf := make([]byte, size)
-		for i := 0; i < iters; i++ {
-			u1.RecvFrom(p, buf)
-			u1.SendTo(p, 0, make([]byte, size))
-		}
-	})
-	if _, err := s.Run(); err != nil {
-		panic(fmt.Sprintf("udp pingpong: %v", err))
-	}
-	return float64(rtt) / 1e3
+	return datagramPingPong(s, cl.UDPSocket(0, net), cl.UDPSocket(1, net), size, iters)
 }
 
 // RawAAL4PingPong measures the Fore API AAL3/4 RTT in µs (ATM only).
 func RawAAL4PingPong(size, iters int) float64 {
 	s, cl := rawCluster()
-	a0 := cl.AAL4Socket(0)
-	a1 := cl.AAL4Socket(1)
-	var rtt sim.Duration
-	s.Spawn("h0", func(p *sim.Proc) {
-		buf := make([]byte, size)
-		start := p.Now()
-		for i := 0; i < iters; i++ {
-			a0.SendTo(p, 1, make([]byte, size))
-			a0.RecvFrom(p, buf)
-		}
-		rtt = sim.Duration(p.Now()-start) / sim.Duration(iters)
-	})
-	s.Spawn("h1", func(p *sim.Proc) {
-		buf := make([]byte, size)
-		for i := 0; i < iters; i++ {
-			a1.RecvFrom(p, buf)
-			a1.SendTo(p, 0, make([]byte, size))
-		}
-	})
-	if _, err := s.Run(); err != nil {
-		panic(fmt.Sprintf("aal4 pingpong: %v", err))
-	}
-	return float64(rtt) / 1e3
+	return datagramPingPong(s, cl.AAL4Socket(0), cl.AAL4Socket(1), size, iters)
 }
 
 // clusterAcctPingPong runs a 1-byte MPI ping-pong and returns rank 1's
-// cost account plus the per-direction message count (Table 1's source).
+// cost account (Table 1's source).
 func clusterAcctPingPong(net string, iters int) (*core.Acct, error) {
 	w, err := registry.Build(registry.Spec{Platform: "cluster", Network: net, Ranks: 2})
 	if err != nil {
 		return nil, err
 	}
-	rep, err := mpi.Launch(w, func(c *mpi.Comm) error {
-		data := make([]byte, 1)
-		if c.Rank() == 0 {
-			for i := 0; i < iters; i++ {
-				if err := c.Send(1, 0, data); err != nil {
-					return err
-				}
-				if _, err := c.Recv(1, 0, data); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for i := 0; i < iters; i++ {
-			if _, err := c.Recv(0, 0, data); err != nil {
-				return err
-			}
-			if err := c.Send(0, 0, data); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	_, rep, err := pingPongReport(w, 1, iters)
 	if err != nil {
 		return nil, err
 	}

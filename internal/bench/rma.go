@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -10,7 +9,7 @@ import (
 	"repro/platform/registry"
 )
 
-// The -rma sweep: one-sided communication cost on the backends with a
+// The rma suite: one-sided communication cost on the backends with a
 // native remote-memory primitive, plus the RDMA-write rendezvous ablation
 // on the socket transports — the same large two-sided transfer with the
 // receiver's pre-posted buffer advertised (the sender writes data
@@ -53,7 +52,7 @@ type RMAFencePoint struct {
 
 // RMAReport is the machine-readable record cmd/repro writes as
 // BENCH_rma.json. The committed copy is the baseline CI gates against
-// (see CheckRMA).
+// (see checkRMA).
 type RMAReport struct {
 	Iters      int                  `json:"iters"`
 	Puts       []RMAPutPoint        `json:"puts"`
@@ -61,50 +60,21 @@ type RMAReport struct {
 	Fences     []RMAFencePoint      `json:"fences"`
 }
 
-// rmaPutEpoch measures one rank Putting n bytes into its neighbor's window
-// each epoch, reporting the mean Put+Fence epoch time in microseconds.
-func rmaPutEpoch(w *mpi.World, n, iters int) (float64, error) {
-	var per time.Duration
-	_, err := mpi.Launch(w, func(c *mpi.Comm) error {
-		win, err := c.WinCreate(n)
-		if err != nil {
-			return err
-		}
-		data := make([]byte, n)
-		if err := win.Fence(); err != nil {
-			return err
-		}
-		start := c.Wtime()
-		for i := 0; i < iters; i++ {
-			if c.Rank() == 0 {
-				if err := win.Put(1, 0, data); err != nil {
-					return err
-				}
-			}
-			if err := win.Fence(); err != nil {
-				return err
-			}
-		}
-		per = (c.Wtime() - start) / time.Duration(iters)
-		return win.Free()
-	})
-	return float64(per) / 1e3, err
-}
-
-// rmaFenceEpoch measures the deferred-at-fence emulation on a world
-// without native RMA: rank 0 Puts n bytes into rank 1's window each
-// epoch, and the closing fence carries the blob. Reports the mean epoch
-// time and how many rendezvous transfers took the RTR fast path per
-// epoch (from the merged rndv-rtr counter).
-func rmaFenceEpoch(w *mpi.World, n, iters int) (float64, float64, error) {
+// rmaEpoch measures rank 0 Putting n bytes into rank 1's window each
+// epoch, reporting the mean Put+Fence epoch time in microseconds and how
+// many rendezvous transfers took the RTR fast path per epoch (the merged
+// rndv-rtr counter). native names the path the world must take: a genuine
+// one-sided transfer, or the emulation that deflates to matched messages
+// inside the closing fence.
+func rmaEpoch(w *mpi.World, n, iters int, native bool) (float64, float64, error) {
 	var per time.Duration
 	rep, err := mpi.Launch(w, func(c *mpi.Comm) error {
 		win, err := c.WinCreate(n)
 		if err != nil {
 			return err
 		}
-		if win.Native() {
-			return fmt.Errorf("fence bench wants the emulated path, got native RMA")
+		if win.Native() != native {
+			return fmt.Errorf("rma bench wants native=%v, the window reports %v", native, win.Native())
 		}
 		data := make([]byte, n)
 		if err := win.Fence(); err != nil {
@@ -212,7 +182,7 @@ func RMABench(o Opts) (RMAReport, error) {
 			if err != nil {
 				return rep, fmt.Errorf("rma %s: %v", name, err)
 			}
-			us, err := rmaPutEpoch(w, n, o.Iters)
+			us, _, err := rmaEpoch(w, n, o.Iters, true)
 			if err != nil {
 				return rep, fmt.Errorf("rma %s %dB: %v", name, n, err)
 			}
@@ -251,7 +221,7 @@ func RMABench(o Opts) (RMAReport, error) {
 			if err != nil {
 				return rep, fmt.Errorf("fence %s: %v", tr, err)
 			}
-			us, rtr, err := rmaFenceEpoch(w, n, o.Iters)
+			us, rtr, err := rmaEpoch(w, n, o.Iters, false)
 			if err != nil {
 				return rep, fmt.Errorf("fence cluster/%s %dB: %v", tr, n, err)
 			}
@@ -291,13 +261,15 @@ func FormatRMA(r RMAReport) string {
 // acceptance bar for skipping the CTS round trip.
 const rmaGateBytes = 1 << 20
 
-// CheckRMA compares a fresh report against the committed baseline and
-// returns the list of regressions (empty means the gate passes). The
-// static floor applies with or without a baseline: every rendezvous point
-// at or above rmaGateBytes must show speedup > 1. Against a baseline, a
-// speedup regression beyond tol fails; Put epochs are virtual time and
-// must not regress beyond tol either.
-func CheckRMA(cur RMAReport, base *RMAReport, tol float64) []string {
+// rmaKey names one point of any of the report's three lists.
+func rmaKey(backend string, bytes int) string { return fmt.Sprintf("%s/%d", backend, bytes) }
+
+// checkRMA gates a fresh report. The static floor applies with or without
+// a baseline: every rendezvous point at or above rmaGateBytes must show
+// speedup > 1. Against a baseline, a speedup regression beyond suiteTol
+// fails; Put and fence epochs are virtual time and must not regress beyond
+// it either.
+func checkRMA(cur RMAReport, base *RMAReport) []string {
 	var fails []string
 	gated := 0
 	for _, p := range cur.Rendezvous {
@@ -322,66 +294,13 @@ func CheckRMA(cur RMAReport, base *RMAReport, tol float64) []string {
 	if base == nil {
 		return fails
 	}
-	curRv := map[string]RMARendezvousPoint{}
-	for _, p := range cur.Rendezvous {
-		curRv[fmt.Sprintf("%s/%d", p.Backend, p.Bytes)] = p
-	}
-	for _, bp := range base.Rendezvous {
-		key := fmt.Sprintf("%s/%d", bp.Backend, bp.Bytes)
-		p, ok := curRv[key]
-		if !ok {
-			fails = append(fails, fmt.Sprintf("rendezvous point %s dropped from report", key))
-			continue
-		}
-		if p.Speedup < bp.Speedup*(1-tol) {
-			fails = append(fails, fmt.Sprintf("%s speedup %.2fx regressed >%.0f%% from baseline %.2fx", key, p.Speedup, tol*100, bp.Speedup))
-		}
-	}
-	curPut := map[string]float64{}
-	for _, p := range cur.Puts {
-		curPut[fmt.Sprintf("%s/%d", p.Backend, p.Bytes)] = p.EpochUS
-	}
-	for _, bp := range base.Puts {
-		key := fmt.Sprintf("%s/%d", bp.Backend, bp.Bytes)
-		us, ok := curPut[key]
-		if !ok {
-			fails = append(fails, fmt.Sprintf("put point %s dropped from report", key))
-			continue
-		}
-		if us > bp.EpochUS*(1+tol) {
-			fails = append(fails, fmt.Sprintf("%s Put+Fence %.1fus regressed >%.0f%% from baseline %.1fus", key, us, tol*100, bp.EpochUS))
-		}
-	}
-	curFence := map[string]RMAFencePoint{}
-	for _, p := range cur.Fences {
-		curFence[fmt.Sprintf("%s/%d", p.Backend, p.Bytes)] = p
-	}
-	for _, bp := range base.Fences {
-		key := fmt.Sprintf("%s/%d", bp.Backend, bp.Bytes)
-		p, ok := curFence[key]
-		if !ok {
-			fails = append(fails, fmt.Sprintf("fence point %s dropped from report", key))
-			continue
-		}
-		if p.EpochUS > bp.EpochUS*(1+tol) {
-			fails = append(fails, fmt.Sprintf("%s emulated fence %.1fus regressed >%.0f%% from baseline %.1fus", key, p.EpochUS, tol*100, bp.EpochUS))
-		}
-	}
-	return fails
-}
-
-// Marshal renders the report as indented JSON with a trailing newline.
-func (r RMAReport) Marshal() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// UnmarshalRMA parses a BENCH_rma.json baseline.
-func UnmarshalRMA(data []byte) (RMAReport, error) {
-	var r RMAReport
-	err := json.Unmarshal(data, &r)
-	return r, err
+	fails = append(fails, drift("rendezvous point", cur.Rendezvous, base.Rendezvous,
+		func(p RMARendezvousPoint) string { return rmaKey(p.Backend, p.Bytes) }, suiteTol,
+		higher("speedup", func(p RMARendezvousPoint) float64 { return p.Speedup }))...)
+	fails = append(fails, drift("put point", cur.Puts, base.Puts,
+		func(p RMAPutPoint) string { return rmaKey(p.Backend, p.Bytes) }, suiteTol,
+		lower("Put+Fence us", func(p RMAPutPoint) float64 { return p.EpochUS }))...)
+	return append(fails, drift("fence point", cur.Fences, base.Fences,
+		func(p RMAFencePoint) string { return rmaKey(p.Backend, p.Bytes) }, suiteTol,
+		lower("emulated fence us", func(p RMAFencePoint) float64 { return p.EpochUS }))...)
 }

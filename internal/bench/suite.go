@@ -1,0 +1,211 @@
+package bench
+
+import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+)
+
+// Suite is one registered sweep: a measurement, its committed
+// BENCH_<name>.json record, and the gate that compares the two. cmd/repro
+// and CI drive every sweep through this one shape.
+type Suite struct {
+	Name string
+	// Run decodes baseline (the bytes of an earlier record; nil means none,
+	// so only the static floors apply), measures the sweep and gates the
+	// fresh report against it.
+	Run func(o Opts, baseline []byte) (Result, error)
+	// Check gates an existing record against baseline without measuring.
+	Check func(record, baseline []byte) ([]string, error)
+}
+
+// Result is one run of a suite.
+type Result struct {
+	Text     string   // the table the CLI prints
+	Record   []byte   // the BENCH_<name>.json bytes
+	Findings []string // gate failures; empty means the gate passes
+}
+
+// suiteTol is the fractional drift the baseline gates allow on a metric that
+// is not compared exactly (0.10 = fail on a >10% regression).
+const suiteTol = 0.10
+
+// suites is the registry, in the order `-suite all` runs them.
+var suites = []Suite{
+	newSuite("anchors", anchorsRecord, formatAnchorsReport, nil),
+	newSuite("collectives", Collectives, FormatCollectives, nil),
+	newSuite("faults", Faults, FormatFaults, nil),
+	newSuite("match", MatchBench, FormatMatch, checkMatch),
+	newSuite("rma", RMABench, FormatRMA, checkRMA),
+	newSuite("scale", ScaleBench, FormatScale, checkScale),
+	newSuite("chaos", Chaos, FormatChaos, checkChaos),
+	newSuite("workloads", Workloads, FormatWorkloads, checkWorkloads),
+}
+
+// newSuite adapts one report type to a Suite. The record encoding, the
+// baseline decoding and the nil-baseline case live here and nowhere else;
+// gate may be nil for a sweep that is recorded but not gated.
+func newSuite[R any](name string, run func(Opts) (R, error), format func(R) string, gate func(cur R, base *R) []string) Suite {
+	decode := func(what string, data []byte) (*R, error) {
+		r := new(R)
+		if err := json.Unmarshal(data, r); err != nil {
+			return nil, fmt.Errorf("%s %s: %w", name, what, err)
+		}
+		return r, nil
+	}
+	// No baseline (nil) is not an error: only the static floors apply.
+	decodeBase := func(baseline []byte) (*R, error) {
+		if baseline == nil {
+			return nil, nil
+		}
+		return decode("baseline", baseline)
+	}
+	findings := func(cur R, base *R) []string {
+		if gate == nil {
+			return nil
+		}
+		return gate(cur, base)
+	}
+	return Suite{
+		Name: name,
+		Run: func(o Opts, baseline []byte) (Result, error) {
+			// Decode first: a bad baseline fails before the sweep, not after it.
+			base, err := decodeBase(baseline)
+			if err != nil {
+				return Result{}, err
+			}
+			cur, err := run(o)
+			if err != nil {
+				return Result{}, fmt.Errorf("%s: %w", name, err)
+			}
+			rec, err := json.MarshalIndent(cur, "", "  ")
+			if err != nil {
+				return Result{}, fmt.Errorf("%s record: %w", name, err)
+			}
+			return Result{Text: format(cur), Record: append(rec, '\n'), Findings: findings(cur, base)}, nil
+		},
+		Check: func(record, baseline []byte) ([]string, error) {
+			cur, err := decode("record", record)
+			if err != nil {
+				return nil, err
+			}
+			base, err := decodeBase(baseline)
+			if err != nil {
+				return nil, err
+			}
+			return findings(*cur, base), nil
+		},
+	}
+}
+
+// Suites resolves a comma-separated list of suite names, or "all", against
+// the registry.
+func Suites(spec string) ([]Suite, error) {
+	if spec == "all" {
+		return suites, nil
+	}
+	var out []Suite
+	for _, name := range strings.Split(spec, ",") {
+		name = strings.TrimSpace(name)
+		i := 0
+		for i < len(suites) && suites[i].Name != name {
+			i++
+		}
+		if i == len(suites) {
+			var names []string
+			for _, s := range suites {
+				names = append(names, s.Name)
+			}
+			return nil, fmt.Errorf("unknown suite %q (registered: %s)", name, strings.Join(names, ", "))
+		}
+		out = append(out, suites[i])
+	}
+	return out, nil
+}
+
+// File is the name of the suite's record inside a baseline or output
+// directory.
+func (s Suite) File() string { return "BENCH_" + s.Name + ".json" }
+
+// RunDir runs the suite against the record in baselineDir and writes the
+// fresh record into outDir; an empty directory name skips that side. The
+// record is written even when the gate fails, so CI can upload it.
+func (s Suite) RunDir(o Opts, baselineDir, outDir string) (Result, error) {
+	var baseline []byte
+	if baselineDir != "" {
+		var err error
+		if baseline, err = os.ReadFile(filepath.Join(baselineDir, s.File())); err != nil {
+			return Result{}, fmt.Errorf("%s baseline: %w", s.Name, err)
+		}
+	}
+	res, err := s.Run(o, baseline)
+	if err != nil || outDir == "" {
+		return res, err
+	}
+	if err := os.MkdirAll(outDir, 0o755); err != nil {
+		return res, err
+	}
+	return res, os.WriteFile(filepath.Join(outDir, s.File()), res.Record, 0o644)
+}
+
+// metric is one gated field of a sweep point.
+type metric[P any] struct {
+	name   string
+	get    func(P) float64
+	higher bool // higher is better; otherwise lower is
+	// ok, when set, says whether the metric means anything on a point; it is
+	// compared only where it does on both sides.
+	ok func(P) bool
+}
+
+func lower[P any](name string, get func(P) float64) metric[P] {
+	return metric[P]{name: name, get: get}
+}
+
+func higher[P any](name string, get func(P) float64) metric[P] {
+	return metric[P]{name: name, get: get, higher: true}
+}
+
+func (m metric[P]) when(ok func(P) bool) metric[P] {
+	m.ok = ok
+	return m
+}
+
+// drift compares the points of a fresh report with a baseline's, matched by
+// key, and returns the findings every baseline gate shares: a baseline point
+// missing from the report, and a metric that moved the wrong way by more
+// than tol. At tol 0 the comparison is exact: any difference, in either
+// direction, is a finding.
+func drift[P any](kind string, cur, base []P, key func(P) string, tol float64, metrics ...metric[P]) []string {
+	have := make(map[string]P, len(cur))
+	for _, p := range cur {
+		have[key(p)] = p
+	}
+	num := func(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+	var fails []string
+	for _, bp := range base {
+		k := key(bp)
+		p, found := have[k]
+		if !found {
+			fails = append(fails, fmt.Sprintf("%s %s: in the baseline, dropped from the report", kind, k))
+			continue
+		}
+		for _, m := range metrics {
+			if m.ok != nil && !(m.ok(p) && m.ok(bp)) {
+				continue
+			}
+			c, b := m.get(p), m.get(bp)
+			if tol == 0 {
+				if c != b {
+					fails = append(fails, fmt.Sprintf("%s %s: %s %s differs from baseline %s", kind, k, m.name, num(c), num(b)))
+				}
+			} else if m.higher && c < b*(1-tol) || !m.higher && c > b*(1+tol) {
+				fails = append(fails, fmt.Sprintf("%s %s: %s %s regressed >%s%% from baseline %s", kind, k, m.name, num(c), num(tol*100), num(b)))
+			}
+		}
+	}
+	return fails
+}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -12,7 +11,7 @@ import (
 	"repro/platform/registry"
 )
 
-// The -workloads sweep: every registered macro-workload pattern over the
+// The workloads suite: every registered macro-workload pattern over the
 // representative backends × kernels grid. Each (backend, pattern) cell
 // records the workload twice on the single-lane kernel (the traces must
 // be byte-identical), then replays the recording on the sharded and
@@ -45,22 +44,6 @@ type WorkloadsReport struct {
 	Ranks  int             `json:"ranks"`
 	Seed   int64           `json:"seed"`
 	Points []WorkloadPoint `json:"points"`
-}
-
-// Marshal renders the report as indented JSON with a trailing newline.
-func (r WorkloadsReport) Marshal() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// UnmarshalWorkloads parses a committed baseline.
-func UnmarshalWorkloads(data []byte) (WorkloadsReport, error) {
-	var r WorkloadsReport
-	err := json.Unmarshal(data, &r)
-	return r, err
 }
 
 const (
@@ -204,17 +187,17 @@ func FormatWorkloads(r WorkloadsReport) string {
 	return b.String()
 }
 
-// CheckWorkloads gates the sweep. Static floors, baseline or not: the
+// checkWorkloads gates the sweep. Static floors, baseline or not: the
 // full backends × patterns × kernels grid must be present, every
 // recording must re-record byte-identically, every replay must reproduce
 // its recording, and every point must score at least one SLO event.
 // Against a committed baseline: no point may disappear, and neither p99
-// latency nor throughput may regress more than tol on any point (the
+// latency nor throughput may regress more than suiteTol on any point (the
 // numbers are virtual time, so a drift means the model changed — the
 // tolerance leaves room for deliberate, reviewed cost-model edits
 // without letting them slip through unnoticed on a point that was not
 // supposed to move).
-func CheckWorkloads(r WorkloadsReport, base *WorkloadsReport, tol float64) []string {
+func checkWorkloads(r WorkloadsReport, base *WorkloadsReport) []string {
 	var fails []string
 	key := func(p WorkloadPoint) string {
 		return fmt.Sprintf("%s|%s|%d|%v", p.Workload, p.Backend, p.Lanes, p.Parallel)
@@ -247,18 +230,7 @@ func CheckWorkloads(r WorkloadsReport, base *WorkloadsReport, tol float64) []str
 	if base == nil {
 		return fails
 	}
-	for _, bp := range base.Points {
-		p, ok := cur[key(bp)]
-		if !ok {
-			fails = append(fails, fmt.Sprintf("baseline point %s dropped from the sweep", key(bp)))
-			continue
-		}
-		if bp.P99US > 0 && p.P99US > bp.P99US*(1+tol) {
-			fails = append(fails, fmt.Sprintf("%s: p99 %.1fus vs baseline %.1fus", key(bp), p.P99US, bp.P99US))
-		}
-		if bp.OpsPerSec > 0 && p.OpsPerSec < bp.OpsPerSec*(1-tol) {
-			fails = append(fails, fmt.Sprintf("%s: throughput %.0f ops/s vs baseline %.0f", key(bp), p.OpsPerSec, bp.OpsPerSec))
-		}
-	}
-	return fails
+	return append(fails, drift("point", r.Points, base.Points, key, suiteTol,
+		lower("p99 us", func(p WorkloadPoint) float64 { return p.P99US }).when(func(p WorkloadPoint) bool { return p.P99US > 0 }),
+		higher("throughput ops/s", func(p WorkloadPoint) float64 { return p.OpsPerSec }))...)
 }

@@ -47,20 +47,20 @@ func TestCheckWorkloadsGate(t *testing.T) {
 			}
 		}
 	}
-	if fails := CheckWorkloads(rep, nil, 0.10); len(fails) != 0 {
+	if fails := gate(t, "workloads", rep, nil); len(fails) != 0 {
 		t.Fatalf("clean report failed static floors: %v", fails)
 	}
 
 	broken := rep
 	broken.Points = append([]WorkloadPoint(nil), rep.Points...)
 	broken.Points[0].ReplayOK = false
-	if fails := CheckWorkloads(broken, nil, 0.10); len(fails) != 1 || !strings.Contains(fails[0], "diverged") {
+	if fails := gate(t, "workloads", broken, nil); len(fails) != 1 || !strings.Contains(fails[0], "diverged") {
 		t.Fatalf("divergence not gated: %v", fails)
 	}
 
 	missing := rep
 	missing.Points = rep.Points[1:]
-	if fails := CheckWorkloads(missing, nil, 0.10); len(fails) == 0 {
+	if fails := gate(t, "workloads", missing, nil); len(fails) == 0 {
 		t.Fatal("missing grid point not gated")
 	}
 
@@ -68,7 +68,7 @@ func TestCheckWorkloadsGate(t *testing.T) {
 	regressed.Points = append([]WorkloadPoint(nil), rep.Points...)
 	regressed.Points[3].P99US *= 1.5
 	regressed.Points[4].OpsPerSec *= 0.5
-	fails := CheckWorkloads(regressed, &rep, 0.10)
+	fails := gate(t, "workloads", regressed, rep)
 	if len(fails) != 2 {
 		t.Fatalf("want p99 + throughput regressions flagged, got %v", fails)
 	}
@@ -76,7 +76,7 @@ func TestCheckWorkloadsGate(t *testing.T) {
 		t.Fatalf("unexpected gate messages: %v", fails)
 	}
 
-	if fails := CheckWorkloads(rep, &regressed, 0.10); len(fails) != 0 {
+	if fails := gate(t, "workloads", rep, regressed); len(fails) != 0 {
 		t.Fatalf("improvement flagged as regression: %v", fails)
 	}
 }
