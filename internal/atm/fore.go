@@ -69,8 +69,7 @@ func (a *AAL4) RecvFrom(p *sim.Proc, buf []byte) (int, int) {
 		}
 		p.Advance(k.KernelWakeup)
 	}
-	d := a.dq[0]
-	a.dq = a.dq[1:]
+	d := popDgram(&a.dq)
 	n := copy(buf, d.Data)
 	p.Advance(sim.Duration(n) * k.CopyPerByte)
 	return n, d.Src

@@ -1,8 +1,9 @@
 package atm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -160,7 +161,7 @@ func NewATMNet(s *sim.Scheduler, n int, c Costs) *ATMNet {
 		hs := s.Node(i, n)
 		a.up = append(a.up, sim.NewFIFO(hs, fmt.Sprintf("atm-up%d", i)))
 		a.down = append(a.down, sim.NewFIFO(hs, fmt.Sprintf("atm-down%d", i)))
-		a.ports = append(a.ports, &portArbiter{})
+		a.ports = append(a.ports, &portArbiter{flush: func() { a.flush(i) }})
 	}
 	return a
 }
@@ -180,7 +181,9 @@ func NewATMNet(s *sim.Scheduler, n int, c Costs) *ATMNet {
 // winner under both.
 type portArbiter struct {
 	pending []portReq
-	flushAt sim.Time // scheduled flush; zero when none pending
+	batch   []portReq // flush's scratch, empty between flushes
+	flush   func()    // the port's flush event, bound once
+	flushAt sim.Time  // scheduled flush; zero when none pending
 }
 
 type portReq struct {
@@ -202,7 +205,7 @@ func (a *ATMNet) enqueue(dst, src int, wire sim.Duration, deliver func()) {
 	q.pending = append(q.pending, portReq{stamp: s.Now(), src: src, wire: wire, deliver: deliver})
 	if q.flushAt == 0 {
 		q.flushAt = s.Now() + sim.Time(portArbDelay)
-		s.At(q.flushAt, func() { a.flush(dst) })
+		s.At(q.flushAt, q.flush)
 	}
 }
 
@@ -216,7 +219,7 @@ func (a *ATMNet) flush(dst int) {
 	now := s.Now()
 	q := a.ports[dst]
 	q.flushAt = 0
-	batch := q.pending[:0:0]
+	batch := q.batch[:0]
 	rest := q.pending[:0]
 	for _, r := range q.pending {
 		if r.stamp < now {
@@ -225,20 +228,20 @@ func (a *ATMNet) flush(dst int) {
 			rest = append(rest, r)
 		}
 	}
+	clear(q.pending[len(rest):]) // so does the compacted tail
 	q.pending = rest
-	sort.SliceStable(batch, func(i, j int) bool {
-		if batch[i].stamp != batch[j].stamp {
-			return batch[i].stamp < batch[j].stamp
-		}
-		return batch[i].src < batch[j].src
+	slices.SortStableFunc(batch, func(x, y portReq) int {
+		return cmp.Or(cmp.Compare(x.stamp, y.stamp), cmp.Compare(x.src, y.src))
 	})
 	for _, r := range batch {
 		end := a.down[dst].ReserveAt(r.stamp, r.wire)
 		s.At(end+sim.Time(a.c.I960PerPacket+a.c.DriverATMPerFrame), r.deliver)
 	}
+	clear(batch) // the scratch must not pin delivery closures (and their frames)
+	q.batch = batch[:0]
 	if len(q.pending) > 0 && q.flushAt == 0 {
 		q.flushAt = now + sim.Time(portArbDelay)
-		s.At(q.flushAt, func() { a.flush(dst) })
+		s.At(q.flushAt, q.flush)
 	}
 }
 

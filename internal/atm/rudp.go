@@ -1,6 +1,7 @@
 package atm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"time"
@@ -138,6 +139,7 @@ func (r *RUDP) consumeAcks() {
 		}
 		kept = append(kept, d)
 	}
+	clear(r.sock.dq[len(kept):]) // the compacted tail must not pin frames
 	r.sock.dq = kept
 }
 
@@ -236,13 +238,20 @@ func (r *RUDP) fastRetransmit(pr *rudpPeer) {
 	r.Retransmits++
 	r.FastRetransmits++
 	r.restampAck(pr, oldest)
-	r.sock.sendRaw(oldest.dst, oldest.frame)
+	r.sock.transmit(oldest.dst, oldest.frame)
 	pr.dupAcks = 0
 }
 
 // restampAck refreshes the piggybacked cumulative ack on a frame about to
-// be (re)transmitted.
+// be retransmitted. A changed ack goes on a clone: the earlier transmission
+// may still be in flight, queued at the peer or about to be duplicated by
+// the fault layer, and must keep the ack it was sent with. An unchanged one
+// (the usual case when the timer merely outran a slow reader) costs nothing.
 func (r *RUDP) restampAck(pr *rudpPeer, pend *rudpPending) {
+	if binary.BigEndian.Uint32(pend.frame[5:9]) == pr.nextRecv {
+		return
+	}
+	pend.frame = bytes.Clone(pend.frame)
 	binary.BigEndian.PutUint32(pend.frame[5:9], pr.nextRecv)
 }
 
@@ -278,7 +287,20 @@ func (r *RUDP) DropPeer(host int) {
 }
 
 // Send reliably transmits data to host dst, blocking on the send window.
+// The caller keeps data: Send copies it behind a fresh header.
 func (r *RUDP) Send(p *sim.Proc, dst int, data []byte) error {
+	frame := make([]byte, rudpHeader+len(data))
+	copy(frame[rudpHeader:], data)
+	return r.SendFrame(p, dst, frame)
+}
+
+// Headroom is the header space SendFrame's caller leaves before its payload.
+func (r *RUDP) Headroom() int { return rudpHeader }
+
+// SendFrame is Send for a frame the caller gives up: Headroom bytes, then
+// the payload. It is the one buffer the datagram ever occupies — kept here
+// until acked, in flight, queued at the peer and viewed by its reader.
+func (r *RUDP) SendFrame(p *sim.Proc, dst int, frame []byte) error {
 	if r.dead[dst] {
 		return nil // fenced by DropPeer: swallowed, nothing to wait for
 	}
@@ -297,11 +319,9 @@ func (r *RUDP) Send(p *sim.Proc, dst int, data []byte) error {
 	}
 	seq := pr.nextSend
 	pr.nextSend++
-	frame := make([]byte, rudpHeader+len(data))
 	frame[0] = rudpData | rudpAck
 	binary.BigEndian.PutUint32(frame[1:5], seq)
 	binary.BigEndian.PutUint32(frame[5:9], pr.nextRecv)
-	copy(frame[rudpHeader:], data)
 	if pr.ackOwed {
 		// The piggybacked ack satisfies what a delayed pure ack owed.
 		pr.ackOwed = false
@@ -309,7 +329,7 @@ func (r *RUDP) Send(p *sim.Proc, dst int, data []byte) error {
 	}
 	pend := &rudpPending{frame: frame, dst: dst, seq: seq}
 	pr.unacked[seq] = pend
-	r.sock.SendTo(p, dst, frame)
+	r.sock.send(p, dst, frame)
 	pend.sentAt = r.s.Now()
 	pend.rto = r.rtoFor(pr)
 	r.armRetransmit(pr, pend)
@@ -339,22 +359,20 @@ func (r *RUDP) armRetransmit(pr *rudpPeer, pend *rudpPending) {
 		r.Retransmits++
 		// Kernel-timer retransmission: wire costs only, no user syscall.
 		r.restampAck(pr, pend)
-		r.sock.sendRaw(pend.dst, pend.frame)
+		r.sock.transmit(pend.dst, pend.frame)
 		r.armRetransmit(pr, pend)
 	})
 }
 
 // TryRecv drains arrivals and returns one in-order datagram if available,
-// without blocking. Remaining delivered data is surfaced before a dead
-// link's error.
-func (r *RUDP) TryRecv(p *sim.Proc, buf []byte) (n, src int, ok bool, err error) {
+// without blocking: a read-only view of the sender's frame, the caller's to
+// keep. Remaining delivered data is surfaced before a dead link's error.
+func (r *RUDP) TryRecv(p *sim.Proc) (d Datagram, ok bool, err error) {
 	r.drain(p)
 	if len(r.delivered) > 0 {
-		d := r.delivered[0]
-		r.delivered = r.delivered[1:]
-		return copy(buf, d.Data), d.Src, true, nil
+		return popDgram(&r.delivered), true, nil
 	}
-	return 0, 0, false, r.Err
+	return Datagram{}, false, r.Err
 }
 
 // MaxDatagram reports the largest payload Send accepts.
@@ -372,17 +390,16 @@ func (r *RUDP) notify() {
 	}
 }
 
-// Recv blocks for the next in-order datagram from any peer.
+// Recv blocks for the next in-order datagram from any peer and copies it
+// into buf.
 func (r *RUDP) Recv(p *sim.Proc, buf []byte) (int, int, error) {
 	for {
-		r.drain(p)
-		if len(r.delivered) > 0 {
-			d := r.delivered[0]
-			r.delivered = r.delivered[1:]
+		d, ok, err := r.TryRecv(p)
+		if ok {
 			return copy(buf, d.Data), d.Src, nil
 		}
-		if r.Err != nil {
-			return 0, 0, r.Err
+		if err != nil {
+			return 0, 0, err
 		}
 		r.arrival.Wait(p)
 	}
@@ -393,12 +410,13 @@ func (r *RUDP) Recv(p *sim.Proc, buf []byte) (int, int, error) {
 func (r *RUDP) Readable() bool { return len(r.delivered) > 0 || r.sock.Readable() }
 
 // drain processes every queued raw datagram: piggybacked and pure acks go
-// through applyAck; data is ordered, deduplicated and acked.
+// through applyAck; data is ordered, deduplicated and acked. Frames are
+// parsed where they lie — delivered and stash hold views past the header.
 func (r *RUDP) drain(p *sim.Proc) {
 	for r.sock.Readable() {
-		buf := make([]byte, r.sock.MaxDatagram())
-		n, src := r.sock.RecvFrom(p, buf)
-		if n < rudpHeader {
+		d := r.sock.recv(p, r.sock.MaxDatagram())
+		buf, src := d.Data, d.Src
+		if len(buf) < rudpHeader {
 			continue
 		}
 		flags := buf[0]
@@ -411,8 +429,7 @@ func (r *RUDP) drain(p *sim.Proc) {
 		if flags&rudpData == 0 {
 			continue // pure ack
 		}
-		payload := make([]byte, n-rudpHeader)
-		copy(payload, buf[rudpHeader:n])
+		payload := buf[rudpHeader:]
 		switch {
 		case seq == pr.nextRecv:
 			pr.nextRecv++
@@ -463,7 +480,7 @@ func (r *RUDP) scheduleAck(p *sim.Proc, pr *rudpPeer) {
 		frame := make([]byte, rudpHeader)
 		frame[0] = rudpAck
 		binary.BigEndian.PutUint32(frame[5:9], pr.nextRecv)
-		r.sock.sendRaw(pr.host, frame)
+		r.sock.transmit(pr.host, frame)
 	})
 }
 
@@ -475,5 +492,5 @@ func (r *RUDP) sendAck(p *sim.Proc, dst int, cum uint32) {
 	frame := make([]byte, rudpHeader)
 	frame[0] = rudpAck
 	binary.BigEndian.PutUint32(frame[5:9], cum)
-	r.sock.SendTo(p, dst, frame)
+	r.sock.send(p, dst, frame)
 }

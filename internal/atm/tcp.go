@@ -1,6 +1,7 @@
 package atm
 
 import (
+	"bytes"
 	"time"
 
 	"repro/internal/sim"
@@ -23,7 +24,8 @@ type TCP struct {
 	med  Medium
 	peer *TCP
 
-	rq        []byte // kernel receive buffer (delivered, unread)
+	rq        []byte // kernel receive buffer; rq[rqHead:] is delivered, unread
+	rqHead    int    // bytes of rq already read (rewound when rq drains)
 	readable  *sim.Cond
 	watchers  []func() // arrival callbacks (event context)
 	wwatchers []func() // window-opened callbacks (event context)
@@ -134,17 +136,29 @@ func (c *TCP) writeSegment(p *sim.Proc, seg []byte) {
 	c.sndCredit -= len(seg)
 	c.unacked += len(seg)
 	p.Advance(k.TCPPerSegment)
-	payload := make([]byte, len(seg))
-	copy(payload, seg)
+	c.transmitSegment(seg)
+}
+
+// transmitSegment snapshots seg (the writer reuses its buffer) and carries
+// it to the peer's receive buffer. Event-context safe.
+func (c *TCP) transmitSegment(seg []byte) {
+	payload := bytes.Clone(seg)
 	c.SegmentsOut++
 	c.med.Deliver(c.host, c.peer.host, len(seg)+TCPIPHeader, DeliverOpts{}, func() {
 		// Receiver-side kernel input processing, then the data becomes
 		// readable. The medium ran us on the peer's lane; stay there.
-		c.cl.SchedOf(c.peer.host).After(k.TCPPerSegment, func() {
-			c.peer.rq = append(c.peer.rq, payload...)
-			c.peer.BytesIn += len(payload)
-			c.peer.readable.Broadcast()
-			for _, fn := range c.peer.watchers {
+		c.cl.SchedOf(c.peer.host).After(c.cl.Costs.TCPPerSegment, func() {
+			r := c.peer
+			if r.rqHead > 0 && len(r.rq)+len(payload) > cap(r.rq) {
+				// Reclaim the read prefix before growing, or a reader that
+				// never quite catches up would grow rq without bound.
+				r.rq = r.rq[:copy(r.rq, r.rq[r.rqHead:])]
+				r.rqHead = 0
+			}
+			r.rq = append(r.rq, payload...)
+			r.BytesIn += len(payload)
+			r.readable.Broadcast()
+			for _, fn := range r.watchers {
 				fn()
 			}
 		})
@@ -188,14 +202,17 @@ func (c *TCP) WriteInterleaved(p *sim.Proc, data []byte, yield func()) {
 func (c *TCP) Read(p *sim.Proc, buf []byte) int {
 	k := c.cl.Costs
 	p.Advance(k.SyscallRead + c.cl.readExtra(c.med.Kind()))
-	if len(c.rq) == 0 {
-		for len(c.rq) == 0 {
+	if c.Buffered() == 0 {
+		for c.Buffered() == 0 {
 			c.readable.Wait(p)
 		}
 		p.Advance(k.KernelWakeup)
 	}
-	n := copy(buf, c.rq)
-	c.rq = c.rq[n:]
+	n := copy(buf, c.rq[c.rqHead:])
+	if c.rqHead += n; c.rqHead == len(c.rq) {
+		// Drained: rewind, so a steady stream keeps appending in place.
+		c.rq, c.rqHead = c.rq[:0], 0
+	}
 	p.Advance(sim.Duration(n) * k.CopyPerByte)
 	c.sendWindowUpdate(n)
 	return n
@@ -278,29 +295,16 @@ func (c *TCP) kernelFlushNagle() {
 		c.nagleQ = seg
 		return
 	}
-	k := c.cl.Costs
 	c.sndCredit -= len(seg)
 	c.unacked += len(seg)
-	payload := make([]byte, len(seg))
-	copy(payload, seg)
-	c.SegmentsOut++
-	c.med.Deliver(c.host, c.peer.host, len(seg)+TCPIPHeader, DeliverOpts{}, func() {
-		c.cl.SchedOf(c.peer.host).After(k.TCPPerSegment, func() {
-			c.peer.rq = append(c.peer.rq, payload...)
-			c.peer.BytesIn += len(payload)
-			c.peer.readable.Broadcast()
-			for _, fn := range c.peer.watchers {
-				fn()
-			}
-		})
-	})
+	c.transmitSegment(seg)
 }
 
 // Buffered reports how many received bytes are waiting in the kernel.
-func (c *TCP) Buffered() int { return len(c.rq) }
+func (c *TCP) Buffered() int { return len(c.rq) - c.rqHead }
 
 // Readable reports whether a Read would return without blocking.
-func (c *TCP) Readable() bool { return len(c.rq) > 0 }
+func (c *TCP) Readable() bool { return c.Buffered() > 0 }
 
 // OnReadable registers fn to run whenever new bytes become readable; used
 // by pollers that watch many connections. fn runs in event context.

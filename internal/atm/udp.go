@@ -1,15 +1,27 @@
 package atm
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/sim"
 )
 
-// Datagram is a received UDP (or AAL4) datagram.
+// Datagram is a received UDP (or AAL4) datagram. Data is the sender's
+// frame itself, not a copy: a frame handed to a medium is immutable (it may
+// be duplicated or retransmitted), so every holder only reads it.
 type Datagram struct {
 	Src  int
 	Data []byte
+}
+
+// popDgram removes and returns the head of q, zeroing the vacated slot so
+// the backing array does not keep the consumed frame reachable.
+func popDgram(q *[]Datagram) Datagram {
+	d := (*q)[0]
+	(*q)[0] = Datagram{}
+	*q = (*q)[1:]
+	return d
 }
 
 // UDP is a bound datagram socket on one host over one medium. One socket
@@ -51,29 +63,36 @@ func (u *UDP) MaxDatagram() int { return 8*(u.med.MTU()-UDPIPHeader) - UDPIPHead
 // copy, checksum and protocol costs, fragmenting across the MTU when
 // needed. Datagrams are unreliable when the medium injects loss; they are
 // never reordered between a host pair (both media are FIFO), matching what
-// the paper's reliability layer assumes.
+// the paper's reliability layer assumes. The caller keeps data (BSD
+// semantics): the socket sends a snapshot.
 func (u *UDP) SendTo(p *sim.Proc, dst int, data []byte) {
-	k := u.cl.Costs
-	if len(data) > u.MaxDatagram() {
-		panic(fmt.Sprintf("udp: datagram of %d bytes exceeds max %d", len(data), u.MaxDatagram()))
-	}
-	p.Advance(k.SyscallWrite)
-	p.Advance(sim.Duration(len(data)) * (k.CopyPerByte + k.ChecksumPerByte))
-	p.Advance(k.UDPPerPacket)
-	u.transmit(dst, data)
+	u.send(p, dst, bytes.Clone(data))
 }
 
-// transmit fragments and delivers one datagram toward dst's socket,
+// send is SendTo for a frame the caller gives up: frame itself travels and
+// is queued at the peer. The simulated kernel still charges its copy and
+// checksum; the host just skips them.
+func (u *UDP) send(p *sim.Proc, dst int, frame []byte) {
+	k := u.cl.Costs
+	if len(frame) > u.MaxDatagram() {
+		panic(fmt.Sprintf("udp: datagram of %d bytes exceeds max %d", len(frame), u.MaxDatagram()))
+	}
+	p.Advance(k.SyscallWrite)
+	p.Advance(sim.Duration(len(frame)) * (k.CopyPerByte + k.ChecksumPerByte))
+	p.Advance(k.UDPPerPacket)
+	u.transmit(dst, frame)
+}
+
+// transmit fragments and delivers one owned datagram toward dst's socket,
 // reassembling at the far side; the whole datagram is lost if any fragment
-// is. Safe from event context (used by timer-driven retransmission).
+// is. Wire and kernel delivery only, no user-side charges, and safe from
+// event context (timer-driven retransmission calls it directly).
 func (u *UDP) transmit(dst int, data []byte) {
 	k := u.cl.Costs
 	peer := u.cl.udpPorts[u.med.Kind()][dst]
 	if peer == nil {
 		panic(fmt.Sprintf("udp: no socket bound on host %d/%v", dst, u.med.Kind()))
 	}
-	payload := make([]byte, len(data))
-	copy(payload, data)
 	src := u.host
 
 	frag := u.med.MTU() - UDPIPHeader
@@ -102,7 +121,7 @@ func (u *UDP) transmit(dst int, data []byte) {
 				// The medium ran us on dst's lane, so the timer and the
 				// socket state stay there.
 				u.cl.SchedOf(dst).After(k.UDPPerPacket, func() {
-					peer.dq = append(peer.dq, Datagram{Src: src, Data: payload})
+					peer.dq = append(peer.dq, Datagram{Src: src, Data: data})
 					peer.readable.Broadcast()
 					for _, fn := range peer.watchers {
 						fn()
@@ -122,6 +141,14 @@ func (u *UDP) transmit(dst int, data []byte) {
 // RecvFrom blocks until a datagram arrives, copies it into buf (truncating
 // silently like the BSD API), and reports the byte count and source host.
 func (u *UDP) RecvFrom(p *sim.Proc, buf []byte) (int, int) {
+	d := u.recv(p, len(buf))
+	return copy(buf, d.Data), d.Src
+}
+
+// recv is RecvFrom without the host copy: it charges the reader exactly
+// what a read into a max-byte buffer costs and returns a read-only view of
+// the first max bytes of the datagram.
+func (u *UDP) recv(p *sim.Proc, max int) Datagram {
 	k := u.cl.Costs
 	p.Advance(k.SyscallRead + u.cl.readExtra(u.med.Kind()))
 	if len(u.dq) == 0 {
@@ -130,21 +157,14 @@ func (u *UDP) RecvFrom(p *sim.Proc, buf []byte) (int, int) {
 		}
 		p.Advance(k.KernelWakeup)
 	}
-	d := u.dq[0]
-	u.dq = u.dq[1:]
-	n := copy(buf, d.Data)
-	p.Advance(sim.Duration(n) * k.CopyPerByte)
-	return n, d.Src
+	d := popDgram(&u.dq)
+	d.Data = d.Data[:min(len(d.Data), max)]
+	p.Advance(sim.Duration(len(d.Data)) * k.CopyPerByte)
+	return d
 }
 
 // Readable reports whether RecvFrom would return without blocking.
 func (u *UDP) Readable() bool { return len(u.dq) > 0 }
-
-// sendRaw transmits a datagram from kernel context (timer-driven
-// retransmission): wire and kernel delivery only, no user-side charges.
-func (u *UDP) sendRaw(dst int, data []byte) {
-	u.transmit(dst, data)
-}
 
 // OnReadable registers an arrival callback (event context).
 func (u *UDP) OnReadable(fn func()) { u.watchers = append(u.watchers, fn) }

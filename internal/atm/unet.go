@@ -1,6 +1,7 @@
 package atm
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/sim"
@@ -60,7 +61,14 @@ const UNetMaxPDU = 64 * 1024
 // SendTo transmits one message to host dst. The per-message cost is the
 // doorbell write plus the user-to-NIC copy at memory bandwidth; the
 // switch's dedicated flow-controlled links deliver reliably and in order.
+// The caller keeps data: the endpoint sends a snapshot.
 func (u *UNet) SendTo(p *sim.Proc, dst int, data []byte) {
+	u.Send(p, dst, bytes.Clone(data))
+}
+
+// Send is SendTo for a buffer the caller gives up: data itself is queued at
+// the peer, so nobody may write to it again. Charges are SendTo's.
+func (u *UNet) Send(p *sim.Proc, dst int, data []byte) {
 	k := u.cl.Costs
 	if len(data) > UNetMaxPDU {
 		panic(fmt.Sprintf("unet: PDU of %d bytes exceeds max %d", len(data), UNetMaxPDU))
@@ -69,8 +77,6 @@ func (u *UNet) SendTo(p *sim.Proc, dst int, data []byte) {
 	p.Advance(sim.Duration(len(data)) * k.CopyPerByte)
 
 	peer := u.cl.UNetSocket(dst)
-	payload := make([]byte, len(data))
-	copy(payload, data)
 	src := u.host
 	// U-Net bypasses the Medium interface (no kernel stack), but not the
 	// physical network: partitions and added latency from the fault layer
@@ -91,7 +97,7 @@ func (u *UNet) SendTo(p *sim.Proc, dst int, data []byte) {
 				ss.RouteAfter(u.cl.LaneOf(dst), k.SwitchDelay, func() {
 					u.cl.Atm.down[dst].UseAsync(wire, func() {
 						ds.After(UNetSARPerPacket, func() {
-							peer.dq = append(peer.dq, Datagram{Src: src, Data: payload})
+							peer.dq = append(peer.dq, Datagram{Src: src, Data: data})
 							peer.readable.Broadcast()
 							for _, fn := range peer.watchers {
 								fn()
@@ -104,18 +110,25 @@ func (u *UNet) SendTo(p *sim.Proc, dst int, data []byte) {
 	}
 }
 
-// RecvFrom blocks polling the receive queue for the next message.
+// RecvFrom blocks polling the receive queue for the next message and
+// copies it into buf, truncating silently.
 func (u *UNet) RecvFrom(p *sim.Proc, buf []byte) (int, int) {
+	d := u.Recv(p, len(buf))
+	return copy(buf, d.Data), d.Src
+}
+
+// Recv is RecvFrom without the host copy: same charges as a receive into a
+// max-byte buffer, returning a read-only view of the first max bytes.
+func (u *UNet) Recv(p *sim.Proc, max int) Datagram {
 	k := u.cl.Costs
 	p.Advance(UNetPoll)
 	for len(u.dq) == 0 {
 		u.readable.Wait(p)
 	}
-	d := u.dq[0]
-	u.dq = u.dq[1:]
-	n := copy(buf, d.Data)
-	p.Advance(sim.Duration(n) * k.CopyPerByte)
-	return n, d.Src
+	d := popDgram(&u.dq)
+	d.Data = d.Data[:min(len(d.Data), max)]
+	p.Advance(sim.Duration(len(d.Data)) * k.CopyPerByte)
+	return d
 }
 
 // Readable reports whether RecvFrom would return without blocking.

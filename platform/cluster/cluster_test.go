@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -456,5 +457,61 @@ func TestDeterministicCluster(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic: %v vs %v", a, b)
+	}
+}
+
+// The datagram path's budget is one payload-sized allocation per message
+// (the wire frame, which is also what the receiver reads); the slack to 2x
+// covers headers, acks, fragments' events and the queues. Both a
+// rendezvous-sized and an eager-sized exchange must fit — a per-layer
+// snapshot or a scratch read buffer coming back would blow it several times
+// over (the path allocated 11x the payload before frames changed owner).
+func TestDatagramPathAllocationBudget(t *testing.T) {
+	const size, warm, iters = 32 << 10, 8, 64
+	for _, cfg := range []Config{
+		{Transport: UDP, Network: atm.OverATM},
+		{Transport: UNET, Network: atm.OverATM},
+		{Transport: UDP, Network: atm.OverATM, Eager: 64 << 10},
+		{Transport: UNET, Network: atm.OverATM, Eager: 64 << 10},
+	} {
+		cfg.Hosts = 2
+		var perMsg uint64
+		_, err := Run(cfg, func(c *mpi.Comm) error {
+			data, buf := make([]byte, size), make([]byte, size)
+			var m0, m1 runtime.MemStats
+			for i := 0; i < warm+iters; i++ {
+				if i == warm && c.Rank() == 0 {
+					runtime.ReadMemStats(&m0)
+				}
+				// Rank 0 pings, rank 1 pongs: two messages per iteration.
+				if c.Rank() == 0 {
+					data[0] = byte(i)
+					if err := c.Send(1, 0, data); err != nil {
+						return err
+					}
+				}
+				if _, err := c.Recv(1-c.Rank(), 0, buf); err != nil {
+					return err
+				}
+				if c.Rank() == 1 {
+					if err := c.Send(0, 0, buf); err != nil {
+						return err
+					}
+				} else if buf[0] != byte(i) {
+					return fmt.Errorf("iteration %d echoed %d", i, buf[0])
+				}
+			}
+			if c.Rank() == 0 {
+				runtime.ReadMemStats(&m1)
+				perMsg = (m1.TotalAlloc - m0.TotalAlloc) / (2 * iters)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if perMsg > 2*size {
+			t.Errorf("cluster/%s eager=%d: %d bytes allocated per %d-byte message, budget %d", cfg.Transport, cfg.Eager, perMsg, size, 2*size)
+		}
 	}
 }

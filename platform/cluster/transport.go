@@ -32,10 +32,11 @@ type transport struct {
 	conns []*atm.TCP // TCP mesh (nil diagonal)
 	dgram dgramLink  // UDP (reliable layer) or U-Net mode
 
-	// pool recycles frame scratch, eager bounce buffers, and datagram
-	// read buffers (the engine's pool, so counters land in the rank's
-	// account). All the socket layers copy payloads on Send/Write, so a
-	// frame is recyclable as soon as the call returns.
+	// pool recycles TCP frame scratch (Write copies into the kernel, so a
+	// frame is recyclable as soon as the call returns), TCP eager bounce
+	// buffers and stale-RTR bounce buffers (the engine's pool, so counters
+	// land in the rank's account). Datagram frames never come from it: a
+	// frame handed to a dgramLink belongs to the wire for good.
 	pool *core.BufPool
 
 	inbox []*core.Packet
@@ -155,9 +156,13 @@ func (t *transport) attachConn(peer int, c *atm.TCP) {
 // dgramLink abstracts a reliable, in-order datagram channel: the RUDP
 // layer over UDP, or the U-Net user-level endpoint (whose dedicated
 // flow-controlled switch links are lossless and ordered by construction).
+// A datagram is one buffer that changes owner instead of being copied:
+// SendFrame takes frame for good (Headroom bytes the link fills in, then
+// the message), and TryRecv returns a read-only view of the sender's frame.
 type dgramLink interface {
-	Send(p *sim.Proc, dst int, data []byte) error
-	TryRecv(p *sim.Proc, buf []byte) (n, src int, ok bool, err error)
+	Headroom() int
+	SendFrame(p *sim.Proc, dst int, frame []byte) error
+	TryRecv(p *sim.Proc) (d atm.Datagram, ok bool, err error)
 	Readable() bool
 	MaxDatagram() int
 	OnArrival(fn func())
@@ -166,17 +171,18 @@ type dgramLink interface {
 // unetLink adapts the U-Net endpoint to dgramLink.
 type unetLink struct{ u *atm.UNet }
 
-func (l unetLink) Send(p *sim.Proc, dst int, data []byte) error {
-	l.u.SendTo(p, dst, data)
+func (l unetLink) Headroom() int { return 0 }
+
+func (l unetLink) SendFrame(p *sim.Proc, dst int, frame []byte) error {
+	l.u.Send(p, dst, frame)
 	return nil
 }
 
-func (l unetLink) TryRecv(p *sim.Proc, buf []byte) (int, int, bool, error) {
+func (l unetLink) TryRecv(p *sim.Proc) (atm.Datagram, bool, error) {
 	if !l.u.Readable() {
-		return 0, 0, false, nil
+		return atm.Datagram{}, false, nil
 	}
-	n, src := l.u.RecvFrom(p, buf)
-	return n, src, true, nil
+	return l.u.Recv(p, atm.UNetMaxPDU), true, nil
 }
 
 func (l unetLink) Readable() bool      { return l.u.Readable() }
@@ -206,17 +212,25 @@ func (t *transport) writeFrame(p *sim.Proc, dst int, kind core.PacketKind, env c
 	if t.dead[dst] {
 		return // fenced: the peer is dead, the frame would go nowhere
 	}
-	frame := t.pool.Get(headerBytes + len(payload))
-	flow.EncodeHeaderInto(frame, kind, t.owed.Take(dst), env, aux)
-	copy(frame[headerBytes:], payload)
 	if t.kind == TCP {
+		frame := t.pool.Get(headerBytes + len(payload))
+		flow.EncodeHeaderInto(frame, kind, t.owed.Take(dst), env, aux)
+		copy(frame[headerBytes:], payload)
 		t.conns[dst].Write(p, frame)
-	} else if err := t.dgram.Send(p, dst, frame); err != nil {
-		// Datagram modes: one datagram per message; oversized payloads are
-		// chunked by the caller before reaching here.
+		t.pool.Put(frame)
+		return
+	}
+	// Datagram modes: one datagram per message (oversized payloads are
+	// chunked by the caller before reaching here), built once behind the
+	// link's header room and handed over — the message's only copy of the
+	// user buffer and its only allocation.
+	h := t.dgram.Headroom()
+	frame := make([]byte, h+headerBytes+len(payload))
+	flow.EncodeHeaderInto(frame[h:], kind, t.owed.Take(dst), env, aux)
+	copy(frame[h+headerBytes:], payload)
+	if err := t.dgram.SendFrame(p, dst, frame); err != nil {
 		t.fail(err)
 	}
-	t.pool.Put(frame)
 }
 
 // fail declares the transport dead: the error (typed ErrLinkDown unless the
@@ -449,7 +463,7 @@ func (t *transport) startRTR(st *rndvRecvSt, total int, mode core.Mode) {
 		st.claimed = true
 		return
 	}
-	st.bounce = make([]byte, total)
+	st.bounce = t.pool.Get(total)
 	t.eng.Acct().Incr("rtr-stale", 1)
 }
 
@@ -459,7 +473,7 @@ func (t *transport) startRTR(st *rndvRecvSt, total int, mode core.Mode) {
 // pair's credit; the drift is bounded by the stale-claim count and only
 // ever loosens flow control, so we accept it for this rare race.
 func (t *transport) finishRTRFallback(st *rndvRecvSt) {
-	t.inbox = append(t.inbox, &core.Packet{Kind: core.PktEager, Env: st.env, Data: st.bounce})
+	t.inbox = append(t.inbox, &core.Packet{Kind: core.PktEager, Env: st.env, Data: st.bounce, Pool: t.pool})
 }
 
 // Control implements core.Transport (synchronous-mode acks).
@@ -714,28 +728,27 @@ func (t *transport) readData(p *sim.Proc, src int, conn *atm.TCP, d *tcpData) {
 // parseDgram consumes one reliable datagram, reporting whether one was
 // available.
 func (t *transport) parseDgram(p *sim.Proc) bool {
-	buf := t.pool.Get(t.dgram.MaxDatagram())
-	defer t.pool.Put(buf)
-	n, _, ok, err := t.dgram.TryRecv(p, buf)
+	d, ok, err := t.dgram.TryRecv(p)
 	if err != nil {
 		t.fail(err)
 	}
 	if !ok {
 		return false
 	}
-	if n < headerBytes {
-		t.eng.Errors = append(t.eng.Errors, core.Errorf(core.ErrInternal, "short datagram (%d bytes)", n))
+	buf := d.Data // a view of the sender's frame: read, never write or pool
+	if len(buf) < headerBytes {
+		t.eng.Errors = append(t.eng.Errors, core.Errorf(core.ErrInternal, "short datagram (%d bytes)", len(buf)))
 		return true
 	}
 	kind, credit, env, aux := flow.DecodeHeader(buf[:headerBytes])
 	t.addCredit(env.Source, credit)
-	payload := buf[headerBytes:n]
+	payload := buf[headerBytes:]
 
 	switch kind {
 	case core.PktEager:
-		data := t.pool.Get(len(payload))
-		copy(data, payload)
-		t.inbox = append(t.inbox, &core.Packet{Kind: kind, Env: env, Data: data, Pool: t.pool})
+		// GC-owned (Pool nil): the engine may keep the view on its
+		// unexpected queue and will never recycle it.
+		t.inbox = append(t.inbox, &core.Packet{Kind: kind, Env: env, Data: payload})
 	case core.PktRTS:
 		t.inbox = append(t.inbox, &core.Packet{Kind: kind, Env: env})
 	case core.PktCTS:
