@@ -9,7 +9,7 @@
 // The mpi package routes every collective through Run; entrypoints force
 // specific algorithms with a Tuning parsed by ParseTuning (the registry
 // validates names, like platform/registry does for backends), and
-// cmd/repro's -collectives sweep measures every registered algorithm to
+// `repro -suite collectives` measures every registered algorithm to
 // derive the empirical crossover points the selector's thresholds encode.
 package coll
 
@@ -171,7 +171,7 @@ func Lookup(op, name string) (*Alg, bool) {
 
 // Auto-selection thresholds: the size crossovers the selector encodes,
 // chosen from the cost model's structure and checked empirically by
-// cmd/repro -collectives (which derives the measured crossover points).
+// `repro -suite collectives` (which derives the measured crossover points).
 const (
 	// HWBcastMax is the largest broadcast the hardware network wins: above
 	// it the slot-to-user copy makes the pipelined chain (whose rendezvous

@@ -116,6 +116,24 @@ func NewEngine(s *sim.Scheduler, rank, size int, costs EngineCosts, acct *Acct) 
 // buffers and frames from the same recycled storage.
 func (e *Engine) Pool() *BufPool { return e.pool }
 
+// Bounce copies an eager or rendezvous payload into delivery storage for a
+// transport whose receiver reads the sender's copy. Same-lane transfers
+// draw from this (the sending) engine's pool and the receiving engine
+// recycles the buffer after copy-out — safe because both ends share one
+// scheduler. A cross-lane Put would mutate this lane's freelist from the
+// destination lane, so those transfers use plain GC-owned buffers (pool
+// nil) instead.
+func (e *Engine) Bounce(sameLane bool, payload []byte) (data []byte, pool *BufPool) {
+	if sameLane {
+		pool = e.pool
+		data = pool.Get(len(payload))
+	} else {
+		data = make([]byte, len(payload))
+	}
+	copy(data, payload)
+	return data, pool
+}
+
 // newInMsg draws an unexpected-queue node from the freelist.
 func (e *Engine) newInMsg() *InMsg {
 	if n := len(e.inFree); n > 0 {

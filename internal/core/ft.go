@@ -16,14 +16,6 @@ import (
 // detection is deterministic, lane-safe, and costs zero wire traffic —
 // worlds without faults stay bit-identical.
 
-// PeerFencer is an optional Transport capability: the engine notifies it
-// when a rank is declared dead so per-peer transport state (queued sends,
-// rendezvous bookkeeping, flow credits, reliability timers) can be fenced
-// off instead of retrying into a black hole.
-type PeerFencer interface {
-	PeerDown(rank int)
-}
-
 // deferredGrant is a window lock grant produced in event context (a peer
 // death releasing the dead holder's lock); it is transmitted by the next
 // Progress call, which has a proc to charge the packet to.
@@ -94,9 +86,7 @@ func (e *Engine) PeerDown(rank int, reason error) {
 		e.winPeerDown(e.wins[id], rank)
 	}
 
-	if pf, ok := e.tr.(PeerFencer); ok {
-		pf.PeerDown(rank)
-	}
+	e.tr.PeerDown(rank)
 	e.cond.Broadcast()
 }
 

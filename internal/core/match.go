@@ -35,8 +35,8 @@ func envMatches(e Envelope, src, tag, ctx int) bool {
 // both queues strictly in arrival/post order.
 //
 // The engine's hot path uses the indexed Matcher instead; LinearMatcher is
-// kept as the oracle the differential and fuzz tests (and the -matchbench
-// speedup baseline) compare against. Both types expose the identical
+// kept as the oracle the differential and fuzz tests (and the speedup
+// baseline of `repro -suite match`) compare against. Both types expose the identical
 // method set, so either satisfies matchQueue.
 type LinearMatcher struct {
 	posted     []*Request

@@ -6,22 +6,27 @@ import (
 	"repro/internal/sim"
 )
 
-// MemFabric is a reference Transport implementation: an idealized
-// interconnect with a flat latency and optional per-pair bounce credits.
-// It exists to test the engine's protocol logic in isolation from any
-// platform cost model, and as the executable specification of the
-// Transport contract that the Meiko and cluster transports implement.
+// MemFabric is the store-based interconnect: a message is a store burst
+// into the receiver's mailbox, visible after Latency plus PerByte per
+// payload byte, and one-sided operations apply to the target window
+// directly. Every backend whose wire is a memory system runs on it under
+// its own cost table: mem (flat latency, PerByte 0) and cluster/shm (the
+// attached segment's latency and copy bandwidth). With mem's idealized
+// costs it is also the executable specification of the Transport contract
+// that the Meiko and socket transports implement, testing the engine's
+// protocol logic in isolation from any platform cost model.
 //
 // The fabric is built on whatever scheduler the world was given: each
 // rank's endpoint lives on that rank's node scheduler (sim.Scheduler.Node)
 // and deliveries go through Route, which crosses lanes on a shard and is a
-// plain timer on a standalone scheduler. The flat Latency is the natural
-// lookahead bound.
+// plain timer on a standalone scheduler. Every delay is at least Latency,
+// the natural lookahead bound.
 type MemFabric struct {
 	S        *sim.Scheduler
 	Latency  sim.Duration
-	Eager    int // eager/rendezvous crossover in bytes
-	Credits  int // per-(sender,receiver) bounce bytes; 0 means unlimited
+	PerByte  sim.Duration // store bandwidth cost per payload byte; 0 on mem
+	Eager    int          // eager/rendezvous crossover in bytes
+	Credits  int          // per-(sender,receiver) bounce bytes; 0 means unlimited
 	PollCost sim.Duration
 
 	n   int // job size, learned from the first attached engine
@@ -44,9 +49,6 @@ func (f *MemFabric) schedFor(rank int) *sim.Scheduler { return f.S.Node(rank, f.
 
 // laneFor reports rank's lane.
 func (f *MemFabric) laneFor(rank int) int { return f.schedFor(rank).LaneID() }
-
-// crossLane reports whether a and b live on different lanes.
-func (f *MemFabric) crossLane(a, b int) bool { return f.schedFor(a) != f.schedFor(b) }
 
 // Attach creates the rank's transport and wires it to engine e, which must
 // have been built on its rank's node scheduler.
@@ -73,17 +75,19 @@ type MemTransport struct {
 	eng   *Engine
 	s     *sim.Scheduler // this rank's (lane) scheduler
 	rank  int
-	inbox []*Packet
-	inPos int // consumed prefix of inbox; avoids O(n) head shifts
+	inbox Inbox
+
+	// lastArrival[dst] is the latest mailbox delivery already scheduled
+	// toward dst. Allocated on first use and only when PerByte > 0: a
+	// per-destination table on every rank of a 1 024-rank mem world would
+	// be its largest live structure.
+	lastArrival map[int]sim.Time
 
 	// Sender-side credit state per destination; lazily initialized to the
 	// fabric's credit allotment.
 	avail     map[int]int
 	sendQ     map[int][]*Request // eager sends queued awaiting credits
 	creditCnd *sim.Cond
-
-	// Counters for tests.
-	NSent, NDelivered int
 }
 
 var _ Transport = (*MemTransport)(nil)
@@ -101,17 +105,36 @@ func (t *MemTransport) creditsFor(dst int) int {
 	return t.avail[dst]
 }
 
-// deliver ships pkt to dst after the fabric latency. Every call site runs
-// on t's own lane (sends from the rank's proc, credit/CTS turnarounds from
-// delivery context), so Route's staging is always lane-local.
+// delay is the store-burst visibility delay for n payload bytes.
+func (f *MemFabric) delay(n int) sim.Duration {
+	return f.Latency + sim.Duration(n)*f.PerByte
+}
+
+// arrival is when a mailbox delivery of n payload bytes issued now lands
+// at dst. Stores from one rank drain through its write buffer in issue
+// order, so a small burst never lands before an earlier, larger one toward
+// the same destination; with a flat latency arrivals are monotone already.
+func (t *MemTransport) arrival(dst, n int) sim.Time {
+	at := t.s.Now() + sim.Time(t.fab.delay(n))
+	if t.fab.PerByte > 0 {
+		if t.lastArrival == nil {
+			t.lastArrival = make(map[int]sim.Time)
+		}
+		at = max(at, t.lastArrival[dst])
+		t.lastArrival[dst] = at
+	}
+	return at
+}
+
+// deliver ships pkt into dst's mailbox. Every call site runs on t's own
+// lane (sends from the rank's proc, credit/CTS turnarounds from delivery
+// context), so Route's staging is always lane-local.
 func (t *MemTransport) deliver(dst int, pkt *Packet) {
-	t.NSent++
-	t.s.RouteAfter(t.fab.laneFor(dst), t.fab.Latency, func() {
+	t.s.Route(t.fab.laneFor(dst), t.arrival(dst, len(pkt.Data)), func() {
 		peer := t.fab.eps[dst]
 		if peer == nil {
 			panic(fmt.Sprintf("memtransport: no endpoint for rank %d", dst))
 		}
-		peer.NDelivered++
 		if pkt.Kind == PktCredit {
 			// Credits are transport-internal: restore and drain the queue.
 			peer.avail[pkt.Env.Dest] = peer.creditsFor(pkt.Env.Dest) + pkt.Env.Count
@@ -120,7 +143,7 @@ func (t *MemTransport) deliver(dst int, pkt *Packet) {
 			peer.eng.Wake()
 			return
 		}
-		peer.inbox = append(peer.inbox, pkt)
+		peer.inbox.Push(pkt)
 		peer.eng.Wake()
 	})
 }
@@ -130,64 +153,38 @@ func (t *MemTransport) deliver(dst int, pkt *Packet) {
 // Engine.SendDone.
 func (t *MemTransport) drainSendQ(dst int) {
 	q := t.sendQ[dst]
-	for len(q) > 0 {
-		req := q[0]
-		if req.Env.Count <= t.fab.Eager {
-			if t.creditsFor(dst) < req.Env.Count {
-				break
-			}
-			t.avail[dst] -= req.Env.Count
-			t.sendEager(req)
-			t.eng.SendDone(req)
-		} else {
-			t.deliver(dst, &Packet{Kind: PktRTS, Env: req.Env})
-		}
+	for len(q) > 0 && t.trySend(q[0]) {
 		q = q[1:]
 	}
 	t.sendQ[dst] = q
 }
 
-// bounce allocates delivery storage for a payload copy. Same-lane
-// transfers draw from the sender engine's pool and the
-// receiving engine recycles the buffer after copy-out — safe because both
-// ends share one scheduler. A cross-lane Put would mutate the source
-// lane's freelist from the destination lane, so those transfers use plain
-// GC-owned buffers (Pool nil) instead.
-func (t *MemTransport) bounce(dst, n int) ([]byte, *BufPool) {
-	if t.fab.crossLane(t.rank, dst) {
-		return make([]byte, n), nil
+// trySend transmits req unless it is an eager message short of credits,
+// reporting whether it went.
+func (t *MemTransport) trySend(req *Request) bool {
+	dst, n := req.Env.Dest, req.Env.Count
+	if n > t.fab.Eager {
+		// Rendezvous: ship the envelope; the payload moves on CTS.
+		t.deliver(dst, &Packet{Kind: PktRTS, Env: req.Env})
+		return true
 	}
-	pool := t.eng.Pool()
-	return pool.Get(n), pool
-}
-
-func (t *MemTransport) sendEager(req *Request) {
-	data, pool := t.bounce(req.Env.Dest, len(req.Buf))
-	copy(data, req.Buf)
-	t.deliver(req.Env.Dest, &Packet{Kind: PktEager, Env: req.Env, Data: data, Pool: pool})
+	if t.creditsFor(dst) < n {
+		return false
+	}
+	t.avail[dst] -= n
+	data, pool := t.eng.Bounce(t.fab.schedFor(dst) == t.s, req.Buf)
+	t.deliver(dst, &Packet{Kind: PktEager, Env: req.Env, Data: data, Pool: pool})
+	t.eng.SendDone(req)
+	return true
 }
 
 // Send implements Transport. Messages queue in issue order behind any
 // flow-controlled predecessor so delivery order is preserved.
 func (t *MemTransport) Send(p *sim.Proc, req *Request) {
 	dst := req.Env.Dest
-	n := req.Env.Count
-	if len(t.sendQ[dst]) > 0 {
+	if len(t.sendQ[dst]) > 0 || !t.trySend(req) {
 		t.sendQ[dst] = append(t.sendQ[dst], req)
-		return
 	}
-	if n > t.fab.Eager {
-		// Rendezvous: ship the envelope; the payload moves on CTS.
-		t.deliver(dst, &Packet{Kind: PktRTS, Env: req.Env})
-		return
-	}
-	if t.creditsFor(dst) < n {
-		t.sendQ[dst] = append(t.sendQ[dst], req)
-		return
-	}
-	t.avail[dst] -= n
-	t.sendEager(req)
-	t.eng.SendDone(req)
 }
 
 // Accept implements Transport: CTS back to the sender; the payload will
@@ -199,8 +196,7 @@ func (t *MemTransport) Accept(p *sim.Proc, msg *InMsg, req *Request) {
 // SendPayload implements Transport: the CTS surfaced at the sender; move
 // the payload straight into the posted receive.
 func (t *MemTransport) SendPayload(p *sim.Proc, req *Request, pkt *Packet) {
-	data, pool := t.bounce(req.Env.Dest, len(req.Buf))
-	copy(data, req.Buf)
+	data, pool := t.eng.Bounce(t.fab.schedFor(req.Env.Dest) == t.s, req.Buf)
 	recvID, _ := pkt.Handle.(int64)
 	t.deliver(req.Env.Dest, &Packet{Kind: PktData, Env: req.Env, ReqID: recvID, Data: data, Pool: pool})
 	t.eng.SendDone(req)
@@ -220,7 +216,7 @@ func (t *MemTransport) Release(p *sim.Proc, src int, n int) {
 	t.deliver(src, &Packet{Kind: PktCredit, Env: Envelope{Dest: t.rank, Count: n}})
 }
 
-// PeerDown implements PeerFencer: drop sends queued toward the dead rank
+// PeerDown implements Transport: drop sends queued toward the dead rank
 // (the engine already failed their requests) and reset its credit account —
 // a corpse never returns credits, so nothing may wait on them.
 func (t *MemTransport) PeerDown(rank int) {
@@ -229,73 +225,54 @@ func (t *MemTransport) PeerDown(rank int) {
 	t.creditCnd.Broadcast()
 }
 
-// Poll implements Transport. The inbox keeps a consumed-prefix index and
-// recycles its backing array once drained, so steady-state polling neither
-// shifts nor reallocates.
+// Poll implements Transport.
 func (t *MemTransport) Poll(p *sim.Proc) *Packet {
-	if t.inPos == len(t.inbox) {
+	if t.inbox.Len() == 0 {
 		return nil
 	}
 	t.eng.Acct().Charge(p, CostProtocol, t.fab.PollCost)
-	pkt := t.inbox[t.inPos]
-	t.inbox[t.inPos] = nil
-	t.inPos++
-	if t.inPos == len(t.inbox) {
-		t.inbox = t.inbox[:0]
-		t.inPos = 0
-	}
-	return pkt
+	return t.inbox.Pop()
 }
 
 // Pending implements Transport.
-func (t *MemTransport) Pending() bool { return t.inPos < len(t.inbox) }
+func (t *MemTransport) Pending() bool { return t.inbox.Len() > 0 }
 
 // ------------------------------------------------------------ RemoteMemory --
 //
 // The fabric's one-sided operations are the executable specification of
-// the RemoteMemory contract: a store crosses the fabric at the flat
-// latency, applies directly to the target window in delivery context
-// (never touching the target's matcher or inbox), and the completion ack
-// crosses back before done fires on the origin lane. Payloads are
-// snapshotted on the origin lane so cross-lane transfers never share
-// mutable storage between lanes.
+// the RemoteMemory contract: a store burst crosses the fabric, applies
+// directly to the target window in delivery context (never touching the
+// target's matcher or mailbox), and the completion ack crosses back before
+// done fires on the origin lane. The leg carrying the payload costs
+// delay(len), the other delay(0); RMA transfers are unordered within an
+// epoch (fence/lock synchronization orders them), so neither is clamped
+// like a mailbox delivery. Payloads are snapshotted on the origin lane so
+// cross-lane transfers never share mutable storage between lanes.
 
 var _ RemoteMemory = (*MemTransport)(nil)
 
-// RMAPut implements RemoteMemory.
-func (t *MemTransport) RMAPut(p *sim.Proc, dst, win, off int, data []byte, done func()) {
+// RMAWrite implements RemoteMemory.
+func (t *MemTransport) RMAWrite(p *sim.Proc, dst, win, off int, data []byte, op RMAOp, done func()) {
 	snap := make([]byte, len(data))
 	copy(snap, data)
-	home := t.fab.laneFor(t.rank)
-	t.s.RouteAfter(t.fab.laneFor(dst), t.fab.Latency, func() {
+	home := t.s.LaneID()
+	t.s.RouteAfter(t.fab.laneFor(dst), t.fab.delay(len(snap)), func() {
 		peer := t.fab.eps[dst]
-		peer.eng.Win(win).ApplyPut(off, snap)
-		peer.s.RouteAfter(home, t.fab.Latency, done)
+		peer.eng.Win(win).ApplyAccumulate(off, snap, op)
+		peer.s.RouteAfter(home, t.fab.delay(0), done)
 	})
 }
 
-// RMAGet implements RemoteMemory.
-func (t *MemTransport) RMAGet(p *sim.Proc, dst, win, off int, buf []byte, done func()) {
-	home := t.fab.laneFor(t.rank)
-	t.s.RouteAfter(t.fab.laneFor(dst), t.fab.Latency, func() {
+// RMARead implements RemoteMemory.
+func (t *MemTransport) RMARead(p *sim.Proc, dst, win, off int, buf []byte, done func()) {
+	home := t.s.LaneID()
+	t.s.RouteAfter(t.fab.laneFor(dst), t.fab.delay(0), func() {
 		peer := t.fab.eps[dst]
 		snap := make([]byte, len(buf))
 		peer.eng.Win(win).ReadInto(off, snap)
-		peer.s.RouteAfter(home, t.fab.Latency, func() {
+		peer.s.RouteAfter(home, t.fab.delay(len(snap)), func() {
 			copy(buf, snap)
 			done()
 		})
-	})
-}
-
-// RMAAccumulate implements RemoteMemory.
-func (t *MemTransport) RMAAccumulate(p *sim.Proc, dst, win, off int, data []byte, op RMAOp, done func()) {
-	snap := make([]byte, len(data))
-	copy(snap, data)
-	home := t.fab.laneFor(t.rank)
-	t.s.RouteAfter(t.fab.laneFor(dst), t.fab.Latency, func() {
-		peer := t.fab.eps[dst]
-		peer.eng.Win(win).ApplyAccumulate(off, snap, op)
-		peer.s.RouteAfter(home, t.fab.Latency, done)
 	})
 }

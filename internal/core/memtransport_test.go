@@ -1,0 +1,122 @@
+package core
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/sim"
+)
+
+// With a per-byte cost a small store burst is faster than a large one, so
+// the fabric must hold it back behind an earlier burst toward the same
+// destination (write-buffer FIFO) — and only toward that destination.
+func TestFabricPerByteKeepsIssueOrderPerDestination(t *testing.T) {
+	w := newWorld(3, time.Microsecond, 64<<10, 0)
+	w.fab.PerByte = time.Nanosecond
+	const big = 40000
+	var got1 []Status
+	var at1, at2 sim.Time
+	w.run(t,
+		func(p *sim.Proc, e *Engine) {
+			for _, m := range []struct{ dst, tag, n int }{{1, 1, big}, {1, 2, 1}, {2, 3, 1}} {
+				if _, err := e.Isend(p, m.dst, m.tag, 0, ModeStandard, payload(m.n)); err != nil {
+					t.Errorf("Isend: %v", err)
+				}
+			}
+		},
+		func(p *sim.Proc, e *Engine) {
+			buf := make([]byte, big)
+			got1 = append(got1, mustRecv(t, p, e, 0, AnyTag, buf), mustRecv(t, p, e, 0, AnyTag, buf))
+			at1 = p.Now()
+		},
+		func(p *sim.Proc, e *Engine) {
+			mustRecv(t, p, e, 0, 3, make([]byte, 1))
+			at2 = p.Now()
+		},
+	)
+	if len(got1) != 2 || got1[0].Tag != 1 || got1[1].Tag != 2 {
+		t.Fatalf("rank 1 received %+v, want tags 1 then 2: the 1-byte burst overtook the %d-byte one", got1, big)
+	}
+	if want := sim.Time(time.Microsecond + big*time.Nanosecond); at1 != want {
+		t.Errorf("rank 1 finished at %v, want %v (second arrival clamped to the first)", at1, want)
+	}
+	if want := sim.Time(time.Microsecond + time.Nanosecond); at2 != want {
+		t.Errorf("rank 2 finished at %v, want %v: a transfer toward another destination delayed it", at2, want)
+	}
+}
+
+// A flat-latency fabric is already monotone, so it must keep no clamp
+// state: one map per rank would be the largest live structure of a
+// 1 024-rank mem world (the benchmark's allreduce_shard bounds host_live_mb).
+func TestFabricFlatLatencyKeepsNoClampState(t *testing.T) {
+	const msgs = 10_000
+	w := newWorld(2, time.Microsecond, 180, 0)
+	w.run(t,
+		func(p *sim.Proc, e *Engine) {
+			for i := 0; i < msgs; i++ {
+				mustSend(t, p, e, 1, 0, payload(i%300)) // eager and rendezvous
+			}
+		},
+		func(p *sim.Proc, e *Engine) {
+			buf := make([]byte, 300)
+			for i := 0; i < msgs; i++ {
+				mustRecv(t, p, e, 0, 0, buf)
+			}
+		},
+	)
+	for rank, ep := range w.fab.eps {
+		if ep.lastArrival != nil {
+			t.Errorf("rank %d holds %d clamp entries after %d sends with PerByte == 0", rank, len(ep.lastArrival), msgs)
+		}
+	}
+}
+
+func TestInbox(t *testing.T) {
+	var in Inbox
+	if in.Pop() != nil || in.Len() != 0 {
+		t.Fatal("zero Inbox is not empty")
+	}
+	// FIFO under interleaved push/pop: two in, one out, then drain.
+	pkts := make([]*Packet, 64)
+	for i := range pkts {
+		pkts[i] = &Packet{ReqID: int64(i)}
+	}
+	next := 0
+	pop := func() {
+		t.Helper()
+		if got := in.Pop(); got != pkts[next] {
+			t.Fatalf("pop %d returned packet %v", next, got)
+		}
+		next++
+	}
+	for i := 0; i < len(pkts); i += 2 {
+		in.Push(pkts[i])
+		in.Push(pkts[i+1])
+		pop()
+		if want := i + 2 - next; in.Len() != want {
+			t.Fatalf("Len = %d, want %d", in.Len(), want)
+		}
+	}
+	// Mid-queue, every consumed slot must already be nil: a popped packet
+	// (and the payload view it holds) may not stay reachable.
+	for i, p := range in.q[:in.head] {
+		if p != nil {
+			t.Fatalf("consumed slot %d still holds its packet", i)
+		}
+	}
+	for in.Len() > 0 {
+		pop()
+	}
+	if in.Pop() != nil {
+		t.Fatal("Pop on a drained inbox is not nil")
+	}
+	// Steady state: one in, one out must reuse the array, not creep along it.
+	grown := cap(in.q)
+	for i := 0; i < 10_000; i++ {
+		in.Push(pkts[0])
+		in.Pop()
+	}
+	if slot0 := in.q[:1][0]; cap(in.q) != grown || in.head != 0 || slot0 != nil {
+		t.Fatalf("after 10^4 one-in-one-out cycles: cap %d (was %d), head %d, slot 0 %v", cap(in.q), grown, in.head, slot0)
+	}
+}

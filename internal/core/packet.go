@@ -29,8 +29,8 @@ const (
 	// receive back to its prospective sender — the RDMA-write rendezvous
 	// fast path (MPICH2/InfiniBand style): the sender may then write the
 	// payload directly into the posted buffer, skipping the RTS/CTS round
-	// trip. Transports that implement RecvAdvertiser consume it internally;
-	// it never surfaces to the engine.
+	// trip. The cluster socket transport, RecvAdvertiser's one implementer,
+	// consumes it internally; it never surfaces to the engine.
 	PktRTR
 	// PktRMALock requests a passive-target window lock (Env.Tag carries the
 	// window id; Env.Count is 1 for exclusive, 0 for shared).
@@ -86,11 +86,52 @@ type Packet struct {
 	Pool   *BufPool // owner of Data; the engine recycles the bounce buffer after its copy-out
 }
 
+// FIFO is the queue every transport and the flow layer share. It keeps a
+// consumed-prefix index instead of re-slicing the head (`q = q[1:]` shrinks
+// capacity by one per pop, so the next append reallocates and leaves every
+// popped element reachable through the old array), zeroes each popped slot
+// and rewinds the backing array once drained, so steady-state use neither
+// reallocates nor retains what it handed out. The zero value is empty.
+type FIFO[T any] struct {
+	q    []T
+	head int // consumed prefix of q
+}
+
+// Inbox holds arrived packets between delivery context, which pushes them,
+// and the polling process, which pops them.
+type Inbox = FIFO[*Packet]
+
+// Push appends v.
+func (f *FIFO[T]) Push(v T) { f.q = append(f.q, v) }
+
+// Front returns the oldest element without removing it; the queue must not
+// be empty.
+func (f *FIFO[T]) Front() T { return f.q[f.head] }
+
+// Pop removes and returns the oldest element, the zero T when empty.
+func (f *FIFO[T]) Pop() (v T) {
+	if f.head == len(f.q) {
+		return v
+	}
+	var zero T
+	v, f.q[f.head] = f.q[f.head], zero
+	if f.head++; f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
+	return v
+}
+
+// Len reports the number of elements waiting.
+func (f *FIFO[T]) Len() int { return len(f.q) - f.head }
+
 // Transport moves bytes and charges platform time on behalf of an Engine.
 // The three primitives mirror the paper's §5.1 list: sending an envelope,
 // sending an envelope with piggybacked data, and setting remote events /
-// sending DMA data. Implementations exist for the Meiko (DMA, transactions,
-// per-sender envelope slots) and the cluster (TCP/UDP streams, byte credits).
+// sending DMA data. There is one implementation per distinct wire: the
+// Meiko's Elan (transactions, DMA, per-sender envelope slots), the cluster's
+// sockets (a TCP stream or RUDP/U-Net datagrams, byte credits), and the
+// store-based MemFabric, which mem and cluster/shm both run on under
+// different cost tables.
 //
 // All methods taking a *sim.Proc run in that proc's context and may park it
 // (flow control) and charge it time. Delivery upcalls into the Engine
@@ -133,4 +174,10 @@ type Transport interface {
 
 	// Pending cheaply reports whether Poll would surface a packet.
 	Pending() bool
+
+	// PeerDown tells the transport that rank was declared dead (the engine
+	// already failed the doomed requests), so per-peer state — queued sends,
+	// rendezvous bookkeeping, flow credits, reliability timers — is fenced
+	// off instead of retrying into a black hole. May run in event context.
+	PeerDown(rank int)
 }

@@ -10,30 +10,33 @@ import (
 // RemoteMemory is the one-sided capability a Transport may implement
 // alongside matched delivery: direct placement into a registered window
 // region on the target rank, bypassing the matching engine entirely. The
-// Meiko maps it to Elan remote transactions and DMA, the in-memory fabric
-// and the cluster shared-memory segment to direct stores across the
-// medium; socket transports, which have no remote-write primitive, leave
-// it unimplemented and the mpi layer falls back to a deferred-at-fence
-// emulation over matched sends.
+// Meiko maps it to Elan remote transactions and DMA, the store-based
+// fabric (mem, cluster/shm) to direct stores across the medium; socket
+// transports, which have no remote-write primitive, leave it unimplemented
+// and the mpi layer falls back to a deferred-at-fence emulation over
+// matched sends.
 //
-// All three methods run in the origin proc's context. done MUST fire
-// exactly once, in the origin rank's scheduler (lane) context, and only
-// after the operation is remotely complete — the bytes applied at the
-// target (Put/Accumulate) or landed in buf (Get). The engine's fence
-// machinery counts on that ordering: outstanding-operation draining plus
-// a barrier is what makes a fence epoch.
+// The seam is two verbs, as on RDMA hardware: a put is a write that
+// replaces (RMAReplace), an accumulate a write that combines, and both
+// take the same path to the target.
+//
+// Both methods run in the origin proc's context. done MUST fire exactly
+// once, in the origin rank's scheduler (lane) context, and only after the
+// operation is remotely complete — the bytes applied at the target (write)
+// or landed in buf (read). The engine's fence machinery counts on that
+// ordering: outstanding-operation draining plus a barrier is what makes a
+// fence epoch.
 //
 // Implementations locate the target region via Engine.Win on the target
 // rank's engine; origins validate offsets before issuing, so a
 // transport-side out-of-range apply is an invariant violation (panic),
 // not a user error.
 type RemoteMemory interface {
-	// RMAPut writes data into target dst's window win at byte offset off.
-	RMAPut(p *sim.Proc, dst, win, off int, data []byte, done func())
-	// RMAGet reads len(buf) bytes from dst's window win at off into buf.
-	RMAGet(p *sim.Proc, dst, win, off int, buf []byte, done func())
-	// RMAAccumulate combines data into dst's window win at off with op.
-	RMAAccumulate(p *sim.Proc, dst, win, off int, data []byte, op RMAOp, done func())
+	// RMAWrite combines data into target dst's window win at byte offset
+	// off with op; RMAReplace makes it a plain put.
+	RMAWrite(p *sim.Proc, dst, win, off int, data []byte, op RMAOp, done func())
+	// RMARead reads len(buf) bytes from dst's window win at off into buf.
+	RMARead(p *sim.Proc, dst, win, off int, buf []byte, done func())
 }
 
 // RecvAdvertiser is an optional Transport capability backing the

@@ -35,13 +35,9 @@ type lockWaiter struct {
 	excl   bool
 }
 
-// ApplyPut stores data at off; called by RemoteMemory transports in the
-// target's delivery context. Bounds were validated at the origin.
-func (w *WinState) ApplyPut(off int, data []byte) {
-	copy(w.Mem[off:off+len(data)], data)
-}
-
-// ApplyAccumulate combines data into the region at off with op.
+// ApplyAccumulate combines data into the region at off with op (RMAReplace
+// stores it); called by RemoteMemory transports in the target's delivery
+// context. Bounds were validated at the origin.
 func (w *WinState) ApplyAccumulate(off int, data []byte, op RMAOp) {
 	op.apply(w.Mem[off:off+len(data)], data)
 }
@@ -136,17 +132,31 @@ func (e *Engine) rmaDone(w *WinState) func() {
 // Local completion is deferred to WinFence (or WinUnlock), per MPI RMA
 // semantics; data must stay unmodified until then.
 func (e *Engine) RMAPut(p *sim.Proc, dst, id, off int, data []byte) error {
-	w, err := e.rmaStart(p, dst, id, "rma.put")
+	return e.rmaWrite(p, dst, id, off, data, RMAReplace, "rma.put")
+}
+
+// RMAAccumulate combines data into dst's window id at off with op.
+func (e *Engine) RMAAccumulate(p *sim.Proc, dst, id, off int, data []byte, op RMAOp) error {
+	return e.rmaWrite(p, dst, id, off, data, op, "rma.acc")
+}
+
+// rmaWrite is the body a put and an accumulate share: a put is a write
+// with RMAReplace, which every payload length is valid for.
+func (e *Engine) rmaWrite(p *sim.Proc, dst, id, off int, data []byte, op RMAOp, counter string) error {
+	w, err := e.rmaStart(p, dst, id, counter)
 	if err != nil {
 		return err
 	}
+	if !op.valid(len(data)) {
+		return Errorf(ErrInternal, "%d-byte accumulate payload not a multiple of the %s element size", len(data), op)
+	}
 	if dst == e.rank {
-		w.ApplyPut(off, data)
+		w.ApplyAccumulate(off, data, op)
 		e.acct.Charge(p, CostCopy, e.costs.CopyBase+sim.Duration(len(data))*e.costs.CopyPerByte)
 		return nil
 	}
 	w.outstanding++
-	e.tr.(RemoteMemory).RMAPut(p, dst, id, off, data, e.rmaDone(w))
+	e.tr.(RemoteMemory).RMAWrite(p, dst, id, off, data, op, e.rmaDone(w))
 	return nil
 }
 
@@ -163,26 +173,7 @@ func (e *Engine) RMAGet(p *sim.Proc, dst, id, off int, buf []byte) error {
 		return nil
 	}
 	w.outstanding++
-	e.tr.(RemoteMemory).RMAGet(p, dst, id, off, buf, e.rmaDone(w))
-	return nil
-}
-
-// RMAAccumulate combines data into dst's window id at off with op.
-func (e *Engine) RMAAccumulate(p *sim.Proc, dst, id, off int, data []byte, op RMAOp) error {
-	w, err := e.rmaStart(p, dst, id, "rma.acc")
-	if err != nil {
-		return err
-	}
-	if !op.valid(len(data)) {
-		return Errorf(ErrInternal, "%d-byte accumulate payload not a multiple of the %s element size", len(data), op)
-	}
-	if dst == e.rank {
-		w.ApplyAccumulate(off, data, op)
-		e.acct.Charge(p, CostCopy, e.costs.CopyBase+sim.Duration(len(data))*e.costs.CopyPerByte)
-		return nil
-	}
-	w.outstanding++
-	e.tr.(RemoteMemory).RMAAccumulate(p, dst, id, off, data, op, e.rmaDone(w))
+	e.tr.(RemoteMemory).RMARead(p, dst, id, off, buf, e.rmaDone(w))
 	return nil
 }
 

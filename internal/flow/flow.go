@@ -40,7 +40,7 @@ type Queue struct {
 	cost  CostFunc
 	limit int // Grant clamp (envelope slots); 0 = unbounded (byte credits)
 	avail []int
-	pend  [][]*core.Request
+	pend  []core.FIFO[*core.Request]
 	acct  *core.Acct
 }
 
@@ -54,7 +54,7 @@ func NewQueue(peers, initial, limit int, cost CostFunc, acct *core.Acct) *Queue 
 		cost:  cost,
 		limit: limit,
 		avail: make([]int, peers),
-		pend:  make([][]*core.Request, peers),
+		pend:  make([]core.FIFO[*core.Request], peers),
 		acct:  acct,
 	}
 	for i := range q.avail {
@@ -70,19 +70,15 @@ func NewQueue(peers, initial, limit int, cost CostFunc, acct *core.Acct) *Queue 
 // be handed to a Grant callback once capacity returns.
 func (q *Queue) Offer(req *core.Request) bool {
 	dst := req.Env.Dest
-	if len(q.pend[dst]) > 0 {
-		q.pend[dst] = append(q.pend[dst], req)
-		q.acct.Incr("flow-queued", 1)
-		return false
+	if q.pend[dst].Len() == 0 {
+		if need := q.cost(req); q.avail[dst] >= need {
+			q.avail[dst] -= need
+			return true
+		}
 	}
-	need := q.cost(req)
-	if q.avail[dst] < need {
-		q.pend[dst] = append(q.pend[dst], req)
-		q.acct.Incr("flow-queued", 1)
-		return false
-	}
-	q.avail[dst] -= need
-	return true
+	q.pend[dst].Push(req)
+	q.acct.Incr("flow-queued", 1)
+	return false
 }
 
 // Grant restores n capacity units toward dst and drains the destination's
@@ -94,14 +90,13 @@ func (q *Queue) Grant(dst, n int, ship func(*core.Request)) {
 	if q.limit > 0 && q.avail[dst] > q.limit {
 		q.avail[dst] = q.limit
 	}
-	for len(q.pend[dst]) > 0 {
-		req := q.pend[dst][0]
-		need := q.cost(req)
+	for q.pend[dst].Len() > 0 {
+		need := q.cost(q.pend[dst].Front())
 		if q.avail[dst] < need {
 			return
 		}
 		q.avail[dst] -= need
-		q.pend[dst] = q.pend[dst][1:]
+		req := q.pend[dst].Pop()
 		q.acct.Incr("flow-granted", 1)
 		ship(req)
 	}
@@ -112,12 +107,11 @@ func (q *Queue) Grant(dst, n int, ship func(*core.Request)) {
 // owner can fail it) and the destination's capacity is restored to full so
 // nothing ever queues behind a peer that can no longer grant credit back.
 func (q *Queue) DropDst(dst, capacity int, drop func(*core.Request)) {
-	for _, req := range q.pend[dst] {
-		if drop != nil {
+	for q.pend[dst].Len() > 0 {
+		if req := q.pend[dst].Pop(); drop != nil {
 			drop(req)
 		}
 	}
-	q.pend[dst] = nil
 	q.avail[dst] = capacity
 	if q.limit > 0 && q.avail[dst] > q.limit {
 		q.avail[dst] = q.limit
@@ -128,7 +122,7 @@ func (q *Queue) DropDst(dst, capacity int, drop func(*core.Request)) {
 func (q *Queue) Available(dst int) int { return q.avail[dst] }
 
 // QueuedLen reports how many messages wait on capacity toward dst.
-func (q *Queue) QueuedLen(dst int) int { return len(q.pend[dst]) }
+func (q *Queue) QueuedLen(dst int) int { return q.pend[dst].Len() }
 
 // Owed tracks, at the receiver, freed reservation owed back to each
 // sender. Returns normally piggyback on outgoing protocol headers (Take);

@@ -131,3 +131,24 @@ func TestOwedNoFlushWhenDisabled(t *testing.T) {
 		t.Fatal("flushAt 0 means piggyback only")
 	}
 }
+
+// A destination that queues and drains over and over (the Meiko's single
+// envelope slot does, once per message) must reuse its queue storage: the
+// head re-slice this replaced reallocated on every refill and kept granted
+// requests reachable through the abandoned arrays.
+func TestQueueSteadyStateDoesNotReallocate(t *testing.T) {
+	q := NewQueue(2, 1, 1, func(*core.Request) int { return 1 }, nil)
+	a, b := req(1, 1), req(1, 1)
+	ship := func(*core.Request) {}
+	cycle := func() {
+		if !q.Offer(a) || q.Offer(b) {
+			t.Fatal("first offer must transmit, second must queue")
+		}
+		q.Grant(1, 1, ship) // ships b
+		q.Grant(1, 1, ship) // banks the slot
+	}
+	cycle()
+	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+		t.Fatalf("%v allocations per queue/drain cycle, want 0", n)
+	}
+}

@@ -431,7 +431,7 @@ func (w *Win) fenceEmulated() error {
 			pos += 17
 			switch kind {
 			case opPut:
-				w.st.ApplyPut(off, blob[pos:pos+sz])
+				w.st.ApplyAccumulate(off, blob[pos:pos+sz], core.RMAReplace)
 				pos += sz
 			case opAcc:
 				op := core.RMAOp(blob[pos])

@@ -159,11 +159,13 @@ func newWorld(cfg Config) (*mpi.World, *atm.Cluster, error) {
 	n := cfg.Hosts
 	eps := make([]core.Endpoint, n)
 	if cfg.Transport == SHM {
-		shms := make([]*shmTransport, n)
+		// The segment is the store-based fabric under shm's cost table (see
+		// shm.go); no credit scheme, so Credits stays 0.
+		fab := core.NewMemFabric(s, costs.ShmLatency, eager)
+		fab.PerByte, fab.PollCost = costs.ShmPerByte, shmPollCost
 		for i := 0; i < n; i++ {
 			eng := core.NewEngine(cl.SchedOf(i), i, n, shmEngineCosts(), nil)
-			shms[i] = newShmTransport(cl, eng, i, eager, shms)
-			eng.SetTransport(shms[i])
+			fab.Attach(eng)
 			eps[i] = eng
 		}
 	} else {

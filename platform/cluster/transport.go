@@ -39,7 +39,7 @@ type transport struct {
 	// frame handed to a dgramLink belongs to the wire for good.
 	pool *core.BufPool
 
-	inbox []*core.Packet
+	inbox core.Inbox
 	rr    int // round-robin parse start
 
 	// Credit flow control (sender side): bytes we may still push toward
@@ -69,7 +69,7 @@ type transport struct {
 
 	// Buffered sends whose credits arrived; shipped on the next Poll from
 	// the owning process's context.
-	pendingShip []*core.Request
+	pendingShip core.FIFO[*core.Request]
 
 	// Ranks fenced by PeerDown: every frame toward them is swallowed —
 	// retrying into a dead peer's black hole would otherwise escalate one
@@ -259,7 +259,7 @@ func (t *transport) transmit(p *sim.Proc, req *core.Request) {
 			// The receiver advertised a matching pre-posted buffer: write
 			// the payload directly, skipping the RTS/CTS round trip.
 			t.eng.Acct().Incr("rndv-rtr", 1)
-			t.sendDirect(p, req, ad.aux)
+			t.pushPayload(p, req, ad.aux, true)
 			return
 		}
 		// Rendezvous: envelope only; the payload moves on CTS.
@@ -304,6 +304,14 @@ func (t *transport) Accept(p *sim.Proc, msg *core.InMsg, req *core.Request) {
 func (t *transport) SendPayload(p *sim.Proc, req *core.Request, pkt *core.Packet) {
 	handle, _ := pkt.Handle.(uint32)
 	delete(t.rndvSend, req.Env.SendID)
+	t.pushPayload(p, req, handle, false)
+}
+
+// pushPayload writes req's rendezvous payload as Data frames naming the
+// receiver's landing handle aux — clocked by a CTS, or direct: straight to
+// an advertised buffer with no preceding RTS/CTS exchange. Direct data is
+// credit-exempt, like the CTS-clocked payload it replaces.
+func (t *transport) pushPayload(p *sim.Proc, req *core.Request, aux uint32, direct bool) {
 	dst := req.Env.Dest
 	data := req.Buf
 	if t.kind == TCP {
@@ -314,7 +322,7 @@ func (t *transport) SendPayload(p *sim.Proc, req *core.Request, pkt *core.Packet
 		// draining its inbound stream, so interleave: whenever the window
 		// closes, parse whatever has arrived before parking.
 		frame := t.pool.Get(headerBytes + len(data))
-		flow.EncodeHeaderInto(frame, core.PktData, t.owed.Take(dst), req.Env, handle)
+		flow.EncodeHeaderInto(frame, core.PktData, t.owed.Take(dst), req.Env, aux)
 		copy(frame[headerBytes:], data)
 		t.conns[dst].WriteInterleaved(p, frame, func() {
 			if !t.parseAvailable(p) {
@@ -326,7 +334,9 @@ func (t *transport) SendPayload(p *sim.Proc, req *core.Request, pkt *core.Packet
 		return
 	}
 	// Datagram modes: chunk to datagram size; the chunk offset travels in
-	// the tag field (Data packets carry no user tag).
+	// the tag field (Data packets carry no user tag) — plus, on direct data,
+	// the full message size in the id field, since no RTS ever announced it
+	// to the receiver.
 	maxChunk := t.dgram.MaxDatagram() - headerBytes
 	for off := 0; off < len(data) || off == 0; off += maxChunk {
 		end := off + maxChunk
@@ -336,7 +346,10 @@ func (t *transport) SendPayload(p *sim.Proc, req *core.Request, pkt *core.Packet
 		env := req.Env
 		env.Tag = off
 		env.Count = end - off
-		t.writeFrame(p, dst, core.PktData, env, handle, data[off:end])
+		if direct {
+			env.SendID = int64(len(data))
+		}
+		t.writeFrame(p, dst, core.PktData, env, aux, data[off:end])
 		if end == len(data) {
 			break
 		}
@@ -405,49 +418,6 @@ func (t *transport) takeRTR(req *core.Request) (rtrAd, bool) {
 	return rtrAd{}, false
 }
 
-// sendDirect writes a rendezvous payload straight to an advertised
-// buffer: a Data frame with no preceding RTS/CTS exchange. Direct data
-// is credit-exempt, like the CTS-clocked payload it replaces.
-func (t *transport) sendDirect(p *sim.Proc, req *core.Request, aux uint32) {
-	dst := req.Env.Dest
-	data := req.Buf
-	if t.kind == TCP {
-		// Same interleaving discipline as SendPayload: drain inbound frames
-		// whenever the peer's window closes, so symmetric large exchanges
-		// cannot deadlock.
-		frame := t.pool.Get(headerBytes + len(data))
-		flow.EncodeHeaderInto(frame, core.PktData, t.owed.Take(dst), req.Env, aux)
-		copy(frame[headerBytes:], data)
-		t.conns[dst].WriteInterleaved(p, frame, func() {
-			if !t.parseAvailable(p) {
-				t.creditCond.Wait(p)
-			}
-		})
-		t.pool.Put(frame)
-		t.eng.SendDone(req)
-		return
-	}
-	// Datagram modes: chunked like the CTS path, the offset in the tag
-	// field — plus the full message size in the id field, since no RTS
-	// ever announced it to the receiver.
-	maxChunk := t.dgram.MaxDatagram() - headerBytes
-	for off := 0; off < len(data) || off == 0; off += maxChunk {
-		end := off + maxChunk
-		if end > len(data) {
-			end = len(data)
-		}
-		env := req.Env
-		env.Tag = off
-		env.Count = end - off
-		env.SendID = int64(len(data))
-		t.writeFrame(p, dst, core.PktData, env, aux, data[off:end])
-		if end == len(data) {
-			break
-		}
-	}
-	t.eng.SendDone(req)
-}
-
 // startRTR begins the landing of a direct payload: fix the total from the
 // first frame and claim the advertised receive from the matcher. A failed
 // claim switches the landing to a bounce buffer for re-injection.
@@ -473,7 +443,7 @@ func (t *transport) startRTR(st *rndvRecvSt, total int, mode core.Mode) {
 // pair's credit; the drift is bounded by the stale-claim count and only
 // ever loosens flow control, so we accept it for this rare race.
 func (t *transport) finishRTRFallback(st *rndvRecvSt) {
-	t.inbox = append(t.inbox, &core.Packet{Kind: core.PktEager, Env: st.env, Data: st.bounce, Pool: t.pool})
+	t.inbox.Push(&core.Packet{Kind: core.PktEager, Env: st.env, Data: st.bounce, Pool: t.pool})
 }
 
 // Control implements core.Transport (synchronous-mode acks).
@@ -491,7 +461,7 @@ func (t *transport) Release(p *sim.Proc, src int, n int) {
 	}
 }
 
-// PeerDown implements core.PeerFencer: fence every piece of per-peer
+// PeerDown implements core.Transport: fence every piece of per-peer
 // transport state toward a dead rank so nothing ever retries into its
 // black hole — queued sends are dropped (the engine already failed their
 // requests), rendezvous bookkeeping toward it is forgotten, flow-control
@@ -509,13 +479,11 @@ func (t *transport) PeerDown(rank int) {
 	}
 	delete(t.rtrQ, rank)
 	t.fc.DropDst(rank, t.creditCap, nil)
-	keep := t.pendingShip[:0]
-	for _, req := range t.pendingShip {
-		if req.Env.Dest != rank {
-			keep = append(keep, req)
+	for n := t.pendingShip.Len(); n > 0; n-- {
+		if req := t.pendingShip.Pop(); req.Env.Dest != rank {
+			t.pendingShip.Push(req) // rotate the survivors through, in order
 		}
 	}
-	t.pendingShip = keep
 	if t.kind == TCP {
 		if c := t.conns[rank]; c != nil {
 			c.Drop()
@@ -534,9 +502,7 @@ func (t *transport) addCredit(src, n int) {
 	if n == 0 {
 		return
 	}
-	t.fc.Grant(src, n, func(req *core.Request) {
-		t.pendingShip = append(t.pendingShip, req)
-	})
+	t.fc.Grant(src, n, t.pendingShip.Push)
 	t.creditCond.Broadcast()
 	t.eng.Wake()
 }
@@ -545,30 +511,23 @@ func (t *transport) addCredit(src, n int) {
 // step is what returns credits, and a send freed by this very poll must go
 // out now (the engine stops polling once Poll returns nil).
 func (t *transport) Poll(p *sim.Proc) *core.Packet {
-	if len(t.inbox) == 0 {
+	if t.inbox.Len() == 0 {
 		t.parseAvailable(p)
 	}
 	t.shipPending(p)
-	if len(t.inbox) == 0 {
-		return nil
-	}
-	pkt := t.inbox[0]
-	t.inbox = t.inbox[1:]
-	return pkt
+	return t.inbox.Pop()
 }
 
 // shipPending transmits queued sends whose flow control cleared.
 func (t *transport) shipPending(p *sim.Proc) {
-	for len(t.pendingShip) > 0 {
-		req := t.pendingShip[0]
-		t.pendingShip = t.pendingShip[1:]
-		t.transmit(p, req)
+	for t.pendingShip.Len() > 0 {
+		t.transmit(p, t.pendingShip.Pop())
 	}
 }
 
 // Pending implements core.Transport.
 func (t *transport) Pending() bool {
-	if len(t.inbox) > 0 || len(t.pendingShip) > 0 {
+	if t.inbox.Len() > 0 || t.pendingShip.Len() > 0 {
 		return true
 	}
 	if t.kind == TCP {
@@ -640,11 +599,7 @@ func (t *transport) parseTCP(p *sim.Proc, src int, conn *atm.TCP) {
 		t2 := p.Now()
 		conn.ReadFull(p, payload)
 		acct.Book(acctReadData, sim.Duration(p.Now()-t2))
-		t.inbox = append(t.inbox, &core.Packet{Kind: kind, Env: env, Data: payload, Pool: t.pool})
-	case core.PktRTS:
-		t.inbox = append(t.inbox, &core.Packet{Kind: kind, Env: env})
-	case core.PktCTS:
-		t.inbox = append(t.inbox, &core.Packet{Kind: kind, Env: env, ReqID: env.SendID, Handle: aux})
+		t.inbox.Push(&core.Packet{Kind: kind, Env: env, Data: payload, Pool: t.pool})
 	case core.PktData:
 		st := t.rndvRecv[aux]
 		if st == nil {
@@ -659,12 +614,24 @@ func (t *transport) parseTCP(p *sim.Proc, src int, conn *atm.TCP) {
 		d := &tcpData{st: st, aux: aux, env: env}
 		t.inData[src] = d
 		t.readData(p, src, conn, d)
+	default:
+		t.surface(src, kind, env, aux)
+	}
+}
+
+// surface handles a frame that carries no payload, which is therefore the
+// same on a stream and in a datagram: protocol packets go to the inbox for
+// the engine, advertisements and credit returns stay in the transport.
+func (t *transport) surface(src int, kind core.PacketKind, env core.Envelope, aux uint32) {
+	switch kind {
+	case core.PktRTS, core.PktRevoke:
+		t.inbox.Push(&core.Packet{Kind: kind, Env: env})
+	case core.PktCTS:
+		t.inbox.Push(&core.Packet{Kind: kind, Env: env, ReqID: env.SendID, Handle: aux})
+	case core.PktSyncAck:
+		t.inbox.Push(&core.Packet{Kind: kind, Env: env, ReqID: env.SendID})
 	case core.PktRTR:
 		t.rtrQ[env.Source] = append(t.rtrQ[env.Source], rtrAd{env: env, aux: aux})
-	case core.PktSyncAck:
-		t.inbox = append(t.inbox, &core.Packet{Kind: kind, Env: env, ReqID: env.SendID})
-	case core.PktRevoke:
-		t.inbox = append(t.inbox, &core.Packet{Kind: kind, Env: env})
 	case core.PktCredit:
 		// Credit already booked from the header; nothing to surface.
 	default:
@@ -722,7 +689,7 @@ func (t *transport) readData(p *sim.Proc, src int, conn *atm.TCP, d *tcpData) {
 		t.finishRTRFallback(st)
 		return
 	}
-	t.inbox = append(t.inbox, &core.Packet{Kind: core.PktData, Env: d.env, ReqID: st.req.ID})
+	t.inbox.Push(&core.Packet{Kind: core.PktData, Env: d.env, ReqID: st.req.ID})
 }
 
 // parseDgram consumes one reliable datagram, reporting whether one was
@@ -748,11 +715,7 @@ func (t *transport) parseDgram(p *sim.Proc) bool {
 	case core.PktEager:
 		// GC-owned (Pool nil): the engine may keep the view on its
 		// unexpected queue and will never recycle it.
-		t.inbox = append(t.inbox, &core.Packet{Kind: kind, Env: env, Data: payload})
-	case core.PktRTS:
-		t.inbox = append(t.inbox, &core.Packet{Kind: kind, Env: env})
-	case core.PktCTS:
-		t.inbox = append(t.inbox, &core.Packet{Kind: kind, Env: env, ReqID: env.SendID, Handle: aux})
+		t.inbox.Push(&core.Packet{Kind: kind, Env: env, Data: payload})
 	case core.PktData:
 		st := t.rndvRecv[aux]
 		if st == nil {
@@ -780,18 +743,11 @@ func (t *transport) parseDgram(p *sim.Proc) bool {
 			if st.bounce != nil {
 				t.finishRTRFallback(st)
 			} else {
-				t.inbox = append(t.inbox, &core.Packet{Kind: kind, Env: st.env, ReqID: st.req.ID})
+				t.inbox.Push(&core.Packet{Kind: kind, Env: st.env, ReqID: st.req.ID})
 			}
 		}
-	case core.PktRTR:
-		t.rtrQ[env.Source] = append(t.rtrQ[env.Source], rtrAd{env: env, aux: aux})
-	case core.PktSyncAck:
-		t.inbox = append(t.inbox, &core.Packet{Kind: kind, Env: env, ReqID: env.SendID})
-	case core.PktRevoke:
-		t.inbox = append(t.inbox, &core.Packet{Kind: kind, Env: env})
-	case core.PktCredit:
 	default:
-		t.eng.Errors = append(t.eng.Errors, core.Errorf(core.ErrInternal, "unknown packet kind %d", kind))
+		t.surface(env.Source, kind, env, aux)
 	}
 	return true
 }

@@ -31,7 +31,7 @@ type lowlatTransport struct {
 	max  int
 	all  []*lowlatTransport // indexed by rank
 
-	inbox []*core.Packet
+	inbox core.Inbox
 
 	// Envelope-slot flow control through the shared flow layer: at most
 	// `slots` outstanding envelopes per destination (the paper allocates
@@ -76,7 +76,7 @@ func (t *lowlatTransport) MaxEager() int { return t.max }
 
 // push delivers a packet into this rank's slot area (event context).
 func (t *lowlatTransport) push(pkt *core.Packet) {
-	t.inbox = append(t.inbox, pkt)
+	t.inbox.Push(pkt)
 	t.eng.Wake()
 }
 
@@ -115,22 +115,9 @@ func (t *lowlatTransport) transmit(req *core.Request) {
 		return
 	}
 	t.eng.Acct().Incr("eager", 1)
-	// The per-sender envelope slot is modeled by a pooled bounce buffer:
-	// the receiving engine recycles it after the copy-out that frees the
-	// slot. A cross-lane Put would mutate this lane's freelist from the
-	// destination lane, so cross-lane transfers use a plain GC-owned
-	// buffer (Pool nil) instead.
-	var (
-		pool *core.BufPool
-		data []byte
-	)
-	if t.all[dst].node.S != t.node.S {
-		data = make([]byte, len(req.Buf))
-	} else {
-		pool = t.eng.Pool()
-		data = pool.Get(len(req.Buf))
-	}
-	copy(data, req.Buf)
+	// The per-sender envelope slot is modeled by a bounce buffer: the
+	// receiving engine recycles it after the copy-out that frees the slot.
+	data, pool := t.eng.Bounce(t.all[dst].node.S == t.node.S, req.Buf)
 	t.node.Txn(dst, envelopeTxnBytes+len(data), false, func() {
 		t.all[dst].push(&core.Packet{Kind: core.PktEager, Env: env, Data: data, Pool: pool})
 	})
@@ -201,7 +188,7 @@ func (t *lowlatTransport) Control(p *sim.Proc, dst int, kind core.PacketKind, en
 // copy needs no further transport action.
 func (t *lowlatTransport) Release(p *sim.Proc, src int, n int) {}
 
-// PeerDown implements core.PeerFencer: forget rendezvous sends toward the
+// PeerDown implements core.Transport: forget rendezvous sends toward the
 // dead rank (their CTS can never arrive — the engine already failed the
 // requests) and restore the envelope slots it held, since a corpse never
 // returns slot-free acknowledgements.
@@ -244,12 +231,11 @@ func (t *lowlatTransport) slotFreed(dst int) {
 // may travel while this message waits (possibly unmatched) in the
 // unexpected queue.
 func (t *lowlatTransport) Poll(p *sim.Proc) *core.Packet {
-	if len(t.inbox) == 0 {
+	if t.inbox.Len() == 0 {
 		return nil
 	}
 	t.eng.Acct().Charge(p, core.CostProtocol, slotPollCost)
-	pkt := t.inbox[0]
-	t.inbox = t.inbox[1:]
+	pkt := t.inbox.Pop()
 	switch pkt.Kind {
 	case core.PktEager, core.PktRTS:
 		t.eng.Acct().Charge(p, core.CostProtocol, t.m.Costs.TxnIssue)
@@ -263,7 +249,7 @@ func (t *lowlatTransport) Poll(p *sim.Proc) *core.Packet {
 }
 
 // Pending implements core.Transport.
-func (t *lowlatTransport) Pending() bool { return len(t.inbox) > 0 }
+func (t *lowlatTransport) Pending() bool { return t.inbox.Len() > 0 }
 
 // ------------------------------------------------------------ RemoteMemory --
 //
@@ -280,35 +266,27 @@ const rmaTxnHdrBytes = 16
 
 var _ core.RemoteMemory = (*lowlatTransport)(nil)
 
-// rmaSnap snapshots an origin payload on the origin lane. Remote applies
-// run in the target lane's event context, concurrent (same epoch) with
-// origin-lane events, so the transfer must never share mutable storage
-// across lanes; same-lane transfers keep the copy too — it is the modeled
-// Elan's copy of the data leaving host memory.
-func rmaSnap(data []byte) []byte {
-	snap := make([]byte, len(data))
-	copy(snap, data)
-	return snap
-}
-
-// rmaApply lands a put or accumulate at the target (target lane event
-// context) and acks back to the origin through the target Elan
-// (elanIssued: no SPARC wakeup), firing done on the origin lane.
-func (t *lowlatTransport) rmaApply(dst, win, off int, data []byte, op core.RMAOp, done func()) func() {
+// RMAWrite implements core.RemoteMemory for puts (op RMAReplace) and
+// accumulates alike — the target Elan's handler stores or combines: small
+// payloads ride one remote transaction, large ones a sender-Elan DMA. The
+// target Elan lands the bytes (target lane event context) and acks back to
+// the origin itself (elanIssued: no SPARC wakeup), firing done on the
+// origin lane.
+func (t *lowlatTransport) RMAWrite(p *sim.Proc, dst, win, off int, data []byte, op core.RMAOp, done func()) {
+	c := t.m.Costs
 	me := t.eng.Rank()
 	peer := t.all[dst]
-	return func() {
-		peer.eng.Win(win).ApplyAccumulate(off, data, op)
+	// Snapshot the payload on the origin lane. Remote applies run in the
+	// target lane's event context, concurrent (same epoch) with origin-lane
+	// events, so the transfer must never share mutable storage across
+	// lanes; same-lane transfers keep the copy too — it is the modeled
+	// Elan's copy of the data leaving host memory.
+	snap := make([]byte, len(data))
+	copy(snap, data)
+	apply := func() {
+		peer.eng.Win(win).ApplyAccumulate(off, snap, op)
 		peer.node.Txn(me, ctrlTxnBytes, true, done)
 	}
-}
-
-// RMAPut implements core.RemoteMemory: small payloads ride one remote
-// transaction, large ones a sender-Elan DMA.
-func (t *lowlatTransport) RMAPut(p *sim.Proc, dst, win, off int, data []byte, done func()) {
-	c := t.m.Costs
-	snap := rmaSnap(data)
-	apply := t.rmaApply(dst, win, off, snap, core.RMAReplace, done)
 	if len(snap) <= t.max {
 		t.eng.Acct().Charge(p, core.CostProtocol, c.TxnIssue)
 		t.node.Txn(dst, rmaTxnHdrBytes+len(snap), false, apply)
@@ -318,25 +296,10 @@ func (t *lowlatTransport) RMAPut(p *sim.Proc, dst, win, off int, data []byte, do
 	t.node.DMA(dst, rmaTxnHdrBytes+len(snap), func() {}, apply)
 }
 
-// RMAAccumulate implements core.RemoteMemory: like a put, but the target
-// Elan's handler combines instead of stores.
-func (t *lowlatTransport) RMAAccumulate(p *sim.Proc, dst, win, off int, data []byte, op core.RMAOp, done func()) {
-	c := t.m.Costs
-	snap := rmaSnap(data)
-	apply := t.rmaApply(dst, win, off, snap, op, done)
-	if len(snap) <= t.max {
-		t.eng.Acct().Charge(p, core.CostProtocol, c.TxnIssue)
-		t.node.Txn(dst, rmaTxnHdrBytes+len(snap), false, apply)
-		return
-	}
-	t.eng.Acct().Charge(p, core.CostProtocol, c.DMAIssue)
-	t.node.DMA(dst, rmaTxnHdrBytes+len(snap), func() {}, apply)
-}
-
-// RMAGet implements core.RemoteMemory: a request transaction reaches the
+// RMARead implements core.RemoteMemory: a request transaction reaches the
 // target's Elan, which reads the region and DMAs the bytes back; the
 // landing event on the origin lane fills buf and completes the operation.
-func (t *lowlatTransport) RMAGet(p *sim.Proc, dst, win, off int, buf []byte, done func()) {
+func (t *lowlatTransport) RMARead(p *sim.Proc, dst, win, off int, buf []byte, done func()) {
 	c := t.m.Costs
 	me := t.eng.Rank()
 	peer := t.all[dst]
