@@ -22,8 +22,9 @@ const (
 	PktData
 	// PktSyncAck acknowledges the match of a synchronous-mode eager send.
 	PktSyncAck
-	// PktCredit returns freed bounce space to a sender (cluster transport;
-	// usually piggybacked, explicit when traffic is one-sided).
+	// PktCredit returns freed bounce space to a sender (cluster transport:
+	// usually piggybacked, explicit when traffic is one-sided; Meiko: the
+	// slot-free acknowledgement, consumed by the sender's Elan).
 	PktCredit
 	// PktRTR (ready-to-receive) advertises a freshly posted rendezvous-sized
 	// receive back to its prospective sender — the RDMA-write rendezvous
@@ -170,6 +171,8 @@ type Transport interface {
 
 	// Poll surfaces the next arrived packet, charging p the platform's
 	// per-packet receive costs (kernel reads, slot scans); nil when idle.
+	// The packet is the transport's until the next Poll: the engine copies
+	// out what it keeps.
 	Poll(p *sim.Proc) *Packet
 
 	// Pending cheaply reports whether Poll would surface a packet.

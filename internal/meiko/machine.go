@@ -60,6 +60,7 @@ type Node struct {
 	Elan *sim.FIFO      // Elan co-processor occupancy
 	Out  *sim.FIFO      // network injection port
 	Port *Tport         // attached tport widget, if any
+	idle []*xfer        // transfer-record pool (see xfer)
 }
 
 // Txn models a user-level remote transaction carrying nbytes of payload to
@@ -73,19 +74,13 @@ type Node struct {
 // (src, dst) pair is FIFO because packets serialize on the source port and
 // experience identical latency.
 func (n *Node) Txn(dst int, nbytes int, elanIssued bool, deliver func()) {
-	c := n.M.Costs
-	send := func() {
-		wire := sim.Duration(nbytes) * c.TxnPerByte
-		n.Out.UseAsync(wire, func() {
-			n.M.transit(n, dst, nbytes, c.TxnPerByte, func() {
-				n.M.Nodes[dst].Elan.UseAsync(c.ElanTxnHandle, deliver)
-			})
-		})
-	}
+	c := &n.M.Costs
+	x := n.getXfer(dst, nbytes, c.TxnPerByte, c.ElanTxnHandle)
+	x.onRemote = deliver
 	if elanIssued {
-		n.Elan.UseAsync(c.ElanTxnHandle, send)
+		n.Elan.UseAsync(c.ElanTxnHandle, x.step)
 	} else {
-		send()
+		x.run()
 	}
 }
 
@@ -96,22 +91,103 @@ func (n *Node) Txn(dst int, nbytes int, elanIssued bool, deliver func()) {
 // is then reusable); onRemote fires when the destination Elan completes.
 // Either callback may be nil. Safe to call from event context.
 func (n *Node) DMA(dst int, nbytes int, onLocal, onRemote func()) {
-	c := n.M.Costs
-	n.Elan.UseAsync(c.ElanDMASetup, func() {
-		wire := sim.Duration(nbytes) * c.DMAPerByte
-		n.Out.UseAsync(wire, func() {
-			if onLocal != nil {
-				onLocal()
-			}
-			n.M.transit(n, dst, nbytes, c.DMAPerByte, func() {
-				n.M.Nodes[dst].Elan.UseAsync(c.ElanDMARecv, func() {
-					if onRemote != nil {
-						onRemote()
-					}
-				})
-			})
-		})
-	})
+	c := &n.M.Costs
+	x := n.getXfer(dst, nbytes, c.DMAPerByte, c.ElanDMARecv)
+	if onRemote == nil {
+		onRemote = noCompletion // the landing is still an event
+	}
+	x.onLocal, x.onRemote = onLocal, onRemote
+	n.Elan.UseAsync(c.ElanDMASetup, x.step)
+}
+
+func noCompletion() {}
+
+// xfer is one transaction or DMA in flight: the state its chain of events
+// — source Elan (when it issues), injection port, wire, destination Elan —
+// carries from issue to completion. The chain is one func, step, bound to
+// the record once and re-armed at every hop, so a transfer schedules
+// without allocating. Records are pooled per node: drawn from the source's
+// pool and, because the last two hops run on the destination's lane,
+// returned to the destination's — traffic flows both ways (every envelope
+// is answered by a slot-free or an ack), so the pools stay balanced, and a
+// cap bounds the one that would not.
+type xfer struct {
+	src, dst *Node
+	nbytes   int
+	perByte  sim.Duration // serialization rate on the port and the tree
+	land     sim.Duration // destination Elan occupancy
+	stage    uint8
+	onLocal  func()
+	onRemote func() // nil: the destination Elan is occupied but no completion event runs
+	step     func() // x.run, bound once
+}
+
+// The hop step runs next. Every record starts at xferInject: an
+// Elan-issued transfer reaches it through the source Elan's queue, a
+// SPARC-issued transaction runs it at once.
+const (
+	xferInject = iota // serialize on the source injection port
+	xferDepart        // last byte left: cross the wire
+	xferLand          // arrived: occupy the destination Elan
+	xferDone          // landed: complete
+)
+
+// xferPoolCap bounds a node's idle records; returns beyond it fall to the
+// garbage collector.
+const xferPoolCap = 64
+
+func (n *Node) getXfer(dst, nbytes int, perByte, land sim.Duration) *xfer {
+	var x *xfer
+	if k := len(n.idle) - 1; k >= 0 {
+		x, n.idle[k] = n.idle[k], nil
+		n.idle = n.idle[:k]
+	} else {
+		x = &xfer{}
+		x.step = x.run
+	}
+	x.src, x.dst, x.nbytes, x.perByte, x.land = n, n.M.Nodes[dst], nbytes, perByte, land
+	x.stage = xferInject
+	return x
+}
+
+// run executes the transfer's next hop. Up to xferDepart it runs on the
+// source's lane; the wire hop hands the record to the destination's.
+func (x *xfer) run() {
+	switch x.stage {
+	case xferInject:
+		x.stage = xferDepart
+		x.src.Out.UseAsync(sim.Duration(x.nbytes)*x.perByte, x.step)
+	case xferDepart:
+		if x.onLocal != nil {
+			x.onLocal()
+		}
+		x.stage = xferLand
+		x.src.M.transit(x.src, x.dst.ID, x.nbytes, x.perByte, x.step)
+	case xferLand:
+		if x.onRemote == nil {
+			x.dst.Elan.UseAsync(x.land, nil)
+			x.recycle()
+			return
+		}
+		x.stage = xferDone
+		x.dst.Elan.UseAsync(x.land, x.step)
+	case xferDone:
+		// Recycled before the completion runs, so a completion that issues
+		// the reply reuses this record.
+		x.recycle()()
+	}
+}
+
+// recycle returns x to the destination node's pool (destination lane
+// context) and reports the completion callback it carried.
+func (x *xfer) recycle() (done func()) {
+	n := x.dst
+	done = x.onRemote
+	x.src, x.dst, x.onLocal, x.onRemote = nil, nil, nil, nil
+	if len(n.idle) < xferPoolCap {
+		n.idle = append(n.idle, x)
+	}
+	return done
 }
 
 // Broadcast models the CS/2 hardware broadcast: one injection of nbytes

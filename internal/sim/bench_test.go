@@ -24,15 +24,30 @@ func BenchmarkEventDispatch(b *testing.B) {
 	}
 }
 
+// BenchmarkProcSwitch measures an Advance that parks: two procs step in
+// lock-step, so each one's wakeup always has the other's queued ahead of it
+// and every Advance is a heap push, a park, a pop and a resume.
 func BenchmarkProcSwitch(b *testing.B) {
+	benchAdvance(b, 2)
+}
+
+// BenchmarkAdvanceRunAhead measures an Advance that keeps the token: the
+// only proc's wakeup is always the next event.
+func BenchmarkAdvanceRunAhead(b *testing.B) {
+	benchAdvance(b, 1)
+}
+
+func benchAdvance(b *testing.B, procs int) {
 	for _, k := range kernels {
 		b.Run(k.name, func(b *testing.B) {
 			s, run, _ := newTestKernel(k.lanes, 0)
-			s.Spawn("p", func(p *Proc) {
-				for i := 0; i < b.N; i++ {
-					p.Advance(time.Nanosecond)
-				}
-			})
+			for i := 0; i < procs; i++ {
+				s.Spawn("p", func(p *Proc) {
+					for i := 0; i < b.N/procs; i++ {
+						p.Advance(time.Nanosecond)
+					}
+				})
+			}
 			b.ResetTimer()
 			if _, err := run(); err != nil {
 				b.Fatal(err)

@@ -205,24 +205,26 @@ func (s *Scheduler) freeX(m *xmsg) {
 	s.xfree = m
 }
 
+// idleBefore reports whether the lane has nothing to run before horizon h.
+func (s *Scheduler) idleBefore(h Time) bool {
+	t, ok := s.pending()
+	return !ok || t >= h
+}
+
 // runWindow executes the lane's events strictly before horizon h, stopping
-// early if the lane alone exceeds maxEv events (a per-lane bound that keeps
-// a same-instant livelock inside one window from running away before the
-// control plane can apply the global limit). It reports how many events ran.
-func (s *Scheduler) runWindow(h Time, maxEv uint64) uint64 {
+// early if the lane alone exceeds the shard's event limit (see
+// overEventLimit). It reports whether any event ran.
+func (s *Scheduler) runWindow(h Time) bool {
 	s.window = h
-	var n uint64
-	for len(s.events) > 0 && s.events[0].t < h {
-		// Strictly-greater mirrors the global check: a lane halted here has
-		// already pushed the global total over the limit, so Run cannot spin
-		// on a capped lane without returning the LimitError.
-		if maxEv != 0 && s.nEvents > maxEv {
-			break
-		}
-		s.runEvent(s.events.pop())
-		n++
+	ran := false
+	// The limit check mirrors the global one (strictly greater): a lane
+	// halted here has already pushed the global total over the limit, so Run
+	// cannot spin on a capped lane without returning the LimitError.
+	for !s.idleBefore(h) && !s.overEventLimit() {
+		s.runEvent(s.pop())
+		ran = true
 	}
-	return n
+	return ran
 }
 
 // nextTime reports the earliest pending event time across lanes.
@@ -230,11 +232,12 @@ func (sh *Shard) nextTime() (Time, bool) {
 	var t0 Time
 	any := false
 	for _, ln := range sh.lanes {
-		if len(ln.events) == 0 {
+		t, ok := ln.pending()
+		if !ok {
 			continue
 		}
-		if !any || ln.events[0].t < t0 {
-			t0 = ln.events[0].t
+		if !any || t < t0 {
+			t0 = t
 		}
 		any = true
 	}
@@ -289,7 +292,7 @@ func (sh *Shard) startWorkers() {
 		go func() {
 			for h := range ch {
 				for _, ln := range block {
-					ln.runWindow(h, sh.MaxEvents)
+					ln.runWindow(h)
 				}
 				sh.barrier.Done()
 			}
@@ -339,7 +342,7 @@ func (sh *Shard) Run() (Time, error) {
 			// wake (same predicate runWindow uses), so the counters stay
 			// off the worker hot path.
 			for _, ln := range sh.lanes {
-				if len(ln.events) == 0 || ln.events[0].t >= h {
+				if ln.idleBefore(h) {
 					sh.stats.Stalls++
 				}
 			}
@@ -350,7 +353,7 @@ func (sh *Shard) Run() (Time, error) {
 			sh.barrier.Wait()
 		} else {
 			for _, ln := range sh.lanes {
-				if ln.runWindow(h, sh.MaxEvents) == 0 {
+				if !ln.runWindow(h) {
 					sh.stats.Stalls++
 				}
 			}

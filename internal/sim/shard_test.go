@@ -167,6 +167,46 @@ func TestShardMaxTimeLimit(t *testing.T) {
 	}
 }
 
+// A lane's share of the event limit is enforced inside its window, where
+// run-ahead never returns to runWindow: the same cases as on a standalone
+// scheduler must stop at the same event.
+func TestShardRunAheadHonoursMaxEvents(t *testing.T) {
+	for _, c := range maxEventsCases {
+		checkLimit(t, c, "event", func(slow bool, body func(p *Proc)) error {
+			sh := NewShard(1, 2, time.Microsecond)
+			sh.MaxEvents = 100
+			sh.Lane(0).noFastPath, sh.Lane(1).noFastPath = slow, slow
+			sh.Lane(0).Spawn("runaway", body)
+			_, err := sh.Run()
+			sh.Shutdown()
+			return err
+		})
+	}
+}
+
+// The time limit is applied between epochs, so what run-ahead must honour
+// is the window: a wakeup at or past the horizon parks, and the overrun is
+// reported at the first epoch that starts past the limit.
+func TestShardRunAheadHonoursMaxTime(t *testing.T) {
+	// 1 µs windows of 300 ns steps: each epoch runs four events and the
+	// epochs start at 0, 1200, 2400, 3600 and 4800; 6000 is the first start
+	// past 5000.
+	c := limitCase{"advance300", func(p *Proc) {
+		for {
+			p.Advance(300)
+		}
+	}, 20, 6000}
+	checkLimit(t, c, "time", func(slow bool, body func(p *Proc)) error {
+		sh := NewShard(1, 2, time.Microsecond)
+		sh.MaxTime = 5000
+		sh.Lane(0).noFastPath, sh.Lane(1).noFastPath = slow, slow
+		sh.Lane(1).Spawn("runaway", body)
+		_, err := sh.Run()
+		sh.Shutdown()
+		return err
+	})
+}
+
 func TestShardDeadlockDetected(t *testing.T) {
 	sh := NewShard(1, 2, time.Microsecond)
 	for i := 0; i < 2; i++ {
@@ -189,21 +229,24 @@ func TestShardDeadlockDetected(t *testing.T) {
 
 // Intra-lane event scheduling must be allocation-free in steady state:
 // after pool warmup, Advance (schedule + coroutine dispatch) and FIFO
-// reservations allocate nothing, on both kernels.
+// reservations allocate nothing, on both kernels. The FIFO completion lands
+// before each wakeup, so every Advance here parks (TestFastPathsAllocFree
+// covers the ones that do not).
 func TestLaneSchedulingAllocFree(t *testing.T) {
 	measure := func(s *Scheduler, drive func() (Time, error)) uint64 {
 		f := NewFIFO(s, "link")
 		var delta uint64
+		freed := func() {}
 		s.Spawn("hot", func(p *Proc) {
 			for i := 0; i < 1000; i++ { // warm the event pool and heap
+				f.UseAsync(1, freed)
 				p.Advance(10)
-				f.UseAsync(1, nil)
 			}
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			for i := 0; i < 5000; i++ {
+				f.UseAsync(1, freed)
 				p.Advance(10)
-				f.UseAsync(1, nil)
 			}
 			runtime.ReadMemStats(&m1)
 			delta = m1.Mallocs - m0.Mallocs
@@ -226,6 +269,63 @@ func TestLaneSchedulingAllocFree(t *testing.T) {
 			t.Fatalf("scheduler steady-state scheduling allocated %d times", d)
 		}
 	})
+}
+
+// The two shortcuts allocate nothing: a run-ahead Advance touches three
+// counters, and a same-instant wakeup links a pooled event onto the
+// intrusive queue.
+func TestFastPathsAllocFree(t *testing.T) {
+	for _, k := range kernels[:2] { // one proc set: standalone and one lane
+		t.Run(k.name+"/run-ahead", func(t *testing.T) {
+			s, run, _ := newTestKernel(k.lanes, 0)
+			var allocs float64
+			var events uint64
+			s.Spawn("alone", func(p *Proc) {
+				// 501 ns in all: inside the lane's first 1 µs window.
+				allocs = testing.AllocsPerRun(500, func() { p.Advance(1) })
+				events = s.Events()
+			})
+			if _, err := run(); err != nil {
+				t.Fatal(err)
+			}
+			if allocs != 0 {
+				t.Fatalf("run-ahead Advance allocated %v times per call", allocs)
+			}
+			// Spawn (same-instant), then 501 wakeups: all counted, none of
+			// them ever pushed on the heap.
+			if events != 502 || cap(s.events) != 0 {
+				t.Fatalf("%d events, heap grew to %d: the proc did not run ahead", events, cap(s.events))
+			}
+		})
+		t.Run(k.name+"/same-instant", func(t *testing.T) {
+			s, run, _ := newTestKernel(k.lanes, 0)
+			ping, pong := NewCond(s), NewCond(s)
+			done := false
+			s.Spawn("echo", func(p *Proc) {
+				for ping.Wait(p); !done; ping.Wait(p) {
+					pong.Signal()
+				}
+			})
+			var allocs float64
+			s.Spawn("caller", func(p *Proc) {
+				allocs = testing.AllocsPerRun(1000, func() {
+					ping.Signal()
+					pong.Wait(p)
+				})
+				done = true
+				ping.Signal()
+			})
+			if _, err := run(); err != nil {
+				t.Fatal(err)
+			}
+			if allocs != 0 {
+				t.Fatalf("same-instant Signal allocated %v times per handoff", allocs)
+			}
+			if cap(s.events) != 0 {
+				t.Fatalf("heap grew to %d: the wakeups did not use the same-instant queue", cap(s.events))
+			}
+		})
+	}
 }
 
 // --- differential oracle ---

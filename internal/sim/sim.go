@@ -49,13 +49,14 @@ func (t Time) String() string { return fmt.Sprintf("%.3fus", t.Microseconds()) }
 // event is one queue entry: either a callback (fn) or a proc wakeup (proc).
 // Proc wakeups carry the proc pointer instead of a closure so the Advance/
 // Cond/FIFO hot paths schedule without allocating. Recycled events chain
-// through next on the scheduler's freelist.
+// through next on the scheduler's freelist; events waiting on the
+// same-instant queue chain through it too.
 type event struct {
 	t    Time
 	seq  uint64
 	fn   func()
 	proc *Proc
-	next *event // freelist link while recycled
+	next *event // same-instant queue or freelist link
 }
 
 // eventQueue is a binary min-heap over (t, seq), hand-rolled so push/pop
@@ -113,7 +114,7 @@ func (q *eventQueue) pop() *event {
 
 // Scheduler owns the virtual clock and the event queue.
 //
-// A standalone Scheduler is driven by Run (or Step). Event callbacks and
+// A standalone Scheduler is driven by Run. Event callbacks and
 // Proc bodies may freely schedule further events, spawn procs, and signal
 // conditions. A panic or Goexit (t.Fatal) inside a proc body unwinds onto
 // the goroutine driving the scheduler, as it would from an event callback.
@@ -128,6 +129,14 @@ type Scheduler struct {
 	seq    uint64
 	procs  map[*Proc]struct{}
 	rng    *rand.Rand
+
+	// Same-instant queue: events scheduled for t == now, in seq order,
+	// threaded through event.next. Such an event has a larger seq than
+	// anything already queued for now, so it runs after the heap's t == now
+	// entries and before the clock moves — FIFO order is (t, seq) order, with
+	// no sift and no slice.
+	sameHead, sameTail *event
+
 	// Limits guard against runaway models; zero means no limit.
 	MaxEvents uint64
 	MaxTime   Time
@@ -140,6 +149,11 @@ type Scheduler struct {
 	outbox []*xmsg // cross-lane sends staged until the epoch barrier
 	xfree  *xmsg   // mailbox envelope freelist
 	window Time    // current epoch horizon (lane mode; events < window run)
+
+	// noFastPath routes every event through the heap and every Advance
+	// through schedule + park. Written only by this package's tests, which
+	// use the plain kernel as the oracle for the two shortcuts.
+	noFastPath bool
 }
 
 // NewScheduler returns a Scheduler with the deterministic RNG seeded by seed.
@@ -216,7 +230,41 @@ func (s *Scheduler) schedule(t Time, fn func(), p *Proc) {
 	s.seq++
 	e := s.alloc()
 	e.t, e.seq, e.fn, e.proc = t, s.seq, fn, p
-	s.events.push(e)
+	if t > s.now || s.noFastPath {
+		s.events.push(e)
+	} else if s.sameTail == nil {
+		s.sameHead, s.sameTail = e, e
+	} else {
+		s.sameTail.next = e
+		s.sameTail = e
+	}
+}
+
+// pending reports the time of the earliest queued event, if any. Heap
+// entries are never earlier than now, so a non-empty same-instant queue
+// means the answer is now.
+func (s *Scheduler) pending() (Time, bool) {
+	if s.sameHead != nil {
+		return s.now, true
+	}
+	if len(s.events) == 0 {
+		return 0, false
+	}
+	return s.events[0].t, true
+}
+
+// pop removes the earliest queued event in (t, seq) order; pending must
+// have reported one. Heap entries at the current instant were scheduled
+// before the clock reached it, so they precede the whole same-instant queue.
+func (s *Scheduler) pop() *event {
+	e := s.sameHead
+	if e == nil || (len(s.events) > 0 && s.events[0].t <= s.now) {
+		return s.events.pop()
+	}
+	if s.sameHead = e.next; e.next == nil {
+		s.sameTail = nil
+	}
+	return e
 }
 
 // At schedules fn to run at time t (clamped to now). fn runs with the
@@ -299,14 +347,60 @@ func (p *Proc) park() {
 }
 
 // Advance consumes d of virtual time: the proc parks and is woken once the
-// clock reaches now+d. Negative durations are treated as zero.
+// clock reaches now+d. Negative durations are treated as zero. When the
+// wakeup would be the very next event the driver runs, the proc keeps the
+// execution token and runs ahead instead (see runAhead).
 func (p *Proc) Advance(d Duration) {
 	if d < 0 {
 		d = 0
 	}
 	s := p.s
-	s.atProc(s.now+Time(d), p)
+	t := s.now + Time(d)
+	if s.runAhead(t) {
+		return
+	}
+	s.atProc(t, p)
 	p.park()
+}
+
+// runAhead executes a proc wakeup for time t in place of scheduling it,
+// when scheduling it could have no other outcome: nothing is queued at or
+// before t, so the new event (largest seq) would be the driver's next pop;
+// the driver would not stop first (no limit is over, and on a lane t is
+// inside the epoch window — a wakeup at or past the horizon must wait for
+// the barrier, which may merge earlier cross-lane events ahead of it). The
+// bookkeeping is what schedule + runEvent would have done, minus the heap
+// and the two coroutine switches.
+func (s *Scheduler) runAhead(t Time) bool {
+	if s.sameHead != nil || (len(s.events) > 0 && s.events[0].t <= t) || s.noFastPath {
+		return false
+	}
+	if s.shard != nil {
+		if t >= s.window {
+			return false
+		}
+	} else if s.MaxTime != 0 && s.now > s.MaxTime {
+		return false
+	}
+	if s.overEventLimit() {
+		return false
+	}
+	s.seq++
+	s.now = t
+	s.nEvents++
+	return true
+}
+
+// overEventLimit reports whether the event limit in force — the
+// scheduler's own, or its shard's on a lane (a per-lane bound that keeps a
+// same-instant livelock inside one window from running away before the
+// control plane applies the global limit) — has been passed.
+func (s *Scheduler) overEventLimit() bool {
+	max := s.MaxEvents
+	if s.shard != nil {
+		max = s.shard.MaxEvents
+	}
+	return max != 0 && s.nEvents > max
 }
 
 // Yield parks the proc and reschedules it at the current time, letting
@@ -477,16 +571,6 @@ func (s *Scheduler) runEvent(e *event) {
 	}
 }
 
-// Step runs the single earliest pending event. It reports false when the
-// queue is empty.
-func (s *Scheduler) Step() bool {
-	if len(s.events) == 0 {
-		return false
-	}
-	s.runEvent(s.events.pop())
-	return true
-}
-
 // Run drives the simulation until the event queue drains. It returns the
 // final virtual time. If procs remain parked when the queue drains, Run
 // returns a *DeadlockError; if a configured limit is exceeded it returns a
@@ -495,8 +579,12 @@ func (s *Scheduler) Run() (Time, error) {
 	if s.shard != nil {
 		panic("sim: lane schedulers are driven by Shard.Run, not Scheduler.Run")
 	}
-	for s.Step() {
-		if s.MaxEvents != 0 && s.nEvents > s.MaxEvents {
+	for {
+		if _, ok := s.pending(); !ok {
+			break
+		}
+		s.runEvent(s.pop())
+		if s.overEventLimit() {
 			return s.now, &LimitError{At: s.now, Events: s.nEvents, What: "event"}
 		}
 		if s.MaxTime != 0 && s.now > s.MaxTime {

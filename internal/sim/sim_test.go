@@ -305,6 +305,84 @@ func TestMaxTimeLimit(t *testing.T) {
 	}
 }
 
+// limitCase is a runaway proc body and the limit error it must die with:
+// the event count and time are those of the plain kernel, and the shortcuts
+// may not move them — a proc that keeps running ahead never returns to the
+// driver, so run-ahead itself has to notice the limit and park.
+type limitCase struct {
+	name   string
+	body   func(p *Proc)
+	events uint64
+	at     Time
+}
+
+// checkLimit runs the case with the shortcuts off, then on, and checks
+// both runs end with exactly the expected error.
+func checkLimit(t *testing.T, c limitCase, what string, run func(slow bool, body func(p *Proc)) error) {
+	t.Helper()
+	for _, slow := range []bool{true, false} {
+		err := run(slow, c.body)
+		var le *LimitError
+		if !errors.As(err, &le) {
+			t.Fatalf("%s (plain kernel %v): err = %v, want LimitError", c.name, slow, err)
+		}
+		if le.What != what || le.Events != c.events || le.At != c.at {
+			t.Fatalf("%s (plain kernel %v): %s limit after %d events at %v, want %s after %d at %v",
+				c.name, slow, le.What, le.Events, le.At, what, c.events, c.at)
+		}
+	}
+}
+
+// The spawn is event 1, so the limit of 100 is passed by the proc's 100th
+// wakeup, which is where the plain kernel stops too.
+var maxEventsCases = []limitCase{
+	{"yield", func(p *Proc) {
+		for {
+			p.Yield()
+		}
+	}, 101, 0},
+	{"advance0", func(p *Proc) {
+		for {
+			p.Advance(0)
+		}
+	}, 101, 0},
+	{"advance7", func(p *Proc) {
+		for {
+			p.Advance(7)
+		}
+	}, 101, 700},
+}
+
+func TestRunAheadHonoursMaxEvents(t *testing.T) {
+	for _, c := range maxEventsCases {
+		checkLimit(t, c, "event", func(slow bool, body func(p *Proc)) error {
+			s := NewScheduler(1)
+			s.MaxEvents, s.noFastPath = 100, slow
+			s.Spawn("runaway", body)
+			_, err := s.Run()
+			s.Shutdown()
+			return err
+		})
+	}
+}
+
+func TestRunAheadHonoursMaxTime(t *testing.T) {
+	// Wakeups at 7, 14, ... : the eighth, at 56, is the first past 50.
+	c := limitCase{"advance7", func(p *Proc) {
+		for {
+			p.Advance(7)
+		}
+	}, 9, 56}
+	checkLimit(t, c, "time", func(slow bool, body func(p *Proc)) error {
+		s := NewScheduler(1)
+		s.MaxTime, s.noFastPath = 50, slow
+		s.Spawn("runaway", body)
+		_, err := s.Run()
+		s.Shutdown()
+		return err
+	})
+}
+
 func TestRunReturnsFinalTime(t *testing.T) {
 	s := NewScheduler(1)
 	s.Spawn("p", func(p *Proc) { p.Advance(12345) })

@@ -31,7 +31,9 @@ type lowlatTransport struct {
 	max  int
 	all  []*lowlatTransport // indexed by rank
 
-	inbox core.Inbox
+	inbox  core.FIFO[*flight]
+	polled core.Packet // what Poll last surfaced; valid until the next Poll
+	idle   []*flight   // flight pool (see flight)
 
 	// Envelope-slot flow control through the shared flow layer: at most
 	// `slots` outstanding envelopes per destination (the paper allocates
@@ -74,10 +76,59 @@ var _ core.Transport = (*lowlatTransport)(nil)
 // MaxEager implements core.Transport.
 func (t *lowlatTransport) MaxEager() int { return t.max }
 
-// push delivers a packet into this rank's slot area (event context).
-func (t *lowlatTransport) push(pkt *core.Packet) {
-	t.inbox.Push(pkt)
+// flight is one small message on the wire: an envelope or control packet
+// that lands in the destination's slot area and surfaces through its Poll,
+// or the slot-free acknowledgement (PktCredit) its Elan consumes. Flights
+// are pooled the way core.BufPool pools payloads, and land — the
+// transaction's delivery callback — is bound once per record, so shipping a
+// message allocates neither a packet nor a closure. A flight is drawn from
+// the sender's pool and returned to the receiver's (it finishes on the
+// receiver's lane); every envelope is answered by a slot-free the other
+// way, which keeps the pools balanced, and a cap bounds them regardless.
+type flight struct {
+	to   *lowlatTransport
+	pkt  core.Packet
+	land func() // f.arrive, bound once
+}
+
+// flightPoolCap bounds a rank's idle flights; returns beyond it fall to the
+// garbage collector.
+const flightPoolCap = 64
+
+// ship sends pkt to rank dst in one transaction of nbytes.
+func (t *lowlatTransport) ship(dst, nbytes int, pkt core.Packet) {
+	var f *flight
+	if k := len(t.idle) - 1; k >= 0 {
+		f, t.idle[k] = t.idle[k], nil
+		t.idle = t.idle[:k]
+	} else {
+		f = &flight{}
+		f.land = f.arrive
+	}
+	f.to, f.pkt = t.all[dst], pkt
+	t.node.Txn(dst, nbytes, false, f.land)
+}
+
+// arrive runs at the destination when the transaction lands (event
+// context).
+func (f *flight) arrive() {
+	t := f.to
+	if f.pkt.Kind == core.PktCredit {
+		from := f.pkt.Env.Source
+		t.recycle(f)
+		t.slotFreed(from)
+		return
+	}
+	t.inbox.Push(f)
 	t.eng.Wake()
+}
+
+// recycle returns a landed flight to this rank's pool.
+func (t *lowlatTransport) recycle(f *flight) {
+	f.to, f.pkt = nil, core.Packet{}
+	if len(t.idle) < flightPoolCap {
+		t.idle = append(t.idle, f)
+	}
 }
 
 // Send implements core.Transport. Every envelope — eager or rendezvous —
@@ -107,9 +158,7 @@ func (t *lowlatTransport) transmit(req *core.Request) {
 	if env.Count > t.max {
 		t.rndv[env.SendID] = req
 		t.eng.Acct().Incr("rndv", 1)
-		t.node.Txn(dst, envelopeTxnBytes, false, func() {
-			t.all[dst].push(&core.Packet{Kind: core.PktRTS, Env: env})
-		})
+		t.ship(dst, envelopeTxnBytes, core.Packet{Kind: core.PktRTS, Env: env})
 		// The envelope slot frees when the receiver consumes the RTS
 		// (see Poll); local completion comes with the DMA.
 		return
@@ -118,9 +167,7 @@ func (t *lowlatTransport) transmit(req *core.Request) {
 	// The per-sender envelope slot is modeled by a bounce buffer: the
 	// receiving engine recycles it after the copy-out that frees the slot.
 	data, pool := t.eng.Bounce(t.all[dst].node.S == t.node.S, req.Buf)
-	t.node.Txn(dst, envelopeTxnBytes+len(data), false, func() {
-		t.all[dst].push(&core.Packet{Kind: core.PktEager, Env: env, Data: data, Pool: pool})
-	})
+	t.ship(dst, envelopeTxnBytes+len(data), core.Packet{Kind: core.PktEager, Env: env, Data: data, Pool: pool})
 	t.eng.SendDone(req)
 }
 
@@ -176,9 +223,7 @@ func (t *lowlatTransport) SendPayload(p *sim.Proc, req *core.Request, pkt *core.
 func (t *lowlatTransport) Control(p *sim.Proc, dst int, kind core.PacketKind, env core.Envelope) {
 	c := t.m.Costs
 	t.eng.Acct().Charge(p, core.CostProtocol, c.TxnIssue)
-	t.node.Txn(dst, ctrlTxnBytes, false, func() {
-		t.all[dst].push(&core.Packet{Kind: kind, Env: env, ReqID: env.SendID})
-	})
+	t.ship(dst, ctrlTxnBytes, core.Packet{Kind: kind, Env: env, ReqID: env.SendID})
 }
 
 // Release implements core.Transport. The envelope slot was already
@@ -211,8 +256,8 @@ func (t *lowlatTransport) PeerDown(rank int) {
 func (t *lowlatTransport) FatalWake() { t.bcCond.Broadcast() }
 
 // slotFreed runs at the sender (event context) when a slot-free
-// transaction lands: the flow layer either reuses the slot immediately for
-// the queued successor or banks it.
+// transaction from rank dst lands: the flow layer either reuses the slot
+// immediately for the queued successor or banks it.
 func (t *lowlatTransport) slotFreed(dst int) {
 	shipped := false
 	t.fc.Grant(dst, 1, func(req *core.Request) {
@@ -235,15 +280,15 @@ func (t *lowlatTransport) Poll(p *sim.Proc) *core.Packet {
 		return nil
 	}
 	t.eng.Acct().Charge(p, core.CostProtocol, slotPollCost)
-	pkt := t.inbox.Pop()
+	f := t.inbox.Pop()
+	t.polled = f.pkt
+	t.recycle(f)
+	pkt := &t.polled
 	switch pkt.Kind {
 	case core.PktEager, core.PktRTS:
 		t.eng.Acct().Charge(p, core.CostProtocol, t.m.Costs.TxnIssue)
-		me := t.eng.Rank()
-		src := pkt.Env.Source
-		t.node.Txn(src, ctrlTxnBytes, false, func() {
-			t.all[src].slotFreed(me)
-		})
+		slotFree := core.Envelope{Source: t.eng.Rank()}
+		t.ship(pkt.Env.Source, ctrlTxnBytes, core.Packet{Kind: core.PktCredit, Env: slotFree})
 	}
 	return pkt
 }
