@@ -316,19 +316,20 @@ func (in *Injector) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) b
 	return true
 }
 
-// admit is plan for byte paths that bypass the Medium interface entirely
-// (the U-Net endpoint writes straight into the switch FIFOs). Partition and
-// delay faults still apply there; loss/duplication/reordering do not when
-// droppable is false, matching the lossless flow-controlled links.
-func (in *Injector) admit(src, dst int, droppable bool) (drop bool, extras []sim.Duration) {
+// admit is plan for the byte path that bypasses the Medium interface (the
+// U-Net endpoint enters the switch fabric directly). Partition and delay
+// faults still apply there; loss, duplication and reordering do not — its
+// frames are never droppable, matching the lossless flow-controlled links —
+// so a surviving frame is delivered exactly once, extra late.
+func (in *Injector) admit(src, dst int) (drop bool, extra sim.Duration) {
 	if in.policy == nil {
-		return false, []sim.Duration{0}
+		return false, 0
 	}
-	drop, extras = in.plan(src, dst, droppable)
+	drop, extras := in.plan(src, dst, false)
 	if drop {
-		return true, nil
+		return true, 0
 	}
-	return false, extras
+	return false, extras[0]
 }
 
 // ParsePartitions parses a partition schedule DSL: semicolon-separated

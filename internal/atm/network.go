@@ -147,6 +147,7 @@ type ATMNet struct {
 	c        Costs
 	up, down []*sim.FIFO
 	ports    []*portArbiter
+	idle     [][]*hop // per-host switch-hop record pools (see hop)
 }
 
 // NewATMNet builds the switch with n host ports for the world built on s.
@@ -156,7 +157,7 @@ func NewATMNet(s *sim.Scheduler, n int, c Costs) *ATMNet {
 	if c.SwitchDelay < s.Lookahead() {
 		panic(fmt.Sprintf("atm: switch delay %v below shard lookahead %v", c.SwitchDelay, s.Lookahead()))
 	}
-	a := &ATMNet{s: s, c: c}
+	a := &ATMNet{s: s, c: c, idle: make([][]*hop, n)}
 	for i := 0; i < n; i++ {
 		hs := s.Node(i, n)
 		a.up = append(a.up, sim.NewFIFO(hs, fmt.Sprintf("atm-up%d", i)))
@@ -190,6 +191,7 @@ type portReq struct {
 	stamp   sim.Time
 	src     int
 	wire    sim.Duration
+	tail    sim.Duration // inbound processing between the downlink and deliver
 	deliver func()
 }
 
@@ -199,10 +201,10 @@ type portReq struct {
 const portArbDelay sim.Duration = 100 // ns
 
 // enqueue registers an arrival at dst's switch output. Runs on dst's lane.
-func (a *ATMNet) enqueue(dst, src int, wire sim.Duration, deliver func()) {
+func (a *ATMNet) enqueue(dst, src int, wire, tail sim.Duration, deliver func()) {
 	s := a.schedOf(dst)
 	q := a.ports[dst]
-	q.pending = append(q.pending, portReq{stamp: s.Now(), src: src, wire: wire, deliver: deliver})
+	q.pending = append(q.pending, portReq{stamp: s.Now(), src: src, wire: wire, tail: tail, deliver: deliver})
 	if q.flushAt == 0 {
 		q.flushAt = s.Now() + sim.Time(portArbDelay)
 		s.At(q.flushAt, q.flush)
@@ -235,7 +237,7 @@ func (a *ATMNet) flush(dst int) {
 	})
 	for _, r := range batch {
 		end := a.down[dst].ReserveAt(r.stamp, r.wire)
-		s.At(end+sim.Time(a.c.I960PerPacket+a.c.DriverATMPerFrame), r.deliver)
+		s.At(end+sim.Time(r.tail), r.deliver)
 	}
 	clear(batch) // the scratch must not pin delivery closures (and their frames)
 	q.batch = batch[:0]
@@ -259,20 +261,75 @@ func (a *ATMNet) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) bool
 	if opts.AAL34 {
 		wireBytes = AAL34WireBytes(n)
 	}
-	wire := sim.Duration(wireBytes) * a.c.ATMPerByte
-	ss := a.schedOf(src)
-	// Outbound SAR on the i960, uplink serialization, switch forwarding,
-	// then the destination port arbiter, which reserves the downlink
-	// (backdated to the switch-hop arrival) and schedules inbound SAR plus
-	// the STREAMS driver after the serialization completes. The switch hop
-	// routes to the destination's lane, so the downlink is reserved in
-	// destination context.
-	ss.After(a.c.I960PerPacket, func() {
-		a.up[src].UseAsync(wire, func() {
-			ss.RouteAfter(a.schedOf(dst).LaneID(), a.c.SwitchDelay, func() {
-				a.enqueue(dst, src, wire, deliver)
-			})
-		})
-	})
+	// Outbound SAR on the i960; inbound SAR plus the STREAMS driver.
+	a.send(src, dst, sim.Duration(wireBytes)*a.c.ATMPerByte,
+		a.c.I960PerPacket, a.c.I960PerPacket+a.c.DriverATMPerFrame, deliver)
 	return true
+}
+
+// send is the fabric's one packet path, shared by the kernel stacks
+// (Deliver) and the U-Net endpoint, which differ only in their NIC costs:
+// out of outbound segmentation, the uplink for wire, the switch hop, then
+// the destination port arbiter, which reserves the downlink (backdated to
+// the switch-hop arrival) and runs deliver on dst's lane tail after the
+// serialization completes. Must be called from src's lane context.
+//
+// The uplink is private to src, and every reservation on it is made here
+// with stamp now+out, so stamps are monotone in call order as long as one
+// host's traffic all pays the same out (a world runs the kernel stacks or
+// U-Net, never both): booking the uplink at call time is what a timer at
+// now+out followed by a reservation would book, two events later. The
+// switch hop lands at least SwitchDelay ahead, so routing it from here is
+// lane-safe, and nothing downstream depends on when it was scheduled — the
+// arbiter orders arrivals by (stamp, src), not by event order.
+func (a *ATMNet) send(src, dst int, wire, out, tail sim.Duration, deliver func()) {
+	ss := a.schedOf(src)
+	end := a.up[src].ReserveAt(ss.Now()+sim.Time(out), wire)
+	h := a.getHop(src)
+	h.src, h.dst, h.wire, h.tail, h.deliver = src, dst, wire, tail, deliver
+	ss.Route(a.schedOf(dst).LaneID(), end+sim.Time(a.c.SwitchDelay), h.step)
+}
+
+// hop is one packet crossing the switch: what its arrival event at the
+// destination port needs. The event is one func, step, bound to the record
+// once, so a packet crosses without allocating. Records are pooled per
+// host: drawn from the source's pool and, because the arrival runs on the
+// destination's lane, returned to the destination's — traffic flows both
+// ways (TCP answers every segment with window updates, RUDP with acks), so
+// the pools stay balanced, and a cap bounds the one that would not.
+type hop struct {
+	a        *ATMNet
+	src, dst int
+	wire     sim.Duration
+	tail     sim.Duration
+	deliver  func()
+	step     func() // h.arrive, bound once
+}
+
+// hopPoolCap bounds a host's idle records; returns beyond it fall to the
+// garbage collector.
+const hopPoolCap = 64
+
+func (a *ATMNet) getHop(host int) *hop {
+	idle := a.idle[host]
+	if k := len(idle) - 1; k >= 0 {
+		h := idle[k]
+		idle[k] = nil
+		a.idle[host] = idle[:k]
+		return h
+	}
+	h := &hop{a: a}
+	h.step = h.arrive
+	return h
+}
+
+// arrive hands the packet to dst's port arbiter and recycles the record.
+// Runs on dst's lane.
+func (h *hop) arrive() {
+	a, dst := h.a, h.dst
+	a.enqueue(dst, h.src, h.wire, h.tail, h.deliver)
+	h.deliver = nil
+	if len(a.idle[dst]) < hopPoolCap {
+		a.idle[dst] = append(a.idle[dst], h)
+	}
 }

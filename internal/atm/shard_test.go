@@ -14,12 +14,19 @@ import (
 func TestShardedATMNetMatchesSingleScheduler(t *testing.T) {
 	c := DefaultCosts()
 	run := func(a *ATMNet, drive func() (sim.Time, error)) []sim.Time {
-		var ends []sim.Time
+		ends := make([]sim.Time, 3)
+		// Deliver must run in its source's lane context, so each send is an
+		// event on that host's scheduler.
+		send := func(i, src, dst, n int, opts DeliverOpts) {
+			a.schedOf(src).At(0, func() {
+				a.Deliver(src, dst, n, opts, func() { ends[i] = a.schedOf(dst).Now() })
+			})
+		}
 		// Two hosts blast the same destination port; a third packet rides
 		// the opposite direction.
-		a.Deliver(0, 2, 1024, DeliverOpts{}, func() { ends = append(ends, a.schedOf(2).Now()) })
-		a.Deliver(1, 2, 512, DeliverOpts{}, func() { ends = append(ends, a.schedOf(2).Now()) })
-		a.Deliver(2, 0, 256, DeliverOpts{AAL34: true}, func() { ends = append(ends, a.schedOf(0).Now()) })
+		send(0, 0, 2, 1024, DeliverOpts{})
+		send(1, 1, 2, 512, DeliverOpts{})
+		send(2, 2, 0, 256, DeliverOpts{AAL34: true})
 		if _, err := drive(); err != nil {
 			t.Fatal(err)
 		}
@@ -29,12 +36,10 @@ func TestShardedATMNetMatchesSingleScheduler(t *testing.T) {
 	want := run(NewATMNet(s, 3, c), s.Run)
 	sh := sim.NewShard(1, 3, c.SwitchDelay)
 	got := run(NewATMNet(sh.Lane(0), 3, c), sh.Run)
-	if len(want) != 3 || len(got) != 3 {
-		t.Fatalf("deliveries: single %v, sharded %v", want, got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("delivery %d at %v sharded, %v single (all: %v vs %v)", i, got[i], want[i], got, want)
+	golden := []sim.Time{273264, 212632, 185072} // the shorter packet reaches the port first
+	for i := range golden {
+		if want[i] != golden[i] || got[i] != golden[i] {
+			t.Fatalf("delivery %d: single %v, sharded %v, want %v (all: %v vs %v)", i, want[i], got[i], golden[i], want, got)
 		}
 	}
 }

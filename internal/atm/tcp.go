@@ -1,7 +1,6 @@
 package atm
 
 import (
-	"bytes"
 	"time"
 
 	"repro/internal/sim"
@@ -54,6 +53,8 @@ type TCP struct {
 	owedAck  int    // window bytes not yet returned to the peer
 	ackTimer bool   // delayed-ack timer armed
 
+	idle []*tcpFrame // wire-frame record pool (see tcpFrame)
+
 	// Stats for tests and instrumentation.
 	SegmentsOut int
 	BytesIn     int
@@ -81,8 +82,7 @@ func (c *TCP) MSS() int { return c.med.MTU() - TCPIPHeader }
 // copy, checksumming, and per-segment protocol processing to p.
 func (c *TCP) Write(p *sim.Proc, data []byte) {
 	k := c.cl.Costs
-	p.Advance(k.SyscallWrite)
-	p.Advance(sim.Duration(len(data)) * (k.CopyPerByte + k.ChecksumPerByte))
+	p.Advance(k.SyscallWrite + sim.Duration(len(data))*(k.CopyPerByte+k.ChecksumPerByte))
 	mss := c.MSS()
 	for off := 0; off < len(data); off += mss {
 		end := off + mss
@@ -142,27 +142,105 @@ func (c *TCP) writeSegment(p *sim.Proc, seg []byte) {
 // transmitSegment snapshots seg (the writer reuses its buffer) and carries
 // it to the peer's receive buffer. Event-context safe.
 func (c *TCP) transmitSegment(seg []byte) {
-	payload := bytes.Clone(seg)
+	f := c.getFrame(frameSegment)
+	f.data = append(f.data[:0], seg...)
 	c.SegmentsOut++
-	c.med.Deliver(c.host, c.peer.host, len(seg)+TCPIPHeader, DeliverOpts{}, func() {
-		// Receiver-side kernel input processing, then the data becomes
-		// readable. The medium ran us on the peer's lane; stay there.
-		c.cl.SchedOf(c.peer.host).After(c.cl.Costs.TCPPerSegment, func() {
-			r := c.peer
-			if r.rqHead > 0 && len(r.rq)+len(payload) > cap(r.rq) {
-				// Reclaim the read prefix before growing, or a reader that
-				// never quite catches up would grow rq without bound.
-				r.rq = r.rq[:copy(r.rq, r.rq[r.rqHead:])]
-				r.rqHead = 0
-			}
-			r.rq = append(r.rq, payload...)
-			r.BytesIn += len(payload)
-			r.readable.Broadcast()
-			for _, fn := range r.watchers {
-				fn()
-			}
-		})
-	})
+	c.med.Deliver(c.host, c.peer.host, len(seg)+TCPIPHeader, DeliverOpts{}, f.step)
+}
+
+// tcpFrame is one wire frame in flight — a data segment or a window update
+// — and the state its delivery events carry. Delivery is one func, step,
+// bound to the record once; a segment's payload snapshot lives in the
+// record's own buffer, which is reused with it. So a frame crosses the wire
+// without allocating. Records are pooled per endpoint: drawn from the
+// sender's pool and, because delivery runs on the peer's lane, returned to
+// the peer's — every segment read is answered by a window update, so a
+// connection's two pools stay balanced even when data flows one way, and a
+// cap bounds them.
+//
+// A record runs once: TCP frames are not droppable, so the fault layer
+// never duplicates one (it may only hold it). Droppable traffic (UDP
+// fragments, AAL4) must keep closures — Faults.Duplicate runs them twice.
+type tcpFrame struct {
+	from  *TCP
+	stage uint8
+	data  []byte // frameSegment: payload snapshot
+	n     int    // frameUpdate: window bytes returned
+	step  func() // f.run, bound once
+}
+
+// What run does next.
+const (
+	frameSegment = iota // segment reached the peer: kernel input processing
+	frameLand           // processed: the bytes become readable
+	frameUpdate         // window update reached the peer
+)
+
+// tcpFramePoolCap bounds an endpoint's idle records (a full window of
+// maximum-size segments); returns beyond it fall to the garbage collector.
+const tcpFramePoolCap = 8
+
+func (c *TCP) getFrame(stage uint8) *tcpFrame {
+	var f *tcpFrame
+	if k := len(c.idle) - 1; k >= 0 {
+		f, c.idle[k] = c.idle[k], nil
+		c.idle = c.idle[:k]
+	} else {
+		f = &tcpFrame{}
+		f.step = f.run
+	}
+	f.from, f.stage = c, stage
+	return f
+}
+
+// run executes the frame's next delivery step. The medium ran us on the
+// peer's lane; everything here stays there.
+func (f *tcpFrame) run() {
+	r := f.from.peer
+	switch f.stage {
+	case frameSegment:
+		f.stage = frameLand
+		r.cl.SchedOf(r.host).After(r.cl.Costs.TCPPerSegment, f.step)
+	case frameLand:
+		if r.rqHead > 0 && len(r.rq)+len(f.data) > cap(r.rq) {
+			// Reclaim the read prefix before growing, or a reader that
+			// never quite catches up would grow rq without bound.
+			r.rq = r.rq[:copy(r.rq, r.rq[r.rqHead:])]
+			r.rqHead = 0
+		}
+		r.rq = append(r.rq, f.data...)
+		r.BytesIn += len(f.data)
+		r.putFrame(f)
+		r.readable.Broadcast()
+		for _, fn := range r.watchers {
+			fn()
+		}
+	case frameUpdate:
+		n := f.n
+		// Recycled first, so Nagle data the update releases reuses the record.
+		r.putFrame(f)
+		r.sndCredit += n
+		r.unacked -= n
+		if r.unacked < 0 {
+			r.unacked = 0
+		}
+		if r.Nagle && r.unacked == 0 && len(r.nagleQ) > 0 {
+			// The ack releases coalesced data; transmission happens in
+			// kernel context (timer/interrupt), like RUDP retransmits.
+			r.kernelFlushNagle()
+		}
+		r.sndWait.Broadcast()
+		for _, fn := range r.wwatchers {
+			fn()
+		}
+	}
+}
+
+// putFrame returns a delivered frame's record to c's pool.
+func (c *TCP) putFrame(f *tcpFrame) {
+	if len(c.idle) < tcpFramePoolCap {
+		c.idle = append(c.idle, f)
+	}
 }
 
 // WriteInterleaved is Write for callers that must keep draining their own
@@ -176,8 +254,7 @@ func (c *TCP) transmitSegment(seg []byte) {
 // Write's.
 func (c *TCP) WriteInterleaved(p *sim.Proc, data []byte, yield func()) {
 	k := c.cl.Costs
-	p.Advance(k.SyscallWrite)
-	p.Advance(sim.Duration(len(data)) * (k.CopyPerByte + k.ChecksumPerByte))
+	p.Advance(k.SyscallWrite + sim.Duration(len(data))*(k.CopyPerByte+k.ChecksumPerByte))
 	mss := c.MSS()
 	for off := 0; off < len(data); off += mss {
 		end := off + mss
@@ -267,23 +344,9 @@ func (c *TCP) flushOwedAck() {
 // transmitAck carries an n-byte window update (and acknowledgement) to the
 // peer, unblocking its window waiters and releasing Nagle-held data.
 func (c *TCP) transmitAck(n int) {
-	c.med.Deliver(c.host, c.peer.host, TCPIPHeader, DeliverOpts{}, func() {
-		p := c.peer
-		p.sndCredit += n
-		p.unacked -= n
-		if p.unacked < 0 {
-			p.unacked = 0
-		}
-		if p.Nagle && p.unacked == 0 && len(p.nagleQ) > 0 {
-			// The ack releases coalesced data; transmission happens in
-			// kernel context (timer/interrupt), like RUDP retransmits.
-			p.kernelFlushNagle()
-		}
-		p.sndWait.Broadcast()
-		for _, fn := range p.wwatchers {
-			fn()
-		}
-	})
+	f := c.getFrame(frameUpdate)
+	f.n = n
+	c.med.Deliver(c.host, c.peer.host, TCPIPHeader, DeliverOpts{}, f.step)
 }
 
 // kernelFlushNagle transmits the coalesced queue from kernel context.

@@ -77,9 +77,7 @@ func (u *UDP) send(p *sim.Proc, dst int, frame []byte) {
 	if len(frame) > u.MaxDatagram() {
 		panic(fmt.Sprintf("udp: datagram of %d bytes exceeds max %d", len(frame), u.MaxDatagram()))
 	}
-	p.Advance(k.SyscallWrite)
-	p.Advance(sim.Duration(len(frame)) * (k.CopyPerByte + k.ChecksumPerByte))
-	p.Advance(k.UDPPerPacket)
+	p.Advance(k.SyscallWrite + sim.Duration(len(frame))*(k.CopyPerByte+k.ChecksumPerByte) + k.UDPPerPacket)
 	u.transmit(dst, frame)
 }
 

@@ -73,8 +73,7 @@ func (u *UNet) Send(p *sim.Proc, dst int, data []byte) {
 	if len(data) > UNetMaxPDU {
 		panic(fmt.Sprintf("unet: PDU of %d bytes exceeds max %d", len(data), UNetMaxPDU))
 	}
-	p.Advance(UNetDoorbell)
-	p.Advance(sim.Duration(len(data)) * k.CopyPerByte)
+	p.Advance(UNetDoorbell + sim.Duration(len(data))*k.CopyPerByte)
 
 	peer := u.cl.UNetSocket(dst)
 	src := u.host
@@ -82,32 +81,29 @@ func (u *UNet) Send(p *sim.Proc, dst int, data []byte) {
 	// physical network: partitions and added latency from the fault layer
 	// still apply. Loss/duplication/reordering do not — the dedicated
 	// switch links are flow controlled, lossless and FIFO by construction.
-	drop, extras := u.cl.atmInj.admit(src, dst, false)
+	drop, extra := u.cl.atmInj.admit(src, dst)
 	if drop {
 		return
 	}
 	wire := sim.Duration(AAL5WireBytes(len(data))) * k.ATMPerByte
-	// Outbound SAR, uplink, switch, downlink, inbound SAR — and straight
-	// into the user-mapped receive queue. The switch hop is where the
-	// packet leaves its source host's lane (a plain timer when unsharded).
-	ss, ds := u.cl.SchedOf(src), u.cl.SchedOf(dst)
-	for _, extra := range extras {
-		ss.After(extra+UNetSARPerPacket, func() {
-			u.cl.Atm.up[src].UseAsync(wire, func() {
-				ss.RouteAfter(u.cl.LaneOf(dst), k.SwitchDelay, func() {
-					u.cl.Atm.down[dst].UseAsync(wire, func() {
-						ds.After(UNetSARPerPacket, func() {
-							peer.dq = append(peer.dq, Datagram{Src: src, Data: data})
-							peer.readable.Broadcast()
-							for _, fn := range peer.watchers {
-								fn()
-							}
-						})
-					})
-				})
-			})
-		})
+	// The fabric's packet path with the streamlined firmware's SAR cost on
+	// both cards and no driver: the packet lands straight in the user-mapped
+	// receive queue.
+	land := func() {
+		peer.dq = append(peer.dq, Datagram{Src: src, Data: data})
+		peer.readable.Broadcast()
+		for _, fn := range peer.watchers {
+			fn()
+		}
 	}
+	if extra == 0 {
+		u.cl.Atm.send(src, dst, wire, UNetSARPerPacket, UNetSARPerPacket, land)
+		return
+	}
+	// The hold timer lives on the source lane, as in Injector.Deliver.
+	u.cl.SchedOf(src).After(extra, func() {
+		u.cl.Atm.send(src, dst, wire, UNetSARPerPacket, UNetSARPerPacket, land)
+	})
 }
 
 // RecvFrom blocks polling the receive queue for the next message and

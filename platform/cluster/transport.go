@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math/bits"
+
 	"repro/internal/atm"
 	"repro/internal/core"
 	"repro/internal/flow"
@@ -30,6 +32,7 @@ type transport struct {
 	peers []*transport
 
 	conns []*atm.TCP // TCP mesh (nil diagonal)
+	ready readySet   // conns with buffered bytes, so a poll costs O(arrivals)
 	dgram dgramLink  // UDP (reliable layer) or U-Net mode
 
 	// pool recycles TCP frame scratch (Write copies into the kernel, so a
@@ -120,6 +123,7 @@ func newTransport(cl *atm.Cluster, eng *core.Engine, rank, size, eager, credit i
 		net:        net,
 		peers:      peers,
 		conns:      make([]*atm.TCP, size),
+		ready:      make(readySet, (size+63)/64),
 		creditCap:  credit,
 		creditCond: sim.NewCond(cl.SchedOf(rank)),
 		// A quarter of the reservation owed triggers an explicit credit
@@ -146,7 +150,12 @@ func newTransport(cl *atm.Cluster, eng *core.Engine, rank, size, eager, credit i
 
 func (t *transport) attachConn(peer int, c *atm.TCP) {
 	t.conns[peer] = c
-	c.OnReadable(func() { t.wake() })
+	// An arrival marks the connection ready (frames are never empty, so it
+	// always leaves bytes buffered); parseAvailable unmarks it once drained.
+	c.OnReadable(func() {
+		t.ready.set(peer)
+		t.wake()
+	})
 	// Window updates must reach a writer parked in interleave (its yield
 	// waits on the transport-wide creditCond, since the wakeup it needs may
 	// arrive on any connection, not just the one it is writing).
@@ -531,12 +540,7 @@ func (t *transport) Pending() bool {
 		return true
 	}
 	if t.kind == TCP {
-		for _, c := range t.conns {
-			if c != nil && c.Readable() {
-				return true
-			}
-		}
-		return false
+		return t.ready.any()
 	}
 	return t.dgram.Readable()
 }
@@ -551,21 +555,70 @@ func (t *transport) parseAvailable(p *sim.Proc) bool {
 		}
 		return any
 	}
+	// Passes over the ready connections, cyclic from rr, until one finds
+	// nothing; rr advances once per pass, that last one included. Parse order
+	// is model behaviour: parseTCP advances time, and a connection that
+	// becomes readable meanwhile is served in this pass if the cursor has not
+	// reached it — which "next ready at or after the cursor" preserves,
+	// because after re-reads the set on every step.
 	progress := true
 	for progress {
 		progress = false
-		for i := 0; i < t.size; i++ {
-			j := (t.rr + i) % t.size
+		for off := t.ready.after(t.rr, 0, t.size); off < t.size; off = t.ready.after(t.rr, off+1, t.size) {
+			j := (t.rr + off) % t.size
 			conn := t.conns[j]
-			if conn == nil || !conn.Readable() {
-				continue
-			}
 			t.parseTCP(p, j, conn)
+			if !conn.Readable() {
+				t.ready.clear(j)
+			}
 			progress, any = true, true
 		}
 		t.rr = (t.rr + 1) % t.size
 	}
 	return any
+}
+
+// readySet is one bit per peer.
+type readySet []uint64
+
+func (r readySet) set(i int)   { r[i>>6] |= 1 << (i & 63) }
+func (r readySet) clear(i int) { r[i>>6] &^= 1 << (i & 63) }
+
+func (r readySet) any() bool {
+	for _, w := range r {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// after reports the smallest cyclic offset o in [off, n) whose peer
+// (start+o)%n is set, or n when there is none: the linear scan's next hit,
+// found a word at a time.
+func (r readySet) after(start, off, n int) int {
+	if lo := start + off; lo < n {
+		if i := r.next(lo, n); i < n {
+			return i - start
+		}
+		off = n - start // nothing up to the top: go on from the wrap
+	}
+	// Offsets from n-start on are peers 0..start-1.
+	if i := r.next(start+off-n, start); i < start {
+		return i + n - start
+	}
+	return n
+}
+
+// next reports the lowest set index in [lo, hi), or hi.
+func (r readySet) next(lo, hi int) int {
+	for w := lo >> 6; lo < hi; w++ {
+		if rest := r[w] >> (lo & 63); rest != 0 {
+			return min(lo+bits.TrailingZeros64(rest), hi)
+		}
+		lo = (w + 1) << 6
+	}
+	return hi
 }
 
 // parseTCP consumes one message from conn, performing the paper's two
