@@ -4,10 +4,10 @@
 //
 // Usage:
 //
-//	repro -all              # every figure, table, ablation and suite
+//	repro -all              # every figure, table and suite
 //	repro -fig 1,2,7        # specific figures
 //	repro -table1           # the overhead breakdown
-//	repro -ablations        # the extension experiments
+//	repro -suite ablations  # the extension experiments
 //	repro -full             # paper-complete sweep ranges (slower)
 //	repro -suite rma,scale -baseline . -out out
 //	                        # run suites, gate each against ./BENCH_<name>.json,
@@ -30,19 +30,17 @@ func main() {
 	figs := flag.String("fig", "", "comma-separated figure numbers (1-9)")
 	table1 := flag.Bool("table1", false, "regenerate Table 1")
 	matmul := flag.Bool("matmul", false, "run the matrix-multiply experiment (§6.1)")
-	ablations := flag.Bool("ablations", false, "run the ablation experiments")
 	all := flag.Bool("all", false, "run everything")
 	full := flag.Bool("full", false, "use the paper's full sweep ranges")
 	iters := flag.Int("iters", 5, "repetitions per point")
-	svgDir := flag.String("svg", "", "also write each figure as an SVG chart into this directory")
+	svgDir := flag.String("svg", "", "also write each figure, a suite's included, as an SVG chart into this directory")
 	suiteSpec := flag.String("suite", "", "comma-separated benchmark suites to run, or \"all\" (an unknown name lists the registered ones)")
 	baselineDir := flag.String("baseline", "", "with -suite: gate each suite against BENCH_<name>.json in this directory and exit nonzero on a regression (the static floors apply regardless)")
 	outDir := flag.String("out", "", "with -suite: write each fresh BENCH_<name>.json into this directory")
 	flag.Parse()
 
 	o := bench.Opts{Iters: *iters, Full: *full}
-	emit := func(f bench.Figure) {
-		fmt.Println(f)
+	chart := func(f bench.Figure) {
 		if *svgDir == "" {
 			return
 		}
@@ -56,6 +54,10 @@ func main() {
 		}
 		fmt.Printf("  wrote %s\n\n", path)
 	}
+	emit := func(f bench.Figure) {
+		fmt.Println(f)
+		chart(f)
+	}
 
 	want := map[string]bool{}
 	if *figs != "" {
@@ -67,9 +69,9 @@ func main() {
 		for i := 1; i <= 9; i++ {
 			want[fmt.Sprint(i)] = true
 		}
-		*table1, *matmul, *ablations, *suiteSpec = true, true, true, "all"
+		*table1, *matmul, *suiteSpec = true, true, "all"
 	}
-	if len(want) == 0 && !*table1 && !*matmul && !*ablations && *suiteSpec == "" {
+	if len(want) == 0 && !*table1 && !*matmul && *suiteSpec == "" {
 		flag.Usage()
 		return
 	}
@@ -112,26 +114,6 @@ func main() {
 		}
 		emit(f)
 	}
-	if *ablations {
-		for _, fn := range []figFn{
-			bench.AblationThreshold,
-			bench.AblationBcast,
-			bench.AblationBcastLarge,
-			bench.AblationUDPLoss,
-			bench.AblationNagle,
-			bench.AblationUNet,
-			bench.AblationSlots,
-			bench.AblationCredits,
-			bench.AblationMatchLocation,
-			bench.AblationNonblockingOverlap,
-		} {
-			f, err := fn(o)
-			if err != nil {
-				log.Fatalf("ablation: %v", err)
-			}
-			emit(f)
-		}
-	}
 
 	// Every suite runs even after one fails its gate, so one invocation
 	// reports every regression and writes every record.
@@ -142,6 +124,9 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Println(res.Text)
+		for _, f := range res.Figures {
+			chart(f)
+		}
 		if *outDir != "" {
 			log.Printf("wrote %s", filepath.Join(*outDir, s.File()))
 		}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/mpi"
@@ -11,6 +12,49 @@ import (
 // Ablations beyond the paper's figures, covering the design choices
 // DESIGN.md calls out: the crossover threshold, the broadcast algorithm,
 // and the cost of reliability under datagram loss.
+
+// AblationsReport is the record the ablations suite writes as
+// BENCH_ablations.json: every ablation figure, in the order Ablations runs
+// them. All of it is simulated time, so the record is byte-reproducible.
+type AblationsReport struct {
+	Figures []FigureJSON `json:"figures"`
+}
+
+func (r AblationsReport) figures() []Figure { return figuresOf(r.Figures) }
+
+// Ablations runs every ablation sweep.
+func Ablations(o Opts) (AblationsReport, error) {
+	var rep AblationsReport
+	for _, fn := range []func(Opts) (Figure, error){
+		AblationThreshold,
+		AblationBcast,
+		AblationBcastLarge,
+		AblationUDPLoss,
+		AblationNagle,
+		AblationUNet,
+		AblationSlots,
+		AblationCredits,
+		AblationMatchLocation,
+		AblationNonblockingOverlap,
+	} {
+		f, err := fn(o)
+		if err != nil {
+			return rep, err
+		}
+		rep.Figures = append(rep.Figures, f.record())
+	}
+	return rep, nil
+}
+
+// formatAblations renders the figures as text tables, a blank line between
+// them.
+func formatAblations(r AblationsReport) string {
+	var tables []string
+	for _, f := range r.figures() {
+		tables = append(tables, f.String())
+	}
+	return strings.Join(tables, "\n")
+}
 
 // AblationThreshold sweeps the Meiko eager/rendezvous threshold and
 // reports the 256-byte round trip — showing why the measured 180-byte
@@ -44,25 +88,16 @@ func AblationThreshold(o Opts) (Figure, error) {
 func AblationBcast(o Opts) (Figure, error) {
 	o = o.Norm()
 	procs := []int{2, 4, 8, 16}
-	algs := []struct {
-		name string
-		alg  mpi.BcastAlg
-	}{
-		{"hardware", mpi.BcastHardware},
-		{"binomial", mpi.BcastBinomial},
-		{"linear", mpi.BcastLinear},
-	}
 	fig := Figure{
 		ID:     "Ablation B",
 		Title:  "Broadcast algorithm (Meiko, 1 KB payload, per-bcast time)",
 		XLabel: "# processes",
 		YLabel: "us",
 	}
-	for _, a := range algs {
-		var s Series
-		s.Name = a.name
+	for _, alg := range []string{"hardware", "binomial", "linear"} {
+		s := Series{Name: alg}
 		for _, p := range procs {
-			rep, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: p, Bcast: a.alg}, func(c *mpi.Comm) error {
+			rep, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: p, Coll: "bcast=" + alg}, func(c *mpi.Comm) error {
 				buf := make([]byte, 1024)
 				for i := 0; i < o.Iters; i++ {
 					if err := c.Bcast(0, buf); err != nil {
@@ -87,14 +122,6 @@ func AblationBcast(o Opts) (Figure, error) {
 func AblationBcastLarge(o Opts) (Figure, error) {
 	o = o.Norm()
 	procs := []int{4, 8, 16}
-	algs := []struct {
-		name string
-		alg  mpi.BcastAlg
-	}{
-		{"hardware", mpi.BcastHardware},
-		{"binomial", mpi.BcastBinomial},
-		{"pipelined", mpi.BcastPipelined},
-	}
 	fig := Figure{
 		ID:     "Ablation B2",
 		Title:  "Large-payload broadcast (Meiko, 128 KB, per-bcast time)",
@@ -104,11 +131,10 @@ func AblationBcastLarge(o Opts) (Figure, error) {
 			"pipelined rendezvous lands in user buffers; the hardware broadcast pays a slot-to-user copy at bulk sizes",
 		},
 	}
-	for _, a := range algs {
-		var s Series
-		s.Name = a.name
+	for _, alg := range []string{"hardware", "binomial", "pipelined"} {
+		s := Series{Name: alg}
 		for _, p := range procs {
-			rep, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: p, Bcast: a.alg}, func(c *mpi.Comm) error {
+			rep, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: p, Coll: "bcast=" + alg}, func(c *mpi.Comm) error {
 				buf := make([]byte, 128<<10)
 				for i := 0; i < 3; i++ {
 					if err := c.Bcast(0, buf); err != nil {

@@ -2,8 +2,11 @@
 // evaluation: the Meiko transfer-mechanism and latency/bandwidth plots
 // (Figures 1-3), the cluster transport comparisons (Figures 4-6, Table 1),
 // and the application results (Figures 7-9), plus ablations over the
-// design choices DESIGN.md calls out. cmd/repro and the root bench_test.go
-// both drive this package.
+// design choices DESIGN.md calls out, and the registered suites behind the
+// committed BENCH_*.json records (suite.go). Everything it reports is
+// simulated time or an exact counter, a pure function of the seed; host time
+// is measured by the benchmark module (benchmark/) and nowhere here.
+// cmd/repro drives this package.
 package bench
 
 import (

@@ -29,6 +29,9 @@ type FigureJSON struct {
 	XLabel string       `json:"xlabel"`
 	YLabel string       `json:"ylabel"`
 	Series []SeriesJSON `json:"series"`
+	// notes is the figure's prose, kept for the text table and the chart of
+	// a fresh run but not recorded.
+	notes []string
 }
 
 // SeriesJSON is one curve: points as [x, y] pairs.
@@ -52,17 +55,22 @@ func NewAnchorsReport(as []Anchor, figs []Figure) AnchorsReport {
 		})
 	}
 	for _, f := range figs {
-		fj := FigureJSON{ID: f.ID, Title: f.Title, XLabel: f.XLabel, YLabel: f.YLabel}
-		for _, s := range f.Series {
-			sj := SeriesJSON{Name: s.Name}
-			for _, p := range s.Points {
-				sj.Points = append(sj.Points, [2]float64{float64(p.X), p.Y})
-			}
-			fj.Series = append(fj.Series, sj)
-		}
-		rep.Figures = append(rep.Figures, fj)
+		rep.Figures = append(rep.Figures, f.record())
 	}
 	return rep
+}
+
+// record converts the figure to its JSON form.
+func (f Figure) record() FigureJSON {
+	fj := FigureJSON{ID: f.ID, Title: f.Title, XLabel: f.XLabel, YLabel: f.YLabel, notes: f.Notes}
+	for _, s := range f.Series {
+		sj := SeriesJSON{Name: s.Name}
+		for _, p := range s.Points {
+			sj.Points = append(sj.Points, [2]float64{float64(p.X), p.Y})
+		}
+		fj.Series = append(fj.Series, sj)
+	}
+	return fj
 }
 
 // anchorsRecord measures the anchors suite's record: the ten calibration
@@ -85,7 +93,7 @@ func anchorsRecord(o Opts) (AnchorsReport, error) {
 
 // figure rebuilds the plottable figure from its record.
 func (fj FigureJSON) figure() Figure {
-	f := Figure{ID: fj.ID, Title: fj.Title, XLabel: fj.XLabel, YLabel: fj.YLabel}
+	f := Figure{ID: fj.ID, Title: fj.Title, XLabel: fj.XLabel, YLabel: fj.YLabel, Notes: fj.notes}
 	for _, s := range fj.Series {
 		ser := Series{Name: s.Name}
 		for _, p := range s.Points {
@@ -105,9 +113,20 @@ func formatAnchorsReport(r AnchorsReport) string {
 	}
 	var b strings.Builder
 	b.WriteString(FormatAnchors(as))
-	for _, fj := range r.Figures {
+	for _, f := range r.figures() {
 		b.WriteByte('\n')
-		b.WriteString(fj.figure().String())
+		b.WriteString(f.String())
 	}
 	return b.String()
 }
+
+// figuresOf rebuilds the plottable figures of a record.
+func figuresOf(fjs []FigureJSON) []Figure {
+	figs := make([]Figure, len(fjs))
+	for i, fj := range fjs {
+		figs[i] = fj.figure()
+	}
+	return figs
+}
+
+func (r AnchorsReport) figures() []Figure { return figuresOf(r.Figures) }

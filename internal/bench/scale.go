@@ -17,21 +17,14 @@ import (
 // lanes on parallel workers, on a kernel-level dissemination barrier — the
 // densest cross-node traffic pattern the simulator runs (every rank sends
 // every round, every send crosses the fabric). The world is built directly
-// on sim procs, Conds, and Route so the sweep measures the kernel itself
-// rather than the MPI engine above it. The sharded-over-single speedup is
-// recorded but not floored: both run the same proc switch, so what is left
-// is heap partitioning.
+// on sim procs, Conds, and Route so the sweep exercises the kernel itself
+// rather than the MPI engine above it.
 //
-// Regression arms, none of which compares host speed across machines:
-//   - Allocations per event in the sharded kernel's steady state: exact
-//     and deterministic; any nonzero value fails outright.
-//   - The deterministic fields of every point (events, virtual time, epochs,
-//     stalls, routed envelopes, mailbox depth; virtual time per collective
-//     point) against the committed baseline, exactly.
-//   - The pinned-worker parallel executor against the sequential sharded
-//     kernel, both measured in the same run: never meaningfully slower.
-//     Absolute events/sec is recorded for trajectory plots but never gated —
-//     it is hardware-bound and drifts ±15% between runs on one machine.
+// Every recorded field is a pure function of the seed — event counts,
+// virtual time, the sharded control-plane counters, allocations per event —
+// so the record is byte-reproducible. How fast the host executes those
+// events is the benchmark module's question (sim.sched.ns_per_event,
+// sim.shard.parallel_speedup), not this sweep's.
 //
 // Every point also cross-checks determinism: the standalone scheduler, the
 // sequential shard, and the parallel shard must execute the identical event
@@ -42,15 +35,8 @@ import (
 // revisions.
 const scaleIters = 10
 
-// scaleSchemaVersion identifies the BENCH_scale.json layout. Version 0 is
-// the original mem-only record (no version field); version 1 adds the
-// measuring machine's GOMAXPROCS, the per-point parallel speedup, and the
-// per-backend collective points. A version-0 baseline still decodes, its
-// backendless collective points reading as "mem".
-const scaleSchemaVersion = 1
-
-// ScalePoint is one rank count in BENCH_scale.json: both drivers measured
-// on the same world, plus the sharded control-plane counters.
+// ScalePoint is one rank count in BENCH_scale.json: the same world under
+// all three drivers, plus the sharded control-plane counters.
 type ScalePoint struct {
 	Ranks  int `json:"ranks"`
 	Lanes  int `json:"lanes"`
@@ -59,16 +45,6 @@ type ScalePoint struct {
 	Events    uint64  `json:"events"`     // identical across kernels (asserted)
 	VirtualUs float64 `json:"virtual_us"` // identical across kernels (asserted)
 	Identical bool    `json:"identical"`  // events and virtual time matched across all kernels
-
-	SingleEvPerSec   float64 `json:"single_ev_per_sec"`
-	ShardEvPerSec    float64 `json:"shard_ev_per_sec"`
-	ParallelEvPerSec float64 `json:"parallel_ev_per_sec"`
-	Speedup          float64 `json:"speedup"` // sharded (sequential) over single, same machine
-	// ParallelSpeedup is the pinned-worker executor over the sequential
-	// sharded kernel at the 1 µs lookahead — the focused Shard.Parallel
-	// regression arm. On a single-core machine it measures pure overhead
-	// (one channel handoff per epoch) and hovers near 1.0.
-	ParallelSpeedup float64 `json:"parallel_speedup"`
 
 	Epochs           uint64 `json:"epochs"`
 	Stalls           uint64 `json:"stalls"`
@@ -82,40 +58,20 @@ type ScalePoint struct {
 // backend family — the mem reference at 1k+ ranks, plus the Meiko and
 // cluster models at the rank counts their heavier per-message cost models
 // afford — so the whole stack (engine, flow, collectives, media stages) is
-// proven on the sharded kernel, not just raw sim procs. The fault sweeps
-// stay on the single-lane kernel: the injector's RNG stream is world-global,
-// so the registry rejects faults combined with lanes.
+// proven on the sharded kernel, not just raw sim procs.
 type ScaleCollPoint struct {
-	// Backend is the registry key the point ran on; empty in schema-v0
-	// baselines, which only swept "mem".
-	Backend   string  `json:"backend,omitempty"`
+	Backend   string  `json:"backend"` // the registry key the point ran on
 	Op        string  `json:"op"`
 	Ranks     int     `json:"ranks"`
 	Bytes     int     `json:"bytes"`
 	VirtualUs float64 `json:"virtual_us"`
 	Identical bool    `json:"identical"` // per-rank virtual finish times match across kernels
-	Speedup   float64 `json:"speedup"`   // sharded over single wall clock, same machine
-}
-
-// collBackend reports a point's backend, naming "mem" for schema-v0
-// baselines that predate the field.
-func collBackend(p ScaleCollPoint) string {
-	if p.Backend == "" {
-		return "mem"
-	}
-	return p.Backend
 }
 
 // ScaleReport is the machine-readable record cmd/repro writes as
 // BENCH_scale.json. The committed copy is the regression baseline CI
 // compares against (see checkScale).
 type ScaleReport struct {
-	// SchemaVersion is scaleSchemaVersion at write time; 0 marks the
-	// original mem-only layout.
-	SchemaVersion int `json:"schema_version,omitempty"`
-	// MaxProcs is GOMAXPROCS on the measuring machine: the context the
-	// recorded parallel speedup has to be read in.
-	MaxProcs    int              `json:"max_procs,omitempty"`
 	Points      []ScalePoint     `json:"points"`
 	Collectives []ScaleCollPoint `json:"collectives"`
 	// LaneAllocsPerOp is the steady-state heap allocations per executed
@@ -126,11 +82,10 @@ type ScaleReport struct {
 	LaneAllocsPerOp int64 `json:"lane_allocs_per_op"`
 }
 
-// scaleRun is one measured execution of the dissemination-barrier world.
+// scaleRun is one execution of the dissemination-barrier world.
 type scaleRun struct {
 	events  uint64
 	virtual sim.Time
-	wall    time.Duration
 	stats   sim.ShardStats // zero value on a standalone scheduler
 }
 
@@ -188,12 +143,11 @@ func dissemWorld(ranks, lanes, iters int, parallel bool) scaleRun {
 			}
 		})
 	}
-	start := time.Now()
 	end, err := drive()
 	if err != nil {
 		panic(fmt.Sprintf("bench: scale world failed: %v", err))
 	}
-	r := scaleRun{virtual: end, wall: time.Since(start)}
+	r := scaleRun{virtual: end}
 	if sh != nil {
 		r.stats = sh.Stats()
 		r.events = r.stats.Events
@@ -201,19 +155,6 @@ func dissemWorld(ranks, lanes, iters int, parallel bool) scaleRun {
 		r.events = root.Events()
 	}
 	return r
-}
-
-// bestOf runs fn reps times and keeps the fastest wall clock (virtual time
-// and event counts are deterministic, so repetitions only shed scheduler
-// and allocator noise).
-func bestOf(reps int, fn func() scaleRun) scaleRun {
-	best := fn()
-	for i := 1; i < reps; i++ {
-		if r := fn(); r.wall < best.wall {
-			best.wall = r.wall
-		}
-	}
-	return best
 }
 
 // laneAllocsPerOp probes the sharded kernel's steady-state allocation rate:
@@ -241,21 +182,15 @@ func laneAllocsPerOp(ranks int) int64 {
 }
 
 // collAtScale runs one collective on the named backend at ranks on the
-// given kernel (lanes 0 = single) and reports per-rank finish times plus
-// wall clock.
-func collAtScale(backend, op string, ranks, lanes, n int) ([]sim.Duration, time.Duration, error) {
+// given kernel (lanes 0 = single) and reports per-rank finish times.
+func collAtScale(backend, op string, ranks, lanes, n int) ([]sim.Duration, error) {
 	spec := registry.SpecFor(backend)
 	spec.Ranks, spec.Lanes, spec.Seed = ranks, lanes, 1
-	w, err := registry.Build(spec)
+	rep, err := registry.Run(spec, func(c *mpi.Comm) error { return collBody(c, op, n, 1) })
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	start := time.Now()
-	rep, err := mpi.Launch(w, func(c *mpi.Comm) error { return collBody(c, op, n, 1) })
-	if err != nil {
-		return nil, 0, err
-	}
-	return rep.RankElapsed, time.Since(start), nil
+	return rep.RankElapsed, nil
 }
 
 // scaleCollBackends are the backend families the collective sweep proves on
@@ -285,11 +220,11 @@ func scaleCollectives(full bool) ([]ScaleCollPoint, error) {
 				op string
 				n  int
 			}{{"barrier", 0}, {"bcast", 1024}, {"allreduce", 1024}} {
-				single, w0, err := collAtScale(bk.backend, c.op, ranks, 0, c.n)
+				single, err := collAtScale(bk.backend, c.op, ranks, 0, c.n)
 				if err != nil {
 					return nil, fmt.Errorf("%s %s ranks=%d single: %w", bk.backend, c.op, ranks, err)
 				}
-				shard, w1, err := collAtScale(bk.backend, c.op, ranks, ranks, c.n)
+				shard, err := collAtScale(bk.backend, c.op, ranks, ranks, c.n)
 				if err != nil {
 					return nil, fmt.Errorf("%s %s ranks=%d sharded: %w", bk.backend, c.op, ranks, err)
 				}
@@ -304,9 +239,6 @@ func scaleCollectives(full bool) ([]ScaleCollPoint, error) {
 					}
 				}
 				p.VirtualUs = float64(max) / 1e3
-				if w1 > 0 {
-					p.Speedup = w0.Seconds() / w1.Seconds()
-				}
 				out = append(out, p)
 			}
 		}
@@ -317,17 +249,16 @@ func scaleCollectives(full bool) ([]ScaleCollPoint, error) {
 // ScaleBench runs the rank sweep under every driver, the full-MPI collective
 // re-runs, and the allocation probe.
 func ScaleBench(o Opts) (ScaleReport, error) {
-	o = o.Norm()
 	rankPoints := []int{64, 256, 1024, 4096}
 	if o.Full {
 		rankPoints = append(rankPoints, 16384)
 	}
-	rep := ScaleReport{SchemaVersion: scaleSchemaVersion, MaxProcs: runtime.GOMAXPROCS(0)}
+	var rep ScaleReport
 	for _, ranks := range rankPoints {
-		single := bestOf(o.Iters, func() scaleRun { return dissemWorld(ranks, 0, scaleIters, false) })
-		shard := bestOf(o.Iters, func() scaleRun { return dissemWorld(ranks, ranks, scaleIters, false) })
-		par := bestOf(o.Iters, func() scaleRun { return dissemWorld(ranks, ranks, scaleIters, true) })
-		p := ScalePoint{
+		single := dissemWorld(ranks, 0, scaleIters, false)
+		shard := dissemWorld(ranks, ranks, scaleIters, false)
+		par := dissemWorld(ranks, ranks, scaleIters, true)
+		rep.Points = append(rep.Points, ScalePoint{
 			Ranks:     ranks,
 			Lanes:     ranks,
 			Rounds:    bits.Len(uint(ranks - 1)),
@@ -335,21 +266,11 @@ func ScaleBench(o Opts) (ScaleReport, error) {
 			VirtualUs: single.virtual.Duration().Seconds() * 1e6,
 			Identical: single.events == shard.events && shard.events == par.events &&
 				single.virtual == shard.virtual && shard.virtual == par.virtual,
-			SingleEvPerSec:   float64(single.events) / single.wall.Seconds(),
-			ShardEvPerSec:    float64(shard.events) / shard.wall.Seconds(),
-			ParallelEvPerSec: float64(par.events) / par.wall.Seconds(),
 			Epochs:           shard.stats.Epochs,
 			Stalls:           shard.stats.Stalls,
 			Routed:           shard.stats.Routed,
 			MailboxHighWater: shard.stats.MailboxHighWater,
-		}
-		if p.SingleEvPerSec > 0 {
-			p.Speedup = p.ShardEvPerSec / p.SingleEvPerSec
-		}
-		if p.ShardEvPerSec > 0 {
-			p.ParallelSpeedup = p.ParallelEvPerSec / p.ShardEvPerSec
-		}
-		rep.Points = append(rep.Points, p)
+		})
 	}
 	coll, err := scaleCollectives(o.Full)
 	if err != nil {
@@ -364,32 +285,26 @@ func ScaleBench(o Opts) (ScaleReport, error) {
 func FormatScale(r ScaleReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Kernel scale sweep (dissemination barrier, %d iterations)\n", scaleIters)
-	fmt.Fprintf(&b, "  %6s %6s %10s %12s %12s %12s %8s %7s %9s %5s\n",
-		"ranks", "lanes", "events", "single ev/s", "shard ev/s", "par ev/s", "speedup", "epochs", "routed", "ident")
+	fmt.Fprintf(&b, "  %6s %6s %10s %11s %7s %7s %9s %8s %5s\n",
+		"ranks", "lanes", "events", "virtual µs", "epochs", "stalls", "routed", "mailbox", "ident")
 	for _, p := range r.Points {
-		fmt.Fprintf(&b, "  %6d %6d %10d %12.0f %12.0f %12.0f %7.2fx %7d %9d %5v\n",
-			p.Ranks, p.Lanes, p.Events, p.SingleEvPerSec, p.ShardEvPerSec, p.ParallelEvPerSec,
-			p.Speedup, p.Epochs, p.Routed, p.Identical)
+		fmt.Fprintf(&b, "  %6d %6d %10d %11.1f %7d %7d %9d %8d %5v\n",
+			p.Ranks, p.Lanes, p.Events, p.VirtualUs, p.Epochs, p.Stalls, p.Routed, p.MailboxHighWater, p.Identical)
 	}
 	if len(r.Collectives) > 0 {
 		fmt.Fprintf(&b, "  full-MPI collectives at scale (sharded vs single kernel)\n")
-		fmt.Fprintf(&b, "  %-18s %10s %6s %8s %12s %8s %5s\n", "backend", "op", "ranks", "bytes", "virtual µs", "speedup", "ident")
+		fmt.Fprintf(&b, "  %-18s %10s %6s %8s %12s %5s\n", "backend", "op", "ranks", "bytes", "virtual µs", "ident")
 		for _, p := range r.Collectives {
-			fmt.Fprintf(&b, "  %-18s %10s %6d %8d %12.1f %7.2fx %5v\n", collBackend(p), p.Op, p.Ranks, p.Bytes, p.VirtualUs, p.Speedup, p.Identical)
+			fmt.Fprintf(&b, "  %-18s %10s %6d %8d %12.1f %5v\n", p.Backend, p.Op, p.Ranks, p.Bytes, p.VirtualUs, p.Identical)
 		}
 	}
 	fmt.Fprintf(&b, "  lane scheduling steady state: %d allocs/event\n", r.LaneAllocsPerOp)
 	return b.String()
 }
 
-// Static floors the gate enforces regardless of baseline.
-const (
-	scaleGateRanks = 1024 // the parallel floor applies at the largest point from this scale up
-	// The pinned-worker executor must never be meaningfully slower than the
-	// sequential sharded kernel (slack absorbs the per-epoch handoff and
-	// timer noise).
-	scaleParSlack = 0.90
-)
+// scaleGateRanks is the rank count a report must reach: a sweep that stops
+// short of it proves nothing about scale.
+const scaleGateRanks = 1024
 
 // swept keeps the baseline points the current run also swept: a -full
 // baseline carries larger rank counts than a plain run, and those are not
@@ -408,36 +323,30 @@ func swept[P any](base, cur []P, key func(P) string) []P {
 	return out
 }
 
-// checkScale gates a fresh report: the static floors always, and against a
-// baseline the deterministic fields exactly. Allocation counts are exact,
-// so any increase fails. No arm takes a tolerance: nothing the scale gate
-// compares across runs is hardware-bound.
+// checkScale gates a fresh report: the static floors always (zero
+// allocations per event, every kernel in agreement, every backend family
+// present), and against a baseline every counter and virtual time exactly.
+// No arm takes a tolerance: nothing in the record is hardware-bound.
 func checkScale(cur ScaleReport, base *ScaleReport) []string {
 	var fails []string
 	if cur.LaneAllocsPerOp != 0 {
 		fails = append(fails, fmt.Sprintf("lane scheduling allocates %d objects/event, want 0", cur.LaneAllocsPerOp))
 	}
-	var gatePoint *ScalePoint
-	for i := range cur.Points {
-		p := &cur.Points[i]
+	atScale := false
+	for _, p := range cur.Points {
 		if !p.Identical {
 			fails = append(fails, fmt.Sprintf("ranks=%d: kernels diverged (events or virtual time differ between single, sharded, and parallel)", p.Ranks))
 		}
-		if p.Ranks >= scaleGateRanks {
-			gatePoint = p
-		}
+		atScale = atScale || p.Ranks >= scaleGateRanks
 	}
-	if gatePoint == nil {
+	if !atScale {
 		fails = append(fails, fmt.Sprintf("no >=%d-rank point in report", scaleGateRanks))
-	} else if gatePoint.ParallelEvPerSec < gatePoint.ShardEvPerSec*scaleParSlack {
-		fails = append(fails, fmt.Sprintf("ranks=%d parallel executor %.0f ev/s slower than sequential sharded %.0f ev/s",
-			gatePoint.Ranks, gatePoint.ParallelEvPerSec, gatePoint.ShardEvPerSec))
 	}
 	seenBackend := map[string]bool{}
 	for _, p := range cur.Collectives {
-		seenBackend[collBackend(p)] = true
+		seenBackend[p.Backend] = true
 		if !p.Identical {
-			fails = append(fails, fmt.Sprintf("%s %s ranks=%d: per-rank finish times diverged between kernels", collBackend(p), p.Op, p.Ranks))
+			fails = append(fails, fmt.Sprintf("%s %s ranks=%d: per-rank finish times diverged between kernels", p.Backend, p.Op, p.Ranks))
 		}
 	}
 	for _, bk := range scaleCollBackends {
@@ -448,9 +357,6 @@ func checkScale(cur ScaleReport, base *ScaleReport) []string {
 	if base == nil {
 		return fails
 	}
-	if cur.LaneAllocsPerOp > base.LaneAllocsPerOp {
-		fails = append(fails, fmt.Sprintf("lane allocs/event %d exceeds baseline %d", cur.LaneAllocsPerOp, base.LaneAllocsPerOp))
-	}
 	pointKey := func(p ScalePoint) string { return fmt.Sprintf("ranks=%d", p.Ranks) }
 	fails = append(fails, drift("point", cur.Points, swept(base.Points, cur.Points, pointKey), pointKey, 0,
 		lower("events", func(p ScalePoint) float64 { return float64(p.Events) }),
@@ -460,7 +366,7 @@ func checkScale(cur ScaleReport, base *ScaleReport) []string {
 		lower("routed", func(p ScalePoint) float64 { return float64(p.Routed) }),
 		lower("mailbox_high_water", func(p ScalePoint) float64 { return float64(p.MailboxHighWater) }))...)
 	collKey := func(p ScaleCollPoint) string {
-		return fmt.Sprintf("%s %s ranks=%d bytes=%d", collBackend(p), p.Op, p.Ranks, p.Bytes)
+		return fmt.Sprintf("%s %s ranks=%d bytes=%d", p.Backend, p.Op, p.Ranks, p.Bytes)
 	}
 	return append(fails, drift("collective", cur.Collectives, swept(base.Collectives, cur.Collectives, collKey), collKey, 0,
 		lower("virtual_us", func(p ScaleCollPoint) float64 { return p.VirtualUs }))...)

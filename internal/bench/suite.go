@@ -27,6 +27,7 @@ type Result struct {
 	Text     string   // the table the CLI prints
 	Record   []byte   // the BENCH_<name>.json bytes
 	Findings []string // gate failures; empty means the gate passes
+	Figures  []Figure // the figures in the report, for charting; most suites have none
 }
 
 // suiteTol is the fractional drift the baseline gates allow on a metric that
@@ -38,16 +39,17 @@ var suites = []Suite{
 	newSuite("anchors", anchorsRecord, formatAnchorsReport, nil),
 	newSuite("collectives", Collectives, FormatCollectives, nil),
 	newSuite("faults", Faults, FormatFaults, nil),
-	newSuite("match", MatchBench, FormatMatch, checkMatch),
 	newSuite("rma", RMABench, FormatRMA, checkRMA),
 	newSuite("scale", ScaleBench, FormatScale, checkScale),
 	newSuite("chaos", Chaos, FormatChaos, checkChaos),
 	newSuite("workloads", Workloads, FormatWorkloads, checkWorkloads),
+	newSuite("ablations", Ablations, formatAblations, nil),
 }
 
 // newSuite adapts one report type to a Suite. The record encoding, the
 // baseline decoding and the nil-baseline case live here and nowhere else;
-// gate may be nil for a sweep that is recorded but not gated.
+// gate may be nil for a sweep that is recorded but not gated. A report with
+// a figures method (anchors, ablations) fills Result.Figures.
 func newSuite[R any](name string, run func(Opts) (R, error), format func(R) string, gate func(cur R, base *R) []string) Suite {
 	decode := func(what string, data []byte) (*R, error) {
 		r := new(R)
@@ -85,7 +87,11 @@ func newSuite[R any](name string, run func(Opts) (R, error), format func(R) stri
 			if err != nil {
 				return Result{}, fmt.Errorf("%s record: %w", name, err)
 			}
-			return Result{Text: format(cur), Record: append(rec, '\n'), Findings: findings(cur, base)}, nil
+			res := Result{Text: format(cur), Record: append(rec, '\n'), Findings: findings(cur, base)}
+			if f, ok := any(cur).(interface{ figures() []Figure }); ok {
+				res.Figures = f.figures()
+			}
+			return res, nil
 		},
 		Check: func(record, baseline []byte) ([]string, error) {
 			cur, err := decode("record", record)

@@ -2,6 +2,9 @@ package bench
 
 import (
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"sort"
@@ -60,15 +63,14 @@ func TestSuites(t *testing.T) {
 		t.Fatal(err)
 	}
 	var names []string
-	seen := map[string]bool{}
 	for _, s := range all {
-		if seen[s.Name] {
-			t.Errorf("suite %q registered twice", s.Name)
-		}
-		seen[s.Name] = true
 		names = append(names, s.Name)
 	}
 	sort.Strings(names)
+	// Eight suites, each once, all of one kind.
+	if got, want := strings.Join(names, ","), "ablations,anchors,chaos,collectives,faults,rma,scale,workloads"; got != want {
+		t.Fatalf("registered suites %s, want %s", got, want)
+	}
 
 	// The registry and the committed records name the same set.
 	files, err := filepath.Glob(filepath.Join(repoRoot, "BENCH_*.json"))
@@ -140,33 +142,79 @@ func TestSuites(t *testing.T) {
 }
 
 // A suite run end to end through a directory pair: the record lands in the
-// output directory and gates clean against the committed baseline.
+// output directory, byte-identical to the committed one, and gates clean
+// against it. A suite whose report holds figures hands them back for
+// charting, notes included (they are not in the record).
 func TestSuiteRunDir(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full rma sweep")
+		t.Skip("full sweeps")
 	}
-	s := suiteNamed(t, "rma")
-	out := t.TempDir()
-	res, err := s.RunDir(Opts{}, repoRoot, out)
+	for _, tc := range []struct {
+		suite, text string
+		figures     int
+	}{
+		{"rma", "RDMA-write rendezvous", 0},
+		{"ablations", "note: negative result", 10},
+	} {
+		s := suiteNamed(t, tc.suite)
+		out := t.TempDir()
+		res, err := s.RunDir(Opts{}, repoRoot, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Findings) != 0 {
+			t.Fatalf("%s gate failed on the committed baseline: %v", tc.suite, res.Findings)
+		}
+		written, err := os.ReadFile(filepath.Join(out, s.File()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		committed, err := os.ReadFile(filepath.Join(repoRoot, s.File()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(written) != string(res.Record) || string(written) != string(committed) {
+			t.Fatalf("%s record differs from the committed %s", tc.suite, s.File())
+		}
+		if !strings.Contains(res.Text, tc.text) {
+			t.Fatalf("%s text table lacks %q:\n%s", tc.suite, tc.text, res.Text)
+		}
+		if len(res.Figures) != tc.figures {
+			t.Fatalf("%s result carries %d figures, want %d", tc.suite, len(res.Figures), tc.figures)
+		}
+	}
+}
+
+// One clock per harness: this package reports simulated time and exact
+// counters only, so every record is a pure function of the seed. Host time
+// is the benchmark module's (benchmark/), and nothing here may read it.
+func TestNoHostClock(t *testing.T) {
+	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Findings) != 0 {
-		t.Fatalf("rma gate failed on the committed baseline: %v", res.Findings)
-	}
-	written, err := os.ReadFile(filepath.Join(out, s.File()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	committed, err := os.ReadFile(filepath.Join(repoRoot, s.File()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(written) != string(res.Record) || string(written) != string(committed) {
-		t.Fatalf("rma record differs from the committed %s", s.File())
-	}
-	if !strings.Contains(res.Text, "RDMA-write rendezvous") {
-		t.Fatalf("rma text table missing:\n%s", res.Text)
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range file.Imports {
+			if imp.Path.Value == `"testing"` {
+				t.Errorf("%s imports \"testing\" outside a test", fset.Position(imp.Pos()))
+			}
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "time" && (sel.Sel.Name == "Now" || sel.Sel.Name == "Since") {
+					t.Errorf("%s reads the host clock (time.%s)", fset.Position(sel.Pos()), sel.Sel.Name)
+				}
+			}
+			return true
+		})
 	}
 }
 

@@ -35,9 +35,9 @@ func envMatches(e Envelope, src, tag, ctx int) bool {
 // both queues strictly in arrival/post order.
 //
 // The engine's hot path uses the indexed Matcher instead; LinearMatcher is
-// kept as the oracle the differential and fuzz tests (and the speedup
-// baseline of `repro -suite match`) compare against. Both types expose the identical
-// method set, so either satisfies matchQueue.
+// kept as the oracle the differential and fuzz tests compare it against
+// (matchdiff_test.go), not as a speed baseline. Both types expose the
+// identical method set.
 type LinearMatcher struct {
 	posted     []*Request
 	unexpected []*InMsg

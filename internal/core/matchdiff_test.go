@@ -150,31 +150,139 @@ func FuzzMatchDiff(f *testing.F) {
 	})
 }
 
-// TestMatcherArriveAllocFree locks the steady-state arrival path at zero
-// allocations: after warmup, Arrive + re-post cycles must not touch the
-// heap.
-func TestMatcherArriveAllocFree(t *testing.T) {
-	var m Matcher
-	const n = 64
-	reqs := make([]*Request, n)
-	for i := range reqs {
-		reqs[i] = &Request{IsRecv: true, Env: Envelope{Source: i % 4, Tag: i, Context: 0}}
-		m.PostRecv(reqs[i])
+// postedCycle builds the arrive/posted scenario at the given depth: depth
+// posted receives, every (source, tag) distinct, and an arrival that matches
+// the last-posted one — the whole-queue scan for a linear matcher, one bin
+// for the indexed one. Each cycle re-posts the matched receive, so the depth
+// holds.
+func postedCycle(t *testing.T, depth int) (*Matcher, func()) {
+	m := &Matcher{}
+	for i := 0; i < depth; i++ {
+		m.PostRecv(recvReq(i%4, i, 0))
 	}
-	env := Envelope{Source: (n - 1) % 4, Tag: n - 1, Context: 0}
-	cycle := func() {
+	env := Envelope{Source: (depth - 1) % 4, Tag: depth - 1, Context: 0}
+	return m, func() {
 		r := m.Arrive(env)
 		if r == nil {
 			t.Fatal("arrival missed posted receive")
 		}
 		m.PostRecv(r)
 	}
-	for i := 0; i < 512; i++ { // warm bins, freelists and slice capacity
+}
+
+// unexpectedCycle is the mirror image: depth queued unexpected messages and
+// a receive that matches the last-queued one; each cycle re-queues it.
+func unexpectedCycle(t *testing.T, depth int) (*Matcher, *Request, func()) {
+	m := &Matcher{}
+	for i := 0; i < depth; i++ {
+		m.AddUnexpected(&InMsg{Env: Envelope{Source: i % 4, Tag: i, Context: 0, Seq: uint64(i + 1)}})
+	}
+	req := recvReq((depth-1)%4, depth-1, 0)
+	return m, req, func() {
+		msg := m.PostRecv(req)
+		if msg == nil {
+			t.Fatal("post missed unexpected message")
+		}
+		m.AddUnexpected(msg)
+	}
+}
+
+// binShape reports a bin's live entries and its window: the live entries
+// plus the tombstones not yet reclaimed.
+func binShape(q *entQ) (live, window int) {
+	for _, ent := range q.items[q.head:] {
+		if !ent.removed {
+			live++
+		}
+	}
+	return live, len(q.items) - q.head
+}
+
+// TestMatcherConstantTimeStructure asserts what makes the two hot cycles
+// O(1), exactly, where a stopwatch could only suggest it: whatever the total
+// depth, the one bin the operation reads holds one live entry and nothing
+// else, an all-exact workload populates no wildcard class (so Arrive
+// consults that one bin), and cycling leaves no tombstone backlog — none in
+// the bin read, at most a compaction window's worth in an unexpected
+// entry's three sibling bins.
+func TestMatcherConstantTimeStructure(t *testing.T) {
+	for _, depth := range []int{64, 4096} {
+		t.Run(fmt.Sprintf("arrive/posted%d", depth), func(t *testing.T) {
+			m, cycle := postedCycle(t, depth)
+			for i := 0; i < 3*depth; i++ {
+				cycle()
+			}
+			if m.PostedLen() != depth || len(m.posted) != depth {
+				t.Fatalf("%d posted in %d bins, want %d in %d", m.PostedLen(), len(m.posted), depth, depth)
+			}
+			if m.wTag != 0 || m.wSrc != 0 || m.wBoth != 0 {
+				t.Fatalf("wildcard classes populated (%d,%d,%d): Arrive would consult more than one bin", m.wTag, m.wSrc, m.wBoth)
+			}
+			for key, q := range m.posted { // the arrival's bin among them
+				if live, _ := binShape(q); live != 1 || len(q.items) != 1 {
+					t.Fatalf("bin %x: %d live in %d slots, want 1 in 1", key, live, len(q.items))
+				}
+			}
+		})
+		t.Run(fmt.Sprintf("post/unexpected%d", depth), func(t *testing.T) {
+			m, req, cycle := unexpectedCycle(t, depth)
+			for i := 0; i < 3*depth; i++ {
+				cycle()
+			}
+			if m.UnexpectedLen() != depth || m.PostedLen() != 0 {
+				t.Fatalf("depths (%d unexpected, %d posted), want (%d, 0)", m.UnexpectedLen(), m.PostedLen(), depth)
+			}
+			q := m.unex[mkKey(req.Env.Source, req.Env.Tag, req.Env.Context)]
+			if live, _ := binShape(q); live != 1 || len(q.items) != 1 {
+				t.Fatalf("the receive's bin: %d live in %d slots, want 1 in 1", live, len(q.items))
+			}
+			for key, q := range m.unex {
+				if live, window := binShape(q); window > 2*live+minCompactWindow {
+					t.Fatalf("bin %x: window %d over %d live entries, tombstones are piling up", key, window, live)
+				}
+			}
+		})
+	}
+}
+
+// requireAllocFree warms cycle (bins, freelists, slice capacity) and fails
+// if it touches the heap after that.
+func requireAllocFree(t *testing.T, what string, cycle func()) {
+	t.Helper()
+	for i := 0; i < 512; i++ {
 		cycle()
 	}
 	if allocs := testing.AllocsPerRun(500, cycle); allocs != 0 {
-		t.Fatalf("steady-state Arrive/PostRecv allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("steady-state %s allocates %.1f objects/op, want 0", what, allocs)
 	}
+}
+
+// TestMatcherArriveAllocFree locks the steady-state arrival path at zero
+// allocations: Arrive + re-post against 64 posted receives, and the whole
+// engine-side eager receive — take a pooled bounce buffer, copy the payload
+// in (the transport), match the arrival, copy out to the user buffer,
+// recycle the bounce buffer, re-post.
+func TestMatcherArriveAllocFree(t *testing.T) {
+	_, posted := postedCycle(t, 64)
+	requireAllocFree(t, "Arrive/PostRecv", posted)
+
+	var m Matcher
+	pool := NewBufPool(nil)
+	payload := make([]byte, 256)
+	req := recvReq(AnySource, 7, 0)
+	req.Buf = make([]byte, 256)
+	m.PostRecv(req)
+	requireAllocFree(t, "eager receive path", func() {
+		data := pool.Get(len(payload))
+		copy(data, payload)
+		r := m.Arrive(Envelope{Source: 1, Tag: 7, Context: 0})
+		if r == nil {
+			t.Fatal("eager arrival missed posted receive")
+		}
+		copy(r.Buf, data)
+		pool.Put(data)
+		m.PostRecv(r)
+	})
 }
 
 // TestMatcherUnexpectedAllocFree locks the unexpected-queue cycle
@@ -183,19 +291,13 @@ func TestMatcherArriveAllocFree(t *testing.T) {
 func TestMatcherUnexpectedAllocFree(t *testing.T) {
 	var m Matcher
 	msg := &InMsg{Env: Envelope{Source: 1, Tag: 3, Context: 0}}
-	req := &Request{IsRecv: true, Env: Envelope{Source: AnySource, Tag: 3, Context: 0}}
-	cycle := func() {
+	req := recvReq(AnySource, 3, 0)
+	requireAllocFree(t, "unexpected cycle", func() {
 		m.AddUnexpected(msg)
 		if got := m.PostRecv(req); got != msg {
 			t.Fatal("unexpected message not matched")
 		}
-	}
-	for i := 0; i < 512; i++ {
-		cycle()
-	}
-	if allocs := testing.AllocsPerRun(500, cycle); allocs != 0 {
-		t.Fatalf("steady-state unexpected cycle allocates %.1f objects/op, want 0", allocs)
-	}
+	})
 }
 
 // TestBufPoolRecycles checks class rounding, hit/miss accounting and the

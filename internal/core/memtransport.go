@@ -56,13 +56,12 @@ func (f *MemFabric) Attach(e *Engine) *MemTransport {
 	f.n = e.Size()
 	s := f.schedFor(e.Rank())
 	t := &MemTransport{
-		fab:       f,
-		eng:       e,
-		s:         s,
-		rank:      e.Rank(),
-		avail:     make(map[int]int),
-		sendQ:     make(map[int][]*Request),
-		creditCnd: sim.NewCond(s),
+		fab:   f,
+		eng:   e,
+		s:     s,
+		rank:  e.Rank(),
+		avail: make(map[int]int),
+		sendQ: make(map[int]*FIFO[*Request]),
 	}
 	f.eps[e.Rank()] = t
 	e.SetTransport(t)
@@ -85,9 +84,8 @@ type MemTransport struct {
 
 	// Sender-side credit state per destination; lazily initialized to the
 	// fabric's credit allotment.
-	avail     map[int]int
-	sendQ     map[int][]*Request // eager sends queued awaiting credits
-	creditCnd *sim.Cond
+	avail map[int]int
+	sendQ map[int]*FIFO[*Request] // sends queued awaiting credits, in issue order
 }
 
 var _ Transport = (*MemTransport)(nil)
@@ -139,7 +137,6 @@ func (t *MemTransport) deliver(dst int, pkt *Packet) {
 			// Credits are transport-internal: restore and drain the queue.
 			peer.avail[pkt.Env.Dest] = peer.creditsFor(pkt.Env.Dest) + pkt.Env.Count
 			peer.drainSendQ(pkt.Env.Dest)
-			peer.creditCnd.Broadcast()
 			peer.eng.Wake()
 			return
 		}
@@ -153,10 +150,9 @@ func (t *MemTransport) deliver(dst int, pkt *Packet) {
 // Engine.SendDone.
 func (t *MemTransport) drainSendQ(dst int) {
 	q := t.sendQ[dst]
-	for len(q) > 0 && t.trySend(q[0]) {
-		q = q[1:]
+	for q != nil && q.Len() > 0 && t.trySend(q.Front()) {
+		q.Pop()
 	}
-	t.sendQ[dst] = q
 }
 
 // trySend transmits req unless it is an eager message short of credits,
@@ -181,9 +177,13 @@ func (t *MemTransport) trySend(req *Request) bool {
 // Send implements Transport. Messages queue in issue order behind any
 // flow-controlled predecessor so delivery order is preserved.
 func (t *MemTransport) Send(p *sim.Proc, req *Request) {
-	dst := req.Env.Dest
-	if len(t.sendQ[dst]) > 0 || !t.trySend(req) {
-		t.sendQ[dst] = append(t.sendQ[dst], req)
+	q := t.sendQ[req.Env.Dest]
+	if q != nil && q.Len() > 0 || !t.trySend(req) {
+		if q == nil {
+			q = new(FIFO[*Request])
+			t.sendQ[req.Env.Dest] = q
+		}
+		q.Push(req)
 	}
 }
 
@@ -222,7 +222,6 @@ func (t *MemTransport) Release(p *sim.Proc, src int, n int) {
 func (t *MemTransport) PeerDown(rank int) {
 	delete(t.sendQ, rank)
 	delete(t.avail, rank)
-	t.creditCnd.Broadcast()
 }
 
 // Poll implements Transport.

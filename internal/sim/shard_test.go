@@ -501,25 +501,3 @@ func TestShardStatsAccounting(t *testing.T) {
 		t.Fatalf("LaneEvents sum %d, Events %d, sh.Events %d", sum, st.Events, sh.Events())
 	}
 }
-
-// --- benchmarks ---
-
-// BenchmarkShardCrossLaneRoute measures the full cross-lane path: stage,
-// barrier merge, and destination dispatch, ping-ponging between two lanes.
-func BenchmarkShardCrossLaneRoute(b *testing.B) {
-	sh := NewShard(1, 2, 100*time.Nanosecond)
-	n := 0
-	var ping func(lane int)
-	ping = func(lane int) {
-		n++
-		if n < b.N {
-			next := 1 - lane
-			sh.Lane(lane).RouteAfter(next, 100, func() { ping(next) })
-		}
-	}
-	sh.Lane(0).At(0, func() { ping(0) })
-	b.ResetTimer()
-	if _, err := sh.Run(); err != nil {
-		b.Fatal(err)
-	}
-}

@@ -179,7 +179,7 @@ func bitsFloat(b uint32) float32 { return math.Float32frombits(b) }
 func TestBcastPipelined(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 8} {
 		w := memWorld(n)
-		w.Bcast = BcastPipelined
+		w.Tune = Tuning{"bcast": "pipelined"}
 		_, err := Launch(w, func(c *Comm) error {
 			buf := make([]byte, 50_000) // several segments
 			if c.Rank() == 1%n {
@@ -205,7 +205,7 @@ func TestBcastPipelined(t *testing.T) {
 
 func TestBcastPipelinedSmallPayload(t *testing.T) {
 	w := memWorld(4)
-	w.Bcast = BcastPipelined
+	w.Tune = Tuning{"bcast": "pipelined"}
 	_, err := Launch(w, func(c *Comm) error {
 		buf := []byte{0}
 		if c.Rank() == 0 {

@@ -43,41 +43,18 @@ type Tuning = coll.Tuning
 // auto-selecting.
 func ParseTuning(s string) (Tuning, error) { return coll.ParseTuning(s) }
 
-// BcastAlg selects the broadcast algorithm.
-type BcastAlg int
-
-const (
-	// BcastAuto uses the platform's hardware broadcast when the
-	// communicator spans the whole world and the device has one, falling
-	// back to a binomial tree.
-	BcastAuto BcastAlg = iota
-	// BcastLinear sends root -> each rank in turn (the paper's cluster
-	// implementation of MPI_Bcast).
-	BcastLinear
-	// BcastBinomial uses a binomial tree of point-to-point messages
-	// (MPICH's algorithm).
-	BcastBinomial
-	// BcastHardware requires the hardware broadcast; it is an error if the
-	// device has none or the communicator is not the world.
-	BcastHardware
-	// BcastPipelined streams the payload through a rank chain in segments,
-	// overlapping the stages — the classic large-message broadcast that
-	// point-to-point trees leave on the table.
-	BcastPipelined
-)
-
 // World owns the per-rank endpoints of one job and the shared communicator
 // state (context-id allocation). It is created by the platform runners.
 type World struct {
 	// S is the scheduler the world was built on (see sim.NewKernel): rank r
 	// lives on S.Node(r, Size()), and Launch drives S.Shard() when S is a
 	// shard lane, S itself otherwise.
-	S     *sim.Scheduler
-	Bcast BcastAlg
+	S *sim.Scheduler
 	// Tune forces collective algorithms by registered name, per operation
-	// (see ParseTuning); a "bcast" entry wins over the legacy Bcast knob.
-	// Operations without an entry auto-select by message size, communicator
-	// size, and platform capability.
+	// (see ParseTuning) — the one way to pin an algorithm. Operations
+	// without an entry auto-select by message size, communicator size, and
+	// platform capability. Set it before Launch: each rank's communicator
+	// reads it once.
 	Tune Tuning
 	// FTDetect is the failure-detection latency the platform wired in: how
 	// long after a scheduled kill each survivor declares the victim dead
@@ -134,34 +111,6 @@ func (w *World) EnableTrace() *trace.Log {
 	return l
 }
 
-// tuning folds the legacy Bcast knob into the world's collective tuning:
-// an explicit Tune["bcast"] entry wins, otherwise a non-Auto Bcast maps to
-// the corresponding registered algorithm name.
-func (w *World) tuning() coll.Tuning {
-	name := ""
-	switch w.Bcast {
-	case BcastLinear:
-		name = "linear"
-	case BcastBinomial:
-		name = "binomial"
-	case BcastHardware:
-		name = "hardware"
-	case BcastPipelined:
-		name = "pipelined"
-	}
-	if name == "" {
-		return w.Tune
-	}
-	if _, forced := w.Tune["bcast"]; forced {
-		return w.Tune
-	}
-	t := coll.Tuning{"bcast": name}
-	for op, alg := range w.Tune {
-		t[op] = alg
-	}
-	return t
-}
-
 // allocCtxPair hands out a fresh (point-to-point, collective) context-id
 // pair. Callers must invoke it from exactly one rank per communicator
 // creation and distribute the result (Dup/Split do this at their root),
@@ -193,7 +142,7 @@ type Comm struct {
 // The identity group is shared across ranks (communicator groups are
 // read-only after creation; Dup/Split build fresh ones).
 func NewRankComm(w *World, r int, p *sim.Proc) *Comm {
-	return &Comm{w: w, p: p, ep: w.eps[r], ctx: 0, group: w.group, rank: r, tune: w.tuning()}
+	return &Comm{w: w, p: p, ep: w.eps[r], ctx: 0, group: w.group, rank: r, tune: w.Tune}
 }
 
 // Rank reports the calling process's rank in the communicator.

@@ -86,12 +86,11 @@ func TestWtimeAdvances(t *testing.T) {
 }
 
 func TestBcastAlgorithms(t *testing.T) {
-	for _, alg := range []BcastAlg{BcastLinear, BcastBinomial, BcastAuto} {
-		alg := alg
-		t.Run(fmt.Sprint(alg), func(t *testing.T) {
+	for i, tune := range []Tuning{nil, {"bcast": "linear"}, {"bcast": "binomial"}} { // nil auto-selects
+		t.Run(fmt.Sprint(i), func(t *testing.T) {
 			for _, n := range []int{1, 2, 3, 7, 8} {
 				w := memWorld(n)
-				w.Bcast = alg
+				w.Tune = tune
 				rep, err := Launch(w, func(c *Comm) error {
 					buf := make([]byte, 100)
 					if c.Rank() == 2%n {

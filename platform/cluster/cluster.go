@@ -77,9 +77,6 @@ type Config struct {
 	CreditBytes int
 	// Costs overrides the kernel/wire cost model; nil means DefaultCosts.
 	Costs *atm.Costs
-	// Bcast forces the broadcast algorithm; the default (BcastAuto) lets
-	// the collective layer select by message and communicator size.
-	Bcast mpi.BcastAlg
 	// LossRate injects datagram loss — shorthand for Faults{Loss: rate}.
 	LossRate float64
 	// Faults installs a full fault policy on both media (loss, delay,
@@ -207,7 +204,6 @@ func newWorld(cfg Config) (*mpi.World, *atm.Cluster, error) {
 	}
 
 	w := mpi.NewWorld(s, eps)
-	w.Bcast = cfg.Bcast // BcastAuto defers to the collective layer's selector
 	// Failure-detection latency: how long after a death survivors take to
 	// declare the peer dead (see mpi.World.ScheduleKills). Scaled to each
 	// transport's loss-recovery horizon — RUDP must let a few retransmission

@@ -424,8 +424,10 @@ func TestEagerPayloadIntegrity(t *testing.T) {
 }
 
 func TestLinearVsBinomialBcast(t *testing.T) {
-	elapsed := func(alg mpi.BcastAlg) time.Duration {
-		rep, err := Run(Config{Hosts: 8, Transport: TCP, Network: atm.OverATM, Bcast: alg}, func(c *mpi.Comm) error {
+	elapsed := func(alg string) time.Duration {
+		w, _ := NewWorld(Config{Hosts: 8, Transport: TCP, Network: atm.OverATM})
+		w.Tune = mpi.Tuning{"bcast": alg}
+		rep, err := mpi.Launch(w, func(c *mpi.Comm) error {
 			buf := make([]byte, 4096)
 			for i := 0; i < 5; i++ {
 				if err := c.Bcast(0, buf); err != nil {
@@ -439,7 +441,7 @@ func TestLinearVsBinomialBcast(t *testing.T) {
 		}
 		return rep.MaxRankElapsed
 	}
-	lin, bin := elapsed(mpi.BcastLinear), elapsed(mpi.BcastBinomial)
+	lin, bin := elapsed("linear"), elapsed("binomial")
 	if bin >= lin {
 		t.Fatalf("binomial bcast %v not faster than linear %v at 8 ranks", bin, lin)
 	}

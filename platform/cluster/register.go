@@ -39,7 +39,6 @@ func specConfig(s registry.Spec) (Config, error) {
 		Lanes:       s.Lanes,
 		Eager:       s.Eager,
 		CreditBytes: s.Credit,
-		Bcast:       s.Bcast,
 		TCPNagle:    s.TCPNagle,
 		NoRTR:       s.NoRTR,
 		Seed:        s.Seed,

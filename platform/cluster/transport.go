@@ -54,9 +54,9 @@ type transport struct {
 	// Receiver side: freed reservation owed back to each sender.
 	owed *flow.Owed
 
-	// Rendezvous state.
-	rndvSend   map[int64]*core.Request // sender requests awaiting CTS
-	rndvRecv   map[uint32]*rndvRecvSt  // receiver handle -> landing state
+	// Rendezvous state, receiver side. A sender awaiting its CTS keeps no
+	// state here: the engine's pending table resolves the CTS to the request.
+	rndvRecv   map[uint32]*rndvRecvSt // receiver handle -> landing state
 	nextHandle uint32
 	// RDMA-write rendezvous (MPICH2/InfiniBand style): advertisements of
 	// pre-posted rendezvous receives, by destination rank, consumed by the
@@ -129,7 +129,6 @@ func newTransport(cl *atm.Cluster, eng *core.Engine, rank, size, eager, credit i
 		// A quarter of the reservation owed triggers an explicit credit
 		// return (one-sided traffic), keeping the pair deadlock-free.
 		owed:     flow.NewOwed(size, credit/4),
-		rndvSend: make(map[int64]*core.Request),
 		rndvRecv: make(map[uint32]*rndvRecvSt),
 		rtrQ:     make(map[int][]rtrAd),
 		inData:   make([]*tcpData, size),
@@ -272,7 +271,6 @@ func (t *transport) transmit(p *sim.Proc, req *core.Request) {
 			return
 		}
 		// Rendezvous: envelope only; the payload moves on CTS.
-		t.rndvSend[req.Env.SendID] = req
 		t.eng.Acct().Incr("rndv", 1)
 		t.writeFrame(p, req.Env.Dest, core.PktRTS, req.Env, 0, nil)
 		return
@@ -312,7 +310,6 @@ func (t *transport) Accept(p *sim.Proc, msg *core.InMsg, req *core.Request) {
 // paper discusses for socket transports.
 func (t *transport) SendPayload(p *sim.Proc, req *core.Request, pkt *core.Packet) {
 	handle, _ := pkt.Handle.(uint32)
-	delete(t.rndvSend, req.Env.SendID)
 	t.pushPayload(p, req, handle, false)
 }
 
@@ -481,11 +478,6 @@ func (t *transport) PeerDown(rank int) {
 		t.dead = make(map[int]bool)
 	}
 	t.dead[rank] = true
-	for id, req := range t.rndvSend {
-		if req.Env.Dest == rank {
-			delete(t.rndvSend, id)
-		}
-	}
 	delete(t.rtrQ, rank)
 	t.fc.DropDst(rank, t.creditCap, nil)
 	for n := t.pendingShip.Len(); n > 0; n-- {

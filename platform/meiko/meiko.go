@@ -50,10 +50,6 @@ type Config struct {
 	Eager int
 	// Costs overrides the hardware cost model; nil means DefaultCosts.
 	Costs *meiko.Costs
-	// Bcast overrides the broadcast algorithm; default is the hardware
-	// broadcast for LowLatency and a binomial point-to-point tree for
-	// MPICH.
-	Bcast mpi.BcastAlg
 	// FatTree routes unicast traffic through the staged fat-tree
 	// congestion model instead of the flat-latency wire.
 	FatTree bool
@@ -108,20 +104,17 @@ func NewWorld(cfg Config) (*mpi.World, *meiko.Machine) {
 	}
 
 	w := mpi.NewWorld(s, eps)
-	switch {
-	case cfg.Bcast != mpi.BcastAuto:
-		w.Bcast = cfg.Bcast
-	case cfg.Impl == LowLatency:
-		w.Bcast = mpi.BcastAuto // resolves to the hardware broadcast
-	default:
-		w.Bcast = mpi.BcastBinomial // MPICH's point-to-point tree
-	}
 	if cfg.Impl == LowLatency {
 		// Failure detection on the CS/2: a missed envelope-slot heartbeat
 		// horizon, a handful of network round trips. MPICH keeps the zero
 		// default — its tport endpoints cannot fail requests per peer, and
 		// ScheduleKills rejects them with a typed error.
 		w.FTDetect = 20 * time.Microsecond
+	} else {
+		// MPICH broadcasts over a binomial point-to-point tree; the
+		// low-latency implementation auto-selects, which on the whole world
+		// resolves to the hardware broadcast.
+		w.Tune = mpi.Tuning{"bcast": "binomial"}
 	}
 	return w, m
 }

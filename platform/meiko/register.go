@@ -46,7 +46,6 @@ func specConfig(s registry.Spec) (Config, error) {
 		Nodes:         s.Ranks,
 		Lanes:         s.Lanes,
 		Eager:         s.Eager,
-		Bcast:         s.Bcast,
 		FatTree:       s.FatTree || s.TreeFaults != "",
 		EnvelopeSlots: s.EnvelopeSlots,
 		Seed:          s.Seed,

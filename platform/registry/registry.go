@@ -47,13 +47,12 @@ type Spec struct {
 	Seed      int64 // workload/scheduler seed
 
 	// Ablation knobs, threaded to the platform configs.
-	Coll          string       // collective tuning, "op=alg,..." (see coll.ParseTuning; "" = auto-select)
-	Bcast         mpi.BcastAlg // broadcast algorithm override (BcastAuto = platform default)
-	LossRate      float64      // cluster: datagram loss probability per frame
-	TCPNagle      bool         // cluster: leave Nagle/delayed acks on (no TCP_NODELAY)
-	NoRTR         bool         // cluster: disable the RDMA-write rendezvous (pin RTS/CTS)
-	FatTree       bool         // meiko: staged fat-tree congestion model
-	EnvelopeSlots int          // meiko: per-pair envelope slots (0 = the paper's 1)
+	Coll          string  // collective tuning, "op=alg,..." over the backend's defaults (see coll.ParseTuning; "" = none)
+	LossRate      float64 // cluster: datagram loss probability per frame
+	TCPNagle      bool    // cluster: leave Nagle/delayed acks on (no TCP_NODELAY)
+	NoRTR         bool    // cluster: disable the RDMA-write rendezvous (pin RTS/CTS)
+	FatTree       bool    // meiko: staged fat-tree congestion model
+	EnvelopeSlots int     // meiko: per-pair envelope slots (0 = the paper's 1)
 
 	// Fault-injection knobs (cluster only; see atm.Faults). Together with
 	// LossRate these drive the shared fault layer wrapping both media.
@@ -196,6 +195,13 @@ func Build(s Spec) (*mpi.World, error) {
 		if err != nil {
 			return nil, fmt.Errorf("backend %q: %w", s.Key(), err)
 		}
+		// Over the builder's defaults (meiko/mpich pins its binomial
+		// broadcast): an explicit entry wins, the rest survive.
+		for op, alg := range w.Tune {
+			if _, forced := t[op]; !forced {
+				t[op] = alg
+			}
+		}
 		w.Tune = t
 	}
 	if s.Kills != "" {
@@ -240,9 +246,6 @@ func init() {
 			eps[i] = e
 		}
 		w := mpi.NewWorld(sched, eps)
-		if s.Bcast != mpi.BcastAuto {
-			w.Bcast = s.Bcast
-		}
 		// A flat-microsecond fabric detects a silent peer almost at once.
 		w.FTDetect = 10 * time.Microsecond
 		return w, nil

@@ -80,6 +80,27 @@ func TestBuildRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// Spec.Coll lands over the backend's own defaults: an explicit entry wins,
+// the default survives for every other operation.
+func TestBuildMergesCollOverBackendDefaults(t *testing.T) {
+	for coll, want := range map[string]string{
+		"":                            "bcast=binomial",
+		"allreduce=rsag":              "allreduce=rsag,bcast=binomial",
+		"bcast=linear,allreduce=rsag": "allreduce=rsag,bcast=linear",
+	} {
+		w, err := registry.Build(registry.Spec{Platform: "meiko", Impl: "mpich", Ranks: 2, Coll: coll})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := w.Tune.String(); got != want {
+			t.Errorf("meiko/mpich with Coll %q tunes %q, want %q", coll, got, want)
+		}
+	}
+	if w, err := registry.Build(registry.Spec{Platform: "meiko", Ranks: 2}); err != nil || w.Tune != nil {
+		t.Errorf("meiko/lowlatency default tuning = %v, %v; want none (auto-select)", w.Tune, err)
+	}
+}
+
 // Every backend accepts the sharded kernel — including fault injection
 // across lanes, now that the injector draws per-link RNG streams — and the
 // one remaining restriction (no parallel execution without lanes) must
