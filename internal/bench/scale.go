@@ -162,7 +162,9 @@ func dissemWorld(ranks, lanes, iters int, parallel bool) scaleRun {
 // closures) and warmup (freelists, outbox capacity) are identical in both
 // runs and cancel; the quotient is the per-event allocation count of the
 // scheduling hot path plus the epoch-amortized control-plane residue
-// (sort.Slice scratch), which sits far below one per event. GC is disabled
+// (growth of the merge's staging slice), which sits far below one per
+// event. The difference is signed: with nothing allocated per event the
+// long run can come out a few objects below the short one. GC is disabled
 // around the probe so assists don't blur the malloc counter.
 func laneAllocsPerOp(ranks int) int64 {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -178,7 +180,7 @@ func laneAllocsPerOp(ranks int) int64 {
 	if e2 <= e1 {
 		panic("bench: scale alloc probe ran no steady-state events")
 	}
-	return int64((m2 - m1) / (e2 - e1))
+	return (int64(m2) - int64(m1)) / int64(e2-e1)
 }
 
 // collAtScale runs one collective on the named backend at ranks on the

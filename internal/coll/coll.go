@@ -110,6 +110,9 @@ type Alg struct {
 	// Rounds models the message-round count for the books.
 	Rounds func(h Hint) int
 	Run    func(c Comm, a Args) error
+
+	// The three counters Run books per call, named once by register.
+	callsCtr, bytesCtr, roundsCtr string
 }
 
 // ok reports whether the algorithm is applicable under h.
@@ -137,6 +140,7 @@ func register(op string, a *Alg) {
 			panic(fmt.Sprintf("coll: duplicate algorithm %s/%s", op, a.Name))
 		}
 	}
+	a.callsCtr, a.bytesCtr, a.roundsCtr = "coll."+op+"."+a.Name, "coll."+op+".bytes", "coll."+op+".rounds"
 	registries[op] = append(registries[op], a)
 }
 
@@ -317,10 +321,10 @@ func Run(c Comm, t Tuning, op string, bytes int, a Args) error {
 	a.Tune = t
 
 	acct := c.Acct()
-	acct.Incr("coll."+op+"."+alg.Name, 1)
-	acct.Incr("coll."+op+".bytes", int64(bytes))
+	acct.Incr(alg.callsCtr, 1)
+	acct.Incr(alg.bytesCtr, int64(bytes))
 	if alg.Rounds != nil {
-		acct.Incr("coll."+op+".rounds", int64(alg.Rounds(h)))
+		acct.Incr(alg.roundsCtr, int64(alg.Rounds(h)))
 	}
 	tl := c.TraceLog()
 	if tl != nil {

@@ -35,7 +35,6 @@ type Engine struct {
 	match   Matcher
 	cond    *sim.Cond
 	nextID  int64
-	seq     map[int]uint64 // per-destination envelope sequence
 	pending map[int64]*Request
 
 	// wins holds the registered one-sided windows by id (see window.go);
@@ -106,7 +105,6 @@ func NewEngine(s *sim.Scheduler, rank, size int, costs EngineCosts, acct *Acct) 
 		costs:   costs,
 		acct:    acct,
 		cond:    sim.NewCond(s),
-		seq:     make(map[int]uint64),
 		pending: make(map[int64]*Request),
 		pool:    NewBufPool(acct),
 	}
@@ -202,7 +200,6 @@ func (e *Engine) Isend(p *sim.Proc, dst, tag, ctx int, mode Mode, data []byte) (
 		return nil, err
 	}
 	e.nextID++
-	e.seq[dst]++
 	req := &Request{
 		ID: e.nextID,
 		Env: Envelope{
@@ -211,7 +208,6 @@ func (e *Engine) Isend(p *sim.Proc, dst, tag, ctx int, mode Mode, data []byte) (
 			Tag:     tag,
 			Context: ctx,
 			Count:   len(data),
-			Seq:     e.seq[dst],
 			Mode:    mode,
 			SendID:  e.nextID,
 		},
@@ -452,7 +448,7 @@ func (e *Engine) handle(p *sim.Proc, pkt *Packet) {
 			req.matched = true
 			req.matchedSrc = pkt.Env.Source
 			e.trc(trace.Match, pkt.Env.Source, pkt.Env.Tag, pkt.Env.Count, "rndv")
-			e.scratch = InMsg{Env: pkt.Env, Rndv: true, Handle: pkt.Handle}
+			e.scratch = InMsg{Env: pkt.Env, Rndv: true}
 			e.tr.Accept(p, &e.scratch, req)
 			return
 		}
@@ -460,7 +456,7 @@ func (e *Engine) handle(p *sim.Proc, pkt *Packet) {
 			e.Errors = append(e.Errors, Errorf(ErrReady, "ready-mode send from rank %d (tag %d) arrived before a matching receive was posted", pkt.Env.Source, pkt.Env.Tag))
 		}
 		m := e.newInMsg()
-		m.Env, m.Rndv, m.Handle = pkt.Env, true, pkt.Handle
+		m.Env, m.Rndv = pkt.Env, true
 		e.match.AddUnexpected(m)
 		e.acct.SetMax("match.unexpected-max", int64(e.match.UnexpectedLen()))
 	case PktCTS:

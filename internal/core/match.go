@@ -4,11 +4,10 @@ package core
 // either an eager message whose payload sits in a bounce buffer, or a
 // rendezvous envelope (RTS) whose payload is still at the sender.
 type InMsg struct {
-	Env    Envelope
-	Data   []byte   // eager payload (bounce buffer); nil for rendezvous RTS
-	Rndv   bool     // true when this is an RTS awaiting Accept
-	Handle any      // transport cookie for Accept (e.g. connection, slot id)
-	Pool   *BufPool // owner of Data, for recycling after the bounce copy; nil if unpooled
+	Env  Envelope
+	Data []byte   // eager payload (bounce buffer); nil for rendezvous RTS
+	Rndv bool     // true when this is an RTS awaiting Accept
+	Pool *BufPool // owner of Data, for recycling after the bounce copy; nil if unpooled
 }
 
 // envMatches reports whether a posted receive pattern (src, tag, ctx)

@@ -35,8 +35,10 @@ func forEachMatcher(t *testing.T, f func(t *testing.T, mk func() matchQueue)) {
 // runMatchDiff interprets ops as a randomized post/arrive/probe/cancel
 // sequence (wildcards included), drives the indexed matcher and the linear
 // oracle in lockstep, and reports the first divergence. Each op consumes
-// four bytes: opcode, source, tag, context.
-func runMatchDiff(ops []byte) error {
+// four bytes: opcode, source, tag, context. With sweepAlways every bin
+// creation sweeps its map (see Matcher.bin), so drained bins are unmapped
+// and recycled at every opportunity instead of once per doubling.
+func runMatchDiff(ops []byte, sweepAlways bool) error {
 	var idx Matcher
 	var lin LinearMatcher
 	var posted []*Request
@@ -44,6 +46,9 @@ func runMatchDiff(ops []byte) error {
 	for step := 0; len(ops) >= 4; step++ {
 		op, s, tg, cx := ops[0]%8, ops[1], ops[2], ops[3]
 		ops = ops[4:]
+		if sweepAlways {
+			idx.postedSweep, idx.unexSweep = 0, 0
+		}
 		// Small rank/tag/context spaces force collisions, wildcard overlap
 		// and deep queues; -1 is AnySource/AnyTag.
 		src := int(s%5) - 1
@@ -108,11 +113,23 @@ func runMatchDiff(ops []byte) error {
 	return nil
 }
 
+// runMatchDiffBoth runs the lockstep driver under the amortized sweep
+// schedule and with a sweep forced at every bin creation.
+func runMatchDiffBoth(ops []byte) error {
+	if err := runMatchDiff(ops, false); err != nil {
+		return err
+	}
+	if err := runMatchDiff(ops, true); err != nil {
+		return fmt.Errorf("sweeping at every bin creation: %w", err)
+	}
+	return nil
+}
+
 // TestMatchDifferentialQuick runs the lockstep driver over random op
 // streams (the CI race job runs this under -race).
 func TestMatchDifferentialQuick(t *testing.T) {
 	prop := func(ops []byte) bool {
-		if err := runMatchDiff(ops); err != nil {
+		if err := runMatchDiffBoth(ops); err != nil {
 			t.Log(err)
 			return false
 		}
@@ -129,7 +146,7 @@ func TestMatchDifferentialLong(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ops := make([]byte, 40000)
 	rng.Read(ops)
-	if err := runMatchDiff(ops); err != nil {
+	if err := runMatchDiffBoth(ops); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -144,7 +161,7 @@ func FuzzMatchDiff(f *testing.F) {
 	rng.Read(seed)
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		if err := runMatchDiff(ops); err != nil {
+		if err := runMatchDiffBoth(ops); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -242,6 +259,56 @@ func TestMatcherConstantTimeStructure(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMatcherBinsBoundedByLiveKeys pins the bin-map bound. A program that
+// mints a key per message (halo's tag = step) leaves one drained bin per
+// message behind; the maps, and the bins ever allocated, must stay under a
+// constant however many keys pass through. A program cycling one fixed key
+// must never pay for that bound: its bin stays mapped — the same *entQ, so
+// no delete + insert per message — at zero allocations.
+func TestMatcherBinsBoundedByLiveKeys(t *testing.T) {
+	const cycles, maxBins = 10_000, 8 * binSweepSlack
+	var m Matcher
+	for tag := 0; tag < cycles; tag++ {
+		src := tag % 4
+		r := recvReq(src, tag, 0) // post → arrive
+		if m.PostRecv(r) != nil || m.Arrive(Envelope{Source: src, Tag: tag}) != r {
+			t.Fatalf("tag %d: posted receive not matched by its arrival", tag)
+		}
+		msg := &InMsg{Env: Envelope{Source: src, Tag: tag, Context: 1}} // unexpected → post
+		m.AddUnexpected(msg)
+		if m.PostRecv(recvReq(src, tag, 1)) != msg {
+			t.Fatalf("tag %d: unexpected message not matched by its receive", tag)
+		}
+		if bins := len(m.posted) + len(m.unex) + len(m.qFree); bins > maxBins {
+			t.Fatalf("after %d distinct tags: %d posted + %d unexpected bins mapped, %d free; want at most %d in all",
+				tag+1, len(m.posted), len(m.unex), len(m.qFree), maxBins)
+		}
+	}
+	if m.PostedLen() != 0 || m.UnexpectedLen() != 0 {
+		t.Fatalf("depths (%d, %d) after every message matched", m.PostedLen(), m.UnexpectedLen())
+	}
+
+	env := Envelope{Source: 1, Tag: 7}
+	m.PostRecv(recvReq(1, 7, 0))
+	msg := &InMsg{Env: Envelope{Source: 2, Tag: 9, Context: 1}}
+	req := recvReq(2, 9, 1)
+	m.AddUnexpected(msg)
+	postedQ, unexQ := m.posted[mkKey(1, 7, 0)], m.unex[mkKey(2, 9, 1)]
+	cycle := func() {
+		m.PostRecv(m.Arrive(env))
+		m.AddUnexpected(m.PostRecv(req))
+	}
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Errorf("fixed-key cycle allocates %.1f objects, want 0", allocs)
+	}
+	if m.posted[mkKey(1, 7, 0)] != postedQ || m.unex[mkKey(2, 9, 1)] != unexQ {
+		t.Error("a fixed key's bin was unmapped or replaced while the program cycled on it")
 	}
 }
 

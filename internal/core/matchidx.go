@@ -36,10 +36,13 @@ package core
 // matching receive wins. Both directions therefore reproduce exactly the
 // linear scan's choice, which is the MPI-required one.
 //
-// Allocation. Entries and bins come from freelists and bin slices are
-// recycled in place, so steady-state matching allocates nothing; combined
-// with the bounce-buffer pools (pool.go) the eager receive path runs at
-// zero allocations per message.
+// Allocation. Entries and bins come from freelists, a bin's slice is reused
+// in place, and each bin map is swept of drained bins before it outgrows a
+// small multiple of its live ones (see Matcher.bin) — so matching allocates
+// nothing once warm, whether the program cycles one key or a fresh tag per
+// step, and the maps stay as small as the live pattern set. Combined with
+// the bounce-buffer pools (pool.go) the eager receive path runs at zero
+// allocations per message.
 
 // binKey identifies one matching bin: an arrival triple, a posted pattern,
 // or one of an arrival's four generalizations (source and tag may be
@@ -47,6 +50,15 @@ package core
 // into one word — tag(32) | source(16) | context(16), mirroring the wire
 // header's field widths — so bin maps take Go's single-word fast path.
 type binKey uint64
+
+// MaxTag and MaxRanks are the largest tag and world a binKey tells apart:
+// a tag of 2³¹ or more would land in another tag's bin or the AnyTag bins,
+// and rank 65 535 is AnySource. Nothing below checks; the mpi package
+// rejects the tags and platform/registry the worlds.
+const (
+	MaxTag   = 1<<31 - 1
+	MaxRanks = 1<<16 - 1
+)
 
 func mkKey(src, tag, ctx int) binKey {
 	return binKey(uint32(int32(tag))) | binKey(uint16(src))<<32 | binKey(uint16(ctx))<<48
@@ -159,6 +171,9 @@ type Matcher struct {
 	postedN int
 	unexN   int
 
+	// Map sizes at which the next bin creation sweeps (see bin).
+	postedSweep, unexSweep int
+
 	// Posted-pattern population by wildcard class. Arrive consults a
 	// generalization bin only when its class is populated, so an all-exact
 	// workload pays for exactly one map lookup per arrival.
@@ -200,11 +215,31 @@ func (m *Matcher) unref(ent *matchEnt) {
 	}
 }
 
+// binSweepSlack is the room a swept bin map gets beyond twice its live
+// bins. It is small on purpose: Go's maps are cheapest while they fit a
+// few groups.
+const binSweepSlack = 8
+
 // bin returns the queue for key in mp, creating (or recycling) it on first
-// use. Empty bins stay mapped so their slice capacity is reused.
-func (m *Matcher) bin(mp map[binKey]*entQ, key binKey) *entQ {
+// use. A drained bin stays mapped, so a program cycling a fixed key set
+// pays one lookup and never a map write; a program minting keys (a tag per
+// step) is bounded by sweeping instead: a creation that finds the map at
+// *sweepAt first unmaps every drained bin onto qFree and moves the
+// threshold to twice what is left plus binSweepSlack. That is amortized
+// O(1) per creation, independent of map iteration order, and safe for
+// every reader, all of which nil-check their lookup.
+func (m *Matcher) bin(mp map[binKey]*entQ, sweepAt *int, key binKey) *entQ {
 	if q := mp[key]; q != nil {
 		return q
+	}
+	if len(mp) >= *sweepAt {
+		for k, q := range mp {
+			if q.first(m) == nil {
+				delete(mp, k)
+				m.qFree = append(m.qFree, q)
+			}
+		}
+		*sweepAt = 2*len(mp) + binSweepSlack
 	}
 	var q *entQ
 	if n := len(m.qFree); n > 0 {
@@ -240,7 +275,7 @@ func (m *Matcher) PostRecv(r *Request) *InMsg {
 	ent.req = r
 	m.seq++
 	ent.seq = m.seq
-	m.bin(m.posted, key).push(ent, m)
+	m.bin(m.posted, &m.postedSweep, key).push(ent, m)
 	m.postedN++
 	m.countPattern(r.Env, +1)
 	return nil
@@ -307,14 +342,14 @@ func (m *Matcher) AddUnexpected(msg *InMsg) {
 	m.seq++
 	ent.seq = m.seq
 	src, tag, ctx := msg.Env.Source, msg.Env.Tag, msg.Env.Context
-	m.bin(m.unex, mkKey(src, tag, ctx)).push(ent, m)
+	m.bin(m.unex, &m.unexSweep, mkKey(src, tag, ctx)).push(ent, m)
 	if tag != AnyTag {
-		m.bin(m.unex, mkKey(src, AnyTag, ctx)).push(ent, m)
+		m.bin(m.unex, &m.unexSweep, mkKey(src, AnyTag, ctx)).push(ent, m)
 	}
 	if src != AnySource {
-		m.bin(m.unex, mkKey(AnySource, tag, ctx)).push(ent, m)
+		m.bin(m.unex, &m.unexSweep, mkKey(AnySource, tag, ctx)).push(ent, m)
 		if tag != AnyTag {
-			m.bin(m.unex, mkKey(AnySource, AnyTag, ctx)).push(ent, m)
+			m.bin(m.unex, &m.unexSweep, mkKey(AnySource, AnyTag, ctx)).push(ent, m)
 		}
 	}
 	m.unexN++

@@ -29,8 +29,7 @@ type MemFabric struct {
 	Credits  int          // per-(sender,receiver) bounce bytes; 0 means unlimited
 	PollCost sim.Duration
 
-	n   int // job size, learned from the first attached engine
-	eps map[int]*MemTransport
+	eps []*MemTransport // by rank; sized to the job by the first Attach
 }
 
 // NewMemFabric returns a fabric for the world built on s. The fabric
@@ -41,11 +40,11 @@ func NewMemFabric(s *sim.Scheduler, latency sim.Duration, eager int) *MemFabric 
 	if latency < s.Lookahead() {
 		panic(fmt.Sprintf("memtransport: fabric latency %v below shard lookahead %v", latency, s.Lookahead()))
 	}
-	return &MemFabric{S: s, Latency: latency, Eager: eager, eps: make(map[int]*MemTransport)}
+	return &MemFabric{S: s, Latency: latency, Eager: eager}
 }
 
 // schedFor reports the scheduler owning rank's endpoint.
-func (f *MemFabric) schedFor(rank int) *sim.Scheduler { return f.S.Node(rank, f.n) }
+func (f *MemFabric) schedFor(rank int) *sim.Scheduler { return f.S.Node(rank, len(f.eps)) }
 
 // laneFor reports rank's lane.
 func (f *MemFabric) laneFor(rank int) int { return f.schedFor(rank).LaneID() }
@@ -53,7 +52,9 @@ func (f *MemFabric) laneFor(rank int) int { return f.schedFor(rank).LaneID() }
 // Attach creates the rank's transport and wires it to engine e, which must
 // have been built on its rank's node scheduler.
 func (f *MemFabric) Attach(e *Engine) *MemTransport {
-	f.n = e.Size()
+	if f.eps == nil {
+		f.eps = make([]*MemTransport, e.Size())
+	}
 	s := f.schedFor(e.Rank())
 	t := &MemTransport{
 		fab:   f,
@@ -70,11 +71,14 @@ func (f *MemFabric) Attach(e *Engine) *MemTransport {
 
 // MemTransport is one rank's endpoint on a MemFabric.
 type MemTransport struct {
-	fab   *MemFabric
-	eng   *Engine
-	s     *sim.Scheduler // this rank's (lane) scheduler
-	rank  int
-	inbox Inbox
+	fab  *MemFabric
+	eng  *Engine
+	s    *sim.Scheduler // this rank's (lane) scheduler
+	rank int
+
+	inbox  FIFO[*memFlight]
+	polled *memFlight   // what Poll last surfaced; the engine's until the next Poll
+	idle   []*memFlight // flight pool (see memFlight)
 
 	// lastArrival[dst] is the latest mailbox delivery already scheduled
 	// toward dst. Allocated on first use and only when PerByte > 0: a
@@ -124,25 +128,65 @@ func (t *MemTransport) arrival(dst, n int) sim.Time {
 	return at
 }
 
+// memFlight is one mailbox delivery in flight. Flights follow the pooled-
+// record rule of the other wires (DESIGN §10): the record embeds its packet
+// and binds its landing callback once, so a delivery allocates neither. A
+// flight is drawn from the sender's idle list and returned to the
+// receiver's, where it finishes: on landing for a credit, which never
+// surfaces, otherwise at the Poll after the one that surfaced it, until
+// which the packet is the engine's to read. Symmetric traffic keeps the
+// lists balanced and the cap bounds them when it is not.
+type memFlight struct {
+	to   *MemTransport
+	pkt  Packet
+	land func() // f.arrive, bound once
+}
+
+// memIdleCap bounds a rank's idle flights; returns beyond it fall to the
+// garbage collector.
+const memIdleCap = 64
+
 // deliver ships pkt into dst's mailbox. Every call site runs on t's own
 // lane (sends from the rank's proc, credit/CTS turnarounds from delivery
 // context), so Route's staging is always lane-local.
-func (t *MemTransport) deliver(dst int, pkt *Packet) {
-	t.s.Route(t.fab.laneFor(dst), t.arrival(dst, len(pkt.Data)), func() {
-		peer := t.fab.eps[dst]
-		if peer == nil {
-			panic(fmt.Sprintf("memtransport: no endpoint for rank %d", dst))
-		}
-		if pkt.Kind == PktCredit {
-			// Credits are transport-internal: restore and drain the queue.
-			peer.avail[pkt.Env.Dest] = peer.creditsFor(pkt.Env.Dest) + pkt.Env.Count
-			peer.drainSendQ(pkt.Env.Dest)
-			peer.eng.Wake()
-			return
-		}
-		peer.inbox.Push(pkt)
-		peer.eng.Wake()
-	})
+func (t *MemTransport) deliver(dst int, pkt Packet) {
+	var f *memFlight
+	if k := len(t.idle) - 1; k >= 0 {
+		f, t.idle[k] = t.idle[k], nil
+		t.idle = t.idle[:k]
+	} else {
+		f = &memFlight{}
+		f.land = f.arrive
+	}
+	f.to, f.pkt = t.fab.eps[dst], pkt
+	if f.to == nil {
+		panic(fmt.Sprintf("memtransport: no endpoint for rank %d", dst))
+	}
+	t.s.Route(t.fab.laneFor(dst), t.arrival(dst, len(pkt.Data)), f.land)
+}
+
+// arrive lands the flight at its destination (event context, on the
+// destination's lane).
+func (f *memFlight) arrive() {
+	t := f.to
+	if f.pkt.Kind == PktCredit {
+		// Credits are transport-internal: restore and drain the queue.
+		dst, n := f.pkt.Env.Dest, f.pkt.Env.Count
+		t.recycle(f)
+		t.avail[dst] = t.creditsFor(dst) + n
+		t.drainSendQ(dst)
+	} else {
+		t.inbox.Push(f)
+	}
+	t.eng.Wake()
+}
+
+// recycle returns a finished flight to this rank's idle list.
+func (t *MemTransport) recycle(f *memFlight) {
+	f.to, f.pkt = nil, Packet{}
+	if len(t.idle) < memIdleCap {
+		t.idle = append(t.idle, f)
+	}
 }
 
 // drainSendQ transmits queued sends for dst, in issue order, while flow
@@ -161,7 +205,7 @@ func (t *MemTransport) trySend(req *Request) bool {
 	dst, n := req.Env.Dest, req.Env.Count
 	if n > t.fab.Eager {
 		// Rendezvous: ship the envelope; the payload moves on CTS.
-		t.deliver(dst, &Packet{Kind: PktRTS, Env: req.Env})
+		t.deliver(dst, Packet{Kind: PktRTS, Env: req.Env})
 		return true
 	}
 	if t.creditsFor(dst) < n {
@@ -169,7 +213,7 @@ func (t *MemTransport) trySend(req *Request) bool {
 	}
 	t.avail[dst] -= n
 	data, pool := t.eng.Bounce(t.fab.schedFor(dst) == t.s, req.Buf)
-	t.deliver(dst, &Packet{Kind: PktEager, Env: req.Env, Data: data, Pool: pool})
+	t.deliver(dst, Packet{Kind: PktEager, Env: req.Env, Data: data, Pool: pool})
 	t.eng.SendDone(req)
 	return true
 }
@@ -190,21 +234,20 @@ func (t *MemTransport) Send(p *sim.Proc, req *Request) {
 // Accept implements Transport: CTS back to the sender; the payload will
 // arrive as PktData carrying the receiver request id.
 func (t *MemTransport) Accept(p *sim.Proc, msg *InMsg, req *Request) {
-	t.deliver(msg.Env.Source, &Packet{Kind: PktCTS, Env: msg.Env, ReqID: msg.Env.SendID, Handle: req.ID})
+	t.deliver(msg.Env.Source, Packet{Kind: PktCTS, Env: msg.Env, ReqID: msg.Env.SendID, Landing: req.ID})
 }
 
 // SendPayload implements Transport: the CTS surfaced at the sender; move
 // the payload straight into the posted receive.
 func (t *MemTransport) SendPayload(p *sim.Proc, req *Request, pkt *Packet) {
 	data, pool := t.eng.Bounce(t.fab.schedFor(req.Env.Dest) == t.s, req.Buf)
-	recvID, _ := pkt.Handle.(int64)
-	t.deliver(req.Env.Dest, &Packet{Kind: PktData, Env: req.Env, ReqID: recvID, Data: data, Pool: pool})
+	t.deliver(req.Env.Dest, Packet{Kind: PktData, Env: req.Env, ReqID: pkt.Landing, Data: data, Pool: pool})
 	t.eng.SendDone(req)
 }
 
 // Control implements Transport.
 func (t *MemTransport) Control(p *sim.Proc, dst int, kind PacketKind, env Envelope) {
-	t.deliver(dst, &Packet{Kind: kind, Env: env, ReqID: env.SendID})
+	t.deliver(dst, Packet{Kind: kind, Env: env, ReqID: env.SendID})
 }
 
 // Release implements Transport: return n bounce bytes to the sender side.
@@ -213,7 +256,7 @@ func (t *MemTransport) Release(p *sim.Proc, src int, n int) {
 		return
 	}
 	// Env.Dest names the rank whose credit account at src is restored.
-	t.deliver(src, &Packet{Kind: PktCredit, Env: Envelope{Dest: t.rank, Count: n}})
+	t.deliver(src, Packet{Kind: PktCredit, Env: Envelope{Dest: t.rank, Count: n}})
 }
 
 // PeerDown implements Transport: drop sends queued toward the dead rank
@@ -226,11 +269,16 @@ func (t *MemTransport) PeerDown(rank int) {
 
 // Poll implements Transport.
 func (t *MemTransport) Poll(p *sim.Proc) *Packet {
+	if t.polled != nil {
+		t.recycle(t.polled)
+		t.polled = nil
+	}
 	if t.inbox.Len() == 0 {
 		return nil
 	}
 	t.eng.Acct().Charge(p, CostProtocol, t.fab.PollCost)
-	return t.inbox.Pop()
+	t.polled = t.inbox.Pop()
+	return &t.polled.pkt
 }
 
 // Pending implements Transport.

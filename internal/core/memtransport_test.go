@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -118,5 +120,126 @@ func TestInbox(t *testing.T) {
 	}
 	if slot0 := in.q[:1][0]; cap(in.q) != grown || in.head != 0 || slot0 != nil {
 		t.Fatalf("after 10^4 one-in-one-out cycles: cap %d (was %d), head %d, slot 0 %v", cap(in.q), grown, in.head, slot0)
+	}
+}
+
+// auditFlights walks every place a flight can rest — idle lists, inboxes,
+// the packet a Poll last surfaced — and fails if a record sits in two of
+// them (a double recycle), an idle one still names a destination or a
+// payload, or an idle list exceeds its cap. It reports how many distinct
+// records it found at rest.
+func auditFlights(t *testing.T, w *world) int {
+	t.Helper()
+	seen := map[*memFlight]string{}
+	note := func(f *memFlight, where string) {
+		if prev, dup := seen[f]; dup {
+			t.Errorf("flight %p rests in %s and in %s", f, prev, where)
+		}
+		seen[f] = where
+	}
+	for rank, ep := range w.fab.eps {
+		if len(ep.idle) > memIdleCap {
+			t.Errorf("rank %d: %d idle flights, cap %d", rank, len(ep.idle), memIdleCap)
+		}
+		for _, f := range ep.idle {
+			note(f, fmt.Sprintf("rank %d's idle list", rank))
+			if f.to != nil || f.pkt.Data != nil || f.pkt.Pool != nil {
+				t.Errorf("rank %d: idle flight %p was not cleared: %+v", rank, f, f.pkt)
+			}
+		}
+		for _, f := range ep.inbox.q[ep.inbox.head:] {
+			note(f, fmt.Sprintf("rank %d's inbox", rank))
+		}
+		if ep.polled != nil {
+			note(ep.polled, fmt.Sprintf("rank %d's polled slot", rank))
+		}
+	}
+	return len(seen)
+}
+
+// One-directional traffic is the case the pools cannot balance: without
+// credits nothing ever flies back, with them only credits do. Either way
+// no idle list may grow past its cap.
+func TestFabricIdleFlightsCapped(t *testing.T) {
+	const msgs = 10_000
+	for _, credits := range []int{0, 256} {
+		t.Run(fmt.Sprintf("credits%d", credits), func(t *testing.T) {
+			w := newWorld(2, time.Microsecond, 180, credits)
+			w.run(t,
+				func(p *sim.Proc, e *Engine) {
+					for i := 0; i < msgs; i++ {
+						if _, err := e.Isend(p, 1, i, 0, ModeStandard, payload(64)); err != nil {
+							t.Fatalf("Isend: %v", err)
+						}
+					}
+				},
+				func(p *sim.Proc, e *Engine) {
+					buf := make([]byte, 64)
+					for i := 0; i < msgs; i++ {
+						mustRecv(t, p, e, 0, i, buf)
+					}
+				},
+			)
+			if n := auditFlights(t, w); n == 0 || n > 2*memIdleCap+1 {
+				t.Errorf("%d flights at rest after %d sends, want between 1 and two full idle lists", n, msgs)
+			}
+		})
+	}
+}
+
+// A death while flights are in the air must lose none and recycle none
+// twice. Rank 0 dies with a burst toward rank 1 airborne; the burst still
+// lands in rank 1's inbox. A survivor (PeerDown) keeps polling, returns the
+// flights to its idle list and goes on exchanging with a third rank; a
+// rank that turned fatal itself never polls again and keeps them queued.
+func TestFabricFlightsSurviveMidFlightFailure(t *testing.T) {
+	const burst = 8
+	for _, fatal := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fatal=%v", fatal), func(t *testing.T) {
+			w := newWorld(3, 10*time.Microsecond, 180, 0)
+			down := Errorf(ErrPeerDown, "rank 0 died")
+			w.s.After(5*time.Microsecond, func() {
+				w.engs[0].Fatal(down)
+				if fatal {
+					w.engs[1].Fatal(down)
+				} else {
+					w.engs[1].PeerDown(0, down)
+				}
+			})
+			w.run(t,
+				func(p *sim.Proc, e *Engine) {
+					for i := 0; i < burst; i++ { // eager and rendezvous, all in the air at 5 µs
+						if _, err := e.Isend(p, 1, i, 0, ModeStandard, payload(100*(i%3))); err != nil {
+							t.Errorf("Isend: %v", err)
+						}
+					}
+				},
+				func(p *sim.Proc, e *Engine) {
+					req, err := e.Irecv(p, 0, 0, 0, make([]byte, 300))
+					if err != nil {
+						t.Fatalf("Irecv: %v", err)
+					}
+					if _, err := e.Wait(p, req); !errors.Is(err, down) {
+						t.Errorf("Wait on the dead rank's message: %v, want %v", err, down)
+					}
+					for i := 0; !fatal && i < 100; i++ {
+						mustSend(t, p, e, 2, i, payload(200))
+						mustRecv(t, p, e, 2, i, make([]byte, 200))
+					}
+				},
+				func(p *sim.Proc, e *Engine) {
+					for i := 0; !fatal && i < 100; i++ {
+						mustRecv(t, p, e, 1, i, make([]byte, 200))
+						mustSend(t, p, e, 1, i, payload(200))
+					}
+				},
+			)
+			if n := auditFlights(t, w); n < burst {
+				t.Errorf("%d flights at rest, want at least the %d that were in the air", n, burst)
+			}
+			if got := w.fab.eps[1].inbox.Len(); fatal && got != burst {
+				t.Errorf("fatal rank's inbox holds %d flights, want the %d that landed after it died", got, burst)
+			}
+		})
 	}
 }

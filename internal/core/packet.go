@@ -79,12 +79,12 @@ func (k PacketKind) String() string {
 
 // Packet is a protocol message surfaced to an engine by its transport.
 type Packet struct {
-	Kind   PacketKind
-	Env    Envelope
-	Data   []byte   // eager payload (bounce storage owned by transport until Release)
-	ReqID  int64    // CTS/SyncAck: sender request; Data: receiver request
-	Handle any      // transport cookie threaded from RTS to Accept
-	Pool   *BufPool // owner of Data; the engine recycles the bounce buffer after its copy-out
+	Kind    PacketKind
+	Env     Envelope
+	Data    []byte   // eager payload (bounce storage owned by transport until Release)
+	ReqID   int64    // CTS/SyncAck: sender request; Data: receiver request
+	Landing int64    // CTS: the receiver's name for where the payload lands, handed to SendPayload
+	Pool    *BufPool // owner of Data; the engine recycles the bounce buffer after its copy-out
 }
 
 // FIFO is the queue every transport and the flow layer share. It keeps a

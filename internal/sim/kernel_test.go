@@ -40,10 +40,12 @@ func newTestKernel(lanes int, maxEvents uint64) (root *Scheduler, run func() (Ti
 }
 
 // settleGoroutines waits for exited goroutines to be reaped and reports
-// the count.
+// the count. An unwinding goroutine exits on its own schedule — under
+// -race on a loaded machine well after any number of Gosched calls — so
+// the wait is bounded by a deadline, not a yield count.
 func settleGoroutines(baseline int) int {
-	for i := 0; i < 100 && runtime.NumGoroutine() > baseline; i++ {
-		runtime.Gosched()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	return runtime.NumGoroutine()
 }

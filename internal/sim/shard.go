@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -259,15 +261,16 @@ func (sh *Shard) merge() {
 		sh.stats.MailboxHighWater = len(sc)
 	}
 	sh.stats.Routed += uint64(len(sc))
-	sort.Slice(sc, func(i, j int) bool {
-		a, b := sc[i], sc[j]
+	// (t, srcLane, srcSeq) is unique per message, so an unstable sort
+	// yields one order.
+	slices.SortFunc(sc, func(a, b *xmsg) int {
 		if a.t != b.t {
-			return a.t < b.t
+			return cmp.Compare(a.t, b.t)
 		}
 		if a.srcLane != b.srcLane {
-			return a.srcLane < b.srcLane
+			return cmp.Compare(a.srcLane, b.srcLane)
 		}
-		return a.srcSeq < b.srcSeq
+		return cmp.Compare(a.srcSeq, b.srcSeq)
 	})
 	for _, m := range sc {
 		sh.lanes[m.dst].schedule(m.t, m.fn, nil)

@@ -14,8 +14,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -193,18 +195,29 @@ func Run(w *mpi.World, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("workload %s: rank %d: %w", cfg.Pattern, i, e)
 		}
 	}
-	tr := &Trace{Cfg: cfg}
-	for _, e := range envs {
-		tr.Events = append(tr.Events, e.evs...)
-	}
-	sort.SliceStable(tr.Events, func(i, j int) bool {
-		a, b := tr.Events[i], tr.Events[j]
-		if a.T != b.T {
-			return a.T < b.T
-		}
-		return a.Rank < b.Rank
-	})
+	tr := &Trace{Cfg: cfg, Events: mergeEvents(envs)}
 	return &Result{Trace: tr, Report: rep, Summary: Summarize(tr, rep.MaxRankElapsed)}, nil
+}
+
+// mergeEvents returns the ranks' recordings as the canonical stream: by
+// (T, Rank), each rank's own order kept among equal keys. The stream is one
+// exactly sized buffer, sorted in place by a comparison the compiler sees.
+func mergeEvents(envs []*Env) []Event {
+	n := 0
+	for _, e := range envs {
+		n += len(e.evs)
+	}
+	evs := make([]Event, 0, n)
+	for _, e := range envs {
+		evs = append(evs, e.evs...)
+	}
+	slices.SortStableFunc(evs, func(a, b Event) int {
+		if a.T != b.T {
+			return cmp.Compare(a.T, b.T)
+		}
+		return cmp.Compare(a.Rank, b.Rank)
+	})
+	return evs
 }
 
 // Replay re-drives a recorded trace's workload on w and verifies the run

@@ -49,18 +49,28 @@ func (t *Cart) Coords(rank int) []int {
 	return coords
 }
 
+// wrap folds coordinate c into dimension i, honoring periodicity; ok is
+// false off the edge of a non-periodic dimension. RankOf and Shift share
+// this one rule.
+func (t *Cart) wrap(i, c int) (_ int, ok bool) {
+	if d := t.Dims[i]; c < 0 || c >= d {
+		if !t.Periodic[i] {
+			return 0, false
+		}
+		c = ((c % d) + d) % d
+	}
+	return c, true
+}
+
 // RankOf reports the rank at the given coordinates, honoring periodicity;
 // it returns -1 for out-of-range coordinates on non-periodic dimensions
 // (like MPI_PROC_NULL).
 func (t *Cart) RankOf(coords []int) int {
 	rank := 0
 	for i, d := range t.Dims {
-		c := coords[i]
-		if c < 0 || c >= d {
-			if !t.Periodic[i] {
-				return -1
-			}
-			c = ((c % d) + d) % d
+		c, ok := t.wrap(i, coords[i])
+		if !ok {
+			return -1
 		}
 		rank = rank*d + c
 	}
@@ -68,16 +78,23 @@ func (t *Cart) RankOf(coords []int) int {
 }
 
 // Shift reports the (source, dest) ranks displaced along dim
-// (MPI_Cart_shift); -1 plays the role of MPI_PROC_NULL.
+// (MPI_Cart_shift); -1 plays the role of MPI_PROC_NULL. In a row-major
+// grid a step along dim moves the rank by the product of the faster
+// dimensions, so only that one coordinate is ever computed.
 func (t *Cart) Shift(dim, disp int) (src, dst int) {
-	coords := t.Coords(t.rank)
-	up := make([]int, len(coords))
-	down := make([]int, len(coords))
-	copy(up, coords)
-	copy(down, coords)
-	up[dim] += disp
-	down[dim] -= disp
-	return t.RankOf(down), t.RankOf(up)
+	stride := 1
+	for _, d := range t.Dims[dim+1:] {
+		stride *= d
+	}
+	at := t.rank / stride % t.Dims[dim]
+	src, dst = -1, -1
+	if c, ok := t.wrap(dim, at-disp); ok {
+		src = t.rank + (c-at)*stride
+	}
+	if c, ok := t.wrap(dim, at+disp); ok {
+		dst = t.rank + (c-at)*stride
+	}
+	return src, dst
 }
 
 // Dims2 suggests a balanced 2-factor decomposition of n (MPI_Dims_create

@@ -182,8 +182,24 @@ func (c *Comm) worldRank(r int) (int, error) {
 	return c.group[r], nil
 }
 
+// peer is worldRank plus the tag check every point-to-point path shares.
+// The matcher's packed bin key cannot tell a tag outside [0, core.MaxTag]
+// from another tag or from the wildcard, so such a tag is an error; anyTag
+// admits AnyTag, for receives and probes.
+func (c *Comm) peer(r, tag int, anyTag bool) (int, error) {
+	if (tag < 0 || tag > core.MaxTag) && !(anyTag && tag == AnyTag) {
+		return 0, core.Errorf(core.ErrInternal, "tag %d out of range [0, %d]", tag, core.MaxTag)
+	}
+	return c.worldRank(r)
+}
+
 // commRank translates a world rank in a Status back to a communicator rank.
+// Wherever the group is the identity at world — every rank of a world
+// communicator or a Dup of one — that is the answer without the scan.
 func (c *Comm) commRank(world int) int {
+	if world >= 0 && world < len(c.group) && c.group[world] == world {
+		return world
+	}
 	for i, wr := range c.group {
 		if wr == world {
 			return i

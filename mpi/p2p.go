@@ -39,7 +39,7 @@ func (r *Request) Done() bool { return r.req.Done() }
 // startSend starts a send on the engine. The blocking calls wait on the
 // engine request directly; only the nonblocking ones wrap it in a Request.
 func (c *Comm) startSend(dst, tag int, mode core.Mode, data []byte) (*core.Request, error) {
-	wr, err := c.worldRank(dst)
+	wr, err := c.peer(dst, tag, false)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +110,7 @@ func (c *Comm) Ibsend(dst, tag int, data []byte) (*Request, error) {
 
 // startRecv posts a receive on the engine (see startSend).
 func (c *Comm) startRecv(src, tag int, buf []byte) (*core.Request, error) {
-	wr, err := c.worldRank(src)
+	wr, err := c.peer(src, tag, true)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +140,7 @@ func (c *Comm) Recv(src, tag int, buf []byte) (Status, error) {
 // Probe blocks until a matching message is available and reports its
 // status without receiving it (MPI_Probe).
 func (c *Comm) Probe(src, tag int) (Status, error) {
-	wr, err := c.worldRank(src)
+	wr, err := c.peer(src, tag, true)
 	if err != nil {
 		return Status{}, err
 	}
@@ -150,7 +150,7 @@ func (c *Comm) Probe(src, tag int) (Status, error) {
 
 // Iprobe reports whether a matching message is available (MPI_Iprobe).
 func (c *Comm) Iprobe(src, tag int) (Status, bool, error) {
-	wr, err := c.worldRank(src)
+	wr, err := c.peer(src, tag, true)
 	if err != nil {
 		return Status{}, false, err
 	}

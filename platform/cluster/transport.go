@@ -309,8 +309,7 @@ func (t *transport) Accept(p *sim.Proc, msg *core.InMsg, req *core.Request) {
 // to do it in the background, which is exactly the progress limitation the
 // paper discusses for socket transports.
 func (t *transport) SendPayload(p *sim.Proc, req *core.Request, pkt *core.Packet) {
-	handle, _ := pkt.Handle.(uint32)
-	t.pushPayload(p, req, handle, false)
+	t.pushPayload(p, req, uint32(pkt.Landing), false)
 }
 
 // pushPayload writes req's rendezvous payload as Data frames naming the
@@ -672,7 +671,7 @@ func (t *transport) surface(src int, kind core.PacketKind, env core.Envelope, au
 	case core.PktRTS, core.PktRevoke:
 		t.inbox.Push(&core.Packet{Kind: kind, Env: env})
 	case core.PktCTS:
-		t.inbox.Push(&core.Packet{Kind: kind, Env: env, ReqID: env.SendID, Handle: aux})
+		t.inbox.Push(&core.Packet{Kind: kind, Env: env, ReqID: env.SendID, Landing: int64(aux)})
 	case core.PktSyncAck:
 		t.inbox.Push(&core.Packet{Kind: kind, Env: env, ReqID: env.SendID})
 	case core.PktRTR:

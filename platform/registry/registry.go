@@ -166,8 +166,8 @@ func Build(s Spec) (*mpi.World, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown backend %q (registered: %s)", s.Key(), strings.Join(Names(), ", "))
 	}
-	if s.Ranks <= 0 {
-		return nil, fmt.Errorf("backend %q: spec needs Ranks >= 1, got %d", s.Key(), s.Ranks)
+	if s.Ranks <= 0 || s.Ranks > core.MaxRanks {
+		return nil, fmt.Errorf("backend %q: spec needs 1 <= Ranks <= %d (the matcher keys sources in 16 bits), got %d", s.Key(), core.MaxRanks, s.Ranks)
 	}
 	if s.HasFaults() && s.Platform != "cluster" {
 		return nil, fmt.Errorf("backend %q: fault injection (loss/delay/reorder/partition) exists only on the cluster platform", s.Key())

@@ -1,9 +1,11 @@
 package registry_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/mpi"
 	"repro/platform/registry"
 
@@ -77,6 +79,63 @@ func TestBuildRejectsBadSpecs(t *testing.T) {
 	}
 	if _, err := registry.Build(registry.Spec{Platform: "cluster", Transport: "unet", Network: "eth", Ranks: 2}); err == nil {
 		t.Error("unet over ethernet must fail")
+	}
+}
+
+// The matcher keys a message by tag in 32 bits and source in 16 with -1 as
+// either wildcard, so a tag or a world outside what the key tells apart
+// must be a typed error at the API, not a message in the wrong bin: tag
+// 2³²−1 would read as AnyTag, rank 65 535 as AnySource. Everything inside
+// the limits keeps working, AnyTag on the receiving side included.
+func TestMatchKeyLimitsAreTypedErrors(t *testing.T) {
+	for _, ranks := range []int{core.MaxRanks + 1, 1 << 20} {
+		if _, err := registry.Build(registry.Spec{Platform: "mem", Ranks: ranks}); err == nil || !strings.Contains(err.Error(), "Ranks") {
+			t.Errorf("a %d-rank world: %v, want a Ranks error", ranks, err)
+		}
+	}
+	over, wrapsToAny := core.MaxTag, core.MaxTag
+	over, wrapsToAny = over+1, 2*wrapsToAny+1
+	buf := make([]byte, 1)
+	cases := []struct {
+		name string
+		call func(c *mpi.Comm, tag int) error
+		tags []int
+		ok   bool
+	}{
+		{"send", func(c *mpi.Comm, tag int) error { return c.Send(0, tag, nil) }, []int{0, 7, core.MaxTag}, true},
+		{"send", func(c *mpi.Comm, tag int) error { return c.Send(0, tag, nil) }, []int{mpi.AnyTag, -2, over, wrapsToAny}, false},
+		{"isend", func(c *mpi.Comm, tag int) error { _, err := c.Isend(0, tag, nil); return err }, []int{mpi.AnyTag, over}, false},
+		{"probe", func(c *mpi.Comm, tag int) error { _, err := c.Probe(0, tag); return err }, []int{7, mpi.AnyTag}, true},
+		{"probe", func(c *mpi.Comm, tag int) error { _, err := c.Probe(0, tag); return err }, []int{-2, over}, false},
+		{"iprobe", func(c *mpi.Comm, tag int) error { _, _, err := c.Iprobe(0, tag); return err }, []int{7, mpi.AnyTag}, true},
+		{"iprobe", func(c *mpi.Comm, tag int) error { _, _, err := c.Iprobe(0, tag); return err }, []int{-2, wrapsToAny}, false},
+		{"recv", func(c *mpi.Comm, tag int) error { _, err := c.Recv(0, tag, buf); return err }, []int{0, mpi.AnyTag, core.MaxTag}, true},
+		{"recv", func(c *mpi.Comm, tag int) error { _, err := c.Recv(0, tag, buf); return err }, []int{-2, over, wrapsToAny}, false},
+		{"irecv", func(c *mpi.Comm, tag int) error { _, err := c.Irecv(0, tag, buf); return err }, []int{-2, over}, false},
+	}
+	// One rank talking to itself, in table order: the accepted sends queue
+	// as unexpected (tags 0, 7, MaxTag), the accepted probes see them and
+	// the accepted receives drain them.
+	rep, err := registry.Run(registry.Spec{Platform: "mem", Ranks: 1}, func(c *mpi.Comm) error {
+		for _, tc := range cases {
+			for _, tag := range tc.tags {
+				err := tc.call(c, tag)
+				var ce *core.Error
+				switch {
+				case tc.ok && err != nil:
+					t.Errorf("%s with tag %d: %v", tc.name, tag, err)
+				case !tc.ok && !(errors.As(err, &ce) && ce.Code == core.ErrInternal && strings.Contains(ce.Msg, "tag")):
+					t.Errorf("%s with tag %d: %v, want a typed out-of-range tag error", tc.name, tag, err)
+				}
+			}
+		}
+		return nil
+	})
+	if err == nil {
+		err = rep.FirstErr()
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
