@@ -14,10 +14,10 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/atm"
 	"repro/mpi"
-	"repro/platform/cluster"
-	"repro/platform/meiko"
+	_ "repro/platform/cluster"
+	_ "repro/platform/meiko"
+	"repro/platform/registry"
 )
 
 func estimator(samples, rounds int) func(c *mpi.Comm) error {
@@ -56,14 +56,14 @@ func main() {
 	flag.Parse()
 
 	fmt.Println("Meiko CS/2, 8 ranks:")
-	rep, err := meiko.Run(meiko.Config{Nodes: 8, Impl: meiko.LowLatency}, estimator(*samples, *rounds))
+	rep, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 8}, estimator(*samples, *rounds))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("    virtual time %v\n", rep.MaxRankElapsed)
 
 	fmt.Println("TCP/ATM cluster, 8 ranks (same work, millisecond collectives):")
-	rep, err = cluster.Run(cluster.Config{Hosts: 8, Transport: cluster.TCP, Network: atm.OverATM}, estimator(*samples, *rounds))
+	rep, err = registry.Run(registry.Spec{Platform: "cluster", Transport: "tcp", Network: "atm", Ranks: 8}, estimator(*samples, *rounds))
 	if err != nil {
 		log.Fatal(err)
 	}

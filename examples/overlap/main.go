@@ -12,11 +12,12 @@ import (
 	"time"
 
 	"repro/mpi"
-	"repro/platform/meiko"
+	_ "repro/platform/meiko"
+	"repro/platform/registry"
 )
 
 func main() {
-	_, err := meiko.Run(meiko.Config{Nodes: 3, Impl: meiko.LowLatency}, func(c *mpi.Comm) error {
+	_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 3}, func(c *mpi.Comm) error {
 		switch c.Rank() {
 		case 0:
 			// Nonblocking send overlapped with computation: the Elan moves

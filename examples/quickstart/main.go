@@ -11,10 +11,10 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/atm"
 	"repro/mpi"
-	"repro/platform/cluster"
-	"repro/platform/meiko"
+	_ "repro/platform/cluster"
+	_ "repro/platform/meiko"
+	"repro/platform/registry"
 )
 
 func body(c *mpi.Comm) error {
@@ -70,14 +70,14 @@ func body(c *mpi.Comm) error {
 
 func main() {
 	fmt.Println("Meiko CS/2 (low-latency MPI, hardware broadcast):")
-	rep, err := meiko.Run(meiko.Config{Nodes: 4, Impl: meiko.LowLatency}, body)
+	rep, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 4}, body)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  job finished at virtual t=%v\n\n", rep.MaxRankElapsed)
 
 	fmt.Println("ATM cluster (MPI over TCP):")
-	rep, err = cluster.Run(cluster.Config{Hosts: 4, Transport: cluster.TCP, Network: atm.OverATM}, body)
+	rep, err = registry.Run(registry.Spec{Platform: "cluster", Transport: "tcp", Network: "atm", Ranks: 4}, body)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,7 +13,8 @@ import (
 	"time"
 
 	"repro/mpi"
-	"repro/platform/meiko"
+	_ "repro/platform/meiko"
+	"repro/platform/registry"
 )
 
 func main() {
@@ -22,7 +23,7 @@ func main() {
 	ranks := flag.Int("ranks", 6, "processes")
 	flag.Parse()
 
-	rep, err := meiko.Run(meiko.Config{Nodes: *ranks, Impl: meiko.LowLatency}, func(c *mpi.Comm) error {
+	rep, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: *ranks}, func(c *mpi.Comm) error {
 		py, px := mpi.Dims2(c.Size())
 		cart, err := c.CartCreate([]int{py, px}, []bool{false, false})
 		if err != nil {

@@ -5,17 +5,17 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/atm"
 	"repro/mpi"
-	pcluster "repro/platform/cluster"
-	pmeiko "repro/platform/meiko"
+	_ "repro/platform/cluster"
+	_ "repro/platform/meiko"
+	"repro/platform/registry"
 )
 
 func TestLinsolveCorrectMeiko(t *testing.T) {
 	for _, procs := range []int{1, 2, 4, 7} {
 		procs := procs
 		var residual float64
-		_, err := pmeiko.Run(pmeiko.Config{Nodes: procs, Impl: pmeiko.LowLatency}, func(c *mpi.Comm) error {
+		_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: procs, Impl: "lowlatency"}, func(c *mpi.Comm) error {
 			res, err := Linsolve(c, LinsolveConfig{N: 48})
 			if err != nil {
 				return err
@@ -36,7 +36,7 @@ func TestLinsolveCorrectMeiko(t *testing.T) {
 
 func TestLinsolveCorrectMPICH(t *testing.T) {
 	var residual float64
-	_, err := pmeiko.Run(pmeiko.Config{Nodes: 4, Impl: pmeiko.MPICH}, func(c *mpi.Comm) error {
+	_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 4, Impl: "mpich"}, func(c *mpi.Comm) error {
 		res, err := Linsolve(c, LinsolveConfig{N: 32})
 		if err != nil {
 			return err
@@ -56,7 +56,7 @@ func TestLinsolveCorrectMPICH(t *testing.T) {
 
 func TestLinsolveCorrectCluster(t *testing.T) {
 	var residual float64
-	_, err := pcluster.Run(pcluster.Config{Hosts: 4, Transport: pcluster.TCP, Network: atm.OverATM}, func(c *mpi.Comm) error {
+	_, err := registry.Run(registry.Spec{Platform: "cluster", Ranks: 4, Transport: "tcp", Network: "atm"}, func(c *mpi.Comm) error {
 		res, err := Linsolve(c, LinsolveConfig{N: 32, SecPerFlop: SGISecPerFlop})
 		if err != nil {
 			return err
@@ -77,9 +77,9 @@ func TestLinsolveCorrectCluster(t *testing.T) {
 // Figure 7's claim: the hardware-broadcast implementation beats MPICH's
 // point-to-point broadcast, and both speed up with processors.
 func TestLinsolveFigure7Shape(t *testing.T) {
-	elapsed := func(impl pmeiko.Impl, procs int) time.Duration {
+	elapsed := func(impl string, procs int) time.Duration {
 		var el time.Duration
-		_, err := pmeiko.Run(pmeiko.Config{Nodes: procs, Impl: impl}, func(c *mpi.Comm) error {
+		_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: procs, Impl: impl}, func(c *mpi.Comm) error {
 			res, err := Linsolve(c, LinsolveConfig{N: 64})
 			if err != nil {
 				return err
@@ -94,9 +94,9 @@ func TestLinsolveFigure7Shape(t *testing.T) {
 		}
 		return el
 	}
-	low1 := elapsed(pmeiko.LowLatency, 1)
-	low8 := elapsed(pmeiko.LowLatency, 8)
-	mpich8 := elapsed(pmeiko.MPICH, 8)
+	low1 := elapsed("lowlatency", 1)
+	low8 := elapsed("lowlatency", 8)
+	mpich8 := elapsed("mpich", 8)
 	if low8 >= low1 {
 		t.Fatalf("no speedup: 1 proc %v, 8 procs %v", low1, low8)
 	}
@@ -107,7 +107,7 @@ func TestLinsolveFigure7Shape(t *testing.T) {
 
 func TestMatMulCorrect(t *testing.T) {
 	var maxErr float64 = -1
-	_, err := pmeiko.Run(pmeiko.Config{Nodes: 4, Impl: pmeiko.LowLatency}, func(c *mpi.Comm) error {
+	_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 4, Impl: "lowlatency"}, func(c *mpi.Comm) error {
 		res, err := MatMul(c, MatMulConfig{N: 24})
 		if err != nil {
 			return err
@@ -131,7 +131,7 @@ func TestParticlesMatchSequential(t *testing.T) {
 	for _, procs := range []int{1, 2, 4, 8} {
 		procs := procs
 		got := make([][3]float64, n)
-		_, err := pmeiko.Run(pmeiko.Config{Nodes: procs, Impl: pmeiko.LowLatency}, func(c *mpi.Comm) error {
+		_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: procs, Impl: "lowlatency"}, func(c *mpi.Comm) error {
 			res, err := Particles(c, ParticlesConfig{N: n, Seed: 1})
 			if err != nil {
 				return err
@@ -156,10 +156,10 @@ func TestParticlesMatchSequential(t *testing.T) {
 func TestParticlesClusterBothMedia(t *testing.T) {
 	const n = 128
 	want := SequentialForces(n, 2)
-	elapsed := map[atm.MediumKind]time.Duration{}
-	for _, net := range []atm.MediumKind{atm.OverEthernet, atm.OverATM} {
+	elapsed := map[string]time.Duration{}
+	for _, net := range []string{"eth", "atm"} {
 		got := make([][3]float64, n)
-		rep, err := pcluster.Run(pcluster.Config{Hosts: 4, Transport: pcluster.TCP, Network: net}, func(c *mpi.Comm) error {
+		rep, err := registry.Run(registry.Spec{Platform: "cluster", Ranks: 4, Transport: "tcp", Network: net}, func(c *mpi.Comm) error {
 			res, err := Particles(c, ParticlesConfig{N: n, Seed: 2, SecPerFlop: SGISecPerFlop})
 			if err != nil {
 				return err
@@ -179,16 +179,16 @@ func TestParticlesClusterBothMedia(t *testing.T) {
 		}
 	}
 	// Figure 9: ATM wins on the cluster.
-	if elapsed[atm.OverATM] >= elapsed[atm.OverEthernet] {
-		t.Fatalf("atm %v not faster than ethernet %v", elapsed[atm.OverATM], elapsed[atm.OverEthernet])
+	if elapsed["atm"] >= elapsed["eth"] {
+		t.Fatalf("atm %v not faster than ethernet %v", elapsed["atm"], elapsed["eth"])
 	}
 }
 
 // Figure 8's setting: low latency matters because the ring processes
 // interact in lock-step; the low-latency implementation beats MPICH.
 func TestParticlesFigure8Shape(t *testing.T) {
-	elapsed := func(impl pmeiko.Impl) time.Duration {
-		rep, err := pmeiko.Run(pmeiko.Config{Nodes: 8, Impl: impl}, func(c *mpi.Comm) error {
+	elapsed := func(impl string) time.Duration {
+		rep, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 8, Impl: impl}, func(c *mpi.Comm) error {
 			_, err := Particles(c, ParticlesConfig{N: 24, Seed: 1})
 			return err
 		})
@@ -197,14 +197,14 @@ func TestParticlesFigure8Shape(t *testing.T) {
 		}
 		return rep.MaxRankElapsed
 	}
-	low, mpich := elapsed(pmeiko.LowLatency), elapsed(pmeiko.MPICH)
+	low, mpich := elapsed("lowlatency"), elapsed("mpich")
 	if low >= mpich {
 		t.Fatalf("low latency %v not beating mpich %v on the fine-grained ring", low, mpich)
 	}
 }
 
 func TestParticlesBadDivision(t *testing.T) {
-	_, err := pmeiko.Run(pmeiko.Config{Nodes: 5, Impl: pmeiko.LowLatency}, func(c *mpi.Comm) error {
+	_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 5, Impl: "lowlatency"}, func(c *mpi.Comm) error {
 		_, err := Particles(c, ParticlesConfig{N: 24, Seed: 1})
 		return err
 	})
@@ -218,7 +218,7 @@ func TestSampleSortGloballyOrdered(t *testing.T) {
 		procs := procs
 		const n = 512
 		parts := make([][]int64, procs)
-		_, err := pmeiko.Run(pmeiko.Config{Nodes: procs, Impl: pmeiko.LowLatency}, func(c *mpi.Comm) error {
+		_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: procs, Impl: "lowlatency"}, func(c *mpi.Comm) error {
 			res, err := SampleSort(c, SampleSortConfig{N: n, Seed: 4})
 			if err != nil {
 				return err
@@ -250,7 +250,7 @@ func TestSampleSortGloballyOrdered(t *testing.T) {
 
 func TestSampleSortCluster(t *testing.T) {
 	parts := make([][]int64, 4)
-	_, err := pcluster.Run(pcluster.Config{Hosts: 4, Transport: pcluster.TCP, Network: atm.OverATM}, func(c *mpi.Comm) error {
+	_, err := registry.Run(registry.Spec{Platform: "cluster", Ranks: 4, Transport: "tcp", Network: "atm"}, func(c *mpi.Comm) error {
 		res, err := SampleSort(c, SampleSortConfig{N: 256, Seed: 9, SecPerFlop: SGISecPerFlop})
 		if err != nil {
 			return err
@@ -271,7 +271,7 @@ func TestSampleSortCluster(t *testing.T) {
 }
 
 func TestSampleSortBadDivision(t *testing.T) {
-	_, err := pmeiko.Run(pmeiko.Config{Nodes: 3, Impl: pmeiko.LowLatency}, func(c *mpi.Comm) error {
+	_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 3, Impl: "lowlatency"}, func(c *mpi.Comm) error {
 		_, err := SampleSort(c, SampleSortConfig{N: 100, Seed: 1})
 		return err
 	})

@@ -51,9 +51,6 @@ func NewCluster(s *sim.Scheduler, n int, c Costs) *Cluster {
 // buffers, conds, retransmit timers — must live on it.
 func (cl *Cluster) SchedOf(h int) *sim.Scheduler { return cl.S.Node(h, cl.N) }
 
-// LaneOf reports host h's lane.
-func (cl *Cluster) LaneOf(h int) int { return cl.SchedOf(h).LaneID() }
-
 // Medium returns the requested wire, behind its fault injector.
 func (cl *Cluster) Medium(k MediumKind) Medium {
 	return cl.Injector(k)

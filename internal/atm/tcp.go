@@ -71,9 +71,6 @@ func (cl *Cluster) TCPPair(h0, h1 int, k MediumKind) (*TCP, *TCP) {
 	return a, b
 }
 
-// Host reports the endpoint's host id.
-func (c *TCP) Host() int { return c.host }
-
 // MSS reports the maximum segment payload for the connection's medium.
 func (c *TCP) MSS() int { return c.med.MTU() - TCPIPHeader }
 

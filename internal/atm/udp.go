@@ -52,9 +52,6 @@ func (cl *Cluster) UDPSocket(h int, k MediumKind) *UDP {
 	return s
 }
 
-// Host reports the bound host id.
-func (u *UDP) Host() int { return u.host }
-
 // MaxDatagram reports the largest datagram the socket accepts (bounded by
 // IP fragmentation across the medium MTU; we cap at 8 fragments).
 func (u *UDP) MaxDatagram() int { return 8*(u.med.MTU()-UDPIPHeader) - UDPIPHeader }

@@ -740,10 +740,5 @@ func (e *Engine) Finalize(p *sim.Proc) {
 // rank (e.g. ready-mode violations), for post-run inspection.
 func (e *Engine) ProtocolErrors() []error { return e.Errors }
 
-// QueueStats reports matcher depths (for tests and instrumentation).
-func (e *Engine) QueueStats() (posted, unexpected int) {
-	return e.match.PostedLen(), e.match.UnexpectedLen()
-}
-
 // String identifies the engine in traces.
 func (e *Engine) String() string { return fmt.Sprintf("engine[rank %d]", e.rank) }

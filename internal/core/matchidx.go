@@ -44,6 +44,16 @@ package core
 // the bounce-buffer pools (pool.go) the eager receive path runs at zero
 // allocations per message.
 
+// InMsg is an arrived message known to the matcher but not yet delivered:
+// either an eager message whose payload sits in a bounce buffer, or a
+// rendezvous envelope (RTS) whose payload is still at the sender.
+type InMsg struct {
+	Env  Envelope
+	Data []byte   // eager payload (bounce buffer); nil for rendezvous RTS
+	Rndv bool     // true when this is an RTS awaiting Accept
+	Pool *BufPool // owner of Data, for recycling after the bounce copy; nil if unpooled
+}
+
 // binKey identifies one matching bin: an arrival triple, a posted pattern,
 // or one of an arrival's four generalizations (source and tag may be
 // AnySource/AnyTag; the context is always exact). The triple is packed
@@ -51,13 +61,16 @@ package core
 // header's field widths — so bin maps take Go's single-word fast path.
 type binKey uint64
 
-// MaxTag and MaxRanks are the largest tag and world a binKey tells apart:
-// a tag of 2³¹ or more would land in another tag's bin or the AnyTag bins,
-// and rank 65 535 is AnySource. Nothing below checks; the mpi package
-// rejects the tags and platform/registry the worlds.
+// MaxTag, MaxRanks and MaxContext are the largest tag, world and context id
+// a binKey tells apart: a tag of 2³¹ or more would land in another tag's bin
+// or the AnyTag bins, rank 65 535 is AnySource, and context 65 534 is −2,
+// the context ULFM recovery traffic matches on (65 536 is the world's 0
+// again). Nothing below checks; the mpi package rejects the tags and stops
+// handing out contexts, platform/registry rejects the worlds.
 const (
-	MaxTag   = 1<<31 - 1
-	MaxRanks = 1<<16 - 1
+	MaxTag     = 1<<31 - 1
+	MaxRanks   = 1<<16 - 1
+	MaxContext = 1<<16 - 3
 )
 
 func mkKey(src, tag, ctx int) binKey {

@@ -261,9 +261,6 @@ func (e *Event) Set() {
 	e.cond.Broadcast()
 }
 
-// IsSet reports the event state without waiting.
-func (e *Event) IsSet() bool { return e.set }
-
 // Clear resets the event.
 func (e *Event) Clear() { e.set = false }
 

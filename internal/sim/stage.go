@@ -38,10 +38,6 @@ func NewStage(home *Scheduler) *Stage {
 	return &Stage{home: home, eps: Time(home.Lookahead())}
 }
 
-// Home reports the scheduler owning the stage's state. Processing
-// callbacks run in its context; local completion timers belong on it.
-func (st *Stage) Home() *Scheduler { return st.home }
-
 // Request enters the stage from src's lane context: process runs on the
 // home lane with the requester's stamp t0. Standalone, it runs inline
 // (t0 = now); sharded, it runs at t0 + lookahead after the deterministic

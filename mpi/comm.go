@@ -34,13 +34,17 @@ func (c *Comm) Dup() (*Comm, error) {
 	if err := c.mgmtBcast(0, ctxBuf); err != nil {
 		return nil, err
 	}
+	ctx := int(int64(binary.LittleEndian.Uint64(ctxBuf)))
+	if ctx == ctxExhausted {
+		return nil, errCtxExhausted()
+	}
 	group := make([]int, len(c.group))
 	copy(group, c.group)
 	return &Comm{
 		w:     c.w,
 		p:     c.p,
 		ep:    c.ep,
-		ctx:   int(binary.LittleEndian.Uint64(ctxBuf)),
+		ctx:   ctx,
 		group: group,
 		rank:  c.rank,
 		tune:  c.tune,
@@ -79,13 +83,17 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		}
 		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 		ctxByColor := map[int64]int{}
+		exhausted := false
 		for _, col := range order {
 			ctxByColor[col] = c.w.allocCtxPair()
+			exhausted = exhausted || ctxByColor[col] == ctxExhausted
 		}
 		for r := 0; r < p; r++ {
 			col := int64(binary.LittleEndian.Uint64(all[16*r:]))
 			ctx := -1
-			if col >= 0 {
+			if exhausted {
+				ctx = ctxExhausted // every rank, whatever its color: the call fails as one
+			} else if col >= 0 {
 				ctx = ctxByColor[col]
 			}
 			binary.LittleEndian.PutUint64(meta[16*p+8*r:], uint64(int64(ctx)))
@@ -95,21 +103,21 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		return nil, err
 	}
 
+	myCtx := int(int64(binary.LittleEndian.Uint64(meta[16*p+8*c.rank:])))
+	if myCtx == ctxExhausted {
+		return nil, errCtxExhausted()
+	}
 	if color < 0 {
 		return nil, nil
 	}
 	// Build my group: parent ranks with my color, sorted by (key, rank).
 	type member struct{ key, parentRank int }
 	var members []member
-	myCtx := -1
 	for r := 0; r < p; r++ {
 		col := int64(binary.LittleEndian.Uint64(meta[16*r:]))
 		k := int64(binary.LittleEndian.Uint64(meta[16*r+8:]))
 		if col == int64(color) {
 			members = append(members, member{int(k), r})
-			if r == c.rank {
-				myCtx = int(int64(binary.LittleEndian.Uint64(meta[16*p+8*r:])))
-			}
 		}
 	}
 	sort.Slice(members, func(i, j int) bool {

@@ -3,15 +3,15 @@ package mpi_test
 import (
 	"fmt"
 
-	"repro/internal/atm"
 	"repro/mpi"
-	"repro/platform/cluster"
-	"repro/platform/meiko"
+	_ "repro/platform/cluster"
+	_ "repro/platform/meiko"
+	"repro/platform/registry"
 )
 
 // A two-rank ping-pong on the modeled Meiko CS/2.
 func Example() {
-	_, err := meiko.Run(meiko.Config{Nodes: 2, Impl: meiko.LowLatency}, func(c *mpi.Comm) error {
+	_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 2}, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			if err := c.Send(1, 7, []byte("ping")); err != nil {
 				return err
@@ -37,7 +37,7 @@ func Example() {
 
 // Collectives: an allreduce over the TCP/ATM cluster.
 func ExampleComm_Allreduce() {
-	_, err := cluster.Run(cluster.Config{Hosts: 4, Transport: cluster.TCP, Network: atm.OverATM}, func(c *mpi.Comm) error {
+	_, err := registry.Run(registry.Spec{Platform: "cluster", Transport: "tcp", Network: "atm", Ranks: 4}, func(c *mpi.Comm) error {
 		sum, err := c.AllreduceFloat64(mpi.SumFloat64, []float64{float64(c.Rank() + 1)})
 		if err != nil {
 			return err
@@ -55,7 +55,7 @@ func ExampleComm_Allreduce() {
 
 // Nonblocking requests with MPI_ANY_SOURCE and probe-sized receives.
 func ExampleComm_Probe() {
-	_, err := meiko.Run(meiko.Config{Nodes: 3, Impl: meiko.LowLatency}, func(c *mpi.Comm) error {
+	_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 3}, func(c *mpi.Comm) error {
 		if c.Rank() != 0 {
 			msg := fmt.Sprintf("hello from %d", c.Rank())
 			return c.Send(0, c.Rank(), []byte(msg))
@@ -85,7 +85,7 @@ func ExampleComm_Probe() {
 // arrived first, and the returned Status reports the concrete source and
 // tag. Per source, messages still match in send order (non-overtaking).
 func ExampleComm_Recv_wildcard() {
-	_, err := meiko.Run(meiko.Config{Nodes: 3, Impl: meiko.LowLatency}, func(c *mpi.Comm) error {
+	_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 3}, func(c *mpi.Comm) error {
 		if c.Rank() != 0 {
 			return c.Send(0, 10*c.Rank(), []byte{byte(c.Rank())})
 		}
@@ -110,9 +110,13 @@ func ExampleComm_Recv_wildcard() {
 // Forcing collective algorithms: World.Tune pins operations to registered
 // algorithms by name (everything else keeps auto-selecting).
 func ExampleWorld_Tune() {
-	w, _ := meiko.NewWorld(meiko.Config{Nodes: 4, Impl: meiko.LowLatency})
+	w, err := registry.Build(registry.Spec{Platform: "meiko", Ranks: 4})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
 	w.Tune = mpi.Tuning{"bcast": "binomial"}
-	_, err := mpi.Launch(w, func(c *mpi.Comm) error {
+	_, err = mpi.Launch(w, func(c *mpi.Comm) error {
 		buf := []byte{0}
 		if c.Rank() == 0 {
 			buf[0] = 42
@@ -136,7 +140,7 @@ func ExampleWorld_Tune() {
 // the access epoch. On the Meiko the Put maps to Elan remote DMA; no
 // receive is ever posted.
 func ExampleWin() {
-	_, err := meiko.Run(meiko.Config{Nodes: 4, Impl: meiko.LowLatency}, func(c *mpi.Comm) error {
+	_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 4}, func(c *mpi.Comm) error {
 		win, err := c.WinCreate(1) // one halo cell per rank
 		if err != nil {
 			return err
@@ -163,7 +167,7 @@ func ExampleWin() {
 // operators are commutative, so the result is deterministic regardless of
 // arrival order.
 func ExampleWin_Accumulate() {
-	_, err := meiko.Run(meiko.Config{Nodes: 4, Impl: meiko.LowLatency}, func(c *mpi.Comm) error {
+	_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 4}, func(c *mpi.Comm) error {
 		size := 0
 		if c.Rank() == 0 {
 			size = 8 // the counter lives on rank 0
@@ -194,7 +198,7 @@ func ExampleWin_Accumulate() {
 // Derived datatypes: sending a strided matrix column.
 func ExampleVector() {
 	col := mpi.Vector{Count: 3, BlockLen: 1, Stride: 3, Of: mpi.Float64}
-	_, err := meiko.Run(meiko.Config{Nodes: 2, Impl: meiko.LowLatency}, func(c *mpi.Comm) error {
+	_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 2}, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			matrix := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9} // row-major 3x3
 			return c.SendTyped(1, 0, col, 1, mpi.Float64Bytes(matrix))

@@ -120,9 +120,10 @@ func (w *World) shrinkCtx(key string) int {
 	if ctx, ok := w.shrinkCtxs[key]; ok {
 		return ctx
 	}
-	ctx := w.nextCtx
-	w.nextCtx += 2
-	w.shrinkCtxs[key] = ctx
+	ctx := w.takeCtxPair()
+	if ctx != ctxExhausted { // no need to memoize that: every later caller runs out too
+		w.shrinkCtxs[key] = ctx
+	}
 	return ctx
 }
 
@@ -330,5 +331,8 @@ func (c *Comm) Shrink() (*Comm, error) {
 	// same parent), so the memo hands all of them the same context pair.
 	key := fmt.Sprintf("%d|%v", c.ctx, dead)
 	ctx := c.w.shrinkCtx(key)
+	if ctx == ctxExhausted {
+		return nil, errCtxExhausted()
+	}
 	return &Comm{w: c.w, p: c.p, ep: c.ep, ctx: ctx, group: group, rank: newRank, tune: c.tune}, nil
 }

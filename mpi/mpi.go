@@ -118,12 +118,35 @@ func (w *World) EnableTrace() *trace.Log {
 // concurrent creations from different communicators safe when ranks run on
 // parallel shard lanes (ids are agreed over messages, so allocation order
 // never affects timing).
+//
+// Once the next pair would pass core.MaxContext — where the matcher's and
+// the MPICH tag's 16 context bits fold a communicator onto recoveryCtx — it
+// returns ctxExhausted instead, for good: the creating call distributes
+// that like an id and fails on every rank (errCtxExhausted) rather than
+// cross-matching recovery traffic.
 func (w *World) allocCtxPair() int {
 	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.takeCtxPair()
+}
+
+// takeCtxPair is allocCtxPair with w.mu held (shrinkCtx memoizes under the
+// same lock).
+func (w *World) takeCtxPair() int {
 	c := w.nextCtx
+	if c+1 > core.MaxContext {
+		return ctxExhausted
+	}
 	w.nextCtx += 2
-	w.mu.Unlock()
 	return c
+}
+
+// ctxExhausted stands in for a context id when none is left. It is neither
+// −1, Split's "no communicator for this rank", nor recoveryCtx.
+const ctxExhausted = -3
+
+func errCtxExhausted() error {
+	return core.Errorf(core.ErrInternal, "out of context ids: a communicator past id %d would alias the recovery context in the matcher's 16-bit key", core.MaxContext)
 }
 
 // Comm binds one rank's endpoint to a communicator (a context-id pair and

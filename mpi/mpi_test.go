@@ -2,9 +2,11 @@ package mpi
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -330,6 +332,53 @@ func TestCommSplit(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// The matcher (and the MPICH tag) key contexts in 16 bits, where the
+// 32 767th communicator would be recoveryCtx: a world that has handed out
+// every id below that fails the next creating call — Split (two colors and
+// an undefined rank, one pair short), Dup, window creation, Shrink's memo —
+// with the same typed error on every rank, and nothing hangs.
+func TestContextIdsExhaustTyped(t *testing.T) {
+	w := memWorld(4)
+	w.nextCtx = core.MaxContext - 3 // two pairs left: 65 530 and 65 532
+	isExhausted := func(err error) bool {
+		var ce *core.Error
+		return errors.As(err, &ce) && ce.Code == core.ErrInternal && strings.Contains(ce.Msg, "context ids")
+	}
+	rep, err := Launch(w, func(c *Comm) error {
+		d, err := c.Dup()
+		if err != nil {
+			return err
+		}
+		if d.ctx+1 > core.MaxContext {
+			return fmt.Errorf("Dup handed out context %d past MaxContext", d.ctx)
+		}
+		color := c.Rank() % 2
+		if c.Rank() == 3 {
+			color = -1
+		}
+		if sub, err := c.Split(color, 0); !isExhausted(err) || sub != nil {
+			return fmt.Errorf("rank %d: Split one pair short = %v, %v; want the typed exhaustion error", c.Rank(), sub, err)
+		}
+		if _, err := c.Dup(); !isExhausted(err) {
+			return fmt.Errorf("rank %d: Dup with no id left = %v", c.Rank(), err)
+		}
+		if _, err := c.WinCreate(8); !isExhausted(err) {
+			return fmt.Errorf("rank %d: WinCreate with no id left = %v", c.Rank(), err)
+		}
+		// The parent still works.
+		return c.Barrier()
+	})
+	if err == nil {
+		err = rep.FirstErr()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx := w.shrinkCtx("0|[1]"); ctx != ctxExhausted {
+		t.Errorf("shrinkCtx with no id left = %d", ctx)
+	}
 }
 
 func TestCommSplitUndefined(t *testing.T) {

@@ -21,85 +21,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/mpi"
+	"repro/platform/registry"
 )
-
-// TransportKind selects the cluster transport protocol.
-type TransportKind int
-
-const (
-	// TCP carries MPI over per-pair TCP connections.
-	TCP TransportKind = iota
-	// UDP carries MPI over the reliable-UDP layer (sequence numbers,
-	// acks, retransmission).
-	UDP
-	// UNET carries MPI over the U-Net-style user-level endpoints — the
-	// kernel-bypass future work the paper's related-work section points
-	// at. ATM only.
-	UNET
-	// SHM carries MPI over a coherent shared-memory segment mapped by all
-	// hosts (the CXL-style attached-memory analogue of the Meiko's
-	// remote-store hardware): direct stores, no kernel, no frames — and
-	// native one-sided remote memory.
-	SHM
-)
-
-func (k TransportKind) String() string {
-	switch k {
-	case TCP:
-		return "tcp"
-	case UDP:
-		return "udp"
-	case SHM:
-		return "shm"
-	default:
-		return "unet"
-	}
-}
-
-// Config describes a cluster job.
-type Config struct {
-	Hosts     int
-	Transport TransportKind
-	Network   atm.MediumKind // OverATM or OverEthernet
-	// Lanes > 1 builds the world on the sharded kernel: hosts block-mapped
-	// onto that many lanes, the ATM switch hop routing between them, the
-	// shared Ethernet homed on lane 0 as a stage, and SwitchDelay (the
-	// segment latency for SHM) as the lookahead bound. Fault injection
-	// composes with lanes: each (src, dst) link draws from its own
-	// seed-derived RNG stream, so lossy sweeps shard too — single-lane
-	// lossy runs stay bit-identical to earlier releases via the legacy
-	// world-global stream.
-	Lanes int
-	// Eager is the eager/rendezvous crossover in bytes (0 = DefaultEager).
-	Eager int
-	// CreditBytes is the per-(sender,receiver) reserved memory
-	// (0 = DefaultCredit).
-	CreditBytes int
-	// Costs overrides the kernel/wire cost model; nil means DefaultCosts.
-	Costs *atm.Costs
-	// LossRate injects datagram loss — shorthand for Faults{Loss: rate}.
-	LossRate float64
-	// Faults installs a full fault policy on both media (loss, delay,
-	// jitter, reordering, duplication, partitions; see atm.Faults). When
-	// both Faults and LossRate are set, Faults wins.
-	Faults *atm.Faults
-	// TCPNagle disables the implicit TCP_NODELAY: connections run with
-	// Nagle coalescing and delayed acks, the configuration every
-	// low-latency MPI of the era had to turn off. For the ablation.
-	TCPNagle bool
-	// RUDPMaxRetries overrides the reliable-UDP retry budget before a link
-	// is declared dead (0 = the layer's default; tests shorten it).
-	RUDPMaxRetries int
-	// RUDPAckDelay enables delayed acks on the reliable-UDP layer: pure
-	// acks wait this long for reverse data to piggyback them (0 = ack
-	// immediately, the paper's measured configuration).
-	RUDPAckDelay sim.Duration
-	// NoRTR disables the RDMA-write rendezvous (pre-posted receive
-	// advertisements), pinning large transfers to the two-sided RTS/CTS
-	// protocol. For the rendezvous ablation.
-	NoRTR bool
-	Seed  int64
-}
 
 // DefaultEager is the cluster crossover: socket round trips cost ~1 ms, so
 // piggybacking data with the envelope pays until the bounce-copy cost
@@ -110,55 +33,85 @@ const DefaultEager = 16 * 1024
 // DefaultCredit is the per-pair reserved receiver memory.
 const DefaultCredit = 64 * 1024
 
-// NewWorld builds the cluster and per-rank endpoints for cfg.
-func NewWorld(cfg Config) (*mpi.World, *atm.Cluster) {
-	w, cl, err := newWorld(cfg)
+// build constructs the cluster world s describes on one of the four
+// transports:
+//
+//   - "tcp": per-pair TCP connections, a static all-pairs mesh.
+//   - "udp": the reliable-UDP layer (sequence numbers, acks,
+//     retransmission).
+//   - "unet": U-Net-style user-level endpoints — the kernel-bypass future
+//     work the paper's related-work section points at. ATM only.
+//   - "shm": a coherent shared-memory segment mapped by all hosts (the
+//     CXL-style attached-memory analogue of the Meiko's remote-store
+//     hardware): direct stores, no kernel, no frames — and native one-sided
+//     remote memory.
+//
+// s.Lanes > 1 builds the world on the sharded kernel: hosts block-mapped
+// onto that many lanes, the ATM switch hop routing between them, the shared
+// Ethernet homed on lane 0 as a stage, and SwitchDelay (the segment latency
+// for shm) as the lookahead bound. Fault injection composes with lanes:
+// each (src, dst) link draws from its own seed-derived RNG stream, so lossy
+// sweeps shard too — single-lane lossy runs stay bit-identical to earlier
+// releases via the legacy world-global stream.
+//
+// The per-rank socket transports (nil on shm) are returned for in-package
+// tests, which reach the wire under a built world through them.
+func build(s registry.Spec, kind string) (*mpi.World, []*transport, error) {
+	faults, err := faultPolicy(s)
 	if err != nil {
-		panic(err) // direct Config construction with an invalid fault policy
+		return nil, nil, err
 	}
-	return w, cl
-}
-
-func newWorld(cfg Config) (*mpi.World, *atm.Cluster, error) {
+	net := atm.OverATM
+	switch s.Network {
+	case "", "atm":
+	case "eth":
+		net = atm.OverEthernet
+	default:
+		return nil, nil, fmt.Errorf("cluster: unknown network %q (atm | eth)", s.Network)
+	}
 	costs := atm.DefaultCosts()
-	if cfg.Costs != nil {
-		costs = *cfg.Costs
+	if s.Costs != nil {
+		c, ok := s.Costs.(*atm.Costs)
+		if !ok {
+			return nil, nil, fmt.Errorf("cluster: spec costs are %T, want *atm.Costs", s.Costs)
+		}
+		costs = *c
 	}
-	faults := cfg.Faults
-	if faults == nil && cfg.LossRate > 0 {
-		faults = &atm.Faults{Seed: cfg.Seed, Loss: cfg.LossRate}
+	if kind == "unet" && net != atm.OverATM {
+		return nil, nil, fmt.Errorf("cluster/unet: the U-Net endpoint exists only on the ATM fabric (network %q)", s.Network)
 	}
-	if faults != nil && cfg.Transport == SHM {
+	if faults != nil && kind == "shm" {
 		return nil, nil, fmt.Errorf("cluster/shm: fault injection is not supported (a memory segment has no lossy wire)")
 	}
 	// The minimum cross-lane latency — the switch forwarding delay, or the
 	// segment visibility latency on shm — is the lookahead bound.
 	lookahead := costs.SwitchDelay
-	if cfg.Transport == SHM {
+	if kind == "shm" {
 		lookahead = costs.ShmLatency
 	}
-	s := sim.NewKernel(cfg.Seed+1, cfg.Lanes, cfg.Hosts, lookahead, 500_000_000)
-	cl := atm.NewCluster(s, cfg.Hosts, costs)
+	n := s.Ranks
+	sched := sim.NewKernel(s.Seed+1, s.Lanes, n, lookahead, 500_000_000)
+	cl := atm.NewCluster(sched, n, costs)
 	if faults != nil {
 		if err := cl.SetFaults(*faults); err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("cluster: %v", err)
 		}
 	}
-	eager := cfg.Eager
+	eager := s.Eager
 	if eager == 0 {
 		eager = DefaultEager
 	}
-	credit := cfg.CreditBytes
+	credit := s.Credit
 	if credit == 0 {
 		credit = DefaultCredit
 	}
 
-	n := cfg.Hosts
 	eps := make([]core.Endpoint, n)
-	if cfg.Transport == SHM {
+	var trs []*transport
+	if kind == "shm" {
 		// The segment is the store-based fabric under shm's cost table (see
 		// shm.go); no credit scheme, so Credits stays 0.
-		fab := core.NewMemFabric(s, costs.ShmLatency, eager)
+		fab := core.NewMemFabric(sched, costs.ShmLatency, eager)
 		fab.PerByte, fab.PollCost = costs.ShmPerByte, shmPollCost
 		for i := 0; i < n; i++ {
 			eng := core.NewEngine(cl.SchedOf(i), i, n, shmEngineCosts(), nil)
@@ -166,20 +119,21 @@ func newWorld(cfg Config) (*mpi.World, *atm.Cluster, error) {
 			eps[i] = eng
 		}
 	} else {
-		trs := make([]*transport, n)
+		trs = make([]*transport, n)
 		for i := 0; i < n; i++ {
 			eng := core.NewEngine(cl.SchedOf(i), i, n, clusterEngineCosts(), nil)
-			trs[i] = newTransport(cl, eng, i, n, eager, credit, cfg.Transport, cfg.Network, trs)
-			trs[i].noRTR = cfg.NoRTR
+			trs[i] = newTransport(cl, eng, i, n, eager, credit, kind, trs)
+			trs[i].noRTR = s.NoRTR
 			eng.SetTransport(trs[i])
 			eps[i] = eng
 		}
-		// Static all-pairs TCP mesh, as in the paper's setup.
-		if cfg.Transport == TCP {
+		switch kind {
+		case "tcp":
+			// Static all-pairs TCP mesh, as in the paper's setup.
 			for i := 0; i < n; i++ {
 				for j := i + 1; j < n; j++ {
-					a, b := cl.TCPPair(i, j, cfg.Network)
-					if cfg.TCPNagle {
+					a, b := cl.TCPPair(i, j, net)
+					if s.TCPNagle {
 						a.Nagle, a.DelayedAck = true, true
 						b.Nagle, b.DelayedAck = true, true
 					}
@@ -187,45 +141,34 @@ func newWorld(cfg Config) (*mpi.World, *atm.Cluster, error) {
 					trs[j].attachConn(i, b)
 				}
 			}
-		} else if cfg.Transport == UDP {
+		case "udp":
 			for i := 0; i < n; i++ {
-				r := atm.NewRUDP(cl.UDPSocket(i, cfg.Network))
-				if cfg.RUDPMaxRetries > 0 {
-					r.MaxRetries = cfg.RUDPMaxRetries
-				}
-				r.AckDelay = cfg.RUDPAckDelay
-				trs[i].attachDgram(r)
+				trs[i].attachDgram(atm.NewRUDP(cl.UDPSocket(i, net)))
 			}
-		} else {
+		default: // unet
 			for i := 0; i < n; i++ {
 				trs[i].attachDgram(unetLink{cl.UNetSocket(i)})
 			}
 		}
 	}
 
-	w := mpi.NewWorld(s, eps)
+	w := mpi.NewWorld(sched, eps)
 	// Failure-detection latency: how long after a death survivors take to
 	// declare the peer dead (see mpi.World.ScheduleKills). Scaled to each
 	// transport's loss-recovery horizon — RUDP must let a few retransmission
 	// timeouts expire before silence means death, TCP a couple of RTTs, the
 	// kernel-bypass and shared-memory paths far less.
-	switch cfg.Transport {
-	case SHM:
+	switch kind {
+	case "shm":
 		w.FTDetect = 50 * time.Microsecond
-	case TCP:
+	case "tcp":
 		w.FTDetect = 2 * time.Millisecond
-	case UDP:
+	case "udp":
 		w.FTDetect = 40 * time.Millisecond
-	default: // UNET
+	default: // unet
 		w.FTDetect = 500 * time.Microsecond
 	}
-	return w, cl, nil
-}
-
-// Run executes body as an MPI job on the configured cluster.
-func Run(cfg Config, body func(c *mpi.Comm) error) (*mpi.Report, error) {
-	w, _ := NewWorld(cfg)
-	return mpi.Launch(w, body)
+	return w, trs, nil
 }
 
 // clusterEngineCosts carries Table 1's user-level charges: 35 µs matching

@@ -7,15 +7,15 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/atm"
 	"repro/mpi"
+	"repro/platform/registry"
 )
 
-func pingPong(t *testing.T, cfg Config, n, iters int) time.Duration {
+func pingPong(t *testing.T, s registry.Spec, n, iters int) time.Duration {
 	t.Helper()
-	cfg.Hosts = 2
+	s.Platform, s.Ranks = "cluster", 2
 	var rtt time.Duration
-	_, err := Run(cfg, func(c *mpi.Comm) error {
+	_, err := registry.Run(s, func(c *mpi.Comm) error {
 		data := make([]byte, n)
 		buf := make([]byte, n)
 		if c.Rank() == 0 {
@@ -51,8 +51,8 @@ func pingPong(t *testing.T, cfg Config, n, iters int) time.Duration {
 // matching) over raw TCP on both media, and the ATM/Ethernet ordering of
 // raw TCP carries over.
 func TestFigure5Shape(t *testing.T) {
-	mpiEth := pingPong(t, Config{Transport: TCP, Network: atm.OverEthernet}, 1, 10)
-	mpiATM := pingPong(t, Config{Transport: TCP, Network: atm.OverATM}, 1, 10)
+	mpiEth := pingPong(t, registry.Spec{Transport: "tcp", Network: "eth"}, 1, 10)
+	mpiATM := pingPong(t, registry.Spec{Transport: "tcp", Network: "atm"}, 1, 10)
 	// Raw anchors from the substrate calibration.
 	rawEth := 925 * time.Microsecond
 	rawATM := 1065 * time.Microsecond
@@ -68,8 +68,8 @@ func TestFigure5Shape(t *testing.T) {
 		t.Fatalf("1-byte: mpi/tcp/atm %v < mpi/tcp/eth %v; ATM should be slower for tiny messages", mpiATM, mpiEth)
 	}
 	// At 8 KB the ATM bandwidth advantage must flip the order.
-	bigEth := pingPong(t, Config{Transport: TCP, Network: atm.OverEthernet}, 8192, 5)
-	bigATM := pingPong(t, Config{Transport: TCP, Network: atm.OverATM}, 8192, 5)
+	bigEth := pingPong(t, registry.Spec{Transport: "tcp", Network: "eth"}, 8192, 5)
+	bigATM := pingPong(t, registry.Spec{Transport: "tcp", Network: "atm"}, 8192, 5)
 	if bigATM > bigEth {
 		t.Fatalf("8KB: mpi/tcp/atm %v > mpi/tcp/eth %v", bigATM, bigEth)
 	}
@@ -79,12 +79,11 @@ func TestFigure5Shape(t *testing.T) {
 // magnitudes: two header reads (~65 us Ethernet, ~85 us ATM) and ~35 us
 // of matching.
 func TestTable1Breakdown(t *testing.T) {
-	for _, net := range []atm.MediumKind{atm.OverEthernet, atm.OverATM} {
+	for _, net := range []string{"eth", "atm"} {
 		net := net
-		t.Run(net.String(), func(t *testing.T) {
-			cfg := Config{Hosts: 2, Transport: TCP, Network: net}
+		t.Run(net, func(t *testing.T) {
 			const iters = 10
-			rep, err := Run(cfg, func(c *mpi.Comm) error {
+			rep, err := registry.Run(registry.Spec{Platform: "cluster", Ranks: 2, Transport: "tcp", Network: net}, func(c *mpi.Comm) error {
 				data := make([]byte, 1)
 				if c.Rank() == 0 {
 					for i := 0; i < iters; i++ {
@@ -121,7 +120,7 @@ func TestTable1Breakdown(t *testing.T) {
 			readEnv := perMsg(acctReadEnv)
 			match := float64(acct.Time["match"]) / float64(acct.Count["recv"]) / 1e3
 			wantRead := 65.0
-			if net == atm.OverATM {
+			if net == "atm" {
 				wantRead = 85.0
 			}
 			if readType < wantRead*0.8 || readType > wantRead*1.3 {
@@ -140,12 +139,11 @@ func TestTable1Breakdown(t *testing.T) {
 // Figure 6 shape: MPI-over-TCP bandwidth approaches raw TCP, and ATM
 // exceeds Ethernet severalfold.
 func TestFigure6Bandwidth(t *testing.T) {
-	bw := func(net atm.MediumKind) float64 {
-		cfg := Config{Hosts: 2, Transport: TCP, Network: net}
+	bw := func(net string) float64 {
 		const chunk = 64 * 1024
 		const iters = 8
 		var elapsed time.Duration
-		_, err := Run(cfg, func(c *mpi.Comm) error {
+		_, err := registry.Run(registry.Spec{Platform: "cluster", Ranks: 2, Transport: "tcp", Network: net}, func(c *mpi.Comm) error {
 			if c.Rank() == 0 {
 				data := make([]byte, chunk)
 				for i := 0; i < iters; i++ {
@@ -170,8 +168,8 @@ func TestFigure6Bandwidth(t *testing.T) {
 		}
 		return float64(chunk*iters) / elapsed.Seconds() / 1e6
 	}
-	eth := bw(atm.OverEthernet)
-	am := bw(atm.OverATM)
+	eth := bw("eth")
+	am := bw("atm")
 	if eth < 0.6 || eth > 1.2 {
 		t.Fatalf("mpi/tcp/eth bandwidth = %.2f MB/s, want ~0.8-1.1", eth)
 	}
@@ -185,8 +183,8 @@ func TestFigure6Bandwidth(t *testing.T) {
 
 // The paper's finding: the reliable-UDP MPI performs like the TCP one.
 func TestUDPComparableToTCP(t *testing.T) {
-	tcp := pingPong(t, Config{Transport: TCP, Network: atm.OverATM}, 256, 10)
-	udp := pingPong(t, Config{Transport: UDP, Network: atm.OverATM}, 256, 10)
+	tcp := pingPong(t, registry.Spec{Transport: "tcp", Network: "atm"}, 256, 10)
+	udp := pingPong(t, registry.Spec{Transport: "udp", Network: "atm"}, 256, 10)
 	ratio := float64(udp) / float64(tcp)
 	if ratio < 0.6 || ratio > 1.6 {
 		t.Fatalf("udp/tcp RTT ratio = %.2f (udp %v, tcp %v); paper found them similar", ratio, udp, tcp)
@@ -194,12 +192,12 @@ func TestUDPComparableToTCP(t *testing.T) {
 }
 
 func TestSemanticsAllVariants(t *testing.T) {
-	for _, tr := range []TransportKind{TCP, UDP} {
-		for _, net := range []atm.MediumKind{atm.OverEthernet, atm.OverATM} {
+	for _, tr := range []string{"tcp", "udp"} {
+		for _, net := range []string{"eth", "atm"} {
 			tr, net := tr, net
 			t.Run(fmt.Sprintf("%v-%v", tr, net), func(t *testing.T) {
 				const n = 4
-				_, err := Run(Config{Hosts: n, Transport: tr, Network: net}, func(c *mpi.Comm) error {
+				_, err := registry.Run(registry.Spec{Platform: "cluster", Ranks: n, Transport: tr, Network: net}, func(c *mpi.Comm) error {
 					// Eager and rendezvous sizes with wildcards.
 					for _, size := range []int{1, 500, 40_000} {
 						if c.Rank() != 0 {
@@ -247,11 +245,11 @@ func TestSemanticsAllVariants(t *testing.T) {
 }
 
 func TestRendezvousLargeMessage(t *testing.T) {
-	for _, tr := range []TransportKind{TCP, UDP} {
+	for _, tr := range []string{"tcp", "udp"} {
 		tr := tr
-		t.Run(tr.String(), func(t *testing.T) {
+		t.Run(tr, func(t *testing.T) {
 			const size = 300_000
-			_, err := Run(Config{Hosts: 2, Transport: tr, Network: atm.OverATM}, func(c *mpi.Comm) error {
+			_, err := registry.Run(registry.Spec{Platform: "cluster", Ranks: 2, Transport: tr, Network: "atm"}, func(c *mpi.Comm) error {
 				if c.Rank() == 0 {
 					data := make([]byte, size)
 					for i := range data {
@@ -284,7 +282,7 @@ func TestRendezvousLargeMessage(t *testing.T) {
 func TestCreditFlowControlOneSided(t *testing.T) {
 	// Many eager messages to a slow receiver with a small reservation:
 	// credits must round-trip (explicit returns) without deadlock.
-	_, err := Run(Config{Hosts: 2, Transport: TCP, Network: atm.OverATM, CreditBytes: 4096, Eager: 1000}, func(c *mpi.Comm) error {
+	_, err := registry.Run(registry.Spec{Platform: "cluster", Ranks: 2, Transport: "tcp", Network: "atm", Credit: 4096, Eager: 1000}, func(c *mpi.Comm) error {
 		const msgs = 30
 		if c.Rank() == 0 {
 			for i := 0; i < msgs; i++ {
@@ -310,7 +308,7 @@ func TestCreditFlowControlOneSided(t *testing.T) {
 func TestCreditBlocksSender(t *testing.T) {
 	const delay = 50 * time.Millisecond
 	var allSent time.Duration
-	_, err := Run(Config{Hosts: 2, Transport: TCP, Network: atm.OverATM, CreditBytes: 2048, Eager: 1000}, func(c *mpi.Comm) error {
+	_, err := registry.Run(registry.Spec{Platform: "cluster", Ranks: 2, Transport: "tcp", Network: "atm", Credit: 2048, Eager: 1000}, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			for i := 0; i < 5; i++ {
 				if err := c.Send(1, i, make([]byte, 900)); err != nil {
@@ -338,7 +336,7 @@ func TestCreditBlocksSender(t *testing.T) {
 
 func TestUDPWithLossStillCorrect(t *testing.T) {
 	const size = 20_000
-	rep, err := Run(Config{Hosts: 2, Transport: UDP, Network: atm.OverATM, LossRate: 0.1}, func(c *mpi.Comm) error {
+	rep, err := registry.Run(registry.Spec{Platform: "cluster", Ranks: 2, Transport: "udp", Network: "atm", LossRate: 0.1}, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			data := make([]byte, size)
 			for i := range data {
@@ -373,7 +371,7 @@ func TestUDPWithLossStillCorrect(t *testing.T) {
 func TestSsendBlocksOnCluster(t *testing.T) {
 	const delay = 10 * time.Millisecond
 	var done time.Duration
-	_, err := Run(Config{Hosts: 2, Transport: TCP, Network: atm.OverATM}, func(c *mpi.Comm) error {
+	_, err := registry.Run(registry.Spec{Platform: "cluster", Ranks: 2, Transport: "tcp", Network: "atm"}, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			if err := c.Ssend(1, 0, []byte{1}); err != nil {
 				return err
@@ -396,7 +394,7 @@ func TestSsendBlocksOnCluster(t *testing.T) {
 func TestEagerPayloadIntegrity(t *testing.T) {
 	for _, size := range []int{0, 1, 100, 5000, 15_000} {
 		size := size
-		_, err := Run(Config{Hosts: 2, Transport: TCP, Network: atm.OverATM}, func(c *mpi.Comm) error {
+		_, err := registry.Run(registry.Spec{Platform: "cluster", Ranks: 2, Transport: "tcp", Network: "atm"}, func(c *mpi.Comm) error {
 			if c.Rank() == 0 {
 				data := make([]byte, size)
 				for i := range data {
@@ -425,9 +423,7 @@ func TestEagerPayloadIntegrity(t *testing.T) {
 
 func TestLinearVsBinomialBcast(t *testing.T) {
 	elapsed := func(alg string) time.Duration {
-		w, _ := NewWorld(Config{Hosts: 8, Transport: TCP, Network: atm.OverATM})
-		w.Tune = mpi.Tuning{"bcast": alg}
-		rep, err := mpi.Launch(w, func(c *mpi.Comm) error {
+		rep, err := registry.Run(registry.Spec{Platform: "cluster", Ranks: 8, Transport: "tcp", Network: "atm", Coll: "bcast=" + alg}, func(c *mpi.Comm) error {
 			buf := make([]byte, 4096)
 			for i := 0; i < 5; i++ {
 				if err := c.Bcast(0, buf); err != nil {
@@ -449,7 +445,7 @@ func TestLinearVsBinomialBcast(t *testing.T) {
 
 func TestDeterministicCluster(t *testing.T) {
 	run := func() time.Duration {
-		rep, err := Run(Config{Hosts: 4, Transport: TCP, Network: atm.OverEthernet}, func(c *mpi.Comm) error {
+		rep, err := registry.Run(registry.Spec{Platform: "cluster", Ranks: 4, Transport: "tcp", Network: "eth"}, func(c *mpi.Comm) error {
 			return c.Barrier()
 		})
 		if err != nil {
@@ -470,15 +466,15 @@ func TestDeterministicCluster(t *testing.T) {
 // over (the path allocated 11x the payload before frames changed owner).
 func TestDatagramPathAllocationBudget(t *testing.T) {
 	const size, warm, iters = 32 << 10, 8, 64
-	for _, cfg := range []Config{
-		{Transport: UDP, Network: atm.OverATM},
-		{Transport: UNET, Network: atm.OverATM},
-		{Transport: UDP, Network: atm.OverATM, Eager: 64 << 10},
-		{Transport: UNET, Network: atm.OverATM, Eager: 64 << 10},
+	for _, s := range []registry.Spec{
+		{Transport: "udp", Network: "atm"},
+		{Transport: "unet", Network: "atm"},
+		{Transport: "udp", Network: "atm", Eager: 64 << 10},
+		{Transport: "unet", Network: "atm", Eager: 64 << 10},
 	} {
-		cfg.Hosts = 2
+		s.Platform, s.Ranks = "cluster", 2
 		var perMsg uint64
-		_, err := Run(cfg, func(c *mpi.Comm) error {
+		_, err := registry.Run(s, func(c *mpi.Comm) error {
 			data, buf := make([]byte, size), make([]byte, size)
 			var m0, m1 runtime.MemStats
 			for i := 0; i < warm+iters; i++ {
@@ -513,7 +509,7 @@ func TestDatagramPathAllocationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		if perMsg > 2*size {
-			t.Errorf("cluster/%s eager=%d: %d bytes allocated per %d-byte message, budget %d", cfg.Transport, cfg.Eager, perMsg, size, 2*size)
+			t.Errorf("cluster/%s eager=%d: %d bytes allocated per %d-byte message, budget %d", s.Transport, s.Eager, perMsg, size, 2*size)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/atm"
 	"repro/mpi"
+	"repro/platform/registry"
 )
 
 // A permanently severed link must surface as a typed MPI error at every
@@ -13,11 +14,14 @@ import (
 // send first so both reliability endpoints have undeliverable frames and
 // both observe the death.
 func TestDeadLinkSurfacesTypedError(t *testing.T) {
-	rep, err := Run(Config{
-		Hosts: 2, Transport: UDP, Network: atm.OverATM,
-		RUDPMaxRetries: 3,
-		Faults:         &atm.Faults{Partitions: []atm.Partition{{A: 0, B: 1}}},
-	}, func(c *mpi.Comm) error {
+	w, trs, err := build(registry.Spec{Ranks: 2, Network: "atm", Partition: "0-1"}, "udp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range trs {
+		tr.dgram.(*atm.RUDP).MaxRetries = 3 // the link dies after 3 expiries, not the default 25
+	}
+	rep, err := mpi.Launch(w, func(c *mpi.Comm) error {
 		if err := c.Send(1-c.Rank(), 0, []byte{1}); err != nil {
 			return err
 		}
@@ -43,11 +47,8 @@ func TestDeadLinkSurfacesTypedError(t *testing.T) {
 // it and the job completes with correct data.
 func TestPartitionOutageHealsTransparently(t *testing.T) {
 	const size = 4096
-	_, err := Run(Config{
-		Hosts: 2, Transport: UDP, Network: atm.OverATM,
-		Faults: &atm.Faults{Partitions: []atm.Partition{
-			{A: 0, B: 1, From: time.Millisecond, Until: 40 * time.Millisecond},
-		}},
+	_, err := registry.Run(registry.Spec{Platform: "cluster", Ranks: 2, Transport: "udp", Network: "atm",
+		Partition: "0-1@1ms:40ms",
 	}, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			data := make([]byte, size)
@@ -76,11 +77,11 @@ func TestPartitionOutageHealsTransparently(t *testing.T) {
 // An added link delay fault must show up in the measured round trip —
 // proof the injector sits under MPI, not beside it.
 func TestDelayFaultStretchesRTT(t *testing.T) {
-	base := pingPong(t, Config{Transport: UDP, Network: atm.OverATM}, 1, 5)
+	base := pingPong(t, registry.Spec{Transport: "udp", Network: "atm"}, 1, 5)
 	const oneWay = 2 * time.Millisecond
-	slowed := pingPong(t, Config{
-		Transport: UDP, Network: atm.OverATM,
-		Faults: &atm.Faults{Delay: oneWay},
+	slowed := pingPong(t, registry.Spec{
+		Transport: "udp", Network: "atm",
+		Delay: oneWay,
 	}, 1, 5)
 	if d := slowed - base; d < 2*oneWay*9/10 {
 		t.Fatalf("2ms one-way delay fault stretched the RTT by only %v", d)
@@ -91,9 +92,8 @@ func TestDelayFaultStretchesRTT(t *testing.T) {
 // duplication — the reliability layer's sequencing absorbs both.
 func TestReorderDuplicateStillCorrect(t *testing.T) {
 	const msgs = 20
-	_, err := Run(Config{
-		Hosts: 2, Transport: UDP, Network: atm.OverATM,
-		Faults: &atm.Faults{Seed: 9, Reorder: 0.3, Duplicate: 0.3},
+	_, err := registry.Run(registry.Spec{Platform: "cluster", Ranks: 2, Transport: "udp", Network: "atm",
+		FaultSeed: 9, Reorder: 0.3, Duplicate: 0.3,
 	}, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			for i := 0; i < msgs; i++ {
@@ -122,10 +122,7 @@ func TestReorderDuplicateStillCorrect(t *testing.T) {
 // An invalid fault policy is rejected at world construction, not at the
 // first mangled frame.
 func TestInvalidFaultPolicyRejected(t *testing.T) {
-	_, _, err := newWorld(Config{
-		Hosts: 2, Transport: UDP, Network: atm.OverATM,
-		Faults: &atm.Faults{Loss: 1.5},
-	})
+	_, err := registry.Build(registry.Spec{Platform: "cluster", Ranks: 2, Transport: "udp", Network: "atm", LossRate: 1.5})
 	if err == nil {
 		t.Fatal("out-of-range loss probability accepted")
 	}

@@ -5,10 +5,10 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/atm"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/mpi"
+	"repro/platform/registry"
 )
 
 func (r readySet) has(i int) bool { return r[i>>6]>>(i&63)&1 == 1 }
@@ -109,7 +109,7 @@ func TestReadySetTracksReadableConns(t *testing.T) {
 	const msgs = 12
 	sizes := []int{1, 1024, DefaultEager, 3 * DefaultCredit}
 	polls := 0
-	_, err := Run(Config{Hosts: 8, Transport: TCP, Network: atm.OverATM}, func(c *mpi.Comm) error {
+	_, err := registry.Run(registry.Spec{Platform: "cluster", Ranks: 8, Transport: "tcp", Network: "atm"}, func(c *mpi.Comm) error {
 		eng := c.Endpoint().(*core.Engine)
 		eng.SetTransport(readyChecker{eng.Transport().(*transport), t, &polls})
 		if c.Rank() != 0 {

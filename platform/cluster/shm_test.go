@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/mpi"
+	"repro/platform/registry"
 )
 
 // cluster/shm is core.MemFabric under a cost table (see shm.go), so its
@@ -25,7 +26,7 @@ func TestShmGoldenTimings(t *testing.T) {
 	for _, lanes := range []int{1, 2} {
 		for _, g := range golden {
 			t.Run(fmt.Sprintf("lanes=%d/n=%d", lanes, g.n), func(t *testing.T) {
-				rep, err := Run(Config{Hosts: 2, Transport: SHM, Lanes: lanes, Seed: 1}, func(c *mpi.Comm) error {
+				rep, err := registry.Run(registry.Spec{Platform: "cluster", Ranks: 2, Transport: "shm", Lanes: lanes, Seed: 1}, func(c *mpi.Comm) error {
 					data, buf := make([]byte, g.n), make([]byte, g.n)
 					peer := 1 - c.Rank()
 					for i := 0; i < 3; i++ {
@@ -66,7 +67,7 @@ func TestShmNonOvertaking(t *testing.T) {
 	golden := []time.Duration{1_093_000, 1_115_060, 1_180_060, 1_202_180, 1_704_180, 1_726_360}
 	for _, lanes := range []int{1, 2} {
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
-			_, err := Run(Config{Hosts: 3, Transport: SHM, Lanes: lanes, Seed: 1}, func(c *mpi.Comm) error {
+			_, err := registry.Run(registry.Spec{Platform: "cluster", Ranks: 3, Transport: "shm", Lanes: lanes, Seed: 1}, func(c *mpi.Comm) error {
 				if c.Rank() == 0 {
 					var reqs []*mpi.Request
 					for _, n := range sizes {

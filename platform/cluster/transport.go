@@ -26,9 +26,8 @@ type transport struct {
 	eng   *core.Engine
 	rank  int
 	size  int
-	max   int // eager threshold
-	kind  TransportKind
-	net   atm.MediumKind
+	max   int    // eager threshold
+	kind  string // "tcp" | "udp" | "unet"
 	peers []*transport
 
 	conns []*atm.TCP // TCP mesh (nil diagonal)
@@ -112,7 +111,7 @@ type tcpData struct {
 	env core.Envelope // the Data frame's header envelope
 }
 
-func newTransport(cl *atm.Cluster, eng *core.Engine, rank, size, eager, credit int, kind TransportKind, net atm.MediumKind, peers []*transport) *transport {
+func newTransport(cl *atm.Cluster, eng *core.Engine, rank, size, eager, credit int, kind string, peers []*transport) *transport {
 	t := &transport{
 		cl:         cl,
 		eng:        eng,
@@ -120,7 +119,6 @@ func newTransport(cl *atm.Cluster, eng *core.Engine, rank, size, eager, credit i
 		size:       size,
 		max:        eager,
 		kind:       kind,
-		net:        net,
 		peers:      peers,
 		conns:      make([]*atm.TCP, size),
 		ready:      make(readySet, (size+63)/64),
@@ -220,7 +218,7 @@ func (t *transport) writeFrame(p *sim.Proc, dst int, kind core.PacketKind, env c
 	if t.dead[dst] {
 		return // fenced: the peer is dead, the frame would go nowhere
 	}
-	if t.kind == TCP {
+	if t.kind == "tcp" {
 		frame := t.pool.Get(headerBytes + len(payload))
 		flow.EncodeHeaderInto(frame, kind, t.owed.Take(dst), env, aux)
 		copy(frame[headerBytes:], payload)
@@ -319,7 +317,7 @@ func (t *transport) SendPayload(p *sim.Proc, req *core.Request, pkt *core.Packet
 func (t *transport) pushPayload(p *sim.Proc, req *core.Request, aux uint32, direct bool) {
 	dst := req.Env.Dest
 	data := req.Buf
-	if t.kind == TCP {
+	if t.kind == "tcp" {
 		// The frame may exceed the receiver's TCP window, and the peer may
 		// be pushing an equally large frame at us at the same moment (the
 		// symmetric exchanges every large collective performs). A plain
@@ -484,7 +482,7 @@ func (t *transport) PeerDown(rank int) {
 			t.pendingShip.Push(req) // rotate the survivors through, in order
 		}
 	}
-	if t.kind == TCP {
+	if t.kind == "tcp" {
 		if c := t.conns[rank]; c != nil {
 			c.Drop()
 		}
@@ -530,7 +528,7 @@ func (t *transport) Pending() bool {
 	if t.inbox.Len() > 0 || t.pendingShip.Len() > 0 {
 		return true
 	}
-	if t.kind == TCP {
+	if t.kind == "tcp" {
 		return t.ready.any()
 	}
 	return t.dgram.Readable()
@@ -540,7 +538,7 @@ func (t *transport) Pending() bool {
 // reporting whether anything was processed.
 func (t *transport) parseAvailable(p *sim.Proc) bool {
 	any := false
-	if t.kind != TCP {
+	if t.kind != "tcp" {
 		for t.parseDgram(p) {
 			any = true
 		}

@@ -11,100 +11,76 @@
 package meiko
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/meiko"
 	"repro/internal/sim"
 	"repro/mpi"
+	"repro/platform/registry"
 )
-
-// Impl selects the MPI implementation.
-type Impl int
-
-const (
-	// LowLatency is the paper's SPARC-matching implementation.
-	LowLatency Impl = iota
-	// MPICH is the tport-based baseline with Elan matching.
-	MPICH
-)
-
-func (i Impl) String() string {
-	if i == LowLatency {
-		return "lowlatency"
-	}
-	return "mpich"
-}
-
-// Config describes a Meiko job.
-type Config struct {
-	Nodes int
-	Impl  Impl
-	// Lanes > 1 builds the world on the sharded kernel: nodes block-mapped
-	// onto that many lanes, with the wire latency — or the fat-tree hop
-	// latency, half of it, when FatTree is set — as the lookahead bound.
-	Lanes int
-	// Eager is the eager/rendezvous crossover in bytes; 0 means the
-	// paper's measured 180 (Figure 1). Only the low-latency
-	// implementation uses it.
-	Eager int
-	// Costs overrides the hardware cost model; nil means DefaultCosts.
-	Costs *meiko.Costs
-	// FatTree routes unicast traffic through the staged fat-tree
-	// congestion model instead of the flat-latency wire.
-	FatTree bool
-	// EnvelopeSlots is the number of preallocated envelope slots per
-	// (sender, receiver) pair; 0 means the paper's single slot. More slots
-	// buy pipelining of small-message streams at the cost of receiver
-	// memory (the trade §4.1 discusses).
-	EnvelopeSlots int
-	Seed          int64
-}
 
 // DefaultEager is the paper's measured crossover point (Figure 1).
 const DefaultEager = 180
 
-// NewWorld builds the machine and per-rank endpoints for cfg.
-func NewWorld(cfg Config) (*mpi.World, *meiko.Machine) {
+// build constructs the machine and per-rank endpoints for s under impl
+// ("lowlatency" | "mpich"). s.Lanes > 1 builds the world on the sharded
+// kernel: nodes block-mapped onto that many lanes, with the wire latency —
+// or the fat-tree hop latency, half of it, when the tree is staged — as the
+// lookahead bound. s.Eager is used by the low-latency implementation only;
+// s.EnvelopeSlots is the number of preallocated envelope slots per (sender,
+// receiver) pair (0 = the paper's single slot): more slots buy pipelining
+// of small-message streams at the cost of receiver memory (the trade §4.1
+// discusses).
+func build(s registry.Spec, impl string) (*mpi.World, error) {
 	costs := meiko.DefaultCosts()
-	if cfg.Costs != nil {
-		costs = *cfg.Costs
+	if s.Costs != nil {
+		c, ok := s.Costs.(*meiko.Costs)
+		if !ok {
+			return nil, fmt.Errorf("meiko: spec costs are %T, want *meiko.Costs", s.Costs)
+		}
+		costs = *c
 	}
+	// Unicast traffic goes through the staged fat-tree congestion model
+	// instead of the flat-latency wire when asked to, or when a switch-plane
+	// outage needs a tree to happen in.
+	fatTree := s.FatTree || s.TreeFaults != ""
 	// The lookahead bound is the minimum cross-lane stage latency: the flat
 	// wire hop, or the per-switch hop (WireLatency/2) once the fat tree
 	// stages the route.
 	lookahead := sim.Duration(costs.WireLatency)
-	if cfg.FatTree {
+	if fatTree {
 		lookahead /= 2
 	}
-	s := sim.NewKernel(cfg.Seed+1, cfg.Lanes, cfg.Nodes, lookahead, 500_000_000)
-	m := meiko.NewMachine(s, cfg.Nodes, costs)
-	if cfg.FatTree {
+	n := s.Ranks
+	sched := sim.NewKernel(s.Seed+1, s.Lanes, n, lookahead, 500_000_000)
+	m := meiko.NewMachine(sched, n, costs)
+	if fatTree {
 		m.Tree = m.NewFatTree()
 	}
-	eager := cfg.Eager
+	eager := s.Eager
 	if eager == 0 {
 		eager = DefaultEager
 	}
 
-	eps := make([]core.Endpoint, cfg.Nodes)
-	switch cfg.Impl {
-	case LowLatency:
-		trs := make([]*lowlatTransport, cfg.Nodes)
-		for i := 0; i < cfg.Nodes; i++ {
-			eng := core.NewEngine(m.Nodes[i].S, i, cfg.Nodes, lowlatEngineCosts(), nil)
-			trs[i] = newLowlatTransport(m, m.Nodes[i], eng, eager, cfg.EnvelopeSlots, trs)
+	eps := make([]core.Endpoint, n)
+	if impl == "lowlatency" {
+		trs := make([]*lowlatTransport, n)
+		for i := 0; i < n; i++ {
+			eng := core.NewEngine(m.Nodes[i].S, i, n, lowlatEngineCosts(), nil)
+			trs[i] = newLowlatTransport(m, m.Nodes[i], eng, eager, s.EnvelopeSlots, trs)
 			eng.SetTransport(trs[i])
 			eps[i] = &LowLatEndpoint{Engine: eng, tr: trs[i]}
 		}
-	case MPICH:
-		for i := 0; i < cfg.Nodes; i++ {
-			eps[i] = newMPICHEndpoint(m, i, cfg.Nodes)
+	} else {
+		for i := 0; i < n; i++ {
+			eps[i] = newMPICHEndpoint(m, i, n)
 		}
 	}
 
-	w := mpi.NewWorld(s, eps)
-	if cfg.Impl == LowLatency {
+	w := mpi.NewWorld(sched, eps)
+	if impl == "lowlatency" {
 		// Failure detection on the CS/2: a missed envelope-slot heartbeat
 		// horizon, a handful of network round trips. MPICH keeps the zero
 		// default — its tport endpoints cannot fail requests per peer, and
@@ -116,13 +92,16 @@ func NewWorld(cfg Config) (*mpi.World, *meiko.Machine) {
 		// resolves to the hardware broadcast.
 		w.Tune = mpi.Tuning{"bcast": "binomial"}
 	}
-	return w, m
-}
-
-// Run executes body as an n-rank MPI job on the configured machine.
-func Run(cfg Config, body func(c *mpi.Comm) error) (*mpi.Report, error) {
-	w, _ := NewWorld(cfg)
-	return mpi.Launch(w, body)
+	if s.TreeFaults != "" {
+		faults, err := meiko.ParseTreeFaults(s.TreeFaults)
+		if err != nil {
+			return nil, err
+		}
+		if err := m.Tree.SetFaults(faults); err != nil {
+			return nil, err
+		}
+	}
+	return w, nil
 }
 
 // lowlatEngineCosts are the SPARC-side engine charges of the low-latency

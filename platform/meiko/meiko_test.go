@@ -7,14 +7,15 @@ import (
 	"time"
 
 	"repro/mpi"
+	"repro/platform/registry"
 )
 
 // pingPong measures the average round-trip time of n-byte messages.
-func pingPong(t *testing.T, cfg Config, n, iters int) time.Duration {
+func pingPong(t *testing.T, s registry.Spec, n, iters int) time.Duration {
 	t.Helper()
-	cfg.Nodes = 2
+	s.Platform, s.Ranks = "meiko", 2
 	var rtt time.Duration
-	_, err := Run(cfg, func(c *mpi.Comm) error {
+	_, err := registry.Run(s, func(c *mpi.Comm) error {
 		data := make([]byte, n)
 		buf := make([]byte, n)
 		if c.Rank() == 0 {
@@ -48,7 +49,7 @@ func pingPong(t *testing.T, cfg Config, n, iters int) time.Duration {
 
 // Paper anchor (Figure 2): the low-latency MPI 1-byte round trip is 104 µs.
 func TestLowLatencyRTTCalibration(t *testing.T) {
-	us := float64(pingPong(t, Config{Impl: LowLatency}, 1, 20)) / 1e3
+	us := float64(pingPong(t, registry.Spec{Impl: "lowlatency"}, 1, 20)) / 1e3
 	if us < 99 || us > 109 {
 		t.Fatalf("low-latency 1-byte RTT = %.1f us, want ~104 (paper anchor)", us)
 	}
@@ -57,7 +58,7 @@ func TestLowLatencyRTTCalibration(t *testing.T) {
 // Paper anchor (Figure 2): MPICH over tport adds 158 µs to the 52 µs tport
 // round trip: 210 µs total.
 func TestMPICHRTTCalibration(t *testing.T) {
-	us := float64(pingPong(t, Config{Impl: MPICH}, 1, 20)) / 1e3
+	us := float64(pingPong(t, registry.Spec{Impl: "mpich"}, 1, 20)) / 1e3
 	if us < 198 || us > 222 {
 		t.Fatalf("MPICH 1-byte RTT = %.1f us, want ~210 (paper anchor)", us)
 	}
@@ -66,8 +67,8 @@ func TestMPICHRTTCalibration(t *testing.T) {
 // Figure 2's ordering: tport < low-latency MPI < MPICH at every size.
 func TestFigure2Ordering(t *testing.T) {
 	for _, n := range []int{1, 64, 256, 1024} {
-		low := pingPong(t, Config{Impl: LowLatency}, n, 5)
-		mpich := pingPong(t, Config{Impl: MPICH}, n, 5)
+		low := pingPong(t, registry.Spec{Impl: "lowlatency"}, n, 5)
+		mpich := pingPong(t, registry.Spec{Impl: "mpich"}, n, 5)
 		if low >= mpich {
 			t.Fatalf("size %d: low-latency %v >= mpich %v", n, low, mpich)
 		}
@@ -79,10 +80,10 @@ func TestFigure2Ordering(t *testing.T) {
 // model the crossover sits near the paper's 180 bytes.
 func TestFigure1Crossover(t *testing.T) {
 	eagerOnly := func(n int) time.Duration {
-		return pingPong(t, Config{Impl: LowLatency, Eager: 1 << 20}, n, 5)
+		return pingPong(t, registry.Spec{Impl: "lowlatency", Eager: 1 << 20}, n, 5)
 	}
 	rndvOnly := func(n int) time.Duration {
-		return pingPong(t, Config{Impl: LowLatency, Eager: 1}, n, 5)
+		return pingPong(t, registry.Spec{Impl: "lowlatency", Eager: 1}, n, 5)
 	}
 	if e, r := eagerOnly(16), rndvOnly(16); e >= r {
 		t.Fatalf("16B: eager %v >= rendezvous %v; small messages should prefer buffering", e, r)
@@ -107,12 +108,11 @@ func TestFigure1Crossover(t *testing.T) {
 // Figure 3: both implementations approach the 39 MB/s DMA bandwidth for
 // large transfers, with the low-latency implementation at least as fast.
 func TestFigure3Bandwidth(t *testing.T) {
-	bw := func(impl Impl) float64 {
-		cfg := Config{Nodes: 2, Impl: impl}
+	bw := func(impl string) float64 {
 		const chunk = 256 * 1024
 		const iters = 8
 		var elapsed time.Duration
-		_, err := Run(cfg, func(c *mpi.Comm) error {
+		_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 2, Impl: impl}, func(c *mpi.Comm) error {
 			if c.Rank() == 0 {
 				data := make([]byte, chunk)
 				for i := 0; i < iters; i++ {
@@ -138,8 +138,8 @@ func TestFigure3Bandwidth(t *testing.T) {
 		}
 		return float64(chunk*iters) / elapsed.Seconds() / 1e6
 	}
-	low := bw(LowLatency)
-	mpich := bw(MPICH)
+	low := bw("lowlatency")
+	mpich := bw("mpich")
 	if low < 33 || low > 41 {
 		t.Fatalf("low-latency bandwidth = %.1f MB/s, want ~36-39 (paper anchor)", low)
 	}
@@ -153,11 +153,11 @@ func TestFigure3Bandwidth(t *testing.T) {
 
 // The full MPI semantics suite runs identically on both implementations.
 func TestSemanticsBothImpls(t *testing.T) {
-	for _, impl := range []Impl{LowLatency, MPICH} {
+	for _, impl := range []string{"lowlatency", "mpich"} {
 		impl := impl
-		t.Run(impl.String(), func(t *testing.T) {
+		t.Run(impl, func(t *testing.T) {
 			const n = 4
-			_, err := Run(Config{Nodes: n, Impl: impl}, func(c *mpi.Comm) error {
+			_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: n, Impl: impl}, func(c *mpi.Comm) error {
 				// Wildcards + payload integrity, eager and rendezvous sizes.
 				for _, size := range []int{3, 100, 5000} {
 					if c.Rank() != 0 {
@@ -239,7 +239,7 @@ func TestSemanticsBothImpls(t *testing.T) {
 
 func TestHardwareBcastUsedAndCorrect(t *testing.T) {
 	const n = 8
-	rep, err := Run(Config{Nodes: n, Impl: LowLatency}, func(c *mpi.Comm) error {
+	rep, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: n, Impl: "lowlatency"}, func(c *mpi.Comm) error {
 		buf := make([]byte, 1000)
 		if c.Rank() == 3 {
 			for i := range buf {
@@ -267,8 +267,8 @@ func TestHardwareBcastUsedAndCorrect(t *testing.T) {
 // Figure 7's structural claim: broadcasting with the hardware is much
 // cheaper than MPICH's point-to-point tree.
 func TestHWBcastBeatsTreeBcast(t *testing.T) {
-	elapsed := func(impl Impl) time.Duration {
-		rep, err := Run(Config{Nodes: 16, Impl: impl}, func(c *mpi.Comm) error {
+	elapsed := func(impl string) time.Duration {
+		rep, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 16, Impl: impl}, func(c *mpi.Comm) error {
 			buf := make([]byte, 1024)
 			for i := 0; i < 20; i++ {
 				if err := c.Bcast(0, buf); err != nil {
@@ -282,7 +282,7 @@ func TestHWBcastBeatsTreeBcast(t *testing.T) {
 		}
 		return rep.MaxRankElapsed
 	}
-	hw, tree := elapsed(LowLatency), elapsed(MPICH)
+	hw, tree := elapsed("lowlatency"), elapsed("mpich")
 	if hw >= tree {
 		t.Fatalf("hardware bcast %v >= mpich tree bcast %v", hw, tree)
 	}
@@ -290,7 +290,7 @@ func TestHWBcastBeatsTreeBcast(t *testing.T) {
 
 func TestRepeatedHWBcastDifferentRoots(t *testing.T) {
 	const n = 4
-	_, err := Run(Config{Nodes: n, Impl: LowLatency}, func(c *mpi.Comm) error {
+	_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: n, Impl: "lowlatency"}, func(c *mpi.Comm) error {
 		for round := 0; round < 8; round++ {
 			root := round % n
 			buf := make([]byte, 64)
@@ -316,7 +316,7 @@ func TestRepeatedHWBcastDifferentRoots(t *testing.T) {
 func TestSlotFlowControlSerializesEagerSends(t *testing.T) {
 	// With one envelope slot per pair, a burst of eager sends to a slow
 	// receiver must wait for slot-free acks — but never deadlock.
-	_, err := Run(Config{Nodes: 2, Impl: LowLatency}, func(c *mpi.Comm) error {
+	_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 2, Impl: "lowlatency"}, func(c *mpi.Comm) error {
 		const msgs = 20
 		if c.Rank() == 0 {
 			for i := 0; i < msgs; i++ {
@@ -342,7 +342,7 @@ func TestSlotFlowControlSerializesEagerSends(t *testing.T) {
 func TestNonblockingOverlapLowLat(t *testing.T) {
 	// Isend + compute + Wait: the paper's motivation for Elan sends in the
 	// background — the SPARC is free during the transfer.
-	_, err := Run(Config{Nodes: 2, Impl: LowLatency}, func(c *mpi.Comm) error {
+	_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 2, Impl: "lowlatency"}, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			req, err := c.Isend(1, 0, make([]byte, 50_000))
 			if err != nil {
@@ -361,8 +361,8 @@ func TestNonblockingOverlapLowLat(t *testing.T) {
 }
 
 func TestDeterministicRuns(t *testing.T) {
-	run := func(impl Impl) time.Duration {
-		rep, err := Run(Config{Nodes: 4, Impl: impl}, func(c *mpi.Comm) error {
+	run := func(impl string) time.Duration {
+		rep, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 4, Impl: impl}, func(c *mpi.Comm) error {
 			return c.Barrier()
 		})
 		if err != nil {
@@ -370,7 +370,7 @@ func TestDeterministicRuns(t *testing.T) {
 		}
 		return rep.MaxRankElapsed
 	}
-	for _, impl := range []Impl{LowLatency, MPICH} {
+	for _, impl := range []string{"lowlatency", "mpich"} {
 		if a, b := run(impl), run(impl); a != b {
 			t.Fatalf("%v nondeterministic: %v vs %v", impl, a, b)
 		}

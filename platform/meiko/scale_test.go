@@ -6,16 +6,17 @@ import (
 	"time"
 
 	"repro/mpi"
+	"repro/platform/registry"
 )
 
 // The paper's machine is a 64-node CS/2: the full configuration must run
 // collectives and bulk point-to-point traffic correctly on both
 // implementations.
 func TestFullMachine64Nodes(t *testing.T) {
-	for _, impl := range []Impl{LowLatency, MPICH} {
+	for _, impl := range []string{"lowlatency", "mpich"} {
 		impl := impl
-		t.Run(impl.String(), func(t *testing.T) {
-			rep, err := Run(Config{Nodes: 64, Impl: impl}, func(c *mpi.Comm) error {
+		t.Run(impl, func(t *testing.T) {
+			rep, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 64, Impl: impl}, func(c *mpi.Comm) error {
 				// Broadcast + reduction over the whole machine.
 				buf := make([]byte, 2048)
 				if c.Rank() == 0 {
@@ -63,7 +64,7 @@ func TestFullMachine64Nodes(t *testing.T) {
 
 // 64 nodes through the fat-tree congestion model.
 func TestFullMachineFatTree(t *testing.T) {
-	_, err := Run(Config{Nodes: 64, Impl: LowLatency, FatTree: true}, func(c *mpi.Comm) error {
+	_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 64, Impl: "lowlatency", FatTree: true}, func(c *mpi.Comm) error {
 		// All-to-all across the tree: every pair exchanges one byte.
 		send := make([]byte, 64)
 		for i := range send {

@@ -1,10 +1,12 @@
 // Package registry is the single front door for building MPI worlds: the
 // seam between the transport-independent engine and the platform ports.
 // Every backend — the Meiko low-latency and MPICH implementations, the
-// cluster's TCP/UDP/U-Net transports, and the in-memory reference fabric —
-// registers a Builder under a stable name, and every entrypoint
-// (cmd/mpirun, cmd/repro, the bench and conformance harnesses) builds
-// worlds exclusively through Build. Adding a backend (a shared-memory
+// cluster's TCP/UDP/U-Net/shm transports, and the in-memory reference
+// fabric — registers a Builder under a stable name, the builders read the
+// Spec directly (the platform packages export no Config and no constructor
+// of their own; TestSingleFrontDoor), and every entrypoint (cmd/*,
+// examples/, the bench and conformance harnesses) builds worlds
+// exclusively through Build. Adding a backend (a shared-memory
 // port, a hierarchical fabric, a real-socket port) is a single Register
 // call: it immediately becomes reachable from every command and is swept
 // by the conformance matrix automatically.
@@ -17,6 +19,8 @@ package registry
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -46,7 +50,7 @@ type Spec struct {
 	Costs     any   // platform cost-model override (*meiko.Costs, *atm.Costs; nil = calibrated)
 	Seed      int64 // workload/scheduler seed
 
-	// Ablation knobs, threaded to the platform configs.
+	// Ablation knobs, read by the platform builders.
 	Coll          string  // collective tuning, "op=alg,..." over the backend's defaults (see coll.ParseTuning; "" = none)
 	LossRate      float64 // cluster: datagram loss probability per frame
 	TCPNagle      bool    // cluster: leave Nagle/delayed acks on (no TCP_NODELAY)
@@ -110,6 +114,33 @@ func (s Spec) Key() string {
 	}
 }
 
+// platformKnobs lists, per platform, the Spec fields its builders read on
+// top of the ones that mean the same everywhere (everyKnob). A field set on
+// a platform that does not list it would be dropped without a word — a
+// fat tree on the cluster, a loss rate on the Meiko — so Build refuses it.
+var (
+	everyKnob     = []string{"Platform", "Ranks", "Lanes", "Parallel", "Eager", "Seed", "Coll", "Kills", "Workload"}
+	platformKnobs = map[string][]string{
+		"mem":   {"Credit"},
+		"meiko": {"Impl", "Costs", "FatTree", "EnvelopeSlots", "TreeFaults"},
+		"cluster": {"Transport", "Network", "Credit", "Costs", "TCPNagle", "NoRTR",
+			"LossRate", "Delay", "Jitter", "Reorder", "Duplicate", "DropEveryN", "Partition", "FaultSeed"},
+	}
+)
+
+// foreignKnob names the first non-zero field of s its platform does not
+// read, or "".
+func foreignKnob(s Spec) string {
+	v := reflect.ValueOf(s)
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		if !v.Field(i).IsZero() && !slices.Contains(everyKnob, name) && !slices.Contains(platformKnobs[s.Platform], name) {
+			return name
+		}
+	}
+	return ""
+}
+
 // Builder constructs a fresh world for one job.
 type Builder func(Spec) (*mpi.World, error)
 
@@ -169,11 +200,8 @@ func Build(s Spec) (*mpi.World, error) {
 	if s.Ranks <= 0 || s.Ranks > core.MaxRanks {
 		return nil, fmt.Errorf("backend %q: spec needs 1 <= Ranks <= %d (the matcher keys sources in 16 bits), got %d", s.Key(), core.MaxRanks, s.Ranks)
 	}
-	if s.HasFaults() && s.Platform != "cluster" {
-		return nil, fmt.Errorf("backend %q: fault injection (loss/delay/reorder/partition) exists only on the cluster platform", s.Key())
-	}
-	if s.TreeFaults != "" && s.Platform != "meiko" {
-		return nil, fmt.Errorf("backend %q: switch-plane faults exist only on the meiko fat tree", s.Key())
+	if name := foreignKnob(s); name != "" {
+		return nil, fmt.Errorf("backend %q: Spec.%s is set, but platform %q has no such knob (it would be silently ignored)", s.Key(), name, s.Platform)
 	}
 	if s.Workload != "" {
 		if _, ok := workload.Lookup(s.Workload); !ok {

@@ -2,6 +2,12 @@ package registry_test
 
 import (
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -79,6 +85,94 @@ func TestBuildRejectsBadSpecs(t *testing.T) {
 	}
 	if _, err := registry.Build(registry.Spec{Platform: "cluster", Transport: "unet", Network: "eth", Ranks: 2}); err == nil {
 		t.Error("unet over ethernet must fail")
+	}
+}
+
+// A knob set on a platform that does not read it is an error naming the
+// field, for every (platform, foreign field) pair — never a silent drop.
+// The table below is the test's own copy of who reads what; a Spec field it
+// does not list must be one that means the same on every platform.
+func TestForeignKnobsAreLoud(t *testing.T) {
+	readBy := map[string]string{
+		"Impl": "meiko", "FatTree": "meiko", "EnvelopeSlots": "meiko", "TreeFaults": "meiko",
+		"Costs": "meiko cluster", "Credit": "mem cluster",
+		"Transport": "cluster", "Network": "cluster", "TCPNagle": "cluster", "NoRTR": "cluster",
+		"LossRate": "cluster", "Delay": "cluster", "Jitter": "cluster", "Reorder": "cluster",
+		"Duplicate": "cluster", "DropEveryN": "cluster", "Partition": "cluster", "FaultSeed": "cluster",
+	}
+	everywhere := strings.Fields("Platform Ranks Lanes Parallel Eager Seed Coll Kills Workload")
+	typ := reflect.TypeOf(registry.Spec{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		owners, isKnob := readBy[name]
+		if !isKnob {
+			if !slices.Contains(everywhere, name) {
+				t.Errorf("Spec.%s is in neither table: say which platforms read it", name)
+			}
+			continue
+		}
+		for _, platform := range []string{"mem", "meiko", "cluster"} {
+			spec := registry.Spec{Platform: platform, Ranks: 2}
+			switch fv := reflect.ValueOf(&spec).Elem().Field(i); fv.Kind() {
+			case reflect.String:
+				fv.SetString("x")
+			case reflect.Bool:
+				fv.SetBool(true)
+			case reflect.Float64:
+				fv.SetFloat(0.5)
+			case reflect.Interface:
+				fv.Set(reflect.ValueOf(42))
+			default:
+				fv.SetInt(1)
+			}
+			_, err := registry.Build(spec)
+			foreign := err != nil && strings.Contains(err.Error(), "Spec."+name+" is set") &&
+				strings.HasPrefix(err.Error(), `backend "`+spec.Key()+`": `)
+			if want := !strings.Contains(owners, platform); foreign != want {
+				t.Errorf("%s with %s set: foreign-knob error = %v, want %v (err: %v)", platform, name, foreign, want, err)
+			}
+		}
+	}
+}
+
+// One front door: the platform packages register builders and export no
+// second way to a world — no function that returns a *mpi.World, no
+// options struct beside registry.Spec.
+func TestSingleFrontDoor(t *testing.T) {
+	files, err := filepath.Glob("../*/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, "../registry/") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch d := n.(type) {
+			case *ast.FuncDecl:
+				if !d.Name.IsExported() || d.Type.Results == nil {
+					return false
+				}
+				for _, res := range d.Type.Results.List {
+					if star, ok := res.Type.(*ast.StarExpr); ok {
+						if sel, ok := star.X.(*ast.SelectorExpr); ok && sel.Sel.Name == "World" {
+							t.Errorf("%s: exported %s returns a *mpi.World; worlds come from registry.Build", fset.Position(d.Pos()), d.Name.Name)
+						}
+					}
+				}
+				return false
+			case *ast.TypeSpec:
+				if _, ok := d.Type.(*ast.StructType); ok && d.Name.Name == "Config" {
+					t.Errorf("%s: a platform Config duplicates registry.Spec", fset.Position(d.Pos()))
+				}
+			}
+			return true
+		})
 	}
 }
 
