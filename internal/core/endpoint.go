@@ -7,6 +7,11 @@ import "repro/internal/sim"
 // does the MPICH-over-tport baseline on the Meiko — they differ exactly in
 // where matching runs (main CPU vs communications co-processor), which is
 // the comparison of Figure 2.
+//
+// Wait, a Test that reports done and a Cancel that reports true consume the
+// request, like MPI setting the handle to MPI_REQUEST_NULL: the caller copies
+// out what it needs from their results and never touches the pointer again —
+// the Engine reissues the object to a later Isend or Irecv.
 type Endpoint interface {
 	Rank() int
 	Size() int
@@ -19,7 +24,7 @@ type Endpoint interface {
 	Test(p *sim.Proc, r *Request) (Status, bool, error)
 	Probe(p *sim.Proc, src, tag, ctx int) (Status, error)
 	Iprobe(p *sim.Proc, src, tag, ctx int) (Status, bool, error)
-	Cancel(p *sim.Proc, r *Request) error
+	Cancel(p *sim.Proc, r *Request) (bool, error)
 	BufferAttach(n int)
 	BufferDetach() int
 
@@ -50,7 +55,3 @@ func NewRequest(isRecv bool, env Envelope, buf []byte) *Request {
 // Complete finishes the request with the given status and error; exported
 // for alternative Endpoint implementations.
 func (r *Request) Complete(st Status, err error) { r.complete(st, err) }
-
-// MarkCancelled flags the request as cancelled; exported for alternative
-// Endpoint implementations.
-func (r *Request) MarkCancelled() { r.cancelled = true }

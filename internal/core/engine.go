@@ -32,10 +32,17 @@ type Engine struct {
 	costs EngineCosts
 	acct  *Acct
 
-	match   Matcher
-	cond    *sim.Cond
-	nextID  int64
-	pending map[int64]*Request
+	match Matcher
+	cond  *sim.Cond
+
+	// The request table (see reqtable.go): live requests by slot, the slots
+	// free for reissue, released requests awaiting reuse, the creation
+	// counter, and how many tabled sends the wire has not taken yet.
+	slots   []reqSlot
+	vacant  []uint32
+	idle    []*Request
+	nextSeq uint64
+	unsent  int
 
 	// wins holds the registered one-sided windows by id (see window.go);
 	// lazily allocated by WinCreate.
@@ -99,14 +106,13 @@ func NewEngine(s *sim.Scheduler, rank, size int, costs EngineCosts, acct *Acct) 
 		acct = NewAcct()
 	}
 	return &Engine{
-		rank:    rank,
-		size:    size,
-		s:       s,
-		costs:   costs,
-		acct:    acct,
-		cond:    sim.NewCond(s),
-		pending: make(map[int64]*Request),
-		pool:    NewBufPool(acct),
+		rank:  rank,
+		size:  size,
+		s:     s,
+		costs: costs,
+		acct:  acct,
+		cond:  sim.NewCond(s),
+		pool:  NewBufPool(acct),
 	}
 }
 
@@ -199,24 +205,20 @@ func (e *Engine) Isend(p *sim.Proc, dst, tag, ctx int, mode Mode, data []byte) (
 	if err := e.ftSendCheck(dst, ctx); err != nil {
 		return nil, err
 	}
-	e.nextID++
-	req := &Request{
-		ID: e.nextID,
-		Env: Envelope{
-			Source:  e.rank,
-			Dest:    dst,
-			Tag:     tag,
-			Context: ctx,
-			Count:   len(data),
-			Mode:    mode,
-			SendID:  e.nextID,
-		},
-		Buf: data,
-	}
-	e.pending[req.ID] = req
 	e.acct.Charge(p, CostOverhead, e.costs.SendOverhead)
 	e.acct.Incr("send", 1)
 	e.trc(trace.SendStart, dst, tag, len(data), mode.String())
+	need := len(data)
+	if mode == ModeBuffered && dst != e.rank && e.bufUsed+need > e.bufCap {
+		return nil, Errorf(ErrBuffer, "buffered send of %d bytes exceeds attached buffer (%d of %d used)", need, e.bufUsed, e.bufCap)
+	}
+	req, err := e.newRequest()
+	if err != nil {
+		return nil, err
+	}
+	req.Env = Envelope{Source: e.rank, Dest: dst, Tag: tag, Context: ctx, Count: need, Mode: mode, SendID: req.ID}
+	req.Buf = data
+	e.unsent++
 
 	if dst == e.rank {
 		return e.selfSend(p, req, mode, data)
@@ -227,11 +229,6 @@ func (e *Engine) Isend(p *sim.Proc, dst, tag, ctx int, mode Mode, data []byte) (
 		req.ackWanted = true
 		e.tr.Send(p, req)
 	case ModeBuffered:
-		need := len(data)
-		if e.bufUsed+need > e.bufCap {
-			delete(e.pending, req.ID)
-			return nil, Errorf(ErrBuffer, "buffered send of %d bytes exceeds attached buffer (%d of %d used)", need, e.bufUsed, e.bufCap)
-		}
 		e.bufUsed += need
 		// Copy into the attached buffer so the caller's storage is free to
 		// reuse immediately; transmission proceeds in the background.
@@ -256,7 +253,7 @@ func (e *Engine) selfSend(p *sim.Proc, req *Request, mode Mode, data []byte) (*R
 	stable := e.pool.Get(len(data))
 	copy(stable, data)
 	e.acct.Charge(p, CostCopy, e.costs.CopyBase+sim.Duration(len(data))*e.costs.CopyPerByte)
-	req.sent = true
+	e.markSent(req)
 	if mode == ModeSync {
 		req.ackWanted = true
 	}
@@ -294,13 +291,6 @@ func (e *Engine) Irecv(p *sim.Proc, src, tag, ctx int, buf []byte) (*Request, er
 	if err := e.ftRecvCheck(src, ctx); err != nil {
 		return nil, err
 	}
-	e.nextID++
-	req := &Request{
-		ID:     e.nextID,
-		IsRecv: true,
-		Env:    Envelope{Source: src, Tag: tag, Context: ctx},
-		Buf:    buf,
-	}
 	// Drain arrivals first so the unexpected queue reflects true arrival
 	// order before this receive is considered (and so a ready-mode send
 	// that already arrived is correctly flagged as unmatched-at-arrival).
@@ -310,7 +300,11 @@ func (e *Engine) Irecv(p *sim.Proc, src, tag, ctx int, buf []byte) (*Request, er
 	if err := e.ftRecvCheck(src, ctx); err != nil {
 		return nil, err
 	}
-	e.pending[req.ID] = req
+	req, err := e.newRequest()
+	if err != nil {
+		return nil, err
+	}
+	req.IsRecv, req.Env, req.Buf = true, Envelope{Source: src, Tag: tag, Context: ctx}, buf
 	e.acct.Charge(p, CostOverhead, e.costs.RecvOverhead)
 	e.acct.Charge(p, CostMatch, e.costs.Match)
 	e.acct.Incr("recv", 1)
@@ -358,7 +352,7 @@ func (e *Engine) deliverMatched(p *sim.Proc, msg *InMsg, req *Request) {
 		// Self-message: no transport resources to release; a synchronous
 		// self-send acknowledges directly.
 		if msg.Env.Mode == ModeSync {
-			if sreq := e.pending[msg.Env.SendID]; sreq != nil {
+			if sreq := e.resolve(msg.Env.SendID); sreq != nil {
 				sreq.acked = true
 				sreq.sendMaybeComplete()
 				e.retire(sreq)
@@ -460,7 +454,7 @@ func (e *Engine) handle(p *sim.Proc, pkt *Packet) {
 		e.match.AddUnexpected(m)
 		e.acct.SetMax("match.unexpected-max", int64(e.match.UnexpectedLen()))
 	case PktCTS:
-		req := e.pending[pkt.ReqID]
+		req := e.resolve(pkt.ReqID)
 		if req == nil {
 			// Under fault tolerance a CTS may race a peer death or revoke
 			// that already failed and retired the send; only an unexplained
@@ -470,29 +464,18 @@ func (e *Engine) handle(p *sim.Proc, pkt *Packet) {
 			}
 			return
 		}
+		// The payload's SendDone completes and retires the send: req may be
+		// released by the time SendPayload returns.
 		req.acked = true
 		e.tr.SendPayload(p, req, pkt)
-		req.sendMaybeComplete()
-		if req.Done() {
-			e.retire(req)
-		}
 		e.cond.Broadcast()
 	case PktSyncAck:
-		req := e.pending[pkt.ReqID]
-		if req == nil {
-			return // already completed (e.g. duplicate ack)
-		}
-		req.acked = true
-		req.sendMaybeComplete()
-		if req.Done() {
-			e.retire(req)
-		}
-		e.cond.Broadcast()
+		e.SendAcked(pkt.ReqID)
 	case PktData:
 		// Stream transports place the payload into the posted buffer before
 		// surfacing PktData; completion happens here so the copy/kernel
 		// charges land on the receiving proc.
-		req := e.pending[pkt.ReqID]
+		req := e.resolve(pkt.ReqID)
 		if req == nil {
 			if pkt.Pool != nil && pkt.Data != nil {
 				pkt.Pool.Put(pkt.Data)
@@ -513,7 +496,7 @@ func (e *Engine) handle(p *sim.Proc, pkt *Packet) {
 				pkt.Data = nil
 			}
 		}
-		e.finishRecvData(req, pkt.Env)
+		e.RecvDataDone(req, pkt.Env)
 	case PktRMALock:
 		e.winLockMsg(p, pkt.Env)
 	case PktRMAUnlock:
@@ -527,7 +510,10 @@ func (e *Engine) handle(p *sim.Proc, pkt *Packet) {
 	}
 }
 
-func (e *Engine) finishRecvData(req *Request, env Envelope) {
+// RecvDataDone completes req once its rendezvous payload has fully landed
+// in req.Buf: from the PktData handler, or from event context (e.g. on DMA
+// completion).
+func (e *Engine) RecvDataDone(req *Request, env Envelope) {
 	n := env.Count
 	st := Status{Source: env.Source, Tag: env.Tag, Count: n}
 	var err error
@@ -536,23 +522,9 @@ func (e *Engine) finishRecvData(req *Request, env Envelope) {
 		err = Errorf(ErrTruncate, "message of %d bytes truncated to %d-byte receive buffer", n, len(req.Buf))
 	}
 	req.complete(st, err)
-	delete(e.pending, req.ID)
+	e.retire(req)
 	e.trc(trace.RecvDone, st.Source, st.Tag, st.Count, "rndv")
 	e.cond.Broadcast()
-}
-
-// retire drops a request from the pending table once nothing can still
-// reference it: receives when complete, sends only after the transport has
-// finished moving the data (a buffered rendezvous send is "done" for the
-// caller long before its CTS arrives).
-func (e *Engine) retire(req *Request) {
-	if !req.done {
-		return
-	}
-	if !req.IsRecv && !req.sent {
-		return
-	}
-	delete(e.pending, req.ID)
 }
 
 // ------------------------------------------------- transport upcalls --
@@ -560,7 +532,7 @@ func (e *Engine) retire(req *Request) {
 // SendDone marks req's local transmission complete. Callable from event
 // context (no time is charged).
 func (e *Engine) SendDone(req *Request) {
-	req.sent = true
+	e.markSent(req)
 	e.trc(trace.SendDone, req.Env.Dest, req.Env.Tag, req.Env.Count, "")
 	if req.buffered {
 		e.bufUsed -= len(req.Buf)
@@ -569,26 +541,24 @@ func (e *Engine) SendDone(req *Request) {
 		}
 	}
 	req.sendMaybeComplete()
-	if req.Done() {
-		e.retire(req)
-	}
-	e.cond.Broadcast()
-}
-
-// SendAcked marks a send request's match acknowledged: a rendezvous CTS
-// consumed by the platform (the Meiko Elan handles CTS without the engine)
-// or a synchronous-mode ack. Callable from event context.
-func (e *Engine) SendAcked(req *Request) {
-	req.acked = true
-	req.sendMaybeComplete()
 	e.retire(req)
 	e.cond.Broadcast()
 }
 
-// RecvDataDone marks a rendezvous payload fully landed in req.Buf (e.g. on
-// DMA completion). Callable from event context.
-func (e *Engine) RecvDataDone(req *Request, env Envelope) {
-	e.finishRecvData(req, env)
+// SendAcked marks the send request named name acknowledged — a rendezvous
+// CTS consumed by the platform (the Meiko Elan handles CTS without the
+// engine) or a synchronous-mode ack — and returns it; nil when the name is
+// stale (the send already completed, or a fault failed it). Callable from
+// event context.
+func (e *Engine) SendAcked(name int64) *Request {
+	req := e.resolve(name)
+	if req != nil {
+		req.acked = true
+		req.sendMaybeComplete()
+		e.retire(req)
+		e.cond.Broadcast()
+	}
+	return req
 }
 
 // Wake nudges procs blocked in Wait/Probe to re-poll; transports call it on
@@ -605,11 +575,11 @@ func (e *Engine) Fatal(err error) {
 	}
 	e.fatal = err
 	e.Errors = append(e.Errors, err)
-	for id, r := range e.pending {
-		if !r.Done() {
+	for _, s := range e.slots {
+		if r := s.req; r != nil {
 			r.complete(Status{}, err)
+			e.untable(r)
 		}
-		delete(e.pending, id)
 	}
 	e.cond.Broadcast()
 	// Transports park procs on conditions of their own (the CS/2
@@ -625,8 +595,12 @@ func (e *Engine) FatalErr() error { return e.fatal }
 
 // -------------------------------------------------------- completion ops --
 
-// Wait blocks until r completes, making progress while waiting.
+// Wait blocks until r completes, making progress while waiting, and
+// consumes r.
 func (e *Engine) Wait(p *sim.Proc, r *Request) (Status, error) {
+	if err := e.stale(r); err != nil {
+		return Status{}, err
+	}
 	for !r.Done() {
 		e.Progress(p)
 		if r.Done() {
@@ -638,36 +612,40 @@ func (e *Engine) Wait(p *sim.Proc, r *Request) (Status, error) {
 		}
 		e.cond.Wait(p)
 	}
-	e.retire(r)
-	return r.status, r.err
+	return e.consume(r)
 }
 
-// Test makes progress and reports whether r has completed.
+// Test makes progress and reports whether r has completed; a Test that
+// reports done consumes r.
 func (e *Engine) Test(p *sim.Proc, r *Request) (Status, bool, error) {
+	if err := e.stale(r); err != nil {
+		return Status{}, false, err
+	}
 	e.Progress(p)
 	if !r.Done() {
 		return Status{}, false, nil
 	}
-	e.retire(r)
-	return r.status, true, r.err
+	st, err := e.consume(r)
+	return st, true, err
 }
 
-// Cancel cancels a posted receive that has not yet matched. Cancelling
-// sends is not supported (as in most MPI implementations, it is best
-// avoided; the paper does not use it).
-func (e *Engine) Cancel(p *sim.Proc, r *Request) error {
+// Cancel cancels a posted receive that has not yet matched, reporting
+// whether it did; a successful Cancel consumes r. Cancelling sends is not
+// supported (as in most MPI implementations, it is best avoided; the paper
+// does not use it).
+func (e *Engine) Cancel(p *sim.Proc, r *Request) (bool, error) {
+	if err := e.stale(r); err != nil {
+		return false, err
+	}
 	if !r.IsRecv {
-		return Errorf(ErrInternal, "cancel of send requests is not supported")
+		return false, Errorf(ErrInternal, "cancel of send requests is not supported")
 	}
-	if r.Done() {
-		return nil
+	if r.Done() || !e.match.CancelRecv(r) {
+		return false, nil
 	}
-	if e.match.CancelRecv(r) {
-		r.cancelled = true
-		r.complete(Status{}, nil)
-		e.retire(r)
-	}
-	return nil
+	r.complete(Status{}, nil)
+	e.consume(r)
+	return true, nil
 }
 
 // Probe blocks until a message matching (src, tag, ctx) is queued, and
@@ -722,14 +700,7 @@ func (e *Engine) Finalize(p *sim.Proc) {
 		if e.fatal != nil {
 			return // a dead link never finishes handing off sends
 		}
-		busy := false
-		for _, r := range e.pending {
-			if !r.IsRecv && !r.sent {
-				busy = true
-				break
-			}
-		}
-		if !busy {
+		if e.unsent == 0 {
 			return
 		}
 		e.cond.Wait(p)

@@ -434,11 +434,12 @@ func TestCancelPostedRecv(t *testing.T) {
 	w.run(t,
 		func(p *sim.Proc, e *Engine) {
 			req, _ := e.Irecv(p, 0, 9, 0, make([]byte, 8))
-			if err := e.Cancel(p, req); err != nil {
-				t.Errorf("Cancel: %v", err)
+			if ok, err := e.Cancel(p, req); err != nil || !ok {
+				t.Errorf("Cancel = %v, %v; want the posted receive cancelled", ok, err)
 			}
-			if !req.Done() || !req.Cancelled() {
-				t.Error("cancelled request not done/cancelled")
+			// The successful Cancel consumed req: any further use is loud.
+			if _, err := e.Wait(p, req); err == nil {
+				t.Error("Wait on a cancelled (consumed) request succeeded")
 			}
 		},
 		nil,

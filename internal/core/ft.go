@@ -48,15 +48,9 @@ func (e *Engine) PeerDown(rank int, reason error) {
 	e.deadOrder = append(e.deadOrder, rank)
 	e.acct.Incr("ft.peerdown", 1)
 
-	// Fail the doomed requests in id order (map iteration order must not
-	// leak into matcher state, which later matching decisions observe).
-	ids := make([]int64, 0, len(e.pending))
-	for id := range e.pending {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		r := e.pending[id]
+	// Fail the doomed requests in creation order (table order must not leak
+	// into matcher state, which later matching decisions observe).
+	for _, r := range e.tabledInOrder() {
 		if r.IsRecv {
 			if r.matched {
 				if r.matchedSrc != rank {
@@ -72,7 +66,7 @@ func (e *Engine) PeerDown(rank int, reason error) {
 			continue
 		}
 		r.complete(Status{}, reason)
-		delete(e.pending, id)
+		e.untable(r)
 	}
 
 	// Release window locks the dead rank held or queued for, granting
@@ -220,13 +214,7 @@ func (e *Engine) markRevoked(ctx int) bool {
 	e.revoked[ctx+1] = true
 	e.acct.Incr("ft.revoke", 1)
 	reason := Errorf(ErrRevoked, "communicator context %d revoked", ctx)
-	ids := make([]int64, 0, len(e.pending))
-	for id := range e.pending {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		r := e.pending[id]
+	for _, r := range e.tabledInOrder() {
 		if r.Env.Context != ctx && r.Env.Context != ctx+1 {
 			continue
 		}
@@ -234,7 +222,7 @@ func (e *Engine) markRevoked(ctx int) bool {
 			e.match.CancelRecv(r)
 		}
 		r.complete(Status{}, reason)
-		delete(e.pending, id)
+		e.untable(r)
 	}
 	e.cond.Broadcast()
 	return true

@@ -3,11 +3,18 @@ package core
 // Request is the state of an in-flight nonblocking operation. Requests are
 // created by the engine and completed either in the receiving/sending proc's
 // context (poll model) or from a device event (DMA completion).
+// An engine's requests are recycled once consumed (see Endpoint and
+// reqtable.go).
 type Request struct {
+	// ID is the request's wire name, (slot, generation) packed into 32 bits;
+	// zero on a bare NewRequest and on a request the engine has released.
 	ID     int64
 	IsRecv bool
 	Env    Envelope // for sends: the outgoing envelope; for recvs: the match pattern in Source/Tag/Context
 	Buf    []byte   // send payload or receive buffer
+
+	// seq orders an engine's requests by creation, for the fault sweeps.
+	seq uint64
 
 	// Send-side protocol state.
 	sent      bool // transport finished moving the data (or accepted it for background delivery)
@@ -23,8 +30,8 @@ type Request struct {
 	status Status
 	err    error
 
-	// cancelled via MPI_Cancel semantics (receives only).
-	cancelled bool
+	// consumed by Wait, Test or Cancel: the caller holds it no longer.
+	consumed bool
 }
 
 // Done reports whether the request has completed.
@@ -35,9 +42,6 @@ func (r *Request) Status() Status { return r.status }
 
 // Err reports the terminal error, if any.
 func (r *Request) Err() error { return r.err }
-
-// Cancelled reports whether the request was cancelled before matching.
-func (r *Request) Cancelled() bool { return r.cancelled }
 
 // complete marks the request done with the given status. Completion is
 // first-wins: a request failed by peer death or a revoke must not be

@@ -364,18 +364,16 @@ func (e *Engine) winGrantMsg(env Envelope) {
 	e.cond.Broadcast()
 }
 
-// ClaimDirect atomically claims a posted receive for direct payload
-// placement (the RDMA-write rendezvous): if req is still posted and
-// unmatched, it is removed from the matcher and marked matched, and the
-// transport may land the payload straight into req.Buf. Returns false if
-// the receive already matched, completed, or was cancelled — the caller
-// must then fall back to re-injecting the payload through the matcher in
-// its arrival-order position.
-func (e *Engine) ClaimDirect(req *Request) bool {
-	if req.done || req.cancelled || req.matched {
-		return false
-	}
-	if !e.match.CancelRecv(req) {
+// ClaimDirect atomically claims a posted receive, by name, for direct
+// payload placement (the RDMA-write rendezvous): if the request is still
+// posted and unmatched, it is removed from the matcher and marked matched,
+// and the transport may land the payload straight into its buffer. Returns
+// false if the receive already matched, completed (a stale name), or was
+// cancelled — the caller must then fall back to re-injecting the payload
+// through the matcher in its arrival-order position.
+func (e *Engine) ClaimDirect(name int64) bool {
+	req := e.resolve(name)
+	if req == nil || req.matched || !e.match.CancelRecv(req) {
 		return false
 	}
 	req.matched = true

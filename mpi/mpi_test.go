@@ -484,6 +484,52 @@ func TestWaitAllWaitAny(t *testing.T) {
 	})
 }
 
+// A nil entry and a consumed request are MPI_REQUEST_NULL to the multiple-
+// completion calls, wherever they sit — slot 0 used to be dereferenced to
+// park — and a consumed request keeps answering with its recorded outcome.
+func TestWaitAnySkipsNilAndConsumed(t *testing.T) {
+	launch(t, 2, func(c *Comm) error {
+		if c.Rank() == 1 {
+			for tag := 0; tag < 2; tag++ {
+				c.Compute(time.Millisecond)
+				if err := c.Send(0, tag, []byte{byte(tag + 1)}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		bufs := [2][]byte{make([]byte, 1), make([]byte, 1)}
+		first, err := c.Irecv(1, 0, bufs[0])
+		if err != nil {
+			return err
+		}
+		second, err := c.Irecv(1, 1, bufs[1])
+		if err != nil {
+			return err
+		}
+		if idx, st, err := WaitAny(nil, first, second); err != nil || idx != 1 || st.Tag != 0 {
+			t.Errorf("WaitAny(nil, first, second) = %d, %+v, %v; want index 1, tag 0", idx, st, err)
+		}
+		// first is consumed now: it must park on and return second.
+		if idx, st, err := WaitAny(first, nil, second); err != nil || idx != 2 || st.Tag != 1 {
+			t.Errorf("WaitAny(consumed, nil, second) = %d, %+v, %v; want index 2, tag 1", idx, st, err)
+		}
+		if idx, _, err := WaitAny(first, nil, second); err == nil || idx != -1 {
+			t.Errorf("WaitAny over null requests = %d, %v; want -1 and an error", idx, err)
+		}
+		if done, err := WaitSome(first, nil, second); err == nil || done != nil {
+			t.Errorf("WaitSome over null requests = %v, %v; want an error", done, err)
+		}
+		if ok, err := TestAll(first, nil, second); !ok || err != nil {
+			t.Errorf("TestAll over null requests = %v, %v; want true", ok, err)
+		}
+		if st, err := first.Wait(); err != nil || st.Tag != 0 || !first.Done() || bufs[0][0] != 1 || bufs[1][0] != 2 {
+			t.Errorf("consumed request: Wait = %+v, %v, payloads %v", st, err, bufs)
+		}
+		return nil
+	})
+}
+
 func TestTestAllProgresses(t *testing.T) {
 	launch(t, 2, func(c *Comm) error {
 		if c.Rank() == 0 {

@@ -5,34 +5,60 @@ import (
 )
 
 // Request is an in-flight nonblocking operation bound to its communicator.
+// The first Wait, successful Test or successful Cancel consumes the
+// endpoint's request (it may be reissued at once): the outcome is copied
+// here and req dropped, so a consumed Request behaves like MPI_REQUEST_NULL
+// with its last status attached.
 type Request struct {
-	c   *Comm
-	req *core.Request
+	c         *Comm
+	req       *core.Request // nil once consumed
+	st        Status
+	err       error
+	cancelled bool
+}
+
+// finish records the outcome of the consumed endpoint request.
+func (r *Request) finish(st Status, err error) {
+	r.req, r.st, r.err = nil, r.c.fixStatus(st), err
 }
 
 // Wait blocks until the request completes.
 func (r *Request) Wait() (Status, error) {
-	st, err := r.c.ep.Wait(r.c.p, r.req)
-	return r.c.fixStatus(st), err
+	if r.req != nil {
+		r.finish(r.c.ep.Wait(r.c.p, r.req))
+	}
+	return r.st, r.err
 }
 
 // Test reports whether the request has completed, making progress.
 func (r *Request) Test() (Status, bool, error) {
-	st, ok, err := r.c.ep.Test(r.c.p, r.req)
-	if !ok {
-		return st, false, err
+	if r.req != nil {
+		st, ok, err := r.c.ep.Test(r.c.p, r.req)
+		if !ok {
+			return st, false, err
+		}
+		r.finish(st, err)
 	}
-	return r.c.fixStatus(st), true, err
+	return r.st, true, r.err
 }
 
 // Cancel cancels an unmatched posted receive.
-func (r *Request) Cancel() error { return r.c.ep.Cancel(r.c.p, r.req) }
+func (r *Request) Cancel() error {
+	if r.req == nil {
+		return nil
+	}
+	ok, err := r.c.ep.Cancel(r.c.p, r.req)
+	if ok {
+		r.req, r.cancelled = nil, true
+	}
+	return err
+}
 
 // Cancelled reports whether the request was cancelled.
-func (r *Request) Cancelled() bool { return r.req.Cancelled() }
+func (r *Request) Cancelled() bool { return r.cancelled }
 
 // Done reports completion without making progress.
-func (r *Request) Done() bool { return r.req.Done() }
+func (r *Request) Done() bool { return r.req == nil || r.req.Done() }
 
 // ---------------------------------------------------------------- sends --
 
@@ -196,36 +222,27 @@ func WaitAll(reqs ...*Request) ([]Status, error) {
 }
 
 // WaitAny blocks until some request completes and returns its index
-// (MPI_Waitany).
+// (MPI_Waitany). Nil and consumed entries are MPI_REQUEST_NULL: skipped.
 func WaitAny(reqs ...*Request) (int, Status, error) {
-	if len(reqs) == 0 {
-		return -1, Status{}, core.Errorf(core.ErrInternal, "WaitAny with no requests")
-	}
 	for {
+		var live *Request
 		for i, r := range reqs {
-			if r == nil || r.req.Done() {
+			if r == nil || r.req == nil {
 				continue
 			}
-			st, ok, err := r.Test()
-			if ok {
+			if st, ok, err := r.Test(); ok {
 				return i, st, err
 			}
-		}
-		// Nothing ready: block on the first incomplete request's engine by
-		// yielding virtual time; Test above already polled for progress.
-		allDone := true
-		for i, r := range reqs {
-			if r != nil && !r.req.Done() {
-				allDone = false
-				_ = i
-				break
+			if live == nil {
+				live = r
 			}
 		}
-		if allDone {
-			return -1, Status{}, core.Errorf(core.ErrInternal, "WaitAny: all requests already completed")
+		if live == nil {
+			return -1, Status{}, core.Errorf(core.ErrInternal, "WaitAny: no active request")
 		}
-		// Park briefly; arrival wakeups happen inside Test's Progress.
-		reqs[0].c.p.Advance(1000) // 1us poll interval
+		// Nothing ready: yield virtual time on the first live request's
+		// process; arrival wakeups happen inside Test's Progress.
+		live.c.p.Advance(1000) // 1us poll interval
 	}
 }
 
@@ -257,10 +274,7 @@ func WaitSome(reqs ...*Request) ([]int, error) {
 	}
 	done := []int{idx}
 	for i, r := range reqs {
-		if i == idx || r == nil {
-			continue
-		}
-		if r.req.Done() {
+		if i != idx && r != nil && r.req != nil && r.req.Done() {
 			done = append(done, i)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -511,5 +512,75 @@ func TestDatagramPathAllocationBudget(t *testing.T) {
 		if perMsg > 2*size {
 			t.Errorf("cluster/%s eager=%d: %d bytes allocated per %d-byte message, budget %d", s.Transport, s.Eager, perMsg, size, 2*size)
 		}
+	}
+}
+
+// The stale-advertisement scenario of the 16-rank shuffle on cluster/udp, 64
+// steps of 32 KiB blocks at seed 1: the first step goes RTS/CTS before any
+// advertisement lands, so every later direct write names a receive that has
+// already completed and must fail its claim — by a dead name now, where it
+// used to test flags on a request that could since have been reissued. The
+// counts and the finish time are the ones the pointer-holding transport
+// produced; req-stale counts exactly the failed claims.
+func TestStaleRTRFailsClaimByName(t *testing.T) {
+	const ranks, steps, block = 16, 64, 32 << 10
+	rep, err := registry.Run(registry.Spec{Platform: "cluster", Transport: "udp", Ranks: ranks, Seed: 1}, func(c *mpi.Comm) error {
+		send, recv := make([]byte, ranks*block), make([]byte, ranks*block)
+		for s := 0; s < steps; s++ {
+			if err := c.Alltoall(send, recv); err != nil {
+				return err
+			}
+		}
+		return c.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []struct {
+		name string
+		want int64
+	}{{"rtr-post", 15360}, {"rndv-rtr", 15120}, {"rtr-stale", 15120}, {"rndv", 240}, {"req-stale", 15120}} {
+		if got := rep.Acct.Count[k.name]; got != k.want {
+			t.Errorf("%s = %d, want %d", k.name, got, k.want)
+		}
+	}
+	if want := 9401051036 * time.Nanosecond; rep.Elapsed != want {
+		t.Errorf("elapsed %v, want %v: a simulated nanosecond moved", rep.Elapsed, want)
+	}
+}
+
+// sendrecvMallocs runs legs Sendrecv exchanges of 1 KiB between two
+// cluster/tcp ranks and reports the heap objects the whole job allocated.
+func sendrecvMallocs(t *testing.T, legs int) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := registry.Run(registry.Spec{Platform: "cluster", Transport: "tcp", Ranks: 2}, func(c *mpi.Comm) error {
+		out, in := make([]byte, 1024), make([]byte, 1024)
+		for tag := 0; tag < legs; tag++ {
+			if _, err := c.Sendrecv(1-c.Rank(), tag, out, 1-c.Rank(), tag, in); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after.Mallocs - before.Mallocs
+}
+
+// After warm-up a Sendrecv leg on cluster/tcp allocates nothing: requests,
+// surfaced packets, frame scratch, segments and hops are all recycled. Short
+// and long runs are subtracted so world construction and warm-up cancel.
+func TestSendrecvAllocsPerLegTCP(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const short, long, perLeg = 200, 2200, 0
+	extra := int64(sendrecvMallocs(t, long)) - int64(sendrecvMallocs(t, short))
+	calls := int64(2 * (long - short)) // both ranks
+	if budget := perLeg*calls + 64; extra > budget {
+		t.Errorf("%d more Sendrecv calls allocated %d more objects (%.2f per call), want at most %d each plus a constant",
+			calls, extra, float64(extra)/float64(calls), perLeg)
 	}
 }

@@ -41,8 +41,12 @@ type transport struct {
 	// frame handed to a dgramLink belongs to the wire for good.
 	pool *core.BufPool
 
-	inbox core.Inbox
-	rr    int // round-robin parse start
+	// Parsed frames waiting for Poll, on pooled packets: polled is what Poll
+	// last surfaced, the engine's until the next Poll returns it to idle.
+	inbox  core.Inbox
+	polled *core.Packet
+	idle   []*core.Packet
+	rr     int // round-robin parse start
 
 	// Credit flow control (sender side): bytes we may still push toward
 	// each destination's reserved memory, with queued sends held in issue
@@ -53,8 +57,9 @@ type transport struct {
 	// Receiver side: freed reservation owed back to each sender.
 	owed *flow.Owed
 
-	// Rendezvous state, receiver side. A sender awaiting its CTS keeps no
-	// state here: the engine's pending table resolves the CTS to the request.
+	// Rendezvous state, receiver side, holding the receive by name: an
+	// advertisement outlives its request. A sender awaiting its CTS keeps no
+	// state here: the engine's request table resolves the CTS to the request.
 	rndvRecv   map[uint32]*rndvRecvSt // receiver handle -> landing state
 	nextHandle uint32
 	// RDMA-write rendezvous (MPICH2/InfiniBand style): advertisements of
@@ -81,7 +86,8 @@ type transport struct {
 }
 
 type rndvRecvSt struct {
-	req   *core.Request
+	name  int64         // the receive request's wire name
+	buf   []byte        // its posted buffer
 	env   core.Envelope // the RTS envelope (chunk headers mangle tag/count)
 	got   int           // payload bytes landed so far (UDP chunking)
 	want  int           // bytes that fit the posted buffer
@@ -94,7 +100,6 @@ type rndvRecvSt struct {
 	// as an eager arrival, in its exact stream position.
 	rtr     bool
 	started bool
-	claimed bool
 	bounce  []byte
 }
 
@@ -298,7 +303,7 @@ func (t *transport) Accept(p *sim.Proc, msg *core.InMsg, req *core.Request) {
 	if want > len(req.Buf) {
 		want = len(req.Buf)
 	}
-	t.rndvRecv[h] = &rndvRecvSt{req: req, env: msg.Env, want: want, total: msg.Env.Count}
+	t.rndvRecv[h] = &rndvRecvSt{name: req.ID, buf: req.Buf, env: msg.Env, want: want, total: msg.Env.Count}
 	t.writeFrame(p, msg.Env.Source, core.PktCTS, msg.Env, h, nil)
 }
 
@@ -390,7 +395,8 @@ func (t *transport) AdvertiseRecv(p *sim.Proc, req *core.Request) {
 	// st.env is the status envelope should the direct payload land: the
 	// posted signature with count/mode filled in from the first chunk.
 	t.rndvRecv[h] = &rndvRecvSt{
-		req:  req,
+		name: req.ID,
+		buf:  req.Buf,
 		env:  core.Envelope{Source: req.Env.Source, Tag: req.Env.Tag, Context: req.Env.Context},
 		want: len(req.Buf),
 		rtr:  true,
@@ -432,12 +438,10 @@ func (t *transport) startRTR(st *rndvRecvSt, total int, mode core.Mode) {
 	}
 	st.env.Count = total
 	st.env.Mode = mode
-	if t.eng.ClaimDirect(st.req) {
-		st.claimed = true
-		return
+	if !t.eng.ClaimDirect(st.name) {
+		st.bounce = t.pool.Get(total)
+		t.eng.Acct().Incr("rtr-stale", 1)
 	}
-	st.bounce = t.pool.Get(total)
-	t.eng.Acct().Incr("rtr-stale", 1)
 }
 
 // finishRTRFallback surfaces a bounced direct payload as an eager
@@ -446,7 +450,20 @@ func (t *transport) startRTR(st *rndvRecvSt, total int, mode core.Mode) {
 // pair's credit; the drift is bounded by the stale-claim count and only
 // ever loosens flow control, so we accept it for this rare race.
 func (t *transport) finishRTRFallback(st *rndvRecvSt) {
-	t.inbox.Push(&core.Packet{Kind: core.PktEager, Env: st.env, Data: st.bounce, Pool: t.pool})
+	t.push(core.Packet{Kind: core.PktEager, Env: st.env, Data: st.bounce, Pool: t.pool})
+}
+
+// push queues a parsed frame for the engine on a pooled packet. Packets are
+// drawn and returned here, so the pool is bounded by the deepest inbox.
+func (t *transport) push(pkt core.Packet) {
+	var q *core.Packet
+	if n := len(t.idle) - 1; n >= 0 {
+		q, t.idle = t.idle[n], t.idle[:n]
+	} else {
+		q = new(core.Packet)
+	}
+	*q = pkt
+	t.inbox.Push(q)
 }
 
 // Control implements core.Transport (synchronous-mode acks).
@@ -509,11 +526,16 @@ func (t *transport) addCredit(src, n int) {
 // step is what returns credits, and a send freed by this very poll must go
 // out now (the engine stops polling once Poll returns nil).
 func (t *transport) Poll(p *sim.Proc) *core.Packet {
+	if t.polled != nil {
+		*t.polled = core.Packet{}
+		t.idle = append(t.idle, t.polled)
+	}
 	if t.inbox.Len() == 0 {
 		t.parseAvailable(p)
 	}
 	t.shipPending(p)
-	return t.inbox.Pop()
+	t.polled = t.inbox.Pop()
+	return t.polled
 }
 
 // shipPending transmits queued sends whose flow control cleared.
@@ -641,7 +663,7 @@ func (t *transport) parseTCP(p *sim.Proc, src int, conn *atm.TCP) {
 		t2 := p.Now()
 		conn.ReadFull(p, payload)
 		acct.Book(acctReadData, sim.Duration(p.Now()-t2))
-		t.inbox.Push(&core.Packet{Kind: kind, Env: env, Data: payload, Pool: t.pool})
+		t.push(core.Packet{Kind: kind, Env: env, Data: payload, Pool: t.pool})
 	case core.PktData:
 		st := t.rndvRecv[aux]
 		if st == nil {
@@ -667,11 +689,11 @@ func (t *transport) parseTCP(p *sim.Proc, src int, conn *atm.TCP) {
 func (t *transport) surface(src int, kind core.PacketKind, env core.Envelope, aux uint32) {
 	switch kind {
 	case core.PktRTS, core.PktRevoke:
-		t.inbox.Push(&core.Packet{Kind: kind, Env: env})
+		t.push(core.Packet{Kind: kind, Env: env})
 	case core.PktCTS:
-		t.inbox.Push(&core.Packet{Kind: kind, Env: env, ReqID: env.SendID, Landing: int64(aux)})
+		t.push(core.Packet{Kind: kind, Env: env, ReqID: env.SendID, Landing: int64(aux)})
 	case core.PktSyncAck:
-		t.inbox.Push(&core.Packet{Kind: kind, Env: env, ReqID: env.SendID})
+		t.push(core.Packet{Kind: kind, Env: env, ReqID: env.SendID})
 	case core.PktRTR:
 		t.rtrQ[env.Source] = append(t.rtrQ[env.Source], rtrAd{env: env, aux: aux})
 	case core.PktCredit:
@@ -692,7 +714,7 @@ func (t *transport) readData(p *sim.Proc, src int, conn *atm.TCP, d *tcpData) {
 	// A stale-claimed direct payload lands in the bounce buffer (sized to
 	// the full message, so it never truncates); everything else lands in
 	// the posted buffer up to its capacity.
-	landBuf, landMax := st.req.Buf, st.want
+	landBuf, landMax := st.buf, st.want
 	if st.bounce != nil {
 		landBuf, landMax = st.bounce, st.total
 	}
@@ -731,7 +753,7 @@ func (t *transport) readData(p *sim.Proc, src int, conn *atm.TCP, d *tcpData) {
 		t.finishRTRFallback(st)
 		return
 	}
-	t.inbox.Push(&core.Packet{Kind: core.PktData, Env: d.env, ReqID: st.req.ID})
+	t.push(core.Packet{Kind: core.PktData, Env: d.env, ReqID: st.name})
 }
 
 // parseDgram consumes one reliable datagram, reporting whether one was
@@ -757,7 +779,7 @@ func (t *transport) parseDgram(p *sim.Proc) bool {
 	case core.PktEager:
 		// GC-owned (Pool nil): the engine may keep the view on its
 		// unexpected queue and will never recycle it.
-		t.inbox.Push(&core.Packet{Kind: kind, Env: env, Data: payload})
+		t.push(core.Packet{Kind: kind, Env: env, Data: payload})
 	case core.PktData:
 		st := t.rndvRecv[aux]
 		if st == nil {
@@ -777,7 +799,7 @@ func (t *transport) parseDgram(p *sim.Proc) bool {
 			if end > st.want {
 				end = st.want
 			}
-			copy(st.req.Buf[off:end], payload[:end-off])
+			copy(st.buf[off:end], payload[:end-off])
 		}
 		st.got += len(payload)
 		if st.got >= st.total {
@@ -785,7 +807,7 @@ func (t *transport) parseDgram(p *sim.Proc) bool {
 			if st.bounce != nil {
 				t.finishRTRFallback(st)
 			} else {
-				t.inbox.Push(&core.Packet{Kind: kind, Env: st.env, ReqID: st.req.ID})
+				t.push(core.Packet{Kind: kind, Env: st.env, ReqID: st.name})
 			}
 		}
 	default:

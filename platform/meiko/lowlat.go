@@ -42,9 +42,6 @@ type lowlatTransport struct {
 	slots int
 	fc    *flow.Queue
 
-	// Rendezvous sends awaiting their CTS, by send request id.
-	rndv map[int64]*core.Request
-
 	// Hardware-broadcast state.
 	bcSeq   int    // last broadcast sequence delivered here
 	bcData  []byte // payload of that broadcast
@@ -63,7 +60,6 @@ func newLowlatTransport(m *meiko.Machine, node *meiko.Node, eng *core.Engine, ea
 		max:    eager,
 		slots:  slots,
 		all:    all,
-		rndv:   make(map[int64]*core.Request),
 		bcCond: sim.NewCond(node.S),
 	}
 	t.fc = flow.NewQueue(len(all), slots, slots,
@@ -156,7 +152,6 @@ func (t *lowlatTransport) transmit(req *core.Request) {
 	env := req.Env
 	dst := env.Dest
 	if env.Count > t.max {
-		t.rndv[env.SendID] = req
 		t.eng.Acct().Incr("rndv", 1)
 		t.ship(dst, envelopeTxnBytes, core.Packet{Kind: core.PktRTS, Env: env})
 		// The envelope slot frees when the receiver consumes the RTS
@@ -182,14 +177,13 @@ func (t *lowlatTransport) Accept(p *sim.Proc, msg *core.InMsg, req *core.Request
 	sender := t.all[src]
 	recvEng := t.eng
 	t.node.Txn(src, ctrlTxnBytes, false, func() {
-		sreq := sender.rndv[env.SendID]
+		// The CTS implies the receiver matched: synchronous-mode sends are
+		// acknowledged here, since the engine never sees the CTS. A send a
+		// fault failed meanwhile no longer resolves, and nothing moves.
+		sreq := sender.eng.SendAcked(env.SendID)
 		if sreq == nil {
 			return
 		}
-		delete(sender.rndv, env.SendID)
-		// The CTS implies the receiver matched: synchronous-mode sends are
-		// acknowledged here, since the engine never sees the CTS.
-		sender.eng.SendAcked(sreq)
 		n := env.Count
 		if n > len(req.Buf) {
 			n = len(req.Buf)
@@ -233,16 +227,9 @@ func (t *lowlatTransport) Control(p *sim.Proc, dst int, kind core.PacketKind, en
 // copy needs no further transport action.
 func (t *lowlatTransport) Release(p *sim.Proc, src int, n int) {}
 
-// PeerDown implements core.Transport: forget rendezvous sends toward the
-// dead rank (their CTS can never arrive — the engine already failed the
-// requests) and restore the envelope slots it held, since a corpse never
-// returns slot-free acknowledgements.
+// PeerDown implements core.Transport: restore the envelope slots the dead
+// rank held, since a corpse never returns slot-free acknowledgements.
 func (t *lowlatTransport) PeerDown(rank int) {
-	for id, req := range t.rndv {
-		if req.Env.Dest == rank {
-			delete(t.rndv, id)
-		}
-	}
 	t.fc.DropDst(rank, t.slots, nil)
 	t.eng.Wake()
 	// Procs parked in the hardware-broadcast slot wait recheck the dead

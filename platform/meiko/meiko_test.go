@@ -3,6 +3,8 @@ package meiko
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -374,5 +376,28 @@ func TestDeterministicRuns(t *testing.T) {
 		if a, b := run(impl), run(impl); a != b {
 			t.Fatalf("%v nondeterministic: %v vs %v", impl, a, b)
 		}
+	}
+}
+
+// pingPongMallocs runs trips 1-byte round trips on meiko/lowlatency and
+// reports the heap objects the whole job allocated.
+func pingPongMallocs(t *testing.T, trips int) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pingPong(t, registry.Spec{Impl: "lowlatency"}, 1, trips)
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// The paper's 104 us round trip allocates nothing once warm: its four engine
+// requests are recycled as each blocking call returns, and flights and Elan
+// transaction records were pooled already. Short and long runs are
+// subtracted so world construction and warm-up cancel.
+func TestPingPongAllocFree(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const short, long = 200, 2200
+	if extra := int64(pingPongMallocs(t, long)) - int64(pingPongMallocs(t, short)); extra > 64 {
+		t.Errorf("%d more round trips allocated %d more objects (%.2f each), want a constant", long-short, extra, float64(extra)/(long-short))
 	}
 }

@@ -278,17 +278,17 @@ func (e *MPICHEndpoint) Iprobe(p *sim.Proc, src, tag, ctx int) (core.Status, boo
 }
 
 // Cancel implements core.Endpoint for unmatched posted receives.
-func (e *MPICHEndpoint) Cancel(p *sim.Proc, r *core.Request) error {
+func (e *MPICHEndpoint) Cancel(p *sim.Proc, r *core.Request) (bool, error) {
 	op := e.ops[r]
 	if op == nil || !op.isRecv {
-		return core.Errorf(core.ErrInternal, "cancel of send requests is not supported")
+		return false, core.Errorf(core.ErrInternal, "cancel of send requests is not supported")
 	}
-	if e.port.CancelRecv(op.treq) {
-		r.MarkCancelled()
-		r.Complete(core.Status{}, nil)
-		delete(e.ops, r)
+	if !e.port.CancelRecv(op.treq) {
+		return false, nil
 	}
-	return nil
+	r.Complete(core.Status{}, nil)
+	delete(e.ops, r)
+	return true, nil
 }
 
 // Finalize implements core.Endpoint. The tport widget progresses sends on
