@@ -316,6 +316,36 @@ func TestParsePartitions(t *testing.T) {
 	}
 }
 
+// FuzzParseKills: any string is a schedule of non-negative ranks and instants
+// or an error, never a panic.
+func FuzzParseKills(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		kills, err := ParseKills(spec)
+		for _, k := range kills {
+			if err != nil || k.Rank < 0 || k.At < 0 {
+				t.Fatalf("ParseKills(%q) = %+v, %v", spec, kills, err)
+			}
+		}
+	})
+}
+
+// FuzzParsePartitions: any string is a schedule the fault layer accepts or an
+// error, never a panic.
+func FuzzParsePartitions(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		parts, err := ParsePartitions(spec)
+		if err != nil {
+			if parts != nil {
+				t.Fatalf("ParsePartitions(%q) = %+v with error %v", spec, parts, err)
+			}
+			return
+		}
+		if err := (Faults{Partitions: parts}).Validate(); err != nil {
+			t.Fatalf("ParsePartitions(%q) accepted %+v, which Validate rejects: %v", spec, parts, err)
+		}
+	})
+}
+
 // --- hardened RUDP ---
 
 // rudpPair spins up a reliable pair on the ATM medium.

@@ -13,9 +13,7 @@ import (
 type AAL4 struct {
 	cl   *Cluster
 	host int
-
-	dq       []Datagram
-	readable *sim.Cond
+	recvQueue
 }
 
 // aal4Ports registers one socket per host (lazily allocated on Cluster).
@@ -26,7 +24,7 @@ func (cl *Cluster) aal4Port(h int) *AAL4 {
 	if s, ok := cl.aal4[h]; ok {
 		return s
 	}
-	s := &AAL4{cl: cl, host: h, readable: sim.NewCond(cl.SchedOf(h))}
+	s := &AAL4{cl: cl, host: h, recvQueue: recvQueue{readable: sim.NewCond(cl.SchedOf(h))}}
 	cl.aal4[h] = s
 	return s
 }
@@ -52,10 +50,7 @@ func (a *AAL4) SendTo(p *sim.Proc, dst int, data []byte) {
 	copy(payload, data)
 	src := a.host
 	a.cl.Medium(OverATM).Deliver(a.host, dst, len(data), DeliverOpts{AAL34: true, Droppable: true}, func() {
-		a.cl.SchedOf(dst).After(k.AAL4PerPacket, func() {
-			peer.dq = append(peer.dq, Datagram{Src: src, Data: payload})
-			peer.readable.Broadcast()
-		})
+		a.cl.SchedOf(dst).After(k.AAL4PerPacket, func() { peer.land(Datagram{Src: src, Data: payload}) })
 	})
 }
 
@@ -63,10 +58,7 @@ func (a *AAL4) SendTo(p *sim.Proc, dst int, data []byte) {
 func (a *AAL4) RecvFrom(p *sim.Proc, buf []byte) (int, int) {
 	k := a.cl.Costs
 	p.Advance(k.SyscallRead + k.ReadExtraATM)
-	if len(a.dq) == 0 {
-		for len(a.dq) == 0 {
-			a.readable.Wait(p)
-		}
+	if a.await(p) {
 		p.Advance(k.KernelWakeup)
 	}
 	d := popDgram(&a.dq)
@@ -74,6 +66,3 @@ func (a *AAL4) RecvFrom(p *sim.Proc, buf []byte) (int, int) {
 	p.Advance(sim.Duration(n) * k.CopyPerByte)
 	return n, d.Src
 }
-
-// Readable reports whether RecvFrom would return without blocking.
-func (a *AAL4) Readable() bool { return len(a.dq) > 0 }

@@ -24,6 +24,42 @@ func popDgram(q *[]Datagram) Datagram {
 	return d
 }
 
+// recvQueue is the receive side every datagram socket (UDP, U-Net, AAL4)
+// embeds: arrivals queue in order, wake blocked readers, then run the
+// arrival watchers.
+type recvQueue struct {
+	dq       []Datagram
+	readable *sim.Cond
+	watchers []func()
+}
+
+// land queues one arrival and notifies. Event context, on the socket's lane.
+func (q *recvQueue) land(d Datagram) {
+	q.dq = append(q.dq, d)
+	q.readable.Broadcast()
+	for _, fn := range q.watchers {
+		fn()
+	}
+}
+
+// await blocks p until a datagram is queued and reports whether it had to
+// block.
+func (q *recvQueue) await(p *sim.Proc) bool {
+	if len(q.dq) > 0 {
+		return false
+	}
+	for len(q.dq) == 0 {
+		q.readable.Wait(p)
+	}
+	return true
+}
+
+// Readable reports whether RecvFrom would return without blocking.
+func (q *recvQueue) Readable() bool { return len(q.dq) > 0 }
+
+// OnReadable registers an arrival callback (event context).
+func (q *recvQueue) OnReadable(fn func()) { q.watchers = append(q.watchers, fn) }
+
 // UDP is a bound datagram socket on one host over one medium. One socket
 // per (host, medium) carries all of the model's UDP traffic — addressing
 // is by host id, matching the paper's static process-per-host placement.
@@ -31,10 +67,7 @@ type UDP struct {
 	cl   *Cluster
 	host int
 	med  Medium
-
-	dq       []Datagram
-	readable *sim.Cond
-	watchers []func()
+	recvQueue
 
 	// Drops counts datagrams lost to loss injection on send (whole
 	// datagram lost when any fragment is).
@@ -47,7 +80,7 @@ func (cl *Cluster) UDPSocket(h int, k MediumKind) *UDP {
 	if s, ok := cl.udpPorts[k][h]; ok {
 		return s
 	}
-	s := &UDP{cl: cl, host: h, med: cl.Medium(k), readable: sim.NewCond(cl.SchedOf(h))}
+	s := &UDP{cl: cl, host: h, med: cl.Medium(k), recvQueue: recvQueue{readable: sim.NewCond(cl.SchedOf(h))}}
 	cl.udpPorts[k][h] = s
 	return s
 }
@@ -115,13 +148,7 @@ func (u *UDP) transmit(dst int, data []byte) {
 				// Reassembly complete: kernel input processing, then queue.
 				// The medium ran us on dst's lane, so the timer and the
 				// socket state stay there.
-				u.cl.SchedOf(dst).After(k.UDPPerPacket, func() {
-					peer.dq = append(peer.dq, Datagram{Src: src, Data: data})
-					peer.readable.Broadcast()
-					for _, fn := range peer.watchers {
-						fn()
-					}
-				})
+				u.cl.SchedOf(dst).After(k.UDPPerPacket, func() { peer.land(Datagram{Src: src, Data: data}) })
 			}
 		})
 		if !ok {
@@ -146,10 +173,7 @@ func (u *UDP) RecvFrom(p *sim.Proc, buf []byte) (int, int) {
 func (u *UDP) recv(p *sim.Proc, max int) Datagram {
 	k := u.cl.Costs
 	p.Advance(k.SyscallRead + u.cl.readExtra(u.med.Kind()))
-	if len(u.dq) == 0 {
-		for len(u.dq) == 0 {
-			u.readable.Wait(p)
-		}
+	if u.await(p) {
 		p.Advance(k.KernelWakeup)
 	}
 	d := popDgram(&u.dq)
@@ -157,9 +181,3 @@ func (u *UDP) recv(p *sim.Proc, max int) Datagram {
 	p.Advance(sim.Duration(len(d.Data)) * k.CopyPerByte)
 	return d
 }
-
-// Readable reports whether RecvFrom would return without blocking.
-func (u *UDP) Readable() bool { return len(u.dq) > 0 }
-
-// OnReadable registers an arrival callback (event context).
-func (u *UDP) OnReadable(fn func()) { u.watchers = append(u.watchers, fn) }

@@ -22,10 +22,7 @@ import (
 type UNet struct {
 	cl   *Cluster
 	host int
-
-	dq       []Datagram
-	readable *sim.Cond
-	watchers []func()
+	recvQueue
 }
 
 // U-Net cost model (calibrated to the SOSP'95 measurements: ~65 µs
@@ -50,7 +47,7 @@ func (cl *Cluster) UNetSocket(h int) *UNet {
 	if s, ok := cl.unet[h]; ok {
 		return s
 	}
-	s := &UNet{cl: cl, host: h, readable: sim.NewCond(cl.SchedOf(h))}
+	s := &UNet{cl: cl, host: h, recvQueue: recvQueue{readable: sim.NewCond(cl.SchedOf(h))}}
 	cl.unet[h] = s
 	return s
 }
@@ -89,13 +86,7 @@ func (u *UNet) Send(p *sim.Proc, dst int, data []byte) {
 	// The fabric's packet path with the streamlined firmware's SAR cost on
 	// both cards and no driver: the packet lands straight in the user-mapped
 	// receive queue.
-	land := func() {
-		peer.dq = append(peer.dq, Datagram{Src: src, Data: data})
-		peer.readable.Broadcast()
-		for _, fn := range peer.watchers {
-			fn()
-		}
-	}
+	land := func() { peer.land(Datagram{Src: src, Data: data}) }
 	if extra == 0 {
 		u.cl.Atm.send(src, dst, wire, UNetSARPerPacket, UNetSARPerPacket, land)
 		return
@@ -118,17 +109,9 @@ func (u *UNet) RecvFrom(p *sim.Proc, buf []byte) (int, int) {
 func (u *UNet) Recv(p *sim.Proc, max int) Datagram {
 	k := u.cl.Costs
 	p.Advance(UNetPoll)
-	for len(u.dq) == 0 {
-		u.readable.Wait(p)
-	}
+	u.await(p)
 	d := popDgram(&u.dq)
 	d.Data = d.Data[:min(len(d.Data), max)]
 	p.Advance(sim.Duration(len(d.Data)) * k.CopyPerByte)
 	return d
 }
-
-// Readable reports whether RecvFrom would return without blocking.
-func (u *UNet) Readable() bool { return len(u.dq) > 0 }
-
-// OnReadable registers an arrival callback (event context).
-func (u *UNet) OnReadable(fn func()) { u.watchers = append(u.watchers, fn) }

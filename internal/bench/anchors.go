@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -9,11 +10,20 @@ import (
 
 // Anchor is one calibration target from the paper, with the measured value.
 type Anchor struct {
-	Name      string
-	Unit      string
-	Paper     float64
-	Measured  float64
-	Tolerance float64 // acceptable relative error
+	Name      string  `json:"name"`
+	Unit      string  `json:"unit"`
+	Paper     float64 `json:"paper"`
+	Measured  float64 `json:"measured"`
+	Tolerance float64 `json:"tolerance"` // acceptable relative error
+}
+
+// MarshalJSON records the anchor with its verdict, "ok": Within().
+func (a Anchor) MarshalJSON() ([]byte, error) {
+	type fields Anchor
+	return json.Marshal(struct {
+		fields
+		OK bool `json:"ok"`
+	}{fields(a), a.Within()})
 }
 
 // Within reports whether the measurement sits inside the tolerance band.
@@ -91,4 +101,40 @@ func FormatAnchors(as []Anchor) string {
 		fmt.Fprintf(&b, "%-34s %8.1f%s %8.1f%s %+6.1f%%  %s\n", a.Name, a.Paper, a.Unit, a.Measured, a.Unit, rel, ok)
 	}
 	return b.String()
+}
+
+// AnchorsReport is the machine-readable record the anchors suite writes as
+// BENCH_anchors.json: the calibration anchors (the paper's 1-byte round
+// trips, the eager/rendezvous crossover, bandwidth and overhead numbers)
+// plus Figures 1 and 2 (the Meiko latency curves), for perf-trajectory
+// tracking across revisions.
+type AnchorsReport struct {
+	Anchors []Anchor `json:"anchors"`
+	Figures []Figure `json:"figures,omitempty"`
+}
+
+func (r AnchorsReport) figures() []Figure { return r.Figures }
+
+// anchorsRecord measures the anchors suite's record: the ten calibration
+// anchors plus Figures 1 and 2.
+func anchorsRecord(o Opts) (AnchorsReport, error) {
+	as, err := Anchors(o)
+	if err != nil {
+		return AnchorsReport{}, err
+	}
+	f1, err := Figure1(o)
+	if err != nil {
+		return AnchorsReport{}, err
+	}
+	f2, err := Figure2(o)
+	if err != nil {
+		return AnchorsReport{}, err
+	}
+	return AnchorsReport{Anchors: as, Figures: []Figure{f1, f2}}, nil
+}
+
+// formatAnchorsReport renders the record as the anchor table followed by
+// its figures.
+func formatAnchorsReport(r AnchorsReport) string {
+	return FormatAnchors(r.Anchors) + "\n" + formatFigures(r.Figures)
 }

@@ -8,21 +8,31 @@ import (
 	"repro/platform/registry"
 )
 
-// LinsolveMeiko runs the Figure 7 solver and reports the root's elapsed
-// seconds. impl is a registry implementation name ("lowlatency" | "mpich").
-func LinsolveMeiko(impl string, procs, n int) (float64, error) {
+// rootSeconds runs app on every rank of a procs-node Meiko and reports the
+// elapsed seconds the root's run of it measured. impl is a registry
+// implementation name ("lowlatency" | "mpich").
+func rootSeconds(impl string, procs int, app func(c *mpi.Comm) (time.Duration, error)) (float64, error) {
 	var el time.Duration
 	_, err := registry.Run(registry.Spec{Platform: "meiko", Impl: impl, Ranks: procs}, func(c *mpi.Comm) error {
-		res, err := apps.Linsolve(c, apps.LinsolveConfig{N: n})
-		if err != nil {
-			return err
-		}
+		d, err := app(c)
 		if c.Rank() == 0 {
-			el = res.Elapsed
+			el = d
 		}
-		return nil
+		return err
 	})
 	return el.Seconds(), err
+}
+
+// LinsolveMeiko runs the Figure 7 solver and reports the root's elapsed
+// seconds.
+func LinsolveMeiko(impl string, procs, n int) (float64, error) {
+	return rootSeconds(impl, procs, func(c *mpi.Comm) (time.Duration, error) {
+		res, err := apps.Linsolve(c, apps.LinsolveConfig{N: n})
+		if err != nil {
+			return 0, err
+		}
+		return res.Elapsed, nil
+	})
 }
 
 // Figure7 regenerates "Meiko Linear Equation Solver": time vs processes
@@ -48,14 +58,10 @@ func Figure7(o Opts) (Figure, error) {
 // ParticlesMeiko runs the Figure 8 ring and reports the slowest rank's
 // elapsed microseconds.
 func ParticlesMeiko(impl string, procs, n int) (float64, error) {
-	rep, err := registry.Run(registry.Spec{Platform: "meiko", Impl: impl, Ranks: procs}, func(c *mpi.Comm) error {
+	return elapsedUS(registry.Spec{Platform: "meiko", Impl: impl, Ranks: procs}, func(c *mpi.Comm) error {
 		_, err := apps.Particles(c, apps.ParticlesConfig{N: n, Seed: 1})
 		return err
 	})
-	if err != nil {
-		return 0, err
-	}
-	return float64(rep.MaxRankElapsed) / 1e3, nil
 }
 
 // Figure8 regenerates "Meiko Particle Pairwise Interactions": 24 particles
@@ -78,14 +84,10 @@ func Figure8(o Opts) (Figure, error) {
 // ParticlesCluster runs the Figure 9 ring over TCP and reports the slowest
 // rank's elapsed microseconds.
 func ParticlesCluster(net string, procs, n int) (float64, error) {
-	rep, err := registry.Run(registry.Spec{Platform: "cluster", Network: net, Ranks: procs}, func(c *mpi.Comm) error {
+	return elapsedUS(registry.Spec{Platform: "cluster", Network: net, Ranks: procs}, func(c *mpi.Comm) error {
 		_, err := apps.Particles(c, apps.ParticlesConfig{N: n, Seed: 2, SecPerFlop: apps.SGISecPerFlop})
 		return err
 	})
-	if err != nil {
-		return 0, err
-	}
-	return float64(rep.MaxRankElapsed) / 1e3, nil
 }
 
 // Figure9 regenerates "TCP Particle Pairwise Interactions": 128 particles,
@@ -114,18 +116,13 @@ func MatMulMeiko(o Opts) (Figure, error) {
 	}
 	run := func(impl string) func(int) (float64, error) {
 		return func(p int) (float64, error) {
-			var el time.Duration
-			_, err := registry.Run(registry.Spec{Platform: "meiko", Impl: impl, Ranks: p}, func(c *mpi.Comm) error {
+			return rootSeconds(impl, p, func(c *mpi.Comm) (time.Duration, error) {
 				res, err := apps.MatMul(c, apps.MatMulConfig{N: n})
 				if err != nil {
-					return err
+					return 0, err
 				}
-				if c.Rank() == 0 {
-					el = res.Elapsed
-				}
-				return nil
+				return res.Elapsed, nil
 			})
-			return el.Seconds(), err
 		}
 	}
 	return Figure{

@@ -10,6 +10,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -33,26 +34,43 @@ func (o Opts) Norm() Opts {
 }
 
 // Point is one measurement: X is the swept parameter (bytes, processes),
-// Y the measured value (µs, MB/s, seconds).
+// Y the measured value (µs, MB/s, seconds). A record holds it as [x, y].
 type Point struct {
 	X int
 	Y float64
 }
 
-// Series is one curve of a figure.
-type Series struct {
-	Name   string
-	Points []Point
+// MarshalJSON encodes the point as the pair [x, y].
+func (p Point) MarshalJSON() ([]byte, error) {
+	return json.Marshal([2]float64{float64(p.X), p.Y})
 }
 
-// Figure is a regenerated plot: the same series the paper draws.
+// UnmarshalJSON decodes the pair [x, y].
+func (p *Point) UnmarshalJSON(data []byte) error {
+	var xy [2]float64
+	if err := json.Unmarshal(data, &xy); err != nil {
+		return err
+	}
+	p.X, p.Y = int(xy[0]), xy[1]
+	return nil
+}
+
+// Series is one curve of a figure.
+type Series struct {
+	Name   string  `json:"name"`
+	Points []Point `json:"points"`
+}
+
+// Figure is a regenerated plot: the same series the paper draws. It is its
+// own record in a BENCH_*.json; Notes, the figure's prose, is kept for the
+// text table and the chart of a fresh run but not recorded.
 type Figure struct {
-	ID     string
-	Title  string
-	XLabel string
-	YLabel string
-	Series []Series
-	Notes  []string
+	ID     string   `json:"id"`
+	Title  string   `json:"title"`
+	XLabel string   `json:"xlabel"`
+	YLabel string   `json:"ylabel"`
+	Series []Series `json:"series"`
+	Notes  []string `json:"-"`
 }
 
 // String renders the figure as an aligned text table, series as columns.
@@ -93,6 +111,15 @@ func (f Figure) String() string {
 		fmt.Fprintf(&b, "  note: %s\n", n)
 	}
 	return b.String()
+}
+
+// formatFigures renders figures as text tables, a blank line between them.
+func formatFigures(figs []Figure) string {
+	tables := make([]string, len(figs))
+	for i, f := range figs {
+		tables[i] = f.String()
+	}
+	return strings.Join(tables, "\n")
 }
 
 // curve is one series of a swept figure: its name and the measurement at

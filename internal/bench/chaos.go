@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/atm"
+	"repro/internal/workload"
 	"repro/mpi"
 	"repro/platform/registry"
 )
@@ -110,8 +111,10 @@ func Chaos(o Opts) (ChaosReport, error) {
 	if killPoints > 0 {
 		rep.SurvivalRate = float64(survived) / float64(killPoints)
 	}
-	rep.DetectP50US, rep.DetectP99US = pctile(detects, 0.50), pctile(detects, 0.99)
-	rep.ShrinkP50US, rep.ShrinkP99US = pctile(shrinks, 0.50), pctile(shrinks, 0.99)
+	sort.Float64s(detects)
+	sort.Float64s(shrinks)
+	rep.DetectP50US, rep.DetectP99US = workload.Percentile(detects, 0.50), workload.Percentile(detects, 0.99)
+	rep.ShrinkP50US, rep.ShrinkP99US = workload.Percentile(shrinks, 0.50), workload.Percentile(shrinks, 0.99)
 	return rep, nil
 }
 
@@ -198,17 +201,6 @@ func chaosRun(backend string, lanes int, loss float64, kills string, killAt []ti
 		}
 	}
 	return pt, detects, shrinks, nil
-}
-
-// pctile is the nearest-rank percentile of xs (not mutated); 0 if empty.
-func pctile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	i := int(p*float64(len(s)-1) + 0.5)
-	return s[i]
 }
 
 // FormatChaos renders the sweep as the text table the CLI prints.

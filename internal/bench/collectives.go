@@ -32,7 +32,7 @@ type CollBackend struct {
 // [bytes, µs] pairs) and the crossovers derived from them.
 type CollOp struct {
 	Op         string          `json:"op"`
-	Series     []SeriesJSON    `json:"series"`
+	Series     []Series        `json:"series"`
 	Crossovers []CollCrossover `json:"crossovers,omitempty"`
 	Skipped    []string        `json:"skipped,omitempty"`
 }
@@ -123,11 +123,7 @@ func measureColl(backend, op, alg string, ranks, n, iters int) (float64, error) 
 	spec := registry.SpecFor(backend)
 	spec.Ranks = ranks
 	spec.Coll = op + "=" + alg
-	w, err := registry.Build(spec)
-	if err != nil {
-		return 0, err
-	}
-	rep, err := mpi.Launch(w, func(c *mpi.Comm) error { return collBody(c, op, n, iters) })
+	rep, err := registry.Run(spec, func(c *mpi.Comm) error { return collBody(c, op, n, iters) })
 	if err != nil {
 		return 0, err
 	}
@@ -153,7 +149,7 @@ func Collectives(o Opts) (CollectivesReport, error) {
 		for _, op := range collOps {
 			co := CollOp{Op: op}
 			for _, alg := range coll.Names(op) {
-				s := SeriesJSON{Name: alg}
+				s := Series{Name: alg}
 				skipped := false
 				for _, n := range collSizes(op, o.Full) {
 					us, err := measureColl(backend, op, alg, ranks, n, o.Iters)
@@ -164,7 +160,7 @@ func Collectives(o Opts) (CollectivesReport, error) {
 					if err != nil {
 						return rep, fmt.Errorf("%s %s/%s n=%d: %w", backend, op, alg, n, err)
 					}
-					s.Points = append(s.Points, [2]float64{float64(n), us})
+					s.Points = append(s.Points, Point{n, us})
 				}
 				if len(s.Points) > 0 {
 					co.Series = append(co.Series, s)
@@ -183,43 +179,27 @@ func Collectives(o Opts) (CollectivesReport, error) {
 
 // deriveCrossovers walks the sizes in order and records every change of
 // the fastest algorithm.
-func deriveCrossovers(series []SeriesJSON) []CollCrossover {
-	best := map[float64]string{}
-	var xs []float64
+func deriveCrossovers(series []Series) []CollCrossover {
+	best := map[int]Series{} // per size, the fastest series seen so far
+	var xs []int
 	for _, s := range series {
 		for _, p := range s.Points {
-			cur, ok := best[p[0]]
-			if !ok {
-				best[p[0]] = s.Name
-				xs = append(xs, p[0])
-				continue
+			cur, seen := best[p.X]
+			if !seen {
+				xs = append(xs, p.X)
 			}
-			if y, ok2 := seriesAt(series, cur, p[0]); ok2 && p[1] < y {
-				best[p[0]] = s.Name
+			if y, _ := lookup(cur, p.X); !seen || p.Y < y {
+				best[p.X] = s
 			}
 		}
 	}
 	var out []CollCrossover
 	for i := 1; i < len(xs); i++ {
-		if from, to := best[xs[i-1]], best[xs[i]]; from != to {
-			out = append(out, CollCrossover{Bytes: int(xs[i]), From: from, To: to})
+		if from, to := best[xs[i-1]].Name, best[xs[i]].Name; from != to {
+			out = append(out, CollCrossover{Bytes: xs[i], From: from, To: to})
 		}
 	}
 	return out
-}
-
-func seriesAt(series []SeriesJSON, name string, x float64) (float64, bool) {
-	for _, s := range series {
-		if s.Name != name {
-			continue
-		}
-		for _, p := range s.Points {
-			if p[0] == x {
-				return p[1], true
-			}
-		}
-	}
-	return 0, false
 }
 
 // FormatCollectives renders the sweep as the familiar aligned text tables,
@@ -228,13 +208,13 @@ func FormatCollectives(r CollectivesReport) string {
 	var b strings.Builder
 	for _, cb := range r.Backends {
 		for _, co := range cb.Ops {
-			f := FigureJSON{
+			f := Figure{
 				ID:     "collectives " + cb.Backend,
 				Title:  fmt.Sprintf("%s across algorithms (%d ranks)", co.Op, r.Ranks),
 				XLabel: "bytes",
 				YLabel: "us/call",
 				Series: co.Series,
-			}.figure()
+			}
 			for _, x := range co.Crossovers {
 				f.Notes = append(f.Notes, fmt.Sprintf("crossover at %d bytes: %s -> %s", x.Bytes, x.From, x.To))
 			}

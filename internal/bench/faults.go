@@ -68,19 +68,11 @@ func Faults(o Opts) (FaultsReport, error) {
 				LossRate:  rate,
 				FaultSeed: faultsSeed,
 			}
-			w, err := registry.Build(spec)
-			if err != nil {
-				return rep, fmt.Errorf("%s at loss %g: %v", fb.Backend, rate, err)
-			}
-			lat, err := mpiPingPong(w, 1, pingIters)
+			lat, err := mpiPingPong(spec, 1, pingIters)
 			if err != nil {
 				return rep, fmt.Errorf("%s latency at loss %g: %v", fb.Backend, rate, err)
 			}
-			w, err = registry.Build(spec)
-			if err != nil {
-				return rep, err
-			}
-			bw, err := mpiBandwidth(w, chunk, bwIters)
+			bw, err := mpiBandwidth(spec, chunk, bwIters)
 			if err != nil {
 				return rep, fmt.Errorf("%s bandwidth at loss %g: %v", fb.Backend, rate, err)
 			}

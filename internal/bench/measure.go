@@ -19,11 +19,22 @@ import (
 
 // ---- MPI-level measurement primitives --------------------------------
 
-// pingPongReport runs an n-byte ping-pong for iters round trips under any
-// world and reports the mean RTT in microseconds plus the launch report.
-func pingPongReport(w *mpi.World, n, iters int) (float64, *mpi.Report, error) {
+// elapsedUS builds the world spec describes, runs body on every rank and
+// reports the slowest rank's elapsed time in microseconds.
+func elapsedUS(spec registry.Spec, body func(c *mpi.Comm) error) (float64, error) {
+	rep, err := registry.Run(spec, body)
+	if err != nil {
+		return 0, err
+	}
+	return float64(rep.MaxRankElapsed) / 1e3, nil
+}
+
+// pingPongReport runs an n-byte ping-pong for iters round trips on the world
+// spec describes and reports the mean RTT in microseconds plus the launch
+// report.
+func pingPongReport(spec registry.Spec, n, iters int) (float64, *mpi.Report, error) {
 	var rtt time.Duration
-	rep, err := mpi.Launch(w, func(c *mpi.Comm) error {
+	rep, err := registry.Run(spec, func(c *mpi.Comm) error {
 		data := make([]byte, n)
 		buf := make([]byte, n)
 		if c.Rank() == 0 {
@@ -55,15 +66,16 @@ func pingPongReport(w *mpi.World, n, iters int) (float64, *mpi.Report, error) {
 }
 
 // mpiPingPong is pingPongReport's mean RTT alone.
-func mpiPingPong(w *mpi.World, n, iters int) (float64, error) {
-	us, _, err := pingPongReport(w, n, iters)
+func mpiPingPong(spec registry.Spec, n, iters int) (float64, error) {
+	us, _, err := pingPongReport(spec, n, iters)
 	return us, err
 }
 
-// mpiBandwidth streams iters chunks one way and reports MB/s.
-func mpiBandwidth(w *mpi.World, chunk, iters int) (float64, error) {
+// mpiBandwidth streams iters chunks one way on the world spec describes and
+// reports MB/s.
+func mpiBandwidth(spec registry.Spec, chunk, iters int) (float64, error) {
 	var elapsed time.Duration
-	_, err := mpi.Launch(w, func(c *mpi.Comm) error {
+	_, err := registry.Run(spec, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			data := make([]byte, chunk)
 			for i := 0; i < iters; i++ {
@@ -92,43 +104,27 @@ func mpiBandwidth(w *mpi.World, chunk, iters int) (float64, error) {
 	return float64(chunk*iters) / elapsed.Seconds() / 1e6, nil
 }
 
-// MeikoPingPong measures the MPI RTT on the Meiko. impl is a registry
+// MeikoPingPong measures the MPI RTT on the Meiko in µs. impl is a registry
 // implementation name ("lowlatency" | "mpich"); eager == 0 uses the
 // default 180-byte crossover.
 func MeikoPingPong(impl string, eager, size, iters int) (float64, error) {
-	w, err := registry.Build(registry.Spec{Platform: "meiko", Impl: impl, Ranks: 2, Eager: eager})
-	if err != nil {
-		return 0, err
-	}
-	return mpiPingPong(w, size, iters)
+	return mpiPingPong(registry.Spec{Platform: "meiko", Impl: impl, Ranks: 2, Eager: eager}, size, iters)
 }
 
 // MeikoBandwidth measures one-way MPI bandwidth on the Meiko in MB/s.
 func MeikoBandwidth(impl string, chunk, iters int) (float64, error) {
-	w, err := registry.Build(registry.Spec{Platform: "meiko", Impl: impl, Ranks: 2})
-	if err != nil {
-		return 0, err
-	}
-	return mpiBandwidth(w, chunk, iters)
+	return mpiBandwidth(registry.Spec{Platform: "meiko", Impl: impl, Ranks: 2}, chunk, iters)
 }
 
-// ClusterPingPong measures the MPI RTT on the cluster. tr is a registry
+// ClusterPingPong measures the MPI RTT on the cluster in µs. tr is a registry
 // transport name ("tcp" | "udp" | "unet"), net a network name ("atm" | "eth").
 func ClusterPingPong(tr, net string, size, iters int) (float64, error) {
-	w, err := registry.Build(registry.Spec{Platform: "cluster", Transport: tr, Network: net, Ranks: 2})
-	if err != nil {
-		return 0, err
-	}
-	return mpiPingPong(w, size, iters)
+	return mpiPingPong(registry.Spec{Platform: "cluster", Transport: tr, Network: net, Ranks: 2}, size, iters)
 }
 
 // ClusterBandwidth measures one-way MPI bandwidth on the cluster in MB/s.
 func ClusterBandwidth(tr, net string, chunk, iters int) (float64, error) {
-	w, err := registry.Build(registry.Spec{Platform: "cluster", Transport: tr, Network: net, Ranks: 2})
-	if err != nil {
-		return 0, err
-	}
-	return mpiBandwidth(w, chunk, iters)
+	return mpiBandwidth(registry.Spec{Platform: "cluster", Transport: tr, Network: net, Ranks: 2}, chunk, iters)
 }
 
 // ---- raw substrate primitives ----------------------------------------
@@ -280,11 +276,7 @@ func RawAAL4PingPong(size, iters int) float64 {
 // clusterAcctPingPong runs a 1-byte MPI ping-pong and returns rank 1's
 // cost account (Table 1's source).
 func clusterAcctPingPong(net string, iters int) (*core.Acct, error) {
-	w, err := registry.Build(registry.Spec{Platform: "cluster", Network: net, Ranks: 2})
-	if err != nil {
-		return nil, err
-	}
-	_, rep, err := pingPongReport(w, 1, iters)
+	_, rep, err := pingPongReport(registry.Spec{Platform: "cluster", Network: net, Ranks: 2}, 1, iters)
 	if err != nil {
 		return nil, err
 	}

@@ -66,9 +66,9 @@ type RMAReport struct {
 // rndv-rtr counter). native names the path the world must take: a genuine
 // one-sided transfer, or the emulation that deflates to matched messages
 // inside the closing fence.
-func rmaEpoch(w *mpi.World, n, iters int, native bool) (float64, float64, error) {
+func rmaEpoch(spec registry.Spec, n, iters int, native bool) (float64, float64, error) {
 	var per time.Duration
-	rep, err := mpi.Launch(w, func(c *mpi.Comm) error {
+	rep, err := registry.Run(spec, func(c *mpi.Comm) error {
 		win, err := c.WinCreate(n)
 		if err != nil {
 			return err
@@ -104,9 +104,9 @@ func rmaEpoch(w *mpi.World, n, iters int, native bool) (float64, float64, error)
 // their receive (and let the advert propagate under a barrier) before the
 // matching send starts — the shape the RDMA-write rendezvous accelerates.
 // Reports the mean round trip, barrier included, in microseconds.
-func prePostedPingPong(w *mpi.World, n, iters int) (float64, error) {
+func prePostedPingPong(spec registry.Spec, n, iters int) (float64, error) {
 	var rtt time.Duration
-	_, err := mpi.Launch(w, func(c *mpi.Comm) error {
+	_, err := registry.Run(spec, func(c *mpi.Comm) error {
 		data := make([]byte, n)
 		buf := make([]byte, n)
 		peer := 1 - c.Rank()
@@ -178,11 +178,7 @@ func RMABench(o Opts) (RMAReport, error) {
 		for _, n := range rmaPutSizes(o.Full) {
 			spec := registry.SpecFor(name)
 			spec.Ranks = 2
-			w, err := registry.Build(spec)
-			if err != nil {
-				return rep, fmt.Errorf("rma %s: %v", name, err)
-			}
-			us, _, err := rmaEpoch(w, n, o.Iters, true)
+			us, _, err := rmaEpoch(spec, n, o.Iters, true)
 			if err != nil {
 				return rep, fmt.Errorf("rma %s %dB: %v", name, n, err)
 			}
@@ -194,11 +190,7 @@ func RMABench(o Opts) (RMAReport, error) {
 			point := RMARendezvousPoint{Backend: "cluster/" + tr, Bytes: n}
 			for _, noRTR := range []bool{false, true} {
 				spec := registry.Spec{Platform: "cluster", Transport: tr, Ranks: 2, NoRTR: noRTR}
-				w, err := registry.Build(spec)
-				if err != nil {
-					return rep, fmt.Errorf("rendezvous %s: %v", point.Backend, err)
-				}
-				us, err := prePostedPingPong(w, n, o.Iters)
+				us, err := prePostedPingPong(spec, n, o.Iters)
 				if err != nil {
 					return rep, fmt.Errorf("rendezvous %s %dB: %v", point.Backend, n, err)
 				}
@@ -217,11 +209,7 @@ func RMABench(o Opts) (RMAReport, error) {
 	for _, tr := range []string{"tcp", "udp"} {
 		for _, n := range rmaFenceSizes(o.Full) {
 			spec := registry.Spec{Platform: "cluster", Transport: tr, Ranks: 2}
-			w, err := registry.Build(spec)
-			if err != nil {
-				return rep, fmt.Errorf("fence %s: %v", tr, err)
-			}
-			us, rtr, err := rmaEpoch(w, n, o.Iters, false)
+			us, rtr, err := rmaEpoch(spec, n, o.Iters, false)
 			if err != nil {
 				return rep, fmt.Errorf("fence cluster/%s %dB: %v", tr, n, err)
 			}

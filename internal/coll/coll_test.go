@@ -126,3 +126,22 @@ func TestParseTuning(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseTuning: any string is a tuning of registered algorithms that its
+// own String() parses back to, or an error, never a panic.
+func FuzzParseTuning(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		tn, err := ParseTuning(spec)
+		if err != nil {
+			return
+		}
+		for op, alg := range tn {
+			if _, ok := Lookup(op, alg); !ok {
+				t.Fatalf("ParseTuning(%q) accepted unregistered %s=%s", spec, op, alg)
+			}
+		}
+		if back, err := ParseTuning(tn.String()); err != nil || back.String() != tn.String() {
+			t.Fatalf("ParseTuning(%q) = %v; its String() parses to %v, %v", spec, tn, back, err)
+		}
+	})
+}

@@ -247,6 +247,19 @@ func TestParseTreeFaults(t *testing.T) {
 	}
 }
 
+// FuzzParseTreeFaults: any string is a schedule of redundant-stage planes with
+// non-empty windows or an error, never a panic.
+func FuzzParseTreeFaults(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		faults, err := ParseTreeFaults(spec)
+		for _, tf := range faults {
+			if err != nil || tf.Stage < 1 || tf.Lane < 0 || tf.From < 0 || tf.Until != 0 && tf.Until <= tf.From {
+				t.Fatalf("ParseTreeFaults(%q) = %+v, %v", spec, faults, err)
+			}
+		}
+	})
+}
+
 // MPI-level runs remain correct over the tree (used via platform flag).
 func TestTportOverFatTree(t *testing.T) {
 	s := sim.NewScheduler(1)

@@ -104,9 +104,10 @@ const (
 	traceMagic = "MPWT"
 	// Version is the trace format version this build reads and writes.
 	Version = 1
-	// maxEvents caps the declared event count during decode so a corrupt
-	// header cannot drive a huge allocation.
-	maxEvents = 1 << 26
+	// minEventBytes is the smallest encoding of one event (seven one-byte
+	// fields): the bytes left after the header cap the declared event count
+	// during decode, so a corrupt header cannot drive a huge allocation.
+	minEventBytes = 7
 	// maxString caps header string lengths during decode.
 	maxString = 1 << 12
 )
@@ -197,8 +198,8 @@ func Unmarshal(data []byte) (*Trace, error) {
 	tr.Cfg.Rate = math.Float64frombits(r.u64())
 	tr.Cfg.Compute = time.Duration(r.varint())
 	count := r.uvarint()
-	if r.err == nil && count > maxEvents {
-		r.fail("event count %d exceeds the %d cap", count, maxEvents)
+	if left := len(body) - r.off; r.err == nil && count > uint64(left/minEventBytes) {
+		r.fail("event count %d exceeds what the %d bytes left can hold", count, left)
 	}
 	if r.err == nil {
 		tr.Events = make([]Event, 0, count)

@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -76,6 +78,60 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 			t.Errorf("%s: want *FormatError, got %v", name, err)
 		}
 	}
+}
+
+// A header that declares more events than the bytes behind it could hold is
+// corruption, rejected before anything is allocated for them.
+func TestUnmarshalBoundsEventCountByLength(t *testing.T) {
+	data := (&Trace{}).Marshal()
+	body := data[:len(data)-5] // up to the zero event count
+	body = binary.AppendUvarint(body, 1<<20)
+	data = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+	var fe *FormatError
+	if _, err := Unmarshal(data); !errors.As(err, &fe) || !strings.Contains(fe.Msg, "event count") {
+		t.Fatalf("want an event-count *FormatError, got %v", err)
+	}
+}
+
+// reseal stamps the magic, this build's version and a matching checksum onto
+// a copy of data, so a mutated input reaches the parser behind them.
+func reseal(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	if len(out) < len(traceMagic)+2+4 {
+		return out
+	}
+	copy(out, traceMagic)
+	binary.LittleEndian.PutUint16(out[4:6], Version)
+	body := out[:len(out)-4]
+	binary.LittleEndian.PutUint32(out[len(body):], crc32.ChecksumIEEE(body))
+	return out
+}
+
+// FuzzUnmarshal decodes arbitrary bytes, as given and resealed. The answer is
+// a *FormatError or a trace whose encoding is canonical (it decodes, and
+// encodes to the same bytes again) — never a panic, a hang or another error.
+func FuzzUnmarshal(f *testing.F) {
+	f.Add(sampleTrace().Marshal())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, in := range [][]byte{data, reseal(data)} {
+			tr, err := Unmarshal(in)
+			if err != nil {
+				var fe *FormatError
+				if !errors.As(err, &fe) {
+					t.Fatalf("Unmarshal returned %T (%v), want *FormatError", err, err)
+				}
+				continue
+			}
+			enc := tr.Marshal()
+			again, err := Unmarshal(enc)
+			if err != nil {
+				t.Fatalf("a decoded trace re-encodes to bytes that do not decode: %v", err)
+			}
+			if !bytes.Equal(enc, again.Marshal()) {
+				t.Fatal("Marshal is not canonical on a decoded trace")
+			}
+		}
+	})
 }
 
 // Diff reports the first divergent event with its rank/time/op context.

@@ -275,9 +275,9 @@ func Summarize(tr *Trace, elapsed time.Duration) Summary {
 		Pattern:   tr.Cfg.Pattern,
 		Events:    len(durs),
 		ElapsedUS: float64(elapsed) / float64(time.Microsecond),
-		P50US:     pct(durs, 0.50),
-		P99US:     pct(durs, 0.99),
-		P999US:    pct(durs, 0.999),
+		P50US:     Percentile(durs, 0.50),
+		P99US:     Percentile(durs, 0.99),
+		P999US:    Percentile(durs, 0.999),
 	}
 	if sec := elapsed.Seconds(); sec > 0 {
 		s.OpsPerSec = float64(len(durs)) / sec
@@ -286,9 +286,9 @@ func Summarize(tr *Trace, elapsed time.Duration) Summary {
 	return s
 }
 
-// pct is the nearest-rank percentile over a sorted sample, matching
-// internal/bench's convention.
-func pct(sorted []float64, p float64) float64 {
+// Percentile is the nearest-rank percentile p (in [0, 1]) of a sorted
+// sample; 0 if the sample is empty.
+func Percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
