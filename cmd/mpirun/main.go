@@ -63,12 +63,12 @@ func main() {
 	lanes := flag.Int("lanes", 0, "run on the sharded kernel with this many lanes (0 = single-lane kernel)")
 	parallel := flag.Bool("parallel", false, "with -lanes: execute epochs on pinned worker goroutines")
 	collTune := flag.String("coll", "", `force collective algorithms, e.g. "bcast=pipelined,allreduce=rsag" (default auto-select)`)
-	loss := flag.Float64("loss", 0, "cluster: per-frame loss probability (datagram traffic)")
+	loss := flag.Float64("loss", 0, "cluster: per-frame loss probability (transport udp)")
 	delay := flag.Duration("delay", 0, "cluster: fixed one-way latency added per frame")
 	jitter := flag.Duration("jitter", 0, "cluster: extra uniform per-frame latency in [0, jitter)")
-	reorder := flag.Float64("reorder", 0, "cluster: per-frame reordering probability")
-	dup := flag.Float64("dup", 0, "cluster: per-frame duplication probability")
-	dropnth := flag.Int("dropnth", 0, "cluster: deterministically drop every Nth frame")
+	reorder := flag.Float64("reorder", 0, "cluster: per-frame reordering probability (transport udp)")
+	dup := flag.Float64("dup", 0, "cluster: per-frame duplication probability (transport udp)")
+	dropnth := flag.Int("dropnth", 0, "cluster: deterministically drop every Nth frame (transport udp)")
 	partition := flag.String("partition", "", `cluster: partition schedule, e.g. "0-1@5ms:20ms;2-*" (A-B[@FROM:UNTIL], * = any host)`)
 	faultseed := flag.Int64("faultseed", 0, "cluster: fault-injection RNG seed (0 = derive from -seed)")
 	nortr := flag.Bool("nortr", false, "cluster: disable the RDMA-write rendezvous (pin large sends to RTS/CTS)")

@@ -8,7 +8,6 @@
 //	repro -fig 1,2,7        # specific figures
 //	repro -table1           # the overhead breakdown
 //	repro -suite ablations  # the extension experiments
-//	repro -full             # paper-complete sweep ranges (slower)
 //	repro -suite rma,scale -baseline . -out out
 //	                        # run suites, gate each against ./BENCH_<name>.json,
 //	                        # write the fresh records to out/
@@ -31,7 +30,6 @@ func main() {
 	table1 := flag.Bool("table1", false, "regenerate Table 1")
 	matmul := flag.Bool("matmul", false, "run the matrix-multiply experiment (§6.1)")
 	all := flag.Bool("all", false, "run everything")
-	full := flag.Bool("full", false, "use the paper's full sweep ranges")
 	iters := flag.Int("iters", 5, "repetitions per point")
 	svgDir := flag.String("svg", "", "also write each figure, a suite's included, as an SVG chart into this directory")
 	suiteSpec := flag.String("suite", "", "comma-separated benchmark suites to run, or \"all\" (an unknown name lists the registered ones)")
@@ -39,7 +37,7 @@ func main() {
 	outDir := flag.String("out", "", "with -suite: write each fresh BENCH_<name>.json into this directory")
 	flag.Parse()
 
-	o := bench.Opts{Iters: *iters, Full: *full}
+	o := bench.Opts{Iters: *iters}
 	chart := func(f bench.Figure) {
 		if *svgDir == "" {
 			return

@@ -44,14 +44,12 @@ func (q *recvQueue) land(d Datagram) {
 
 // await blocks p until a datagram is queued and reports whether it had to
 // block.
-func (q *recvQueue) await(p *sim.Proc) bool {
-	if len(q.dq) > 0 {
-		return false
-	}
+func (q *recvQueue) await(p *sim.Proc) (blocked bool) {
 	for len(q.dq) == 0 {
 		q.readable.Wait(p)
+		blocked = true
 	}
-	return true
+	return blocked
 }
 
 // Readable reports whether RecvFrom would return without blocking.

@@ -37,22 +37,16 @@ func LinsolveMeiko(impl string, procs, n int) (float64, error) {
 
 // Figure7 regenerates "Meiko Linear Equation Solver": time vs processes
 // for the MPICH and low-latency implementations.
-func Figure7(o Opts) (Figure, error) {
-	procs := []int{1, 2, 4, 8}
-	n := 64
-	if o.Full {
-		procs = []int{1, 2, 4, 8, 16, 32}
-		n = 128
-	}
+func Figure7(Opts) (Figure, error) {
 	return Figure{
 		ID:     "Figure 7",
 		Title:  "Meiko Linear Equation Solver",
 		XLabel: "# processes",
 		YLabel: "s",
 		Notes:  []string{"hardware broadcast vs MPICH's point-to-point broadcast"},
-	}.sweep(procs,
-		curve{"mpich", func(p int) (float64, error) { return LinsolveMeiko("mpich", p, n) }},
-		curve{"low latency", func(p int) (float64, error) { return LinsolveMeiko("lowlatency", p, n) }})
+	}.sweep([]int{1, 2, 4, 8, 16, 32},
+		curve{"mpich", func(p int) (float64, error) { return LinsolveMeiko("mpich", p, 128) }},
+		curve{"low latency", func(p int) (float64, error) { return LinsolveMeiko("lowlatency", p, 128) }})
 }
 
 // ParticlesMeiko runs the Figure 8 ring and reports the slowest rank's
@@ -66,17 +60,13 @@ func ParticlesMeiko(impl string, procs, n int) (float64, error) {
 
 // Figure8 regenerates "Meiko Particle Pairwise Interactions": 24 particles
 // on 1-8 processes.
-func Figure8(o Opts) (Figure, error) {
-	procs := []int{1, 2, 4, 8}
-	if o.Full {
-		procs = []int{1, 2, 3, 4, 6, 8}
-	}
+func Figure8(Opts) (Figure, error) {
 	return Figure{
 		ID:     "Figure 8",
 		Title:  "Meiko Particle Pairwise Interactions (24 particles)",
 		XLabel: "# processors",
 		YLabel: "us",
-	}.sweep(procs,
+	}.sweep([]int{1, 2, 3, 4, 6, 8},
 		curve{"mpich", func(p int) (float64, error) { return ParticlesMeiko("mpich", p, 24) }},
 		curve{"low latency", func(p int) (float64, error) { return ParticlesMeiko("lowlatency", p, 24) }})
 }
@@ -92,7 +82,7 @@ func ParticlesCluster(net string, procs, n int) (float64, error) {
 
 // Figure9 regenerates "TCP Particle Pairwise Interactions": 128 particles,
 // Ethernet vs ATM.
-func Figure9(o Opts) (Figure, error) {
+func Figure9(Opts) (Figure, error) {
 	return Figure{
 		ID:     "Figure 9",
 		Title:  "TCP Particle Pairwise Interactions (128 particles)",
@@ -107,17 +97,11 @@ func Figure9(o Opts) (Figure, error) {
 // MatMulMeiko regenerates the matrix-multiply result mentioned in §6.1
 // ("performance results are similar to that of the linear equation
 // solver").
-func MatMulMeiko(o Opts) (Figure, error) {
-	procs := []int{1, 2, 4, 8}
-	n := 48
-	if o.Full {
-		procs = []int{1, 2, 4, 8, 16}
-		n = 96
-	}
+func MatMulMeiko(Opts) (Figure, error) {
 	run := func(impl string) func(int) (float64, error) {
 		return func(p int) (float64, error) {
 			return rootSeconds(impl, p, func(c *mpi.Comm) (time.Duration, error) {
-				res, err := apps.MatMul(c, apps.MatMulConfig{N: n})
+				res, err := apps.MatMul(c, apps.MatMulConfig{N: 96})
 				if err != nil {
 					return 0, err
 				}
@@ -130,5 +114,5 @@ func MatMulMeiko(o Opts) (Figure, error) {
 		Title:  "Meiko Matrix Multiply",
 		XLabel: "# processes",
 		YLabel: "s",
-	}.sweep(procs, curve{"mpich", run("mpich")}, curve{"low latency", run("lowlatency")})
+	}.sweep([]int{1, 2, 4, 8, 16}, curve{"mpich", run("mpich")}, curve{"low latency", run("lowlatency")})
 }

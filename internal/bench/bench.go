@@ -21,8 +21,6 @@ type Opts struct {
 	// Iters is the per-point repetition count (virtual time is
 	// deterministic, so iterations only smooth pipeline warmup).
 	Iters int
-	// Full widens sweeps to the paper's complete ranges.
-	Full bool
 }
 
 // Norm fills defaults.
@@ -158,17 +156,8 @@ func lookup(s Series, x int) (float64, bool) {
 	return 0, false
 }
 
-// sizes helpers shared by the figures.
-func latencySizes(full bool) []int {
-	if full {
-		return []int{1, 4, 16, 32, 64, 96, 128, 160, 180, 200, 256, 384, 512, 1024, 2048, 4096}
-	}
-	return []int{1, 64, 180, 512, 2048}
-}
-
-func bandwidthSizes(full bool) []int {
-	if full {
-		return []int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20}
-	}
-	return []int{16 << 10, 256 << 10}
-}
+// The message sizes the paper's latency and bandwidth figures sweep.
+var (
+	latencySizes   = []int{1, 4, 16, 32, 64, 96, 128, 160, 180, 200, 256, 384, 512, 1024, 2048, 4096}
+	bandwidthSizes = []int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20}
+)

@@ -73,9 +73,9 @@ var chaosSchedules = []struct {
 	{"1@50us;3@80us", []time.Duration{50 * time.Microsecond, 80 * time.Microsecond}},
 }
 
-// chaosLossy are the transports whose wire the fault layer can drop
-// datagrams on; each also runs its schedule sweep at 1% loss.
-var chaosLossy = map[string]bool{"cluster/tcp": true, "cluster/udp": true, "cluster/unet": true}
+// chaosLossy is the one backend whose wire the fault layer can drop
+// datagrams on; it also runs its schedule sweep at 1% loss.
+const chaosLossy = "cluster/udp"
 
 // Chaos sweeps the recovery path over backends × lanes × kill schedules
 // × loss.
@@ -86,7 +86,7 @@ func Chaos(o Opts) (ChaosReport, error) {
 	for _, backend := range chaosBackends {
 		for _, lanes := range []int{1, 2, 8} {
 			losses := []float64{0}
-			if chaosLossy[backend] {
+			if backend == chaosLossy {
 				losses = append(losses, 0.01)
 			}
 			for _, loss := range losses {

@@ -49,21 +49,11 @@ type CollCrossover struct {
 // single zero-size point.
 var collOps = []string{"bcast", "barrier", "allreduce", "allgather", "alltoall"}
 
-func collSizes(op string, full bool) []int {
+func collSizes(op string) []int {
 	if op == "barrier" {
 		return []int{0}
 	}
-	if full {
-		return []int{64, 256, 1 << 10, 4 << 10, 8 << 10, 16 << 10, 64 << 10, 128 << 10, 256 << 10}
-	}
-	return []int{64, 1 << 10, 8 << 10, 64 << 10}
-}
-
-func collBackends(full bool) []string {
-	if full {
-		return registry.Names()
-	}
-	return []string{"meiko/lowlatency", "cluster/tcp"}
+	return []int{64, 256, 1 << 10, 4 << 10, 8 << 10, 16 << 10, 64 << 10, 128 << 10, 256 << 10}
 }
 
 // collBody runs one collective iters times with an n-byte payload.
@@ -138,20 +128,19 @@ func skippable(err error) bool {
 }
 
 // Collectives sweeps every registered algorithm of every collective across
-// sizes on each backend. The quick sweep covers the two headline backends;
-// Full covers every registered backend and the paper-width size range.
+// sizes on every registered backend.
 func Collectives(o Opts) (CollectivesReport, error) {
 	o = o.Norm()
 	const ranks = 8
 	rep := CollectivesReport{Ranks: ranks, Iters: o.Iters}
-	for _, backend := range collBackends(o.Full) {
+	for _, backend := range registry.Names() {
 		cb := CollBackend{Backend: backend}
 		for _, op := range collOps {
 			co := CollOp{Op: op}
 			for _, alg := range coll.Names(op) {
 				s := Series{Name: alg}
 				skipped := false
-				for _, n := range collSizes(op, o.Full) {
+				for _, n := range collSizes(op) {
 					us, err := measureColl(backend, op, alg, ranks, n, o.Iters)
 					if skippable(err) {
 						skipped = true

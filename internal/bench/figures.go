@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/atm"
@@ -13,10 +14,6 @@ import (
 // whose intersection the paper measures at 180 bytes.
 func Figure1(o Opts) (Figure, error) {
 	o = o.Norm()
-	sizes := []int{1, 32, 64, 96, 128, 160, 180, 200, 232, 264, 320, 384, 448, 512}
-	if !o.Full {
-		sizes = []int{1, 64, 128, 180, 256, 384, 512}
-	}
 	cross, err := Figure1Crossover()
 	if err != nil {
 		return Figure{}, err
@@ -27,7 +24,7 @@ func Figure1(o Opts) (Figure, error) {
 		XLabel: "bytes",
 		YLabel: "us",
 		Notes:  []string{fmt.Sprintf("measured crossover ~%d bytes (paper: 180)", cross)},
-	}.sweep(sizes,
+	}.sweep([]int{1, 32, 64, 96, 128, 160, 180, 200, 232, 256, 264, 320, 384, 448, 512},
 		curve{"Buffering", func(n int) (float64, error) { return MeikoPingPong("lowlatency", 1<<20, n, o.Iters) }}, // force eager
 		curve{"No buffering", func(n int) (float64, error) { return MeikoPingPong("lowlatency", 1, n, o.Iters) }})  // force rendezvous
 }
@@ -63,21 +60,21 @@ func Figure2(o Opts) (Figure, error) {
 		XLabel: "bytes",
 		YLabel: "us",
 		Notes:  []string{"paper anchors at 1 byte: tport 52, low latency 104, mpich 210 us"},
-	}.sweep(latencySizes(o.Full),
+	}.sweep(latencySizes,
 		curve{"MPI(mpich)", func(n int) (float64, error) { return MeikoPingPong("mpich", 0, n, o.Iters) }},
 		curve{"MPI(low latency)", func(n int) (float64, error) { return MeikoPingPong("lowlatency", 0, n, o.Iters) }},
 		curve{"Meiko tport", func(n int) (float64, error) { return TportPingPong(n, o.Iters), nil }})
 }
 
 // Figure3 regenerates "Meiko bandwidth" for large transfers.
-func Figure3(o Opts) (Figure, error) {
+func Figure3(Opts) (Figure, error) {
 	return Figure{
 		ID:     "Figure 3",
 		Title:  "Meiko bandwidth",
 		XLabel: "bytes",
 		YLabel: "MB/s",
 		Notes:  []string{"paper: best DMA bandwidth of 39 MB/s nearly reached"},
-	}.sweep(bandwidthSizes(o.Full),
+	}.sweep(bandwidthSizes,
 		curve{"MPI(mpich)", func(n int) (float64, error) { return MeikoBandwidth("mpich", n, 4) }},
 		curve{"MPI(low latency)", func(n int) (float64, error) { return MeikoBandwidth("lowlatency", n, 4) }},
 		curve{"Meiko tport", func(n int) (float64, error) { return TportBandwidth(n, 4), nil }})
@@ -92,7 +89,7 @@ func Figure4(o Opts) (Figure, error) {
 		XLabel: "bytes",
 		YLabel: "us",
 		Notes:  []string{"paper: except for small sizes the protocols are indistinguishable (STREAMS overhead)"},
-	}.sweep(latencySizes(o.Full),
+	}.sweep(latencySizes,
 		curve{"TCP", func(n int) (float64, error) { return RawTCPPingPong(atm.OverATM, n, o.Iters), nil }},
 		curve{"UDP", func(n int) (float64, error) { return RawUDPPingPong(atm.OverATM, n, o.Iters), nil }},
 		curve{"Fore aal4", func(n int) (float64, error) { return RawAAL4PingPong(n, o.Iters), nil }})
@@ -108,7 +105,7 @@ func Figure5(o Opts) (Figure, error) {
 		XLabel: "bytes",
 		YLabel: "us",
 		Notes:  []string{"paper anchors at 1 byte: tcp/eth 925, tcp/atm 1065 us; MPI adds envelope reads + matching"},
-	}.sweep(append(latencySizes(o.Full), 8192),
+	}.sweep(append(slices.Clip(latencySizes), 8192),
 		curve{"mpi/tcp/atm", func(n int) (float64, error) { return ClusterPingPong("tcp", "atm", n, o.Iters) }},
 		curve{"mpi/tcp/eth", func(n int) (float64, error) { return ClusterPingPong("tcp", "eth", n, o.Iters) }},
 		curve{"tcp/atm", func(n int) (float64, error) { return RawTCPPingPong(atm.OverATM, n, o.Iters), nil }},
@@ -116,17 +113,13 @@ func Figure5(o Opts) (Figure, error) {
 }
 
 // Figure6 regenerates "TCP bandwidth".
-func Figure6(o Opts) (Figure, error) {
-	sizes := []int{16 << 10, 64 << 10}
-	if o.Full {
-		sizes = []int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 512 << 10}
-	}
+func Figure6(Opts) (Figure, error) {
 	return Figure{
 		ID:     "Figure 6",
 		Title:  "TCP bandwidth",
 		XLabel: "bytes",
 		YLabel: "MB/s",
-	}.sweep(sizes,
+	}.sweep([]int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 512 << 10},
 		curve{"mpi/tcp/atm", func(n int) (float64, error) { return ClusterBandwidth("tcp", "atm", n, 4) }},
 		curve{"mpi/tcp/eth", func(n int) (float64, error) { return ClusterBandwidth("tcp", "eth", n, 4) }},
 		curve{"tcp/atm", func(n int) (float64, error) { return RawTCPBandwidth(atm.OverATM, 4*n), nil }},

@@ -141,30 +141,14 @@ func prePostedPingPong(spec registry.Spec, n, iters int) (float64, error) {
 	return float64(rtt) / 1e3, err
 }
 
-// rmaPutSizes/rmaRendezvousSizes are the swept transfer sizes; the largest
-// rendezvous size is the one the gate's RTR floor applies to.
-func rmaPutSizes(full bool) []int {
-	if full {
-		return []int{1 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20}
-	}
-	return []int{1 << 10, 64 << 10, 1 << 20}
-}
-
-func rmaRendezvousSizes(full bool) []int {
-	if full {
-		return []int{64 << 10, 256 << 10, 1 << 20, 4 << 20}
-	}
-	return []int{256 << 10, 1 << 20}
-}
-
-// rmaFenceSizes are the emulated-fence sweep sizes; everything at or
-// above the gate size must ride the RTR fast path.
-func rmaFenceSizes(full bool) []int {
-	if full {
-		return []int{4 << 10, 256 << 10, 1 << 20}
-	}
-	return []int{256 << 10}
-}
+// The swept transfer sizes. The gate's RTR floor applies to the rendezvous
+// sizes from rmaGateBytes up; every emulated fence of 64 KiB or more must
+// ride the RTR fast path.
+var (
+	rmaPutSizes        = []int{1 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20}
+	rmaRendezvousSizes = []int{64 << 10, 256 << 10, 1 << 20, 4 << 20}
+	rmaFenceSizes      = []int{4 << 10, 256 << 10, 1 << 20}
+)
 
 // rmaNativeBackends lists the backends whose transports implement
 // core.RemoteMemory, i.e. where Put is a genuine one-sided transfer.
@@ -175,7 +159,7 @@ func RMABench(o Opts) (RMAReport, error) {
 	o = o.Norm()
 	rep := RMAReport{Iters: o.Iters}
 	for _, name := range rmaNativeBackends {
-		for _, n := range rmaPutSizes(o.Full) {
+		for _, n := range rmaPutSizes {
 			spec := registry.SpecFor(name)
 			spec.Ranks = 2
 			us, _, err := rmaEpoch(spec, n, o.Iters, true)
@@ -186,7 +170,7 @@ func RMABench(o Opts) (RMAReport, error) {
 		}
 	}
 	for _, tr := range []string{"tcp", "udp"} {
-		for _, n := range rmaRendezvousSizes(o.Full) {
+		for _, n := range rmaRendezvousSizes {
 			point := RMARendezvousPoint{Backend: "cluster/" + tr, Bytes: n}
 			for _, noRTR := range []bool{false, true} {
 				spec := registry.Spec{Platform: "cluster", Transport: tr, Ranks: 2, NoRTR: noRTR}
@@ -207,7 +191,7 @@ func RMABench(o Opts) (RMAReport, error) {
 		}
 	}
 	for _, tr := range []string{"tcp", "udp"} {
-		for _, n := range rmaFenceSizes(o.Full) {
+		for _, n := range rmaFenceSizes {
 			spec := registry.Spec{Platform: "cluster", Transport: tr, Ranks: 2}
 			us, rtr, err := rmaEpoch(spec, n, o.Iters, false)
 			if err != nil {

@@ -200,24 +200,20 @@ func collAtScale(backend, op string, ranks, lanes, n int) ([]sim.Duration, error
 // affords within a CI budget (the mem fabric is cheap enough for 1k+; the
 // Meiko and cluster models charge full protocol costs per hop).
 var scaleCollBackends = []struct {
-	backend          string
-	ranks, fullRanks int
+	backend string
+	ranks   []int
 }{
-	{"mem", 1024, 2048},
-	{"meiko/lowlatency", 256, 512},
-	{"cluster/tcp", 64, 128},
+	{"mem", []int{1024, 2048}},
+	{"meiko/lowlatency", []int{256, 512}},
+	{"cluster/tcp", []int{64, 128}},
 }
 
 // scaleCollectives re-runs the headline collectives through the full MPI
 // stack standalone and sharded, on every backend family.
-func scaleCollectives(full bool) ([]ScaleCollPoint, error) {
+func scaleCollectives() ([]ScaleCollPoint, error) {
 	var out []ScaleCollPoint
 	for _, bk := range scaleCollBackends {
-		ranksList := []int{bk.ranks}
-		if full {
-			ranksList = append(ranksList, bk.fullRanks)
-		}
-		for _, ranks := range ranksList {
+		for _, ranks := range bk.ranks {
 			for _, c := range []struct {
 				op string
 				n  int
@@ -250,13 +246,9 @@ func scaleCollectives(full bool) ([]ScaleCollPoint, error) {
 
 // ScaleBench runs the rank sweep under every driver, the full-MPI collective
 // re-runs, and the allocation probe.
-func ScaleBench(o Opts) (ScaleReport, error) {
-	rankPoints := []int{64, 256, 1024, 4096}
-	if o.Full {
-		rankPoints = append(rankPoints, 16384)
-	}
+func ScaleBench(Opts) (ScaleReport, error) {
 	var rep ScaleReport
-	for _, ranks := range rankPoints {
+	for _, ranks := range []int{64, 256, 1024, 4096, 16384} {
 		single := dissemWorld(ranks, 0, scaleIters, false)
 		shard := dissemWorld(ranks, ranks, scaleIters, false)
 		par := dissemWorld(ranks, ranks, scaleIters, true)
@@ -274,7 +266,7 @@ func ScaleBench(o Opts) (ScaleReport, error) {
 			MailboxHighWater: shard.stats.MailboxHighWater,
 		})
 	}
-	coll, err := scaleCollectives(o.Full)
+	coll, err := scaleCollectives()
 	if err != nil {
 		return rep, err
 	}
@@ -307,23 +299,6 @@ func FormatScale(r ScaleReport) string {
 // scaleGateRanks is the rank count a report must reach: a sweep that stops
 // short of it proves nothing about scale.
 const scaleGateRanks = 1024
-
-// swept keeps the baseline points the current run also swept: a -full
-// baseline carries larger rank counts than a plain run, and those are not
-// drops.
-func swept[P any](base, cur []P, key func(P) string) []P {
-	have := make(map[string]bool, len(cur))
-	for _, p := range cur {
-		have[key(p)] = true
-	}
-	var out []P
-	for _, p := range base {
-		if have[key(p)] {
-			out = append(out, p)
-		}
-	}
-	return out
-}
 
 // checkScale gates a fresh report: the static floors always (zero
 // allocations per event, every kernel in agreement, every backend family
@@ -360,7 +335,7 @@ func checkScale(cur ScaleReport, base *ScaleReport) []string {
 		return fails
 	}
 	pointKey := func(p ScalePoint) string { return fmt.Sprintf("ranks=%d", p.Ranks) }
-	fails = append(fails, drift("point", cur.Points, swept(base.Points, cur.Points, pointKey), pointKey, 0,
+	fails = append(fails, drift("point", cur.Points, base.Points, pointKey, 0,
 		lower("events", func(p ScalePoint) float64 { return float64(p.Events) }),
 		lower("virtual_us", func(p ScalePoint) float64 { return p.VirtualUs }),
 		lower("epochs", func(p ScalePoint) float64 { return float64(p.Epochs) }),
@@ -370,6 +345,6 @@ func checkScale(cur ScaleReport, base *ScaleReport) []string {
 	collKey := func(p ScaleCollPoint) string {
 		return fmt.Sprintf("%s %s ranks=%d bytes=%d", p.Backend, p.Op, p.Ranks, p.Bytes)
 	}
-	return append(fails, drift("collective", cur.Collectives, swept(base.Collectives, cur.Collectives, collKey), collKey, 0,
+	return append(fails, drift("collective", cur.Collectives, base.Collectives, collKey, 0,
 		lower("virtual_us", func(p ScaleCollPoint) float64 { return p.VirtualUs }))...)
 }

@@ -79,13 +79,12 @@ func TestCheckScaleGate(t *testing.T) {
 	bad.Collectives = good.Collectives[:2] // no cluster points
 	requireFail(t, gate(t, "scale", bad, nil), "no cluster/tcp collective points")
 
-	// Baseline comparisons are exact: a baseline-only 16384 point (a -full
-	// record) passes, one event more or less does not.
+	// Baseline comparisons are exact: a rank count that left the sweep is a
+	// finding, and so is one event more or less.
 	base := good
 	base.Points = append(append([]ScalePoint(nil), good.Points...), ScalePoint{Ranks: 16384, Identical: true})
-	if fails := gate(t, "scale", good, base); len(fails) != 0 {
-		t.Fatalf("a -full baseline tripped the gate: %v", fails)
-	}
+	requireFail(t, gate(t, "scale", good, base), "point ranks=16384: in the baseline, dropped")
+	base = good
 	cur := good
 	for field, edit := range map[string]func(*ScalePoint){
 		"events":             func(p *ScalePoint) { p.Events++ },

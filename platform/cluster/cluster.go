@@ -83,6 +83,26 @@ func build(s registry.Spec, kind string) (*mpi.World, []*transport, error) {
 	if faults != nil && kind == "shm" {
 		return nil, nil, fmt.Errorf("cluster/shm: fault injection is not supported (a memory segment has no lossy wire)")
 	}
+	// TCP segments and U-Net frames are never droppable (the model omits
+	// TCP's loss recovery; the switch links are flow controlled), so the
+	// loss-family knobs would do nothing there. Delay, Jitter and Partition
+	// apply to every frame.
+	if kind == "tcp" || kind == "unet" {
+		knob := ""
+		switch {
+		case s.LossRate > 0:
+			knob = "LossRate"
+		case s.DropEveryN > 0:
+			knob = "DropEveryN"
+		case s.Reorder > 0:
+			knob = "Reorder"
+		case s.Duplicate > 0:
+			knob = "Duplicate"
+		}
+		if knob != "" {
+			return nil, nil, fmt.Errorf("cluster/%s: Spec.%s is set, but a %s frame is never dropped, reordered or duplicated (it would be silently ignored; transport udp honours it)", kind, knob, kind)
+		}
+	}
 	// The minimum cross-lane latency — the switch forwarding delay, or the
 	// segment visibility latency on shm — is the lookahead bound.
 	lookahead := costs.SwitchDelay

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -116,6 +117,53 @@ func TestReorderDuplicateStillCorrect(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A loss-family knob on a wire that cannot drop a frame is an error naming
+// the knob and the transport, never a silent no-op; the knobs that act on
+// every frame keep working on every wire.
+func TestLossKnobsNeedADroppableWire(t *testing.T) {
+	lossFamily := map[string]func(*registry.Spec){
+		"LossRate":   func(s *registry.Spec) { s.LossRate = 0.01 },
+		"DropEveryN": func(s *registry.Spec) { s.DropEveryN = 7 },
+		"Reorder":    func(s *registry.Spec) { s.Reorder = 0.1 },
+		"Duplicate":  func(s *registry.Spec) { s.Duplicate = 0.1 },
+	}
+	everyFrame := map[string]func(*registry.Spec){
+		"Delay":     func(s *registry.Spec) { s.Delay = time.Millisecond },
+		"Jitter":    func(s *registry.Spec) { s.Jitter = time.Millisecond },
+		"Partition": func(s *registry.Spec) { s.Partition = "0-1@1ms:2ms" },
+	}
+	for _, tr := range []string{"tcp", "udp", "unet", "shm"} {
+		build := func(set func(*registry.Spec)) error {
+			spec := registry.Spec{Platform: "cluster", Transport: tr, Ranks: 2}
+			set(&spec)
+			_, err := registry.Build(spec)
+			return err
+		}
+		for knob, set := range lossFamily {
+			err := build(set)
+			switch tr {
+			case "udp":
+				if err != nil {
+					t.Errorf("cluster/udp rejected %s: %v", knob, err)
+				}
+			case "shm":
+				if err == nil || !strings.Contains(err.Error(), "lossy wire") {
+					t.Errorf("cluster/shm with %s: %v, want the no-lossy-wire error", knob, err)
+				}
+			default:
+				if err == nil || !strings.Contains(err.Error(), "cluster/"+tr+": Spec."+knob+" is set") {
+					t.Errorf("cluster/%s with %s: %v, want an error naming both", tr, knob, err)
+				}
+			}
+		}
+		for knob, set := range everyFrame {
+			if err := build(set); (err != nil) != (tr == "shm") {
+				t.Errorf("cluster/%s with %s: %v", tr, knob, err)
+			}
+		}
 	}
 }
 

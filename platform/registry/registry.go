@@ -52,14 +52,16 @@ type Spec struct {
 
 	// Ablation knobs, read by the platform builders.
 	Coll          string  // collective tuning, "op=alg,..." over the backend's defaults (see coll.ParseTuning; "" = none)
-	LossRate      float64 // cluster: datagram loss probability per frame
+	LossRate      float64 // cluster/udp: datagram loss probability per frame
 	TCPNagle      bool    // cluster: leave Nagle/delayed acks on (no TCP_NODELAY)
 	NoRTR         bool    // cluster: disable the RDMA-write rendezvous (pin RTS/CTS)
 	FatTree       bool    // meiko: staged fat-tree congestion model
 	EnvelopeSlots int     // meiko: per-pair envelope slots (0 = the paper's 1)
 
 	// Fault-injection knobs (cluster only; see atm.Faults). Together with
-	// LossRate these drive the shared fault layer wrapping both media.
+	// LossRate these drive the shared fault layer wrapping both media. The
+	// loss family (LossRate, Reorder, Duplicate, DropEveryN) needs the one
+	// wire that can drop a frame, cluster/udp; tcp and unet reject it.
 	Delay      time.Duration // cluster: fixed one-way latency added per frame
 	Jitter     time.Duration // cluster: extra uniform latency in [0, Jitter)
 	Reorder    float64       // cluster: per-frame reordering probability

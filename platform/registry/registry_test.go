@@ -266,7 +266,7 @@ func TestBuildShardedKernel(t *testing.T) {
 			t.Errorf("backend %q rejected Lanes=2: %v", name, err)
 		}
 	}
-	if _, err := registry.Build(registry.Spec{Platform: "cluster", Ranks: 2, Lanes: 2, LossRate: 0.01}); err != nil {
+	if _, err := registry.Build(registry.Spec{Platform: "cluster", Transport: "udp", Ranks: 2, Lanes: 2, LossRate: 0.01}); err != nil {
 		t.Errorf("faults must compose with lanes (per-link RNG streams), got %v", err)
 	}
 	if _, err := registry.Build(registry.Spec{Platform: "cluster", Transport: "shm", Ranks: 2, LossRate: 0.01}); err == nil || !strings.Contains(err.Error(), "lossy wire") {
