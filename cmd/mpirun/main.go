@@ -68,7 +68,7 @@ func main() {
 	jitter := flag.Duration("jitter", 0, "cluster: extra uniform per-frame latency in [0, jitter)")
 	reorder := flag.Float64("reorder", 0, "cluster: per-frame reordering probability (transport udp)")
 	dup := flag.Float64("dup", 0, "cluster: per-frame duplication probability (transport udp)")
-	dropnth := flag.Int("dropnth", 0, "cluster: deterministically drop every Nth frame (transport udp)")
+	dropnth := flag.Int("dropnth", 0, "cluster: deterministically drop every Nth frame of each (src, dst) link (transport udp)")
 	partition := flag.String("partition", "", `cluster: partition schedule, e.g. "0-1@5ms:20ms;2-*" (A-B[@FROM:UNTIL], * = any host)`)
 	faultseed := flag.Int64("faultseed", 0, "cluster: fault-injection RNG seed (0 = derive from -seed)")
 	nortr := flag.Bool("nortr", false, "cluster: disable the RDMA-write rendezvous (pin large sends to RTS/CTS)")

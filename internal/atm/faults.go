@@ -2,7 +2,7 @@ package atm
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -45,9 +45,9 @@ func (pt Partition) blocks(src, dst int, now sim.Time) bool {
 }
 
 // Faults is one fault policy. The zero value injects nothing. Probabilities
-// are in [0, 1]; random draws come from a dedicated generator seeded with
-// Seed, so fault decisions are reproducible and independent of the
-// workload's own randomness.
+// are in [0, 1]; random draws come from dedicated generators seeded with
+// Seed, one per (src, dst) link, so fault decisions are reproducible and
+// independent of the workload's own randomness and of the kernel it runs on.
 type Faults struct {
 	Seed int64
 
@@ -57,7 +57,8 @@ type Faults struct {
 	// switch's dedicated links are flow controlled and lossless).
 	Loss float64
 	// DropEveryN deterministically drops every Nth droppable frame
-	// (1-based), for scripted scenarios independent of the seed.
+	// (1-based, counted per (src, dst) link), for scripted scenarios
+	// independent of the seed.
 	DropEveryN int
 
 	// Delay adds a fixed one-way latency to every frame; Jitter adds a
@@ -143,25 +144,21 @@ type Injector struct {
 	inner Medium
 
 	policy *Faults
-	rng    *rand.Rand
-	nth    int // droppable-frame counter for DropEveryN
-
-	// Per-link mode (s is a shard lane): one independent RNG stream and
-	// DropEveryN counter per (src, dst) pair, each derived from the policy
-	// seed, the endpoints, and the medium kind. Frames of one pair always
-	// originate on the source host's lane, so each stream is consumed
-	// sequentially even when lanes run in parallel — and a standalone
-	// scheduler keeps the legacy world-global stream, bit-identical to
-	// earlier releases.
-	links []faultLink // n*n, indexed src*n+dst; nil when standalone
+	// One independent stream and DropEveryN counter per (src, dst) pair.
+	// A link's draws depend on the policy seed, the endpoints and the
+	// medium, never on the kernel: frames of one pair always originate on
+	// the source host's lane, so each stream is consumed in the pair's send
+	// order whether the world runs on one lane, on many, or in parallel.
+	links []faultLink // n*n, indexed src*n+dst; nil with no policy
 
 	Stats FaultStats
 }
 
-// faultLink is one (src, dst) pair's private fault stream.
+// faultLink is one (src, dst) pair's private fault stream. It is stored by
+// value, n*n of them per medium, so it stays a few words.
 type faultLink struct {
-	rng *rand.Rand
-	nth int
+	rng rand.PCG
+	nth int // droppable-frame counter for DropEveryN
 }
 
 // NewInjector wraps inner, the medium of an n-host cluster built on s, with
@@ -181,11 +178,10 @@ func splitmix64(z uint64) uint64 {
 }
 
 // linkSeed derives the (src, dst) pair's stream seed.
-func (in *Injector) linkSeed(seed int64, src, dst int) int64 {
+func (in *Injector) linkSeed(seed int64, src, dst int) uint64 {
 	z := splitmix64(uint64(seed))
 	z = splitmix64(z ^ uint64(src+1)<<32 ^ uint64(dst+1))
-	z = splitmix64(z ^ uint64(in.inner.Kind()))
-	return int64(z)
+	return splitmix64(z ^ uint64(in.inner.Kind()))
 }
 
 // Set installs policy f; an inactive policy clears the injector.
@@ -199,26 +195,19 @@ func (in *Injector) Set(f Faults) error {
 	}
 	cp := f
 	in.policy = &cp
-	if in.s.Shard() != nil {
-		in.links = make([]faultLink, in.n*in.n)
-		for src := 0; src < in.n; src++ {
-			for dst := 0; dst < in.n; dst++ {
-				in.links[src*in.n+dst] = faultLink{rng: rand.New(rand.NewSource(in.linkSeed(f.Seed, src, dst)))}
-			}
+	in.links = make([]faultLink, in.n*in.n)
+	for src := 0; src < in.n; src++ {
+		for dst := 0; dst < in.n; dst++ {
+			z := in.linkSeed(f.Seed, src, dst)
+			in.links[src*in.n+dst].rng.Seed(z, splitmix64(z))
 		}
-		return nil
 	}
-	// Distinct streams per medium so eth and atm draws do not track each
-	// other under the same policy seed.
-	in.rng = rand.New(rand.NewSource(f.Seed<<1 ^ int64(in.inner.Kind())))
-	in.nth = 0
 	return nil
 }
 
 // Clear removes the policy, restoring transparent passthrough.
 func (in *Injector) Clear() {
 	in.policy = nil
-	in.rng = nil
 	in.links = nil
 }
 
@@ -234,43 +223,36 @@ func (in *Injector) MTU() int { return in.inner.MTU() }
 // srcSched reports the scheduler owning frames from host src.
 func (in *Injector) srcSched(src int) *sim.Scheduler { return in.s.Node(src, in.n) }
 
-// plan decides one frame's fate: dropped, or delivered once (or twice, when
-// duplicated) with the listed extra delays. It consumes randomness only when
-// a policy is installed. It runs on the frame's source lane; per-link
-// streams make the draws independent of cross-lane interleaving.
-func (in *Injector) plan(src, dst int, droppable bool) (drop bool, extras []sim.Duration) {
+// plan decides one frame's fate under the installed policy: dropped, or
+// delivered extra late — twice when dup. It runs on the frame's source lane and draws from the frame's
+// link, so the outcome is independent of cross-lane interleaving.
+func (in *Injector) plan(src, dst int, droppable bool) (drop bool, extra sim.Duration, dup bool) {
 	f := in.policy
-	if f == nil {
-		return false, nil
-	}
-	rng, nth := in.rng, &in.nth
-	if in.links != nil {
-		l := &in.links[src*in.n+dst]
-		rng, nth = l.rng, &l.nth
-	}
+	l := &in.links[src*in.n+dst]
+	rng := rand.New(&l.rng)
 	now := in.srcSched(src).Now()
 	for _, pt := range f.Partitions {
 		if pt.blocks(src, dst, now) {
 			atomic.AddInt64(&in.Stats.Partitioned, 1)
-			return true, nil
+			return true, 0, false
 		}
 	}
 	if droppable {
 		if f.DropEveryN > 0 {
-			*nth++
-			if *nth%f.DropEveryN == 0 {
+			l.nth++
+			if l.nth%f.DropEveryN == 0 {
 				atomic.AddInt64(&in.Stats.Dropped, 1)
-				return true, nil
+				return true, 0, false
 			}
 		}
 		if f.Loss > 0 && rng.Float64() < f.Loss {
 			atomic.AddInt64(&in.Stats.Dropped, 1)
-			return true, nil
+			return true, 0, false
 		}
 	}
-	extra := f.Delay
+	extra = f.Delay
 	if f.Jitter > 0 {
-		extra += sim.Duration(rng.Int63n(int64(f.Jitter)))
+		extra += sim.Duration(rng.Int64N(int64(f.Jitter)))
 	}
 	if droppable && f.Reorder > 0 && rng.Float64() < f.Reorder {
 		hold := f.ReorderDelay
@@ -283,12 +265,11 @@ func (in *Injector) plan(src, dst int, droppable bool) (drop bool, extras []sim.
 	if extra > 0 {
 		atomic.AddInt64(&in.Stats.Delayed, 1)
 	}
-	extras = []sim.Duration{extra}
 	if droppable && f.Duplicate > 0 && rng.Float64() < f.Duplicate {
 		atomic.AddInt64(&in.Stats.Duplicated, 1)
-		extras = append(extras, extra)
+		dup = true
 	}
-	return false, extras
+	return false, extra, dup
 }
 
 // Deliver implements Medium: the frame passes through the policy, then (if
@@ -298,11 +279,15 @@ func (in *Injector) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) b
 	if in.policy == nil {
 		return in.inner.Deliver(src, dst, n, opts, deliver)
 	}
-	drop, extras := in.plan(src, dst, opts.Droppable)
+	drop, extra, dup := in.plan(src, dst, opts.Droppable)
 	if drop {
 		return false
 	}
-	for _, extra := range extras {
+	copies := 1
+	if dup {
+		copies = 2
+	}
+	for ; copies > 0; copies-- {
 		if extra == 0 {
 			in.inner.Deliver(src, dst, n, opts, deliver)
 			continue
@@ -325,11 +310,8 @@ func (in *Injector) admit(src, dst int) (drop bool, extra sim.Duration) {
 	if in.policy == nil {
 		return false, 0
 	}
-	drop, extras := in.plan(src, dst, false)
-	if drop {
-		return true, 0
-	}
-	return false, extras[0]
+	drop, extra, _ = in.plan(src, dst, false)
+	return drop, extra
 }
 
 // ParsePartitions parses a partition schedule DSL: semicolon-separated

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -210,20 +211,17 @@ func TestFaultsWildcardPartitionIsolatesHost(t *testing.T) {
 	}
 }
 
-// A composite policy must replay identically under the same seed: same
-// arrival order and same virtual timestamps.
+// A composite policy must replay identically under the same seed — same
+// arrival order and same virtual timestamps — and must perturb the run at
+// all; which frames it drops, holds or doubles is the seed's business.
 func TestFaultsCompositePolicyDeterministic(t *testing.T) {
 	type arrival struct {
 		ID int
 		At sim.Time
 	}
-	run := func() []arrival {
+	run := func(f Faults) []arrival {
 		s, cl := newCluster(2)
-		err := cl.SetFaults(Faults{
-			Seed: 99, Loss: 0.2, Jitter: 200 * time.Microsecond,
-			Reorder: 0.3, Duplicate: 0.3,
-		})
-		if err != nil {
+		if err := cl.SetFaults(f); err != nil {
 			t.Fatal(err)
 		}
 		var got []arrival
@@ -240,12 +238,25 @@ func TestFaultsCompositePolicyDeterministic(t *testing.T) {
 		}
 		return got
 	}
-	a, b := run(), run()
+	composite := Faults{
+		Seed: 99, Loss: 0.2, Jitter: 200 * time.Microsecond,
+		Reorder: 0.3, Duplicate: 0.3,
+	}
+	a, b := run(composite), run(composite)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("composite fault policy nondeterministic:\n%v\n%v", a, b)
 	}
-	if len(a) == 0 || len(a) == 50 {
-		t.Fatalf("composite policy inert: %d arrivals", len(a))
+	if clean := run(Faults{}); len(clean) != 50 || reflect.DeepEqual(a, clean) {
+		t.Fatalf("composite policy inert: %d arrivals, %d on a clean wire", len(a), len(clean))
+	}
+}
+
+// The fault table is n*n links per medium, built eagerly: a link must stay
+// a generator state and a counter (it was a 4.9 KB math/rand source once,
+// 320 MB at 256 hosts).
+func TestFaultLinkStaysSmall(t *testing.T) {
+	if sz := unsafe.Sizeof(faultLink{}); sz > 32 {
+		t.Fatalf("faultLink is %d bytes, want <= 32", sz)
 	}
 }
 

@@ -49,10 +49,9 @@ const DefaultCredit = 64 * 1024
 // s.Lanes > 1 builds the world on the sharded kernel: hosts block-mapped
 // onto that many lanes, the ATM switch hop routing between them, the shared
 // Ethernet homed on lane 0 as a stage, and SwitchDelay (the segment latency
-// for shm) as the lookahead bound. Fault injection composes with lanes:
-// each (src, dst) link draws from its own seed-derived RNG stream, so lossy
-// sweeps shard too — single-lane lossy runs stay bit-identical to earlier
-// releases via the legacy world-global stream.
+// for shm) as the lookahead bound. Fault injection is the same on every
+// kernel: each (src, dst) link draws from its own stream, derived from the
+// seed, the endpoints and the medium.
 //
 // The per-rank socket transports (nil on shm) are returned for in-package
 // tests, which reach the wire under a built world through them.

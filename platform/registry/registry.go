@@ -66,7 +66,7 @@ type Spec struct {
 	Jitter     time.Duration // cluster: extra uniform latency in [0, Jitter)
 	Reorder    float64       // cluster: per-frame reordering probability
 	Duplicate  float64       // cluster: per-frame duplication probability
-	DropEveryN int           // cluster: deterministically drop every Nth frame
+	DropEveryN int           // cluster: deterministically drop every Nth frame of each (src, dst) link
 	Partition  string        // cluster: partition schedule (atm.ParsePartitions)
 	FaultSeed  int64         // cluster: fault RNG seed (0 = derive from Seed)
 

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/mpi"
@@ -254,10 +255,11 @@ func TestBuildMergesCollOverBackendDefaults(t *testing.T) {
 	}
 }
 
-// Every backend accepts the sharded kernel — including fault injection
-// across lanes, now that the injector draws per-link RNG streams — and the
-// one remaining restriction (no parallel execution without lanes) must
-// fail loudly rather than degrade silently.
+// Every backend accepts the sharded kernel — under fault injection too,
+// where a run is a function of its Spec and not of its kernel (the injector
+// draws per link), so a lossy job finishes at the same instant on one lane
+// and on two — and the one remaining restriction (no parallel execution
+// without lanes) must fail loudly rather than degrade silently.
 func TestBuildShardedKernel(t *testing.T) {
 	for _, name := range registry.Names() {
 		spec := registry.SpecFor(name)
@@ -266,8 +268,26 @@ func TestBuildShardedKernel(t *testing.T) {
 			t.Errorf("backend %q rejected Lanes=2: %v", name, err)
 		}
 	}
-	if _, err := registry.Build(registry.Spec{Platform: "cluster", Transport: "udp", Ranks: 2, Lanes: 2, LossRate: 0.01}); err != nil {
-		t.Errorf("faults must compose with lanes (per-link RNG streams), got %v", err)
+	var finish [2]time.Duration
+	for i := range finish {
+		lossy := registry.Spec{Platform: "cluster", Transport: "udp", Ranks: 4, Lanes: i + 1, LossRate: 0.2}
+		rep, err := registry.Run(lossy, func(c *mpi.Comm) error {
+			out, in := make([]byte, 4096), make([]byte, 4096)
+			next, prev := (c.Rank()+1)%c.Size(), (c.Rank()+c.Size()-1)%c.Size()
+			for step := 0; step < 16; step++ {
+				if _, err := c.Sendrecv(next, step, out, prev, step, in); err != nil {
+					return err
+				}
+			}
+			return c.Barrier()
+		})
+		if err != nil {
+			t.Fatalf("lossy ring on %d lanes: %v", i+1, err)
+		}
+		finish[i] = rep.Elapsed
+	}
+	if finish[0] != finish[1] {
+		t.Errorf("20%% loss: one lane finishes at %v, two lanes at %v", finish[0], finish[1])
 	}
 	if _, err := registry.Build(registry.Spec{Platform: "cluster", Transport: "shm", Ranks: 2, LossRate: 0.01}); err == nil || !strings.Contains(err.Error(), "lossy wire") {
 		t.Errorf("shm with faults must be rejected, got %v", err)
