@@ -64,8 +64,8 @@ func main() {
 		}
 	}
 	if *all {
-		for i := 1; i <= 9; i++ {
-			want[fmt.Sprint(i)] = true
+		for i := range bench.PaperFigures {
+			want[fmt.Sprint(i+1)] = true
 		}
 		*table1, *matmul, *suiteSpec = true, true, "all"
 	}
@@ -81,20 +81,13 @@ func main() {
 		}
 	}
 
-	type figFn func(bench.Opts) (bench.Figure, error)
-	figFns := map[string]figFn{
-		"1": bench.Figure1, "2": bench.Figure2, "3": bench.Figure3,
-		"4": bench.Figure4, "5": bench.Figure5, "6": bench.Figure6,
-		"7": bench.Figure7, "8": bench.Figure8, "9": bench.Figure9,
-	}
-	for i := 1; i <= 9; i++ {
-		id := fmt.Sprint(i)
-		if !want[id] {
+	for i, figure := range bench.PaperFigures {
+		if !want[fmt.Sprint(i+1)] {
 			continue
 		}
-		f, err := figFns[id](o)
+		f, err := figure(o)
 		if err != nil {
-			log.Fatalf("figure %s: %v", id, err)
+			log.Fatalf("figure %d: %v", i+1, err)
 		}
 		emit(f)
 	}

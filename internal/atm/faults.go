@@ -193,8 +193,7 @@ func (in *Injector) Set(f Faults) error {
 		in.Clear()
 		return nil
 	}
-	cp := f
-	in.policy = &cp
+	in.policy = &f
 	in.links = make([]faultLink, in.n*in.n)
 	for src := 0; src < in.n; src++ {
 		for dst := 0; dst < in.n; dst++ {
@@ -224,8 +223,9 @@ func (in *Injector) MTU() int { return in.inner.MTU() }
 func (in *Injector) srcSched(src int) *sim.Scheduler { return in.s.Node(src, in.n) }
 
 // plan decides one frame's fate under the installed policy: dropped, or
-// delivered extra late — twice when dup. It runs on the frame's source lane and draws from the frame's
-// link, so the outcome is independent of cross-lane interleaving.
+// delivered extra late — twice when dup. It runs on the frame's source lane
+// and draws from the frame's link, so the outcome is independent of
+// cross-lane interleaving.
 func (in *Injector) plan(src, dst int, droppable bool) (drop bool, extra sim.Duration, dup bool) {
 	f := in.policy
 	l := &in.links[src*in.n+dst]

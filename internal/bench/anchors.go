@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/atm"
@@ -105,36 +106,41 @@ func FormatAnchors(as []Anchor) string {
 
 // AnchorsReport is the machine-readable record the anchors suite writes as
 // BENCH_anchors.json: the calibration anchors (the paper's 1-byte round
-// trips, the eager/rendezvous crossover, bandwidth and overhead numbers)
-// plus Figures 1 and 2 (the Meiko latency curves), for perf-trajectory
-// tracking across revisions.
+// trips, the eager/rendezvous crossover, bandwidth and overhead numbers),
+// then everything the paper's evaluation plots — Figures 1 to 9 and the §6.1
+// matrix multiply, in that order, and Table 1's rows.
 type AnchorsReport struct {
-	Anchors []Anchor `json:"anchors"`
-	Figures []Figure `json:"figures,omitempty"`
+	Anchors []Anchor    `json:"anchors"`
+	Figures []Figure    `json:"figures,omitempty"`
+	Table1  []Table1Row `json:"table1,omitempty"`
 }
 
 func (r AnchorsReport) figures() []Figure { return r.Figures }
 
-// anchorsRecord measures the anchors suite's record: the ten calibration
-// anchors plus Figures 1 and 2.
+// anchorsRecord measures the anchors suite's record.
 func anchorsRecord(o Opts) (AnchorsReport, error) {
 	as, err := Anchors(o)
 	if err != nil {
 		return AnchorsReport{}, err
 	}
-	f1, err := Figure1(o)
+	rep := AnchorsReport{Anchors: as}
+	for _, figure := range append(slices.Clip(PaperFigures), MatMulMeiko) {
+		f, err := figure(o)
+		if err != nil {
+			return AnchorsReport{}, err
+		}
+		rep.Figures = append(rep.Figures, f)
+	}
+	tab, err := Table1(o)
 	if err != nil {
 		return AnchorsReport{}, err
 	}
-	f2, err := Figure2(o)
-	if err != nil {
-		return AnchorsReport{}, err
-	}
-	return AnchorsReport{Anchors: as, Figures: []Figure{f1, f2}}, nil
+	rep.Table1 = tab.Rows
+	return rep, nil
 }
 
 // formatAnchorsReport renders the record as the anchor table followed by
-// its figures.
+// its figures and Table 1.
 func formatAnchorsReport(r AnchorsReport) string {
-	return FormatAnchors(r.Anchors) + "\n" + formatFigures(r.Figures)
+	return FormatAnchors(r.Anchors) + "\n" + formatFigures(r.Figures) + "\n" + Table1Data{r.Table1}.String()
 }

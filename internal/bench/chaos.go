@@ -15,18 +15,18 @@ import (
 )
 
 // The chaos suite: kill schedules × injected loss over every
-// kill-capable backend and lane count. Each point runs the ULFM recovery
-// loop (apps.FTShrink) under a pinned fault schedule and records whether
-// the survivors completed with the right answer, how long detection took
+// kill-capable backend. Each point runs the ULFM recovery loop
+// (apps.FTShrink) under a pinned fault schedule and records whether the
+// survivors completed with the right answer, how long detection took
 // (virtual time from the kill to the first survivor observing it), and
-// how long the revoke/agree/shrink rebuild took. Every number is
-// simulated time, so two runs of the sweep must produce byte-identical
-// JSON — CI runs it twice and compares.
+// how long the revoke/agree/shrink rebuild took. A point is measured on the
+// single-lane scheduler; the sharded kernels are checked against it, not
+// recorded. Every number is simulated time, so two runs of the sweep must
+// produce byte-identical JSON — CI runs it twice and compares.
 
-// ChaosPoint is one (backend, lanes, kill schedule, loss) cell.
+// ChaosPoint is one (backend, kill schedule, loss) cell.
 type ChaosPoint struct {
 	Backend   string  `json:"backend"`
-	Lanes     int     `json:"lanes"`
 	Kills     string  `json:"kills,omitempty"`
 	Loss      float64 `json:"loss,omitempty"`
 	Failures  int     `json:"failures"`   // ranks the schedule kills
@@ -35,6 +35,7 @@ type ChaosPoint struct {
 	DetectUS  float64 `json:"detect_us"`  // worst survivor: kill -> failure observed
 	ShrinkUS  float64 `json:"shrink_us"`  // worst survivor: observed -> shrunken comm ready
 	ElapsedUS float64 `json:"elapsed_us"` // worst survivor: entry -> final answer
+	Identical bool    `json:"identical"`  // every field above equal on each of kernels
 }
 
 // ChaosReport is the machine-readable record of one sweep
@@ -59,50 +60,49 @@ var chaosBackends = []string{
 	"cluster/tcp", "cluster/udp", "cluster/unet", "cluster/shm",
 }
 
-// chaosSchedules pairs each swept kill schedule with the instants the
-// deaths land (for detection-latency accounting). Kills land inside every
+// chaosSchedules are the swept kill schedules. Kills land inside every
 // rank's 100µs compute phase, so the collective is interrupted, not
 // dodged. The multi-failure schedule is reported but not survival-gated:
 // checkChaos requires 100% survival for the single-failure points.
-var chaosSchedules = []struct {
-	Kills string
-	At    []time.Duration
-}{
-	{"", nil},
-	{"2@50us", []time.Duration{50 * time.Microsecond}},
-	{"1@50us;3@80us", []time.Duration{50 * time.Microsecond, 80 * time.Microsecond}},
-}
+var chaosSchedules = []string{"", "2@50us", "1@50us;3@80us"}
 
 // chaosLossy is the one backend whose wire the fault layer can drop
 // datagrams on; it also runs its schedule sweep at 1% loss.
 const chaosLossy = "cluster/udp"
 
-// Chaos sweeps the recovery path over backends × lanes × kill schedules
-// × loss.
+// Chaos sweeps the recovery path over backends × loss × kill schedules.
+// The aggregates are taken over the single-lane samples.
 func Chaos(o Opts) (ChaosReport, error) {
 	rep := ChaosReport{Ranks: chaosRanks, FaultSeed: faultsSeed}
 	var detects, shrinks []float64
 	killPoints, survived := 0, 0
 	for _, backend := range chaosBackends {
-		for _, lanes := range []int{1, 2, 8} {
-			losses := []float64{0}
-			if backend == chaosLossy {
-				losses = append(losses, 0.01)
-			}
-			for _, loss := range losses {
-				for _, sched := range chaosSchedules {
-					pt, ds, ss, err := chaosRun(backend, lanes, loss, sched.Kills, sched.At)
+		losses := []float64{0}
+		if backend == chaosLossy {
+			losses = append(losses, 0.01)
+		}
+		for _, loss := range losses {
+			for _, kills := range chaosSchedules {
+				pt, ds, ss, err := chaosRun(backend, kernels[0], loss, kills)
+				if err != nil {
+					return rep, err
+				}
+				identical := true
+				for _, k := range kernels[1:] {
+					again, _, _, err := chaosRun(backend, k, loss, kills)
 					if err != nil {
 						return rep, err
 					}
-					rep.Points = append(rep.Points, pt)
-					detects = append(detects, ds...)
-					shrinks = append(shrinks, ss...)
-					if pt.Failures > 0 {
-						killPoints++
-						if pt.Survived {
-							survived++
-						}
+					identical = identical && again == pt
+				}
+				pt.Identical = identical
+				rep.Points = append(rep.Points, pt)
+				detects = append(detects, ds...)
+				shrinks = append(shrinks, ss...)
+				if pt.Failures > 0 {
+					killPoints++
+					if pt.Survived {
+						survived++
 					}
 				}
 			}
@@ -118,23 +118,21 @@ func Chaos(o Opts) (ChaosReport, error) {
 	return rep, nil
 }
 
-// chaosRun executes one point and returns it plus the per-survivor
-// detection and shrink latency samples.
-func chaosRun(backend string, lanes int, loss float64, kills string, killAt []time.Duration) (ChaosPoint, []float64, []float64, error) {
-	pt := ChaosPoint{Backend: backend, Lanes: lanes, Kills: kills, Loss: loss, Failures: len(killAt)}
+// chaosRun executes one point on kernel k and returns it plus the
+// per-survivor detection and shrink latency samples.
+func chaosRun(backend string, k kernel, loss float64, kills string) (ChaosPoint, []float64, []float64, error) {
+	pt := ChaosPoint{Backend: backend, Kills: kills, Loss: loss}
 	spec := registry.SpecFor(backend)
 	spec.Ranks = chaosRanks
 	spec.Kills = kills
-	if lanes > 1 {
-		spec.Lanes = lanes
-	}
+	spec.Lanes, spec.Parallel = k.Lanes, k.Parallel
 	if loss > 0 {
 		spec.LossRate = loss
 		spec.FaultSeed = faultsSeed
 	}
 	w, err := registry.Build(spec)
 	if err != nil {
-		return pt, nil, nil, fmt.Errorf("chaos %s lanes=%d: %v", backend, lanes, err)
+		return pt, nil, nil, fmt.Errorf("chaos %s lanes=%d: %v", backend, k.Lanes, err)
 	}
 	var mu sync.Mutex
 	results := make([]apps.FTShrinkResult, chaosRanks)
@@ -145,26 +143,22 @@ func chaosRun(backend string, lanes int, loss float64, kills string, killAt []ti
 		mu.Unlock()
 		return err
 	})
-	victim := make(map[int]bool, len(killAt))
-	want := int64(0)
-	if kills != "" {
-		ks, err := atm.ParseKills(kills)
-		if err != nil {
-			return pt, nil, nil, err
-		}
-		for _, k := range ks {
-			victim[k.Rank] = true
+	// The schedule built the world, so it parses: the victims, the sum the
+	// survivors must reach, and the first death (detection is timed from it).
+	schedule, _ := atm.ParseKills(kills)
+	pt.Failures = len(schedule)
+	victim := make(map[int]bool, len(schedule))
+	var firstKill time.Duration
+	for i, kill := range schedule {
+		victim[kill.Rank] = true
+		if i == 0 || kill.At < firstKill {
+			firstKill = kill.At
 		}
 	}
+	want := int64(0)
 	for r := 0; r < chaosRanks; r++ {
 		if !victim[r] {
 			want += int64(r) + 1
-		}
-	}
-	firstKill := time.Duration(0)
-	for i, at := range killAt {
-		if i == 0 || at < firstKill {
-			firstKill = at
 		}
 	}
 	pt.Survived = lerr == nil
@@ -209,39 +203,41 @@ func FormatChaos(r ChaosReport) string {
 	fmt.Fprintf(&b, "Chaos sweep: kill schedules x loss over %d-rank worlds (fault seed %d)\n", r.Ranks, r.FaultSeed)
 	fmt.Fprintf(&b, "survival %.0f%% over kill points; detect p50/p99 %.1f/%.1f us; shrink p50/p99 %.1f/%.1f us\n\n",
 		r.SurvivalRate*100, r.DetectP50US, r.DetectP99US, r.ShrinkP50US, r.ShrinkP99US)
-	fmt.Fprintf(&b, "%-18s %5s %6s %-16s %8s %7s %10s %10s %10s\n",
-		"backend", "lanes", "loss", "kills", "survived", "shrinks", "detect us", "shrink us", "elapsed us")
+	fmt.Fprintf(&b, "%-18s %6s %-16s %8s %7s %10s %10s %10s %9s\n",
+		"backend", "loss", "kills", "survived", "shrinks", "detect us", "shrink us", "elapsed us", "identical")
 	for _, p := range r.Points {
 		kills := p.Kills
 		if kills == "" {
 			kills = "-"
 		}
-		fmt.Fprintf(&b, "%-18s %5d %5.0f%% %-16s %8v %7d %10.1f %10.1f %10.1f\n",
-			p.Backend, p.Lanes, p.Loss*100, kills, p.Survived, p.Shrinks, p.DetectUS, p.ShrinkUS, p.ElapsedUS)
+		fmt.Fprintf(&b, "%-18s %5.0f%% %-16s %8v %7d %10.1f %10.1f %10.1f %9v\n",
+			p.Backend, p.Loss*100, kills, p.Survived, p.Shrinks, p.DetectUS, p.ShrinkUS, p.ElapsedUS, p.Identical)
 	}
 	return b.String()
 }
 
-// checkChaos gates the sweep. Static floors, baseline or not: every
-// fault-free point and every single-failure point must survive (the
-// multi-failure points are reported, not gated). Against a committed
-// baseline: survival must not drop anywhere, no point may disappear, and
-// detection/shrink latency may not regress more than suiteTol on any point
-// that both runs survived.
+// checkChaos gates the sweep. Static floors, baseline or not: every point
+// must read the same on each of kernels, and every fault-free point and
+// every single-failure point must survive (the multi-failure points are
+// reported, not gated). Against a committed baseline: survival must not drop
+// anywhere, no point may disappear, and detection/shrink latency may not
+// regress more than suiteTol on any point that both runs survived.
 func checkChaos(r ChaosReport, base *ChaosReport) []string {
 	var fails []string
+	key := func(p ChaosPoint) string { return fmt.Sprintf("%s|%g|%s", p.Backend, p.Loss, p.Kills) }
 	for _, p := range r.Points {
+		if !p.Identical {
+			fails = append(fails, fmt.Sprintf("%s: the sharded kernels do not reproduce the single-lane point", key(p)))
+		}
 		if p.Failures <= 1 && !p.Survived {
-			fails = append(fails, fmt.Sprintf("%s lanes=%d loss=%g kills=%q: world did not survive a %d-failure schedule",
-				p.Backend, p.Lanes, p.Loss, p.Kills, p.Failures))
+			fails = append(fails, fmt.Sprintf("%s: world did not survive a %d-failure schedule", key(p), p.Failures))
 		}
 	}
 	if base == nil {
 		return fails
 	}
 	survived := func(p ChaosPoint) bool { return p.Survived }
-	return append(fails, drift("point", r.Points, base.Points,
-		func(p ChaosPoint) string { return fmt.Sprintf("%s|%d|%g|%s", p.Backend, p.Lanes, p.Loss, p.Kills) }, suiteTol,
+	return append(fails, drift("point", r.Points, base.Points, key, suiteTol,
 		higher("survived", func(p ChaosPoint) float64 {
 			if p.Survived {
 				return 1

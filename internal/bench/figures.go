@@ -9,6 +9,12 @@ import (
 	"repro/internal/core"
 )
 
+// PaperFigures are the paper's nine figures in its order: Figure N is
+// PaperFigures[N-1]. `repro -fig` and the anchors record both read it.
+var PaperFigures = []func(Opts) (Figure, error){
+	Figure1, Figure2, Figure3, Figure4, Figure5, Figure6, Figure7, Figure8, Figure9,
+}
+
 // Figure1 regenerates "Meiko transfer mechanisms": round-trip time of the
 // buffering (eager) mechanism vs the no-buffering (rendezvous) mechanism,
 // whose intersection the paper measures at 180 bytes.
@@ -135,8 +141,9 @@ type Table1Data struct {
 
 // Table1Row is one line of the table (values in µs).
 type Table1Row struct {
-	Name     string
-	ATM, Eth float64
+	Name string  `json:"name"`
+	ATM  float64 `json:"atm_us"`
+	Eth  float64 `json:"eth_us"`
 }
 
 // String renders the table like the paper's.

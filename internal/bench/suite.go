@@ -34,6 +34,19 @@ type Result struct {
 // is not compared exactly (0.10 = fail on a >10% regression).
 const suiteTol = 0.10
 
+// kernel is one way to drive a Spec's world.
+type kernel struct {
+	Lanes    int
+	Parallel bool
+}
+
+// kernels are the single-lane scheduler, two lanes run in sequence, and
+// eight on the pinned parallel workers. A run is a function of its Spec, not
+// of its kernel, so a sweep measures a cell on the first and checks that the
+// others reproduce it. (scale loops lanes = ranks itself: it measures the
+// kernel, not a Spec.)
+var kernels = []kernel{{1, false}, {2, false}, {8, true}}
+
 // suites is the registry, in the order `-suite all` runs them.
 var suites = []Suite{
 	newSuite("anchors", anchorsRecord, formatAnchorsReport, nil),

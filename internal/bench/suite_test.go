@@ -153,7 +153,7 @@ func TestSuiteRunDir(t *testing.T) {
 		suite, text string
 		figures     int
 	}{
-		{"anchors", "note: paper anchors at 1 byte", 2},
+		{"anchors", "Table 1: MPI round-trip overheads with TCP", 10},
 		{"rma", "RDMA-write rendezvous", 0},
 		{"ablations", "note: negative result", 10},
 	} {

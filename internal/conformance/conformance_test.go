@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/sim"
 	"repro/mpi"
 	"repro/platform/registry"
 
@@ -88,16 +90,6 @@ func TestFaultsRejectedOffCluster(t *testing.T) {
 	spec := registry.Spec{Platform: "meiko", LossRate: 0.01, Ranks: 2}
 	if _, err := registry.Build(spec); err == nil {
 		t.Fatal("meiko accepted a fault policy it cannot apply")
-	}
-}
-
-// Fault injection now composes with the sharded kernel (per-link RNG
-// streams): the lossy suite must pass with ranks spread across lanes, and
-// stay internally deterministic.
-func TestShardedLossyConformance(t *testing.T) {
-	spec := registry.Spec{Platform: "cluster", Transport: "udp", LossRate: 0.01, FaultSeed: 42, Lanes: 2}
-	if err := Run(factory(t, spec), seeds[:1]); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -244,9 +236,7 @@ func ftName(s registry.Spec) string {
 // pair must be bit-identical across two runs, and — faults being
 // simulated-time events, not wall-clock ones — the survivor timeline
 // must match exactly between the single-lane, sharded, and parallel
-// kernels. The lossy spec is exempt from the cross-kernel comparison
-// only: the sharded kernel draws losses from per-link RNG streams, a
-// different (but internally deterministic) drop schedule.
+// kernels, the lossy spec included.
 func TestFTShrinkAllreduce(t *testing.T) {
 	kernels := []struct {
 		name     string
@@ -286,9 +276,6 @@ func TestFTShrinkAllreduce(t *testing.T) {
 					ref = elapsed[0]
 					continue
 				}
-				if base.LossRate > 0 {
-					continue
-				}
 				for r := range ref {
 					if ref[r] != elapsed[0][r] {
 						t.Errorf("rank %d: single %dns, %s %dns — kernels diverge under faults", r, ref[r], k.name, elapsed[0][r])
@@ -317,7 +304,10 @@ func TestFTShrinkRejectedOnMPICH(t *testing.T) {
 // plus the staged fat tree (whose switch stages home on lane 0), and all
 // four cluster transports (the shared Ethernet segment likewise a lane-0
 // stage; the ATM switch routes between lanes; the shm segment's
-// visibility latency is its own lookahead bound).
+// visibility latency is its own lookahead bound). Then cluster/udp under each
+// fault knob — the loss family, jitter, a partition that heals inside RUDP's
+// retry budget: a link's draws depend on the seed, the endpoints and the
+// medium, never on the kernel.
 var shardedSpecs = []registry.Spec{
 	{Platform: "mem", Credit: 4096},
 	{Platform: "meiko"},
@@ -327,12 +317,32 @@ var shardedSpecs = []registry.Spec{
 	{Platform: "cluster", Transport: "udp"},
 	{Platform: "cluster", Transport: "unet"},
 	{Platform: "cluster", Transport: "shm"},
+	{Platform: "cluster", Transport: "udp", FaultSeed: 42, LossRate: 0.01},
+	{Platform: "cluster", Transport: "udp", DropEveryN: 7},
+	{Platform: "cluster", Transport: "udp", FaultSeed: 42, Reorder: 0.1},
+	{Platform: "cluster", Transport: "udp", FaultSeed: 42, Duplicate: 0.1},
+	{Platform: "cluster", Transport: "udp", FaultSeed: 42, Jitter: 200 * time.Microsecond},
+	{Platform: "cluster", Transport: "udp", Partition: "0-1@1ms:20ms"},
 }
 
+// shardedName names a row after its backend and the one thing it varies.
 func shardedName(s registry.Spec) string {
 	name := strings.ReplaceAll(s.Key(), "/", "_")
-	if s.FatTree {
+	switch {
+	case s.FatTree:
 		name += "_fattree"
+	case s.LossRate > 0:
+		name += "_loss"
+	case s.DropEveryN > 0:
+		name += "_dropnth"
+	case s.Reorder > 0:
+		name += "_reorder"
+	case s.Duplicate > 0:
+		name += "_dup"
+	case s.Partition != "":
+		name += "_partition"
+	case s.Jitter > 0:
+		name += "_jitter"
 	}
 	return name
 }
@@ -355,11 +365,37 @@ func TestShardedConformance(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesSingleLane runs every scenario on the single-lane and
-// sharded kernels — the latter both sequentially and with the pinned-worker
-// parallel executor — and requires identical per-rank virtual finish times
-// on every backend: sharding is a kernel implementation detail, not a model
-// change.
+// sameOnEveryKernel runs body on spec's world on the single-lane scheduler,
+// on the sharded kernel and under the pinned-worker parallel driver, and
+// requires identical per-rank virtual finish times: sharding is a kernel
+// implementation detail, not a model change.
+func sameOnEveryKernel(t *testing.T, spec registry.Spec, body func(c *mpi.Comm) error) {
+	t.Helper()
+	kernels := []struct {
+		name     string
+		lanes    int
+		parallel bool
+	}{{"single", 0, false}, {"sharded", 3, false}, {"parallel", 3, true}}
+	elapsed := make([][]sim.Duration, len(kernels))
+	for i, k := range kernels {
+		spec.Lanes, spec.Parallel = k.lanes, k.parallel
+		rep, err := registry.Run(spec, body)
+		if err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		elapsed[i] = rep.RankElapsed
+	}
+	for i, k := range kernels[1:] {
+		for r := range elapsed[0] {
+			if elapsed[0][r] != elapsed[i+1][r] {
+				t.Errorf("rank %d: single %dns, %s %dns", r, elapsed[0][r], k.name, elapsed[i+1][r])
+			}
+		}
+	}
+}
+
+// TestShardedMatchesSingleLane holds every scenario to sameOnEveryKernel on
+// every row of shardedSpecs.
 func TestShardedMatchesSingleLane(t *testing.T) {
 	for _, base := range shardedSpecs {
 		base := base
@@ -367,37 +403,50 @@ func TestShardedMatchesSingleLane(t *testing.T) {
 			for _, sc := range Scenarios() {
 				sc := sc
 				t.Run(sc.Name, func(t *testing.T) {
-					kernels := []struct {
-						name     string
-						lanes    int
-						parallel bool
-					}{{"single", 0, false}, {"sharded", 3, false}, {"parallel", 3, true}}
-					elapsed := make([][]int64, len(kernels))
-					for i, k := range kernels {
-						spec := base
-						spec.Lanes, spec.Parallel, spec.Ranks = k.lanes, k.parallel, sc.Ranks
-						w, err := registry.Build(spec)
-						if err != nil {
-							t.Fatal(err)
-						}
-						rep, err := mpi.Launch(w, func(c *mpi.Comm) error { return sc.Body(c, seeds[0]) })
-						if err != nil {
-							t.Fatalf("%s: %v", k.name, err)
-						}
-						elapsed[i] = make([]int64, len(rep.RankElapsed))
-						for r, d := range rep.RankElapsed {
-							elapsed[i][r] = int64(d)
-						}
-					}
-					for i, k := range kernels[1:] {
-						for r := range elapsed[0] {
-							if elapsed[0][r] != elapsed[i+1][r] {
-								t.Errorf("rank %d: single %dns, %s %dns", r, elapsed[0][r], k.name, elapsed[i+1][r])
-							}
-						}
-					}
+					spec := base
+					spec.Ranks = sc.Ranks
+					sameOnEveryKernel(t, spec, func(c *mpi.Comm) error { return sc.Body(c, seeds[0]) })
 				})
 			}
+		})
+	}
+}
+
+// Delay + Jitter is the one random knob cluster/tcp and cluster/unet accept.
+// They are not rows of shardedSpecs because the scenarios cannot run under
+// it on any kernel: jitter lets a frame overtake its predecessor and neither
+// wire resequences (ROADMAP item 5). The body here keeps one frame per link
+// in flight — a ping-pong between neighbours, then an allreduce.
+func TestShardedJitterOnOrderedWires(t *testing.T) {
+	for _, transport := range []string{"tcp", "unet"} {
+		spec := registry.Spec{
+			Platform: "cluster", Transport: transport, Ranks: 4,
+			FaultSeed: 42, Delay: 100 * time.Microsecond, Jitter: 200 * time.Microsecond,
+		}
+		t.Run(transport, func(t *testing.T) {
+			sameOnEveryKernel(t, spec, func(c *mpi.Comm) error {
+				peer, buf := c.Rank()^1, make([]byte, 64)
+				for i := 0; i < 8; i++ {
+					if c.Rank() < peer {
+						if err := c.Send(peer, i, buf); err != nil {
+							return err
+						}
+					}
+					if _, err := c.Recv(peer, i, buf); err != nil {
+						return err
+					}
+					if c.Rank() > peer {
+						if err := c.Send(peer, i, buf); err != nil {
+							return err
+						}
+					}
+				}
+				sum, err := c.AllreduceInt64(mpi.SumInt64, []int64{int64(c.Rank())})
+				if err == nil && sum[0] != 6 {
+					err = fmt.Errorf("allreduce of the ranks = %d, want 6", sum[0])
+				}
+				return err
+			})
 		})
 	}
 }

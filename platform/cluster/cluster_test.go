@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/atm"
 	"repro/mpi"
 	"repro/platform/registry"
 )
@@ -546,6 +547,66 @@ func TestStaleRTRFailsClaimByName(t *testing.T) {
 	}
 	if want := 9401051036 * time.Nanosecond; rep.Elapsed != want {
 		t.Errorf("elapsed %v, want %v: a simulated nanosecond moved", rep.Elapsed, want)
+	}
+}
+
+// A loss-free wire must never retransmit; this one does, and RTR's committed
+// speedup on cluster/udp (1.47 / 1.34 / 1.013x, BENCH_rma.json) is mostly the
+// timeouts the RTS/CTS path takes and the direct write does not. Five
+// pre-posted ping-pong iterations between two ranks, no fault knob set: the
+// frames both RUDP endpoints re-sent, with RTR and without. The right value
+// in every cell is 0; the fix (ROADMAP 4b) flips the pin.
+func TestLossFreeRetransmitsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		bytes      int
+		rtr, noRTR int
+	}{{64 << 10, 18, 39}, {256 << 10, 44, 85}, {1 << 20, 24, 26}} {
+		for _, noRTR := range []bool{false, true} {
+			w, trs, err := build(registry.Spec{Ranks: 2, NoRTR: noRTR}, "udp")
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = mpi.Launch(w, func(c *mpi.Comm) error {
+				data, buf := make([]byte, tc.bytes), make([]byte, tc.bytes)
+				peer := 1 - c.Rank()
+				for i := 0; i < 5; i++ {
+					r, err := c.Irecv(peer, 0, buf)
+					if err != nil {
+						return err
+					}
+					if err := c.Barrier(); err != nil {
+						return err
+					}
+					if c.Rank() == 0 {
+						if err := c.Send(peer, 0, data); err != nil {
+							return err
+						}
+					}
+					if _, err := r.Wait(); err != nil {
+						return err
+					}
+					if c.Rank() == 1 {
+						if err := c.Send(peer, 0, data); err != nil {
+							return err
+						}
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := 0, tc.rtr
+			if noRTR {
+				want = tc.noRTR
+			}
+			for _, tr := range trs {
+				got += tr.dgram.(*atm.RUDP).Retransmits
+			}
+			if got != want {
+				t.Errorf("%d B, NoRTR %v: %d frames retransmitted on a loss-free wire, pinned %d", tc.bytes, noRTR, got, want)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -173,5 +174,119 @@ func TestInvalidFaultPolicyRejected(t *testing.T) {
 	_, err := registry.Build(registry.Spec{Platform: "cluster", Ranks: 2, Transport: "udp", Network: "atm", LossRate: 1.5})
 	if err == nil {
 		t.Fatal("out-of-range loss probability accepted")
+	}
+}
+
+// A rank killed mid-rendezvous leaves nothing behind at a survivor. Rank 1
+// sends rank 0 two 256 KiB messages; the first goes RTS/CTS before rank 0's
+// advertisement arrives, so the second claims a receive that has already
+// completed and lands in a bounce buffer. Whenever the kill falls, PeerDown
+// must drop every landing that names rank 1 and pool the bounce buffer, and
+// the payload rank 1's kernel keeps sending after the death must come off the
+// wire without being parsed as frames or booked as protocol errors while
+// rank 0 carries on with rank 2.
+func TestPeerDownSweepsLandingState(t *testing.T) {
+	const size = 256 << 10
+	for _, tc := range []struct {
+		name, kind string
+		killAt     time.Duration
+		// What rank 0 holds one tick before it detects the death.
+		landings         int
+		bounce, midFrame bool
+	}{
+		// The second payload is half landed in its bounce buffer; the second
+		// receive's advertisement is the other landing.
+		{"tcp-mid-bounce", "tcp", 60 * time.Millisecond, 2, true, true},
+		// The first payload is half landed; the second frame's header is
+		// still queued behind it and arrives naming a landing already swept.
+		{"tcp-frame-behind", "tcp", 37 * time.Millisecond, 2, false, true},
+		// Datagram chunks of both payloads arrive after detection.
+		{"udp-late-chunks", "udp", 40 * time.Millisecond, 2, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, trs, err := build(registry.Spec{Ranks: 3}, tc.kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.ScheduleKills([]atm.Kill{{Rank: 1, At: tc.killAt}}); err != nil {
+				t.Fatal(err)
+			}
+			tr := trs[0]
+			var bounce []byte
+			landings, midFrame := 0, false
+			w.Sched(0).After(tc.killAt+w.FTDetect-1, func() {
+				for _, st := range tr.rndvRecv {
+					if st.env.Source == 1 {
+						landings++
+						if st.bounce != nil {
+							bounce = st.bounce
+						}
+					}
+				}
+				midFrame = tr.inData[1] != nil
+			})
+			rep, _ := mpi.Launch(w, func(c *mpi.Comm) error {
+				switch c.Rank() {
+				case 0:
+					for i := 0; i < 2; i++ {
+						r, err := c.Irecv(1, 0, make([]byte, size))
+						if err == nil {
+							_, err = r.Wait()
+						}
+						if mpi.IsPeerDown(err) {
+							break
+						}
+						if err != nil {
+							return fmt.Errorf("receive %d: %w", i, err)
+						}
+					}
+					fallthrough // outlive everything rank 1 sent
+				case 2:
+					peer := 2 - c.Rank()
+					for i := 0; i < 100; i++ {
+						if _, err := c.Sendrecv(peer, 1, []byte{1}, peer, 1, make([]byte, 1)); err != nil {
+							return err
+						}
+					}
+					// A swept landing must not surface afterwards as a message
+					// (it would carry the bounce buffer the pool now owns).
+					if st, ok, err := c.Iprobe(mpi.AnySource, 0); ok || err != nil {
+						return fmt.Errorf("after the sweep a probe finds %+v, %v", st, err)
+					}
+				case 1:
+					for i := 0; i < 2; i++ {
+						if err := c.Send(0, 0, make([]byte, size)); err != nil {
+							return err
+						}
+					}
+				}
+				return nil
+			})
+			if rep.Errs[0] != nil || rep.Errs[2] != nil {
+				t.Fatalf("survivors failed: %v", rep.Errs)
+			}
+			if landings != tc.landings || (bounce != nil) != tc.bounce || midFrame != tc.midFrame {
+				t.Fatalf("scenario drifted: before detection rank 0 held %d landings from rank 1 (want %d), a bounce buffer %v (want %v), a half-read frame %v (want %v)",
+					landings, tc.landings, bounce != nil, tc.bounce, midFrame, tc.midFrame)
+			}
+			for h, st := range tr.rndvRecv {
+				if st.env.Source == 1 {
+					t.Errorf("landing %d still names the dead rank", h)
+				}
+			}
+			if tr.inData[1] != nil {
+				t.Error("half-read frame from the dead rank kept")
+			}
+			pooled := !tc.bounce
+			for i := 0; i < 64 && !pooled; i++ {
+				pooled = &tr.pool.Get(size)[0] == &bounce[0]
+			}
+			if !pooled {
+				t.Error("the stale claim's bounce buffer never returned to the pool")
+			}
+			if errs := tr.eng.ProtocolErrors(); len(errs) != 0 {
+				t.Errorf("rank 0 booked protocol errors: %v", errs)
+			}
+		})
 	}
 }

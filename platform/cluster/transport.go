@@ -493,6 +493,18 @@ func (t *transport) PeerDown(rank int) {
 	}
 	t.dead[rank] = true
 	delete(t.rtrQ, rank)
+	// Landings the corpse can never finish — accepted RTSs, advertisements
+	// naming it — go, and a stale claim's bounce buffer returns to the pool.
+	// A TCP frame half read keeps its cursor (inData) and drains into
+	// nothing: the corpse's kernel sends the rest regardless. Deletion only,
+	// so map order cannot leak into the run.
+	for h, st := range t.rndvRecv {
+		if st.env.Source == rank {
+			t.pool.Put(st.bounce)
+			st.bounce, st.want = nil, 0
+			delete(t.rndvRecv, h)
+		}
+	}
 	t.fc.DropDst(rank, t.creditCap, nil)
 	for n := t.pendingShip.Len(); n > 0; n-- {
 		if req := t.pendingShip.Pop(); req.Env.Dest != rank {
@@ -667,8 +679,13 @@ func (t *transport) parseTCP(p *sim.Proc, src int, conn *atm.TCP) {
 	case core.PktData:
 		st := t.rndvRecv[aux]
 		if st == nil {
-			t.eng.Errors = append(t.eng.Errors, core.Errorf(core.ErrInternal, "rendezvous data for unknown handle %d", aux))
-			return
+			if !t.dead[src] {
+				t.eng.Errors = append(t.eng.Errors, core.Errorf(core.ErrInternal, "rendezvous data for unknown handle %d", aux))
+				return
+			}
+			// PeerDown swept the corpse's landings; the payload still has
+			// to come off the stream.
+			st = &rndvRecvSt{total: env.Count}
 		}
 		if st.rtr && !st.started {
 			// Direct payload for an advertised receive: the frame carries
@@ -711,13 +728,6 @@ func (t *transport) surface(src int, kind core.PacketKind, env core.Envelope, au
 func (t *transport) readData(p *sim.Proc, src int, conn *atm.TCP, d *tcpData) {
 	acct := t.eng.Acct()
 	st := d.st
-	// A stale-claimed direct payload lands in the bounce buffer (sized to
-	// the full message, so it never truncates); everything else lands in
-	// the posted buffer up to its capacity.
-	landBuf, landMax := st.buf, st.want
-	if st.bounce != nil {
-		landBuf, landMax = st.bounce, st.total
-	}
 	for st.got < st.total {
 		n := conn.Buffered()
 		if n == 0 {
@@ -725,6 +735,14 @@ func (t *transport) readData(p *sim.Proc, src int, conn *atm.TCP, d *tcpData) {
 		}
 		if rem := st.total - st.got; n > rem {
 			n = rem
+		}
+		// A stale-claimed direct payload lands in the bounce buffer (sized to
+		// the full message, so it never truncates); everything else lands in
+		// the posted buffer up to its capacity. Looked up per read: each
+		// charges time, and PeerDown may take the landing away meanwhile.
+		landBuf, landMax := st.buf, st.want
+		if st.bounce != nil {
+			landBuf, landMax = st.bounce, st.total
 		}
 		t2 := p.Now()
 		if st.got < landMax {
@@ -783,7 +801,10 @@ func (t *transport) parseDgram(p *sim.Proc) bool {
 	case core.PktData:
 		st := t.rndvRecv[aux]
 		if st == nil {
-			t.eng.Errors = append(t.eng.Errors, core.Errorf(core.ErrInternal, "rendezvous data for unknown handle %d", aux))
+			// PeerDown swept a corpse's landings: its late chunks just drop.
+			if !t.dead[env.Source] {
+				t.eng.Errors = append(t.eng.Errors, core.Errorf(core.ErrInternal, "rendezvous data for unknown handle %d", aux))
+			}
 			return true
 		}
 		if st.rtr && !st.started {
