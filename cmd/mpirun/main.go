@@ -65,7 +65,7 @@ func main() {
 	collTune := flag.String("coll", "", `force collective algorithms, e.g. "bcast=pipelined,allreduce=rsag" (default auto-select)`)
 	loss := flag.Float64("loss", 0, "cluster: per-frame loss probability (transport udp)")
 	delay := flag.Duration("delay", 0, "cluster: fixed one-way latency added per frame")
-	jitter := flag.Duration("jitter", 0, "cluster: extra uniform per-frame latency in [0, jitter)")
+	jitter := flag.Duration("jitter", 0, "cluster: extra uniform per-frame latency in [0, jitter) (transport udp)")
 	reorder := flag.Float64("reorder", 0, "cluster: per-frame reordering probability (transport udp)")
 	dup := flag.Float64("dup", 0, "cluster: per-frame duplication probability (transport udp)")
 	dropnth := flag.Int("dropnth", 0, "cluster: deterministically drop every Nth frame of each (src, dst) link (transport udp)")
@@ -79,8 +79,7 @@ func main() {
 	replay := flag.String("replay", "", "replay a recorded trace (world rebuilt from its header; -lanes/-parallel may override the kernel)")
 	steps := flag.Int("steps", 0, "workload iterations per rank (0 = default 20)")
 	wbytes := flag.Int("bytes", 0, "workload per-message payload bytes (0 = default 1024)")
-	rate := flag.Float64("rate", 0, "rpc workload: mean arrivals/sec per client (0 = default 2000)")
-	arrival := flag.String("arrival", "", "rpc workload arrival process: "+strings.Join(workload.ArrivalNames(), " | ")+" (default poisson)")
+	rate := flag.Float64("rate", 0, "rpc workload: mean think rate, requests/sec per client (0 = default 2000)")
 	flag.Parse()
 
 	if *replay != "" {
@@ -126,8 +125,8 @@ func main() {
 	if *wl != "" {
 		cfg := workload.Config{
 			Pattern: *wl, Backend: spec.Key(), Ranks: *np,
-			Lanes: *lanes, Parallel: *parallel, Seed: *seed,
-			Steps: *steps, Bytes: *wbytes, Rate: *rate, Arrival: *arrival,
+			Lanes: *lanes, Seed: *seed,
+			Steps: *steps, Bytes: *wbytes, Rate: *rate,
 		}
 		os.Exit(runWorkload(spec, cfg, *record))
 	}
@@ -278,7 +277,7 @@ func replayTrace(path string, lanes int, parallel bool) int {
 	spec.Ranks = tr.Cfg.Ranks
 	spec.Seed = tr.Cfg.Seed
 	spec.Workload = tr.Cfg.Pattern
-	spec.Lanes, spec.Parallel = tr.Cfg.Lanes, tr.Cfg.Parallel
+	spec.Lanes = tr.Cfg.Lanes
 	if lanes > 0 {
 		spec.Lanes, spec.Parallel = lanes, parallel
 	}

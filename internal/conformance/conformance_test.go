@@ -412,41 +412,21 @@ func TestShardedMatchesSingleLane(t *testing.T) {
 	}
 }
 
-// Delay + Jitter is the one random knob cluster/tcp and cluster/unet accept.
-// They are not rows of shardedSpecs because the scenarios cannot run under
-// it on any kernel: jitter lets a frame overtake its predecessor and neither
-// wire resequences (ROADMAP item 5). The body here keeps one frame per link
-// in flight — a ping-pong between neighbours, then an allreduce.
+// cluster/tcp and cluster/unet do not resequence, so Build rejects Jitter
+// there (TestLossKnobsNeedADroppableWire); Delay, which shifts every frame
+// alike and cannot reorder them, is the timing knob they take, and every
+// scenario holds under it on every kernel.
 func TestShardedJitterOnOrderedWires(t *testing.T) {
 	for _, transport := range []string{"tcp", "unet"} {
-		spec := registry.Spec{
-			Platform: "cluster", Transport: transport, Ranks: 4,
-			FaultSeed: 42, Delay: 100 * time.Microsecond, Jitter: 200 * time.Microsecond,
-		}
+		base := registry.Spec{Platform: "cluster", Transport: transport, Delay: 100 * time.Microsecond}
 		t.Run(transport, func(t *testing.T) {
-			sameOnEveryKernel(t, spec, func(c *mpi.Comm) error {
-				peer, buf := c.Rank()^1, make([]byte, 64)
-				for i := 0; i < 8; i++ {
-					if c.Rank() < peer {
-						if err := c.Send(peer, i, buf); err != nil {
-							return err
-						}
-					}
-					if _, err := c.Recv(peer, i, buf); err != nil {
-						return err
-					}
-					if c.Rank() > peer {
-						if err := c.Send(peer, i, buf); err != nil {
-							return err
-						}
-					}
-				}
-				sum, err := c.AllreduceInt64(mpi.SumInt64, []int64{int64(c.Rank())})
-				if err == nil && sum[0] != 6 {
-					err = fmt.Errorf("allreduce of the ranks = %d, want 6", sum[0])
-				}
-				return err
-			})
+			for _, sc := range Scenarios() {
+				t.Run(sc.Name, func(t *testing.T) {
+					spec := base
+					spec.Ranks = sc.Ranks
+					sameOnEveryKernel(t, spec, func(c *mpi.Comm) error { return sc.Body(c, seeds[0]) })
+				})
+			}
 		})
 	}
 }

@@ -9,15 +9,15 @@ import (
 
 // The canonical patterns. Each registers at init; Names() is the CLI
 // contract. Every body is deterministic given (Config, rank): message
-// payloads come from the rank's seeded RNG, arrival times from the seeded
-// generators, and all waiting happens on the virtual clock.
+// payloads and rpc think times come from the rank's seeded RNG, and all
+// waiting happens on the virtual clock.
 func init() {
 	Register(Pattern{Name: "allreduce", SLO: OpCollective, Body: allreduceLoop,
 		Doc: "data-parallel training loop: per-step compute, then a gradient allreduce"})
 	Register(Pattern{Name: "halo", SLO: OpStep, Body: halo,
 		Doc: "2-D periodic halo exchange: four Sendrecv legs per sweep plus interior compute"})
-	Register(Pattern{Name: "rpc", SLO: OpRequest, Body: rpcFanIn,
-		Doc: "many-client RPC fan-in: open-loop arrivals at every client, rank 0 serves"})
+	Register(Pattern{Name: "rpc", SLO: OpRequest, Body: rpc,
+		Doc: "closed-loop RPC fan-in: each client thinks, sends, and blocks on the reply; rank 0 serves"})
 	Register(Pattern{Name: "shuffle", SLO: OpCollective, Body: shuffle,
 		Doc: "all-to-all shuffle rounds (samplesort/repartition traffic)"})
 	Register(Pattern{Name: "stencil", SLO: OpStep, Body: stencil,
@@ -153,14 +153,12 @@ func allreduceLoop(e *Env) error {
 	return c.Barrier()
 }
 
-// rpcFanIn drives many clients against a single server (rank 0). Clients
-// are open-loop: request i is issued at its generated arrival instant
-// whether or not earlier replies are back, so queueing delay lands in the
-// recorded latency (OpRequest Dur spans arrival to reply). The server
-// probes AnySource, charges the service time, and replies in arrival
-// order; non-overtaking on the (server, client, tag) triple lets clients
-// harvest replies in issue order.
-func rpcFanIn(e *Env) error {
+// rpc drives many closed-loop clients against a single server (rank 0): a
+// client thinks for a seeded exponential time (mean 1/Rate), sends a
+// request, blocks on the reply and records the latency from the send. The
+// server probes AnySource, so requests wait in the unexpected queue while
+// it is busy, and that queueing is what the latency tail measures.
+func rpc(e *Env) error {
 	c := e.C
 	size := c.Size()
 	if size < 2 {
@@ -169,18 +167,15 @@ func rpcFanIn(e *Env) error {
 	const server = 0
 	n := e.Cfg.Bytes
 	if c.Rank() == server {
-		total := e.Cfg.Steps * (size - 1)
-		reply := make([]byte, n)
-		e.fill(reply)
-		var pend []*mpi.Request
-		for k := 0; k < total; k++ {
+		reply, buf := make([]byte, n), make([]byte, n)
+		pend := make([]*mpi.Request, 0, e.Cfg.Steps*(size-1))
+		for k := 0; k < cap(pend); k++ {
 			st, err := c.Probe(mpi.AnySource, mpi.AnyTag)
 			if err != nil {
 				return err
 			}
 			start := c.Wtime()
-			buf := make([]byte, st.Count)
-			if _, err := c.Recv(st.Source, st.Tag, buf); err != nil {
+			if _, err := c.Recv(st.Source, st.Tag, buf[:st.Count]); err != nil {
 				return err
 			}
 			c.Compute(e.Cfg.Compute)
@@ -191,47 +186,24 @@ func rpcFanIn(e *Env) error {
 			pend = append(pend, r)
 			e.Record(OpServe, st.Source, st.Tag, st.Count, start)
 		}
-		if _, err := mpi.WaitAll(pend...); err != nil {
-			return err
-		}
-		return nil
-	}
-	arr, err := NewArrivals(e.Cfg.Arrival, e.Cfg.Rate, e.Cfg.Seed<<20+int64(c.Rank()))
-	if err != nil {
+		_, err := mpi.WaitAll(pend...)
 		return err
 	}
-	req := make([]byte, n)
-	e.fill(req)
-	type inflight struct {
-		r       *mpi.Request
-		arrival time.Duration
-		tag     int
-	}
-	var replies []inflight
-	var sends []*mpi.Request
-	var t time.Duration
+	req, in := make([]byte, n), make([]byte, n)
 	for i := 0; i < e.Cfg.Steps; i++ {
-		t += arr.Next()
-		if now := c.Wtime(); now < t {
-			c.Compute(t - now) // idle until the open-loop arrival instant
-		}
-		rr, err := c.Irecv(server, i, make([]byte, n))
+		c.Compute(time.Duration(e.RNG.ExpFloat64() / e.Cfg.Rate * float64(time.Second)))
+		start := c.Wtime()
+		rr, err := c.Irecv(server, i, in)
 		if err != nil {
 			return err
 		}
-		sr, err := c.Isend(server, i, req)
-		if err != nil {
+		if err := c.Send(server, i, req); err != nil {
 			return err
 		}
-		replies = append(replies, inflight{rr, t, i})
-		sends = append(sends, sr)
-	}
-	for _, f := range replies {
-		if _, err := f.r.Wait(); err != nil {
+		if _, err := rr.Wait(); err != nil {
 			return err
 		}
-		e.Record(OpRequest, server, f.tag, n, f.arrival)
+		e.Record(OpRequest, server, i, n, start)
 	}
-	_, err = mpi.WaitAll(sends...)
-	return err
+	return nil
 }

@@ -25,7 +25,7 @@ const (
 	// step, shuffle round, training step).
 	OpStep
 	// OpRequest is an RPC client reply completion; Dur spans from the
-	// open-loop arrival instant, so it includes queueing delay.
+	// request's send, so it includes queueing delay at the server.
 	OpRequest
 	// OpServe is an RPC server-side request completion (recv through
 	// reply issue).
@@ -93,8 +93,8 @@ type Trace struct {
 //
 //	magic   "MPWT"            4 bytes
 //	version uint16 LE          2 bytes (this package writes Version)
-//	header  pattern, backend, arrival  (uvarint length + UTF-8 bytes each)
-//	        ranks, lanes uvarint; parallel 1 byte; steps, bytes uvarint
+//	header  pattern, backend  (uvarint length + UTF-8 bytes each)
+//	        ranks, lanes, steps, bytes uvarint
 //	        seed varint; rate float64 LE bits; compute varint (ns)
 //	count   uvarint            number of events
 //	events  per event: dt uvarint (delta from previous T, ns), rank uvarint,
@@ -103,7 +103,7 @@ type Trace struct {
 const (
 	traceMagic = "MPWT"
 	// Version is the trace format version this build reads and writes.
-	Version = 1
+	Version = 2
 	// minEventBytes is the smallest encoding of one event (seven one-byte
 	// fields): the bytes left after the header cap the declared event count
 	// during decode, so a corrupt header cannot drive a huge allocation.
@@ -113,7 +113,7 @@ const (
 )
 
 // FormatError reports a trace that this build cannot decode: bad magic,
-// an unsupported (newer) format version, or corruption. Version is
+// a format version other than Version, or corruption. Version is
 // nonzero when the rejection is a version mismatch.
 type FormatError struct {
 	// Version is the on-disk format version when the error is an
@@ -133,14 +133,8 @@ func (t *Trace) Marshal() []byte {
 	buf = binary.LittleEndian.AppendUint16(buf, Version)
 	buf = appendStr(buf, t.Cfg.Pattern)
 	buf = appendStr(buf, t.Cfg.Backend)
-	buf = appendStr(buf, t.Cfg.Arrival)
 	buf = binary.AppendUvarint(buf, uint64(t.Cfg.Ranks))
 	buf = binary.AppendUvarint(buf, uint64(t.Cfg.Lanes))
-	if t.Cfg.Parallel {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
 	buf = binary.AppendUvarint(buf, uint64(t.Cfg.Steps))
 	buf = binary.AppendUvarint(buf, uint64(t.Cfg.Bytes))
 	buf = binary.AppendVarint(buf, t.Cfg.Seed)
@@ -188,10 +182,8 @@ func Unmarshal(data []byte) (*Trace, error) {
 	tr := &Trace{}
 	tr.Cfg.Pattern = r.str()
 	tr.Cfg.Backend = r.str()
-	tr.Cfg.Arrival = r.str()
 	tr.Cfg.Ranks = int(r.uvarint())
 	tr.Cfg.Lanes = int(r.uvarint())
-	tr.Cfg.Parallel = r.byte() != 0
 	tr.Cfg.Steps = int(r.uvarint())
 	tr.Cfg.Bytes = int(r.uvarint())
 	tr.Cfg.Seed = r.varint()

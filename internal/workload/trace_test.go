@@ -15,8 +15,8 @@ func sampleTrace() *Trace {
 	return &Trace{
 		Cfg: Config{
 			Pattern: "halo", Backend: "cluster/tcp", Ranks: 8, Lanes: 2,
-			Parallel: true, Steps: 20, Bytes: 1024, Seed: 7,
-			Arrival: "bursty", Rate: 1500.5, Compute: 20 * time.Microsecond,
+			Steps: 20, Bytes: 1024, Seed: 7,
+			Rate: 1500.5, Compute: 20 * time.Microsecond,
 		},
 		Events: []Event{
 			{T: 1000, Rank: 0, Op: OpExchange, Peer: 1, Tag: 0, Bytes: 1024, Dur: 900},
@@ -44,20 +44,31 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// A trace stamped with a future format version must be rejected with a
-// typed error carrying that version, not misparsed.
+// v1OneEvent is a valid v1 trace (the header still carried the arrival
+// process and the parallel flag): pattern halo on mem, one event.
+var v1OneEvent = []byte("MPWT\x01\x00\x04halo\x03mem\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x01\x01\x00\x01\x01\x00\x08\x02\x81\x47\xeb\x8c")
+
+// A trace stamped with a future format version, or a valid trace of an
+// older one, must be rejected with a typed error carrying that version,
+// not misparsed.
 func TestUnmarshalRejectsNewerVersion(t *testing.T) {
-	data := sampleTrace().Marshal()
-	binary.LittleEndian.PutUint16(data[4:6], Version+1)
-	body := data[:len(data)-4]
-	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.ChecksumIEEE(body))
-	_, err := Unmarshal(data)
-	var fe *FormatError
-	if !errors.As(err, &fe) {
-		t.Fatalf("want *FormatError, got %v", err)
-	}
-	if fe.Version != Version+1 {
-		t.Fatalf("want rejected version %d reported, got %d (%v)", Version+1, fe.Version, fe)
+	future := sampleTrace().Marshal()
+	binary.LittleEndian.PutUint16(future[4:6], Version+1)
+	body := future[:len(future)-4]
+	binary.LittleEndian.PutUint32(future[len(future)-4:], crc32.ChecksumIEEE(body))
+	for _, tc := range []struct {
+		name string
+		data []byte
+		ver  uint16
+	}{{"future", future, Version + 1}, {"v1", v1OneEvent, 1}} {
+		_, err := Unmarshal(tc.data)
+		var fe *FormatError
+		if !errors.As(err, &fe) {
+			t.Fatalf("%s: want *FormatError, got %v", tc.name, err)
+		}
+		if fe.Version != tc.ver {
+			t.Fatalf("%s: want rejected version %d reported, got %d (%v)", tc.name, tc.ver, fe.Version, fe)
+		}
 	}
 }
 

@@ -2,8 +2,8 @@
 // replayable traces. Where internal/bench measures single operations, a
 // workload drives a canonical application pattern — 2-D halo exchange,
 // stencil iteration, all-to-all shuffle, an allreduce training loop, or
-// many-client RPC fan-in under an open-loop arrival process — and logs
-// every completion as a trace event on the virtual clock.
+// closed-loop many-client RPC fan-in — and logs every completion as a
+// trace event on the virtual clock.
 //
 // Because the simulator is deterministic, a trace is a pure function of
 // its Config: recording the same Config twice yields byte-identical
@@ -16,6 +16,7 @@ package workload
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -38,10 +39,9 @@ type Config struct {
 	Backend string
 	// Ranks is the world size (default 8).
 	Ranks int
-	// Lanes and Parallel record the kernel the recording ran on.
-	// Provenance only: determinism makes traces kernel-independent.
-	Lanes    int
-	Parallel bool
+	// Lanes is the lane count the recording ran on. Provenance only:
+	// determinism makes traces kernel-independent.
+	Lanes int
 	// Steps is the iteration count per rank; for rpc, requests per
 	// client (default 20).
 	Steps int
@@ -49,11 +49,8 @@ type Config struct {
 	Bytes int
 	// Seed seeds the per-rank RNG streams (default 1).
 	Seed int64
-	// Arrival picks the rpc arrival process: poisson, bursty, or
-	// diurnal (default poisson). Ignored by closed-loop patterns.
-	Arrival string
-	// Rate is the rpc mean arrivals per virtual second per client
-	// (default 2000).
+	// Rate is the rpc client's mean think rate: requests per virtual
+	// second per client, were replies instant (default 2000).
 	Rate float64
 	// Compute is the modeled per-step compute charge (default 20µs);
 	// for rpc it is the server's per-request service time.
@@ -73,9 +70,6 @@ func (c Config) Norm() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Arrival == "" {
-		c.Arrival = "poisson"
 	}
 	if c.Rate == 0 {
 		c.Rate = 2000
@@ -177,6 +171,9 @@ func Run(w *mpi.World, cfg Config) (*Result, error) {
 	}
 	if w.Size() != cfg.Ranks {
 		return nil, fmt.Errorf("workload: world has %d ranks, config wants %d", w.Size(), cfg.Ranks)
+	}
+	if !(cfg.Rate > 0) || math.IsInf(cfg.Rate, 1) {
+		return nil, fmt.Errorf("workload: rate must be positive and finite, got %g", cfg.Rate)
 	}
 	envs := make([]*Env, cfg.Ranks)
 	var mu sync.Mutex

@@ -3,6 +3,7 @@ package workload_test
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -31,7 +32,7 @@ func build(t *testing.T, backend string, ranks, lanes int, parallel bool) *mpi.W
 
 func record(t *testing.T, backend, pattern string, lanes int, parallel bool) *workload.Result {
 	t.Helper()
-	cfg := workload.Config{Pattern: pattern, Backend: backend, Ranks: 8, Seed: 1, Lanes: lanes, Parallel: parallel}
+	cfg := workload.Config{Pattern: pattern, Backend: backend, Ranks: 8, Seed: 1, Lanes: lanes}
 	res, err := workload.Run(build(t, backend, 8, lanes, parallel), cfg)
 	if err != nil {
 		t.Fatalf("run %s on %s: %v", pattern, backend, err)
@@ -40,7 +41,9 @@ func record(t *testing.T, backend, pattern string, lanes int, parallel bool) *wo
 }
 
 // Every pattern records on the reference fabric, produces SLO samples,
-// and re-records byte-identically.
+// and re-records byte-identically. An rpc request is timed from its send,
+// so on a 1 µs fabric its median is tens of µs; stamped when the client
+// got round to harvesting the reply, it was milliseconds.
 func TestPatternsRecordDeterministically(t *testing.T) {
 	for _, pattern := range workload.Names() {
 		t.Run(pattern, func(t *testing.T) {
@@ -54,6 +57,9 @@ func TestPatternsRecordDeterministically(t *testing.T) {
 			}
 			if s.P50US > s.P99US || s.P99US > s.P999US {
 				t.Fatalf("percentiles out of order: %+v", s)
+			}
+			if pattern == "rpc" && s.P50US >= 100 {
+				t.Fatalf("rpc p50 %.1f us on mem, want < 100: the latency is not timed from the send", s.P50US)
 			}
 			again := record(t, "mem", pattern, 1, false)
 			if !bytes.Equal(res.Trace.Marshal(), again.Trace.Marshal()) {
@@ -134,6 +140,18 @@ func TestRunRejectsUnknownPattern(t *testing.T) {
 	_, err := workload.Run(w, workload.Config{Pattern: "nope", Ranks: 8})
 	if err == nil || !strings.Contains(err.Error(), "halo") {
 		t.Fatalf("want an error listing registered patterns, got %v", err)
+	}
+}
+
+// A rate that leaves no finite think time is an error, not a hang or a
+// clock that never moves; zero means the default.
+func TestRunRejectsBadRate(t *testing.T) {
+	for _, rate := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		w := build(t, "mem", 8, 1, false)
+		_, err := workload.Run(w, workload.Config{Pattern: "rpc", Ranks: 8, Rate: rate})
+		if err == nil || !strings.Contains(err.Error(), "rate") {
+			t.Errorf("rate %g: want a rate error, got %v", rate, err)
+		}
 	}
 }
 

@@ -84,8 +84,9 @@ func build(s registry.Spec, kind string) (*mpi.World, []*transport, error) {
 	}
 	// TCP segments and U-Net frames are never droppable (the model omits
 	// TCP's loss recovery; the switch links are flow controlled), so the
-	// loss-family knobs would do nothing there. Delay, Jitter and Partition
-	// apply to every frame.
+	// loss-family knobs would do nothing there. Neither wire resequences, so
+	// Jitter, which lets a frame overtake its predecessor, would break it.
+	// Delay and Partition apply to every frame.
 	if kind == "tcp" || kind == "unet" {
 		knob := ""
 		switch {
@@ -97,9 +98,11 @@ func build(s registry.Spec, kind string) (*mpi.World, []*transport, error) {
 			knob = "Reorder"
 		case s.Duplicate > 0:
 			knob = "Duplicate"
+		case s.Jitter > 0:
+			knob = "Jitter"
 		}
 		if knob != "" {
-			return nil, nil, fmt.Errorf("cluster/%s: Spec.%s is set, but a %s frame is never dropped, reordered or duplicated (it would be silently ignored; transport udp honours it)", kind, knob, kind)
+			return nil, nil, fmt.Errorf("cluster/%s: Spec.%s is set, but a %s frame is never dropped, reordered or duplicated (transport udp honours it)", kind, knob, kind)
 		}
 	}
 	// The minimum cross-lane latency — the switch forwarding delay, or the

@@ -522,31 +522,51 @@ func TestDatagramPathAllocationBudget(t *testing.T) {
 // already completed and must fail its claim — by a dead name now, where it
 // used to test flags on a request that could since have been reissued. The
 // counts and the finish time are the ones the pointer-holding transport
-// produced; req-stale counts exactly the failed claims.
+// produced; req-stale counts exactly the failed claims. The same shuffle with
+// NoRTR pins what RTR buys here (ROADMAP item 2): on a loss-free wire, the
+// RTS/CTS path takes 119x the retransmits (ROADMAP 4b), 1.8x the events and
+// a third more simulated time.
 func TestStaleRTRFailsClaimByName(t *testing.T) {
 	const ranks, steps, block = 16, 64, 32 << 10
-	rep, err := registry.Run(registry.Spec{Platform: "cluster", Transport: "udp", Ranks: ranks, Seed: 1}, func(c *mpi.Comm) error {
-		send, recv := make([]byte, ranks*block), make([]byte, ranks*block)
-		for s := 0; s < steps; s++ {
-			if err := c.Alltoall(send, recv); err != nil {
-				return err
+	for _, tc := range []struct {
+		noRTR               bool
+		retransmits, events int
+		elapsed             time.Duration
+	}{{false, 256, 839696, 9401051036}, {true, 30480, 1516880, 12572471192}} {
+		w, trs, err := build(registry.Spec{Ranks: ranks, Seed: 1, NoRTR: tc.noRTR}, "udp")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := mpi.Launch(w, func(c *mpi.Comm) error {
+			send, recv := make([]byte, ranks*block), make([]byte, ranks*block)
+			for s := 0; s < steps; s++ {
+				if err := c.Alltoall(send, recv); err != nil {
+					return err
+				}
+			}
+			return c.Barrier()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tc.noRTR {
+			for _, k := range []struct {
+				name string
+				want int64
+			}{{"rtr-post", 15360}, {"rndv-rtr", 15120}, {"rtr-stale", 15120}, {"rndv", 240}, {"req-stale", 15120}} {
+				if got := rep.Acct.Count[k.name]; got != k.want {
+					t.Errorf("%s = %d, want %d", k.name, got, k.want)
+				}
 			}
 		}
-		return c.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []struct {
-		name string
-		want int64
-	}{{"rtr-post", 15360}, {"rndv-rtr", 15120}, {"rtr-stale", 15120}, {"rndv", 240}, {"req-stale", 15120}} {
-		if got := rep.Acct.Count[k.name]; got != k.want {
-			t.Errorf("%s = %d, want %d", k.name, got, k.want)
+		retransmits := 0
+		for _, tr := range trs {
+			retransmits += tr.dgram.(*atm.RUDP).Retransmits
 		}
-	}
-	if want := 9401051036 * time.Nanosecond; rep.Elapsed != want {
-		t.Errorf("elapsed %v, want %v: a simulated nanosecond moved", rep.Elapsed, want)
+		if retransmits != tc.retransmits || rep.Events != uint64(tc.events) || rep.Elapsed != tc.elapsed {
+			t.Errorf("NoRTR %v: %d retransmits, %d events, elapsed %v; pinned %d, %d, %v: a simulated nanosecond moved",
+				tc.noRTR, retransmits, rep.Events, rep.Elapsed, tc.retransmits, tc.events, tc.elapsed)
+		}
 	}
 }
 

@@ -122,18 +122,19 @@ func TestReorderDuplicateStillCorrect(t *testing.T) {
 }
 
 // A loss-family knob on a wire that cannot drop a frame is an error naming
-// the knob and the transport, never a silent no-op; the knobs that act on
-// every frame keep working on every wire.
+// the knob and the transport, never a silent no-op; so is Jitter, which
+// would reorder a wire that does not resequence. The knobs that keep frame
+// order keep working on every wire.
 func TestLossKnobsNeedADroppableWire(t *testing.T) {
 	lossFamily := map[string]func(*registry.Spec){
 		"LossRate":   func(s *registry.Spec) { s.LossRate = 0.01 },
 		"DropEveryN": func(s *registry.Spec) { s.DropEveryN = 7 },
 		"Reorder":    func(s *registry.Spec) { s.Reorder = 0.1 },
 		"Duplicate":  func(s *registry.Spec) { s.Duplicate = 0.1 },
+		"Jitter":     func(s *registry.Spec) { s.Jitter = time.Millisecond },
 	}
 	everyFrame := map[string]func(*registry.Spec){
 		"Delay":     func(s *registry.Spec) { s.Delay = time.Millisecond },
-		"Jitter":    func(s *registry.Spec) { s.Jitter = time.Millisecond },
 		"Partition": func(s *registry.Spec) { s.Partition = "0-1@1ms:2ms" },
 	}
 	for _, tr := range []string{"tcp", "udp", "unet", "shm"} {
