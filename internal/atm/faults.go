@@ -275,19 +275,19 @@ func (in *Injector) plan(src, dst int, droppable bool) (drop bool, extra sim.Dur
 // Deliver implements Medium: the frame passes through the policy, then (if
 // it survives) enters the wrapped medium after any added delay. A dropped
 // frame never reaches the wire — it is cut at the sending port.
-func (in *Injector) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) bool {
+func (in *Injector) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) int {
 	if in.policy == nil {
 		return in.inner.Deliver(src, dst, n, opts, deliver)
 	}
 	drop, extra, dup := in.plan(src, dst, opts.Droppable)
 	if drop {
-		return false
+		return 0
 	}
 	copies := 1
 	if dup {
 		copies = 2
 	}
-	for ; copies > 0; copies-- {
+	for i := 0; i < copies; i++ {
 		if extra == 0 {
 			in.inner.Deliver(src, dst, n, opts, deliver)
 			continue
@@ -298,7 +298,7 @@ func (in *Injector) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) b
 			in.inner.Deliver(src, dst, n, opts, deliver)
 		})
 	}
-	return true
+	return copies
 }
 
 // admit is plan for the byte path that bypasses the Medium interface (the

@@ -16,17 +16,17 @@ func TestFaultsDropEveryNExactCount(t *testing.T) {
 	if err := cl.SetFaults(Faults{DropEveryN: 3}); err != nil {
 		t.Fatal(err)
 	}
-	delivered := 0
+	delivered, promised := 0, 0
 	s.At(0, func() {
 		for i := 0; i < 30; i++ {
-			cl.Medium(OverEthernet).Deliver(0, 1, 100, DeliverOpts{Droppable: true}, func() { delivered++ })
+			promised += cl.Medium(OverEthernet).Deliver(0, 1, 100, DeliverOpts{Droppable: true}, func() { delivered++ })
 		}
 	})
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if delivered != 20 {
-		t.Fatalf("drop-every-3rd delivered %d/30, want 20", delivered)
+	if delivered != 20 || promised != delivered {
+		t.Fatalf("drop-every-3rd delivered %d/30 after Deliver promised %d, want 20", delivered, promised)
 	}
 	if got := cl.Injector(OverEthernet).Stats.Dropped; got != 10 {
 		t.Fatalf("Stats.Dropped = %d, want 10", got)
@@ -148,7 +148,13 @@ func TestFaultsDuplicateDeliversTwice(t *testing.T) {
 	delivered := 0
 	s.At(0, func() {
 		for i := 0; i < 10; i++ {
-			cl.Medium(OverATM).Deliver(0, 1, 100, DeliverOpts{Droppable: true}, func() { delivered++ })
+			before := delivered
+			if n := cl.Medium(OverATM).Deliver(0, 1, 100, DeliverOpts{Droppable: true}, func() { delivered++ }); n != 2 {
+				t.Errorf("frame %d: Deliver reported %d copies, want 2", i, n)
+			}
+			if delivered != before {
+				t.Errorf("frame %d: delivered before Deliver returned", i)
+			}
 		}
 	})
 	if _, err := s.Run(); err != nil {

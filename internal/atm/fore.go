@@ -61,7 +61,7 @@ func (a *AAL4) RecvFrom(p *sim.Proc, buf []byte) (int, int) {
 	if a.await(p) {
 		p.Advance(k.KernelWakeup)
 	}
-	d := popDgram(&a.dq)
+	d := a.dq.Pop()
 	n := copy(buf, d.Data)
 	p.Advance(sim.Duration(n) * k.CopyPerByte)
 	return n, d.Src

@@ -36,9 +36,13 @@ type Medium interface {
 	Kind() MediumKind
 	MTU() int
 	// Deliver carries n payload bytes from src to dst and runs deliver at
-	// the destination after wire, NIC, and driver time. Returns false if
-	// the packet was dropped by loss injection (deliver will not run).
-	Deliver(src, dst, n int, opts DeliverOpts, deliver func()) bool
+	// the destination after wire, NIC, and driver time. It returns how many
+	// times deliver will run: 0 when the fault layer drops or cuts the
+	// packet, 2 when it duplicates it, 1 otherwise. deliver never runs
+	// before Deliver returns, so a caller that sums the counts knows when
+	// the last copy has landed — which is what lets droppable traffic
+	// recycle its records (DESIGN §10).
+	Deliver(src, dst, n int, opts DeliverOpts, deliver func()) int
 }
 
 // Ethernet is the 10 Mbit/s shared medium: every frame from every host
@@ -102,7 +106,7 @@ func FrameWireBytes(n int) int {
 
 // Deliver implements Medium. Must be called from src's lane context;
 // deliver runs on dst's lane.
-func (e *Ethernet) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) bool {
+func (e *Ethernet) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) int {
 	if n > EthMTU {
 		panic(fmt.Sprintf("ethernet: frame payload %d exceeds MTU", n))
 	}
@@ -128,7 +132,7 @@ func (e *Ethernet) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) bo
 			e.stage.Exit(e.s.Node(dst, e.n).LaneID(), end+sim.Time(e.c.EthPropDelay+e.c.DriverEthPerFrame), deliver)
 		})
 	})
-	return true
+	return 1
 }
 
 // ATMNet is the switched ATM fabric: a dedicated 155 Mbit/s full-duplex
@@ -147,7 +151,7 @@ type ATMNet struct {
 	c        Costs
 	up, down []*sim.FIFO
 	ports    []*portArbiter
-	idle     [][]*hop // per-host switch-hop record pools (see hop)
+	idle     []sim.FreeList[hop] // per-host switch-hop record pools (see hop)
 }
 
 // NewATMNet builds the switch with n host ports for the world built on s.
@@ -157,7 +161,7 @@ func NewATMNet(s *sim.Scheduler, n int, c Costs) *ATMNet {
 	if c.SwitchDelay < s.Lookahead() {
 		panic(fmt.Sprintf("atm: switch delay %v below shard lookahead %v", c.SwitchDelay, s.Lookahead()))
 	}
-	a := &ATMNet{s: s, c: c, idle: make([][]*hop, n)}
+	a := &ATMNet{s: s, c: c, idle: make([]sim.FreeList[hop], n)}
 	for i := 0; i < n; i++ {
 		hs := s.Node(i, n)
 		a.up = append(a.up, sim.NewFIFO(hs, fmt.Sprintf("atm-up%d", i)))
@@ -256,7 +260,7 @@ func (a *ATMNet) Kind() MediumKind { return OverATM }
 func (a *ATMNet) MTU() int { return ATMMTU }
 
 // Deliver implements Medium. Must be called from src's lane context.
-func (a *ATMNet) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) bool {
+func (a *ATMNet) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) int {
 	wireBytes := AAL5WireBytes(n)
 	if opts.AAL34 {
 		wireBytes = AAL34WireBytes(n)
@@ -264,7 +268,7 @@ func (a *ATMNet) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) bool
 	// Outbound SAR on the i960; inbound SAR plus the STREAMS driver.
 	a.send(src, dst, sim.Duration(wireBytes)*a.c.ATMPerByte,
 		a.c.I960PerPacket, a.c.I960PerPacket+a.c.DriverATMPerFrame, deliver)
-	return true
+	return 1
 }
 
 // send is the fabric's one packet path, shared by the kernel stacks
@@ -285,7 +289,11 @@ func (a *ATMNet) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) bool
 func (a *ATMNet) send(src, dst int, wire, out, tail sim.Duration, deliver func()) {
 	ss := a.schedOf(src)
 	end := a.up[src].ReserveAt(ss.Now()+sim.Time(out), wire)
-	h := a.getHop(src)
+	h := a.idle[src].Get()
+	if h == nil {
+		h = &hop{a: a}
+		h.step = h.arrive
+	}
 	h.src, h.dst, h.wire, h.tail, h.deliver = src, dst, wire, tail, deliver
 	ss.Route(a.schedOf(dst).LaneID(), end+sim.Time(a.c.SwitchDelay), h.step)
 }
@@ -296,7 +304,7 @@ func (a *ATMNet) send(src, dst int, wire, out, tail sim.Duration, deliver func()
 // host: drawn from the source's pool and, because the arrival runs on the
 // destination's lane, returned to the destination's — traffic flows both
 // ways (TCP answers every segment with window updates, RUDP with acks), so
-// the pools stay balanced, and a cap bounds the one that would not.
+// the pools stay balanced, and the list's bound caps the one that would not.
 type hop struct {
 	a        *ATMNet
 	src, dst int
@@ -306,30 +314,11 @@ type hop struct {
 	step     func() // h.arrive, bound once
 }
 
-// hopPoolCap bounds a host's idle records; returns beyond it fall to the
-// garbage collector.
-const hopPoolCap = 64
-
-func (a *ATMNet) getHop(host int) *hop {
-	idle := a.idle[host]
-	if k := len(idle) - 1; k >= 0 {
-		h := idle[k]
-		idle[k] = nil
-		a.idle[host] = idle[:k]
-		return h
-	}
-	h := &hop{a: a}
-	h.step = h.arrive
-	return h
-}
-
 // arrive hands the packet to dst's port arbiter and recycles the record.
 // Runs on dst's lane.
 func (h *hop) arrive() {
 	a, dst := h.a, h.dst
 	a.enqueue(dst, h.src, h.wire, h.tail, h.deliver)
 	h.deliver = nil
-	if len(a.idle[dst]) < hopPoolCap {
-		a.idle[dst] = append(a.idle[dst], h)
-	}
+	a.idle[dst].Put(h)
 }

@@ -231,8 +231,8 @@ func TestDrainingAnAckAllocatesNoScratch(t *testing.T) {
 	var perAck uint64
 	s.Spawn("drainer", func(p *sim.Proc) {
 		p.Advance(time.Second)
-		if len(r0.sock.dq) != n {
-			t.Errorf("%d acks queued, want %d", len(r0.sock.dq), n)
+		if r0.sock.dq.Len() != n {
+			t.Errorf("%d acks queued, want %d", r0.sock.dq.Len(), n)
 		}
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)

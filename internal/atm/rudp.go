@@ -58,9 +58,11 @@ type RUDP struct {
 
 	peers     map[int]*rudpPeer
 	dead      map[int]bool // peers fenced by DropPeer: sends are swallowed
-	delivered []Datagram
+	delivered sim.Queue[Datagram]
 	arrival   *sim.Cond
 	watchers  []func()
+	pending   sim.FreeList[rudpPending] // retransmission records (see rudpPending)
+	acks      []byte                    // slab the pure-ack frames are carved from
 
 	// Stats.
 	Retransmits     int // frames re-sent (timer + fast retransmit)
@@ -93,14 +95,22 @@ type rudpPeer struct {
 	ackTimer bool
 }
 
+// rudpPending is one unacknowledged data frame. Its retransmission timer
+// is expire, bound to the record once, so a send arms it without
+// allocating. Records are pooled per RUDP, and only the timer recycles one:
+// acknowledgement (applyAck, DropPeer) drops the record from unacked, which
+// leaves the armed timer its last holder. After Err the records are left to
+// the garbage collector.
 type rudpPending struct {
+	r      *RUDP
+	pr     *rudpPeer
 	frame  []byte
-	dst    int
 	seq    uint32
 	tries  int
 	acked  bool
 	sentAt sim.Time     // first transmission time, for RTT sampling
 	rto    sim.Duration // current (backed-off) timeout for this frame
+	expire func()       // pend.timeout, bound once
 }
 
 // NewRUDP wraps sock with reliability.
@@ -131,16 +141,13 @@ func NewRUDP(sock *UDP) *RUDP {
 // consumeAcks removes and processes ack-only datagrams from the raw socket
 // queue. Runs in event context, so it charges no process time.
 func (r *RUDP) consumeAcks() {
-	kept := r.sock.dq[:0]
-	for _, d := range r.sock.dq {
+	r.sock.dq.Filter(func(d Datagram) bool {
 		if len(d.Data) == rudpHeader && d.Data[0]&rudpData == 0 && d.Data[0]&rudpAck != 0 {
 			r.applyAck(r.peer(d.Src), binary.BigEndian.Uint32(d.Data[5:9]))
-			continue
+			return false
 		}
-		kept = append(kept, d)
-	}
-	clear(r.sock.dq[len(kept):]) // the compacted tail must not pin frames
-	r.sock.dq = kept
+		return true
+	})
 }
 
 // applyAck is the one ack-processing path, shared by the interrupt-level
@@ -238,7 +245,7 @@ func (r *RUDP) fastRetransmit(pr *rudpPeer) {
 	r.Retransmits++
 	r.FastRetransmits++
 	r.restampAck(pr, oldest)
-	r.sock.transmit(oldest.dst, oldest.frame)
+	r.sock.transmit(pr.host, oldest.frame)
 	pr.dupAcks = 0
 }
 
@@ -327,41 +334,51 @@ func (r *RUDP) SendFrame(p *sim.Proc, dst int, frame []byte) error {
 		pr.ackOwed = false
 		r.PiggybackedAcks++
 	}
-	pend := &rudpPending{frame: frame, dst: dst, seq: seq}
+	pend := r.pending.Get()
+	if pend == nil {
+		pend = &rudpPending{r: r}
+		pend.expire = pend.timeout
+	}
+	pend.pr, pend.frame, pend.seq = pr, frame, seq
 	pr.unacked[seq] = pend
 	r.sock.send(p, dst, frame)
 	pend.sentAt = r.s.Now()
 	pend.rto = r.rtoFor(pr)
-	r.armRetransmit(pr, pend)
+	r.s.After(pend.rto, pend.expire)
 	return r.Err
 }
 
-// armRetransmit schedules the loss-recovery timer for pend, backing off
-// exponentially on every expiry until MaxRetries declares the link dead.
-func (r *RUDP) armRetransmit(pr *rudpPeer, pend *rudpPending) {
-	r.s.After(pend.rto, func() {
-		if pend.acked || r.Err != nil {
-			return
-		}
-		pend.tries++
-		if pend.tries > r.MaxRetries {
-			r.Err = fmt.Errorf("rudp: peer %d unreachable after %d retransmissions of seq %d", pend.dst, pend.tries-1, pend.seq)
-			r.arrival.Broadcast()
-			r.notify()
-			return
-		}
-		pend.rto = r.clampRTO(pend.rto * 2)
-		// The connection backs off with its oldest frame, so frames queued
-		// behind an outage do not add their own retransmission storm.
-		if pend.rto > pr.rto {
-			pr.rto = pend.rto
-		}
-		r.Retransmits++
-		// Kernel-timer retransmission: wire costs only, no user syscall.
-		r.restampAck(pr, pend)
-		r.sock.transmit(pend.dst, pend.frame)
-		r.armRetransmit(pr, pend)
-	})
+// timeout is the loss-recovery timer: it recycles an acknowledged record,
+// and otherwise retransmits and re-arms itself, backing off exponentially
+// on every expiry until MaxRetries declares the link dead.
+func (pend *rudpPending) timeout() {
+	r, pr := pend.r, pend.pr
+	if r.Err != nil {
+		return
+	}
+	if pend.acked {
+		*pend = rudpPending{r: r, expire: pend.expire}
+		r.pending.Put(pend)
+		return
+	}
+	pend.tries++
+	if pend.tries > r.MaxRetries {
+		r.Err = fmt.Errorf("rudp: peer %d unreachable after %d retransmissions of seq %d", pr.host, pend.tries-1, pend.seq)
+		r.arrival.Broadcast()
+		r.notify()
+		return
+	}
+	pend.rto = r.clampRTO(pend.rto * 2)
+	// The connection backs off with its oldest frame, so frames queued
+	// behind an outage do not add their own retransmission storm.
+	if pend.rto > pr.rto {
+		pr.rto = pend.rto
+	}
+	r.Retransmits++
+	// Kernel-timer retransmission: wire costs only, no user syscall.
+	r.restampAck(pr, pend)
+	r.sock.transmit(pr.host, pend.frame)
+	r.s.After(pend.rto, pend.expire)
 }
 
 // TryRecv drains arrivals and returns one in-order datagram if available,
@@ -369,8 +386,8 @@ func (r *RUDP) armRetransmit(pr *rudpPeer, pend *rudpPending) {
 // keep. Remaining delivered data is surfaced before a dead link's error.
 func (r *RUDP) TryRecv(p *sim.Proc) (d Datagram, ok bool, err error) {
 	r.drain(p)
-	if len(r.delivered) > 0 {
-		return popDgram(&r.delivered), true, nil
+	if r.delivered.Len() > 0 {
+		return r.delivered.Pop(), true, nil
 	}
 	return Datagram{}, false, r.Err
 }
@@ -407,7 +424,7 @@ func (r *RUDP) Recv(p *sim.Proc, buf []byte) (int, int, error) {
 
 // Readable reports whether an in-order datagram is deliverable (after a
 // drain by the owning proc).
-func (r *RUDP) Readable() bool { return len(r.delivered) > 0 || r.sock.Readable() }
+func (r *RUDP) Readable() bool { return r.delivered.Len() > 0 || r.sock.Readable() }
 
 // drain processes every queued raw datagram: piggybacked and pure acks go
 // through applyAck; data is ordered, deduplicated and acked. Frames are
@@ -433,14 +450,14 @@ func (r *RUDP) drain(p *sim.Proc) {
 		switch {
 		case seq == pr.nextRecv:
 			pr.nextRecv++
-			r.delivered = append(r.delivered, Datagram{Src: src, Data: payload})
+			r.delivered.Push(Datagram{Src: src, Data: payload})
 			for {
 				next, ok := pr.stash[pr.nextRecv]
 				if !ok {
 					break
 				}
 				delete(pr.stash, pr.nextRecv)
-				r.delivered = append(r.delivered, Datagram{Src: src, Data: next})
+				r.delivered.Push(Datagram{Src: src, Data: next})
 				pr.nextRecv++
 			}
 		case seq < pr.nextRecv:
@@ -477,10 +494,7 @@ func (r *RUDP) scheduleAck(p *sim.Proc, pr *rudpPeer) {
 		// No reverse data carried it: flush a pure ack from timer context.
 		pr.ackOwed = false
 		r.PureAcks++
-		frame := make([]byte, rudpHeader)
-		frame[0] = rudpAck
-		binary.BigEndian.PutUint32(frame[5:9], pr.nextRecv)
-		r.sock.transmit(pr.host, frame)
+		r.sock.transmit(pr.host, r.ackFrame(pr.nextRecv))
 	})
 }
 
@@ -489,8 +503,22 @@ func (r *RUDP) scheduleAck(p *sim.Proc, pr *rudpPeer) {
 // the paper's reliable-UDP MPI no faster than TCP.
 func (r *RUDP) sendAck(p *sim.Proc, dst int, cum uint32) {
 	r.PureAcks++
-	frame := make([]byte, rudpHeader)
+	r.sock.send(p, dst, r.ackFrame(cum))
+}
+
+// ackSlabFrames is how many pure-ack frames share one allocation.
+const ackSlabFrames = 64
+
+// ackFrame carves a pure-ack frame carrying cumulative ack cum from the
+// slab. A frame is immutable once sent, so frames may share storage; each
+// is capacity-capped, so no holder can append into its neighbour.
+func (r *RUDP) ackFrame(cum uint32) []byte {
+	if len(r.acks) < rudpHeader {
+		r.acks = make([]byte, ackSlabFrames*rudpHeader)
+	}
+	frame := r.acks[:rudpHeader:rudpHeader]
+	r.acks = r.acks[rudpHeader:]
 	frame[0] = rudpAck
 	binary.BigEndian.PutUint32(frame[5:9], cum)
-	r.sock.send(p, dst, frame)
+	return frame
 }

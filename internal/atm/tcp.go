@@ -47,13 +47,13 @@ type TCP struct {
 	// AckDelay is the delayed-ack timer (0 = the classic 200 ms).
 	AckDelay sim.Duration
 
-	dropped  bool   // fenced by Drop: the peer is dead, writes are discarded
 	unacked  int    // bytes sent, not yet acknowledged
 	nagleQ   []byte // coalesced sub-MSS data awaiting an ack
 	owedAck  int    // window bytes not yet returned to the peer
+	dropped  bool   // fenced by Drop: the peer is dead, writes are discarded
 	ackTimer bool   // delayed-ack timer armed
 
-	idle []*tcpFrame // wire-frame record pool (see tcpFrame)
+	idle sim.FreeList[tcpFrame] // wire-frame record pool (see tcpFrame)
 
 	// Stats for tests and instrumentation.
 	SegmentsOut int
@@ -65,8 +65,9 @@ type TCP struct {
 func (cl *Cluster) TCPPair(h0, h1 int, k MediumKind) (*TCP, *TCP) {
 	m := cl.Medium(k)
 	s0, s1 := cl.SchedOf(h0), cl.SchedOf(h1)
-	a := &TCP{cl: cl, host: h0, med: m, readable: sim.NewCond(s0), sndWait: sim.NewCond(s0), sndCredit: DefaultTCPBuffer}
-	b := &TCP{cl: cl, host: h1, med: m, readable: sim.NewCond(s1), sndWait: sim.NewCond(s1), sndCredit: DefaultTCPBuffer}
+	pool := sim.FreeList[tcpFrame]{Max: tcpFramePoolCap}
+	a := &TCP{cl: cl, host: h0, med: m, readable: sim.NewCond(s0), sndWait: sim.NewCond(s0), sndCredit: DefaultTCPBuffer, idle: pool}
+	b := &TCP{cl: cl, host: h1, med: m, readable: sim.NewCond(s1), sndWait: sim.NewCond(s1), sndCredit: DefaultTCPBuffer, idle: pool}
 	a.peer, b.peer = b, a
 	return a, b
 }
@@ -155,9 +156,8 @@ func (c *TCP) transmitSegment(seg []byte) {
 // connection's two pools stay balanced even when data flows one way, and a
 // cap bounds them.
 //
-// A record runs once: TCP frames are not droppable, so the fault layer
-// never duplicates one (it may only hold it). Droppable traffic (UDP
-// fragments, AAL4) must keep closures — Faults.Duplicate runs them twice.
+// A record runs once: TCP frames are not droppable, so Medium.Deliver
+// always reports one copy (the fault layer may only hold or cut a frame).
 type tcpFrame struct {
 	from  *TCP
 	stage uint8
@@ -178,11 +178,8 @@ const (
 const tcpFramePoolCap = 8
 
 func (c *TCP) getFrame(stage uint8) *tcpFrame {
-	var f *tcpFrame
-	if k := len(c.idle) - 1; k >= 0 {
-		f, c.idle[k] = c.idle[k], nil
-		c.idle = c.idle[:k]
-	} else {
+	f := c.idle.Get()
+	if f == nil {
 		f = &tcpFrame{}
 		f.step = f.run
 	}
@@ -207,7 +204,7 @@ func (f *tcpFrame) run() {
 		}
 		r.rq = append(r.rq, f.data...)
 		r.BytesIn += len(f.data)
-		r.putFrame(f)
+		r.idle.Put(f)
 		r.readable.Broadcast()
 		for _, fn := range r.watchers {
 			fn()
@@ -215,7 +212,7 @@ func (f *tcpFrame) run() {
 	case frameUpdate:
 		n := f.n
 		// Recycled first, so Nagle data the update releases reuses the record.
-		r.putFrame(f)
+		r.idle.Put(f)
 		r.sndCredit += n
 		r.unacked -= n
 		if r.unacked < 0 {
@@ -230,13 +227,6 @@ func (f *tcpFrame) run() {
 		for _, fn := range r.wwatchers {
 			fn()
 		}
-	}
-}
-
-// putFrame returns a delivered frame's record to c's pool.
-func (c *TCP) putFrame(f *tcpFrame) {
-	if len(c.idle) < tcpFramePoolCap {
-		c.idle = append(c.idle, f)
 	}
 }
 

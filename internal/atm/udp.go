@@ -15,27 +15,18 @@ type Datagram struct {
 	Data []byte
 }
 
-// popDgram removes and returns the head of q, zeroing the vacated slot so
-// the backing array does not keep the consumed frame reachable.
-func popDgram(q *[]Datagram) Datagram {
-	d := (*q)[0]
-	(*q)[0] = Datagram{}
-	*q = (*q)[1:]
-	return d
-}
-
 // recvQueue is the receive side every datagram socket (UDP, U-Net, AAL4)
 // embeds: arrivals queue in order, wake blocked readers, then run the
 // arrival watchers.
 type recvQueue struct {
-	dq       []Datagram
+	dq       sim.Queue[Datagram]
 	readable *sim.Cond
 	watchers []func()
 }
 
 // land queues one arrival and notifies. Event context, on the socket's lane.
 func (q *recvQueue) land(d Datagram) {
-	q.dq = append(q.dq, d)
+	q.dq.Push(d)
 	q.readable.Broadcast()
 	for _, fn := range q.watchers {
 		fn()
@@ -45,7 +36,7 @@ func (q *recvQueue) land(d Datagram) {
 // await blocks p until a datagram is queued and reports whether it had to
 // block.
 func (q *recvQueue) await(p *sim.Proc) (blocked bool) {
-	for len(q.dq) == 0 {
+	for q.dq.Len() == 0 {
 		q.readable.Wait(p)
 		blocked = true
 	}
@@ -53,7 +44,7 @@ func (q *recvQueue) await(p *sim.Proc) (blocked bool) {
 }
 
 // Readable reports whether RecvFrom would return without blocking.
-func (q *recvQueue) Readable() bool { return len(q.dq) > 0 }
+func (q *recvQueue) Readable() bool { return q.dq.Len() > 0 }
 
 // OnReadable registers an arrival callback (event context).
 func (q *recvQueue) OnReadable(fn func()) { q.watchers = append(q.watchers, fn) }
@@ -66,6 +57,7 @@ type UDP struct {
 	host int
 	med  Medium
 	recvQueue
+	idle sim.FreeList[udpXmit] // transmission records (see udpXmit)
 
 	// Drops counts datagrams lost to loss injection on send (whole
 	// datagram lost when any fragment is).
@@ -114,48 +106,84 @@ func (u *UDP) send(p *sim.Proc, dst int, frame []byte) {
 // is. Wire and kernel delivery only, no user-side charges, and safe from
 // event context (timer-driven retransmission calls it directly).
 func (u *UDP) transmit(dst int, data []byte) {
-	k := u.cl.Costs
 	peer := u.cl.udpPorts[u.med.Kind()][dst]
 	if peer == nil {
 		panic(fmt.Sprintf("udp: no socket bound on host %d/%v", dst, u.med.Kind()))
 	}
-	src := u.host
-
+	x := u.idle.Get()
+	if x == nil {
+		x = &udpXmit{}
+		x.arrive, x.land = x.fragment, x.deliver
+	}
+	x.peer, x.src, x.data = peer, u.host, data
 	frag := u.med.MTU() - UDPIPHeader
-	nfrags := (len(data) + frag - 1) / frag
-	if nfrags == 0 {
-		nfrags = 1
+	x.frags = max(1, (len(data)+frag-1)/frag)
+	for i := 0; i < x.frags; i++ {
+		fragLen := min(len(data), (i+1)*frag) - i*frag
+		n := u.med.Deliver(u.host, dst, fragLen+UDPIPHeader, DeliverOpts{Droppable: true}, x.arrive)
+		x.lost = x.lost || n == 0
+		x.copies += n
 	}
-	arrived := 0
-	lost := false
-	for i := 0; i < nfrags; i++ {
-		end := (i + 1) * frag
-		if end > len(data) {
-			end = len(data)
-		}
-		fragLen := end - i*frag
-		if fragLen < 0 {
-			fragLen = 0
-		}
-		ok := u.med.Deliver(u.host, dst, fragLen+UDPIPHeader, DeliverOpts{Droppable: true}, func() {
-			arrived++
-			// Each complete fragment set yields a datagram, so a duplicated
-			// wire frame surfaces as a duplicate datagram (as real IP
-			// reassembly would) instead of being silently absorbed.
-			if arrived%nfrags == 0 && !lost {
-				// Reassembly complete: kernel input processing, then queue.
-				// The medium ran us on dst's lane, so the timer and the
-				// socket state stay there.
-				u.cl.SchedOf(dst).After(k.UDPPerPacket, func() { peer.land(Datagram{Src: src, Data: data}) })
-			}
-		})
-		if !ok {
-			lost = true
-		}
-	}
-	if lost {
+	if x.lost {
 		u.Drops++
 	}
+	if x.copies == 0 {
+		x.finish(u) // nothing will arrive: the record never left this lane
+	}
+}
+
+// udpXmit is one datagram transmission: the state its fragments' arrival
+// events and its landing carry. Both are funcs bound to the record once, so
+// a datagram crosses the wire without allocating. Fragments are droppable,
+// so the fault layer may drop or duplicate any of them; transmit sums the
+// copy counts Medium.Deliver returns, and the record is finished once that
+// many arrivals have run and no landing is pending. Like atm.hop it is drawn
+// from the sending socket's pool and returned to the receiving socket's, on
+// whose lane it finishes.
+type udpXmit struct {
+	peer    *UDP
+	src     int
+	data    []byte
+	frags   int    // fragments per datagram
+	copies  int    // fragment copies the medium will deliver
+	arrived int    // fragment copies delivered so far
+	landing int    // reassembled datagrams in kernel input processing
+	lost    bool   // a fragment was dropped, so nothing reassembles
+	arrive  func() // x.fragment, bound once
+	land    func() // x.deliver, bound once
+}
+
+// fragment runs as each fragment copy reaches the peer, on its lane. Each
+// complete fragment set yields a datagram, so a duplicated wire frame
+// surfaces as a duplicate datagram (as real IP reassembly would) instead of
+// being silently absorbed.
+func (x *udpXmit) fragment() {
+	x.arrived++
+	if x.arrived%x.frags == 0 && !x.lost {
+		// Reassembly complete: kernel input processing, then queue.
+		x.landing++
+		x.peer.cl.SchedOf(x.peer.host).After(x.peer.cl.Costs.UDPPerPacket, x.land)
+		return
+	}
+	x.finish(x.peer)
+}
+
+// deliver queues the reassembled datagram at the peer socket.
+func (x *udpXmit) deliver() {
+	x.landing--
+	peer, d := x.peer, Datagram{Src: x.src, Data: x.data}
+	x.finish(peer)
+	peer.land(d)
+}
+
+// finish returns the record to the pool of u, the socket whose lane is
+// running, once every copy has arrived and landed.
+func (x *udpXmit) finish(u *UDP) {
+	if x.arrived < x.copies || x.landing > 0 {
+		return
+	}
+	*x = udpXmit{arrive: x.arrive, land: x.land}
+	u.idle.Put(x)
 }
 
 // RecvFrom blocks until a datagram arrives, copies it into buf (truncating
@@ -174,7 +202,7 @@ func (u *UDP) recv(p *sim.Proc, max int) Datagram {
 	if u.await(p) {
 		p.Advance(k.KernelWakeup)
 	}
-	d := popDgram(&u.dq)
+	d := u.dq.Pop()
 	d.Data = d.Data[:min(len(d.Data), max)]
 	p.Advance(sim.Duration(len(d.Data)) * k.CopyPerByte)
 	return d

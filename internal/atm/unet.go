@@ -110,7 +110,7 @@ func (u *UNet) Recv(p *sim.Proc, max int) Datagram {
 	k := u.cl.Costs
 	p.Advance(UNetPoll)
 	u.await(p)
-	d := popDgram(&u.dq)
+	d := u.dq.Pop()
 	d.Data = d.Data[:min(len(d.Data), max)]
 	p.Advance(sim.Duration(len(d.Data)) * k.CopyPerByte)
 	return d

@@ -226,3 +226,59 @@ func TestTCPWireAllocFree(t *testing.T) {
 		t.Fatalf("%d warm round trips allocated %d objects", trips, delta)
 	}
 }
+
+// The same over UDP/ATM under RUDP: once a warm-up burst has sized the
+// transmission and retransmission records, the queues and the hop pools,
+// 1 000 more 1 KiB round trips allocate only what must exist — each Send's
+// wire frame (DESIGN §10: a datagram is one buffer, never pooled) and one
+// slab per 64 pure acks — plus a slack of 2.
+func TestUDPWireAllocFree(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	s, cl := newCluster(2)
+	a, b := rudpPair(cl)
+	const trips = 1000
+	var delta uint64
+	s.Spawn("ping", func(p *sim.Proc) {
+		buf := make([]byte, 1024)
+		burst := func() {
+			for i := 0; i < trips; i++ {
+				if err := a.Send(p, 1, buf); err != nil {
+					t.Error(err)
+				}
+				if _, _, err := a.Recv(p, buf); err != nil {
+					t.Error(err)
+				}
+			}
+			// Let the last ack land and every retransmission timer expire,
+			// which is what recycles a record.
+			p.Advance(time.Second)
+		}
+		burst()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		burst()
+		runtime.ReadMemStats(&m1)
+		delta = m1.Mallocs - m0.Mallocs
+	})
+	s.Spawn("pong", func(p *sim.Proc) {
+		buf := make([]byte, 1024)
+		for i := 0; i < 2*trips; i++ {
+			if _, _, err := b.Recv(p, buf); err != nil {
+				t.Error(err)
+			}
+			if err := b.Send(p, 0, buf); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if a.PureAcks != 2*trips || b.PureAcks != 2*trips {
+		t.Fatalf("pure acks: %d and %d of %d", a.PureAcks, b.PureAcks, 2*trips)
+	}
+	sends, slabs := uint64(2*trips), uint64((2*trips+ackSlabFrames-1)/ackSlabFrames)
+	if delta > sends+slabs+2 {
+		t.Fatalf("%d warm round trips allocated %d objects, want at most %d frames + %d ack slabs + 2", trips, delta, sends, slabs)
+	}
+}

@@ -40,7 +40,7 @@ type Engine struct {
 	// counter, and how many tabled sends the wire has not taken yet.
 	slots   []reqSlot
 	vacant  []uint32
-	idle    []*Request
+	idle    sim.FreeList[Request]
 	nextSeq uint64
 	unsent  int
 

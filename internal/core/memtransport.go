@@ -62,7 +62,7 @@ func (f *MemFabric) Attach(e *Engine) *MemTransport {
 		s:     s,
 		rank:  e.Rank(),
 		avail: make(map[int]int),
-		sendQ: make(map[int]*FIFO[*Request]),
+		sendQ: make(map[int]*sim.Queue[*Request]),
 	}
 	f.eps[e.Rank()] = t
 	e.SetTransport(t)
@@ -76,9 +76,9 @@ type MemTransport struct {
 	s    *sim.Scheduler // this rank's (lane) scheduler
 	rank int
 
-	inbox  FIFO[*memFlight]
-	polled *memFlight   // what Poll last surfaced; the engine's until the next Poll
-	idle   []*memFlight // flight pool (see memFlight)
+	inbox  sim.Queue[*memFlight]
+	polled *memFlight              // what Poll last surfaced; the engine's until the next Poll
+	idle   sim.FreeList[memFlight] // flight pool (see memFlight)
 
 	// lastArrival[dst] is the latest mailbox delivery already scheduled
 	// toward dst. Allocated on first use and only when PerByte > 0: a
@@ -89,7 +89,7 @@ type MemTransport struct {
 	// Sender-side credit state per destination; lazily initialized to the
 	// fabric's credit allotment.
 	avail map[int]int
-	sendQ map[int]*FIFO[*Request] // sends queued awaiting credits, in issue order
+	sendQ map[int]*sim.Queue[*Request] // sends queued awaiting credits, in issue order
 }
 
 var _ Transport = (*MemTransport)(nil)
@@ -135,26 +135,19 @@ func (t *MemTransport) arrival(dst, n int) sim.Time {
 // receiver's, where it finishes: on landing for a credit, which never
 // surfaces, otherwise at the Poll after the one that surfaced it, until
 // which the packet is the engine's to read. Symmetric traffic keeps the
-// lists balanced and the cap bounds them when it is not.
+// lists balanced and the list's bound caps them when it is not.
 type memFlight struct {
 	to   *MemTransport
 	pkt  Packet
 	land func() // f.arrive, bound once
 }
 
-// memIdleCap bounds a rank's idle flights; returns beyond it fall to the
-// garbage collector.
-const memIdleCap = 64
-
 // deliver ships pkt into dst's mailbox. Every call site runs on t's own
 // lane (sends from the rank's proc, credit/CTS turnarounds from delivery
 // context), so Route's staging is always lane-local.
 func (t *MemTransport) deliver(dst int, pkt Packet) {
-	var f *memFlight
-	if k := len(t.idle) - 1; k >= 0 {
-		f, t.idle[k] = t.idle[k], nil
-		t.idle = t.idle[:k]
-	} else {
+	f := t.idle.Get()
+	if f == nil {
 		f = &memFlight{}
 		f.land = f.arrive
 	}
@@ -184,9 +177,7 @@ func (f *memFlight) arrive() {
 // recycle returns a finished flight to this rank's idle list.
 func (t *MemTransport) recycle(f *memFlight) {
 	f.to, f.pkt = nil, Packet{}
-	if len(t.idle) < memIdleCap {
-		t.idle = append(t.idle, f)
-	}
+	t.idle.Put(f)
 }
 
 // drainSendQ transmits queued sends for dst, in issue order, while flow
@@ -224,7 +215,7 @@ func (t *MemTransport) Send(p *sim.Proc, req *Request) {
 	q := t.sendQ[req.Env.Dest]
 	if q != nil && q.Len() > 0 || !t.trySend(req) {
 		if q == nil {
-			q = new(FIFO[*Request])
+			q = new(sim.Queue[*Request])
 			t.sendQ[req.Env.Dest] = q
 		}
 		q.Push(req)

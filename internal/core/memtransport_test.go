@@ -99,27 +99,16 @@ func TestInbox(t *testing.T) {
 			t.Fatalf("Len = %d, want %d", in.Len(), want)
 		}
 	}
-	// Mid-queue, every consumed slot must already be nil: a popped packet
-	// (and the payload view it holds) may not stay reachable.
-	for i, p := range in.q[:in.head] {
-		if p != nil {
-			t.Fatalf("consumed slot %d still holds its packet", i)
-		}
-	}
 	for in.Len() > 0 {
 		pop()
 	}
 	if in.Pop() != nil {
 		t.Fatal("Pop on a drained inbox is not nil")
 	}
-	// Steady state: one in, one out must reuse the array, not creep along it.
-	grown := cap(in.q)
-	for i := 0; i < 10_000; i++ {
-		in.Push(pkts[0])
-		in.Pop()
-	}
-	if slot0 := in.q[:1][0]; cap(in.q) != grown || in.head != 0 || slot0 != nil {
-		t.Fatalf("after 10^4 one-in-one-out cycles: cap %d (was %d), head %d, slot 0 %v", cap(in.q), grown, in.head, slot0)
+	// Steady state: one in, one out reuses the array (sim.TestQueue checks
+	// that popped slots are cleared).
+	if n := testing.AllocsPerRun(10_000, func() { in.Push(pkts[0]); in.Pop() }); n != 0 {
+		t.Fatalf("one-in-one-out cycle allocates %v objects", n)
 	}
 }
 
@@ -138,16 +127,16 @@ func auditFlights(t *testing.T, w *world) int {
 		seen[f] = where
 	}
 	for rank, ep := range w.fab.eps {
-		if len(ep.idle) > memIdleCap {
-			t.Errorf("rank %d: %d idle flights, cap %d", rank, len(ep.idle), memIdleCap)
+		if ep.idle.Len() > sim.DefaultFreeMax {
+			t.Errorf("rank %d: %d idle flights, cap %d", rank, ep.idle.Len(), sim.DefaultFreeMax)
 		}
-		for _, f := range ep.idle {
+		for f := range ep.idle.All() {
 			note(f, fmt.Sprintf("rank %d's idle list", rank))
 			if f.to != nil || f.pkt.Data != nil || f.pkt.Pool != nil {
 				t.Errorf("rank %d: idle flight %p was not cleared: %+v", rank, f, f.pkt)
 			}
 		}
-		for _, f := range ep.inbox.q[ep.inbox.head:] {
+		for f := range ep.inbox.All() {
 			note(f, fmt.Sprintf("rank %d's inbox", rank))
 		}
 		if ep.polled != nil {
@@ -180,7 +169,7 @@ func TestFabricIdleFlightsCapped(t *testing.T) {
 					}
 				},
 			)
-			if n := auditFlights(t, w); n == 0 || n > 2*memIdleCap+1 {
+			if n := auditFlights(t, w); n == 0 || n > 2*sim.DefaultFreeMax+1 {
 				t.Errorf("%d flights at rest after %d sends, want between 1 and two full idle lists", n, msgs)
 			}
 		})

@@ -87,43 +87,9 @@ type Packet struct {
 	Pool    *BufPool // owner of Data; the engine recycles the bounce buffer after its copy-out
 }
 
-// FIFO is the queue every transport and the flow layer share. It keeps a
-// consumed-prefix index instead of re-slicing the head (`q = q[1:]` shrinks
-// capacity by one per pop, so the next append reallocates and leaves every
-// popped element reachable through the old array), zeroes each popped slot
-// and rewinds the backing array once drained, so steady-state use neither
-// reallocates nor retains what it handed out. The zero value is empty.
-type FIFO[T any] struct {
-	q    []T
-	head int // consumed prefix of q
-}
-
 // Inbox holds arrived packets between delivery context, which pushes them,
 // and the polling process, which pops them.
-type Inbox = FIFO[*Packet]
-
-// Push appends v.
-func (f *FIFO[T]) Push(v T) { f.q = append(f.q, v) }
-
-// Front returns the oldest element without removing it; the queue must not
-// be empty.
-func (f *FIFO[T]) Front() T { return f.q[f.head] }
-
-// Pop removes and returns the oldest element, the zero T when empty.
-func (f *FIFO[T]) Pop() (v T) {
-	if f.head == len(f.q) {
-		return v
-	}
-	var zero T
-	v, f.q[f.head] = f.q[f.head], zero
-	if f.head++; f.head == len(f.q) {
-		f.q, f.head = f.q[:0], 0
-	}
-	return v
-}
-
-// Len reports the number of elements waiting.
-func (f *FIFO[T]) Len() int { return len(f.q) - f.head }
+type Inbox = sim.Queue[*Packet]
 
 // Transport moves bytes and charges platform time on behalf of an Engine.
 // The three primitives mirror the paper's §5.1 list: sending an envelope,

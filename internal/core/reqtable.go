@@ -23,10 +23,6 @@ type reqSlot struct {
 	gen uint32
 }
 
-// reqIdleCap bounds an engine's idle requests; releases beyond it fall to
-// the garbage collector.
-const reqIdleCap = 64
-
 // newRequest issues a zeroed request under a fresh name.
 func (e *Engine) newRequest() (*Request, error) {
 	var idx int
@@ -37,11 +33,8 @@ func (e *Engine) newRequest() (*Request, error) {
 	} else {
 		return nil, Errorf(ErrInternal, "request table full: %d slots live or retired", idx)
 	}
-	var r *Request
-	if n := len(e.idle) - 1; n >= 0 {
-		r, e.idle[n] = e.idle[n], nil
-		e.idle = e.idle[:n]
-	} else {
+	r := e.idle.Get()
+	if r == nil {
 		r = new(Request)
 	}
 	e.nextSeq++
@@ -112,9 +105,7 @@ func (e *Engine) retire(req *Request) {
 		return
 	}
 	*req = Request{}
-	if len(e.idle) < reqIdleCap {
-		e.idle = append(e.idle, req)
-	}
+	e.idle.Put(req)
 }
 
 // consume ends the caller's hold on r, reporting its outcome.

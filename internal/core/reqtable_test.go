@@ -116,7 +116,7 @@ func TestPeerDownFailedRequestNotRecycled(t *testing.T) {
 				}
 			}
 			next, _ := e.Isend(p, 2, 0, 0, ModeStandard, payload(8))
-			if next == starved || next == rndv || len(e.idle) != 0 {
+			if next == starved || next == rndv || e.idle.Len() != 0 {
 				t.Error("an error-completed request went back into circulation")
 			}
 			e.Wait(p, next)
@@ -130,20 +130,20 @@ func TestPeerDownFailedRequestNotRecycled(t *testing.T) {
 }
 
 // The idle list is capped: a burst of requests waited at once (the RPC
-// server's replies) parks at most reqIdleCap of them.
+// server's replies) parks at most sim.DefaultFreeMax of them.
 func TestIdleRequestsCapped(t *testing.T) {
 	w := newWorld(1, time.Microsecond, 180, 0)
 	w.run(t, func(p *sim.Proc, e *Engine) {
 		var rs []*Request
-		for i := 0; i < 4*reqIdleCap; i++ {
+		for i := 0; i < 4*sim.DefaultFreeMax; i++ {
 			r, _ := e.Irecv(p, 0, i, 0, nil)
 			rs = append(rs, r)
 		}
 		for _, r := range rs {
 			e.Cancel(p, r)
 		}
-		if len(e.idle) != reqIdleCap {
-			t.Errorf("%d idle requests after releasing %d, want the cap %d", len(e.idle), len(rs), reqIdleCap)
+		if e.idle.Len() != sim.DefaultFreeMax {
+			t.Errorf("%d idle requests after releasing %d, want the cap %d", e.idle.Len(), len(rs), sim.DefaultFreeMax)
 		}
 	})
 }

@@ -25,6 +25,7 @@ package flow
 
 import (
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // CostFunc reports the capacity units a queued message consumes at its
@@ -40,7 +41,7 @@ type Queue struct {
 	cost  CostFunc
 	limit int // Grant clamp (envelope slots); 0 = unbounded (byte credits)
 	avail []int
-	pend  []core.FIFO[*core.Request]
+	pend  []sim.Queue[*core.Request]
 	acct  *core.Acct
 }
 
@@ -54,7 +55,7 @@ func NewQueue(peers, initial, limit int, cost CostFunc, acct *core.Acct) *Queue 
 		cost:  cost,
 		limit: limit,
 		avail: make([]int, peers),
-		pend:  make([]core.FIFO[*core.Request], peers),
+		pend:  make([]sim.Queue[*core.Request], peers),
 		acct:  acct,
 	}
 	for i := range q.avail {

@@ -55,12 +55,12 @@ func NewMachine(s *sim.Scheduler, n int, c Costs) *Machine {
 type Node struct {
 	ID   int
 	M    *Machine
-	S    *sim.Scheduler // this node's scheduler
-	Lane int            // S.LaneID(), the Route address of this node
-	Elan *sim.FIFO      // Elan co-processor occupancy
-	Out  *sim.FIFO      // network injection port
-	Port *Tport         // attached tport widget, if any
-	idle []*xfer        // transfer-record pool (see xfer)
+	S    *sim.Scheduler     // this node's scheduler
+	Lane int                // S.LaneID(), the Route address of this node
+	Elan *sim.FIFO          // Elan co-processor occupancy
+	Out  *sim.FIFO          // network injection port
+	Port *Tport             // attached tport widget, if any
+	idle sim.FreeList[xfer] // transfer-record pool (see xfer)
 }
 
 // Txn models a user-level remote transaction carrying nbytes of payload to
@@ -109,8 +109,8 @@ func noCompletion() {}
 // without allocating. Records are pooled per node: drawn from the source's
 // pool and, because the last two hops run on the destination's lane,
 // returned to the destination's — traffic flows both ways (every envelope
-// is answered by a slot-free or an ack), so the pools stay balanced, and a
-// cap bounds the one that would not.
+// is answered by a slot-free or an ack), so the pools stay balanced, and the
+// list's bound caps the one that would not.
 type xfer struct {
 	src, dst *Node
 	nbytes   int
@@ -132,16 +132,9 @@ const (
 	xferDone          // landed: complete
 )
 
-// xferPoolCap bounds a node's idle records; returns beyond it fall to the
-// garbage collector.
-const xferPoolCap = 64
-
 func (n *Node) getXfer(dst, nbytes int, perByte, land sim.Duration) *xfer {
-	var x *xfer
-	if k := len(n.idle) - 1; k >= 0 {
-		x, n.idle[k] = n.idle[k], nil
-		n.idle = n.idle[:k]
-	} else {
+	x := n.idle.Get()
+	if x == nil {
 		x = &xfer{}
 		x.step = x.run
 	}
@@ -184,9 +177,7 @@ func (x *xfer) recycle() (done func()) {
 	n := x.dst
 	done = x.onRemote
 	x.src, x.dst, x.onLocal, x.onRemote = nil, nil, nil, nil
-	if len(n.idle) < xferPoolCap {
-		n.idle = append(n.idle, x)
-	}
+	n.idle.Put(x)
 	return done
 }
 

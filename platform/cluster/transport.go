@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/atm"
 	"repro/internal/core"
@@ -45,7 +46,7 @@ type transport struct {
 	// last surfaced, the engine's until the next Poll returns it to idle.
 	inbox  core.Inbox
 	polled *core.Packet
-	idle   []*core.Packet
+	idle   sim.FreeList[core.Packet]
 	rr     int // round-robin parse start
 
 	// Credit flow control (sender side): bytes we may still push toward
@@ -76,7 +77,7 @@ type transport struct {
 
 	// Buffered sends whose credits arrived; shipped on the next Poll from
 	// the owning process's context.
-	pendingShip core.FIFO[*core.Request]
+	pendingShip sim.Queue[*core.Request]
 
 	// Ranks fenced by PeerDown: every frame toward them is swallowed —
 	// retrying into a dead peer's black hole would otherwise escalate one
@@ -420,7 +421,7 @@ func (t *transport) takeRTR(req *core.Request) (rtrAd, bool) {
 	q := t.rtrQ[req.Env.Dest]
 	for i, ad := range q {
 		if ad.env.Context == req.Env.Context && ad.env.Tag == req.Env.Tag && ad.env.Count >= req.Env.Count {
-			t.rtrQ[req.Env.Dest] = append(q[:i:i], q[i+1:]...)
+			t.rtrQ[req.Env.Dest] = slices.Delete(q, i, i+1)
 			return ad, true
 		}
 	}
@@ -453,13 +454,11 @@ func (t *transport) finishRTRFallback(st *rndvRecvSt) {
 	t.push(core.Packet{Kind: core.PktEager, Env: st.env, Data: st.bounce, Pool: t.pool})
 }
 
-// push queues a parsed frame for the engine on a pooled packet. Packets are
-// drawn and returned here, so the pool is bounded by the deepest inbox.
+// push queues a parsed frame for the engine on a pooled packet, drawn here
+// and returned by the next Poll, both on this rank's lane.
 func (t *transport) push(pkt core.Packet) {
-	var q *core.Packet
-	if n := len(t.idle) - 1; n >= 0 {
-		q, t.idle = t.idle[n], t.idle[:n]
-	} else {
+	q := t.idle.Get()
+	if q == nil {
 		q = new(core.Packet)
 	}
 	*q = pkt
@@ -540,7 +539,7 @@ func (t *transport) addCredit(src, n int) {
 func (t *transport) Poll(p *sim.Proc) *core.Packet {
 	if t.polled != nil {
 		*t.polled = core.Packet{}
-		t.idle = append(t.idle, t.polled)
+		t.idle.Put(t.polled)
 	}
 	if t.inbox.Len() == 0 {
 		t.parseAvailable(p)

@@ -31,9 +31,9 @@ type lowlatTransport struct {
 	max  int
 	all  []*lowlatTransport // indexed by rank
 
-	inbox  core.FIFO[*flight]
-	polled core.Packet // what Poll last surfaced; valid until the next Poll
-	idle   []*flight   // flight pool (see flight)
+	inbox  sim.Queue[*flight]
+	polled core.Packet          // what Poll last surfaced; valid until the next Poll
+	idle   sim.FreeList[flight] // flight pool (see flight)
 
 	// Envelope-slot flow control through the shared flow layer: at most
 	// `slots` outstanding envelopes per destination (the paper allocates
@@ -80,24 +80,18 @@ func (t *lowlatTransport) MaxEager() int { return t.max }
 // message allocates neither a packet nor a closure. A flight is drawn from
 // the sender's pool and returned to the receiver's (it finishes on the
 // receiver's lane); every envelope is answered by a slot-free the other
-// way, which keeps the pools balanced, and a cap bounds them regardless.
+// way, which keeps the pools balanced, and the list's bound caps them
+// regardless.
 type flight struct {
 	to   *lowlatTransport
 	pkt  core.Packet
 	land func() // f.arrive, bound once
 }
 
-// flightPoolCap bounds a rank's idle flights; returns beyond it fall to the
-// garbage collector.
-const flightPoolCap = 64
-
 // ship sends pkt to rank dst in one transaction of nbytes.
 func (t *lowlatTransport) ship(dst, nbytes int, pkt core.Packet) {
-	var f *flight
-	if k := len(t.idle) - 1; k >= 0 {
-		f, t.idle[k] = t.idle[k], nil
-		t.idle = t.idle[:k]
-	} else {
+	f := t.idle.Get()
+	if f == nil {
 		f = &flight{}
 		f.land = f.arrive
 	}
@@ -122,9 +116,7 @@ func (f *flight) arrive() {
 // recycle returns a landed flight to this rank's pool.
 func (t *lowlatTransport) recycle(f *flight) {
 	f.to, f.pkt = nil, core.Packet{}
-	if len(t.idle) < flightPoolCap {
-		t.idle = append(t.idle, f)
-	}
+	t.idle.Put(f)
 }
 
 // Send implements core.Transport. Every envelope — eager or rendezvous —
