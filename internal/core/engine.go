@@ -121,21 +121,14 @@ func NewEngine(s *sim.Scheduler, rank, size int, costs EngineCosts, acct *Acct) 
 func (e *Engine) Pool() *BufPool { return e.pool }
 
 // Bounce copies an eager or rendezvous payload into delivery storage for a
-// transport whose receiver reads the sender's copy. Same-lane transfers
-// draw from this (the sending) engine's pool and the receiving engine
-// recycles the buffer after copy-out — safe because both ends share one
-// scheduler. A cross-lane Put would mutate this lane's freelist from the
-// destination lane, so those transfers use plain GC-owned buffers (pool
-// nil) instead.
-func (e *Engine) Bounce(sameLane bool, payload []byte) (data []byte, pool *BufPool) {
-	if sameLane {
-		pool = e.pool
-		data = pool.Get(len(payload))
-	} else {
-		data = make([]byte, len(payload))
-	}
+// transport whose receiver reads the sender's copy, on every kernel by one
+// rule (see BufPool): the buffer is drawn from this (the sending) engine's
+// pool on the sender's lane, crosses to dst's lane with the delivery, and
+// goes back to the returned pool — dst's — after the copy-out there.
+func (e *Engine) Bounce(dst *Engine, payload []byte) (data []byte, pool *BufPool) {
+	data = e.pool.Get(len(payload))
 	copy(data, payload)
-	return data, pool
+	return data, dst.pool
 }
 
 // newInMsg draws an unexpected-queue node from the freelist.

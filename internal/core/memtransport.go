@@ -203,7 +203,7 @@ func (t *MemTransport) trySend(req *Request) bool {
 		return false
 	}
 	t.avail[dst] -= n
-	data, pool := t.eng.Bounce(t.fab.schedFor(dst) == t.s, req.Buf)
+	data, pool := t.eng.Bounce(t.fab.eps[dst].eng, req.Buf)
 	t.deliver(dst, Packet{Kind: PktEager, Env: req.Env, Data: data, Pool: pool})
 	t.eng.SendDone(req)
 	return true
@@ -231,7 +231,7 @@ func (t *MemTransport) Accept(p *sim.Proc, msg *InMsg, req *Request) {
 // SendPayload implements Transport: the CTS surfaced at the sender; move
 // the payload straight into the posted receive.
 func (t *MemTransport) SendPayload(p *sim.Proc, req *Request, pkt *Packet) {
-	data, pool := t.eng.Bounce(t.fab.schedFor(req.Env.Dest) == t.s, req.Buf)
+	data, pool := t.eng.Bounce(t.fab.eps[req.Env.Dest].eng, req.Buf)
 	t.deliver(req.Env.Dest, Packet{Kind: PktData, Env: req.Env, ReqID: pkt.Landing, Data: data, Pool: pool})
 	t.eng.SendDone(req)
 }

@@ -9,11 +9,13 @@ import "math/bits"
 // hit/miss and bytes-recycled counters are booked into the owning Acct for
 // the trace tool.
 //
-// Pools are deliberately unsynchronized: every pool is owned by one
-// simulated world, whose scheduler admits a single running proc at a time,
-// so Get/Put never race. Buffers may migrate between the pools of
-// different ranks in one world (a receiver recycles a frame the sender's
-// pool allocated); that is safe for the same reason.
+// Pools are deliberately unsynchronized: each belongs to one rank, and
+// every Get and Put runs on that rank's lane. A buffer may still migrate
+// between ranks (a bounce buffer is drawn from the sender's pool and
+// returned to the receiver's, see Engine.Bounce): Get runs on the drawing
+// lane, Put on the receiving lane, and the buffer itself crosses between
+// them through Route, which orders the sender's writes before the
+// receiver's reads — also when Shard.Parallel runs the lanes on threads.
 type BufPool struct {
 	acct    *Acct
 	classes [poolClasses][][]byte

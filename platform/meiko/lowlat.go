@@ -31,9 +31,10 @@ type lowlatTransport struct {
 	max  int
 	all  []*lowlatTransport // indexed by rank
 
-	inbox  sim.Queue[*flight]
-	polled core.Packet          // what Poll last surfaced; valid until the next Poll
-	idle   sim.FreeList[flight] // flight pool (see flight)
+	inbox    sim.Queue[*flight]
+	polled   core.Packet          // what Poll last surfaced; valid until the next Poll
+	idle     sim.FreeList[flight] // flight pool (see flight)
+	rndvIdle sim.FreeList[rndv]   // rendezvous pool (see rndv)
 
 	// Envelope-slot flow control through the shared flow layer: at most
 	// `slots` outstanding envelopes per destination (the paper allocates
@@ -153,50 +154,80 @@ func (t *lowlatTransport) transmit(req *core.Request) {
 	t.eng.Acct().Incr("eager", 1)
 	// The per-sender envelope slot is modeled by a bounce buffer: the
 	// receiving engine recycles it after the copy-out that frees the slot.
-	data, pool := t.eng.Bounce(t.all[dst].node.S == t.node.S, req.Buf)
+	data, pool := t.eng.Bounce(t.all[dst].eng, req.Buf)
 	t.ship(dst, envelopeTxnBytes+len(data), core.Packet{Kind: core.PktEager, Env: env, Data: data, Pool: pool})
 	t.eng.SendDone(req)
+}
+
+// rndv is one rendezvous after the receiver matched its RTS: the CTS
+// transaction to the sender's Elan, then the payload DMA back. Its three
+// steps are bound once per record, so the paper's direct-DMA path
+// allocates nothing: cts runs on the sender's lane when the CTS lands,
+// sent when the DMA's last byte leaves the sender, land on the receiver's
+// lane when the DMA completes. A record is drawn from the receiver's list
+// and returned to it on landing — or, when the CTS finds the send already
+// failed, to the sender's list on the sender's lane, and no DMA starts.
+type rndv struct {
+	recv, send *lowlatTransport
+	req        *core.Request // the matched receive
+	sreq       *core.Request // the send the CTS resolved (sender's lane, until sent)
+	env        core.Envelope
+	n          int    // bytes the DMA moves: the message, cut to the receive buffer
+	data       []byte // the payload's bounce copy (see Engine.Bounce)
+
+	cts, sent, land func() // r.clearToSend, r.departed, r.landed, bound once
 }
 
 // Accept implements core.Transport: the receiver matched an RTS. The CTS
 // transaction goes back to the sender's Elan, which starts the payload DMA
 // autonomously — the sending SPARC never runs.
 func (t *lowlatTransport) Accept(p *sim.Proc, msg *core.InMsg, req *core.Request) {
-	c := t.m.Costs
-	t.eng.Acct().Charge(p, core.CostProtocol, c.TxnIssue)
-	src := msg.Env.Source
-	env := msg.Env
-	sender := t.all[src]
-	recvEng := t.eng
-	t.node.Txn(src, ctrlTxnBytes, false, func() {
-		// The CTS implies the receiver matched: synchronous-mode sends are
-		// acknowledged here, since the engine never sees the CTS. A send a
-		// fault failed meanwhile no longer resolves, and nothing moves.
-		sreq := sender.eng.SendAcked(env.SendID)
-		if sreq == nil {
-			return
-		}
-		n := env.Count
-		if n > len(req.Buf) {
-			n = len(req.Buf)
-		}
-		// The DMA landing event copies the payload on the receiver's lane,
-		// concurrent (same epoch) with sender-lane events that may reuse the
-		// buffer after SendDone — so cross-lane transfers snapshot it here,
-		// on the sender's lane, while the send still owns it.
-		payload := sreq.Buf
-		if sender.node.S != t.node.S {
-			snap := make([]byte, n)
-			copy(snap, sreq.Buf[:n])
-			payload = snap
-		}
-		sender.node.DMA(recvEng.Rank(), n,
-			func() { sender.eng.SendDone(sreq) },
-			func() {
-				copy(req.Buf[:n], payload[:n])
-				recvEng.RecvDataDone(req, env)
-			})
-	})
+	t.eng.Acct().Charge(p, core.CostProtocol, t.m.Costs.TxnIssue)
+	r := t.rndvIdle.Get()
+	if r == nil {
+		r = &rndv{}
+		r.cts, r.sent, r.land = r.clearToSend, r.departed, r.landed
+	}
+	r.recv, r.send, r.req, r.env = t, t.all[msg.Env.Source], req, msg.Env
+	r.n = min(msg.Env.Count, len(req.Buf))
+	t.node.Txn(msg.Env.Source, ctrlTxnBytes, false, r.cts)
+}
+
+// clearToSend runs on the sender's lane when the CTS lands. The CTS implies
+// the receiver matched: synchronous-mode sends are acknowledged here, since
+// the engine never sees the CTS. A send a fault failed meanwhile no longer
+// resolves, and nothing moves. Otherwise the payload is copied out while
+// the send still owns its buffer — the landing runs on the receiver's lane,
+// after SendDone has handed the buffer back — and the DMA starts.
+func (r *rndv) clearToSend() {
+	s := r.send
+	if r.sreq = s.eng.SendAcked(r.env.SendID); r.sreq == nil {
+		s.recycleRndv(r)
+		return
+	}
+	r.data, _ = s.eng.Bounce(r.recv.eng, r.sreq.Buf[:r.n])
+	s.node.DMA(r.recv.eng.Rank(), r.n, r.sent, r.land)
+}
+
+// departed runs on the sender's lane when the DMA's last byte has left.
+func (r *rndv) departed() {
+	r.send.eng.SendDone(r.sreq)
+	r.sreq = nil
+}
+
+// landed runs on the receiver's lane when the DMA completes.
+func (r *rndv) landed() {
+	t := r.recv
+	copy(r.req.Buf, r.data)
+	t.eng.Pool().Put(r.data)
+	t.eng.RecvDataDone(r.req, r.env)
+	t.recycleRndv(r)
+}
+
+// recycleRndv returns a finished rendezvous to this rank's pool.
+func (t *lowlatTransport) recycleRndv(r *rndv) {
+	r.recv, r.send, r.req, r.sreq, r.env, r.n, r.data = nil, nil, nil, nil, core.Envelope{}, 0, nil
+	t.rndvIdle.Put(r)
 }
 
 // SendPayload implements core.Transport. CTS packets never surface to the

@@ -379,25 +379,35 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
-// pingPongMallocs runs trips 1-byte round trips on meiko/lowlatency and
-// reports the heap objects the whole job allocated.
-func pingPongMallocs(t *testing.T, trips int) uint64 {
+// pingPongMallocs runs trips n-byte round trips on meiko/lowlatency with
+// the given lanes and reports the heap objects the whole job allocated.
+func pingPongMallocs(t *testing.T, lanes, n, trips int) uint64 {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	pingPong(t, registry.Spec{Impl: "lowlatency"}, 1, trips)
+	pingPong(t, registry.Spec{Impl: "lowlatency", Lanes: lanes}, n, trips)
 	runtime.ReadMemStats(&after)
 	return after.Mallocs - before.Mallocs
 }
 
-// The paper's 104 us round trip allocates nothing once warm: its four engine
-// requests are recycled as each blocking call returns, and flights and Elan
-// transaction records were pooled already. Short and long runs are
-// subtracted so world construction and warm-up cancel.
+// The paper's round trip allocates nothing once warm, on either side of the
+// 180-byte crossover and whether or not the two nodes share a lane: its
+// four engine requests are recycled as each blocking call returns; flights,
+// Elan transfer records and rendezvous records are pooled; and every bounce
+// buffer — the eager envelope slot's and the DMA's payload copy — is drawn
+// from the sender's pool and returned to the receiver's. Short and long
+// runs are subtracted so world construction and warm-up cancel.
 func TestPingPongAllocFree(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const short, long = 200, 2200
-	if extra := int64(pingPongMallocs(t, long)) - int64(pingPongMallocs(t, short)); extra > 64 {
-		t.Errorf("%d more round trips allocated %d more objects (%.2f each), want a constant", long-short, extra, float64(extra)/(long-short))
+	for _, lanes := range []int{0, 2} {
+		for _, n := range []int{1, 1024} {
+			t.Run(fmt.Sprintf("lanes%d/%dB", lanes, n), func(t *testing.T) {
+				extra := int64(pingPongMallocs(t, lanes, n, long)) - int64(pingPongMallocs(t, lanes, n, short))
+				if extra > 64 {
+					t.Errorf("%d more round trips allocated %d more objects (%.2f each), want a constant", long-short, extra, float64(extra)/(long-short))
+				}
+			})
+		}
 	}
 }
