@@ -3,7 +3,10 @@
 //
 //	mpirun -np 8 -app linsolve -platform meiko -impl lowlatency -n 128
 //	mpirun -np 4 -app particles -platform cluster -net eth
-//	mpirun -np 8 -app samplesort -platform cluster -transport unet
+//	mpirun -np 8 -app matmul -platform cluster -transport unet
+//
+// With -coll, each forced algorithm is printed with how many calls it
+// served, so a forced collective the application never calls shows as 0.
 //
 // Backends come from platform/registry; -platform/-impl/-transport
 // resolve through registry.Run, whose typed errors list the registered
@@ -29,15 +32,20 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/coll"
 	"repro/internal/workload"
 	"repro/mpi"
 	"repro/platform/registry"
@@ -47,54 +55,60 @@ import (
 )
 
 // appNames lists the launchable applications, for validation and usage.
-var appNames = []string{"linsolve", "matmul", "particles", "samplesort", "ftshrink"}
+var appNames = []string{"linsolve", "matmul", "particles", "ftshrink"}
 
 func main() {
 	log.SetFlags(0)
-	np := flag.Int("np", 4, "number of ranks")
-	app := flag.String("app", "linsolve", strings.Join(appNames, " | "))
-	platform := flag.String("platform", "meiko", "meiko | cluster | mem")
-	impl := flag.String("impl", "", "meiko implementation: lowlatency | mpich (default lowlatency)")
-	transport := flag.String("transport", "", "cluster transport: tcp | udp | unet | shm (default tcp)")
-	network := flag.String("net", "", "cluster network: atm | eth (default atm)")
-	n := flag.Int("n", 0, "problem size (0 = per-app default)")
-	seed := flag.Int64("seed", 1, "workload seed")
-	fattree := flag.Bool("fattree", false, "meiko: staged fat-tree congestion model")
-	lanes := flag.Int("lanes", 0, "run on the sharded kernel with this many lanes (0 = single-lane kernel)")
-	parallel := flag.Bool("parallel", false, "with -lanes: execute epochs on pinned worker goroutines")
-	collTune := flag.String("coll", "", `force collective algorithms, e.g. "bcast=pipelined,allreduce=rsag" (default auto-select)`)
-	loss := flag.Float64("loss", 0, "cluster: per-frame loss probability (transport udp)")
-	delay := flag.Duration("delay", 0, "cluster: fixed one-way latency added per frame")
-	jitter := flag.Duration("jitter", 0, "cluster: extra uniform per-frame latency in [0, jitter) (transport udp)")
-	reorder := flag.Float64("reorder", 0, "cluster: per-frame reordering probability (transport udp)")
-	dup := flag.Float64("dup", 0, "cluster: per-frame duplication probability (transport udp)")
-	dropnth := flag.Int("dropnth", 0, "cluster: deterministically drop every Nth frame of each (src, dst) link (transport udp)")
-	partition := flag.String("partition", "", `cluster: partition schedule, e.g. "0-1@5ms:20ms;2-*" (A-B[@FROM:UNTIL], * = any host)`)
-	faultseed := flag.Int64("faultseed", 0, "cluster: fault-injection RNG seed (0 = derive from -seed)")
-	nortr := flag.Bool("nortr", false, "cluster: disable the RDMA-write rendezvous (pin large sends to RTS/CTS)")
-	kill := flag.String("kill", "", `process-death schedule, e.g. "2@5ms;3@8ms" (RANK@T; any backend)`)
-	treefault := flag.String("treefault", "", `meiko: switch-plane outage schedule, e.g. "1:0@5ms-20ms" (STAGE:LANE@FROM[-UNTIL]; implies -fattree)`)
-	wl := flag.String("workload", "", "run a macro-workload pattern instead of -app: "+strings.Join(workload.Names(), " | "))
-	record := flag.String("record", "", "with -workload: write the recorded binary trace here")
-	replay := flag.String("replay", "", "replay a recorded trace (world rebuilt from its header; -lanes/-parallel may override the kernel)")
-	steps := flag.Int("steps", 0, "workload iterations per rank (0 = default 20)")
-	wbytes := flag.Int("bytes", 0, "workload per-message payload bytes (0 = default 1024)")
-	rate := flag.Float64("rate", 0, "rpc workload: mean think rate, requests/sec per client (0 = default 2000)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout))
+}
+
+// run is the whole command: it parses args, runs the job, writes its report
+// to stdout (diagnostics go to the log) and returns the exit code.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("mpirun", flag.ContinueOnError)
+	np := fs.Int("np", 4, "number of ranks")
+	app := fs.String("app", "linsolve", strings.Join(appNames, " | "))
+	platform := fs.String("platform", "meiko", "meiko | cluster | mem")
+	impl := fs.String("impl", "", "meiko implementation: lowlatency | mpich (default lowlatency)")
+	transport := fs.String("transport", "", "cluster transport: tcp | udp | unet | shm (default tcp)")
+	network := fs.String("net", "", "cluster network: atm | eth (default atm)")
+	n := fs.Int("n", 0, "problem size (0 = per-app default)")
+	seed := fs.Int64("seed", 1, "workload seed")
+	fattree := fs.Bool("fattree", false, "meiko: staged fat-tree congestion model")
+	lanes := fs.Int("lanes", 0, "run on the sharded kernel with this many lanes (0 = single-lane kernel)")
+	parallel := fs.Bool("parallel", false, "with -lanes: execute epochs on pinned worker goroutines")
+	collTune := fs.String("coll", "", `force collective algorithms, e.g. "bcast=pipelined,allreduce=rsag" (default auto-select)`)
+	loss := fs.Float64("loss", 0, "cluster: per-frame loss probability (transport udp)")
+	delay := fs.Duration("delay", 0, "cluster: fixed one-way latency added per frame")
+	jitter := fs.Duration("jitter", 0, "cluster: extra uniform per-frame latency in [0, jitter) (transport udp)")
+	reorder := fs.Float64("reorder", 0, "cluster: per-frame reordering probability (transport udp)")
+	dup := fs.Float64("dup", 0, "cluster: per-frame duplication probability (transport udp)")
+	dropnth := fs.Int("dropnth", 0, "cluster: deterministically drop every Nth frame of each (src, dst) link (transport udp)")
+	partition := fs.String("partition", "", `cluster: partition schedule, e.g. "0-1@5ms:20ms;2-*" (A-B[@FROM:UNTIL], * = any host)`)
+	faultseed := fs.Int64("faultseed", 0, "cluster: fault-injection RNG seed (0 = derive from -seed)")
+	nortr := fs.Bool("nortr", false, "cluster: disable the RDMA-write rendezvous (pin large sends to RTS/CTS)")
+	kill := fs.String("kill", "", `process-death schedule, e.g. "2@5ms;3@8ms" (RANK@T; any backend)`)
+	treefault := fs.String("treefault", "", `meiko: switch-plane outage schedule, e.g. "1:0@0s-20ms" (STAGE:LANE@FROM[-UNTIL]; implies -fattree)`)
+	wl := fs.String("workload", "", "run a macro-workload pattern instead of -app: "+strings.Join(workload.Names(), " | "))
+	record := fs.String("record", "", "with -workload: write the recorded binary trace here")
+	replay := fs.String("replay", "", "replay a recorded trace (world rebuilt from its header; -lanes/-parallel may override the kernel)")
+	steps := fs.Int("steps", 0, "workload iterations per rank (0 = default 20)")
+	wbytes := fs.Int("bytes", 0, "workload per-message payload bytes (0 = default 1024)")
+	rate := fs.Float64("rate", 0, "rpc workload: mean think rate, requests/sec per client (0 = default 2000)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 1
+	}
 
 	if *replay != "" {
-		os.Exit(replayTrace(*replay, *lanes, *parallel))
+		return replayTrace(stdout, *replay, *lanes, *parallel)
 	}
 
-	validApp := false
-	for _, name := range appNames {
-		if *app == name {
-			validApp = true
-			break
-		}
-	}
-	if !validApp && *wl == "" {
-		log.Fatalf("mpirun: unknown app %q\napps: %s", *app, strings.Join(appNames, ", "))
+	if !slices.Contains(appNames, *app) && *wl == "" {
+		log.Printf("mpirun: unknown app %q\napps: %s", *app, strings.Join(appNames, ", "))
+		return 1
 	}
 
 	spec := registry.Spec{
@@ -128,7 +142,7 @@ func main() {
 			Lanes: *lanes, Seed: *seed,
 			Steps: *steps, Bytes: *wbytes, Rate: *rate,
 		}
-		os.Exit(runWorkload(spec, cfg, *record))
+		return runWorkload(stdout, spec, cfg, *record)
 	}
 
 	secPerFlop := apps.MeikoSecPerFlop
@@ -157,7 +171,7 @@ func main() {
 				return err
 			}
 			if c.Rank() == 0 {
-				fmt.Printf("linsolve N=%d: %.4fs virtual, residual %.2e\n", size, res.Elapsed.Seconds(), res.Residual)
+				fmt.Fprintf(stdout, "linsolve N=%d: %.4fs virtual, residual %.2e\n", size, res.Elapsed.Seconds(), res.Residual)
 			}
 		case "matmul":
 			size := *n
@@ -169,7 +183,7 @@ func main() {
 				return err
 			}
 			if c.Rank() == 0 {
-				fmt.Printf("matmul N=%d: %.4fs virtual, max error %.2e\n", size, res.Elapsed.Seconds(), res.MaxError)
+				fmt.Fprintf(stdout, "matmul N=%d: %.4fs virtual, max error %.2e\n", size, res.Elapsed.Seconds(), res.MaxError)
 			}
 		case "particles":
 			size := *n
@@ -184,19 +198,7 @@ func main() {
 				return err
 			}
 			if c.Rank() == 0 {
-				fmt.Printf("particles N=%d: %.1fus virtual\n", size, float64(res.Elapsed)/1e3)
-			}
-		case "samplesort":
-			size := *n
-			if size == 0 {
-				size = 128 * *np
-			}
-			res, err := apps.SampleSort(c, apps.SampleSortConfig{N: size, SecPerFlop: secPerFlop, Seed: *seed})
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				fmt.Printf("samplesort N=%d: %.1fus virtual, rank0 holds %d keys\n", size, float64(res.Elapsed)/1e3, len(res.Sorted))
+				fmt.Fprintf(stdout, "particles N=%d: %.1fus virtual\n", size, float64(res.Elapsed)/1e3)
 			}
 		case "ftshrink":
 			res, err := apps.FTShrink(c, apps.FTShrinkConfig{Compute: 100 * time.Microsecond})
@@ -212,7 +214,7 @@ func main() {
 			}
 			ftMu.Unlock()
 			if !res.Died && res.NewRank == 0 {
-				fmt.Printf("ftshrink: sum %d over %d survivors (shrunk=%v), %.1fus virtual\n",
+				fmt.Fprintf(stdout, "ftshrink: sum %d over %d survivors (shrunk=%v), %.1fus virtual\n",
 					res.Sum, res.Survivors, res.Shrunk, float64(res.Elapsed.Nanoseconds())/1e3)
 			}
 		}
@@ -225,19 +227,22 @@ func main() {
 		// algorithm listings, so a typo prints them instead of a usage dump.
 		// A death the application did not survive lands here too: the
 		// victim's (or a stuck survivor's) body error is world-fatal.
-		log.Fatalf("mpirun: %v", err)
+		log.Printf("mpirun: %v", err)
+		return 1
 	}
-	fmt.Printf("job: %d ranks on %s, finished at virtual t=%v (%d sends, %d receives)\n",
+	fmt.Fprintf(stdout, "job: %d ranks on %s, finished at virtual t=%v (%d sends, %d receives)\n",
 		*np, spec.Key(), rep.MaxRankElapsed, rep.Acct.Count["send"], rep.Acct.Count["recv"])
+	printForced(stdout, spec.Coll, rep)
 	if ftDied > 0 {
-		fmt.Printf("faults: %d rank(s) killed, %d survivor(s) recovered by shrink\n", ftDied, ftShrunk)
-		os.Exit(2) // survived-with-shrink: degraded success, not failure
+		fmt.Fprintf(stdout, "faults: %d rank(s) killed, %d survivor(s) recovered by shrink\n", ftDied, ftShrunk)
+		return 2 // survived-with-shrink: degraded success, not failure
 	}
+	return 0
 }
 
 // runWorkload records one workload run, prints its SLO summary, and
 // optionally saves the binary trace. Returns the process exit code.
-func runWorkload(spec registry.Spec, cfg workload.Config, recordPath string) int {
+func runWorkload(stdout io.Writer, spec registry.Spec, cfg workload.Config, recordPath string) int {
 	w, err := registry.Build(spec)
 	if err != nil {
 		log.Printf("mpirun: %v", err)
@@ -248,21 +253,23 @@ func runWorkload(spec registry.Spec, cfg workload.Config, recordPath string) int
 		log.Printf("mpirun: workload: %v", err)
 		return 1
 	}
-	printSummary(spec.Key(), res)
+	printSummary(stdout, spec.Key(), res)
+	printForced(stdout, spec.Coll, res.Report)
 	if recordPath != "" {
 		data := res.Trace.Marshal()
 		if err := os.WriteFile(recordPath, data, 0o644); err != nil {
 			log.Printf("mpirun: %v", err)
 			return 1
 		}
-		fmt.Printf("recorded %d events (%d bytes) to %s\n", len(res.Trace.Events), len(data), recordPath)
+		fmt.Fprintf(stdout, "recorded %d events (%d bytes) to %s\n", len(res.Trace.Events), len(data), recordPath)
 	}
 	return 0
 }
 
 // replayTrace re-runs a saved trace on a world rebuilt from its header
 // (kernel overridable via -lanes/-parallel) and verifies determinism.
-func replayTrace(path string, lanes int, parallel bool) int {
+// -parallel applies to the recorded lane count when -lanes is not given.
+func replayTrace(stdout io.Writer, path string, lanes int, parallel bool) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		log.Printf("mpirun: %v", err)
@@ -277,9 +284,9 @@ func replayTrace(path string, lanes int, parallel bool) int {
 	spec.Ranks = tr.Cfg.Ranks
 	spec.Seed = tr.Cfg.Seed
 	spec.Workload = tr.Cfg.Pattern
-	spec.Lanes = tr.Cfg.Lanes
+	spec.Lanes, spec.Parallel = tr.Cfg.Lanes, parallel
 	if lanes > 0 {
-		spec.Lanes, spec.Parallel = lanes, parallel
+		spec.Lanes = lanes
 	}
 	w, err := registry.Build(spec)
 	if err != nil {
@@ -291,15 +298,23 @@ func replayTrace(path string, lanes int, parallel bool) int {
 		log.Printf("mpirun: %v", err)
 		return 1
 	}
-	printSummary(spec.Key(), res)
-	fmt.Printf("replay ok: %d events reproduced bit-identically\n", len(tr.Events))
+	printSummary(stdout, spec.Key(), res)
+	fmt.Fprintf(stdout, "replay ok: %d events reproduced bit-identically\n", len(tr.Events))
 	return 0
 }
 
-func printSummary(backend string, res *workload.Result) {
+func printSummary(stdout io.Writer, backend string, res *workload.Result) {
 	s := res.Summary
-	fmt.Printf("workload %s on %s: %d SLO events, elapsed %.1fus virtual\n",
+	fmt.Fprintf(stdout, "workload %s on %s: %d SLO events, elapsed %.1fus virtual\n",
 		s.Pattern, backend, s.Events, s.ElapsedUS)
-	fmt.Printf("latency p50/p99/p999 %.1f/%.1f/%.1f us; throughput %.0f ops/s, %.2f MB/s\n",
+	fmt.Fprintf(stdout, "latency p50/p99/p999 %.1f/%.1f/%.1f us; throughput %.0f ops/s, %.2f MB/s\n",
 		s.P50US, s.P99US, s.P999US, s.OpsPerSec, s.MBPerSec)
+}
+
+// printForced reports how many calls each algorithm forced by -coll served.
+func printForced(stdout io.Writer, tuning string, rep *mpi.Report) {
+	forced, _ := coll.ParseTuning(tuning) // Build has already accepted it
+	for _, op := range slices.Sorted(maps.Keys(forced)) {
+		fmt.Fprintf(stdout, "coll %s=%s: %d calls\n", op, forced[op], rep.Acct.Count["coll."+op+"."+forced[op]])
+	}
 }

@@ -212,70 +212,3 @@ func TestParticlesBadDivision(t *testing.T) {
 		t.Fatal("24 particles on 5 ranks should error")
 	}
 }
-
-func TestSampleSortGloballyOrdered(t *testing.T) {
-	for _, procs := range []int{1, 2, 4, 8} {
-		procs := procs
-		const n = 512
-		parts := make([][]int64, procs)
-		_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: procs, Impl: "lowlatency"}, func(c *mpi.Comm) error {
-			res, err := SampleSort(c, SampleSortConfig{N: n, Seed: 4})
-			if err != nil {
-				return err
-			}
-			parts[c.Rank()] = res.Sorted
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("procs=%d: %v", procs, err)
-		}
-		// Concatenated partitions must be globally sorted and complete.
-		var all []int64
-		for r, part := range parts {
-			for i := 1; i < len(part); i++ {
-				if part[i] < part[i-1] {
-					t.Fatalf("procs=%d rank %d: local partition unsorted", procs, r)
-				}
-			}
-			if len(all) > 0 && len(part) > 0 && part[0] < all[len(all)-1] {
-				t.Fatalf("procs=%d: partition %d starts below partition %d's end", procs, r, r-1)
-			}
-			all = append(all, part...)
-		}
-		if len(all) != n {
-			t.Fatalf("procs=%d: %d keys out, want %d", procs, len(all), n)
-		}
-	}
-}
-
-func TestSampleSortCluster(t *testing.T) {
-	parts := make([][]int64, 4)
-	_, err := registry.Run(registry.Spec{Platform: "cluster", Ranks: 4, Transport: "tcp", Network: "atm"}, func(c *mpi.Comm) error {
-		res, err := SampleSort(c, SampleSortConfig{N: 256, Seed: 9, SecPerFlop: SGISecPerFlop})
-		if err != nil {
-			return err
-		}
-		parts[c.Rank()] = res.Sorted
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total != 256 {
-		t.Fatalf("keys out = %d", total)
-	}
-}
-
-func TestSampleSortBadDivision(t *testing.T) {
-	_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 3, Impl: "lowlatency"}, func(c *mpi.Comm) error {
-		_, err := SampleSort(c, SampleSortConfig{N: 100, Seed: 1})
-		return err
-	})
-	if err == nil {
-		t.Fatal("100 keys on 3 ranks should error")
-	}
-}

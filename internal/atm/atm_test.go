@@ -626,8 +626,7 @@ func TestNagleDelayedAckStall(t *testing.T) {
 		s, cl := newCluster(2)
 		a, b := cl.TCPPair(0, 1, OverEthernet)
 		if nagle {
-			a.Nagle, a.DelayedAck = true, true
-			b.Nagle, b.DelayedAck = true, true
+			a.Nagle, b.Nagle = true, true
 		}
 		const msgs, sz = 10, 100
 		var done sim.Time
@@ -661,7 +660,7 @@ func TestNaglePingPongPiggyback(t *testing.T) {
 	s, cl := newCluster(2)
 	a, b := cl.TCPPair(0, 1, OverEthernet)
 	for _, c := range []*TCP{a, b} {
-		c.Nagle, c.DelayedAck = true, true
+		c.Nagle = true
 	}
 	var rtt sim.Duration
 	const iters = 5
@@ -693,8 +692,7 @@ func TestNaglePingPongPiggyback(t *testing.T) {
 func TestNagleStreamIntegrity(t *testing.T) {
 	s, cl := newCluster(2)
 	a, b := cl.TCPPair(0, 1, OverATM)
-	a.Nagle, a.DelayedAck = true, true
-	b.Nagle, b.DelayedAck = true, true
+	a.Nagle, b.Nagle = true, true
 	const total = 50_000
 	src := make([]byte, total)
 	for i := range src {

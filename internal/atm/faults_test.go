@@ -405,12 +405,12 @@ func TestRUDPAdaptiveRTOConverges(t *testing.T) {
 	if pr.srtt == 0 {
 		t.Fatal("no RTT samples folded into the estimator")
 	}
-	if pr.rto >= r0.RTO {
+	if pr.rto >= rudpInitialRTO {
 		t.Fatalf("adaptive RTO %v never converged below the initial %v (srtt %v, rttvar %v)",
-			pr.rto, r0.RTO, pr.srtt, pr.rttvar)
+			pr.rto, rudpInitialRTO, pr.srtt, pr.rttvar)
 	}
-	if pr.rto < r0.MinRTO {
-		t.Fatalf("RTO %v under the %v floor", pr.rto, r0.MinRTO)
+	if pr.rto < rudpMinRTO {
+		t.Fatalf("RTO %v under the %v floor", pr.rto, rudpMinRTO)
 	}
 }
 
@@ -519,52 +519,6 @@ func TestRUDPFastRetransmitEndToEnd(t *testing.T) {
 	}
 	if r0.FastRetransmits == 0 {
 		t.Errorf("pipelined stream over a drop-every-9th link triggered no fast retransmits (%d timer retransmits)", r0.Retransmits)
-	}
-}
-
-func TestRUDPPiggybackedAcksSuppressPureAcks(t *testing.T) {
-	s, cl := newCluster(2)
-	r0, r1 := rudpPair(cl)
-	r0.AckDelay = 2 * time.Millisecond
-	r1.AckDelay = 2 * time.Millisecond
-	const iters = 10
-	s.Spawn("h0", func(p *sim.Proc) {
-		buf := make([]byte, 8)
-		for i := 0; i < iters; i++ {
-			if err := r0.Send(p, 1, []byte{byte(i)}); err != nil {
-				t.Errorf("send: %v", err)
-				return
-			}
-			if _, _, err := r0.Recv(p, buf); err != nil {
-				t.Errorf("recv: %v", err)
-				return
-			}
-		}
-	})
-	s.Spawn("h1", func(p *sim.Proc) {
-		buf := make([]byte, 8)
-		for i := 0; i < iters; i++ {
-			if _, _, err := r1.Recv(p, buf); err != nil {
-				return
-			}
-			if err := r1.Send(p, 0, []byte{byte(i)}); err != nil {
-				return
-			}
-		}
-	})
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if r0.Retransmits != 0 || r1.Retransmits != 0 {
-		t.Fatalf("spurious retransmits with delayed acks: %d/%d", r0.Retransmits, r1.Retransmits)
-	}
-	if r1.PiggybackedAcks < iters-1 {
-		t.Fatalf("replies piggybacked only %d/%d acks", r1.PiggybackedAcks, iters)
-	}
-	// Only the final pong, with no reverse data behind it, should need a
-	// pure ack (flushed by the delayed-ack timer).
-	if r0.PureAcks > 1 || r1.PureAcks > 1 {
-		t.Fatalf("ping-pong under AckDelay still sent %d+%d pure acks", r0.PureAcks, r1.PureAcks)
 	}
 }
 

@@ -41,7 +41,7 @@ type Medium interface {
 	// packet, 2 when it duplicates it, 1 otherwise. deliver never runs
 	// before Deliver returns, so a caller that sums the counts knows when
 	// the last copy has landed — which is what lets droppable traffic
-	// recycle its records (DESIGN §10).
+	// recycle its records (DESIGN §9).
 	Deliver(src, dst, n int, opts DeliverOpts, deliver func()) int
 }
 

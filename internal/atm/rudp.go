@@ -39,22 +39,14 @@ const (
 // from sampling), backs off exponentially across retries, and three
 // duplicate cumulative acks trigger a fast retransmit of the oldest
 // outstanding frame without waiting for the timer. Acks piggyback on every
-// outbound data frame; pure acks are sent immediately by default, or
-// coalesced behind AckDelay when reverse traffic is expected to carry them.
+// outbound data frame, and every delivery is also acked at once through the
+// full UDP send path (the paper's behaviour).
 type RUDP struct {
 	sock *UDP
 	s    *sim.Scheduler
 
-	Window     int          // max unacked datagrams per peer
-	RTO        sim.Duration // initial timeout, before any RTT sample
-	MinRTO     sim.Duration // floor for the adaptive timeout
-	MaxRTO     sim.Duration // ceiling for the backed-off timeout
+	Window     int // max unacked datagrams per peer
 	MaxRetries int
-	// AckDelay, when nonzero, withholds pure acks for that long so a data
-	// frame in the reverse direction can carry the ack for free. Zero keeps
-	// the paper's behavior: every delivery is acked through the full UDP
-	// send path immediately.
-	AckDelay sim.Duration
 
 	peers     map[int]*rudpPeer
 	dead      map[int]bool // peers fenced by DropPeer: sends are swallowed
@@ -69,7 +61,6 @@ type RUDP struct {
 	FastRetransmits int // re-sends triggered by duplicate acks
 	Duplicates      int // already-delivered data frames received
 	PureAcks        int // ack-only datagrams transmitted
-	PiggybackedAcks int // owed acks satisfied by outbound data frames
 
 	// Err is set if a peer exceeded MaxRetries (the link is declared dead).
 	Err error
@@ -89,10 +80,6 @@ type rudpPeer struct {
 	// times it has repeated without progress.
 	lastAck uint32
 	dupAcks int
-
-	// Delayed-ack state (AckDelay > 0).
-	ackOwed  bool
-	ackTimer bool
 }
 
 // rudpPending is one unacknowledged data frame. Its retransmission timer
@@ -120,9 +107,6 @@ func NewRUDP(sock *UDP) *RUDP {
 		sock:       sock,
 		s:          hs,
 		Window:     32,
-		RTO:        rudpInitialRTO,
-		MinRTO:     rudpMinRTO,
-		MaxRTO:     rudpMaxRTO,
 		MaxRetries: 25,
 		peers:      make(map[int]*rudpPeer),
 		arrival:    sim.NewCond(hs),
@@ -198,31 +182,17 @@ func (r *RUDP) sampleRTT(pr *rudpPeer, sample sim.Duration) {
 		pr.rttvar += (dev - pr.rttvar) / 4
 		pr.srtt += (sample - pr.srtt) / 8
 	}
-	pr.rto = r.clampRTO(pr.srtt + 4*pr.rttvar)
+	pr.rto = clampRTO(pr.srtt + 4*pr.rttvar)
 }
 
-func (r *RUDP) clampRTO(d sim.Duration) sim.Duration {
-	// The floor must clear the peer's delayed-ack timer, or every message
-	// with no reverse traffic behind it would retransmit spuriously while
-	// the ack sits in the peer's coalescing window (the same reason TCP
-	// keeps its minimum RTO above the delayed-ack timer).
-	min := r.MinRTO
-	if f := 2 * r.AckDelay; f > min {
-		min = f
-	}
-	if d < min {
-		return min
-	}
-	if d > r.MaxRTO {
-		return r.MaxRTO
-	}
-	return d
+func clampRTO(d sim.Duration) sim.Duration {
+	return min(max(d, rudpMinRTO), rudpMaxRTO)
 }
 
 // rtoFor reports the timeout for a fresh transmission to pr.
-func (r *RUDP) rtoFor(pr *rudpPeer) sim.Duration {
+func rtoFor(pr *rudpPeer) sim.Duration {
 	if pr.rto == 0 {
-		return r.RTO
+		return rudpInitialRTO
 	}
 	return pr.rto
 }
@@ -329,11 +299,6 @@ func (r *RUDP) SendFrame(p *sim.Proc, dst int, frame []byte) error {
 	frame[0] = rudpData | rudpAck
 	binary.BigEndian.PutUint32(frame[1:5], seq)
 	binary.BigEndian.PutUint32(frame[5:9], pr.nextRecv)
-	if pr.ackOwed {
-		// The piggybacked ack satisfies what a delayed pure ack owed.
-		pr.ackOwed = false
-		r.PiggybackedAcks++
-	}
 	pend := r.pending.Get()
 	if pend == nil {
 		pend = &rudpPending{r: r}
@@ -343,7 +308,7 @@ func (r *RUDP) SendFrame(p *sim.Proc, dst int, frame []byte) error {
 	pr.unacked[seq] = pend
 	r.sock.send(p, dst, frame)
 	pend.sentAt = r.s.Now()
-	pend.rto = r.rtoFor(pr)
+	pend.rto = rtoFor(pr)
 	r.s.After(pend.rto, pend.expire)
 	return r.Err
 }
@@ -368,7 +333,7 @@ func (pend *rudpPending) timeout() {
 		r.notify()
 		return
 	}
-	pend.rto = r.clampRTO(pend.rto * 2)
+	pend.rto = clampRTO(pend.rto * 2)
 	// The connection backs off with its oldest frame, so frames queued
 	// behind an outage do not add their own retransmission storm.
 	if pend.rto > pr.rto {
@@ -465,37 +430,10 @@ func (r *RUDP) drain(p *sim.Proc) {
 		default:
 			pr.stash[seq] = payload
 		}
-		r.scheduleAck(p, pr)
-	}
-}
-
-// scheduleAck acknowledges received data: immediately through the full UDP
-// send path (the default, whose syscall cost is the paper's reliable-UDP
-// overhead story), or — with AckDelay — lazily, hoping an outbound data
-// frame will piggyback it first.
-func (r *RUDP) scheduleAck(p *sim.Proc, pr *rudpPeer) {
-	if r.dead[pr.host] {
-		return // no point acknowledging toward a fenced corpse
-	}
-	if r.AckDelay == 0 {
-		r.sendAck(p, pr.host, pr.nextRecv)
-		return
-	}
-	pr.ackOwed = true
-	if pr.ackTimer {
-		return
-	}
-	pr.ackTimer = true
-	r.s.After(r.AckDelay, func() {
-		pr.ackTimer = false
-		if !pr.ackOwed {
-			return
+		if !r.dead[src] { // no point acknowledging toward a fenced corpse
+			r.sendAck(p, src, pr.nextRecv)
 		}
-		// No reverse data carried it: flush a pure ack from timer context.
-		pr.ackOwed = false
-		r.PureAcks++
-		r.sock.transmit(pr.host, r.ackFrame(pr.nextRecv))
-	})
+	}
 }
 
 // sendAck transmits a cumulative ack through the full UDP path: the

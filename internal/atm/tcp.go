@@ -9,6 +9,9 @@ import (
 // DefaultTCPBuffer is the kernel socket buffer size: the receive window.
 const DefaultTCPBuffer = 64 * 1024
 
+// tcpAckDelay is the classic 4.2BSD delayed-ack timer.
+const tcpAckDelay = 200 * time.Millisecond
+
 // TCP is one end of an established TCP connection (connections are static
 // in the paper's setup, so connection establishment is out of scope). The
 // model implements what the paper's MPI rides on: a reliable ordered byte
@@ -32,20 +35,16 @@ type TCP struct {
 	sndCredit int // peer receive-buffer space we may consume
 	sndWait   *sim.Cond
 
-	// Nagle enables RFC 896 coalescing: while data is unacknowledged,
-	// sub-MSS writes are held and merged. Off by default — the paper's
-	// latency work presupposes TCP_NODELAY, and the MPI device writes each
-	// protocol message as a single frame precisely to keep small messages
-	// off this path.
+	// Nagle leaves the stack's two small-packet defaults on, the pair a
+	// socket without TCP_NODELAY gets. RFC 896 coalescing: while data is
+	// unacknowledged, sub-MSS writes are held and merged. 4.2BSD delayed
+	// acks: window updates are withheld until two segments' worth is owed
+	// or tcpAckDelay passes, and piggyback on reverse data at once. Together
+	// they stall a one-way small-message stream by tcpAckDelay per exchange.
+	// Off by default — the paper's latency work presupposes TCP_NODELAY, and
+	// the MPI device writes each protocol message as a single frame precisely
+	// to keep small messages off this path.
 	Nagle bool
-	// DelayedAck enables 4.2BSD-style ack delay: acknowledgements (window
-	// updates) are withheld until two segments' worth is owed or the delay
-	// timer fires. Acks piggyback on reverse data immediately. The classic
-	// Nagle x DelayedAck interaction stalls one-way small-message streams
-	// by AckDelay per exchange.
-	DelayedAck bool
-	// AckDelay is the delayed-ack timer (0 = the classic 200 ms).
-	AckDelay sim.Duration
 
 	unacked  int    // bytes sent, not yet acknowledged
 	nagleQ   []byte // coalesced sub-MSS data awaiting an ack
@@ -290,13 +289,13 @@ func (c *TCP) ReadFull(p *sim.Proc, buf []byte) {
 }
 
 // sendWindowUpdate returns n bytes of window to the peer via a bare-header
-// frame (the ack traffic of the model). With DelayedAck the update is
-// withheld until two MSS of window is owed or the delay timer fires.
+// frame (the ack traffic of the model). With Nagle the update is withheld
+// until two MSS of window is owed or the delayed-ack timer fires.
 func (c *TCP) sendWindowUpdate(n int) {
 	if n == 0 {
 		return
 	}
-	if !c.DelayedAck {
+	if !c.Nagle {
 		c.transmitAck(n)
 		return
 	}
@@ -307,11 +306,7 @@ func (c *TCP) sendWindowUpdate(n int) {
 	}
 	if !c.ackTimer {
 		c.ackTimer = true
-		delay := c.AckDelay
-		if delay == 0 {
-			delay = 200 * time.Millisecond
-		}
-		c.cl.SchedOf(c.host).After(delay, func() {
+		c.cl.SchedOf(c.host).After(tcpAckDelay, func() {
 			c.ackTimer = false
 			c.flushOwedAck()
 		})

@@ -230,7 +230,7 @@ func TestTCPWireAllocFree(t *testing.T) {
 // The same over UDP/ATM under RUDP: once a warm-up burst has sized the
 // transmission and retransmission records, the queues and the hop pools,
 // 1 000 more 1 KiB round trips allocate only what must exist — each Send's
-// wire frame (DESIGN §10: a datagram is one buffer, never pooled) and one
+// wire frame (DESIGN §9: a datagram is one buffer, never pooled) and one
 // slab per 64 pure acks — plus a slack of 2.
 func TestUDPWireAllocFree(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))

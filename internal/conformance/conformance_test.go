@@ -2,10 +2,13 @@ package conformance
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/atm"
+	"repro/internal/meiko"
 	"repro/internal/sim"
 	"repro/mpi"
 	"repro/platform/registry"
@@ -368,8 +371,9 @@ func TestShardedConformance(t *testing.T) {
 // sameOnEveryKernel runs body on spec's world on the single-lane scheduler,
 // on the sharded kernel and under the pinned-worker parallel driver, and
 // requires identical per-rank virtual finish times: sharding is a kernel
-// implementation detail, not a model change.
-func sameOnEveryKernel(t *testing.T, spec registry.Spec, body func(c *mpi.Comm) error) {
+// implementation detail, not a model change. It returns the single-lane
+// run's finish times.
+func sameOnEveryKernel(t *testing.T, spec registry.Spec, body func(c *mpi.Comm) error) []sim.Duration {
 	t.Helper()
 	kernels := []struct {
 		name     string
@@ -392,6 +396,7 @@ func sameOnEveryKernel(t *testing.T, spec registry.Spec, body func(c *mpi.Comm) 
 			}
 		}
 	}
+	return elapsed[0]
 }
 
 // TestShardedMatchesSingleLane holds every scenario to sameOnEveryKernel on
@@ -428,5 +433,96 @@ func TestShardedJitterOnOrderedWires(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestTreeFaultsReroute takes stage-1 switch planes of the Meiko fat tree
+// out for a whole all-to-all phase. Eight ranks, because a tree of four or
+// fewer has no stage 1 to fault. An outage must complete (the tree reroutes
+// over the surviving planes instead of killing anyone), cost strictly more
+// than the healthy tree and more again with three planes down, and be the
+// same run on every kernel.
+func TestTreeFaultsReroute(t *testing.T) {
+	alltoall := func(c *mpi.Comm) error {
+		send, recv := make([]byte, 1024*c.Size()), make([]byte, 1024*c.Size())
+		for i := 0; i < 4; i++ {
+			if err := c.Alltoall(send, recv); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var prev sim.Duration
+	for _, faults := range []string{"", "1:0@0s", "1:0@0s;1:1@0s;1:2@0s"} {
+		spec := registry.Spec{Platform: "meiko", Ranks: 8, FatTree: true, TreeFaults: faults}
+		elapsed := slices.Max(sameOnEveryKernel(t, spec, alltoall))
+		t.Logf("TreeFaults %q: %v", faults, elapsed)
+		if elapsed <= prev {
+			t.Errorf("TreeFaults %q: %v, not slower than %v with fewer planes down", faults, elapsed, prev)
+		}
+		prev = elapsed
+	}
+}
+
+// TestCostsOverride pins Spec.Costs, the knob a sensitivity sweep turns:
+// a copy of the calibrated table reproduces the default run to the
+// nanosecond, and one constant moved by 1 µs moves ten 1-byte round trips
+// by exactly what the model charges it per round trip — WireLatency twice
+// on the Meiko (one wire crossing each way), TCPPerSegment four times on
+// the cluster (output and input processing, each way).
+func TestCostsOverride(t *testing.T) {
+	pingPong := func(c *mpi.Comm) error {
+		buf := make([]byte, 1)
+		for i := 0; i < 10; i++ {
+			switch c.Rank() {
+			case 0:
+				if err := c.Send(1, 0, buf); err != nil {
+					return err
+				}
+				if _, err := c.Recv(1, 0, buf); err != nil {
+					return err
+				}
+			case 1:
+				if _, err := c.Recv(0, 0, buf); err != nil {
+					return err
+				}
+				if err := c.Send(0, 0, buf); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	elapsed := func(spec registry.Spec) sim.Duration {
+		t.Helper()
+		rep, err := registry.Run(spec, pingPong)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Key(), err)
+		}
+		return rep.MaxRankElapsed
+	}
+	meikoCosts, atmCosts := meiko.DefaultCosts(), atm.DefaultCosts()
+	meikoSlow, atmSlow := meikoCosts, atmCosts
+	meikoSlow.WireLatency += time.Microsecond
+	atmSlow.TCPPerSegment += time.Microsecond
+	for _, tc := range []struct {
+		spec         registry.Spec
+		copied, slow any
+		shift        sim.Duration
+	}{
+		{registry.Spec{Platform: "meiko", Ranks: 2}, &meikoCosts, &meikoSlow, 20 * time.Microsecond},
+		{registry.Spec{Platform: "cluster", Ranks: 2}, &atmCosts, &atmSlow, 40 * time.Microsecond},
+	} {
+		base := elapsed(tc.spec)
+		spec := tc.spec
+		spec.Costs = tc.copied
+		if got := elapsed(spec); got != base {
+			t.Errorf("%s: a copy of the default costs ran %v, the default %v", spec.Key(), got, base)
+		}
+		spec.Costs = tc.slow
+		if got := elapsed(spec); got-base != tc.shift {
+			t.Errorf("%s: one constant +1µs moved ten round trips %v → %v (%v), want +%v", spec.Key(), base, got, got-base, tc.shift)
+		}
+		t.Logf("%s: %v, +1µs constant %v", spec.Key(), base, base+tc.shift)
 	}
 }

@@ -27,7 +27,7 @@ package core
 // lazy: entries are tombstoned and reclaimed when a bin is next read, or
 // compacted when tombstones outnumber live entries.
 //
-// Non-overtaking (proof sketch, expanded in DESIGN.md §10). For a fixed
+// Non-overtaking (proof sketch, expanded in DESIGN.md §5). For a fixed
 // (source, context) the transports deliver envelopes in send order, so
 // arrival tickets of same-(source,context) messages are ordered by send
 // sequence. A receive pattern maps to one bin; within a bin candidates are

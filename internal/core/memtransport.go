@@ -129,7 +129,7 @@ func (t *MemTransport) arrival(dst, n int) sim.Time {
 }
 
 // memFlight is one mailbox delivery in flight. Flights follow the pooled-
-// record rule of the other wires (DESIGN §10): the record embeds its packet
+// record rule of the other wires (DESIGN §9): the record embeds its packet
 // and binds its landing callback once, so a delivery allocates neither. A
 // flight is drawn from the sender's idle list and returned to the
 // receiver's, where it finishes: on landing for a credit, which never

@@ -61,7 +61,7 @@ func (f *Queue[T]) Filter(keep func(T) bool) {
 func (f *Queue[T]) All() iter.Seq[T] { return slices.Values(f.q[f.head:]) }
 
 // FreeList is the one pool behind every record the model recycles instead
-// of allocating per message (DESIGN §10): a bounded stack of idle records.
+// of allocating per message (DESIGN §9): a bounded stack of idle records.
 // A record is typically drawn on the lane where its journey starts and put
 // back on the lane where it ends, into that lane's list; traffic flowing
 // both ways keeps the lists balanced, and the bound caps the one that would

@@ -25,7 +25,7 @@ func Example() {
 		return
 	}
 
-	// The trace is a compact versioned binary blob (DESIGN.md §15).
+	// The trace is a compact versioned binary blob (DESIGN.md §12).
 	tr, err := workload.Unmarshal(res.Trace.Marshal())
 	if err != nil {
 		fmt.Println("error:", err)

@@ -89,7 +89,7 @@ type Trace struct {
 	Events []Event
 }
 
-// Binary trace format (DESIGN.md §15):
+// Binary trace format (DESIGN.md §12):
 //
 //	magic   "MPWT"            4 bytes
 //	version uint16 LE          2 bytes (this package writes Version)

@@ -9,7 +9,7 @@
 // its Config: recording the same Config twice yields byte-identical
 // traces, and Replay re-runs the Config and byte-compares the fresh event
 // stream against the recording, reporting the first divergent event with
-// rank/time/op context. DESIGN.md §15 documents the model and the binary
+// rank/time/op context. DESIGN.md §12 documents the model and the binary
 // trace format.
 package workload
 

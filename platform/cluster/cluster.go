@@ -155,10 +155,7 @@ func build(s registry.Spec, kind string) (*mpi.World, []*transport, error) {
 			for i := 0; i < n; i++ {
 				for j := i + 1; j < n; j++ {
 					a, b := cl.TCPPair(i, j, net)
-					if s.TCPNagle {
-						a.Nagle, a.DelayedAck = true, true
-						b.Nagle, b.DelayedAck = true, true
-					}
+					a.Nagle, b.Nagle = s.TCPNagle, s.TCPNagle
 					trs[i].attachConn(j, a)
 					trs[j].attachConn(i, b)
 				}

@@ -4,9 +4,9 @@
 // cluster's TCP/UDP/U-Net/shm transports, and the in-memory reference
 // fabric — registers a Builder under a stable name, the builders read the
 // Spec directly (the platform packages export no Config and no constructor
-// of their own; TestSingleFrontDoor), and every entrypoint (cmd/*,
-// examples/, the bench and conformance harnesses) builds worlds
-// exclusively through Build. Adding a backend (a shared-memory
+// of their own; TestSingleFrontDoor), and every entrypoint (cmd/*, the
+// bench and conformance harnesses) builds worlds exclusively through
+// Build. Adding a backend (a shared-memory
 // port, a hierarchical fabric, a real-socket port) is a single Register
 // call: it immediately becomes reachable from every command and is swept
 // by the conformance matrix automatically.
