@@ -23,27 +23,26 @@ func pattern(b []byte, sender, msg int) {
 	}
 }
 
-// Both directions stream through loss, duplication and reordering from one
-// user buffer per sender that is scribbled over the moment Send returns.
-// The receivers keep every view until the end: each must still hold exactly
-// what was sent, in order, once.
-func TestRUDPOwnershipUnderFaults(t *testing.T) {
+// faultStreams sends msgs messages each way between two RUDP endpoints
+// under f, from one user buffer per sender that is scribbled over the moment
+// Send returns, in sizes of 1 to 3 fragments (streamSize). read gets each
+// in-order datagram, with its index and the endpoint of host h that read
+// it, and stops that host by reporting false. Every message must be read.
+func faultStreams(t *testing.T, f Faults, msgs int, read func(r *RUDP, h, i int, d Datagram) bool) [2]*RUDP {
 	s, cl := newCluster(2)
-	if err := cl.SetFaults(Faults{Seed: 5, Loss: 0.1, Duplicate: 0.15, Reorder: 0.2}); err != nil {
+	if err := cl.SetFaults(f); err != nil {
 		t.Fatal(err)
 	}
 	r := [2]*RUDP{}
 	r[0], r[1] = rudpPair(cl)
-	const msgs = 60
-	size := func(i int) int { return []int{1, 700, 9152, 20000}[i%4] } // 1 to 3 fragments
-	var views [2][][]byte
+	var got [2]int
 	for h := 0; h < 2; h++ {
 		s.Spawn(fmt.Sprintf("host%d", h), func(p *sim.Proc) {
 			user := make([]byte, 20000)
 			sent := 0
-			for len(views[h]) < msgs || len(r[h].peer(1-h).unacked) > 0 {
+			for got[h] < msgs || len(r[h].peer(1-h).unacked) > 0 {
 				if sent < msgs {
-					b := user[:size(sent)]
+					b := user[:streamSize(sent)]
 					pattern(b, h, sent)
 					if err := r[h].Send(p, 1-h, b); err != nil {
 						t.Errorf("host %d send %d: %v", h, sent, err)
@@ -60,7 +59,10 @@ func TestRUDPOwnershipUnderFaults(t *testing.T) {
 					return
 				}
 				if ok {
-					views[h] = append(views[h], d.Data)
+					if !read(r[h], h, got[h], d) {
+						return
+					}
+					got[h]++
 				}
 				p.Advance(200 * time.Microsecond)
 			}
@@ -70,19 +72,85 @@ func TestRUDPOwnershipUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	for h := 0; h < 2; h++ {
-		if len(views[h]) != msgs {
-			t.Fatalf("host %d got %d messages, want %d", h, len(views[h]), msgs)
+		if got[h] != msgs {
+			t.Fatalf("host %d read %d messages, want %d", h, got[h], msgs)
 		}
-		want := make([]byte, 20000)
+	}
+	return r
+}
+
+func streamSize(i int) int { return []int{1, 700, 9152, 20000}[i%4] }
+
+// sentAs reports whether b is message i from sender as faultStreams sent it.
+func sentAs(b []byte, sender, i int) bool {
+	want := make([]byte, streamSize(i))
+	pattern(want, sender, i)
+	return bytes.Equal(b, want)
+}
+
+// Both directions stream through loss, duplication and reordering. The
+// receivers keep every view until the end: each must still hold exactly
+// what was sent, in order, once.
+func TestRUDPOwnershipUnderFaults(t *testing.T) {
+	var views [2][][]byte
+	r := faultStreams(t, Faults{Seed: 5, Loss: 0.1, Duplicate: 0.15, Reorder: 0.2}, 60, func(_ *RUDP, h, _ int, d Datagram) bool {
+		views[h] = append(views[h], d.Data)
+		return true
+	})
+	for h := 0; h < 2; h++ {
 		for i, v := range views[h] {
-			pattern(want[:size(i)], 1-h, i)
-			if !bytes.Equal(v, want[:size(i)]) {
+			if !sentAs(v, 1-h, i) {
 				t.Fatalf("host %d message %d (%d bytes) differs from what was sent", h, i, len(v))
 			}
 		}
 	}
 	if r[0].Retransmits+r[1].Retransmits == 0 || r[0].Duplicates+r[1].Duplicates == 0 {
 		t.Errorf("schedule exercised nothing: %d retransmits, %d duplicates", r[0].Retransmits+r[1].Retransmits, r[0].Duplicates+r[1].Duplicates)
+	}
+}
+
+// The same streams with every frame recycled: each payload is checked the
+// moment it is read and released at once, so the lists are live throughout
+// and a frame returned while anything still held it — a transmission in
+// flight, a datagram queued, stashed or delivered — is overwritten by a
+// later send before its reader gets to it. Timer and fast retransmits with
+// restamped clones (both directions carry data, so the piggybacked ack
+// moves), duplicates and 1–3 fragments per datagram all take part. At the
+// end every idle frame has no holds and rests in exactly one list, within
+// that list's bound.
+func TestFrameHoldsUnderFaults(t *testing.T) {
+	faults := Faults{Seed: 7, Loss: 0.1, Duplicate: 0.2, Reorder: 0.2, Jitter: 300 * time.Microsecond}
+	r := faultStreams(t, faults, 200, func(reader *RUDP, h, i int, d Datagram) bool {
+		if !sentAs(d.Data, 1-h, i) || d.Frame.holds.Load() < 1 {
+			t.Errorf("host %d message %d (%d bytes, %d holds) differs from what was sent", h, i, len(d.Data), d.Frame.holds.Load())
+			return false
+		}
+		reader.Release(d)
+		return true
+	})
+	seen := map[*Frame]bool{}
+	for h := 0; h < 2; h++ {
+		u := r[h].sock
+		for _, l := range []struct {
+			list  *sim.FreeList[Frame]
+			small bool
+			bound int
+		}{{&u.small, true, sim.DefaultFreeMax}, {&u.data, false, dataFramesIdle}} {
+			if l.list.Len() > l.bound {
+				t.Errorf("host %d: %d idle frames in a list bounded at %d", h, l.list.Len(), l.bound)
+			}
+			for f := range l.list.All() {
+				if n := f.holds.Load(); n != 0 || seen[f] || (cap(f.B) <= smallFrame) != l.small {
+					t.Errorf("host %d: idle frame of cap %d has %d holds (listed before: %v, small list: %v)", h, cap(f.B), n, seen[f], l.small)
+				}
+				seen[f] = true
+			}
+		}
+	}
+	rt := r[0].Retransmits + r[1].Retransmits
+	fast := r[0].FastRetransmits + r[1].FastRetransmits
+	if fast == 0 || rt == fast || r[0].Duplicates+r[1].Duplicates == 0 || len(seen) == 0 {
+		t.Errorf("schedule exercised too little: %d retransmits (%d fast), %d duplicates, %d idle frames", rt, fast, r[0].Duplicates+r[1].Duplicates, len(seen))
 	}
 }
 
@@ -144,7 +212,9 @@ func chargeProbe(t *testing.T, unet bool, size, max int, parked, owned bool) (tx
 		case unet:
 			n0.SendTo(p, 1, msg)
 		case owned:
-			u0.send(p, 1, msg)
+			f := u0.frame(len(msg))
+			copy(f.B, msg)
+			u0.send(p, 1, f)
 		default:
 			u0.SendTo(p, 1, msg)
 		}
@@ -225,7 +295,7 @@ func TestDrainingAnAckAllocatesNoScratch(t *testing.T) {
 		for i := 0; i < n; i++ {
 			// The junk byte keeps the ack away from the interrupt-level
 			// consumer, so it goes the long way: socket queue, then drain.
-			r1.sock.send(p, 0, []byte{rudpAck, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF})
+			r1.sock.SendTo(p, 0, []byte{rudpAck, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF})
 		}
 	})
 	var perAck uint64

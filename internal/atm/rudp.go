@@ -1,7 +1,6 @@
 package atm
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"time"
@@ -54,7 +53,6 @@ type RUDP struct {
 	arrival   *sim.Cond
 	watchers  []func()
 	pending   sim.FreeList[rudpPending] // retransmission records (see rudpPending)
-	acks      []byte                    // slab the pure-ack frames are carved from
 
 	// Stats.
 	Retransmits     int // frames re-sent (timer + fast retransmit)
@@ -71,7 +69,7 @@ type rudpPeer struct {
 	nextSend uint32
 	unacked  map[uint32]*rudpPending
 	nextRecv uint32
-	stash    map[uint32][]byte
+	stash    map[uint32]Datagram
 
 	// Jacobson/Karn RTT estimator state (zero until the first sample).
 	srtt, rttvar, rto sim.Duration
@@ -85,13 +83,14 @@ type rudpPeer struct {
 // rudpPending is one unacknowledged data frame. Its retransmission timer
 // is expire, bound to the record once, so a send arms it without
 // allocating. Records are pooled per RUDP, and only the timer recycles one:
-// acknowledgement (applyAck, DropPeer) drops the record from unacked, which
-// leaves the armed timer its last holder. After Err the records are left to
-// the garbage collector.
+// acknowledgement (applyAck, DropPeer) releases the frame and drops the
+// record from unacked, which leaves the armed timer its last holder. After
+// Err the records, and the frames they still hold, are left to the garbage
+// collector.
 type rudpPending struct {
 	r      *RUDP
 	pr     *rudpPeer
-	frame  []byte
+	frame  *Frame
 	seq    uint32
 	tries  int
 	acked  bool
@@ -128,6 +127,7 @@ func (r *RUDP) consumeAcks() {
 	r.sock.dq.Filter(func(d Datagram) bool {
 		if len(d.Data) == rudpHeader && d.Data[0]&rudpData == 0 && d.Data[0]&rudpAck != 0 {
 			r.applyAck(r.peer(d.Src), binary.BigEndian.Uint32(d.Data[5:9]))
+			r.Release(d)
 			return false
 		}
 		return true
@@ -142,7 +142,7 @@ func (r *RUDP) applyAck(pr *rudpPeer, ack uint32) {
 	progress := false
 	for s, pend := range pr.unacked {
 		if s < ack {
-			pend.acked = true
+			r.settle(pend)
 			delete(pr.unacked, s)
 			progress = true
 			// Karn's rule: sample only never-retransmitted frames, and only
@@ -166,6 +166,14 @@ func (r *RUDP) applyAck(pr *rudpPeer, ack uint32) {
 	if progress {
 		r.arrival.Broadcast()
 	}
+}
+
+// settle marks pend acknowledged and releases its frame; the record itself
+// waits for its timer.
+func (r *RUDP) settle(pend *rudpPending) {
+	pend.acked = true
+	r.sock.release(pend.frame)
+	pend.frame = nil
 }
 
 // sampleRTT folds one round-trip measurement into the peer's estimator
@@ -222,20 +230,24 @@ func (r *RUDP) fastRetransmit(pr *rudpPeer) {
 // restampAck refreshes the piggybacked cumulative ack on a frame about to
 // be retransmitted. A changed ack goes on a clone: the earlier transmission
 // may still be in flight, queued at the peer or about to be duplicated by
-// the fault layer, and must keep the ack it was sent with. An unchanged one
-// (the usual case when the timer merely outran a slow reader) costs nothing.
+// the fault layer, and must keep the ack it was sent with; the clone takes
+// over the endpoint's hold. An unchanged one (the usual case when the timer
+// merely outran a slow reader) costs nothing.
 func (r *RUDP) restampAck(pr *rudpPeer, pend *rudpPending) {
-	if binary.BigEndian.Uint32(pend.frame[5:9]) == pr.nextRecv {
+	old := pend.frame
+	if binary.BigEndian.Uint32(old.B[5:9]) == pr.nextRecv {
 		return
 	}
-	pend.frame = bytes.Clone(pend.frame)
-	binary.BigEndian.PutUint32(pend.frame[5:9], pr.nextRecv)
+	pend.frame = r.sock.frame(len(old.B))
+	copy(pend.frame.B, old.B)
+	binary.BigEndian.PutUint32(pend.frame.B[5:9], pr.nextRecv)
+	r.sock.release(old)
 }
 
 func (r *RUDP) peer(h int) *rudpPeer {
 	p, ok := r.peers[h]
 	if !ok {
-		p = &rudpPeer{host: h, unacked: make(map[uint32]*rudpPending), stash: make(map[uint32][]byte)}
+		p = &rudpPeer{host: h, unacked: make(map[uint32]*rudpPending), stash: make(map[uint32]Datagram)}
 		r.peers[h] = p
 	}
 	return p
@@ -256,7 +268,7 @@ func (r *RUDP) DropPeer(host int) {
 		return
 	}
 	for s, pend := range pr.unacked {
-		pend.acked = true
+		r.settle(pend)
 		delete(pr.unacked, s)
 	}
 	pr.dupAcks = 0
@@ -266,36 +278,48 @@ func (r *RUDP) DropPeer(host int) {
 // Send reliably transmits data to host dst, blocking on the send window.
 // The caller keeps data: Send copies it behind a fresh header.
 func (r *RUDP) Send(p *sim.Proc, dst int, data []byte) error {
-	frame := make([]byte, rudpHeader+len(data))
-	copy(frame[rudpHeader:], data)
-	return r.SendFrame(p, dst, frame)
+	f := r.Frame(rudpHeader + len(data))
+	copy(f.B[rudpHeader:], data)
+	return r.SendFrame(p, dst, f)
 }
 
 // Headroom is the header space SendFrame's caller leaves before its payload.
 func (r *RUDP) Headroom() int { return rudpHeader }
 
-// SendFrame is Send for a frame the caller gives up: Headroom bytes, then
-// the payload. It is the one buffer the datagram ever occupies — kept here
-// until acked, in flight, queued at the peer and viewed by its reader.
-func (r *RUDP) SendFrame(p *sim.Proc, dst int, frame []byte) error {
+// Frame draws an n-byte frame for SendFrame from the socket's lists. Its
+// bytes are not zeroed.
+func (r *RUDP) Frame(n int) *Frame { return r.sock.frame(n) }
+
+// Release gives back the hold a datagram from TryRecv carries, once its
+// reader is done with d.Data.
+func (r *RUDP) Release(d Datagram) { r.sock.release(d.Frame) }
+
+// SendFrame is Send for a frame from Frame whose hold the caller gives up:
+// Headroom bytes, then the payload. It is the one buffer the datagram ever
+// occupies — held here until acked, in flight, queued at the peer and
+// viewed by its reader.
+func (r *RUDP) SendFrame(p *sim.Proc, dst int, f *Frame) error {
 	if r.dead[dst] {
+		r.sock.release(f)
 		return nil // fenced by DropPeer: swallowed, nothing to wait for
 	}
 	pr := r.peer(dst)
 	for len(pr.unacked) >= r.Window {
 		r.drain(p)
 		if r.Err != nil {
-			return r.Err
+			break
 		}
 		if len(pr.unacked) >= r.Window {
 			r.arrival.Wait(p)
 		}
 	}
 	if r.Err != nil {
+		r.sock.release(f)
 		return r.Err
 	}
 	seq := pr.nextSend
 	pr.nextSend++
+	frame := f.B
 	frame[0] = rudpData | rudpAck
 	binary.BigEndian.PutUint32(frame[1:5], seq)
 	binary.BigEndian.PutUint32(frame[5:9], pr.nextRecv)
@@ -304,9 +328,9 @@ func (r *RUDP) SendFrame(p *sim.Proc, dst int, frame []byte) error {
 		pend = &rudpPending{r: r}
 		pend.expire = pend.timeout
 	}
-	pend.pr, pend.frame, pend.seq = pr, frame, seq
+	pend.pr, pend.frame, pend.seq = pr, f, seq
 	pr.unacked[seq] = pend
-	r.sock.send(p, dst, frame)
+	r.sock.send(p, dst, f)
 	pend.sentAt = r.s.Now()
 	pend.rto = rtoFor(pr)
 	r.s.After(pend.rto, pend.expire)
@@ -347,8 +371,9 @@ func (pend *rudpPending) timeout() {
 }
 
 // TryRecv drains arrivals and returns one in-order datagram if available,
-// without blocking: a read-only view of the sender's frame, the caller's to
-// keep. Remaining delivered data is surfaced before a dead link's error.
+// without blocking: a read-only view of the sender's frame, valid until the
+// caller passes d to Release (kept for good if it never does). Remaining
+// delivered data is surfaced before a dead link's error.
 func (r *RUDP) TryRecv(p *sim.Proc) (d Datagram, ok bool, err error) {
 	r.drain(p)
 	if r.delivered.Len() > 0 {
@@ -378,7 +403,9 @@ func (r *RUDP) Recv(p *sim.Proc, buf []byte) (int, int, error) {
 	for {
 		d, ok, err := r.TryRecv(p)
 		if ok {
-			return copy(buf, d.Data), d.Src, nil
+			n := copy(buf, d.Data)
+			r.Release(d)
+			return n, d.Src, nil
 		}
 		if err != nil {
 			return 0, 0, err
@@ -393,12 +420,14 @@ func (r *RUDP) Readable() bool { return r.delivered.Len() > 0 || r.sock.Readable
 
 // drain processes every queued raw datagram: piggybacked and pure acks go
 // through applyAck; data is ordered, deduplicated and acked. Frames are
-// parsed where they lie — delivered and stash hold views past the header.
+// parsed where they lie — delivered and stash hold views past the header,
+// each with the hold its raw datagram carried; the rest are released here.
 func (r *RUDP) drain(p *sim.Proc) {
 	for r.sock.Readable() {
 		d := r.sock.recv(p, r.sock.MaxDatagram())
 		buf, src := d.Data, d.Src
 		if len(buf) < rudpHeader {
+			r.Release(d)
 			continue
 		}
 		flags := buf[0]
@@ -409,26 +438,30 @@ func (r *RUDP) drain(p *sim.Proc) {
 			r.applyAck(pr, ack)
 		}
 		if flags&rudpData == 0 {
+			r.Release(d)
 			continue // pure ack
 		}
-		payload := buf[rudpHeader:]
-		switch {
+		d.Data = buf[rudpHeader:]
+		switch _, stashed := pr.stash[seq]; {
 		case seq == pr.nextRecv:
 			pr.nextRecv++
-			r.delivered.Push(Datagram{Src: src, Data: payload})
+			r.delivered.Push(d)
 			for {
 				next, ok := pr.stash[pr.nextRecv]
 				if !ok {
 					break
 				}
 				delete(pr.stash, pr.nextRecv)
-				r.delivered.Push(Datagram{Src: src, Data: next})
+				r.delivered.Push(next)
 				pr.nextRecv++
 			}
 		case seq < pr.nextRecv:
 			r.Duplicates++ // retransmission of delivered data: just re-ack
+			r.Release(d)
+		case stashed:
+			r.Release(d) // the same bytes are already waiting
 		default:
-			pr.stash[seq] = payload
+			pr.stash[seq] = d
 		}
 		if !r.dead[src] { // no point acknowledging toward a fenced corpse
 			r.sendAck(p, src, pr.nextRecv)
@@ -441,22 +474,10 @@ func (r *RUDP) drain(p *sim.Proc) {
 // the paper's reliable-UDP MPI no faster than TCP.
 func (r *RUDP) sendAck(p *sim.Proc, dst int, cum uint32) {
 	r.PureAcks++
-	r.sock.send(p, dst, r.ackFrame(cum))
-}
-
-// ackSlabFrames is how many pure-ack frames share one allocation.
-const ackSlabFrames = 64
-
-// ackFrame carves a pure-ack frame carrying cumulative ack cum from the
-// slab. A frame is immutable once sent, so frames may share storage; each
-// is capacity-capped, so no holder can append into its neighbour.
-func (r *RUDP) ackFrame(cum uint32) []byte {
-	if len(r.acks) < rudpHeader {
-		r.acks = make([]byte, ackSlabFrames*rudpHeader)
-	}
-	frame := r.acks[:rudpHeader:rudpHeader]
-	r.acks = r.acks[rudpHeader:]
-	frame[0] = rudpAck
-	binary.BigEndian.PutUint32(frame[5:9], cum)
-	return frame
+	f := r.sock.frame(rudpHeader)
+	f.B[0] = rudpAck
+	binary.BigEndian.PutUint32(f.B[1:5], 0) // a pooled frame is not zeroed
+	binary.BigEndian.PutUint32(f.B[5:9], cum)
+	r.sock.send(p, dst, f)
+	r.sock.release(f)
 }

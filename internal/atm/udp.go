@@ -1,19 +1,42 @@
 package atm
 
 import (
-	"bytes"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/sim"
 )
 
-// Datagram is a received UDP (or AAL4) datagram. Data is the sender's
-// frame itself, not a copy: a frame handed to a medium is immutable (it may
-// be duplicated or retransmitted), so every holder only reads it.
+// Datagram is a received UDP (or AAL4) datagram. Data is a read-only view of
+// the sender's frame, not a copy: a frame handed to a medium is immutable (it
+// may be duplicated or retransmitted), so every holder only reads it. Frame
+// is the UDP frame Data views, one hold of which the datagram carries until
+// its reader releases it; nil when the bytes are GC-owned (U-Net, AAL4).
 type Datagram struct {
-	Src  int
-	Data []byte
+	Src   int
+	Data  []byte
+	Frame *Frame
 }
+
+// Frame is one UDP datagram buffer, recycled through its socket's lists
+// once the last of its holders lets go (DESIGN §9): the sending RUDP until
+// the frame is acked, each transmission until its udpXmit finishes, and
+// each queued Datagram until its reader releases it. Only the hold count is
+// shared across lanes; the bytes are written by whoever drew the frame,
+// before anyone else holds it.
+type Frame struct {
+	B     []byte
+	holds atomic.Int32
+}
+
+// smallFrame is the largest frame the control list serves: RUDP acks and
+// the transport's header-only frames.
+const smallFrame = 64
+
+// dataFramesIdle bounds the idle data frames a socket keeps. A frame's last
+// release is usually its sender's ack, so it is back where the next one is
+// drawn: one recycles a stream's payload, and more only grows the live heap.
+const dataFramesIdle = 1
 
 // recvQueue is the receive side every datagram socket (UDP, U-Net, AAL4)
 // embeds: arrivals queue in order, wake blocked readers, then run the
@@ -57,7 +80,9 @@ type UDP struct {
 	host int
 	med  Medium
 	recvQueue
-	idle sim.FreeList[udpXmit] // transmission records (see udpXmit)
+	idle  sim.FreeList[udpXmit] // transmission records (see udpXmit)
+	small sim.FreeList[Frame]   // idle frames of up to smallFrame bytes
+	data  sim.FreeList[Frame]   // idle larger frames, at most dataFramesIdle
 
 	// Drops counts datagrams lost to loss injection on send (whole
 	// datagram lost when any fragment is).
@@ -71,8 +96,48 @@ func (cl *Cluster) UDPSocket(h int, k MediumKind) *UDP {
 		return s
 	}
 	s := &UDP{cl: cl, host: h, med: cl.Medium(k), recvQueue: recvQueue{readable: sim.NewCond(cl.SchedOf(h))}}
+	s.data.Max = dataFramesIdle
 	cl.udpPorts[k][h] = s
 	return s
+}
+
+// frame draws an n-byte frame, held once by the caller, from the socket's
+// lists. Its bytes are not zeroed: the caller writes all n.
+func (u *UDP) frame(n int) *Frame {
+	l := &u.data
+	if n <= smallFrame {
+		l = &u.small
+	}
+	f := l.Get()
+	if f == nil {
+		f = new(Frame)
+	}
+	if cap(f.B) < n {
+		f.B = make([]byte, n, max(n, smallFrame))
+	}
+	f.B = f.B[:n]
+	f.holds.Store(1)
+	return f
+}
+
+// release drops one hold on f (nil: a GC-owned datagram). The last returns
+// it to u's lists, u being the socket whose lane is running.
+func (u *UDP) release(f *Frame) {
+	if f == nil || f.holds.Add(-1) != 0 {
+		return
+	}
+	if cap(f.B) <= smallFrame {
+		u.small.Put(f)
+		return
+	}
+	// A full data list keeps the larger frame, so what is recycled does not
+	// depend on the order a batch is released in (applyAck walks a map).
+	if u.data.Len() == dataFramesIdle {
+		if g := u.data.Get(); cap(g.B) > cap(f.B) {
+			f = g
+		}
+	}
+	u.data.Put(f)
 }
 
 // MaxDatagram reports the largest datagram the socket accepts (bounded by
@@ -86,26 +151,30 @@ func (u *UDP) MaxDatagram() int { return 8*(u.med.MTU()-UDPIPHeader) - UDPIPHead
 // the paper's reliability layer assumes. The caller keeps data (BSD
 // semantics): the socket sends a snapshot.
 func (u *UDP) SendTo(p *sim.Proc, dst int, data []byte) {
-	u.send(p, dst, bytes.Clone(data))
+	f := u.frame(len(data))
+	copy(f.B, data)
+	u.send(p, dst, f)
+	u.release(f)
 }
 
-// send is SendTo for a frame the caller gives up: frame itself travels and
-// is queued at the peer. The simulated kernel still charges its copy and
-// checksum; the host just skips them.
-func (u *UDP) send(p *sim.Proc, dst int, frame []byte) {
+// send is SendTo for a frame the caller holds: the frame itself travels
+// and is queued at the peer, under holds of its own. The simulated kernel
+// still charges its copy and checksum; the host just skips them.
+func (u *UDP) send(p *sim.Proc, dst int, f *Frame) {
 	k := u.cl.Costs
-	if len(frame) > u.MaxDatagram() {
-		panic(fmt.Sprintf("udp: datagram of %d bytes exceeds max %d", len(frame), u.MaxDatagram()))
+	if len(f.B) > u.MaxDatagram() {
+		panic(fmt.Sprintf("udp: datagram of %d bytes exceeds max %d", len(f.B), u.MaxDatagram()))
 	}
-	p.Advance(k.SyscallWrite + sim.Duration(len(frame))*(k.CopyPerByte+k.ChecksumPerByte) + k.UDPPerPacket)
-	u.transmit(dst, frame)
+	p.Advance(k.SyscallWrite + sim.Duration(len(f.B))*(k.CopyPerByte+k.ChecksumPerByte) + k.UDPPerPacket)
+	u.transmit(dst, f)
 }
 
-// transmit fragments and delivers one owned datagram toward dst's socket,
+// transmit fragments and delivers one datagram toward dst's socket,
 // reassembling at the far side; the whole datagram is lost if any fragment
-// is. Wire and kernel delivery only, no user-side charges, and safe from
-// event context (timer-driven retransmission calls it directly).
-func (u *UDP) transmit(dst int, data []byte) {
+// is. The transmission holds f until its record finishes. Wire and kernel
+// delivery only, no user-side charges, and safe from event context
+// (timer-driven retransmission calls it directly).
+func (u *UDP) transmit(dst int, f *Frame) {
 	peer := u.cl.udpPorts[u.med.Kind()][dst]
 	if peer == nil {
 		panic(fmt.Sprintf("udp: no socket bound on host %d/%v", dst, u.med.Kind()))
@@ -115,11 +184,13 @@ func (u *UDP) transmit(dst int, data []byte) {
 		x = &udpXmit{}
 		x.arrive, x.land = x.fragment, x.deliver
 	}
-	x.peer, x.src, x.data = peer, u.host, data
+	f.holds.Add(1)
+	x.peer, x.src, x.frame = peer, u.host, f
+	size := len(f.B)
 	frag := u.med.MTU() - UDPIPHeader
-	x.frags = max(1, (len(data)+frag-1)/frag)
+	x.frags = max(1, (size+frag-1)/frag)
 	for i := 0; i < x.frags; i++ {
-		fragLen := min(len(data), (i+1)*frag) - i*frag
+		fragLen := min(size, (i+1)*frag) - i*frag
 		n := u.med.Deliver(u.host, dst, fragLen+UDPIPHeader, DeliverOpts{Droppable: true}, x.arrive)
 		x.lost = x.lost || n == 0
 		x.copies += n
@@ -137,13 +208,13 @@ func (u *UDP) transmit(dst int, data []byte) {
 // a datagram crosses the wire without allocating. Fragments are droppable,
 // so the fault layer may drop or duplicate any of them; transmit sums the
 // copy counts Medium.Deliver returns, and the record is finished once that
-// many arrivals have run and no landing is pending. Like atm.hop it is drawn
-// from the sending socket's pool and returned to the receiving socket's, on
-// whose lane it finishes.
+// many arrivals have run and no landing is pending, releasing its hold on
+// the frame. Like atm.hop it is drawn from the sending socket's pool and
+// returned to the receiving socket's, on whose lane it finishes.
 type udpXmit struct {
 	peer    *UDP
 	src     int
-	data    []byte
+	frame   *Frame
 	frags   int    // fragments per datagram
 	copies  int    // fragment copies the medium will deliver
 	arrived int    // fragment copies delivered so far
@@ -168,20 +239,25 @@ func (x *udpXmit) fragment() {
 	x.finish(x.peer)
 }
 
-// deliver queues the reassembled datagram at the peer socket.
+// deliver queues the reassembled datagram, under a hold of its own, at the
+// peer socket.
 func (x *udpXmit) deliver() {
 	x.landing--
-	peer, d := x.peer, Datagram{Src: x.src, Data: x.data}
+	peer, f := x.peer, x.frame
+	f.holds.Add(1)
+	d := Datagram{Src: x.src, Data: f.B, Frame: f}
 	x.finish(peer)
 	peer.land(d)
 }
 
 // finish returns the record to the pool of u, the socket whose lane is
-// running, once every copy has arrived and landed.
+// running, once every copy has arrived and landed, and releases the
+// transmission's hold on the frame there.
 func (x *udpXmit) finish(u *UDP) {
 	if x.arrived < x.copies || x.landing > 0 {
 		return
 	}
+	u.release(x.frame)
 	*x = udpXmit{arrive: x.arrive, land: x.land}
 	u.idle.Put(x)
 }
@@ -190,12 +266,14 @@ func (x *udpXmit) finish(u *UDP) {
 // silently like the BSD API), and reports the byte count and source host.
 func (u *UDP) RecvFrom(p *sim.Proc, buf []byte) (int, int) {
 	d := u.recv(p, len(buf))
-	return copy(buf, d.Data), d.Src
+	n := copy(buf, d.Data)
+	u.release(d.Frame)
+	return n, d.Src
 }
 
 // recv is RecvFrom without the host copy: it charges the reader exactly
 // what a read into a max-byte buffer costs and returns a read-only view of
-// the first max bytes of the datagram.
+// the first max bytes of the datagram, whose hold the caller releases.
 func (u *UDP) recv(p *sim.Proc, max int) Datagram {
 	k := u.cl.Costs
 	p.Advance(k.SyscallRead + u.cl.readExtra(u.med.Kind()))

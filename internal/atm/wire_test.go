@@ -228,10 +228,10 @@ func TestTCPWireAllocFree(t *testing.T) {
 }
 
 // The same over UDP/ATM under RUDP: once a warm-up burst has sized the
-// transmission and retransmission records, the queues and the hop pools,
-// 1 000 more 1 KiB round trips allocate only what must exist — each Send's
-// wire frame (DESIGN §9: a datagram is one buffer, never pooled) and one
-// slab per 64 pure acks — plus a slack of 2.
+// transmission and retransmission records, the frame lists, the queues and
+// the hop pools, 1 000 more 1 KiB round trips allocate at most a slack of
+// 2: every Send's wire frame and every pure ack is a recycled Frame
+// (DESIGN §9).
 func TestUDPWireAllocFree(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	s, cl := newCluster(2)
@@ -277,8 +277,7 @@ func TestUDPWireAllocFree(t *testing.T) {
 	if a.PureAcks != 2*trips || b.PureAcks != 2*trips {
 		t.Fatalf("pure acks: %d and %d of %d", a.PureAcks, b.PureAcks, 2*trips)
 	}
-	sends, slabs := uint64(2*trips), uint64((2*trips+ackSlabFrames-1)/ackSlabFrames)
-	if delta > sends+slabs+2 {
-		t.Fatalf("%d warm round trips allocated %d objects, want at most %d frames + %d ack slabs + 2", trips, delta, sends, slabs)
+	if delta > 2 {
+		t.Fatalf("%d warm round trips allocated %d objects, want at most 2", trips, delta)
 	}
 }

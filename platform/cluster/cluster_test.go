@@ -460,12 +460,16 @@ func TestDeterministicCluster(t *testing.T) {
 	}
 }
 
-// The datagram path's budget is one payload-sized allocation per message
-// (the wire frame, which is also what the receiver reads); the slack to 2x
-// covers headers, acks, fragments' events and the queues. Both a
-// rendezvous-sized and an eager-sized exchange must fit — a per-layer
-// snapshot or a scratch read buffer coming back would blow it several times
-// over (the path allocated 11x the payload before frames changed owner).
+// The datagram path's budget per message. A U-Net frame and an eager
+// payload are GC-owned, so those rows allocate one payload-sized frame per
+// message (also what the receiver reads), with slack to 2x for headers, acks,
+// fragments' events and the queues. A udp rendezvous frame is recycled, so
+// that row gets 1x: what it still allocates (about half a frame per message)
+// is ROADMAP item 3's spurious loss-free retransmits, whose copies reach rank
+// 0 after rank 1's ack has settled the pong, so the pong's frame is released
+// last on rank 0's lane and rank 1 draws a fresh one. A per-layer snapshot or
+// a scratch read buffer coming back would blow any row several times over
+// (the path allocated 11x the payload before frames changed owner).
 func TestDatagramPathAllocationBudget(t *testing.T) {
 	const size, warm, iters = 32 << 10, 8, 64
 	for _, s := range []registry.Spec{
@@ -510,8 +514,12 @@ func TestDatagramPathAllocationBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if perMsg > 2*size {
-			t.Errorf("cluster/%s eager=%d: %d bytes allocated per %d-byte message, budget %d", s.Transport, s.Eager, perMsg, size, 2*size)
+		budget := uint64(2 * size)
+		if s.Transport == "udp" && s.Eager == 0 { // rendezvous
+			budget = size
+		}
+		if perMsg > budget {
+			t.Errorf("cluster/%s eager=%d: %d bytes allocated per %d-byte message, budget %d", s.Transport, s.Eager, perMsg, size, budget)
 		}
 	}
 }

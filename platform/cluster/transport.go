@@ -38,8 +38,8 @@ type transport struct {
 	// pool recycles TCP frame scratch (Write copies into the kernel, so a
 	// frame is recyclable as soon as the call returns), TCP eager bounce
 	// buffers and stale-RTR bounce buffers (the engine's pool, so counters
-	// land in the rank's account). Datagram frames never come from it: a
-	// frame handed to a dgramLink belongs to the wire for good.
+	// land in the rank's account). Datagram frames never come from it: they
+	// are the link's, recycled by hold count (dgramLink.Frame).
 	pool *core.BufPool
 
 	// Parsed frames waiting for Poll, on pooled packets: polled is what Poll
@@ -63,6 +63,7 @@ type transport struct {
 	// state here: the engine's request table resolves the CTS to the request.
 	rndvRecv   map[uint32]*rndvRecvSt // receiver handle -> landing state
 	nextHandle uint32
+	landings   sim.FreeList[rndvRecvSt]
 	// RDMA-write rendezvous (MPICH2/InfiniBand style): advertisements of
 	// pre-posted rendezvous receives, by destination rank, consumed by the
 	// first matching standard/buffered rendezvous send. noRTR pins the
@@ -168,25 +169,31 @@ func (t *transport) attachConn(peer int, c *atm.TCP) {
 // dgramLink abstracts a reliable, in-order datagram channel: the RUDP
 // layer over UDP, or the U-Net user-level endpoint (whose dedicated
 // flow-controlled switch links are lossless and ordered by construction).
-// A datagram is one buffer that changes owner instead of being copied:
-// SendFrame takes frame for good (Headroom bytes the link fills in, then
-// the message), and TryRecv returns a read-only view of the sender's frame.
+// A datagram is one buffer that is held instead of copied: Frame draws it,
+// SendFrame takes the caller's hold (Headroom bytes the link fills in, then
+// the message), and TryRecv returns a read-only view of the sender's frame
+// that stays valid until the reader passes it to Release.
 type dgramLink interface {
 	Headroom() int
-	SendFrame(p *sim.Proc, dst int, frame []byte) error
+	Frame(n int) *atm.Frame
+	SendFrame(p *sim.Proc, dst int, f *atm.Frame) error
 	TryRecv(p *sim.Proc) (d atm.Datagram, ok bool, err error)
+	Release(d atm.Datagram)
 	Readable() bool
 	MaxDatagram() int
 	OnArrival(fn func())
 }
 
-// unetLink adapts the U-Net endpoint to dgramLink.
+// unetLink adapts the U-Net endpoint to dgramLink. Its frames are GC-owned:
+// U-Net queues the bytes themselves at the peer and never gives them back.
 type unetLink struct{ u *atm.UNet }
 
-func (l unetLink) Headroom() int { return 0 }
+func (l unetLink) Headroom() int          { return 0 }
+func (l unetLink) Frame(n int) *atm.Frame { return &atm.Frame{B: make([]byte, n)} }
+func (l unetLink) Release(d atm.Datagram) {}
 
-func (l unetLink) SendFrame(p *sim.Proc, dst int, frame []byte) error {
-	l.u.Send(p, dst, frame)
+func (l unetLink) SendFrame(p *sim.Proc, dst int, f *atm.Frame) error {
+	l.u.Send(p, dst, f.B)
 	return nil
 }
 
@@ -235,12 +242,12 @@ func (t *transport) writeFrame(p *sim.Proc, dst int, kind core.PacketKind, env c
 	// Datagram modes: one datagram per message (oversized payloads are
 	// chunked by the caller before reaching here), built once behind the
 	// link's header room and handed over — the message's only copy of the
-	// user buffer and its only allocation.
+	// user buffer.
 	h := t.dgram.Headroom()
-	frame := make([]byte, h+headerBytes+len(payload))
-	flow.EncodeHeaderInto(frame[h:], kind, t.owed.Take(dst), env, aux)
-	copy(frame[h+headerBytes:], payload)
-	if err := t.dgram.SendFrame(p, dst, frame); err != nil {
+	f := t.dgram.Frame(h + headerBytes + len(payload))
+	flow.EncodeHeaderInto(f.B[h:], kind, t.owed.Take(dst), env, aux)
+	copy(f.B[h+headerBytes:], payload)
+	if err := t.dgram.SendFrame(p, dst, f); err != nil {
 		t.fail(err)
 	}
 }
@@ -304,8 +311,25 @@ func (t *transport) Accept(p *sim.Proc, msg *core.InMsg, req *core.Request) {
 	if want > len(req.Buf) {
 		want = len(req.Buf)
 	}
-	t.rndvRecv[h] = &rndvRecvSt{name: req.ID, buf: req.Buf, env: msg.Env, want: want, total: msg.Env.Count}
+	st := t.landing()
+	*st = rndvRecvSt{name: req.ID, buf: req.Buf, env: msg.Env, want: want, total: msg.Env.Count}
+	t.rndvRecv[h] = st
 	t.writeFrame(p, msg.Env.Source, core.PktCTS, msg.Env, h, nil)
+}
+
+// landing draws a rendezvous landing record; landed returns it once its
+// payload is in and its packet pushed. A record PeerDown sweeps is left to
+// the collector, since a tcpData cursor may still hold it.
+func (t *transport) landing() *rndvRecvSt {
+	if st := t.landings.Get(); st != nil {
+		return st
+	}
+	return new(rndvRecvSt)
+}
+
+func (t *transport) landed(st *rndvRecvSt) {
+	*st = rndvRecvSt{}
+	t.landings.Put(st)
 }
 
 // SendPayload implements core.Transport: a CTS surfaced at the sender, so
@@ -395,13 +419,15 @@ func (t *transport) AdvertiseRecv(p *sim.Proc, req *core.Request) {
 	h := t.nextHandle
 	// st.env is the status envelope should the direct payload land: the
 	// posted signature with count/mode filled in from the first chunk.
-	t.rndvRecv[h] = &rndvRecvSt{
+	st := t.landing()
+	*st = rndvRecvSt{
 		name: req.ID,
 		buf:  req.Buf,
 		env:  core.Envelope{Source: req.Env.Source, Tag: req.Env.Tag, Context: req.Env.Context},
 		want: len(req.Buf),
 		rtr:  true,
 	}
+	t.rndvRecv[h] = st
 	// The frame's envelope names this rank as source (it is the frame's
 	// sender) and carries the posted signature plus buffer capacity.
 	ad := core.Envelope{Source: t.rank, Tag: req.Env.Tag, Context: req.Env.Context, Count: len(req.Buf)}
@@ -768,13 +794,15 @@ func (t *transport) readData(p *sim.Proc, src int, conn *atm.TCP, d *tcpData) {
 	delete(t.rndvRecv, d.aux)
 	if st.bounce != nil {
 		t.finishRTRFallback(st)
-		return
+	} else {
+		t.push(core.Packet{Kind: core.PktData, Env: d.env, ReqID: st.name})
 	}
-	t.push(core.Packet{Kind: core.PktData, Env: d.env, ReqID: st.name})
+	t.landed(st)
 }
 
 // parseDgram consumes one reliable datagram, reporting whether one was
-// available.
+// available. The frame is released once its bytes are copied out or
+// parsed, except an eager payload's.
 func (t *transport) parseDgram(p *sim.Proc) bool {
 	d, ok, err := t.dgram.TryRecv(p)
 	if err != nil {
@@ -786,6 +814,7 @@ func (t *transport) parseDgram(p *sim.Proc) bool {
 	buf := d.Data // a view of the sender's frame: read, never write or pool
 	if len(buf) < headerBytes {
 		t.eng.Errors = append(t.eng.Errors, core.Errorf(core.ErrInternal, "short datagram (%d bytes)", len(buf)))
+		t.dgram.Release(d)
 		return true
 	}
 	kind, credit, env, aux := flow.DecodeHeader(buf[:headerBytes])
@@ -795,8 +824,10 @@ func (t *transport) parseDgram(p *sim.Proc) bool {
 	switch kind {
 	case core.PktEager:
 		// GC-owned (Pool nil): the engine may keep the view on its
-		// unexpected queue and will never recycle it.
+		// unexpected queue and will never recycle it, so the frame keeps
+		// this datagram's hold for good.
 		t.push(core.Packet{Kind: kind, Env: env, Data: payload})
+		return true
 	case core.PktData:
 		st := t.rndvRecv[aux]
 		if st == nil {
@@ -804,7 +835,7 @@ func (t *transport) parseDgram(p *sim.Proc) bool {
 			if !t.dead[env.Source] {
 				t.eng.Errors = append(t.eng.Errors, core.Errorf(core.ErrInternal, "rendezvous data for unknown handle %d", aux))
 			}
-			return true
+			break
 		}
 		if st.rtr && !st.started {
 			// Direct payload for an advertised receive: no RTS announced
@@ -829,9 +860,11 @@ func (t *transport) parseDgram(p *sim.Proc) bool {
 			} else {
 				t.push(core.Packet{Kind: kind, Env: st.env, ReqID: st.name})
 			}
+			t.landed(st)
 		}
 	default:
 		t.surface(env.Source, kind, env, aux)
 	}
+	t.dgram.Release(d)
 	return true
 }
