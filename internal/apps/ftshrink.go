@@ -42,7 +42,8 @@ func FTShrink(c *mpi.Comm, cfg FTShrinkConfig) (FTShrinkResult, error) {
 	contrib := []int64{int64(c.Rank()) + 1}
 	cur := c
 	for {
-		sum, err := cur.AllreduceInt64(mpi.SumInt64, contrib)
+		sum := make([]int64, 1) // fresh per attempt: a failed one's receives may still target the last
+		err := cur.AllreduceInt64(mpi.SumInt64, contrib, sum)
 		if err == nil {
 			res.Sum = sum[0]
 			res.Elapsed = c.Wtime() - start

@@ -25,15 +25,18 @@ func init() {
 func barrierDissemination(c Comm) error {
 	p := c.Size()
 	me := c.Rank()
-	token := []byte{0}
-	in := make([]byte, 1)
+	if p == 1 {
+		return nil
+	}
+	buf := c.Borrow(2) // the token sent and the one received
 	for k := 1; k < p; k <<= 1 {
 		to := (me + k) % p
 		from := (me - k + p) % p
-		if err := sendrecv(c, to, token, from, in, tagBarrier); err != nil {
+		if err := sendrecv(c, to, buf[:1], from, buf[1:], tagBarrier); err != nil {
 			return err
 		}
 	}
+	c.Return(buf)
 	return nil
 }
 
@@ -46,7 +49,7 @@ func barrierTree(c Comm, t Tuning) error {
 		return nil
 	}
 	me := c.Rank()
-	token := []byte{0}
+	token := c.Borrow(1)
 	for mask := 1; mask < p; mask <<= 1 {
 		if me&mask != 0 {
 			if err := c.Send(me&^mask, tagBarrier, token); err != nil {
@@ -60,5 +63,5 @@ func barrierTree(c Comm, t Tuning) error {
 			}
 		}
 	}
-	return Run(c, t, "bcast", 1, Args{Root: 0, Buf: token})
+	return giveBack(c, token, Run(c, t, "bcast", 1, Args{Root: 0, Buf: token}))
 }

@@ -43,6 +43,12 @@ type Comm interface {
 	// HWBcast invokes the hardware broadcast; only legal when HasHW.
 	HWBcast(root int, buf []byte) error
 
+	// Borrow and Return lend the calling process's Scratch. An algorithm
+	// returns a buffer only once every operation touching it has completed,
+	// so after an error it keeps it: a posted receive may still target it.
+	Borrow(n int) []byte
+	Return(b []byte)
+
 	// Bookkeeping hooks for Run's per-algorithm accounting.
 	Acct() *core.Acct
 	TraceLog() *trace.Log
@@ -52,6 +58,47 @@ type Comm interface {
 
 // Req is an in-flight nonblocking operation, completed by Comm.Wait.
 type Req interface{}
+
+// Scratch is one process's LIFO of collective scratch buffers. Collectives
+// nest (an allreduce runs a bcast) but never interleave, so buffers come
+// back in the reverse order they went out and the next call of the same
+// shape pops each buffer it used last time. The stack is never deeper than
+// the deepest nesting, and a buffer too short for a request is dropped for
+// a bigger one.
+type Scratch struct {
+	top  []byte   // the buffer returned last; nil when the stack is empty
+	rest [][]byte // the ones returned before it, most recent last
+}
+
+// Borrow returns n bytes with unspecified contents.
+func (s *Scratch) Borrow(n int) []byte {
+	b := s.top
+	s.top = nil
+	if k := len(s.rest); k > 0 {
+		s.top, s.rest = s.rest[k-1], s.rest[:k-1]
+	}
+	if cap(b) >= n {
+		return b[:n]
+	}
+	return make([]byte, n)
+}
+
+// Return takes back a buffer Borrow handed out.
+func (s *Scratch) Return(b []byte) {
+	if s.top != nil {
+		s.rest = append(s.rest, s.top)
+	}
+	s.top = b[:cap(b)]
+}
+
+// giveBack returns b, if any, to c's scratch when err is nil — only then has
+// every operation on it completed — and passes err through.
+func giveBack(c Comm, b []byte, err error) error {
+	if err == nil && b != nil {
+		c.Return(b)
+	}
+	return err
+}
 
 // Collective-context tags, one per operation type for readable traces
 // (correctness comes from the dedicated collective context).
@@ -77,7 +124,9 @@ type Args struct {
 	// Elem is the reduction element size in bytes; splitting algorithms
 	// (reduce-scatter+allgather) may partition vectors only at Elem-byte
 	// boundaries, so Elem == 0 rules them out.
-	Elem   int
+	Elem int
+	// Counts holds per-rank byte counts of the gather/scatter family; nil
+	// means every rank moves the same number of bytes.
 	Counts []int
 	// Alltoallv geometry.
 	SCounts, SDispls, RCounts, RDispls []int

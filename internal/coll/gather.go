@@ -43,42 +43,54 @@ func init() {
 	})
 }
 
+// rankBytes is rank r's byte count under counts, where nil means every
+// rank moves n bytes.
+func rankBytes(counts []int, r, n int) int {
+	if counts == nil {
+		return n
+	}
+	return counts[r]
+}
+
 // gatherLinear collects each rank's counts[r] bytes at the root, ordered
-// by rank; recv is only used at the root.
+// by rank (nil counts: len(send) from every rank); recv is only used at
+// the root.
 func gatherLinear(c Comm, root int, send, recv []byte, counts []int) error {
 	if c.Rank() != root {
 		return c.Send(root, tagGather, send)
 	}
 	off := 0
 	for r := 0; r < c.Size(); r++ {
+		n := rankBytes(counts, r, len(send))
 		if r == root {
-			copy(recv[off:off+counts[r]], send)
+			copy(recv[off:off+n], send)
 		} else {
-			if err := c.Recv(r, tagGather, recv[off:off+counts[r]]); err != nil {
+			if err := c.Recv(r, tagGather, recv[off:off+n]); err != nil {
 				return err
 			}
 		}
-		off += counts[r]
+		off += n
 	}
 	return nil
 }
 
 // scatterLinear distributes counts[r] bytes from the root's send buffer to
-// each rank r.
+// each rank r (nil counts: len(recv) to every rank).
 func scatterLinear(c Comm, root int, send []byte, counts []int, recv []byte) error {
 	if c.Rank() != root {
 		return c.Recv(root, tagScatter, recv)
 	}
 	off := 0
 	for r := 0; r < c.Size(); r++ {
+		n := rankBytes(counts, r, len(recv))
 		if r == root {
-			copy(recv, send[off:off+counts[r]])
+			copy(recv, send[off:off+n])
 		} else {
-			if err := c.Send(r, tagScatter, send[off:off+counts[r]]); err != nil {
+			if err := c.Send(r, tagScatter, send[off:off+n]); err != nil {
 				return err
 			}
 		}
-		off += counts[r]
+		off += n
 	}
 	return nil
 }

@@ -11,13 +11,13 @@ func init() {
 		Name:   "binomial",
 		Rounds: func(h Hint) int { return log2Ceil(h.Ranks) },
 		Run: func(c Comm, a Args) error {
-			acc := a.Recv
-			if c.Rank() != a.Root || len(acc) < len(a.Send) {
-				// recv is significant only at the root; everyone else
-				// accumulates in a scratch buffer.
-				acc = make([]byte, len(a.Send))
+			if c.Rank() == a.Root && len(a.Recv) >= len(a.Send) {
+				return reduceTree(c, a.Root, a.Op, a.Send, a.Recv)
 			}
-			return reduceTree(c, a.Root, a.Op, a.Send, acc)
+			// recv is significant only at the root; everyone else
+			// accumulates in scratch.
+			acc := c.Borrow(len(a.Send))
+			return giveBack(c, acc, reduceTree(c, a.Root, a.Op, a.Send, acc))
 		},
 	})
 	register("allreduce", &Alg{
@@ -52,12 +52,13 @@ func init() {
 		Run: func(c Comm, a Args) error {
 			var full []byte
 			if c.Rank() == 0 {
-				full = make([]byte, len(a.Send))
+				full = c.Borrow(len(a.Send))
 			}
-			if err := Run(c, a.Tune, "reduce", len(a.Send), Args{Root: 0, Op: a.Op, Send: a.Send, Recv: full}); err != nil {
-				return err
+			err := Run(c, a.Tune, "reduce", len(a.Send), Args{Root: 0, Op: a.Op, Send: a.Send, Recv: full})
+			if err == nil {
+				err = Run(c, a.Tune, "scatterv", len(a.Recv), Args{Root: 0, Send: full, Counts: a.Counts, Recv: a.Recv})
 			}
-			return Run(c, a.Tune, "scatterv", len(a.Recv), Args{Root: 0, Send: full, Counts: a.Counts, Recv: a.Recv})
+			return giveBack(c, full, err)
 		},
 	})
 	register("scan", &Alg{
@@ -79,24 +80,27 @@ func init() {
 func reduceTree(c Comm, root int, op func(dst, src []byte), send, acc []byte) error {
 	p := c.Size()
 	rel := (c.Rank() - root + p) % p
+	acc = acc[:len(send)]
 	copy(acc, send)
-	var in []byte
-	for mask := 1; mask < p; mask <<= 1 {
-		if rel&mask != 0 {
-			parent := ((rel &^ mask) + root) % p
-			return c.Send(parent, tagReduce, acc[:len(send)])
-		}
-		if src := rel | mask; src < p {
-			if in == nil {
-				in = make([]byte, len(send))
+	if rel&1 == 0 && rel+1 < p {
+		// An inner node: its children are rel|mask for every mask below
+		// rel's lowest set bit, received in turn into one buffer.
+		in := c.Borrow(len(send))
+		for mask := 1; mask < p && rel&mask == 0; mask <<= 1 {
+			if src := rel | mask; src < p {
+				if err := c.Recv((src+root)%p, tagReduce, in); err != nil {
+					return err
+				}
+				op(acc, in)
 			}
-			if err := c.Recv((src+root)%p, tagReduce, in); err != nil {
-				return err
-			}
-			op(acc, in)
 		}
+		c.Return(in)
 	}
-	return nil
+	if rel == 0 {
+		return nil
+	}
+	// The parent is rel with its lowest set bit cleared.
+	return c.Send((rel&(rel-1)+root)%p, tagReduce, acc)
 }
 
 // allreduceRdbl is recursive doubling: in round k every rank exchanges its
@@ -106,9 +110,12 @@ func reduceTree(c Comm, root int, op func(dst, src []byte), send, acc []byte) er
 func allreduceRdbl(c Comm, op func(dst, src []byte), send, recv []byte) error {
 	p := c.Size()
 	me := c.Rank()
-	copy(recv, send)
 	acc := recv[:len(send)]
-	in := make([]byte, len(send))
+	copy(acc, send)
+	if p == 1 {
+		return nil
+	}
+	in := c.Borrow(len(send))
 	for mask := 1; mask < p; mask <<= 1 {
 		partner := me ^ mask
 		if err := sendrecv(c, partner, acc, partner, in, tagReduce); err != nil {
@@ -122,6 +129,7 @@ func allreduceRdbl(c Comm, op func(dst, src []byte), send, recv []byte) error {
 			op(acc, in)
 		}
 	}
+	c.Return(in)
 	return nil
 }
 
@@ -140,7 +148,7 @@ func allreduceRsag(c Comm, op func(dst, src []byte), elem int, send, recv []byte
 	}
 	count := len(send) / elem
 	acc := recv[:len(send)]
-	scratch := make([]byte, (count/2+1)*elem)
+	scratch := c.Borrow((count/2 + 1) * elem)
 
 	// Reduce-scatter phase: nearest partner first (distance doubling) with
 	// recursive vector halving. After the round at distance m my kept range
@@ -151,7 +159,8 @@ func allreduceRsag(c Comm, op func(dst, src []byte), elem int, send, recv []byte
 	// textbook halving order — would fold {0,2} then {1,3}: non-contiguous,
 	// wrong for non-commutative operators.
 	type step struct{ partner, kLo, kHi, sLo, sHi int }
-	var steps []step
+	var steps [16]step // one per bit of a rank below core.MaxRanks
+	n := 0
 	lo, hi := 0, count // element range I still own
 	for mask := 1; mask < p; mask <<= 1 {
 		mid := lo + (hi-lo)/2
@@ -175,15 +184,17 @@ func allreduceRsag(c Comm, op func(dst, src []byte), elem int, send, recv []byte
 			op(in, kept)
 			copy(kept, in)
 		}
-		steps = append(steps, st)
+		steps[n] = st
+		n++
 		lo, hi = st.kLo, st.kHi
 	}
+	c.Return(scratch)
 
 	// Allgather phase: replay the exchanges in reverse. At the replay of
 	// step i my fully-reduced range is exactly the range I kept then, and
 	// the partner holds its mirror — the range I sent — so one exchange
 	// rebuilds the step's whole block.
-	for i := len(steps) - 1; i >= 0; i-- {
+	for i := n - 1; i >= 0; i-- {
 		st := steps[i]
 		if err := sendrecv(c, st.partner, acc[st.kLo*elem:st.kHi*elem], st.partner, acc[st.sLo*elem:st.sHi*elem], tagReduce); err != nil {
 			return err
@@ -193,18 +204,18 @@ func allreduceRsag(c Comm, op func(dst, src []byte), elem int, send, recv []byte
 }
 
 // scanLinear computes the inclusive prefix along the rank chain: rank r
-// receives prefix(0..r-1), folds its own contribution, and forwards.
+// receives prefix(0..r-1) straight into recv, folds its own contribution,
+// and forwards.
 func scanLinear(c Comm, op func(dst, src []byte), send, recv []byte) error {
-	copy(recv, send)
 	out := recv[:len(send)]
 	if c.Rank() > 0 {
-		in := make([]byte, len(send))
-		if err := c.Recv(c.Rank()-1, tagScan, in); err != nil {
+		if err := c.Recv(c.Rank()-1, tagScan, out); err != nil {
 			return err
 		}
 		// out = prefix(0..r-1) ∘ send.
-		copy(out, in)
 		op(out, send)
+	} else {
+		copy(out, send)
 	}
 	if c.Rank() < c.Size()-1 {
 		return c.Send(c.Rank()+1, tagScan, out)
@@ -213,24 +224,22 @@ func scanLinear(c Comm, op func(dst, src []byte), send, recv []byte) error {
 }
 
 // exscanLinear computes the exclusive prefix: rank r receives
-// prefix(0..r-1); rank 0's recv is left untouched.
+// prefix(0..r-1) straight into recv and forwards prefix(0..r) from scratch;
+// rank 0's recv is left untouched and it forwards its send buffer as is.
 func exscanLinear(c Comm, op func(dst, src []byte), send, recv []byte) error {
-	incl := make([]byte, len(send))
-	if c.Rank() > 0 {
-		if err := c.Recv(c.Rank()-1, tagScan, incl); err != nil {
-			return err
+	me, last := c.Rank(), c.Rank() == c.Size()-1
+	if me == 0 {
+		if last {
+			return nil
 		}
-		copy(recv, incl)
+		return c.Send(1, tagScan, send)
 	}
-	if c.Rank() < c.Size()-1 {
-		out := make([]byte, len(send))
-		if c.Rank() == 0 {
-			copy(out, send)
-		} else {
-			copy(out, incl)
-			op(out, send)
-		}
-		return c.Send(c.Rank()+1, tagScan, out)
+	prefix := recv[:len(send)]
+	if err := c.Recv(me-1, tagScan, prefix); err != nil || last {
+		return err
 	}
-	return nil
+	out := c.Borrow(len(send))
+	copy(out, prefix)
+	op(out, send) // out = prefix(0..r-1) ∘ send
+	return giveBack(c, out, c.Send(me+1, tagScan, out))
 }

@@ -259,8 +259,8 @@ func randomCollectives(c *mpi.Comm, seed int64) error {
 				return fmt.Errorf("step %d bcast: %w", step, err)
 			}
 		case 1: // allreduce sum
-			out, err := c.AllreduceFloat64(mpi.SumFloat64, []float64{float64(c.Rank() + step)})
-			if err != nil {
+			out := make([]float64, 1)
+			if err := c.AllreduceFloat64(mpi.SumFloat64, []float64{float64(c.Rank() + step)}, out); err != nil {
 				return err
 			}
 			want := float64(n*step + n*(n-1)/2)
@@ -398,8 +398,8 @@ func communicators(c *mpi.Comm, seed int64) error {
 	if err != nil {
 		return err
 	}
-	sum, err := half.AllreduceFloat64(mpi.SumFloat64, []float64{1})
-	if err != nil {
+	sum := make([]float64, 1)
+	if err := half.AllreduceFloat64(mpi.SumFloat64, []float64{1}, sum); err != nil {
 		return err
 	}
 	if int(sum[0]) != half.Size() {

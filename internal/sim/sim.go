@@ -128,7 +128,7 @@ type Scheduler struct {
 	free   *event // event freelist (intrusive, via event.next)
 	seq    uint64
 	procs  map[*Proc]struct{}
-	rng    *rand.Rand
+	rng    *rand.Rand // seeded from seed on the first Rand call
 
 	// Same-instant queue: events scheduled for t == now, in seq order,
 	// threaded through event.next. Such an event has a larger seq than
@@ -154,14 +154,13 @@ type Scheduler struct {
 	// through schedule + park. Written only by this package's tests, which
 	// use the plain kernel as the oracle for the two shortcuts.
 	noFastPath bool
+
+	seed int64 // Rand's seed; last, so the hot fields keep their offsets
 }
 
 // NewScheduler returns a Scheduler with the deterministic RNG seeded by seed.
 func NewScheduler(seed int64) *Scheduler {
-	return &Scheduler{
-		procs: make(map[*Proc]struct{}),
-		rng:   rand.New(rand.NewSource(seed)),
-	}
+	return &Scheduler{procs: make(map[*Proc]struct{}), seed: seed}
 }
 
 // Now reports the current virtual time.
@@ -170,8 +169,15 @@ func (s *Scheduler) Now() Time { return s.now }
 // Rand exposes the run's deterministic random source. It must only be used
 // while holding the execution token (i.e. from proc bodies or event
 // callbacks), which all model code does by construction. Each lane of a
-// shard has its own stream.
-func (s *Scheduler) Rand() *rand.Rand { return s.rng }
+// shard has its own stream. The source is built on first use, so a lane
+// that never draws never pays for one, and the stream is the same whenever
+// the first draw comes.
+func (s *Scheduler) Rand() *rand.Rand {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(s.seed))
+	}
+	return s.rng
+}
 
 // LaneID reports which shard lane this scheduler is: the Route address of
 // everything built on it. A standalone scheduler is lane 0 of itself.

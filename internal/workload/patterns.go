@@ -78,7 +78,7 @@ func stencil(e *Env) error {
 	out := make([]byte, n)
 	in := make([]byte, n)
 	e.fill(out)
-	residual := []float64{float64(me + 1)}
+	residual, total := []float64{float64(me + 1)}, make([]float64, 1)
 	for step := 0; step < e.Cfg.Steps; step++ {
 		start := c.Wtime()
 		if left != me {
@@ -96,7 +96,7 @@ func stencil(e *Env) error {
 		c.Compute(e.Cfg.Compute)
 		if (step+1)%residualEvery == 0 {
 			xs := c.Wtime()
-			if _, err := c.AllreduceFloat64(mpi.SumFloat64, residual); err != nil {
+			if err := c.AllreduceFloat64(mpi.SumFloat64, residual, total); err != nil {
 				return err
 			}
 			e.Record(OpCollective, -1, step, 8, xs)
@@ -136,7 +136,7 @@ func allreduceLoop(e *Env) error {
 	if elems < 1 {
 		elems = 1
 	}
-	grad := make([]float64, elems)
+	grad, sum := make([]float64, elems), make([]float64, elems)
 	for i := range grad {
 		grad[i] = e.RNG.Float64()
 	}
@@ -144,7 +144,7 @@ func allreduceLoop(e *Env) error {
 		start := c.Wtime()
 		c.Compute(e.Cfg.Compute)
 		xs := c.Wtime()
-		if _, err := c.AllreduceFloat64(mpi.SumFloat64, grad); err != nil {
+		if err := c.AllreduceFloat64(mpi.SumFloat64, grad, sum); err != nil {
 			return err
 		}
 		e.Record(OpCollective, -1, step, elems*8, xs)

@@ -78,6 +78,14 @@ func (k collComm) HWBcast(root int, buf []byte) error {
 	return hb.HWBcast(k.c.p, wr, k.c.ctx+1, buf)
 }
 
+// Borrow and Return lend the process's scratch, one LIFO per world rank
+// that every communicator of the rank shares.
+func (k collComm) Borrow(n int) []byte { return k.scratch().Borrow(n) }
+func (k collComm) Return(b []byte)     { k.scratch().Return(b) }
+func (k collComm) scratch() *coll.Scratch {
+	return &k.c.w.scratch[k.c.group[k.c.rank]]
+}
+
 func (k collComm) Acct() *core.Acct { return k.c.ep.Acct() }
 
 func (k collComm) TraceLog() *trace.Log {
@@ -114,16 +122,6 @@ func (c *Comm) isWorld() bool {
 //
 // The checks below turn malformed buffers into proper MPI errors
 // (truncation-style) instead of out-of-range panics inside an algorithm.
-
-// uniformCounts builds the per-rank count slice of the fixed-size
-// collectives.
-func uniformCounts(p, n int) []int {
-	counts := make([]int, p)
-	for i := range counts {
-		counts[i] = n
-	}
-	return counts
-}
 
 // checkCounts validates a per-rank count slice.
 func checkCounts(op string, p int, counts []int) error {
@@ -162,67 +160,54 @@ func (c *Comm) Barrier() error {
 // receives Size()*n bytes ordered by rank (MPI_Gather). recvBuf is only
 // used at the root.
 func (c *Comm) Gather(root int, send []byte, recvBuf []byte) error {
-	return c.gather("Gather", root, send, recvBuf, uniformCounts(c.Size(), len(send)))
+	if need := c.Size() * len(send); c.rank == root && len(recvBuf) < need {
+		return core.Errorf(core.ErrTruncate, "Gather: %d-byte receive buffer truncates %d gathered bytes", len(recvBuf), need)
+	}
+	return c.runColl("gather", len(send), coll.Args{Root: root, Send: send, Recv: recvBuf})
 }
 
 // Gatherv is Gather with per-rank counts; recvBuf must hold their sum.
 func (c *Comm) Gatherv(root int, send []byte, recvBuf []byte, counts []int) error {
-	return c.gather("Gatherv", root, send, recvBuf, counts)
-}
-
-func (c *Comm) gather(op string, root int, send, recvBuf []byte, counts []int) error {
-	if err := checkCounts(op, c.Size(), counts); err != nil {
+	if err := checkCounts("Gatherv", c.Size(), counts); err != nil {
 		return err
 	}
-	if c.rank == root {
-		if need := sum(counts); len(recvBuf) < need {
-			return core.Errorf(core.ErrTruncate, "%s: %d-byte receive buffer truncates %d gathered bytes", op, len(recvBuf), need)
-		}
+	if need := sum(counts); c.rank == root && len(recvBuf) < need {
+		return core.Errorf(core.ErrTruncate, "Gatherv: %d-byte receive buffer truncates %d gathered bytes", len(recvBuf), need)
 	}
-	name := "gather"
-	if op == "Gatherv" {
-		name = "gatherv"
-	}
-	return c.runColl(name, len(send), coll.Args{Root: root, Send: send, Recv: recvBuf, Counts: counts})
+	return c.runColl("gatherv", len(send), coll.Args{Root: root, Send: send, Recv: recvBuf, Counts: counts})
 }
 
 // Scatter distributes Size() slices of n bytes from the root's sendBuf,
 // one per rank (MPI_Scatter); recv receives this rank's slice.
 func (c *Comm) Scatter(root int, sendBuf []byte, recv []byte) error {
-	return c.scatter("Scatter", root, sendBuf, uniformCounts(c.Size(), len(recv)), recv)
+	if need := c.Size() * len(recv); c.rank == root && len(sendBuf) < need {
+		return core.Errorf(core.ErrTruncate, "Scatter: %d-byte send buffer short of %d scattered bytes", len(sendBuf), need)
+	}
+	return c.runColl("scatter", len(recv), coll.Args{Root: root, Send: sendBuf, Recv: recv})
 }
 
 // Scatterv is Scatter with per-rank counts.
 func (c *Comm) Scatterv(root int, sendBuf []byte, counts []int, recv []byte) error {
-	return c.scatter("Scatterv", root, sendBuf, counts, recv)
-}
-
-func (c *Comm) scatter(op string, root int, sendBuf []byte, counts []int, recv []byte) error {
 	if c.rank == root {
-		if err := checkCounts(op, c.Size(), counts); err != nil {
+		if err := checkCounts("Scatterv", c.Size(), counts); err != nil {
 			return err
 		}
 		if need := sum(counts); len(sendBuf) < need {
-			return core.Errorf(core.ErrTruncate, "%s: %d-byte send buffer short of %d scattered bytes", op, len(sendBuf), need)
+			return core.Errorf(core.ErrTruncate, "Scatterv: %d-byte send buffer short of %d scattered bytes", len(sendBuf), need)
 		}
 		if len(recv) < counts[c.rank] {
-			return core.Errorf(core.ErrTruncate, "%s: %d-byte receive buffer truncates rank %d's %d bytes", op, len(recv), c.rank, counts[c.rank])
+			return core.Errorf(core.ErrTruncate, "Scatterv: %d-byte receive buffer truncates rank %d's %d bytes", len(recv), c.rank, counts[c.rank])
 		}
 	}
-	name := "scatter"
-	if op == "Scatterv" {
-		name = "scatterv"
-	}
-	return c.runColl(name, len(recv), coll.Args{Root: root, Send: sendBuf, Counts: counts, Recv: recv})
+	return c.runColl("scatterv", len(recv), coll.Args{Root: root, Send: sendBuf, Counts: counts, Recv: recv})
 }
 
 // Allgather gathers every rank's n bytes at every rank (MPI_Allgather).
 func (c *Comm) Allgather(send []byte, recvBuf []byte) error {
-	p := c.Size()
-	if need := p * len(send); len(recvBuf) < need {
+	if need := c.Size() * len(send); len(recvBuf) < need {
 		return core.Errorf(core.ErrTruncate, "Allgather: %d-byte receive buffer truncates %d gathered bytes", len(recvBuf), need)
 	}
-	return c.runColl("allgather", len(send), coll.Args{Send: send, Recv: recvBuf, Counts: uniformCounts(p, len(send))})
+	return c.runColl("allgather", len(send), coll.Args{Send: send, Recv: recvBuf})
 }
 
 // Op combines src into dst elementwise over packed representations

@@ -282,12 +282,12 @@ func (c *Comm) RecvTyped(src, tag int, dt Datatype, count int, dst []byte) (Stat
 	return st, nil
 }
 
-// Float64Bytes views a []float64 as its little-endian byte encoding
-// (copying), for use with the []byte message API.
+// Float64Bytes encodes a []float64 in host byte order (copying), for use
+// with the []byte message API; it is the layout the typed reductions read.
 func Float64Bytes(xs []float64) []byte {
 	b := make([]byte, 8*len(xs))
 	for i, x := range xs {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+		binary.NativeEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
 	return b
 }
@@ -296,7 +296,7 @@ func Float64Bytes(xs []float64) []byte {
 func BytesFloat64(b []byte) []float64 {
 	xs := make([]float64, len(b)/8)
 	for i := range xs {
-		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		xs[i] = math.Float64frombits(binary.NativeEndian.Uint64(b[8*i:]))
 	}
 	return xs
 }

@@ -38,8 +38,8 @@ func Example() {
 // Collectives: an allreduce over the TCP/ATM cluster.
 func ExampleComm_Allreduce() {
 	_, err := registry.Run(registry.Spec{Platform: "cluster", Transport: "tcp", Network: "atm", Ranks: 4}, func(c *mpi.Comm) error {
-		sum, err := c.AllreduceFloat64(mpi.SumFloat64, []float64{float64(c.Rank() + 1)})
-		if err != nil {
+		sum := make([]float64, 1)
+		if err := c.AllreduceFloat64(mpi.SumFloat64, []float64{float64(c.Rank() + 1)}, sum); err != nil {
 			return err
 		}
 		if c.Rank() == 0 {

@@ -297,7 +297,7 @@ func (c *Comm) agree(flag uint64) (uint64, []bool, error) {
 // survivors. The usual recovery sequence, from the rank that caught the
 // failure first to the ranks woken out of a collective by the revoke:
 //
-//	sum, err := comm.AllreduceInt64(mpi.SumInt64, contrib)
+//	err := comm.AllreduceInt64(mpi.SumInt64, contrib, sum)
 //	if mpi.IsPeerDown(err) {
 //		comm.Revoke() // wake peers hung on the dead rank's contribution
 //	}
@@ -306,7 +306,8 @@ func (c *Comm) agree(flag uint64) (uint64, []bool, error) {
 //		if serr != nil {
 //			return serr
 //		}
-//		sum, err = smaller.AllreduceInt64(mpi.SumInt64, contrib) // survivors finish
+//		sum = make([]int64, len(contrib)) // the failed call's receives may still target the old one
+//		err = smaller.AllreduceInt64(mpi.SumInt64, contrib, sum) // survivors finish
 //	}
 func (c *Comm) Shrink() (*Comm, error) {
 	_, dead, err := c.agree(0)

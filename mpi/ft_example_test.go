@@ -19,7 +19,8 @@ func ExampleComm_Shrink() {
 		contrib := []int64{int64(c.Rank()) + 1}
 		cur := c
 		for {
-			sum, err := cur.AllreduceInt64(mpi.SumInt64, contrib)
+			sum := make([]int64, 1) // fresh per attempt: a failed one's receives may still target the last
+			err := cur.AllreduceInt64(mpi.SumInt64, contrib, sum)
 			if err == nil {
 				if cur != c && cur.Rank() == 0 {
 					fmt.Printf("sum %d over %d survivors\n", sum[0], cur.Size())

@@ -47,13 +47,13 @@ func TestShrinkAllreduceSurvivesKill(t *testing.T) {
 			// collective waiting on our contribution when the death lands;
 			// our own call then fails with our death reason.
 			c.Compute(100 * time.Microsecond)
-			_, aerr := c.AllreduceInt64(mpi.SumInt64, contrib)
+			aerr := c.AllreduceInt64(mpi.SumInt64, contrib, make([]int64, 1))
 			if aerr == nil {
 				t.Errorf("victim allreduce succeeded past its own death")
 			}
 			return nil
 		}
-		_, aerr := c.AllreduceInt64(mpi.SumInt64, contrib)
+		aerr := c.AllreduceInt64(mpi.SumInt64, contrib, make([]int64, 1))
 		switch {
 		case mpi.IsPeerDown(aerr):
 			if rerr := c.Revoke(); rerr != nil {
@@ -73,8 +73,8 @@ func TestShrinkAllreduceSurvivesKill(t *testing.T) {
 		if smaller.Size() != n-1 {
 			t.Errorf("rank %d: shrunken size = %d, want %d", c.Rank(), smaller.Size(), n-1)
 		}
-		sum, aerr := smaller.AllreduceInt64(mpi.SumInt64, contrib)
-		if aerr != nil {
+		sum := make([]int64, 1)
+		if aerr := smaller.AllreduceInt64(mpi.SumInt64, contrib, sum); aerr != nil {
 			return aerr
 		}
 		if sum[0] != wantSum {

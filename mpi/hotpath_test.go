@@ -62,6 +62,184 @@ func TestSendrecvAllocsPerLeg(t *testing.T) {
 	}
 }
 
+// collRow is one collective call shape: setup builds a rank's buffers for
+// an n-byte payload once and returns call i.
+//
+// A bounce buffer goes from the sender's pool to the receiver's
+// (Engine.Bounce), so a rank that sends more than it receives in some size
+// class draws fresh ones on every call: a reduce leaf, the head of a scan
+// chain. A row whose traffic is lopsided therefore rotates its root, turns
+// its chain around every other call, or follows the call with its mirror
+// image, so that over a few calls every rank receives what it sends in
+// every size class.
+type collRow struct {
+	name  string
+	tune  Tuning
+	setup func(c *Comm, n int) func(i int) error
+}
+
+// collRows covers every collective that borrows scratch or once built
+// per-call counts, under each allreduce algorithm, plus the typed wrappers.
+func collRows() []collRow {
+	// The typed rows and the rooted reductions fold SumInt64 and SumFloat64;
+	// the rest fold nothing, which keeps the rows quick under -race, and
+	// declare 1-byte elements, which lets rsag split an 8-byte vector.
+	noop := func(dst, src []byte) {}
+	allreduce := func(c *Comm, n int) func(int) error {
+		send, recv := make([]byte, n), make([]byte, n)
+		return func(int) error { return c.AllreduceElem(noop, 1, send, recv) }
+	}
+	rows := []collRow{{name: "allreduce/auto", setup: allreduce}}
+	for _, alg := range []string{"reduce-bcast", "rdbl", "rsag"} {
+		rows = append(rows, collRow{"allreduce/" + alg, Tuning{"allreduce": alg}, allreduce})
+	}
+	barrier := func(c *Comm, n int) func(int) error { return func(int) error { return c.Barrier() } }
+	// chain alternates c with its reversed copy, so the chain runs both ways.
+	chain := func(op func(c *Comm, send, recv []byte) error) func(c *Comm, n int) func(int) error {
+		return func(c *Comm, n int) func(int) error {
+			rev, err := c.Split(0, -c.Rank())
+			if err != nil {
+				panic(err) // a healthy mem world cannot fail a Split
+			}
+			comms := [2]*Comm{c, rev}
+			send, recv := make([]byte, n), make([]byte, n)
+			return func(i int) error { return op(comms[i%2], send, recv) }
+		}
+	}
+	return append(rows,
+		collRow{"reduce", nil, func(c *Comm, n int) func(int) error {
+			send, recv := make([]byte, n), make([]byte, n)
+			return func(i int) error { return c.Reduce(i%c.Size(), SumInt64, send, recv) }
+		}},
+		collRow{"scan", nil, chain(func(c *Comm, send, recv []byte) error { return c.Scan(SumInt64, send, recv) })},
+		collRow{"exscan", nil, chain(func(c *Comm, send, recv []byte) error { return c.Exscan(SumInt64, send, recv) })},
+		collRow{"reducescatter", nil, func(c *Comm, n int) func(int) error {
+			p := c.Size()
+			send, recv, counts := make([]byte, n), make([]byte, n/p), make([]int, p)
+			for i := range counts {
+				counts[i] = n / p
+			}
+			all := make([]byte, n)
+			return func(int) error {
+				if err := c.ReduceScatter(SumInt64, send, recv, counts); err != nil {
+					return err
+				}
+				// The mirror of a binomial reduce to 0 and a linear scatter from 0.
+				if err := c.Bcast(0, all); err != nil {
+					return err
+				}
+				return c.Gather(0, recv, all)
+			}
+		}},
+		collRow{"barrier/dissemination", Tuning{"barrier": "dissemination"}, barrier},
+		collRow{"barrier/tree", Tuning{"barrier": "tree"}, barrier},
+		collRow{"gather", nil, func(c *Comm, n int) func(int) error {
+			part, all := make([]byte, n), make([]byte, n*c.Size())
+			return func(int) error {
+				if err := c.Gather(0, part, all); err != nil {
+					return err
+				}
+				return c.Scatter(0, all, part) // the mirror
+			}
+		}},
+		collRow{"scatter", nil, func(c *Comm, n int) func(int) error {
+			part, all := make([]byte, n), make([]byte, n*c.Size())
+			return func(int) error {
+				if err := c.Scatter(0, all, part); err != nil {
+					return err
+				}
+				return c.Gather(0, part, all) // the mirror
+			}
+		}},
+		collRow{"allgather/gather-bcast", Tuning{"allgather": "gather-bcast", "bcast": "binomial"}, func(c *Comm, n int) func(int) error {
+			send, recv := make([]byte, n), make([]byte, n*c.Size())
+			return func(int) error {
+				if err := c.Allgather(send, recv); err != nil {
+					return err
+				}
+				// The mirror of a linear gather to 0 and a binomial bcast from 0.
+				if err := c.Scatter(0, recv, send); err != nil {
+					return err
+				}
+				return c.Reduce(0, noop, recv, recv)
+			}
+		}},
+		collRow{"allgather/ring", Tuning{"allgather": "ring"}, func(c *Comm, n int) func(int) error {
+			send, recv := make([]byte, n), make([]byte, n*c.Size())
+			return func(int) error { return c.Allgather(send, recv) }
+		}},
+		collRow{"AllreduceFloat64", nil, func(c *Comm, n int) func(int) error {
+			send, recv := make([]float64, n/8), make([]float64, n/8)
+			return func(int) error { return c.AllreduceFloat64(SumFloat64, send, recv) }
+		}},
+		collRow{"AllreduceInt64", nil, func(c *Comm, n int) func(int) error {
+			send, recv := make([]int64, n/8), make([]int64, n/8)
+			return func(int) error { return c.AllreduceInt64(SumInt64, send, recv) }
+		}},
+		collRow{"ReduceFloat64", nil, func(c *Comm, n int) func(int) error {
+			send, recv := make([]float64, n/8), make([]float64, n/8)
+			return func(i int) error { return c.ReduceFloat64(i%c.Size(), SumFloat64, send, recv) }
+		}},
+	)
+}
+
+// collMallocs builds a fresh 8-rank mem world on the given kernel, has
+// every rank make row's call calls times at n bytes, and reports the heap
+// objects the whole job allocated.
+func collMallocs(t *testing.T, row collRow, lanes, n, calls int) uint64 {
+	t.Helper()
+	w := memWorldLanes(8, lanes)
+	w.Tune = row.tune
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := Launch(w, func(c *Comm) error {
+		call := row.setup(c, n)
+		for i := 0; i < calls; i++ {
+			if err := call(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		err = rep.FirstErr()
+	}
+	if err != nil {
+		t.Fatalf("%s lanes=%d bytes=%d calls=%d: %v", row.name, lanes, n, calls, err)
+	}
+	return after.Mallocs - before.Mallocs
+}
+
+// TestCollectiveAllocsPerCall holds every collective's host path on the
+// store-based fabric to a constant: the typed wrappers reduce in place,
+// the built-in ops fold native views, the algorithms borrow their scratch
+// from the process's LIFO and the uniform gather family builds no count
+// slice, so a call allocates nothing once warm. Short and long runs are
+// subtracted so world construction and warm-up cancel, as in
+// TestSendrecvAllocsPerLeg.
+func TestCollectiveAllocsPerCall(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const short, long = 64, 128 // past the matcher's warm-up; whole rotations of the root
+	for _, k := range []struct {
+		name  string
+		lanes int
+	}{{"single", 0}, {"2-lane", 2}} {
+		for _, row := range collRows() {
+			for _, n := range []int{8, 1 << 10, 16 << 10} {
+				t.Run(fmt.Sprintf("%s/%s/%dB", k.name, row.name, n), func(t *testing.T) {
+					extra := int64(collMallocs(t, row, k.lanes, n, long)) - int64(collMallocs(t, row, k.lanes, n, short))
+					calls := int64(8 * (long - short)) // every rank
+					if extra > 64 {
+						t.Errorf("%d more calls allocated %d more objects (%.2f per call), want a constant",
+							calls, extra, float64(extra)/float64(calls))
+					}
+				})
+			}
+		}
+	}
+}
+
 // shiftOracle is Shift as the composition it replaced: copy the
 // coordinates, displace one, fold through RankOf.
 func shiftOracle(t *Cart, dim, disp int) (src, dst int) {

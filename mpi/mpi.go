@@ -68,7 +68,9 @@ type World struct {
 	// dead set) so every survivor of a Shrink picks the same fresh contexts
 	// without communicating over the (possibly revoked) parent.
 	shrinkCtxs map[string]int
-	rankDone   []sim.Time
+	// scratch is each rank's collective scratch (coll.Scratch), indexed by
+	// world rank and touched only by that rank's process.
+	scratch []coll.Scratch
 
 	// group is the world communicator's identity rank mapping, built once
 	// and shared read-only by every rank's Comm — at thousands of ranks,
@@ -84,7 +86,7 @@ func NewWorld(s *sim.Scheduler, eps []core.Endpoint) *World {
 	for i := range group {
 		group[i] = i
 	}
-	return &World{S: s, eps: eps, nextCtx: 2, rankDone: make([]sim.Time, len(eps)), group: group}
+	return &World{S: s, eps: eps, nextCtx: 2, group: group, scratch: make([]coll.Scratch, len(eps))}
 }
 
 // Sched reports the scheduler that owns rank r.

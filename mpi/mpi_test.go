@@ -219,19 +219,15 @@ func TestReduceAllreduceScan(t *testing.T) {
 	const n = 6
 	launch(t, n, func(c *Comm) error {
 		x := []float64{float64(c.Rank() + 1), 2}
-		sum, err := c.ReduceFloat64(0, SumFloat64, x)
-		if err != nil {
+		sum := make([]float64, 2)
+		if err := c.ReduceFloat64(0, SumFloat64, x, sum); err != nil {
 			return err
 		}
-		if c.Rank() == 0 {
-			if sum[0] != 21 || sum[1] != 12 {
-				t.Errorf("reduce sum = %v", sum)
-			}
-		} else if sum != nil {
-			t.Errorf("non-root got reduce result")
+		if c.Rank() == 0 && (sum[0] != 21 || sum[1] != 12) {
+			t.Errorf("reduce sum = %v", sum)
 		}
-		all, err := c.AllreduceFloat64(MaxFloat64, []float64{float64(c.Rank())})
-		if err != nil {
+		all := make([]float64, 1)
+		if err := c.AllreduceFloat64(MaxFloat64, []float64{float64(c.Rank())}, all); err != nil {
 			return err
 		}
 		if all[0] != n-1 {
@@ -928,8 +924,8 @@ func TestCollectivesOnSizeOneComm(t *testing.T) {
 		if all[0] != 3 {
 			t.Errorf("allgather = %v", all)
 		}
-		sum, err := c.AllreduceFloat64(SumFloat64, []float64{5})
-		if err != nil {
+		sum := make([]float64, 1)
+		if err := c.AllreduceFloat64(SumFloat64, []float64{5}, sum); err != nil {
 			return err
 		}
 		if sum[0] != 5 {

@@ -3,98 +3,94 @@ package mpi
 import (
 	"encoding/binary"
 	"math"
+	"unsafe"
 )
 
-// Prebuilt reduction operators over packed little-endian buffers, the
-// analogues of MPI_SUM, MPI_PROD, MPI_MAX, MPI_MIN, MPI_BAND, MPI_BOR.
+// Prebuilt reduction operators over packed buffers of host-byte-order
+// elements, the analogues of MPI_SUM, MPI_PROD, MPI_MAX, MPI_MIN, MPI_BAND,
+// MPI_BOR.
 
-func float64Op(f func(a, b float64) float64) Op {
+// elem is the element type of a built-in arithmetic reduction.
+type elem interface {
+	float64 | int64 | float32 | int32
+}
+
+// elemOp builds the operator folding f over packed T elements. When both
+// operands are aligned to T's size — the typed wrappers' buffers, the
+// collective layer's scratch and every whole-element slice of them are —
+// it folds native views in place; a misaligned operand falls back to
+// moving each element through its bytes.
+func elemOp[T elem](f func(a, b T) T) Op {
+	size := int(unsafe.Sizeof(T(0)))
 	return func(dst, src []byte) {
-		for i := 0; i+8 <= len(dst); i += 8 {
-			a := math.Float64frombits(binary.LittleEndian.Uint64(dst[i:]))
-			b := math.Float64frombits(binary.LittleEndian.Uint64(src[i:]))
-			binary.LittleEndian.PutUint64(dst[i:], math.Float64bits(f(a, b)))
+		n := len(dst) / size
+		if n == 0 {
+			return
+		}
+		src = src[:len(dst)]
+		if aligned(dst, size) && aligned(src, size) {
+			d := unsafe.Slice((*T)(unsafe.Pointer(&dst[0])), n)
+			s := unsafe.Slice((*T)(unsafe.Pointer(&src[0])), n)
+			for i := range d {
+				d[i] = f(d[i], s[i])
+			}
+			return
+		}
+		for i := 0; i < n*size; i += size {
+			store(dst[i:], f(load[T](dst[i:]), load[T](src[i:])))
 		}
 	}
 }
 
-func int64Op(f func(a, b int64) int64) Op {
-	return func(dst, src []byte) {
-		for i := 0; i+8 <= len(dst); i += 8 {
-			a := int64(binary.LittleEndian.Uint64(dst[i:]))
-			b := int64(binary.LittleEndian.Uint64(src[i:]))
-			binary.LittleEndian.PutUint64(dst[i:], uint64(f(a, b)))
-		}
-	}
+func aligned(b []byte, size int) bool {
+	return uintptr(unsafe.Pointer(unsafe.SliceData(b)))%uintptr(size) == 0
 }
+
+// load and store move one element through its bytes in host order (what
+// binary.NativeEndian reads and writes), with no alignment assumed.
+func load[T elem](b []byte) (x T) {
+	copy(unsafe.Slice((*byte)(unsafe.Pointer(&x)), unsafe.Sizeof(x)), b)
+	return x
+}
+
+func store[T elem](b []byte, x T) {
+	copy(b, unsafe.Slice((*byte)(unsafe.Pointer(&x)), unsafe.Sizeof(x)))
+}
+
+func add[T elem](a, b T) T { return a + b }
+func mul[T elem](a, b T) T { return a * b }
+
+func greater[T elem](a, b T) T {
+	if a > b {
+		return a
+	}
+	return b
+}
+
+func lesser[T int64 | int32](a, b T) T { return min(a, b) }
 
 // Float64 reductions.
 var (
-	SumFloat64  = float64Op(func(a, b float64) float64 { return a + b })
-	ProdFloat64 = float64Op(func(a, b float64) float64 { return a * b })
-	MaxFloat64  = float64Op(math.Max)
-	MinFloat64  = float64Op(math.Min)
+	SumFloat64  = elemOp(add[float64])
+	ProdFloat64 = elemOp(mul[float64])
+	MaxFloat64  = elemOp(math.Max)
+	MinFloat64  = elemOp(math.Min)
 )
 
 // Int64 reductions.
 var (
-	SumInt64 = int64Op(func(a, b int64) int64 { return a + b })
-	MaxInt64 = int64Op(func(a, b int64) int64 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-	MinInt64 = int64Op(func(a, b int64) int64 {
-		if a < b {
-			return a
-		}
-		return b
-	})
+	SumInt64 = elemOp(add[int64])
+	MaxInt64 = elemOp(greater[int64])
+	MinInt64 = elemOp(lesser[int64])
 )
-
-func float32Op(f func(a, b float32) float32) Op {
-	return func(dst, src []byte) {
-		for i := 0; i+4 <= len(dst); i += 4 {
-			a := math.Float32frombits(binary.LittleEndian.Uint32(dst[i:]))
-			b := math.Float32frombits(binary.LittleEndian.Uint32(src[i:]))
-			binary.LittleEndian.PutUint32(dst[i:], math.Float32bits(f(a, b)))
-		}
-	}
-}
-
-func int32Op(f func(a, b int32) int32) Op {
-	return func(dst, src []byte) {
-		for i := 0; i+4 <= len(dst); i += 4 {
-			a := int32(binary.LittleEndian.Uint32(dst[i:]))
-			b := int32(binary.LittleEndian.Uint32(src[i:]))
-			binary.LittleEndian.PutUint32(dst[i:], uint32(f(a, b)))
-		}
-	}
-}
 
 // Float32 and Int32 reductions.
 var (
-	SumFloat32 = float32Op(func(a, b float32) float32 { return a + b })
-	MaxFloat32 = float32Op(func(a, b float32) float32 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-	SumInt32 = int32Op(func(a, b int32) int32 { return a + b })
-	MaxInt32 = int32Op(func(a, b int32) int32 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-	MinInt32 = int32Op(func(a, b int32) int32 {
-		if a < b {
-			return a
-		}
-		return b
-	})
+	SumFloat32 = elemOp(add[float32])
+	MaxFloat32 = elemOp(greater[float32])
+	SumInt32   = elemOp(add[int32])
+	MaxInt32   = elemOp(greater[int32])
+	MinInt32   = elemOp(lesser[int32])
 )
 
 // Bitwise reductions over raw bytes.
@@ -111,11 +107,12 @@ var (
 	}
 )
 
-// Int64Bytes and BytesInt64 encode []int64 for the reduction helpers.
+// Int64Bytes and BytesInt64 encode []int64 in host byte order, the layout
+// the typed reductions read.
 func Int64Bytes(xs []int64) []byte {
 	b := make([]byte, 8*len(xs))
 	for i, x := range xs {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
+		binary.NativeEndian.PutUint64(b[8*i:], uint64(x))
 	}
 	return b
 }
@@ -124,39 +121,32 @@ func Int64Bytes(xs []int64) []byte {
 func BytesInt64(b []byte) []int64 {
 	xs := make([]int64, len(b)/8)
 	for i := range xs {
-		xs[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+		xs[i] = int64(binary.NativeEndian.Uint64(b[8*i:]))
 	}
 	return xs
 }
 
-// AllreduceFloat64 is a convenience wrapper reducing a float64 slice. The
-// declared 8-byte element size lets the vector-splitting allreduce
-// algorithms apply.
-func (c *Comm) AllreduceFloat64(op Op, xs []float64) ([]float64, error) {
-	out := make([]byte, 8*len(xs))
-	if err := c.AllreduceElem(op, 8, Float64Bytes(xs), out); err != nil {
-		return nil, err
-	}
-	return BytesFloat64(out), nil
+// asBytes views a typed slice as its bytes, in place.
+func asBytes[T float64 | int64](xs []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs)*int(unsafe.Sizeof(T(0))))
+}
+
+// AllreduceFloat64 reduces send across the communicator into recv (which
+// must be at least as long, and must not overlap send), like Allreduce on
+// the slices' bytes: nothing is encoded, copied or allocated. The declared
+// 8-byte element size lets the vector-splitting allreduce algorithms apply.
+func (c *Comm) AllreduceFloat64(op Op, send, recv []float64) error {
+	return c.AllreduceElem(op, 8, asBytes(send), asBytes(recv))
 }
 
 // AllreduceInt64 is AllreduceFloat64's integer sibling.
-func (c *Comm) AllreduceInt64(op Op, xs []int64) ([]int64, error) {
-	out := make([]byte, 8*len(xs))
-	if err := c.AllreduceElem(op, 8, Int64Bytes(xs), out); err != nil {
-		return nil, err
-	}
-	return BytesInt64(out), nil
+func (c *Comm) AllreduceInt64(op Op, send, recv []int64) error {
+	return c.AllreduceElem(op, 8, asBytes(send), asBytes(recv))
 }
 
-// ReduceFloat64 reduces a float64 slice to the root (nil elsewhere).
-func (c *Comm) ReduceFloat64(root int, op Op, xs []float64) ([]float64, error) {
-	out := make([]byte, 8*len(xs))
-	if err := c.Reduce(root, op, Float64Bytes(xs), out); err != nil {
-		return nil, err
-	}
-	if c.rank != root {
-		return nil, nil
-	}
-	return BytesFloat64(out), nil
+// ReduceFloat64 reduces send to recv at the root, like Reduce on the
+// slices' bytes; recv is significant only at the root and must not overlap
+// send.
+func (c *Comm) ReduceFloat64(root int, op Op, send, recv []float64) error {
+	return c.Reduce(root, op, asBytes(send), asBytes(recv))
 }

@@ -347,8 +347,8 @@ func (w *Win) fenceEmulated() error {
 			maxBlob = int64(len(b))
 		}
 	}
-	globalMax, err := w.c.AllreduceInt64(MaxInt64, []int64{maxBlob})
-	if err != nil {
+	globalMax := make([]int64, 1)
+	if err := w.c.AllreduceInt64(MaxInt64, []int64{maxBlob}, globalMax); err != nil {
 		return err
 	}
 	bulk := false

@@ -229,8 +229,8 @@ func TestSemanticsAllVariants(t *testing.T) {
 						}
 					}
 					// Collective sanity.
-					sum, err := c.AllreduceFloat64(mpi.SumFloat64, []float64{1})
-					if err != nil {
+					sum := make([]float64, 1)
+					if err := c.AllreduceFloat64(mpi.SumFloat64, []float64{1}, sum); err != nil {
 						return err
 					}
 					if sum[0] != n {

@@ -32,8 +32,8 @@ func TestFullMachine64Nodes(t *testing.T) {
 						return fmt.Errorf("rank %d: bcast corrupt at %d", c.Rank(), i)
 					}
 				}
-				sum, err := c.AllreduceFloat64(mpi.SumFloat64, []float64{1})
-				if err != nil {
+				sum := make([]float64, 1)
+				if err := c.AllreduceFloat64(mpi.SumFloat64, []float64{1}, sum); err != nil {
 					return err
 				}
 				if sum[0] != 64 {
