@@ -4,22 +4,99 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
 
 // The kernel runs an event one of three ways — heap pop, same-instant
 // queue, run-ahead Advance — and the last two are shortcuts that must be
-// indistinguishable from the first. The oracle is the same kernel with
-// noFastPath set: every event through the heap, every Advance through
-// schedule + park.
+// indistinguishable from the first, as must the heap's own shortcut of
+// chaining same-t pushes behind one entry. The oracle is the same kernel
+// with noFastPath set: every event through the heap, one entry each, every
+// Advance through schedule + park.
 
 const (
 	fpNodes     = 16                    // logical nodes, block-mapped onto the lanes
 	fpLookahead = 100 * time.Nanosecond // shard epoch width
+	fpGrid      = 50                    // coarse instants procs meet at, so heap chains form
 	fpSteps     = 60                    // operations per root proc
 	fpMaxEvents = 1_000_000             // far above any program here
 )
+
+// A push for a later instant either enters the heap or links behind the
+// previous push; either way the driver must pop in exact (t, seq) order.
+// Seeded interleavings of pushes to 1–4 distinct future instants,
+// same-instant and clamped events, run-ahead Advances and pops are checked
+// against a sort of everything queued.
+func TestEventQueueChainsMatchSort(t *testing.T) {
+	type key struct {
+		t   Time
+		seq uint64
+	}
+	nop := func() {}
+	chains := 0
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewScheduler(seed)
+		instants := Time(1 + rng.Intn(4))
+		var queued []key
+		push := func(at Time) {
+			if willChain(s, at) {
+				chains++
+			}
+			if rng.Intn(2) == 0 {
+				s.At(at, nop)
+			} else {
+				s.After(Duration(at-s.now), nop)
+			}
+			queued = append(queued, key{max(at, s.now), s.seq})
+		}
+		pop := func() {
+			sort.Slice(queued, func(i, j int) bool {
+				return queued[i].t < queued[j].t || queued[i].t == queued[j].t && queued[i].seq < queued[j].seq
+			})
+			e := s.pop()
+			if got := (key{e.t, e.seq}); got != queued[0] {
+				t.Fatalf("seed %d: popped %+v, sort gives %+v (queued %v)", seed, got, queued[0], queued)
+			}
+			queued = queued[1:]
+			s.runEvent(e)
+		}
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(10); {
+			case op < 5: // one of the next few grid instants
+				push((s.now/10 + 1 + Time(rng.Intn(int(instants)))) * 10)
+			case op == 5: // same instant, or clamped up from the past
+				push(s.now - Time(rng.Intn(2)))
+			case op == 6: // Advance: run ahead, or schedule the wakeup
+				if at := s.now + Time(rng.Intn(25)); !s.runAhead(at) {
+					push(at)
+				} else {
+					for _, k := range queued {
+						if k.t <= at {
+							t.Fatalf("seed %d: ran ahead to %v over queued %+v", seed, at, k)
+						}
+					}
+				}
+			default:
+				if len(queued) != 0 {
+					pop()
+				}
+			}
+		}
+		for len(queued) != 0 {
+			pop()
+		}
+		if _, ok := s.pending(); ok {
+			t.Fatalf("seed %d: the kernel still holds events the sort does not", seed)
+		}
+	}
+	if chains == 0 {
+		t.Fatal("no push ever chained")
+	}
+	t.Logf("%d chained pushes", chains)
+}
 
 // fpRec is one line of a node's execution log: who ran, when, doing what.
 type fpRec struct {
@@ -38,7 +115,7 @@ type fpNode struct {
 
 	// How often the program met each shortcut's precondition, read from the
 	// kernel's own state, so a run that never exercised them cannot pass.
-	runAheadChances, sameInstantSeen int
+	runAheadChances, sameInstantSeen, chainAppends int
 }
 
 func (n *fpNode) note(actor, what int) {
@@ -48,6 +125,19 @@ func (n *fpNode) note(actor, what int) {
 	n.log = append(n.log, fpRec{n.s.now, actor, what})
 }
 
+// willChain reports, from the kernel's own state, whether a push for at
+// will link behind the previous heap push instead of entering the heap.
+func willChain(s *Scheduler, at Time) bool {
+	l := s.lastTail
+	return l != nil && l.t == at && at > s.now
+}
+
+func (n *fpNode) chains(at Time) {
+	if willChain(n.s, at) {
+		n.chainAppends++
+	}
+}
+
 // fpResult is what the two kernels must agree on.
 type fpResult struct {
 	logs   [][]fpRec
@@ -55,7 +145,7 @@ type fpResult struct {
 	end    Time
 	stats  ShardStats // zero on a standalone scheduler
 
-	runAheadChances, sameInstantSeen int
+	runAheadChances, sameInstantSeen, chainAppends int
 }
 
 // runFastPathProgram runs the seeded random program on the given kernel
@@ -98,11 +188,13 @@ func runFastPathProgram(t *testing.T, seed int64, lanes int, parallel, slow bool
 			advance := func(d Duration) {
 				if at := s.now + Time(d); s.sameHead == nil && (len(s.events) == 0 || s.events[0].t > at) {
 					n.runAheadChances++
+				} else {
+					n.chains(at)
 				}
 				p.Advance(d)
 			}
 			for step := 0; step < steps; step++ {
-				op := rng.Intn(14)
+				op := rng.Intn(16)
 				n.note(id, op)
 				c := n.conds[rng.Intn(len(n.conds))]
 				switch op {
@@ -130,7 +222,9 @@ func runFastPathProgram(t *testing.T, seed int64, lanes int, parallel, slow bool
 					n.fifo.UseAsync(Duration(rng.Intn(30)), func() { n.note(id, 101) })
 				case 10:
 					// Now, later, or clamped up from the past.
-					s.At(s.now+Time(rng.Intn(30))-5, func() { n.note(id, 102) })
+					at := s.now + Time(rng.Intn(30)) - 5
+					n.chains(at)
+					s.At(at, func() { n.note(id, 102) })
 				case 11, 12:
 					dst := rng.Intn(fpNodes)
 					d, wake := nodes[dst], rng.Intn(2) == 0
@@ -146,6 +240,13 @@ func runFastPathProgram(t *testing.T, seed int64, lanes int, parallel, slow bool
 						child := id*10 + children
 						s.Spawn(fmt.Sprintf("p%d", child), body(n, child, depth+1, steps/3))
 					}
+				case 14:
+					// Coarse durations: the node's procs meet at grid instants.
+					advance(Duration(fpGrid - s.now%fpGrid))
+				case 15:
+					at := (s.now/fpGrid + 1 + Time(rng.Intn(2))) * fpGrid
+					n.chains(at)
+					s.At(at, func() { n.note(id, 104) })
 				}
 			}
 			n.note(id, 200)
@@ -174,23 +275,24 @@ func runFastPathProgram(t *testing.T, seed int64, lanes int, parallel, slow bool
 		res.logs = append(res.logs, n.log)
 		res.runAheadChances += n.runAheadChances
 		res.sameInstantSeen += n.sameInstantSeen
+		res.chainAppends += n.chainAppends
 	}
 	return res
 }
 
-// Seeded random programs — procs mixing Advance, Yield, Cond wait/signal/
-// broadcast, FIFO.Use/UseAsync, At, Route and Spawn — must execute the same
-// actors at the same times in the same order, count the same events, and
-// leave the same control-plane statistics (epochs, stalls, routed, mailbox
-// high-water, per-lane events) with the shortcuts on and off, on every
-// driver.
+// Seeded random programs — procs mixing fine and coarse Advances, Yield,
+// Cond wait/signal/broadcast, FIFO.Use/UseAsync, At, Route and Spawn — must
+// execute the same actors at the same times in the same order, count the
+// same events, and leave the same control-plane statistics (epochs, stalls,
+// routed, mailbox high-water, per-lane events) with the shortcuts on and
+// off, on every driver.
 func TestFastPathsMatchPlainKernel(t *testing.T) {
 	for _, k := range []struct {
 		lanes    int
 		parallel bool
 	}{{0, false}, {1, false}, {4, false}, {4, true}, {16, false}, {16, true}} {
 		t.Run(fmt.Sprintf("lanes%d-parallel%v", k.lanes, k.parallel), func(t *testing.T) {
-			chances, same := 0, 0
+			chances, same, chained := 0, 0, 0
 			for _, seed := range []int64{1, 2, 3, 5, 8, 13} {
 				want := runFastPathProgram(t, seed, k.lanes, k.parallel, true)
 				got := runFastPathProgram(t, seed, k.lanes, k.parallel, false)
@@ -213,11 +315,15 @@ func TestFastPathsMatchPlainKernel(t *testing.T) {
 				}
 				chances += got.runAheadChances
 				same += got.sameInstantSeen
+				chained += got.chainAppends
+				if got.chainAppends == 0 {
+					t.Fatalf("seed %d: no push chained behind a heap entry", seed)
+				}
 			}
 			if chances == 0 || same == 0 {
 				t.Fatalf("programs never exercised the shortcuts: %d run-ahead chances, %d same-instant sightings", chances, same)
 			}
-			t.Logf("%d run-ahead chances, %d same-instant sightings", chances, same)
+			t.Logf("%d run-ahead chances, %d same-instant sightings, %d chained pushes", chances, same, chained)
 		})
 	}
 }

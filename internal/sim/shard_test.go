@@ -369,6 +369,42 @@ func TestFastPathsAllocFree(t *testing.T) {
 				t.Fatalf("heap grew to %d: the wakeups did not use the same-instant queue", cap(s.events))
 			}
 		})
+		t.Run(k.name+"/lock-step", func(t *testing.T) {
+			// 64 procs wake at every microsecond: each round's wakeups
+			// chain behind one heap entry, so the heap holds the round
+			// being run and the next one, never a slot per proc.
+			const procs, warm, rounds = 64, 10, 100
+			s, run, _ := newTestKernel(k.lanes, 0)
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			var m0, m1 runtime.MemStats
+			depth := 0
+			for i := 0; i < procs; i++ {
+				s.Spawn(fmt.Sprint("p", i), func(p *Proc) {
+					for r := 0; r < warm+rounds; r++ {
+						if i == 0 && r == warm {
+							runtime.ReadMemStats(&m0)
+						}
+						depth = max(depth, len(s.events))
+						p.Advance(time.Microsecond)
+					}
+					if i == 0 {
+						runtime.ReadMemStats(&m1)
+					}
+				})
+			}
+			if _, err := run(); err != nil {
+				t.Fatal(err)
+			}
+			if depth > 2 {
+				t.Fatalf("heap held %d entries for two distinct instants", depth)
+			}
+			if d := m1.Mallocs - m0.Mallocs; d != 0 {
+				t.Fatalf("%d rounds of %d lock-step Advances allocated %d times", rounds, procs, d)
+			}
+			if want := uint64(procs * (warm + rounds + 1)); s.Events() != want {
+				t.Fatalf("%d events, want %d", s.Events(), want)
+			}
+		})
 	}
 }
 

@@ -48,20 +48,23 @@ func (t Time) String() string { return fmt.Sprintf("%.3fus", t.Microseconds()) }
 
 // event is one queue entry: either a callback (fn) or a proc wakeup (proc).
 // Proc wakeups carry the proc pointer instead of a closure so the Advance/
-// Cond/FIFO hot paths schedule without allocating. Recycled events chain
-// through next on the scheduler's freelist; events waiting on the
-// same-instant queue chain through it too.
+// Cond/FIFO hot paths schedule without allocating. next links an event to
+// whatever follows it in the one place it sits: the scheduler's freelist,
+// the same-instant queue, or its heap chain (the events pushed right after
+// it for the same t, which wait behind it instead of entering the heap).
 type event struct {
 	t    Time
 	seq  uint64
 	fn   func()
 	proc *Proc
-	next *event // same-instant queue or freelist link
+	next *event // chain successor, same-instant queue or freelist link
 }
 
-// eventQueue is a binary min-heap over (t, seq), hand-rolled so push/pop
-// stay monomorphic: no interface boxing, no container/heap indirection, and
-// the backing slice is reused for the life of the scheduler.
+// eventQueue is a binary min-heap over (t, seq) of chain heads, hand-rolled
+// so push/pop stay monomorphic: no interface boxing, no container/heap
+// indirection, and the backing slice is reused for the life of the
+// scheduler. Popping a head with a chain successor puts the successor in
+// the root slot without a sift: it is still the minimum (see schedule).
 type eventQueue []*event
 
 func (q eventQueue) less(i, j int) bool {
@@ -87,8 +90,12 @@ func (q *eventQueue) push(e *event) {
 
 func (q *eventQueue) pop() *event {
 	h := *q
-	n := len(h) - 1
 	e := h[0]
+	if e.next != nil {
+		h[0], e.next = e.next, nil
+		return e
+	}
+	n := len(h) - 1
 	h[0] = h[n]
 	h[n] = nil
 	h = h[:n]
@@ -136,6 +143,10 @@ type Scheduler struct {
 	// entries and before the clock moves — FIFO order is (t, seq) order, with
 	// no sift and no slice.
 	sameHead, sameTail *event
+
+	// lastTail is the latest heap push's event until it is popped; a heap
+	// push for the same t chains behind it instead of entering the heap.
+	lastTail *event
 
 	// Limits guard against runaway models; zero means no limit.
 	MaxEvents uint64
@@ -236,11 +247,22 @@ func (s *Scheduler) schedule(t Time, fn func(), p *Proc) {
 	s.seq++
 	e := s.alloc()
 	e.t, e.seq, e.fn, e.proc = t, s.seq, fn, p
-	if t > s.now || s.noFastPath {
+	switch {
+	case s.noFastPath:
 		s.events.push(e)
-	} else if s.sameTail == nil {
+	case t > s.now:
+		// Chain behind the previous heap push if it is still queued for t:
+		// no heap push came between the two, so nothing queued sorts
+		// between them and a popped head's successor is still the minimum.
+		if l := s.lastTail; l != nil && l.t == t {
+			l.next = e
+		} else {
+			s.events.push(e)
+		}
+		s.lastTail = e
+	case s.sameTail == nil:
 		s.sameHead, s.sameTail = e, e
-	} else {
+	default:
 		s.sameTail.next = e
 		s.sameTail = e
 	}
@@ -260,12 +282,17 @@ func (s *Scheduler) pending() (Time, bool) {
 }
 
 // pop removes the earliest queued event in (t, seq) order; pending must
-// have reported one. Heap entries at the current instant were scheduled
-// before the clock reached it, so they precede the whole same-instant queue.
+// have reported one. Heap entries at the current instant, chained or not,
+// were scheduled before the clock reached it, so they precede the whole
+// same-instant queue.
 func (s *Scheduler) pop() *event {
 	e := s.sameHead
 	if e == nil || (len(s.events) > 0 && s.events[0].t <= s.now) {
-		return s.events.pop()
+		e = s.events.pop()
+		if e == s.lastTail {
+			s.lastTail = nil
+		}
+		return e
 	}
 	if s.sameHead = e.next; e.next == nil {
 		s.sameTail = nil
