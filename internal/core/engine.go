@@ -101,10 +101,8 @@ func (e *Engine) trc(kind trace.Kind, peer, tag, bytes int, note string) {
 }
 
 // NewEngine returns an engine for the given rank of a size-rank job.
-func NewEngine(s *sim.Scheduler, rank, size int, costs EngineCosts, acct *Acct) *Engine {
-	if acct == nil {
-		acct = NewAcct()
-	}
+func NewEngine(s *sim.Scheduler, rank, size int, costs EngineCosts) *Engine {
+	acct := NewAcct()
 	return &Engine{
 		rank:  rank,
 		size:  size,

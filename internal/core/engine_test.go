@@ -24,7 +24,7 @@ func newWorld(n int, latency sim.Duration, eager, credits int) *world {
 	fab.Credits = credits
 	w := &world{s: s, fab: fab}
 	for i := 0; i < n; i++ {
-		e := NewEngine(s, i, n, EngineCosts{}, nil)
+		e := NewEngine(s, i, n, EngineCosts{})
 		fab.Attach(e)
 		w.engs = append(w.engs, e)
 	}
@@ -492,6 +492,58 @@ func TestFlowControlBlocksSender(t *testing.T) {
 	}
 }
 
+// The fabric's credits go through the same SendQueue as the Meiko's slots
+// and the sockets' byte credits, so it books the same flow counters: three
+// 100-byte sends behind a one-message allotment queue, and the rendezvous
+// envelope behind them (it costs no credit) still waits its turn. With
+// unlimited credits the fabric keeps no queue at all.
+func TestFabricSendQueueBooksFlowCounters(t *testing.T) {
+	for _, credits := range []int{0, 100} {
+		w := newWorld(2, time.Microsecond, 180, credits)
+		var tags []int
+		w.run(t,
+			func(p *sim.Proc, e *Engine) {
+				var reqs []*Request
+				for i, n := range []int{100, 100, 100, 4096} {
+					r, err := e.Isend(p, 1, i, 0, ModeStandard, payload(n))
+					if err != nil {
+						t.Fatalf("Isend: %v", err)
+					}
+					reqs = append(reqs, r)
+				}
+				for _, r := range reqs {
+					if _, err := e.Wait(p, r); err != nil {
+						t.Errorf("Wait: %v", err)
+					}
+				}
+			},
+			func(p *sim.Proc, e *Engine) {
+				p.Advance(time.Millisecond)
+				for i := 0; i < 4; i++ {
+					tags = append(tags, mustRecv(t, p, e, 0, AnyTag, make([]byte, 4096)).Tag)
+				}
+			},
+		)
+		if fmt.Sprint(tags) != "[0 1 2 3]" {
+			t.Errorf("credits %d: received tags %v, want issue order", credits, tags)
+		}
+		tr := w.engs[0].tr.(*MemTransport)
+		c := w.engs[0].Acct().Count
+		if credits == 0 {
+			if tr.fc != nil || c["flow-queued"] != 0 {
+				t.Errorf("unlimited credits: queue %v, %d sends queued; want none", tr.fc, c["flow-queued"])
+			}
+			continue
+		}
+		if c["flow-queued"] != 3 || c["flow-granted"] != 3 {
+			t.Errorf("flow-queued %d, flow-granted %d; want 3 and 3", c["flow-queued"], c["flow-granted"])
+		}
+		if got := tr.fc.Available(1); got != credits {
+			t.Errorf("%d credits toward rank 1 after every message was consumed, want %d", got, credits)
+		}
+	}
+}
+
 func TestManyRanksAllToOne(t *testing.T) {
 	const n = 8
 	w := newWorld(n, time.Microsecond, 180, 0)
@@ -599,8 +651,8 @@ func TestAcctChargesBooked(t *testing.T) {
 	s := sim.NewScheduler(1)
 	fab := NewMemFabric(s, time.Microsecond, 180)
 	costs := EngineCosts{Match: 2 * time.Microsecond, CopyPerByte: 10 * time.Nanosecond, SendOverhead: time.Microsecond, RecvOverhead: time.Microsecond}
-	e0 := NewEngine(s, 0, 2, costs, nil)
-	e1 := NewEngine(s, 1, 2, costs, nil)
+	e0 := NewEngine(s, 0, 2, costs)
+	e1 := NewEngine(s, 1, 2, costs)
 	fab.Attach(e0)
 	fab.Attach(e1)
 	s.Spawn("r0", func(p *sim.Proc) {
@@ -783,7 +835,7 @@ func TestSelfSendAllModes(t *testing.T) {
 func TestSelfSsendRequiresReceive(t *testing.T) {
 	s := sim.NewScheduler(1)
 	fab := NewMemFabric(s, time.Microsecond, 180)
-	e := NewEngine(s, 0, 1, EngineCosts{}, nil)
+	e := NewEngine(s, 0, 1, EngineCosts{})
 	fab.Attach(e)
 	s.Spawn("r0", func(p *sim.Proc) {
 		req, _ := e.Isend(p, 0, 0, 0, ModeSync, payload(4))

@@ -55,14 +55,10 @@ func (f *MemFabric) Attach(e *Engine) *MemTransport {
 	if f.eps == nil {
 		f.eps = make([]*MemTransport, e.Size())
 	}
-	s := f.schedFor(e.Rank())
-	t := &MemTransport{
-		fab:   f,
-		eng:   e,
-		s:     s,
-		rank:  e.Rank(),
-		avail: make(map[int]int),
-		sendQ: make(map[int]*sim.Queue[*Request]),
+	t := &MemTransport{fab: f, eng: e, s: f.schedFor(e.Rank()), rank: e.Rank()}
+	t.inbox.Init(e, t)
+	if f.Credits > 0 {
+		t.fc = NewSendQueue(e.Size(), f.Credits, 0, t.cost, e.Acct())
 	}
 	f.eps[e.Rank()] = t
 	e.SetTransport(t)
@@ -71,14 +67,11 @@ func (f *MemFabric) Attach(e *Engine) *MemTransport {
 
 // MemTransport is one rank's endpoint on a MemFabric.
 type MemTransport struct {
-	fab  *MemFabric
-	eng  *Engine
-	s    *sim.Scheduler // this rank's (lane) scheduler
-	rank int
-
-	inbox  sim.Queue[*memFlight]
-	polled *memFlight              // what Poll last surfaced; the engine's until the next Poll
-	idle   sim.FreeList[memFlight] // flight pool (see memFlight)
+	fab   *MemFabric
+	eng   *Engine
+	s     *sim.Scheduler // this rank's (lane) scheduler
+	rank  int
+	inbox Inbox
 
 	// lastArrival[dst] is the latest mailbox delivery already scheduled
 	// toward dst. Allocated on first use and only when PerByte > 0: a
@@ -86,10 +79,10 @@ type MemTransport struct {
 	// be its largest live structure.
 	lastArrival map[int]sim.Time
 
-	// Sender-side credit state per destination; lazily initialized to the
-	// fabric's credit allotment.
-	avail map[int]int
-	sendQ map[int]*sim.Queue[*Request] // sends queued awaiting credits, in issue order
+	// fc holds sends back, in issue order, while the pair's bounce bytes
+	// are spent; nil when the fabric's credits are unlimited, for the same
+	// reason as lastArrival.
+	fc *SendQueue
 }
 
 var _ Transport = (*MemTransport)(nil)
@@ -97,14 +90,13 @@ var _ Transport = (*MemTransport)(nil)
 // MaxEager implements Transport.
 func (t *MemTransport) MaxEager() int { return t.fab.Eager }
 
-func (t *MemTransport) creditsFor(dst int) int {
-	if t.fab.Credits == 0 {
-		return 1 << 30
+// cost is the bounce bytes a send takes at its destination: its payload
+// when eager, nothing for a rendezvous envelope.
+func (t *MemTransport) cost(req *Request) int {
+	if req.Env.Count > t.fab.Eager {
+		return 0
 	}
-	if _, ok := t.avail[dst]; !ok {
-		t.avail[dst] = t.fab.Credits
-	}
-	return t.avail[dst]
+	return req.Env.Count
 }
 
 // delay is the store-burst visibility delay for n payload bytes.
@@ -128,97 +120,44 @@ func (t *MemTransport) arrival(dst, n int) sim.Time {
 	return at
 }
 
-// memFlight is one mailbox delivery in flight. Flights follow the pooled-
-// record rule of the other wires (DESIGN §9): the record embeds its packet
-// and binds its landing callback once, so a delivery allocates neither. A
-// flight is drawn from the sender's idle list and returned to the
-// receiver's, where it finishes: on landing for a credit, which never
-// surfaces, otherwise at the Poll after the one that surfaced it, until
-// which the packet is the engine's to read. Symmetric traffic keeps the
-// lists balanced and the list's bound caps them when it is not.
-type memFlight struct {
-	to   *MemTransport
-	pkt  Packet
-	land func() // f.arrive, bound once
-}
-
-// deliver ships pkt into dst's mailbox. Every call site runs on t's own
-// lane (sends from the rank's proc, credit/CTS turnarounds from delivery
-// context), so Route's staging is always lane-local.
+// deliver ships pkt into dst's mailbox on a flight of this rank's inbox.
+// Every call site runs on t's own lane (sends from the rank's proc,
+// credit/CTS turnarounds from delivery context), so Route's staging is
+// always lane-local.
 func (t *MemTransport) deliver(dst int, pkt Packet) {
-	f := t.idle.Get()
-	if f == nil {
-		f = &memFlight{}
-		f.land = f.arrive
-	}
-	f.to, f.pkt = t.fab.eps[dst], pkt
-	if f.to == nil {
+	to := t.fab.eps[dst]
+	if to == nil {
 		panic(fmt.Sprintf("memtransport: no endpoint for rank %d", dst))
 	}
-	t.s.Route(t.fab.laneFor(dst), t.arrival(dst, len(pkt.Data)), f.land)
+	t.s.Route(t.fab.laneFor(dst), t.arrival(dst, len(pkt.Data)), t.inbox.Flight(&to.inbox, pkt))
 }
 
-// arrive lands the flight at its destination (event context, on the
-// destination's lane).
-func (f *memFlight) arrive() {
-	t := f.to
-	if f.pkt.Kind == PktCredit {
-		// Credits are transport-internal: restore and drain the queue.
-		dst, n := f.pkt.Env.Dest, f.pkt.Env.Count
-		t.recycle(f)
-		t.avail[dst] = t.creditsFor(dst) + n
-		t.drainSendQ(dst)
-	} else {
-		t.inbox.Push(f)
-	}
+// CreditReturned implements CreditSink: restore src's account and transmit
+// the sends it clears, in issue order (completions go through
+// Engine.SendDone).
+func (t *MemTransport) CreditReturned(src, n int) {
+	t.fc.Grant(src, n, t.transmit)
 	t.eng.Wake()
 }
 
-// recycle returns a finished flight to this rank's idle list.
-func (t *MemTransport) recycle(f *memFlight) {
-	f.to, f.pkt = nil, Packet{}
-	t.idle.Put(f)
-}
-
-// drainSendQ transmits queued sends for dst, in issue order, while flow
-// control allows. Runs in event context; completions go through
-// Engine.SendDone.
-func (t *MemTransport) drainSendQ(dst int) {
-	q := t.sendQ[dst]
-	for q != nil && q.Len() > 0 && t.trySend(q.Front()) {
-		q.Pop()
-	}
-}
-
-// trySend transmits req unless it is an eager message short of credits,
-// reporting whether it went.
-func (t *MemTransport) trySend(req *Request) bool {
-	dst, n := req.Env.Dest, req.Env.Count
-	if n > t.fab.Eager {
+// transmit ships one send whose flow control has cleared.
+func (t *MemTransport) transmit(req *Request) {
+	dst := req.Env.Dest
+	if req.Env.Count > t.fab.Eager {
 		// Rendezvous: ship the envelope; the payload moves on CTS.
 		t.deliver(dst, Packet{Kind: PktRTS, Env: req.Env})
-		return true
+		return
 	}
-	if t.creditsFor(dst) < n {
-		return false
-	}
-	t.avail[dst] -= n
 	data, pool := t.eng.Bounce(t.fab.eps[dst].eng, req.Buf)
 	t.deliver(dst, Packet{Kind: PktEager, Env: req.Env, Data: data, Pool: pool})
 	t.eng.SendDone(req)
-	return true
 }
 
 // Send implements Transport. Messages queue in issue order behind any
 // flow-controlled predecessor so delivery order is preserved.
 func (t *MemTransport) Send(p *sim.Proc, req *Request) {
-	q := t.sendQ[req.Env.Dest]
-	if q != nil && q.Len() > 0 || !t.trySend(req) {
-		if q == nil {
-			q = new(sim.Queue[*Request])
-			t.sendQ[req.Env.Dest] = q
-		}
-		q.Push(req)
+	if t.fc == nil || t.fc.Offer(req) {
+		t.transmit(req)
 	}
 }
 
@@ -243,33 +182,28 @@ func (t *MemTransport) Control(p *sim.Proc, dst int, kind PacketKind, env Envelo
 
 // Release implements Transport: return n bounce bytes to the sender side.
 func (t *MemTransport) Release(p *sim.Proc, src int, n int) {
-	if t.fab.Credits == 0 {
+	if t.fc == nil {
 		return
 	}
-	// Env.Dest names the rank whose credit account at src is restored.
-	t.deliver(src, Packet{Kind: PktCredit, Env: Envelope{Dest: t.rank, Count: n}})
+	t.deliver(src, Packet{Kind: PktCredit, Env: Envelope{Source: t.rank, Count: n}})
 }
 
 // PeerDown implements Transport: drop sends queued toward the dead rank
 // (the engine already failed their requests) and reset its credit account —
 // a corpse never returns credits, so nothing may wait on them.
 func (t *MemTransport) PeerDown(rank int) {
-	delete(t.sendQ, rank)
-	delete(t.avail, rank)
+	if t.fc != nil {
+		t.fc.DropDst(rank)
+	}
 }
 
 // Poll implements Transport.
 func (t *MemTransport) Poll(p *sim.Proc) *Packet {
-	if t.polled != nil {
-		t.recycle(t.polled)
-		t.polled = nil
-	}
 	if t.inbox.Len() == 0 {
 		return nil
 	}
 	t.eng.Acct().Charge(p, CostProtocol, t.fab.PollCost)
-	t.polled = t.inbox.Pop()
-	return &t.polled.pkt
+	return t.inbox.Poll()
 }
 
 // Pending implements Transport.

@@ -75,75 +75,56 @@ func TestFabricFlatLatencyKeepsNoClampState(t *testing.T) {
 
 func TestInbox(t *testing.T) {
 	var in Inbox
-	if in.Pop() != nil || in.Len() != 0 {
+	if in.Poll() != nil || in.Len() != 0 {
 		t.Fatal("zero Inbox is not empty")
 	}
-	// FIFO under interleaved push/pop: two in, one out, then drain.
-	pkts := make([]*Packet, 64)
-	for i := range pkts {
-		pkts[i] = &Packet{ReqID: int64(i)}
-	}
+	// FIFO under interleaved push/poll: two in, one out, then drain.
 	next := 0
-	pop := func() {
+	poll := func() {
 		t.Helper()
-		if got := in.Pop(); got != pkts[next] {
-			t.Fatalf("pop %d returned packet %v", next, got)
+		if got := in.Poll(); got == nil || got.ReqID != int64(next) {
+			t.Fatalf("poll %d returned packet %v", next, got)
 		}
 		next++
 	}
-	for i := 0; i < len(pkts); i += 2 {
-		in.Push(pkts[i])
-		in.Push(pkts[i+1])
-		pop()
+	for i := 0; i < 64; i += 2 {
+		in.Push(Packet{ReqID: int64(i)})
+		in.Push(Packet{ReqID: int64(i + 1)})
+		poll()
 		if want := i + 2 - next; in.Len() != want {
 			t.Fatalf("Len = %d, want %d", in.Len(), want)
 		}
 	}
 	for in.Len() > 0 {
-		pop()
+		poll()
 	}
-	if in.Pop() != nil {
-		t.Fatal("Pop on a drained inbox is not nil")
+	if in.Poll() != nil {
+		t.Fatal("Poll on a drained inbox is not nil")
 	}
-	// Steady state: one in, one out reuses the array (sim.TestQueue checks
-	// that popped slots are cleared).
-	if n := testing.AllocsPerRun(10_000, func() { in.Push(pkts[0]); in.Pop() }); n != 0 {
+	// Steady state: one in, one out reuses the record and the queue's array.
+	if n := testing.AllocsPerRun(10_000, func() { in.Push(Packet{ReqID: 1}); in.Poll() }); n != 0 {
 		t.Fatalf("one-in-one-out cycle allocates %v objects", n)
+	}
+	// Every record came back to the idle list, cleared: at most 33 were ever
+	// queued at once.
+	if n, err := AuditInboxes(&in); err != nil || n == 0 || n > 33 {
+		t.Fatalf("audit: %d records at rest, %v; want 1..33 and no error", n, err)
 	}
 }
 
-// auditFlights walks every place a flight can rest — idle lists, inboxes,
-// the packet a Poll last surfaced — and fails if a record sits in two of
-// them (a double recycle), an idle one still names a destination or a
-// payload, or an idle list exceeds its cap. It reports how many distinct
-// records it found at rest.
+// auditFlights audits every inbox of w (see AuditInboxes) and reports how
+// many distinct records it found at rest.
 func auditFlights(t *testing.T, w *world) int {
 	t.Helper()
-	seen := map[*memFlight]string{}
-	note := func(f *memFlight, where string) {
-		if prev, dup := seen[f]; dup {
-			t.Errorf("flight %p rests in %s and in %s", f, prev, where)
-		}
-		seen[f] = where
-	}
+	ins := make([]*Inbox, len(w.fab.eps))
 	for rank, ep := range w.fab.eps {
-		if ep.idle.Len() > sim.DefaultFreeMax {
-			t.Errorf("rank %d: %d idle flights, cap %d", rank, ep.idle.Len(), sim.DefaultFreeMax)
-		}
-		for f := range ep.idle.All() {
-			note(f, fmt.Sprintf("rank %d's idle list", rank))
-			if f.to != nil || f.pkt.Data != nil || f.pkt.Pool != nil {
-				t.Errorf("rank %d: idle flight %p was not cleared: %+v", rank, f, f.pkt)
-			}
-		}
-		for f := range ep.inbox.All() {
-			note(f, fmt.Sprintf("rank %d's inbox", rank))
-		}
-		if ep.polled != nil {
-			note(ep.polled, fmt.Sprintf("rank %d's polled slot", rank))
-		}
+		ins[rank] = &ep.inbox
 	}
-	return len(seen)
+	n, err := AuditInboxes(ins...)
+	if err != nil {
+		t.Error(err)
+	}
+	return n
 }
 
 // One-directional traffic is the case the pools cannot balance: without

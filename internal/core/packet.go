@@ -87,10 +87,6 @@ type Packet struct {
 	Pool    *BufPool // owner of Data; the engine recycles the bounce buffer after its copy-out
 }
 
-// Inbox holds arrived packets between delivery context, which pushes them,
-// and the polling process, which pops them.
-type Inbox = sim.Queue[*Packet]
-
 // Transport moves bytes and charges platform time on behalf of an Engine.
 // The three primitives mirror the paper's §5.1 list: sending an envelope,
 // sending an envelope with piggybacked data, and setting remote events /

@@ -102,8 +102,8 @@ func TestPeerDownFailedRequestNotRecycled(t *testing.T) {
 			starved, _ := e.Isend(p, 1, 1, 0, ModeStandard, payload(100))
 			rndv, _ := e.Isend(p, 1, 2, 0, ModeStandard, payload(4096))
 			tr := e.tr.(*MemTransport)
-			if q := tr.sendQ[1]; q == nil || q.Len() != 2 {
-				t.Fatalf("send queue toward rank 1 = %v, want both sends waiting", q)
+			if n := tr.fc.QueuedLen(1); n != 2 {
+				t.Fatalf("%d sends queued toward rank 1, want both waiting", n)
 			}
 			e.PeerDown(1, nil)
 			for _, r := range []*Request{starved, rndv} {

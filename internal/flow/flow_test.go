@@ -105,6 +105,33 @@ func TestQueueAcctCounters(t *testing.T) {
 	}
 }
 
+// A dead destination's queue is dropped and its capacity restored to the
+// initial allotment — never past the slot clamp, whatever a late grant
+// returns.
+func TestQueueDropDstRestoresAllotment(t *testing.T) {
+	slots := NewQueue(2, 1, 1, func(*core.Request) int { return 1 }, nil)
+	bytes := NewQueue(2, 60, 0, byteCost, nil)
+	for _, q := range []*Queue{slots, bytes} {
+		q.Offer(req(1, 10))
+		q.Offer(req(1, 10))
+		q.Offer(req(1, 10))
+		if q.QueuedLen(1) == 0 {
+			t.Fatal("setup: nothing queued")
+		}
+		q.DropDst(1)
+		q.Grant(1, 1, func(*core.Request) { t.Fatal("a dropped send shipped") })
+		if q.QueuedLen(1) != 0 {
+			t.Fatalf("%d sends still queued after DropDst", q.QueuedLen(1))
+		}
+	}
+	if got := slots.Available(1); got != 1 {
+		t.Errorf("slot queue: %d available after DropDst and a late grant, want the clamp 1", got)
+	}
+	if got := bytes.Available(1); got != 61 {
+		t.Errorf("byte queue: %d available after DropDst and a 1-byte grant, want 60+1", got)
+	}
+}
+
 func TestOwedPiggybackAndFlush(t *testing.T) {
 	o := NewOwed(2, 100)
 	if o.Add(1, 40) {

@@ -18,7 +18,7 @@ func memWorld(n int) *mpi.World {
 	fab := core.NewMemFabric(s, time.Microsecond, 180)
 	eps := make([]core.Endpoint, n)
 	for i := range eps {
-		e := core.NewEngine(s, i, n, core.EngineCosts{}, nil)
+		e := core.NewEngine(s, i, n, core.EngineCosts{})
 		fab.Attach(e)
 		eps[i] = e
 	}

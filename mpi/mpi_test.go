@@ -25,7 +25,7 @@ func memWorldLanes(n, lanes int) *World {
 	fab := core.NewMemFabric(s, time.Microsecond, 180)
 	eps := make([]core.Endpoint, n)
 	for i := range eps {
-		e := core.NewEngine(s.Node(i, n), i, n, core.EngineCosts{}, nil)
+		e := core.NewEngine(s.Node(i, n), i, n, core.EngineCosts{})
 		fab.Attach(e)
 		eps[i] = e
 	}

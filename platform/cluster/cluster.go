@@ -136,14 +136,14 @@ func build(s registry.Spec, kind string) (*mpi.World, []*transport, error) {
 		fab := core.NewMemFabric(sched, costs.ShmLatency, eager)
 		fab.PerByte, fab.PollCost = costs.ShmPerByte, shmPollCost
 		for i := 0; i < n; i++ {
-			eng := core.NewEngine(cl.SchedOf(i), i, n, shmEngineCosts(), nil)
+			eng := core.NewEngine(cl.SchedOf(i), i, n, shmEngineCosts())
 			fab.Attach(eng)
 			eps[i] = eng
 		}
 	} else {
 		trs = make([]*transport, n)
 		for i := 0; i < n; i++ {
-			eng := core.NewEngine(cl.SchedOf(i), i, n, clusterEngineCosts(), nil)
+			eng := core.NewEngine(cl.SchedOf(i), i, n, clusterEngineCosts())
 			trs[i] = newTransport(cl, eng, i, n, eager, credit, kind, trs)
 			trs[i].noRTR = s.NoRTR
 			eng.SetTransport(trs[i])

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/atm"
+	"repro/internal/core"
 	"repro/mpi"
 	"repro/platform/registry"
 )
@@ -287,6 +288,15 @@ func TestPeerDownSweepsLandingState(t *testing.T) {
 			}
 			if errs := tr.eng.ProtocolErrors(); len(errs) != 0 {
 				t.Errorf("rank 0 booked protocol errors: %v", errs)
+			}
+			// Every inbox record, the dead rank's included, rests in exactly
+			// one place.
+			ins := make([]*core.Inbox, len(trs))
+			for i, tr := range trs {
+				ins[i] = &tr.inbox
+			}
+			if n, err := core.AuditInboxes(ins...); err != nil || n == 0 {
+				t.Errorf("inbox audit: %d records at rest, %v", n, err)
 			}
 		})
 	}

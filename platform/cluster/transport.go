@@ -18,7 +18,7 @@ const (
 )
 
 // headerBytes is the paper's 25-byte protocol header, shared with the
-// other socket transports through the flow layer.
+// other socket transports through internal/flow.
 const headerBytes = flow.HeaderBytes
 
 // transport implements core.Transport over the cluster's sockets.
@@ -42,18 +42,12 @@ type transport struct {
 	// are the link's, recycled by hold count (dgramLink.Frame).
 	pool *core.BufPool
 
-	// Parsed frames waiting for Poll, on pooled packets: polled is what Poll
-	// last surfaced, the engine's until the next Poll returns it to idle.
-	inbox  core.Inbox
-	polled *core.Packet
-	idle   sim.FreeList[core.Packet]
-	rr     int // round-robin parse start
+	inbox core.Inbox // parsed frames waiting for Poll
+	rr    int        // round-robin parse start
 
 	// Credit flow control (sender side): bytes we may still push toward
-	// each destination's reserved memory, with queued sends held in issue
-	// order by the shared flow layer.
-	fc         *flow.Queue
-	creditCap  int
+	// each destination's reserved memory, queued sends held in issue order.
+	fc         *core.SendQueue
 	creditCond *sim.Cond
 	// Receiver side: freed reservation owed back to each sender.
 	owed *flow.Owed
@@ -129,7 +123,6 @@ func newTransport(cl *atm.Cluster, eng *core.Engine, rank, size, eager, credit i
 		peers:      peers,
 		conns:      make([]*atm.TCP, size),
 		ready:      make(readySet, (size+63)/64),
-		creditCap:  credit,
 		creditCond: sim.NewCond(cl.SchedOf(rank)),
 		// A quarter of the reservation owed triggers an explicit credit
 		// return (one-sided traffic), keeping the pair deadlock-free.
@@ -142,7 +135,7 @@ func newTransport(cl *atm.Cluster, eng *core.Engine, rank, size, eager, credit i
 	// Eager messages charge header+payload bytes against the receiver's
 	// reservation; rendezvous envelopes are credit-exempt (their payload is
 	// flow controlled by the CTS handshake) but still queue in issue order.
-	t.fc = flow.NewQueue(size, credit, 0, func(req *core.Request) int {
+	t.fc = core.NewSendQueue(size, credit, 0, func(req *core.Request) int {
 		if req.Env.Count > t.max {
 			return 0
 		}
@@ -292,7 +285,7 @@ func (t *transport) transmit(p *sim.Proc, req *core.Request) {
 }
 
 // Send implements core.Transport. It never blocks: messages short of
-// credits queue in the flow layer in issue order (behind any queued
+// credits queue in the send queue in issue order (behind any queued
 // predecessor, including rendezvous envelopes, preserving MPI's
 // non-overtaking rule) and are shipped from the owning process's next Poll
 // once credits return.
@@ -477,18 +470,7 @@ func (t *transport) startRTR(st *rndvRecvSt, total int, mode core.Mode) {
 // pair's credit; the drift is bounded by the stale-claim count and only
 // ever loosens flow control, so we accept it for this rare race.
 func (t *transport) finishRTRFallback(st *rndvRecvSt) {
-	t.push(core.Packet{Kind: core.PktEager, Env: st.env, Data: st.bounce, Pool: t.pool})
-}
-
-// push queues a parsed frame for the engine on a pooled packet, drawn here
-// and returned by the next Poll, both on this rank's lane.
-func (t *transport) push(pkt core.Packet) {
-	q := t.idle.Get()
-	if q == nil {
-		q = new(core.Packet)
-	}
-	*q = pkt
-	t.inbox.Push(q)
+	t.inbox.Push(core.Packet{Kind: core.PktEager, Env: st.env, Data: st.bounce, Pool: t.pool})
 }
 
 // Control implements core.Transport (synchronous-mode acks).
@@ -530,12 +512,8 @@ func (t *transport) PeerDown(rank int) {
 			delete(t.rndvRecv, h)
 		}
 	}
-	t.fc.DropDst(rank, t.creditCap, nil)
-	for n := t.pendingShip.Len(); n > 0; n-- {
-		if req := t.pendingShip.Pop(); req.Env.Dest != rank {
-			t.pendingShip.Push(req) // rotate the survivors through, in order
-		}
-	}
+	t.fc.DropDst(rank)
+	t.pendingShip.Filter(func(req *core.Request) bool { return req.Env.Dest != rank })
 	if t.kind == "tcp" {
 		if c := t.conns[rank]; c != nil {
 			c.Drop()
@@ -546,7 +524,7 @@ func (t *transport) PeerDown(rank int) {
 	t.wake()
 }
 
-// addCredit books returned reservation at the sender side: the flow layer
+// addCredit books returned reservation at the sender side: the send queue
 // re-admits queued sends in issue order onto the pendingShip list; the
 // owning process transmits them on its next Poll (kernel writes need a
 // process context to charge).
@@ -563,16 +541,11 @@ func (t *transport) addCredit(src, n int) {
 // step is what returns credits, and a send freed by this very poll must go
 // out now (the engine stops polling once Poll returns nil).
 func (t *transport) Poll(p *sim.Proc) *core.Packet {
-	if t.polled != nil {
-		*t.polled = core.Packet{}
-		t.idle.Put(t.polled)
-	}
 	if t.inbox.Len() == 0 {
 		t.parseAvailable(p)
 	}
 	t.shipPending(p)
-	t.polled = t.inbox.Pop()
-	return t.polled
+	return t.inbox.Poll()
 }
 
 // shipPending transmits queued sends whose flow control cleared.
@@ -700,7 +673,7 @@ func (t *transport) parseTCP(p *sim.Proc, src int, conn *atm.TCP) {
 		t2 := p.Now()
 		conn.ReadFull(p, payload)
 		acct.Book(acctReadData, sim.Duration(p.Now()-t2))
-		t.push(core.Packet{Kind: kind, Env: env, Data: payload, Pool: t.pool})
+		t.inbox.Push(core.Packet{Kind: kind, Env: env, Data: payload, Pool: t.pool})
 	case core.PktData:
 		st := t.rndvRecv[aux]
 		if st == nil {
@@ -731,11 +704,11 @@ func (t *transport) parseTCP(p *sim.Proc, src int, conn *atm.TCP) {
 func (t *transport) surface(src int, kind core.PacketKind, env core.Envelope, aux uint32) {
 	switch kind {
 	case core.PktRTS, core.PktRevoke:
-		t.push(core.Packet{Kind: kind, Env: env})
+		t.inbox.Push(core.Packet{Kind: kind, Env: env})
 	case core.PktCTS:
-		t.push(core.Packet{Kind: kind, Env: env, ReqID: env.SendID, Landing: int64(aux)})
+		t.inbox.Push(core.Packet{Kind: kind, Env: env, ReqID: env.SendID, Landing: int64(aux)})
 	case core.PktSyncAck:
-		t.push(core.Packet{Kind: kind, Env: env, ReqID: env.SendID})
+		t.inbox.Push(core.Packet{Kind: kind, Env: env, ReqID: env.SendID})
 	case core.PktRTR:
 		t.rtrQ[env.Source] = append(t.rtrQ[env.Source], rtrAd{env: env, aux: aux})
 	case core.PktCredit:
@@ -795,7 +768,7 @@ func (t *transport) readData(p *sim.Proc, src int, conn *atm.TCP, d *tcpData) {
 	if st.bounce != nil {
 		t.finishRTRFallback(st)
 	} else {
-		t.push(core.Packet{Kind: core.PktData, Env: d.env, ReqID: st.name})
+		t.inbox.Push(core.Packet{Kind: core.PktData, Env: d.env, ReqID: st.name})
 	}
 	t.landed(st)
 }
@@ -826,7 +799,7 @@ func (t *transport) parseDgram(p *sim.Proc) bool {
 		// GC-owned (Pool nil): the engine may keep the view on its
 		// unexpected queue and will never recycle it, so the frame keeps
 		// this datagram's hold for good.
-		t.push(core.Packet{Kind: kind, Env: env, Data: payload})
+		t.inbox.Push(core.Packet{Kind: kind, Env: env, Data: payload})
 		return true
 	case core.PktData:
 		st := t.rndvRecv[aux]
@@ -858,7 +831,7 @@ func (t *transport) parseDgram(p *sim.Proc) bool {
 			if st.bounce != nil {
 				t.finishRTRFallback(st)
 			} else {
-				t.push(core.Packet{Kind: kind, Env: st.env, ReqID: st.name})
+				t.inbox.Push(core.Packet{Kind: kind, Env: st.env, ReqID: st.name})
 			}
 			t.landed(st)
 		}

@@ -2,7 +2,6 @@ package meiko
 
 import (
 	"repro/internal/core"
-	"repro/internal/flow"
 	"repro/internal/meiko"
 	"repro/internal/sim"
 )
@@ -31,17 +30,16 @@ type lowlatTransport struct {
 	max  int
 	all  []*lowlatTransport // indexed by rank
 
-	inbox    sim.Queue[*flight]
-	polled   core.Packet          // what Poll last surfaced; valid until the next Poll
-	idle     sim.FreeList[flight] // flight pool (see flight)
-	rndvIdle sim.FreeList[rndv]   // rendezvous pool (see rndv)
+	// Envelopes and control packets land in inbox and surface through
+	// Poll; a slot-free is a PktCredit the receiving Elan consumes.
+	inbox    core.Inbox
+	rndvIdle sim.FreeList[rndv] // rendezvous pool (see rndv)
 
-	// Envelope-slot flow control through the shared flow layer: at most
-	// `slots` outstanding envelopes per destination (the paper allocates
-	// exactly one, §4.1), each envelope — eager or rendezvous — costing one
-	// slot, with queued successors held in issue order.
-	slots int
-	fc    *flow.Queue
+	// Envelope-slot flow control: at most EnvelopeSlots outstanding
+	// envelopes per destination (the paper allocates exactly one, §4.1),
+	// each envelope — eager or rendezvous — costing one slot, with queued
+	// successors held in issue order.
+	fc *core.SendQueue
 
 	// Hardware-broadcast state.
 	bcSeq   int    // last broadcast sequence delivered here
@@ -59,11 +57,11 @@ func newLowlatTransport(m *meiko.Machine, node *meiko.Node, eng *core.Engine, ea
 		node:   node,
 		eng:    eng,
 		max:    eager,
-		slots:  slots,
 		all:    all,
 		bcCond: sim.NewCond(node.S),
 	}
-	t.fc = flow.NewQueue(len(all), slots, slots,
+	t.inbox.Init(eng, t)
+	t.fc = core.NewSendQueue(len(all), slots, slots,
 		func(*core.Request) int { return 1 }, eng.Acct())
 	return t
 }
@@ -73,57 +71,19 @@ var _ core.Transport = (*lowlatTransport)(nil)
 // MaxEager implements core.Transport.
 func (t *lowlatTransport) MaxEager() int { return t.max }
 
-// flight is one small message on the wire: an envelope or control packet
-// that lands in the destination's slot area and surfaces through its Poll,
-// or the slot-free acknowledgement (PktCredit) its Elan consumes. Flights
-// are pooled the way core.BufPool pools payloads, and land — the
-// transaction's delivery callback — is bound once per record, so shipping a
-// message allocates neither a packet nor a closure. A flight is drawn from
-// the sender's pool and returned to the receiver's (it finishes on the
-// receiver's lane); every envelope is answered by a slot-free the other
-// way, which keeps the pools balanced, and the list's bound caps them
-// regardless.
-type flight struct {
-	to   *lowlatTransport
-	pkt  core.Packet
-	land func() // f.arrive, bound once
-}
-
-// ship sends pkt to rank dst in one transaction of nbytes.
+// ship sends pkt to rank dst in one transaction of nbytes, on a flight of
+// this rank's inbox: an envelope or control packet lands in the
+// destination's slot area and surfaces through its Poll, a slot-free
+// acknowledgement goes to its Elan. Every envelope is answered by a
+// slot-free the other way, which keeps the inboxes' pools balanced.
 func (t *lowlatTransport) ship(dst, nbytes int, pkt core.Packet) {
-	f := t.idle.Get()
-	if f == nil {
-		f = &flight{}
-		f.land = f.arrive
-	}
-	f.to, f.pkt = t.all[dst], pkt
-	t.node.Txn(dst, nbytes, false, f.land)
-}
-
-// arrive runs at the destination when the transaction lands (event
-// context).
-func (f *flight) arrive() {
-	t := f.to
-	if f.pkt.Kind == core.PktCredit {
-		from := f.pkt.Env.Source
-		t.recycle(f)
-		t.slotFreed(from)
-		return
-	}
-	t.inbox.Push(f)
-	t.eng.Wake()
-}
-
-// recycle returns a landed flight to this rank's pool.
-func (t *lowlatTransport) recycle(f *flight) {
-	f.to, f.pkt = nil, core.Packet{}
-	t.idle.Put(f)
+	t.node.Txn(dst, nbytes, false, t.inbox.Flight(&t.all[dst].inbox, pkt))
 }
 
 // Send implements core.Transport. Every envelope — eager or rendezvous —
 // occupies the destination's single envelope slot (§4.1's per-sender slot),
 // which also totally orders the pair's envelopes; when the slot is busy the
-// message queues in the flow layer and is transmitted, in issue order, as
+// message queues in the send queue and is transmitted, in issue order, as
 // slot-free acknowledgements return.
 func (t *lowlatTransport) Send(p *sim.Proc, req *core.Request) {
 	if !t.fc.Offer(req) {
@@ -253,7 +213,7 @@ func (t *lowlatTransport) Release(p *sim.Proc, src int, n int) {}
 // PeerDown implements core.Transport: restore the envelope slots the dead
 // rank held, since a corpse never returns slot-free acknowledgements.
 func (t *lowlatTransport) PeerDown(rank int) {
-	t.fc.DropDst(rank, t.slots, nil)
+	t.fc.DropDst(rank)
 	t.eng.Wake()
 	// Procs parked in the hardware-broadcast slot wait recheck the dead
 	// set once woken (see HWBcast).
@@ -265,12 +225,13 @@ func (t *lowlatTransport) PeerDown(rank int) {
 // hardware broadcast instead of sleeping forever.
 func (t *lowlatTransport) FatalWake() { t.bcCond.Broadcast() }
 
-// slotFreed runs at the sender (event context) when a slot-free
-// transaction from rank dst lands: the flow layer either reuses the slot
-// immediately for the queued successor or banks it.
-func (t *lowlatTransport) slotFreed(dst int) {
+// CreditReturned implements core.CreditSink: it runs at the sender (event
+// context) when a slot-free transaction from rank dst lands, returning n
+// slots, and the send queue either reuses a slot at once for the queued
+// successor or banks it.
+func (t *lowlatTransport) CreditReturned(dst, n int) {
 	shipped := false
-	t.fc.Grant(dst, 1, func(req *core.Request) {
+	t.fc.Grant(dst, n, func(req *core.Request) {
 		shipped = true
 		t.transmit(req)
 	})
@@ -290,14 +251,11 @@ func (t *lowlatTransport) Poll(p *sim.Proc) *core.Packet {
 		return nil
 	}
 	t.eng.Acct().Charge(p, core.CostProtocol, slotPollCost)
-	f := t.inbox.Pop()
-	t.polled = f.pkt
-	t.recycle(f)
-	pkt := &t.polled
+	pkt := t.inbox.Poll()
 	switch pkt.Kind {
 	case core.PktEager, core.PktRTS:
 		t.eng.Acct().Charge(p, core.CostProtocol, t.m.Costs.TxnIssue)
-		slotFree := core.Envelope{Source: t.eng.Rank()}
+		slotFree := core.Envelope{Source: t.eng.Rank(), Count: 1}
 		t.ship(pkt.Env.Source, ctrlTxnBytes, core.Packet{Kind: core.PktCredit, Env: slotFree})
 	}
 	return pkt

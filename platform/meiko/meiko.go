@@ -68,7 +68,7 @@ func build(s registry.Spec, impl string) (*mpi.World, error) {
 	if impl == "lowlatency" {
 		trs := make([]*lowlatTransport, n)
 		for i := 0; i < n; i++ {
-			eng := core.NewEngine(m.Nodes[i].S, i, n, lowlatEngineCosts(), nil)
+			eng := core.NewEngine(m.Nodes[i].S, i, n, lowlatEngineCosts())
 			trs[i] = newLowlatTransport(m, m.Nodes[i], eng, eager, s.EnvelopeSlots, trs)
 			eng.SetTransport(trs[i])
 			eps[i] = &LowLatEndpoint{Engine: eng, tr: trs[i]}

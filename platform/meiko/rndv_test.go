@@ -84,6 +84,13 @@ func TestRendezvousSenderKilledMidFlight(t *testing.T) {
 			if after := draws(); after != drawsAtDeath {
 				t.Errorf("the dead sender drew %d bounce buffers after its death: a DMA started for a failed send", after-drawsAtDeath)
 			}
+			ins := make([]*core.Inbox, ranks)
+			for rank, tr := range trs {
+				ins[rank] = &tr.inbox
+			}
+			if n, err := core.AuditInboxes(ins...); err != nil || n == 0 {
+				t.Errorf("inbox audit: %d records at rest, %v", n, err)
+			}
 			seen := map[*rndv]int{}
 			for rank, tr := range trs {
 				if n := tr.rndvIdle.Len(); n > sim.DefaultFreeMax {

@@ -11,10 +11,11 @@
 // call: it immediately becomes reachable from every command and is swept
 // by the conformance matrix automatically.
 //
-// Backends live behind the engine / flow / transport layering: the engine
-// (internal/core) owns MPI semantics, the flow layer (internal/flow) owns
-// send ordering and credit/slot accounting, and each registered transport
-// owns only byte movement and its platform cost model.
+// Backends live behind the engine / transport layering: the engine
+// (internal/core) owns MPI semantics plus the inbox and the send queue
+// every transport shares (arrival records, send ordering and credit/slot
+// accounting), and each registered transport owns only byte movement and
+// its platform cost model.
 package registry
 
 import (
@@ -271,7 +272,7 @@ func init() {
 		fab.Credits = s.Credit
 		eps := make([]core.Endpoint, s.Ranks)
 		for i := range eps {
-			e := core.NewEngine(sched.Node(i, s.Ranks), i, s.Ranks, core.EngineCosts{}, nil)
+			e := core.NewEngine(sched.Node(i, s.Ranks), i, s.Ranks, core.EngineCosts{})
 			fab.Attach(e)
 			eps[i] = e
 		}
