@@ -248,21 +248,7 @@ func (e *Engine) selfSend(p *sim.Proc, req *Request, mode Mode, data []byte) (*R
 	if mode == ModeSync {
 		req.ackWanted = true
 	}
-	env := req.Env
-	e.acct.Charge(p, CostMatch, e.costs.Match)
-	e.trc(trace.Arrive, env.Source, env.Tag, env.Count, "self")
-	if rr := e.match.Arrive(env); rr != nil {
-		e.scratch = InMsg{Env: env, Data: stable, Pool: e.pool}
-		e.deliverMatched(p, &e.scratch, rr)
-	} else {
-		if mode == ModeReady {
-			e.Errors = append(e.Errors, Errorf(ErrReady, "ready-mode self-send (tag %d) before a matching receive was posted", env.Tag))
-		}
-		m := e.newInMsg()
-		m.Env, m.Data, m.Pool = env, stable, e.pool
-		e.match.AddUnexpected(m)
-		e.acct.SetMax("match.unexpected-max", int64(e.match.UnexpectedLen()))
-	}
+	e.arrive(p, InMsg{Env: req.Env, Data: stable, Pool: e.pool}, "self")
 	req.sendMaybeComplete()
 	e.retire(req)
 	return req, nil
@@ -393,57 +379,9 @@ func (e *Engine) Progress(p *sim.Proc) {
 func (e *Engine) handle(p *sim.Proc, pkt *Packet) {
 	switch pkt.Kind {
 	case PktEager:
-		e.acct.Charge(p, CostMatch, e.costs.Match)
-		e.trc(trace.Arrive, pkt.Env.Source, pkt.Env.Tag, pkt.Env.Count, "eager")
-		if e.revoked[pkt.Env.Context] {
-			// Stale traffic on a revoked communicator: return the bounce
-			// space (the sender may be alive and reuse the pair's credits on
-			// another communicator) and drop the message.
-			if pkt.Env.Source != e.rank {
-				e.tr.Release(p, pkt.Env.Source, len(pkt.Data))
-			}
-			if pkt.Pool != nil {
-				pkt.Pool.Put(pkt.Data)
-			}
-			return
-		}
-		if req := e.match.Arrive(pkt.Env); req != nil {
-			// Matched on arrival: deliver through the reusable scratch node
-			// so the hot path performs no allocation.
-			e.scratch = InMsg{Env: pkt.Env, Data: pkt.Data, Pool: pkt.Pool}
-			e.deliverMatched(p, &e.scratch, req)
-			return
-		}
-		if pkt.Env.Mode == ModeReady {
-			e.Errors = append(e.Errors, Errorf(ErrReady, "ready-mode send from rank %d (tag %d) arrived before a matching receive was posted", pkt.Env.Source, pkt.Env.Tag))
-		}
-		m := e.newInMsg()
-		m.Env, m.Data, m.Pool = pkt.Env, pkt.Data, pkt.Pool
-		e.match.AddUnexpected(m)
-		e.acct.SetMax("match.unexpected-max", int64(e.match.UnexpectedLen()))
+		e.arrive(p, InMsg{Env: pkt.Env, Data: pkt.Data, Pool: pkt.Pool}, "eager")
 	case PktRTS:
-		e.acct.Charge(p, CostMatch, e.costs.Match)
-		e.trc(trace.Arrive, pkt.Env.Source, pkt.Env.Tag, pkt.Env.Count, "rts")
-		if e.revoked[pkt.Env.Context] {
-			// The sender's request was already failed by its own revoke;
-			// drop the announcement instead of matching it.
-			return
-		}
-		if req := e.match.Arrive(pkt.Env); req != nil {
-			req.matched = true
-			req.matchedSrc = pkt.Env.Source
-			e.trc(trace.Match, pkt.Env.Source, pkt.Env.Tag, pkt.Env.Count, "rndv")
-			e.scratch = InMsg{Env: pkt.Env, Rndv: true}
-			e.tr.Accept(p, &e.scratch, req)
-			return
-		}
-		if pkt.Env.Mode == ModeReady {
-			e.Errors = append(e.Errors, Errorf(ErrReady, "ready-mode send from rank %d (tag %d) arrived before a matching receive was posted", pkt.Env.Source, pkt.Env.Tag))
-		}
-		m := e.newInMsg()
-		m.Env, m.Rndv = pkt.Env, true
-		e.match.AddUnexpected(m)
-		e.acct.SetMax("match.unexpected-max", int64(e.match.UnexpectedLen()))
+		e.arrive(p, InMsg{Env: pkt.Env, Rndv: true}, "rts")
 	case PktCTS:
 		req := e.resolve(pkt.ReqID)
 		if req == nil {
@@ -499,6 +437,41 @@ func (e *Engine) handle(p *sim.Proc, pkt *Packet) {
 	default:
 		e.Errors = append(e.Errors, Errorf(ErrInternal, "unexpected packet kind %v", pkt.Kind))
 	}
+}
+
+// arrive matches a message arriving at this rank — an eager payload, a
+// rendezvous announcement or a self-send — against the posted receives:
+// matched, it is delivered through the reusable scratch node so the hot path
+// performs no allocation; otherwise it queues as unexpected.
+func (e *Engine) arrive(p *sim.Proc, msg InMsg, note string) {
+	env := msg.Env
+	e.acct.Charge(p, CostMatch, e.costs.Match)
+	e.trc(trace.Arrive, env.Source, env.Tag, env.Count, note)
+	if e.revoked[env.Context] {
+		// Stale traffic on a revoked communicator: drop it. An eager payload
+		// returns its bounce space (the sender may be alive and reuse the
+		// pair's credits on another communicator); a rendezvous sender's
+		// request was already failed by its own revoke.
+		if !msg.Rndv && env.Source != e.rank {
+			e.tr.Release(p, env.Source, len(msg.Data))
+		}
+		if msg.Pool != nil {
+			msg.Pool.Put(msg.Data)
+		}
+		return
+	}
+	if req := e.match.Arrive(env); req != nil {
+		e.scratch = msg
+		e.deliverMatched(p, &e.scratch, req)
+		return
+	}
+	if env.Mode == ModeReady {
+		e.Errors = append(e.Errors, Errorf(ErrReady, "ready-mode send from rank %d (tag %d) arrived before a matching receive was posted", env.Source, env.Tag))
+	}
+	m := e.newInMsg()
+	*m = msg
+	e.match.AddUnexpected(m)
+	e.acct.SetMax("match.unexpected-max", int64(e.match.UnexpectedLen()))
 }
 
 // RecvDataDone completes req once its rendezvous payload has fully landed

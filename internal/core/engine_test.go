@@ -275,24 +275,45 @@ func TestStandardEagerDoesNotWaitForMatch(t *testing.T) {
 	}
 }
 
+// A ready-mode send that arrives before its receive is posted records one
+// ErrReady at the receiver and is still delivered: eager, rendezvous-sized
+// and sent to self alike.
 func TestRsendUnmatchedRecordsError(t *testing.T) {
-	w := newWorld(2, time.Microsecond, 180, 0)
-	w.run(t,
-		func(p *sim.Proc, e *Engine) {
-			req, _ := e.Isend(p, 1, 0, 0, ModeReady, payload(4))
-			e.Wait(p, req)
-		},
-		func(p *sim.Proc, e *Engine) {
-			p.Advance(time.Millisecond)
-			mustRecv(t, p, e, 0, 0, make([]byte, 4)) // message still delivered
-		},
-	)
-	if len(w.engs[1].Errors) == 0 {
-		t.Fatal("no ready-mode error recorded at receiver")
-	}
-	var me *Error
-	if !errors.As(w.engs[1].Errors[0], &me) || me.Code != ErrReady {
-		t.Fatalf("error = %v, want ErrReady", w.engs[1].Errors[0])
+	for _, tc := range []struct {
+		name     string
+		dst, n   int
+		receiver int
+	}{{"eager", 1, 4, 1}, {"rendezvous", 1, 4000, 1}, {"self", 0, 4, 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(2, time.Microsecond, 180, 0)
+			got := make([]byte, tc.n)
+			w.run(t,
+				func(p *sim.Proc, e *Engine) {
+					req, _ := e.Isend(p, tc.dst, 0, 0, ModeReady, payload(tc.n))
+					e.Wait(p, req)
+					if tc.dst == 0 {
+						mustRecv(t, p, e, 0, 0, got)
+					}
+				},
+				func(p *sim.Proc, e *Engine) {
+					if tc.dst == 1 {
+						p.Advance(time.Millisecond)
+						mustRecv(t, p, e, 0, 0, got)
+					}
+				},
+			)
+			if !bytes.Equal(got, payload(tc.n)) {
+				t.Error("message not delivered")
+			}
+			errs := w.engs[tc.receiver].Errors
+			if len(errs) != 1 {
+				t.Fatalf("%d errors recorded at the receiver, want one ErrReady: %v", len(errs), errs)
+			}
+			var me *Error
+			if !errors.As(errs[0], &me) || me.Code != ErrReady {
+				t.Fatalf("error = %v, want ErrReady", errs[0])
+			}
+		})
 	}
 }
 

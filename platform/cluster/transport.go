@@ -37,7 +37,7 @@ type transport struct {
 
 	// pool recycles TCP frame scratch (Write copies into the kernel, so a
 	// frame is recyclable as soon as the call returns), TCP eager bounce
-	// buffers and stale-RTR bounce buffers (the engine's pool, so counters
+	// buffers and stale-claim bounce buffers (the engine's pool, so counters
 	// land in the rank's account). Datagram frames never come from it: they
 	// are the link's, recycled by hold count (dgramLink.Frame).
 	pool *core.BufPool
@@ -64,30 +64,27 @@ type transport struct {
 	// two-sided RTS/CTS protocol (the ablation's baseline).
 	rtrQ  map[int][]rtrAd
 	noRTR bool
-	// In-progress inbound Data frames, per source (TCP only): the payload
-	// read consumes only what the kernel buffer holds and resumes on later
-	// polls, so a receiver never parks mid-frame holding unsent bytes of
-	// its own.
-	inData []*tcpData
+	// The landing of each source's in-progress inbound Data frame (TCP
+	// only): the payload read consumes only what the kernel buffer holds
+	// and resumes on later polls, so a receiver never parks mid-frame
+	// holding unsent bytes of its own.
+	inData []*rndvRecvSt
 
 	// Buffered sends whose credits arrived; shipped on the next Poll from
 	// the owning process's context.
 	pendingShip sim.Queue[*core.Request]
-
-	// Ranks fenced by PeerDown: every frame toward them is swallowed —
-	// retrying into a dead peer's black hole would otherwise escalate one
-	// process failure into link death (RUDP retry exhaustion) or a parked
-	// survivor (a TCP window that never reopens).
-	dead map[int]bool
 }
 
+// rndvRecvSt is one landing: where a rendezvous payload goes as its bytes
+// arrive, on a stream or in datagrams alike.
 type rndvRecvSt struct {
-	name  int64         // the receive request's wire name
-	buf   []byte        // its posted buffer
-	env   core.Envelope // the RTS envelope (chunk headers mangle tag/count)
-	got   int           // payload bytes landed so far (UDP chunking)
-	want  int           // bytes that fit the posted buffer
-	total int           // full message size announced by the RTS
+	handle uint32        // its key in rndvRecv; 0 for a payload nobody awaits
+	name   int64         // the receive request's wire name
+	buf    []byte        // its posted buffer
+	env    core.Envelope // the status envelope PktData carries
+	got    int           // payload bytes landed so far
+	want   int           // bytes that fit the posted buffer
+	total  int           // full message size announced by the RTS
 
 	// RDMA-write rendezvous state: an advertised pre-posted receive must be
 	// claimed from the matcher when its direct payload starts arriving. If
@@ -103,13 +100,6 @@ type rndvRecvSt struct {
 type rtrAd struct {
 	env core.Envelope // Source = advertising rank; Count = buffer capacity
 	aux uint32        // the receiver's landing handle
-}
-
-// tcpData tracks one partially-read rendezvous payload on a TCP stream.
-type tcpData struct {
-	st  *rndvRecvSt
-	aux uint32        // the rndvRecv handle, for completion cleanup
-	env core.Envelope // the Data frame's header envelope
 }
 
 func newTransport(cl *atm.Cluster, eng *core.Engine, rank, size, eager, credit int, kind string, peers []*transport) *transport {
@@ -129,7 +119,7 @@ func newTransport(cl *atm.Cluster, eng *core.Engine, rank, size, eager, credit i
 		owed:     flow.NewOwed(size, credit/4),
 		rndvRecv: make(map[uint32]*rndvRecvSt),
 		rtrQ:     make(map[int][]rtrAd),
-		inData:   make([]*tcpData, size),
+		inData:   make([]*rndvRecvSt, size),
 		pool:     eng.Pool(),
 	}
 	// Eager messages charge header+payload bytes against the receiver's
@@ -221,13 +211,14 @@ func (t *transport) MaxEager() int { return t.max }
 // writeFrame ships one protocol message (header + optional payload),
 // charging p the full kernel send path.
 func (t *transport) writeFrame(p *sim.Proc, dst int, kind core.PacketKind, env core.Envelope, aux uint32, payload []byte) {
-	if t.dead[dst] {
-		return // fenced: the peer is dead, the frame would go nowhere
+	if t.eng.PeerDead(dst) {
+		// Fenced: retrying into a dead peer's black hole would escalate one
+		// process failure into link death (RUDP retry exhaustion) or a
+		// parked survivor (a TCP window that never reopens).
+		return
 	}
 	if t.kind == "tcp" {
-		frame := t.pool.Get(headerBytes + len(payload))
-		flow.EncodeHeaderInto(frame, kind, t.owed.Take(dst), env, aux)
-		copy(frame[headerBytes:], payload)
+		frame := t.tcpFrame(dst, kind, env, aux, payload)
 		t.conns[dst].Write(p, frame)
 		t.pool.Put(frame)
 		return
@@ -245,6 +236,15 @@ func (t *transport) writeFrame(p *sim.Proc, dst int, kind core.PacketKind, env c
 	}
 }
 
+// tcpFrame builds one TCP frame in pooled scratch: the header, carrying the
+// credit owed to dst, with the payload behind it. The caller puts it back.
+func (t *transport) tcpFrame(dst int, kind core.PacketKind, env core.Envelope, aux uint32, payload []byte) []byte {
+	frame := t.pool.Get(headerBytes + len(payload))
+	flow.EncodeHeaderInto(frame, kind, t.owed.Take(dst), env, aux)
+	copy(frame[headerBytes:], payload)
+	return frame
+}
+
 // fail declares the transport dead: the error (typed ErrLinkDown unless the
 // link already produced an MPI error) completes every pending request and
 // fails all subsequent operations, so Wait callers see the failure instead
@@ -259,7 +259,7 @@ func (t *transport) fail(err error) {
 // transmit ships one protocol message whose flow control has cleared:
 // rendezvous envelope or eager header+payload.
 func (t *transport) transmit(p *sim.Proc, req *core.Request) {
-	if req.Err() != nil || t.dead[req.Env.Dest] {
+	if req.Err() != nil || t.eng.PeerDead(req.Env.Dest) {
 		// The destination died while the message queued on flow control (the
 		// engine already failed the request with ErrPeerDown). Done() is the
 		// wrong guard here: a buffered send completes at Isend time yet must
@@ -298,31 +298,24 @@ func (t *transport) Send(p *sim.Proc, req *core.Request) {
 // Accept implements core.Transport: register the landing buffer and send
 // the CTS naming it.
 func (t *transport) Accept(p *sim.Proc, msg *core.InMsg, req *core.Request) {
-	t.nextHandle++
-	h := t.nextHandle
-	want := msg.Env.Count
-	if want > len(req.Buf) {
-		want = len(req.Buf)
-	}
-	st := t.landing()
-	*st = rndvRecvSt{name: req.ID, buf: req.Buf, env: msg.Env, want: want, total: msg.Env.Count}
-	t.rndvRecv[h] = st
+	want := min(msg.Env.Count, len(req.Buf))
+	h := t.register(rndvRecvSt{name: req.ID, buf: req.Buf, env: msg.Env, want: want, total: msg.Env.Count})
 	t.writeFrame(p, msg.Env.Source, core.PktCTS, msg.Env, h, nil)
 }
 
-// landing draws a rendezvous landing record; landed returns it once its
-// payload is in and its packet pushed. A record PeerDown sweeps is left to
-// the collector, since a tcpData cursor may still hold it.
-func (t *transport) landing() *rndvRecvSt {
-	if st := t.landings.Get(); st != nil {
-		return st
+// register files a landing under a fresh handle, in a record drawn from the
+// free list, and returns the handle. A record PeerDown sweeps is left to the
+// collector, since an inData cursor may still hold it.
+func (t *transport) register(st rndvRecvSt) uint32 {
+	t.nextHandle++
+	st.handle = t.nextHandle
+	rec := t.landings.Get()
+	if rec == nil {
+		rec = new(rndvRecvSt)
 	}
-	return new(rndvRecvSt)
-}
-
-func (t *transport) landed(st *rndvRecvSt) {
-	*st = rndvRecvSt{}
-	t.landings.Put(st)
+	*rec = st
+	t.rndvRecv[st.handle] = rec
+	return st.handle
 }
 
 // SendPayload implements core.Transport: a CTS surfaced at the sender, so
@@ -347,9 +340,7 @@ func (t *transport) pushPayload(p *sim.Proc, req *core.Request, aux uint32, dire
 		// blocking write would park both sides on window space with neither
 		// draining its inbound stream, so interleave: whenever the window
 		// closes, parse whatever has arrived before parking.
-		frame := t.pool.Get(headerBytes + len(data))
-		flow.EncodeHeaderInto(frame, core.PktData, t.owed.Take(dst), req.Env, aux)
-		copy(frame[headerBytes:], data)
+		frame := t.tcpFrame(dst, core.PktData, req.Env, aux, data)
 		t.conns[dst].WriteInterleaved(p, frame, func() {
 			if !t.parseAvailable(p) {
 				t.creditCond.Wait(p)
@@ -365,10 +356,7 @@ func (t *transport) pushPayload(p *sim.Proc, req *core.Request, aux uint32, dire
 	// to the receiver.
 	maxChunk := t.dgram.MaxDatagram() - headerBytes
 	for off := 0; off < len(data) || off == 0; off += maxChunk {
-		end := off + maxChunk
-		if end > len(data) {
-			end = len(data)
-		}
+		end := min(off+maxChunk, len(data))
 		env := req.Env
 		env.Tag = off
 		env.Count = end - off
@@ -376,9 +364,6 @@ func (t *transport) pushPayload(p *sim.Proc, req *core.Request, aux uint32, dire
 			env.SendID = int64(len(data))
 		}
 		t.writeFrame(p, dst, core.PktData, env, aux, data[off:end])
-		if end == len(data) {
-			break
-		}
 	}
 	t.eng.SendDone(req)
 }
@@ -408,19 +393,15 @@ func (t *transport) AdvertiseRecv(p *sim.Proc, req *core.Request) {
 	if t.noRTR {
 		return
 	}
-	t.nextHandle++
-	h := t.nextHandle
 	// st.env is the status envelope should the direct payload land: the
-	// posted signature with count/mode filled in from the first chunk.
-	st := t.landing()
-	*st = rndvRecvSt{
+	// posted signature with count/mode filled in from the first frame.
+	h := t.register(rndvRecvSt{
 		name: req.ID,
 		buf:  req.Buf,
 		env:  core.Envelope{Source: req.Env.Source, Tag: req.Env.Tag, Context: req.Env.Context},
 		want: len(req.Buf),
 		rtr:  true,
-	}
-	t.rndvRecv[h] = st
+	})
 	// The frame's envelope names this rank as source (it is the frame's
 	// sender) and carries the posted signature plus buffer capacity.
 	ad := core.Envelope{Source: t.rank, Tag: req.Env.Tag, Context: req.Env.Context, Count: len(req.Buf)}
@@ -447,32 +428,6 @@ func (t *transport) takeRTR(req *core.Request) (rtrAd, bool) {
 	return rtrAd{}, false
 }
 
-// startRTR begins the landing of a direct payload: fix the total from the
-// first frame and claim the advertised receive from the matcher. A failed
-// claim switches the landing to a bounce buffer for re-injection.
-func (t *transport) startRTR(st *rndvRecvSt, total int, mode core.Mode) {
-	st.started = true
-	st.total = total
-	if st.want > total {
-		st.want = total
-	}
-	st.env.Count = total
-	st.env.Mode = mode
-	if !t.eng.ClaimDirect(st.name) {
-		st.bounce = t.pool.Get(total)
-		t.eng.Acct().Incr("rtr-stale", 1)
-	}
-}
-
-// finishRTRFallback surfaces a bounced direct payload as an eager
-// arrival. The engine's eager path will Release reservation that was
-// never consumed (direct data is credit-exempt), slightly inflating the
-// pair's credit; the drift is bounded by the stale-claim count and only
-// ever loosens flow control, so we accept it for this rare race.
-func (t *transport) finishRTRFallback(st *rndvRecvSt) {
-	t.inbox.Push(core.Packet{Kind: core.PktEager, Env: st.env, Data: st.bounce, Pool: t.pool})
-}
-
 // Control implements core.Transport (synchronous-mode acks).
 func (t *transport) Control(p *sim.Proc, dst int, kind core.PacketKind, env core.Envelope) {
 	t.writeFrame(p, dst, kind, env, 0, nil)
@@ -495,10 +450,6 @@ func (t *transport) Release(p *sim.Proc, src int, n int) {
 // capacity is restored (the corpse can never grant credit back), and the
 // wire itself is fenced (TCP discards, RUDP abandons retransmission).
 func (t *transport) PeerDown(rank int) {
-	if t.dead == nil {
-		t.dead = make(map[int]bool)
-	}
-	t.dead[rank] = true
 	delete(t.rtrQ, rank)
 	// Landings the corpse can never finish — accepted RTSs, advertisements
 	// naming it — go, and a stale claim's bounce buffer returns to the pool.
@@ -675,24 +626,14 @@ func (t *transport) parseTCP(p *sim.Proc, src int, conn *atm.TCP) {
 		acct.Book(acctReadData, sim.Duration(p.Now()-t2))
 		t.inbox.Push(core.Packet{Kind: kind, Env: env, Data: payload, Pool: t.pool})
 	case core.PktData:
-		st := t.rndvRecv[aux]
+		st := t.dataLanding(src, env, aux)
 		if st == nil {
-			if !t.dead[src] {
-				t.eng.Errors = append(t.eng.Errors, core.Errorf(core.ErrInternal, "rendezvous data for unknown handle %d", aux))
-				return
-			}
-			// PeerDown swept the corpse's landings; the payload still has
-			// to come off the stream.
+			// Nobody awaits this payload; it still has to come off the
+			// stream, into nothing.
 			st = &rndvRecvSt{total: env.Count}
 		}
-		if st.rtr && !st.started {
-			// Direct payload for an advertised receive: the frame carries
-			// the full send envelope, so the total is its count.
-			t.startRTR(st, env.Count, env.Mode)
-		}
-		d := &tcpData{st: st, aux: aux, env: env}
-		t.inData[src] = d
-		t.readData(p, src, conn, d)
+		t.inData[src] = st
+		t.readData(p, src, conn, st)
 	default:
 		t.surface(src, kind, env, aux)
 	}
@@ -718,45 +659,89 @@ func (t *transport) surface(src int, kind core.PacketKind, env core.Envelope, au
 	}
 }
 
+// dataLanding resolves the landing a Data frame from src names, or nil when
+// the handle is unknown: PeerDown swept it, or — the sender being alive — a
+// protocol error. The first frame of a direct payload starts its landing: the
+// total comes from the frame (the envelope's count on a stream; on datagrams
+// the id field, since no RTS announced it and each chunk header counts only
+// its chunk) and the advertised receive is claimed from the matcher. A failed
+// claim (the receive matched an earlier message meanwhile) lands the payload
+// in a bounce buffer instead, for re-injection.
+func (t *transport) dataLanding(src int, env core.Envelope, aux uint32) *rndvRecvSt {
+	st := t.rndvRecv[aux]
+	if st == nil {
+		if !t.eng.PeerDead(src) {
+			t.eng.Errors = append(t.eng.Errors, core.Errorf(core.ErrInternal, "rendezvous data for unknown handle %d", aux))
+		}
+		return nil
+	}
+	if st.rtr && !st.started {
+		total := env.Count
+		if t.kind != "tcp" {
+			total = int(env.SendID)
+		}
+		st.started, st.total = true, total
+		st.want = min(st.want, total)
+		st.env.Count, st.env.Mode = total, env.Mode
+		if !t.eng.ClaimDirect(st.name) {
+			st.bounce = t.pool.Get(total)
+			t.eng.Acct().Incr("rtr-stale", 1)
+		}
+	}
+	return st
+}
+
+// place reports where payload bytes [off, off+n) land: a stale claim's
+// bounce buffer (sized to the full message, so it never truncates), else the
+// posted buffer up to the bytes that fit it. Bytes the slice does not cover
+// are discarded. Asked per read: each read charges time, and PeerDown may
+// take the landing away meanwhile.
+func (st *rndvRecvSt) place(off, n int) []byte {
+	if st.bounce != nil {
+		return st.bounce[off : off+n]
+	}
+	return st.buf[min(off, st.want):min(off+n, st.want)]
+}
+
+// landingDone completes a landing whose last byte is in: the handle goes,
+// and the engine gets PktData naming the receive — or a stale claim's
+// bounced payload as an eager arrival, in its exact stream position. The
+// engine's eager path will Release reservation that was never consumed
+// (direct data is credit-exempt), slightly inflating the pair's credit; the
+// drift is bounded by the stale-claim count and only ever loosens flow
+// control, so we accept it for this rare race. A payload nobody awaited
+// surfaces nothing.
+func (t *transport) landingDone(st *rndvRecvSt) {
+	if st.handle != 0 {
+		delete(t.rndvRecv, st.handle)
+		if st.bounce != nil {
+			t.inbox.Push(core.Packet{Kind: core.PktEager, Env: st.env, Data: st.bounce, Pool: t.pool})
+		} else {
+			t.inbox.Push(core.Packet{Kind: core.PktData, Env: st.env, ReqID: st.name})
+		}
+	}
+	*st = rndvRecvSt{}
+	t.landings.Put(st)
+}
+
 // readData lands however much of a rendezvous payload the kernel buffer
 // holds, resuming on later polls until the frame completes. Reading only
 // buffered bytes — never parking for more — is what keeps two peers
 // exchanging window-exceeding payloads deadlock-free: each side alternates
 // between pushing its own frame and draining the other's.
-func (t *transport) readData(p *sim.Proc, src int, conn *atm.TCP, d *tcpData) {
+func (t *transport) readData(p *sim.Proc, src int, conn *atm.TCP, st *rndvRecvSt) {
 	acct := t.eng.Acct()
-	st := d.st
 	for st.got < st.total {
-		n := conn.Buffered()
+		n := min(conn.Buffered(), st.total-st.got)
 		if n == 0 {
 			return // resume when the next segment arrives
 		}
-		if rem := st.total - st.got; n > rem {
-			n = rem
-		}
-		// A stale-claimed direct payload lands in the bounce buffer (sized to
-		// the full message, so it never truncates); everything else lands in
-		// the posted buffer up to its capacity. Looked up per read: each
-		// charges time, and PeerDown may take the landing away meanwhile.
-		landBuf, landMax := st.buf, st.want
-		if st.bounce != nil {
-			landBuf, landMax = st.bounce, st.total
-		}
 		t2 := p.Now()
-		if st.got < landMax {
-			end := st.got + n
-			if end > landMax {
-				end = landMax
-			}
-			conn.ReadFull(p, landBuf[st.got:end])
-			if rest := n - (end - st.got); rest > 0 {
-				// The receive buffer was short: drain and discard the excess.
-				junk := t.pool.Get(rest)
-				conn.ReadFull(p, junk)
-				t.pool.Put(junk)
-			}
-		} else {
-			junk := t.pool.Get(n)
+		land := st.place(st.got, n)
+		conn.ReadFull(p, land)
+		if rest := n - len(land); rest > 0 {
+			// Past what the landing holds: drain and discard.
+			junk := t.pool.Get(rest)
 			conn.ReadFull(p, junk)
 			t.pool.Put(junk)
 		}
@@ -764,13 +749,7 @@ func (t *transport) readData(p *sim.Proc, src int, conn *atm.TCP, d *tcpData) {
 		st.got += n
 	}
 	t.inData[src] = nil
-	delete(t.rndvRecv, d.aux)
-	if st.bounce != nil {
-		t.finishRTRFallback(st)
-	} else {
-		t.inbox.Push(core.Packet{Kind: core.PktData, Env: d.env, ReqID: st.name})
-	}
-	t.landed(st)
+	t.landingDone(st)
 }
 
 // parseDgram consumes one reliable datagram, reporting whether one was
@@ -802,38 +781,13 @@ func (t *transport) parseDgram(p *sim.Proc) bool {
 		t.inbox.Push(core.Packet{Kind: kind, Env: env, Data: payload})
 		return true
 	case core.PktData:
-		st := t.rndvRecv[aux]
-		if st == nil {
-			// PeerDown swept a corpse's landings: its late chunks just drop.
-			if !t.dead[env.Source] {
-				t.eng.Errors = append(t.eng.Errors, core.Errorf(core.ErrInternal, "rendezvous data for unknown handle %d", aux))
+		if st := t.dataLanding(env.Source, env, aux); st != nil {
+			// The chunk offset rides in the tag field.
+			copy(st.place(env.Tag, len(payload)), payload)
+			st.got += len(payload)
+			if st.got >= st.total {
+				t.landingDone(st)
 			}
-			break
-		}
-		if st.rtr && !st.started {
-			// Direct payload for an advertised receive: no RTS announced
-			// the size, so the total rides the chunk's id field.
-			t.startRTR(st, int(env.SendID), env.Mode)
-		}
-		off := env.Tag // chunk offset rides in the tag field
-		if st.bounce != nil {
-			copy(st.bounce[off:off+len(payload)], payload)
-		} else if off < st.want {
-			end := off + len(payload)
-			if end > st.want {
-				end = st.want
-			}
-			copy(st.buf[off:end], payload[:end-off])
-		}
-		st.got += len(payload)
-		if st.got >= st.total {
-			delete(t.rndvRecv, aux)
-			if st.bounce != nil {
-				t.finishRTRFallback(st)
-			} else {
-				t.inbox.Push(core.Packet{Kind: kind, Env: st.env, ReqID: st.name})
-			}
-			t.landed(st)
 		}
 	default:
 		t.surface(env.Source, kind, env, aux)
