@@ -20,6 +20,10 @@ type Cluster struct {
 	Eth   *Ethernet
 	Atm   *ATMNet
 
+	// Ledgers are the hosts' books (nil: none) for device time: a frame's
+	// serialization is the sender's wire, input processing the receiver's kernel.
+	Ledgers []*sim.Ledger
+
 	// Every protocol stack reaches the wire through these fault injectors
 	// (transparent until SetFaults installs a policy).
 	ethInj, atmInj *Injector
@@ -32,16 +36,16 @@ type Cluster struct {
 // NewCluster builds an n-host cluster for the world built on s.
 func NewCluster(s *sim.Scheduler, n int, c Costs) *Cluster {
 	cl := &Cluster{
-		S:     s,
-		Costs: c,
-		N:     n,
-		Eth:   NewEthernet(s, n, c),
-		Atm:   NewATMNet(s, n, c),
+		S:       s,
+		Costs:   c,
+		N:       n,
+		Ledgers: make([]*sim.Ledger, n), // one table for both media
 		udpPorts: map[MediumKind]map[int]*UDP{
 			OverEthernet: {},
 			OverATM:      {},
 		},
 	}
+	cl.Eth, cl.Atm = NewEthernet(s, n, c, cl.Ledgers), NewATMNet(s, n, c, cl.Ledgers)
 	cl.ethInj = NewInjector(s, n, cl.Eth)
 	cl.atmInj = NewInjector(s, n, cl.Atm)
 	return cl

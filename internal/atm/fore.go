@@ -41,9 +41,9 @@ func (a *AAL4) SendTo(p *sim.Proc, dst int, data []byte) {
 	if len(data) > MaxPDU {
 		panic(fmt.Sprintf("aal4: PDU of %d bytes exceeds max %d", len(data), MaxPDU))
 	}
-	p.Advance(k.SyscallWrite)
-	p.Advance(sim.Duration(len(data)) * k.CopyPerByte)
-	p.Advance(k.AAL4PerPacket)
+	p.Spend(sim.Syscall, k.SyscallWrite)
+	p.Spend(sim.Syscall, sim.Duration(len(data))*k.CopyPerByte)
+	p.Spend(sim.Kernel, k.AAL4PerPacket)
 
 	peer := a.cl.aal4Port(dst)
 	payload := make([]byte, len(data))
@@ -57,12 +57,12 @@ func (a *AAL4) SendTo(p *sim.Proc, dst int, data []byte) {
 // RecvFrom blocks for the next PDU.
 func (a *AAL4) RecvFrom(p *sim.Proc, buf []byte) (int, int) {
 	k := a.cl.Costs
-	p.Advance(k.SyscallRead + k.ReadExtraATM)
+	p.Spend(sim.Syscall, k.SyscallRead+k.ReadExtraATM)
 	if a.await(p) {
-		p.Advance(k.KernelWakeup)
+		p.Spend(sim.Kernel, k.KernelWakeup)
 	}
 	d := a.dq.Pop()
 	n := copy(buf, d.Data)
-	p.Advance(sim.Duration(n) * k.CopyPerByte)
+	p.Spend(sim.Syscall, sim.Duration(n)*k.CopyPerByte)
 	return n, d.Src
 }

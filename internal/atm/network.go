@@ -75,19 +75,21 @@ type Ethernet struct {
 	// Collisions counts backoff episodes (tests/instrumentation).
 	Collisions int
 	queued     int
+	ledgers    []*sim.Ledger // see Cluster.Ledgers
 }
 
 // NewEthernet builds the shared segment for n hosts, homed on s. The
 // model's spans bound s's lookahead: the minimum frame wire time covers the
 // stamp-to-completion window and the propagation+driver tail covers the
 // completion-to-delivery hop, so both must be at least the lookahead.
-func NewEthernet(s *sim.Scheduler, n int, c Costs) *Ethernet {
+// Frames book their serialization in ledgers, one entry per host.
+func NewEthernet(s *sim.Scheduler, n int, c Costs, ledgers []*sim.Ledger) *Ethernet {
 	minSpan := sim.Duration(FrameWireBytes(0)) * c.EthPerByte
 	post := c.EthPropDelay + c.DriverEthPerFrame
 	if la := s.Lookahead(); minSpan < la || post < la {
 		panic(fmt.Sprintf("ethernet: frame span %v / delivery tail %v below shard lookahead %v", minSpan, post, la))
 	}
-	return &Ethernet{s: s, n: n, c: c, stage: sim.NewStage(s), wire: sim.NewFIFO(s, "ether")}
+	return &Ethernet{s: s, n: n, c: c, stage: sim.NewStage(s), wire: sim.NewFIFO(s, "ether"), ledgers: ledgers}
 }
 
 // Kind implements Medium.
@@ -111,6 +113,7 @@ func (e *Ethernet) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) in
 		panic(fmt.Sprintf("ethernet: frame payload %d exceeds MTU", n))
 	}
 	wire := sim.Duration(FrameWireBytes(n)) * e.c.EthPerByte
+	e.ledgers[src].Record(sim.Wire, wire)
 	e.stage.Request(e.s.Node(src, e.n), func(t0 sim.Time) {
 		if e.CSMACD && e.wire.BusyUntil() > t0 {
 			// Contended medium: model collisions + truncated binary
@@ -152,16 +155,17 @@ type ATMNet struct {
 	up, down []*sim.FIFO
 	ports    []*portArbiter
 	idle     []sim.FreeList[hop] // per-host switch-hop record pools (see hop)
+	ledgers  []*sim.Ledger       // see Cluster.Ledgers
 }
 
 // NewATMNet builds the switch with n host ports for the world built on s.
 // The switch forwarding delay must be at least s's lookahead (it is the
-// only cross-lane hop).
-func NewATMNet(s *sim.Scheduler, n int, c Costs) *ATMNet {
+// only cross-lane hop). Cells book their serialization as on NewEthernet.
+func NewATMNet(s *sim.Scheduler, n int, c Costs, ledgers []*sim.Ledger) *ATMNet {
 	if c.SwitchDelay < s.Lookahead() {
 		panic(fmt.Sprintf("atm: switch delay %v below shard lookahead %v", c.SwitchDelay, s.Lookahead()))
 	}
-	a := &ATMNet{s: s, c: c, idle: make([]sim.FreeList[hop], n)}
+	a := &ATMNet{s: s, c: c, idle: make([]sim.FreeList[hop], n), ledgers: ledgers}
 	for i := 0; i < n; i++ {
 		hs := s.Node(i, n)
 		a.up = append(a.up, sim.NewFIFO(hs, fmt.Sprintf("atm-up%d", i)))
@@ -289,6 +293,7 @@ func (a *ATMNet) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) int 
 func (a *ATMNet) send(src, dst int, wire, out, tail sim.Duration, deliver func()) {
 	ss := a.schedOf(src)
 	end := a.up[src].ReserveAt(ss.Now()+sim.Time(out), wire)
+	a.ledgers[src].Record(sim.Wire, wire)
 	h := a.idle[src].Get()
 	if h == nil {
 		h = &hop{a: a}

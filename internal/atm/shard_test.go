@@ -33,9 +33,9 @@ func TestShardedATMNetMatchesSingleScheduler(t *testing.T) {
 		return ends
 	}
 	s := sim.NewScheduler(1)
-	want := run(NewATMNet(s, 3, c), s.Run)
+	want := run(NewATMNet(s, 3, c, make([]*sim.Ledger, 3)), s.Run)
 	sh := sim.NewShard(1, 3, c.SwitchDelay)
-	got := run(NewATMNet(sh.Lane(0), 3, c), sh.Run)
+	got := run(NewATMNet(sh.Lane(0), 3, c, make([]*sim.Ledger, 3)), sh.Run)
 	golden := []sim.Time{273264, 212632, 185072} // the shorter packet reaches the port first
 	for i := range golden {
 		if want[i] != golden[i] || got[i] != golden[i] {
@@ -65,9 +65,9 @@ func TestShardedEthernetMatchesSingleScheduler(t *testing.T) {
 		return ends
 	}
 	s := sim.NewScheduler(1)
-	want := run(NewEthernet(s, 3, c), s.Run)
+	want := run(NewEthernet(s, 3, c, make([]*sim.Ledger, 3)), s.Run)
 	sh := sim.NewShard(1, 3, c.SwitchDelay)
-	got := run(NewEthernet(sh.Lane(0), 3, c), sh.Run)
+	got := run(NewEthernet(sh.Lane(0), 3, c, make([]*sim.Ledger, 3)), sh.Run)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("delivery %d at %v sharded, %v single (all: %v vs %v)", i, got[i], want[i], got, want)
@@ -87,7 +87,7 @@ func TestShardedEthernetRejectsLongLookahead(t *testing.T) {
 			t.Fatal("expected panic for lookahead above the delivery tail")
 		}
 	}()
-	NewEthernet(sh.Lane(0), 2, c)
+	NewEthernet(sh.Lane(0), 2, c, make([]*sim.Ledger, 2))
 }
 
 func TestShardedATMNetRejectsShortSwitchDelay(t *testing.T) {
@@ -98,5 +98,5 @@ func TestShardedATMNetRejectsShortSwitchDelay(t *testing.T) {
 			t.Fatal("expected panic for switch delay below lookahead")
 		}
 	}()
-	NewATMNet(sh.Lane(0), 2, c)
+	NewATMNet(sh.Lane(0), 2, c, make([]*sim.Ledger, 2))
 }

@@ -79,7 +79,7 @@ func (c *TCP) MSS() int { return c.med.MTU() - TCPIPHeader }
 // copy, checksumming, and per-segment protocol processing to p.
 func (c *TCP) Write(p *sim.Proc, data []byte) {
 	k := c.cl.Costs
-	p.Advance(k.SyscallWrite + sim.Duration(len(data))*(k.CopyPerByte+k.ChecksumPerByte))
+	p.Spend(sim.Syscall, k.SyscallWrite+sim.Duration(len(data))*(k.CopyPerByte+k.ChecksumPerByte))
 	mss := c.MSS()
 	for off := 0; off < len(data); off += mss {
 		end := off + mss
@@ -132,7 +132,7 @@ func (c *TCP) writeSegment(p *sim.Proc, seg []byte) {
 	}
 	c.sndCredit -= len(seg)
 	c.unacked += len(seg)
-	p.Advance(k.TCPPerSegment)
+	p.Spend(sim.Kernel, k.TCPPerSegment)
 	c.transmitSegment(seg)
 }
 
@@ -193,6 +193,7 @@ func (f *tcpFrame) run() {
 	switch f.stage {
 	case frameSegment:
 		f.stage = frameLand
+		r.cl.Ledgers[r.host].Record(sim.Kernel, r.cl.Costs.TCPPerSegment)
 		r.cl.SchedOf(r.host).After(r.cl.Costs.TCPPerSegment, f.step)
 	case frameLand:
 		if r.rqHead > 0 && len(r.rq)+len(f.data) > cap(r.rq) {
@@ -240,7 +241,7 @@ func (f *tcpFrame) run() {
 // Write's.
 func (c *TCP) WriteInterleaved(p *sim.Proc, data []byte, yield func()) {
 	k := c.cl.Costs
-	p.Advance(k.SyscallWrite + sim.Duration(len(data))*(k.CopyPerByte+k.ChecksumPerByte))
+	p.Spend(sim.Syscall, k.SyscallWrite+sim.Duration(len(data))*(k.CopyPerByte+k.ChecksumPerByte))
 	mss := c.MSS()
 	for off := 0; off < len(data); off += mss {
 		end := off + mss
@@ -264,19 +265,19 @@ func (c *TCP) WriteInterleaved(p *sim.Proc, data []byte, yield func()) {
 // as a window-update frame.
 func (c *TCP) Read(p *sim.Proc, buf []byte) int {
 	k := c.cl.Costs
-	p.Advance(k.SyscallRead + c.cl.readExtra(c.med.Kind()))
+	p.Spend(sim.Syscall, k.SyscallRead+c.cl.readExtra(c.med.Kind()))
 	if c.Buffered() == 0 {
 		for c.Buffered() == 0 {
 			c.readable.Wait(p)
 		}
-		p.Advance(k.KernelWakeup)
+		p.Spend(sim.Kernel, k.KernelWakeup)
 	}
 	n := copy(buf, c.rq[c.rqHead:])
 	if c.rqHead += n; c.rqHead == len(c.rq) {
 		// Drained: rewind, so a steady stream keeps appending in place.
 		c.rq, c.rqHead = c.rq[:0], 0
 	}
-	p.Advance(sim.Duration(n) * k.CopyPerByte)
+	p.Spend(sim.Syscall, sim.Duration(n)*k.CopyPerByte)
 	c.sendWindowUpdate(n)
 	return n
 }

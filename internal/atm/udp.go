@@ -165,7 +165,7 @@ func (u *UDP) send(p *sim.Proc, dst int, f *Frame) {
 	if len(f.B) > u.MaxDatagram() {
 		panic(fmt.Sprintf("udp: datagram of %d bytes exceeds max %d", len(f.B), u.MaxDatagram()))
 	}
-	p.Advance(k.SyscallWrite + sim.Duration(len(f.B))*(k.CopyPerByte+k.ChecksumPerByte) + k.UDPPerPacket)
+	p.Spend(sim.Syscall, k.SyscallWrite+sim.Duration(len(f.B))*(k.CopyPerByte+k.ChecksumPerByte)+k.UDPPerPacket)
 	u.transmit(dst, f)
 }
 
@@ -233,6 +233,7 @@ func (x *udpXmit) fragment() {
 	if x.arrived%x.frags == 0 && !x.lost {
 		// Reassembly complete: kernel input processing, then queue.
 		x.landing++
+		x.peer.cl.Ledgers[x.peer.host].Record(sim.Kernel, x.peer.cl.Costs.UDPPerPacket)
 		x.peer.cl.SchedOf(x.peer.host).After(x.peer.cl.Costs.UDPPerPacket, x.land)
 		return
 	}
@@ -276,12 +277,12 @@ func (u *UDP) RecvFrom(p *sim.Proc, buf []byte) (int, int) {
 // the first max bytes of the datagram, whose hold the caller releases.
 func (u *UDP) recv(p *sim.Proc, max int) Datagram {
 	k := u.cl.Costs
-	p.Advance(k.SyscallRead + u.cl.readExtra(u.med.Kind()))
+	p.Spend(sim.Syscall, k.SyscallRead+u.cl.readExtra(u.med.Kind()))
 	if u.await(p) {
-		p.Advance(k.KernelWakeup)
+		p.Spend(sim.Kernel, k.KernelWakeup)
 	}
 	d := u.dq.Pop()
 	d.Data = d.Data[:min(len(d.Data), max)]
-	p.Advance(sim.Duration(len(d.Data)) * k.CopyPerByte)
+	p.Spend(sim.Syscall, sim.Duration(len(d.Data))*k.CopyPerByte)
 	return d
 }

@@ -70,7 +70,7 @@ func (u *UNet) Send(p *sim.Proc, dst int, data []byte) {
 	if len(data) > UNetMaxPDU {
 		panic(fmt.Sprintf("unet: PDU of %d bytes exceeds max %d", len(data), UNetMaxPDU))
 	}
-	p.Advance(UNetDoorbell + sim.Duration(len(data))*k.CopyPerByte)
+	p.Spend(sim.Sync, UNetDoorbell+sim.Duration(len(data))*k.CopyPerByte)
 
 	peer := u.cl.UNetSocket(dst)
 	src := u.host
@@ -108,10 +108,10 @@ func (u *UNet) RecvFrom(p *sim.Proc, buf []byte) (int, int) {
 // max-byte buffer, returning a read-only view of the first max bytes.
 func (u *UNet) Recv(p *sim.Proc, max int) Datagram {
 	k := u.cl.Costs
-	p.Advance(UNetPoll)
+	p.Spend(sim.Sync, UNetPoll)
 	u.await(p)
 	d := u.dq.Pop()
 	d.Data = d.Data[:min(len(d.Data), max)]
-	p.Advance(sim.Duration(len(d.Data)) * k.CopyPerByte)
+	p.Spend(sim.Sync, sim.Duration(len(d.Data))*k.CopyPerByte)
 	return d
 }

@@ -86,7 +86,7 @@ func runWire(t *testing.T, hosts, lanes int, ps []wirePacket, deliver func(a *AT
 	t.Helper()
 	c := DefaultCosts()
 	s := sim.NewKernel(1, lanes, hosts, c.SwitchDelay, 0)
-	a := NewATMNet(s, hosts, c)
+	a := NewATMNet(s, hosts, c, make([]*sim.Ledger, hosts))
 	got := make([][]wireArrival, hosts) // per destination: lanes must not share
 	for _, pk := range ps {
 		pk := pk

@@ -280,5 +280,5 @@ func clusterAcctPingPong(net string, iters int) (*core.Acct, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rep.RankAccts[1], nil
+	return rep.RankAccts[1].View(), nil
 }

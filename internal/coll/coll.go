@@ -160,8 +160,8 @@ type Alg struct {
 	Rounds func(h Hint) int
 	Run    func(c Comm, a Args) error
 
-	// The three counters Run books per call, named once by register.
-	callsCtr, bytesCtr, roundsCtr string
+	// The three counters Run books per call, registered once by register.
+	callsCtr, bytesCtr, roundsCtr core.Ctr
 }
 
 // ok reports whether the algorithm is applicable under h.
@@ -189,7 +189,7 @@ func register(op string, a *Alg) {
 			panic(fmt.Sprintf("coll: duplicate algorithm %s/%s", op, a.Name))
 		}
 	}
-	a.callsCtr, a.bytesCtr, a.roundsCtr = "coll."+op+"."+a.Name, "coll."+op+".bytes", "coll."+op+".rounds"
+	a.callsCtr, a.bytesCtr, a.roundsCtr = core.Counter("coll."+op+"."+a.Name), core.Counter("coll."+op+".bytes"), core.Counter("coll."+op+".rounds")
 	registries[op] = append(registries[op], a)
 }
 
@@ -370,10 +370,10 @@ func Run(c Comm, t Tuning, op string, bytes int, a Args) error {
 	a.Tune = t
 
 	acct := c.Acct()
-	acct.Incr(alg.callsCtr, 1)
-	acct.Incr(alg.bytesCtr, int64(bytes))
+	acct.Add(alg.callsCtr, 1)
+	acct.Add(alg.bytesCtr, int64(bytes))
 	if alg.Rounds != nil {
-		acct.Incr(alg.roundsCtr, int64(alg.Rounds(h)))
+		acct.Add(alg.roundsCtr, int64(alg.Rounds(h)))
 	}
 	tl := c.TraceLog()
 	if tl != nil {

@@ -196,8 +196,8 @@ func (e *Engine) Isend(p *sim.Proc, dst, tag, ctx int, mode Mode, data []byte) (
 	if err := e.ftSendCheck(dst, ctx); err != nil {
 		return nil, err
 	}
-	e.acct.Charge(p, CostOverhead, e.costs.SendOverhead)
-	e.acct.Incr("send", 1)
+	e.acct.Spend(p, sim.Overhead, e.costs.SendOverhead)
+	e.acct.Add(ctrSend, 1)
 	e.trc(trace.SendStart, dst, tag, len(data), mode.String())
 	need := len(data)
 	if mode == ModeBuffered && dst != e.rank && e.bufUsed+need > e.bufCap {
@@ -226,7 +226,7 @@ func (e *Engine) Isend(p *sim.Proc, dst, tag, ctx int, mode Mode, data []byte) (
 		stable := make([]byte, need)
 		copy(stable, data)
 		req.Buf = stable
-		e.acct.Charge(p, CostCopy, e.costs.CopyBase+sim.Duration(need)*e.costs.CopyPerByte)
+		e.acct.Spend(p, sim.Copy, e.costs.CopyBase+sim.Duration(need)*e.costs.CopyPerByte)
 		req.buffered = true
 		e.tr.Send(p, req)
 		req.complete(Status{Source: dst, Tag: tag, Count: need}, nil)
@@ -243,7 +243,7 @@ func (e *Engine) Isend(p *sim.Proc, dst, tag, ctx int, mode Mode, data []byte) (
 func (e *Engine) selfSend(p *sim.Proc, req *Request, mode Mode, data []byte) (*Request, error) {
 	stable := e.pool.Get(len(data))
 	copy(stable, data)
-	e.acct.Charge(p, CostCopy, e.costs.CopyBase+sim.Duration(len(data))*e.costs.CopyPerByte)
+	e.acct.Spend(p, sim.Copy, e.costs.CopyBase+sim.Duration(len(data))*e.costs.CopyPerByte)
 	e.markSent(req)
 	if mode == ModeSync {
 		req.ackWanted = true
@@ -282,16 +282,16 @@ func (e *Engine) Irecv(p *sim.Proc, src, tag, ctx int, buf []byte) (*Request, er
 		return nil, err
 	}
 	req.IsRecv, req.Env, req.Buf = true, Envelope{Source: src, Tag: tag, Context: ctx}, buf
-	e.acct.Charge(p, CostOverhead, e.costs.RecvOverhead)
-	e.acct.Charge(p, CostMatch, e.costs.Match)
-	e.acct.Incr("recv", 1)
+	e.acct.Spend(p, sim.Overhead, e.costs.RecvOverhead)
+	e.acct.Spend(p, sim.Match, e.costs.Match)
+	e.acct.Add(ctrRecv, 1)
 	e.trc(trace.RecvPost, src, tag, len(buf), "")
 
 	if msg := e.match.PostRecv(req); msg != nil {
 		e.deliverMatched(p, msg, req)
 		e.freeInMsg(msg)
 	} else {
-		e.acct.SetMax("match.posted-max", int64(e.match.PostedLen()))
+		e.acct.Raise(ctrPostedMax, int64(e.match.PostedLen()))
 		// Nothing matched on post: a rendezvous-sized receive with a fully
 		// specific pattern is advertised back to its sender so a matching
 		// send can skip the RTS/CTS round trip and write the payload
@@ -324,7 +324,7 @@ func (e *Engine) deliverMatched(p *sim.Proc, msg *InMsg, req *Request) {
 		err = Errorf(ErrTruncate, "message of %d bytes truncated to %d-byte receive buffer", len(msg.Data), len(req.Buf))
 	}
 	copy(req.Buf[:n], msg.Data[:n])
-	e.acct.Charge(p, CostCopy, e.costs.CopyBase+sim.Duration(n)*e.costs.CopyPerByte)
+	e.acct.Spend(p, sim.Copy, e.costs.CopyBase+sim.Duration(n)*e.costs.CopyPerByte)
 	if msg.Env.Source == e.rank {
 		// Self-message: no transport resources to release; a synchronous
 		// self-send acknowledges directly.
@@ -445,7 +445,7 @@ func (e *Engine) handle(p *sim.Proc, pkt *Packet) {
 // performs no allocation; otherwise it queues as unexpected.
 func (e *Engine) arrive(p *sim.Proc, msg InMsg, note string) {
 	env := msg.Env
-	e.acct.Charge(p, CostMatch, e.costs.Match)
+	e.acct.Spend(p, sim.Match, e.costs.Match)
 	e.trc(trace.Arrive, env.Source, env.Tag, env.Count, note)
 	if e.revoked[env.Context] {
 		// Stale traffic on a revoked communicator: drop it. An eager payload
@@ -471,7 +471,7 @@ func (e *Engine) arrive(p *sim.Proc, msg InMsg, note string) {
 	m := e.newInMsg()
 	*m = msg
 	e.match.AddUnexpected(m)
-	e.acct.SetMax("match.unexpected-max", int64(e.match.UnexpectedLen()))
+	e.acct.Raise(ctrUnexpectedMax, int64(e.match.UnexpectedLen()))
 }
 
 // RecvDataDone completes req once its rendezvous payload has fully landed
@@ -647,7 +647,7 @@ func (e *Engine) Probe(p *sim.Proc, src, tag, ctx int) (Status, error) {
 // after the drain would open a lost-wakeup window for callers that park
 // when the probe fails.
 func (e *Engine) Iprobe(p *sim.Proc, src, tag, ctx int) (Status, bool, error) {
-	e.acct.Charge(p, CostMatch, e.costs.Match)
+	e.acct.Spend(p, sim.Match, e.costs.Match)
 	e.Progress(p)
 	if msg := e.match.Probe(src, tag, ctx); msg != nil {
 		return Status{Source: msg.Env.Source, Tag: msg.Env.Tag, Count: msg.Env.Count}, true, nil

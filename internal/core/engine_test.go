@@ -39,6 +39,7 @@ func (w *world) run(t *testing.T, bodies ...func(p *sim.Proc, e *Engine)) sim.Ti
 		}
 		i, body := i, body
 		w.s.Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
+			p.Ledger = &w.engs[i].Acct().Ledger // as mpi.Launch does
 			body(p, w.engs[i])
 			w.engs[i].Finalize(p) // as mpi.Launch does after each rank body
 		})
@@ -549,7 +550,7 @@ func TestFabricSendQueueBooksFlowCounters(t *testing.T) {
 			t.Errorf("credits %d: received tags %v, want issue order", credits, tags)
 		}
 		tr := w.engs[0].tr.(*MemTransport)
-		c := w.engs[0].Acct().Count
+		c := w.engs[0].Acct().View().Count
 		if credits == 0 {
 			if tr.fc != nil || c["flow-queued"] != 0 {
 				t.Errorf("unlimited credits: queue %v, %d sends queued; want none", tr.fc, c["flow-queued"])
@@ -677,26 +678,29 @@ func TestAcctChargesBooked(t *testing.T) {
 	fab.Attach(e0)
 	fab.Attach(e1)
 	s.Spawn("r0", func(p *sim.Proc) {
+		p.Ledger = &e0.Acct().Ledger
 		req, _ := e0.Isend(p, 1, 0, 0, ModeStandard, payload(100))
 		e0.Wait(p, req)
 	})
 	s.Spawn("r1", func(p *sim.Proc) {
+		p.Ledger = &e1.Acct().Ledger
 		req, _ := e1.Irecv(p, 0, 0, 0, make([]byte, 100))
 		e1.Wait(p, req)
 	})
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if e0.Acct().Time[CostOverhead] == 0 {
+	v0, v1 := e0.Acct().View(), e1.Acct().View()
+	if v0.Time[CostOverhead] == 0 {
 		t.Error("sender overhead not booked")
 	}
-	if e1.Acct().Time[CostMatch] == 0 {
+	if v1.Time[CostMatch] == 0 {
 		t.Error("receiver match cost not booked")
 	}
-	if e1.Acct().Time[CostCopy] != 100*10*time.Nanosecond {
-		t.Errorf("copy cost = %v, want 1us", e1.Acct().Time[CostCopy])
+	if v1.Time[CostCopy] != 100*10*time.Nanosecond {
+		t.Errorf("copy cost = %v, want 1us", v1.Time[CostCopy])
 	}
-	if e0.Acct().Count["send"] != 1 || e1.Acct().Count["recv"] != 1 {
+	if v0.Count["send"] != 1 || v1.Count["recv"] != 1 {
 		t.Error("counters not bumped")
 	}
 }

@@ -46,7 +46,7 @@ func (e *Engine) PeerDown(rank int, reason error) {
 	}
 	e.dead[rank] = reason
 	e.deadOrder = append(e.deadOrder, rank)
-	e.acct.Incr("ft.peerdown", 1)
+	e.acct.Add(ctrPeerDown, 1)
 
 	// Fail the doomed requests in creation order (table order must not leak
 	// into matcher state, which later matching decisions observe).
@@ -212,7 +212,7 @@ func (e *Engine) markRevoked(ctx int) bool {
 	}
 	e.revoked[ctx] = true
 	e.revoked[ctx+1] = true
-	e.acct.Incr("ft.revoke", 1)
+	e.acct.Add(ctrRevoke, 1)
 	reason := Errorf(ErrRevoked, "communicator context %d revoked", ctx)
 	for _, r := range e.tabledInOrder() {
 		if r.Env.Context != ctx && r.Env.Context != ctx+1 {

@@ -476,11 +476,11 @@ func TestBufPoolRecycles(t *testing.T) {
 	if cap(b2) != 128 {
 		t.Fatalf("recycled Get(120) cap %d, want 128", cap(b2))
 	}
-	if acct.Count[PoolHit] != 1 || acct.Count[PoolMiss] != 1 {
-		t.Fatalf("hit/miss = %d/%d, want 1/1", acct.Count[PoolHit], acct.Count[PoolMiss])
+	if v := acct.View(); v.Count[PoolHit] != 1 || v.Count[PoolMiss] != 1 {
+		t.Fatalf("hit/miss = %d/%d, want 1/1", v.Count[PoolHit], v.Count[PoolMiss])
 	}
-	if acct.Count[PoolRecycled] != 128 {
-		t.Fatalf("bytes recycled = %d, want 128", acct.Count[PoolRecycled])
+	if n := acct.View().Count[PoolRecycled]; n != 128 {
+		t.Fatalf("bytes recycled = %d, want 128", n)
 	}
 	// Oversized buffers bypass the pool entirely.
 	huge := p.Get(2 << 20)

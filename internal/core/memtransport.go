@@ -202,7 +202,7 @@ func (t *MemTransport) Poll(p *sim.Proc) *Packet {
 	if t.inbox.Len() == 0 {
 		return nil
 	}
-	t.eng.Acct().Charge(p, CostProtocol, t.fab.PollCost)
+	t.eng.Acct().Spend(p, sim.Protocol, t.fab.PollCost)
 	return t.inbox.Poll()
 }
 

@@ -62,17 +62,17 @@ func (p *BufPool) Get(n int) []byte {
 	}
 	c := classFor(n)
 	if c < 0 {
-		p.acct.Incr(PoolMiss, 1)
+		p.acct.Add(ctrPoolMiss, 1)
 		return make([]byte, n)
 	}
 	if free := p.classes[c]; len(free) > 0 {
 		b := free[len(free)-1]
 		free[len(free)-1] = nil
 		p.classes[c] = free[:len(free)-1]
-		p.acct.Incr(PoolHit, 1)
+		p.acct.Add(ctrPoolHit, 1)
 		return b[:n]
 	}
-	p.acct.Incr(PoolMiss, 1)
+	p.acct.Add(ctrPoolMiss, 1)
 	return make([]byte, n, 1<<(poolMinShift+c))
 }
 
@@ -90,5 +90,5 @@ func (p *BufPool) Put(b []byte) {
 		return
 	}
 	p.classes[c] = append(p.classes[c], b[:0])
-	p.acct.Incr(PoolRecycled, int64(n))
+	p.acct.Add(ctrPoolRecycled, int64(n))
 }

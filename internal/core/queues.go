@@ -199,7 +199,7 @@ func (q *SendQueue) Offer(req *Request) bool {
 		}
 	}
 	q.pend[dst].Push(req)
-	q.acct.Incr("flow-queued", 1)
+	q.acct.Add(ctrFlowQueued, 1)
 	return false
 }
 
@@ -219,7 +219,7 @@ func (q *SendQueue) Grant(dst, n int, ship func(*Request)) {
 		}
 		q.avail[dst] -= need
 		req := q.pend[dst].Pop()
-		q.acct.Incr("flow-granted", 1)
+		q.acct.Add(ctrFlowGranted, 1)
 		ship(req)
 	}
 }

@@ -59,7 +59,7 @@ func (e *Engine) resolve(name int64) *Request {
 			return s.req
 		}
 	}
-	e.acct.Incr("req-stale", 1)
+	e.acct.Add(ctrReqStale, 1)
 	return nil
 }
 
@@ -121,7 +121,7 @@ func (e *Engine) stale(r *Request) error {
 	if r.ID != 0 && !r.consumed {
 		return nil
 	}
-	e.acct.Incr("req-stale", 1)
+	e.acct.Add(ctrReqStale, 1)
 	return Errorf(ErrInternal, "request used after Wait, Test or Cancel consumed it")
 }
 

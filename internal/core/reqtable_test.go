@@ -28,7 +28,7 @@ func TestRequestRecycledUnderFreshName(t *testing.T) {
 			if first.ID != 0 || first.Buf != nil {
 				t.Errorf("released request not zeroed: %+v", first)
 			}
-			stale := e.acct.Count["req-stale"]
+			stale := e.acct.counts[ctrReqStale]
 			if _, err := e.Wait(p, first); !isInternal(err) {
 				t.Errorf("Wait on a released request = %v, want ErrInternal", err)
 			}
@@ -41,7 +41,7 @@ func TestRequestRecycledUnderFreshName(t *testing.T) {
 			if e.ClaimDirect(name) {
 				t.Error("ClaimDirect claimed a stale name")
 			}
-			if got := e.acct.Count["req-stale"] - stale; got != 4 {
+			if got := e.acct.counts[ctrReqStale] - stale; got != 4 {
 				t.Errorf("req-stale rose by %d, want 4", got)
 			}
 			second, _ := e.Isend(p, 1, 1, 0, ModeStandard, payload(4096)) // rendezvous: tabled until its CTS

@@ -132,17 +132,17 @@ func (e *Engine) rmaDone(w *WinState) func() {
 // Local completion is deferred to WinFence (or WinUnlock), per MPI RMA
 // semantics; data must stay unmodified until then.
 func (e *Engine) RMAPut(p *sim.Proc, dst, id, off int, data []byte) error {
-	return e.rmaWrite(p, dst, id, off, data, RMAReplace, "rma.put")
+	return e.rmaWrite(p, dst, id, off, data, RMAReplace, ctrRMAPut)
 }
 
 // RMAAccumulate combines data into dst's window id at off with op.
 func (e *Engine) RMAAccumulate(p *sim.Proc, dst, id, off int, data []byte, op RMAOp) error {
-	return e.rmaWrite(p, dst, id, off, data, op, "rma.acc")
+	return e.rmaWrite(p, dst, id, off, data, op, ctrRMAAcc)
 }
 
 // rmaWrite is the body a put and an accumulate share: a put is a write
 // with RMAReplace, which every payload length is valid for.
-func (e *Engine) rmaWrite(p *sim.Proc, dst, id, off int, data []byte, op RMAOp, counter string) error {
+func (e *Engine) rmaWrite(p *sim.Proc, dst, id, off int, data []byte, op RMAOp, counter Ctr) error {
 	w, err := e.rmaStart(p, dst, id, counter)
 	if err != nil {
 		return err
@@ -152,7 +152,7 @@ func (e *Engine) rmaWrite(p *sim.Proc, dst, id, off int, data []byte, op RMAOp, 
 	}
 	if dst == e.rank {
 		w.ApplyAccumulate(off, data, op)
-		e.acct.Charge(p, CostCopy, e.costs.CopyBase+sim.Duration(len(data))*e.costs.CopyPerByte)
+		e.acct.Spend(p, sim.Copy, e.costs.CopyBase+sim.Duration(len(data))*e.costs.CopyPerByte)
 		return nil
 	}
 	w.outstanding++
@@ -163,13 +163,13 @@ func (e *Engine) rmaWrite(p *sim.Proc, dst, id, off int, data []byte, op RMAOp, 
 // RMAGet issues a one-sided read of len(buf) bytes from dst's window id
 // at off into buf; buf is valid only after the closing WinFence/WinUnlock.
 func (e *Engine) RMAGet(p *sim.Proc, dst, id, off int, buf []byte) error {
-	w, err := e.rmaStart(p, dst, id, "rma.get")
+	w, err := e.rmaStart(p, dst, id, ctrRMAGet)
 	if err != nil {
 		return err
 	}
 	if dst == e.rank {
 		w.ReadInto(off, buf)
-		e.acct.Charge(p, CostCopy, e.costs.CopyBase+sim.Duration(len(buf))*e.costs.CopyPerByte)
+		e.acct.Spend(p, sim.Copy, e.costs.CopyBase+sim.Duration(len(buf))*e.costs.CopyPerByte)
 		return nil
 	}
 	w.outstanding++
@@ -179,7 +179,7 @@ func (e *Engine) RMAGet(p *sim.Proc, dst, id, off int, buf []byte) error {
 
 // rmaStart is the common origin-side prologue: fatal check, window and
 // capability lookup, bookkeeping charge.
-func (e *Engine) rmaStart(p *sim.Proc, dst, id int, counter string) (*WinState, error) {
+func (e *Engine) rmaStart(p *sim.Proc, dst, id int, counter Ctr) (*WinState, error) {
 	if e.fatal != nil {
 		return nil, e.fatal
 	}
@@ -196,8 +196,8 @@ func (e *Engine) rmaStart(p *sim.Proc, dst, id int, counter string) (*WinState, 
 	if err != nil {
 		return nil, err
 	}
-	e.acct.Charge(p, CostOverhead, e.costs.SendOverhead)
-	e.acct.Incr(counter, 1)
+	e.acct.Spend(p, sim.Overhead, e.costs.SendOverhead)
+	e.acct.Add(counter, 1)
 	return w, nil
 }
 
@@ -212,7 +212,7 @@ func (e *Engine) WinFence(p *sim.Proc, id int) error {
 	if err != nil {
 		return err
 	}
-	e.acct.Incr("rma.fence", 1)
+	e.acct.Add(ctrRMAFence, 1)
 	for w.outstanding > 0 {
 		e.Progress(p)
 		if w.outstanding == 0 {
@@ -235,7 +235,7 @@ func (e *Engine) WinFence(p *sim.Proc, id int) error {
 // model the grant arrives once the target enters any MPI call, the same
 // progress trade as two-sided traffic.
 func (e *Engine) WinLock(p *sim.Proc, dst, id int, excl bool) error {
-	w, err := e.rmaStart(p, dst, id, "rma.lock")
+	w, err := e.rmaStart(p, dst, id, ctrRMALock)
 	if err != nil {
 		return err
 	}

@@ -100,8 +100,8 @@ func TestQueueAcctCounters(t *testing.T) {
 	q := NewQueue(2, 0, 0, byteCost, a)
 	q.Offer(req(1, 1))
 	q.Grant(1, 1000, func(*core.Request) {})
-	if a.Count["flow-queued"] != 1 || a.Count["flow-granted"] != 1 {
-		t.Fatalf("counters = %v", a.Count)
+	if v := a.View(); v.Count["flow-queued"] != 1 || v.Count["flow-granted"] != 1 {
+		t.Fatalf("counters = %v", v.Count)
 	}
 }
 

@@ -53,14 +53,21 @@ func NewMachine(s *sim.Scheduler, n int, c Costs) *Machine {
 // application; the Elan and the injection port are serial resources, both
 // owned by the node's scheduler.
 type Node struct {
-	ID   int
-	M    *Machine
-	S    *sim.Scheduler     // this node's scheduler
-	Lane int                // S.LaneID(), the Route address of this node
-	Elan *sim.FIFO          // Elan co-processor occupancy
-	Out  *sim.FIFO          // network injection port
-	Port *Tport             // attached tport widget, if any
-	idle sim.FreeList[xfer] // transfer-record pool (see xfer)
+	ID     int
+	M      *Machine
+	S      *sim.Scheduler     // this node's scheduler
+	Lane   int                // S.LaneID(), the Route address of this node
+	Elan   *sim.FIFO          // Elan co-processor occupancy
+	Out    *sim.FIFO          // network injection port
+	Port   *Tport             // attached tport widget, if any
+	idle   sim.FreeList[xfer] // transfer-record pool (see xfer)
+	Ledger *sim.Ledger        // the rank's: Out's time books as wire, Elan's as sync
+}
+
+// elan occupies the node's Elan for d, as Elan.UseAsync, and records it.
+func (n *Node) elan(d sim.Duration, fn func()) {
+	n.Ledger.Record(sim.Sync, d)
+	n.Elan.UseAsync(d, fn)
 }
 
 // Txn models a user-level remote transaction carrying nbytes of payload to
@@ -78,7 +85,7 @@ func (n *Node) Txn(dst int, nbytes int, elanIssued bool, deliver func()) {
 	x := n.getXfer(dst, nbytes, c.TxnPerByte, c.ElanTxnHandle)
 	x.onRemote = deliver
 	if elanIssued {
-		n.Elan.UseAsync(c.ElanTxnHandle, x.step)
+		n.elan(c.ElanTxnHandle, x.step)
 	} else {
 		x.run()
 	}
@@ -97,7 +104,7 @@ func (n *Node) DMA(dst int, nbytes int, onLocal, onRemote func()) {
 		onRemote = noCompletion // the landing is still an event
 	}
 	x.onLocal, x.onRemote = onLocal, onRemote
-	n.Elan.UseAsync(c.ElanDMASetup, x.step)
+	n.elan(c.ElanDMASetup, x.step)
 }
 
 func noCompletion() {}
@@ -149,7 +156,9 @@ func (x *xfer) run() {
 	switch x.stage {
 	case xferInject:
 		x.stage = xferDepart
-		x.src.Out.UseAsync(sim.Duration(x.nbytes)*x.perByte, x.step)
+		wire := sim.Duration(x.nbytes) * x.perByte
+		x.src.Ledger.Record(sim.Wire, wire)
+		x.src.Out.UseAsync(wire, x.step)
 	case xferDepart:
 		if x.onLocal != nil {
 			x.onLocal()
@@ -158,12 +167,12 @@ func (x *xfer) run() {
 		x.src.M.transit(x.src, x.dst.ID, x.nbytes, x.perByte, x.step)
 	case xferLand:
 		if x.onRemote == nil {
-			x.dst.Elan.UseAsync(x.land, nil)
+			x.dst.elan(x.land, nil)
 			x.recycle()
 			return
 		}
 		x.stage = xferDone
-		x.dst.Elan.UseAsync(x.land, x.step)
+		x.dst.elan(x.land, x.step)
 	case xferDone:
 		// Recycled before the completion runs, so a completion that issues
 		// the reply reuses this record.
@@ -187,8 +196,9 @@ func (x *xfer) recycle() (done func()) {
 // onLocal fires when the source has injected the payload.
 func (n *Node) Broadcast(nbytes int, onLocal func(), deliver func(dst *Node)) {
 	c := n.M.Costs
-	n.Elan.UseAsync(c.ElanDMASetup, func() {
+	n.elan(c.ElanDMASetup, func() {
 		wire := sim.Duration(nbytes) * c.DMAPerByte
+		n.Ledger.Record(sim.Wire, wire)
 		n.Out.UseAsync(wire, func() {
 			if onLocal != nil {
 				onLocal()
@@ -202,7 +212,7 @@ func (n *Node) Broadcast(nbytes int, onLocal func(), deliver func(dst *Node)) {
 				// The fan-out hop leaves the source node: route to each
 				// destination's lane (a local timer when unsharded).
 				n.S.RouteAfter(dst.Lane, c.WireLatency+skew, func() {
-					dst.Elan.UseAsync(c.ElanDMARecv, func() { deliver(dst) })
+					dst.elan(c.ElanDMARecv, func() { deliver(dst) })
 				})
 				skew += c.BcastPerNode
 			}
@@ -264,5 +274,5 @@ func (e *Event) Wait(p *sim.Proc) {
 	for !e.set {
 		e.cond.Wait(p)
 	}
-	p.Advance(e.c.ElanSync)
+	p.Spend(sim.Sync, e.c.ElanSync)
 }

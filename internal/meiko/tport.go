@@ -103,7 +103,7 @@ func tagMatches(msgTag, want, mask uint64) bool { return (msgTag & mask) == (wan
 func (t *Tport) ISend(p *sim.Proc, dst int, tag uint64, data []byte) *TportReq {
 	c := t.node.M.Costs
 	req := &TportReq{ev: t.node.NewEvent()}
-	p.Advance(c.TportIssue) // SPARC hands the descriptor to the Elan
+	p.Spend(sim.Sync, c.TportIssue) // SPARC hands the descriptor to the Elan
 	peer := t.node.M.Nodes[dst]
 	src := t.node.ID
 	n := len(data)
@@ -116,7 +116,7 @@ func (t *Tport) ISend(p *sim.Proc, dst int, tag uint64, data []byte) *TportReq {
 	if n <= TportEager {
 		stable := make([]byte, n)
 		copy(stable, data)
-		t.node.Elan.UseAsync(c.ElanTportSend, func() {
+		t.node.elan(c.ElanTportSend, func() {
 			t.node.Txn(dst, TportHeaderBytes+n, false, func() {
 				peerPort(peer).arriveEager(src, tag, stable)
 			})
@@ -137,7 +137,7 @@ func (t *Tport) ISend(p *sim.Proc, dst int, tag uint64, data []byte) *TportReq {
 		copy(dstBuf[:m], data[:m])
 		t.node.DMA(dst, m, complete, func() { done(m) })
 	}
-	t.node.Elan.UseAsync(c.ElanTportSend, func() {
+	t.node.elan(c.ElanTportSend, func() {
 		t.node.Txn(dst, TportHeaderBytes, false, func() {
 			peerPort(peer).arriveRndv(rv)
 		})
@@ -154,10 +154,10 @@ func (t *Tport) Send(p *sim.Proc, dst int, tag uint64, data []byte) {
 func (t *Tport) IRecv(p *sim.Proc, tag, mask uint64, buf []byte) *TportReq {
 	c := t.node.M.Costs
 	req := &TportReq{ev: t.node.NewEvent()}
-	p.Advance(c.TportIssue)
+	p.Spend(sim.Sync, c.TportIssue)
 	rc := &tportRecv{tag: tag, mask: mask, buf: buf, req: req}
 	// Matching against the unexpected queue runs on the Elan.
-	t.node.Elan.UseAsync(c.ElanTportMatch, func() {
+	t.node.elan(c.ElanTportMatch, func() {
 		for i, u := range t.unex {
 			if tagMatches(u.tag, tag, mask) {
 				t.unex = append(t.unex[:i], t.unex[i+1:]...)
@@ -189,7 +189,7 @@ func (t *Tport) Wait(p *sim.Proc, req *TportReq) {
 // query.
 func (t *Tport) Probe(p *sim.Proc, tag, mask uint64) (src, n int, mtag uint64, ok bool) {
 	c := t.node.M.Costs
-	p.Advance(c.TportIssue + c.ElanSync)
+	p.Spend(sim.Sync, c.TportIssue+c.ElanSync)
 	for _, u := range t.unex {
 		if tagMatches(u.tag, tag, mask) {
 			if u.rndv != nil {
@@ -204,7 +204,7 @@ func (t *Tport) Probe(p *sim.Proc, tag, mask uint64) (src, n int, mtag uint64, o
 // arriveEager runs on the destination Elan when an eager message lands.
 func (t *Tport) arriveEager(src int, tag uint64, data []byte) {
 	c := t.node.M.Costs
-	t.node.Elan.UseAsync(c.ElanTportMatch, func() {
+	t.node.elan(c.ElanTportMatch, func() {
 		if rc := t.takeMatch(tag); rc != nil {
 			// Matched: the network deposits straight into the posted
 			// buffer; no intermediate copy (the widget's bandwidth
@@ -221,7 +221,7 @@ func (t *Tport) arriveEager(src int, tag uint64, data []byte) {
 		// preserved even against receives posted during the copy; the
 		// copy itself is modeled as Elan occupancy.
 		t.unex = append(t.unex, &tportUnex{src: src, tag: tag, data: data})
-		t.node.Elan.UseAsync(sim.Duration(len(data))*c.ElanCopyPerByte, func() {
+		t.node.elan(sim.Duration(len(data))*c.ElanCopyPerByte, func() {
 			t.arrival.Broadcast()
 		})
 	})
@@ -230,7 +230,7 @@ func (t *Tport) arriveEager(src int, tag uint64, data []byte) {
 // arriveRndv runs on the destination Elan when a rendezvous envelope lands.
 func (t *Tport) arriveRndv(rv *tportRndv) {
 	c := t.node.M.Costs
-	t.node.Elan.UseAsync(c.ElanTportMatch, func() {
+	t.node.elan(c.ElanTportMatch, func() {
 		if rc := t.takeMatch(rv.tag); rc != nil {
 			t.cts(rv, rc)
 			return
@@ -262,7 +262,7 @@ func (t *Tport) deliverUnexpected(u *tportUnex, rc *tportRecv) {
 		return
 	}
 	n := copy(rc.buf, u.data)
-	t.node.Elan.UseAsync(sim.Duration(n)*c.ElanCopyPerByte, func() {
+	t.node.elan(sim.Duration(n)*c.ElanCopyPerByte, func() {
 		rc.req.N = n
 		rc.req.Src = u.src
 		rc.req.Tag = u.tag

@@ -217,7 +217,7 @@ func runFastPathProgram(t *testing.T, seed int64, lanes int, parallel, slow bool
 				case 7:
 					c.Broadcast()
 				case 8:
-					n.fifo.Use(p, Duration(rng.Intn(30)))
+					use(n.fifo, p, Duration(rng.Intn(30)))
 				case 9:
 					n.fifo.UseAsync(Duration(rng.Intn(30)), func() { n.note(id, 101) })
 				case 10:

@@ -319,6 +319,9 @@ type Proc struct {
 	name string
 	done bool
 
+	Ledger *Ledger  // when set, books Spend, and at exit the time parked
+	parked Duration // in Cond.Wait
+
 	next    func() (struct{}, bool)
 	stop    func()
 	yieldTo func(struct{}) bool
@@ -345,6 +348,9 @@ func (s *Scheduler) Spawn(name string, fn func(p *Proc)) *Proc {
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yieldTo = yield
 		defer func() {
+			if p.Ledger != nil {
+				p.Ledger.Spent[Parked] += p.parked
+			}
 			p.done = true
 			delete(s.procs, p)
 			if r := recover(); r != nil {
@@ -456,7 +462,9 @@ func NewCond(s *Scheduler) *Cond { return &Cond{s: s} }
 // Wait parks p until a Signal or Broadcast wakes it.
 func (c *Cond) Wait(p *Proc) {
 	c.waiters = append(c.waiters, p)
+	t0 := p.s.now
 	p.park()
+	p.parked += Duration(p.s.now - t0)
 }
 
 // Signal wakes the longest-waiting proc, if any. It runs in O(1): the wait
@@ -509,18 +517,10 @@ type FIFO struct {
 // NewFIFO returns a FIFO resource bound to s.
 func NewFIFO(s *Scheduler, name string) *FIFO { return &FIFO{s: s, name: name} }
 
-// Use blocks p until the resource is free, then occupies it for d and
-// returns at the completion time.
-func (f *FIFO) Use(p *Proc, d Duration) {
-	start := f.reserve(d)
-	wait := Duration(start - p.s.now + Time(d))
-	p.Advance(wait)
-}
-
 // UseAsync occupies the resource for d starting as soon as it is free, and
-// schedules fn at the completion time. It does not block the caller; it is
-// the device-side counterpart of Use and may be called from event context.
-// It returns the completion time.
+// schedules fn at the completion time. It does not block the caller (a
+// device occupies the resource, not a proc) and may be called from event
+// context. It returns the completion time.
 func (f *FIFO) UseAsync(d Duration, fn func()) Time {
 	start := f.reserve(d)
 	end := start + Time(d)

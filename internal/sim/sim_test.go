@@ -185,13 +185,17 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
+// use occupies f for d and returns at the completion time: UseAsync's
+// blocking form, for a proc.
+func use(f *FIFO, p *Proc, d Duration) { p.Advance(Duration(f.ReserveAt(p.Now(), d) - p.Now())) }
+
 func TestFIFOSerializes(t *testing.T) {
 	s := NewScheduler(1)
 	f := NewFIFO(s, "link")
 	var ends []Time
 	for i := 0; i < 3; i++ {
 		s.Spawn(fmt.Sprintf("u%d", i), func(p *Proc) {
-			f.Use(p, 10)
+			use(f, p, 10)
 			ends = append(ends, p.Now())
 		})
 	}
@@ -231,9 +235,9 @@ func TestFIFOIdleThenReuse(t *testing.T) {
 	f := NewFIFO(s, "bus")
 	var end Time
 	s.Spawn("u", func(p *Proc) {
-		f.Use(p, 10) // 0..10
+		use(f, p, 10) // 0..10
 		p.Advance(100)
-		f.Use(p, 10) // idle gap: 110..120
+		use(f, p, 10) // idle gap: 110..120
 		end = p.Now()
 	})
 	if _, err := s.Run(); err != nil {

@@ -5,7 +5,7 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // Datatype describes a (possibly non-contiguous) layout of typed elements
@@ -249,7 +249,7 @@ func (c *Comm) Pack(dt Datatype, count int, src []byte) []byte {
 	for i := 0; i < count; i++ {
 		dt.Pack(out[i*dt.Size():], src[i*dt.Extent():])
 	}
-	c.Acct().Charge(c.p, core.CostCopy, chargePerByte(len(out)))
+	c.Acct().Spend(c.p, sim.Copy, chargePerByte(len(out)))
 	return out
 }
 
@@ -258,7 +258,7 @@ func (c *Comm) Unpack(dt Datatype, count int, packed, dst []byte) {
 	for i := 0; i < count; i++ {
 		dt.Unpack(dst[i*dt.Extent():], packed[i*dt.Size():])
 	}
-	c.Acct().Charge(c.p, core.CostCopy, chargePerByte(count*dt.Size()))
+	c.Acct().Spend(c.p, sim.Copy, chargePerByte(count*dt.Size()))
 }
 
 // chargePerByte is the nominal pack/unpack cost (a main-CPU memcpy at

@@ -190,7 +190,7 @@ func (c *Comm) Wtime() time.Duration { return c.p.Now().Duration() }
 
 // Compute models local computation taking d of virtual time.
 func (c *Comm) Compute(d time.Duration) {
-	c.ep.Acct().Charge(c.p, core.CostCompute, d)
+	c.ep.Acct().Spend(c.p, sim.Compute, d)
 }
 
 // Acct exposes this rank's cost account.

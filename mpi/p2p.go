@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // Request is an in-flight nonblocking operation bound to its communicator.
@@ -242,7 +243,7 @@ func WaitAny(reqs ...*Request) (int, Status, error) {
 		}
 		// Nothing ready: yield virtual time on the first live request's
 		// process; arrival wakeups happen inside Test's Progress.
-		live.c.p.Advance(1000) // 1us poll interval
+		live.c.p.Spend(sim.Parked, 1000) // 1us poll interval, booked as waiting
 	}
 }
 

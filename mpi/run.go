@@ -19,9 +19,9 @@ type Report struct {
 	MaxRankElapsed sim.Duration
 	// Errs holds the per-rank body errors (nil entries for success).
 	Errs []error
-	// Acct is the merged cost account across ranks.
+	// Acct is the merged cost account across ranks, its string view filled.
 	Acct *core.Acct
-	// RankAccts are the per-rank accounts (indexed by world rank).
+	// RankAccts are the per-rank accounts (by world rank; see core.Acct.View).
 	RankAccts []*core.Acct
 	// Protocol collects asynchronous protocol errors recorded at any rank
 	// (e.g. a ready-mode send that arrived before its receive was posted)
@@ -61,12 +61,12 @@ func Launch(w *World, body func(c *Comm) error) (*Report, error) {
 	rep := &Report{
 		RankElapsed: make([]sim.Duration, n),
 		Errs:        make([]error, n),
-		Acct:        core.NewAcct(),
 		RankAccts:   make([]*core.Acct, n),
 	}
 	for i := 0; i < n; i++ {
 		i := i
 		w.Sched(i).Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
+			p.Ledger = &w.eps[i].Acct().Ledger
 			c := NewRankComm(w, i, p)
 			rep.Errs[i] = body(c)
 			if rep.Errs[i] == nil {
@@ -97,24 +97,20 @@ func Launch(w *World, body func(c *Comm) error) (*Report, error) {
 	if sh != nil {
 		st := sh.Stats()
 		rep.Shard = &st
-		// Fold the control-plane counters into the merged account so every
-		// reporting surface (cmd/trace, bench JSON) sees them.
-		rep.Acct.Incr("shard-epochs", int64(st.Epochs))
-		rep.Acct.Incr("shard-stalls", int64(st.Stalls))
-		rep.Acct.Incr("shard-routed", int64(st.Routed))
-		rep.Acct.SetMax("shard-mailbox-max", int64(st.MailboxHighWater))
 	}
 	rep.Elapsed = end.Duration()
+	sum := core.NewAcct()
 	for i := 0; i < n; i++ {
 		if rep.RankElapsed[i] > rep.MaxRankElapsed {
 			rep.MaxRankElapsed = rep.RankElapsed[i]
 		}
 		rep.RankAccts[i] = w.eps[i].Acct()
-		rep.Acct.Merge(w.eps[i].Acct())
+		sum.Merge(rep.RankAccts[i])
 		if pe, ok := w.eps[i].(interface{ ProtocolErrors() []error }); ok {
 			rep.Protocol = append(rep.Protocol, pe.ProtocolErrors()...)
 		}
 	}
+	rep.Acct = sum.View()
 	if err != nil {
 		return rep, err
 	}

@@ -148,6 +148,7 @@ func build(s registry.Spec, kind string) (*mpi.World, []*transport, error) {
 			trs[i].noRTR = s.NoRTR
 			eng.SetTransport(trs[i])
 			eps[i] = eng
+			cl.Ledgers[i] = &eng.Acct().Ledger
 		}
 		switch kind {
 		case "tcp":

@@ -111,15 +111,15 @@ func TestTable1Breakdown(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			acct := rep.RankAccts[1]
+			acct := rep.RankAccts[1].View()
 			perMsg := func(label string) float64 {
 				if acct.Count[label] == 0 {
 					return float64(acct.Time[label]) / float64(iters) / 1e3
 				}
 				return float64(acct.Time[label]) / float64(acct.Count[label]) / 1e3
 			}
-			readType := perMsg(acctReadType)
-			readEnv := perMsg(acctReadEnv)
+			readType := perMsg("read-type")
+			readEnv := perMsg("read-env")
 			match := float64(acct.Time["match"]) / float64(acct.Count["recv"]) / 1e3
 			wantRead := 65.0
 			if net == "atm" {
@@ -531,8 +531,8 @@ func TestDatagramPathAllocationBudget(t *testing.T) {
 // used to test flags on a request that could since have been reissued. The
 // counts and the finish time are the ones the pointer-holding transport
 // produced; req-stale counts exactly the failed claims. The same shuffle with
-// NoRTR pins what RTR buys here (ROADMAP item 2): on a loss-free wire, the
-// RTS/CTS path takes 119x the retransmits (ROADMAP 4b), 1.8x the events and
+// NoRTR pins what RTR buys here (ROADMAP item 4): on a loss-free wire, the
+// RTS/CTS path takes 119x the retransmits (ROADMAP item 3), 1.8x the events and
 // a third more simulated time.
 func TestStaleRTRFailsClaimByName(t *testing.T) {
 	const ranks, steps, block = 16, 64, 32 << 10
@@ -583,7 +583,7 @@ func TestStaleRTRFailsClaimByName(t *testing.T) {
 // timeouts the RTS/CTS path takes and the direct write does not. Five
 // pre-posted ping-pong iterations between two ranks, no fault knob set: the
 // frames both RUDP endpoints re-sent, with RTR and without. The right value
-// in every cell is 0; the fix (ROADMAP 4b) flips the pin.
+// in every cell is 0; the fix (ROADMAP item 3) flips the pin.
 func TestLossFreeRetransmitsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		bytes      int

@@ -10,12 +10,11 @@ import (
 	"repro/internal/sim"
 )
 
-// Extra accounting labels for Table 1's rows.
-const (
-	acctReadType = "read-type" // first read: the 1-byte message type
-	acctReadEnv  = "read-env"  // second read: credit field + envelope
-	acctReadData = "read-data" // payload reads
-)
+// The transport's counters. Table 1's rows count each header read here and
+// record every read's span beside the clock under sim.Read*.
+var ctrEager, ctrRndv, ctrRndvRtr = core.Counter("eager"), core.Counter("rndv"), core.Counter("rndv-rtr")
+var ctrRtrPost, ctrRtrStale = core.Counter("rtr-post"), core.Counter("rtr-stale")
+var ctrReadType, ctrReadEnv = core.Counter("read-type"), core.Counter("read-env")
 
 // headerBytes is the paper's 25-byte protocol header, shared with the
 // other socket transports through internal/flow.
@@ -270,16 +269,16 @@ func (t *transport) transmit(p *sim.Proc, req *core.Request) {
 		if ad, ok := t.takeRTR(req); ok {
 			// The receiver advertised a matching pre-posted buffer: write
 			// the payload directly, skipping the RTS/CTS round trip.
-			t.eng.Acct().Incr("rndv-rtr", 1)
+			t.eng.Acct().Add(ctrRndvRtr, 1)
 			t.pushPayload(p, req, ad.aux, true)
 			return
 		}
 		// Rendezvous: envelope only; the payload moves on CTS.
-		t.eng.Acct().Incr("rndv", 1)
+		t.eng.Acct().Add(ctrRndv, 1)
 		t.writeFrame(p, req.Env.Dest, core.PktRTS, req.Env, 0, nil)
 		return
 	}
-	t.eng.Acct().Incr("eager", 1)
+	t.eng.Acct().Add(ctrEager, 1)
 	t.writeFrame(p, req.Env.Dest, core.PktEager, req.Env, 0, req.Buf)
 	t.eng.SendDone(req)
 }
@@ -405,7 +404,7 @@ func (t *transport) AdvertiseRecv(p *sim.Proc, req *core.Request) {
 	// The frame's envelope names this rank as source (it is the frame's
 	// sender) and carries the posted signature plus buffer capacity.
 	ad := core.Envelope{Source: t.rank, Tag: req.Env.Tag, Context: req.Env.Context, Count: len(req.Buf)}
-	t.eng.Acct().Incr("rtr-post", 1)
+	t.eng.Acct().Add(ctrRtrPost, 1)
 	t.writeFrame(p, req.Env.Source, core.PktRTR, ad, h, nil)
 }
 
@@ -607,13 +606,13 @@ func (t *transport) parseTCP(p *sim.Proc, src int, conn *atm.TCP) {
 
 	t0 := p.Now()
 	conn.ReadFull(p, hdr[:1])
-	acct.Book(acctReadType, sim.Duration(p.Now()-t0))
-	acct.Incr(acctReadType, 1)
+	acct.Record(sim.ReadType, sim.Duration(p.Now()-t0))
+	acct.Add(ctrReadType, 1)
 
 	t1 := p.Now()
 	conn.ReadFull(p, hdr[1:])
-	acct.Book(acctReadEnv, sim.Duration(p.Now()-t1))
-	acct.Incr(acctReadEnv, 1)
+	acct.Record(sim.ReadEnv, sim.Duration(p.Now()-t1))
+	acct.Add(ctrReadEnv, 1)
 
 	kind, credit, env, aux := flow.DecodeHeader(hdr[:])
 	t.addCredit(src, credit)
@@ -623,7 +622,7 @@ func (t *transport) parseTCP(p *sim.Proc, src int, conn *atm.TCP) {
 		payload := t.pool.Get(env.Count)
 		t2 := p.Now()
 		conn.ReadFull(p, payload)
-		acct.Book(acctReadData, sim.Duration(p.Now()-t2))
+		acct.Record(sim.ReadData, sim.Duration(p.Now()-t2))
 		t.inbox.Push(core.Packet{Kind: kind, Env: env, Data: payload, Pool: t.pool})
 	case core.PktData:
 		st := t.dataLanding(src, env, aux)
@@ -685,7 +684,7 @@ func (t *transport) dataLanding(src int, env core.Envelope, aux uint32) *rndvRec
 		st.env.Count, st.env.Mode = total, env.Mode
 		if !t.eng.ClaimDirect(st.name) {
 			st.bounce = t.pool.Get(total)
-			t.eng.Acct().Incr("rtr-stale", 1)
+			t.eng.Acct().Add(ctrRtrStale, 1)
 		}
 	}
 	return st
@@ -745,7 +744,7 @@ func (t *transport) readData(p *sim.Proc, src int, conn *atm.TCP, st *rndvRecvSt
 			conn.ReadFull(p, junk)
 			t.pool.Put(junk)
 		}
-		acct.Book(acctReadData, sim.Duration(p.Now()-t2))
+		acct.Record(sim.ReadData, sim.Duration(p.Now()-t2))
 		st.got += n
 	}
 	t.inData[src] = nil

@@ -16,6 +16,10 @@ const ctrlTxnBytes = 8
 // slotPollCost is the SPARC cost to scan the arrival slots in Poll.
 const slotPollCost = 6000 // ns
 
+// The counters the Meiko transports book.
+var ctrEager, ctrRndv, ctrHwbcast = core.Counter("eager"), core.Counter("rndv"), core.Counter("hwbcast")
+var ctrSend, ctrRecv = core.Counter("send"), core.Counter("recv")
+
 // lowlatTransport implements core.Transport on raw Meiko transactions and
 // DMAs — the paper's low-latency device. Eager messages ride a single
 // transaction into the receiver's preallocated per-sender envelope slot
@@ -89,7 +93,7 @@ func (t *lowlatTransport) Send(p *sim.Proc, req *core.Request) {
 	if !t.fc.Offer(req) {
 		return
 	}
-	t.eng.Acct().Charge(p, core.CostProtocol, t.m.Costs.TxnIssue)
+	t.eng.Acct().Spend(p, sim.Protocol, t.m.Costs.TxnIssue)
 	t.transmit(req)
 }
 
@@ -105,13 +109,13 @@ func (t *lowlatTransport) transmit(req *core.Request) {
 	env := req.Env
 	dst := env.Dest
 	if env.Count > t.max {
-		t.eng.Acct().Incr("rndv", 1)
+		t.eng.Acct().Add(ctrRndv, 1)
 		t.ship(dst, envelopeTxnBytes, core.Packet{Kind: core.PktRTS, Env: env})
 		// The envelope slot frees when the receiver consumes the RTS
 		// (see Poll); local completion comes with the DMA.
 		return
 	}
-	t.eng.Acct().Incr("eager", 1)
+	t.eng.Acct().Add(ctrEager, 1)
 	// The per-sender envelope slot is modeled by a bounce buffer: the
 	// receiving engine recycles it after the copy-out that frees the slot.
 	data, pool := t.eng.Bounce(t.all[dst].eng, req.Buf)
@@ -142,7 +146,7 @@ type rndv struct {
 // transaction goes back to the sender's Elan, which starts the payload DMA
 // autonomously — the sending SPARC never runs.
 func (t *lowlatTransport) Accept(p *sim.Proc, msg *core.InMsg, req *core.Request) {
-	t.eng.Acct().Charge(p, core.CostProtocol, t.m.Costs.TxnIssue)
+	t.eng.Acct().Spend(p, sim.Protocol, t.m.Costs.TxnIssue)
 	r := t.rndvIdle.Get()
 	if r == nil {
 		r = &rndv{}
@@ -199,7 +203,7 @@ func (t *lowlatTransport) SendPayload(p *sim.Proc, req *core.Request, pkt *core.
 // Control implements core.Transport (synchronous-mode acks).
 func (t *lowlatTransport) Control(p *sim.Proc, dst int, kind core.PacketKind, env core.Envelope) {
 	c := t.m.Costs
-	t.eng.Acct().Charge(p, core.CostProtocol, c.TxnIssue)
+	t.eng.Acct().Spend(p, sim.Protocol, c.TxnIssue)
 	t.ship(dst, ctrlTxnBytes, core.Packet{Kind: kind, Env: env, ReqID: env.SendID})
 }
 
@@ -250,11 +254,11 @@ func (t *lowlatTransport) Poll(p *sim.Proc) *core.Packet {
 	if t.inbox.Len() == 0 {
 		return nil
 	}
-	t.eng.Acct().Charge(p, core.CostProtocol, slotPollCost)
+	t.eng.Acct().Spend(p, sim.Protocol, slotPollCost)
 	pkt := t.inbox.Poll()
 	switch pkt.Kind {
 	case core.PktEager, core.PktRTS:
-		t.eng.Acct().Charge(p, core.CostProtocol, t.m.Costs.TxnIssue)
+		t.eng.Acct().Spend(p, sim.Protocol, t.m.Costs.TxnIssue)
 		slotFree := core.Envelope{Source: t.eng.Rank(), Count: 1}
 		t.ship(pkt.Env.Source, ctrlTxnBytes, core.Packet{Kind: core.PktCredit, Env: slotFree})
 	}
@@ -301,11 +305,11 @@ func (t *lowlatTransport) RMAWrite(p *sim.Proc, dst, win, off int, data []byte, 
 		peer.node.Txn(me, ctrlTxnBytes, true, done)
 	}
 	if len(snap) <= t.max {
-		t.eng.Acct().Charge(p, core.CostProtocol, c.TxnIssue)
+		t.eng.Acct().Spend(p, sim.Protocol, c.TxnIssue)
 		t.node.Txn(dst, rmaTxnHdrBytes+len(snap), false, apply)
 		return
 	}
-	t.eng.Acct().Charge(p, core.CostProtocol, c.DMAIssue)
+	t.eng.Acct().Spend(p, sim.Protocol, c.DMAIssue)
 	t.node.DMA(dst, rmaTxnHdrBytes+len(snap), func() {}, apply)
 }
 
@@ -316,7 +320,7 @@ func (t *lowlatTransport) RMARead(p *sim.Proc, dst, win, off int, buf []byte, do
 	c := t.m.Costs
 	me := t.eng.Rank()
 	peer := t.all[dst]
-	t.eng.Acct().Charge(p, core.CostProtocol, c.TxnIssue)
+	t.eng.Acct().Spend(p, sim.Protocol, c.TxnIssue)
 	t.node.Txn(dst, rmaTxnHdrBytes, false, func() {
 		snap := make([]byte, len(buf))
 		peer.eng.Win(win).ReadInto(off, snap)
@@ -370,7 +374,7 @@ func (ep *LowLatEndpoint) HWBcast(p *sim.Proc, root, ctx int, buf []byte) error 
 		// Tell the root we are ready to receive, then wait for the
 		// broadcast to land in our slot.
 		seq := t.bcSeq
-		acct.Charge(p, core.CostProtocol, c.TxnIssue)
+		acct.Spend(p, sim.Protocol, c.TxnIssue)
 		t.node.Txn(root, ctrlTxnBytes, false, func() {
 			rt := t.all[root]
 			rt.bcReady++
@@ -383,8 +387,8 @@ func (ep *LowLatEndpoint) HWBcast(p *sim.Proc, root, ctx int, buf []byte) error 
 			t.bcCond.Wait(p)
 		}
 		n := copy(buf, t.bcData)
-		acct.Charge(p, core.CostSync, c.ElanSync)
-		acct.Charge(p, core.CostCopy, c.CopyBase+sim.Duration(n)*c.CopyPerByte)
+		acct.Spend(p, sim.Sync, c.ElanSync)
+		acct.Spend(p, sim.Copy, c.CopyBase+sim.Duration(n)*c.CopyPerByte)
 		return nil
 	}
 
@@ -396,7 +400,7 @@ func (ep *LowLatEndpoint) HWBcast(p *sim.Proc, root, ctx int, buf []byte) error 
 		t.bcCond.Wait(p)
 	}
 	t.bcReady -= size - 1
-	acct.Charge(p, core.CostProtocol, c.DMAIssue)
+	acct.Spend(p, sim.Protocol, c.DMAIssue)
 	payload := make([]byte, len(buf))
 	copy(payload, buf)
 	done := t.node.NewEvent()
@@ -407,6 +411,6 @@ func (ep *LowLatEndpoint) HWBcast(p *sim.Proc, root, ctx int, buf []byte) error 
 		rt.bcCond.Broadcast()
 	})
 	done.Wait(p)
-	acct.Incr("hwbcast", 1)
+	acct.Add(ctrHwbcast, 1)
 	return nil
 }

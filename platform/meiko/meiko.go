@@ -72,10 +72,12 @@ func build(s registry.Spec, impl string) (*mpi.World, error) {
 			trs[i] = newLowlatTransport(m, m.Nodes[i], eng, eager, s.EnvelopeSlots, trs)
 			eng.SetTransport(trs[i])
 			eps[i] = &LowLatEndpoint{Engine: eng, tr: trs[i]}
+			m.Nodes[i].Ledger = &eng.Acct().Ledger
 		}
 	} else {
 		for i := 0; i < n; i++ {
 			eps[i] = newMPICHEndpoint(m, i, n)
+			m.Nodes[i].Ledger = &eps[i].Acct().Ledger
 		}
 	}
 

@@ -140,8 +140,8 @@ func (e *MPICHEndpoint) Isend(p *sim.Proc, dst, tag, ctx int, mode core.Mode, da
 	if dst < 0 || dst >= e.size {
 		return nil, core.Errorf(core.ErrInternal, "send to invalid rank %d (size %d)", dst, e.size)
 	}
-	e.acct.Charge(p, core.CostOverhead, e.costs.SendOverhead)
-	e.acct.Incr("send", 1)
+	e.acct.Spend(p, sim.Overhead, e.costs.SendOverhead)
+	e.acct.Add(ctrSend, 1)
 	e.trc(trace.SendStart, dst, tag, len(data), mode.String())
 	env := core.Envelope{Source: e.rank, Dest: dst, Tag: tag, Context: ctx, Count: len(data), Mode: mode}
 	req := core.NewRequest(false, env, data)
@@ -161,7 +161,7 @@ func (e *MPICHEndpoint) Isend(p *sim.Proc, dst, tag, ctx int, mode core.Mode, da
 			return nil, core.Errorf(core.ErrBuffer, "buffered send of %d bytes exceeds attached buffer (%d of %d used)", len(data), e.bufUsed, e.bufCap)
 		}
 		e.bufUsed += len(data)
-		e.acct.Charge(p, core.CostCopy, sim.Duration(len(data))*e.m.Costs.CopyPerByte)
+		e.acct.Spend(p, sim.Copy, sim.Duration(len(data))*e.m.Costs.CopyPerByte)
 	}
 	// Ready mode: MPICH's CS/2 device treats MPI_Rsend as MPI_Send.
 	op.treq = e.port.ISend(p, dst, wtag, data)
@@ -184,7 +184,7 @@ func (e *MPICHEndpoint) Irecv(p *sim.Proc, src, tag, ctx int, buf []byte) (*core
 	if src != core.AnySource && (src < 0 || src >= e.size) {
 		return nil, core.Errorf(core.ErrInternal, "receive from invalid rank %d (size %d)", src, e.size)
 	}
-	e.acct.Incr("recv", 1)
+	e.acct.Add(ctrRecv, 1)
 	e.trc(trace.RecvPost, src, tag, len(buf), "")
 	want, mask := recvPattern(ctx, src, tag)
 	req := core.NewRequest(true, core.Envelope{Source: src, Tag: tag, Context: ctx}, buf)
@@ -199,7 +199,7 @@ func (e *MPICHEndpoint) finalize(p *sim.Proc, r *core.Request, op *mpichOp) (cor
 		// MPICH's receive-side bookkeeping (envelope decode, queue and
 		// status updates) runs after the message arrives — on the
 		// critical path, unlike the posting cost.
-		e.acct.Charge(p, core.CostOverhead, e.costs.RecvOverhead)
+		e.acct.Spend(p, sim.Overhead, e.costs.RecvOverhead)
 		full := op.treq.Tag
 		src := int((full & mpichSrcMask) >> mpichSrcSh)
 		tag := int(full & mpichTagMask)

@@ -32,7 +32,7 @@ func TestRendezvousSenderKilledMidFlight(t *testing.T) {
 			}
 			trs := make([]*lowlatTransport, ranks)
 			draws := func() int64 {
-				c := trs[victim].eng.Acct().Count
+				c := trs[victim].eng.Acct().View().Count
 				return c[core.PoolHit] + c[core.PoolMiss]
 			}
 			// Scheduled after the kill, so it runs right behind it at the same
