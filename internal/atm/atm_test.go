@@ -550,74 +550,6 @@ func TestRUDPWindowBlocks(t *testing.T) {
 	}
 }
 
-func TestCSMACDAddsContentionCost(t *testing.T) {
-	run := func(csmacd bool) (sim.Time, int) {
-		s, cl := newCluster(4)
-		cl.Eth.CSMACD = csmacd
-		var last sim.Time
-		s.At(0, func() {
-			for i := 0; i < 12; i++ {
-				src := i % 4
-				dst := (i + 1) % 4
-				cl.Eth.Deliver(src, dst, 1000, DeliverOpts{}, func() {
-					if s.Now() > last {
-						last = s.Now()
-					}
-				})
-			}
-		})
-		if _, err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return last, cl.Eth.Collisions
-	}
-	plain, c0 := run(false)
-	backoff, c1 := run(true)
-	if c0 != 0 {
-		t.Fatalf("collisions counted with CSMACD off: %d", c0)
-	}
-	if c1 == 0 {
-		t.Fatal("no collisions under 12-frame burst with CSMACD on")
-	}
-	if backoff <= plain {
-		t.Fatalf("CSMA/CD backoff (%v) did not slow the contended burst (plain %v)", backoff, plain)
-	}
-}
-
-func TestCSMACDUncontendedUnchanged(t *testing.T) {
-	run := func(csmacd bool) sim.Time {
-		s, cl := newCluster(2)
-		cl.Eth.CSMACD = csmacd
-		var done sim.Time
-		s.At(0, func() {
-			cl.Eth.Deliver(0, 1, 500, DeliverOpts{}, func() { done = s.Now() })
-		})
-		s.Run()
-		return done
-	}
-	if a, b := run(false), run(true); a != b {
-		t.Fatalf("uncontended frame differs: %v vs %v", a, b)
-	}
-}
-
-func TestCSMACDDeterministic(t *testing.T) {
-	run := func() sim.Time {
-		s, cl := newCluster(3)
-		cl.Eth.CSMACD = true
-		var last sim.Time
-		s.At(0, func() {
-			for i := 0; i < 9; i++ {
-				cl.Eth.Deliver(i%3, (i+1)%3, 800, DeliverOpts{}, func() { last = s.Now() })
-			}
-		})
-		s.Run()
-		return last
-	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("nondeterministic backoff: %v vs %v", a, b)
-	}
-}
-
 // The classic Nagle x delayed-ack interaction: a one-way stream of small
 // writes stalls on the 200 ms ack timer; with TCP_NODELAY semantics
 // (default) the same stream flows at wire speed.

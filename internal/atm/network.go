@@ -63,19 +63,7 @@ type Ethernet struct {
 	stage *sim.Stage
 	wire  *sim.FIFO
 
-	// CSMACD enables collision modeling: a station finding the medium
-	// busy pays a random exponential backoff (in slot times) scaled by the
-	// number of frames already queued, approximating 10Base-T's truncated
-	// binary exponential backoff under contention. Off by default — the
-	// paper's quiet-LAN measurements see essentially no collisions.
-	CSMACD bool
-	// SlotTime is the collision slot (51.2 µs at 10 Mbit/s); zero uses
-	// the standard value.
-	SlotTime sim.Duration
-	// Collisions counts backoff episodes (tests/instrumentation).
-	Collisions int
-	queued     int
-	ledgers    []*sim.Ledger // see Cluster.Ledgers
+	ledgers []*sim.Ledger // see Cluster.Ledgers
 }
 
 // NewEthernet builds the shared segment for n hosts, homed on s. The
@@ -115,23 +103,8 @@ func (e *Ethernet) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) in
 	wire := sim.Duration(FrameWireBytes(n)) * e.c.EthPerByte
 	e.ledgers[src].Record(sim.Wire, wire)
 	e.stage.Request(e.s.Node(src, e.n), func(t0 sim.Time) {
-		if e.CSMACD && e.wire.BusyUntil() > t0 {
-			// Contended medium: model collisions + truncated binary
-			// exponential backoff. The backoff window doubles with the number
-			// of frames already fighting for the wire.
-			e.Collisions++
-			slot := e.SlotTime
-			if slot == 0 {
-				slot = 51200 // 51.2 µs: 512 bit times at 10 Mbit/s
-			}
-			window := 2 << min(e.queued, 9)
-			backoff := sim.Duration(e.s.Rand().Intn(window)) * slot
-			wire += backoff
-		}
-		e.queued++
 		end := e.wire.ReserveAt(t0, wire)
 		e.stage.At(end, func() {
-			e.queued--
 			e.stage.Exit(e.s.Node(dst, e.n).LaneID(), end+sim.Time(e.c.EthPropDelay+e.c.DriverEthPerFrame), deliver)
 		})
 	})

@@ -177,9 +177,6 @@ func (e *Engine) ftRecvCheck(src, ctx int) error {
 	return e.deadErr(src)
 }
 
-// Revoked reports whether communicator context ctx has been revoked.
-func (e *Engine) Revoked(ctx int) bool { return e.revoked[ctx] }
-
 // RevokeCtx poisons communicator context ctx (and its collective sibling
 // ctx+1) at this rank and reliably broadcasts the revocation: every
 // pending operation on the contexts completes with ErrRevoked and all

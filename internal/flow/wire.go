@@ -14,9 +14,10 @@ import (
 //	bytes 1-4    returned credit (freed receiver reservation, piggybacked)
 //	bytes 5-24   envelope: source(2) context(2) tag(4) count(4) id(4) aux(4)
 //
-// id is the sender request for RTS/CTS/acks; aux carries the receiver-side
-// rendezvous handle (CTS/Data) or, for chunked UDP payloads, the chunk
-// offset rides in the tag field (Data packets need no user tag).
+// id is the sender request for RTS/CTS/acks and on a CTS-clocked Data
+// frame (zero on a direct write, which answers no CTS); aux carries the
+// receive's request name (CTS, RTR, Data). Every chunk of a datagram
+// payload carries the message's envelope, its count the full size.
 const HeaderBytes = core.HeaderWireBytes // 25
 
 // The kind rides in a 4-bit field: one more kind past 15 would bleed into

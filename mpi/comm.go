@@ -140,13 +140,6 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	return &Comm{w: c.w, p: c.p, ep: c.ep, ctx: myCtx, group: group, rank: myNewRank, tune: c.tune}, nil
 }
 
-// Group returns a copy of the communicator's world-rank group.
-func (c *Comm) Group() []int {
-	g := make([]int, len(c.group))
-	copy(g, c.group)
-	return g
-}
-
 // Translate maps a rank of this communicator to the corresponding rank in
 // other, or -1 when the process is not a member
 // (MPI_Group_translate_ranks).

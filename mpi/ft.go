@@ -42,7 +42,6 @@ type ftEndpoint interface {
 	FailureAck()
 	FailureAcked() []int
 	RevokeCtx(p *sim.Proc, ctx int)
-	Revoked(ctx int) bool
 }
 
 // IsPeerDown reports whether err carries the typed peer-death code: the
@@ -161,15 +160,6 @@ func (c *Comm) Revoke() error {
 func (c *Comm) Dead() bool {
 	f, ok := c.ep.(interface{ FatalErr() error })
 	return ok && f.FatalErr() != nil
-}
-
-// Revoked reports whether the communicator has been revoked.
-func (c *Comm) Revoked() bool {
-	ft, err := c.ft()
-	if err != nil {
-		return false
-	}
-	return ft.Revoked(c.ctx)
 }
 
 // FailureAck acknowledges all currently detected process failures (ULFM's

@@ -163,10 +163,10 @@ type Comm struct {
 	tune  coll.Tuning // effective collective tuning, inherited by Dup/Split
 }
 
-// NewRankComm builds rank r's world communicator; used by platform runners.
+// newRankComm builds rank r's world communicator.
 // The identity group is shared across ranks (communicator groups are
 // read-only after creation; Dup/Split build fresh ones).
-func NewRankComm(w *World, r int, p *sim.Proc) *Comm {
+func newRankComm(w *World, r int, p *sim.Proc) *Comm {
 	return &Comm{w: w, p: p, ep: w.eps[r], ctx: 0, group: w.group, rank: r, tune: w.Tune}
 }
 

@@ -113,24 +113,9 @@ func (c *Comm) Bsend(dst, tag int, data []byte) error {
 	return c.send(dst, tag, core.ModeBuffered, data)
 }
 
-// Isend, Issend, Irsend and Ibsend are the nonblocking variants.
+// Isend starts a nonblocking standard-mode send.
 func (c *Comm) Isend(dst, tag int, data []byte) (*Request, error) {
 	return c.isend(dst, tag, core.ModeStandard, data)
-}
-
-// Issend starts a nonblocking synchronous-mode send.
-func (c *Comm) Issend(dst, tag int, data []byte) (*Request, error) {
-	return c.isend(dst, tag, core.ModeSync, data)
-}
-
-// Irsend starts a nonblocking ready-mode send.
-func (c *Comm) Irsend(dst, tag int, data []byte) (*Request, error) {
-	return c.isend(dst, tag, core.ModeReady, data)
-}
-
-// Ibsend starts a nonblocking buffered-mode send.
-func (c *Comm) Ibsend(dst, tag int, data []byte) (*Request, error) {
-	return c.isend(dst, tag, core.ModeBuffered, data)
 }
 
 // -------------------------------------------------------------- receives --
@@ -289,7 +274,6 @@ func WaitSome(reqs ...*Request) ([]int, error) {
 type Persistent struct {
 	c      *Comm
 	isRecv bool
-	mode   core.Mode
 	peer   int
 	tag    int
 	buf    []byte
@@ -297,12 +281,7 @@ type Persistent struct {
 
 // SendInit creates a persistent standard-mode send.
 func (c *Comm) SendInit(dst, tag int, buf []byte) *Persistent {
-	return &Persistent{c: c, mode: core.ModeStandard, peer: dst, tag: tag, buf: buf}
-}
-
-// SsendInit creates a persistent synchronous-mode send.
-func (c *Comm) SsendInit(dst, tag int, buf []byte) *Persistent {
-	return &Persistent{c: c, mode: core.ModeSync, peer: dst, tag: tag, buf: buf}
+	return &Persistent{c: c, peer: dst, tag: tag, buf: buf}
 }
 
 // RecvInit creates a persistent receive.
@@ -315,18 +294,5 @@ func (pr *Persistent) Start() (*Request, error) {
 	if pr.isRecv {
 		return pr.c.Irecv(pr.peer, pr.tag, pr.buf)
 	}
-	return pr.c.isend(pr.peer, pr.tag, pr.mode, pr.buf)
-}
-
-// StartAll launches a set of persistent operations (MPI_Startall).
-func StartAll(prs ...*Persistent) ([]*Request, error) {
-	reqs := make([]*Request, len(prs))
-	for i, pr := range prs {
-		r, err := pr.Start()
-		if err != nil {
-			return nil, err
-		}
-		reqs[i] = r
-	}
-	return reqs, nil
+	return pr.c.isend(pr.peer, pr.tag, core.ModeStandard, pr.buf)
 }

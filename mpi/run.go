@@ -67,7 +67,7 @@ func Launch(w *World, body func(c *Comm) error) (*Report, error) {
 		i := i
 		w.Sched(i).Spawn(fmt.Sprintf("rank%d", i), func(p *sim.Proc) {
 			p.Ledger = &w.eps[i].Acct().Ledger
-			c := NewRankComm(w, i, p)
+			c := newRankComm(w, i, p)
 			rep.Errs[i] = body(c)
 			if rep.Errs[i] == nil {
 				// MPI_Finalize: drain transfers this process still owes

@@ -154,14 +154,6 @@ func (w *Win) Bytes() []byte { return w.st.Mem }
 // matched sends).
 func (w *Win) Native() bool { return w.native }
 
-// RegionSize reports the window region size exposed by comm rank r.
-func (w *Win) RegionSize(r int) int {
-	if r < 0 || r >= len(w.sizes) {
-		return 0
-	}
-	return w.sizes[r]
-}
-
 // checkAccess validates an origin-side access of n bytes at off in dst's
 // region, using the sizes gathered at creation.
 func (w *Win) checkAccess(dst, off, n int) error {

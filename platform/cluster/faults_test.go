@@ -183,27 +183,27 @@ func TestInvalidFaultPolicyRejected(t *testing.T) {
 // sends rank 0 two 256 KiB messages; the first goes RTS/CTS before rank 0's
 // advertisement arrives, so the second claims a receive that has already
 // completed and lands in a bounce buffer. Whenever the kill falls, PeerDown
-// must drop every landing that names rank 1 and pool the bounce buffer, and
-// the payload rank 1's kernel keeps sending after the death must come off the
-// wire without being parsed as frames or booked as protocol errors while
-// rank 0 carries on with rank 2.
+// must make rank 1's landing let go of the receive and pool the bounce
+// buffer, and the payload rank 1's kernel keeps sending after the death must
+// come off the wire without being parsed as frames or booked as protocol
+// errors while rank 0 carries on with rank 2.
 func TestPeerDownSweepsLandingState(t *testing.T) {
 	const size = 256 << 10
 	for _, tc := range []struct {
 		name, kind string
 		killAt     time.Duration
-		// What rank 0 holds one tick before it detects the death.
-		landings         int
-		bounce, midFrame bool
+		// What rank 0's landing from rank 1 holds one tick before rank 0
+		// detects the death.
+		live, bounce, midFrame bool
 	}{
-		// The second payload is half landed in its bounce buffer; the second
-		// receive's advertisement is the other landing.
-		{"tcp-mid-bounce", "tcp", 60 * time.Millisecond, 2, true, true},
-		// The first payload is half landed; the second frame's header is
-		// still queued behind it and arrives naming a landing already swept.
-		{"tcp-frame-behind", "tcp", 37 * time.Millisecond, 2, false, true},
+		// The second payload is half landed in its bounce buffer.
+		{"tcp-mid-bounce", "tcp", 60 * time.Millisecond, false, true, true},
+		// The first payload is half landed in its receive; the second
+		// frame's header is still queued behind it and arrives from a rank
+		// already dead.
+		{"tcp-frame-behind", "tcp", 37 * time.Millisecond, true, false, true},
 		// Datagram chunks of both payloads arrive after detection.
-		{"udp-late-chunks", "udp", 40 * time.Millisecond, 2, false, false},
+		{"udp-late-chunks", "udp", 40 * time.Millisecond, false, false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w, trs, err := build(registry.Spec{Ranks: 3}, tc.kind)
@@ -215,17 +215,11 @@ func TestPeerDownSweepsLandingState(t *testing.T) {
 			}
 			tr := trs[0]
 			var bounce []byte
-			landings, midFrame := 0, false
+			live, midFrame := false, false
 			w.Sched(0).After(tc.killAt+w.FTDetect-1, func() {
-				for _, st := range tr.rndvRecv {
-					if st.env.Source == 1 {
-						landings++
-						if st.bounce != nil {
-							bounce = st.bounce
-						}
-					}
+				if st := tr.inData[1]; st != nil {
+					bounce, live, midFrame = st.bounce, st.name != 0, st.busy()
 				}
-				midFrame = tr.inData[1] != nil
 			})
 			rep, _ := mpi.Launch(w, func(c *mpi.Comm) error {
 				switch c.Rank() {
@@ -267,17 +261,12 @@ func TestPeerDownSweepsLandingState(t *testing.T) {
 			if rep.Errs[0] != nil || rep.Errs[2] != nil {
 				t.Fatalf("survivors failed: %v", rep.Errs)
 			}
-			if landings != tc.landings || (bounce != nil) != tc.bounce || midFrame != tc.midFrame {
-				t.Fatalf("scenario drifted: before detection rank 0 held %d landings from rank 1 (want %d), a bounce buffer %v (want %v), a half-read frame %v (want %v)",
-					landings, tc.landings, bounce != nil, tc.bounce, midFrame, tc.midFrame)
+			if live != tc.live || (bounce != nil) != tc.bounce || midFrame != tc.midFrame {
+				t.Fatalf("scenario drifted: before detection rank 0's landing from rank 1 held a receive %v (want %v), a bounce buffer %v (want %v), a half-read payload %v (want %v)",
+					live, tc.live, bounce != nil, tc.bounce, midFrame, tc.midFrame)
 			}
-			for h, st := range tr.rndvRecv {
-				if st.env.Source == 1 {
-					t.Errorf("landing %d still names the dead rank", h)
-				}
-			}
-			if tr.inData[1] != nil {
-				t.Error("half-read frame from the dead rank kept")
+			if st := tr.inData[1]; st != nil && (st.name != 0 || st.buf != nil || st.bounce != nil || st.busy()) {
+				t.Errorf("the landing from the dead rank still holds %+v", *st)
 			}
 			pooled := !tc.bounce
 			for i := 0; i < 64 && !pooled; i++ {

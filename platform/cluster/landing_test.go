@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/mpi"
 	"repro/platform/registry"
 )
@@ -198,21 +199,33 @@ func TestStaleClaimLanding(t *testing.T) {
 	}
 }
 
+// held counts the landings tr keeps that hold a receive's buffer or a
+// bounce buffer.
+func held(tr *transport) int {
+	n := 0
+	for _, st := range tr.inData {
+		if st != nil && (st.name != 0 || st.buf != nil || st.bounce != nil) {
+			n++
+		}
+	}
+	return n
+}
+
 // A pre-posted rendezvous receive that the RTS/CTS path serves never retires
-// its advertisement: the receiver keeps the landing record (and with it the
-// user's buffer) and the sender keeps the rtrQ entry, for good. One rank
-// pre-posts 50 receives of 64 KiB and the other sends 50 same-tag messages.
-// Served by Ssend, every advertisement lingers; served by Send, each stale
-// advertisement is taken by the next message, whose claim then fails, so
-// only the last lingers. The right value in every cell is 0 (ROADMAP item
-// 4, unbounded host memory); the fix changes the wire protocol and flips the
-// pin.
+// its advertisement at the sender: the rtrQ entry stays for good. The
+// receiver holds nothing for an advertisement, so once every message is in
+// it holds no landing. One rank pre-posts 50 receives of 64 KiB and the
+// other sends 50 same-tag messages. Served by Ssend, every advertisement
+// lingers; served by Send, each stale advertisement is taken by the next
+// message, whose claim then fails, so only the last lingers. The right
+// sender value in every cell is 0 (ROADMAP item 4, unbounded host memory);
+// the fix changes the wire protocol and flips the pin.
 func TestAdvertisementLeakPinned(t *testing.T) {
 	const msgs, n = 50, 64 << 10
 	for _, tc := range []struct {
-		kind            string
-		sync            bool
-		landings, stale int
+		kind       string
+		sync       bool
+		ads, stale int
 	}{{"tcp", true, 50, 0}, {"udp", true, 50, 0}, {"tcp", false, 1, 49}, {"udp", false, 1, 5}} {
 		rep, trs := launchPair(t, tc.kind, func(c *mpi.Comm) error {
 			if c.Rank() == 0 {
@@ -239,20 +252,30 @@ func TestAdvertisementLeakPinned(t *testing.T) {
 			_, err := mpi.WaitAll(rs...)
 			return err
 		})
-		landings, ads := len(trs[1].rndvRecv), len(trs[0].rtrQ[1])
+		landings, ads := held(trs[1]), len(trs[0].rtrQ[1])
 		stale := int(rep.Acct.Count["rtr-stale"])
-		if landings != tc.landings || ads != tc.landings || stale != tc.stale {
-			t.Errorf("cluster/%s, sync %v: %d landings, %d advertisements, %d stale claims left by %d messages; pinned %d, %d, %d",
-				tc.kind, tc.sync, landings, ads, stale, msgs, tc.landings, tc.landings, tc.stale)
+		if landings != 0 || ads != tc.ads || stale != tc.stale {
+			t.Errorf("cluster/%s, sync %v: %d landings, %d advertisements, %d stale claims left by %d messages; pinned 0, %d, %d",
+				tc.kind, tc.sync, landings, ads, stale, msgs, tc.ads, tc.stale)
 		}
 	}
 }
 
-// A Data frame naming a handle the receiver does not hold, from a live
-// sender, is one protocol error per frame: its payload comes off the wire
-// into nothing, so the message behind it still arrives intact, and the
-// engine is not handed a payload for an unknown receive on top. The
-// receiver loses its advertised landing just before the direct write lands.
+// misname is a transport that sends every CTS-clocked payload under a name
+// the receiver never issued: the one its CTS carried with the top generation
+// bit flipped.
+type misname struct{ *transport }
+
+func (m misname) SendPayload(p *sim.Proc, req *core.Request, pkt *core.Packet) {
+	pkt.Landing ^= 1 << 31
+	m.transport.SendPayload(p, req, pkt)
+}
+
+// A Data frame naming no live receive, from a live sender, is one protocol
+// error per frame: its payload comes off the wire into nothing, so the
+// message behind it still arrives intact, and the engine is not handed a
+// payload for an unknown receive on top. The sender misnames the payload
+// its CTS asked for.
 func TestUnknownHandleDrained(t *testing.T) {
 	for _, kind := range []string{"tcp", "udp", "unet"} {
 		for _, n := range []int{20 << 10, 200 << 10} {
@@ -261,28 +284,21 @@ func TestUnknownHandleDrained(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				trs[0].eng.SetTransport(misname{trs[0]})
 				rep, err := mpi.Launch(w, func(c *mpi.Comm) error {
 					if c.Rank() == 0 {
-						if err := c.Barrier(); err != nil {
-							return err
-						}
 						if err := c.Send(1, 0, pattern(n, 1)); err != nil {
 							return err
 						}
 						return c.Send(1, 1, pattern(1024, 0xa5))
 					}
-					r, err := c.Irecv(0, 0, make([]byte, n))
-					if err != nil {
+					c.Compute(10 * time.Millisecond) // the RTS arrives first
+					// Matches the RTS; its payload never lands, so it is
+					// left pending.
+					if _, err := c.Irecv(0, 0, make([]byte, n)); err != nil {
 						return err
 					}
-					if err := c.Barrier(); err != nil {
-						return err
-					}
-					clear(trs[1].rndvRecv)
-					if err := recvNext(c); err != nil {
-						return err
-					}
-					return r.Cancel()
+					return recvNext(c)
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -300,11 +316,120 @@ func TestUnknownHandleDrained(t *testing.T) {
 					t.Fatalf("%d protocol errors for %d frames: %v", len(errs), frames, errs)
 				}
 				for _, e := range errs {
-					if !strings.Contains(e.Error(), "unknown handle") {
-						t.Errorf("protocol error %v, want only unknown-handle ones", e)
+					if !strings.Contains(e.Error(), "rendezvous data for unknown receive") {
+						t.Errorf("protocol error %v, want only unknown-receive ones", e)
 					}
 				}
 			})
+		}
+	}
+}
+
+// One receive with two payloads in flight: the RTS of the first message
+// matches it, and before that payload's CTS comes back the sender takes the
+// receive's advertisement for the second message and writes it directly.
+// Both payloads name the receive; the direct write must bounce (its claim
+// fails on a receive that is matched but live, so no stale name is
+// resolved) and the CTS-clocked payload must land in it.
+func TestStaleClaimBesideItsPayload(t *testing.T) {
+	for _, kind := range []string{"tcp", "udp", "unet"} {
+		for _, n := range []int{20 << 10, 200 << 10} {
+			t.Run(fmt.Sprintf("%s/%d", kind, n), func(t *testing.T) {
+				first, second := pattern(n, 1), pattern(n, 2)
+				rep, _ := launchPair(t, kind, func(c *mpi.Comm) error {
+					if c.Rank() == 0 {
+						r, err := c.Isend(1, 0, first) // no advertisement yet: RTS
+						if err != nil {
+							return err
+						}
+						// The advertisement precedes "go" on the ordered wire;
+						// the CTS leaves only once the RTS has arrived.
+						if _, err := c.Recv(1, 9, make([]byte, 1)); err != nil {
+							return err
+						}
+						if err := c.Send(1, 0, second); err != nil {
+							return err
+						}
+						if _, err := r.Wait(); err != nil {
+							return err
+						}
+						return c.Send(1, 1, pattern(1024, 0xa5))
+					}
+					buf := make([]byte, n)
+					r, err := c.Irecv(0, 0, buf)
+					if err != nil {
+						return err
+					}
+					if err := c.Send(0, 9, []byte{1}); err != nil {
+						return err
+					}
+					st, err := r.Wait()
+					if err := checkLanded(st, err, buf, first); err != nil {
+						return fmt.Errorf("first: %w", err)
+					}
+					buf = make([]byte, n)
+					st, err = c.Recv(0, 0, buf)
+					if err := checkLanded(st, err, buf, second); err != nil {
+						return fmt.Errorf("second: %w", err)
+					}
+					return recvNext(c)
+				})
+				if len(rep.Protocol) != 0 {
+					t.Fatalf("protocol errors: %v", rep.Protocol)
+				}
+				if stale, names := rep.Acct.Count["rtr-stale"], rep.Acct.Count["req-stale"]; stale != 1 || names != 0 {
+					t.Fatalf("rtr-stale = %d, req-stale = %d; want 1, 0: the direct write did not meet its receive matched and live", stale, names)
+				}
+			})
+		}
+	}
+}
+
+// A direct write claims its receive when its first frame is parsed, which
+// can come before the engine has matched an earlier message from the same
+// sender that the same poll parsed: the receive posted first then gets the
+// later message, against MPI's non-overtaking rule. Rank 1 posts two
+// same-tag 64 KiB receives; rank 0, once their advertisements are in, sends
+// 100 B and then 64 KiB, which takes the first advertisement. Both arrive
+// while rank 1 computes, so one poll parses both. The right counts are 100
+// then 65 536 (ROADMAP item 4); the fix moves the claim into arrival order
+// and flips the pin.
+func TestDirectClaimOvertakesPinned(t *testing.T) {
+	const n = 64 << 10
+	for _, kind := range []string{"tcp", "udp", "unet"} {
+		var got [2]int
+		launchPair(t, kind, func(c *mpi.Comm) error {
+			if c.Rank() == 0 {
+				// The advertisements arrive, and a probe parses them.
+				c.Compute(5 * time.Millisecond)
+				if _, _, err := c.Iprobe(1, 9); err != nil {
+					return err
+				}
+				if err := c.Send(1, 0, make([]byte, 100)); err != nil {
+					return err
+				}
+				return c.Send(1, 0, make([]byte, n))
+			}
+			rs := make([]*mpi.Request, 2)
+			for i := range rs {
+				r, err := c.Irecv(0, 0, make([]byte, n))
+				if err != nil {
+					return err
+				}
+				rs[i] = r
+			}
+			c.Compute(20 * time.Millisecond)
+			for i, r := range rs {
+				st, err := r.Wait()
+				if err != nil {
+					return err
+				}
+				got[i] = st.Count
+			}
+			return nil
+		})
+		if got != [2]int{n, 100} {
+			t.Errorf("cluster/%s: the receives got %d and %d bytes; pinned %d and 100", kind, got[0], got[1], n)
 		}
 	}
 }

@@ -51,54 +51,43 @@ type transport struct {
 	// Receiver side: freed reservation owed back to each sender.
 	owed *flow.Owed
 
-	// Rendezvous state, receiver side, holding the receive by name: an
-	// advertisement outlives its request. A sender awaiting its CTS keeps no
-	// state here: the engine's request table resolves the CTS to the request.
-	rndvRecv   map[uint32]*rndvRecvSt // receiver handle -> landing state
-	nextHandle uint32
-	landings   sim.FreeList[rndvRecvSt]
 	// RDMA-write rendezvous (MPICH2/InfiniBand style): advertisements of
 	// pre-posted rendezvous receives, by destination rank, consumed by the
 	// first matching standard/buffered rendezvous send. noRTR pins the
 	// two-sided RTS/CTS protocol (the ablation's baseline).
 	rtrQ  map[int][]rtrAd
 	noRTR bool
-	// The landing of each source's in-progress inbound Data frame (TCP
-	// only): the payload read consumes only what the kernel buffer holds
-	// and resumes on later polls, so a receiver never parks mid-frame
-	// holding unsent bytes of its own.
-	inData []*rndvRecvSt
+	// The landing of each source's rendezvous payload, allocated on its
+	// first. One per source suffices on a stream and on datagrams alike: a
+	// sender pushes a payload from its one proc and sends nothing else
+	// until it is done, and RUDP and U-Net deliver its chunks in order. On
+	// TCP the payload read consumes only what the kernel buffer holds and
+	// resumes on later polls, so a receiver never parks mid-frame holding
+	// unsent bytes of its own.
+	inData []*landing
 
 	// Buffered sends whose credits arrived; shipped on the next Poll from
 	// the owning process's context.
 	pendingShip sim.Queue[*core.Request]
 }
 
-// rndvRecvSt is one landing: where a rendezvous payload goes as its bytes
-// arrive, on a stream or in datagrams alike.
-type rndvRecvSt struct {
-	handle uint32        // its key in rndvRecv; 0 for a payload nobody awaits
-	name   int64         // the receive request's wire name
-	buf    []byte        // its posted buffer
-	env    core.Envelope // the status envelope PktData carries
-	got    int           // payload bytes landed so far
-	want   int           // bytes that fit the posted buffer
-	total  int           // full message size announced by the RTS
-
-	// RDMA-write rendezvous state: an advertised pre-posted receive must be
-	// claimed from the matcher when its direct payload starts arriving. If
-	// the claim fails (the receive matched an earlier message meanwhile),
-	// the payload accumulates in bounce and re-enters through the matcher
-	// as an eager arrival, in its exact stream position.
-	rtr     bool
-	started bool
-	bounce  []byte
+// landing is where one source's rendezvous payload goes as its bytes
+// arrive. It is busy from the payload's first frame until got reaches the
+// message's size.
+type landing struct {
+	env    core.Envelope // the message's, from the first frame; Count is its full size
+	got    int           // payload bytes in so far
+	name   int64         // the receive it completes; 0 when it surfaces nothing
+	buf    []byte        // the part of the receive's buffer the message fills
+	bounce []byte        // a stale claim's payload, re-entering as an eager arrival
 }
+
+func (st *landing) busy() bool { return st.got < st.env.Count }
 
 // rtrAd is one sender-side record of a peer's pre-posted receive.
 type rtrAd struct {
-	env core.Envelope // Source = advertising rank; Count = buffer capacity
-	aux uint32        // the receiver's landing handle
+	env  core.Envelope // Source = advertising rank; Count = buffer capacity
+	name uint32        // the advertised receive's wire name
 }
 
 func newTransport(cl *atm.Cluster, eng *core.Engine, rank, size, eager, credit int, kind string, peers []*transport) *transport {
@@ -115,11 +104,10 @@ func newTransport(cl *atm.Cluster, eng *core.Engine, rank, size, eager, credit i
 		creditCond: sim.NewCond(cl.SchedOf(rank)),
 		// A quarter of the reservation owed triggers an explicit credit
 		// return (one-sided traffic), keeping the pair deadlock-free.
-		owed:     flow.NewOwed(size, credit/4),
-		rndvRecv: make(map[uint32]*rndvRecvSt),
-		rtrQ:     make(map[int][]rtrAd),
-		inData:   make([]*rndvRecvSt, size),
-		pool:     eng.Pool(),
+		owed:   flow.NewOwed(size, credit/4),
+		rtrQ:   make(map[int][]rtrAd),
+		inData: make([]*landing, size),
+		pool:   eng.Pool(),
 	}
 	// Eager messages charge header+payload bytes against the receiver's
 	// reservation; rendezvous envelopes are credit-exempt (their payload is
@@ -270,7 +258,7 @@ func (t *transport) transmit(p *sim.Proc, req *core.Request) {
 			// The receiver advertised a matching pre-posted buffer: write
 			// the payload directly, skipping the RTS/CTS round trip.
 			t.eng.Acct().Add(ctrRndvRtr, 1)
-			t.pushPayload(p, req, ad.aux, true)
+			t.pushPayload(p, req, ad.name, true)
 			return
 		}
 		// Rendezvous: envelope only; the payload moves on CTS.
@@ -294,27 +282,10 @@ func (t *transport) Send(p *sim.Proc, req *core.Request) {
 	}
 }
 
-// Accept implements core.Transport: register the landing buffer and send
-// the CTS naming it.
+// Accept implements core.Transport: send the CTS naming the receive, which
+// the payload's Data frames name in turn.
 func (t *transport) Accept(p *sim.Proc, msg *core.InMsg, req *core.Request) {
-	want := min(msg.Env.Count, len(req.Buf))
-	h := t.register(rndvRecvSt{name: req.ID, buf: req.Buf, env: msg.Env, want: want, total: msg.Env.Count})
-	t.writeFrame(p, msg.Env.Source, core.PktCTS, msg.Env, h, nil)
-}
-
-// register files a landing under a fresh handle, in a record drawn from the
-// free list, and returns the handle. A record PeerDown sweeps is left to the
-// collector, since an inData cursor may still hold it.
-func (t *transport) register(st rndvRecvSt) uint32 {
-	t.nextHandle++
-	st.handle = t.nextHandle
-	rec := t.landings.Get()
-	if rec == nil {
-		rec = new(rndvRecvSt)
-	}
-	*rec = st
-	t.rndvRecv[st.handle] = rec
-	return st.handle
+	t.writeFrame(p, msg.Env.Source, core.PktCTS, msg.Env, uint32(req.ID), nil)
 }
 
 // SendPayload implements core.Transport: a CTS surfaced at the sender, so
@@ -326,12 +297,19 @@ func (t *transport) SendPayload(p *sim.Proc, req *core.Request, pkt *core.Packet
 }
 
 // pushPayload writes req's rendezvous payload as Data frames naming the
-// receiver's landing handle aux — clocked by a CTS, or direct: straight to
-// an advertised buffer with no preceding RTS/CTS exchange. Direct data is
-// credit-exempt, like the CTS-clocked payload it replaces.
-func (t *transport) pushPayload(p *sim.Proc, req *core.Request, aux uint32, direct bool) {
+// receive name — clocked by a CTS, or direct: straight to an advertised
+// buffer with no preceding RTS/CTS exchange. Every frame carries the
+// message's envelope, its count the full size. A direct write clears the
+// sender's name from it, since it answers no CTS: that is how the receiver
+// tells the two apart when one receive has both in flight, its stale
+// advertisement's direct write and its own CTS-clocked payload. Direct data
+// is credit-exempt, like the CTS-clocked payload it replaces.
+func (t *transport) pushPayload(p *sim.Proc, req *core.Request, name uint32, direct bool) {
 	dst := req.Env.Dest
-	data := req.Buf
+	env, data := req.Env, req.Buf
+	if direct {
+		env.SendID = 0
+	}
 	if t.kind == "tcp" {
 		// The frame may exceed the receiver's TCP window, and the peer may
 		// be pushing an equally large frame at us at the same moment (the
@@ -339,7 +317,7 @@ func (t *transport) pushPayload(p *sim.Proc, req *core.Request, aux uint32, dire
 		// blocking write would park both sides on window space with neither
 		// draining its inbound stream, so interleave: whenever the window
 		// closes, parse whatever has arrived before parking.
-		frame := t.tcpFrame(dst, core.PktData, req.Env, aux, data)
+		frame := t.tcpFrame(dst, core.PktData, env, name, data)
 		t.conns[dst].WriteInterleaved(p, frame, func() {
 			if !t.parseAvailable(p) {
 				t.creditCond.Wait(p)
@@ -349,20 +327,12 @@ func (t *transport) pushPayload(p *sim.Proc, req *core.Request, aux uint32, dire
 		t.eng.SendDone(req)
 		return
 	}
-	// Datagram modes: chunk to datagram size; the chunk offset travels in
-	// the tag field (Data packets carry no user tag) — plus, on direct data,
-	// the full message size in the id field, since no RTS ever announced it
-	// to the receiver.
+	// Datagram modes: chunk to datagram size. A chunk's place in the
+	// payload is its place in the source's in-order stream, and its length
+	// the datagram's.
 	maxChunk := t.dgram.MaxDatagram() - headerBytes
 	for off := 0; off < len(data) || off == 0; off += maxChunk {
-		end := min(off+maxChunk, len(data))
-		env := req.Env
-		env.Tag = off
-		env.Count = end - off
-		if direct {
-			env.SendID = int64(len(data))
-		}
-		t.writeFrame(p, dst, core.PktData, env, aux, data[off:end])
+		t.writeFrame(p, dst, core.PktData, env, name, data[off:min(off+maxChunk, len(data))])
 	}
 	t.eng.SendDone(req)
 }
@@ -384,28 +354,22 @@ func (t *transport) pushPayload(p *sim.Proc, req *core.Request, aux uint32, dire
 // bounce buffer and re-enter the matcher as an eager arrival in their
 // exact stream position, which preserves MPI's per-pair matching order
 // (all frames of the direct payload precede any later frame from that
-// sender on the same ordered channel).
+// sender on the same ordered channel). The claim itself is not ordered: it
+// is made when the first frame is parsed, and an earlier message from that
+// sender parsed in the same poll is matched only after it
+// (TestDirectClaimOvertakesPinned).
 
-// AdvertiseRecv implements core.RecvAdvertiser: register a landing handle
-// for the pre-posted receive and tell the prospective sender about it.
+// AdvertiseRecv implements core.RecvAdvertiser: tell the prospective
+// sender the pre-posted receive's name. The receiver holds nothing for it.
 func (t *transport) AdvertiseRecv(p *sim.Proc, req *core.Request) {
 	if t.noRTR {
 		return
 	}
-	// st.env is the status envelope should the direct payload land: the
-	// posted signature with count/mode filled in from the first frame.
-	h := t.register(rndvRecvSt{
-		name: req.ID,
-		buf:  req.Buf,
-		env:  core.Envelope{Source: req.Env.Source, Tag: req.Env.Tag, Context: req.Env.Context},
-		want: len(req.Buf),
-		rtr:  true,
-	})
 	// The frame's envelope names this rank as source (it is the frame's
 	// sender) and carries the posted signature plus buffer capacity.
 	ad := core.Envelope{Source: t.rank, Tag: req.Env.Tag, Context: req.Env.Context, Count: len(req.Buf)}
 	t.eng.Acct().Add(ctrRtrPost, 1)
-	t.writeFrame(p, req.Env.Source, core.PktRTR, ad, h, nil)
+	t.writeFrame(p, req.Env.Source, core.PktRTR, ad, uint32(req.ID), nil)
 }
 
 // takeRTR consumes the first advertisement matching a rendezvous send.
@@ -450,17 +414,12 @@ func (t *transport) Release(p *sim.Proc, src int, n int) {
 // wire itself is fenced (TCP discards, RUDP abandons retransmission).
 func (t *transport) PeerDown(rank int) {
 	delete(t.rtrQ, rank)
-	// Landings the corpse can never finish — accepted RTSs, advertisements
-	// naming it — go, and a stale claim's bounce buffer returns to the pool.
-	// A TCP frame half read keeps its cursor (inData) and drains into
-	// nothing: the corpse's kernel sends the rest regardless. Deletion only,
-	// so map order cannot leak into the run.
-	for h, st := range t.rndvRecv {
-		if st.env.Source == rank {
-			t.pool.Put(st.bounce)
-			st.bounce, st.want = nil, 0
-			delete(t.rndvRecv, h)
-		}
+	// The corpse's landing lets go of the receive and returns a stale
+	// claim's bounce buffer to the pool, but keeps its cursor: the rest of
+	// a payload the corpse's kernel still sends drains into nothing.
+	if st := t.inData[rank]; st != nil {
+		t.pool.Put(st.bounce)
+		st.name, st.buf, st.bounce = 0, nil, nil
 	}
 	t.fc.DropDst(rank)
 	t.pendingShip.Filter(func(req *core.Request) bool { return req.Env.Dest != rank })
@@ -595,10 +554,10 @@ func (r readySet) next(lo, hi int) int {
 // parseTCP consumes one message from conn, performing the paper's two
 // header reads (message type, then credit+envelope) and any payload read.
 func (t *transport) parseTCP(p *sim.Proc, src int, conn *atm.TCP) {
-	if d := t.inData[src]; d != nil {
+	if st := t.inData[src]; st != nil && st.busy() {
 		// Resume the partially-read Data frame before touching headers:
 		// everything readable on this stream is its remaining payload.
-		t.readData(p, src, conn, d)
+		t.readData(p, conn, st)
 		return
 	}
 	acct := t.eng.Acct()
@@ -625,14 +584,7 @@ func (t *transport) parseTCP(p *sim.Proc, src int, conn *atm.TCP) {
 		acct.Record(sim.ReadData, sim.Duration(p.Now()-t2))
 		t.inbox.Push(core.Packet{Kind: kind, Env: env, Data: payload, Pool: t.pool})
 	case core.PktData:
-		st := t.dataLanding(src, env, aux)
-		if st == nil {
-			// Nobody awaits this payload; it still has to come off the
-			// stream, into nothing.
-			st = &rndvRecvSt{total: env.Count}
-		}
-		t.inData[src] = st
-		t.readData(p, src, conn, st)
+		t.readData(p, conn, t.dataFrame(src, env, aux))
 	default:
 		t.surface(src, kind, env, aux)
 	}
@@ -650,7 +602,7 @@ func (t *transport) surface(src int, kind core.PacketKind, env core.Envelope, au
 	case core.PktSyncAck:
 		t.inbox.Push(core.Packet{Kind: kind, Env: env, ReqID: env.SendID})
 	case core.PktRTR:
-		t.rtrQ[env.Source] = append(t.rtrQ[env.Source], rtrAd{env: env, aux: aux})
+		t.rtrQ[env.Source] = append(t.rtrQ[env.Source], rtrAd{env: env, name: aux})
 	case core.PktCredit:
 		// Credit already booked from the header; nothing to surface.
 	default:
@@ -658,69 +610,74 @@ func (t *transport) surface(src int, kind core.PacketKind, env core.Envelope, au
 	}
 }
 
-// dataLanding resolves the landing a Data frame from src names, or nil when
-// the handle is unknown: PeerDown swept it, or — the sender being alive — a
-// protocol error. The first frame of a direct payload starts its landing: the
-// total comes from the frame (the envelope's count on a stream; on datagrams
-// the id field, since no RTS announced it and each chunk header counts only
-// its chunk) and the advertised receive is claimed from the matcher. A failed
-// claim (the receive matched an earlier message meanwhile) lands the payload
-// in a bounce buffer instead, for re-injection.
-func (t *transport) dataLanding(src int, env core.Envelope, aux uint32) *rndvRecvSt {
-	st := t.rndvRecv[aux]
+// dataFrame books one Data frame from src and returns src's landing. The
+// frame that finds it idle starts a payload and resolves the receive it
+// names: a CTS-clocked payload lands in its live receive; a direct write
+// claims its advertised receive from the matcher and, when the claim fails
+// (the receive matched an earlier message meanwhile), lands in a bounce
+// buffer instead, for re-injection. A frame whose payload lands nowhere is
+// a protocol error from a live sender; from a dead one it is the rest of
+// what its kernel sent, drained.
+func (t *transport) dataFrame(src int, env core.Envelope, name uint32) *landing {
+	st := t.inData[src]
 	if st == nil {
-		if !t.eng.PeerDead(src) {
-			t.eng.Errors = append(t.eng.Errors, core.Errorf(core.ErrInternal, "rendezvous data for unknown handle %d", aux))
-		}
-		return nil
+		st = new(landing)
+		t.inData[src] = st
 	}
-	if st.rtr && !st.started {
-		total := env.Count
-		if t.kind != "tcp" {
-			total = int(env.SendID)
+	dead := t.eng.PeerDead(src)
+	if !st.busy() {
+		*st = landing{env: env}
+		direct := env.SendID == 0
+		var req *core.Request
+		if !dead {
+			req = t.eng.ClaimDirect(int64(name), direct)
 		}
-		st.started, st.total = true, total
-		st.want = min(st.want, total)
-		st.env.Count, st.env.Mode = total, env.Mode
-		if !t.eng.ClaimDirect(st.name) {
-			st.bounce = t.pool.Get(total)
+		switch {
+		case req != nil:
+			st.name, st.buf = req.ID, req.Buf[:min(env.Count, len(req.Buf))]
+		case direct && !dead:
+			st.bounce = t.pool.Get(env.Count)
 			t.eng.Acct().Add(ctrRtrStale, 1)
 		}
+	}
+	if st.name == 0 && st.bounce == nil && !dead {
+		t.eng.Errors = append(t.eng.Errors, core.Errorf(core.ErrInternal, "rendezvous data for unknown receive %d", name))
 	}
 	return st
 }
 
-// place reports where payload bytes [off, off+n) land: a stale claim's
-// bounce buffer (sized to the full message, so it never truncates), else the
-// posted buffer up to the bytes that fit it. Bytes the slice does not cover
-// are discarded. Asked per read: each read charges time, and PeerDown may
-// take the landing away meanwhile.
-func (st *rndvRecvSt) place(off, n int) []byte {
+// place reports where the next n payload bytes land: a stale claim's bounce
+// buffer (sized to the full message, so it never truncates), else the
+// receive's buffer up to the bytes that fit it. Bytes the slice does not
+// cover are discarded. Asked per read: each read charges time, and PeerDown
+// may take the landing away meanwhile.
+func (st *landing) place(n int) []byte {
 	if st.bounce != nil {
-		return st.bounce[off : off+n]
+		return st.bounce[st.got : st.got+n]
 	}
-	return st.buf[min(off, st.want):min(off+n, st.want)]
+	return st.buf[min(st.got, len(st.buf)):min(st.got+n, len(st.buf))]
 }
 
-// landingDone completes a landing whose last byte is in: the handle goes,
-// and the engine gets PktData naming the receive — or a stale claim's
-// bounced payload as an eager arrival, in its exact stream position. The
-// engine's eager path will Release reservation that was never consumed
-// (direct data is credit-exempt), slightly inflating the pair's credit; the
-// drift is bounded by the stale-claim count and only ever loosens flow
-// control, so we accept it for this rare race. A payload nobody awaited
-// surfaces nothing.
-func (t *transport) landingDone(st *rndvRecvSt) {
-	if st.handle != 0 {
-		delete(t.rndvRecv, st.handle)
-		if st.bounce != nil {
-			t.inbox.Push(core.Packet{Kind: core.PktEager, Env: st.env, Data: st.bounce, Pool: t.pool})
-		} else {
-			t.inbox.Push(core.Packet{Kind: core.PktData, Env: st.env, ReqID: st.name})
-		}
+// landingDone completes a landing whose last byte is in: the engine gets
+// PktData naming the receive — or a stale claim's bounced payload as an
+// eager arrival, in its exact stream position. A payload that landed
+// nowhere surfaces nothing.
+//
+// A bounce drifts the pair's credit. The engine's eager path Releases the
+// bounced message's header and payload, which the credit-exempt direct
+// write never reserved, so the sender's credit grows by that much for good.
+// A 32 KiB bounce alone crosses the default quarter-reservation flush
+// (16 KiB), so each one also sends an explicit PktCredit. This is no rare
+// race: where advertisements run one message behind, every direct write
+// bounces (15 120 of them, and as many credit frames, in one 16-rank
+// 32 KiB shuffle on cluster/udp).
+func (t *transport) landingDone(st *landing) {
+	if st.bounce != nil {
+		t.inbox.Push(core.Packet{Kind: core.PktEager, Env: st.env, Data: st.bounce, Pool: t.pool})
+	} else if st.name != 0 {
+		t.inbox.Push(core.Packet{Kind: core.PktData, Env: st.env, ReqID: st.name})
 	}
-	*st = rndvRecvSt{}
-	t.landings.Put(st)
+	st.name, st.buf, st.bounce = 0, nil, nil
 }
 
 // readData lands however much of a rendezvous payload the kernel buffer
@@ -728,15 +685,15 @@ func (t *transport) landingDone(st *rndvRecvSt) {
 // buffered bytes — never parking for more — is what keeps two peers
 // exchanging window-exceeding payloads deadlock-free: each side alternates
 // between pushing its own frame and draining the other's.
-func (t *transport) readData(p *sim.Proc, src int, conn *atm.TCP, st *rndvRecvSt) {
+func (t *transport) readData(p *sim.Proc, conn *atm.TCP, st *landing) {
 	acct := t.eng.Acct()
-	for st.got < st.total {
-		n := min(conn.Buffered(), st.total-st.got)
+	for st.busy() {
+		n := min(conn.Buffered(), st.env.Count-st.got)
 		if n == 0 {
 			return // resume when the next segment arrives
 		}
 		t2 := p.Now()
-		land := st.place(st.got, n)
+		land := st.place(n)
 		conn.ReadFull(p, land)
 		if rest := n - len(land); rest > 0 {
 			// Past what the landing holds: drain and discard.
@@ -747,7 +704,6 @@ func (t *transport) readData(p *sim.Proc, src int, conn *atm.TCP, st *rndvRecvSt
 		acct.Record(sim.ReadData, sim.Duration(p.Now()-t2))
 		st.got += n
 	}
-	t.inData[src] = nil
 	t.landingDone(st)
 }
 
@@ -780,13 +736,11 @@ func (t *transport) parseDgram(p *sim.Proc) bool {
 		t.inbox.Push(core.Packet{Kind: kind, Env: env, Data: payload})
 		return true
 	case core.PktData:
-		if st := t.dataLanding(env.Source, env, aux); st != nil {
-			// The chunk offset rides in the tag field.
-			copy(st.place(env.Tag, len(payload)), payload)
-			st.got += len(payload)
-			if st.got >= st.total {
-				t.landingDone(st)
-			}
+		st := t.dataFrame(env.Source, env, aux)
+		copy(st.place(len(payload)), payload)
+		st.got += len(payload)
+		if !st.busy() {
+			t.landingDone(st)
 		}
 	default:
 		t.surface(env.Source, kind, env, aux)

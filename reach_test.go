@@ -1,6 +1,7 @@
-// Knob reachability: every field of registry.Spec must be turned by
-// something that measures it — a record sweep, a conformance scenario or a
-// benchmark workload. A knob nothing sets is either given a check or
+// Reachability: every field of registry.Spec must be turned by something
+// that measures it — a record sweep, a conformance scenario or a benchmark
+// workload — and every exported call of package mpi must have a caller. A
+// knob nothing sets or a call nothing makes is either given a check or
 // deleted; there is no allowlist.
 package repro_test
 
@@ -8,8 +9,11 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
+	"maps"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -184,4 +188,81 @@ func elemIsSpec(e ast.Expr) bool {
 		return isRegistry(e.Value, "Spec")
 	}
 	return false
+}
+
+// TestEveryMPIExportIsCalled requires each exported function and method of
+// package mpi to be referenced outside the file that declares it: from
+// another package, another file of mpi, or a test, anywhere in the tree
+// (benchmark/ included). References are matched by name alone — a selector
+// x.Name anywhere, or a bare Name inside package mpi — so a name shared with
+// something else can hide an uncalled export but never flags a called one.
+func TestEveryMPIExportIsCalled(t *testing.T) {
+	fset := token.NewFileSet()
+	type export struct{ file, what string }
+	declared := map[string][]export{}    // exported name -> its declarations
+	refs := map[string]map[string]bool{} // name -> files referencing it
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		inMPI := filepath.Dir(path) == "mpi"
+		names := map[*ast.Ident]bool{} // declarations, which are no reference
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				names[fn.Name] = true
+				if inMPI && fn.Name.IsExported() && !strings.HasSuffix(path, "_test.go") {
+					what := "mpi." + fn.Name.Name
+					if fn.Recv != nil {
+						typ := fn.Recv.List[0].Type
+						if star, ok := typ.(*ast.StarExpr); ok {
+							typ = star.X
+						}
+						what = "mpi." + typ.(*ast.Ident).Name + "." + fn.Name.Name
+					}
+					declared[fn.Name.Name] = append(declared[fn.Name.Name], export{path, what})
+				}
+			}
+		}
+		ref := func(id *ast.Ident) {
+			if refs[id.Name] == nil {
+				refs[id.Name] = map[string]bool{}
+			}
+			refs[id.Name][path] = true
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				ref(n.Sel)
+			case *ast.Ident:
+				if inMPI && !names[n] {
+					ref(n)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range slices.Sorted(maps.Keys(declared)) {
+		for _, d := range declared[name] {
+			if len(refs[name]) == 0 || len(refs[name]) == 1 && refs[name][d.file] {
+				t.Errorf("%s (%s) is called nowhere outside its own file", d.what, d.file)
+			}
+		}
+	}
 }
