@@ -455,8 +455,8 @@ func TestFigure4AAL4NotMuchFasterThanTCPUDP(t *testing.T) {
 func TestRUDPReliableInOrderUnderLoss(t *testing.T) {
 	s, cl := newCluster(2)
 	cl.SetFaults(Faults{Seed: 5, Loss: 0.25})
-	r0 := NewRUDP(cl.UDPSocket(0, OverATM))
-	r1 := NewRUDP(cl.UDPSocket(1, OverATM))
+	r0 := NewRUDP(cl.UDPSocket(0, OverATM), nil)
+	r1 := NewRUDP(cl.UDPSocket(1, OverATM), nil)
 	const msgs = 40
 	var got []byte
 	s.Spawn("tx", func(p *sim.Proc) {
@@ -501,8 +501,8 @@ func TestRUDPReliableInOrderUnderLoss(t *testing.T) {
 
 func TestRUDPNoLossNoRetransmit(t *testing.T) {
 	s, cl := newCluster(2)
-	r0 := NewRUDP(cl.UDPSocket(0, OverATM))
-	r1 := NewRUDP(cl.UDPSocket(1, OverATM))
+	r0 := NewRUDP(cl.UDPSocket(0, OverATM), nil)
+	r1 := NewRUDP(cl.UDPSocket(1, OverATM), nil)
 	s.Spawn("tx", func(p *sim.Proc) {
 		for i := 0; i < 10; i++ {
 			r0.Send(p, 1, []byte{byte(i)})
@@ -524,8 +524,8 @@ func TestRUDPNoLossNoRetransmit(t *testing.T) {
 
 func TestRUDPWindowBlocks(t *testing.T) {
 	s, cl := newCluster(2)
-	r0 := NewRUDP(cl.UDPSocket(0, OverATM))
-	r1 := NewRUDP(cl.UDPSocket(1, OverATM))
+	r0 := NewRUDP(cl.UDPSocket(0, OverATM), nil)
+	r1 := NewRUDP(cl.UDPSocket(1, OverATM), nil)
 	r0.Window = 4
 	const msgs = 12
 	var sendDone sim.Time

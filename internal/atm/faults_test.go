@@ -367,7 +367,7 @@ func FuzzParsePartitions(f *testing.F) {
 
 // rudpPair spins up a reliable pair on the ATM medium.
 func rudpPair(cl *Cluster) (*RUDP, *RUDP) {
-	return NewRUDP(cl.UDPSocket(0, OverATM)), NewRUDP(cl.UDPSocket(1, OverATM))
+	return NewRUDP(cl.UDPSocket(0, OverATM), nil), NewRUDP(cl.UDPSocket(1, OverATM), nil)
 }
 
 func TestRUDPAdaptiveRTOConverges(t *testing.T) {

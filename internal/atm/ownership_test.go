@@ -162,7 +162,7 @@ func TestRUDPRestampLeavesInFlightFramesAlone(t *testing.T) {
 	if err := cl.SetFaults(Faults{Duplicate: 1, Delay: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	r0 := NewRUDP(cl.UDPSocket(0, OverATM))
+	r0 := NewRUDP(cl.UDPSocket(0, OverATM), nil)
 	u1 := cl.UDPSocket(1, OverATM) // raw socket: see the frames themselves
 	var acks []uint32
 	s.Spawn("tx", func(p *sim.Proc) {
@@ -337,7 +337,7 @@ func FuzzRUDPDrain(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		s, cl := newCluster(2)
 		u0 := cl.UDPSocket(0, OverATM)
-		r1 := NewRUDP(cl.UDPSocket(1, OverATM))
+		r1 := NewRUDP(cl.UDPSocket(1, OverATM), nil)
 		if len(raw) > u0.MaxDatagram() {
 			raw = raw[:u0.MaxDatagram()]
 		}

@@ -37,7 +37,11 @@ const (
 // (Jacobson's estimator, with Karn's rule excluding retransmitted frames
 // from sampling), backs off exponentially across retries, and three
 // duplicate cumulative acks trigger a fast retransmit of the oldest
-// outstanding frame without waiting for the timer. Acks piggyback on every
+// outstanding frame without waiting for the timer. A frame's timer is that
+// RTO plus the time its own bytes, and those of every unacked frame ahead of
+// it to the same peer, take to cross the path (budget): round trips are
+// mostly sampled on small frames, and a 64 KiB datagram needs milliseconds
+// of cells before its first copy can land. Acks piggyback on every
 // outbound data frame, and every delivery is also acked at once through the
 // full UDP send path (the paper's behaviour).
 type RUDP struct {
@@ -53,6 +57,7 @@ type RUDP struct {
 	arrival   *sim.Cond
 	watchers  []func()
 	pending   sim.FreeList[rudpPending] // retransmission records (see rudpPending)
+	onResend  func()                    // see NewRUDP
 
 	// Stats.
 	Retransmits     int // frames re-sent (timer + fast retransmit)
@@ -70,6 +75,7 @@ type rudpPeer struct {
 	unacked  map[uint32]*rudpPending
 	nextRecv uint32
 	stash    map[uint32]Datagram
+	inflight int // bytes of the frames in unacked
 
 	// Jacobson/Karn RTT estimator state (zero until the first sample).
 	srtt, rttvar, rto sim.Duration
@@ -96,11 +102,14 @@ type rudpPending struct {
 	acked  bool
 	sentAt sim.Time     // first transmission time, for RTT sampling
 	rto    sim.Duration // current (backed-off) timeout for this frame
+	budget sim.Duration // byte time added to rto on every arming (see budget)
 	expire func()       // pend.timeout, bound once
 }
 
-// NewRUDP wraps sock with reliability.
-func NewRUDP(sock *UDP) *RUDP {
+// NewRUDP wraps sock with reliability. onResend, unless nil, runs on every
+// retransmission, in event context on sock's lane, so a platform can count
+// them in the rank's books.
+func NewRUDP(sock *UDP, onResend func()) *RUDP {
 	hs := sock.cl.SchedOf(sock.host)
 	r := &RUDP{
 		sock:       sock,
@@ -109,6 +118,7 @@ func NewRUDP(sock *UDP) *RUDP {
 		MaxRetries: 25,
 		peers:      make(map[int]*rudpPeer),
 		arrival:    sim.NewCond(hs),
+		onResend:   onResend,
 	}
 	// Pure acknowledgements are consumed at interrupt level, like the
 	// kernel timers that drive retransmission: the sender's window opens
@@ -172,6 +182,7 @@ func (r *RUDP) applyAck(pr *rudpPeer, ack uint32) {
 // waits for its timer.
 func (r *RUDP) settle(pend *rudpPending) {
 	pend.acked = true
+	pend.pr.inflight -= len(pend.frame.B)
 	r.sock.release(pend.frame)
 	pend.frame = nil
 }
@@ -205,6 +216,19 @@ func rtoFor(pr *rudpPeer) sim.Duration {
 	return pr.rto
 }
 
+// budget is the time n bytes take from this host to a peer's reader: the
+// wire (an ATM cell carries 48 payload bytes in 53) plus the receiver's copy
+// and checksum. It is added to a frame's RTO, never folded into it, so
+// back-off and the estimator see round trips only.
+func (r *RUDP) budget(n int) sim.Duration {
+	k, b := r.sock.cl.Costs, sim.Duration(n)
+	wire := b * k.EthPerByte
+	if r.sock.med.Kind() == OverATM {
+		wire = b * k.ATMPerByte * CellBytes / AAL5CellPayload
+	}
+	return wire + b*(k.CopyPerByte+k.ChecksumPerByte)
+}
+
 // fastRetransmit re-sends the oldest outstanding frame after three
 // duplicate cumulative acks: the hole they point at is almost certainly
 // lost, and waiting out the timer would idle the window. Runs in whichever
@@ -220,11 +244,20 @@ func (r *RUDP) fastRetransmit(pr *rudpPeer) {
 		return
 	}
 	oldest.tries++ // a retransmission: Karn excludes it from sampling
-	r.Retransmits++
 	r.FastRetransmits++
-	r.restampAck(pr, oldest)
-	r.sock.transmit(pr.host, oldest.frame)
+	r.resend(pr, oldest)
 	pr.dupAcks = 0
+}
+
+// resend puts pend's frame on the wire again: wire costs only, no user
+// syscall, in whichever context the timer or the duplicate ack ran.
+func (r *RUDP) resend(pr *rudpPeer, pend *rudpPending) {
+	r.Retransmits++
+	if r.onResend != nil {
+		r.onResend()
+	}
+	r.restampAck(pr, pend)
+	r.sock.transmit(pr.host, pend.frame)
 }
 
 // restampAck refreshes the piggybacked cumulative ack on a frame about to
@@ -330,10 +363,12 @@ func (r *RUDP) SendFrame(p *sim.Proc, dst int, f *Frame) error {
 	}
 	pend.pr, pend.frame, pend.seq = pr, f, seq
 	pr.unacked[seq] = pend
+	pr.inflight += len(f.B)
+	pend.budget = r.budget(pr.inflight)
 	r.sock.send(p, dst, f)
 	pend.sentAt = r.s.Now()
 	pend.rto = rtoFor(pr)
-	r.s.After(pend.rto, pend.expire)
+	r.s.After(pend.rto+pend.budget, pend.expire)
 	return r.Err
 }
 
@@ -363,11 +398,8 @@ func (pend *rudpPending) timeout() {
 	if pend.rto > pr.rto {
 		pr.rto = pend.rto
 	}
-	r.Retransmits++
-	// Kernel-timer retransmission: wire costs only, no user syscall.
-	r.restampAck(pr, pend)
-	r.sock.transmit(pr.host, pend.frame)
-	r.s.After(pend.rto, pend.expire)
+	r.resend(pr, pend)
+	r.s.After(pend.rto+pend.budget, pend.expire)
 }
 
 // TryRecv drains arrivals and returns one in-order datagram if available,

@@ -26,11 +26,13 @@ type FaultsReport struct {
 }
 
 // FaultsBackend holds one transport's series across the swept loss rates:
-// 1-byte round-trip latency and 64 KB-chunk streaming bandwidth.
+// 1-byte round-trip latency, 64 KB-chunk streaming bandwidth, and the frames
+// both runs of a cell sent again (every rank's rudp.retransmit).
 type FaultsBackend struct {
 	Backend      string    `json:"backend"`
 	LatencyUS    []float64 `json:"latency_us"`
 	BandwidthMBs []float64 `json:"bandwidth_mbs"`
+	Retransmits  []int64   `json:"retransmits"`
 }
 
 // faultsSeed pins the fault RNG so the sweep is reproducible run to run.
@@ -60,16 +62,17 @@ func Faults(o Opts) (FaultsReport, error) {
 			LossRate:  rate,
 			FaultSeed: faultsSeed,
 		}
-		lat, err := mpiPingPong(spec, 1, pingIters)
+		lat, latRep, err := pingPongReport(spec, 1, pingIters)
 		if err != nil {
 			return rep, fmt.Errorf("%s latency at loss %g: %v", fb.Backend, rate, err)
 		}
-		bw, err := mpiBandwidth(spec, chunk, bwIters)
+		bw, bwRep, err := bandwidthReport(spec, chunk, bwIters)
 		if err != nil {
 			return rep, fmt.Errorf("%s bandwidth at loss %g: %v", fb.Backend, rate, err)
 		}
 		fb.LatencyUS = append(fb.LatencyUS, lat)
 		fb.BandwidthMBs = append(fb.BandwidthMBs, bw)
+		fb.Retransmits = append(fb.Retransmits, latRep.Acct.Count["rudp.retransmit"]+bwRep.Acct.Count["rudp.retransmit"])
 	}
 	rep.Backends = []FaultsBackend{fb}
 	return rep, nil
@@ -80,7 +83,7 @@ func FormatFaults(r FaultsReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fault sweep: injected datagram loss (seed %d, %d iters)\n", r.FaultSeed, r.Iters)
 	b.WriteString("TCP and U-Net frames are not droppable (loss recovery out of model): no rows.\n\n")
-	row := func(name string, cells func(fb FaultsBackend) []float64, unit string) {
+	row := func(name string, cells func(fb FaultsBackend) []float64, unit string, prec int) {
 		fmt.Fprintf(&b, "%-24s", name)
 		for _, rate := range r.LossRates {
 			fmt.Fprintf(&b, "%11s", fmt.Sprintf("%g%%", rate*100))
@@ -89,13 +92,35 @@ func FormatFaults(r FaultsReport) string {
 		for _, fb := range r.Backends {
 			fmt.Fprintf(&b, "%-24s", fb.Backend)
 			for _, v := range cells(fb) {
-				fmt.Fprintf(&b, "%11.1f", v)
+				fmt.Fprintf(&b, "%11.*f", prec, v)
 			}
 			b.WriteByte('\n')
 		}
 		fmt.Fprintf(&b, "%-24s(%s)\n\n", "", unit)
 	}
-	row("1B round trip / loss", func(fb FaultsBackend) []float64 { return fb.LatencyUS }, "us")
-	row("64KB bandwidth / loss", func(fb FaultsBackend) []float64 { return fb.BandwidthMBs }, "MB/s")
+	row("1B round trip / loss", func(fb FaultsBackend) []float64 { return fb.LatencyUS }, "us", 1)
+	row("64KB bandwidth / loss", func(fb FaultsBackend) []float64 { return fb.BandwidthMBs }, "MB/s", 1)
+	row("retransmits / loss", func(fb FaultsBackend) []float64 {
+		n := make([]float64, len(fb.Retransmits))
+		for i, v := range fb.Retransmits {
+			n[i] = float64(v)
+		}
+		return n
+	}, "frames", 0)
 	return b.String()
+}
+
+// checkFaults is the sweep's static floor: a loss-free cell retransmits
+// nothing (ROADMAP item 3). A timer that expires before a frame's bytes can
+// have crossed the wire fails it.
+func checkFaults(cur FaultsReport, _ *FaultsReport) []string {
+	var out []string
+	for _, fb := range cur.Backends {
+		for i, rate := range cur.LossRates {
+			if rate == 0 && (i >= len(fb.Retransmits) || fb.Retransmits[i] != 0) {
+				out = append(out, fmt.Sprintf("%s at 0%% loss: retransmits %v, want 0", fb.Backend, fb.Retransmits))
+			}
+		}
+	}
+	return out
 }

@@ -74,8 +74,14 @@ func mpiPingPong(spec registry.Spec, n, iters int) (float64, error) {
 // mpiBandwidth streams iters chunks one way on the world spec describes and
 // reports MB/s.
 func mpiBandwidth(spec registry.Spec, chunk, iters int) (float64, error) {
+	mbs, _, err := bandwidthReport(spec, chunk, iters)
+	return mbs, err
+}
+
+// bandwidthReport is mpiBandwidth plus the launch report.
+func bandwidthReport(spec registry.Spec, chunk, iters int) (float64, *mpi.Report, error) {
 	var elapsed time.Duration
-	_, err := registry.Run(spec, func(c *mpi.Comm) error {
+	rep, err := registry.Run(spec, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			data := make([]byte, chunk)
 			for i := 0; i < iters; i++ {
@@ -99,9 +105,9 @@ func mpiBandwidth(spec registry.Spec, chunk, iters int) (float64, error) {
 		return nil
 	})
 	if err != nil {
-		return 0, err
+		return 0, rep, err
 	}
-	return float64(chunk*iters) / elapsed.Seconds() / 1e6, nil
+	return float64(chunk*iters) / elapsed.Seconds() / 1e6, rep, nil
 }
 
 // MeikoPingPong measures the MPI RTT on the Meiko in µs. impl is a registry

@@ -51,7 +51,7 @@ var kernels = []kernel{{1, false}, {2, false}, {8, true}}
 var suites = []Suite{
 	newSuite("anchors", anchorsRecord, formatAnchorsReport, nil),
 	newSuite("collectives", Collectives, FormatCollectives, nil),
-	newSuite("faults", Faults, FormatFaults, nil),
+	newSuite("faults", Faults, FormatFaults, checkFaults),
 	newSuite("rma", RMABench, FormatRMA, checkRMA),
 	newSuite("scale", ScaleBench, FormatScale, checkScale),
 	newSuite("chaos", Chaos, FormatChaos, checkChaos),

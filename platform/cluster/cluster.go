@@ -163,7 +163,8 @@ func build(s registry.Spec, kind string) (*mpi.World, []*transport, error) {
 			}
 		case "udp":
 			for i := 0; i < n; i++ {
-				trs[i].attachDgram(atm.NewRUDP(cl.UDPSocket(i, net)))
+				acct := trs[i].eng.Acct()
+				trs[i].attachDgram(atm.NewRUDP(cl.UDPSocket(i, net), func() { acct.Add(ctrRetransmit, 1) }))
 			}
 		default: // unet
 			for i := 0; i < n; i++ {

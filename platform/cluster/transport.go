@@ -16,6 +16,10 @@ var ctrEager, ctrRndv, ctrRndvRtr = core.Counter("eager"), core.Counter("rndv"),
 var ctrRtrPost, ctrRtrStale = core.Counter("rtr-post"), core.Counter("rtr-stale")
 var ctrReadType, ctrReadEnv = core.Counter("read-type"), core.Counter("read-env")
 
+// ctrRetransmit counts the frames a rank's RUDP sent again (timer and fast
+// retransmit); a loss-free wire should book none.
+var ctrRetransmit = core.Counter("rudp.retransmit")
+
 // headerBytes is the paper's 25-byte protocol header, shared with the
 // other socket transports through internal/flow.
 const headerBytes = flow.HeaderBytes
