@@ -48,6 +48,11 @@ type Engine struct {
 	// lazily allocated by WinCreate.
 	wins map[int]*WinState
 
+	// The rendezvous state the wires feed (see landing.go): each source's
+	// payload landing, and each peer's advertisements; nil until first use.
+	lands []*landing
+	ads   map[int][]advert
+
 	// Receive-path recycling: pool feeds self-send bounce buffers (and is
 	// available to the transport), inFree recycles unexpected-queue nodes,
 	// and scratch carries a matched-on-arrival message through
@@ -316,15 +321,8 @@ func (e *Engine) deliverMatched(p *sim.Proc, msg *InMsg, req *Request) {
 		return
 	}
 	n := len(msg.Data)
-	st := Status{Source: msg.Env.Source, Tag: msg.Env.Tag, Count: n}
-	var err error
-	if n > len(req.Buf) {
-		n = len(req.Buf)
-		st.Count = n
-		err = Errorf(ErrTruncate, "message of %d bytes truncated to %d-byte receive buffer", len(msg.Data), len(req.Buf))
-	}
-	copy(req.Buf[:n], msg.Data[:n])
-	e.acct.Spend(p, sim.Copy, e.costs.CopyBase+sim.Duration(n)*e.costs.CopyPerByte)
+	copied := copy(req.Buf, msg.Data)
+	e.acct.Spend(p, sim.Copy, e.costs.CopyBase+sim.Duration(copied)*e.costs.CopyPerByte)
 	if msg.Env.Source == e.rank {
 		// Self-message: no transport resources to release; a synchronous
 		// self-send acknowledges directly.
@@ -336,7 +334,7 @@ func (e *Engine) deliverMatched(p *sim.Proc, msg *InMsg, req *Request) {
 			}
 		}
 	} else {
-		e.tr.Release(p, msg.Env.Source, len(msg.Data))
+		e.tr.Release(p, msg.Env.Source, n)
 		if msg.Env.Mode == ModeSync {
 			e.tr.Control(p, msg.Env.Source, PktSyncAck, msg.Env)
 		}
@@ -347,9 +345,20 @@ func (e *Engine) deliverMatched(p *sim.Proc, msg *InMsg, req *Request) {
 		msg.Pool.Put(msg.Data)
 		msg.Data, msg.Pool = nil, nil
 	}
+	e.recvDone(req, msg.Env, n, "")
+}
+
+// recvDone completes receive req with a message of n bytes, of which
+// req.Buf holds what fits: a longer message is ErrTruncate.
+func (e *Engine) recvDone(req *Request, env Envelope, n int, note string) {
+	st := Status{Source: env.Source, Tag: env.Tag, Count: min(n, len(req.Buf))}
+	var err error
+	if n > len(req.Buf) {
+		err = Errorf(ErrTruncate, "message of %d bytes truncated to %d-byte receive buffer", n, len(req.Buf))
+	}
 	req.complete(st, err)
 	e.retire(req)
-	e.trc(trace.RecvDone, st.Source, st.Tag, st.Count, "")
+	e.trc(trace.RecvDone, st.Source, st.Tag, st.Count, note)
 	e.cond.Broadcast()
 }
 
@@ -401,31 +410,16 @@ func (e *Engine) handle(p *sim.Proc, pkt *Packet) {
 	case PktSyncAck:
 		e.SendAcked(pkt.ReqID)
 	case PktData:
-		// Stream transports place the payload into the posted buffer before
-		// surfacing PktData; completion happens here so the copy/kernel
-		// charges land on the receiving proc.
-		req := e.resolve(pkt.ReqID)
-		if req == nil {
-			if pkt.Pool != nil && pkt.Data != nil {
-				pkt.Pool.Put(pkt.Data)
-			}
-			if !e.ftActive() {
-				e.Errors = append(e.Errors, Errorf(ErrInternal, "payload for unknown receive request %d", pkt.ReqID))
-			}
+		// A wire that copies the payload carries it in Data; a socket
+		// landing placed it already.
+		if req := e.resolve(pkt.ReqID); req != nil {
+			e.Land(req, pkt.Env, pkt.Data, pkt.Pool)
 			return
 		}
-		if pkt.Data != nil {
-			n := len(pkt.Data)
-			if n > len(req.Buf) {
-				n = len(req.Buf)
-			}
-			copy(req.Buf[:n], pkt.Data[:n])
-			if pkt.Pool != nil {
-				pkt.Pool.Put(pkt.Data)
-				pkt.Data = nil
-			}
+		pkt.Pool.Put(pkt.Data)
+		if !e.ftActive() {
+			e.Errors = append(e.Errors, Errorf(ErrInternal, "payload for unknown receive request %d", pkt.ReqID))
 		}
-		e.RecvDataDone(req, pkt.Env)
 	case PktRMALock:
 		e.winLockMsg(p, pkt.Env)
 	case PktRMAUnlock:
@@ -472,23 +466,6 @@ func (e *Engine) arrive(p *sim.Proc, msg InMsg, note string) {
 	*m = msg
 	e.match.AddUnexpected(m)
 	e.acct.Raise(ctrUnexpectedMax, int64(e.match.UnexpectedLen()))
-}
-
-// RecvDataDone completes req once its rendezvous payload has fully landed
-// in req.Buf: from the PktData handler, or from event context (e.g. on DMA
-// completion).
-func (e *Engine) RecvDataDone(req *Request, env Envelope) {
-	n := env.Count
-	st := Status{Source: env.Source, Tag: env.Tag, Count: n}
-	var err error
-	if n > len(req.Buf) {
-		st.Count = len(req.Buf)
-		err = Errorf(ErrTruncate, "message of %d bytes truncated to %d-byte receive buffer", n, len(req.Buf))
-	}
-	req.complete(st, err)
-	e.retire(req)
-	e.trc(trace.RecvDone, st.Source, st.Tag, st.Count, "rndv")
-	e.cond.Broadcast()
 }
 
 // ------------------------------------------------- transport upcalls --

@@ -80,6 +80,7 @@ func (e *Engine) PeerDown(rank int, reason error) {
 		e.winPeerDown(e.wins[id], rank)
 	}
 
+	e.sweepRndv(rank)
 	e.tr.PeerDown(rank)
 	e.cond.Broadcast()
 }

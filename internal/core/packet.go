@@ -30,8 +30,8 @@ const (
 	// receive back to its prospective sender — the RDMA-write rendezvous
 	// fast path (MPICH2/InfiniBand style): the sender may then write the
 	// payload directly into the posted buffer, skipping the RTS/CTS round
-	// trip. The cluster socket transport, RecvAdvertiser's one implementer,
-	// consumes it internally; it never surfaces to the engine.
+	// trip. It never surfaces through Poll: the socket transport, the one
+	// RecvAdvertiser, hands it to Engine.Advertised as it parses the frame.
 	PktRTR
 	// PktRMALock requests a passive-target window lock (Env.Tag carries the
 	// window id; Env.Count is 1 for exclusive, 0 for shared).
@@ -98,7 +98,7 @@ type Packet struct {
 //
 // All methods taking a *sim.Proc run in that proc's context and may park it
 // (flow control) and charge it time. Delivery upcalls into the Engine
-// (SendDone, RecvDataDone, Wake) may instead come from event context.
+// (SendDone, Land, Wake) may instead come from event context.
 type Transport interface {
 	// MaxEager is the eager/rendezvous crossover in payload bytes
 	// (180 on the Meiko, per Figure 1).
@@ -116,7 +116,7 @@ type Transport interface {
 
 	// Accept informs the transport that the receiver matched RTS msg with
 	// posted receive req: it issues the CTS and arranges for the payload to
-	// land in req.Buf, then calls Engine.RecvDataDone.
+	// land in req.Buf, then calls Engine.Land.
 	Accept(p *sim.Proc, msg *InMsg, req *Request)
 
 	// SendPayload handles a CTS that surfaced through Poll (stream

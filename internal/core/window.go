@@ -363,24 +363,3 @@ func (e *Engine) winGrantMsg(env Envelope) {
 	w.granted[env.Source] = true
 	e.cond.Broadcast()
 }
-
-// ClaimDirect resolves the receive named name for a rendezvous payload that
-// lands straight in its buffer, or returns nil. A CTS-clocked payload lands
-// in the receive its CTS named. A direct write (the RDMA-write rendezvous)
-// must claim it atomically: if the request is still posted and unmatched,
-// it is removed from the matcher and marked matched. The claim fails if
-// the receive already matched, completed (a stale name), or was cancelled —
-// the caller must then fall back to re-injecting the payload through the
-// matcher in its arrival-order position.
-func (e *Engine) ClaimDirect(name int64, direct bool) *Request {
-	req := e.resolve(name)
-	if req == nil || !direct {
-		return req
-	}
-	if req.matched || !e.match.CancelRecv(req) {
-		return nil
-	}
-	req.matched = true
-	req.matchedSrc = req.Env.Source // RTR requires a fully specific pattern
-	return req
-}

@@ -217,9 +217,8 @@ func TestPeerDownSweepsLandingState(t *testing.T) {
 			var bounce []byte
 			live, midFrame := false, false
 			w.Sched(0).After(tc.killAt+w.FTDetect-1, func() {
-				if st := tr.inData[1]; st != nil {
-					bounce, live, midFrame = st.bounce, st.name != 0, st.busy()
-				}
+				_, name, b := tr.eng.RndvHeld(1)
+				bounce, live, midFrame = b, name != 0, tr.eng.PayloadLeft(1) > 0
 			})
 			rep, _ := mpi.Launch(w, func(c *mpi.Comm) error {
 				switch c.Rank() {
@@ -265,8 +264,8 @@ func TestPeerDownSweepsLandingState(t *testing.T) {
 				t.Fatalf("scenario drifted: before detection rank 0's landing from rank 1 held a receive %v (want %v), a bounce buffer %v (want %v), a half-read payload %v (want %v)",
 					live, tc.live, bounce != nil, tc.bounce, midFrame, tc.midFrame)
 			}
-			if st := tr.inData[1]; st != nil && (st.name != 0 || st.buf != nil || st.bounce != nil || st.busy()) {
-				t.Errorf("the landing from the dead rank still holds %+v", *st)
+			if _, name, b := tr.eng.RndvHeld(1); name != 0 || b != nil || tr.eng.PayloadLeft(1) > 0 {
+				t.Errorf("the landing from the dead rank still holds receive %d, a %d-byte bounce buffer, %d bytes to come", name, len(b), tr.eng.PayloadLeft(1))
 			}
 			pooled := !tc.bounce
 			for i := 0; i < 64 && !pooled; i++ {

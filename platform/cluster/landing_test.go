@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/mpi"
+	_ "repro/platform/meiko" // registers meiko/lowlatency for the landing matrix
 	"repro/platform/registry"
 )
 
@@ -59,11 +60,22 @@ func recvNext(c *mpi.Comm) error {
 	return nil
 }
 
-// launchPair runs body on a two-rank world over the given wire and fails
-// the test if the run or any rank does.
+// launchPair runs body on a two-rank world over the given wire — a cluster
+// transport, or the mem and meiko/lowlatency backends — and fails the test
+// if the run or any rank does.
 func launchPair(t *testing.T, kind string, body func(c *mpi.Comm) error) (*mpi.Report, []*transport) {
 	t.Helper()
-	w, trs, err := build(registry.Spec{Ranks: 2}, kind)
+	var w *mpi.World
+	var trs []*transport
+	var err error
+	switch kind {
+	case "mem", "meiko/lowlatency":
+		s := registry.SpecFor(kind)
+		s.Ranks = 2
+		w, err = registry.Build(s)
+	default:
+		w, trs, err = build(registry.Spec{Ranks: 2}, kind)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,14 +89,15 @@ func launchPair(t *testing.T, kind string, body func(c *mpi.Comm) error) (*mpi.R
 	return rep, trs
 }
 
-// Every way a rendezvous payload lands on the three socket wires: the receive
-// posted after the RTS arrived (RTS/CTS) or before the send (an RTR
-// advertisement, taken when the buffer holds the message), a buffer shorter
+// Every way a rendezvous payload lands on the wires that run core.Engine,
+// each completing through Engine.Land: the receive posted after the RTS
+// arrived (RTS/CTS) or before the send (an RTR advertisement on the three
+// socket wires, taken when the buffer holds the message), a buffer shorter
 // than, equal to and longer than the message, and a message that fits one
 // datagram or needs many. Each cell also sends a small message behind the
 // rendezvous one, which must arrive intact.
 func TestLandingMatrix(t *testing.T) {
-	for _, kind := range []string{"tcp", "udp", "unet"} {
+	for _, kind := range []string{"tcp", "udp", "unet", "shm", "mem", "meiko/lowlatency"} {
 		for _, early := range []bool{false, true} {
 			for _, n := range []int{20 << 10, 200 << 10} {
 				for _, bufLen := range []int{n - 1000, n, n + 1000} {
@@ -136,14 +149,23 @@ func landingCell(t *testing.T, kind string, early bool, n, bufLen int) {
 	if len(rep.Protocol) != 0 {
 		t.Fatalf("protocol errors: %v", rep.Protocol)
 	}
-	// The cell took the path it names: a direct write exactly when an
-	// advertisement could hold the message.
-	direct := int64(0)
-	if early && bufLen >= n {
-		direct = 1
+	// The cell took the path it names: a direct write exactly when the wire
+	// advertises and an advertisement could hold the message. The MemFabric
+	// (mem, cluster/shm) counts no rendezvous envelopes, and on the Meiko
+	// (180 B eager) the 1 KiB message behind is a rendezvous too.
+	advertises := kind == "tcp" || kind == "udp" || kind == "unet"
+	direct, rndv := int64(0), int64(1)
+	if advertises && early && bufLen >= n {
+		direct, rndv = 1, 0
 	}
-	if got := rep.Acct.Count["rndv-rtr"]; got != direct || rep.Acct.Count["rndv"] != 1-direct {
-		t.Fatalf("rndv-rtr = %d, rndv = %d; want %d direct", got, rep.Acct.Count["rndv"], direct)
+	switch kind {
+	case "mem", "shm":
+		rndv = 0
+	case "meiko/lowlatency":
+		rndv = 2
+	}
+	if got := rep.Acct.Count["rndv-rtr"]; got != direct || rep.Acct.Count["rndv"] != rndv {
+		t.Fatalf("rndv-rtr = %d, rndv = %d; want %d, %d", got, rep.Acct.Count["rndv"], direct, rndv)
 	}
 }
 
@@ -199,12 +221,12 @@ func TestStaleClaimLanding(t *testing.T) {
 	}
 }
 
-// held counts the landings tr keeps that hold a receive's buffer or a
-// bounce buffer.
+// held counts the landings tr's engine keeps that hold a receive's buffer
+// or a bounce buffer.
 func held(tr *transport) int {
 	n := 0
-	for _, st := range tr.inData {
-		if st != nil && (st.name != 0 || st.buf != nil || st.bounce != nil) {
+	for src := range tr.size {
+		if _, name, bounce := tr.eng.RndvHeld(src); name != 0 || bounce != nil {
 			n++
 		}
 	}
@@ -212,7 +234,7 @@ func held(tr *transport) int {
 }
 
 // A pre-posted rendezvous receive that the RTS/CTS path serves never retires
-// its advertisement at the sender: the rtrQ entry stays for good. The
+// its advertisement at the sender: the engine keeps it for good. The
 // receiver holds nothing for an advertisement, so once every message is in
 // it holds no landing. One rank pre-posts 50 receives of 64 KiB and the
 // other sends 50 same-tag messages. Served by Ssend, every advertisement
@@ -252,7 +274,8 @@ func TestAdvertisementLeakPinned(t *testing.T) {
 			_, err := mpi.WaitAll(rs...)
 			return err
 		})
-		landings, ads := held(trs[1]), len(trs[0].rtrQ[1])
+		ads, _, _ := trs[0].eng.RndvHeld(1)
+		landings := held(trs[1])
 		stale := int(rep.Acct.Count["rtr-stale"])
 		if landings != 0 || ads != tc.ads || stale != tc.stale {
 			t.Errorf("cluster/%s, sync %v: %d landings, %d advertisements, %d stale claims left by %d messages; pinned 0, %d, %d",

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"math/bits"
-	"slices"
 
 	"repro/internal/atm"
 	"repro/internal/core"
@@ -13,7 +12,7 @@ import (
 // The transport's counters. Table 1's rows count each header read here and
 // record every read's span beside the clock under sim.Read*.
 var ctrEager, ctrRndv, ctrRndvRtr = core.Counter("eager"), core.Counter("rndv"), core.Counter("rndv-rtr")
-var ctrRtrPost, ctrRtrStale = core.Counter("rtr-post"), core.Counter("rtr-stale")
+var ctrRtrPost = core.Counter("rtr-post")
 var ctrReadType, ctrReadEnv = core.Counter("read-type"), core.Counter("read-env")
 
 // ctrRetransmit counts the frames a rank's RUDP sent again (timer and fast
@@ -26,23 +25,21 @@ const headerBytes = flow.HeaderBytes
 
 // transport implements core.Transport over the cluster's sockets.
 type transport struct {
-	cl    *atm.Cluster
-	eng   *core.Engine
-	rank  int
-	size  int
-	max   int    // eager threshold
-	kind  string // "tcp" | "udp" | "unet"
-	peers []*transport
+	eng  *core.Engine
+	rank int
+	size int
+	max  int    // eager threshold
+	kind string // "tcp" | "udp" | "unet"
 
 	conns []*atm.TCP // TCP mesh (nil diagonal)
 	ready readySet   // conns with buffered bytes, so a poll costs O(arrivals)
 	dgram dgramLink  // UDP (reliable layer) or U-Net mode
 
 	// pool recycles TCP frame scratch (Write copies into the kernel, so a
-	// frame is recyclable as soon as the call returns), TCP eager bounce
-	// buffers and stale-claim bounce buffers (the engine's pool, so counters
-	// land in the rank's account). Datagram frames never come from it: they
-	// are the link's, recycled by hold count (dgramLink.Frame).
+	// frame is recyclable as soon as the call returns) and TCP eager bounce
+	// buffers (the engine's pool, so counters land in the rank's account).
+	// Datagram frames never come from it: they are the link's, recycled by
+	// hold count (dgramLink.Frame).
 	pool *core.BufPool
 
 	inbox core.Inbox // parsed frames waiting for Poll
@@ -55,63 +52,29 @@ type transport struct {
 	// Receiver side: freed reservation owed back to each sender.
 	owed *flow.Owed
 
-	// RDMA-write rendezvous (MPICH2/InfiniBand style): advertisements of
-	// pre-posted rendezvous receives, by destination rank, consumed by the
-	// first matching standard/buffered rendezvous send. noRTR pins the
-	// two-sided RTS/CTS protocol (the ablation's baseline).
-	rtrQ  map[int][]rtrAd
+	// noRTR pins the two-sided RTS/CTS protocol (the ablation's baseline):
+	// no receive is advertised, so no send finds an advertisement.
 	noRTR bool
-	// The landing of each source's rendezvous payload, allocated on its
-	// first. One per source suffices on a stream and on datagrams alike: a
-	// sender pushes a payload from its one proc and sends nothing else
-	// until it is done, and RUDP and U-Net deliver its chunks in order. On
-	// TCP the payload read consumes only what the kernel buffer holds and
-	// resumes on later polls, so a receiver never parks mid-frame holding
-	// unsent bytes of its own.
-	inData []*landing
 
 	// Buffered sends whose credits arrived; shipped on the next Poll from
 	// the owning process's context.
 	pendingShip sim.Queue[*core.Request]
 }
 
-// landing is where one source's rendezvous payload goes as its bytes
-// arrive. It is busy from the payload's first frame until got reaches the
-// message's size.
-type landing struct {
-	env    core.Envelope // the message's, from the first frame; Count is its full size
-	got    int           // payload bytes in so far
-	name   int64         // the receive it completes; 0 when it surfaces nothing
-	buf    []byte        // the part of the receive's buffer the message fills
-	bounce []byte        // a stale claim's payload, re-entering as an eager arrival
-}
-
-func (st *landing) busy() bool { return st.got < st.env.Count }
-
-// rtrAd is one sender-side record of a peer's pre-posted receive.
-type rtrAd struct {
-	env  core.Envelope // Source = advertising rank; Count = buffer capacity
-	name uint32        // the advertised receive's wire name
-}
-
-func newTransport(cl *atm.Cluster, eng *core.Engine, rank, size, eager, credit int, kind string, peers []*transport) *transport {
+func newTransport(cl *atm.Cluster, eng *core.Engine, rank, size, eager, credit int, kind string) *transport {
 	t := &transport{
-		cl:         cl,
 		eng:        eng,
 		rank:       rank,
 		size:       size,
 		max:        eager,
 		kind:       kind,
-		peers:      peers,
 		conns:      make([]*atm.TCP, size),
 		ready:      make(readySet, (size+63)/64),
 		creditCond: sim.NewCond(cl.SchedOf(rank)),
 		// A quarter of the reservation owed triggers an explicit credit
 		// return (one-sided traffic), keeping the pair deadlock-free.
-		owed:   flow.NewOwed(size, credit/4),
-		rtrQ:   make(map[int][]rtrAd),
-		inData: make([]*landing, size),
-		pool:   eng.Pool(),
+		owed: flow.NewOwed(size, credit/4),
+		pool: eng.Pool(),
 	}
 	// Eager messages charge header+payload bytes against the receiver's
 	// reservation; rendezvous envelopes are credit-exempt (their payload is
@@ -122,7 +85,6 @@ func newTransport(cl *atm.Cluster, eng *core.Engine, rank, size, eager, credit i
 		}
 		return headerBytes + req.Env.Count
 	}, eng.Acct())
-	peers[rank] = t
 	return t
 }
 
@@ -258,11 +220,11 @@ func (t *transport) transmit(p *sim.Proc, req *core.Request) {
 		return
 	}
 	if req.Env.Count > t.max {
-		if ad, ok := t.takeRTR(req); ok {
+		if name, ok := t.eng.TakeAdvert(req); ok {
 			// The receiver advertised a matching pre-posted buffer: write
 			// the payload directly, skipping the RTS/CTS round trip.
 			t.eng.Acct().Add(ctrRndvRtr, 1)
-			t.pushPayload(p, req, ad.name, true)
+			t.pushPayload(p, req, uint32(name), true)
 			return
 		}
 		// Rendezvous: envelope only; the payload moves on CTS.
@@ -341,30 +303,9 @@ func (t *transport) pushPayload(p *sim.Proc, req *core.Request, name uint32, dir
 	t.eng.SendDone(req)
 }
 
-// --------------------------------------------------- RDMA-write rendezvous --
-//
-// The socket transports have no remote-memory primitive, but they can
-// still eliminate the rendezvous matching round trip the way MPICH2 does
-// on InfiniBand: when a rendezvous-sized receive is posted before its
-// message with a specific source and tag, the receiver advertises the
-// buffer (PktRTR, credit-exempt) and the sender's first matching
-// standard/buffered rendezvous send writes its payload directly — one
-// traversal instead of three.
-//
-// The advertisement is purely an optimization, never a promise: the
-// receive stays posted in the matcher, so an earlier in-flight message
-// can still match it. The direct payload therefore *claims* the receive
-// when it starts arriving; if the claim fails the bytes detour through a
-// bounce buffer and re-enter the matcher as an eager arrival in their
-// exact stream position, which preserves MPI's per-pair matching order
-// (all frames of the direct payload precede any later frame from that
-// sender on the same ordered channel). The claim itself is not ordered: it
-// is made when the first frame is parsed, and an earlier message from that
-// sender parsed in the same poll is matched only after it
-// (TestDirectClaimOvertakesPinned).
-
-// AdvertiseRecv implements core.RecvAdvertiser: tell the prospective
-// sender the pre-posted receive's name. The receiver holds nothing for it.
+// AdvertiseRecv implements core.RecvAdvertiser (the RDMA-write
+// rendezvous, see internal/core/landing.go): tell the prospective sender
+// the pre-posted receive's name. The receiver holds nothing for it.
 func (t *transport) AdvertiseRecv(p *sim.Proc, req *core.Request) {
 	if t.noRTR {
 		return
@@ -374,25 +315,6 @@ func (t *transport) AdvertiseRecv(p *sim.Proc, req *core.Request) {
 	ad := core.Envelope{Source: t.rank, Tag: req.Env.Tag, Context: req.Env.Context, Count: len(req.Buf)}
 	t.eng.Acct().Add(ctrRtrPost, 1)
 	t.writeFrame(p, req.Env.Source, core.PktRTR, ad, uint32(req.ID), nil)
-}
-
-// takeRTR consumes the first advertisement matching a rendezvous send.
-// Synchronous sends keep the RTS/CTS path (their ack rides the CTS), and
-// ready sends assert the receive exists anyway; an advertisement whose
-// capacity is short of the message falls back too, keeping truncation on
-// the one code path that handles it.
-func (t *transport) takeRTR(req *core.Request) (rtrAd, bool) {
-	if t.noRTR || (req.Env.Mode != core.ModeStandard && req.Env.Mode != core.ModeBuffered) {
-		return rtrAd{}, false
-	}
-	q := t.rtrQ[req.Env.Dest]
-	for i, ad := range q {
-		if ad.env.Context == req.Env.Context && ad.env.Tag == req.Env.Tag && ad.env.Count >= req.Env.Count {
-			t.rtrQ[req.Env.Dest] = slices.Delete(q, i, i+1)
-			return ad, true
-		}
-	}
-	return rtrAd{}, false
 }
 
 // Control implements core.Transport (synchronous-mode acks).
@@ -413,18 +335,10 @@ func (t *transport) Release(p *sim.Proc, src int, n int) {
 // PeerDown implements core.Transport: fence every piece of per-peer
 // transport state toward a dead rank so nothing ever retries into its
 // black hole — queued sends are dropped (the engine already failed their
-// requests), rendezvous bookkeeping toward it is forgotten, flow-control
-// capacity is restored (the corpse can never grant credit back), and the
-// wire itself is fenced (TCP discards, RUDP abandons retransmission).
+// requests and swept its rendezvous tables), flow-control capacity is
+// restored (the corpse can never grant credit back), and the wire itself is
+// fenced (TCP discards, RUDP abandons retransmission).
 func (t *transport) PeerDown(rank int) {
-	delete(t.rtrQ, rank)
-	// The corpse's landing lets go of the receive and returns a stale
-	// claim's bounce buffer to the pool, but keeps its cursor: the rest of
-	// a payload the corpse's kernel still sends drains into nothing.
-	if st := t.inData[rank]; st != nil {
-		t.pool.Put(st.bounce)
-		st.name, st.buf, st.bounce = 0, nil, nil
-	}
 	t.fc.DropDst(rank)
 	t.pendingShip.Filter(func(req *core.Request) bool { return req.Env.Dest != rank })
 	if t.kind == "tcp" {
@@ -558,10 +472,10 @@ func (r readySet) next(lo, hi int) int {
 // parseTCP consumes one message from conn, performing the paper's two
 // header reads (message type, then credit+envelope) and any payload read.
 func (t *transport) parseTCP(p *sim.Proc, src int, conn *atm.TCP) {
-	if st := t.inData[src]; st != nil && st.busy() {
+	if t.eng.PayloadLeft(src) > 0 {
 		// Resume the partially-read Data frame before touching headers:
 		// everything readable on this stream is its remaining payload.
-		t.readData(p, conn, st)
+		t.readData(p, src, conn)
 		return
 	}
 	acct := t.eng.Acct()
@@ -588,15 +502,16 @@ func (t *transport) parseTCP(p *sim.Proc, src int, conn *atm.TCP) {
 		acct.Record(sim.ReadData, sim.Duration(p.Now()-t2))
 		t.inbox.Push(core.Packet{Kind: kind, Env: env, Data: payload, Pool: t.pool})
 	case core.PktData:
-		t.readData(p, conn, t.dataFrame(src, env, aux))
+		t.eng.DataFrame(src, env, int64(aux))
+		t.readData(p, src, conn)
 	default:
 		t.surface(src, kind, env, aux)
 	}
 }
 
 // surface handles a frame that carries no payload, which is therefore the
-// same on a stream and in a datagram: protocol packets go to the inbox for
-// the engine, advertisements and credit returns stay in the transport.
+// same on a stream and in a datagram: an advertisement goes to the engine at
+// once, other protocol packets through the inbox.
 func (t *transport) surface(src int, kind core.PacketKind, env core.Envelope, aux uint32) {
 	switch kind {
 	case core.PktRTS, core.PktRevoke:
@@ -606,7 +521,7 @@ func (t *transport) surface(src int, kind core.PacketKind, env core.Envelope, au
 	case core.PktSyncAck:
 		t.inbox.Push(core.Packet{Kind: kind, Env: env, ReqID: env.SendID})
 	case core.PktRTR:
-		t.rtrQ[env.Source] = append(t.rtrQ[env.Source], rtrAd{env: env, name: aux})
+		t.eng.Advertised(env, int64(aux))
 	case core.PktCredit:
 		// Credit already booked from the header; nothing to surface.
 	default:
@@ -614,90 +529,20 @@ func (t *transport) surface(src int, kind core.PacketKind, env core.Envelope, au
 	}
 }
 
-// dataFrame books one Data frame from src and returns src's landing. The
-// frame that finds it idle starts a payload and resolves the receive it
-// names: a CTS-clocked payload lands in its live receive; a direct write
-// claims its advertised receive from the matcher and, when the claim fails
-// (the receive matched an earlier message meanwhile), lands in a bounce
-// buffer instead, for re-injection. A frame whose payload lands nowhere is
-// a protocol error from a live sender; from a dead one it is the rest of
-// what its kernel sent, drained.
-func (t *transport) dataFrame(src int, env core.Envelope, name uint32) *landing {
-	st := t.inData[src]
-	if st == nil {
-		st = new(landing)
-		t.inData[src] = st
-	}
-	dead := t.eng.PeerDead(src)
-	if !st.busy() {
-		*st = landing{env: env}
-		direct := env.SendID == 0
-		var req *core.Request
-		if !dead {
-			req = t.eng.ClaimDirect(int64(name), direct)
-		}
-		switch {
-		case req != nil:
-			st.name, st.buf = req.ID, req.Buf[:min(env.Count, len(req.Buf))]
-		case direct && !dead:
-			st.bounce = t.pool.Get(env.Count)
-			t.eng.Acct().Add(ctrRtrStale, 1)
-		}
-	}
-	if st.name == 0 && st.bounce == nil && !dead {
-		t.eng.Errors = append(t.eng.Errors, core.Errorf(core.ErrInternal, "rendezvous data for unknown receive %d", name))
-	}
-	return st
-}
-
-// place reports where the next n payload bytes land: a stale claim's bounce
-// buffer (sized to the full message, so it never truncates), else the
-// receive's buffer up to the bytes that fit it. Bytes the slice does not
-// cover are discarded. Asked per read: each read charges time, and PeerDown
-// may take the landing away meanwhile.
-func (st *landing) place(n int) []byte {
-	if st.bounce != nil {
-		return st.bounce[st.got : st.got+n]
-	}
-	return st.buf[min(st.got, len(st.buf)):min(st.got+n, len(st.buf))]
-}
-
-// landingDone completes a landing whose last byte is in: the engine gets
-// PktData naming the receive — or a stale claim's bounced payload as an
-// eager arrival, in its exact stream position. A payload that landed
-// nowhere surfaces nothing.
-//
-// A bounce drifts the pair's credit. The engine's eager path Releases the
-// bounced message's header and payload, which the credit-exempt direct
-// write never reserved, so the sender's credit grows by that much for good.
-// A 32 KiB bounce alone crosses the default quarter-reservation flush
-// (16 KiB), so each one also sends an explicit PktCredit. This is no rare
-// race: where advertisements run one message behind, every direct write
-// bounces (15 120 of them, and as many credit frames, in one 16-rank
-// 32 KiB shuffle on cluster/udp).
-func (t *transport) landingDone(st *landing) {
-	if st.bounce != nil {
-		t.inbox.Push(core.Packet{Kind: core.PktEager, Env: st.env, Data: st.bounce, Pool: t.pool})
-	} else if st.name != 0 {
-		t.inbox.Push(core.Packet{Kind: core.PktData, Env: st.env, ReqID: st.name})
-	}
-	st.name, st.buf, st.bounce = 0, nil, nil
-}
-
 // readData lands however much of a rendezvous payload the kernel buffer
 // holds, resuming on later polls until the frame completes. Reading only
 // buffered bytes — never parking for more — is what keeps two peers
 // exchanging window-exceeding payloads deadlock-free: each side alternates
 // between pushing its own frame and draining the other's.
-func (t *transport) readData(p *sim.Proc, conn *atm.TCP, st *landing) {
+func (t *transport) readData(p *sim.Proc, src int, conn *atm.TCP) {
 	acct := t.eng.Acct()
-	for st.busy() {
-		n := min(conn.Buffered(), st.env.Count-st.got)
+	for left := t.eng.PayloadLeft(src); left > 0; left = t.eng.PayloadLeft(src) {
+		n := min(conn.Buffered(), left)
 		if n == 0 {
 			return // resume when the next segment arrives
 		}
 		t2 := p.Now()
-		land := st.place(n)
+		land := t.eng.Place(src, n)
 		conn.ReadFull(p, land)
 		if rest := n - len(land); rest > 0 {
 			// Past what the landing holds: drain and discard.
@@ -706,9 +551,8 @@ func (t *transport) readData(p *sim.Proc, conn *atm.TCP, st *landing) {
 			t.pool.Put(junk)
 		}
 		acct.Record(sim.ReadData, sim.Duration(p.Now()-t2))
-		st.got += n
+		t.eng.Landed(src, n, &t.inbox)
 	}
-	t.landingDone(st)
 }
 
 // parseDgram consumes one reliable datagram, reporting whether one was
@@ -740,12 +584,9 @@ func (t *transport) parseDgram(p *sim.Proc) bool {
 		t.inbox.Push(core.Packet{Kind: kind, Env: env, Data: payload})
 		return true
 	case core.PktData:
-		st := t.dataFrame(env.Source, env, aux)
-		copy(st.place(len(payload)), payload)
-		st.got += len(payload)
-		if !st.busy() {
-			t.landingDone(st)
-		}
+		t.eng.DataFrame(env.Source, env, int64(aux))
+		copy(t.eng.Place(env.Source, len(payload)), payload)
+		t.eng.Landed(env.Source, len(payload), &t.inbox)
 	default:
 		t.surface(env.Source, kind, env, aux)
 	}

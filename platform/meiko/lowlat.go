@@ -182,9 +182,7 @@ func (r *rndv) departed() {
 // landed runs on the receiver's lane when the DMA completes.
 func (r *rndv) landed() {
 	t := r.recv
-	copy(r.req.Buf, r.data)
-	t.eng.Pool().Put(r.data)
-	t.eng.RecvDataDone(r.req, r.env)
+	t.eng.Land(r.req, r.env, r.data, t.eng.Pool())
 	t.recycleRndv(r)
 }
 
