@@ -454,9 +454,16 @@ func (r *RUDP) Readable() bool { return r.delivered.Len() > 0 || r.sock.Readable
 // through applyAck; data is ordered, deduplicated and acked. Frames are
 // parsed where they lie — delivered and stash hold views past the header,
 // each with the hold its raw datagram carried; the rest are released here.
+// With p nil (Discard) it runs in event context: no read is charged, and
+// acks go out on the wire alone.
 func (r *RUDP) drain(p *sim.Proc) {
 	for r.sock.Readable() {
-		d := r.sock.recv(p, r.sock.MaxDatagram())
+		var d Datagram
+		if p == nil {
+			d = r.sock.dq.Pop()
+		} else {
+			d = r.sock.recv(p, r.sock.MaxDatagram())
+		}
 		buf, src := d.Data, d.Src
 		if len(buf) < rudpHeader {
 			r.Release(d)
@@ -501,15 +508,30 @@ func (r *RUDP) drain(p *sim.Proc) {
 	}
 }
 
+// Discard is drain for a reader that has left for good: in event context,
+// like the pure-ack consumer, it acks what is queued and drops the data, so
+// no sender retransmits toward a reader that will never drain.
+func (r *RUDP) Discard() {
+	r.drain(nil)
+	for r.delivered.Len() > 0 {
+		r.Release(r.delivered.Pop())
+	}
+}
+
 // sendAck transmits a cumulative ack through the full UDP path: the
 // syscall and protocol costs of acking are exactly the overhead that made
-// the paper's reliable-UDP MPI no faster than TCP.
+// the paper's reliable-UDP MPI no faster than TCP (from Discard, p nil:
+// the wire alone).
 func (r *RUDP) sendAck(p *sim.Proc, dst int, cum uint32) {
 	r.PureAcks++
 	f := r.sock.frame(rudpHeader)
 	f.B[0] = rudpAck
 	binary.BigEndian.PutUint32(f.B[1:5], 0) // a pooled frame is not zeroed
 	binary.BigEndian.PutUint32(f.B[5:9], cum)
-	r.sock.send(p, dst, f)
+	if p == nil {
+		r.sock.transmit(dst, f)
+	} else {
+		r.sock.send(p, dst, f)
+	}
 	r.sock.release(f)
 }

@@ -31,7 +31,9 @@ type Endpoint interface {
 	// Finalize drives progress until no locally-initiated transfer still
 	// needs this process (MPI_Finalize's completion guarantee: buffered
 	// sends are delivered even if the application makes no further MPI
-	// calls). It must not wait for unmatched receives.
+	// calls). It must not wait for unmatched receives. The rank is closed
+	// once it returns (see Engine.Closed). A body that returns an error
+	// never reaches Finalize (mpi.Launch), so it does not close.
 	Finalize(p *sim.Proc)
 }
 

@@ -74,8 +74,9 @@ type Engine struct {
 
 	// fatal is a transport-fatal error (a dead link): once set, every
 	// pending request has been completed with it and every subsequent
-	// operation fails fast instead of parking forever.
-	fatal error
+	// operation fails fast instead of parking forever. closed: see Closed.
+	fatal  error
+	closed bool
 
 	// Fault-tolerance state (see ft.go): peers declared dead with their
 	// death reasons, in detection order; how many of those deaths the
@@ -375,10 +376,12 @@ func (e *Engine) pollOnce(p *sim.Proc) bool {
 	return true
 }
 
-// Progress drains all currently pending arrivals. It is invoked by every
-// blocking call and by Test/Iprobe — the poll model performs matching work
-// only inside MPI calls, which is precisely the latency/background-progress
-// trade the paper studies.
+// Progress drains all currently pending arrivals: the poll model's one
+// progress rule. A rank runs its protocol only here, inside its own MPI
+// calls, and only the modelled hardware and kernel act for it outside them,
+// through event-context upcalls — the latency/background-progress trade the
+// paper studies. Poll returns nil with no time charged since it looked, so a
+// caller may Park at once without losing a wakeup.
 func (e *Engine) Progress(p *sim.Proc) {
 	e.flushDeferredGrants(p)
 	for e.pollOnce(p) {
@@ -502,9 +505,17 @@ func (e *Engine) SendAcked(name int64) *Request {
 	return req
 }
 
-// Wake nudges procs blocked in Wait/Probe to re-poll; transports call it on
+// Wake nudges the rank parked in Park to re-poll; transports call it on
 // packet arrival. Callable from event context.
 func (e *Engine) Wake() { e.cond.Broadcast() }
+
+// Park is the rank's one wait point for protocol progress, inside an MPI
+// call; Wake, a completion, Fatal or PeerDown rouses it.
+func (e *Engine) Park(p *sim.Proc) { e.cond.Wait(p) }
+
+// Closed reports whether the rank has left Finalize: it never polls again,
+// so its transport discards (and acks) what still reaches it.
+func (e *Engine) Closed() bool { return e.closed }
 
 // Fatal declares the transport dead: err completes every pending request
 // (so blocked Wait/Test callers observe the failure instead of spinning
@@ -523,12 +534,6 @@ func (e *Engine) Fatal(err error) {
 		}
 	}
 	e.cond.Broadcast()
-	// Transports park procs on conditions of their own (the CS/2
-	// hardware-broadcast slot wait); give them a chance to wake those so
-	// a killed process fails out instead of sleeping forever.
-	if fn, ok := e.tr.(interface{ FatalWake() }); ok {
-		fn.FatalWake()
-	}
 }
 
 // FatalErr reports the transport-fatal error, if any.
@@ -551,7 +556,7 @@ func (e *Engine) Wait(p *sim.Proc, r *Request) (Status, error) {
 			r.complete(Status{}, e.fatal)
 			break
 		}
-		e.cond.Wait(p)
+		e.Park(p)
 	}
 	return e.consume(r)
 }
@@ -609,12 +614,7 @@ func (e *Engine) Probe(p *sim.Proc, src, tag, ctx int) (Status, error) {
 		if ferr := e.ftRecvCheck(src, ctx); ferr != nil {
 			return Status{}, ferr
 		}
-		if e.tr.Pending() {
-			// An arrival raced in while Iprobe charged time; re-poll
-			// instead of parking (parking here would miss its wakeup).
-			continue
-		}
-		e.cond.Wait(p)
+		e.Park(p)
 	}
 }
 
@@ -634,18 +634,18 @@ func (e *Engine) Iprobe(p *sim.Proc, src, tag, ctx int) (Status, bool, error) {
 
 // Finalize implements Endpoint: poll until every locally-initiated send
 // has been handed to the wire (a buffered rendezvous send needs this
-// process to answer its CTS).
+// process to answer its CTS), or a dead link means none ever will, then
+// close the rank (see Closed). By the progress rule nothing is queued for
+// it at that instant.
 func (e *Engine) Finalize(p *sim.Proc) {
 	for {
 		e.Progress(p)
-		if e.fatal != nil {
-			return // a dead link never finishes handing off sends
+		if e.fatal != nil || e.unsent == 0 {
+			break
 		}
-		if e.unsent == 0 {
-			return
-		}
-		e.cond.Wait(p)
+		e.Park(p)
 	}
+	e.closed = true
 }
 
 // ProtocolErrors reports asynchronous protocol errors recorded at this

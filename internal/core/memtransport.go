@@ -206,9 +206,6 @@ func (t *MemTransport) Poll(p *sim.Proc) *Packet {
 	return t.inbox.Poll()
 }
 
-// Pending implements Transport.
-func (t *MemTransport) Pending() bool { return t.inbox.Len() > 0 }
-
 // ------------------------------------------------------------ RemoteMemory --
 //
 // The fabric's one-sided operations are the executable specification of

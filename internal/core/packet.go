@@ -96,9 +96,10 @@ type Packet struct {
 // store-based MemFabric, which mem and cluster/shm both run on under
 // different cost tables.
 //
-// All methods taking a *sim.Proc run in that proc's context and may park it
-// (flow control) and charge it time. Delivery upcalls into the Engine
-// (SendDone, Land, Wake) may instead come from event context.
+// All methods taking a *sim.Proc run in that proc's context, inside an MPI
+// call, may charge it time and wait only in Engine.Park. Delivery upcalls
+// into the Engine (SendDone, Land, Wake) may instead come from event context:
+// the modelled hardware and kernel, all that acts outside MPI (see Progress).
 type Transport interface {
 	// MaxEager is the eager/rendezvous crossover in payload bytes
 	// (180 on the Meiko, per Figure 1).
@@ -132,13 +133,11 @@ type Transport interface {
 	Release(p *sim.Proc, src int, n int)
 
 	// Poll surfaces the next arrived packet, charging p the platform's
-	// per-packet receive costs (kernel reads, slot scans); nil when idle.
-	// The packet is the transport's until the next Poll: the engine copies
-	// out what it keeps.
+	// per-packet receive costs (kernel reads, slot scans); nil only when
+	// nothing is left to surface, with no time charged since it looked. The
+	// packet is the transport's until the next Poll: the engine copies out
+	// what it keeps.
 	Poll(p *sim.Proc) *Packet
-
-	// Pending cheaply reports whether Poll would surface a packet.
-	Pending() bool
 
 	// PeerDown tells the transport that rank was declared dead (the engine
 	// already failed the doomed requests), so per-peer state — queued sends,

@@ -221,7 +221,7 @@ func (e *Engine) WinFence(p *sim.Proc, id int) error {
 		if e.fatal != nil {
 			return e.fatal
 		}
-		e.cond.Wait(p)
+		e.Park(p)
 	}
 	if e.fatal != nil {
 		return e.fatal
@@ -266,7 +266,7 @@ func (e *Engine) WinLock(p *sim.Proc, dst, id int, excl bool) error {
 		if err := e.deadErr(dst); err != nil {
 			return err
 		}
-		e.cond.Wait(p)
+		e.Park(p)
 	}
 	return nil
 }

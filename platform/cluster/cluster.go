@@ -144,7 +144,7 @@ func build(s registry.Spec, kind string) (*mpi.World, []*transport, error) {
 		trs = make([]*transport, n)
 		for i := 0; i < n; i++ {
 			eng := core.NewEngine(cl.SchedOf(i), i, n, clusterEngineCosts())
-			trs[i] = newTransport(cl, eng, i, n, eager, credit, kind)
+			trs[i] = newTransport(eng, i, n, eager, credit, kind)
 			trs[i].noRTR = s.NoRTR
 			eng.SetTransport(trs[i])
 			eps[i] = eng

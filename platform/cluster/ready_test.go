@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/mpi"
 	"repro/platform/registry"
 )
@@ -74,32 +73,11 @@ func TestReadyWalkMatchesLinearScan(t *testing.T) {
 					t.Fatalf("size %d rr %d: peer %d ready=%v after the walk, scan says %v", n, rr, j, has, r)
 				}
 			}
-			if set.any() != slices.Contains(ref, true) {
-				t.Fatalf("size %d: any() = %v on %v", n, set.any(), ref)
+			if some := set.after(0, 0, n) < n; some != slices.Contains(ref, true) {
+				t.Fatalf("size %d: after(0, 0) finds a ready peer = %v on %v", n, some, ref)
 			}
 		}
 	}
-}
-
-// readyChecker is a rank's transport with the ready-set invariant asserted
-// after every poll: a peer's bit is set exactly when its connection has
-// buffered bytes.
-type readyChecker struct {
-	*transport
-	t     *testing.T
-	polls *int
-}
-
-func (rc readyChecker) Poll(p *sim.Proc) *core.Packet {
-	pkt := rc.transport.Poll(p)
-	*rc.polls++
-	for j, c := range rc.conns {
-		has := rc.ready.has(j)
-		if readable := c != nil && c.Readable(); has != readable {
-			rc.t.Errorf("rank %d at %v: peer %d ready bit %v, Readable %v", rc.rank, p.Now(), j, has, readable)
-		}
-	}
-	return pkt
 }
 
 // Seven ranks fire eager and rendezvous messages at rank 0 at once, so its
@@ -111,7 +89,7 @@ func TestReadySetTracksReadableConns(t *testing.T) {
 	polls := 0
 	_, err := registry.Run(registry.Spec{Platform: "cluster", Ranks: 8, Transport: "tcp", Network: "atm"}, func(c *mpi.Comm) error {
 		eng := c.Endpoint().(*core.Engine)
-		eng.SetTransport(readyChecker{eng.Transport().(*transport), t, &polls})
+		eng.SetTransport(pollChecker{eng.Transport().(*transport), t, "tcp", &polls})
 		if c.Rank() != 0 {
 			for i := 0; i < msgs; i++ {
 				if err := c.Send(0, i, make([]byte, sizes[(i+c.Rank())%len(sizes)])); err != nil {

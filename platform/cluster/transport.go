@@ -47,8 +47,7 @@ type transport struct {
 
 	// Credit flow control (sender side): bytes we may still push toward
 	// each destination's reserved memory, queued sends held in issue order.
-	fc         *core.SendQueue
-	creditCond *sim.Cond
+	fc *core.SendQueue
 	// Receiver side: freed reservation owed back to each sender.
 	owed *flow.Owed
 
@@ -61,16 +60,15 @@ type transport struct {
 	pendingShip sim.Queue[*core.Request]
 }
 
-func newTransport(cl *atm.Cluster, eng *core.Engine, rank, size, eager, credit int, kind string) *transport {
+func newTransport(eng *core.Engine, rank, size, eager, credit int, kind string) *transport {
 	t := &transport{
-		eng:        eng,
-		rank:       rank,
-		size:       size,
-		max:        eager,
-		kind:       kind,
-		conns:      make([]*atm.TCP, size),
-		ready:      make(readySet, (size+63)/64),
-		creditCond: sim.NewCond(cl.SchedOf(rank)),
+		eng:   eng,
+		rank:  rank,
+		size:  size,
+		max:   eager,
+		kind:  kind,
+		conns: make([]*atm.TCP, size),
+		ready: make(readySet, (size+63)/64),
 		// A quarter of the reservation owed triggers an explicit credit
 		// return (one-sided traffic), keeping the pair deadlock-free.
 		owed: flow.NewOwed(size, credit/4),
@@ -94,12 +92,12 @@ func (t *transport) attachConn(peer int, c *atm.TCP) {
 	// always leaves bytes buffered); parseAvailable unmarks it once drained.
 	c.OnReadable(func() {
 		t.ready.set(peer)
-		t.wake()
+		t.eng.Wake()
 	})
-	// Window updates must reach a writer parked in interleave (its yield
-	// waits on the transport-wide creditCond, since the wakeup it needs may
-	// arrive on any connection, not just the one it is writing).
-	c.OnWritable(func() { t.wake() })
+	// Window updates must reach a writer parked in interleave (it parks on
+	// the engine, since the wakeup it needs may arrive on any connection,
+	// not just the one it is writing).
+	c.OnWritable(t.eng.Wake)
 }
 
 // dgramLink abstracts a reliable, in-order datagram channel: the RUDP
@@ -108,14 +106,15 @@ func (t *transport) attachConn(peer int, c *atm.TCP) {
 // A datagram is one buffer that is held instead of copied: Frame draws it,
 // SendFrame takes the caller's hold (Headroom bytes the link fills in, then
 // the message), and TryRecv returns a read-only view of the sender's frame
-// that stays valid until the reader passes it to Release.
+// that stays valid until the reader passes it to Release. Discard drops, in
+// event context, what reaches a closed rank.
 type dgramLink interface {
 	Headroom() int
 	Frame(n int) *atm.Frame
 	SendFrame(p *sim.Proc, dst int, f *atm.Frame) error
 	TryRecv(p *sim.Proc) (d atm.Datagram, ok bool, err error)
 	Release(d atm.Datagram)
-	Readable() bool
+	Discard()
 	MaxDatagram() int
 	OnArrival(fn func())
 }
@@ -140,20 +139,21 @@ func (l unetLink) TryRecv(p *sim.Proc) (atm.Datagram, bool, error) {
 	return l.u.Recv(p, atm.UNetMaxPDU), true, nil
 }
 
-func (l unetLink) Readable() bool      { return l.u.Readable() }
+// Discard keeps the frames queued: no U-Net sender waits for an ack.
+func (l unetLink) Discard()            {}
 func (l unetLink) MaxDatagram() int    { return atm.UNetMaxPDU }
 func (l unetLink) OnArrival(fn func()) { l.u.OnReadable(fn) }
 
+// attachDgram wakes an open rank on arrival; a closed one's link discards.
 func (t *transport) attachDgram(d dgramLink) {
 	t.dgram = d
-	d.OnArrival(func() { t.wake() })
-}
-
-// wake rouses both the engine (blocked receivers) and any sender parked on
-// flow control — a credit return may be riding the arrival.
-func (t *transport) wake() {
-	t.creditCond.Broadcast()
-	t.eng.Wake()
+	d.OnArrival(func() {
+		if t.eng.Closed() {
+			d.Discard()
+			return
+		}
+		t.eng.Wake()
+	})
 }
 
 var _ core.Transport = (*transport)(nil)
@@ -286,7 +286,7 @@ func (t *transport) pushPayload(p *sim.Proc, req *core.Request, name uint32, dir
 		frame := t.tcpFrame(dst, core.PktData, env, name, data)
 		t.conns[dst].WriteInterleaved(p, frame, func() {
 			if !t.parseAvailable(p) {
-				t.creditCond.Wait(p)
+				t.eng.Park(p)
 			}
 		})
 		t.pool.Put(frame)
@@ -348,7 +348,7 @@ func (t *transport) PeerDown(rank int) {
 	} else if dp, ok := t.dgram.(interface{ DropPeer(int) }); ok {
 		dp.DropPeer(rank)
 	}
-	t.wake()
+	t.eng.Wake()
 }
 
 // addCredit books returned reservation at the sender side: the send queue
@@ -360,37 +360,25 @@ func (t *transport) addCredit(src, n int) {
 		return
 	}
 	t.fc.Grant(src, n, t.pendingShip.Push)
-	t.creditCond.Broadcast()
 	t.eng.Wake()
 }
 
 // Poll implements core.Transport. Shipping runs after parsing: the parse
 // step is what returns credits, and a send freed by this very poll must go
-// out now (the engine stops polling once Poll returns nil).
+// out now (the engine stops polling once Poll returns nil). Shipping takes
+// time in which more may arrive, so with nothing to surface it parses again
+// after the last send: nil means the wire is drained as of now.
 func (t *transport) Poll(p *sim.Proc) *core.Packet {
 	if t.inbox.Len() == 0 {
 		t.parseAvailable(p)
 	}
-	t.shipPending(p)
-	return t.inbox.Poll()
-}
-
-// shipPending transmits queued sends whose flow control cleared.
-func (t *transport) shipPending(p *sim.Proc) {
 	for t.pendingShip.Len() > 0 {
 		t.transmit(p, t.pendingShip.Pop())
+		if t.pendingShip.Len() == 0 && t.inbox.Len() == 0 {
+			t.parseAvailable(p)
+		}
 	}
-}
-
-// Pending implements core.Transport.
-func (t *transport) Pending() bool {
-	if t.inbox.Len() > 0 || t.pendingShip.Len() > 0 {
-		return true
-	}
-	if t.kind == "tcp" {
-		return t.ready.any()
-	}
-	return t.dgram.Readable()
+	return t.inbox.Poll()
 }
 
 // parseAvailable consumes every complete message currently readable,
@@ -431,15 +419,6 @@ type readySet []uint64
 
 func (r readySet) set(i int)   { r[i>>6] |= 1 << (i & 63) }
 func (r readySet) clear(i int) { r[i>>6] &^= 1 << (i & 63) }
-
-func (r readySet) any() bool {
-	for _, w := range r {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
 
 // after reports the smallest cyclic offset o in [off, n) whose peer
 // (start+o)%n is set, or n when there is none: the linear scan's next hit,

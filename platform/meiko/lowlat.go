@@ -45,11 +45,10 @@ type lowlatTransport struct {
 	// successors held in issue order.
 	fc *core.SendQueue
 
-	// Hardware-broadcast state.
+	// Hardware-broadcast state; the slot wait parks on the engine.
 	bcSeq   int    // last broadcast sequence delivered here
 	bcData  []byte // payload of that broadcast
-	bcCond  *sim.Cond
-	bcReady int // ready tokens collected (when acting as root)
+	bcReady int    // ready tokens collected (when acting as root)
 }
 
 func newLowlatTransport(m *meiko.Machine, node *meiko.Node, eng *core.Engine, eager, slots int, all []*lowlatTransport) *lowlatTransport {
@@ -57,12 +56,11 @@ func newLowlatTransport(m *meiko.Machine, node *meiko.Node, eng *core.Engine, ea
 		slots = 1
 	}
 	t := &lowlatTransport{
-		m:      m,
-		node:   node,
-		eng:    eng,
-		max:    eager,
-		all:    all,
-		bcCond: sim.NewCond(node.S),
+		m:    m,
+		node: node,
+		eng:  eng,
+		max:  eager,
+		all:  all,
 	}
 	t.inbox.Init(eng, t)
 	t.fc = core.NewSendQueue(len(all), slots, slots,
@@ -213,19 +211,13 @@ func (t *lowlatTransport) Control(p *sim.Proc, dst int, kind core.PacketKind, en
 func (t *lowlatTransport) Release(p *sim.Proc, src int, n int) {}
 
 // PeerDown implements core.Transport: restore the envelope slots the dead
-// rank held, since a corpse never returns slot-free acknowledgements.
+// rank held, since a corpse never returns slot-free acknowledgements. The
+// engine's wake reaches the hardware-broadcast slot wait too, which then
+// rechecks the dead set (see HWBcast).
 func (t *lowlatTransport) PeerDown(rank int) {
 	t.fc.DropDst(rank)
 	t.eng.Wake()
-	// Procs parked in the hardware-broadcast slot wait recheck the dead
-	// set once woken (see HWBcast).
-	t.bcCond.Broadcast()
 }
-
-// FatalWake wakes procs parked on transport-owned conditions when this
-// rank's own engine turns fatal, so a killed process fails out of the
-// hardware broadcast instead of sleeping forever.
-func (t *lowlatTransport) FatalWake() { t.bcCond.Broadcast() }
 
 // CreditReturned implements core.CreditSink: it runs at the sender (event
 // context) when a slot-free transaction from rank dst lands, returning n
@@ -262,9 +254,6 @@ func (t *lowlatTransport) Poll(p *sim.Proc) *core.Packet {
 	}
 	return pkt
 }
-
-// Pending implements core.Transport.
-func (t *lowlatTransport) Pending() bool { return t.inbox.Len() > 0 }
 
 // ------------------------------------------------------------ RemoteMemory --
 //
@@ -376,13 +365,13 @@ func (ep *LowLatEndpoint) HWBcast(p *sim.Proc, root, ctx int, buf []byte) error 
 		t.node.Txn(root, ctrlTxnBytes, false, func() {
 			rt := t.all[root]
 			rt.bcReady++
-			rt.bcCond.Broadcast()
+			rt.eng.Wake()
 		})
 		for t.bcSeq == seq {
 			if err := ftCheck(); err != nil {
 				return err
 			}
-			t.bcCond.Wait(p)
+			t.eng.Park(p)
 		}
 		n := copy(buf, t.bcData)
 		acct.Spend(p, sim.Sync, c.ElanSync)
@@ -395,7 +384,7 @@ func (ep *LowLatEndpoint) HWBcast(p *sim.Proc, root, ctx int, buf []byte) error 
 		if err := ftCheck(); err != nil {
 			return err
 		}
-		t.bcCond.Wait(p)
+		t.eng.Park(p)
 	}
 	t.bcReady -= size - 1
 	acct.Spend(p, sim.Protocol, c.DMAIssue)
@@ -406,7 +395,7 @@ func (ep *LowLatEndpoint) HWBcast(p *sim.Proc, root, ctx int, buf []byte) error 
 		rt := t.all[dst.ID]
 		rt.bcData = payload
 		rt.bcSeq++
-		rt.bcCond.Broadcast()
+		rt.eng.Wake()
 	})
 	done.Wait(p)
 	acct.Add(ctrHwbcast, 1)

@@ -37,11 +37,10 @@ func pingPong(c *mpi.Comm) error {
 // parentBooks is what Report.Acct.Time and Count read, and each rank's
 // finish time, for pingPong on every backend when every rank still booked
 // into two string maps and the media into nothing. Generated from that
-// tree, not from this one, except two cluster/udp pins: its finish times,
-// which moved when RUDP's timers began to cover a frame's bytes (ROADMAP
-// item 3), and its rudp.retransmit count, a counter that tree did not book.
-// The 25 are item 3(b)'s: rank 0's last frame goes to a rank whose body has
-// returned, and nobody acks it.
+// tree, not from this one, except cluster/udp's finish times, which moved
+// when RUDP's timers began to cover a frame's bytes (ROADMAP item 3). Its
+// rank 0 sends its last frame to a rank whose body has returned; that rank
+// is closed, so it acks the frame and nothing is retransmitted.
 var parentBooks = map[string]struct {
 	time    map[string]sim.Duration
 	count   map[string]int64
@@ -59,7 +58,7 @@ var parentBooks = map[string]struct {
 	},
 	"cluster/udp": {
 		time:    map[string]sim.Duration{"copy": 1974200, "match": 144000, "overhead": 80000},
-		count:   map[string]int64{"eager": 4, "match.posted-max": 1, "recv": 4, "rudp.retransmit": 25, "send": 4},
+		count:   map[string]int64{"eager": 4, "match.posted-max": 1, "recv": 4, "send": 4},
 		elapsed: []sim.Duration{12186302, 8117985},
 	},
 	"cluster/unet": {
