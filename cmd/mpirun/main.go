@@ -86,7 +86,6 @@ func run(args []string, stdout io.Writer) int {
 	dropnth := fs.Int("dropnth", 0, "cluster: deterministically drop every Nth frame of each (src, dst) link (transport udp)")
 	partition := fs.String("partition", "", `cluster: partition schedule, e.g. "0-1@5ms:20ms;2-*" (A-B[@FROM:UNTIL], * = any host)`)
 	faultseed := fs.Int64("faultseed", 0, "cluster: fault-injection RNG seed (0 = derive from -seed)")
-	nortr := fs.Bool("nortr", false, "cluster: disable the RDMA-write rendezvous (pin large sends to RTS/CTS)")
 	kill := fs.String("kill", "", `process-death schedule, e.g. "2@5ms;3@8ms" (RANK@T; any backend)`)
 	treefault := fs.String("treefault", "", `meiko: switch-plane outage schedule, e.g. "1:0@0s-20ms" (STAGE:LANE@FROM[-UNTIL]; implies -fattree)`)
 	wl := fs.String("workload", "", "run a macro-workload pattern instead of -app: "+strings.Join(workload.Names(), " | "))
@@ -130,7 +129,6 @@ func run(args []string, stdout io.Writer) int {
 		DropEveryN: *dropnth,
 		Partition:  *partition,
 		FaultSeed:  *faultseed,
-		NoRTR:      *nortr,
 		Kills:      *kill,
 		TreeFaults: *treefault,
 		Workload:   *wl,

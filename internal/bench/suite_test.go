@@ -154,7 +154,7 @@ func TestSuiteRunDir(t *testing.T) {
 		figures     int
 	}{
 		{"anchors", "Table 1: MPI round-trip overheads with TCP", 10},
-		{"rma", "RDMA-write rendezvous", 0},
+		{"rma", "Emulated Put+Fence over matched sends", 0},
 		{"ablations", "note: negative result", 10},
 	} {
 		s := suiteNamed(t, tc.suite)

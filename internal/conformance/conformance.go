@@ -411,8 +411,7 @@ func communicators(c *mpi.Comm, seed int64) error {
 // rmaWindow drives the MPI-2 one-sided API through three fence epochs on
 // every backend flavor — native remote memory and the deferred-at-fence
 // emulation alike: a ring halo exchange via Put (rendezvous-sized, so the
-// cluster's pre-posted RDMA-write path engages inside the emulated fence),
-// an Accumulate reduction into rank 0's counter, and a fenced Get
+// emulated fence moves its blobs by RTS, CTS and Data), an Accumulate reduction into rank 0's counter, and a fenced Get
 // read-back of the result from every rank.
 func rmaWindow(c *mpi.Comm, seed int64) error {
 	n := c.Size()

@@ -57,7 +57,6 @@ var (
 	ctrPeerDown, ctrRevoke                   = Counter("ft.peerdown"), Counter("ft.revoke")
 	ctrRMAPut, ctrRMAAcc, ctrRMAGet          = Counter("rma.put"), Counter("rma.acc"), Counter("rma.get")
 	ctrRMALock, ctrRMAFence                  = Counter("rma.lock"), Counter("rma.fence")
-	ctrRtrStale                              = Counter("rtr-stale")
 )
 
 // Acct is one rank's ledger, fixed arrays written only on the rank's lane:

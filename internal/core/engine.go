@@ -48,10 +48,9 @@ type Engine struct {
 	// lazily allocated by WinCreate.
 	wins map[int]*WinState
 
-	// The rendezvous state the wires feed (see landing.go): each source's
-	// payload landing, and each peer's advertisements; nil until first use.
+	// Each source's rendezvous payload landing (see landing.go); nil until
+	// first use.
 	lands []*landing
-	ads   map[int][]advert
 
 	// Receive-path recycling: pool feeds self-send bounce buffers (and is
 	// available to the transport), inFree recycles unexpected-queue nodes,
@@ -298,14 +297,6 @@ func (e *Engine) Irecv(p *sim.Proc, src, tag, ctx int, buf []byte) (*Request, er
 		e.freeInMsg(msg)
 	} else {
 		e.acct.Raise(ctrPostedMax, int64(e.match.PostedLen()))
-		// Nothing matched on post: a rendezvous-sized receive with a fully
-		// specific pattern is advertised back to its sender so a matching
-		// send can skip the RTS/CTS round trip and write the payload
-		// directly (the RDMA-write rendezvous; see RecvAdvertiser).
-		if ra, ok := e.tr.(RecvAdvertiser); ok &&
-			src != AnySource && src != e.rank && tag != AnyTag && len(buf) > e.tr.MaxEager() {
-			ra.AdvertiseRecv(p, req)
-		}
 	}
 	return req, nil
 }
@@ -318,6 +309,14 @@ func (e *Engine) deliverMatched(p *sim.Proc, msg *InMsg, req *Request) {
 	req.matchedSrc = msg.Env.Source
 	e.trc(trace.Match, msg.Env.Source, msg.Env.Tag, msg.Env.Count, "")
 	if msg.Rndv {
+		if err := e.deadErr(msg.Env.Source); err != nil {
+			// The announcer died with its payload: a CTS would go into the
+			// fence and the receive would wait forever.
+			req.complete(Status{}, err)
+			e.retire(req)
+			e.cond.Broadcast()
+			return
+		}
 		e.tr.Accept(p, msg, req)
 		return
 	}

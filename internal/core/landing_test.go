@@ -9,9 +9,8 @@ import (
 
 // A 1 024-rank world moving only eager traffic, allreduce_shard's shape,
 // holds no rendezvous table: the engine builds its landing table on the
-// first rendezvous payload and its advertisement table on the first
-// advertisement, never at NewEngine. A size-long table on every engine
-// would be 8 MiB of live heap in that world.
+// first rendezvous payload, never at NewEngine. A size-long table on every
+// engine would be 8 MiB of live heap in that world.
 func TestEagerWorldHoldsNoRendezvousTables(t *testing.T) {
 	const n = 1024
 	w := newWorld(n, time.Microsecond, 180, 0)
@@ -31,8 +30,8 @@ func TestEagerWorldHoldsNoRendezvousTables(t *testing.T) {
 	}
 	w.run(t, bodies...)
 	for _, e := range w.engs {
-		if e.lands != nil || e.ads != nil {
-			t.Fatalf("rank %d holds a landing table of %d and %d advertisement queues after eager traffic only", e.rank, len(e.lands), len(e.ads))
+		if e.lands != nil {
+			t.Fatalf("rank %d holds a landing table of %d after eager traffic only", e.rank, len(e.lands))
 		}
 	}
 }

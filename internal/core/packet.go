@@ -26,13 +26,6 @@ const (
 	// usually piggybacked, explicit when traffic is one-sided; Meiko: the
 	// slot-free acknowledgement, consumed by the sender's Elan).
 	PktCredit
-	// PktRTR (ready-to-receive) advertises a freshly posted rendezvous-sized
-	// receive back to its prospective sender — the RDMA-write rendezvous
-	// fast path (MPICH2/InfiniBand style): the sender may then write the
-	// payload directly into the posted buffer, skipping the RTS/CTS round
-	// trip. It never surfaces through Poll: the socket transport, the one
-	// RecvAdvertiser, hands it to Engine.Advertised as it parses the frame.
-	PktRTR
 	// PktRMALock requests a passive-target window lock (Env.Tag carries the
 	// window id; Env.Count is 1 for exclusive, 0 for shared).
 	PktRMALock
@@ -62,8 +55,6 @@ func (k PacketKind) String() string {
 		return "syncack"
 	case PktCredit:
 		return "credit"
-	case PktRTR:
-		return "rtr"
 	case PktRMALock:
 		return "rma-lock"
 	case PktRMAUnlock:

@@ -38,8 +38,8 @@ func TestRequestRecycledUnderFreshName(t *testing.T) {
 			if ok, err := e.Cancel(p, first); ok || !isInternal(err) {
 				t.Errorf("Cancel on a released request = %v, %v, want ErrInternal", ok, err)
 			}
-			if e.claim(name, true) != nil {
-				t.Error("a direct write claimed a stale name")
+			if e.resolve(name) != nil {
+				t.Error("a payload resolved a stale name")
 			}
 			if got := e.acct.counts[ctrReqStale] - stale; got != 4 {
 				t.Errorf("req-stale rose by %d, want 4", got)

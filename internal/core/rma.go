@@ -39,17 +39,6 @@ type RemoteMemory interface {
 	RMARead(p *sim.Proc, dst, win, off int, buf []byte, done func())
 }
 
-// RecvAdvertiser is an optional Transport capability backing the
-// RDMA-write rendezvous (MPICH2/InfiniBand): when a rendezvous-sized
-// receive is posted with a specific source and tag and nothing matched it
-// on post, the engine advertises it to the prospective sender so a later
-// matching send can write the payload straight into the posted buffer,
-// eliminating the RTS/CTS round trip. Purely an optimization — a lost or
-// unconsumed advertisement leaves the normal rendezvous path intact.
-type RecvAdvertiser interface {
-	AdvertiseRecv(p *sim.Proc, req *Request)
-}
-
 // RMAOp enumerates the accumulate operators applied element-wise at the
 // target. Sum operators require the payload length to be a multiple of 8
 // (int64/float64 little-endian elements); Replace and Xor are byte-wise.

@@ -14,18 +14,17 @@ import (
 //	bytes 1-4    returned credit (freed receiver reservation, piggybacked)
 //	bytes 5-24   envelope: source(2) context(2) tag(4) count(4) id(4) aux(4)
 //
-// id is the sender request for RTS/CTS/acks and on a CTS-clocked Data
-// frame (zero on a direct write, which answers no CTS); aux carries the
-// receive's request name (CTS, RTR, Data). Every chunk of a datagram
+// id is the sender request for RTS/CTS/acks and on a Data frame; aux
+// carries the receive's request name (CTS, Data). Every chunk of a datagram
 // payload carries the message's envelope, its count the full size.
 const HeaderBytes = core.HeaderWireBytes // 25
 
 // The kind rides in a 4-bit field: one more kind past 15 would bleed into
-// the mode nibble and corrupt every frame. The one-sided protocol grew the
-// space (RTR adverts, lock/unlock/grant control), so guard the bound at
-// compile time — this declaration fails to build if the highest kind ever
-// exceeds the nibble.
-var _ [15 - int(core.PktRMAGrant)]struct{}
+// the mode nibble and corrupt every frame. The one-sided and fault-tolerance
+// protocols grew the space (lock/unlock/grant control, revoke), so guard the
+// bound at compile time — this declaration fails to build if the highest
+// kind ever exceeds the nibble.
+var _ [15 - int(core.PktRevoke)]struct{}
 
 // EncodeHeader serializes one protocol header.
 func EncodeHeader(kind core.PacketKind, credit int, env core.Envelope, aux uint32) [HeaderBytes]byte {

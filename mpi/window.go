@@ -328,28 +328,8 @@ func (w *Win) fenceEmulated() error {
 		return err
 	}
 
-	// Bulk epochs synchronize once more before the blob exchange (below),
-	// so every blob finds its receive already posted and rides the
-	// receiver-ready rendezvous fast path. The decision must be symmetric
-	// — the extra round is collective — so it comes from the global max
-	// blob size, not the local one.
-	maxBlob := int64(0)
-	for _, b := range blobs {
-		if int64(len(b)) > maxBlob {
-			maxBlob = int64(len(b))
-		}
-	}
-	globalMax := make([]int64, 1)
-	if err := w.c.AllreduceInt64(MaxInt64, []int64{maxBlob}, globalMax); err != nil {
-		return err
-	}
-	bulk := false
-	if me, ok := w.c.ep.(interface{ MaxEager() int }); ok {
-		bulk = globalMax[0] > int64(me.MaxEager())
-	}
-
-	// Pre-post the get-reply receives (lengths are known from our own get
-	// list) so large replies can take the pre-posted rendezvous fast path.
+	// Pre-post the get-reply receives: their lengths are known from our
+	// own get list.
 	replyLen := make([]int, n)
 	for _, g := range w.gets {
 		replyLen[g.target] += 8 + len(g.buf)
@@ -385,15 +365,6 @@ func (w *Win) fenceEmulated() error {
 			return err
 		}
 		reqs = append(reqs, r)
-	}
-	if bulk {
-		// All receives are pre-posted everywhere once the barrier opens:
-		// no RTS can beat its receive, so every rendezvous blob lands on
-		// the RTR fast path (an RDMA write on the socket transports)
-		// instead of round-tripping RTS/CTS against an unmatched queue.
-		if err := w.c.Barrier(); err != nil {
-			return err
-		}
 	}
 	var blobReqs []*Request
 	for t := 0; t < n; t++ {

@@ -145,7 +145,6 @@ func build(s registry.Spec, kind string) (*mpi.World, []*transport, error) {
 		for i := 0; i < n; i++ {
 			eng := core.NewEngine(cl.SchedOf(i), i, n, clusterEngineCosts())
 			trs[i] = newTransport(eng, i, n, eager, credit, kind)
-			trs[i].noRTR = s.NoRTR
 			eng.SetTransport(trs[i])
 			eps[i] = eng
 			cl.Ledgers[i] = &eng.Acct().Ledger

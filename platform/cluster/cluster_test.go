@@ -523,53 +523,36 @@ func TestDatagramPathAllocationBudget(t *testing.T) {
 	}
 }
 
-// The stale-advertisement scenario of the 16-rank shuffle on cluster/udp, 64
-// steps of 32 KiB blocks at seed 1: the first step goes RTS/CTS before any
-// advertisement lands, so every later direct write names a receive that has
-// already completed and must fail its claim — by a dead name now, where it
-// used to test flags on a request that could since have been reissued. The
-// counts are the ones the pointer-holding transport produced; req-stale
-// counts exactly the failed claims. The same shuffle with NoRTR pins what
-// RTR buys here (ROADMAP item 4): on a loss-free wire neither retransmits
-// (ROADMAP item 3), and the RTS/CTS path takes 5 % more events and 10 % less
-// simulated time.
-func TestStaleRTRFailsClaimByName(t *testing.T) {
+// The 16-rank shuffle on cluster/udp, 64 steps of 32 KiB blocks at seed
+// 1, where every block is a rendezvous: each goes RTS, CTS and Data naming
+// its receive, no payload names a receive that is gone (req-stale), a
+// loss-free wire retransmits nothing (ROADMAP item 3), and the events and
+// the finish time are pinned to the nanosecond.
+func TestShuffleOnOneRendezvous(t *testing.T) {
 	const ranks, steps, block = 16, 64, 32 << 10
-	for _, tc := range []struct {
-		noRTR               bool
-		retransmits, events int
-		elapsed             time.Duration
-	}{{false, 0, 834320, 9368597389}, {true, 0, 876800, 8401298239}} {
-		w, _, err := build(registry.Spec{Ranks: ranks, Seed: 1, NoRTR: tc.noRTR}, "udp")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := mpi.Launch(w, func(c *mpi.Comm) error {
-			send, recv := make([]byte, ranks*block), make([]byte, ranks*block)
-			for s := 0; s < steps; s++ {
-				if err := c.Alltoall(send, recv); err != nil {
-					return err
-				}
-			}
-			return c.Barrier()
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !tc.noRTR {
-			for _, k := range []struct {
-				name string
-				want int64
-			}{{"rtr-post", 15360}, {"rndv-rtr", 15120}, {"rtr-stale", 15120}, {"rndv", 240}, {"req-stale", 15120}} {
-				if got := rep.Acct.Count[k.name]; got != k.want {
-					t.Errorf("%s = %d, want %d", k.name, got, k.want)
-				}
+	w, _, err := build(registry.Spec{Ranks: ranks, Seed: 1}, "udp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := mpi.Launch(w, func(c *mpi.Comm) error {
+		send, recv := make([]byte, ranks*block), make([]byte, ranks*block)
+		for s := 0; s < steps; s++ {
+			if err := c.Alltoall(send, recv); err != nil {
+				return err
 			}
 		}
-		if got := retransmits(rep); got != int64(tc.retransmits) || rep.Events != uint64(tc.events) || rep.Elapsed != tc.elapsed {
-			t.Errorf("NoRTR %v: %d retransmits, %d events, elapsed %v; pinned %d, %d, %v: a simulated nanosecond moved",
-				tc.noRTR, got, rep.Events, rep.Elapsed, tc.retransmits, tc.events, tc.elapsed)
-		}
+		return c.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rndv, stale := rep.Acct.Count["rndv"], rep.Acct.Count["req-stale"]; rndv != ranks*(ranks-1)*steps || stale != 0 {
+		t.Errorf("rndv = %d, req-stale = %d; want %d, 0", rndv, stale, ranks*(ranks-1)*steps)
+	}
+	const events, elapsed = 876800, 8401298239 * time.Nanosecond
+	if got := retransmits(rep); got != 0 || rep.Events != events || rep.Elapsed != elapsed {
+		t.Errorf("%d retransmits, %d events, elapsed %v; pinned 0, %d, %v: a simulated nanosecond moved",
+			got, rep.Events, rep.Elapsed, events, elapsed)
 	}
 }
 

@@ -180,28 +180,28 @@ func TestInvalidFaultPolicyRejected(t *testing.T) {
 }
 
 // A rank killed mid-rendezvous leaves nothing behind at a survivor. Rank 1
-// sends rank 0 two 256 KiB messages; the first goes RTS/CTS before rank 0's
-// advertisement arrives, so the second claims a receive that has already
-// completed and lands in a bounce buffer. Whenever the kill falls, PeerDown
-// must make rank 1's landing let go of the receive and pool the bounce
-// buffer, and the payload rank 1's kernel keeps sending after the death must
-// come off the wire without being parsed as frames or booked as protocol
-// errors while rank 0 carries on with rank 2.
+// sends rank 0 two 256 KiB messages, each RTS, CTS and Data. Whenever the
+// kill falls, PeerDown must make rank 1's landing let go of the receive,
+// and the payload rank 1's kernel keeps sending after the death must come
+// off the wire without being parsed as frames or booked as protocol errors
+// while rank 0 carries on with rank 2. An RTS of the dead rank's that no
+// receive matched stays queued, and a wildcard receive that matches it after
+// FailureAck fails with the death instead of sending a CTS into the fence.
 func TestPeerDownSweepsLandingState(t *testing.T) {
 	const size = 256 << 10
 	for _, tc := range []struct {
 		name, kind string
 		killAt     time.Duration
 		// What rank 0's landing from rank 1 holds one tick before rank 0
-		// detects the death.
-		live, bounce, midFrame bool
+		// detects the death, and whether the second RTS is left queued.
+		live, midFrame, rtsLeft bool
 	}{
-		// The second payload is half landed in its bounce buffer.
-		{"tcp-mid-bounce", "tcp", 60 * time.Millisecond, false, true, true},
+		// The second payload is half landed in its receive.
+		{"tcp-mid-second", "tcp", 70 * time.Millisecond, true, true, false},
 		// The first payload is half landed in its receive; the second
-		// frame's header is still queued behind it and arrives from a rank
-		// already dead.
-		{"tcp-frame-behind", "tcp", 37 * time.Millisecond, true, false, true},
+		// message's RTS is queued behind it and arrives from a rank already
+		// dead.
+		{"tcp-frame-behind", "tcp", 37 * time.Millisecond, true, true, true},
 		// Datagram chunks of both payloads arrive after detection.
 		{"udp-late-chunks", "udp", 40 * time.Millisecond, false, false, false},
 	} {
@@ -214,13 +214,11 @@ func TestPeerDownSweepsLandingState(t *testing.T) {
 				t.Fatal(err)
 			}
 			tr := trs[0]
-			var bounce []byte
-			live, midFrame := false, false
+			live, midFrame, rtsLeft := false, false, false
 			w.Sched(0).After(tc.killAt+w.FTDetect-1, func() {
-				_, name, b := tr.eng.RndvHeld(1)
-				bounce, live, midFrame = b, name != 0, tr.eng.PayloadLeft(1) > 0
+				live, midFrame = tr.eng.RndvHeld(1) != 0, tr.eng.PayloadLeft(1) > 0
 			})
-			rep, _ := mpi.Launch(w, func(c *mpi.Comm) error {
+			rep, err := mpi.Launch(w, func(c *mpi.Comm) error {
 				switch c.Rank() {
 				case 0:
 					for i := 0; i < 2; i++ {
@@ -243,10 +241,14 @@ func TestPeerDownSweepsLandingState(t *testing.T) {
 							return err
 						}
 					}
-					// A swept landing must not surface afterwards as a message
-					// (it would carry the bounce buffer the pool now owns).
-					if st, ok, err := c.Iprobe(mpi.AnySource, 0); ok || err != nil {
-						return fmt.Errorf("after the sweep a probe finds %+v, %v", st, err)
+					st, ok, err := c.Iprobe(mpi.AnySource, 0)
+					if err != nil || !ok {
+						return err
+					}
+					rtsLeft = st.Source == 1
+					c.FailureAck()
+					if _, err := c.Recv(mpi.AnySource, 0, make([]byte, size)); !mpi.IsPeerDown(err) {
+						return fmt.Errorf("a wildcard receive matching the dead rank's RTS returned %v, want its death", err)
 					}
 				case 1:
 					for i := 0; i < 2; i++ {
@@ -257,22 +259,17 @@ func TestPeerDownSweepsLandingState(t *testing.T) {
 				}
 				return nil
 			})
-			if rep.Errs[0] != nil || rep.Errs[2] != nil {
-				t.Fatalf("survivors failed: %v", rep.Errs)
+			// The run fails with rank 1's death and nothing else: a survivor
+			// parked for good is the kernel's deadlock error instead.
+			if err != rep.FirstErr() || rep.Errs[0] != nil || rep.Errs[2] != nil {
+				t.Fatalf("run: %v; survivors failed: %v", err, rep.Errs)
 			}
-			if live != tc.live || (bounce != nil) != tc.bounce || midFrame != tc.midFrame {
-				t.Fatalf("scenario drifted: before detection rank 0's landing from rank 1 held a receive %v (want %v), a bounce buffer %v (want %v), a half-read payload %v (want %v)",
-					live, tc.live, bounce != nil, tc.bounce, midFrame, tc.midFrame)
+			if live != tc.live || midFrame != tc.midFrame || rtsLeft != tc.rtsLeft {
+				t.Fatalf("scenario drifted: before detection rank 0's landing from rank 1 held a receive %v (want %v), a half-read payload %v (want %v); an RTS left queued %v (want %v)",
+					live, tc.live, midFrame, tc.midFrame, rtsLeft, tc.rtsLeft)
 			}
-			if _, name, b := tr.eng.RndvHeld(1); name != 0 || b != nil || tr.eng.PayloadLeft(1) > 0 {
-				t.Errorf("the landing from the dead rank still holds receive %d, a %d-byte bounce buffer, %d bytes to come", name, len(b), tr.eng.PayloadLeft(1))
-			}
-			pooled := !tc.bounce
-			for i := 0; i < 64 && !pooled; i++ {
-				pooled = &tr.pool.Get(size)[0] == &bounce[0]
-			}
-			if !pooled {
-				t.Error("the stale claim's bounce buffer never returned to the pool")
+			if tr.eng.RndvHeld(1) != 0 || tr.eng.PayloadLeft(1) > 0 {
+				t.Errorf("the landing from the dead rank still holds receive %d, %d bytes to come", tr.eng.RndvHeld(1), tr.eng.PayloadLeft(1))
 			}
 			if errs := tr.eng.ProtocolErrors(); len(errs) != 0 {
 				t.Errorf("rank 0 booked protocol errors: %v", errs)

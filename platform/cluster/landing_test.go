@@ -90,12 +90,13 @@ func launchPair(t *testing.T, kind string, body func(c *mpi.Comm) error) (*mpi.R
 }
 
 // Every way a rendezvous payload lands on the wires that run core.Engine,
-// each completing through Engine.Land: the receive posted after the RTS
-// arrived (RTS/CTS) or before the send (an RTR advertisement on the three
-// socket wires, taken when the buffer holds the message), a buffer shorter
-// than, equal to and longer than the message, and a message that fits one
-// datagram or needs many. Each cell also sends a small message behind the
-// rendezvous one, which must arrive intact.
+// each completing through Engine.Land by RTS, CTS and Data: the receive
+// posted after the RTS arrived (matched on post) or before the send
+// (matched on arrival), a buffer shorter than, equal to and longer than the
+// message, and a message that fits one datagram or needs many: 72 cells.
+// Each cell also sends a small message behind the rendezvous one, which
+// must arrive intact, and on the socket wires no landing holds anything
+// once the run is over.
 func TestLandingMatrix(t *testing.T) {
 	for _, kind := range []string{"tcp", "udp", "unet", "shm", "mem", "meiko/lowlatency"} {
 		for _, early := range []bool{false, true} {
@@ -111,11 +112,10 @@ func TestLandingMatrix(t *testing.T) {
 
 func landingCell(t *testing.T, kind string, early bool, n, bufLen int) {
 	sent := pattern(n, 1)
-	rep, _ := launchPair(t, kind, func(c *mpi.Comm) error {
+	rep, trs := launchPair(t, kind, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			if early {
-				// The receiver's advertisement precedes its barrier message
-				// on the ordered wire, so it is in hand after the barrier.
+				// The receive is posted once the barrier opens.
 				if err := c.Barrier(); err != nil {
 					return err
 				}
@@ -149,137 +149,86 @@ func landingCell(t *testing.T, kind string, early bool, n, bufLen int) {
 	if len(rep.Protocol) != 0 {
 		t.Fatalf("protocol errors: %v", rep.Protocol)
 	}
-	// The cell took the path it names: a direct write exactly when the wire
-	// advertises and an advertisement could hold the message. The MemFabric
-	// (mem, cluster/shm) counts no rendezvous envelopes, and on the Meiko
-	// (180 B eager) the 1 KiB message behind is a rendezvous too.
-	advertises := kind == "tcp" || kind == "udp" || kind == "unet"
-	direct, rndv := int64(0), int64(1)
-	if advertises && early && bufLen >= n {
-		direct, rndv = 1, 0
-	}
+	// The MemFabric (mem, cluster/shm) counts no rendezvous envelopes, and
+	// on the Meiko (180 B eager) the 1 KiB message behind is a rendezvous
+	// too.
+	rndv := int64(1)
 	switch kind {
 	case "mem", "shm":
 		rndv = 0
 	case "meiko/lowlatency":
 		rndv = 2
 	}
-	if got := rep.Acct.Count["rndv-rtr"]; got != direct || rep.Acct.Count["rndv"] != rndv {
-		t.Fatalf("rndv-rtr = %d, rndv = %d; want %d, %d", got, rep.Acct.Count["rndv"], direct, rndv)
+	if got := rep.Acct.Count["rndv"]; got != rndv {
+		t.Fatalf("rndv = %d, want %d", got, rndv)
+	}
+	for _, tr := range trs {
+		for src := range tr.size {
+			if name, left := tr.eng.RndvHeld(src), tr.eng.PayloadLeft(src); name != 0 || left != 0 {
+				t.Errorf("rank %d's landing from %d still holds receive %d, %d bytes to come", tr.rank, src, name, left)
+			}
+		}
 	}
 }
 
-// A synchronous send takes the RTS/CTS path past an advertisement, which
-// lingers; the next same-tag standard send writes straight to it, the claim
-// fails (its receive already completed), and the payload lands in a bounce
-// buffer and re-enters the matcher as an eager arrival for the next receive.
-func TestStaleClaimLanding(t *testing.T) {
-	for _, kind := range []string{"tcp", "udp", "unet"} {
-		for _, n := range []int{20 << 10, 200 << 10} {
-			t.Run(fmt.Sprintf("%s/%d", kind, n), func(t *testing.T) {
-				first, second := pattern(n, 1), pattern(n, 2)
-				rep, _ := launchPair(t, kind, func(c *mpi.Comm) error {
-					if c.Rank() == 0 {
-						if err := c.Barrier(); err != nil {
-							return err
-						}
-						if err := c.Ssend(1, 0, first); err != nil {
-							return err
-						}
-						if err := c.Send(1, 0, second); err != nil {
-							return err
-						}
-						return c.Send(1, 1, pattern(1024, 0xa5))
+// Many pre-posted rendezvous receives leave nothing behind on either rank.
+// One rank pre-posts 50 receives of 64 KiB and the other sends 50 same-tag
+// messages, by Ssend and by Send: each is one RTS/CTS/Data exchange, and
+// once the run is over no landing holds a receive or bytes to come. (With
+// the RDMA-write rendezvous this scenario left up to 50 advertisements at
+// the sender.)
+func TestAdvertisementLeakPinned(t *testing.T) {
+	const msgs, n = 50, 64 << 10
+	for _, kind := range []string{"tcp", "udp"} {
+		for _, sync := range []bool{true, false} {
+			rep, trs := launchPair(t, kind, func(c *mpi.Comm) error {
+				if c.Rank() == 0 {
+					send := c.Send
+					if sync {
+						send = c.Ssend
 					}
-					buf := make([]byte, n)
-					r, err := c.Irecv(0, 0, buf)
+					for i := 0; i < msgs; i++ {
+						if err := send(1, 0, pattern(n, byte(i))); err != nil {
+							return err
+						}
+					}
+					return nil
+				}
+				bufs := make([][]byte, msgs)
+				rs := make([]*mpi.Request, msgs)
+				for i := range rs {
+					bufs[i] = make([]byte, n)
+					r, err := c.Irecv(0, 0, bufs[i])
 					if err != nil {
 						return err
 					}
-					if err := c.Barrier(); err != nil {
-						return err
-					}
-					st, err := r.Wait()
-					if err := checkLanded(st, err, buf, first); err != nil {
-						return fmt.Errorf("first: %w", err)
-					}
-					buf = make([]byte, n)
-					st, err = c.Recv(0, 0, buf)
-					if err := checkLanded(st, err, buf, second); err != nil {
-						return fmt.Errorf("second: %w", err)
-					}
-					return recvNext(c)
-				})
-				if len(rep.Protocol) != 0 {
-					t.Fatalf("protocol errors: %v", rep.Protocol)
+					rs[i] = r
 				}
-				if got := rep.Acct.Count["rtr-stale"]; got != 1 {
-					t.Fatalf("rtr-stale = %d, want 1: the second message did not take the lingering advertisement", got)
-				}
-			})
-		}
-	}
-}
-
-// held counts the landings tr's engine keeps that hold a receive's buffer
-// or a bounce buffer.
-func held(tr *transport) int {
-	n := 0
-	for src := range tr.size {
-		if _, name, bounce := tr.eng.RndvHeld(src); name != 0 || bounce != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// A pre-posted rendezvous receive that the RTS/CTS path serves never retires
-// its advertisement at the sender: the engine keeps it for good. The
-// receiver holds nothing for an advertisement, so once every message is in
-// it holds no landing. One rank pre-posts 50 receives of 64 KiB and the
-// other sends 50 same-tag messages. Served by Ssend, every advertisement
-// lingers; served by Send, each stale advertisement is taken by the next
-// message, whose claim then fails, so only the last lingers. The right
-// sender value in every cell is 0 (ROADMAP item 4, unbounded host memory);
-// the fix changes the wire protocol and flips the pin.
-func TestAdvertisementLeakPinned(t *testing.T) {
-	const msgs, n = 50, 64 << 10
-	for _, tc := range []struct {
-		kind       string
-		sync       bool
-		ads, stale int
-	}{{"tcp", true, 50, 0}, {"udp", true, 50, 0}, {"tcp", false, 1, 49}, {"udp", false, 1, 5}} {
-		rep, trs := launchPair(t, tc.kind, func(c *mpi.Comm) error {
-			if c.Rank() == 0 {
-				data := make([]byte, n)
-				for i := 0; i < msgs; i++ {
-					send := c.Send
-					if tc.sync {
-						send = c.Ssend
-					}
-					if err := send(1, 0, data); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			rs := make([]*mpi.Request, msgs)
-			for i := range rs {
-				r, err := c.Irecv(0, 0, make([]byte, n))
+				sts, err := mpi.WaitAll(rs...)
 				if err != nil {
 					return err
 				}
-				rs[i] = r
+				for i, st := range sts {
+					if err := checkLanded(st, nil, bufs[i], pattern(n, byte(i))); err != nil {
+						return fmt.Errorf("message %d: %w", i, err)
+					}
+				}
+				return nil
+			})
+			if len(rep.Protocol) != 0 {
+				t.Fatalf("cluster/%s, sync %v: protocol errors: %v", kind, sync, rep.Protocol)
 			}
-			_, err := mpi.WaitAll(rs...)
-			return err
-		})
-		ads, _, _ := trs[0].eng.RndvHeld(1)
-		landings := held(trs[1])
-		stale := int(rep.Acct.Count["rtr-stale"])
-		if landings != 0 || ads != tc.ads || stale != tc.stale {
-			t.Errorf("cluster/%s, sync %v: %d landings, %d advertisements, %d stale claims left by %d messages; pinned 0, %d, %d",
-				tc.kind, tc.sync, landings, ads, stale, msgs, tc.ads, tc.stale)
+			if got := rep.Acct.Count["rndv"]; got != msgs {
+				t.Errorf("cluster/%s, sync %v: rndv = %d, want %d", kind, sync, got, msgs)
+			}
+			for _, tr := range trs {
+				for src := range tr.size {
+					if name, left := tr.eng.RndvHeld(src), tr.eng.PayloadLeft(src); name != 0 || left != 0 {
+						t.Errorf("cluster/%s, sync %v: rank %d's landing from %d still holds receive %d, %d bytes to come",
+							kind, sync, tr.rank, src, name, left)
+					}
+				}
+			}
 		}
 	}
 }
@@ -348,86 +297,16 @@ func TestUnknownHandleDrained(t *testing.T) {
 	}
 }
 
-// One receive with two payloads in flight: the RTS of the first message
-// matches it, and before that payload's CTS comes back the sender takes the
-// receive's advertisement for the second message and writes it directly.
-// Both payloads name the receive; the direct write must bounce (its claim
-// fails on a receive that is matched but live, so no stale name is
-// resolved) and the CTS-clocked payload must land in it.
-func TestStaleClaimBesideItsPayload(t *testing.T) {
-	for _, kind := range []string{"tcp", "udp", "unet"} {
-		for _, n := range []int{20 << 10, 200 << 10} {
-			t.Run(fmt.Sprintf("%s/%d", kind, n), func(t *testing.T) {
-				first, second := pattern(n, 1), pattern(n, 2)
-				rep, _ := launchPair(t, kind, func(c *mpi.Comm) error {
-					if c.Rank() == 0 {
-						r, err := c.Isend(1, 0, first) // no advertisement yet: RTS
-						if err != nil {
-							return err
-						}
-						// The advertisement precedes "go" on the ordered wire;
-						// the CTS leaves only once the RTS has arrived.
-						if _, err := c.Recv(1, 9, make([]byte, 1)); err != nil {
-							return err
-						}
-						if err := c.Send(1, 0, second); err != nil {
-							return err
-						}
-						if _, err := r.Wait(); err != nil {
-							return err
-						}
-						return c.Send(1, 1, pattern(1024, 0xa5))
-					}
-					buf := make([]byte, n)
-					r, err := c.Irecv(0, 0, buf)
-					if err != nil {
-						return err
-					}
-					if err := c.Send(0, 9, []byte{1}); err != nil {
-						return err
-					}
-					st, err := r.Wait()
-					if err := checkLanded(st, err, buf, first); err != nil {
-						return fmt.Errorf("first: %w", err)
-					}
-					buf = make([]byte, n)
-					st, err = c.Recv(0, 0, buf)
-					if err := checkLanded(st, err, buf, second); err != nil {
-						return fmt.Errorf("second: %w", err)
-					}
-					return recvNext(c)
-				})
-				if len(rep.Protocol) != 0 {
-					t.Fatalf("protocol errors: %v", rep.Protocol)
-				}
-				if stale, names := rep.Acct.Count["rtr-stale"], rep.Acct.Count["req-stale"]; stale != 1 || names != 0 {
-					t.Fatalf("rtr-stale = %d, req-stale = %d; want 1, 0: the direct write did not meet its receive matched and live", stale, names)
-				}
-			})
-		}
-	}
-}
-
-// A direct write claims its receive when its first frame is parsed, which
-// can come before the engine has matched an earlier message from the same
-// sender that the same poll parsed: the receive posted first then gets the
-// later message, against MPI's non-overtaking rule. Rank 1 posts two
-// same-tag 64 KiB receives; rank 0, once their advertisements are in, sends
-// 100 B and then 64 KiB, which takes the first advertisement. Both arrive
-// while rank 1 computes, so one poll parses both. The right counts are 100
-// then 65 536 (ROADMAP item 4); the fix moves the claim into arrival order
-// and flips the pin.
-func TestDirectClaimOvertakesPinned(t *testing.T) {
+// Two same-tag receives from one sender complete in the order they were
+// posted, whatever the messages' sizes: the first gets the 100 B message and
+// the second the 64 KiB one that followed it, though both arrive while the
+// receiver computes and one poll parses both.
+func TestSameTagReceivesInPostOrder(t *testing.T) {
 	const n = 64 << 10
 	for _, kind := range []string{"tcp", "udp", "unet"} {
 		var got [2]int
 		launchPair(t, kind, func(c *mpi.Comm) error {
 			if c.Rank() == 0 {
-				// The advertisements arrive, and a probe parses them.
-				c.Compute(5 * time.Millisecond)
-				if _, _, err := c.Iprobe(1, 9); err != nil {
-					return err
-				}
 				if err := c.Send(1, 0, make([]byte, 100)); err != nil {
 					return err
 				}
@@ -451,8 +330,8 @@ func TestDirectClaimOvertakesPinned(t *testing.T) {
 			}
 			return nil
 		})
-		if got != [2]int{n, 100} {
-			t.Errorf("cluster/%s: the receives got %d and %d bytes; pinned %d and 100", kind, got[0], got[1], n)
+		if got != [2]int{100, n} {
+			t.Errorf("cluster/%s: the receives got %d and %d bytes; want 100 and %d", kind, got[0], got[1], n)
 		}
 	}
 }

@@ -41,57 +41,55 @@ func pingPong5(n int) func(c *mpi.Comm) error {
 }
 
 // A loss-free wire never retransmits. Five pre-posted ping-pong iterations
-// between two ranks, no fault knob set, with RTR and without: each RUDP
+// between two ranks, no fault knob set: each RUDP
 // timer covers the bytes of its frame and of the frames queued ahead of it,
 // so none expires before the frame can have landed and been acked. A timer
 // learned from small frames alone fails every cell (ROADMAP item 3).
 func TestLossFreeNeverRetransmits(t *testing.T) {
 	for _, bytes := range []int{64 << 10, 256 << 10, 1 << 20} {
-		for _, noRTR := range []bool{false, true} {
-			w, _, err := build(registry.Spec{Ranks: 2, NoRTR: noRTR}, "udp")
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := mpi.Launch(w, func(c *mpi.Comm) error {
-				data, buf := make([]byte, bytes), make([]byte, bytes)
-				peer := 1 - c.Rank()
-				for i := 0; i < 5; i++ {
-					r, err := c.Irecv(peer, 0, buf)
-					if err != nil {
+		w, _, err := build(registry.Spec{Ranks: 2}, "udp")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := mpi.Launch(w, func(c *mpi.Comm) error {
+			data, buf := make([]byte, bytes), make([]byte, bytes)
+			peer := 1 - c.Rank()
+			for i := 0; i < 5; i++ {
+				r, err := c.Irecv(peer, 0, buf)
+				if err != nil {
+					return err
+				}
+				if err := c.Barrier(); err != nil {
+					return err
+				}
+				if c.Rank() == 0 {
+					if err := c.Send(peer, 0, data); err != nil {
 						return err
-					}
-					if err := c.Barrier(); err != nil {
-						return err
-					}
-					if c.Rank() == 0 {
-						if err := c.Send(peer, 0, data); err != nil {
-							return err
-						}
-					}
-					if _, err := r.Wait(); err != nil {
-						return err
-					}
-					if c.Rank() == 1 {
-						if err := c.Send(peer, 0, data); err != nil {
-							return err
-						}
 					}
 				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
+				if _, err := r.Wait(); err != nil {
+					return err
+				}
+				if c.Rank() == 1 {
+					if err := c.Send(peer, 0, data); err != nil {
+						return err
+					}
+				}
 			}
-			if got := retransmits(rep); got != 0 {
-				t.Errorf("%d B, NoRTR %v: %d frames retransmitted on a loss-free wire, want 0", bytes, noRTR, got)
-			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := retransmits(rep); got != 0 {
+			t.Errorf("%d B: %d frames retransmitted on a loss-free wire, want 0", bytes, got)
 		}
 	}
 }
 
-// The loss-free sweep: ping-pong from 1 B to 1 MiB with RTR on and off,
-// and the shuffle, halo, allreduce and stencil workloads at 3, 4, 8 and 16
-// ranks and 1 to 64 KiB, 84 cells. Every cell retransmits nothing except
+// The loss-free sweep: ping-pong from 1 B to 1 MiB, and the shuffle, halo,
+// allreduce and stencil workloads at 3, 4, 8 and 16 ranks and 1 to 64 KiB,
+// 74 cells. Every cell retransmits nothing except
 // the one pinned at its count: there a data frame waits for a receiver
 // that is inside a long copy of its own, so it cannot drain the frame and
 // send the ack. That is the price of the poll-on-entry rule (a rank runs
@@ -104,7 +102,7 @@ func TestLossFreeSweepRetransmits(t *testing.T) {
 		n     int64
 		class string
 	}{
-		"allreduce/3/65536": {6, busyReceiver},
+		"allreduce/3/65536": {3, busyReceiver},
 	}
 	check := func(cell string, rep *mpi.Report, err error) {
 		t.Helper()
@@ -116,18 +114,12 @@ func TestLossFreeSweepRetransmits(t *testing.T) {
 		}
 	}
 	for _, n := range []int{1, 64, 1 << 10, 4 << 10, 16 << 10, 32 << 10, 64 << 10, 256 << 10, 512 << 10, 1 << 20} {
-		for _, noRTR := range []bool{false, true} {
-			w, _, err := build(registry.Spec{Ranks: 2, NoRTR: noRTR}, "udp")
-			if err != nil {
-				t.Fatal(err)
-			}
-			cell := fmt.Sprintf("pingpong/2/%d", n)
-			if noRTR {
-				cell += "/nortr"
-			}
-			rep, err := mpi.Launch(w, pingPong5(n))
-			check(cell, rep, err)
+		w, _, err := build(registry.Spec{Ranks: 2}, "udp")
+		if err != nil {
+			t.Fatal(err)
 		}
+		rep, err := mpi.Launch(w, pingPong5(n))
+		check(fmt.Sprintf("pingpong/2/%d", n), rep, err)
 	}
 	for _, pattern := range []string{"shuffle", "halo", "allreduce", "stencil"} {
 		for _, ranks := range []int{3, 4, 8, 16} {

@@ -11,8 +11,7 @@ import (
 
 // The transport's counters. Table 1's rows count each header read here and
 // record every read's span beside the clock under sim.Read*.
-var ctrEager, ctrRndv, ctrRndvRtr = core.Counter("eager"), core.Counter("rndv"), core.Counter("rndv-rtr")
-var ctrRtrPost = core.Counter("rtr-post")
+var ctrEager, ctrRndv = core.Counter("eager"), core.Counter("rndv")
 var ctrReadType, ctrReadEnv = core.Counter("read-type"), core.Counter("read-env")
 
 // ctrRetransmit counts the frames a rank's RUDP sent again (timer and fast
@@ -50,10 +49,6 @@ type transport struct {
 	fc *core.SendQueue
 	// Receiver side: freed reservation owed back to each sender.
 	owed *flow.Owed
-
-	// noRTR pins the two-sided RTS/CTS protocol (the ablation's baseline):
-	// no receive is advertised, so no send finds an advertisement.
-	noRTR bool
 
 	// Buffered sends whose credits arrived; shipped on the next Poll from
 	// the owning process's context.
@@ -220,13 +215,6 @@ func (t *transport) transmit(p *sim.Proc, req *core.Request) {
 		return
 	}
 	if req.Env.Count > t.max {
-		if name, ok := t.eng.TakeAdvert(req); ok {
-			// The receiver advertised a matching pre-posted buffer: write
-			// the payload directly, skipping the RTS/CTS round trip.
-			t.eng.Acct().Add(ctrRndvRtr, 1)
-			t.pushPayload(p, req, uint32(name), true)
-			return
-		}
 		// Rendezvous: envelope only; the payload moves on CTS.
 		t.eng.Acct().Add(ctrRndv, 1)
 		t.writeFrame(p, req.Env.Dest, core.PktRTS, req.Env, 0, nil)
@@ -257,25 +245,11 @@ func (t *transport) Accept(p *sim.Proc, msg *core.InMsg, req *core.Request) {
 // SendPayload implements core.Transport: a CTS surfaced at the sender, so
 // this process pushes the payload itself — the cluster has no co-processor
 // to do it in the background, which is exactly the progress limitation the
-// paper discusses for socket transports.
+// paper discusses for socket transports. The payload goes as Data frames
+// naming the receive the CTS named, each carrying the message's envelope,
+// its count the full size.
 func (t *transport) SendPayload(p *sim.Proc, req *core.Request, pkt *core.Packet) {
-	t.pushPayload(p, req, uint32(pkt.Landing), false)
-}
-
-// pushPayload writes req's rendezvous payload as Data frames naming the
-// receive name — clocked by a CTS, or direct: straight to an advertised
-// buffer with no preceding RTS/CTS exchange. Every frame carries the
-// message's envelope, its count the full size. A direct write clears the
-// sender's name from it, since it answers no CTS: that is how the receiver
-// tells the two apart when one receive has both in flight, its stale
-// advertisement's direct write and its own CTS-clocked payload. Direct data
-// is credit-exempt, like the CTS-clocked payload it replaces.
-func (t *transport) pushPayload(p *sim.Proc, req *core.Request, name uint32, direct bool) {
-	dst := req.Env.Dest
-	env, data := req.Env, req.Buf
-	if direct {
-		env.SendID = 0
-	}
+	dst, name, data := req.Env.Dest, uint32(pkt.Landing), req.Buf
 	if t.kind == "tcp" {
 		// The frame may exceed the receiver's TCP window, and the peer may
 		// be pushing an equally large frame at us at the same moment (the
@@ -283,7 +257,7 @@ func (t *transport) pushPayload(p *sim.Proc, req *core.Request, name uint32, dir
 		// blocking write would park both sides on window space with neither
 		// draining its inbound stream, so interleave: whenever the window
 		// closes, parse whatever has arrived before parking.
-		frame := t.tcpFrame(dst, core.PktData, env, name, data)
+		frame := t.tcpFrame(dst, core.PktData, req.Env, name, data)
 		t.conns[dst].WriteInterleaved(p, frame, func() {
 			if !t.parseAvailable(p) {
 				t.eng.Park(p)
@@ -298,23 +272,9 @@ func (t *transport) pushPayload(p *sim.Proc, req *core.Request, name uint32, dir
 	// the datagram's.
 	maxChunk := t.dgram.MaxDatagram() - headerBytes
 	for off := 0; off < len(data) || off == 0; off += maxChunk {
-		t.writeFrame(p, dst, core.PktData, env, name, data[off:min(off+maxChunk, len(data))])
+		t.writeFrame(p, dst, core.PktData, req.Env, name, data[off:min(off+maxChunk, len(data))])
 	}
 	t.eng.SendDone(req)
-}
-
-// AdvertiseRecv implements core.RecvAdvertiser (the RDMA-write
-// rendezvous, see internal/core/landing.go): tell the prospective sender
-// the pre-posted receive's name. The receiver holds nothing for it.
-func (t *transport) AdvertiseRecv(p *sim.Proc, req *core.Request) {
-	if t.noRTR {
-		return
-	}
-	// The frame's envelope names this rank as source (it is the frame's
-	// sender) and carries the posted signature plus buffer capacity.
-	ad := core.Envelope{Source: t.rank, Tag: req.Env.Tag, Context: req.Env.Context, Count: len(req.Buf)}
-	t.eng.Acct().Add(ctrRtrPost, 1)
-	t.writeFrame(p, req.Env.Source, core.PktRTR, ad, uint32(req.ID), nil)
 }
 
 // Control implements core.Transport (synchronous-mode acks).
@@ -489,8 +449,8 @@ func (t *transport) parseTCP(p *sim.Proc, src int, conn *atm.TCP) {
 }
 
 // surface handles a frame that carries no payload, which is therefore the
-// same on a stream and in a datagram: an advertisement goes to the engine at
-// once, other protocol packets through the inbox.
+// same on a stream and in a datagram: a protocol packet goes through the
+// inbox, a credit frame nowhere.
 func (t *transport) surface(src int, kind core.PacketKind, env core.Envelope, aux uint32) {
 	switch kind {
 	case core.PktRTS, core.PktRevoke:
@@ -499,8 +459,6 @@ func (t *transport) surface(src int, kind core.PacketKind, env core.Envelope, au
 		t.inbox.Push(core.Packet{Kind: kind, Env: env, ReqID: env.SendID, Landing: int64(aux)})
 	case core.PktSyncAck:
 		t.inbox.Push(core.Packet{Kind: kind, Env: env, ReqID: env.SendID})
-	case core.PktRTR:
-		t.eng.Advertised(env, int64(aux))
 	case core.PktCredit:
 		// Credit already booked from the header; nothing to surface.
 	default:

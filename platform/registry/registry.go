@@ -55,7 +55,6 @@ type Spec struct {
 	Coll          string  // collective tuning, "op=alg,..." over the backend's defaults (see coll.ParseTuning; "" = none)
 	LossRate      float64 // cluster/udp: datagram loss probability per frame
 	TCPNagle      bool    // cluster: leave Nagle/delayed acks on (no TCP_NODELAY)
-	NoRTR         bool    // cluster: disable the RDMA-write rendezvous (pin RTS/CTS)
 	FatTree       bool    // meiko: staged fat-tree congestion model
 	EnvelopeSlots int     // meiko: per-pair envelope slots (0 = the paper's 1)
 
@@ -126,7 +125,7 @@ var (
 	platformKnobs = map[string][]string{
 		"mem":   {"Credit"},
 		"meiko": {"Impl", "Costs", "FatTree", "EnvelopeSlots", "TreeFaults"},
-		"cluster": {"Transport", "Network", "Credit", "Costs", "TCPNagle", "NoRTR",
+		"cluster": {"Transport", "Network", "Credit", "Costs", "TCPNagle",
 			"LossRate", "Delay", "Jitter", "Reorder", "Duplicate", "DropEveryN", "Partition", "FaultSeed"},
 	}
 )

@@ -97,7 +97,7 @@ func TestForeignKnobsAreLoud(t *testing.T) {
 	readBy := map[string]string{
 		"Impl": "meiko", "FatTree": "meiko", "EnvelopeSlots": "meiko", "TreeFaults": "meiko",
 		"Costs": "meiko cluster", "Credit": "mem cluster",
-		"Transport": "cluster", "Network": "cluster", "TCPNagle": "cluster", "NoRTR": "cluster",
+		"Transport": "cluster", "Network": "cluster", "TCPNagle": "cluster",
 		"LossRate": "cluster", "Delay": "cluster", "Jitter": "cluster", "Reorder": "cluster",
 		"Duplicate": "cluster", "DropEveryN": "cluster", "Partition": "cluster", "FaultSeed": "cluster",
 	}
