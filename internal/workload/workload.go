@@ -21,7 +21,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/mpi"
@@ -129,14 +128,14 @@ type Env struct {
 	// RNG is this rank's seeded stream (rank-disjoint from the others).
 	RNG *rand.Rand
 
-	evs []Event
+	log *laneLog // the rank's lane's recording, shared with its lane-mates
 }
 
 // Record logs a completed operation at the current virtual time; start is
 // the op-defined begin instant, so Dur = now − start.
 func (e *Env) Record(op Op, peer, tag, bytes int, start time.Duration) {
 	now := e.C.Wtime()
-	e.evs = append(e.evs, Event{
+	e.log.add(Event{
 		T:     int64(now),
 		Rank:  int32(e.C.Rank()),
 		Op:    op,
@@ -145,6 +144,41 @@ func (e *Env) Record(op Op, peer, tag, bytes int, start time.Duration) {
 		Bytes: uint32(bytes),
 		Dur:   int64(now - start),
 	})
+}
+
+// A laneLog's chunks hold 64 events, doubling up to 4 096: a short
+// recording fits in one, and the last chunk's unused tail stays small.
+const firstChunk, maxChunk = 64, 4096
+
+// laneLog is one sim lane's recording: what its ranks record, in the order
+// they record it. Only the lane's own procs append to it, and the lane's
+// clock never goes back, so the log is in T order except for same-instant
+// ties between ranks. It grows in chunks, so no recorded event is copied
+// before the merge.
+type laneLog struct {
+	full [][]Event // filled chunks, oldest first
+	cur  []Event   // the chunk being filled
+	n    int       // events recorded
+}
+
+// add appends ev, opening a chunk when the current one is full.
+func (l *laneLog) add(ev Event) {
+	if len(l.cur) == cap(l.cur) {
+		if l.cur != nil {
+			l.full = append(l.full, l.cur)
+		}
+		l.cur = make([]Event, 0, min(max(2*cap(l.cur), firstChunk), maxChunk))
+	}
+	l.cur = append(l.cur, ev)
+	l.n++
+}
+
+// appendTo appends the recording to dst in record order.
+func (l *laneLog) appendTo(dst []Event) []Event {
+	for _, c := range l.full {
+		dst = append(dst, c...)
+	}
+	return append(dst, l.cur...)
 }
 
 // Result bundles a recorded run: the trace, the launch report, and the
@@ -175,14 +209,14 @@ func Run(w *mpi.World, cfg Config) (*Result, error) {
 	if !(cfg.Rate > 0) || math.IsInf(cfg.Rate, 1) {
 		return nil, fmt.Errorf("workload: rate must be positive and finite, got %g", cfg.Rate)
 	}
-	envs := make([]*Env, cfg.Ranks)
-	var mu sync.Mutex
+	lanes := 1
+	if sh := w.S.Shard(); sh != nil {
+		lanes = sh.Lanes()
+	}
+	logs := make([]laneLog, lanes)
 	rep, err := mpi.Launch(w, func(c *mpi.Comm) error {
-		e := &Env{C: c, Cfg: cfg, RNG: rand.New(rand.NewSource(cfg.Seed<<20 + int64(c.Rank())))}
-		mu.Lock()
-		envs[c.Rank()] = e
-		mu.Unlock()
-		return pat.Body(e)
+		return pat.Body(&Env{C: c, Cfg: cfg, RNG: rand.New(rand.NewSource(cfg.Seed<<20 + int64(c.Rank()))),
+			log: &logs[w.Sched(c.Rank()).LaneID()]})
 	})
 	if err != nil {
 		return nil, err
@@ -192,21 +226,24 @@ func Run(w *mpi.World, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("workload %s: rank %d: %w", cfg.Pattern, i, e)
 		}
 	}
-	tr := &Trace{Cfg: cfg, Events: mergeEvents(envs)}
+	tr := &Trace{Cfg: cfg, Events: mergeEvents(logs)}
 	return &Result{Trace: tr, Report: rep, Summary: Summarize(tr, rep.MaxRankElapsed)}, nil
 }
 
-// mergeEvents returns the ranks' recordings as the canonical stream: by
-// (T, Rank), each rank's own order kept among equal keys. The stream is one
-// exactly sized buffer, sorted in place by a comparison the compiler sees.
-func mergeEvents(envs []*Env) []Event {
+// mergeEvents returns the lanes' recordings as the canonical stream: by
+// (T, Rank), each rank's own order kept among equal keys. The logs are
+// concatenated in lane order into one exactly sized buffer, which is sorted
+// in place by a comparison the compiler sees. Every rank records into one
+// log, so the stable sort keeps its order on any lane count; each log is
+// already in T order, so the sort's input is nearly sorted.
+func mergeEvents(logs []laneLog) []Event {
 	n := 0
-	for _, e := range envs {
-		n += len(e.evs)
+	for i := range logs {
+		n += logs[i].n
 	}
 	evs := make([]Event, 0, n)
-	for _, e := range envs {
-		evs = append(evs, e.evs...)
+	for i := range logs {
+		evs = logs[i].appendTo(evs)
 	}
 	slices.SortStableFunc(evs, func(a, b Event) int {
 		if a.T != b.T {
@@ -258,7 +295,13 @@ type Summary struct {
 // time.
 func Summarize(tr *Trace, elapsed time.Duration) Summary {
 	pat, _ := Lookup(tr.Cfg.Pattern)
-	var durs []float64
+	n := 0
+	for _, ev := range tr.Events {
+		if ev.Op == pat.SLO {
+			n++
+		}
+	}
+	durs := make([]float64, 0, n)
 	var bytes int64
 	for _, ev := range tr.Events {
 		if ev.Op != pat.SLO {
