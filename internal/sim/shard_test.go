@@ -324,7 +324,12 @@ func TestFastPathsAllocFree(t *testing.T) {
 			s, run, _ := newTestKernel(k.lanes, 0)
 			var allocs float64
 			var events uint64
+			parks := 0
 			s.Spawn("alone", func(p *Proc) {
+				// Count the proc's parks: an Advance that did not run
+				// ahead scheduled its wakeup on the heap and parked.
+				yield := p.yieldTo
+				p.yieldTo = func(v struct{}) bool { parks++; return yield(v) }
 				// 501 ns in all: inside the lane's first 1 µs window.
 				allocs = testing.AllocsPerRun(500, func() { p.Advance(1) })
 				events = s.Events()
@@ -337,23 +342,27 @@ func TestFastPathsAllocFree(t *testing.T) {
 			}
 			// Spawn (same-instant), then 501 wakeups: all counted, none of
 			// them ever pushed on the heap.
-			if events != 502 || cap(s.events) != 0 {
-				t.Fatalf("%d events, heap grew to %d: the proc did not run ahead", events, cap(s.events))
+			if events != 502 || parks != 0 || s.root != nil {
+				t.Fatalf("%d events, %d parks: the proc did not run ahead", events, parks)
 			}
 		})
 		t.Run(k.name+"/same-instant", func(t *testing.T) {
 			s, run, _ := newTestKernel(k.lanes, 0)
 			ping, pong := NewCond(s), NewCond(s)
 			done := false
+			// Sampled right after each Signal, while its wakeup is queued.
+			heapUsed := false
 			s.Spawn("echo", func(p *Proc) {
 				for ping.Wait(p); !done; ping.Wait(p) {
 					pong.Signal()
+					heapUsed = heapUsed || s.root != nil
 				}
 			})
 			var allocs float64
 			s.Spawn("caller", func(p *Proc) {
 				allocs = testing.AllocsPerRun(1000, func() {
 					ping.Signal()
+					heapUsed = heapUsed || s.root != nil
 					pong.Wait(p)
 				})
 				done = true
@@ -365,8 +374,8 @@ func TestFastPathsAllocFree(t *testing.T) {
 			if allocs != 0 {
 				t.Fatalf("same-instant Signal allocated %v times per handoff", allocs)
 			}
-			if cap(s.events) != 0 {
-				t.Fatalf("heap grew to %d: the wakeups did not use the same-instant queue", cap(s.events))
+			if heapUsed {
+				t.Fatal("a wakeup was on the heap: the wakeups did not use the same-instant queue")
 			}
 		})
 		t.Run(k.name+"/lock-step", func(t *testing.T) {
@@ -384,7 +393,7 @@ func TestFastPathsAllocFree(t *testing.T) {
 						if i == 0 && r == warm {
 							runtime.ReadMemStats(&m0)
 						}
-						depth = max(depth, len(s.events))
+						depth = max(depth, heapHeads(s.root))
 						p.Advance(time.Microsecond)
 					}
 					if i == 0 {
@@ -396,7 +405,7 @@ func TestFastPathsAllocFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			if depth > 2 {
-				t.Fatalf("heap held %d entries for two distinct instants", depth)
+				t.Fatalf("heap held %d chain heads for two distinct instants", depth)
 			}
 			if d := m1.Mallocs - m0.Mallocs; d != 0 {
 				t.Fatalf("%d rounds of %d lock-step Advances allocated %d times", rounds, procs, d)
