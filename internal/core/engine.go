@@ -512,8 +512,9 @@ func (e *Engine) Wake() { e.cond.Broadcast() }
 // call; Wake, a completion, Fatal or PeerDown rouses it.
 func (e *Engine) Park(p *sim.Proc) { e.cond.Wait(p) }
 
-// Closed reports whether the rank has left Finalize: it never polls again,
-// so its transport discards (and acks) what still reaches it.
+// Closed reports whether the rank has left Finalize or been killed (Kill):
+// it never polls again, so its transport discards (and acks) what still
+// reaches it.
 func (e *Engine) Closed() bool { return e.closed }
 
 // Fatal declares the transport dead: err completes every pending request
@@ -533,6 +534,18 @@ func (e *Engine) Fatal(err error) {
 		}
 	}
 	e.cond.Broadcast()
+}
+
+// Kill is a scheduled process death, at its instant, on the victim: Fatal
+// with err, and the rank is closed as if it had left Finalize, so its
+// transport discards what still reaches it. A transport that retransmits
+// stops, abandoning what it has outstanding. Callable from event context.
+func (e *Engine) Kill(err error) {
+	e.Fatal(err)
+	e.closed = true
+	if s, ok := e.tr.(interface{ Stop() }); ok {
+		s.Stop()
+	}
 }
 
 // FatalErr reports the transport-fatal error, if any.

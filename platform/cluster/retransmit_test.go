@@ -218,3 +218,47 @@ func TestSurvivorAfterFinishedPeer(t *testing.T) {
 		}
 	}
 }
+
+// A killed rank is closed at its kill instant, as a finished one is when it
+// leaves Finalize. Rank 1 of a 2-rank udp job dies at 20 ms while sending
+// 256 KiB to rank 0, which computes for 200 ms, acknowledges the failure
+// and receives from it. Rank 1 must send nothing again after its death (a
+// rank left open retransmitted its RTS 25 times to a survivor that had
+// fenced it, until its link was declared dead), the run must drain when
+// the last live rank finishes (13.43 s before, on that retry exhaustion),
+// and the receive must fail with the death.
+func TestKilledRankIsClosed(t *testing.T) {
+	w, trs, err := build(registry.Spec{Ranks: 2}, "udp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kills, err := atm.ParseKills("1@20ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.ScheduleKills(kills); err != nil {
+		t.Fatal(err)
+	}
+	victim := trs[1].dgram.(*atm.RUDP)
+	atKill := -1 // scheduled after the kill, so it runs just after it
+	w.Sched(1).After(20*time.Millisecond, func() { atKill = victim.Retransmits })
+	var got error
+	rep, err := mpi.Launch(w, func(c *mpi.Comm) error {
+		if c.Rank() == 1 {
+			return c.Send(0, 0, make([]byte, 256<<10))
+		}
+		c.Compute(200 * time.Millisecond)
+		c.FailureAck()
+		_, got = c.Recv(1, 0, make([]byte, 256<<10))
+		return nil
+	})
+	if err != rep.FirstErr() || rep.Errs[0] != nil || !mpi.IsPeerDown(got) {
+		t.Fatalf("run %v, rank 0's receive %v: want only rank 1's death", err, got)
+	}
+	if n := victim.Retransmits - atKill; atKill < 0 || n != 0 || victim.Err != nil {
+		t.Errorf("the killed rank retransmitted %d frames after its death (link %v), want 0", n, victim.Err)
+	}
+	if rep.Elapsed != rep.RankElapsed[0] {
+		t.Errorf("run drained at %v, the last live rank finished at %v", rep.Elapsed, rep.RankElapsed[0])
+	}
+}

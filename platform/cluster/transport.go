@@ -193,6 +193,16 @@ func (t *transport) tcpFrame(dst int, kind core.PacketKind, env core.Envelope, a
 	return frame
 }
 
+// Stop is the engine's Kill reaching the wire: a dead process's reliable
+// UDP abandons the frames it has outstanding instead of retransmitting
+// them to survivors that will fence it and stop acking. TCP and U-Net
+// never retransmit.
+func (t *transport) Stop() {
+	if r, ok := t.dgram.(*atm.RUDP); ok {
+		r.Stop()
+	}
+}
+
 // fail declares the transport dead: the error (typed ErrLinkDown unless the
 // link already produced an MPI error) completes every pending request and
 // fails all subsequent operations, so Wait callers see the failure instead
@@ -307,6 +317,12 @@ func (t *transport) PeerDown(rank int) {
 		}
 	} else if dp, ok := t.dgram.(interface{ DropPeer(int) }); ok {
 		dp.DropPeer(rank)
+		// A killed rank's reliable UDP sends nothing after its death (Stop),
+		// so the rest of a payload it was sending never comes: the landing's
+		// cursor, already let go of its receive, closes here.
+		if n := t.eng.PayloadLeft(rank); n > 0 {
+			t.eng.Landed(rank, n, &t.inbox)
+		}
 	}
 	t.eng.Wake()
 }
