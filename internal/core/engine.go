@@ -77,6 +77,13 @@ type Engine struct {
 	fatal  error
 	closed bool
 
+	// awaiting is the request Wait is parked on (see Nudge); nudgeAll (tests
+	// only) makes every Nudge wake, and nudgesDropped counts those that did
+	// not. The two share closed's padding.
+	nudgeAll      bool
+	nudgesDropped int32
+	awaiting      *Request
+
 	// Fault-tolerance state (see ft.go): peers declared dead with their
 	// death reasons, in detection order; how many of those deaths the
 	// process has acknowledged (FailureAck); revoked communicator context
@@ -314,7 +321,6 @@ func (e *Engine) deliverMatched(p *sim.Proc, msg *InMsg, req *Request) {
 			// fence and the receive would wait forever.
 			req.complete(Status{}, err)
 			e.retire(req)
-			e.cond.Broadcast()
 			return
 		}
 		e.tr.Accept(p, msg, req)
@@ -359,7 +365,7 @@ func (e *Engine) recvDone(req *Request, env Envelope, n int, note string) {
 	req.complete(st, err)
 	e.retire(req)
 	e.trc(trace.RecvDone, st.Source, st.Tag, st.Count, note)
-	e.cond.Broadcast()
+	e.Nudge()
 }
 
 // ----------------------------------------------------------------- progress --
@@ -408,7 +414,6 @@ func (e *Engine) handle(p *sim.Proc, pkt *Packet) {
 		// released by the time SendPayload returns.
 		req.acked = true
 		e.tr.SendPayload(p, req, pkt)
-		e.cond.Broadcast()
 	case PktSyncAck:
 		e.SendAcked(pkt.ReqID)
 	case PktData:
@@ -485,7 +490,7 @@ func (e *Engine) SendDone(req *Request) {
 	}
 	req.sendMaybeComplete()
 	e.retire(req)
-	e.cond.Broadcast()
+	e.Nudge()
 }
 
 // SendAcked marks the send request named name acknowledged — a rendezvous
@@ -499,17 +504,30 @@ func (e *Engine) SendAcked(name int64) *Request {
 		req.acked = true
 		req.sendMaybeComplete()
 		e.retire(req)
-		e.cond.Broadcast()
+		e.Nudge()
 	}
 	return req
 }
 
-// Wake nudges the rank parked in Park to re-poll; transports call it on
-// packet arrival. Callable from event context.
+// Wake rouses the rank parked in Park to re-poll: the wire holds something
+// Poll would surface (an arrival, credits to ship, a readable connection).
+// Callable from event context.
 func (e *Engine) Wake() { e.cond.Broadcast() }
 
+// Nudge follows a completion or a returned credit: it rouses the parked
+// rank unless Wait parked it on a request still pending with no deferred
+// grant owed, which would poll an empty wire and park again, charged
+// nothing (DESIGN §5). Callable from event context.
+func (e *Engine) Nudge() {
+	if r := e.awaiting; r != nil && !r.Done() && len(e.defGrants) == 0 && !e.nudgeAll {
+		e.nudgesDropped++
+		return
+	}
+	e.cond.Broadcast()
+}
+
 // Park is the rank's one wait point for protocol progress, inside an MPI
-// call; Wake, a completion, Fatal or PeerDown rouses it.
+// call; Wake, Fatal, PeerDown and (see Nudge) a completion rouse it.
 func (e *Engine) Park(p *sim.Proc) { e.cond.Wait(p) }
 
 // Closed reports whether the rank has left Finalize or been killed (Kill):
@@ -568,7 +586,9 @@ func (e *Engine) Wait(p *sim.Proc, r *Request) (Status, error) {
 			r.complete(Status{}, e.fatal)
 			break
 		}
+		e.awaiting = r
 		e.Park(p)
+		e.awaiting = nil
 	}
 	return e.consume(r)
 }

@@ -137,7 +137,7 @@ func (t *MemTransport) deliver(dst int, pkt Packet) {
 // Engine.SendDone).
 func (t *MemTransport) CreditReturned(src, n int) {
 	t.fc.Grant(src, n, t.transmit)
-	t.eng.Wake()
+	t.eng.Nudge()
 }
 
 // transmit ships one send whose flow control has cleared.

@@ -222,7 +222,7 @@ func (t *lowlatTransport) PeerDown(rank int) {
 // CreditReturned implements core.CreditSink: it runs at the sender (event
 // context) when a slot-free transaction from rank dst lands, returning n
 // slots, and the send queue either reuses a slot at once for the queued
-// successor or banks it.
+// successor or banks it, nudging the rank (a Probe or Finalize may use it).
 func (t *lowlatTransport) CreditReturned(dst, n int) {
 	shipped := false
 	t.fc.Grant(dst, n, func(req *core.Request) {
@@ -230,7 +230,7 @@ func (t *lowlatTransport) CreditReturned(dst, n int) {
 		t.transmit(req)
 	})
 	if !shipped {
-		t.eng.Wake()
+		t.eng.Nudge()
 	}
 }
 
