@@ -35,6 +35,14 @@ type Engine struct {
 	match Matcher
 	cond  *sim.Cond
 
+	// The send side of the protocol (see send): the eager/rendezvous
+	// crossover in payload bytes, the wire's flow-control queue (nil when
+	// sends never wait), and the sends a credit parsed inside Poll released,
+	// which pollOnce ships once Poll has returned.
+	eager    int
+	fc       *SendQueue
+	released sim.Queue[*Request]
+
 	// The request table (see reqtable.go): live requests by slot, the slots
 	// free for reissue, released requests awaiting reuse, the creation
 	// counter, and how many tabled sends the wire has not taken yet.
@@ -165,8 +173,30 @@ func (e *Engine) freeInMsg(m *InMsg) {
 // SetTransport attaches the platform transport; must be called before use.
 func (e *Engine) SetTransport(tr Transport) { e.tr = tr }
 
-// MaxEager reports the transport's eager/rendezvous crossover in bytes.
-func (e *Engine) MaxEager() int { return e.tr.MaxEager() }
+// SetFlow gives the engine its wire's eager/rendezvous crossover in payload
+// bytes and the queue that holds sends back while a destination's capacity
+// is spent (nil when no send ever waits). The wire builds fc with its own
+// cost: what a send costs at its destination is the wire's business.
+func (e *Engine) SetFlow(eager int, fc *SendQueue) { e.eager, e.fc = eager, fc }
+
+// MaxEager reports the eager/rendezvous crossover in bytes.
+func (e *Engine) MaxEager() int { return e.eager }
+
+// viaRndv reports whether req's payload is past the crossover, so the send
+// ships a rendezvous envelope and the payload moves on CTS.
+func (e *Engine) viaRndv(req *Request) bool { return req.Env.Count > e.eager }
+
+// EagerBytes is the SendQueue cost of a wire whose receiver holds eager
+// payloads in reserved bytes: an eager send takes hdr plus its payload, a
+// rendezvous envelope nothing (the CTS handshake flow-controls its payload).
+func (e *Engine) EagerBytes(hdr int) func(*Request) int {
+	return func(req *Request) int {
+		if e.viaRndv(req) {
+			return 0
+		}
+		return hdr + req.Env.Count
+	}
+}
 
 // Transport reports the attached transport.
 func (e *Engine) Transport() Transport { return e.tr }
@@ -230,7 +260,7 @@ func (e *Engine) Isend(p *sim.Proc, dst, tag, ctx int, mode Mode, data []byte) (
 	switch mode {
 	case ModeSync:
 		req.ackWanted = true
-		e.tr.Send(p, req)
+		e.send(p, req)
 	case ModeBuffered:
 		e.bufUsed += need
 		// Copy into the attached buffer so the caller's storage is free to
@@ -240,13 +270,78 @@ func (e *Engine) Isend(p *sim.Proc, dst, tag, ctx int, mode Mode, data []byte) (
 		req.Buf = stable
 		e.acct.Spend(p, sim.Copy, e.costs.CopyBase+sim.Duration(need)*e.costs.CopyPerByte)
 		req.buffered = true
-		e.tr.Send(p, req)
+		e.send(p, req)
 		req.complete(Status{Source: dst, Tag: tag, Count: need}, nil)
 	default: // standard and ready
-		e.tr.Send(p, req)
+		e.send(p, req)
 	}
 	req.sendMaybeComplete()
 	return req, nil
+}
+
+// send hands req to the wire. It never blocks (MPI_Isend semantics): when
+// flow control (an envelope slot or byte credits) is spent, req queues in
+// issue order behind every earlier send to its destination — so MPI's
+// non-overtaking rule survives a mix of queued eager messages and
+// rendezvous envelopes — and ships when a credit releases it.
+func (e *Engine) send(p *sim.Proc, req *Request) {
+	if e.fc == nil || e.fc.Offer(req) {
+		e.transmit(p, req)
+	}
+}
+
+// transmit ships one send whose flow control has cleared: the whole
+// message when it is eager, else the rendezvous envelope. p is nil when a
+// returned credit released the send in event context. A send that failed
+// while it queued ships nothing; Done() is the wrong guard, as a buffered
+// send completes at Isend time yet must still ship.
+func (e *Engine) transmit(p *sim.Proc, req *Request) {
+	dst := req.Env.Dest
+	if req.Err() != nil || e.PeerDead(dst) {
+		return
+	}
+	if e.viaRndv(req) {
+		e.tr.Ship(p, dst, Packet{Kind: PktRTS, Env: req.Env})
+		return
+	}
+	e.tr.Ship(p, dst, Packet{Kind: PktEager, Env: req.Env, Data: req.Buf})
+	e.SendDone(req)
+}
+
+// landCredit takes back, in event context, the capacity a PktCredit that
+// landed in an Inbox returns, and ships at once the sends it clears; a
+// grant that ships nothing nudges the rank (a Probe or Finalize may use
+// the capacity).
+func (e *Engine) landCredit(src, n int) {
+	shipped := false
+	e.fc.Grant(src, n, func(req *Request) {
+		shipped = true
+		e.transmit(nil, req)
+	})
+	if !shipped {
+		e.Nudge()
+	}
+}
+
+// Credit takes back n units of capacity toward src for a wire whose own
+// Poll parsed the credit: the sends it clears ship from pollOnce once Poll
+// has returned, in the rank's context, which charges the wire's writes.
+func (e *Engine) Credit(src, n int) {
+	if n > 0 {
+		e.fc.Grant(src, n, e.released.Push)
+	}
+}
+
+// control ships a packet that carries no payload.
+func (e *Engine) control(p *sim.Proc, dst int, kind PacketKind, env Envelope) {
+	e.tr.Ship(p, dst, Packet{Kind: kind, Env: env, ReqID: env.SendID})
+}
+
+// release returns n bytes of eager bounce space to src: the wire ships the
+// credit, piggybacks it later, or (the Meiko, whose slot freed when Poll
+// read the envelope) drops it.
+func (e *Engine) release(p *sim.Proc, src, n int) {
+	e.tr.Ship(p, src, Packet{Kind: PktCredit, Env: Envelope{Source: e.rank, Count: n}})
 }
 
 // selfSend delivers a message to this rank without touching the transport:
@@ -340,9 +435,9 @@ func (e *Engine) deliverMatched(p *sim.Proc, msg *InMsg, req *Request) {
 			}
 		}
 	} else {
-		e.tr.Release(p, msg.Env.Source, n)
+		e.release(p, msg.Env.Source, n)
 		if msg.Env.Mode == ModeSync {
-			e.tr.Control(p, msg.Env.Source, PktSyncAck, msg.Env)
+			e.control(p, msg.Env.Source, PktSyncAck, msg.Env)
 		}
 	}
 	if msg.Pool != nil {
@@ -371,9 +466,19 @@ func (e *Engine) recvDone(req *Request, env Envelope, n int, note string) {
 // ----------------------------------------------------------------- progress --
 
 // pollOnce surfaces and handles at most one transport packet, reporting
-// whether one was processed.
+// whether one was processed. The sends a credit parsed by Poll released
+// ship first: parsing is what returns credits, and a send freed by this
+// very poll must go out now (Progress stops once nothing surfaces).
+// Shipping takes time in which more may arrive, so with nothing surfaced
+// it polls again: false means the wire is drained as of now.
 func (e *Engine) pollOnce(p *sim.Proc) bool {
 	pkt := e.tr.Poll(p)
+	for e.released.Len() > 0 {
+		e.transmit(p, e.released.Pop())
+		if pkt == nil && e.released.Len() == 0 {
+			pkt = e.tr.Poll(p)
+		}
+	}
 	if pkt == nil {
 		return false
 	}
@@ -410,10 +515,11 @@ func (e *Engine) handle(p *sim.Proc, pkt *Packet) {
 			}
 			return
 		}
-		// The payload's SendDone completes and retires the send: req may be
-		// released by the time SendPayload returns.
+		// SendDone completes and retires the send: req may be reissued
+		// once it returns.
 		req.acked = true
 		e.tr.SendPayload(p, req, pkt)
+		e.SendDone(req)
 	case PktSyncAck:
 		e.SendAcked(pkt.ReqID)
 	case PktData:
@@ -454,7 +560,7 @@ func (e *Engine) arrive(p *sim.Proc, msg InMsg, note string) {
 		// pair's credits on another communicator); a rendezvous sender's
 		// request was already failed by its own revoke.
 		if !msg.Rndv && env.Source != e.rank {
-			e.tr.Release(p, env.Source, len(msg.Data))
+			e.release(p, env.Source, len(msg.Data))
 		}
 		if msg.Pool != nil {
 			msg.Pool.Put(msg.Data)

@@ -549,18 +549,18 @@ func TestFabricSendQueueBooksFlowCounters(t *testing.T) {
 		if fmt.Sprint(tags) != "[0 1 2 3]" {
 			t.Errorf("credits %d: received tags %v, want issue order", credits, tags)
 		}
-		tr := w.engs[0].tr.(*MemTransport)
+		fc := w.engs[0].fc
 		c := w.engs[0].Acct().View().Count
 		if credits == 0 {
-			if tr.fc != nil || c["flow-queued"] != 0 {
-				t.Errorf("unlimited credits: queue %v, %d sends queued; want none", tr.fc, c["flow-queued"])
+			if fc != nil || c["flow-queued"] != 0 {
+				t.Errorf("unlimited credits: queue %v, %d sends queued; want none", fc, c["flow-queued"])
 			}
 			continue
 		}
 		if c["flow-queued"] != 3 || c["flow-granted"] != 3 {
 			t.Errorf("flow-queued %d, flow-granted %d; want 3 and 3", c["flow-queued"], c["flow-granted"])
 		}
-		if got := tr.fc.Available(1); got != credits {
+		if got := fc.Available(1); got != credits {
 			t.Errorf("%d credits toward rank 1 after every message was consumed, want %d", got, credits)
 		}
 	}

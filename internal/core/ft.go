@@ -81,6 +81,10 @@ func (e *Engine) PeerDown(rank int, reason error) {
 	}
 
 	e.sweepRndv(rank)
+	if e.fc != nil {
+		e.fc.DropDst(rank)
+	}
+	e.released.Filter(func(req *Request) bool { return req.Env.Dest != rank })
 	e.tr.PeerDown(rank)
 	e.cond.Broadcast()
 }
@@ -111,7 +115,7 @@ func (e *Engine) flushDeferredGrants(p *sim.Proc) {
 			continue
 		}
 		if w := e.wins[g.win]; w != nil {
-			e.tr.Control(p, g.origin, PktRMAGrant, Envelope{Source: e.rank, Dest: g.origin, Tag: w.ID})
+			e.control(p, g.origin, PktRMAGrant, Envelope{Source: e.rank, Dest: g.origin, Tag: w.ID})
 		}
 	}
 }
@@ -235,6 +239,6 @@ func (e *Engine) bcastRevoke(p *sim.Proc, ctx int) {
 		if _, dd := e.dead[dst]; dd {
 			continue
 		}
-		e.tr.Control(p, dst, PktRevoke, Envelope{Source: e.rank, Dest: dst, Context: ctx})
+		e.control(p, dst, PktRevoke, Envelope{Source: e.rank, Dest: dst, Context: ctx})
 	}
 }

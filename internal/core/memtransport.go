@@ -55,11 +55,15 @@ func (f *MemFabric) Attach(e *Engine) *MemTransport {
 	if f.eps == nil {
 		f.eps = make([]*MemTransport, e.Size())
 	}
-	t := &MemTransport{fab: f, eng: e, s: f.schedFor(e.Rank()), rank: e.Rank()}
-	t.inbox.Init(e, t)
+	t := &MemTransport{fab: f, eng: e, s: f.schedFor(e.Rank())}
+	t.inbox.Init(e)
+	// With unlimited credits no send waits, so no queue is built, for the
+	// reason lastArrival is built lazily.
+	var fc *SendQueue
 	if f.Credits > 0 {
-		t.fc = NewSendQueue(e.Size(), f.Credits, 0, t.cost, e.Acct())
+		fc = NewSendQueue(e.Size(), f.Credits, 0, e.EagerBytes(0), e.Acct())
 	}
+	e.SetFlow(f.Eager, fc)
 	f.eps[e.Rank()] = t
 	e.SetTransport(t)
 	return t
@@ -70,7 +74,6 @@ type MemTransport struct {
 	fab   *MemFabric
 	eng   *Engine
 	s     *sim.Scheduler // this rank's (lane) scheduler
-	rank  int
 	inbox Inbox
 
 	// lastArrival[dst] is the latest mailbox delivery already scheduled
@@ -78,26 +81,9 @@ type MemTransport struct {
 	// per-destination table on every rank of a 1 024-rank mem world would
 	// be its largest live structure.
 	lastArrival map[int]sim.Time
-
-	// fc holds sends back, in issue order, while the pair's bounce bytes
-	// are spent; nil when the fabric's credits are unlimited, for the same
-	// reason as lastArrival.
-	fc *SendQueue
 }
 
 var _ Transport = (*MemTransport)(nil)
-
-// MaxEager implements Transport.
-func (t *MemTransport) MaxEager() int { return t.fab.Eager }
-
-// cost is the bounce bytes a send takes at its destination: its payload
-// when eager, nothing for a rendezvous envelope.
-func (t *MemTransport) cost(req *Request) int {
-	if req.Env.Count > t.fab.Eager {
-		return 0
-	}
-	return req.Env.Count
-}
 
 // delay is the store-burst visibility delay for n payload bytes.
 func (f *MemFabric) delay(n int) sim.Duration {
@@ -132,33 +118,18 @@ func (t *MemTransport) deliver(dst int, pkt Packet) {
 	t.s.Route(t.fab.laneFor(dst), t.arrival(dst, len(pkt.Data)), t.inbox.Flight(&to.inbox, pkt))
 }
 
-// CreditReturned implements CreditSink: restore src's account and transmit
-// the sends it clears, in issue order (completions go through
-// Engine.SendDone).
-func (t *MemTransport) CreditReturned(src, n int) {
-	t.fc.Grant(src, n, t.transmit)
-	t.eng.Nudge()
-}
-
-// transmit ships one send whose flow control has cleared.
-func (t *MemTransport) transmit(req *Request) {
-	dst := req.Env.Dest
-	if req.Env.Count > t.fab.Eager {
-		// Rendezvous: ship the envelope; the payload moves on CTS.
-		t.deliver(dst, Packet{Kind: PktRTS, Env: req.Env})
-		return
+// Ship implements Transport: an eager payload travels in a bounce copy,
+// and a credit only when the fabric counts credits.
+func (t *MemTransport) Ship(p *sim.Proc, dst int, pkt Packet) {
+	switch pkt.Kind {
+	case PktEager:
+		pkt.Data, pkt.Pool = t.eng.Bounce(t.fab.eps[dst].eng, pkt.Data)
+	case PktCredit:
+		if t.fab.Credits == 0 {
+			return
+		}
 	}
-	data, pool := t.eng.Bounce(t.fab.eps[dst].eng, req.Buf)
-	t.deliver(dst, Packet{Kind: PktEager, Env: req.Env, Data: data, Pool: pool})
-	t.eng.SendDone(req)
-}
-
-// Send implements Transport. Messages queue in issue order behind any
-// flow-controlled predecessor so delivery order is preserved.
-func (t *MemTransport) Send(p *sim.Proc, req *Request) {
-	if t.fc == nil || t.fc.Offer(req) {
-		t.transmit(req)
-	}
+	t.deliver(dst, pkt)
 }
 
 // Accept implements Transport: CTS back to the sender; the payload will
@@ -172,30 +143,10 @@ func (t *MemTransport) Accept(p *sim.Proc, msg *InMsg, req *Request) {
 func (t *MemTransport) SendPayload(p *sim.Proc, req *Request, pkt *Packet) {
 	data, pool := t.eng.Bounce(t.fab.eps[req.Env.Dest].eng, req.Buf)
 	t.deliver(req.Env.Dest, Packet{Kind: PktData, Env: req.Env, ReqID: pkt.Landing, Data: data, Pool: pool})
-	t.eng.SendDone(req)
 }
 
-// Control implements Transport.
-func (t *MemTransport) Control(p *sim.Proc, dst int, kind PacketKind, env Envelope) {
-	t.deliver(dst, Packet{Kind: kind, Env: env, ReqID: env.SendID})
-}
-
-// Release implements Transport: return n bounce bytes to the sender side.
-func (t *MemTransport) Release(p *sim.Proc, src int, n int) {
-	if t.fc == nil {
-		return
-	}
-	t.deliver(src, Packet{Kind: PktCredit, Env: Envelope{Source: t.rank, Count: n}})
-}
-
-// PeerDown implements Transport: drop sends queued toward the dead rank
-// (the engine already failed their requests) and reset its credit account —
-// a corpse never returns credits, so nothing may wait on them.
-func (t *MemTransport) PeerDown(rank int) {
-	if t.fc != nil {
-		t.fc.DropDst(rank)
-	}
-}
+// PeerDown implements Transport: a store burst holds no per-peer state.
+func (t *MemTransport) PeerDown(rank int) {}
 
 // Poll implements Transport.
 func (t *MemTransport) Poll(p *sim.Proc) *Packet {

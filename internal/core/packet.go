@@ -79,32 +79,28 @@ type Packet struct {
 }
 
 // Transport moves bytes and charges platform time on behalf of an Engine.
-// The three primitives mirror the paper's §5.1 list: sending an envelope,
-// sending an envelope with piggybacked data, and setting remote events /
-// sending DMA data. There is one implementation per distinct wire: the
-// Meiko's Elan (transactions, DMA, per-sender envelope slots), the cluster's
-// sockets (a TCP stream or RUDP/U-Net datagrams, byte credits), and the
-// store-based MemFabric, which mem and cluster/shm both run on under
-// different cost tables.
+// The engine decides what to send and when — the eager/rendezvous branch,
+// flow control, credit returns — and a transport only moves what it is
+// handed: the paper's §5.1 list of an envelope, an envelope with
+// piggybacked data, and DMA data. There is one implementation per distinct
+// wire: the Meiko's Elan (transactions, DMA, per-sender envelope slots), the
+// cluster's sockets (a TCP stream or RUDP/U-Net datagrams, byte credits),
+// and the store-based MemFabric, which mem and cluster/shm both run on under
+// different cost tables. A flow-controlled wire gives the engine its
+// crossover and its SendQueue once, with Engine.SetFlow.
 //
 // All methods taking a *sim.Proc run in that proc's context, inside an MPI
 // call, may charge it time and wait only in Engine.Park. Delivery upcalls
 // into the Engine (SendDone, Land, Wake) may instead come from event context:
 // the modelled hardware and kernel, all that acts outside MPI (see Progress).
 type Transport interface {
-	// MaxEager is the eager/rendezvous crossover in payload bytes
-	// (180 on the Meiko, per Figure 1).
-	MaxEager() int
-
-	// Send transmits req's message: eager when req.Env.Count <= MaxEager,
-	// rendezvous RTS otherwise. Send never blocks (MPI_Isend semantics):
-	// when flow control (an envelope slot or byte credits) is exhausted,
-	// the transport queues the message internally and transmits when space
-	// frees — in issue order, so MPI's non-overtaking rule survives a mix
-	// of queued eager messages and rendezvous envelopes. The transport
-	// marks the local send complete via Engine.SendDone (or synchronously
-	// before returning).
-	Send(p *sim.Proc, req *Request)
+	// Ship moves one packet to rank dst: an eager envelope with its payload
+	// in Data (the caller's buffer, which the wire copies before Ship
+	// returns), a rendezvous RTS, or a control packet (PktSyncAck, the
+	// window and revoke notices, or a PktCredit returning Env.Count units
+	// of bounce space). p is nil when a credit that landed in event context
+	// released the send; the wire then charges no process time.
+	Ship(p *sim.Proc, dst int, pkt Packet)
 
 	// Accept informs the transport that the receiver matched RTS msg with
 	// posted receive req: it issues the CTS and arranges for the payload to
@@ -113,26 +109,21 @@ type Transport interface {
 
 	// SendPayload handles a CTS that surfaced through Poll (stream
 	// transports, where the sending process itself must push the data):
-	// transmit req's payload toward the destination named in pkt.
+	// transmit req's payload toward the receive named by pkt.Landing. The
+	// engine completes the send when it returns.
 	SendPayload(p *sim.Proc, req *Request, pkt *Packet)
-
-	// Control sends a small control message (PktSyncAck, PktCredit).
-	Control(p *sim.Proc, dst int, kind PacketKind, env Envelope)
-
-	// Release returns n bytes of eager bounce space for messages from src
-	// (frees the Meiko slot / returns cluster credits).
-	Release(p *sim.Proc, src int, n int)
 
 	// Poll surfaces the next arrived packet, charging p the platform's
 	// per-packet receive costs (kernel reads, slot scans); nil only when
 	// nothing is left to surface, with no time charged since it looked. The
 	// packet is the transport's until the next Poll: the engine copies out
-	// what it keeps.
+	// what it keeps. A credit Poll parses goes to Engine.Credit.
 	Poll(p *sim.Proc) *Packet
 
 	// PeerDown tells the transport that rank was declared dead (the engine
-	// already failed the doomed requests), so per-peer state — queued sends,
-	// rendezvous bookkeeping, flow credits, reliability timers — is fenced
-	// off instead of retrying into a black hole. May run in event context.
+	// already failed the doomed requests and dropped the sends queued
+	// toward it), so per-peer wire state — rendezvous bookkeeping, owed
+	// credits, reliability timers — is fenced off instead of retrying into
+	// a black hole. May run in event context.
 	PeerDown(rank int)
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // The two queues every Transport shares: the Inbox that carries a packet to
-// Poll, and the SendQueue that holds sends back while the destination's
-// flow-control capacity is spent. A wire supplies only what differs: how a
-// packet travels, and what a send costs at its destination.
+// Poll, and the engine's SendQueue that holds sends back while the
+// destination's flow-control capacity is spent. A wire supplies only what
+// differs: how a packet travels, and what a send costs at its destination.
 
 // Inbox holds a rank's arrived packets between the context that lands them
 // and the Poll that surfaces them. Each packet rides a pooled record whose
@@ -22,7 +22,6 @@ import (
 // Init.
 type Inbox struct {
 	eng    *Engine
-	credit CreditSink // consumes a landed PktCredit; it never surfaces
 	q      sim.Queue[*arrival]
 	idle   sim.FreeList[arrival]
 	polled Packet // what Poll last surfaced; the engine's until the next Poll
@@ -35,19 +34,9 @@ type arrival struct {
 	land func() // a.arrive, bound on the record's first Flight
 }
 
-// CreditSink is the transport side of a flow-controlled wire: it takes back
-// the capacity a credit return frees.
-type CreditSink interface {
-	// CreditReturned runs in delivery context when a PktCredit lands, with
-	// the returning rank (Env.Source) and the units it frees (Env.Count).
-	CreditReturned(src, n int)
-}
-
-// Init binds the inbox to the engine its landings wake and to the sink of
-// its landed credit returns.
-func (in *Inbox) Init(eng *Engine, credit CreditSink) {
-	in.eng, in.credit = eng, credit
-}
+// Init binds the inbox to the engine its landings wake and whose send
+// queue its landed credit returns refill.
+func (in *Inbox) Init(eng *Engine) { in.eng = eng }
 
 // get draws an idle record, or makes one.
 func (in *Inbox) get() *arrival {
@@ -69,14 +58,14 @@ func (in *Inbox) Flight(to *Inbox, pkt Packet) (land func()) {
 	return a.land
 }
 
-// arrive lands a flight: a credit return goes to the credit handler, any
-// other packet waits for Poll and wakes the engine.
+// arrive lands a flight: a credit return refills the engine's send queue,
+// any other packet waits for Poll and wakes the engine.
 func (a *arrival) arrive() {
 	in := a.to
 	if a.pkt.Kind == PktCredit {
 		src, n := a.pkt.Env.Source, a.pkt.Env.Count
 		in.recycle(a)
-		in.credit.CreditReturned(src, n)
+		in.eng.landCredit(src, n)
 		return
 	}
 	in.q.Push(a)
@@ -149,11 +138,12 @@ func AuditInboxes(ins ...*Inbox) (int, error) {
 // SendQueue is the issue-order send queue with per-peer capacity
 // accounting that every flow-controlled wire shares: the Meiko's envelope
 // slots, the sockets' credit bytes and the MemFabric's bounce bytes. It
-// decides *when* a message may transmit; the owning transport decides
-// *how*. A message that cannot transmit at once — its destination's
-// capacity is spent, or an earlier message to it already waits — queues in
-// FIFO order behind its predecessors, which preserves MPI's non-overtaking
-// rule across mixed eager and rendezvous traffic. Not safe for concurrent
+// decides *when* a message may transmit; the engine holding it
+// (Engine.SetFlow) decides *what*, and the wire *how*. A message that
+// cannot transmit at once — its destination's capacity is spent, or an
+// earlier message to it already waits — queues in FIFO order behind its
+// predecessors, which preserves MPI's non-overtaking rule across mixed
+// eager and rendezvous traffic. Not safe for concurrent
 // use: it belongs to one rank's lane.
 type SendQueue struct {
 	cost    func(*Request) int

@@ -101,8 +101,7 @@ func TestPeerDownFailedRequestNotRecycled(t *testing.T) {
 			mustSend(t, p, e, 1, 0, payload(100)) // spends the pair's credits
 			starved, _ := e.Isend(p, 1, 1, 0, ModeStandard, payload(100))
 			rndv, _ := e.Isend(p, 1, 2, 0, ModeStandard, payload(4096))
-			tr := e.tr.(*MemTransport)
-			if n := tr.fc.QueuedLen(1); n != 2 {
+			if n := e.fc.QueuedLen(1); n != 2 {
 				t.Fatalf("%d sends queued toward rank 1, want both waiting", n)
 			}
 			e.PeerDown(1, nil)

@@ -251,7 +251,7 @@ func (e *Engine) WinLock(p *sim.Proc, dst, id int, excl bool) error {
 		if excl {
 			count = 1
 		}
-		e.tr.Control(p, dst, PktRMALock, Envelope{Source: e.rank, Dest: dst, Tag: id, Count: count})
+		e.control(p, dst, PktRMALock, Envelope{Source: e.rank, Dest: dst, Tag: id, Count: count})
 	}
 	for !w.granted[dst] {
 		e.Progress(p)
@@ -293,7 +293,7 @@ func (e *Engine) WinUnlock(p *sim.Proc, dst, id int) error {
 		e.winRelease(p, w, e.rank)
 		return nil
 	}
-	e.tr.Control(p, dst, PktRMAUnlock, Envelope{Source: e.rank, Dest: dst, Tag: id})
+	e.control(p, dst, PktRMAUnlock, Envelope{Source: e.rank, Dest: dst, Tag: id})
 	return nil
 }
 
@@ -351,7 +351,7 @@ func (e *Engine) winGrant(p *sim.Proc, w *WinState, origin int) {
 		e.cond.Broadcast()
 		return
 	}
-	e.tr.Control(p, origin, PktRMAGrant, Envelope{Source: e.rank, Dest: origin, Tag: w.ID})
+	e.control(p, origin, PktRMAGrant, Envelope{Source: e.rank, Dest: origin, Tag: w.ID})
 }
 
 // winGrantMsg handles an arriving PktRMAGrant at the origin.

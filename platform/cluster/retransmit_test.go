@@ -262,3 +262,38 @@ func TestKilledRankIsClosed(t *testing.T) {
 		t.Errorf("run drained at %v, the last live rank finished at %v", rep.Elapsed, rep.RankElapsed[0])
 	}
 }
+
+// A rank killed mid-write is not stopped on tcp or unet: an open defect
+// (ROADMAP item 3(d)), pinned here as measured. Rank 1 of a 2-rank job
+// sends 4 MiB to rank 0 and dies at 5 ms. On tcp the corpse stays parked in
+// the write interleave on a window the survivor never reopens, so the run
+// ends in the kernel's deadlock instead of the kill; on unet its proc runs
+// on to 252 ms and the run drains at 259.61 ms; on udp, whose RUDP.Stop
+// abandons the write, it drains at the survivor's finish. A change to any
+// pin fails here: the fix re-pins its rows and updates item 3(d).
+func TestKilledMidWriteDefectPinned(t *testing.T) {
+	const kill = "mpi: rank 1 killed at 5ms by fault schedule"
+	for _, tc := range []struct {
+		kind           string
+		err            string // the run's
+		elapsed, rank0 time.Duration
+	}{
+		{"tcp", "sim: deadlock at 320602.689us: parked procs [rank1]", 320602689 * time.Nanosecond, 7 * time.Millisecond},
+		{"unet", kill, 259611116 * time.Nanosecond, 5500 * time.Microsecond},
+		{"udp", kill, 45 * time.Millisecond, 45 * time.Millisecond},
+	} {
+		rep, err := registry.Run(registry.Spec{Platform: "cluster", Transport: tc.kind, Ranks: 2, Kills: "1@5ms"}, func(c *mpi.Comm) error {
+			if c.Rank() == 1 {
+				return c.Send(0, 0, make([]byte, 4<<20))
+			}
+			if _, err := c.Recv(1, 0, make([]byte, 4<<20)); !mpi.IsPeerDown(err) {
+				return fmt.Errorf("the receive returned %v, want the sender's death", err)
+			}
+			return nil
+		})
+		if fmt.Sprint(err) != tc.err || rep.Elapsed != tc.elapsed || rep.RankElapsed[0] != tc.rank0 {
+			t.Errorf("%s: run %v, drained at %v, rank 0 done at %v; pinned %s, %v, %v (ROADMAP item 3(d): a fix re-pins this row)",
+				tc.kind, err, rep.Elapsed, rep.RankElapsed[0], tc.err, tc.elapsed, tc.rank0)
+		}
+	}
+}

@@ -27,7 +27,6 @@ type transport struct {
 	eng  *core.Engine
 	rank int
 	size int
-	max  int    // eager threshold
 	kind string // "tcp" | "udp" | "unet"
 
 	conns []*atm.TCP // TCP mesh (nil diagonal)
@@ -44,15 +43,9 @@ type transport struct {
 	inbox core.Inbox // parsed frames waiting for Poll
 	rr    int        // round-robin parse start
 
-	// Credit flow control (sender side): bytes we may still push toward
-	// each destination's reserved memory, queued sends held in issue order.
-	fc *core.SendQueue
-	// Receiver side: freed reservation owed back to each sender.
+	// Credit flow control, receiver side: freed reservation owed back to
+	// each sender (the sender's side is the engine's send queue).
 	owed *flow.Owed
-
-	// Buffered sends whose credits arrived; shipped on the next Poll from
-	// the owning process's context.
-	pendingShip sim.Queue[*core.Request]
 }
 
 func newTransport(eng *core.Engine, rank, size, eager, credit int, kind string) *transport {
@@ -60,7 +53,6 @@ func newTransport(eng *core.Engine, rank, size, eager, credit int, kind string) 
 		eng:   eng,
 		rank:  rank,
 		size:  size,
-		max:   eager,
 		kind:  kind,
 		conns: make([]*atm.TCP, size),
 		ready: make(readySet, (size+63)/64),
@@ -70,14 +62,9 @@ func newTransport(eng *core.Engine, rank, size, eager, credit int, kind string) 
 		pool: eng.Pool(),
 	}
 	// Eager messages charge header+payload bytes against the receiver's
-	// reservation; rendezvous envelopes are credit-exempt (their payload is
-	// flow controlled by the CTS handshake) but still queue in issue order.
-	t.fc = core.NewSendQueue(size, credit, 0, func(req *core.Request) int {
-		if req.Env.Count > t.max {
-			return 0
-		}
-		return headerBytes + req.Env.Count
-	}, eng.Acct())
+	// reservation; rendezvous envelopes are credit-exempt but still queue
+	// in issue order.
+	eng.SetFlow(eager, core.NewSendQueue(size, credit, 0, eng.EagerBytes(headerBytes), eng.Acct()))
 	return t
 }
 
@@ -153,9 +140,6 @@ func (t *transport) attachDgram(d dgramLink) {
 
 var _ core.Transport = (*transport)(nil)
 
-// MaxEager implements core.Transport.
-func (t *transport) MaxEager() int { return t.max }
-
 // writeFrame ships one protocol message (header + optional payload),
 // charging p the full kernel send path.
 func (t *transport) writeFrame(p *sim.Proc, dst int, kind core.PacketKind, env core.Envelope, aux uint32, payload []byte) {
@@ -214,36 +198,23 @@ func (t *transport) fail(err error) {
 	t.eng.Fatal(err)
 }
 
-// transmit ships one protocol message whose flow control has cleared:
-// rendezvous envelope or eager header+payload.
-func (t *transport) transmit(p *sim.Proc, req *core.Request) {
-	if req.Err() != nil || t.eng.PeerDead(req.Env.Dest) {
-		// The destination died while the message queued on flow control (the
-		// engine already failed the request with ErrPeerDown). Done() is the
-		// wrong guard here: a buffered send completes at Isend time yet must
-		// still ship.
-		return
-	}
-	if req.Env.Count > t.max {
-		// Rendezvous: envelope only; the payload moves on CTS.
+// Ship implements core.Transport: one frame. A credit return piggybacks
+// on the next outgoing header; only when a quarter of the reservation is
+// owed (one-sided traffic) does an explicit credit frame flush it, which
+// keeps the pair deadlock-free.
+func (t *transport) Ship(p *sim.Proc, dst int, pkt core.Packet) {
+	switch pkt.Kind {
+	case core.PktEager:
+		t.eng.Acct().Add(ctrEager, 1)
+	case core.PktRTS:
 		t.eng.Acct().Add(ctrRndv, 1)
-		t.writeFrame(p, req.Env.Dest, core.PktRTS, req.Env, 0, nil)
-		return
+	case core.PktCredit:
+		if !t.owed.Add(dst, pkt.Env.Count+headerBytes) {
+			return
+		}
+		pkt.Env = core.Envelope{Source: t.rank}
 	}
-	t.eng.Acct().Add(ctrEager, 1)
-	t.writeFrame(p, req.Env.Dest, core.PktEager, req.Env, 0, req.Buf)
-	t.eng.SendDone(req)
-}
-
-// Send implements core.Transport. It never blocks: messages short of
-// credits queue in the send queue in issue order (behind any queued
-// predecessor, including rendezvous envelopes, preserving MPI's
-// non-overtaking rule) and are shipped from the owning process's next Poll
-// once credits return.
-func (t *transport) Send(p *sim.Proc, req *core.Request) {
-	if t.fc.Offer(req) {
-		t.transmit(p, req)
-	}
+	t.writeFrame(p, dst, pkt.Kind, pkt.Env, 0, pkt.Data)
 }
 
 // Accept implements core.Transport: send the CTS naming the receive, which
@@ -274,7 +245,6 @@ func (t *transport) SendPayload(p *sim.Proc, req *core.Request, pkt *core.Packet
 			}
 		})
 		t.pool.Put(frame)
-		t.eng.SendDone(req)
 		return
 	}
 	// Datagram modes: chunk to datagram size. A chunk's place in the
@@ -284,33 +254,13 @@ func (t *transport) SendPayload(p *sim.Proc, req *core.Request, pkt *core.Packet
 	for off := 0; off < len(data) || off == 0; off += maxChunk {
 		t.writeFrame(p, dst, core.PktData, req.Env, name, data[off:min(off+maxChunk, len(data))])
 	}
-	t.eng.SendDone(req)
 }
 
-// Control implements core.Transport (synchronous-mode acks).
-func (t *transport) Control(p *sim.Proc, dst int, kind core.PacketKind, env core.Envelope) {
-	t.writeFrame(p, dst, kind, env, 0, nil)
-}
-
-// Release implements core.Transport: reservation freed at the receiver.
-// Credit returns piggyback on outgoing headers; when a quarter of the
-// reservation is owed (one-sided traffic), an explicit credit message
-// flushes it — keeping the pair deadlock-free.
-func (t *transport) Release(p *sim.Proc, src int, n int) {
-	if t.owed.Add(src, n+headerBytes) {
-		t.writeFrame(p, src, core.PktCredit, core.Envelope{Source: t.rank}, 0, nil)
-	}
-}
-
-// PeerDown implements core.Transport: fence every piece of per-peer
-// transport state toward a dead rank so nothing ever retries into its
-// black hole — queued sends are dropped (the engine already failed their
-// requests and swept its rendezvous tables), flow-control capacity is
-// restored (the corpse can never grant credit back), and the wire itself is
-// fenced (TCP discards, RUDP abandons retransmission).
+// PeerDown implements core.Transport: fence the wire toward a dead rank so
+// nothing ever retries into its black hole (TCP discards, RUDP abandons
+// retransmission); the engine already failed the doomed requests, dropped
+// the sends queued toward it and swept its rendezvous tables.
 func (t *transport) PeerDown(rank int) {
-	t.fc.DropDst(rank)
-	t.pendingShip.Filter(func(req *core.Request) bool { return req.Env.Dest != rank })
 	if t.kind == "tcp" {
 		if c := t.conns[rank]; c != nil {
 			c.Drop()
@@ -324,35 +274,14 @@ func (t *transport) PeerDown(rank int) {
 			t.eng.Landed(rank, n, &t.inbox)
 		}
 	}
-	t.eng.Wake()
 }
 
-// addCredit books returned reservation at the sender side: the send queue
-// re-admits queued sends in issue order onto the pendingShip list; the
-// owning process transmits them on its next Poll (kernel writes need a
-// process context to charge).
-func (t *transport) addCredit(src, n int) {
-	if n == 0 {
-		return
-	}
-	t.fc.Grant(src, n, t.pendingShip.Push)
-	t.eng.Wake()
-}
-
-// Poll implements core.Transport. Shipping runs after parsing: the parse
-// step is what returns credits, and a send freed by this very poll must go
-// out now (the engine stops polling once Poll returns nil). Shipping takes
-// time in which more may arrive, so with nothing to surface it parses again
-// after the last send: nil means the wire is drained as of now.
+// Poll implements core.Transport. A header's piggybacked credit goes to
+// Engine.Credit as it is parsed; the sends it releases ship once Poll has
+// returned (see Engine.pollOnce).
 func (t *transport) Poll(p *sim.Proc) *core.Packet {
 	if t.inbox.Len() == 0 {
 		t.parseAvailable(p)
-	}
-	for t.pendingShip.Len() > 0 {
-		t.transmit(p, t.pendingShip.Pop())
-		if t.pendingShip.Len() == 0 && t.inbox.Len() == 0 {
-			t.parseAvailable(p)
-		}
 	}
 	return t.inbox.Poll()
 }
@@ -447,7 +376,7 @@ func (t *transport) parseTCP(p *sim.Proc, src int, conn *atm.TCP) {
 	acct.Add(ctrReadEnv, 1)
 
 	kind, credit, env, aux := flow.DecodeHeader(hdr[:])
-	t.addCredit(src, credit)
+	t.eng.Credit(src, credit)
 
 	switch kind {
 	case core.PktEager:
@@ -526,7 +455,7 @@ func (t *transport) parseDgram(p *sim.Proc) bool {
 		return true
 	}
 	kind, credit, env, aux := flow.DecodeHeader(buf[:headerBytes])
-	t.addCredit(env.Source, credit)
+	t.eng.Credit(env.Source, credit)
 	payload := buf[headerBytes:]
 
 	switch kind {

@@ -31,19 +31,12 @@ type lowlatTransport struct {
 	m    *meiko.Machine
 	node *meiko.Node
 	eng  *core.Engine
-	max  int
 	all  []*lowlatTransport // indexed by rank
 
 	// Envelopes and control packets land in inbox and surface through
 	// Poll; a slot-free is a PktCredit the receiving Elan consumes.
 	inbox    core.Inbox
 	rndvIdle sim.FreeList[rndv] // rendezvous pool (see rndv)
-
-	// Envelope-slot flow control: at most EnvelopeSlots outstanding
-	// envelopes per destination (the paper allocates exactly one, §4.1),
-	// each envelope — eager or rendezvous — costing one slot, with queued
-	// successors held in issue order.
-	fc *core.SendQueue
 
 	// Hardware-broadcast state; the slot wait parks on the engine.
 	bcSeq   int    // last broadcast sequence delivered here
@@ -59,19 +52,19 @@ func newLowlatTransport(m *meiko.Machine, node *meiko.Node, eng *core.Engine, ea
 		m:    m,
 		node: node,
 		eng:  eng,
-		max:  eager,
 		all:  all,
 	}
-	t.inbox.Init(eng, t)
-	t.fc = core.NewSendQueue(len(all), slots, slots,
-		func(*core.Request) int { return 1 }, eng.Acct())
+	t.inbox.Init(eng)
+	// Envelope-slot flow control: at most EnvelopeSlots outstanding
+	// envelopes per destination (the paper allocates exactly one, §4.1),
+	// each envelope — eager or rendezvous — costing one slot, which also
+	// totally orders the pair's envelopes.
+	eng.SetFlow(eager, core.NewSendQueue(len(all), slots, slots,
+		func(*core.Request) int { return 1 }, eng.Acct()))
 	return t
 }
 
 var _ core.Transport = (*lowlatTransport)(nil)
-
-// MaxEager implements core.Transport.
-func (t *lowlatTransport) MaxEager() int { return t.max }
 
 // ship sends pkt to rank dst in one transaction of nbytes, on a flight of
 // this rank's inbox: an envelope or control packet lands in the
@@ -82,43 +75,31 @@ func (t *lowlatTransport) ship(dst, nbytes int, pkt core.Packet) {
 	t.node.Txn(dst, nbytes, false, t.inbox.Flight(&t.all[dst].inbox, pkt))
 }
 
-// Send implements core.Transport. Every envelope — eager or rendezvous —
-// occupies the destination's single envelope slot (§4.1's per-sender slot),
-// which also totally orders the pair's envelopes; when the slot is busy the
-// message queues in the send queue and is transmitted, in issue order, as
-// slot-free acknowledgements return.
-func (t *lowlatTransport) Send(p *sim.Proc, req *core.Request) {
-	if !t.fc.Offer(req) {
+// Ship implements core.Transport: one transaction, issued by the SPARC
+// when the rank sends and by the Elan when a slot-free released the send.
+// An eager message rides into the destination's envelope slot, modelled by
+// a bounce buffer the receiving engine recycles after the copy-out that
+// frees the slot; a rendezvous envelope's slot frees when the receiver
+// consumes the RTS (see Poll), and its local completion comes with the DMA.
+// A credit is not shipped: the slot was freed when Poll read the envelope.
+func (t *lowlatTransport) Ship(p *sim.Proc, dst int, pkt core.Packet) {
+	if pkt.Kind == core.PktCredit {
 		return
 	}
-	t.eng.Acct().Spend(p, sim.Protocol, t.m.Costs.TxnIssue)
-	t.transmit(req)
-}
-
-// transmit ships one envelope (proc or event context); the slot for
-// req.Env.Dest must already be held.
-func (t *lowlatTransport) transmit(req *core.Request) {
-	if req.Err() != nil {
-		// Failed while queued on the envelope slot — the destination died
-		// (or this rank turned fatal). Done() is the wrong guard: a
-		// buffered send completes at Isend time yet must still ship.
-		return
+	if p != nil {
+		t.eng.Acct().Spend(p, sim.Protocol, t.m.Costs.TxnIssue)
 	}
-	env := req.Env
-	dst := env.Dest
-	if env.Count > t.max {
+	n := ctrlTxnBytes
+	switch pkt.Kind {
+	case core.PktEager:
+		t.eng.Acct().Add(ctrEager, 1)
+		pkt.Data, pkt.Pool = t.eng.Bounce(t.all[dst].eng, pkt.Data)
+		n = envelopeTxnBytes + len(pkt.Data)
+	case core.PktRTS:
 		t.eng.Acct().Add(ctrRndv, 1)
-		t.ship(dst, envelopeTxnBytes, core.Packet{Kind: core.PktRTS, Env: env})
-		// The envelope slot frees when the receiver consumes the RTS
-		// (see Poll); local completion comes with the DMA.
-		return
+		n = envelopeTxnBytes
 	}
-	t.eng.Acct().Add(ctrEager, 1)
-	// The per-sender envelope slot is modeled by a bounce buffer: the
-	// receiving engine recycles it after the copy-out that frees the slot.
-	data, pool := t.eng.Bounce(t.all[dst].eng, req.Buf)
-	t.ship(dst, envelopeTxnBytes+len(data), core.Packet{Kind: core.PktEager, Env: env, Data: data, Pool: pool})
-	t.eng.SendDone(req)
+	t.ship(dst, n, pkt)
 }
 
 // rndv is one rendezvous after the receiver matched its RTS: the CTS
@@ -196,43 +177,11 @@ func (t *lowlatTransport) recycleRndv(r *rndv) {
 func (t *lowlatTransport) SendPayload(p *sim.Proc, req *core.Request, pkt *core.Packet) {
 }
 
-// Control implements core.Transport (synchronous-mode acks).
-func (t *lowlatTransport) Control(p *sim.Proc, dst int, kind core.PacketKind, env core.Envelope) {
-	c := t.m.Costs
-	t.eng.Acct().Spend(p, sim.Protocol, c.TxnIssue)
-	t.ship(dst, ctrlTxnBytes, core.Packet{Kind: kind, Env: env, ReqID: env.SendID})
-}
-
-// Release implements core.Transport. The envelope slot was already
-// returned when Poll copied the message out of the slot area (the paper's
-// design: the library buffers data temporarily at the receiver, and the
-// per-sender slot holds only the newest envelope), so consuming the bounce
-// copy needs no further transport action.
-func (t *lowlatTransport) Release(p *sim.Proc, src int, n int) {}
-
-// PeerDown implements core.Transport: restore the envelope slots the dead
-// rank held, since a corpse never returns slot-free acknowledgements. The
-// engine's wake reaches the hardware-broadcast slot wait too, which then
-// rechecks the dead set (see HWBcast).
-func (t *lowlatTransport) PeerDown(rank int) {
-	t.fc.DropDst(rank)
-	t.eng.Wake()
-}
-
-// CreditReturned implements core.CreditSink: it runs at the sender (event
-// context) when a slot-free transaction from rank dst lands, returning n
-// slots, and the send queue either reuses a slot at once for the queued
-// successor or banks it, nudging the rank (a Probe or Finalize may use it).
-func (t *lowlatTransport) CreditReturned(dst, n int) {
-	shipped := false
-	t.fc.Grant(dst, n, func(req *core.Request) {
-		shipped = true
-		t.transmit(req)
-	})
-	if !shipped {
-		t.eng.Nudge()
-	}
-}
+// PeerDown implements core.Transport: the engine has restored the envelope
+// slots the dead rank held (a corpse never returns slot-free
+// acknowledgements), and its wake reaches the hardware-broadcast slot wait
+// too, which then rechecks the dead set (see HWBcast).
+func (t *lowlatTransport) PeerDown(rank int) {}
 
 // Poll implements core.Transport: scan the slot area for the next
 // arrival. Consuming any envelope — eager payload copied to the library's
@@ -291,7 +240,7 @@ func (t *lowlatTransport) RMAWrite(p *sim.Proc, dst, win, off int, data []byte, 
 		peer.eng.Win(win).ApplyAccumulate(off, snap, op)
 		peer.node.Txn(me, ctrlTxnBytes, true, done)
 	}
-	if len(snap) <= t.max {
+	if len(snap) <= t.eng.MaxEager() {
 		t.eng.Acct().Spend(p, sim.Protocol, c.TxnIssue)
 		t.node.Txn(dst, rmaTxnHdrBytes+len(snap), false, apply)
 		return

@@ -1,6 +1,7 @@
 package registry_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -42,6 +43,63 @@ func TestDeadRankRTSFailsItsReceive(t *testing.T) {
 			} else if !mpi.IsPeerDown(got) {
 				t.Errorf("%s, source %d: the receive returned %v, want the dead rank's ErrPeerDown", name, src, got)
 			}
+		}
+	}
+}
+
+// A killed rank ships none of the sends its flow control still held: they
+// failed with its death, and a credit returned to the corpse releases
+// nothing. Rank 0 issues eight 100-byte sends, of which the pair's credits
+// admit the first few, and computes; it is killed, and rank 1 starts
+// receiving after the kill and before the detection. It gets exactly what
+// left before the kill, and its next receive fails with the death. The mem
+// fabric once lacked the failed-send check: its corpse shipped all eight,
+// one per returned credit, the last at 58 µs.
+func TestKilledRankShipsNoQueuedSend(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		credit     int
+		kill, from time.Duration
+		want       int           // messages rank 1 receives
+		last       time.Duration // when the last one completes
+	}{
+		{"mem", 200, 50 * time.Microsecond, 52 * time.Microsecond, 2, 52 * time.Microsecond},
+		{"cluster/tcp", 400, 5 * time.Millisecond, 5100 * time.Microsecond, 3, 6616125 * time.Nanosecond},
+		{"cluster/udp", 400, 5 * time.Millisecond, 5100 * time.Microsecond, 3, 6390795 * time.Nanosecond},
+		{"cluster/unet", 400, 5 * time.Millisecond, 5100 * time.Microsecond, 3, 5307 * time.Microsecond},
+	} {
+		s := registry.SpecFor(tc.name)
+		s.Ranks, s.Credit, s.Kills = 2, tc.credit, fmt.Sprintf("0@%v", tc.kill)
+		got, last := 0, time.Duration(0)
+		rep, err := registry.Run(s, func(c *mpi.Comm) error {
+			if c.Rank() == 0 {
+				for i := 0; i < 8; i++ {
+					if _, err := c.Isend(1, i, make([]byte, 100)); err != nil {
+						return err
+					}
+				}
+				c.Compute(time.Second)
+				return nil
+			}
+			c.Compute(tc.from)
+			buf := make([]byte, 100)
+			for i := 0; i < 8; i++ {
+				if _, err := c.Recv(0, i, buf); err != nil {
+					if !mpi.IsPeerDown(err) {
+						return err
+					}
+					return nil
+				}
+				got, last = got+1, c.Wtime()
+			}
+			return nil
+		})
+		if err != rep.FirstErr() || rep.Errs[1] != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if got != tc.want || last != tc.last {
+			t.Errorf("%s: rank 1 received %d of 8, the last at %v; want %d, the last at %v", tc.name, got, last, tc.want, tc.last)
 		}
 	}
 }
