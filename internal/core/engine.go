@@ -525,12 +525,7 @@ func (e *Engine) handle(p *sim.Proc, pkt *Packet) {
 	case PktData:
 		// A wire that copies the payload carries it in Data; a socket
 		// landing placed it already.
-		if req := e.resolve(pkt.ReqID); req != nil {
-			e.Land(req, pkt.Env, pkt.Data, pkt.Pool)
-			return
-		}
-		pkt.Pool.Put(pkt.Data)
-		if !e.ftActive() {
+		if !e.Land(pkt.ReqID, pkt.Env, pkt.Data, pkt.Pool) && !e.ftActive() {
 			e.Errors = append(e.Errors, Errorf(ErrInternal, "payload for unknown receive request %d", pkt.ReqID))
 		}
 	case PktRMALock:

@@ -19,15 +19,25 @@ type landing struct {
 
 func (st *landing) busy() bool { return st.got < st.env.Count }
 
-// Land completes receive req with its rendezvous payload, on every wire:
-// data is the payload when the wire delivers a copy (the MemFabric's
-// mailbox, the Meiko's DMA), copied into req.Buf up to what fits and handed
-// back to pool; nil when the bytes were placed as they arrived (a socket
-// landing). Callable from event context.
-func (e *Engine) Land(req *Request, env Envelope, data []byte, pool *BufPool) {
-	copy(req.Buf, data)
+// Land completes the receive named name with its rendezvous payload, on
+// every wire: data is the payload when the wire delivers a copy (the
+// MemFabric's mailbox, the Meiko's DMA), copied into the receive's buffer up
+// to what fits and handed back to pool; nil when the bytes were placed as
+// they arrived (a socket landing). A name that no longer resolves belongs
+// to a receive that already returned (a peer's death failed it): its buffer
+// is the caller's again, so nothing is copied, and Land reports false.
+// Callable from event context.
+func (e *Engine) Land(name int64, env Envelope, data []byte, pool *BufPool) bool {
+	req := e.resolve(name)
+	if req != nil {
+		copy(req.Buf, data)
+	}
 	pool.Put(data)
+	if req == nil {
+		return false
+	}
 	e.recvDone(req, env, env.Count, "rndv")
+	return true
 }
 
 // DataFrame books the header of one Data frame from src naming receive

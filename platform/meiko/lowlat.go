@@ -112,7 +112,7 @@ func (t *lowlatTransport) Ship(p *sim.Proc, dst int, pkt core.Packet) {
 // failed, to the sender's list on the sender's lane, and no DMA starts.
 type rndv struct {
 	recv, send *lowlatTransport
-	req        *core.Request // the matched receive
+	name       int64         // the matched receive's name: it dies if the receive fails first
 	sreq       *core.Request // the send the CTS resolved (sender's lane, until sent)
 	env        core.Envelope
 	n          int    // bytes the DMA moves: the message, cut to the receive buffer
@@ -131,7 +131,7 @@ func (t *lowlatTransport) Accept(p *sim.Proc, msg *core.InMsg, req *core.Request
 		r = &rndv{}
 		r.cts, r.sent, r.land = r.clearToSend, r.departed, r.landed
 	}
-	r.recv, r.send, r.req, r.env = t, t.all[msg.Env.Source], req, msg.Env
+	r.recv, r.send, r.name, r.env = t, t.all[msg.Env.Source], req.ID, msg.Env
 	r.n = min(msg.Env.Count, len(req.Buf))
 	t.node.Txn(msg.Env.Source, ctrlTxnBytes, false, r.cts)
 }
@@ -158,16 +158,18 @@ func (r *rndv) departed() {
 	r.sreq = nil
 }
 
-// landed runs on the receiver's lane when the DMA completes.
+// landed runs on the receiver's lane when the DMA completes. A receive
+// that a fault failed meanwhile has returned its buffer to the caller, so
+// the payload lands only if its name still resolves.
 func (r *rndv) landed() {
 	t := r.recv
-	t.eng.Land(r.req, r.env, r.data, t.eng.Pool())
+	t.eng.Land(r.name, r.env, r.data, t.eng.Pool())
 	t.recycleRndv(r)
 }
 
 // recycleRndv returns a finished rendezvous to this rank's pool.
 func (t *lowlatTransport) recycleRndv(r *rndv) {
-	r.recv, r.send, r.req, r.sreq, r.env, r.n, r.data = nil, nil, nil, nil, core.Envelope{}, 0, nil
+	r.recv, r.send, r.name, r.sreq, r.env, r.n, r.data = nil, nil, 0, nil, core.Envelope{}, 0, nil
 	t.rndvIdle.Put(r)
 }
 

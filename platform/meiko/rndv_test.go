@@ -101,7 +101,7 @@ func TestRendezvousSenderKilledMidFlight(t *testing.T) {
 						t.Errorf("record %p rests on rank %d's list and on rank %d's", x, prev, rank)
 					}
 					seen[x] = rank
-					if x.recv != nil || x.send != nil || x.req != nil || x.sreq != nil ||
+					if x.recv != nil || x.send != nil || x.name != 0 || x.sreq != nil ||
 						x.env != (core.Envelope{}) || x.n != 0 || x.data != nil {
 						t.Errorf("rank %d: idle record %p was not zeroed: %+v", rank, x, *x)
 					}

@@ -103,3 +103,53 @@ func TestKilledRankShipsNoQueuedSend(t *testing.T) {
 		}
 	}
 }
+
+// A receive that returned a sender's death owns its buffer no longer, and
+// nothing writes it afterwards. Rank 1 sends 256 KiB of 0x11 and is killed
+// while the rendezvous is in flight; rank 0's receive returns the death,
+// rank 0 fills the buffer with 0xAB and computes for 20 ms, long enough for
+// any payload still moving to land. On the Meiko the sender's Elan DMA
+// outlived its sender and its landing copied all 262 144 bytes into the
+// handed-back buffer at every one of these instants, while the socket wires
+// wrote none.
+func TestDeadSenderWritesNoReturnedBuffer(t *testing.T) {
+	const size = 256 << 10
+	for _, name := range []string{"meiko/lowlatency", "cluster/tcp", "cluster/udp"} {
+		for _, kill := range []time.Duration{300 * time.Microsecond, 622 * time.Microsecond, 2 * time.Millisecond, 5 * time.Millisecond} {
+			s := registry.SpecFor(name)
+			s.Ranks, s.Kills = 2, fmt.Sprintf("1@%v", kill)
+			buf := make([]byte, size)
+			var recvErr error
+			// The run's own error is not checked: on tcp a rank killed
+			// mid-write ends it in a deadlock (TestKilledMidWriteDefectPinned).
+			registry.Run(s, func(c *mpi.Comm) error {
+				if c.Rank() == 1 {
+					payload := make([]byte, size)
+					for i := range payload {
+						payload[i] = 0x11
+					}
+					return c.Send(0, 0, payload)
+				}
+				_, recvErr = c.Recv(1, 0, buf)
+				for i := range buf {
+					buf[i] = 0xAB
+				}
+				c.Compute(20 * time.Millisecond)
+				return nil
+			})
+			if !mpi.IsPeerDown(recvErr) {
+				t.Errorf("%s, kill at %v: the receive returned %v, want the sender's death", name, kill, recvErr)
+				continue
+			}
+			written := 0
+			for _, b := range buf {
+				if b != 0xAB {
+					written++
+				}
+			}
+			if written != 0 {
+				t.Errorf("%s, kill at %v: %d of %d bytes written after the receive returned", name, kill, written, size)
+			}
+		}
+	}
+}
