@@ -12,7 +12,7 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -75,25 +75,20 @@ type Figure struct {
 func (f Figure) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %s\n", f.ID, f.Title)
-	// Collect the union of X values.
-	xs := map[int]bool{}
+	var xs []int // the union of X values
 	for _, s := range f.Series {
 		for _, p := range s.Points {
-			xs[p.X] = true
+			xs = append(xs, p.X)
 		}
 	}
-	var xsort []int
-	for x := range xs {
-		xsort = append(xsort, x)
-	}
-	sort.Ints(xsort)
+	slices.Sort(xs)
 
 	fmt.Fprintf(&b, "%12s", f.XLabel)
 	for _, s := range f.Series {
 		fmt.Fprintf(&b, " %18s", s.Name)
 	}
 	fmt.Fprintf(&b, "   (%s)\n", f.YLabel)
-	for _, x := range xsort {
+	for _, x := range slices.Compact(xs) {
 		fmt.Fprintf(&b, "%12d", x)
 		for _, s := range f.Series {
 			y, ok := lookup(s, x)
@@ -118,33 +113,6 @@ func formatFigures(figs []Figure) string {
 		tables[i] = f.String()
 	}
 	return strings.Join(tables, "\n")
-}
-
-// curve is one series of a swept figure: its name and the measurement at
-// one value of the swept parameter.
-type curve struct {
-	name string
-	at   func(x int) (float64, error)
-}
-
-// sweep measures every curve at every x and returns f with the series
-// filled in. Each measurement builds its own world, so the order is
-// immaterial.
-func (f Figure) sweep(xs []int, curves ...curve) (Figure, error) {
-	f.Series = make([]Series, len(curves))
-	for i, c := range curves {
-		f.Series[i].Name = c.name
-	}
-	for _, x := range xs {
-		for i, c := range curves {
-			y, err := c.at(x)
-			if err != nil {
-				return Figure{}, err
-			}
-			f.Series[i].Points = append(f.Series[i].Points, Point{x, y})
-		}
-	}
-	return f, nil
 }
 
 func lookup(s Series, x int) (float64, bool) {

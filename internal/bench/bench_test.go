@@ -1,11 +1,20 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
 var quick = Opts{Iters: 3}
+
+// ablation measures the one ablation figure called id.
+func ablation(id string) (Figure, error) {
+	defs := ablationDefs(quick)
+	i := slices.IndexFunc(defs, func(d figureDef) bool { return d.fig.ID == id })
+	figs, err := figuresSweep("ablations", defs[i:i+1]).run()
+	return figs[0], err
+}
 
 func checkFigure(t *testing.T, f Figure, err error, wantSeries int) {
 	t.Helper()
@@ -31,7 +40,7 @@ func checkFigure(t *testing.T, f Figure, err error, wantSeries int) {
 }
 
 func TestFigure1(t *testing.T) {
-	f, err := Figure1(quick)
+	f, err := PaperFigure(quick, 1)
 	checkFigure(t, f, err, 2)
 	// Eager wins below the crossover; rendezvous above.
 	eager, rndv := f.Series[0], f.Series[1]
@@ -48,7 +57,7 @@ func TestFigure1(t *testing.T) {
 }
 
 func TestFigure1CrossoverNear180(t *testing.T) {
-	c, err := Figure1Crossover()
+	c, err := (&runner{}).crossover()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +67,7 @@ func TestFigure1CrossoverNear180(t *testing.T) {
 }
 
 func TestFigure2(t *testing.T) {
-	f, err := Figure2(quick)
+	f, err := PaperFigure(quick, 2)
 	checkFigure(t, f, err, 3)
 	// Ordering at every size: tport < lowlat < mpich.
 	for _, p := range f.Series[2].Points {
@@ -71,7 +80,7 @@ func TestFigure2(t *testing.T) {
 }
 
 func TestFigure3(t *testing.T) {
-	f, err := Figure3(quick)
+	f, err := PaperFigure(quick, 3)
 	checkFigure(t, f, err, 3)
 	// Largest-size low-latency bandwidth near the DMA limit.
 	pts := f.Series[1].Points
@@ -81,7 +90,7 @@ func TestFigure3(t *testing.T) {
 }
 
 func TestFigure4(t *testing.T) {
-	f, err := Figure4(quick)
+	f, err := PaperFigure(quick, 4)
 	checkFigure(t, f, err, 3)
 	// All three transports within ~40% of each other at 512B.
 	var ys []float64
@@ -100,7 +109,7 @@ func TestFigure4(t *testing.T) {
 }
 
 func TestFigure5(t *testing.T) {
-	f, err := Figure5(quick)
+	f, err := PaperFigure(quick, 5)
 	checkFigure(t, f, err, 4)
 	// MPI above raw on both media at 1 byte.
 	ma, _ := lookup(f.Series[0], 1)
@@ -113,7 +122,7 @@ func TestFigure5(t *testing.T) {
 }
 
 func TestFigure6(t *testing.T) {
-	f, err := Figure6(quick)
+	f, err := PaperFigure(quick, 6)
 	checkFigure(t, f, err, 4)
 }
 
@@ -152,7 +161,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFigure7(t *testing.T) {
-	f, err := Figure7(quick)
+	f, err := PaperFigure(quick, 7)
 	checkFigure(t, f, err, 2)
 	// lowlat <= mpich at each P, and both speed up from P=1 to P=8.
 	for _, p := range f.Series[0].Points {
@@ -169,12 +178,12 @@ func TestFigure7(t *testing.T) {
 }
 
 func TestFigure8(t *testing.T) {
-	f, err := Figure8(quick)
+	f, err := PaperFigure(quick, 8)
 	checkFigure(t, f, err, 2)
 }
 
 func TestFigure9(t *testing.T) {
-	f, err := Figure9(quick)
+	f, err := PaperFigure(quick, 9)
 	checkFigure(t, f, err, 2)
 	for _, p := range f.Series[0].Points { // Ethernet series
 		a, _ := lookup(f.Series[1], p.X)
@@ -185,12 +194,12 @@ func TestFigure9(t *testing.T) {
 }
 
 func TestMatMul(t *testing.T) {
-	f, err := MatMulMeiko(quick)
+	f, err := PaperFigure(quick, 10)
 	checkFigure(t, f, err, 2)
 }
 
 func TestAblationThreshold(t *testing.T) {
-	f, err := AblationThreshold(quick)
+	f, err := ablation("Ablation A")
 	checkFigure(t, f, err, 1)
 	// 256B messages: rendezvous (threshold < 256) beats forced eager
 	// (threshold >= 256).
@@ -202,7 +211,7 @@ func TestAblationThreshold(t *testing.T) {
 }
 
 func TestAblationBcast(t *testing.T) {
-	f, err := AblationBcast(quick)
+	f, err := ablation("Ablation B")
 	checkFigure(t, f, err, 3)
 	// Hardware fastest at 16 ranks; binomial beats linear.
 	hw, _ := lookup(f.Series[0], 16)
@@ -214,7 +223,7 @@ func TestAblationBcast(t *testing.T) {
 }
 
 func TestAblationUDPLoss(t *testing.T) {
-	f, err := AblationUDPLoss(quick)
+	f, err := ablation("Ablation C")
 	checkFigure(t, f, err, 1)
 	clean, _ := lookup(f.Series[0], 0)
 	lossy, _ := lookup(f.Series[0], 20)
@@ -224,7 +233,7 @@ func TestAblationUDPLoss(t *testing.T) {
 }
 
 func TestAblationMatchLocation(t *testing.T) {
-	f, err := AblationMatchLocation(quick)
+	f, err := ablation("Ablation D")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +245,7 @@ func TestAblationMatchLocation(t *testing.T) {
 }
 
 func TestAblationNonblockingOverlap(t *testing.T) {
-	f, err := AblationNonblockingOverlap(quick)
+	f, err := ablation("Ablation E")
 	checkFigure(t, f, err, 2)
 	// With 5ms of compute, nonblocking must be clearly faster.
 	b, _ := lookup(f.Series[0], 5)
@@ -273,7 +282,7 @@ func TestSVGRendering(t *testing.T) {
 }
 
 func TestAblationNagle(t *testing.T) {
-	f, err := AblationNagle(quick)
+	f, err := ablation("Ablation F")
 	checkFigure(t, f, err, 1)
 	nodelay, _ := lookup(f.Series[0], 0)
 	nagle, _ := lookup(f.Series[0], 1)
@@ -283,7 +292,7 @@ func TestAblationNagle(t *testing.T) {
 }
 
 func TestAblationBcastLarge(t *testing.T) {
-	f, err := AblationBcastLarge(quick)
+	f, err := ablation("Ablation B2")
 	checkFigure(t, f, err, 3)
 	hw, _ := lookup(f.Series[0], 16)
 	bin, _ := lookup(f.Series[1], 16)
@@ -297,7 +306,7 @@ func TestAblationBcastLarge(t *testing.T) {
 }
 
 func TestAblationUNet(t *testing.T) {
-	f, err := AblationUNet(quick)
+	f, err := ablation("Ablation G")
 	checkFigure(t, f, err, 1)
 	unet, _ := lookup(f.Series[0], 0)
 	tcp, _ := lookup(f.Series[0], 2)
@@ -310,7 +319,7 @@ func TestAblationUNet(t *testing.T) {
 }
 
 func TestAblationSlots(t *testing.T) {
-	f, err := AblationSlots(quick)
+	f, err := ablation("Ablation H")
 	checkFigure(t, f, err, 1)
 	one, _ := lookup(f.Series[0], 1)
 	eight, _ := lookup(f.Series[0], 8)
@@ -324,7 +333,7 @@ func TestAblationSlots(t *testing.T) {
 }
 
 func TestAblationCredits(t *testing.T) {
-	f, err := AblationCredits(quick)
+	f, err := ablation("Ablation I")
 	checkFigure(t, f, err, 1)
 	small, _ := lookup(f.Series[0], 2)
 	big, _ := lookup(f.Series[0], 64)

@@ -31,7 +31,7 @@ func TestFaultsSweepShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep")
 	}
-	rep, err := Faults(Opts{Iters: 1})
+	rep, err := faultsSweep(Opts{Iters: 1}).run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,83 +5,70 @@ import (
 	"time"
 
 	"repro/internal/atm"
-	"repro/internal/core"
 	"repro/internal/meiko"
 	"repro/internal/sim"
 	"repro/mpi"
 	"repro/platform/registry"
-
-	// Every MPI-level measurement builds its world through the registry;
-	// the platforms register themselves on import.
-	_ "repro/platform/cluster"
-	_ "repro/platform/meiko"
 )
 
 // ---- MPI-level measurement primitives --------------------------------
 
-// elapsedUS builds the world spec describes, runs body on every rank and
-// reports the slowest rank's elapsed time in microseconds.
-func elapsedUS(spec registry.Spec, body func(c *mpi.Comm) error) (float64, error) {
-	rep, err := registry.Run(spec, body)
-	if err != nil {
-		return 0, err
-	}
-	return float64(rep.MaxRankElapsed) / 1e3, nil
+// measured is one MPI measurement and the run behind it.
+type measured struct {
+	v   float64
+	rep *mpi.Report
 }
 
-// pingPongReport runs an n-byte ping-pong for iters round trips on the world
+// pingPong runs an n-byte ping-pong for iters round trips on the world
 // spec describes and reports the mean RTT in microseconds plus the launch
-// report.
-func pingPongReport(spec registry.Spec, n, iters int) (float64, *mpi.Report, error) {
-	var rtt time.Duration
-	rep, err := registry.Run(spec, func(c *mpi.Comm) error {
-		data := make([]byte, n)
-		buf := make([]byte, n)
-		if c.Rank() == 0 {
-			start := c.Wtime()
-			for i := 0; i < iters; i++ {
-				if err := c.Send(1, 0, data); err != nil {
-					return err
+// report. A report's points share it.
+func (x *runner) pingPong(spec registry.Spec, n, iters int) (float64, *mpi.Report, error) {
+	m, err := once(x, fmt.Sprint("pingpong", spec, n, iters), func() (measured, error) {
+		var rtt time.Duration
+		rep, err := x.launch(spec, func(c *mpi.Comm) error {
+			data := make([]byte, n)
+			buf := make([]byte, n)
+			if c.Rank() == 0 {
+				start := c.Wtime()
+				for i := 0; i < iters; i++ {
+					if err := c.Send(1, 0, data); err != nil {
+						return err
+					}
+					if _, err := c.Recv(1, 0, buf); err != nil {
+						return err
+					}
 				}
-				if _, err := c.Recv(1, 0, buf); err != nil {
-					return err
+				rtt = (c.Wtime() - start) / time.Duration(iters)
+				return nil
+			}
+			if c.Rank() == 1 {
+				for i := 0; i < iters; i++ {
+					if _, err := c.Recv(0, 0, buf); err != nil {
+						return err
+					}
+					if err := c.Send(0, 0, data); err != nil {
+						return err
+					}
 				}
 			}
-			rtt = (c.Wtime() - start) / time.Duration(iters)
 			return nil
-		}
-		if c.Rank() == 1 {
-			for i := 0; i < iters; i++ {
-				if _, err := c.Recv(0, 0, buf); err != nil {
-					return err
-				}
-				if err := c.Send(0, 0, data); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+		})
+		return measured{float64(rtt) / 1e3, rep}, err
 	})
-	return float64(rtt) / 1e3, rep, err
+	return m.v, m.rep, err
 }
 
-// mpiPingPong is pingPongReport's mean RTT alone.
-func mpiPingPong(spec registry.Spec, n, iters int) (float64, error) {
-	us, _, err := pingPongReport(spec, n, iters)
+// rtt is pingPong's mean RTT alone.
+func (x *runner) rtt(spec registry.Spec, n, iters int) (float64, error) {
+	us, _, err := x.pingPong(spec, n, iters)
 	return us, err
 }
 
-// mpiBandwidth streams iters chunks one way on the world spec describes and
-// reports MB/s.
-func mpiBandwidth(spec registry.Spec, chunk, iters int) (float64, error) {
-	mbs, _, err := bandwidthReport(spec, chunk, iters)
-	return mbs, err
-}
-
-// bandwidthReport is mpiBandwidth plus the launch report.
-func bandwidthReport(spec registry.Spec, chunk, iters int) (float64, *mpi.Report, error) {
+// bandwidth streams iters chunks one way on the world spec describes and
+// reports MB/s plus the launch report.
+func (x *runner) bandwidth(spec registry.Spec, chunk, iters int) (float64, *mpi.Report, error) {
 	var elapsed time.Duration
-	rep, err := registry.Run(spec, func(c *mpi.Comm) error {
+	rep, err := x.launch(spec, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			data := make([]byte, chunk)
 			for i := 0; i < iters; i++ {
@@ -110,30 +97,38 @@ func bandwidthReport(spec registry.Spec, chunk, iters int) (float64, *mpi.Report
 	return float64(chunk*iters) / elapsed.Seconds() / 1e6, rep, nil
 }
 
-// MeikoPingPong measures the MPI RTT on the Meiko in µs. impl is a registry
-// implementation name ("lowlatency" | "mpich"); eager == 0 uses the
-// default 180-byte crossover.
-func MeikoPingPong(impl string, eager, size, iters int) (float64, error) {
-	return mpiPingPong(registry.Spec{Platform: "meiko", Impl: impl, Ranks: 2, Eager: eager}, size, iters)
+// elapsedUS runs body on every rank of spec's world and reports the slowest
+// rank's elapsed time in microseconds.
+func (x *runner) elapsedUS(spec registry.Spec, body func(c *mpi.Comm) error) (float64, error) {
+	rep, err := x.launch(spec, body)
+	if err != nil {
+		return 0, err
+	}
+	return float64(rep.MaxRankElapsed) / 1e3, nil
 }
 
-// MeikoBandwidth measures one-way MPI bandwidth on the Meiko in MB/s.
-func MeikoBandwidth(impl string, chunk, iters int) (float64, error) {
-	return mpiBandwidth(registry.Spec{Platform: "meiko", Impl: impl, Ranks: 2}, chunk, iters)
+// meikoPair is the 2-rank Meiko world of implementation impl ("lowlatency" |
+// "mpich"); eager == 0 keeps the default 180-byte crossover.
+func meikoPair(impl string, eager int) registry.Spec {
+	return registry.Spec{Platform: "meiko", Impl: impl, Ranks: 2, Eager: eager}
 }
 
-// ClusterPingPong measures the MPI RTT on the cluster in µs. tr is a registry
-// transport name ("tcp" | "udp" | "unet"), net a network name ("atm" | "eth").
-func ClusterPingPong(tr, net string, size, iters int) (float64, error) {
-	return mpiPingPong(registry.Spec{Platform: "cluster", Transport: tr, Network: net, Ranks: 2}, size, iters)
-}
-
-// ClusterBandwidth measures one-way MPI bandwidth on the cluster in MB/s.
-func ClusterBandwidth(tr, net string, chunk, iters int) (float64, error) {
-	return mpiBandwidth(registry.Spec{Platform: "cluster", Transport: tr, Network: net, Ranks: 2}, chunk, iters)
+// clusterPair is the 2-host cluster world of transport tr ("tcp" | "udp" |
+// "unet") on network net ("atm" | "eth").
+func clusterPair(tr, net string) registry.Spec {
+	return registry.Spec{Platform: "cluster", Transport: tr, Network: net, Ranks: 2}
 }
 
 // ---- raw substrate primitives ----------------------------------------
+
+// rawTCP is the raw TCP round trip in µs on medium net ("atm" | "eth"),
+// shared by a report's points.
+func (x *runner) rawTCP(net string, n, iters int) float64 {
+	us, _ := once(x, fmt.Sprint("raw tcp ", net, n, iters), func() (float64, error) {
+		return RawTCPPingPong(map[string]atm.MediumKind{"atm": atm.OverATM, "eth": atm.OverEthernet}[net], n, iters), nil
+	})
+	return us
+}
 
 // rawPingPong runs iters round trips between two procs on s — proc 0 sends
 // then receives, proc 1 mirrors it — and reports the mean RTT in µs. The
@@ -160,13 +155,31 @@ func rawPingPong(s *sim.Scheduler, iters int, send0, recv0, send1, recv1 func(*s
 	return float64(rtt) / 1e3
 }
 
-// TportPingPong measures the raw tport widget RTT (Figure 2's base line).
-func TportPingPong(size, iters int) float64 {
+// rawStream runs tx and rx on two procs of s and reports when rx is done.
+func rawStream(s *sim.Scheduler, tx, rx func(p *sim.Proc)) sim.Duration {
+	var elapsed sim.Duration
+	s.Spawn("tx", tx)
+	s.Spawn("rx", func(p *sim.Proc) {
+		rx(p)
+		elapsed = sim.Duration(p.Now())
+	})
+	if _, err := s.Run(); err != nil {
+		panic(fmt.Sprintf("raw stream: %v", err))
+	}
+	return elapsed
+}
+
+// rawMeiko builds a fresh 2-node Meiko and a tport on each node.
+func rawMeiko() (*sim.Scheduler, *meiko.Tport, *meiko.Tport) {
 	s := sim.NewScheduler(1)
 	s.MaxEvents = 100_000_000
 	m := meiko.NewMachine(s, 2, meiko.DefaultCosts())
-	t0 := m.NewTport(m.Nodes[0])
-	t1 := m.NewTport(m.Nodes[1])
+	return s, m.NewTport(m.Nodes[0]), m.NewTport(m.Nodes[1])
+}
+
+// TportPingPong measures the raw tport widget RTT (Figure 2's base line).
+func TportPingPong(size, iters int) float64 {
+	s, t0, t1 := rawMeiko()
 	data := make([]byte, size)
 	buf0, buf1 := make([]byte, size), make([]byte, size)
 	return rawPingPong(s, iters,
@@ -178,28 +191,18 @@ func TportPingPong(size, iters int) float64 {
 
 // TportBandwidth measures raw tport streaming bandwidth in MB/s.
 func TportBandwidth(chunk, iters int) float64 {
-	s := sim.NewScheduler(1)
-	s.MaxEvents = 100_000_000
-	m := meiko.NewMachine(s, 2, meiko.DefaultCosts())
-	t0 := m.NewTport(m.Nodes[0])
-	t1 := m.NewTport(m.Nodes[1])
-	var elapsed sim.Duration
-	s.Spawn("tx", func(p *sim.Proc) {
+	s, t0, t1 := rawMeiko()
+	elapsed := rawStream(s, func(p *sim.Proc) {
 		data := make([]byte, chunk)
 		for i := 0; i < iters; i++ {
 			t0.Send(p, 1, 7, data)
 		}
-	})
-	s.Spawn("rx", func(p *sim.Proc) {
+	}, func(p *sim.Proc) {
 		buf := make([]byte, chunk)
 		for i := 0; i < iters; i++ {
 			t1.Recv(p, 7, ^uint64(0), buf)
 		}
-		elapsed = sim.Duration(p.Now())
 	})
-	if _, err := s.Run(); err != nil {
-		panic(fmt.Sprintf("tport bandwidth: %v", err))
-	}
 	return float64(chunk*iters) / elapsed.Seconds() / 1e6
 }
 
@@ -227,25 +230,12 @@ func RawTCPPingPong(net atm.MediumKind, size, iters int) float64 {
 func RawTCPBandwidth(net atm.MediumKind, total int) float64 {
 	s, cl := rawCluster()
 	a, b := cl.TCPPair(0, 1, net)
-	var elapsed sim.Duration
-	s.Spawn("tx", func(p *sim.Proc) {
+	elapsed := rawStream(s, func(p *sim.Proc) {
 		const chunk = 32 * 1024
 		for sent := 0; sent < total; sent += chunk {
-			n := chunk
-			if total-sent < n {
-				n = total - sent
-			}
-			a.Write(p, make([]byte, n))
+			a.Write(p, make([]byte, min(chunk, total-sent)))
 		}
-	})
-	s.Spawn("rx", func(p *sim.Proc) {
-		buf := make([]byte, total)
-		b.ReadFull(p, buf)
-		elapsed = sim.Duration(p.Now())
-	})
-	if _, err := s.Run(); err != nil {
-		panic(fmt.Sprintf("tcp bandwidth: %v", err))
-	}
+	}, func(p *sim.Proc) { b.ReadFull(p, make([]byte, total)) })
 	return float64(total) / elapsed.Seconds() / 1e6
 }
 
@@ -277,14 +267,4 @@ func RawUDPPingPong(net atm.MediumKind, size, iters int) float64 {
 func RawAAL4PingPong(size, iters int) float64 {
 	s, cl := rawCluster()
 	return datagramPingPong(s, cl.AAL4Socket(0), cl.AAL4Socket(1), size, iters)
-}
-
-// clusterAcctPingPong runs a 1-byte MPI ping-pong and returns rank 1's
-// cost account (Table 1's source).
-func clusterAcctPingPong(net string, iters int) (*core.Acct, error) {
-	_, rep, err := pingPongReport(registry.Spec{Platform: "cluster", Network: net, Ranks: 2}, 1, iters)
-	if err != nil {
-		return nil, err
-	}
-	return rep.RankAccts[1].View(), nil
 }

@@ -8,7 +8,7 @@ import (
 // The full sweep is exercised (and double-run) by the CI workloads job;
 // here one cell proves the record/re-record/replay plumbing end to end.
 func TestWorkloadCell(t *testing.T) {
-	p, err := workloadCell("mem", "halo")
+	p, err := workloadCell(&runner{}, workloadRanks, workloadSeed, "mem", "halo")
 	if err != nil {
 		t.Fatal(err)
 	}

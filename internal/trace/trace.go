@@ -3,7 +3,7 @@
 // completion), timestamped in virtual time. It backs the library's
 // profiling interface (the MPI standard names one; the paper's analysis of
 // where each microsecond goes is exactly what these timelines show) and
-// the cmd/trace visualizer.
+// the message view of repro -explain.
 package trace
 
 import (
