@@ -56,7 +56,7 @@ type RUDP struct {
 	stopped   bool         // Stop: every send is swallowed
 	delivered sim.Queue[Datagram]
 	arrival   *sim.Cond
-	watchers  []func()
+	watch     func(readable bool)       // see OnArrival
 	pending   sim.FreeList[rudpPending] // retransmission records (see rudpPending)
 	onResend  func()                    // see NewRUDP
 
@@ -127,7 +127,7 @@ func NewRUDP(sock *UDP, onResend func()) *RUDP {
 	sock.OnReadable(func() {
 		r.consumeAcks()
 		r.arrival.Broadcast()
-		r.notify()
+		r.notify(r.sock.dq.Len() != 0)
 	})
 	return r
 }
@@ -408,7 +408,7 @@ func (pend *rudpPending) timeout() {
 	if pend.tries > r.MaxRetries {
 		r.Err = fmt.Errorf("rudp: peer %d unreachable after %d retransmissions of seq %d", pr.host, pend.tries-1, pend.seq)
 		r.arrival.Broadcast()
-		r.notify()
+		r.notify(true)
 		return
 	}
 	pend.rto = clampRTO(pend.rto * 2)
@@ -436,15 +436,16 @@ func (r *RUDP) TryRecv(p *sim.Proc) (d Datagram, ok bool, err error) {
 // MaxDatagram reports the largest payload Send accepts.
 func (r *RUDP) MaxDatagram() int { return r.sock.MaxDatagram() - rudpHeader }
 
-// OnArrival registers fn to run when raw datagrams arrive or the link dies
+// OnArrival sets fn to run when raw datagrams arrive or the link dies
 // (event context) — death must wake pollers just like an arrival, or a
-// blocked Wait would never observe the error.
-func (r *RUDP) OnArrival(fn func()) { r.watchers = append(r.watchers, fn) }
+// blocked Wait would never observe the error. readable is false when the
+// arrivals were pure acks, all consumed, leaving nothing to read.
+func (r *RUDP) OnArrival(fn func(readable bool)) { r.watch = fn }
 
-// notify runs the arrival watchers (event context).
-func (r *RUDP) notify() {
-	for _, fn := range r.watchers {
-		fn()
+// notify runs the arrival watcher (event context).
+func (r *RUDP) notify(readable bool) {
+	if r.watch != nil {
+		r.watch(readable)
 	}
 }
 

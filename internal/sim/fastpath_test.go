@@ -2,6 +2,7 @@ package sim
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -14,9 +15,10 @@ import (
 // The kernel runs an event one of three ways — heap pop, same-instant
 // queue, run-ahead Advance — and the last two are shortcuts that must be
 // indistinguishable from the first, as must the heap's own shortcut of
-// chaining same-t pushes behind one entry. The oracle is the same kernel
+// chaining same-t pushes behind one entry, and the shard's of running only
+// the lanes its calendar says have work. The oracle is the same kernel
 // with noFastPath set: every event through the heap, one entry each, every
-// Advance through schedule + park.
+// Advance through schedule + park, every lane visited every epoch.
 
 const (
 	fpNodes     = 16                    // logical nodes, block-mapped onto the lanes
@@ -24,6 +26,9 @@ const (
 	fpGrid      = 50                    // coarse instants procs meet at, so heap chains form
 	fpSteps     = 60                    // operations per root proc
 	fpMaxEvents = 1_000_000             // far above any program here
+	fpLateNode  = fpNodes * 3 / 4       // nodes from here on start late ...
+	fpLate      = 10 * fpLookahead      // ... woken across lanes at this time
+	fpFar       = time.Millisecond      // after every program here has finished
 )
 
 // qkey is a queued event's place in the (t, seq) order.
@@ -92,7 +97,7 @@ func (q *queueOracle) drain() {
 	for len(q.queued) != 0 {
 		q.pop()
 	}
-	if _, ok := q.s.pending(); ok {
+	if q.s.pending() != idle {
 		q.tb.Fatal("the kernel still holds events the sort does not")
 	}
 }
@@ -347,25 +352,30 @@ type fpResult struct {
 	events uint64
 	end    Time
 	stats  ShardStats // zero on a standalone scheduler
+	limit  uint64     // LimitError.Events when the run hit maxEvents
 
 	runAheadChances, sameInstantSeen, chainAppends int
 }
 
 // runFastPathProgram runs the seeded random program on the given kernel
-// (lanes 0: standalone scheduler) and reports what happened. Every actor
-// draws from its own stream, so the program is a fixed function of the
-// seed and only the kernel's ordering is under test.
-func runFastPathProgram(t *testing.T, seed int64, lanes int, parallel, slow bool) fpResult {
+// (lanes 0: standalone scheduler) under an event limit (0: fpMaxEvents)
+// and reports what happened. Every actor draws from its own stream, so the
+// program is a fixed function of the seed and only the kernel's ordering
+// is under test.
+func runFastPathProgram(t *testing.T, seed int64, lanes int, parallel, slow bool, maxEvents uint64) fpResult {
 	t.Helper()
+	if maxEvents == 0 {
+		maxEvents = fpMaxEvents
+	}
 	var root *Scheduler
 	var sh *Shard
 	if lanes == 0 {
 		root = NewScheduler(seed)
-		root.MaxEvents = fpMaxEvents
+		root.MaxEvents = maxEvents
 		root.noFastPath = slow
 	} else {
 		sh = NewShard(seed, lanes, fpLookahead)
-		sh.MaxEvents, sh.Parallel = fpMaxEvents, parallel
+		sh.MaxEvents, sh.Parallel = maxEvents, parallel
 		for _, ln := range sh.lanes {
 			ln.noFastPath = slow
 		}
@@ -455,23 +465,62 @@ func runFastPathProgram(t *testing.T, seed int64, lanes int, parallel, slow bool
 			n.note(id, 200)
 		}
 	}
-	for i, n := range nodes {
+	spawnRoots := func(i int) {
 		for k := 1; k <= 2; k++ {
 			id := (i+1)*10 + k
-			n.s.Spawn(fmt.Sprintf("p%d", id), body(n, id, 0, fpSteps))
+			nodes[i].s.Spawn(fmt.Sprintf("p%d", id), body(nodes[i], id, 0, fpSteps))
 		}
 	}
+	for i := range fpLateNode {
+		spawnRoots(i)
+	}
+	// The last quarter of the nodes — one lane of 4, four of 16 — start
+	// late: node 0 wakes them across lanes, so their lanes sit idle for
+	// epochs until a merged envelope lands, and only the merge's calendar
+	// update says they have work.
+	nodes[0].s.At(Time(fpLate), func() {
+		for i := fpLateNode; i < fpNodes; i++ {
+			nodes[0].s.RouteAfter(nodes[i].s.LaneID(), fpLookahead, func() { spawnRoots(i) })
+		}
+	})
+	// A Route staged before Run on a late node's idle lane, which only the
+	// first barrier drains in time. It starts a relay whose last leg is
+	// staged after every proc is done, when nothing but the merge's update
+	// says there is work left.
+	a, b := nodes[fpNodes-1], nodes[3]
+	a.s.Route(b.s.LaneID(), 2*Time(fpLookahead)+7, func() {
+		b.note(0, 105)
+		b.s.RouteAfter(a.s.LaneID(), fpFar, func() {
+			a.note(0, 106)
+			a.s.RouteAfter(b.s.LaneID(), fpLookahead+1, func() { b.note(0, 107) })
+		})
+	})
 
 	var res fpResult
 	var err error
 	if sh != nil {
 		res.end, err = sh.Run()
 		res.events, res.stats = sh.Events(), sh.Stats()
+		var sum uint64
+		for _, n := range res.stats.LaneEvents {
+			sum += n
+		}
+		if sum != res.events {
+			t.Fatalf("seed %d lanes %d parallel %v slow %v: lanes ran %d events, the shard counted %d", seed, lanes, parallel, slow, sum, res.events)
+		}
+		defer sh.Shutdown()
 	} else {
 		res.end, err = root.Run()
 		res.events = root.Events()
+		defer root.Shutdown()
 	}
-	if err != nil {
+	var le *LimitError
+	if errors.As(err, &le) && le.What == "event" {
+		res.limit = le.Events
+		if le.Events != res.events || le.Events <= maxEvents {
+			t.Fatalf("seed %d lanes %d parallel %v slow %v: limit %d reported after %d events, %d ran", seed, lanes, parallel, slow, maxEvents, le.Events, res.events)
+		}
+	} else if err != nil {
 		t.Fatalf("seed %d lanes %d parallel %v slow %v: %v", seed, lanes, parallel, slow, err)
 	}
 	for _, n := range nodes {
@@ -483,12 +532,38 @@ func runFastPathProgram(t *testing.T, seed int64, lanes int, parallel, slow bool
 	return res
 }
 
+// sameRun fails t unless got, run with the shortcuts on, did what want,
+// the plain kernel, did.
+func sameRun(t *testing.T, seed int64, want, got fpResult) {
+	t.Helper()
+	for i := range want.logs {
+		w, g := want.logs[i], got.logs[i]
+		for j := 0; j < len(w) && j < len(g); j++ {
+			if g[j] != w[j] {
+				t.Fatalf("seed %d node %d step %d: ran %+v, plain kernel ran %+v", seed, i, j, g[j], w[j])
+			}
+		}
+		if len(g) != len(w) {
+			t.Fatalf("seed %d node %d: %d log lines, plain kernel %d", seed, i, len(g), len(w))
+		}
+	}
+	if got.events != want.events || got.end != want.end || got.limit != want.limit {
+		t.Fatalf("seed %d: %d events ending at %v (limit error after %d), plain kernel %d at %v (%d)",
+			seed, got.events, got.end, got.limit, want.events, want.end, want.limit)
+	}
+	if !reflect.DeepEqual(got.stats, want.stats) {
+		t.Fatalf("seed %d: shard stats %+v, plain kernel %+v", seed, got.stats, want.stats)
+	}
+}
+
 // Seeded random programs — procs mixing fine and coarse Advances, Yield,
-// Cond wait/signal/broadcast, FIFO.Use/UseAsync, At, Route and Spawn — must
-// execute the same actors at the same times in the same order, count the
-// same events, and leave the same control-plane statistics (epochs, stalls,
-// routed, mailbox high-water, per-lane events) with the shortcuts on and
-// off, on every driver.
+// Cond wait/signal/broadcast, FIFO.Use/UseAsync, At, Route and Spawn, with
+// a quarter of the nodes woken late across lanes and a Route staged before
+// Run — must execute the same actors at the same times in the same order,
+// count the same events, and leave the same control-plane statistics
+// (epochs, stalls, routed, mailbox high-water, per-lane events) with the
+// shortcuts on and off, on every driver; and so must the same programs cut
+// off mid-run by an event limit, which must report the same count.
 func TestFastPathsMatchPlainKernel(t *testing.T) {
 	for _, k := range []struct {
 		lanes    int
@@ -497,31 +572,22 @@ func TestFastPathsMatchPlainKernel(t *testing.T) {
 		t.Run(fmt.Sprintf("lanes%d-parallel%v", k.lanes, k.parallel), func(t *testing.T) {
 			chances, same, chained := 0, 0, 0
 			for _, seed := range []int64{1, 2, 3, 5, 8, 13} {
-				want := runFastPathProgram(t, seed, k.lanes, k.parallel, true)
-				got := runFastPathProgram(t, seed, k.lanes, k.parallel, false)
-				for i := range want.logs {
-					w, g := want.logs[i], got.logs[i]
-					for j := 0; j < len(w) && j < len(g); j++ {
-						if g[j] != w[j] {
-							t.Fatalf("seed %d node %d step %d: ran %+v, plain kernel ran %+v", seed, i, j, g[j], w[j])
-						}
-					}
-					if len(g) != len(w) {
-						t.Fatalf("seed %d node %d: %d log lines, plain kernel %d", seed, i, len(g), len(w))
-					}
-				}
-				if got.events != want.events || got.end != want.end {
-					t.Fatalf("seed %d: %d events ending at %v, plain kernel %d at %v", seed, got.events, got.end, want.events, want.end)
-				}
-				if !reflect.DeepEqual(got.stats, want.stats) {
-					t.Fatalf("seed %d: shard stats %+v, plain kernel %+v", seed, got.stats, want.stats)
-				}
+				want := runFastPathProgram(t, seed, k.lanes, k.parallel, true, 0)
+				got := runFastPathProgram(t, seed, k.lanes, k.parallel, false, 0)
+				sameRun(t, seed, want, got)
 				chances += got.runAheadChances
 				same += got.sameInstantSeen
 				chained += got.chainAppends
 				if got.chainAppends == 0 {
 					t.Fatalf("seed %d: no push chained behind a heap entry", seed)
 				}
+				limit := want.events / 2
+				want = runFastPathProgram(t, seed, k.lanes, k.parallel, true, limit)
+				got = runFastPathProgram(t, seed, k.lanes, k.parallel, false, limit)
+				if want.limit == 0 {
+					t.Fatalf("seed %d: a limit of %d events was never crossed", seed, limit)
+				}
+				sameRun(t, seed, want, got)
 			}
 			if chances == 0 || same == 0 {
 				t.Fatalf("programs never exercised the shortcuts: %d run-ahead chances, %d same-instant sightings", chances, same)
@@ -529,4 +595,13 @@ func TestFastPathsMatchPlainKernel(t *testing.T) {
 			t.Logf("%d run-ahead chances, %d same-instant sightings, %d chained pushes", chances, same, chained)
 		})
 	}
+}
+
+// The shard's shortcuts are fuzzed on the same programs: any seed, 1–16
+// lanes, sequential or parallel epochs.
+func FuzzShardMatchesPlain(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, lanes uint8, parallel bool) {
+		n := 1 + int(lanes%16)
+		sameRun(t, seed, runFastPathProgram(t, seed, n, parallel, true, 0), runFastPathProgram(t, seed, n, parallel, false, 0))
+	})
 }

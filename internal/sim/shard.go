@@ -16,14 +16,15 @@ import (
 //
 // Execution proceeds in epochs. Each epoch the control plane finds the
 // earliest pending event time T0 across lanes and sets the horizon
-// H = T0 + lookahead; every lane then executes its events with t < H
-// independently — sequentially or on parallel goroutines, the results are
-// identical. Cross-lane effects are staged through Route into per-lane
-// outboxes and merged at the epoch barrier. The merge is the determinism
-// linchpin: envelopes are ordered by (t, srcLane, srcSeq) — the lane id
-// breaks (time, seq) ties — and destination-local sequence numbers are
-// assigned in that canonical order, so the run is bit-identical regardless
-// of how lane execution interleaved.
+// H = T0 + lookahead; every lane with an event before H then executes its
+// events with t < H independently — sequentially or on parallel
+// goroutines, the results are identical. Cross-lane effects are staged
+// through Route into per-lane outboxes and merged at the epoch barrier.
+// The merge is the determinism linchpin: envelopes are ordered by
+// (t, srcLane, srcSeq) — the lane id breaks (time, seq) ties — and
+// destination-local sequence numbers are assigned in that canonical order,
+// so the run is bit-identical regardless of how lane execution
+// interleaved.
 //
 // Safety requires every cross-lane delivery to land at or beyond the
 // horizon of the epoch that sent it. Route enforces t >= H, which holds by
@@ -49,16 +50,33 @@ type Shard struct {
 	MaxEvents uint64
 	MaxTime   Time
 
-	scratch []*xmsg // merge staging, reused across epochs
-	stats   ShardStats
+	scratch []*xmsg    // merge staging, reused across epochs
+	stats   ShardStats // Events is the running total across lanes
+
+	// The calendar: next[i] is lane i's pending() at every barrier, so an
+	// epoch finds T0 and the lanes to run without touching the idle ones.
+	// Run fills it; a lane's walk refreshes its entry after it runs, and
+	// the merge refreshes each envelope's destination.
+	next   []Time
+	blocks []block // lane blocks, one per worker; one block when sequential
 
 	// Pinned-worker pool (Parallel mode). Workers are started lazily by Run
-	// and torn down on every return path; each owns lanes [lo, hi) and
+	// and torn down on every return path; each owns one block of lanes and
 	// touches nothing else during an epoch, so lane state needs no locks —
 	// the work channel send and barrier wait provide the happens-before
 	// edges for the control plane's reads between epochs.
 	work    []chan Time
 	barrier sync.WaitGroup
+}
+
+// block is one contiguous run of lanes, [lo, hi), walked by one goroutine
+// per epoch, and what the walk found, for the control plane to read at the
+// barrier.
+type block struct {
+	lo, hi int
+	ran    int          // lanes that ran an event
+	events uint64       // events they ran
+	staged []*Scheduler // visited lanes that left envelopes in their outbox
 }
 
 // xmsg is a pooled cross-lane envelope: an event staged in a lane outbox
@@ -137,19 +155,12 @@ func (sh *Shard) Stats() ShardStats {
 	st.LaneEvents = make([]uint64, len(sh.lanes))
 	for i, ln := range sh.lanes {
 		st.LaneEvents[i] = ln.nEvents
-		st.Events += ln.nEvents
 	}
 	return st
 }
 
 // Events reports the total events executed across lanes.
-func (sh *Shard) Events() uint64 {
-	var n uint64
-	for _, ln := range sh.lanes {
-		n += ln.nEvents
-	}
-	return n
-}
+func (sh *Shard) Events() uint64 { return sh.stats.Events }
 
 // Now reports the shard's virtual time: the maximum across lanes (lanes
 // whose queues ran dry lag until a merged event advances them).
@@ -207,55 +218,67 @@ func (s *Scheduler) freeX(m *xmsg) {
 	s.xfree = m
 }
 
-// idleBefore reports whether the lane has nothing to run before horizon h.
-func (s *Scheduler) idleBefore(h Time) bool {
-	t, ok := s.pending()
-	return !ok || t >= h
-}
-
 // runWindow executes the lane's events strictly before horizon h, stopping
 // early if the lane alone exceeds the shard's event limit (see
-// overEventLimit). It reports whether any event ran.
-func (s *Scheduler) runWindow(h Time) bool {
+// overEventLimit). It reports how many events ran.
+func (s *Scheduler) runWindow(h Time) uint64 {
 	s.window = h
-	ran := false
+	n := s.nEvents
 	// The limit check mirrors the global one (strictly greater): a lane
 	// halted here has already pushed the global total over the limit, so Run
 	// cannot spin on a capped lane without returning the LimitError.
-	for !s.idleBefore(h) && !s.overEventLimit() {
+	for s.pending() < h && !s.overEventLimit() {
 		s.runEvent(s.pop())
-		ran = true
 	}
-	return ran
+	return s.nEvents - n
 }
 
-// nextTime reports the earliest pending event time across lanes.
-func (sh *Shard) nextTime() (Time, bool) {
-	var t0 Time
-	any := false
-	for _, ln := range sh.lanes {
-		t, ok := ln.pending()
-		if !ok {
+// walk runs the epoch ending at horizon h on b's lanes: each lane whose
+// calendar entry is before h runs its window and has its entry refreshed.
+// It writes only b and b's entries of the calendar. The plain kernel
+// (noFastPath, this package's tests) runs every lane, as an oracle for
+// the calendar.
+func (sh *Shard) walk(b *block, h Time) {
+	all := sh.lanes[0].noFastPath
+	lanes, next := sh.lanes[b.lo:b.hi], sh.next[b.lo:b.hi]
+	ran, events, staged := 0, uint64(0), b.staged[:0]
+	for i, t := range next {
+		if t >= h && !all {
 			continue
 		}
-		if !any || t < t0 {
-			t0 = t
+		ln := lanes[i]
+		if n := ln.runWindow(h); n != 0 {
+			ran++
+			events += n
 		}
-		any = true
+		if len(ln.outbox) != 0 {
+			staged = append(staged, ln)
+		}
+		next[i] = ln.pending()
 	}
-	return t0, any
+	b.ran, b.events, b.staged = ran, events, staged
 }
 
-// merge drains every lane outbox into the destination lanes in canonical
-// (t, srcLane, srcSeq) order, assigning destination-local sequence numbers
-// in that order so downstream execution is bit-identical however the lanes
-// were executed. Runs in control-plane context (the barrier), so touching
+// scan refreshes every lane's calendar entry from its queue.
+func (sh *Shard) scan() {
+	for i, ln := range sh.lanes {
+		sh.next[i] = ln.pending()
+	}
+}
+
+// merge drains the outboxes the blocks staged into the destination lanes
+// in canonical (t, srcLane, srcSeq) order, assigning destination-local
+// sequence numbers in that order so downstream execution is bit-identical
+// however the lanes were executed, and refreshes each destination's
+// calendar entry. Runs in control-plane context (the barrier), so touching
 // every lane is safe.
 func (sh *Shard) merge() {
 	sc := sh.scratch[:0]
-	for _, ln := range sh.lanes {
-		sc = append(sc, ln.outbox...)
-		ln.outbox = ln.outbox[:0]
+	for i := range sh.blocks {
+		for _, ln := range sh.blocks[i].staged {
+			sc = append(sc, ln.outbox...)
+			ln.outbox = ln.outbox[:0]
+		}
 	}
 	if len(sc) > sh.stats.MailboxHighWater {
 		sh.stats.MailboxHighWater = len(sc)
@@ -273,30 +296,29 @@ func (sh *Shard) merge() {
 		return cmp.Compare(a.srcSeq, b.srcSeq)
 	})
 	for _, m := range sc {
-		sh.lanes[m.dst].schedule(m.t, m.fn, nil)
+		dst := sh.lanes[m.dst]
+		dst.schedule(m.t, m.fn, nil)
+		sh.next[m.dst] = dst.pending()
 		sh.lanes[m.srcLane].freeX(m)
 	}
 	sh.scratch = sc[:0]
 }
 
-// startWorkers spins up the pinned worker pool: each worker owns a
-// contiguous block of lanes and loops epoch-to-epoch on its work channel.
-// MaxEvents is read by workers and must not change while they run.
+// startWorkers splits the lanes into one block per worker and spins up the
+// pinned worker pool. MaxEvents is read by workers and must not change
+// while they run.
 func (sh *Shard) startWorkers() {
-	w := runtime.GOMAXPROCS(0)
-	if w > len(sh.lanes) {
-		w = len(sh.lanes)
-	}
-	sh.work = make([]chan Time, w)
+	n := len(sh.lanes)
+	w := min(runtime.GOMAXPROCS(0), n)
+	sh.blocks, sh.work = make([]block, w), make([]chan Time, w)
 	for i := range sh.work {
 		ch := make(chan Time, 1)
 		sh.work[i] = ch
-		block := sh.lanes[i*len(sh.lanes)/w : (i+1)*len(sh.lanes)/w]
+		b := &sh.blocks[i]
+		b.lo, b.hi = i*n/w, (i+1)*n/w
 		go func() {
 			for h := range ch {
-				for _, ln := range block {
-					ln.runWindow(h)
-				}
+				sh.walk(b, h)
 				sh.barrier.Done()
 			}
 		}()
@@ -315,14 +337,28 @@ func (sh *Shard) stopWorkers() {
 // returns the final virtual time. Deadlock (all queues and outboxes
 // drained with procs still parked) and limit overruns surface exactly as
 // from Scheduler.Run, as *DeadlockError / *LimitError.
+//
+// Run fills the calendar once, covering whatever Spawn, At and Route did
+// before it; a lane holding envelopes staged before Run is visited in the
+// first epoch, so the first barrier drains its outbox.
 func (sh *Shard) Run() (Time, error) {
-	if sh.Parallel && len(sh.lanes) > 1 && sh.work == nil {
+	n := len(sh.lanes)
+	sh.blocks = []block{{hi: n}}
+	sh.next = make([]Time, n)
+	sh.scan()
+	t0 := slices.Min(sh.next)
+	for i, ln := range sh.lanes {
+		if len(ln.outbox) != 0 {
+			sh.next[i] = t0
+		}
+	}
+	if sh.Parallel && n > 1 && sh.work == nil {
 		sh.startWorkers()
 		defer sh.stopWorkers()
 	}
+	plain := sh.lanes[0].noFastPath
 	for {
-		t0, any := sh.nextTime()
-		if !any {
+		if t0 == idle {
 			var names []string
 			for _, ln := range sh.lanes {
 				for p := range ln.procs {
@@ -336,34 +372,32 @@ func (sh *Shard) Run() (Time, error) {
 			return sh.Now(), nil
 		}
 		if sh.MaxTime != 0 && t0 > sh.MaxTime {
-			return t0, &LimitError{At: t0, Events: sh.Events(), What: "time"}
+			return t0, &LimitError{At: t0, Events: sh.stats.Events, What: "time"}
 		}
 		h := t0 + sh.lookahead
 		sh.stats.Epochs++
 		if sh.work != nil {
-			// Stalls are counted by the control plane before the workers
-			// wake (same predicate runWindow uses), so the counters stay
-			// off the worker hot path.
-			for _, ln := range sh.lanes {
-				if ln.idleBefore(h) {
-					sh.stats.Stalls++
-				}
-			}
 			sh.barrier.Add(len(sh.work))
 			for _, ch := range sh.work {
 				ch <- h
 			}
 			sh.barrier.Wait()
 		} else {
-			for _, ln := range sh.lanes {
-				if !ln.runWindow(h) {
-					sh.stats.Stalls++
-				}
-			}
+			sh.walk(&sh.blocks[0], h)
 		}
+		ran := 0
+		for i := range sh.blocks {
+			ran += sh.blocks[i].ran
+			sh.stats.Events += sh.blocks[i].events
+		}
+		sh.stats.Stalls += uint64(n - ran)
 		sh.merge()
-		if sh.MaxEvents != 0 && sh.Events() > sh.MaxEvents {
-			return sh.Now(), &LimitError{At: sh.Now(), Events: sh.Events(), What: "event"}
+		if plain { // the oracle asks every lane, not the calendar
+			sh.scan()
+		}
+		t0 = slices.Min(sh.next)
+		if sh.MaxEvents != 0 && sh.stats.Events > sh.MaxEvents {
+			return sh.Now(), &LimitError{At: sh.Now(), Events: sh.stats.Events, What: "event"}
 		}
 	}
 }

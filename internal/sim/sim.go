@@ -25,6 +25,7 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -250,17 +251,21 @@ func (s *Scheduler) schedule(t Time, fn func(), p *Proc) {
 	}
 }
 
-// pending reports the time of the earliest queued event, if any. Heap
+// idle is the time pending reports for an empty queue: later than any
+// event.
+const idle = Time(math.MaxInt64)
+
+// pending reports the time of the earliest queued event, or idle. Heap
 // entries are never earlier than now, so a non-empty same-instant queue
 // means the answer is now.
-func (s *Scheduler) pending() (Time, bool) {
+func (s *Scheduler) pending() Time {
 	if s.sameHead != nil {
-		return s.now, true
+		return s.now
 	}
 	if s.root == nil {
-		return 0, false
+		return idle
 	}
-	return s.root.t, true
+	return s.root.t
 }
 
 // push melds e, a new chain head, into the heap: one comparison.
@@ -619,10 +624,7 @@ func (s *Scheduler) Run() (Time, error) {
 	if s.shard != nil {
 		panic("sim: lane schedulers are driven by Shard.Run, not Scheduler.Run")
 	}
-	for {
-		if _, ok := s.pending(); !ok {
-			break
-		}
+	for s.pending() != idle {
 		s.runEvent(s.pop())
 		if s.overEventLimit() {
 			return s.now, &LimitError{At: s.now, Events: s.nEvents, What: "event"}

@@ -549,7 +549,7 @@ func TestShuffleOnOneRendezvous(t *testing.T) {
 	if rndv, stale := rep.Acct.Count["rndv"], rep.Acct.Count["req-stale"]; rndv != ranks*(ranks-1)*steps || stale != 0 {
 		t.Errorf("rndv = %d, req-stale = %d; want %d, 0", rndv, stale, ranks*(ranks-1)*steps)
 	}
-	const events, elapsed = 876800, 8401298239 * time.Nanosecond
+	const events, elapsed = 846032, 8401298239 * time.Nanosecond
 	if got := retransmits(rep); got != 0 || rep.Events != events || rep.Elapsed != elapsed {
 		t.Errorf("%d retransmits, %d events, elapsed %v; pinned 0, %d, %v: a simulated nanosecond moved",
 			got, rep.Events, rep.Elapsed, events, elapsed)

@@ -89,7 +89,8 @@ func (t *transport) attachConn(peer int, c *atm.TCP) {
 // SendFrame takes the caller's hold (Headroom bytes the link fills in, then
 // the message), and TryRecv returns a read-only view of the sender's frame
 // that stays valid until the reader passes it to Release. Discard drops, in
-// event context, what reaches a closed rank.
+// event context, what reaches a closed rank. OnArrival's fn is told whether
+// the arrival left anything to read.
 type dgramLink interface {
 	Headroom() int
 	Frame(n int) *atm.Frame
@@ -98,7 +99,7 @@ type dgramLink interface {
 	Release(d atm.Datagram)
 	Discard()
 	MaxDatagram() int
-	OnArrival(fn func())
+	OnArrival(fn func(readable bool))
 }
 
 // unetLink adapts the U-Net endpoint to dgramLink. Its frames are GC-owned:
@@ -122,19 +123,23 @@ func (l unetLink) TryRecv(p *sim.Proc) (atm.Datagram, bool, error) {
 }
 
 // Discard keeps the frames queued: no U-Net sender waits for an ack.
-func (l unetLink) Discard()            {}
-func (l unetLink) MaxDatagram() int    { return atm.UNetMaxPDU }
-func (l unetLink) OnArrival(fn func()) { l.u.OnReadable(fn) }
+func (l unetLink) Discard()                {}
+func (l unetLink) MaxDatagram() int        { return atm.UNetMaxPDU }
+func (l unetLink) OnArrival(fn func(bool)) { l.u.OnReadable(func() { fn(true) }) }
 
-// attachDgram wakes an open rank on arrival; a closed one's link discards.
+// attachDgram wakes an open rank on an arrival it can read; a closed one's
+// link discards. Pure acks leave nothing to read, so they only Nudge: a
+// rank that Wait parked on a pending request sleeps on.
 func (t *transport) attachDgram(d dgramLink) {
 	t.dgram = d
-	d.OnArrival(func() {
+	d.OnArrival(func(readable bool) {
 		if t.eng.Closed() {
 			d.Discard()
-			return
+		} else if readable {
+			t.eng.Wake()
+		} else {
+			t.eng.Nudge()
 		}
-		t.eng.Wake()
 	})
 }
 
