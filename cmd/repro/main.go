@@ -37,7 +37,7 @@ func main() {
 	iters := flag.Int("iters", 5, "repetitions per point")
 	svgDir := flag.String("svg", "", "also write each figure, a suite's included, as an SVG chart into this directory")
 	suiteSpec := flag.String("suite", "", "comma-separated benchmark suites to run, or \"all\" (an unknown name lists the registered ones)")
-	baselineDir := flag.String("baseline", "", "with -suite: gate each suite against BENCH_<name>.json in this directory and exit nonzero on a regression (the static floors apply regardless); with -explain: the directory of the committed records (default .)")
+	baselineDir := flag.String("baseline", "", "with -suite: gate each suite against BENCH_<name>.json in this directory and exit nonzero on any point missing or moved (the static floors apply regardless); with -explain: the directory of the committed records (default .)")
 	outDir := flag.String("out", "", "with -suite: write each fresh BENCH_<name>.json into this directory")
 	explain := flag.String("explain", "", "re-run the committed point KEY (suite/coordinates, e.g. workloads/halo/mem) with every world observed, and exit nonzero if it no longer reproduces its record; an unknown key lists the suite's")
 	flag.Parse()

@@ -2,9 +2,7 @@ package atm
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/internal/sim"
@@ -42,23 +40,6 @@ func TestAAL34CellMath(t *testing.T) {
 	// AAL3/4 wastes more wire than AAL5 for the same payload.
 	if AAL34WireBytes(1000) <= AAL5WireBytes(1000) {
 		t.Error("AAL3/4 should cost more cells than AAL5")
-	}
-}
-
-func TestSegmentReassembleIdentity(t *testing.T) {
-	prop := func(data []byte, cp uint8) bool {
-		cellPayload := int(cp%64) + 1
-		return bytes.Equal(Reassemble(Segment(data, cellPayload)), data)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(5))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSegmentSizes(t *testing.T) {
-	cells := Segment(make([]byte, 100), 48)
-	if len(cells) != 3 || len(cells[0]) != 48 || len(cells[2]) != 4 {
-		t.Fatalf("segment sizes wrong: %d cells", len(cells))
 	}
 }
 

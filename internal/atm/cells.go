@@ -1,9 +1,8 @@
 package atm
 
-// Segmentation and reassembly for the ATM adaptation layers. The GIA-200's
-// i960 performs SAR on the card; the model charges its per-packet cost and
-// computes wire occupancy from the exact cell counts, and these helpers are
-// also used directly (with real byte movement) by the AAL tests.
+// Cell counts for the ATM adaptation layers. The GIA-200's i960 performs
+// segmentation and reassembly on the card; the model charges its per-packet
+// cost and computes wire occupancy from the exact cell counts.
 
 // AAL5Cells reports the number of 53-byte cells an n-byte PDU occupies:
 // payload plus the 8-byte trailer, padded up to a whole number of 48-byte
@@ -24,34 +23,3 @@ func AAL34Cells(n int) int {
 
 // AAL34WireBytes reports wire occupancy of an n-byte AAL3/4 PDU.
 func AAL34WireBytes(n int) int { return AAL34Cells(n) * CellBytes }
-
-// Segment splits payload into cell-payload-sized chunks (the data the SAR
-// hardware would place into successive cells). The final chunk is not
-// padded; Reassemble inverts Segment exactly.
-func Segment(payload []byte, cellPayload int) [][]byte {
-	if cellPayload <= 0 {
-		panic("atm: non-positive cell payload")
-	}
-	var cells [][]byte
-	for off := 0; off < len(payload); off += cellPayload {
-		end := off + cellPayload
-		if end > len(payload) {
-			end = len(payload)
-		}
-		cells = append(cells, payload[off:end])
-	}
-	return cells
-}
-
-// Reassemble concatenates cell payloads back into the original PDU.
-func Reassemble(cells [][]byte) []byte {
-	var n int
-	for _, c := range cells {
-		n += len(c)
-	}
-	out := make([]byte, 0, n)
-	for _, c := range cells {
-		out = append(out, c...)
-	}
-	return out
-}

@@ -92,15 +92,14 @@ func chaosSweep(Opts) sweep[ChaosReport] {
 			return rep
 		},
 		points: func(r *ChaosReport) []point {
-			return each(r.Points, func(p ChaosPoint) string { return key("chaos", p.Backend, p.Loss, cmp.Or(p.Kills, "none")) },
-				func(x *runner, p ChaosPoint) (ChaosPoint, error) {
-					run, same, err := reproduced(kernels, func(k kernel) (chaosRun, error) { return runChaos(x, r, p, k) },
-						func(a, b chaosRun) bool { return a.pt == b.pt })
-					r.detects = append(r.detects, run.detects...)
-					r.shrinks = append(r.shrinks, run.shrinks...)
-					run.pt.Identical = same
-					return run.pt, err
-				})
+			return each(r.Points, chaosKey, func(x *runner, p ChaosPoint) (ChaosPoint, error) {
+				run, same, err := reproduced(kernels, func(k kernel) (chaosRun, error) { return runChaos(x, r, p, k) },
+					func(a, b chaosRun) bool { return a.pt == b.pt })
+				r.detects = append(r.detects, run.detects...)
+				r.shrinks = append(r.shrinks, run.shrinks...)
+				run.pt.Identical = same
+				return run.pt, err
+			})
 		},
 		finish: func(_ *runner, r *ChaosReport) error {
 			killPoints, survived := 0, 0
@@ -205,34 +204,21 @@ func runChaos(x *runner, r *ChaosReport, p ChaosPoint, k kernel) (chaosRun, erro
 	return run, nil
 }
 
-// checkChaos gates the sweep. Static floors, baseline or not: every point
-// must read the same on each of kernels, and every fault-free point and
-// every single-failure point must survive (the multi-failure points are
-// reported, not gated). Against a committed baseline: survival must not drop
-// anywhere, no point may disappear, and detection/shrink latency may not
-// regress more than suiteTol on any point that both runs survived.
-func checkChaos(r ChaosReport, base *ChaosReport) []string {
+// chaosKey names one point of the report.
+func chaosKey(p ChaosPoint) string { return key("chaos", p.Backend, p.Loss, cmp.Or(p.Kills, "none")) }
+
+// checkChaos is the sweep's static floors: every point must read the same
+// on each of kernels, and every fault-free point and every single-failure
+// point must survive (the multi-failure points are reported, not gated).
+func checkChaos(r ChaosReport) []string {
 	var fails []string
-	key := func(p ChaosPoint) string { return fmt.Sprintf("%s|%g|%s", p.Backend, p.Loss, p.Kills) }
 	for _, p := range r.Points {
 		if !p.Identical {
-			fails = append(fails, fmt.Sprintf("%s: the sharded kernels do not reproduce the single-lane point", key(p)))
+			fails = append(fails, fmt.Sprintf("%s: the sharded kernels do not reproduce the single-lane point", chaosKey(p)))
 		}
 		if p.Failures <= 1 && !p.Survived {
-			fails = append(fails, fmt.Sprintf("%s: world did not survive a %d-failure schedule", key(p), p.Failures))
+			fails = append(fails, fmt.Sprintf("%s: world did not survive a %d-failure schedule", chaosKey(p), p.Failures))
 		}
 	}
-	if base == nil {
-		return fails
-	}
-	survived := func(p ChaosPoint) bool { return p.Survived }
-	return append(fails, drift("point", r.Points, base.Points, key, suiteTol,
-		higher("survived", func(p ChaosPoint) float64 {
-			if p.Survived {
-				return 1
-			}
-			return 0
-		}),
-		lower("detection us", func(p ChaosPoint) float64 { return p.DetectUS }).when(survived),
-		lower("shrink us", func(p ChaosPoint) float64 { return p.ShrinkUS }).when(survived))...)
+	return fails
 }

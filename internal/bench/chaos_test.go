@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,7 +17,8 @@ import (
 
 // The kernels are checked, not recorded: a point the sharded kernels did not
 // reproduce is a finding with or without a baseline, and so is one that
-// stopped surviving a single failure.
+// stopped surviving a single failure. Against a baseline, any moved point is
+// one more finding, naming its key.
 func TestCheckChaosGate(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join(repoRoot, "BENCH_chaos.json"))
 	if err != nil {
@@ -34,26 +36,37 @@ func TestCheckChaosGate(t *testing.T) {
 		t.Fatalf("committed record fails the static floors: %v", fails)
 	}
 
-	forked := rep
-	forked.Points = append([]ChaosPoint(nil), rep.Points...)
-	forked.Points[4].Identical = false
-	for _, base := range []any{nil, rep} {
-		fails := gate(t, "chaos", forked, base)
-		if len(fails) != 1 {
-			t.Fatalf("baseline %v: want the one kernel fork flagged, got %v", base != nil, fails)
-		}
-		requireFail(t, fails, "sharded kernels do not reproduce")
+	edited := func(i int, edit func(p *ChaosPoint)) ChaosReport {
+		r := rep
+		r.Points = slices.Clone(rep.Points)
+		edit(&r.Points[i])
+		return r
 	}
+	forked := edited(4, func(p *ChaosPoint) { p.Identical = false })
+	exactly(t, gate(t, "chaos", forked, nil), "chaos/meiko-lowlatency/0/2-50us: the sharded kernels do not reproduce")
+	fails := gate(t, "chaos", forked, rep)
+	if len(fails) != 2 || !strings.HasPrefix(fails[1], "chaos/meiko-lowlatency/0/2-50us: {") {
+		t.Fatalf("want the kernel fork and the moved point flagged, got %q", fails)
+	}
+	requireFail(t, fails[1:], `"identical":false}, baseline {`)
 
-	died := rep
-	died.Points = append([]ChaosPoint(nil), rep.Points...)
-	died.Points[1].Survived = false // a single-failure point
-	requireFail(t, gate(t, "chaos", died, nil), "did not survive a 1-failure schedule")
-	requireFail(t, gate(t, "chaos", died, rep), "survived 0 regressed")
+	died := edited(1, func(p *ChaosPoint) { p.Survived = false }) // a single-failure point
+	exactly(t, gate(t, "chaos", died, nil), "chaos/mem/0/2-50us: world did not survive a 1-failure schedule")
+	fails = gate(t, "chaos", died, rep)
+	if len(fails) != 2 || !strings.HasPrefix(fails[1], "chaos/mem/0/2-50us: {") {
+		t.Fatalf("want the lost survival and the moved point flagged, got %q", fails)
+	}
+	requireFail(t, fails[1:], `"survived":false`)
+
+	// The baseline arm is exact, whichever way a number moves: a detection
+	// latency 1% better is as much a finding as one 1% worse.
+	for _, f := range []float64{1.01, 0.99} {
+		exactly(t, gate(t, "chaos", edited(1, func(p *ChaosPoint) { p.DetectUS *= f }), rep), "chaos/mem/0/2-50us: {", `"detect_us":51`)
+	}
 
 	missing := rep
 	missing.Points = rep.Points[1:]
-	requireFail(t, gate(t, "chaos", missing, rep), "dropped from the report")
+	exactly(t, gate(t, "chaos", missing, rep), "chaos/mem/0/none: in the baseline, missing from the report")
 }
 
 // A killed rank keeps charging its own clock after its death (ROADMAP,

@@ -48,7 +48,7 @@ func Explain(o Opts, key, baselineDir string, w io.Writer) (bool, error) {
 		return false, fmt.Errorf("unknown point %q (%s has: %s)", key, name, strings.Join(keys, ", "))
 	}
 	p := pts[i]
-	committed, _ := json.Marshal(p.at) // it decoded from JSON just now
+	committed := p.encoded() // it decoded from JSON just now
 	var worlds bytes.Buffer
 	n := 0
 	x := &runner{observe: func(spec registry.Spec, rep *mpi.Report, log *trace.Log) {

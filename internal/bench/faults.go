@@ -93,7 +93,7 @@ func faultsSweep(o Opts) sweep[FaultsReport] {
 // checkFaults is the sweep's static floor: a loss-free cell retransmits
 // nothing (ROADMAP item 3). A timer that expires before a frame's bytes can
 // have crossed the wire fails it.
-func checkFaults(cur FaultsReport, _ *FaultsReport) []string {
+func checkFaults(cur FaultsReport) []string {
 	var out []string
 	for _, fb := range cur.Backends {
 		for i, rate := range cur.LossRates {

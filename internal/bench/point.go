@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -23,6 +24,13 @@ type point struct {
 	key     string
 	at      any                   // points into the report the point was listed from
 	measure func(x *runner) error // re-runs the point and stores its value at at
+}
+
+// encoded is the point's value as its record holds it: what the baseline
+// gate and Explain compare byte for byte.
+func (p point) encoded() []byte {
+	v, _ := json.Marshal(p.at) // a point's value is plain data
+	return v
 }
 
 // value lists the point key held at v and measured by m.

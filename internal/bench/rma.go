@@ -13,8 +13,8 @@ import (
 // emulate a window over matched sends inside the closing fence.
 //
 // Every number is virtual time, so the record is deterministic and the
-// gate compares values exactly as committed: a drift is a model change,
-// not host noise.
+// gate compares values exactly as committed: a moved point is a model
+// change, not host noise.
 
 // RMAPoint is one Put+Fence epoch: a genuine one-sided transfer on a
 // native-RMA backend, or on a socket transport the emulation that deflates
@@ -26,8 +26,7 @@ type RMAPoint struct {
 }
 
 // RMAReport is the machine-readable record cmd/repro writes as
-// BENCH_rma.json. The committed copy is the baseline CI gates against
-// (see checkRMA).
+// BENCH_rma.json. The committed copy is the baseline CI gates against.
 type RMAReport struct {
 	Iters  int        `json:"iters"`
 	Puts   []RMAPoint `json:"puts"`
@@ -101,15 +100,3 @@ func rmaSweep(o Opts) sweep[RMAReport] {
 
 // rmaKey names one point of either of the report's lists.
 func rmaKey(p RMAPoint) string { return key("rma", p.Backend, p.Bytes) }
-
-// checkRMA gates a fresh report against a baseline: Put and fence epochs
-// are virtual time and must not regress beyond suiteTol.
-func checkRMA(cur RMAReport, base *RMAReport) []string {
-	if base == nil {
-		return nil
-	}
-	fails := drift("put point", cur.Puts, base.Puts, rmaKey, suiteTol,
-		lower("Put+Fence us", func(p RMAPoint) float64 { return p.EpochUS }))
-	return append(fails, drift("fence point", cur.Fences, base.Fences, rmaKey, suiteTol,
-		lower("emulated fence us", func(p RMAPoint) float64 { return p.EpochUS }))...)
-}

@@ -73,29 +73,31 @@ func TestCheckScaleGate(t *testing.T) {
 	bad.Collectives = good.Collectives[:2] // no cluster points
 	requireFail(t, gate(t, "scale", bad, nil), "no cluster/tcp collective points")
 
-	// Baseline comparisons are exact: a rank count that left the sweep is a
-	// finding, and so is one event more or less.
+	// Against a baseline, every point is compared exactly: a rank count
+	// that left the sweep is one finding, and so is one event more or less.
+	if fails := gate(t, "scale", good, good); len(fails) != 0 {
+		t.Fatalf("clean report failed against itself: %v", fails)
+	}
 	base := good
 	base.Points = append(append([]ScalePoint(nil), good.Points...), ScalePoint{Ranks: 16384, Identical: true})
-	requireFail(t, gate(t, "scale", good, base), "point ranks=16384: in the baseline, dropped")
-	base = good
+	exactly(t, gate(t, "scale", good, base), "scale/16384: in the baseline, missing from the report")
 	cur := good
 	for field, edit := range map[string]func(*ScalePoint){
-		"events":             func(p *ScalePoint) { p.Events++ },
-		"virtual_us":         func(p *ScalePoint) { p.VirtualUs -= 0.5 },
-		"epochs":             func(p *ScalePoint) { p.Epochs++ },
-		"stalls":             func(p *ScalePoint) { p.Stalls++ },
-		"routed":             func(p *ScalePoint) { p.Routed++ },
-		"mailbox_high_water": func(p *ScalePoint) { p.MailboxHighWater++ },
+		`"events":1`:             func(p *ScalePoint) { p.Events++ },
+		`"virtual_us":-0.5`:      func(p *ScalePoint) { p.VirtualUs -= 0.5 },
+		`"epochs":1`:             func(p *ScalePoint) { p.Epochs++ },
+		`"stalls":1`:             func(p *ScalePoint) { p.Stalls++ },
+		`"routed":1`:             func(p *ScalePoint) { p.Routed++ },
+		`"mailbox_high_water":1`: func(p *ScalePoint) { p.MailboxHighWater++ },
 	} {
 		cur.Points = append([]ScalePoint(nil), good.Points...)
 		edit(&cur.Points[1])
-		requireFail(t, gate(t, "scale", cur, base), "point ranks=1024: "+field)
+		exactly(t, gate(t, "scale", cur, good), "scale/1024: {", field)
 	}
 	cur = good
 	cur.Collectives = append([]ScaleCollPoint(nil), good.Collectives...)
 	cur.Collectives[1].VirtualUs++
-	requireFail(t, gate(t, "scale", cur, base), "collective meiko/lowlatency barrier ranks=256 bytes=0: virtual_us")
+	exactly(t, gate(t, "scale", cur, good), "scale/meiko-lowlatency/barrier/256: {", `"virtual_us":1`)
 }
 
 // What the gate decides about a report survives the record encoding.
@@ -104,7 +106,7 @@ func TestScaleReportRoundTrip(t *testing.T) {
 		Points:      []ScalePoint{{Ranks: 64, Lanes: 64, Events: 7744, Identical: true}},
 		Collectives: []ScaleCollPoint{{Backend: "meiko/lowlatency", Op: "bcast", Ranks: 1024, Bytes: 1024, Identical: true}},
 	}
-	if got, want := gate(t, "scale", rep, rep), checkScale(rep, &rep); !reflect.DeepEqual(got, want) {
+	if got, want := gate(t, "scale", rep, rep), checkScale(rep); !reflect.DeepEqual(got, want) {
 		t.Fatalf("gate through the record = %v, in memory = %v", got, want)
 	}
 }

@@ -1,18 +1,19 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 )
 
 // Suite is one registered sweep: a measurement, its committed
 // BENCH_<name>.json record, and the gate that compares the two. cmd/repro
-// and CI drive every sweep through this one shape.
+// and CI drive every sweep through this one shape, and every suite gates
+// by one rule (see moved).
 type Suite struct {
 	Name string
 	// Run decodes baseline (the bytes of an earlier record; nil means none,
@@ -34,16 +35,12 @@ type Result struct {
 	Figures  []Figure // the figures in the report, for charting; most suites have none
 }
 
-// suiteTol is the fractional drift the baseline gates allow on a metric that
-// is not compared exactly (0.10 = fail on a >10% regression).
-const suiteTol = 0.10
-
 // suites is the registry, in the order `-suite all` runs them.
 var suites = []Suite{
 	newSuite("anchors", anchorsSweep, formatAnchorsReport, nil),
 	newSuite("collectives", collectivesSweep, nil, nil),
 	newSuite("faults", faultsSweep, nil, checkFaults),
-	newSuite("rma", rmaSweep, nil, checkRMA),
+	newSuite("rma", rmaSweep, nil, nil),
 	newSuite("scale", scaleSweep, nil, checkScale),
 	newSuite("chaos", chaosSweep, nil, checkChaos),
 	newSuite("workloads", workloadsSweep, nil, checkWorkloads),
@@ -51,11 +48,12 @@ var suites = []Suite{
 }
 
 // newSuite adapts one report type to a Suite. The record encoding, the
-// baseline decoding and the nil-baseline case live here and nowhere else;
-// gate may be nil for a sweep that is recorded but not gated, and format
-// for one whose text is its point listing. A report with a figures method
-// (anchors, ablations) fills Result.Figures.
-func newSuite[R any](name string, sweepOf func(Opts) sweep[R], format func(R) string, gate func(cur R, base *R) []string) Suite {
+// baseline decoding and the gate live here and nowhere else: a report must
+// pass the sweep's static floors, which read it alone (nil for a sweep
+// with none), and against a baseline every point must be unmoved. format
+// may be nil for a sweep whose text is its point listing. A report with a
+// figures method (anchors, ablations) fills Result.Figures.
+func newSuite[R any](name string, sweepOf func(Opts) sweep[R], format func(R) string, floors func(R) []string) Suite {
 	decode := func(what string, data []byte) (*R, error) {
 		r, coords := new(R), any(nil)
 		if err := json.Unmarshal(data, r); err != nil {
@@ -74,11 +72,16 @@ func newSuite[R any](name string, sweepOf func(Opts) sweep[R], format func(R) st
 		}
 		return decode("baseline", baseline)
 	}
-	findings := func(cur R, base *R) []string {
-		if gate == nil {
-			return nil
+	findings := func(cur, base *R) []string {
+		var fails []string
+		if floors != nil {
+			fails = floors(*cur)
 		}
-		return gate(cur, base)
+		if base != nil {
+			list := sweepOf(Opts{}).points
+			fails = append(fails, moved(list(cur), list(base))...)
+		}
+		return fails
 	}
 	return Suite{
 		Name: name,
@@ -96,7 +99,7 @@ func newSuite[R any](name string, sweepOf func(Opts) sweep[R], format func(R) st
 			if err != nil {
 				return Result{}, fmt.Errorf("%s record: %w", name, err)
 			}
-			res := Result{Text: format(cur), Record: append(rec, '\n'), Findings: findings(cur, base)}
+			res := Result{Text: format(cur), Record: append(rec, '\n'), Findings: findings(&cur, base)}
 			if f, ok := any(cur).(interface{ figures() []Figure }); ok {
 				res.Figures = f.figures()
 			}
@@ -111,7 +114,7 @@ func newSuite[R any](name string, sweepOf func(Opts) sweep[R], format func(R) st
 			if err != nil {
 				return nil, err
 			}
-			return findings(*cur, base), nil
+			return findings(cur, base), nil
 		},
 		points: func(o Opts, record []byte) ([]point, error) {
 			r, err := decode("record", record)
@@ -121,6 +124,27 @@ func newSuite[R any](name string, sweepOf func(Opts) sweep[R], format func(R) st
 			return sweepOf(o).points(r), nil
 		},
 	}
+}
+
+// moved is the baseline rule of every suite: each point the baseline lists
+// must be in the fresh report, under its key, with a JSON value byte-equal
+// to the baseline's (Explain's "equal"). Each finding names the key, so it
+// can be handed to repro -explain; a point only the report has is none.
+func moved(cur, base []point) []string {
+	have := make(map[string][]byte, len(cur))
+	for _, p := range cur {
+		have[p.key] = p.encoded()
+	}
+	var fails []string
+	for _, p := range base {
+		v, ok := have[p.key]
+		if was := p.encoded(); !ok {
+			fails = append(fails, fmt.Sprintf("%s: in the baseline, missing from the report", p.key))
+		} else if !bytes.Equal(v, was) {
+			fails = append(fails, fmt.Sprintf("%s: %s, baseline %s", p.key, v, was))
+		}
+	}
+	return fails
 }
 
 // Suites resolves a comma-separated list of suite names, or "all", against
@@ -207,67 +231,7 @@ func runnable(v any) error {
 func listing(pts []point) string {
 	var b strings.Builder
 	for _, p := range pts {
-		v, _ := json.Marshal(p.at) // a point's value is plain data
-		fmt.Fprintf(&b, "%-50s %s\n", p.key, v)
+		fmt.Fprintf(&b, "%-50s %s\n", p.key, p.encoded())
 	}
 	return b.String()
-}
-
-// metric is one gated field of a sweep point.
-type metric[P any] struct {
-	name   string
-	get    func(P) float64
-	higher bool // higher is better; otherwise lower is
-	// ok, when set, says whether the metric means anything on a point; it is
-	// compared only where it does on both sides.
-	ok func(P) bool
-}
-
-func lower[P any](name string, get func(P) float64) metric[P] {
-	return metric[P]{name: name, get: get}
-}
-
-func higher[P any](name string, get func(P) float64) metric[P] {
-	return metric[P]{name: name, get: get, higher: true}
-}
-
-func (m metric[P]) when(ok func(P) bool) metric[P] {
-	m.ok = ok
-	return m
-}
-
-// drift compares the points of a fresh report with a baseline's, matched by
-// key, and returns the findings every baseline gate shares: a baseline point
-// missing from the report, and a metric that moved the wrong way by more
-// than tol. At tol 0 the comparison is exact: any difference, in either
-// direction, is a finding.
-func drift[P any](kind string, cur, base []P, key func(P) string, tol float64, metrics ...metric[P]) []string {
-	have := make(map[string]P, len(cur))
-	for _, p := range cur {
-		have[key(p)] = p
-	}
-	num := func(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
-	var fails []string
-	for _, bp := range base {
-		k := key(bp)
-		p, found := have[k]
-		if !found {
-			fails = append(fails, fmt.Sprintf("%s %s: in the baseline, dropped from the report", kind, k))
-			continue
-		}
-		for _, m := range metrics {
-			if m.ok != nil && !(m.ok(p) && m.ok(bp)) {
-				continue
-			}
-			c, b := m.get(p), m.get(bp)
-			if tol == 0 {
-				if c != b {
-					fails = append(fails, fmt.Sprintf("%s %s: %s %s differs from baseline %s", kind, k, m.name, num(c), num(b)))
-				}
-			} else if m.higher && c < b*(1-tol) || !m.higher && c > b*(1+tol) {
-				fails = append(fails, fmt.Sprintf("%s %s: %s %s regressed >%s%% from baseline %s", kind, k, m.name, num(c), num(tol*100), num(b)))
-			}
-		}
-	}
-	return fails
 }

@@ -54,6 +54,18 @@ func requireFail(t *testing.T, fails []string, substr string) {
 	t.Fatalf("gate did not report %q: %v", substr, fails)
 }
 
+// exactly requires one finding, starting with prefix and containing each of
+// parts.
+func exactly(t *testing.T, fails []string, prefix string, parts ...string) {
+	t.Helper()
+	if len(fails) != 1 || !strings.HasPrefix(fails[0], prefix) {
+		t.Fatalf("gate reported %q, want one finding starting %q", fails, prefix)
+	}
+	for _, p := range parts {
+		requireFail(t, fails, p)
+	}
+}
+
 // repoRoot is where the committed BENCH_<name>.json records live.
 const repoRoot = "../.."
 
@@ -219,48 +231,35 @@ func TestNoHostClock(t *testing.T) {
 	}
 }
 
-func TestDrift(t *testing.T) {
-	type pt struct {
-		name       string
-		cost, rate float64
-		live       bool
-	}
-	key := func(p pt) string { return p.name }
-	cost := lower("cost", func(p pt) float64 { return p.cost })
-	rate := higher("rate", func(p pt) float64 { return p.rate })
-	base := []pt{{"a", 100, 100, true}, {"b", 100, 100, true}}
-
-	for _, tc := range []struct {
-		name string
-		cur  []pt
-		tol  float64
-		ms   []metric[pt]
-		want []string // one substring per expected finding, in order
-	}{
-		{"identical", base, 0.10, []metric[pt]{cost, rate}, nil},
-		{"identical exact", base, 0, []metric[pt]{cost, rate}, nil},
-		{"extra current point is not a finding", append([]pt{{"c", 1, 1, true}}, base...), 0.10, []metric[pt]{cost, rate}, nil},
-		{"dropped point", base[:1], 0.10, []metric[pt]{cost}, []string{"thing b: in the baseline, dropped"}},
-		{"lower-is-better at tol", []pt{{"a", 110, 100, true}, base[1]}, 0.10, []metric[pt]{cost}, nil},
-		{"lower-is-better past tol", []pt{{"a", 110.1, 100, true}, base[1]}, 0.10, []metric[pt]{cost}, []string{"thing a: cost 110.1 regressed >10% from baseline 100"}},
-		{"lower-is-better improved", []pt{{"a", 50, 100, true}, base[1]}, 0.10, []metric[pt]{cost}, nil},
-		{"higher-is-better at tol", []pt{base[0], {"b", 100, 90, true}}, 0.10, []metric[pt]{rate}, nil},
-		{"higher-is-better past tol", []pt{base[0], {"b", 100, 89.9, true}}, 0.10, []metric[pt]{rate}, []string{"thing b: rate 89.9 regressed >10% from baseline 100"}},
-		{"higher-is-better improved", []pt{base[0], {"b", 100, 200, true}}, 0.10, []metric[pt]{rate}, nil},
-		{"exact mismatch up", []pt{{"a", 101, 100, true}, base[1]}, 0, []metric[pt]{cost}, []string{"thing a: cost 101 differs from baseline 100"}},
-		{"exact mismatch down, either direction", []pt{{"a", 99, 100, true}, {"b", 100, 101, true}}, 0, []metric[pt]{cost, rate}, []string{"thing a: cost 99", "thing b: rate 101"}},
-		{"findings in baseline then metric order", []pt{{"a", 200, 1, true}, {"b", 200, 100, true}}, 0.10, []metric[pt]{cost, rate}, []string{"a: cost", "a: rate", "b: cost"}},
-		{"metric undefined on the current point", []pt{{"a", 200, 100, false}, base[1]}, 0.10, []metric[pt]{cost.when(func(p pt) bool { return p.live })}, nil},
-		{"metric undefined on the baseline point", []pt{{"a", 200, 100, true}, base[1]}, 0.10, []metric[pt]{cost.when(func(p pt) bool { return p.cost > 150 })}, nil},
+// One gate for every record: against its baseline, a record is checked
+// point for point, and any point whose value moved at all is one finding
+// that names its key, for repro -explain. Each row moves one number of a
+// committed record by a hair: a point of every suite, with or without
+// static floors.
+func TestGateNamesEveryMovedPoint(t *testing.T) {
+	for _, c := range []struct{ suite, from, to, key string }{
+		{"anchors", `"measured": 103.88,`, `"measured": 103.881,`, "anchors/low-latency-mpi-1b-round-trip"},
+		{"collectives", "75.4016", "75.4017", "collectives/cluster-shm/bcast/binomial/64"},
+		{"faults", "1286.968", "1286.969", "faults/cluster-udp/0"},
+		{"rma", `"epoch_us": 2`, `"epoch_us": 2.02`, "rma/mem/1024"},
+		{"scale", `"events": 7744,`, `"events": 7745,`, "scale/64"},
+		{"chaos", `"detect_us": 51,`, `"detect_us": 51.51,`, "chaos/mem/0/2-50us"},
+		{"workloads", `"p99_us": 18,`, `"p99_us": 18.18,`, "workloads/allreduce/mem"},
+		{"ablations", "159.04", "159.05", "ablations/ablation-a/256b-rtt/1"},
 	} {
-		got := drift("thing", tc.cur, base, key, tc.tol, tc.ms...)
-		if len(got) != len(tc.want) {
-			t.Errorf("%s: findings %q, want %d", tc.name, got, len(tc.want))
-			continue
+		s := suiteNamed(t, c.suite)
+		record, err := os.ReadFile(filepath.Join(repoRoot, s.File()))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, w := range tc.want {
-			if !strings.Contains(got[i], w) {
-				t.Errorf("%s: finding %d = %q, want it to contain %q", tc.name, i, got[i], w)
+		if fails, err := s.Check(record, record); err != nil || len(fails) != 0 {
+			t.Fatalf("%s against itself: %v %v", s.File(), err, fails)
+		}
+		edited := []byte(strings.Replace(string(record), c.from, c.to, 1))
+		for _, pair := range [][2][]byte{{edited, record}, {record, edited}} {
+			fails, err := s.Check(pair[0], pair[1])
+			if err != nil || len(fails) != 1 || !strings.HasPrefix(fails[0], c.key+": ") {
+				t.Errorf("%s with %s moved to %s: %v %q, want one finding naming %s", c.suite, c.from, c.to, err, fails, c.key)
 			}
 		}
 	}

@@ -68,10 +68,9 @@ func workloadsSweep(Opts) sweep[WorkloadsReport] {
 			return rep
 		},
 		points: func(r *WorkloadsReport) []point {
-			return each(r.Points, func(p WorkloadPoint) string { return key("workloads", p.Workload, p.Backend) },
-				func(x *runner, p WorkloadPoint) (WorkloadPoint, error) {
-					return workloadCell(x, r.Ranks, r.Seed, p.Backend, p.Workload)
-				})
+			return each(r.Points, workloadKey, func(x *runner, p WorkloadPoint) (WorkloadPoint, error) {
+				return workloadCell(x, r.Ranks, r.Seed, p.Backend, p.Workload)
+			})
 		},
 	}
 }
@@ -125,34 +124,30 @@ func workloadCell(x *runner, ranks int, seed int64, backend, pattern string) (Wo
 		RerecordOK: bytes.Equal(encoded, again.Trace.Marshal()), ReplayOK: replayOK}, nil
 }
 
-// checkWorkloads gates the sweep. Static floors, baseline or not: the
-// full backends × patterns grid must be present, every recording must
-// re-record byte-identically, every replay must reproduce its recording on
-// both sharded kernels, and every point must score at least one SLO event.
-// Against a committed baseline: no point may disappear, and neither p99
-// latency nor throughput may regress more than suiteTol on any point (the
-// numbers are virtual time, so a drift means the model changed — the
-// tolerance leaves room for deliberate, reviewed cost-model edits
-// without letting them slip through unnoticed on a point that was not
-// supposed to move).
-func checkWorkloads(r WorkloadsReport, base *WorkloadsReport) []string {
-	key := func(p WorkloadPoint) string { return p.Workload + "|" + p.Backend }
-	fails := drift("grid point", r.Points, workloadsSweep(Opts{}).skeleton().Points, key, 0)
+// workloadKey names one point of the report.
+func workloadKey(p WorkloadPoint) string { return key("workloads", p.Workload, p.Backend) }
+
+// checkWorkloads is the sweep's static floors: the full backends × patterns
+// grid must be present, every recording must re-record byte-identically,
+// every replay must reproduce its recording on both sharded kernels, and
+// every point must score at least one SLO event.
+func checkWorkloads(r WorkloadsReport) []string {
+	var fails []string
+	for _, p := range workloadsSweep(Opts{}).skeleton().Points {
+		if !slices.ContainsFunc(r.Points, func(q WorkloadPoint) bool { return workloadKey(q) == workloadKey(p) }) {
+			fails = append(fails, fmt.Sprintf("%s: in the grid, missing from the report", workloadKey(p)))
+		}
+	}
 	for _, p := range r.Points {
 		if !p.RerecordOK {
-			fails = append(fails, fmt.Sprintf("%s: re-record was not byte-identical", key(p)))
+			fails = append(fails, fmt.Sprintf("%s: re-record was not byte-identical", workloadKey(p)))
 		}
 		if !p.ReplayOK {
-			fails = append(fails, fmt.Sprintf("%s: replay diverged from the recording", key(p)))
+			fails = append(fails, fmt.Sprintf("%s: replay diverged from the recording", workloadKey(p)))
 		}
 		if p.Events <= 0 {
-			fails = append(fails, fmt.Sprintf("%s: no SLO events scored", key(p)))
+			fails = append(fails, fmt.Sprintf("%s: no SLO events scored", workloadKey(p)))
 		}
 	}
-	if base == nil {
-		return fails
-	}
-	return append(fails, drift("point", r.Points, base.Points, key, suiteTol,
-		lower("p99 us", func(p WorkloadPoint) float64 { return p.P99US }).when(func(p WorkloadPoint) bool { return p.P99US > 0 }),
-		higher("throughput ops/s", func(p WorkloadPoint) float64 { return p.OpsPerSec }))...)
+	return fails
 }

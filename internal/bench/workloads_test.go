@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -38,32 +39,36 @@ func TestCheckWorkloadsGate(t *testing.T) {
 		t.Fatalf("clean report failed static floors: %v", fails)
 	}
 
-	broken := rep
-	broken.Points = append([]WorkloadPoint(nil), rep.Points...)
-	broken.Points[0].ReplayOK = false
-	if fails := gate(t, "workloads", broken, nil); len(fails) != 1 || !strings.Contains(fails[0], "diverged") {
-		t.Fatalf("divergence not gated: %v", fails)
+	edited := func(edit func(ps []WorkloadPoint)) WorkloadsReport {
+		r := rep
+		r.Points = slices.Clone(rep.Points)
+		edit(r.Points)
+		return r
 	}
+	broken := edited(func(ps []WorkloadPoint) { ps[0].ReplayOK = false })
+	exactly(t, gate(t, "workloads", broken, nil), "workloads/allreduce/mem: replay diverged")
+	rerecorded := edited(func(ps []WorkloadPoint) { ps[1].RerecordOK = false })
+	exactly(t, gate(t, "workloads", rerecorded, nil), "workloads/halo/mem: re-record was not byte-identical")
+	silent := edited(func(ps []WorkloadPoint) { ps[2].Events = 0 })
+	exactly(t, gate(t, "workloads", silent, nil), "workloads/rpc/mem: no SLO events scored")
 
 	missing := rep
 	missing.Points = rep.Points[1:]
-	if fails := gate(t, "workloads", missing, nil); len(fails) == 0 {
-		t.Fatal("missing grid point not gated")
-	}
+	exactly(t, gate(t, "workloads", missing, nil), "workloads/allreduce/mem: in the grid, missing from the report")
 
-	regressed := rep
-	regressed.Points = append([]WorkloadPoint(nil), rep.Points...)
-	regressed.Points[3].P99US *= 1.5
-	regressed.Points[4].OpsPerSec *= 0.5
-	fails := gate(t, "workloads", regressed, rep)
-	if len(fails) != 2 {
-		t.Fatalf("want p99 + throughput regressions flagged, got %v", fails)
-	}
-	if !strings.Contains(fails[0], "p99") || !strings.Contains(fails[1], "throughput") {
-		t.Fatalf("unexpected gate messages: %v", fails)
-	}
-
-	if fails := gate(t, "workloads", rep, regressed); len(fails) != 0 {
-		t.Fatalf("improvement flagged as regression: %v", fails)
+	// Against a baseline every point is compared exactly, in either
+	// direction: a p99 1% off is a finding, and so is throughput that
+	// doubled.
+	shifted := edited(func(ps []WorkloadPoint) {
+		ps[3].P99US *= 1.01
+		ps[4].OpsPerSec *= 2
+	})
+	for _, pair := range [][2]WorkloadsReport{{shifted, rep}, {rep, shifted}} {
+		fails := gate(t, "workloads", pair[0], pair[1])
+		if len(fails) != 2 || !strings.HasPrefix(fails[0], "workloads/shuffle/mem: {") || !strings.HasPrefix(fails[1], "workloads/stencil/mem: {") {
+			t.Fatalf("want the p99 and the throughput points flagged, got %q", fails)
+		}
+		requireFail(t, fails[:1], `"p99_us":202`)
+		requireFail(t, fails[1:], `"ops_per_sec":2000`)
 	}
 }

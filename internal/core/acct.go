@@ -94,11 +94,6 @@ func (a *Acct) Raise(c Ctr, v int64) {
 	}
 }
 
-// Charge is Spend by label.
-func (a *Acct) Charge(p *sim.Proc, label string, d sim.Duration) {
-	a.Spend(p, sim.Cat(index(catNames[:], label)), d)
-}
-
 // Book records d > 0 under label beside the clock, advancing no proc.
 func (a *Acct) Book(label string, d sim.Duration) {
 	if a != nil && d > 0 {
@@ -108,9 +103,6 @@ func (a *Acct) Book(label string, d sim.Duration) {
 
 // Incr is Add by registered name.
 func (a *Acct) Incr(name string, n int64) { a.Add(Ctr(index(ctrNames, name)), n) }
-
-// SetMax is Raise by registered name.
-func (a *Acct) SetMax(name string, v int64) { a.Raise(Ctr(index(ctrNames, name)), v) }
 
 // index finds name in a registry; an unknown name is a bug, never an entry.
 func index(names []string, name string) int {

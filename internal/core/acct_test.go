@@ -14,9 +14,9 @@ func TestAcctChargeAdvancesAndBooks(t *testing.T) {
 	a := NewAcct()
 	s.Spawn("p", func(p *sim.Proc) {
 		p.Ledger = &a.Ledger
-		a.Charge(p, CostWire, 5*time.Microsecond)
+		a.Spend(p, sim.Wire, 5*time.Microsecond)
 		a.Spend(p, sim.Wire, 3*time.Microsecond)
-		a.Charge(p, CostCopy, 0) // zero: no-op
+		a.Spend(p, sim.Copy, 0) // zero: no-op
 		if p.Now() != sim.Time(8*time.Microsecond) {
 			t.Errorf("proc at %v, want 8us", p.Now())
 		}
@@ -43,7 +43,7 @@ func TestAcctNilSafe(t *testing.T) {
 	s := sim.NewScheduler(1)
 	var a *Acct
 	s.Spawn("p", func(p *sim.Proc) {
-		a.Charge(p, CostWire, time.Microsecond) // must still advance
+		a.Spend(p, sim.Wire, time.Microsecond) // must still advance
 		if p.Now() != sim.Time(time.Microsecond) {
 			t.Errorf("nil acct did not advance proc")
 		}
@@ -60,7 +60,7 @@ func TestAcctMergeAndString(t *testing.T) {
 	a, b := NewAcct(), NewAcct()
 	a.Book(CostMatch, 10*time.Microsecond)
 	a.Incr("send", 2)
-	a.SetMax("match.posted-max", 7)
+	a.Raise(ctrPostedMax, 7)
 	b.Book(CostMatch, 5*time.Microsecond)
 	b.Record(sim.Sync, time.Microsecond)
 	b.Add(ctrSend, 3)

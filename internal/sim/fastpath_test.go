@@ -483,8 +483,8 @@ func runFastPathProgram(t *testing.T, seed int64, lanes int, parallel, slow bool
 			nodes[0].s.RouteAfter(nodes[i].s.LaneID(), fpLookahead, func() { spawnRoots(i) })
 		}
 	})
-	// A Route staged before Run on a late node's idle lane, which only the
-	// first barrier drains in time. It starts a relay whose last leg is
+	// A Route staged before Run on a late node's idle lane, which Run
+	// merges before its first epoch. It starts a relay whose last leg is
 	// staged after every proc is done, when nothing but the merge's update
 	// says there is work left.
 	a, b := nodes[fpNodes-1], nodes[3]

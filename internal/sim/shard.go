@@ -338,20 +338,21 @@ func (sh *Shard) stopWorkers() {
 // drained with procs still parked) and limit overruns surface exactly as
 // from Scheduler.Run, as *DeadlockError / *LimitError.
 //
-// Run fills the calendar once, covering whatever Spawn, At and Route did
-// before it; a lane holding envelopes staged before Run is visited in the
-// first epoch, so the first barrier drains its outbox.
+// Run first merges the envelopes Route staged before it, so each lands
+// on its own time, then fills the calendar once, covering whatever Spawn,
+// At and Route did before it.
 func (sh *Shard) Run() (Time, error) {
 	n := len(sh.lanes)
-	sh.blocks = []block{{hi: n}}
-	sh.next = make([]Time, n)
-	sh.scan()
-	t0 := slices.Min(sh.next)
-	for i, ln := range sh.lanes {
+	b := block{hi: n}
+	for _, ln := range sh.lanes {
 		if len(ln.outbox) != 0 {
-			sh.next[i] = t0
+			b.staged = append(b.staged, ln)
 		}
 	}
+	sh.blocks, sh.next = []block{b}, make([]Time, n)
+	sh.merge()
+	sh.scan()
+	t0 := slices.Min(sh.next)
 	if sh.Parallel && n > 1 && sh.work == nil {
 		sh.startWorkers()
 		defer sh.stopWorkers()

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -86,6 +87,28 @@ func TestShardRouteCrossLane(t *testing.T) {
 	st := sh.Stats()
 	if st.Routed != 1 || st.MailboxHighWater != 1 {
 		t.Fatalf("stats = %+v, want Routed=1 HighWater=1", st)
+	}
+}
+
+// A Route made before Run lands at its own time: Run merges it before the
+// first epoch, so it runs between lane 1's events at 0 and 900 ns rather
+// than at the first barrier, after both.
+func TestShardRouteBeforeRunLandsOnTime(t *testing.T) {
+	sh := NewShard(1, 2, time.Microsecond)
+	dst := sh.Lane(1)
+	var got []Time
+	note := func() { got = append(got, dst.Now()) }
+	dst.At(0, note)
+	dst.At(900, note)
+	sh.Lane(0).Route(1, 500, note)
+	if _, err := sh.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, []Time{0, 500, 900}) {
+		t.Fatalf("lane 1 ran its events at %v, want [0 500 900]", got)
+	}
+	if st := sh.Stats(); st.Routed != 1 {
+		t.Fatalf("stats = %+v, want Routed=1", st)
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 )
 
 // Collectives route through the algorithm layer (internal/coll): each call
-// resolves to a registered algorithm — forced by World.Tune / the legacy
-// Bcast knob, or auto-selected by message size, communicator size, and
-// platform capability — and the layer books per-algorithm rounds/bytes
+// resolves to a registered algorithm — forced by World.Tune (a Spec's Coll),
+// or auto-selected by message size, communicator size, and platform
+// capability — and the layer books per-algorithm rounds/bytes
 // into the rank's cost account and trace timeline.
 
 // collComm adapts a communicator to the algorithm layer's narrow
