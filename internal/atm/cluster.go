@@ -28,6 +28,7 @@ type Cluster struct {
 	// (transparent until SetFaults installs a policy).
 	ethInj, atmInj *Injector
 
+	reads    []sockRead                  // host -> the read in its syscall charge
 	udpPorts map[MediumKind]map[int]*UDP // medium -> host -> bound socket
 	aal4     map[int]*AAL4               // host -> Fore API socket
 	unet     map[int]*UNet               // host -> user-level endpoint
@@ -40,6 +41,7 @@ func NewCluster(s *sim.Scheduler, n int, c Costs) *Cluster {
 		Costs:   c,
 		N:       n,
 		Ledgers: make([]*sim.Ledger, n), // one table for both media
+		reads:   make([]sockRead, n),
 		udpPorts: map[MediumKind]map[int]*UDP{
 			OverEthernet: {},
 			OverATM:      {},
@@ -77,11 +79,69 @@ func (cl *Cluster) SetFaults(f Faults) error {
 	return cl.atmInj.Set(f)
 }
 
-// readExtra is the per-read stack cost that differs between the Ethernet
-// driver and the Fore STREAMS stack (Table 1's 65 vs 85 µs reads).
-func (cl *Cluster) readExtra(k MediumKind) sim.Duration {
-	if k == OverEthernet {
-		return cl.Costs.ReadExtraEth
+// sockRead is a socket read past its syscall, per host so a socket stays
+// small. Its Relay is the copy: the kernel runs it at the syscall's wake if
+// bytes are buffered then, the reader once woken if not.
+type sockRead struct {
+	cl   *Cluster
+	wake *sim.Cond  // the socket's arrivals
+	tcp  *TCP       // a stream ...
+	buf  []byte     // ... and the reader's buffer
+	q    *recvQueue // or a datagram socket's queue ...
+	max  int        // ... and the bytes of a datagram the reader takes
+	n    int        // bytes copied
+	d    Datagram   // the datagram taken
+}
+
+// ready reports whether there are bytes to copy.
+func (r *sockRead) ready() bool {
+	return r.tcp != nil && r.tcp.Readable() || r.q != nil && r.q.Readable()
+}
+
+func (r *sockRead) Relay() (sim.Cat, sim.Duration, bool) {
+	if !r.ready() {
+		return 0, 0, false
 	}
-	return cl.Costs.ReadExtraATM
+	if c := r.tcp; c != nil {
+		r.n = copy(r.buf, c.rq[c.rqHead:])
+		if c.rqHead += r.n; c.rqHead == len(c.rq) {
+			// Drained: rewind, so a steady stream keeps appending in place.
+			c.rq, c.rqHead = c.rq[:0], 0
+		}
+	} else {
+		r.d = r.q.dq.Pop()
+		r.d.Data = r.d.Data[:min(len(r.d.Data), r.max)]
+		r.n = len(r.d.Data)
+	}
+	return sim.Syscall, sim.Duration(r.n) * r.cl.Costs.CopyPerByte, true
+}
+
+// read is a socket read on host h over medium k: the syscall (Table 1's 65
+// or 85 µs, by driver), then r's copy, relayed at its wake unless another
+// read holds the host's record. A reader that finds nothing buffered
+// blocks, and pays the kernel wakeup. It returns r as the copy left it.
+func (cl *Cluster) read(p *sim.Proc, h int, k MediumKind, r sockRead) sockRead {
+	d := cl.Costs.SyscallRead + cl.Costs.ReadExtraATM
+	if k == OverEthernet {
+		d = cl.Costs.SyscallRead + cl.Costs.ReadExtraEth
+	}
+	r.cl = cl
+	if slot := &cl.reads[h]; slot.cl == nil {
+		*slot = r
+		copied := p.SpendThen(sim.Syscall, d, slot)
+		if r, *slot = *slot, (sockRead{}); copied {
+			return r
+		}
+	} else {
+		p.Spend(sim.Syscall, d)
+	}
+	if !r.ready() {
+		for !r.ready() {
+			r.wake.Wait(p)
+		}
+		p.Spend(sim.Kernel, cl.Costs.KernelWakeup)
+	}
+	_, d, _ = r.Relay()
+	p.Spend(sim.Syscall, d)
+	return r
 }

@@ -16,8 +16,8 @@ type AAL4 struct {
 	recvQueue
 }
 
-// aal4Ports registers one socket per host (lazily allocated on Cluster).
-func (cl *Cluster) aal4Port(h int) *AAL4 {
+// AAL4Socket binds (or returns) the Fore API socket for host h.
+func (cl *Cluster) AAL4Socket(h int) *AAL4 {
 	if cl.aal4 == nil {
 		cl.aal4 = make(map[int]*AAL4)
 	}
@@ -28,9 +28,6 @@ func (cl *Cluster) aal4Port(h int) *AAL4 {
 	cl.aal4[h] = s
 	return s
 }
-
-// AAL4Socket binds (or returns) the Fore API socket for host h.
-func (cl *Cluster) AAL4Socket(h int) *AAL4 { return cl.aal4Port(h) }
 
 // MaxPDU is the largest AAL3/4 CPCS PDU the API accepts.
 const MaxPDU = 64 * 1024
@@ -45,7 +42,7 @@ func (a *AAL4) SendTo(p *sim.Proc, dst int, data []byte) {
 	p.Spend(sim.Syscall, sim.Duration(len(data))*k.CopyPerByte)
 	p.Spend(sim.Kernel, k.AAL4PerPacket)
 
-	peer := a.cl.aal4Port(dst)
+	peer := a.cl.AAL4Socket(dst)
 	payload := make([]byte, len(data))
 	copy(payload, data)
 	src := a.host
@@ -56,13 +53,6 @@ func (a *AAL4) SendTo(p *sim.Proc, dst int, data []byte) {
 
 // RecvFrom blocks for the next PDU.
 func (a *AAL4) RecvFrom(p *sim.Proc, buf []byte) (int, int) {
-	k := a.cl.Costs
-	p.Spend(sim.Syscall, k.SyscallRead+k.ReadExtraATM)
-	if a.await(p) {
-		p.Spend(sim.Kernel, k.KernelWakeup)
-	}
-	d := a.dq.Pop()
-	n := copy(buf, d.Data)
-	p.Spend(sim.Syscall, sim.Duration(n)*k.CopyPerByte)
-	return n, d.Src
+	d := a.cl.read(p, a.host, OverATM, sockRead{wake: a.readable, q: &a.recvQueue, max: len(buf)}).d
+	return copy(buf, d.Data), d.Src
 }

@@ -264,20 +264,7 @@ func (c *TCP) WriteInterleaved(p *sim.Proc, data []byte, yield func()) {
 // byte count. Reading frees window space, which flows back to the sender
 // as a window-update frame.
 func (c *TCP) Read(p *sim.Proc, buf []byte) int {
-	k := c.cl.Costs
-	p.Spend(sim.Syscall, k.SyscallRead+c.cl.readExtra(c.med.Kind()))
-	if c.Buffered() == 0 {
-		for c.Buffered() == 0 {
-			c.readable.Wait(p)
-		}
-		p.Spend(sim.Kernel, k.KernelWakeup)
-	}
-	n := copy(buf, c.rq[c.rqHead:])
-	if c.rqHead += n; c.rqHead == len(c.rq) {
-		// Drained: rewind, so a steady stream keeps appending in place.
-		c.rq, c.rqHead = c.rq[:0], 0
-	}
-	p.Spend(sim.Syscall, sim.Duration(n)*k.CopyPerByte)
+	n := c.cl.read(p, c.host, c.med.Kind(), sockRead{wake: c.readable, tcp: c, buf: buf}).n
 	c.sendWindowUpdate(n)
 	return n
 }

@@ -56,16 +56,6 @@ func (q *recvQueue) land(d Datagram) {
 	}
 }
 
-// await blocks p until a datagram is queued and reports whether it had to
-// block.
-func (q *recvQueue) await(p *sim.Proc) (blocked bool) {
-	for q.dq.Len() == 0 {
-		q.readable.Wait(p)
-		blocked = true
-	}
-	return blocked
-}
-
 // Readable reports whether RecvFrom would return without blocking.
 func (q *recvQueue) Readable() bool { return q.dq.Len() > 0 }
 
@@ -276,13 +266,5 @@ func (u *UDP) RecvFrom(p *sim.Proc, buf []byte) (int, int) {
 // what a read into a max-byte buffer costs and returns a read-only view of
 // the first max bytes of the datagram, whose hold the caller releases.
 func (u *UDP) recv(p *sim.Proc, max int) Datagram {
-	k := u.cl.Costs
-	p.Spend(sim.Syscall, k.SyscallRead+u.cl.readExtra(u.med.Kind()))
-	if u.await(p) {
-		p.Spend(sim.Kernel, k.KernelWakeup)
-	}
-	d := u.dq.Pop()
-	d.Data = d.Data[:min(len(d.Data), max)]
-	p.Spend(sim.Syscall, sim.Duration(len(d.Data))*k.CopyPerByte)
-	return d
+	return u.cl.read(p, u.host, u.med.Kind(), sockRead{wake: u.readable, q: &u.recvQueue, max: max}).d
 }

@@ -109,7 +109,9 @@ func (u *UNet) RecvFrom(p *sim.Proc, buf []byte) (int, int) {
 func (u *UNet) Recv(p *sim.Proc, max int) Datagram {
 	k := u.cl.Costs
 	p.Spend(sim.Sync, UNetPoll)
-	u.await(p)
+	for !u.Readable() {
+		u.readable.Wait(p)
+	}
 	d := u.dq.Pop()
 	d.Data = d.Data[:min(len(d.Data), max)]
 	p.Spend(sim.Sync, sim.Duration(len(d.Data))*k.CopyPerByte)

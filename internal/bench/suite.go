@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -79,7 +80,11 @@ func newSuite[R any](name string, sweepOf func(Opts) sweep[R], format func(R) st
 		}
 		if base != nil {
 			list := sweepOf(Opts{}).points
-			fails = append(fails, moved(list(cur), list(base))...)
+			m := moved(list(cur), list(base))
+			if len(m) == 0 {
+				m = unlisted(cur, base)
+			}
+			fails = append(fails, m...)
 		}
 		return fails
 	}
@@ -142,6 +147,26 @@ func moved(cur, base []point) []string {
 			fails = append(fails, fmt.Sprintf("%s: in the baseline, missing from the report", p.key))
 		} else if !bytes.Equal(v, was) {
 			fails = append(fails, fmt.Sprintf("%s: %s, baseline %s", p.key, v, was))
+		}
+	}
+	return fails
+}
+
+// unlisted is the baseline rule for what no point lists (a seed, a p99, a
+// crossover) once every point is equal: each top-level field of the
+// re-encoded records that differs is one finding that names it.
+func unlisted(cur, base any) []string {
+	var c, b map[string]json.RawMessage
+	for _, r := range [][2]any{{cur, &c}, {base, &b}} {
+		data, _ := json.Marshal(r[0])  // it encoded as a record
+		_ = json.Unmarshal(data, r[1]) // every report is a JSON object
+	}
+	keys := slices.AppendSeq(slices.Collect(maps.Keys(c)), maps.Keys(b))
+	slices.Sort(keys)
+	var fails []string
+	for _, k := range slices.Compact(keys) {
+		if !bytes.Equal(c[k], b[k]) {
+			fails = append(fails, fmt.Sprintf("field %s: differs from the baseline, though every point is equal", k))
 		}
 	}
 	return fails

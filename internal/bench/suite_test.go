@@ -264,3 +264,29 @@ func TestGateNamesEveryMovedPoint(t *testing.T) {
 		}
 	}
 }
+
+// What no point lists is gated too: with every point equal, a header or
+// derived field that moved (chaos's detection p99, a collective's
+// crossover, which sits in "backends") is one finding naming the field.
+func TestGateNamesUnlistedFields(t *testing.T) {
+	for _, c := range []struct{ suite, from, to, field string }{
+		{"chaos", `"detect_p99_us": 41864.869,`, `"detect_p99_us": 1,`, "field detect_p99_us: "},
+		{"collectives", `"to": "binomial"`, `"to": "pipelined"`, "field backends: "},
+	} {
+		s := suiteNamed(t, c.suite)
+		record, err := os.ReadFile(filepath.Join(repoRoot, s.File()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		edited := strings.Replace(string(record), c.from, c.to, 1)
+		if edited == string(record) {
+			t.Fatalf("%s holds no %s", s.File(), c.from)
+		}
+		for _, pair := range [][2][]byte{{[]byte(edited), record}, {record, []byte(edited)}} {
+			fails, err := s.Check(pair[0], pair[1])
+			if err != nil || len(fails) != 1 || !strings.HasPrefix(fails[0], c.field) {
+				t.Errorf("%s with %s moved to %s: %v %q, want one finding starting %q", c.suite, c.from, c.to, err, fails, c.field)
+			}
+		}
+	}
+}

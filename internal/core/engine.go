@@ -389,8 +389,7 @@ func (e *Engine) Irecv(p *sim.Proc, src, tag, ctx int, buf []byte) (*Request, er
 		return nil, err
 	}
 	req.IsRecv, req.Env, req.Buf = true, Envelope{Source: src, Tag: tag, Context: ctx}, buf
-	e.acct.Spend(p, sim.Overhead, e.costs.RecvOverhead)
-	e.acct.Spend(p, sim.Match, e.costs.Match)
+	e.acct.Spend2(p, sim.Overhead, e.costs.RecvOverhead, sim.Match, e.costs.Match)
 	e.acct.Add(ctrRecv, 1)
 	e.trc(trace.RecvPost, src, tag, len(buf), "")
 

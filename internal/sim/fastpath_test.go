@@ -12,13 +12,14 @@ import (
 	"unsafe"
 )
 
-// The kernel runs an event one of three ways — heap pop, same-instant
-// queue, run-ahead Advance — and the last two are shortcuts that must be
-// indistinguishable from the first, as must the heap's own shortcut of
-// chaining same-t pushes behind one entry, and the shard's of running only
-// the lanes its calendar says have work. The oracle is the same kernel
-// with noFastPath set: every event through the heap, one entry each, every
-// Advance through schedule + park, every lane visited every epoch.
+// The kernel runs an event one of four ways — heap pop, same-instant
+// queue, run-ahead Advance, relay — and the last three are shortcuts that
+// must be indistinguishable from the first, as must the heap's own
+// shortcut of chaining same-t pushes behind one entry, and the shard's of
+// running only the lanes its calendar says have work. The oracle is the
+// same kernel with noFastPath set: every event through the heap, one entry
+// each, every Advance through schedule + park, every SpendThen two plain
+// Spends with the proc running the relay, every lane visited every epoch.
 
 const (
 	fpNodes     = 16                    // logical nodes, block-mapped onto the lanes
@@ -274,6 +275,15 @@ func TestEventSizePinned(t *testing.T) {
 	}
 }
 
+// Every rank has a proc, so its size is pinned too: 104 B (the 112 B size
+// class), 72 B before the relay's interface, its two charges and the flag
+// that says whether it took the second.
+func TestProcSizePinned(t *testing.T) {
+	if got := unsafe.Sizeof(Proc{}); got != 104 {
+		t.Fatalf("Proc is %d B, pinned at 104", got)
+	}
+}
+
 // The queue's shapes are fuzzed as well: each input byte is one operation
 // (push near or far, push for the current instant or the past, Advance,
 // pop), and every pop is checked against the sort, every run-ahead against
@@ -316,14 +326,15 @@ type fpRec struct {
 // fpNode is everything one logical node's procs and callbacks touch; it is
 // only ever touched from its own lane.
 type fpNode struct {
-	s     *Scheduler
-	conds [3]*Cond
-	fifo  *FIFO
-	log   []fpRec
+	s      *Scheduler
+	conds  [3]*Cond
+	fifo   *FIFO
+	log    []fpRec
+	ledger Ledger // every proc of the node books here
 
 	// How often the program met each shortcut's precondition, read from the
 	// kernel's own state, so a run that never exercised them cannot pass.
-	runAheadChances, sameInstantSeen, chainAppends int
+	runAheadChances, sameInstantSeen, chainAppends, relays, spend2Parks int
 }
 
 func (n *fpNode) note(actor, what int) {
@@ -346,15 +357,42 @@ func (n *fpNode) chains(at Time) {
 	}
 }
 
+// fpRelay is the program's code between two charges: it reads and writes
+// its node's state, and declines the second charge when cond 0 had a
+// waiter.
+type fpRelay struct {
+	n      *fpNode
+	p      *Proc
+	id     int
+	d      Duration
+	parked bool // the first charge parked p
+}
+
+func (r *fpRelay) Relay() (Cat, Duration, bool) {
+	n := r.n
+	if r.parked && r.p.relay != nil { // run by the kernel, in p's place
+		n.relays++
+	}
+	w := n.conds[0].Waiting()
+	n.note(r.id, 110+w)
+	n.conds[0].Signal()
+	n.fifo.UseAsync(r.d, func() { n.note(r.id, 108) })
+	if w > 0 {
+		return 0, 0, false
+	}
+	return Sync, r.d, true
+}
+
 // fpResult is what the two kernels must agree on.
 type fpResult struct {
-	logs   [][]fpRec
-	events uint64
-	end    Time
-	stats  ShardStats // zero on a standalone scheduler
-	limit  uint64     // LimitError.Events when the run hit maxEvents
+	logs    [][]fpRec
+	ledgers []Ledger
+	events  uint64
+	end     Time
+	stats   ShardStats // zero on a standalone scheduler
+	limit   uint64     // LimitError.Events when the run hit maxEvents
 
-	runAheadChances, sameInstantSeen, chainAppends int
+	runAheadChances, sameInstantSeen, chainAppends, relays, spend2Parks int
 }
 
 // runFastPathProgram runs the seeded random program on the given kernel
@@ -397,17 +435,25 @@ func runFastPathProgram(t *testing.T, seed int64, lanes int, parallel, slow bool
 		return func(p *Proc) {
 			rng := rand.New(rand.NewSource(seed<<20 + int64(id)))
 			s := n.s
+			p.Ledger = &n.ledger
 			children := 0
-			advance := func(d Duration) {
-				if at := s.now + Time(d); s.sameHead == nil && (s.root == nil || s.root.t > at) {
+			// parks reports whether a charge of d will park p rather than
+			// run ahead, noting a push that will chain.
+			parks := func(d Duration) bool {
+				at := s.now + Time(d)
+				if s.sameHead == nil && (s.root == nil || s.root.t > at) {
 					n.runAheadChances++
-				} else {
-					n.chains(at)
+					return false
 				}
+				n.chains(at)
+				return true
+			}
+			advance := func(d Duration) {
+				parks(d)
 				p.Advance(d)
 			}
 			for step := 0; step < steps; step++ {
-				op := rng.Intn(16)
+				op := rng.Intn(18)
 				n.note(id, op)
 				c := n.conds[rng.Intn(len(n.conds))]
 				switch op {
@@ -460,6 +506,20 @@ func runFastPathProgram(t *testing.T, seed int64, lanes int, parallel, slow bool
 					at := (s.now/fpGrid + 1 + Time(rng.Intn(2))) * fpGrid
 					n.chains(at)
 					s.At(at, func() { n.note(id, 104) })
+				case 16:
+					d1, d2 := Duration(rng.Intn(40)), Duration(rng.Intn(40))
+					if parks(d1) {
+						n.spend2Parks++
+					}
+					p.Spend2(Compute, d1, Overhead, d2)
+				case 17:
+					d := Duration(rng.Intn(40))
+					r := &fpRelay{n: n, p: p, id: id, d: Duration(rng.Intn(40)), parked: parks(d)}
+					if p.SpendThen(Match, d, r) {
+						n.note(id, 121)
+					} else {
+						n.note(id, 120)
+					}
 				}
 			}
 			n.note(id, 200)
@@ -525,9 +585,12 @@ func runFastPathProgram(t *testing.T, seed int64, lanes int, parallel, slow bool
 	}
 	for _, n := range nodes {
 		res.logs = append(res.logs, n.log)
+		res.ledgers = append(res.ledgers, n.ledger)
 		res.runAheadChances += n.runAheadChances
 		res.sameInstantSeen += n.sameInstantSeen
 		res.chainAppends += n.chainAppends
+		res.relays += n.relays
+		res.spend2Parks += n.spend2Parks
 	}
 	return res
 }
@@ -546,6 +609,12 @@ func sameRun(t *testing.T, seed int64, want, got fpResult) {
 		if len(g) != len(w) {
 			t.Fatalf("seed %d node %d: %d log lines, plain kernel %d", seed, i, len(g), len(w))
 		}
+		if got.ledgers[i] != want.ledgers[i] {
+			t.Fatalf("seed %d node %d: ledger %+v, plain kernel %+v", seed, i, got.ledgers[i], want.ledgers[i])
+		}
+	}
+	if want.relays != 0 {
+		t.Fatalf("seed %d: the plain kernel ran %d relays in a parked proc's place", seed, want.relays)
 	}
 	if got.events != want.events || got.end != want.end || got.limit != want.limit {
 		t.Fatalf("seed %d: %d events ending at %v (limit error after %d), plain kernel %d at %v (%d)",
@@ -557,20 +626,22 @@ func sameRun(t *testing.T, seed int64, want, got fpResult) {
 }
 
 // Seeded random programs — procs mixing fine and coarse Advances, Yield,
-// Cond wait/signal/broadcast, FIFO.Use/UseAsync, At, Route and Spawn, with
-// a quarter of the nodes woken late across lanes and a Route staged before
-// Run — must execute the same actors at the same times in the same order,
-// count the same events, and leave the same control-plane statistics
-// (epochs, stalls, routed, mailbox high-water, per-lane events) with the
-// shortcuts on and off, on every driver; and so must the same programs cut
-// off mid-run by an event limit, which must report the same count.
+// Cond wait/signal/broadcast, FIFO.Use/UseAsync, At, Route, Spawn, Spend2
+// and SpendThen with a relay that touches the node, with a quarter of the
+// nodes woken late across lanes and a Route staged before Run — must
+// execute the same actors at the same times in the same order, count the
+// same events, book the same ledgers, and leave the same control-plane
+// statistics (epochs, stalls, routed, mailbox high-water, per-lane events)
+// with the shortcuts on and off, on every driver; and so must the same
+// programs cut off mid-run by an event limit, which must report the same
+// count.
 func TestFastPathsMatchPlainKernel(t *testing.T) {
 	for _, k := range []struct {
 		lanes    int
 		parallel bool
 	}{{0, false}, {1, false}, {4, false}, {4, true}, {16, false}, {16, true}} {
 		t.Run(fmt.Sprintf("lanes%d-parallel%v", k.lanes, k.parallel), func(t *testing.T) {
-			chances, same, chained := 0, 0, 0
+			chances, same, chained, relays, spend2Parks := 0, 0, 0, 0, 0
 			for _, seed := range []int64{1, 2, 3, 5, 8, 13} {
 				want := runFastPathProgram(t, seed, k.lanes, k.parallel, true, 0)
 				got := runFastPathProgram(t, seed, k.lanes, k.parallel, false, 0)
@@ -578,6 +649,8 @@ func TestFastPathsMatchPlainKernel(t *testing.T) {
 				chances += got.runAheadChances
 				same += got.sameInstantSeen
 				chained += got.chainAppends
+				relays += got.relays
+				spend2Parks += got.spend2Parks
 				if got.chainAppends == 0 {
 					t.Fatalf("seed %d: no push chained behind a heap entry", seed)
 				}
@@ -589,10 +662,10 @@ func TestFastPathsMatchPlainKernel(t *testing.T) {
 				}
 				sameRun(t, seed, want, got)
 			}
-			if chances == 0 || same == 0 {
-				t.Fatalf("programs never exercised the shortcuts: %d run-ahead chances, %d same-instant sightings", chances, same)
+			if chances == 0 || same == 0 || relays == 0 || spend2Parks == 0 {
+				t.Fatalf("programs never exercised the shortcuts: %d run-ahead chances, %d same-instant sightings, %d relays, %d parked Spend2s", chances, same, relays, spend2Parks)
 			}
-			t.Logf("%d run-ahead chances, %d same-instant sightings, %d chained pushes", chances, same, chained)
+			t.Logf("%d run-ahead chances, %d same-instant sightings, %d chained pushes, %d relays, %d parked Spend2s", chances, same, chained, relays, spend2Parks)
 		})
 	}
 }

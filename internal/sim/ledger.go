@@ -43,3 +43,61 @@ func (p *Proc) Spend(c Cat, d Duration) {
 		p.Ledger.Spent[c] += d
 	}
 }
+
+// Relay is the code between two charges of a proc (see SpendThen). It must
+// not park; it reports the second charge, or false for none.
+type Relay interface{ Relay() (Cat, Duration, bool) }
+
+// SpendThen is Spend(c, d), then r, then Spend of the charge r reports; it
+// reports whether r reported one. Where the first charge parks p, the
+// kernel runs r at its wake in p's place (DESIGN §4), so p is dispatched
+// once, after the second charge, instead of once after each.
+func (p *Proc) SpendThen(c Cat, d Duration, r Relay) bool {
+	s := p.s
+	if s.noFastPath { // the oracle: two plain Spends, p running r itself
+		p.Spend(c, d)
+		if p.c2, p.d2, p.relayed = r.Relay(); p.relayed {
+			p.Spend(p.c2, p.d2)
+		}
+		return p.relayed
+	}
+	p.relay, p.c1, p.d1 = r, c, d
+	if t := s.now + Time(max(d, 0)); !s.runAhead(t) {
+		s.atProc(t, p)
+		p.park()
+	} else if s.runRelay(p) {
+		p.park()
+	}
+	if p.relayed && p.Ledger != nil {
+		p.Ledger.Spent[p.c2] += p.d2
+	}
+	return p.relayed
+}
+
+// runRelay does what p would do at its SpendThen's first wake: book that
+// charge, run the relay, and book its charge as Advance would. It reports
+// whether p stays parked.
+func (s *Scheduler) runRelay(p *Proc) bool {
+	if p.Ledger != nil {
+		p.Ledger.Spent[p.c1] += p.d1
+	}
+	p.c2, p.d2, p.relayed = p.relay.Relay()
+	p.relay = nil // only now: this package's tests look
+	t := s.now + Time(max(p.d2, 0))
+	if !p.relayed || s.runAhead(t) {
+		return false
+	}
+	s.atProc(t, p)
+	return true
+}
+
+// Spend2 is Spend(c1, d1) then Spend(c2, d2): SpendThen with p's own second
+// charge as the relay, which needs no closure.
+func (p *Proc) Spend2(c1 Cat, d1 Duration, c2 Cat, d2 Duration) {
+	p.c2, p.d2 = c2, d2
+	p.SpendThen(c1, d1, (*second)(p))
+}
+
+type second Proc
+
+func (r *second) Relay() (Cat, Duration, bool) { return r.c2, r.d2, true }

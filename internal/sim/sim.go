@@ -327,9 +327,13 @@ func (s *Scheduler) atProc(t Time, p *Proc) { s.schedule(t, nil, p) }
 // iter.Pull resume or yield, on a standalone scheduler and a shard lane
 // alike.
 type Proc struct {
-	s    *Scheduler
-	name string
-	done bool
+	s       *Scheduler
+	relay   Relay // parked in SpendThen: the kernel runs it at the wake
+	name    string
+	done    bool
+	relayed bool     // SpendThen's charges: the kernel books c1 at its
+	c1, c2  Cat      // wake, p books c2 when it resumes, if the relay
+	d1, d2  Duration // reported it (relayed)
 
 	Ledger *Ledger  // when set, books Spend, and at exit the time parked
 	parked Duration // in Cond.Wait
@@ -610,6 +614,9 @@ func (s *Scheduler) runEvent(e *event) {
 	fn, p := e.fn, e.proc
 	s.release(e)
 	if p != nil {
+		if p.relay != nil && s.runRelay(p) {
+			return
+		}
 		s.dispatch(p)
 	} else {
 		fn()

@@ -40,8 +40,9 @@ type transport struct {
 	// hold count (dgramLink.Frame).
 	pool *core.BufPool
 
-	inbox core.Inbox // parsed frames waiting for Poll
-	rr    int        // round-robin parse start
+	inbox core.Inbox        // parsed frames waiting for Poll
+	rr    int               // round-robin parse start
+	hdr   [headerBytes]byte // parseTCP's: a TCP read's buffer escapes
 
 	// Credit flow control, receiver side: freed reservation owed back to
 	// each sender (the sender's side is the engine's send queue).
@@ -368,19 +369,18 @@ func (t *transport) parseTCP(p *sim.Proc, src int, conn *atm.TCP) {
 		return
 	}
 	acct := t.eng.Acct()
-	var hdr [headerBytes]byte
 
 	t0 := p.Now()
-	conn.ReadFull(p, hdr[:1])
+	conn.ReadFull(p, t.hdr[:1])
 	acct.Record(sim.ReadType, sim.Duration(p.Now()-t0))
 	acct.Add(ctrReadType, 1)
 
 	t1 := p.Now()
-	conn.ReadFull(p, hdr[1:])
+	conn.ReadFull(p, t.hdr[1:])
 	acct.Record(sim.ReadEnv, sim.Duration(p.Now()-t1))
 	acct.Add(ctrReadEnv, 1)
 
-	kind, credit, env, aux := flow.DecodeHeader(hdr[:])
+	kind, credit, env, aux := flow.DecodeHeader(t.hdr[:])
 	t.eng.Credit(src, credit)
 
 	switch kind {
