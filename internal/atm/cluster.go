@@ -98,33 +98,38 @@ func (r *sockRead) ready() bool {
 	return r.tcp != nil && r.tcp.Readable() || r.q != nil && r.q.Readable()
 }
 
-func (r *sockRead) Relay() (sim.Cat, sim.Duration, bool) {
+func (r *sockRead) Relay() (sim.Cat, sim.Duration, sim.Step) {
 	if !r.ready() {
-		return 0, 0, false
+		return 0, 0, sim.Decline
 	}
 	if c := r.tcp; c != nil {
-		r.n = copy(r.buf, c.rq[c.rqHead:])
-		if c.rqHead += r.n; c.rqHead == len(c.rq) {
-			// Drained: rewind, so a steady stream keeps appending in place.
-			c.rq, c.rqHead = c.rq[:0], 0
-		}
+		r.n, _ = c.Take(r.buf)
 	} else {
-		r.d = r.q.dq.Pop()
-		r.d.Data = r.d.Data[:min(len(r.d.Data), r.max)]
+		r.d = r.q.take(r.max)
 		r.n = len(r.d.Data)
 	}
-	return sim.Syscall, sim.Duration(r.n) * r.cl.Costs.CopyPerByte, true
+	return sim.Syscall, r.cl.copyCharge(r.n), sim.Last
 }
 
-// read is a socket read on host h over medium k: the syscall (Table 1's 65
-// or 85 µs, by driver), then r's copy, relayed at its wake unless another
-// read holds the host's record. A reader that finds nothing buffered
-// blocks, and pays the kernel wakeup. It returns r as the copy left it.
-func (cl *Cluster) read(p *sim.Proc, h int, k MediumKind, r sockRead) sockRead {
-	d := cl.Costs.SyscallRead + cl.Costs.ReadExtraATM
+// readCharge is a read syscall's charge over medium k: Table 1's 65 or
+// 85 µs, by driver.
+func (cl *Cluster) readCharge(k MediumKind) sim.Duration {
 	if k == OverEthernet {
-		d = cl.Costs.SyscallRead + cl.Costs.ReadExtraEth
+		return cl.Costs.SyscallRead + cl.Costs.ReadExtraEth
 	}
+	return cl.Costs.SyscallRead + cl.Costs.ReadExtraATM
+}
+
+// copyCharge is a read's copy of n bytes out of the kernel.
+func (cl *Cluster) copyCharge(n int) sim.Duration { return sim.Duration(n) * cl.Costs.CopyPerByte }
+
+// read is a socket read on host h over medium k: the syscall, then r's
+// copy, relayed at its wake unless another read holds the host's record. A
+// reader that finds nothing buffered blocks, and pays the kernel wakeup.
+// It returns r as the copy left it. The chained reads (atm.TCP's Take,
+// RUDP's drain) charge the same steps.
+func (cl *Cluster) read(p *sim.Proc, h int, k MediumKind, r sockRead) sockRead {
+	d := cl.readCharge(k)
 	r.cl = cl
 	if slot := &cl.reads[h]; slot.cl == nil {
 		*slot = r

@@ -55,6 +55,7 @@ type RUDP struct {
 	dead      map[int]bool // peers fenced by DropPeer: sends are swallowed
 	stopped   bool         // Stop: every send is swallowed
 	delivered sim.Queue[Datagram]
+	chain     rudpDrain // drain's steps, for the proc that drains
 	arrival   *sim.Cond
 	watch     func(readable bool)       // see OnArrival
 	pending   sim.FreeList[rudpPending] // retransmission records (see rudpPending)
@@ -475,57 +476,126 @@ func (r *RUDP) Readable() bool { return r.delivered.Len() > 0 || r.sock.Readable
 // parsed where they lie — delivered and stash hold views past the header,
 // each with the hold its raw datagram carried; the rest are released here.
 // With p nil (Discard) it runs in event context: no read is charged, and
-// acks go out on the wire alone.
+// acks go out on the wire alone. With p it is one chain (rudpDrain), which
+// the kernel runs in p's place at each charge's wake.
 func (r *RUDP) drain(p *sim.Proc) {
-	for r.sock.Readable() {
-		var d Datagram
-		if p == nil {
-			d = r.sock.dq.Pop()
-		} else {
-			d = r.sock.recv(p, r.sock.MaxDatagram())
-		}
-		buf, src := d.Data, d.Src
-		if len(buf) < rudpHeader {
-			r.Release(d)
-			continue
-		}
-		flags := buf[0]
-		seq := binary.BigEndian.Uint32(buf[1:5])
-		ack := binary.BigEndian.Uint32(buf[5:9])
-		pr := r.peer(src)
-		if flags&rudpAck != 0 {
-			r.applyAck(pr, ack)
-		}
-		if flags&rudpData == 0 {
-			r.Release(d)
-			continue // pure ack
-		}
-		d.Data = buf[rudpHeader:]
-		switch _, stashed := pr.stash[seq]; {
-		case seq == pr.nextRecv:
-			pr.nextRecv++
-			r.delivered.Push(d)
-			for {
-				next, ok := pr.stash[pr.nextRecv]
-				if !ok {
-					break
-				}
-				delete(pr.stash, pr.nextRecv)
-				r.delivered.Push(next)
-				pr.nextRecv++
+	if p == nil {
+		for r.sock.Readable() {
+			if src, ok := r.accept(r.sock.dq.Pop()); ok {
+				f := r.ackFrame(src)
+				r.sock.transmit(src, f)
+				r.sock.release(f)
 			}
-		case seq < pr.nextRecv:
-			r.Duplicates++ // retransmission of delivered data: just re-ack
-			r.Release(d)
-		case stashed:
-			r.Release(d) // the same bytes are already waiting
-		default:
-			pr.stash[seq] = d
 		}
-		if !r.dead[src] { // no point acknowledging toward a fenced corpse
-			r.sendAck(p, src, pr.nextRecv)
-		}
+		return
 	}
+	if !r.sock.Readable() {
+		return
+	}
+	c := &r.chain
+	c.r, c.stage = r, drainRead
+	p.SpendThen(sim.Syscall, r.sock.cl.readCharge(r.sock.med.Kind()), c)
+	for c.blocked {
+		// The read's syscall found nothing queued: block, as a socket read
+		// does, then go on from its copy.
+		c.blocked = false
+		for !r.sock.Readable() {
+			r.sock.readable.Wait(p)
+		}
+		p.SpendThen(sim.Kernel, r.sock.cl.Costs.KernelWakeup, c)
+	}
+}
+
+// rudpDrain is drain's loop for a proc, as a chain of charges: a read's
+// syscall; at its wake, the datagram's copy; at the copy's wake, the
+// datagram's processing and its ack's write; at the write's wake, the ack's
+// transmission and, while a datagram is queued, the next read's syscall.
+type rudpDrain struct {
+	r       *RUDP
+	stage   uint8
+	blocked bool     // a read's syscall found nothing queued
+	d       Datagram // read, processed at its copy's wake
+	ack     *Frame   // written, transmitted at the write's wake
+	dst     int
+}
+
+// What the chain's next call does.
+const (
+	drainRead  = iota // at a read's syscall wake: copy
+	drainCopy         // at the copy's wake: process, write the ack
+	drainWrite        // at the write's wake: transmit the ack
+)
+
+func (c *rudpDrain) Relay() (sim.Cat, sim.Duration, sim.Step) {
+	r, u := c.r, c.r.sock
+	switch c.stage {
+	case drainRead:
+		if !u.Readable() {
+			c.blocked = true
+			return 0, 0, sim.Decline
+		}
+		c.d = u.take(u.MaxDatagram())
+		c.stage = drainCopy
+		return sim.Syscall, u.cl.copyCharge(len(c.d.Data)), sim.More
+	case drainCopy:
+		if src, ok := r.accept(c.d); ok {
+			c.ack, c.dst, c.stage = r.ackFrame(src), src, drainWrite
+			return sim.Syscall, u.sendCharge(len(c.ack.B)), sim.More
+		}
+	default:
+		u.transmit(c.dst, c.ack)
+		u.release(c.ack)
+	}
+	c.d, c.ack = Datagram{}, nil
+	if !u.Readable() {
+		return 0, 0, sim.Decline
+	}
+	c.stage = drainRead
+	return sim.Syscall, u.cl.readCharge(u.med.Kind()), sim.More
+}
+
+// accept processes one raw datagram and reports whether to ack it, and to
+// whom.
+func (r *RUDP) accept(d Datagram) (int, bool) {
+	buf, src := d.Data, d.Src
+	if len(buf) < rudpHeader {
+		r.Release(d)
+		return 0, false
+	}
+	flags := buf[0]
+	seq := binary.BigEndian.Uint32(buf[1:5])
+	ack := binary.BigEndian.Uint32(buf[5:9])
+	pr := r.peer(src)
+	if flags&rudpAck != 0 {
+		r.applyAck(pr, ack)
+	}
+	if flags&rudpData == 0 {
+		r.Release(d)
+		return 0, false // pure ack
+	}
+	d.Data = buf[rudpHeader:]
+	switch _, stashed := pr.stash[seq]; {
+	case seq == pr.nextRecv:
+		pr.nextRecv++
+		r.delivered.Push(d)
+		for {
+			next, ok := pr.stash[pr.nextRecv]
+			if !ok {
+				break
+			}
+			delete(pr.stash, pr.nextRecv)
+			r.delivered.Push(next)
+			pr.nextRecv++
+		}
+	case seq < pr.nextRecv:
+		r.Duplicates++ // retransmission of delivered data: just re-ack
+		r.Release(d)
+	case stashed:
+		r.Release(d) // the same bytes are already waiting
+	default:
+		pr.stash[seq] = d
+	}
+	return src, !r.dead[src] // no point acknowledging toward a fenced corpse
 }
 
 // Discard is drain for a reader that has left for good: in event context,
@@ -538,20 +608,15 @@ func (r *RUDP) Discard() {
 	}
 }
 
-// sendAck transmits a cumulative ack through the full UDP path: the
-// syscall and protocol costs of acking are exactly the overhead that made
-// the paper's reliable-UDP MPI no faster than TCP (from Discard, p nil:
-// the wire alone).
-func (r *RUDP) sendAck(p *sim.Proc, dst int, cum uint32) {
+// ackFrame builds the cumulative ack for src, which goes through the full
+// UDP path: the syscall and protocol costs of acking are exactly the
+// overhead that made the paper's reliable-UDP MPI no faster than TCP (from
+// Discard, the wire alone). The caller transmits and releases it.
+func (r *RUDP) ackFrame(src int) *Frame {
 	r.PureAcks++
 	f := r.sock.frame(rudpHeader)
 	f.B[0] = rudpAck
 	binary.BigEndian.PutUint32(f.B[1:5], 0) // a pooled frame is not zeroed
-	binary.BigEndian.PutUint32(f.B[5:9], cum)
-	if p == nil {
-		r.sock.transmit(dst, f)
-	} else {
-		r.sock.send(p, dst, f)
-	}
-	r.sock.release(f)
+	binary.BigEndian.PutUint32(f.B[5:9], r.peer(src).nextRecv)
+	return f
 }

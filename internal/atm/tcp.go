@@ -269,6 +269,38 @@ func (c *TCP) Read(p *sim.Proc, buf []byte) int {
 	return n
 }
 
+// The steps of Read, for a reader that chains reads in a sim.Relay: the
+// syscall's charge (ReadCharge); at its wake, the copy of what is buffered
+// (Take), or, with nothing buffered, a block (Await) whose kernel wakeup is
+// charged before the copy; at the copy's wake, the window update
+// (Consumed). Read charges exactly these.
+
+// ReadCharge reports a read syscall's charge on c, before its copy.
+func (c *TCP) ReadCharge() sim.Duration { return c.cl.readCharge(c.med.Kind()) }
+
+// Take copies up to len(buf) buffered bytes into buf and reports how many
+// and the copy's charge.
+func (c *TCP) Take(buf []byte) (int, sim.Duration) {
+	n := copy(buf, c.rq[c.rqHead:])
+	if c.rqHead += n; c.rqHead == len(c.rq) {
+		// Drained: rewind, so a steady stream keeps appending in place.
+		c.rq, c.rqHead = c.rq[:0], 0
+	}
+	return n, c.cl.copyCharge(n)
+}
+
+// Consumed returns n bytes the reader has taken to the peer's window.
+func (c *TCP) Consumed(n int) { c.sendWindowUpdate(n) }
+
+// Await blocks p until bytes are buffered and reports the kernel wakeup the
+// reader then pays.
+func (c *TCP) Await(p *sim.Proc) sim.Duration {
+	for !c.Readable() {
+		c.readable.Wait(p)
+	}
+	return c.cl.Costs.KernelWakeup
+}
+
 // ReadFull fills buf completely, looping over Read.
 func (c *TCP) ReadFull(p *sim.Proc, buf []byte) {
 	for off := 0; off < len(buf); {

@@ -56,6 +56,13 @@ func (q *recvQueue) land(d Datagram) {
 	}
 }
 
+// take is a read's copy: the next datagram, cut to max bytes.
+func (q *recvQueue) take(max int) Datagram {
+	d := q.dq.Pop()
+	d.Data = d.Data[:min(len(d.Data), max)]
+	return d
+}
+
 // Readable reports whether RecvFrom would return without blocking.
 func (q *recvQueue) Readable() bool { return q.dq.Len() > 0 }
 
@@ -151,12 +158,17 @@ func (u *UDP) SendTo(p *sim.Proc, dst int, data []byte) {
 // and is queued at the peer, under holds of its own. The simulated kernel
 // still charges its copy and checksum; the host just skips them.
 func (u *UDP) send(p *sim.Proc, dst int, f *Frame) {
-	k := u.cl.Costs
 	if len(f.B) > u.MaxDatagram() {
 		panic(fmt.Sprintf("udp: datagram of %d bytes exceeds max %d", len(f.B), u.MaxDatagram()))
 	}
-	p.Spend(sim.Syscall, k.SyscallWrite+sim.Duration(len(f.B))*(k.CopyPerByte+k.ChecksumPerByte)+k.UDPPerPacket)
+	p.Spend(sim.Syscall, u.sendCharge(len(f.B)))
 	u.transmit(dst, f)
+}
+
+// sendCharge is what sending an n-byte datagram charges its writer.
+func (u *UDP) sendCharge(n int) sim.Duration {
+	k := u.cl.Costs
+	return k.SyscallWrite + sim.Duration(n)*(k.CopyPerByte+k.ChecksumPerByte) + k.UDPPerPacket
 }
 
 // transmit fragments and delivers one datagram toward dst's socket,

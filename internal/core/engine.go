@@ -454,7 +454,7 @@ func (e *Engine) recvDone(req *Request, env Envelope, n int, note string) {
 	st := Status{Source: env.Source, Tag: env.Tag, Count: min(n, len(req.Buf))}
 	var err error
 	if n > len(req.Buf) {
-		err = Errorf(ErrTruncate, "message of %d bytes truncated to %d-byte receive buffer", n, len(req.Buf))
+		err = Truncated(n, len(req.Buf))
 	}
 	req.complete(st, err)
 	e.retire(req)

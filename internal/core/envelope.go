@@ -111,6 +111,12 @@ type Error struct {
 
 func (e *Error) Error() string { return "mpi: " + e.Msg }
 
+// Truncated is the ErrTruncate of an n-byte message received into a
+// size-byte buffer, the same on every backend.
+func Truncated(n, size int) *Error {
+	return Errorf(ErrTruncate, "message of %d bytes truncated to %d-byte receive buffer", n, size)
+}
+
 // Errorf builds an *Error with the given class.
 func Errorf(code ErrCode, format string, args ...any) *Error {
 	return &Error{Code: code, Msg: fmt.Sprintf(format, args...)}

@@ -30,10 +30,11 @@ type Tport struct {
 type TportReq struct {
 	ev   *Event
 	done bool
-	// Receive results, valid once done.
-	N   int
-	Src int
-	Tag uint64
+	// Receive results, valid once done: N bytes landed of the Sent the
+	// sender's message held (more than N when the buffer was short).
+	N, Sent int
+	Src     int
+	Tag     uint64
 	// OnDone, if set before completion, runs when the request completes
 	// (event context). Used by layered libraries for buffer recycling.
 	OnDone func()
@@ -210,7 +211,7 @@ func (t *Tport) arriveEager(src int, tag uint64, data []byte) {
 			// buffer; no intermediate copy (the widget's bandwidth
 			// optimization).
 			n := copy(rc.buf, data)
-			rc.req.N = n
+			rc.req.N, rc.req.Sent = n, len(data)
 			rc.req.Src = src
 			rc.req.Tag = tag
 			rc.req.finish()
@@ -245,7 +246,7 @@ func (t *Tport) arriveRndv(rv *tportRndv) {
 func (t *Tport) cts(rv *tportRndv, rc *tportRecv) {
 	t.node.Txn(rv.src, TportHeaderBytes, true, func() {
 		rv.onCTS(rc.buf, func(n int) {
-			rc.req.N = n
+			rc.req.N, rc.req.Sent = n, rv.nbytes
 			rc.req.Src = rv.src
 			rc.req.Tag = rv.tag
 			rc.req.finish()
@@ -263,7 +264,7 @@ func (t *Tport) deliverUnexpected(u *tportUnex, rc *tportRecv) {
 	}
 	n := copy(rc.buf, u.data)
 	t.node.elan(sim.Duration(n)*c.ElanCopyPerByte, func() {
-		rc.req.N = n
+		rc.req.N, rc.req.Sent = n, len(u.data)
 		rc.req.Src = u.src
 		rc.req.Tag = u.tag
 		rc.req.finish()

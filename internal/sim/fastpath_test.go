@@ -18,7 +18,7 @@ import (
 // shortcut of chaining same-t pushes behind one entry, and the shard's of
 // running only the lanes its calendar says have work. The oracle is the
 // same kernel with noFastPath set: every event through the heap, one entry
-// each, every Advance through schedule + park, every SpendThen two plain
+// each, every Advance through schedule + park, every SpendThen plain
 // Spends with the proc running the relay, every lane visited every epoch.
 
 const (
@@ -284,6 +284,15 @@ func TestProcSizePinned(t *testing.T) {
 	}
 }
 
+// Every shard lane is a Scheduler (1 024 on a 1 024-lane world), so its
+// size is pinned at 176 B, a Go size class of its own: a field that does
+// not fit the padding beside lane and noFastPath costs every lane 16 B.
+func TestSchedulerSizePinned(t *testing.T) {
+	if got := unsafe.Sizeof(Scheduler{}); got != 176 {
+		t.Fatalf("Scheduler is %d B, pinned at 176", got)
+	}
+}
+
 // The queue's shapes are fuzzed as well: each input byte is one operation
 // (push near or far, push for the current instant or the past, Advance,
 // pop), and every pop is checked against the sort, every run-ahead against
@@ -334,7 +343,7 @@ type fpNode struct {
 
 	// How often the program met each shortcut's precondition, read from the
 	// kernel's own state, so a run that never exercised them cannot pass.
-	runAheadChances, sameInstantSeen, chainAppends, relays, spend2Parks int
+	runAheadChances, sameInstantSeen, chainAppends, relays, spend2Parks, chainHops int
 }
 
 func (n *fpNode) note(actor, what int) {
@@ -368,7 +377,7 @@ type fpRelay struct {
 	parked bool // the first charge parked p
 }
 
-func (r *fpRelay) Relay() (Cat, Duration, bool) {
+func (r *fpRelay) Relay() (Cat, Duration, Step) {
 	n := r.n
 	if r.parked && r.p.relay != nil { // run by the kernel, in p's place
 		n.relays++
@@ -378,9 +387,41 @@ func (r *fpRelay) Relay() (Cat, Duration, bool) {
 	n.conds[0].Signal()
 	n.fifo.UseAsync(r.d, func() { n.note(r.id, 108) })
 	if w > 0 {
-		return 0, 0, false
+		return 0, 0, Decline
 	}
-	return Sync, r.d, true
+	return Sync, r.d, Last
+}
+
+// fpChain is a chained relay of 1–4 steps: each touches the node as
+// fpRelay does and reports its own charge, More until the last; it
+// declines at step decline, when that comes first.
+type fpChain struct {
+	n                    *fpNode
+	p                    *Proc
+	id                   int
+	ds                   [4]Duration
+	steps, decline, step int
+	parks                func(Duration) bool
+	parked               bool // the charge before this step parked p
+}
+
+func (r *fpChain) Relay() (Cat, Duration, Step) {
+	n, k := r.n, r.step
+	if r.parked && r.p.relay != nil && k > 0 { // a later step, run by the kernel
+		n.chainHops++
+	}
+	r.step++
+	n.note(r.id, 130+k)
+	n.conds[k%len(n.conds)].Signal()
+	n.fifo.UseAsync(r.ds[k], func() { n.note(r.id, 140+k) })
+	if k == r.decline {
+		return 0, 0, Decline
+	}
+	r.parked = r.parks(r.ds[k])
+	if k == r.steps-1 {
+		return Cat(k), r.ds[k], Last
+	}
+	return Cat(k), r.ds[k], More
 }
 
 // fpResult is what the two kernels must agree on.
@@ -392,7 +433,8 @@ type fpResult struct {
 	stats   ShardStats // zero on a standalone scheduler
 	limit   uint64     // LimitError.Events when the run hit maxEvents
 
-	runAheadChances, sameInstantSeen, chainAppends, relays, spend2Parks int
+	runAheadChances, sameInstantSeen, chainAppends, relays, spend2Parks, chainHops int
+	cutChains                                                                      int // chains parked mid-way when the run stopped
 }
 
 // runFastPathProgram runs the seeded random program on the given kernel
@@ -453,7 +495,7 @@ func runFastPathProgram(t *testing.T, seed int64, lanes int, parallel, slow bool
 				p.Advance(d)
 			}
 			for step := 0; step < steps; step++ {
-				op := rng.Intn(18)
+				op := rng.Intn(19)
 				n.note(id, op)
 				c := n.conds[rng.Intn(len(n.conds))]
 				switch op {
@@ -519,6 +561,17 @@ func runFastPathProgram(t *testing.T, seed int64, lanes int, parallel, slow bool
 						n.note(id, 121)
 					} else {
 						n.note(id, 120)
+					}
+				case 18:
+					d := Duration(rng.Intn(40))
+					r := &fpChain{n: n, p: p, id: id, steps: 1 + rng.Intn(4), decline: rng.Intn(6), parks: parks, parked: parks(d)}
+					for k := range r.ds {
+						r.ds[k] = Duration(rng.Intn(40))
+					}
+					if p.SpendThen(Protocol, d, r) {
+						n.note(id, 123)
+					} else {
+						n.note(id, 122)
 					}
 				}
 			}
@@ -591,6 +644,18 @@ func runFastPathProgram(t *testing.T, seed int64, lanes int, parallel, slow bool
 		res.chainAppends += n.chainAppends
 		res.relays += n.relays
 		res.spend2Parks += n.spend2Parks
+		res.chainHops += n.chainHops
+	}
+	scheds := []*Scheduler{root}
+	if sh != nil {
+		scheds = sh.lanes
+	}
+	for _, s := range scheds {
+		for p := range s.procs {
+			if c, ok := p.relay.(*fpChain); ok && c.step > 0 {
+				res.cutChains++
+			}
+		}
 	}
 	return res
 }
@@ -626,22 +691,22 @@ func sameRun(t *testing.T, seed int64, want, got fpResult) {
 }
 
 // Seeded random programs — procs mixing fine and coarse Advances, Yield,
-// Cond wait/signal/broadcast, FIFO.Use/UseAsync, At, Route, Spawn, Spend2
-// and SpendThen with a relay that touches the node, with a quarter of the
-// nodes woken late across lanes and a Route staged before Run — must
-// execute the same actors at the same times in the same order, count the
-// same events, book the same ledgers, and leave the same control-plane
-// statistics (epochs, stalls, routed, mailbox high-water, per-lane events)
-// with the shortcuts on and off, on every driver; and so must the same
-// programs cut off mid-run by an event limit, which must report the same
-// count.
+// Cond wait/signal/broadcast, FIFO.Use/UseAsync, At, Route, Spawn, Spend2,
+// and SpendThen with a relay or a chain of 1–4 steps that touches the
+// node, with a quarter of the nodes woken late across lanes and a Route
+// staged before Run — must execute the same actors at the same times in
+// the same order, count the same events, book the same ledgers, and leave
+// the same control-plane statistics (epochs, stalls, routed, mailbox
+// high-water, per-lane events) with the shortcuts on and off, on every
+// driver; and so must the same programs cut off mid-run by an event limit,
+// which must report the same count, with some chains cut between steps.
 func TestFastPathsMatchPlainKernel(t *testing.T) {
 	for _, k := range []struct {
 		lanes    int
 		parallel bool
 	}{{0, false}, {1, false}, {4, false}, {4, true}, {16, false}, {16, true}} {
 		t.Run(fmt.Sprintf("lanes%d-parallel%v", k.lanes, k.parallel), func(t *testing.T) {
-			chances, same, chained, relays, spend2Parks := 0, 0, 0, 0, 0
+			chances, same, chained, relays, spend2Parks, hops, cut := 0, 0, 0, 0, 0, 0, 0
 			for _, seed := range []int64{1, 2, 3, 5, 8, 13} {
 				want := runFastPathProgram(t, seed, k.lanes, k.parallel, true, 0)
 				got := runFastPathProgram(t, seed, k.lanes, k.parallel, false, 0)
@@ -651,6 +716,7 @@ func TestFastPathsMatchPlainKernel(t *testing.T) {
 				chained += got.chainAppends
 				relays += got.relays
 				spend2Parks += got.spend2Parks
+				hops += got.chainHops
 				if got.chainAppends == 0 {
 					t.Fatalf("seed %d: no push chained behind a heap entry", seed)
 				}
@@ -661,11 +727,12 @@ func TestFastPathsMatchPlainKernel(t *testing.T) {
 					t.Fatalf("seed %d: a limit of %d events was never crossed", seed, limit)
 				}
 				sameRun(t, seed, want, got)
+				cut += got.cutChains
 			}
-			if chances == 0 || same == 0 || relays == 0 || spend2Parks == 0 {
-				t.Fatalf("programs never exercised the shortcuts: %d run-ahead chances, %d same-instant sightings, %d relays, %d parked Spend2s", chances, same, relays, spend2Parks)
+			if chances == 0 || same == 0 || relays == 0 || spend2Parks == 0 || hops == 0 || cut == 0 {
+				t.Fatalf("programs never exercised the shortcuts: %d run-ahead chances, %d same-instant sightings, %d relays, %d parked Spend2s, %d chain steps run in a parked proc's place, %d chains cut by the limit", chances, same, relays, spend2Parks, hops, cut)
 			}
-			t.Logf("%d run-ahead chances, %d same-instant sightings, %d chained pushes, %d relays, %d parked Spend2s", chances, same, chained, relays, spend2Parks)
+			t.Logf("%d run-ahead chances, %d same-instant sightings, %d chained pushes, %d relays, %d parked Spend2s, %d chain steps run in a parked proc's place, %d chains cut by the limit", chances, same, chained, relays, spend2Parks, hops, cut)
 		})
 	}
 }

@@ -44,22 +44,41 @@ func (p *Proc) Spend(c Cat, d Duration) {
 	}
 }
 
-// Relay is the code between two charges of a proc (see SpendThen). It must
-// not park; it reports the second charge, or false for none.
-type Relay interface{ Relay() (Cat, Duration, bool) }
+// Step is what a relay leaves to do after its code.
+type Step uint8
 
-// SpendThen is Spend(c, d), then r, then Spend of the charge r reports; it
-// reports whether r reported one. Where the first charge parks p, the
-// kernel runs r at its wake in p's place (DESIGN §4), so p is dispatched
-// once, after the second charge, instead of once after each.
+const (
+	Decline Step = iota // no charge: the proc carries on at this wake
+	Last                // the charge, then the proc resumes at its wake
+	More                // the charge, then the relay again at its wake
+)
+
+// Relay is the code between two charges of a proc (see SpendThen). It must
+// not park. It reports the charge that follows it and the step after that
+// charge; a relay that reports More is a chain, called again at the
+// charge's wake.
+type Relay interface{ Relay() (Cat, Duration, Step) }
+
+// SpendThen is Spend(c, d), then r, then Spend of the charge r reports,
+// calling r again at the wake of every charge it reports with More; it
+// reports whether r's last step was Last rather than Decline. Where a charge
+// parks p, the kernel runs r at its wake in p's place (DESIGN §4), so p is
+// dispatched once, after the last charge or at the wake where r declines,
+// instead of once after each charge.
 func (p *Proc) SpendThen(c Cat, d Duration, r Relay) bool {
 	s := p.s
-	if s.noFastPath { // the oracle: two plain Spends, p running r itself
+	if s.noFastPath { // the oracle: plain Spends, p running r itself
 		p.Spend(c, d)
-		if p.c2, p.d2, p.relayed = r.Relay(); p.relayed {
-			p.Spend(p.c2, p.d2)
+		for {
+			c, d, step := r.Relay()
+			if step == Decline {
+				return false
+			}
+			p.Spend(c, d)
+			if step == Last {
+				return true
+			}
 		}
-		return p.relayed
 	}
 	p.relay, p.c1, p.d1 = r, c, d
 	if t := s.now + Time(max(d, 0)); !s.runAhead(t) {
@@ -74,21 +93,33 @@ func (p *Proc) SpendThen(c Cat, d Duration, r Relay) bool {
 	return p.relayed
 }
 
-// runRelay does what p would do at its SpendThen's first wake: book that
-// charge, run the relay, and book its charge as Advance would. It reports
-// whether p stays parked.
+// runRelay does what p would do at a SpendThen charge's wake: book that
+// charge, run the relay, and book the charge it reports as Advance would.
+// While the relay reports More and its charge runs ahead, it goes round
+// again at the new instant. It reports whether p stays parked.
 func (s *Scheduler) runRelay(p *Proc) bool {
-	if p.Ledger != nil {
-		p.Ledger.Spent[p.c1] += p.d1
+	for {
+		if p.Ledger != nil {
+			p.Ledger.Spent[p.c1] += p.d1
+		}
+		c, d, step := p.relay.Relay()
+		if step == Decline {
+			p.relay, p.relayed = nil, false // only now: this package's tests look
+			return false
+		}
+		if step == Last {
+			p.relay, p.relayed, p.c2, p.d2 = nil, true, c, d
+		} else {
+			p.c1, p.d1 = c, d
+		}
+		if t := s.now + Time(max(d, 0)); !s.runAhead(t) {
+			s.atProc(t, p)
+			return true
+		}
+		if step == Last {
+			return false
+		}
 	}
-	p.c2, p.d2, p.relayed = p.relay.Relay()
-	p.relay = nil // only now: this package's tests look
-	t := s.now + Time(max(p.d2, 0))
-	if !p.relayed || s.runAhead(t) {
-		return false
-	}
-	s.atProc(t, p)
-	return true
 }
 
 // Spend2 is Spend(c1, d1) then Spend(c2, d2): SpendThen with p's own second
@@ -100,4 +131,4 @@ func (p *Proc) Spend2(c1 Cat, d1 Duration, c2 Cat, d2 Duration) {
 
 type second Proc
 
-func (r *second) Relay() (Cat, Duration, bool) { return r.c2, r.d2, true }
+func (r *second) Relay() (Cat, Duration, Step) { return r.c2, r.d2, Last }

@@ -116,7 +116,7 @@ func NewShard(seed int64, n int, lookahead Duration) *Shard {
 	for i := range sh.lanes {
 		ln := NewScheduler(seed + int64(i))
 		ln.shard = sh
-		ln.lane = i
+		ln.lane = int32(i)
 		sh.lanes[i] = ln
 	}
 	return sh
@@ -183,7 +183,7 @@ func (sh *Shard) Now() Time {
 // current window would break the conservative synchronization contract.
 func (s *Scheduler) Route(dstLane int, t Time, fn func()) {
 	sh := s.shard
-	if sh == nil || dstLane == s.lane {
+	if sh == nil || dstLane == int(s.lane) {
 		s.At(t, fn)
 		return
 	}
@@ -193,7 +193,7 @@ func (s *Scheduler) Route(dstLane int, t Time, fn func()) {
 	}
 	s.xseq++
 	m := s.allocX()
-	m.t, m.srcLane, m.srcSeq, m.dst, m.fn = t, s.lane, s.xseq, dstLane, fn
+	m.t, m.srcLane, m.srcSeq, m.dst, m.fn = t, int(s.lane), s.xseq, dstLane, fn
 	s.outbox = append(s.outbox, m)
 }
 

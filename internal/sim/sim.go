@@ -137,19 +137,22 @@ type Scheduler struct {
 	nEvents   uint64
 
 	// Lane wiring; zero-valued for a standalone scheduler.
-	shard  *Shard
-	lane   int
+	shard *Shard
+	lane  int32
+
+	// noFastPath routes every event through the heap and every Advance
+	// through schedule + park. Written only by this package's tests, which
+	// use the plain kernel as the oracle for the two shortcuts. It shares
+	// lane's word, so a Scheduler stays in the 176 B size class.
+	noFastPath bool
+
 	xseq   uint64  // staging order of cross-lane sends from this lane
 	outbox []*xmsg // cross-lane sends staged until the epoch barrier
 	xfree  *xmsg   // mailbox envelope freelist
 	window Time    // current epoch horizon (lane mode; events < window run)
 
-	// noFastPath routes every event through the heap and every Advance
-	// through schedule + park. Written only by this package's tests, which
-	// use the plain kernel as the oracle for the two shortcuts.
-	noFastPath bool
-
-	seed int64 // Rand's seed; last, so the hot fields keep their offsets
+	seed       int64  // Rand's seed; after the hot fields, so they keep their offsets
+	dispatches uint64 // proc switches (see Dispatches)
 }
 
 // NewScheduler returns a Scheduler with the deterministic RNG seeded by seed.
@@ -175,7 +178,7 @@ func (s *Scheduler) Rand() *rand.Rand {
 
 // LaneID reports which shard lane this scheduler is: the Route address of
 // everything built on it. A standalone scheduler is lane 0 of itself.
-func (s *Scheduler) LaneID() int { return s.lane }
+func (s *Scheduler) LaneID() int { return int(s.lane) }
 
 // Shard reports the shard this scheduler is a lane of, or nil.
 func (s *Scheduler) Shard() *Shard { return s.shard }
@@ -332,8 +335,8 @@ type Proc struct {
 	name    string
 	done    bool
 	relayed bool     // SpendThen's charges: the kernel books c1 at its
-	c1, c2  Cat      // wake, p books c2 when it resumes, if the relay
-	d1, d2  Duration // reported it (relayed)
+	c1, c2  Cat      // wake (each in turn, in a chain), p books c2 when it
+	d1, d2  Duration // resumes, if the relay's last step reported it
 
 	Ledger *Ledger  // when set, books Spend, and at exit the time parked
 	parked Duration // in Cond.Wait
@@ -387,9 +390,14 @@ func (s *Scheduler) Spawn(name string, fn func(p *Proc)) *Proc {
 // scheduler.
 func (s *Scheduler) dispatch(p *Proc) {
 	if !p.done {
+		s.dispatches++
 		p.next()
 	}
 }
+
+// Dispatches reports how many times a proc was handed the execution token:
+// the coroutine switches the run paid for, which run-ahead and relays save.
+func (s *Scheduler) Dispatches() uint64 { return s.dispatches }
 
 // park gives the execution token back to the scheduler and returns once the
 // proc is dispatched again. Must be called from p's coroutine. If the

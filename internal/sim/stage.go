@@ -49,7 +49,7 @@ func (st *Stage) Request(src *Scheduler, process func(t0 Time)) {
 		process(t0)
 		return
 	}
-	src.Route(st.home.lane, t0+st.eps, func() { process(t0) })
+	src.Route(st.home.LaneID(), t0+st.eps, func() { process(t0) })
 }
 
 // Exit leaves the stage: fn runs at t on dstLane. Called from the

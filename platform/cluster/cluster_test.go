@@ -591,3 +591,49 @@ func TestSendrecvAllocsPerLegTCP(t *testing.T) {
 			calls, extra, float64(extra)/float64(calls), perLeg)
 	}
 }
+
+// dispatchesPerMessage runs a 2-rank exchange of 1 KiB eager messages
+// (Sendrecv, so each rank's events interleave with the other's) on kind
+// and reports the proc dispatches each message costs: two runs'
+// difference, so the world's start and end cancel.
+func dispatchesPerMessage(t *testing.T, kind string) float64 {
+	t.Helper()
+	run := func(iters int) uint64 {
+		w, _, err := build(registry.Spec{Ranks: 2, Seed: 1}, kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = mpi.Launch(w, func(c *mpi.Comm) error {
+			out, in, peer := make([]byte, 1024), make([]byte, 1024), 1-c.Rank()
+			for i := 0; i < iters; i++ {
+				if _, err := c.Sendrecv(peer, 0, out, peer, 0, in); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w.S.Dispatches()
+	}
+	const short, long = 10, 110
+	return float64(run(long)-run(short)) / (2 * (long - short))
+}
+
+// A socket message's reads are one chain (DESIGN §4, relay): the kernel
+// runs a TCP frame's type, envelope and payload reads, and an RUDP
+// datagram's read and its ack's write, at each charge's wake in the rank's
+// place, so the rank is dispatched once per parse. Per eager message,
+// sender and receiver together, that is 8 dispatches on tcp (10 with one
+// dispatch per read) and 7 on udp (8 with one per ack write).
+func TestDispatchesPerMessage(t *testing.T) {
+	for _, c := range []struct {
+		kind string
+		want float64
+	}{{"tcp", 8}, {"udp", 7}} {
+		if got := dispatchesPerMessage(t, c.kind); got != c.want {
+			t.Errorf("%s: %.2f dispatches per eager message, pinned at %v", c.kind, got, c.want)
+		}
+	}
+}

@@ -43,6 +43,7 @@ type transport struct {
 	inbox core.Inbox        // parsed frames waiting for Poll
 	rr    int               // round-robin parse start
 	hdr   [headerBytes]byte // parseTCP's: a TCP read's buffer escapes
+	parse tcpParse          // parseTCP's chain
 
 	// Credit flow control, receiver side: freed reservation owed back to
 	// each sender (the sender's side is the engine's send queue).
@@ -360,7 +361,8 @@ func (r readySet) next(lo, hi int) int {
 }
 
 // parseTCP consumes one message from conn, performing the paper's two
-// header reads (message type, then credit+envelope) and any payload read.
+// header reads (message type, then credit+envelope) and any eager payload
+// read as one chain (tcpParse). A Data frame's payload is readData's.
 func (t *transport) parseTCP(p *sim.Proc, src int, conn *atm.TCP) {
 	if t.eng.PayloadLeft(src) > 0 {
 		// Resume the partially-read Data frame before touching headers:
@@ -368,34 +370,104 @@ func (t *transport) parseTCP(p *sim.Proc, src int, conn *atm.TCP) {
 		t.readData(p, src, conn)
 		return
 	}
-	acct := t.eng.Acct()
-
-	t0 := p.Now()
-	conn.ReadFull(p, t.hdr[:1])
-	acct.Record(sim.ReadType, sim.Duration(p.Now()-t0))
-	acct.Add(ctrReadType, 1)
-
-	t1 := p.Now()
-	conn.ReadFull(p, t.hdr[1:])
-	acct.Record(sim.ReadEnv, sim.Duration(p.Now()-t1))
-	acct.Add(ctrReadEnv, 1)
-
-	kind, credit, env, aux := flow.DecodeHeader(t.hdr[:])
-	t.eng.Credit(src, credit)
-
-	switch kind {
-	case core.PktEager:
-		payload := t.pool.Get(env.Count)
-		t2 := p.Now()
-		conn.ReadFull(p, payload)
-		acct.Record(sim.ReadData, sim.Duration(p.Now()-t2))
-		t.inbox.Push(core.Packet{Kind: kind, Env: env, Data: payload, Pool: t.pool})
-	case core.PktData:
-		t.eng.DataFrame(src, env, int64(aux))
-		t.readData(p, src, conn)
-	default:
-		t.surface(src, kind, env, aux)
+	r := &t.parse
+	*r = tcpParse{t: t, src: src, conn: conn, buf: t.hdr[:1], t0: p.Now()}
+	p.SpendThen(sim.Syscall, conn.ReadCharge(), r)
+	for r.blocked {
+		// A read's syscall found nothing buffered: block, as a socket read
+		// does, then go on from its copy.
+		r.blocked = false
+		p.SpendThen(sim.Kernel, conn.Await(p), r)
 	}
+	if r.kind == core.PktData {
+		t.readData(p, src, conn)
+	}
+}
+
+// tcpParse is a frame's reads as a chain of charges, each read as
+// atm.TCP.Read charges it: the syscall; at its wake, the copy of what is
+// buffered; at the copy's wake, the window update, then another syscall
+// for the rest until the read is full. A full read is booked (the Read*
+// spans and counters) and the next begins at the same wake: the envelope
+// after the type, an eager payload after the envelope. The kernel runs the
+// chain in the rank's place at each charge's wake; the rank resumes once
+// the frame is parsed, or when a syscall finds nothing buffered (blocked).
+type tcpParse struct {
+	t       *transport
+	src     int
+	conn    *atm.TCP
+	buf     []byte   // the read in progress ...
+	off     int      // ... how much of it is filled ...
+	n       int      // ... by the copy whose wake comes next
+	t0      sim.Time // when the read began
+	stage   uint8    // which read: parseType, parseEnv or parsePayload
+	copied  bool     // the next call is at a copy's wake, not a syscall's
+	blocked bool
+	kind    core.PacketKind // the header's, once read
+	env     core.Envelope
+}
+
+// A frame's reads, in order.
+const (
+	parseType = iota
+	parseEnv
+	parsePayload
+)
+
+func (r *tcpParse) Relay() (sim.Cat, sim.Duration, sim.Step) {
+	if !r.copied { // a syscall's wake
+		if !r.conn.Readable() {
+			r.blocked = true
+			return 0, 0, sim.Decline
+		}
+		n, d := r.conn.Take(r.buf[r.off:])
+		r.n, r.copied = n, true
+		return sim.Syscall, d, sim.More
+	}
+	r.copied = false
+	r.conn.Consumed(r.n)
+	if r.off += r.n; r.off < len(r.buf) || r.next() {
+		return sim.Syscall, r.conn.ReadCharge(), sim.More
+	}
+	return 0, 0, sim.Decline
+}
+
+// next books the read just filled and reports whether another follows it.
+func (r *tcpParse) next() bool {
+	t := r.t
+	now := t.eng.Scheduler().Now()
+	acct := t.eng.Acct()
+	switch r.stage {
+	case parseType:
+		acct.Record(sim.ReadType, sim.Duration(now-r.t0))
+		acct.Add(ctrReadType, 1)
+		r.buf, r.stage = t.hdr[1:], parseEnv
+	case parseEnv:
+		acct.Record(sim.ReadEnv, sim.Duration(now-r.t0))
+		acct.Add(ctrReadEnv, 1)
+		kind, credit, env, aux := flow.DecodeHeader(t.hdr[:])
+		t.eng.Credit(r.src, credit)
+		r.kind, r.env = kind, env
+		switch kind {
+		case core.PktEager:
+			r.buf, r.stage, r.t0 = t.pool.Get(env.Count), parsePayload, now
+			if env.Count == 0 { // nothing to read
+				return r.next()
+			}
+		case core.PktData:
+			t.eng.DataFrame(r.src, env, int64(aux))
+			return false
+		default:
+			t.surface(r.src, kind, env, aux)
+			return false
+		}
+	default:
+		acct.Record(sim.ReadData, sim.Duration(now-r.t0))
+		t.inbox.Push(core.Packet{Kind: r.kind, Env: r.env, Data: r.buf, Pool: t.pool})
+		return false
+	}
+	r.off, r.t0 = 0, now
+	return true
 }
 
 // surface handles a frame that carries no payload, which is therefore the

@@ -205,6 +205,9 @@ func (e *MPICHEndpoint) finalize(p *sim.Proc, r *core.Request, op *mpichOp) (cor
 		tag := int(full & mpichTagMask)
 		st := core.Status{Source: src, Tag: tag, Count: op.treq.N}
 		var err error
+		if op.treq.Sent > op.treq.N {
+			err = core.Truncated(op.treq.Sent, len(r.Buf))
+		}
 		if full&mpichSyncBit != 0 {
 			// Acknowledge the synchronous send.
 			ctx := int((full & mpichCtxMask) >> mpichCtxSh)

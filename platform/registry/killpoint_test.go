@@ -1,0 +1,128 @@
+package registry_test
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/sim"
+	"repro/mpi"
+	"repro/platform/registry"
+)
+
+// killProgram is the kill-point probe's job on 3 ranks. Rank 1 Isends 8 ×
+// 100 B to rank 0 (tags 0–7), Sends it 256 KiB, receives 1 KiB from rank
+// 2 and waits for its Isends. Rank 2 sends that 1 KiB, then 64 KiB to
+// rank 0. Rank 0 receives all of it in that order. A survivor takes a
+// peer-down error as the answer to a call and goes on; any other error is
+// its body's.
+func killProgram(c *mpi.Comm) error {
+	survive := func(err error) error {
+		if err != nil && !mpi.IsPeerDown(err) {
+			return err
+		}
+		return nil
+	}
+	switch c.Rank() {
+	case 0:
+		buf := make([]byte, 256<<10)
+		for tag := 0; tag < 8; tag++ {
+			if _, err := c.Recv(1, tag, buf[:100]); survive(err) != nil {
+				return err
+			}
+		}
+		if _, err := c.Recv(1, 8, buf); survive(err) != nil {
+			return err
+		}
+		_, err := c.Recv(2, 9, buf[:64<<10])
+		return survive(err)
+	case 1:
+		var reqs []*mpi.Request
+		for tag := 0; tag < 8; tag++ {
+			r, err := c.Isend(0, tag, make([]byte, 100))
+			if err != nil {
+				return err
+			}
+			reqs = append(reqs, r)
+		}
+		if err := c.Send(0, 8, make([]byte, 256<<10)); err != nil {
+			return err
+		}
+		if _, err := c.Recv(2, 10, make([]byte, 1<<10)); err != nil {
+			return err
+		}
+		_, err := mpi.WaitAll(reqs...)
+		return err
+	default:
+		if err := survive(c.Send(1, 10, make([]byte, 1<<10))); err != nil {
+			return err
+		}
+		return survive(c.Send(0, 9, make([]byte, 64<<10)))
+	}
+}
+
+// killRow is one backend's count, over the 99 kill points, of each way a
+// kill still goes wrong, and the ROADMAP items that own the counts.
+type killRow struct {
+	deadlocks int // the run parks a rank for good
+	drains    int // the run drains more than 1 ms after the last survivor
+	late      int // the victim's clock ends more than 1 µs past its kill
+	owner     string
+}
+
+// Rank 1 of killProgram is killed at i/100 of the fault-free run's
+// MaxRankElapsed, for i = 1…99, on every backend that accepts kills (ROADMAP
+// item 21; meiko/mpich rejects kills). The survivors' calls return success
+// or peer-down in every run. What still goes wrong is pinned per backend: a
+// row that moves fails the test, so a fix states what it cleared and a
+// regression cannot hide behind it.
+func TestKillAtEveryInstant(t *testing.T) {
+	pinned := map[string]killRow{
+		"mem": {0, 0, 0, ""},
+		// The dead sender's DMA runs on to its end.
+		"meiko/lowlatency": {0, 43, 1, "drains: item 22; late: item 21(c)"},
+		"cluster/shm":      {0, 0, 13, "late: item 21(c)"},
+		// A victim killed in its write interleave parks for good.
+		"cluster/tcp": {14, 1, 55, "deadlocks and drains: items 22 and 26; late: item 21(c)"},
+		// Every run waits out the acked frames' RUDP timers.
+		"cluster/udp":  {0, 99, 46, "drains: items 9 and 21; late: item 21(c)"},
+		"cluster/unet": {0, 0, 37, "late: items 21(c) and 22"},
+	}
+	for _, name := range []string{"mem", "meiko/lowlatency", "cluster/shm", "cluster/tcp", "cluster/udp", "cluster/unet"} {
+		s := registry.SpecFor(name)
+		s.Ranks = 3
+		base, err := registry.Run(s, killProgram)
+		if err != nil {
+			t.Fatalf("%s fault-free: %v", name, err)
+		}
+		var got killRow
+		for i := 1; i < 100; i++ {
+			at := base.MaxRankElapsed * sim.Duration(i) / 100
+			s.Kills = fmt.Sprintf("1@%dns", at.Nanoseconds())
+			w, err := registry.Build(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := mpi.Launch(w, killProgram)
+			var dl *sim.DeadlockError
+			if errors.As(err, &dl) {
+				got.deadlocks++
+				continue
+			}
+			if rep.Errs[0] != nil || rep.Errs[2] != nil {
+				t.Errorf("%s, kill at %v: survivors returned %v and %v", name, at, rep.Errs[0], rep.Errs[2])
+			}
+			if rep.Elapsed > max(rep.RankElapsed[0], rep.RankElapsed[2])+time.Millisecond {
+				got.drains++
+			}
+			if rep.RankElapsed[1] > at+time.Microsecond {
+				got.late++
+			}
+		}
+		if want := pinned[name]; got.deadlocks != want.deadlocks || got.drains != want.drains || got.late != want.late {
+			t.Errorf("%s: %d deadlocks, %d late drains, %d victims running on; pinned %d, %d, %d (owner: %s)",
+				name, got.deadlocks, got.drains, got.late, want.deadlocks, want.drains, want.late, want.owner)
+		}
+	}
+}
