@@ -411,14 +411,15 @@ func communicators(c *mpi.Comm, seed int64) error {
 // rmaWindow drives the MPI-2 one-sided API through three fence epochs on
 // every backend flavor — native remote memory and the deferred-at-fence
 // emulation alike: a ring halo exchange via Put (rendezvous-sized, so the
-// emulated fence moves its blobs by RTS, CTS and Data), an Accumulate reduction into rank 0's counter, and a fenced Get
-// read-back of the result from every rank.
+// emulated fence moves its blobs by RTS, CTS and Data), a gather of every
+// rank's contribution into rank 0's slots, and rank 0 Putting the total
+// back into slot 0 of every rank, itself included.
 func rmaWindow(c *mpi.Comm, seed int64) error {
 	n := c.Size()
 	me := c.Rank()
 	const cell = 20_000 // past every eager threshold (180 and 16 KB)
-	// Layout: [left halo cell | right halo cell | 8-byte counter].
-	win, err := c.WinCreate(2*cell + 8)
+	// Layout: [left halo cell | right halo cell | one 8-byte slot per rank].
+	win, err := c.WinCreate(2*cell + 8*n)
 	if err != nil {
 		return err
 	}
@@ -447,75 +448,39 @@ func rmaWindow(c *mpi.Comm, seed int64) error {
 		return fmt.Errorf("right halo: %w", err)
 	}
 
-	// Epoch 2: commutative reduction — every rank adds rank+1 into rank
-	// 0's counter.
-	var inc [8]byte
-	binary.LittleEndian.PutUint64(inc[:], uint64(me+1))
-	if err := win.Accumulate(0, 2*cell, inc[:], mpi.AccSumInt64); err != nil {
+	// Epoch 2: every rank Puts rank+1 into its own slot on rank 0.
+	var v [8]byte
+	binary.LittleEndian.PutUint64(v[:], uint64(me+1))
+	if err := win.Put(0, 2*cell+8*me, v[:]); err != nil {
 		return err
 	}
 	if err := win.Fence(); err != nil {
 		return err
 	}
+
+	// Epoch 3: rank 0 sums the slots and Puts the total into slot 0 of
+	// every rank.
 	want := uint64(n * (n + 1) / 2)
 	if me == 0 {
-		if got := binary.LittleEndian.Uint64(win.Bytes()[2*cell:]); got != want {
-			return fmt.Errorf("counter after accumulate epoch = %d, want %d", got, want)
+		var sum uint64
+		for r := 0; r < n; r++ {
+			sum += binary.LittleEndian.Uint64(win.Bytes()[2*cell+8*r:])
 		}
-	}
-
-	// Epoch 3: every rank reads the counter back with Get.
-	var back [8]byte
-	if err := win.Get(0, 2*cell, back[:]); err != nil {
-		return err
+		if sum != want {
+			return fmt.Errorf("slots after the gather epoch sum to %d, want %d", sum, want)
+		}
+		binary.LittleEndian.PutUint64(v[:], sum)
+		for r := 0; r < n; r++ {
+			if err := win.Put(r, 2*cell, v[:]); err != nil {
+				return err
+			}
+		}
 	}
 	if err := win.Fence(); err != nil {
 		return err
 	}
-	if got := binary.LittleEndian.Uint64(back[:]); got != want {
-		return fmt.Errorf("rank %d read counter %d, want %d", me, got, want)
-	}
-	return win.Free()
-}
-
-// PassiveLock exercises passive-target synchronization on backends with
-// native remote memory: every rank adds its contribution to rank 0's
-// counter under an exclusive lock (Unlock guarantees remote completion),
-// then reads the total back under a shared lock. Emulated windows reject
-// Lock with a typed error, so this scenario is not part of Scenarios().
-func PassiveLock(c *mpi.Comm, seed int64) error {
-	n := c.Size()
-	me := c.Rank()
-	win, err := c.WinCreate(8)
-	if err != nil {
-		return err
-	}
-	if err := win.Lock(0, true); err != nil {
-		return err
-	}
-	var inc [8]byte
-	binary.LittleEndian.PutUint64(inc[:], uint64(me+1))
-	if err := win.Accumulate(0, 0, inc[:], mpi.AccSumInt64); err != nil {
-		return err
-	}
-	if err := win.Unlock(0); err != nil {
-		return err
-	}
-	if err := c.Barrier(); err != nil {
-		return err
-	}
-	if err := win.Lock(0, false); err != nil {
-		return err
-	}
-	var back [8]byte
-	if err := win.Get(0, 0, back[:]); err != nil {
-		return err
-	}
-	if err := win.Unlock(0); err != nil {
-		return err
-	}
-	if got, want := binary.LittleEndian.Uint64(back[:]), uint64(n*(n+1)/2); got != want {
-		return fmt.Errorf("rank %d read counter %d under shared lock, want %d", me, got, want)
+	if got := binary.LittleEndian.Uint64(win.Bytes()[2*cell:]); got != want {
+		return fmt.Errorf("rank %d read total %d, want %d", me, got, want)
 	}
 	return win.Free()
 }

@@ -96,25 +96,6 @@ func TestFaultsRejectedOffCluster(t *testing.T) {
 	}
 }
 
-// Passive-target locks exist only on backends with native remote memory;
-// every such backend must serialize exclusive epochs correctly. The
-// socket transports reject Lock with a typed error instead.
-func TestRMALockPassive(t *testing.T) {
-	for _, name := range []string{"mem", "meiko/lowlatency", "cluster/shm"} {
-		t.Run(strings.ReplaceAll(name, "/", "_"), func(t *testing.T) {
-			f := factory(t, registry.SpecFor(name))
-			if _, err := mpi.Launch(f(4), func(c *mpi.Comm) error { return PassiveLock(c, seeds[0]) }); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	f := factory(t, registry.SpecFor("cluster/tcp"))
-	_, err := mpi.Launch(f(2), func(c *mpi.Comm) error { return PassiveLock(c, seeds[0]) })
-	if err == nil || !strings.Contains(err.Error(), "passive-target lock") {
-		t.Fatalf("emulated window must reject Lock with the typed error, got %v", err)
-	}
-}
-
 // Tight flow control: tiny credit reservations force heavy queuing; the
 // suite must still pass (ordering preserved through the flow layer's
 // pending queues).

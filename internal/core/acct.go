@@ -55,8 +55,7 @@ var (
 	ctrPoolHit, ctrPoolMiss, ctrPoolRecycled = Counter(PoolHit), Counter(PoolMiss), Counter(PoolRecycled)
 	ctrFlowQueued, ctrFlowGranted            = Counter("flow-queued"), Counter("flow-granted")
 	ctrPeerDown, ctrRevoke                   = Counter("ft.peerdown"), Counter("ft.revoke")
-	ctrRMAPut, ctrRMAAcc, ctrRMAGet          = Counter("rma.put"), Counter("rma.acc"), Counter("rma.get")
-	ctrRMALock, ctrRMAFence                  = Counter("rma.lock"), Counter("rma.fence")
+	ctrRMAPut, ctrRMAFence                   = Counter("rma.put"), Counter("rma.fence")
 )
 
 // Acct is one rank's ledger, fixed arrays written only on the rank's lane:

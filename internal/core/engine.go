@@ -54,7 +54,7 @@ type Engine struct {
 
 	// wins holds the registered one-sided windows by id (see window.go);
 	// lazily allocated by WinCreate.
-	wins map[int]*WinState
+	wins map[int]*window
 
 	// Each source's rendezvous payload landing (see landing.go); nil until
 	// first use.
@@ -94,13 +94,12 @@ type Engine struct {
 
 	// Fault-tolerance state (see ft.go): peers declared dead with their
 	// death reasons, in detection order; how many of those deaths the
-	// process has acknowledged (FailureAck); revoked communicator context
-	// ids; and window lock grants deferred out of event context.
+	// process has acknowledged (FailureAck); and revoked communicator
+	// context ids.
 	dead      map[int]error
 	deadOrder []int
 	ackedDead int
 	revoked   map[int]bool
-	defGrants []deferredGrant
 
 	// Trace, when set, receives a timeline event per protocol action.
 	Trace *trace.Log
@@ -492,7 +491,6 @@ func (e *Engine) pollOnce(p *sim.Proc) bool {
 // paper studies. Poll returns nil with no time charged since it looked, so a
 // caller may Park at once without losing a wakeup.
 func (e *Engine) Progress(p *sim.Proc) {
-	e.flushDeferredGrants(p)
 	for e.pollOnce(p) {
 	}
 }
@@ -527,12 +525,6 @@ func (e *Engine) handle(p *sim.Proc, pkt *Packet) {
 		if !e.Land(pkt.ReqID, pkt.Env, pkt.Data, pkt.Pool) && !e.ftActive() {
 			e.Errors = append(e.Errors, Errorf(ErrInternal, "payload for unknown receive request %d", pkt.ReqID))
 		}
-	case PktRMALock:
-		e.winLockMsg(p, pkt.Env)
-	case PktRMAUnlock:
-		e.winUnlockMsg(p, pkt.Env)
-	case PktRMAGrant:
-		e.winGrantMsg(pkt.Env)
 	case PktRevoke:
 		e.revokeMsg(p, pkt.Env)
 	default:
@@ -615,11 +607,11 @@ func (e *Engine) SendAcked(name int64) *Request {
 func (e *Engine) Wake() { e.cond.Broadcast() }
 
 // Nudge follows a completion or a returned credit: it rouses the parked
-// rank unless Wait parked it on a request still pending with no deferred
-// grant owed, which would poll an empty wire and park again, charged
-// nothing (DESIGN §5). Callable from event context.
+// rank unless Wait parked it on a request still pending, which would poll
+// an empty wire and park again, charged nothing (DESIGN §5). Callable from
+// event context.
 func (e *Engine) Nudge() {
-	if r := e.awaiting; r != nil && !r.Done() && len(e.defGrants) == 0 && !e.nudgeAll {
+	if r := e.awaiting; r != nil && !r.Done() && !e.nudgeAll {
 		e.nudgesDropped++
 		return
 	}

@@ -16,21 +16,13 @@ import (
 // detection is deterministic, lane-safe, and costs zero wire traffic —
 // worlds without faults stay bit-identical.
 
-// deferredGrant is a window lock grant produced in event context (a peer
-// death releasing the dead holder's lock); it is transmitted by the next
-// Progress call, which has a proc to charge the packet to.
-type deferredGrant struct {
-	win    int
-	origin int
-}
-
 // PeerDown declares rank dead for the given reason. Every pending request
 // that is matched to the dead rank — or can only ever match it — completes
 // with a typed ErrPeerDown; unmatched wildcard receives fail too (the dead
 // rank may have been their only sender; ULFM raises the same condition
-// until the process acknowledges the failure, see FailureAck). Window
-// locks held or awaited by the dead rank are released. Callable from event
-// context; first detection wins, and self/fatal engines ignore the call.
+// until the process acknowledges the failure, see FailureAck). Callable
+// from event context; first detection wins, and self/fatal engines ignore
+// the call.
 func (e *Engine) PeerDown(rank int, reason error) {
 	if rank == e.rank || e.fatal != nil {
 		return
@@ -69,17 +61,6 @@ func (e *Engine) PeerDown(rank int, reason error) {
 		e.untable(r)
 	}
 
-	// Release window locks the dead rank held or queued for, granting
-	// unblocked waiters (deferred — there is no proc here to charge).
-	winIDs := make([]int, 0, len(e.wins))
-	for id := range e.wins {
-		winIDs = append(winIDs, id)
-	}
-	slices.Sort(winIDs)
-	for _, id := range winIDs {
-		e.winPeerDown(e.wins[id], rank)
-	}
-
 	e.sweepRndv(rank)
 	if e.fc != nil {
 		e.fc.DropDst(rank)
@@ -87,37 +68,6 @@ func (e *Engine) PeerDown(rank int, reason error) {
 	e.released.Filter(func(req *Request) bool { return req.Env.Dest != rank })
 	e.tr.PeerDown(rank)
 	e.cond.Broadcast()
-}
-
-// winPeerDown fences one window against a dead rank: drop it from the
-// wait queue and the holder set (regranting in FIFO order), and forget any
-// grant it gave us.
-func (e *Engine) winPeerDown(w *WinState, rank int) {
-	for i := 0; i < len(w.lockQ); {
-		if w.lockQ[i].origin == rank {
-			w.lockQ = append(w.lockQ[:i], w.lockQ[i+1:]...)
-		} else {
-			i++
-		}
-	}
-	if w.lockHolders[rank] {
-		e.winRelease(nil, w, rank)
-	}
-	delete(w.granted, rank)
-}
-
-// flushDeferredGrants transmits lock grants produced in event context.
-func (e *Engine) flushDeferredGrants(p *sim.Proc) {
-	for len(e.defGrants) > 0 {
-		g := e.defGrants[0]
-		e.defGrants = e.defGrants[1:]
-		if _, dd := e.dead[g.origin]; dd {
-			continue
-		}
-		if w := e.wins[g.win]; w != nil {
-			e.control(p, g.origin, PktRMAGrant, Envelope{Source: e.rank, Dest: g.origin, Tag: w.ID})
-		}
-	}
 }
 
 // deadErr reports the death reason for rank, nil while it is alive.

@@ -165,34 +165,20 @@ func (t *MemTransport) Poll(p *sim.Proc) *Packet {
 // target's matcher or mailbox), and the completion ack crosses back before
 // done fires on the origin lane. The leg carrying the payload costs
 // delay(len), the other delay(0); RMA transfers are unordered within an
-// epoch (fence/lock synchronization orders them), so neither is clamped
+// epoch (the fence orders them), so neither is clamped
 // like a mailbox delivery. Payloads are snapshotted on the origin lane so
 // cross-lane transfers never share mutable storage between lanes.
 
 var _ RemoteMemory = (*MemTransport)(nil)
 
 // RMAWrite implements RemoteMemory.
-func (t *MemTransport) RMAWrite(p *sim.Proc, dst, win, off int, data []byte, op RMAOp, done func()) {
+func (t *MemTransport) RMAWrite(p *sim.Proc, dst, win, off int, data []byte, done func()) {
 	snap := make([]byte, len(data))
 	copy(snap, data)
 	home := t.s.LaneID()
 	t.s.RouteAfter(t.fab.laneFor(dst), t.fab.delay(len(snap)), func() {
 		peer := t.fab.eps[dst]
-		peer.eng.Win(win).ApplyAccumulate(off, snap, op)
+		copy(peer.eng.Win(win)[off:], snap)
 		peer.s.RouteAfter(home, t.fab.delay(0), done)
-	})
-}
-
-// RMARead implements RemoteMemory.
-func (t *MemTransport) RMARead(p *sim.Proc, dst, win, off int, buf []byte, done func()) {
-	home := t.s.LaneID()
-	t.s.RouteAfter(t.fab.laneFor(dst), t.fab.delay(0), func() {
-		peer := t.fab.eps[dst]
-		snap := make([]byte, len(buf))
-		peer.eng.Win(win).ReadInto(off, snap)
-		peer.s.RouteAfter(home, t.fab.delay(len(snap)), func() {
-			copy(buf, snap)
-			done()
-		})
 	})
 }

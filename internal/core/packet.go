@@ -26,14 +26,6 @@ const (
 	// usually piggybacked, explicit when traffic is one-sided; Meiko: the
 	// slot-free acknowledgement, consumed by the sender's Elan).
 	PktCredit
-	// PktRMALock requests a passive-target window lock (Env.Tag carries the
-	// window id; Env.Count is 1 for exclusive, 0 for shared).
-	PktRMALock
-	// PktRMAUnlock releases a passive-target window lock.
-	PktRMAUnlock
-	// PktRMAGrant notifies a waiting origin that its lock request was
-	// granted (Env.Source is the target rank, Env.Tag the window id).
-	PktRMAGrant
 	// PktRevoke is the reliable-broadcast notice that a communicator was
 	// revoked (Env.Context carries the revoked p2p context id). Every engine
 	// re-forwards it on first receipt, so it reaches all survivors even if
@@ -55,12 +47,6 @@ func (k PacketKind) String() string {
 		return "syncack"
 	case PktCredit:
 		return "credit"
-	case PktRMALock:
-		return "rma-lock"
-	case PktRMAUnlock:
-		return "rma-unlock"
-	case PktRMAGrant:
-		return "rma-grant"
 	case PktRevoke:
 		return "revoke"
 	default:

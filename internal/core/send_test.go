@@ -125,8 +125,8 @@ func TestSendPolledCreditShipsAfterPoll(t *testing.T) {
 				return pkt
 			}
 		}
-		// A grant for no window: surfaced, and handled as nothing.
-		w.steps = []func() *Packet{parse(&Packet{Kind: PktRMAGrant, Env: Envelope{Source: 1, Tag: 99}}), parse(nil)}
+		// A sync ack naming no request: surfaced, and handled as nothing.
+		w.steps = []func() *Packet{parse(&Packet{Kind: PktSyncAck, ReqID: -1}), parse(nil)}
 		e.Progress(p)
 	})
 	wantLog(t, log, "ship eager tag 0 to 1 (rank)",

@@ -85,20 +85,6 @@ func (c *Comm) Exscan(op Op, send []byte, recv []byte) error {
 // Wtick reports the virtual clock resolution, like MPI_Wtick.
 func Wtick() time.Duration { return time.Nanosecond }
 
-// GetCount reports how many whole elements of dt a status describes, and
-// whether the byte count is an exact multiple (MPI_Get_count semantics:
-// not-a-multiple maps to MPI_UNDEFINED).
-func GetCount(st Status, dt Datatype) (int, bool) {
-	sz := dt.Size()
-	if sz == 0 {
-		return 0, true
-	}
-	if st.Count%sz != 0 {
-		return 0, false
-	}
-	return st.Count / sz, true
-}
-
 // Abort terminates the job abnormally from one rank by surfacing an error
 // the runner reports (MPI_Abort's moral equivalent under simulation: there
 // is no process to kill, so the error carries the code).

@@ -120,19 +120,6 @@ func TestFloat32Int32Ops(t *testing.T) {
 	})
 }
 
-func TestGetCount(t *testing.T) {
-	st := Status{Count: 24}
-	if n, ok := GetCount(st, Float64); !ok || n != 3 {
-		t.Fatalf("GetCount = %d, %v", n, ok)
-	}
-	if _, ok := GetCount(Status{Count: 25}, Float64); ok {
-		t.Fatal("25 bytes should not be a whole number of float64s")
-	}
-	if n, ok := GetCount(Status{Count: 0}, Int32); !ok || n != 0 {
-		t.Fatalf("zero count: %d, %v", n, ok)
-	}
-}
-
 func TestWtick(t *testing.T) {
 	if Wtick() <= 0 {
 		t.Fatal("non-positive tick")

@@ -162,57 +162,3 @@ func ExampleWin() {
 	}
 	// Output: rank 0's halo cell: 30
 }
-
-// Accumulate: every rank adds into a shared counter on rank 0. The sum
-// operators are commutative, so the result is deterministic regardless of
-// arrival order.
-func ExampleWin_Accumulate() {
-	_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 4}, func(c *mpi.Comm) error {
-		size := 0
-		if c.Rank() == 0 {
-			size = 8 // the counter lives on rank 0
-		}
-		win, err := c.WinCreate(size)
-		if err != nil {
-			return err
-		}
-		one := make([]byte, 8)
-		one[0] = 1 // little-endian int64(1)
-		if err := win.Accumulate(0, 0, one, mpi.AccSumInt64); err != nil {
-			return err
-		}
-		if err := win.Fence(); err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			fmt.Println("counter:", win.Bytes()[0])
-		}
-		return win.Free()
-	})
-	if err != nil {
-		fmt.Println("error:", err)
-	}
-	// Output: counter: 4
-}
-
-// Derived datatypes: sending a strided matrix column.
-func ExampleVector() {
-	col := mpi.Vector{Count: 3, BlockLen: 1, Stride: 3, Of: mpi.Float64}
-	_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 2}, func(c *mpi.Comm) error {
-		if c.Rank() == 0 {
-			matrix := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9} // row-major 3x3
-			return c.SendTyped(1, 0, col, 1, mpi.Float64Bytes(matrix))
-		}
-		out := make([]byte, 9*8)
-		if _, err := c.RecvTyped(0, 0, col, 1, out); err != nil {
-			return err
-		}
-		dec := mpi.BytesFloat64(out)
-		fmt.Println("column 0:", dec[0], dec[3], dec[6])
-		return nil
-	})
-	if err != nil {
-		fmt.Println("error:", err)
-	}
-	// Output: column 0: 1 4 7
-}

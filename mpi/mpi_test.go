@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/internal/core"
@@ -593,119 +591,6 @@ func TestDims2(t *testing.T) {
 			t.Errorf("Dims2(%d) = (%d,%d), want (%d,%d)", tc.n, a, b, tc.a, tc.b)
 		}
 	}
-}
-
-func TestTypedSendRecvVector(t *testing.T) {
-	launch(t, 2, func(c *Comm) error {
-		// A column of a 4x4 float64 matrix: 4 blocks of 1 element, stride 4.
-		col := Vector{Count: 4, BlockLen: 1, Stride: 4, Of: Float64}
-		if c.Rank() == 0 {
-			m := make([]float64, 16)
-			for i := range m {
-				m[i] = float64(i)
-			}
-			return c.SendTyped(1, 0, col, 1, Float64Bytes(m))
-		}
-		out := make([]byte, 16*8)
-		if _, err := c.RecvTyped(0, 0, col, 1, out); err != nil {
-			return err
-		}
-		dec := BytesFloat64(out)
-		// Column 0 of the matrix: elements 0, 4, 8, 12 land at strided slots.
-		for i := 0; i < 4; i++ {
-			if dec[i*4] != float64(i*4) {
-				t.Errorf("col[%d] = %v", i, dec[i*4])
-			}
-		}
-		return nil
-	})
-}
-
-// Property: Pack followed by Unpack is the identity on the packed view for
-// every derived datatype shape.
-func TestDatatypePackUnpackProperty(t *testing.T) {
-	prop := func(raw []byte, count, blockLen, stride uint8) bool {
-		cnt := int(count%4) + 1
-		bl := int(blockLen%3) + 1
-		st := bl + int(stride%3)
-		dt := Vector{Count: cnt, BlockLen: bl, Stride: st, Of: Byte}
-		need := dt.Extent()
-		src := make([]byte, need)
-		copy(src, raw)
-		packed := make([]byte, dt.Size())
-		dt.Pack(packed, src)
-		dst := make([]byte, need)
-		dt.Unpack(dst, packed)
-		packed2 := make([]byte, dt.Size())
-		dt.Pack(packed2, dst)
-		return bytes.Equal(packed, packed2)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(6))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIndexedDatatype(t *testing.T) {
-	dt := Indexed{BlockLens: []int{2, 1, 3}, Displs: []int{0, 4, 6}, Of: Byte}
-	if dt.Size() != 6 || dt.Extent() != 9 {
-		t.Fatalf("size=%d extent=%d", dt.Size(), dt.Extent())
-	}
-	src := []byte{'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 'i'}
-	packed := make([]byte, 6)
-	dt.Pack(packed, src)
-	if string(packed) != "abeghi" {
-		t.Fatalf("packed = %q", packed)
-	}
-	dst := make([]byte, 9)
-	dt.Unpack(dst, packed)
-	if dst[0] != 'a' || dst[4] != 'e' || dst[8] != 'i' || dst[2] != 0 {
-		t.Fatalf("unpacked = %q", dst)
-	}
-}
-
-func TestStructDatatype(t *testing.T) {
-	// struct { x float64; pad; n int32 } laid out with displacements.
-	dt := StructType{Fields: []StructField{
-		{Displ: 0, Count: 1, Of: Float64},
-		{Displ: 12, Count: 1, Of: Int32},
-	}}
-	if dt.Size() != 12 || dt.Extent() != 16 {
-		t.Fatalf("size=%d extent=%d", dt.Size(), dt.Extent())
-	}
-	src := make([]byte, 16)
-	copy(src, Float64Bytes([]float64{3.5}))
-	src[12] = 42
-	packed := make([]byte, 12)
-	dt.Pack(packed, src)
-	dst := make([]byte, 16)
-	dt.Unpack(dst, packed)
-	if !bytes.Equal(dst[:8], src[:8]) || dst[12] != 42 {
-		t.Fatal("struct roundtrip failed")
-	}
-}
-
-func TestContigDatatype(t *testing.T) {
-	dt := Contig{Count: 3, Of: Int32}
-	if dt.Size() != 12 || dt.Extent() != 12 {
-		t.Fatalf("size=%d extent=%d", dt.Size(), dt.Extent())
-	}
-}
-
-func TestPackUnpackComm(t *testing.T) {
-	launch(t, 1, func(c *Comm) error {
-		dt := Vector{Count: 2, BlockLen: 1, Stride: 2, Of: Byte}
-		src := []byte{1, 2, 3}
-		packed := c.Pack(dt, 1, src)
-		if len(packed) != 2 || packed[0] != 1 || packed[1] != 3 {
-			t.Errorf("packed = %v", packed)
-		}
-		dst := make([]byte, 3)
-		c.Unpack(dt, 1, packed, dst)
-		if dst[0] != 1 || dst[2] != 3 {
-			t.Errorf("unpacked = %v", dst)
-		}
-		return nil
-	})
 }
 
 func TestReportAccounts(t *testing.T) {

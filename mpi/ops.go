@@ -126,6 +126,25 @@ func BytesInt64(b []byte) []int64 {
 	return xs
 }
 
+// Float64Bytes encodes a []float64 in host byte order (copying), for use
+// with the []byte message API; it is the layout the typed reductions read.
+func Float64Bytes(xs []float64) []byte {
+	b := make([]byte, 8*len(xs))
+	for i, x := range xs {
+		binary.NativeEndian.PutUint64(b[8*i:], math.Float64bits(x))
+	}
+	return b
+}
+
+// BytesFloat64 decodes Float64Bytes.
+func BytesFloat64(b []byte) []float64 {
+	xs := make([]float64, len(b)/8)
+	for i := range xs {
+		xs[i] = math.Float64frombits(binary.NativeEndian.Uint64(b[8*i:]))
+	}
+	return xs
+}
+
 // asBytes views a typed slice as its bytes, in place.
 func asBytes[T float64 | int64](xs []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs)*int(unsafe.Sizeof(T(0))))

@@ -221,17 +221,15 @@ const rmaTxnHdrBytes = 16
 
 var _ core.RemoteMemory = (*lowlatTransport)(nil)
 
-// RMAWrite implements core.RemoteMemory for puts (op RMAReplace) and
-// accumulates alike — the target Elan's handler stores or combines: small
-// payloads ride one remote transaction, large ones a sender-Elan DMA. The
-// target Elan lands the bytes (target lane event context) and acks back to
-// the origin itself (elanIssued: no SPARC wakeup), firing done on the
-// origin lane.
-func (t *lowlatTransport) RMAWrite(p *sim.Proc, dst, win, off int, data []byte, op core.RMAOp, done func()) {
+// RMAWrite implements core.RemoteMemory: small payloads ride one remote
+// transaction, large ones a sender-Elan DMA. The target Elan stores the
+// bytes (target lane event context) and acks back to the origin itself
+// (elanIssued: no SPARC wakeup), firing done on the origin lane.
+func (t *lowlatTransport) RMAWrite(p *sim.Proc, dst, win, off int, data []byte, done func()) {
 	c := t.m.Costs
 	me := t.eng.Rank()
 	peer := t.all[dst]
-	// Snapshot the payload on the origin lane. Remote applies run in the
+	// Snapshot the payload on the origin lane. Remote stores run in the
 	// target lane's event context, concurrent (same epoch) with origin-lane
 	// events, so the transfer must never share mutable storage across
 	// lanes; same-lane transfers keep the copy too — it is the modeled
@@ -239,7 +237,7 @@ func (t *lowlatTransport) RMAWrite(p *sim.Proc, dst, win, off int, data []byte, 
 	snap := make([]byte, len(data))
 	copy(snap, data)
 	apply := func() {
-		peer.eng.Win(win).ApplyAccumulate(off, snap, op)
+		copy(peer.eng.Win(win)[off:], snap)
 		peer.node.Txn(me, ctrlTxnBytes, true, done)
 	}
 	if len(snap) <= t.eng.MaxEager() {
@@ -249,24 +247,6 @@ func (t *lowlatTransport) RMAWrite(p *sim.Proc, dst, win, off int, data []byte, 
 	}
 	t.eng.Acct().Spend(p, sim.Protocol, c.DMAIssue)
 	t.node.DMA(dst, rmaTxnHdrBytes+len(snap), func() {}, apply)
-}
-
-// RMARead implements core.RemoteMemory: a request transaction reaches the
-// target's Elan, which reads the region and DMAs the bytes back; the
-// landing event on the origin lane fills buf and completes the operation.
-func (t *lowlatTransport) RMARead(p *sim.Proc, dst, win, off int, buf []byte, done func()) {
-	c := t.m.Costs
-	me := t.eng.Rank()
-	peer := t.all[dst]
-	t.eng.Acct().Spend(p, sim.Protocol, c.TxnIssue)
-	t.node.Txn(dst, rmaTxnHdrBytes, false, func() {
-		snap := make([]byte, len(buf))
-		peer.eng.Win(win).ReadInto(off, snap)
-		peer.node.DMA(me, rmaTxnHdrBytes+len(snap), func() {}, func() {
-			copy(buf, snap)
-			done()
-		})
-	})
 }
 
 // LowLatEndpoint is the low-latency engine plus the CS/2 hardware

@@ -190,8 +190,9 @@ func elemIsSpec(e ast.Expr) bool {
 	return false
 }
 
-// TestEveryMPIExportIsCalled requires each exported function and method of
-// package mpi to be referenced outside the file that declares it: from
+// TestEveryMPIExportIsCalled requires each exported function, method,
+// constant and variable of package mpi to be referenced outside the file
+// that declares it (types are reached through their constructors): from
 // another package, another file of mpi, or a test, anywhere in the tree
 // (benchmark/ included). References are matched by name alone — a selector
 // x.Name anywhere, or a bare Name inside package mpi — so a name shared with
@@ -220,19 +221,34 @@ func TestEveryMPIExportIsCalled(t *testing.T) {
 		}
 		inMPI := filepath.Dir(path) == "mpi"
 		names := map[*ast.Ident]bool{} // declarations, which are no reference
+		exported := inMPI && !strings.HasSuffix(path, "_test.go")
+		declare := func(id *ast.Ident, recv *ast.FieldList) {
+			names[id] = true
+			if !exported || !id.IsExported() {
+				return
+			}
+			what := "mpi." + id.Name
+			if recv != nil {
+				typ := recv.List[0].Type
+				if star, ok := typ.(*ast.StarExpr); ok {
+					typ = star.X
+				}
+				what = "mpi." + typ.(*ast.Ident).Name + "." + id.Name
+			}
+			declared[id.Name] = append(declared[id.Name], export{path, what})
+		}
 		for _, decl := range file.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok {
-				names[fn.Name] = true
-				if inMPI && fn.Name.IsExported() && !strings.HasSuffix(path, "_test.go") {
-					what := "mpi." + fn.Name.Name
-					if fn.Recv != nil {
-						typ := fn.Recv.List[0].Type
-						if star, ok := typ.(*ast.StarExpr); ok {
-							typ = star.X
-						}
-						what = "mpi." + typ.(*ast.Ident).Name + "." + fn.Name.Name
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				declare(decl.Name, decl.Recv)
+			case *ast.GenDecl:
+				if decl.Tok != token.CONST && decl.Tok != token.VAR {
+					continue
+				}
+				for _, spec := range decl.Specs {
+					for _, id := range spec.(*ast.ValueSpec).Names {
+						declare(id, nil)
 					}
-					declared[fn.Name.Name] = append(declared[fn.Name.Name], export{path, what})
 				}
 			}
 		}
@@ -261,7 +277,7 @@ func TestEveryMPIExportIsCalled(t *testing.T) {
 	for _, name := range slices.Sorted(maps.Keys(declared)) {
 		for _, d := range declared[name] {
 			if len(refs[name]) == 0 || len(refs[name]) == 1 && refs[name][d.file] {
-				t.Errorf("%s (%s) is called nowhere outside its own file", d.what, d.file)
+				t.Errorf("%s (%s) is referenced nowhere outside its own file", d.what, d.file)
 			}
 		}
 	}
