@@ -87,10 +87,14 @@ type Engine struct {
 
 	// awaiting is the request Wait is parked on (see Nudge); nudgeAll (tests
 	// only) makes every Nudge wake, and nudgesDropped counts those that did
-	// not. The two share closed's padding.
+	// not. The two share closed's padding, as does freePoll: nothing a poll
+	// does charges the rank (see SetTransport), so Wait parks through
+	// waitRelay with waiter, the parked proc, beside it.
 	nudgeAll      bool
+	freePoll      bool
 	nudgesDropped int32
 	awaiting      *Request
+	waiter        *sim.Proc
 
 	// Fault-tolerance state (see ft.go): peers declared dead with their
 	// death reasons, in detection order; how many of those deaths the
@@ -170,7 +174,14 @@ func (e *Engine) freeInMsg(m *InMsg) {
 }
 
 // SetTransport attaches the platform transport; must be called before use.
-func (e *Engine) SetTransport(tr Transport) { e.tr = tr }
+// It also reads the cost tables for whether a poll can charge the rank:
+// not when every engine cost is zero and the wire's only charge, its poll
+// cost, is zero too (mem).
+func (e *Engine) SetTransport(tr Transport) {
+	e.tr = tr
+	w, ok := tr.(interface{ PollCost() sim.Duration })
+	e.freePoll = ok && w.PollCost() == 0 && e.costs == EngineCosts{}
+}
 
 // SetFlow gives the engine its wire's eager/rendezvous crossover in payload
 // bytes and the queue that holds sends back while a destination's capacity
@@ -679,10 +690,45 @@ func (e *Engine) Wait(p *sim.Proc, r *Request) (Status, error) {
 			break
 		}
 		e.awaiting = r
+		if e.freePoll {
+			e.waitRelayed(p, r)
+			break
+		}
 		e.Park(p)
 		e.awaiting = nil
 	}
 	return e.consume(r)
+}
+
+// waitRelayed parks p until r completes or the rank dies, with the poll
+// that follows each wake run by the kernel in p's place (waitRelay): with
+// nothing charged, p is dispatched only at the wake that ends the wait.
+func (e *Engine) waitRelayed(p *sim.Proc, r *Request) {
+	e.waiter = p
+	// Also when Shutdown unwinds p: a world must not hold a rank's proc,
+	// and through it the rank's body, past its Wait.
+	defer func() { e.waiter = nil }()
+	e.cond.WaitThen(p, (*waitRelay)(e))
+	if !r.Done() {
+		r.complete(Status{}, e.fatal)
+	}
+}
+
+// waitRelay is what a rank parked in Wait does at each wake: Progress, the
+// check, and Park again, all charged nothing (freePoll).
+type waitRelay Engine
+
+func (w *waitRelay) Relay() (sim.Cat, sim.Duration, sim.Step) {
+	e := (*Engine)(w)
+	r := e.awaiting
+	e.awaiting = nil // as Wait's loop has it while it polls
+	e.Progress(e.waiter)
+	if r.Done() || e.fatal != nil {
+		return 0, 0, sim.Decline
+	}
+	e.awaiting = r
+	e.cond.Requeue(e.waiter)
+	return 0, 0, sim.Stay
 }
 
 // Test makes progress and reports whether r has completed; a Test that

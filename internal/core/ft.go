@@ -136,10 +136,16 @@ func (e *Engine) ftRecvCheck(src, ctx int) error {
 // ctx+1) at this rank and reliably broadcasts the revocation: every
 // pending operation on the contexts completes with ErrRevoked and all
 // future ones fail fast, on every survivor, within bounded simulated time.
-func (e *Engine) RevokeCtx(p *sim.Proc, ctx int) {
+// A dead rank (killed, or its wire fatal) revokes nothing and sends
+// nothing: it gets its death error, as from every other call.
+func (e *Engine) RevokeCtx(p *sim.Proc, ctx int) error {
+	if e.fatal != nil {
+		return e.fatal
+	}
 	if e.markRevoked(ctx) {
 		e.bcastRevoke(p, ctx)
 	}
+	return nil
 }
 
 // revokeMsg handles an incoming PktRevoke. Re-forwarding on first receipt

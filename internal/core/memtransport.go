@@ -148,6 +148,10 @@ func (t *MemTransport) SendPayload(p *sim.Proc, req *Request, pkt *Packet) {
 // PeerDown implements Transport: a store burst holds no per-peer state.
 func (t *MemTransport) PeerDown(rank int) {}
 
+// PollCost reports the one charge the fabric makes a rank: Poll's, per
+// packet (see Engine.SetTransport).
+func (t *MemTransport) PollCost() sim.Duration { return t.fab.PollCost }
+
 // Poll implements Transport.
 func (t *MemTransport) Poll(p *sim.Proc) *Packet {
 	if t.inbox.Len() == 0 {

@@ -343,7 +343,7 @@ type fpNode struct {
 
 	// How often the program met each shortcut's precondition, read from the
 	// kernel's own state, so a run that never exercised them cannot pass.
-	runAheadChances, sameInstantSeen, chainAppends, relays, spend2Parks, chainHops int
+	runAheadChances, sameInstantSeen, chainAppends, relays, spend2Parks, chainHops, waitStays int
 }
 
 func (n *fpNode) note(actor, what int) {
@@ -424,6 +424,34 @@ func (r *fpChain) Relay() (Cat, Duration, Step) {
 	return Cat(k), r.ds[k], More
 }
 
+// fpWait is a Cond wait's relay (WaitThen): at each wake it touches its
+// node as fpRelay does, then stays — queueing p on the Cond again and
+// arming the signal that will wake it, as every wait in the program does —
+// until it has stayed stays times, and then declines.
+type fpWait struct {
+	n         *fpNode
+	p         *Proc
+	c         *Cond
+	id, stays int
+	rng       *rand.Rand
+}
+
+func (r *fpWait) Relay() (Cat, Duration, Step) {
+	n, id, c := r.n, r.id, r.c
+	n.note(id, 150+r.stays)
+	n.fifo.UseAsync(Duration(r.rng.Intn(30)), func() { n.note(id, 109) })
+	if r.stays == 0 {
+		return 0, 0, Decline
+	}
+	if r.p.relay != nil { // run by the kernel, in p's place
+		n.waitStays++
+	}
+	r.stays--
+	c.Requeue(r.p)
+	n.s.After(Duration(r.rng.Intn(60)), func() { n.note(id, 100); c.Signal() })
+	return 0, 0, Stay
+}
+
 // fpResult is what the two kernels must agree on.
 type fpResult struct {
 	logs    [][]fpRec
@@ -433,8 +461,8 @@ type fpResult struct {
 	stats   ShardStats // zero on a standalone scheduler
 	limit   uint64     // LimitError.Events when the run hit maxEvents
 
-	runAheadChances, sameInstantSeen, chainAppends, relays, spend2Parks, chainHops int
-	cutChains                                                                      int // chains parked mid-way when the run stopped
+	runAheadChances, sameInstantSeen, chainAppends, relays, spend2Parks, chainHops, waitStays int
+	cutChains                                                                                 int // chains parked mid-way when the run stopped
 }
 
 // runFastPathProgram runs the seeded random program on the given kernel
@@ -495,7 +523,7 @@ func runFastPathProgram(t *testing.T, seed int64, lanes int, parallel, slow bool
 				p.Advance(d)
 			}
 			for step := 0; step < steps; step++ {
-				op := rng.Intn(19)
+				op := rng.Intn(20)
 				n.note(id, op)
 				c := n.conds[rng.Intn(len(n.conds))]
 				switch op {
@@ -573,6 +601,12 @@ func runFastPathProgram(t *testing.T, seed int64, lanes int, parallel, slow bool
 					} else {
 						n.note(id, 122)
 					}
+				case 19:
+					// A wait whose relay stays 0–3 times before it declines;
+					// the first wake's signal is armed here, as in case 5.
+					s.After(Duration(rng.Intn(60)), func() { n.note(id, 100); c.Signal() })
+					c.WaitThen(p, &fpWait{n: n, p: p, c: c, id: id, stays: rng.Intn(4), rng: rng})
+					n.note(id, 124)
 				}
 			}
 			n.note(id, 200)
@@ -645,6 +679,7 @@ func runFastPathProgram(t *testing.T, seed int64, lanes int, parallel, slow bool
 		res.relays += n.relays
 		res.spend2Parks += n.spend2Parks
 		res.chainHops += n.chainHops
+		res.waitStays += n.waitStays
 	}
 	scheds := []*Scheduler{root}
 	if sh != nil {
@@ -678,8 +713,8 @@ func sameRun(t *testing.T, seed int64, want, got fpResult) {
 			t.Fatalf("seed %d node %d: ledger %+v, plain kernel %+v", seed, i, got.ledgers[i], want.ledgers[i])
 		}
 	}
-	if want.relays != 0 {
-		t.Fatalf("seed %d: the plain kernel ran %d relays in a parked proc's place", seed, want.relays)
+	if want.relays != 0 || want.waitStays != 0 {
+		t.Fatalf("seed %d: the plain kernel ran %d relays and %d Cond-wait stays in a parked proc's place", seed, want.relays, want.waitStays)
 	}
 	if got.events != want.events || got.end != want.end || got.limit != want.limit {
 		t.Fatalf("seed %d: %d events ending at %v (limit error after %d), plain kernel %d at %v (%d)",
@@ -706,7 +741,7 @@ func TestFastPathsMatchPlainKernel(t *testing.T) {
 		parallel bool
 	}{{0, false}, {1, false}, {4, false}, {4, true}, {16, false}, {16, true}} {
 		t.Run(fmt.Sprintf("lanes%d-parallel%v", k.lanes, k.parallel), func(t *testing.T) {
-			chances, same, chained, relays, spend2Parks, hops, cut := 0, 0, 0, 0, 0, 0, 0
+			chances, same, chained, relays, spend2Parks, hops, stays, cut := 0, 0, 0, 0, 0, 0, 0, 0
 			for _, seed := range []int64{1, 2, 3, 5, 8, 13} {
 				want := runFastPathProgram(t, seed, k.lanes, k.parallel, true, 0)
 				got := runFastPathProgram(t, seed, k.lanes, k.parallel, false, 0)
@@ -717,6 +752,7 @@ func TestFastPathsMatchPlainKernel(t *testing.T) {
 				relays += got.relays
 				spend2Parks += got.spend2Parks
 				hops += got.chainHops
+				stays += got.waitStays
 				if got.chainAppends == 0 {
 					t.Fatalf("seed %d: no push chained behind a heap entry", seed)
 				}
@@ -729,10 +765,10 @@ func TestFastPathsMatchPlainKernel(t *testing.T) {
 				sameRun(t, seed, want, got)
 				cut += got.cutChains
 			}
-			if chances == 0 || same == 0 || relays == 0 || spend2Parks == 0 || hops == 0 || cut == 0 {
-				t.Fatalf("programs never exercised the shortcuts: %d run-ahead chances, %d same-instant sightings, %d relays, %d parked Spend2s, %d chain steps run in a parked proc's place, %d chains cut by the limit", chances, same, relays, spend2Parks, hops, cut)
+			if chances == 0 || same == 0 || relays == 0 || spend2Parks == 0 || hops == 0 || stays == 0 || cut == 0 {
+				t.Fatalf("programs never exercised the shortcuts: %d run-ahead chances, %d same-instant sightings, %d relays, %d parked Spend2s, %d chain steps and %d Cond-wait stays run in a parked proc's place, %d chains cut by the limit", chances, same, relays, spend2Parks, hops, stays, cut)
 			}
-			t.Logf("%d run-ahead chances, %d same-instant sightings, %d chained pushes, %d relays, %d parked Spend2s, %d chain steps run in a parked proc's place, %d chains cut by the limit", chances, same, chained, relays, spend2Parks, hops, cut)
+			t.Logf("%d run-ahead chances, %d same-instant sightings, %d chained pushes, %d relays, %d parked Spend2s, %d chain steps and %d Cond-wait stays run in a parked proc's place, %d chains cut by the limit", chances, same, chained, relays, spend2Parks, hops, stays, cut)
 		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -195,5 +196,54 @@ func TestShutdownNeverDispatchedProcRunsNoUserCode(t *testing.T) {
 				t.Fatalf("goroutines leaked: %d before, %d after", before, g)
 			}
 		})
+	}
+}
+
+// chargingRelay breaks the Relay contract: it charges its proc.
+type chargingRelay struct{ p *Proc }
+
+func (r chargingRelay) Relay() (Cat, Duration, Step) {
+	r.p.Advance(5)
+	return 0, 0, Decline
+}
+
+// A relay that charges its proc fails by name, on the plain kernel and
+// with the shortcuts on, whether its charge would run ahead (silently
+// moving the clock inside the relay) or park (yielding from the scheduler
+// itself, which iter.Pull reports as "yield called again before next").
+func TestRelayThatChargesPanicsByName(t *testing.T) {
+	for _, shape := range []struct {
+		name string
+		body func(s *Scheduler, p *Proc)
+	}{
+		{"runs-ahead", func(s *Scheduler, p *Proc) { p.SpendThen(Match, 10, chargingRelay{p}) }},
+		{"parks", func(s *Scheduler, p *Proc) {
+			s.After(3, func() {})
+			s.After(12, func() {})
+			p.SpendThen(Match, 10, chargingRelay{p})
+		}},
+		{"cond-wake", func(s *Scheduler, p *Proc) {
+			c := NewCond(s)
+			s.After(3, c.Signal)
+			c.WaitThen(p, chargingRelay{p})
+		}},
+	} {
+		for _, slow := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/plain%v", shape.name, slow), func(t *testing.T) {
+				s := NewScheduler(1)
+				s.noFastPath = slow
+				s.Spawn("victim", func(p *Proc) { shape.body(s, p) })
+				got := func() (v any) {
+					defer func() { v = recover() }()
+					s.Run()
+					return nil
+				}()
+				s.Shutdown()
+				const want = `sim: proc "victim" charged 5ns inside a relay`
+				if msg, _ := got.(string); !strings.HasPrefix(msg, want) {
+					t.Fatalf("Run panicked with %v, want %q", got, want)
+				}
+			})
+		}
 	}
 }

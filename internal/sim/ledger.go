@@ -1,5 +1,7 @@
 package sim
 
+import "fmt"
+
 // Cat indexes a Ledger's arrays: Table 1's nine components (core.Acct names
 // them), the socket transport's Read spans (they overlap those, so are only
 // booked beside the clock) and Parked, time a proc spent blocked.
@@ -51,13 +53,34 @@ const (
 	Decline Step = iota // no charge: the proc carries on at this wake
 	Last                // the charge, then the proc resumes at its wake
 	More                // the charge, then the relay again at its wake
+	Stay                // no charge, and the proc is back on its Cond (WaitThen)
 )
 
-// Relay is the code between two charges of a proc (see SpendThen). It must
-// not park. It reports the charge that follows it and the step after that
-// charge; a relay that reports More is a chain, called again at the
-// charge's wake.
+// Relay is the code between two charges of a proc (see SpendThen), or what
+// a proc does at each wake of a Cond wait (see WaitThen). It must not
+// charge or park: Advance, Spend or SpendThen inside it panics, naming the
+// proc and the charge. It reports the charge that follows it and the step
+// after that charge; a relay that reports More is a chain, called again at
+// the charge's wake.
 type Relay interface{ Relay() (Cat, Duration, Step) }
+
+// callRelay calls r with p marked as inside a relay, so that a charge there
+// panics (see checkCharge) on every kernel alike.
+func (p *Proc) callRelay(r Relay) (Cat, Duration, Step) {
+	p.inRelay = true
+	c, d, step := r.Relay()
+	p.inRelay = false
+	return c, d, step
+}
+
+// checkCharge starts every charge of p (Advance, SpendThen): one made
+// inside a relay of p's panics. Run by the kernel, it would silently move
+// the clock inside the relay, or park the scheduler itself.
+func (p *Proc) checkCharge(d Duration) {
+	if p.inRelay {
+		panic(fmt.Sprintf("sim: proc %q charged %v inside a relay; a relay must not charge or park", p.name, d))
+	}
+}
 
 // SpendThen is Spend(c, d), then r, then Spend of the charge r reports,
 // calling r again at the wake of every charge it reports with More; it
@@ -67,10 +90,11 @@ type Relay interface{ Relay() (Cat, Duration, Step) }
 // instead of once after each charge.
 func (p *Proc) SpendThen(c Cat, d Duration, r Relay) bool {
 	s := p.s
+	p.checkCharge(d)
 	if s.noFastPath { // the oracle: plain Spends, p running r itself
 		p.Spend(c, d)
 		for {
-			c, d, step := r.Relay()
+			c, d, step := p.callRelay(r)
 			if step == Decline {
 				return false
 			}
@@ -93,23 +117,27 @@ func (p *Proc) SpendThen(c Cat, d Duration, r Relay) bool {
 	return p.relayed
 }
 
-// runRelay does what p would do at a SpendThen charge's wake: book that
-// charge, run the relay, and book the charge it reports as Advance would.
-// While the relay reports More and its charge runs ahead, it goes round
-// again at the new instant. It reports whether p stays parked.
+// runRelay does what p would do at a SpendThen charge's wake, or at a
+// WaitThen wake (a charge of 0): book that charge, run the relay, and book
+// the charge it reports as Advance would. While the relay reports More and
+// its charge runs ahead, it goes round again at the new instant. It reports
+// whether p stays parked: also after Stay, with the relay kept for p's next
+// wake.
 func (s *Scheduler) runRelay(p *Proc) bool {
 	for {
 		if p.Ledger != nil {
 			p.Ledger.Spent[p.c1] += p.d1
 		}
-		c, d, step := p.relay.Relay()
-		if step == Decline {
+		c, d, step := p.callRelay(p.relay)
+		switch step {
+		case Decline:
 			p.relay, p.relayed = nil, false // only now: this package's tests look
 			return false
-		}
-		if step == Last {
+		case Stay:
+			return true // the relay queued p on its Cond again
+		case Last:
 			p.relay, p.relayed, p.c2, p.d2 = nil, true, c, d
-		} else {
+		default:
 			p.c1, p.d1 = c, d
 		}
 		if t := s.now + Time(max(d, 0)); !s.runAhead(t) {

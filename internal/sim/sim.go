@@ -331,9 +331,10 @@ func (s *Scheduler) atProc(t Time, p *Proc) { s.schedule(t, nil, p) }
 // alike.
 type Proc struct {
 	s       *Scheduler
-	relay   Relay // parked in SpendThen: the kernel runs it at the wake
+	relay   Relay // parked in SpendThen or WaitThen: the kernel runs it at the wake
 	name    string
 	done    bool
+	inRelay bool     // a relay of p's is running (see callRelay)
 	relayed bool     // SpendThen's charges: the kernel books c1 at its
 	c1, c2  Cat      // wake (each in turn, in a chain), p books c2 when it
 	d1, d2  Duration // resumes, if the relay's last step reported it
@@ -414,6 +415,7 @@ func (p *Proc) park() {
 // wakeup would be the very next event the driver runs, the proc keeps the
 // execution token and runs ahead instead (see runAhead).
 func (p *Proc) Advance(d Duration) {
+	p.checkCharge(d)
 	if d < 0 {
 		d = 0
 	}
@@ -485,10 +487,36 @@ func NewCond(s *Scheduler) *Cond { return &Cond{s: s} }
 
 // Wait parks p until a Signal or Broadcast wakes it.
 func (c *Cond) Wait(p *Proc) {
-	c.waiters = append(c.waiters, p)
+	c.Requeue(p)
+	p.wait()
+}
+
+// wait parks p, already queued on a Cond, and books the time it parked.
+func (p *Proc) wait() {
 	t0 := p.s.now
 	p.park()
 	p.parked += Duration(p.s.now - t0)
+}
+
+// Requeue queues p on c without parking it: a WaitThen relay that leaves p
+// waiting calls it, then reports Stay.
+func (c *Cond) Requeue(p *Proc) { c.waiters = append(c.waiters, p) }
+
+// WaitThen is Wait with r run at each wake, as p would run it first thing
+// on waking; r reports Stay, having put p back on c with Requeue, or
+// Decline, and WaitThen returns at the first wake where r declines. The
+// kernel runs r at the wake in p's place (DESIGN §4, relay), so p is
+// dispatched only at that last wake.
+func (c *Cond) WaitThen(p *Proc, r Relay) {
+	if p.s.noFastPath { // the oracle: a plain Wait, p running r itself
+		c.Wait(p)
+		for _, _, step := p.callRelay(r); step == Stay; _, _, step = p.callRelay(r) {
+			p.wait()
+		}
+		return
+	}
+	p.relay, p.c1, p.d1 = r, 0, 0
+	c.Wait(p)
 }
 
 // Signal wakes the longest-waiting proc, if any. It runs in O(1): the wait

@@ -41,7 +41,7 @@ type ftEndpoint interface {
 	DeadRanks() []int
 	FailureAck()
 	FailureAcked() []int
-	RevokeCtx(p *sim.Proc, ctx int)
+	RevokeCtx(p *sim.Proc, ctx int) error
 }
 
 // IsPeerDown reports whether err carries the typed peer-death code: the
@@ -143,14 +143,15 @@ func (c *Comm) ft() (ftEndpoint, error) {
 // so the revocation completes even if the revoker dies mid-broadcast).
 // Not collective — any member may revoke after spotting a failure; peers
 // hung inside a collective on this communicator are woken with the error
-// instead of waiting forever on a dead partner's contribution.
+// instead of waiting forever on a dead partner's contribution. A killed
+// rank revokes nothing: it gets its own death error, as from every other
+// call, and no notice leaves it.
 func (c *Comm) Revoke() error {
 	ft, err := c.ft()
 	if err != nil {
 		return err
 	}
-	ft.RevokeCtx(c.p, c.ctx)
-	return nil
+	return ft.RevokeCtx(c.p, c.ctx)
 }
 
 // Dead reports whether this rank's own process has been killed by the

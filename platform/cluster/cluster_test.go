@@ -592,14 +592,17 @@ func TestSendrecvAllocsPerLegTCP(t *testing.T) {
 	}
 }
 
-// dispatchesPerMessage runs a 2-rank exchange of 1 KiB eager messages
-// (Sendrecv, so each rank's events interleave with the other's) on kind
-// and reports the proc dispatches each message costs: two runs'
-// difference, so the world's start and end cancel.
+// dispatchesPerMessage runs a 2-rank exchange of 1 KiB messages (Sendrecv,
+// so each rank's events interleave with the other's) on kind — eager on
+// the sockets, rendezvous on mem, whose crossover is 180 B — and reports
+// the proc dispatches each message costs: two runs' difference, so the
+// world's start and end cancel.
 func dispatchesPerMessage(t *testing.T, kind string) float64 {
 	t.Helper()
 	run := func(iters int) uint64 {
-		w, _, err := build(registry.Spec{Ranks: 2, Seed: 1}, kind)
+		s := registry.SpecFor(kind)
+		s.Ranks, s.Seed = 2, 1
+		w, err := registry.Build(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -626,14 +629,18 @@ func dispatchesPerMessage(t *testing.T, kind string) float64 {
 // datagram's read and its ack's write, at each charge's wake in the rank's
 // place, so the rank is dispatched once per parse. Per eager message,
 // sender and receiver together, that is 8 dispatches on tcp (10 with one
-// dispatch per read) and 7 on udp (8 with one per ack write).
+// dispatch per read) and 7 on udp (8 with one per ack write). On mem, where
+// a poll charges nothing, the kernel polls for a rank parked in Wait at
+// each wake (DESIGN §4, relay at a Cond wake), so the wake that only turns
+// an RTS into a CTS dispatches no one: 2 per rendezvous message (3 with a
+// dispatch per wake).
 func TestDispatchesPerMessage(t *testing.T) {
 	for _, c := range []struct {
 		kind string
 		want float64
-	}{{"tcp", 8}, {"udp", 7}} {
+	}{{"cluster/tcp", 8}, {"cluster/udp", 7}, {"mem", 2}} {
 		if got := dispatchesPerMessage(t, c.kind); got != c.want {
-			t.Errorf("%s: %.2f dispatches per eager message, pinned at %v", c.kind, got, c.want)
+			t.Errorf("%s: %.2f dispatches per message, pinned at %v", c.kind, got, c.want)
 		}
 	}
 }

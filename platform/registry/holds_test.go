@@ -1,0 +1,69 @@
+package registry_test
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/mpi"
+	"repro/platform/registry"
+)
+
+// canary is what a rank's body holds: collected once nothing reaches the
+// body. 64 B, so the tiny allocator never batches it with anything else.
+type canary struct{ b [64]byte }
+
+// launchWithCanary runs a 2-rank exchange on w — eager and rendezvous
+// Sendrecvs, then an allreduce — with a body whose closure alone holds a
+// canary, and returns a channel its finalizer closes.
+func launchWithCanary(t *testing.T, w *mpi.World) <-chan struct{} {
+	collected := make(chan struct{})
+	can := &canary{}
+	runtime.SetFinalizer(can, func(*canary) { close(collected) })
+	_, err := mpi.Launch(w, func(c *mpi.Comm) error {
+		peer := 1 - c.Rank()
+		for _, n := range []int{64, 4 << 10, 64, 4 << 10} {
+			out, in := make([]byte, n), make([]byte, n)
+			out[0] = can.b[0]
+			if _, err := c.Sendrecv(peer, 0, out, peer, 0, in); err != nil {
+				return err
+			}
+		}
+		sum := []float64{0}
+		return c.AllreduceFloat64(mpi.SumFloat64, []float64{1}, sum)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return collected
+}
+
+// A world still reachable after Launch holds no finished rank's coroutine.
+// A coroutine keeps its body's closure, and through it everything the body
+// captured (a workload's whole trace log), so an engine, a wire or a relay
+// record that keeps a *sim.Proc past the call that needed it keeps them
+// all alive for as long as the world is.
+func TestWorldHoldsNoFinishedBody(t *testing.T) {
+	for _, name := range []string{"mem", "meiko/lowlatency", "meiko/mpich", "cluster/shm", "cluster/tcp", "cluster/udp", "cluster/unet"} {
+		s := registry.SpecFor(name)
+		s.Ranks = 2
+		w, err := registry.Build(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		collected := launchWithCanary(t, w)
+		gone := false
+		for i := 0; i < 20 && !gone; i++ {
+			runtime.GC()
+			select {
+			case <-collected:
+				gone = true
+			case <-time.After(5 * time.Millisecond):
+			}
+		}
+		if !gone {
+			t.Errorf("%s: the world still holds a finished rank's body", name)
+		}
+		runtime.KeepAlive(w)
+	}
+}
