@@ -82,7 +82,7 @@ const viewLines = 400
 
 // view writes what world n, built from spec, did.
 func view(w io.Writer, n int, spec registry.Spec, rep *mpi.Report, log *trace.Log) {
-	fmt.Fprintf(w, "\nworld %d: %s, %d ranks: %d events, drained at %.3f us\n", n, spec.Key(), len(rep.RankElapsed), rep.Events, us(rep.Elapsed))
+	fmt.Fprintf(w, "\nworld %d: %s, %d ranks: %d events, %d dispatches, drained at %.3f us\n", n, spec.Key(), len(rep.RankElapsed), rep.Events, rep.Dispatches, us(rep.Elapsed))
 	ledger(w, "spent us", rep, func(a *core.Acct) [sim.NumCats]sim.Duration { return a.Spent }, rep.RankElapsed)
 	ledger(w, "booked us", rep, func(a *core.Acct) [sim.NumCats]sim.Duration { return a.Booked }, nil)
 	var b strings.Builder

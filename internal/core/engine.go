@@ -62,9 +62,10 @@ type Engine struct {
 
 	// Receive-path recycling: pool feeds self-send bounce buffers (and is
 	// available to the transport), inFree recycles unexpected-queue nodes,
-	// and scratch carries a matched-on-arrival message through
-	// deliverMatched without heap-allocating it. scratch reuse is safe
-	// because only the rank's own proc runs the arrival path and no
+	// and scratch holds the arrival in hand without heap-allocating it.
+	// scratch, stage, matched and held belong to one receive chain at a
+	// time (receive.go): the proc, or the kernel running the chain's relay
+	// in the proc's place, writes them, and carryOn ends the chain. No
 	// transport retains the *InMsg past Accept.
 	pool    *BufPool
 	inFree  []*InMsg
@@ -87,14 +88,21 @@ type Engine struct {
 
 	// awaiting is the request Wait is parked on (see Nudge); nudgeAll (tests
 	// only) makes every Nudge wake, and nudgesDropped counts those that did
-	// not. The two share closed's padding, as does freePoll: nothing a poll
-	// does charges the rank (see SetTransport), so Wait parks through
-	// waitRelay with waiter, the parked proc, beside it.
+	// not. The two share closed's padding, as do poll (how Wait parks: see
+	// SetTransport) and stage, where the receive chain stands (receive.go).
+	// Unless poll is parkPoll, Wait parks through a relay (waitRelay,
+	// waitChain) with waiter, the parked proc, beside it, and waited, its
+	// request, for waitChain. held and matched are what the chain leaves
+	// the proc to carry on with.
 	nudgeAll      bool
-	freePoll      bool
+	poll          pollKind
+	stage         stage
 	nudgesDropped int32
 	awaiting      *Request
 	waiter        *sim.Proc
+	waited        *Request
+	held          *Packet
+	matched       *Request
 
 	// Fault-tolerance state (see ft.go): peers declared dead with their
 	// death reasons, in detection order; how many of those deaths the
@@ -173,14 +181,29 @@ func (e *Engine) freeInMsg(m *InMsg) {
 	e.inFree = append(e.inFree, m)
 }
 
+// pollKind is what the kernel can run of a poll for a rank parked in Wait.
+type pollKind uint8
+
+const (
+	parkPoll  pollKind = iota // nothing: the rank wakes and polls itself
+	freePoll                  // all of Progress: no poll charges the rank
+	stepsPoll                 // the receive chain: the wire's Poll has steps
+)
+
 // SetTransport attaches the platform transport; must be called before use.
 // It also reads the cost tables for whether a poll can charge the rank:
 // not when every engine cost is zero and the wire's only charge, its poll
-// cost, is zero too (mem).
+// cost, is zero too (mem); and whether the wire's Poll has steps that the
+// receive chain runs (pollStepper: the Meiko's).
 func (e *Engine) SetTransport(tr Transport) {
 	e.tr = tr
-	w, ok := tr.(interface{ PollCost() sim.Duration })
-	e.freePoll = ok && w.PollCost() == 0 && e.costs == EngineCosts{}
+	e.poll = parkPoll
+	if _, ok := tr.(pollStepper); ok {
+		e.poll = stepsPoll
+	}
+	if w, ok := tr.(interface{ PollCost() sim.Duration }); ok && w.PollCost() == 0 && e.costs == (EngineCosts{}) {
+		e.poll = freePoll
+	}
 }
 
 // SetFlow gives the engine its wire's eager/rendezvous crossover in payload
@@ -365,7 +388,7 @@ func (e *Engine) selfSend(p *sim.Proc, req *Request, mode Mode, data []byte) (*R
 	if mode == ModeSync {
 		req.ackWanted = true
 	}
-	e.arrive(p, InMsg{Env: req.Env, Data: stable, Pool: e.pool}, "self")
+	e.arrive(p, InMsg{Env: req.Env, Data: stable, Pool: e.pool})
 	req.sendMaybeComplete()
 	e.retire(req)
 	return req, nil
@@ -410,52 +433,6 @@ func (e *Engine) Irecv(p *sim.Proc, src, tag, ctx int, buf []byte) (*Request, er
 		e.acct.Raise(ctrPostedMax, int64(e.match.PostedLen()))
 	}
 	return req, nil
-}
-
-// deliverMatched finishes the match of an in-queue message with receive req:
-// eager payloads are copied out of bounce space (and the space released);
-// rendezvous messages are accepted so the transport can move the payload.
-func (e *Engine) deliverMatched(p *sim.Proc, msg *InMsg, req *Request) {
-	req.matched = true
-	req.matchedSrc = msg.Env.Source
-	e.trc(trace.Match, msg.Env.Source, msg.Env.Tag, msg.Env.Count, "")
-	if msg.Rndv {
-		if err := e.deadErr(msg.Env.Source); err != nil {
-			// The announcer died with its payload: a CTS would go into the
-			// fence and the receive would wait forever.
-			req.complete(Status{}, err)
-			e.retire(req)
-			return
-		}
-		e.tr.Accept(p, msg, req)
-		return
-	}
-	n := len(msg.Data)
-	copied := copy(req.Buf, msg.Data)
-	e.acct.Spend(p, sim.Copy, e.costs.CopyBase+sim.Duration(copied)*e.costs.CopyPerByte)
-	if msg.Env.Source == e.rank {
-		// Self-message: no transport resources to release; a synchronous
-		// self-send acknowledges directly.
-		if msg.Env.Mode == ModeSync {
-			if sreq := e.resolve(msg.Env.SendID); sreq != nil {
-				sreq.acked = true
-				sreq.sendMaybeComplete()
-				e.retire(sreq)
-			}
-		}
-	} else {
-		e.release(p, msg.Env.Source, n)
-		if msg.Env.Mode == ModeSync {
-			e.control(p, msg.Env.Source, PktSyncAck, msg.Env)
-		}
-	}
-	if msg.Pool != nil {
-		// The bounce buffer has been copied out; recycle it. No virtual
-		// time is charged — pooling is a host-side optimization.
-		msg.Pool.Put(msg.Data)
-		msg.Data, msg.Pool = nil, nil
-	}
-	e.recvDone(req, msg.Env, n, "")
 }
 
 // recvDone completes receive req with a message of n bytes, of which
@@ -508,10 +485,8 @@ func (e *Engine) Progress(p *sim.Proc) {
 
 func (e *Engine) handle(p *sim.Proc, pkt *Packet) {
 	switch pkt.Kind {
-	case PktEager:
-		e.arrive(p, InMsg{Env: pkt.Env, Data: pkt.Data, Pool: pkt.Pool}, "eager")
-	case PktRTS:
-		e.arrive(p, InMsg{Env: pkt.Env, Rndv: true}, "rts")
+	case PktEager, PktRTS:
+		e.arrive(p, inMsg(pkt))
 	case PktCTS:
 		req := e.resolve(pkt.ReqID)
 		if req == nil {
@@ -541,41 +516,6 @@ func (e *Engine) handle(p *sim.Proc, pkt *Packet) {
 	default:
 		e.Errors = append(e.Errors, Errorf(ErrInternal, "unexpected packet kind %v", pkt.Kind))
 	}
-}
-
-// arrive matches a message arriving at this rank — an eager payload, a
-// rendezvous announcement or a self-send — against the posted receives:
-// matched, it is delivered through the reusable scratch node so the hot path
-// performs no allocation; otherwise it queues as unexpected.
-func (e *Engine) arrive(p *sim.Proc, msg InMsg, note string) {
-	env := msg.Env
-	e.acct.Spend(p, sim.Match, e.costs.Match)
-	e.trc(trace.Arrive, env.Source, env.Tag, env.Count, note)
-	if e.revoked[env.Context] {
-		// Stale traffic on a revoked communicator: drop it. An eager payload
-		// returns its bounce space (the sender may be alive and reuse the
-		// pair's credits on another communicator); a rendezvous sender's
-		// request was already failed by its own revoke.
-		if !msg.Rndv && env.Source != e.rank {
-			e.release(p, env.Source, len(msg.Data))
-		}
-		if msg.Pool != nil {
-			msg.Pool.Put(msg.Data)
-		}
-		return
-	}
-	if req := e.match.Arrive(env); req != nil {
-		e.scratch = msg
-		e.deliverMatched(p, &e.scratch, req)
-		return
-	}
-	if env.Mode == ModeReady {
-		e.Errors = append(e.Errors, Errorf(ErrReady, "ready-mode send from rank %d (tag %d) arrived before a matching receive was posted", env.Source, env.Tag))
-	}
-	m := e.newInMsg()
-	*m = msg
-	e.match.AddUnexpected(m)
-	e.acct.Raise(ctrUnexpectedMax, int64(e.match.UnexpectedLen()))
 }
 
 // ------------------------------------------------- transport upcalls --
@@ -675,27 +615,35 @@ func (e *Engine) FatalErr() error { return e.fatal }
 // -------------------------------------------------------- completion ops --
 
 // Wait blocks until r completes, making progress while waiting, and
-// consumes r.
+// consumes r. On a charge-free or stepped wire the kernel runs what the
+// rank does at each wake (waitRelay, waitChain).
 func (e *Engine) Wait(p *sim.Proc, r *Request) (Status, error) {
 	if err := e.stale(r); err != nil {
 		return Status{}, err
 	}
-	for !r.Done() {
+	if !r.Done() {
 		e.Progress(p)
-		if r.Done() {
-			break
-		}
+	}
+	for !r.Done() {
 		if e.fatal != nil {
 			r.complete(Status{}, e.fatal)
 			break
 		}
 		e.awaiting = r
-		if e.freePoll {
+		switch e.poll {
+		case freePoll:
 			e.waitRelayed(p, r)
-			break
+		case stepsPoll:
+			if e.waitChained(p, r) {
+				e.Progress(p)
+			}
+		default:
+			e.Park(p)
+			e.awaiting = nil
+			if !r.Done() {
+				e.Progress(p)
+			}
 		}
-		e.Park(p)
-		e.awaiting = nil
 	}
 	return e.consume(r)
 }

@@ -91,6 +91,10 @@ func (in *Inbox) Poll() *Packet {
 	return &in.polled
 }
 
+// Polled reports the packet Poll last surfaced, the caller's until the
+// next Poll.
+func (in *Inbox) Polled() *Packet { return &in.polled }
+
 // Len reports how many packets wait.
 func (in *Inbox) Len() int { return in.q.Len() }
 

@@ -344,6 +344,7 @@ type fpNode struct {
 	// How often the program met each shortcut's precondition, read from the
 	// kernel's own state, so a run that never exercised them cannot pass.
 	runAheadChances, sameInstantSeen, chainAppends, relays, spend2Parks, chainHops, waitStays int
+	waitCharges, chargedStays                                                                 int
 }
 
 func (n *fpNode) note(actor, what int) {
@@ -425,28 +426,53 @@ func (r *fpChain) Relay() (Cat, Duration, Step) {
 }
 
 // fpWait is a Cond wait's relay (WaitThen): at each wake it touches its
-// node as fpRelay does, then stays — queueing p on the Cond again and
-// arming the signal that will wake it, as every wait in the program does —
-// until it has stayed stays times, and then declines.
+// node as fpRelay does and reports 0–2 charges (More), then stays —
+// queueing p on the Cond again and arming the signal that will wake it, as
+// every wait in the program does — until it has stayed stays times; at the
+// last wake it declines, or reports its last charge with Last.
 type fpWait struct {
-	n         *fpNode
-	p         *Proc
-	c         *Cond
-	id, stays int
-	rng       *rand.Rand
+	n               *fpNode
+	p               *Proc
+	c               *Cond
+	id, stays       int
+	charges         int  // charges left before this wake's Stay or end
+	last            bool // the wait ends on a charge (Last), not Decline
+	rng             *rand.Rand
+	chargesInPlace  *int // charged steps the kernel ran in p's place
+	chargedThenStay *int // Stays after a charged step, run in p's place
+	charged         bool // this wake reported a charge
+	lastRan         bool // the relay reported its Last charge
 }
 
 func (r *fpWait) Relay() (Cat, Duration, Step) {
 	n, id, c := r.n, r.id, r.c
 	n.note(id, 150+r.stays)
 	n.fifo.UseAsync(Duration(r.rng.Intn(30)), func() { n.note(id, 109) })
+	inPlace := r.p.relay != nil // run by the kernel, in p's place
+	if r.charges > 0 {
+		r.charges--
+		r.charged = true
+		if inPlace {
+			*r.chargesInPlace++
+		}
+		d := Duration(r.rng.Intn(40))
+		if r.charges == 0 && r.stays == 0 && r.last {
+			r.lastRan = true
+			return Cat(id % 4), d, Last
+		}
+		return Cat(id%4 + 4), d, More
+	}
 	if r.stays == 0 {
 		return 0, 0, Decline
 	}
-	if r.p.relay != nil { // run by the kernel, in p's place
+	if inPlace {
 		n.waitStays++
+		if r.charged {
+			*r.chargedThenStay++
+		}
 	}
 	r.stays--
+	r.charges, r.charged = r.rng.Intn(3), false
 	c.Requeue(r.p)
 	n.s.After(Duration(r.rng.Intn(60)), func() { n.note(id, 100); c.Signal() })
 	return 0, 0, Stay
@@ -462,6 +488,7 @@ type fpResult struct {
 	limit   uint64     // LimitError.Events when the run hit maxEvents
 
 	runAheadChances, sameInstantSeen, chainAppends, relays, spend2Parks, chainHops, waitStays int
+	waitCharges, chargedStays                                                                 int
 	cutChains                                                                                 int // chains parked mid-way when the run stopped
 }
 
@@ -602,11 +629,22 @@ func runFastPathProgram(t *testing.T, seed int64, lanes int, parallel, slow bool
 						n.note(id, 122)
 					}
 				case 19:
-					// A wait whose relay stays 0–3 times before it declines;
-					// the first wake's signal is armed here, as in case 5.
+					// A wait whose relay charges 0–2 times at each wake and
+					// stays 0–3 times before it declines or ends on a
+					// charge; the first wake's signal is armed here, as in
+					// case 5.
 					s.After(Duration(rng.Intn(60)), func() { n.note(id, 100); c.Signal() })
-					c.WaitThen(p, &fpWait{n: n, p: p, c: c, id: id, stays: rng.Intn(4), rng: rng})
-					n.note(id, 124)
+					r := &fpWait{n: n, p: p, c: c, id: id, stays: rng.Intn(4), charges: rng.Intn(3), last: rng.Intn(2) == 0, rng: rng,
+						chargesInPlace: &n.waitCharges, chargedThenStay: &n.chargedStays}
+					if r.last && r.stays == 0 && r.charges == 0 {
+						r.charges = 1
+					}
+					c.WaitThen(p, r)
+					if r.lastRan {
+						n.note(id, 125)
+					} else {
+						n.note(id, 124)
+					}
 				}
 			}
 			n.note(id, 200)
@@ -680,6 +718,8 @@ func runFastPathProgram(t *testing.T, seed int64, lanes int, parallel, slow bool
 		res.spend2Parks += n.spend2Parks
 		res.chainHops += n.chainHops
 		res.waitStays += n.waitStays
+		res.waitCharges += n.waitCharges
+		res.chargedStays += n.chargedStays
 	}
 	scheds := []*Scheduler{root}
 	if sh != nil {
@@ -713,8 +753,8 @@ func sameRun(t *testing.T, seed int64, want, got fpResult) {
 			t.Fatalf("seed %d node %d: ledger %+v, plain kernel %+v", seed, i, got.ledgers[i], want.ledgers[i])
 		}
 	}
-	if want.relays != 0 || want.waitStays != 0 {
-		t.Fatalf("seed %d: the plain kernel ran %d relays and %d Cond-wait stays in a parked proc's place", seed, want.relays, want.waitStays)
+	if want.relays != 0 || want.waitStays != 0 || want.waitCharges != 0 {
+		t.Fatalf("seed %d: the plain kernel ran %d relays, %d Cond-wait stays and %d Cond-wait charges in a parked proc's place", seed, want.relays, want.waitStays, want.waitCharges)
 	}
 	if got.events != want.events || got.end != want.end || got.limit != want.limit {
 		t.Fatalf("seed %d: %d events ending at %v (limit error after %d), plain kernel %d at %v (%d)",
@@ -742,6 +782,7 @@ func TestFastPathsMatchPlainKernel(t *testing.T) {
 	}{{0, false}, {1, false}, {4, false}, {4, true}, {16, false}, {16, true}} {
 		t.Run(fmt.Sprintf("lanes%d-parallel%v", k.lanes, k.parallel), func(t *testing.T) {
 			chances, same, chained, relays, spend2Parks, hops, stays, cut := 0, 0, 0, 0, 0, 0, 0, 0
+			waitCharges, chargedStays := 0, 0
 			for _, seed := range []int64{1, 2, 3, 5, 8, 13} {
 				want := runFastPathProgram(t, seed, k.lanes, k.parallel, true, 0)
 				got := runFastPathProgram(t, seed, k.lanes, k.parallel, false, 0)
@@ -753,6 +794,8 @@ func TestFastPathsMatchPlainKernel(t *testing.T) {
 				spend2Parks += got.spend2Parks
 				hops += got.chainHops
 				stays += got.waitStays
+				waitCharges += got.waitCharges
+				chargedStays += got.chargedStays
 				if got.chainAppends == 0 {
 					t.Fatalf("seed %d: no push chained behind a heap entry", seed)
 				}
@@ -765,10 +808,10 @@ func TestFastPathsMatchPlainKernel(t *testing.T) {
 				sameRun(t, seed, want, got)
 				cut += got.cutChains
 			}
-			if chances == 0 || same == 0 || relays == 0 || spend2Parks == 0 || hops == 0 || stays == 0 || cut == 0 {
-				t.Fatalf("programs never exercised the shortcuts: %d run-ahead chances, %d same-instant sightings, %d relays, %d parked Spend2s, %d chain steps and %d Cond-wait stays run in a parked proc's place, %d chains cut by the limit", chances, same, relays, spend2Parks, hops, stays, cut)
+			if chances == 0 || same == 0 || relays == 0 || spend2Parks == 0 || hops == 0 || stays == 0 || waitCharges == 0 || chargedStays == 0 || cut == 0 {
+				t.Fatalf("programs never exercised the shortcuts: %d run-ahead chances, %d same-instant sightings, %d relays, %d parked Spend2s, %d chain steps, %d Cond-wait stays (%d after a charge) and %d Cond-wait charges run in a parked proc's place, %d chains cut by the limit", chances, same, relays, spend2Parks, hops, stays, chargedStays, waitCharges, cut)
 			}
-			t.Logf("%d run-ahead chances, %d same-instant sightings, %d chained pushes, %d relays, %d parked Spend2s, %d chain steps and %d Cond-wait stays run in a parked proc's place, %d chains cut by the limit", chances, same, chained, relays, spend2Parks, hops, stays, cut)
+			t.Logf("%d run-ahead chances, %d same-instant sightings, %d chained pushes, %d relays, %d parked Spend2s, %d chain steps, %d Cond-wait stays (%d after a charge) and %d Cond-wait charges run in a parked proc's place, %d chains cut by the limit", chances, same, chained, relays, spend2Parks, hops, stays, chargedStays, waitCharges, cut)
 		})
 	}
 }

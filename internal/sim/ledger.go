@@ -122,11 +122,15 @@ func (p *Proc) SpendThen(c Cat, d Duration, r Relay) bool {
 // the charge it reports as Advance would. While the relay reports More and
 // its charge runs ahead, it goes round again at the new instant. It reports
 // whether p stays parked: also after Stay, with the relay kept for p's next
-// wake.
+// wake. A charge of a WaitThen relay is taken out of p's parked time, which
+// Cond.Wait counts from the first park to the last wake.
 func (s *Scheduler) runRelay(p *Proc) bool {
 	for {
 		if p.Ledger != nil {
 			p.Ledger.Spent[p.c1] += p.d1
+		}
+		if p.waiting {
+			p.parked -= max(p.d1, 0)
 		}
 		c, d, step := p.callRelay(p.relay)
 		switch step {
@@ -134,7 +138,10 @@ func (s *Scheduler) runRelay(p *Proc) bool {
 			p.relay, p.relayed = nil, false // only now: this package's tests look
 			return false
 		case Stay:
-			return true // the relay queued p on its Cond again
+			// The relay queued p on its Cond again; the next wake books
+			// nothing, whatever charge came before this one.
+			p.c1, p.d1 = 0, 0
+			return true
 		case Last:
 			p.relay, p.relayed, p.c2, p.d2 = nil, true, c, d
 		default:

@@ -162,6 +162,15 @@ func (sh *Shard) Stats() ShardStats {
 // Events reports the total events executed across lanes.
 func (sh *Shard) Events() uint64 { return sh.stats.Events }
 
+// Dispatches reports the proc switches of all lanes (Scheduler.Dispatches).
+func (sh *Shard) Dispatches() uint64 {
+	var n uint64
+	for _, ln := range sh.lanes {
+		n += ln.dispatches
+	}
+	return n
+}
+
 // Now reports the shard's virtual time: the maximum across lanes (lanes
 // whose queues ran dry lag until a merged event advances them).
 func (sh *Shard) Now() Time {

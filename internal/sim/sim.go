@@ -335,6 +335,7 @@ type Proc struct {
 	name    string
 	done    bool
 	inRelay bool     // a relay of p's is running (see callRelay)
+	waiting bool     // p is parked in WaitThen: its relay's charges are not parked time
 	relayed bool     // SpendThen's charges: the kernel books c1 at its
 	c1, c2  Cat      // wake (each in turn, in a chain), p books c2 when it
 	d1, d2  Duration // resumes, if the relay's last step reported it
@@ -503,20 +504,39 @@ func (p *Proc) wait() {
 func (c *Cond) Requeue(p *Proc) { c.waiters = append(c.waiters, p) }
 
 // WaitThen is Wait with r run at each wake, as p would run it first thing
-// on waking; r reports Stay, having put p back on c with Requeue, or
-// Decline, and WaitThen returns at the first wake where r declines. The
-// kernel runs r at the wake in p's place (DESIGN §4, relay), so p is
-// dispatched only at that last wake.
+// on waking, and again at the wake of each charge r reports: r reports
+// Stay, having put p back on c with Requeue, Decline, or a charge with More
+// or Last, as a SpendThen relay does. WaitThen returns at the wake where r
+// declines, or once the charge r reported with Last has passed. The kernel
+// runs r at each wake in p's place (DESIGN §4, relay), so p is dispatched
+// only at that last wake. The charges are p's time, not parked time.
 func (c *Cond) WaitThen(p *Proc, r Relay) {
-	if p.s.noFastPath { // the oracle: a plain Wait, p running r itself
+	if p.s.noFastPath { // the oracle: plain Waits and Spends, p running r itself
 		c.Wait(p)
-		for _, _, step := p.callRelay(r); step == Stay; _, _, step = p.callRelay(r) {
-			p.wait()
+		for {
+			cat, d, step := p.callRelay(r)
+			switch step {
+			case Decline:
+				return
+			case Stay:
+				p.wait()
+				continue
+			}
+			p.Spend(cat, d)
+			if step == Last {
+				return
+			}
 		}
-		return
 	}
-	p.relay, p.c1, p.d1 = r, 0, 0
+	p.relay, p.c1, p.d1, p.waiting = r, 0, 0, true
 	c.Wait(p)
+	p.waiting = false
+	if p.relayed {
+		p.parked -= max(p.d2, 0)
+		if p.Ledger != nil {
+			p.Ledger.Spent[p.c2] += p.d2
+		}
+	}
 }
 
 // Signal wakes the longest-waiting proc, if any. It runs in O(1): the wait

@@ -29,6 +29,9 @@ type Report struct {
 	Protocol []error
 	// Events is the total simulation events the run executed.
 	Events uint64
+	// Dispatches is how many times a rank's proc was handed the execution
+	// token, summed over lanes: the coroutine switches the run paid for.
+	Dispatches uint64
 	// Shard holds the control-plane counters when the world ran on shard
 	// lanes; nil on a standalone scheduler.
 	Shard *sim.ShardStats
@@ -83,6 +86,7 @@ func Launch(w *World, body func(c *Comm) error) (*Report, error) {
 		Run() (sim.Time, error)
 		Shutdown()
 		Events() uint64
+		Dispatches() uint64
 	} = w.S
 	sh := w.S.Shard()
 	if sh != nil {
@@ -93,7 +97,7 @@ func Launch(w *World, body func(c *Comm) error) (*Report, error) {
 	// not leak their coroutines. After a clean run this is a no-op.
 	defer kernel.Shutdown()
 	end, err := kernel.Run()
-	rep.Events = kernel.Events()
+	rep.Events, rep.Dispatches = kernel.Events(), kernel.Dispatches()
 	if sh != nil {
 		st := sh.Stats()
 		rep.Shard = &st

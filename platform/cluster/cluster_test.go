@@ -592,12 +592,11 @@ func TestSendrecvAllocsPerLegTCP(t *testing.T) {
 	}
 }
 
-// dispatchesPerMessage runs a 2-rank exchange of 1 KiB messages (Sendrecv,
-// so each rank's events interleave with the other's) on kind — eager on
-// the sockets, rendezvous on mem, whose crossover is 180 B — and reports
-// the proc dispatches each message costs: two runs' difference, so the
-// world's start and end cancel.
-func dispatchesPerMessage(t *testing.T, kind string) float64 {
+// dispatchesPerMessage runs a 2-rank exchange of n-byte messages
+// (Sendrecv, so each rank's events interleave with the other's) on kind
+// and reports the proc dispatches each message costs (Report.Dispatches):
+// two runs' difference, so the world's start and end cancel.
+func dispatchesPerMessage(t *testing.T, kind string, n int) float64 {
 	t.Helper()
 	run := func(iters int) uint64 {
 		s := registry.SpecFor(kind)
@@ -606,8 +605,8 @@ func dispatchesPerMessage(t *testing.T, kind string) float64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = mpi.Launch(w, func(c *mpi.Comm) error {
-			out, in, peer := make([]byte, 1024), make([]byte, 1024), 1-c.Rank()
+		rep, err := mpi.Launch(w, func(c *mpi.Comm) error {
+			out, in, peer := make([]byte, n), make([]byte, n), 1-c.Rank()
 			for i := 0; i < iters; i++ {
 				if _, err := c.Sendrecv(peer, 0, out, peer, 0, in); err != nil {
 					return err
@@ -618,7 +617,7 @@ func dispatchesPerMessage(t *testing.T, kind string) float64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return w.S.Dispatches()
+		return rep.Dispatches
 	}
 	const short, long = 10, 110
 	return float64(run(long)-run(short)) / (2 * (long - short))
@@ -627,20 +626,26 @@ func dispatchesPerMessage(t *testing.T, kind string) float64 {
 // A socket message's reads are one chain (DESIGN §4, relay): the kernel
 // runs a TCP frame's type, envelope and payload reads, and an RUDP
 // datagram's read and its ack's write, at each charge's wake in the rank's
-// place, so the rank is dispatched once per parse. Per eager message,
-// sender and receiver together, that is 8 dispatches on tcp (10 with one
-// dispatch per read) and 7 on udp (8 with one per ack write). On mem, where
-// a poll charges nothing, the kernel polls for a rank parked in Wait at
-// each wake (DESIGN §4, relay at a Cond wake), so the wake that only turns
-// an RTS into a CTS dispatches no one: 2 per rendezvous message (3 with a
-// dispatch per wake).
+// place, and an arrival's match charge, match and copy-out are one chain
+// on every wire. Per eager 1 KiB message, sender and receiver together,
+// that is 7 dispatches on tcp (8 with the match and copy-out parked apart,
+// 10 with one dispatch per read) and 6 on udp (7, 8). On mem, where a poll
+// charges nothing, the kernel polls for a rank parked in Wait at each wake
+// (DESIGN §4, relay at a Cond wake), so the wake that only turns an RTS
+// into a CTS dispatches no one: 2 per rendezvous message (3 with a
+// dispatch per wake). On the Meiko the kernel runs the whole receive at
+// the wake of a rank parked in Wait — slot scan, slot-free, match,
+// copy-out — so a 1 B eager message costs 4 (8 with a dispatch per
+// charge) and a 1 KiB rendezvous 7 (10).
 func TestDispatchesPerMessage(t *testing.T) {
 	for _, c := range []struct {
-		kind string
-		want float64
-	}{{"cluster/tcp", 8}, {"cluster/udp", 7}, {"mem", 2}} {
-		if got := dispatchesPerMessage(t, c.kind); got != c.want {
-			t.Errorf("%s: %.2f dispatches per message, pinned at %v", c.kind, got, c.want)
+		kind  string
+		bytes int
+		want  float64
+	}{{"cluster/tcp", 1024, 7}, {"cluster/udp", 1024, 6}, {"mem", 1024, 2},
+		{"meiko/lowlatency", 1, 4}, {"meiko/lowlatency", 1024, 7}} {
+		if got := dispatchesPerMessage(t, c.kind, c.bytes); got != c.want {
+			t.Errorf("%s, %d B: %.2f dispatches per message, pinned at %v", c.kind, c.bytes, got, c.want)
 		}
 	}
 }

@@ -38,6 +38,11 @@ type lowlatTransport struct {
 	inbox    core.Inbox
 	rndvIdle sim.FreeList[rndv] // rendezvous pool (see rndv)
 
+	// Where Poll stands between its charges (see PollStep): 0 before the
+	// slot scan, 1 after it, 2 after the slot-free issue for the envelope
+	// the inbox last surfaced.
+	pollAt uint8
+
 	// Hardware-broadcast state; the slot wait parks on the engine.
 	bcSeq   int    // last broadcast sequence delivered here
 	bcData  []byte // payload of that broadcast
@@ -190,20 +195,45 @@ func (t *lowlatTransport) PeerDown(rank int) {}
 // buffer, or a rendezvous announcement read out — frees the sender's slot
 // with a small acknowledgement transaction, so the pair's next envelope
 // may travel while this message waits (possibly unmatched) in the
-// unexpected queue.
+// unexpected queue. Its steps are PollStep's, each charge spent between.
 func (t *lowlatTransport) Poll(p *sim.Proc) *core.Packet {
-	if t.inbox.Len() == 0 {
-		return nil
+	for {
+		c, d, pkt := t.PollStep()
+		if d == 0 {
+			return pkt
+		}
+		t.eng.Acct().Spend(p, c, d)
 	}
-	t.eng.Acct().Spend(p, sim.Protocol, slotPollCost)
-	pkt := t.inbox.Poll()
-	switch pkt.Kind {
-	case core.PktEager, core.PktRTS:
-		t.eng.Acct().Spend(p, sim.Protocol, t.m.Costs.TxnIssue)
-		slotFree := core.Envelope{Source: t.eng.Rank(), Count: 1}
-		t.ship(pkt.Env.Source, ctrlTxnBytes, core.Packet{Kind: core.PktCredit, Env: slotFree})
+}
+
+// PollStep runs Poll up to its next charge: the slot scan, then for an
+// envelope the slot-free issue, then the slot-free transaction. The engine
+// runs these steps as the head of its receive chain, so a rank parked in
+// Wait is dispatched once per message, not once per charge.
+func (t *lowlatTransport) PollStep() (sim.Cat, sim.Duration, *core.Packet) {
+	switch t.pollAt {
+	case 0:
+		if t.inbox.Len() == 0 {
+			return 0, 0, nil
+		}
+		t.pollAt = 1
+		return sim.Protocol, slotPollCost, nil
+	case 1:
+		pkt := t.inbox.Poll()
+		if pkt.Kind != core.PktEager && pkt.Kind != core.PktRTS {
+			t.pollAt = 0
+			return 0, 0, pkt
+		}
+		t.pollAt = 2
+		if d := t.m.Costs.TxnIssue; d > 0 {
+			return sim.Protocol, d, nil
+		}
 	}
-	return pkt
+	pkt := t.inbox.Polled()
+	t.pollAt = 0
+	slotFree := core.Envelope{Source: t.eng.Rank(), Count: 1}
+	t.ship(pkt.Env.Source, ctrlTxnBytes, core.Packet{Kind: core.PktCredit, Env: slotFree})
+	return 0, 0, pkt
 }
 
 // ------------------------------------------------------------ RemoteMemory --

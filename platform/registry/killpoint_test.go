@@ -20,48 +20,84 @@ func survive(err error) error {
 	return nil
 }
 
+// handedBack fills every receive buffer the probe has handed back.
+const handedBack = 0xAB
+
+// returned holds rank 0's receive buffers once their Recv has returned,
+// each filled with handedBack: a receive that returned, even with a peer's
+// death, owns its buffer no longer, and nothing may write it afterwards
+// (ROADMAP item 21(b)).
+type returned [][]byte
+
+// hand fills buf with handedBack and keeps it.
+func (r *returned) hand(buf []byte) {
+	for i := range buf {
+		buf[i] = handedBack
+	}
+	*r = append(*r, buf)
+}
+
+// written reports whether anything wrote a handed-back buffer.
+func (r returned) written() bool {
+	for _, buf := range r {
+		for _, b := range buf {
+			if b != handedBack {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // killProgram is the kill-point probe's job on 3 ranks. Rank 1 Isends 8 ×
 // 100 B to rank 0 (tags 0–7), Sends it 256 KiB, receives 1 KiB from rank
 // 2 and waits for its Isends. Rank 2 sends that 1 KiB, then 64 KiB to
-// rank 0. Rank 0 receives all of it in that order. A survivor takes a
-// peer-down error as the answer to a call and goes on; any other error is
-// its body's.
-func killProgram(c *mpi.Comm) error {
-	switch c.Rank() {
-	case 0:
-		buf := make([]byte, 256<<10)
-		for tag := 0; tag < 8; tag++ {
-			if _, err := c.Recv(1, tag, buf[:100]); survive(err) != nil {
+// rank 0. Rank 0 receives all of it in that order, each into a buffer of
+// its own that it hands back to ret once the Recv returns. A survivor
+// takes a peer-down error as the answer to a call and goes on; any other
+// error is its body's.
+func killProgram(ret *returned) func(c *mpi.Comm) error {
+	return func(c *mpi.Comm) error {
+		switch c.Rank() {
+		case 0:
+			recv := func(src, tag, n int) error {
+				buf := make([]byte, n)
+				_, err := c.Recv(src, tag, buf)
+				ret.hand(buf)
+				return survive(err)
+			}
+			for tag := 0; tag < 8; tag++ {
+				if err := recv(1, tag, 100); err != nil {
+					return err
+				}
+			}
+			if err := recv(1, 8, 256<<10); err != nil {
 				return err
 			}
-		}
-		if _, err := c.Recv(1, 8, buf); survive(err) != nil {
-			return err
-		}
-		_, err := c.Recv(2, 9, buf[:64<<10])
-		return survive(err)
-	case 1:
-		var reqs []*mpi.Request
-		for tag := 0; tag < 8; tag++ {
-			r, err := c.Isend(0, tag, make([]byte, 100))
-			if err != nil {
+			return recv(2, 9, 64<<10)
+		case 1:
+			var reqs []*mpi.Request
+			for tag := 0; tag < 8; tag++ {
+				r, err := c.Isend(0, tag, make([]byte, 100))
+				if err != nil {
+					return err
+				}
+				reqs = append(reqs, r)
+			}
+			if err := c.Send(0, 8, make([]byte, 256<<10)); err != nil {
 				return err
 			}
-			reqs = append(reqs, r)
-		}
-		if err := c.Send(0, 8, make([]byte, 256<<10)); err != nil {
+			if _, err := c.Recv(2, 10, make([]byte, 1<<10)); err != nil {
+				return err
+			}
+			_, err := mpi.WaitAll(reqs...)
 			return err
+		default:
+			if err := survive(c.Send(1, 10, make([]byte, 1<<10))); err != nil {
+				return err
+			}
+			return survive(c.Send(0, 9, make([]byte, 64<<10)))
 		}
-		if _, err := c.Recv(2, 10, make([]byte, 1<<10)); err != nil {
-			return err
-		}
-		_, err := mpi.WaitAll(reqs...)
-		return err
-	default:
-		if err := survive(c.Send(1, 10, make([]byte, 1<<10))); err != nil {
-			return err
-		}
-		return survive(c.Send(0, 9, make([]byte, 64<<10)))
 	}
 }
 
@@ -114,49 +150,52 @@ type killRow struct {
 	deadlocks int // the run parks a rank for good
 	drains    int // the run drains more than 1 ms after the last survivor
 	late      int // the victim's clock ends more than 1 µs past its kill
+	written   int // something wrote a receive buffer rank 0 had handed back
 	owner     string
 }
 
 // Rank 1 of each program is killed at i/100 of the fault-free run's
 // MaxRankElapsed, for i = 1…99, on every backend that accepts kills (ROADMAP
 // item 21; meiko/mpich rejects kills). The survivors' calls return success
-// or peer-down in every run. What still goes wrong is pinned per program and
-// backend: a row that moves fails the test, so a fix states what it cleared
-// and a regression cannot hide behind it.
+// or peer-down in every run, and in the messages program nothing writes a
+// receive buffer rank 0 has handed back, during the run or after it (the
+// written column: 0 in all 594 runs). What still goes wrong is pinned per
+// program and backend: a row that moves fails the test, so a fix states
+// what it cleared and a regression cannot hide behind it.
 func TestKillAtEveryInstant(t *testing.T) {
 	programs := []struct {
 		name   string
-		body   func(*mpi.Comm) error
+		body   func(*returned) func(*mpi.Comm) error
 		pinned map[string]killRow
 	}{
 		{"messages", killProgram, map[string]killRow{
-			"mem": {0, 0, 0, ""},
+			"mem": {0, 0, 0, 0, ""},
 			// The dead sender's DMA runs on to its end.
-			"meiko/lowlatency": {0, 43, 1, "drains: item 22; late: item 21(c)"},
-			"cluster/shm":      {0, 0, 13, "late: item 21(c)"},
+			"meiko/lowlatency": {0, 43, 1, 0, "drains: item 22; late: item 21(c)"},
+			"cluster/shm":      {0, 0, 13, 0, "late: item 21(c)"},
 			// A victim killed in its write interleave parks for good.
-			"cluster/tcp": {14, 1, 55, "deadlocks and drains: items 22 and 26; late: item 21(c)"},
+			"cluster/tcp": {14, 1, 55, 0, "deadlocks and drains: items 22 and 26; late: item 21(c)"},
 			// Every run waits out the acked frames' RUDP timers.
-			"cluster/udp":  {0, 99, 46, "drains: items 9 and 21; late: item 21(c)"},
-			"cluster/unet": {0, 0, 37, "late: items 21(c) and 22"},
+			"cluster/udp":  {0, 99, 46, 0, "drains: items 9 and 21; late: item 21(c)"},
+			"cluster/unet": {0, 0, 37, 0, "late: items 21(c) and 22"},
 		}},
-		{"window", windowProgram, map[string]killRow{
-			"mem": {0, 0, 0, ""},
+		{"window", func(*returned) func(*mpi.Comm) error { return windowProgram }, map[string]killRow{
+			"mem": {0, 0, 0, 0, ""},
 			// The dead origin's Put DMA runs on to its end.
-			"meiko/lowlatency": {0, 60, 6, "drains: item 22; late: item 21(c)"},
-			"cluster/shm":      {0, 0, 61, "late: item 21(c)"},
+			"meiko/lowlatency": {0, 60, 6, 0, "drains: item 22; late: item 21(c)"},
+			"cluster/shm":      {0, 0, 61, 0, "late: item 21(c)"},
 			// The victim parks for good in its fence's write interleave.
-			"cluster/tcp": {28, 1, 35, "deadlocks and drains: items 22 and 26; late: item 21(c)"},
-			"cluster/udp": {0, 99, 55, "drains: items 9 and 21; late: item 21(c)"},
+			"cluster/tcp": {28, 1, 35, 0, "deadlocks and drains: items 22 and 26; late: item 21(c)"},
+			"cluster/udp": {0, 99, 55, 0, "drains: items 9 and 21; late: item 21(c)"},
 			// Not traced to a cause: the messages program drains on time here.
-			"cluster/unet": {0, 52, 40, "drains: items 21 and 22; late: items 21(c) and 22"},
+			"cluster/unet": {0, 52, 40, 0, "drains: items 21 and 22; late: items 21(c) and 22"},
 		}},
 	}
 	for _, prog := range programs {
 		for _, name := range []string{"mem", "meiko/lowlatency", "cluster/shm", "cluster/tcp", "cluster/udp", "cluster/unet"} {
 			s := registry.SpecFor(name)
 			s.Ranks = 3
-			base, err := registry.Run(s, prog.body)
+			base, err := registry.Run(s, prog.body(new(returned)))
 			if err != nil {
 				t.Fatalf("%s on %s fault-free: %v", prog.name, name, err)
 			}
@@ -168,7 +207,11 @@ func TestKillAtEveryInstant(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rep, err := mpi.Launch(w, prog.body)
+				var ret returned
+				rep, err := mpi.Launch(w, prog.body(&ret))
+				if ret.written() {
+					got.written++
+				}
 				var dl *sim.DeadlockError
 				if errors.As(err, &dl) {
 					got.deadlocks++
@@ -184,9 +227,9 @@ func TestKillAtEveryInstant(t *testing.T) {
 					got.late++
 				}
 			}
-			if want := prog.pinned[name]; got.deadlocks != want.deadlocks || got.drains != want.drains || got.late != want.late {
-				t.Errorf("%s on %s: %d deadlocks, %d late drains, %d victims running on; pinned %d, %d, %d (owner: %s)",
-					prog.name, name, got.deadlocks, got.drains, got.late, want.deadlocks, want.drains, want.late, want.owner)
+			if want := prog.pinned[name]; got.deadlocks != want.deadlocks || got.drains != want.drains || got.late != want.late || got.written != want.written {
+				t.Errorf("%s on %s: %d deadlocks, %d late drains, %d victims running on, %d returned buffers written; pinned %d, %d, %d, %d (owner: %s)",
+					prog.name, name, got.deadlocks, got.drains, got.late, got.written, want.deadlocks, want.drains, want.late, want.written, want.owner)
 			}
 		}
 	}
