@@ -74,7 +74,6 @@ func run(args []string, stdout io.Writer) int {
 	network := fs.String("net", "", "cluster network: atm | eth (default atm)")
 	n := fs.Int("n", 0, "problem size (0 = per-app default)")
 	seed := fs.Int64("seed", 1, "workload seed")
-	fattree := fs.Bool("fattree", false, "meiko: staged fat-tree congestion model")
 	lanes := fs.Int("lanes", 0, "run on the sharded kernel with this many lanes (0 = single-lane kernel)")
 	parallel := fs.Bool("parallel", false, "with -lanes: execute epochs on pinned worker goroutines")
 	collTune := fs.String("coll", "", `force collective algorithms, e.g. "bcast=pipelined,allreduce=rsag" (default auto-select)`)
@@ -87,7 +86,6 @@ func run(args []string, stdout io.Writer) int {
 	partition := fs.String("partition", "", `cluster: partition schedule, e.g. "0-1@5ms:20ms;2-*" (A-B[@FROM:UNTIL], * = any host)`)
 	faultseed := fs.Int64("faultseed", 0, "cluster: fault-injection RNG seed (0 = derive from -seed)")
 	kill := fs.String("kill", "", `process-death schedule, e.g. "2@5ms;3@8ms" (RANK@T; any backend)`)
-	treefault := fs.String("treefault", "", `meiko: switch-plane outage schedule, e.g. "1:0@0s-20ms" (STAGE:LANE@FROM[-UNTIL]; implies -fattree)`)
 	wl := fs.String("workload", "", "run a macro-workload pattern instead of -app: "+strings.Join(workload.Names(), " | "))
 	record := fs.String("record", "", "with -workload: write the recorded binary trace here")
 	replay := fs.String("replay", "", "replay a recorded trace (world rebuilt from its header; -lanes/-parallel may override the kernel)")
@@ -119,7 +117,6 @@ func run(args []string, stdout io.Writer) int {
 		Lanes:      *lanes,
 		Parallel:   *parallel,
 		Seed:       *seed,
-		FatTree:    *fattree,
 		Coll:       *collTune,
 		LossRate:   *loss,
 		Delay:      *delay,
@@ -130,7 +127,6 @@ func run(args []string, stdout io.Writer) int {
 		Partition:  *partition,
 		FaultSeed:  *faultseed,
 		Kills:      *kill,
-		TreeFaults: *treefault,
 		Workload:   *wl,
 	}
 

@@ -151,3 +151,31 @@ func TestEveryAppIsMeasured(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryFlagIsRun requires each flag main.go defines to appear in a
+// README `go run ./cmd/mpirun` line, so TestReadmeCommands runs it: a flag
+// no example exercises is deleted, not kept.
+func TestEveryFlagIsRun(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defs := regexp.MustCompile(`\bfs\.\w+\("([^"]+)"`).FindAllStringSubmatch(string(src), -1)
+	if len(defs) == 0 {
+		t.Fatal("main.go defines no flags; the check is vacuous")
+	}
+	run := map[string]bool{}
+	for _, args := range readmeCommands(t) {
+		for _, a := range args {
+			if name, ok := strings.CutPrefix(a, "-"); ok {
+				name, _, _ = strings.Cut(name, "=")
+				run[name] = true
+			}
+		}
+	}
+	for _, d := range defs {
+		if !run[d[1]] {
+			t.Errorf("-%s: no README mpirun line runs it", d[1])
+		}
+	}
+}

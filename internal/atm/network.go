@@ -52,32 +52,33 @@ type Medium interface {
 //
 // The segment is a world-global resource, so it is built as a sim.Stage
 // homed on the world's scheduler: every Deliver detours to the home lane
-// carrying its source stamp, reserves the wire backdated to the stamp, and
-// routes the frame out to the destination's lane. On a standalone scheduler
-// every hop of that is inline, so the contention arithmetic is the same
-// either way.
+// carrying its source stamp, and the wire's arbiter reserves it backdated
+// to the stamp, in (stamp, source host) order, then routes the frame out to
+// the destination's lane. On a standalone scheduler the detour is inline,
+// so the contention arithmetic is the same either way.
 type Ethernet struct {
 	s     *sim.Scheduler
 	n     int // hosts, for placing src/dst on their node schedulers
 	c     Costs
 	stage *sim.Stage
-	wire  *sim.FIFO
+	wire  *portArbiter
 
 	ledgers []*sim.Ledger // see Cluster.Ledgers
 }
 
 // NewEthernet builds the shared segment for n hosts, homed on s. The
 // model's spans bound s's lookahead: the minimum frame wire time covers the
-// stamp-to-completion window and the propagation+driver tail covers the
-// completion-to-delivery hop, so both must be at least the lookahead.
-// Frames book their serialization in ledgers, one entry per host.
+// stamp-to-flush window (the detour plus one arbitration window), and the
+// propagation+driver tail covers the completion-to-delivery hop, so both
+// must be at least the lookahead. Frames book their serialization in
+// ledgers, one entry per host.
 func NewEthernet(s *sim.Scheduler, n int, c Costs, ledgers []*sim.Ledger) *Ethernet {
 	minSpan := sim.Duration(FrameWireBytes(0)) * c.EthPerByte
 	post := c.EthPropDelay + c.DriverEthPerFrame
-	if la := s.Lookahead(); minSpan < la || post < la {
+	if la := s.Lookahead(); minSpan < la+portArbDelay || post < la {
 		panic(fmt.Sprintf("ethernet: frame span %v / delivery tail %v below shard lookahead %v", minSpan, post, la))
 	}
-	return &Ethernet{s: s, n: n, c: c, stage: sim.NewStage(s), wire: sim.NewFIFO(s, "ether"), ledgers: ledgers}
+	return &Ethernet{s: s, n: n, c: c, stage: sim.NewStage(s), wire: newPortArbiter(s, "ether", s.Lookahead()), ledgers: ledgers}
 }
 
 // Kind implements Medium.
@@ -103,9 +104,8 @@ func (e *Ethernet) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) in
 	wire := sim.Duration(FrameWireBytes(n)) * e.c.EthPerByte
 	e.ledgers[src].Record(sim.Wire, wire)
 	e.stage.Request(e.s.Node(src, e.n), func(t0 sim.Time) {
-		end := e.wire.ReserveAt(t0, wire)
-		e.stage.At(end, func() {
-			e.stage.Exit(e.s.Node(dst, e.n).LaneID(), end+sim.Time(e.c.EthPropDelay+e.c.DriverEthPerFrame), deliver)
+		e.wire.enqueue(t0, src, wire, 0, func() {
+			e.stage.Exit(e.s.Node(dst, e.n).LaneID(), e.s.Now()+sim.Time(e.c.EthPropDelay+e.c.DriverEthPerFrame), deliver)
 		})
 	})
 	return 1
@@ -123,12 +123,12 @@ func (e *Ethernet) Deliver(src, dst, n int, opts DeliverOpts, deliver func()) in
 // the lookahead bound. The shared Ethernet segment serializes all hosts on
 // one wire and is a sim.Stage instead.
 type ATMNet struct {
-	s        *sim.Scheduler
-	c        Costs
-	up, down []*sim.FIFO
-	ports    []*portArbiter
-	idle     []sim.FreeList[hop] // per-host switch-hop record pools (see hop)
-	ledgers  []*sim.Ledger       // see Cluster.Ledgers
+	s       *sim.Scheduler
+	c       Costs
+	up      []*sim.FIFO
+	down    []*portArbiter      // per-host downlink, behind its switch port's arbiter
+	idle    []sim.FreeList[hop] // per-host switch-hop record pools (see hop)
+	ledgers []*sim.Ledger       // see Cluster.Ledgers
 }
 
 // NewATMNet builds the switch with n host ports for the world built on s.
@@ -142,29 +142,36 @@ func NewATMNet(s *sim.Scheduler, n int, c Costs, ledgers []*sim.Ledger) *ATMNet 
 	for i := 0; i < n; i++ {
 		hs := s.Node(i, n)
 		a.up = append(a.up, sim.NewFIFO(hs, fmt.Sprintf("atm-up%d", i)))
-		a.down = append(a.down, sim.NewFIFO(hs, fmt.Sprintf("atm-down%d", i)))
-		a.ports = append(a.ports, &portArbiter{flush: func() { a.flush(i) }})
+		a.down = append(a.down, newPortArbiter(hs, fmt.Sprintf("atm-down%d", i), 0))
 	}
 	return a
 }
 
-// portArbiter serializes one destination port's downlink with a fixed
-// arbitration order. The downlink is the fabric's only resource shared by
-// several senders, so when two packets reach the switch output at the same
-// virtual instant, which one wins decides both their delivery order and
-// their queueing delays. Event execution order at equal timestamps is a
-// kernel artifact — insertion order on a standalone scheduler, the
-// (lane, sequence) merge on a shard — so reserving the FIFO directly in
-// arrival order would let the two drivers resolve the tie differently.
-// Instead arrivals buffer for one sub-cell arbitration window and reserve
-// in (stamp, source-port) order, the ASX-200's fixed port priority:
-// reservations are backdated to their stamps (FIFO.ReserveAt), so untied
-// traffic keeps bit-identical timing and tied packets get one canonical
-// winner under both.
+// portArbiter serializes one shared resource — an ATM destination port's
+// downlink, the Ethernet segment — with a fixed arbitration order. When two
+// requests for the resource are stamped at the same virtual instant, which
+// one wins decides both their delivery order and their queueing delays.
+// Event execution order at equal timestamps is a kernel artifact —
+// insertion order on a standalone scheduler, the (lane, sequence) merge on
+// a shard — so reserving the FIFO directly in arrival order would let the
+// two drivers resolve the tie differently. Instead requests buffer for one
+// sub-frame arbitration window and reserve in (stamp, source host) order,
+// the ASX-200's fixed port priority: reservations are backdated to their
+// stamps (FIFO.ReserveAt), so untied traffic keeps bit-identical timing and
+// tied requests get one canonical winner under both.
+//
+// Every request reaches the arbiter detour after its stamp (0 at an ATM
+// port, where the stamp is the switch-hop arrival; the shard lookahead at
+// the Ethernet's home lane, where the stamp is the sender's), so a flush
+// at F decides the requests stamped before F-detour: exactly those that
+// arrived before F, on every kernel.
 type portArbiter struct {
+	s       *sim.Scheduler // the lane that owns the resource
+	fifo    *sim.FIFO
+	detour  sim.Time
 	pending []portReq
 	batch   []portReq // flush's scratch, empty between flushes
-	flush   func()    // the port's flush event, bound once
+	flush   func()    // q.run, bound once
 	flushAt sim.Time  // scheduled flush; zero when none pending
 }
 
@@ -172,40 +179,45 @@ type portReq struct {
 	stamp   sim.Time
 	src     int
 	wire    sim.Duration
-	tail    sim.Duration // inbound processing between the downlink and deliver
+	tail    sim.Duration // processing between the end of the reservation and deliver
 	deliver func()
 }
 
-// portArbDelay is the arbitration window. It must stay below the minimum
-// downlink occupancy (one cell, ~2.8 µs) so reservations are always booked
+// portArbDelay is the arbitration window. Added to the detour it must stay
+// below the resource's minimum occupancy (one cell, ~2.8 µs, on a downlink;
+// a minimum frame on the Ethernet) so reservations are always booked
 // before their completion events fire.
 const portArbDelay sim.Duration = 100 // ns
 
-// enqueue registers an arrival at dst's switch output. Runs on dst's lane.
-func (a *ATMNet) enqueue(dst, src int, wire, tail sim.Duration, deliver func()) {
-	s := a.schedOf(dst)
-	q := a.ports[dst]
-	q.pending = append(q.pending, portReq{stamp: s.Now(), src: src, wire: wire, tail: tail, deliver: deliver})
+func newPortArbiter(s *sim.Scheduler, name string, detour sim.Duration) *portArbiter {
+	q := &portArbiter{s: s, fifo: sim.NewFIFO(s, name), detour: sim.Time(detour)}
+	q.flush = q.run
+	return q
+}
+
+// enqueue registers a request stamped at stamp by host src. Runs on q's
+// lane, detour after stamp.
+func (q *portArbiter) enqueue(stamp sim.Time, src int, wire, tail sim.Duration, deliver func()) {
+	q.pending = append(q.pending, portReq{stamp: stamp, src: src, wire: wire, tail: tail, deliver: deliver})
 	if q.flushAt == 0 {
-		q.flushAt = s.Now() + sim.Time(portArbDelay)
-		s.At(q.flushAt, q.flush)
+		q.flushAt = q.s.Now() + sim.Time(portArbDelay)
+		q.s.At(q.flushAt, q.flush)
 	}
 }
 
-// flush reserves the downlink for every arrival stamped strictly before
-// now, in (stamp, src) order. Arrivals stamped exactly at the flush
-// instant wait for the next window — they may land in the pending list
-// before or after this event depending on kernel tie-breaking, so deciding
-// them here would reintroduce the ambiguity the arbiter removes.
-func (a *ATMNet) flush(dst int) {
-	s := a.schedOf(dst)
-	now := s.Now()
-	q := a.ports[dst]
+// run is the flush: it reserves the resource for every request that
+// arrived strictly before now, in (stamp, src) order. Requests arriving
+// exactly at the flush instant wait for the next window — they may land in
+// the pending list before or after this event depending on kernel
+// tie-breaking, so deciding them here would reintroduce the ambiguity the
+// arbiter removes.
+func (q *portArbiter) run() {
+	now := q.s.Now()
 	q.flushAt = 0
 	batch := q.batch[:0]
 	rest := q.pending[:0]
 	for _, r := range q.pending {
-		if r.stamp < now {
+		if r.stamp < now-q.detour {
 			batch = append(batch, r)
 		} else {
 			rest = append(rest, r)
@@ -217,14 +229,14 @@ func (a *ATMNet) flush(dst int) {
 		return cmp.Or(cmp.Compare(x.stamp, y.stamp), cmp.Compare(x.src, y.src))
 	})
 	for _, r := range batch {
-		end := a.down[dst].ReserveAt(r.stamp, r.wire)
-		s.At(end+sim.Time(r.tail), r.deliver)
+		end := q.fifo.ReserveAt(r.stamp, r.wire)
+		q.s.At(end+sim.Time(r.tail), r.deliver)
 	}
 	clear(batch) // the scratch must not pin delivery closures (and their frames)
 	q.batch = batch[:0]
 	if len(q.pending) > 0 && q.flushAt == 0 {
 		q.flushAt = now + sim.Time(portArbDelay)
-		s.At(q.flushAt, q.flush)
+		q.s.At(q.flushAt, q.flush)
 	}
 }
 
@@ -296,7 +308,8 @@ type hop struct {
 // Runs on dst's lane.
 func (h *hop) arrive() {
 	a, dst := h.a, h.dst
-	a.enqueue(dst, h.src, h.wire, h.tail, h.deliver)
+	q := a.down[dst]
+	q.enqueue(q.s.Now(), h.src, h.wire, h.tail, h.deliver)
 	h.deliver = nil
 	a.idle[dst].Put(h)
 }

@@ -47,11 +47,12 @@ func TestShardedATMNetMatchesSingleScheduler(t *testing.T) {
 // The shared Ethernet segment homes on lane 0 as a sim.Stage: frames from
 // every lane must serialize on the one wire in stamp order, landing at
 // exactly the single-scheduler times — including back-to-back contention
-// where the queueing arithmetic, not just the latency, decides.
+// where the queueing arithmetic, not just the latency, decides, and a tie
+// between two hosts' frames stamped at one instant.
 func TestShardedEthernetMatchesSingleScheduler(t *testing.T) {
 	c := DefaultCosts()
 	run := func(e *Ethernet, drive func() (sim.Time, error)) []sim.Time {
-		ends := make([]sim.Time, 4)
+		ends := make([]sim.Time, 6)
 		// All hosts contend for the wire at t=0, then host 0 sends again.
 		e.Deliver(0, 2, 700, DeliverOpts{}, func() {
 			ends[0] = e.s.Node(2, 3).Now()
@@ -59,6 +60,13 @@ func TestShardedEthernetMatchesSingleScheduler(t *testing.T) {
 		})
 		e.Deliver(1, 2, 300, DeliverOpts{}, func() { ends[1] = e.s.Node(2, 3).Now() })
 		e.Deliver(2, 0, 1, DeliverOpts{}, func() { ends[2] = e.s.Node(0, 3).Now() })
+		// On an idle wire, hosts 2 and 1 stamp a frame at one instant, host
+		// 2 first in execution order; on a shard host 1's lane merges first.
+		for _, src := range []int{2, 1} {
+			e.s.Node(src, 3).At(5_000_000, func() {
+				e.Deliver(src, 0, 100, DeliverOpts{}, func() { ends[3+src] = e.s.Node(0, 3).Now() })
+			})
+		}
 		if _, err := drive(); err != nil {
 			t.Fatal(err)
 		}
@@ -75,6 +83,10 @@ func TestShardedEthernetMatchesSingleScheduler(t *testing.T) {
 		if want[i] == 0 {
 			t.Fatalf("delivery %d never ran", i)
 		}
+	}
+	// Neither order decides the tie: the wire goes to the lower host.
+	if want[4] >= want[5] {
+		t.Fatalf("tied frames: host 1's lands at %v, host 2's at %v; the lower host must win", want[4], want[5])
 	}
 }
 

@@ -25,7 +25,8 @@ func oracleDeliver(a *ATMNet, src, dst, n int, opts DeliverOpts, deliver func())
 	ss.After(a.c.I960PerPacket, func() {
 		a.up[src].UseAsync(wire, func() {
 			ss.RouteAfter(a.schedOf(dst).LaneID(), a.c.SwitchDelay, func() {
-				a.enqueue(dst, src, wire, a.c.I960PerPacket+a.c.DriverATMPerFrame, deliver)
+				q := a.down[dst]
+				q.enqueue(q.s.Now(), src, wire, a.c.I960PerPacket+a.c.DriverATMPerFrame, deliver)
 			})
 		})
 	})

@@ -2,7 +2,6 @@ package conformance
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -109,14 +108,6 @@ func TestClusterTightCredits(t *testing.T) {
 // A tiny Meiko eager threshold forces everything through rendezvous.
 func TestMeikoAllRendezvous(t *testing.T) {
 	spec := registry.Spec{Platform: "meiko", Eager: 1}
-	if err := Run(factory(t, spec), seeds[:2]); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// The staged fat-tree congestion model must not change semantics.
-func TestMeikoFatTree(t *testing.T) {
-	spec := registry.Spec{Platform: "meiko", FatTree: true}
 	if err := Run(factory(t, spec), seeds[:2]); err != nil {
 		t.Fatal(err)
 	}
@@ -284,20 +275,20 @@ func TestFTShrinkRejectedOnMPICH(t *testing.T) {
 }
 
 // shardedSpecs lists one spec per backend family the sharded kernel must
-// reproduce bit-identically: the mem reference, both Meiko implementations
-// plus the staged fat tree (whose switch stages home on lane 0), and all
-// four cluster transports (the shared Ethernet segment likewise a lane-0
-// stage; the ATM switch routes between lanes; the shm segment's
-// visibility latency is its own lookahead bound). Then cluster/udp under each
-// fault knob — the loss family, jitter, a partition that heals inside RUDP's
-// retry budget: a link's draws depend on the seed, the endpoints and the
-// medium, never on the kernel.
+// reproduce bit-identically: the mem reference, both Meiko implementations,
+// and all four cluster transports (the ATM switch routes between lanes; the
+// shm segment's visibility latency is its own lookahead bound), plus tcp
+// over the shared Ethernet segment, a lane-0 stage that frames from every
+// lane contend on. Then cluster/udp under each fault knob — the loss
+// family, jitter, a partition that heals inside RUDP's retry budget: a
+// link's draws depend on the seed, the endpoints and the medium, never on
+// the kernel.
 var shardedSpecs = []registry.Spec{
 	{Platform: "mem", Credit: 4096},
 	{Platform: "meiko"},
 	{Platform: "meiko", Impl: "mpich"},
-	{Platform: "meiko", FatTree: true},
 	{Platform: "cluster"},
+	{Platform: "cluster", Network: "eth"},
 	{Platform: "cluster", Transport: "udp"},
 	{Platform: "cluster", Transport: "unet"},
 	{Platform: "cluster", Transport: "shm"},
@@ -313,8 +304,8 @@ var shardedSpecs = []registry.Spec{
 func shardedName(s registry.Spec) string {
 	name := strings.ReplaceAll(s.Key(), "/", "_")
 	switch {
-	case s.FatTree:
-		name += "_fattree"
+	case s.Network != "":
+		name += "_" + s.Network
 	case s.LossRate > 0:
 		name += "_loss"
 	case s.DropEveryN > 0:
@@ -414,34 +405,6 @@ func TestShardedJitterOnOrderedWires(t *testing.T) {
 				})
 			}
 		})
-	}
-}
-
-// TestTreeFaultsReroute takes stage-1 switch planes of the Meiko fat tree
-// out for a whole all-to-all phase. Eight ranks, because a tree of four or
-// fewer has no stage 1 to fault. An outage must complete (the tree reroutes
-// over the surviving planes instead of killing anyone), cost strictly more
-// than the healthy tree and more again with three planes down, and be the
-// same run on every kernel.
-func TestTreeFaultsReroute(t *testing.T) {
-	alltoall := func(c *mpi.Comm) error {
-		send, recv := make([]byte, 1024*c.Size()), make([]byte, 1024*c.Size())
-		for i := 0; i < 4; i++ {
-			if err := c.Alltoall(send, recv); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var prev sim.Duration
-	for _, faults := range []string{"", "1:0@0s", "1:0@0s;1:1@0s;1:2@0s"} {
-		spec := registry.Spec{Platform: "meiko", Ranks: 8, FatTree: true, TreeFaults: faults}
-		elapsed := slices.Max(sameOnEveryKernel(t, spec, alltoall))
-		t.Logf("TreeFaults %q: %v", faults, elapsed)
-		if elapsed <= prev {
-			t.Errorf("TreeFaults %q: %v, not slower than %v with fewer planes down", faults, elapsed, prev)
-		}
-		prev = elapsed
 	}
 }
 

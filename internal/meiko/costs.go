@@ -1,9 +1,10 @@
 // Package meiko models the Meiko CS/2: per-node 40 MHz SPARC processors
-// paired with 10 MHz Elan communication co-processors, a fat-tree network
-// with hardware broadcast, secure user-level remote transactions, and a DMA
-// engine — the substrate of the paper's sections 4 and the MPICH/tport
-// baseline. Costs are calibrated to the paper's anchors (52 µs tport
-// round trip, 39 MB/s DMA bandwidth); see DESIGN.md §6.
+// paired with 10 MHz Elan communication co-processors, a network with
+// hardware broadcast (its fat tree modelled as a flat-latency wire), secure
+// user-level remote transactions, and a DMA engine — the substrate of the
+// paper's sections 4 and the MPICH/tport baseline. Costs are calibrated to
+// the paper's anchors (52 µs tport round trip, 39 MB/s DMA bandwidth); see
+// DESIGN.md §6.
 package meiko
 
 import (

@@ -6,7 +6,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Machine is a CS/2: a set of nodes on a fat-tree network with hardware
+// Machine is a CS/2: a set of nodes on a flat-latency wire with hardware
 // broadcast. The network model charges a per-packet wire latency plus
 // per-byte serialization on the sender's injection port; each node's Elan
 // is a serial resource, so co-processor occupancy queues realistically.
@@ -14,17 +14,10 @@ import (
 // The machine is built on whatever scheduler the world was given: node i's
 // Elan and injection-port FIFOs live on its node scheduler
 // (sim.Scheduler.Node), and the wire-latency hop between nodes goes through
-// Route — WireLatency is the natural lookahead bound. The staged fat-tree
-// model homes its shared switch stages on S as a sim.Stage (see
-// NewFatTree); with the tree attached the lookahead bound tightens to
-// HopLatency = WireLatency/2.
+// Route — WireLatency is the natural lookahead bound.
 type Machine struct {
-	S     *sim.Scheduler
 	Costs Costs
 	Nodes []*Node
-	// Tree, when set (see NewFatTree), routes unicast traffic through the
-	// staged fat-tree model instead of the flat-latency wire.
-	Tree *FatTree
 }
 
 // NewMachine builds an n-node CS/2 for the world built on s. The wire
@@ -34,7 +27,7 @@ func NewMachine(s *sim.Scheduler, n int, c Costs) *Machine {
 	if sim.Duration(c.WireLatency) < s.Lookahead() {
 		panic(fmt.Sprintf("meiko: wire latency %v below shard lookahead %v", c.WireLatency, s.Lookahead()))
 	}
-	m := &Machine{S: s, Costs: c}
+	m := &Machine{Costs: c}
 	for i := 0; i < n; i++ {
 		ns := s.Node(i, n)
 		m.Nodes = append(m.Nodes, &Node{
@@ -121,7 +114,7 @@ func noCompletion() {}
 type xfer struct {
 	src, dst *Node
 	nbytes   int
-	perByte  sim.Duration // serialization rate on the port and the tree
+	perByte  sim.Duration // serialization rate on the injection port
 	land     sim.Duration // destination Elan occupancy
 	stage    uint8
 	onLocal  func()
@@ -163,8 +156,11 @@ func (x *xfer) run() {
 		if x.onLocal != nil {
 			x.onLocal()
 		}
+		// The flat wire hop: the serialization is paid on the port, so
+		// only the latency remains, and the route to the destination's
+		// lane hands the record over.
 		x.stage = xferLand
-		x.src.M.transit(x.src, x.dst.ID, x.nbytes, x.perByte, x.step)
+		x.src.S.RouteAfter(x.dst.Lane, x.src.M.Costs.WireLatency, x.step)
 	case xferLand:
 		if x.onRemote == nil {
 			x.dst.elan(x.land, nil)
@@ -220,19 +216,6 @@ func (n *Node) Broadcast(nbytes int, onLocal func(), deliver func(dst *Node)) {
 	})
 }
 
-// transit carries nbytes from src to dst: through the fat tree when one
-// is attached, otherwise at the flat wire latency (the serialization on
-// the source injection port has already been paid by the caller). The
-// wire hop is where traffic leaves the source node's lane, so fn runs on
-// the destination's scheduler.
-func (m *Machine) transit(src *Node, dst, nbytes int, perByte sim.Duration, fn func()) {
-	if m.Tree != nil {
-		m.Tree.Deliver(src.ID, dst, nbytes, perByte, fn)
-		return
-	}
-	src.S.RouteAfter(m.Nodes[dst].Lane, m.Costs.WireLatency, fn)
-}
-
 // Event is an Elan event word: device completions set it, the SPARC waits
 // on it. Waiting charges the SPARC/Elan synchronization cost on wakeup,
 // modeling the handshake the paper identifies as extra latency when the
@@ -242,12 +225,6 @@ type Event struct {
 	c    Costs
 	set  bool
 	cond *sim.Cond
-}
-
-// NewEvent returns an unset event on m.S (node-local events come from
-// Node.NewEvent).
-func (m *Machine) NewEvent() *Event {
-	return &Event{s: m.S, c: m.Costs, cond: sim.NewCond(m.S)}
 }
 
 // NewEvent returns an unset event owned by n's scheduler, so waits and
@@ -261,9 +238,6 @@ func (e *Event) Set() {
 	e.set = true
 	e.cond.Broadcast()
 }
-
-// Clear resets the event.
-func (e *Event) Clear() { e.set = false }
 
 // Wait parks p until the event is set, charging the SPARC<->Elan sync cost
 // if the proc actually had to block and be woken by the Elan.

@@ -134,7 +134,7 @@ func TestBroadcastCheaperThanSequentialSends(t *testing.T) {
 
 func TestEventWaitBeforeSet(t *testing.T) {
 	s, m := newMachine(1)
-	ev := m.NewEvent()
+	ev := m.Nodes[0].NewEvent()
 	var wokeAt sim.Time
 	s.Spawn("w", func(p *sim.Proc) {
 		ev.Wait(p)
@@ -152,7 +152,7 @@ func TestEventWaitBeforeSet(t *testing.T) {
 
 func TestEventAlreadySetNoSyncCost(t *testing.T) {
 	s, m := newMachine(1)
-	ev := m.NewEvent()
+	ev := m.Nodes[0].NewEvent()
 	ev.Set()
 	var wokeAt sim.Time
 	s.Spawn("w", func(p *sim.Proc) {

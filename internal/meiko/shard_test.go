@@ -72,57 +72,6 @@ func TestShardedMachineElanContention(t *testing.T) {
 	}
 }
 
-// The staged fat tree homes its switch state on lane 0 as a sim.Stage:
-// deliveries from every lane must queue on the wormhole routes exactly as
-// they do on one scheduler, including contention between sources that now
-// live on different lanes.
-func TestShardedMachineFatTreeMatchesSingleScheduler(t *testing.T) {
-	c := DefaultCosts()
-	const n = 8
-	run := func(m *Machine, drive func() (sim.Time, error)) []sim.Time {
-		m.Tree = m.NewFatTree()
-		ends := make([]sim.Time, n)
-		for src := 0; src < n; src++ {
-			src := src
-			// Everyone converges on node 0's leaf group: the incast case
-			// where down-link contention decides the timing.
-			m.Nodes[src].Txn((src+1)%2, 512, false, func() {
-				ends[src] = m.Nodes[(src+1)%2].S.Now()
-			})
-		}
-		if _, err := drive(); err != nil {
-			t.Fatal(err)
-		}
-		return ends
-	}
-	s := sim.NewScheduler(1)
-	want := run(NewMachine(s, n, c), s.Run)
-	sh := sim.NewShard(1, 4, sim.Duration(c.WireLatency)/2)
-	got := run(NewMachine(sh.Lane(0), n, c), sh.Run)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("delivery %d at %v sharded, %v single", i, got[i], want[i])
-		}
-		if want[i] == 0 {
-			t.Fatalf("delivery %d never ran", i)
-		}
-	}
-}
-
-func TestShardedMachineRejectsFatTreeShortHop(t *testing.T) {
-	c := DefaultCosts()
-	// WireLatency satisfies the flat-wire bound but the tree's HopLatency
-	// (WireLatency/2) does not: attaching the tree must panic.
-	sh := sim.NewShard(1, 2, sim.Duration(c.WireLatency))
-	m := NewMachine(sh.Lane(0), 2, c)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic attaching a fat tree with hop latency below lookahead")
-		}
-	}()
-	m.Tree = m.NewFatTree()
-}
-
 func TestShardedMachineRejectsShortWire(t *testing.T) {
 	c := DefaultCosts()
 	sh := sim.NewShard(1, 2, sim.Duration(c.WireLatency)+time.Microsecond)

@@ -628,18 +628,6 @@ func (f *FIFO) ReserveAt(t0 Time, d Duration) Time {
 	return f.busyUntil
 }
 
-// BusyUntil reports the time at which currently reserved work completes.
-func (f *FIFO) BusyUntil() Time { return f.busyUntil }
-
-// ExtendBusy marks the resource occupied until t (if later than its
-// current horizon). Used for joint multi-resource reservations (wormhole
-// circuits), where a path of resources is held for one span together.
-func (f *FIFO) ExtendBusy(t Time) {
-	if t > f.busyUntil {
-		f.busyUntil = t
-	}
-}
-
 // DeadlockError reports that the event queue drained while procs were
 // still parked.
 type DeadlockError struct {

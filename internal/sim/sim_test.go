@@ -440,7 +440,7 @@ func TestFIFOPrefixSumProperty(t *testing.T) {
 			sum += Time(d)
 		}
 		_ = got
-		return f.BusyUntil() == sum
+		return f.ReserveAt(0, 0) == sum
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)

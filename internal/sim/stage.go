@@ -1,25 +1,27 @@
 package sim
 
-// Stage models a contended resource shared by the whole world — a switch
-// stage, a shared wire segment — as a lane-routable object: the resource's
-// state (FIFOs, counters, RNG draws) lives on one home lane, requests from
-// any lane detour to that lane deterministically, and completions route
-// back out to the destination's lane. On a standalone scheduler every hop
-// degrades to an inline call or a plain timer, so single-lane behavior is
-// bit-identical to a direct implementation.
+// Stage models a contended resource shared by the whole world — a shared
+// wire segment — as a lane-routable object: the resource's state (FIFOs,
+// counters, RNG draws) lives on one home lane, requests from any lane
+// detour to that lane deterministically, and completions route back out
+// to the destination's lane. On a standalone scheduler every hop degrades
+// to an inline call or a plain timer.
 //
 // The protocol is detour-and-backdate. Request stamps the requester's
 // current time t0 and runs the processing callback on the home lane at
 // t0 + ε, where ε is the shard's lookahead (zero when standalone, so the
 // callback runs inline). Every requester — including one already on the
 // home lane — pays the same ε detour, so processing order on the home lane
-// equals stamp order: requests stamped earlier are processed earlier, and
-// same-instant requests are processed in the deterministic merge order
-// (srcLane, srcSeq), which block-mapped worlds make rank order. Inside the
-// callback the model reserves its FIFOs *backdated to t0* (FIFO.ReserveAt,
-// ExtendBusy from a t0-floored start): queueing arithmetic depends only on
-// the stamp and the resource horizon, so the deferred processing computes
-// the same occupancy a standalone scheduler computes inline.
+// follows stamp order: requests stamped earlier are processed earlier.
+// Same-instant requests are not processed in one order on every kernel:
+// a shard processes them in its merge order (srcLane, srcSeq), a
+// standalone scheduler in execution order, and the two differ. A model
+// whose outcome depends on that order arbitrates it itself, as the
+// Ethernet's arbiter does, buffering a window and ordering by (stamp,
+// source). Inside the callback the model reserves its FIFOs *backdated to
+// t0* (FIFO.ReserveAt): queueing arithmetic depends only on the stamp and
+// the resource horizon, so the deferred processing computes the same
+// occupancy a standalone scheduler computes inline.
 //
 // Safety: the entry detour lands at t0 + ε, which is always at or beyond
 // the sending epoch's horizon (a sender executing inside the window has
@@ -52,14 +54,10 @@ func (st *Stage) Request(src *Scheduler, process func(t0 Time)) {
 	src.Route(st.home.LaneID(), t0+st.eps, func() { process(t0) })
 }
 
-// Exit leaves the stage: fn runs at t on dstLane. Called from the
-// processing callback (home-lane context); t must be at or beyond the
-// processing epoch's horizon, which the construction-time span bound
-// guarantees.
+// Exit leaves the stage: fn runs at t on dstLane. Called in home-lane
+// context (the processing callback or an event it scheduled); t must be at
+// or beyond the processing epoch's horizon, which the construction-time
+// span bound guarantees.
 func (st *Stage) Exit(dstLane int, t Time, fn func()) {
 	st.home.Route(dstLane, t, fn)
 }
-
-// At schedules a home-lane-local event (wire completions, counter decay)
-// from the processing callback.
-func (st *Stage) At(t Time, fn func()) { st.home.At(t, fn) }

@@ -26,9 +26,8 @@ const DefaultEager = 180
 
 // build constructs the machine and per-rank endpoints for s under impl
 // ("lowlatency" | "mpich"). s.Lanes > 1 builds the world on the sharded
-// kernel: nodes block-mapped onto that many lanes, with the wire latency —
-// or the fat-tree hop latency, half of it, when the tree is staged — as the
-// lookahead bound. s.Eager is used by the low-latency implementation only;
+// kernel: nodes block-mapped onto that many lanes, with the wire latency as
+// the lookahead bound. s.Eager is used by the low-latency implementation only;
 // s.EnvelopeSlots is the number of preallocated envelope slots per (sender,
 // receiver) pair (0 = the paper's single slot): more slots buy pipelining
 // of small-message streams at the cost of receiver memory (the trade §4.1
@@ -42,23 +41,9 @@ func build(s registry.Spec, impl string) (*mpi.World, error) {
 		}
 		costs = *c
 	}
-	// Unicast traffic goes through the staged fat-tree congestion model
-	// instead of the flat-latency wire when asked to, or when a switch-plane
-	// outage needs a tree to happen in.
-	fatTree := s.FatTree || s.TreeFaults != ""
-	// The lookahead bound is the minimum cross-lane stage latency: the flat
-	// wire hop, or the per-switch hop (WireLatency/2) once the fat tree
-	// stages the route.
-	lookahead := sim.Duration(costs.WireLatency)
-	if fatTree {
-		lookahead /= 2
-	}
 	n := s.Ranks
-	sched := sim.NewKernel(s.Seed+1, s.Lanes, n, lookahead, 500_000_000)
+	sched := sim.NewKernel(s.Seed+1, s.Lanes, n, sim.Duration(costs.WireLatency), 500_000_000)
 	m := meiko.NewMachine(sched, n, costs)
-	if fatTree {
-		m.Tree = m.NewFatTree()
-	}
 	eager := s.Eager
 	if eager == 0 {
 		eager = DefaultEager
@@ -93,15 +78,6 @@ func build(s registry.Spec, impl string) (*mpi.World, error) {
 		// low-latency implementation auto-selects, which on the whole world
 		// resolves to the hardware broadcast.
 		w.Tune = mpi.Tuning{"bcast": "binomial"}
-	}
-	if s.TreeFaults != "" {
-		faults, err := meiko.ParseTreeFaults(s.TreeFaults)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.Tree.SetFaults(faults); err != nil {
-			return nil, err
-		}
 	}
 	return w, nil
 }

@@ -50,6 +50,20 @@ func TestFullMachine64Nodes(t *testing.T) {
 				if int(in[0]) != left {
 					return fmt.Errorf("rank %d: ring got %d", c.Rank(), in[0])
 				}
+				// All-to-all: every pair exchanges one byte.
+				send := make([]byte, 64)
+				for i := range send {
+					send[i] = byte(c.Rank())
+				}
+				recv := make([]byte, 64)
+				if err := c.Alltoall(send, recv); err != nil {
+					return err
+				}
+				for i, v := range recv {
+					if int(v) != i {
+						return fmt.Errorf("rank %d: alltoall[%d] = %d", c.Rank(), i, v)
+					}
+				}
 				return c.Barrier()
 			})
 			if err != nil {
@@ -62,26 +76,52 @@ func TestFullMachine64Nodes(t *testing.T) {
 	}
 }
 
-// 64 nodes through the fat-tree congestion model.
+// The CS/2 joins its 64 nodes by a fat tree, which the model reduces to the
+// paper's flat wire: a round trip to the far side of the machine costs the
+// same as one to the next node. Each pair's fastest of eight rounds is
+// compared, so the barrier's tail and the slot returns do not count.
 func TestFullMachineFatTree(t *testing.T) {
-	_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 64, Impl: "lowlatency", FatTree: true}, func(c *mpi.Comm) error {
-		// All-to-all across the tree: every pair exchanges one byte.
-		send := make([]byte, 64)
-		for i := range send {
-			send[i] = byte(c.Rank())
-		}
-		recv := make([]byte, 64)
-		if err := c.Alltoall(send, recv); err != nil {
-			return err
-		}
-		for i, v := range recv {
-			if int(v) != i {
-				return fmt.Errorf("rank %d: alltoall[%d] = %d", c.Rank(), i, v)
+	for _, impl := range []string{"lowlatency", "mpich"} {
+		impl := impl
+		t.Run(impl, func(t *testing.T) {
+			var rtt [2]time.Duration
+			_, err := registry.Run(registry.Spec{Platform: "meiko", Ranks: 64, Impl: impl}, func(c *mpi.Comm) error {
+				buf := make([]byte, 1)
+				for i, peer := range []int{1, 63} {
+					if err := c.Barrier(); err != nil {
+						return err
+					}
+					for k := 0; k < 8; k++ {
+						start := c.Wtime()
+						switch c.Rank() {
+						case 0:
+							if err := c.Send(peer, 0, buf); err != nil {
+								return err
+							}
+							if _, err := c.Recv(peer, 0, buf); err != nil {
+								return err
+							}
+							if d := c.Wtime() - start; rtt[i] == 0 || d < rtt[i] {
+								rtt[i] = d
+							}
+						case peer:
+							if _, err := c.Recv(0, 0, buf); err != nil {
+								return err
+							}
+							if err := c.Send(0, 0, buf); err != nil {
+								return err
+							}
+						}
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+			if rtt[0] <= 0 || rtt[0] != rtt[1] {
+				t.Fatalf("round trip to rank 1 = %v, to rank 63 = %v; want equal", rtt[0], rtt[1])
+			}
+		})
 	}
 }

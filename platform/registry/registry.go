@@ -55,7 +55,6 @@ type Spec struct {
 	Coll          string  // collective tuning, "op=alg,..." over the backend's defaults (see coll.ParseTuning; "" = none)
 	LossRate      float64 // cluster/udp: datagram loss probability per frame
 	TCPNagle      bool    // cluster: leave Nagle/delayed acks on (no TCP_NODELAY)
-	FatTree       bool    // meiko: staged fat-tree congestion model
 	EnvelopeSlots int     // meiko: per-pair envelope slots (0 = the paper's 1)
 
 	// Fault-injection knobs (cluster only; see atm.Faults). Together with
@@ -75,13 +74,6 @@ type Spec struct {
 	// scheduled engine events, not frame mutations — so it is deliberately
 	// excluded from HasFaults.
 	Kills string
-
-	// TreeFaults is a Meiko switch-plane outage schedule,
-	// "STAGE:LANE@FROM-UNTIL;..." (meiko.ParseTreeFaults). It implies
-	// FatTree and, like Kills, is excluded from HasFaults: the tree
-	// reroutes deterministically around the dead plane, so runs stay
-	// bit-reproducible without the cluster fault layer's RNG.
-	TreeFaults string
 
 	// Workload names a registered macro-workload pattern
 	// (internal/workload.Names) the caller intends to drive on the world.
@@ -118,13 +110,14 @@ func (s Spec) Key() string {
 
 // platformKnobs lists, per platform, the Spec fields its builders read on
 // top of the ones that mean the same everywhere (everyKnob). A field set on
-// a platform that does not list it would be dropped without a word — a
-// fat tree on the cluster, a loss rate on the Meiko — so Build refuses it.
+// a platform that does not list it would be dropped without a word — an
+// envelope slot count on the cluster, a loss rate on the Meiko — so Build
+// refuses it.
 var (
 	everyKnob     = []string{"Platform", "Ranks", "Lanes", "Parallel", "Eager", "Seed", "Coll", "Kills", "Workload"}
 	platformKnobs = map[string][]string{
 		"mem":   {"Credit"},
-		"meiko": {"Impl", "Costs", "FatTree", "EnvelopeSlots", "TreeFaults"},
+		"meiko": {"Impl", "Costs", "EnvelopeSlots"},
 		"cluster": {"Transport", "Network", "Credit", "Costs", "TCPNagle",
 			"LossRate", "Delay", "Jitter", "Reorder", "Duplicate", "DropEveryN", "Partition", "FaultSeed"},
 	}

@@ -95,7 +95,7 @@ func TestBuildRejectsBadSpecs(t *testing.T) {
 // does not list must be one that means the same on every platform.
 func TestForeignKnobsAreLoud(t *testing.T) {
 	readBy := map[string]string{
-		"Impl": "meiko", "FatTree": "meiko", "EnvelopeSlots": "meiko", "TreeFaults": "meiko",
+		"Impl": "meiko", "EnvelopeSlots": "meiko",
 		"Costs": "meiko cluster", "Credit": "mem cluster",
 		"Transport": "cluster", "Network": "cluster", "TCPNagle": "cluster",
 		"LossRate": "cluster", "Delay": "cluster", "Jitter": "cluster", "Reorder": "cluster",
