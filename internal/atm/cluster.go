@@ -28,7 +28,7 @@ type Cluster struct {
 	// (transparent until SetFaults installs a policy).
 	ethInj, atmInj *Injector
 
-	reads    []sockRead                  // host -> the read in its syscall charge
+	reads    []SockRead                  // host -> its read record (see record)
 	udpPorts map[MediumKind]map[int]*UDP // medium -> host -> bound socket
 	aal4     map[int]*AAL4               // host -> Fore API socket
 	unet     map[int]*UNet               // host -> user-level endpoint
@@ -41,7 +41,7 @@ func NewCluster(s *sim.Scheduler, n int, c Costs) *Cluster {
 		Costs:   c,
 		N:       n,
 		Ledgers: make([]*sim.Ledger, n), // one table for both media
-		reads:   make([]sockRead, n),
+		reads:   make([]SockRead, n),
 		udpPorts: map[MediumKind]map[int]*UDP{
 			OverEthernet: {},
 			OverATM:      {},
@@ -79,74 +79,109 @@ func (cl *Cluster) SetFaults(f Faults) error {
 	return cl.atmInj.Set(f)
 }
 
-// sockRead is a socket read past its syscall, per host so a socket stays
-// small. Its Relay is the copy: the kernel runs it at the syscall's wake if
-// bytes are buffered then, the reader once woken if not.
-type sockRead struct {
-	cl   *Cluster
-	wake *sim.Cond  // the socket's arrivals
-	tcp  *TCP       // a stream ...
-	buf  []byte     // ... and the reader's buffer
-	q    *recvQueue // or a datagram socket's queue ...
-	max  int        // ... and the bytes of a datagram the reader takes
-	n    int        // bytes copied
-	d    Datagram   // the datagram taken
+// SockRead is one socket read as steps (a sim.Stepper): the syscall (on
+// U-Net, the queue poll); at its wake, the copy of what is buffered, or
+// with nothing buffered a block on the socket and, once woken, the kernel
+// wakeup before the copy (a user-level read, Sync, has none to pay); at
+// the copy's wake, done. A zero charge is skipped. Every read of the model
+// runs these steps: a proc's (read), a TCP frame's parse, RUDP's drain and
+// the U-Net receive.
+type SockRead struct {
+	cl  *Cluster
+	sys sim.Duration // the syscall's charge
+	tcp *TCP         // a stream ...
+	buf []byte       // ... and the reader's buffer
+	q   *recvQueue   // or a datagram socket's queue
+	n   int          // the bytes of a datagram the reader takes; once copied, the bytes copied
+	d   Datagram     // the datagram taken
+	cat sim.Cat      // the syscall's and the copy's category
+	at  uint8        // where the read stands
 }
 
-// ready reports whether there are bytes to copy.
-func (r *sockRead) ready() bool {
-	return r.tcp != nil && r.tcp.Readable() || r.q != nil && r.q.Readable()
-}
+// Where a read stands.
+const (
+	readSyscall = iota // the syscall is next
+	readCopy           // at the syscall's wake: copy
+	readBlocked        // nothing was buffered: at a wake, the kernel wakeup
+	readDone           // at the copy's wake
+)
 
-func (r *sockRead) Relay() (sim.Cat, sim.Duration, sim.Step) {
-	if !r.ready() {
-		return 0, 0, sim.Decline
-	}
-	if c := r.tcp; c != nil {
-		r.n, _ = c.Take(r.buf)
-	} else {
-		r.d = r.q.take(r.max)
-		r.n = len(r.d.Data)
-	}
-	return sim.Syscall, r.cl.copyCharge(r.n), sim.Last
-}
-
-// readCharge is a read syscall's charge over medium k: Table 1's 65 or
-// 85 µs, by driver.
-func (cl *Cluster) readCharge(k MediumKind) sim.Duration {
+// sysRead is a read syscall over medium k, Table 1's 65 or 85 µs by
+// driver; the caller names the stream or the queue.
+func (cl *Cluster) sysRead(k MediumKind) SockRead {
+	sys := cl.Costs.SyscallRead + cl.Costs.ReadExtraATM
 	if k == OverEthernet {
-		return cl.Costs.SyscallRead + cl.Costs.ReadExtraEth
+		sys = cl.Costs.SyscallRead + cl.Costs.ReadExtraEth
 	}
-	return cl.Costs.SyscallRead + cl.Costs.ReadExtraATM
+	return SockRead{cl: cl, cat: sim.Syscall, sys: sys}
 }
 
-// copyCharge is a read's copy of n bytes out of the kernel.
-func (cl *Cluster) copyCharge(n int) sim.Duration { return sim.Duration(n) * cl.Costs.CopyPerByte }
+// Done gives the read's record back (see record) and reports the bytes it
+// copied.
+func (r *SockRead) Done() int {
+	n := r.n
+	*r = SockRead{}
+	return n
+}
 
-// read is a socket read on host h over medium k: the syscall, then r's
-// copy, relayed at its wake unless another read holds the host's record. A
-// reader that finds nothing buffered blocks, and pays the kernel wakeup.
-// It returns r as the copy left it. The chained reads (atm.TCP's Take,
-// RUDP's drain) charge the same steps.
-func (cl *Cluster) read(p *sim.Proc, h int, k MediumKind, r sockRead) sockRead {
-	d := cl.readCharge(k)
-	r.cl = cl
-	if slot := &cl.reads[h]; slot.cl == nil {
-		*slot = r
-		copied := p.SpendThen(sim.Syscall, d, slot)
-		if r, *slot = *slot, (sockRead{}); copied {
-			return r
+func (r *SockRead) Relay() (sim.Cat, sim.Duration, sim.Step) { return sim.StepRelay(r.Step()) }
+
+func (r *SockRead) Step() (sim.Cat, sim.Duration, *sim.Cond) {
+	for {
+		c, d := r.cat, sim.Duration(0)
+		switch r.at {
+		case readSyscall:
+			r.at, d = readCopy, r.sys
+		case readCopy, readBlocked:
+			var wake *sim.Cond
+			if r.tcp != nil && !r.tcp.Readable() {
+				wake = r.tcp.readable
+			} else if r.tcp == nil && !r.q.Readable() {
+				wake = r.q.readable
+			}
+			if wake != nil {
+				r.at = readBlocked
+				return 0, 0, wake
+			}
+			if r.at == readBlocked {
+				if r.at = readCopy; r.cat == sim.Syscall {
+					c, d = sim.Kernel, r.cl.Costs.KernelWakeup
+				}
+				break
+			}
+			if r.tcp != nil {
+				r.n = r.tcp.take(r.buf)
+			} else {
+				r.d = r.q.take(r.n)
+				r.n = len(r.d.Data)
+			}
+			r.at, d = readDone, sim.Duration(r.n)*r.cl.Costs.CopyPerByte
+		default:
+			return 0, 0, nil
 		}
-	} else {
-		p.Spend(sim.Syscall, d)
-	}
-	if !r.ready() {
-		for !r.ready() {
-			r.wake.Wait(p)
+		if d > 0 {
+			return c, d, nil
 		}
-		p.Spend(sim.Kernel, cl.Costs.KernelWakeup)
 	}
-	_, d, _ = r.Relay()
-	p.Spend(sim.Syscall, d)
-	return r
+}
+
+// record is host h's read record holding r, or r's own while another read
+// holds the host's: the kernel may run a read's steps after the call that
+// started it returned. With one reader per host, a read allocates nothing.
+func (cl *Cluster) record(h int, r SockRead) *SockRead {
+	rec := &cl.reads[h]
+	if rec.cl != nil {
+		rec = new(SockRead)
+	}
+	*rec = r
+	return rec
+}
+
+// read runs r in p to its end, gives its record back and returns it as its
+// copy left it.
+func (r *SockRead) read(p *sim.Proc) SockRead {
+	p.RunSteps(r)
+	v := *r
+	r.Done()
+	return v
 }

@@ -189,8 +189,8 @@ func (in *Injector) Set(f Faults) error {
 	if err := f.Validate(); err != nil {
 		return err
 	}
-	if !f.active() {
-		in.Clear()
+	if !f.active() { // transparent passthrough
+		in.policy, in.links = nil, nil
 		return nil
 	}
 	in.policy = &f
@@ -203,15 +203,6 @@ func (in *Injector) Set(f Faults) error {
 	}
 	return nil
 }
-
-// Clear removes the policy, restoring transparent passthrough.
-func (in *Injector) Clear() {
-	in.policy = nil
-	in.links = nil
-}
-
-// Policy reports the installed policy (nil when passthrough).
-func (in *Injector) Policy() *Faults { return in.policy }
 
 // Kind implements Medium.
 func (in *Injector) Kind() MediumKind { return in.inner.Kind() }

@@ -53,6 +53,8 @@ func (a *AAL4) SendTo(p *sim.Proc, dst int, data []byte) {
 
 // RecvFrom blocks for the next PDU.
 func (a *AAL4) RecvFrom(p *sim.Proc, buf []byte) (int, int) {
-	d := a.cl.read(p, a.host, OverATM, sockRead{wake: a.readable, q: &a.recvQueue, max: len(buf)}).d
+	r := a.cl.sysRead(OverATM)
+	r.q, r.n = &a.recvQueue, len(buf)
+	d := a.cl.record(a.host, r).read(p).d
 	return copy(buf, d.Data), d.Src
 }

@@ -53,7 +53,8 @@ func faultStreams(t *testing.T, f Faults, msgs int, read func(r *RUDP, h, i int,
 					}
 					sent++
 				}
-				d, ok, err := r[h].TryRecv(p)
+				r[h].drain(p)
+				d, ok, err := r[h].TryRecv()
 				if err != nil {
 					t.Errorf("host %d recv: %v", h, err)
 					return
@@ -362,7 +363,8 @@ func FuzzRUDPDrain(f *testing.F) {
 		s.Spawn("rx", func(p *sim.Proc) {
 			p.Advance(50 * time.Millisecond)
 			for {
-				d, ok, err := r1.TryRecv(p)
+				r1.drain(p)
+				d, ok, err := r1.TryRecv()
 				if err != nil {
 					t.Errorf("recv: %v", err)
 				}

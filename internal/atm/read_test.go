@@ -14,7 +14,7 @@ import (
 // read, or landing during its syscall charge, are copied at the charge's
 // wake (the relay); bytes landing after it wake a blocked reader. A second
 // reader on the host, reading while the first is in its syscall charge,
-// takes the plain path at the same cost. Each case pins the readers' clocks
+// reads in a record of its own at the same cost. Each case pins the readers' clocks
 // and ledgers on TCP and on UDP, and a relayed copy's instant: the bytes
 // are still buffered 1 ns before the syscall's wake and gone 1 ns after.
 func TestSocketReadCharges(t *testing.T) {

@@ -55,7 +55,7 @@ type RUDP struct {
 	dead      map[int]bool // peers fenced by DropPeer: sends are swallowed
 	stopped   bool         // Stop: every send is swallowed
 	delivered sim.Queue[Datagram]
-	chain     rudpDrain // drain's steps, for the proc that drains
+	chain     rudpDrain // drain's steps, for the reader that drains
 	arrival   *sim.Cond
 	watch     func(readable bool)       // see OnArrival
 	pending   sim.FreeList[rudpPending] // retransmission records (see rudpPending)
@@ -122,6 +122,7 @@ func NewRUDP(sock *UDP, onResend func()) *RUDP {
 		arrival:    sim.NewCond(hs),
 		onResend:   onResend,
 	}
+	r.chain.r = r
 	// Pure acknowledgements are consumed at interrupt level, like the
 	// kernel timers that drive retransmission: the sender's window opens
 	// and its timers settle even when the application is off computing.
@@ -328,14 +329,6 @@ func (r *RUDP) Stop() {
 	r.arrival.Broadcast()
 }
 
-// Send reliably transmits data to host dst, blocking on the send window.
-// The caller keeps data: Send copies it behind a fresh header.
-func (r *RUDP) Send(p *sim.Proc, dst int, data []byte) error {
-	f := r.Frame(rudpHeader + len(data))
-	copy(f.B[rudpHeader:], data)
-	return r.SendFrame(p, dst, f)
-}
-
 // Headroom is the header space SendFrame's caller leaves before its payload.
 func (r *RUDP) Headroom() int { return rudpHeader }
 
@@ -422,17 +415,19 @@ func (pend *rudpPending) timeout() {
 	r.s.After(pend.rto+pend.budget, pend.expire)
 }
 
-// TryRecv drains arrivals and returns one in-order datagram if available,
-// without blocking: a read-only view of the sender's frame, valid until the
-// caller passes d to Release (kept for good if it never does). Remaining
-// delivered data is surfaced before a dead link's error.
-func (r *RUDP) TryRecv(p *sim.Proc) (d Datagram, ok bool, err error) {
-	r.drain(p)
+// TryRecv returns one in-order datagram the drain delivered: a read-only
+// view of the sender's frame, valid until the caller passes d to Release
+// (kept for good if it never does). Delivered data precedes a dead link's
+// error.
+func (r *RUDP) TryRecv() (d Datagram, ok bool, err error) {
 	if r.delivered.Len() > 0 {
 		return r.delivered.Pop(), true, nil
 	}
 	return Datagram{}, false, r.Err
 }
+
+// RecvStep is the next step of a drain its reader drives (rudpDrain).
+func (r *RUDP) RecvStep() (sim.Cat, sim.Duration, *sim.Cond) { return r.chain.Step() }
 
 // MaxDatagram reports the largest payload Send accepts.
 func (r *RUDP) MaxDatagram() int { return r.sock.MaxDatagram() - rudpHeader }
@@ -450,23 +445,6 @@ func (r *RUDP) notify(readable bool) {
 	}
 }
 
-// Recv blocks for the next in-order datagram from any peer and copies it
-// into buf.
-func (r *RUDP) Recv(p *sim.Proc, buf []byte) (int, int, error) {
-	for {
-		d, ok, err := r.TryRecv(p)
-		if ok {
-			n := copy(buf, d.Data)
-			r.Release(d)
-			return n, d.Src, nil
-		}
-		if err != nil {
-			return 0, 0, err
-		}
-		r.arrival.Wait(p)
-	}
-}
-
 // Readable reports whether an in-order datagram is deliverable (after a
 // drain by the owning proc).
 func (r *RUDP) Readable() bool { return r.delivered.Len() > 0 || r.sock.Readable() }
@@ -476,8 +454,8 @@ func (r *RUDP) Readable() bool { return r.delivered.Len() > 0 || r.sock.Readable
 // parsed where they lie — delivered and stash hold views past the header,
 // each with the hold its raw datagram carried; the rest are released here.
 // With p nil (Discard) it runs in event context: no read is charged, and
-// acks go out on the wire alone. With p it is one chain (rudpDrain), which
-// the kernel runs in p's place at each charge's wake.
+// acks go out on the wire alone. With p it is drain's steps (rudpDrain),
+// which the kernel runs in p's place at each charge's wake.
 func (r *RUDP) drain(p *sim.Proc) {
 	if p == nil {
 		for r.sock.Readable() {
@@ -489,69 +467,58 @@ func (r *RUDP) drain(p *sim.Proc) {
 		}
 		return
 	}
-	if !r.sock.Readable() {
-		return
-	}
-	c := &r.chain
-	c.r, c.stage = r, drainRead
-	p.SpendThen(sim.Syscall, r.sock.cl.readCharge(r.sock.med.Kind()), c)
-	for c.blocked {
-		// The read's syscall found nothing queued: block, as a socket read
-		// does, then go on from its copy.
-		c.blocked = false
-		for !r.sock.Readable() {
-			r.sock.readable.Wait(p)
-		}
-		p.SpendThen(sim.Kernel, r.sock.cl.Costs.KernelWakeup, c)
-	}
+	p.RunSteps(&r.chain)
 }
 
-// rudpDrain is drain's loop for a proc, as a chain of charges: a read's
-// syscall; at its wake, the datagram's copy; at the copy's wake, the
-// datagram's processing and its ack's write; at the write's wake, the ack's
-// transmission and, while a datagram is queued, the next read's syscall.
+// rudpDrain is drain's loop for a reader, as steps (a sim.Stepper): a
+// datagram's read (SockRead's steps); at its copy's wake, the datagram's
+// processing and its ack's write; at the write's wake, the ack's
+// transmission; then, while a datagram is queued, the next read.
 type rudpDrain struct {
-	r       *RUDP
-	stage   uint8
-	blocked bool     // a read's syscall found nothing queued
-	d       Datagram // read, processed at its copy's wake
-	ack     *Frame   // written, transmitted at the write's wake
-	dst     int
+	r     *RUDP
+	stage uint8
+	rd    *SockRead // the datagram's read
+	ack   *Frame    // written, transmitted at the write's wake
+	dst   int
 }
 
-// What the chain's next call does.
+// Where the drain stands.
 const (
-	drainRead  = iota // at a read's syscall wake: copy
-	drainCopy         // at the copy's wake: process, write the ack
-	drainWrite        // at the write's wake: transmit the ack
+	drainIdle  = iota // between datagrams
+	drainRead         // a read is under way
+	drainWrite        // at the ack write's wake: transmit the ack
 )
 
-func (c *rudpDrain) Relay() (sim.Cat, sim.Duration, sim.Step) {
+func (c *rudpDrain) Relay() (sim.Cat, sim.Duration, sim.Step) { return sim.StepRelay(c.Step()) }
+
+func (c *rudpDrain) Step() (sim.Cat, sim.Duration, *sim.Cond) {
 	r, u := c.r, c.r.sock
-	switch c.stage {
-	case drainRead:
-		if !u.Readable() {
-			c.blocked = true
-			return 0, 0, sim.Decline
+	for {
+		switch c.stage {
+		case drainRead:
+			if cat, d, w := c.rd.Step(); d > 0 || w != nil {
+				return cat, d, w
+			}
+			src, ok := r.accept(c.rd.d)
+			c.rd.Done()
+			c.rd, c.stage = nil, drainIdle
+			if ok {
+				c.ack, c.dst, c.stage = r.ackFrame(src), src, drainWrite
+				if d := u.sendCharge(len(c.ack.B)); d > 0 {
+					return sim.Syscall, d, nil
+				}
+			}
+		case drainWrite:
+			u.transmit(c.dst, c.ack)
+			u.release(c.ack)
+			c.ack, c.stage = nil, drainIdle
+		default:
+			if !u.Readable() {
+				return 0, 0, nil
+			}
+			c.rd, c.stage = u.readStep(u.MaxDatagram()), drainRead
 		}
-		c.d = u.take(u.MaxDatagram())
-		c.stage = drainCopy
-		return sim.Syscall, u.cl.copyCharge(len(c.d.Data)), sim.More
-	case drainCopy:
-		if src, ok := r.accept(c.d); ok {
-			c.ack, c.dst, c.stage = r.ackFrame(src), src, drainWrite
-			return sim.Syscall, u.sendCharge(len(c.ack.B)), sim.More
-		}
-	default:
-		u.transmit(c.dst, c.ack)
-		u.release(c.ack)
 	}
-	c.d, c.ack = Datagram{}, nil
-	if !u.Readable() {
-		return 0, 0, sim.Decline
-	}
-	c.stage = drainRead
-	return sim.Syscall, u.cl.readCharge(u.med.Kind()), sim.More
 }
 
 // accept processes one raw datagram and reports whether to ack it, and to

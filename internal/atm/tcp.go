@@ -77,21 +77,7 @@ func (c *TCP) MSS() int { return c.med.MTU() - TCPIPHeader }
 // Write sends len(data) bytes down the stream, blocking (in virtual time)
 // on the receiver's window. It charges the syscall, the user-to-kernel
 // copy, checksumming, and per-segment protocol processing to p.
-func (c *TCP) Write(p *sim.Proc, data []byte) {
-	k := c.cl.Costs
-	p.Spend(sim.Syscall, k.SyscallWrite+sim.Duration(len(data))*(k.CopyPerByte+k.ChecksumPerByte))
-	mss := c.MSS()
-	for off := 0; off < len(data); off += mss {
-		end := off + mss
-		if end > len(data) {
-			end = len(data)
-		}
-		c.writeSegment(p, data[off:end])
-	}
-	if len(data) == 0 {
-		c.writeSegment(p, nil)
-	}
-}
+func (c *TCP) Write(p *sim.Proc, data []byte) { c.WriteInterleaved(p, data, nil) }
 
 // Drop fences the connection against a dead peer: segments written from
 // now on are discarded instead of transmitted (the corpse will never read
@@ -238,17 +224,14 @@ func (f *tcpFrame) run() {
 // window updates (see OnWritable). Two peers pushing window-exceeding
 // frames at each other would both park forever in plain Write — the classic
 // socket-MPI progress deadlock. Costs charged to p are identical to
-// Write's.
+// Write's; Write is WriteInterleaved with no yield.
 func (c *TCP) WriteInterleaved(p *sim.Proc, data []byte, yield func()) {
 	k := c.cl.Costs
 	p.Spend(sim.Syscall, k.SyscallWrite+sim.Duration(len(data))*(k.CopyPerByte+k.ChecksumPerByte))
 	mss := c.MSS()
 	for off := 0; off < len(data); off += mss {
-		end := off + mss
-		if end > len(data) {
-			end = len(data)
-		}
-		for c.sndCredit < end-off {
+		end := min(off+mss, len(data))
+		for yield != nil && c.sndCredit < end-off {
 			yield()
 		}
 		c.writeSegment(p, data[off:end])
@@ -264,42 +247,31 @@ func (c *TCP) WriteInterleaved(p *sim.Proc, data []byte, yield func()) {
 // byte count. Reading frees window space, which flows back to the sender
 // as a window-update frame.
 func (c *TCP) Read(p *sim.Proc, buf []byte) int {
-	n := c.cl.read(p, c.host, c.med.Kind(), sockRead{wake: c.readable, tcp: c, buf: buf}).n
+	n := c.ReadStep(buf).read(p).n
 	c.sendWindowUpdate(n)
 	return n
 }
 
-// The steps of Read, for a reader that chains reads in a sim.Relay: the
-// syscall's charge (ReadCharge); at its wake, the copy of what is buffered
-// (Take), or, with nothing buffered, a block (Await) whose kernel wakeup is
-// charged before the copy; at the copy's wake, the window update
-// (Consumed). Read charges exactly these.
+// ReadStep is Read's steps, for a reader that drives them and, once they
+// are Done, returns the bytes to the peer's window (Consumed).
+func (c *TCP) ReadStep(buf []byte) *SockRead {
+	r := c.cl.sysRead(c.med.Kind())
+	r.tcp, r.buf = c, buf
+	return c.cl.record(c.host, r)
+}
 
-// ReadCharge reports a read syscall's charge on c, before its copy.
-func (c *TCP) ReadCharge() sim.Duration { return c.cl.readCharge(c.med.Kind()) }
-
-// Take copies up to len(buf) buffered bytes into buf and reports how many
-// and the copy's charge.
-func (c *TCP) Take(buf []byte) (int, sim.Duration) {
+// take copies up to len(buf) buffered bytes into buf and reports how many.
+func (c *TCP) take(buf []byte) int {
 	n := copy(buf, c.rq[c.rqHead:])
 	if c.rqHead += n; c.rqHead == len(c.rq) {
 		// Drained: rewind, so a steady stream keeps appending in place.
 		c.rq, c.rqHead = c.rq[:0], 0
 	}
-	return n, c.cl.copyCharge(n)
+	return n
 }
 
 // Consumed returns n bytes the reader has taken to the peer's window.
 func (c *TCP) Consumed(n int) { c.sendWindowUpdate(n) }
-
-// Await blocks p until bytes are buffered and reports the kernel wakeup the
-// reader then pays.
-func (c *TCP) Await(p *sim.Proc) sim.Duration {
-	for !c.Readable() {
-		c.readable.Wait(p)
-	}
-	return c.cl.Costs.KernelWakeup
-}
 
 // ReadFull fills buf completely, looping over Read.
 func (c *TCP) ReadFull(p *sim.Proc, buf []byte) {

@@ -278,5 +278,12 @@ func (u *UDP) RecvFrom(p *sim.Proc, buf []byte) (int, int) {
 // what a read into a max-byte buffer costs and returns a read-only view of
 // the first max bytes of the datagram, whose hold the caller releases.
 func (u *UDP) recv(p *sim.Proc, max int) Datagram {
-	return u.cl.read(p, u.host, u.med.Kind(), sockRead{wake: u.readable, q: &u.recvQueue, max: max}).d
+	return u.readStep(max).read(p).d
+}
+
+// readStep is a read of the next datagram's first max bytes, as steps.
+func (u *UDP) readStep(max int) *SockRead {
+	r := u.cl.sysRead(u.med.Kind())
+	r.q, r.n = &u.recvQueue, max
+	return u.cl.record(u.host, r)
 }

@@ -1,7 +1,6 @@
 package atm
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/sim"
@@ -23,6 +22,7 @@ type UNet struct {
 	cl   *Cluster
 	host int
 	recvQueue
+	rd *SockRead // RecvStep's read, until TryRecv
 }
 
 // U-Net cost model (calibrated to the SOSP'95 measurements: ~65 µs
@@ -55,16 +55,11 @@ func (cl *Cluster) UNetSocket(h int) *UNet {
 // MaxPDU bounds one U-Net message (one pinned buffer).
 const UNetMaxPDU = 64 * 1024
 
-// SendTo transmits one message to host dst. The per-message cost is the
+// Send transmits one message to host dst. The per-message cost is the
 // doorbell write plus the user-to-NIC copy at memory bandwidth; the
 // switch's dedicated flow-controlled links deliver reliably and in order.
-// The caller keeps data: the endpoint sends a snapshot.
-func (u *UNet) SendTo(p *sim.Proc, dst int, data []byte) {
-	u.Send(p, dst, bytes.Clone(data))
-}
-
-// Send is SendTo for a buffer the caller gives up: data itself is queued at
-// the peer, so nobody may write to it again. Charges are SendTo's.
+// The caller gives data up: it is queued at the peer, so nobody may write
+// to it again.
 func (u *UNet) Send(p *sim.Proc, dst int, data []byte) {
 	k := u.cl.Costs
 	if len(data) > UNetMaxPDU {
@@ -97,23 +92,32 @@ func (u *UNet) Send(p *sim.Proc, dst int, data []byte) {
 	})
 }
 
-// RecvFrom blocks polling the receive queue for the next message and
-// copies it into buf, truncating silently.
-func (u *UNet) RecvFrom(p *sim.Proc, buf []byte) (int, int) {
-	d := u.Recv(p, len(buf))
-	return copy(buf, d.Data), d.Src
+// readStep is a receive as a read: the queue poll, then the copy of the
+// next message's first max bytes, both user-level (Sync); a poll that
+// finds nothing waits for an arrival, with no kernel wakeup to pay.
+func (u *UNet) readStep(max int) *SockRead {
+	return u.cl.record(u.host, SockRead{cl: u.cl, cat: sim.Sync, sys: UNetPoll, q: &u.recvQueue, n: max})
 }
 
-// Recv is RecvFrom without the host copy: same charges as a receive into a
-// max-byte buffer, returning a read-only view of the first max bytes.
-func (u *UNet) Recv(p *sim.Proc, max int) Datagram {
-	k := u.cl.Costs
-	p.Spend(sim.Sync, UNetPoll)
-	for !u.Readable() {
-		u.readable.Wait(p)
+// RecvStep is Recv's steps for a reader that never blocks: with nothing
+// queued, nothing at once; else the read's steps, and TryRecv returns the
+// message once they are done.
+func (u *UNet) RecvStep() (sim.Cat, sim.Duration, *sim.Cond) {
+	if u.rd == nil {
+		if !u.Readable() {
+			return 0, 0, nil
+		}
+		u.rd = u.readStep(UNetMaxPDU)
 	}
-	d := u.dq.Pop()
-	d.Data = d.Data[:min(len(d.Data), max)]
-	p.Spend(sim.Sync, sim.Duration(len(d.Data))*k.CopyPerByte)
-	return d
+	return u.rd.Step()
+}
+
+// TryRecv returns the message RecvStep read, if any. The link never fails.
+func (u *UNet) TryRecv() (d Datagram, ok bool, err error) {
+	if ok = u.rd != nil; ok {
+		d = u.rd.d
+		u.rd.Done()
+		u.rd = nil
+	}
+	return d, ok, nil
 }

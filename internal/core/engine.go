@@ -181,6 +181,9 @@ func (e *Engine) freeInMsg(m *InMsg) {
 	e.inFree = append(e.inFree, m)
 }
 
+// plainKernel is set under the plainkernel build tag (plainkernel.go).
+var plainKernel bool
+
 // pollKind is what the kernel can run of a poll for a rank parked in Wait.
 type pollKind uint8
 
@@ -194,10 +197,14 @@ const (
 // It also reads the cost tables for whether a poll can charge the rank:
 // not when every engine cost is zero and the wire's only charge, its poll
 // cost, is zero too (mem); and whether the wire's Poll has steps that the
-// receive chain runs (pollStepper: the Meiko's).
+// receive chain runs (pollStepper: the Meiko's and the sockets'). The
+// plain kernel (plainKernel) parks every wire's Wait plainly.
 func (e *Engine) SetTransport(tr Transport) {
 	e.tr = tr
 	e.poll = parkPoll
+	if plainKernel {
+		return
+	}
 	if _, ok := tr.(pollStepper); ok {
 		e.poll = stepsPoll
 	}
@@ -459,17 +466,26 @@ func (e *Engine) recvDone(req *Request, env Envelope, n int, note string) {
 // it polls again: false means the wire is drained as of now.
 func (e *Engine) pollOnce(p *sim.Proc) bool {
 	pkt := e.tr.Poll(p)
-	for e.released.Len() > 0 {
-		e.transmit(p, e.released.Pop())
-		if pkt == nil && e.released.Len() == 0 {
-			pkt = e.tr.Poll(p)
-		}
+	if e.released.Len() > 0 {
+		pkt = e.shipReleased(p, pkt)
 	}
 	if pkt == nil {
 		return false
 	}
 	e.handle(p, pkt)
 	return true
+}
+
+// shipReleased ships the sends a credit parsed by Poll released, Poll
+// having surfaced pkt, and returns the packet to handle.
+func (e *Engine) shipReleased(p *sim.Proc, pkt *Packet) *Packet {
+	for e.released.Len() > 0 {
+		e.transmit(p, e.released.Pop())
+		if pkt == nil && e.released.Len() == 0 {
+			pkt = e.tr.Poll(p)
+		}
+	}
+	return pkt
 }
 
 // Progress drains all currently pending arrivals: the poll model's one

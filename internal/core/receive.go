@@ -25,17 +25,22 @@ const (
 	stRndv                 // e.scratch is an RTS matched to e.matched: the accept is left
 	stQueue                // e.scratch matched nothing: queueing it is left
 	stRevoked              // e.scratch came on a revoked communicator: dropping it is left
-	stPacket               // e.held is not an arrival: handling it is left
+	stPacket               // e.held is not an arrival, or sends wait in e.released: pollOnce's rest is left
 )
 
-// pollStepper is a wire whose Poll is charges with code between them (the
-// Meiko's), and whose credits land in its Inbox, never through Credit.
-// PollStep runs Poll's code up to its next charge and reports it (d > 0),
-// or, with d == 0, the packet Poll returns; after a charge it is called
-// again at its wake. The wire's Poll is PollStep with each charge spent in
-// between, so the proc's poll and the kernel's are one code path.
+// pollStepper is a wire whose Poll is charges and blocks with code between
+// them that never blocks (the Meiko's, the sockets'). PollStep runs Poll's
+// code up to its next charge and reports it (d > 0); or where Poll blocks
+// (a socket read that found nothing buffered mid-frame) the Cond it waits
+// on, its next step charging the wakeup; or, with neither, the packet Poll
+// returns. After a charge it is called again at its wake, after a block at
+// the Cond's. The wire's Poll is PollStep's steps with each charge spent
+// and each block waited out in between, so the proc's poll and the
+// kernel's are one code path. A credit the Meiko's poll reads lands in its
+// Inbox; one a socket's parses goes through Credit, whose released sends
+// the proc ships (pollOnce), so the chain stops there.
 type pollStepper interface {
-	PollStep() (c sim.Cat, d sim.Duration, pkt *Packet)
+	PollStep() (c sim.Cat, d sim.Duration, pkt *Packet, wait *sim.Cond)
 }
 
 // receive is the chain as a sim.Relay.
@@ -44,16 +49,24 @@ type receive Engine
 func (r *receive) Relay() (sim.Cat, sim.Duration, sim.Step) { return (*Engine)(r).step() }
 
 // step runs the chain from its stage to its next charge and reports it:
-// More, or Last for an eager copy-out. It declines, charging nothing, where
-// the proc carries on, and at stIdle once the poll surfaced nothing.
+// More, or Last for an eager copy-out. A poll that blocks Stays on the
+// Cond it names. It declines, charging nothing, where the proc carries on
+// (with pkt in hand, or sends the poll's credits released), and at stIdle
+// once the poll surfaced nothing.
 func (e *Engine) step() (sim.Cat, sim.Duration, sim.Step) {
 	for {
 		switch e.stage {
 		case stPoll:
-			c, d, pkt := e.tr.(pollStepper).PollStep()
+			c, d, pkt, wait := e.tr.(pollStepper).PollStep()
 			switch {
 			case d > 0:
 				return c, d, sim.More
+			case wait != nil:
+				wait.Requeue(e.waiter)
+				return 0, 0, sim.Stay
+			case e.released.Len() > 0:
+				e.held, e.stage = pkt, stPacket
+				return 0, 0, sim.Decline
 			case pkt == nil:
 				e.stage = stIdle
 				return 0, 0, sim.Decline
@@ -103,7 +116,9 @@ func (e *Engine) carryOn(p *sim.Proc) bool {
 	case stRevoked:
 		e.dropRevoked(p)
 	case stPacket:
-		e.handle(p, pkt)
+		if pkt = e.shipReleased(p, pkt); pkt != nil {
+			e.handle(p, pkt)
+		}
 	}
 	return true
 }

@@ -118,6 +118,9 @@ func (q *queueOracle) drain() {
 //   - ascending: the root collects every push as a child, and its first
 //     pop pairs them all.
 func TestEventQueueChainsMatchSort(t *testing.T) {
+	if plainKernel {
+		t.Skip("the plain kernel (plainkernel build tag) takes none of the shortcuts this test pins")
+	}
 	programs := []struct {
 		name  string
 		run   func(q *queueOracle, rng *rand.Rand) int
@@ -344,7 +347,7 @@ type fpNode struct {
 	// How often the program met each shortcut's precondition, read from the
 	// kernel's own state, so a run that never exercised them cannot pass.
 	runAheadChances, sameInstantSeen, chainAppends, relays, spend2Parks, chainHops, waitStays int
-	waitCharges, chargedStays                                                                 int
+	waitCharges, chargedStays, otherStays                                                     int
 }
 
 func (n *fpNode) note(actor, what int) {
@@ -427,13 +430,14 @@ func (r *fpChain) Relay() (Cat, Duration, Step) {
 
 // fpWait is a Cond wait's relay (WaitThen): at each wake it touches its
 // node as fpRelay does and reports 0–2 charges (More), then stays —
-// queueing p on the Cond again and arming the signal that will wake it, as
-// every wait in the program does — until it has stayed stays times; at the
-// last wake it declines, or reports its last charge with Last.
+// queueing p again, on the Cond or on another one as a socket read waits on
+// its connection, and arming the signal that will wake it, as every wait in
+// the program does — until it has stayed stays times; at the last wake it
+// declines, or reports its last charge with Last.
 type fpWait struct {
 	n               *fpNode
 	p               *Proc
-	c               *Cond
+	c, other        *Cond
 	id, stays       int
 	charges         int  // charges left before this wake's Stay or end
 	last            bool // the wait ends on a charge (Last), not Decline
@@ -473,6 +477,12 @@ func (r *fpWait) Relay() (Cat, Duration, Step) {
 	}
 	r.stays--
 	r.charges, r.charged = r.rng.Intn(3), false
+	if r.rng.Intn(2) == 0 {
+		c = r.other
+		if inPlace {
+			n.otherStays++
+		}
+	}
 	c.Requeue(r.p)
 	n.s.After(Duration(r.rng.Intn(60)), func() { n.note(id, 100); c.Signal() })
 	return 0, 0, Stay
@@ -488,7 +498,7 @@ type fpResult struct {
 	limit   uint64     // LimitError.Events when the run hit maxEvents
 
 	runAheadChances, sameInstantSeen, chainAppends, relays, spend2Parks, chainHops, waitStays int
-	waitCharges, chargedStays                                                                 int
+	waitCharges, chargedStays, otherStays                                                     int
 	cutChains                                                                                 int // chains parked mid-way when the run stopped
 }
 
@@ -634,7 +644,7 @@ func runFastPathProgram(t *testing.T, seed int64, lanes int, parallel, slow bool
 					// charge; the first wake's signal is armed here, as in
 					// case 5.
 					s.After(Duration(rng.Intn(60)), func() { n.note(id, 100); c.Signal() })
-					r := &fpWait{n: n, p: p, c: c, id: id, stays: rng.Intn(4), charges: rng.Intn(3), last: rng.Intn(2) == 0, rng: rng,
+					r := &fpWait{n: n, p: p, c: c, other: NewCond(n.s), id: id, stays: rng.Intn(4), charges: rng.Intn(3), last: rng.Intn(2) == 0, rng: rng,
 						chargesInPlace: &n.waitCharges, chargedThenStay: &n.chargedStays}
 					if r.last && r.stays == 0 && r.charges == 0 {
 						r.charges = 1
@@ -720,6 +730,7 @@ func runFastPathProgram(t *testing.T, seed int64, lanes int, parallel, slow bool
 		res.waitStays += n.waitStays
 		res.waitCharges += n.waitCharges
 		res.chargedStays += n.chargedStays
+		res.otherStays += n.otherStays
 	}
 	scheds := []*Scheduler{root}
 	if sh != nil {
@@ -782,7 +793,7 @@ func TestFastPathsMatchPlainKernel(t *testing.T) {
 	}{{0, false}, {1, false}, {4, false}, {4, true}, {16, false}, {16, true}} {
 		t.Run(fmt.Sprintf("lanes%d-parallel%v", k.lanes, k.parallel), func(t *testing.T) {
 			chances, same, chained, relays, spend2Parks, hops, stays, cut := 0, 0, 0, 0, 0, 0, 0, 0
-			waitCharges, chargedStays := 0, 0
+			waitCharges, chargedStays, otherStays := 0, 0, 0
 			for _, seed := range []int64{1, 2, 3, 5, 8, 13} {
 				want := runFastPathProgram(t, seed, k.lanes, k.parallel, true, 0)
 				got := runFastPathProgram(t, seed, k.lanes, k.parallel, false, 0)
@@ -796,6 +807,7 @@ func TestFastPathsMatchPlainKernel(t *testing.T) {
 				stays += got.waitStays
 				waitCharges += got.waitCharges
 				chargedStays += got.chargedStays
+				otherStays += got.otherStays
 				if got.chainAppends == 0 {
 					t.Fatalf("seed %d: no push chained behind a heap entry", seed)
 				}
@@ -808,10 +820,10 @@ func TestFastPathsMatchPlainKernel(t *testing.T) {
 				sameRun(t, seed, want, got)
 				cut += got.cutChains
 			}
-			if chances == 0 || same == 0 || relays == 0 || spend2Parks == 0 || hops == 0 || stays == 0 || waitCharges == 0 || chargedStays == 0 || cut == 0 {
-				t.Fatalf("programs never exercised the shortcuts: %d run-ahead chances, %d same-instant sightings, %d relays, %d parked Spend2s, %d chain steps, %d Cond-wait stays (%d after a charge) and %d Cond-wait charges run in a parked proc's place, %d chains cut by the limit", chances, same, relays, spend2Parks, hops, stays, chargedStays, waitCharges, cut)
+			if chances == 0 || same == 0 || relays == 0 || spend2Parks == 0 || hops == 0 || stays == 0 || waitCharges == 0 || chargedStays == 0 || otherStays == 0 || cut == 0 {
+				t.Fatalf("programs never exercised the shortcuts: %d run-ahead chances, %d same-instant sightings, %d relays, %d parked Spend2s, %d chain steps, %d Cond-wait stays (%d after a charge, %d on another Cond) and %d Cond-wait charges run in a parked proc's place, %d chains cut by the limit", chances, same, relays, spend2Parks, hops, stays, chargedStays, otherStays, waitCharges, cut)
 			}
-			t.Logf("%d run-ahead chances, %d same-instant sightings, %d chained pushes, %d relays, %d parked Spend2s, %d chain steps, %d Cond-wait stays (%d after a charge) and %d Cond-wait charges run in a parked proc's place, %d chains cut by the limit", chances, same, chained, relays, spend2Parks, hops, stays, chargedStays, waitCharges, cut)
+			t.Logf("%d run-ahead chances, %d same-instant sightings, %d chained pushes, %d relays, %d parked Spend2s, %d chain steps, %d Cond-wait stays (%d after a charge, %d on another Cond) and %d Cond-wait charges run in a parked proc's place, %d chains cut by the limit", chances, same, chained, relays, spend2Parks, hops, stays, chargedStays, otherStays, waitCharges, cut)
 		})
 	}
 }

@@ -247,3 +247,39 @@ func TestRelayThatChargesPanicsByName(t *testing.T) {
 		}
 	}
 }
+
+// The event limit is exact on every driver: a run whose MaxEvents equals
+// its event count finishes clean, and one fewer stops it with an event
+// LimitError, on a shard as on a standalone scheduler (ROADMAP item 30:
+// the shard's final check weakened from `>` to `>=` passed every test).
+func TestEventLimitIsExact(t *testing.T) {
+	run := func(lanes int, maxEvents uint64) (uint64, error) {
+		root, run, shutdown := newTestKernel(lanes, maxEvents)
+		defer shutdown()
+		for i := 0; i < testNodes; i++ {
+			root.Node(i, testNodes).Spawn(fmt.Sprint("p", i), func(p *Proc) {
+				for j := 0; j < 20+i; j++ {
+					p.Advance(Duration(1+i) * time.Microsecond)
+				}
+			})
+		}
+		_, err := run()
+		if sh := root.Shard(); sh != nil {
+			return sh.Events(), err
+		}
+		return root.Events(), err
+	}
+	for _, k := range kernels {
+		n, err := run(k.lanes, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		if _, err := run(k.lanes, n); err != nil {
+			t.Errorf("%s: MaxEvents = its %d events: %v, want a clean run", k.name, n, err)
+		}
+		var le *LimitError
+		if _, err := run(k.lanes, n-1); !errors.As(err, &le) || le.What != "event" {
+			t.Errorf("%s: MaxEvents = %d, one under its events: %v, want an event LimitError", k.name, n-1, err)
+		}
+	}
+}

@@ -157,6 +157,43 @@ func (s *Scheduler) runRelay(p *Proc) bool {
 	}
 }
 
+// Stepper is code whose charges and blocks all fall between its steps, so a
+// proc can run it (RunSteps) or the kernel in the proc's place: Step runs it
+// to its next charge and reports it (d > 0), or the Cond to wait on before
+// it steps again, or neither once it is done. Where it stops, blocked or
+// done, a second Step at the same instant reports the same. Its Relay is
+// StepRelay of its Step.
+type Stepper interface {
+	Relay
+	Step() (Cat, Duration, *Cond)
+}
+
+// StepRelay is a Stepper's Relay: a charge with More; Decline where Step
+// stops, for RunSteps to step again.
+func StepRelay(c Cat, d Duration, w *Cond) (Cat, Duration, Step) {
+	if d > 0 && w == nil {
+		return c, d, More
+	}
+	return 0, 0, Decline
+}
+
+// RunSteps runs s in p to its end: each run of charges as one SpendThen
+// chain, so p is dispatched once per run, not per charge, and each block as
+// a Cond.Wait.
+func (p *Proc) RunSteps(s Stepper) {
+	for {
+		c, d, w := s.Step()
+		switch {
+		case w != nil:
+			w.Wait(p)
+		case d > 0:
+			p.SpendThen(c, d, s)
+		default:
+			return
+		}
+	}
+}
+
 // Spend2 is Spend(c1, d1) then Spend(c2, d2): SpendThen with p's own second
 // charge as the relay, which needs no closure.
 func (p *Proc) Spend2(c1 Cat, d1 Duration, c2 Cat, d2 Duration) {

@@ -342,6 +342,9 @@ func TestShardBuildAllocatesNoRandSource(t *testing.T) {
 // counters, and a same-instant wakeup links a pooled event onto the
 // intrusive queue.
 func TestFastPathsAllocFree(t *testing.T) {
+	if plainKernel {
+		t.Skip("the plain kernel (plainkernel build tag) takes none of the shortcuts this test pins")
+	}
 	for _, k := range kernels[:2] { // one proc set: standalone and one lane
 		t.Run(k.name+"/run-ahead", func(t *testing.T) {
 			s, run, _ := newTestKernel(k.lanes, 0)

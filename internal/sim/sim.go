@@ -141,8 +141,9 @@ type Scheduler struct {
 	lane  int32
 
 	// noFastPath routes every event through the heap and every Advance
-	// through schedule + park. Written only by this package's tests, which
-	// use the plain kernel as the oracle for the two shortcuts. It shares
+	// through schedule + park. Written by this package's tests, which use
+	// the plain kernel as the oracle for the shortcuts, and on every new
+	// scheduler under the plainkernel build tag (plainKernel). It shares
 	// lane's word, so a Scheduler stays in the 176 B size class.
 	noFastPath bool
 
@@ -155,9 +156,12 @@ type Scheduler struct {
 	dispatches uint64 // proc switches (see Dispatches)
 }
 
+// plainKernel is set under the plainkernel build tag (plainkernel.go).
+var plainKernel bool
+
 // NewScheduler returns a Scheduler with the deterministic RNG seeded by seed.
 func NewScheduler(seed int64) *Scheduler {
-	return &Scheduler{procs: make(map[*Proc]struct{}), seed: seed}
+	return &Scheduler{procs: make(map[*Proc]struct{}), seed: seed, noFastPath: plainKernel}
 }
 
 // Now reports the current virtual time.

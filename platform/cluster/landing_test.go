@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/atm"
 	"repro/internal/core"
+	"repro/internal/flow"
 	"repro/internal/sim"
 	"repro/mpi"
 	_ "repro/platform/meiko" // registers meiko/lowlatency for the landing matrix
@@ -332,6 +334,53 @@ func TestSameTagReceivesInPostOrder(t *testing.T) {
 		})
 		if got != [2]int{100, n} {
 			t.Errorf("cluster/%s: the receives got %d and %d bytes; want 100 and %d", kind, got[0], got[1], n)
+		}
+	}
+}
+
+// dataCount is a datagram link that counts the Data frames it sends.
+type dataCount struct {
+	dgramLink
+	frames int
+}
+
+func (l *dataCount) SendFrame(p *sim.Proc, dst int, f *atm.Frame) error {
+	if kind, _, _, _ := flow.DecodeHeader(f.B[l.Headroom():]); kind == core.PktData {
+		l.frames++
+	}
+	return l.dgramLink.SendFrame(p, dst, f)
+}
+
+// A rendezvous payload of exactly k datagram chunks (MaxDatagram less the
+// header each) ships as exactly k Data frames on udp and unet, and lands
+// intact: no empty frame trails a payload that fills its last chunk
+// (ROADMAP item 30: the chunk loop's bound weakened to `off <= len(data)`
+// passed every test and record).
+func TestWholeChunksShipNoEmptyDataFrame(t *testing.T) {
+	for _, kind := range []string{"udp", "unet"} {
+		for _, k := range []int{1, 2} {
+			w, trs, err := build(registry.Spec{Ranks: 2, Seed: 1}, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			link := &dataCount{dgramLink: trs[0].dgram}
+			trs[0].dgram = link
+			payload := pattern(k*(link.MaxDatagram()-headerBytes), 3)
+			if _, err := mpi.Launch(w, func(c *mpi.Comm) error {
+				if c.Rank() == 0 {
+					return c.Send(1, 0, payload)
+				}
+				buf := make([]byte, len(payload))
+				if _, err := c.Recv(0, 0, buf); err != nil || !bytes.Equal(buf, payload) {
+					return fmt.Errorf("received %v, intact %v", err, bytes.Equal(buf, payload))
+				}
+				return nil
+			}); err != nil {
+				t.Fatalf("%s, %d chunks: %v", kind, k, err)
+			}
+			if link.frames != k {
+				t.Errorf("%s: a payload of exactly %d chunks shipped %d Data frames", kind, k, link.frames)
+			}
 		}
 	}
 }

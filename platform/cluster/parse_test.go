@@ -19,9 +19,9 @@ import (
 // payload read's, each from its syscall to its copy's wake. Two cases, by
 // hand: the whole frame buffered when the parse begins (every read
 // relayed), and the payload landing after its read's syscall has found
-// nothing (the chain declines, and the rank blocks, then goes on with the
-// copy). Both must surface the eager packet intact, and each read return
-// its window at its copy's wake.
+// nothing (the steps stop on the connection, and the rank blocks, then goes
+// on with the copy). Both must surface the eager packet intact from one
+// Poll, and each read return its window at its copy's wake.
 func TestFrameParseCharges(t *testing.T) {
 	k := atm.DefaultCosts()
 	syscall, copied := k.SyscallRead+k.ReadExtraATM, func(n int) sim.Duration { return sim.Duration(n) * k.CopyPerByte }
@@ -52,10 +52,11 @@ func TestFrameParseCharges(t *testing.T) {
 		})
 		acct := r.eng.Acct()
 		var end sim.Time
+		var pkt *core.Packet
 		s.Spawn("reader", func(p *sim.Proc) {
 			p.Ledger = &acct.Ledger
 			p.Advance(start)
-			r.parseTCP(p, 0, conn)
+			pkt = r.Poll(p)
 			end = p.Now()
 		})
 		if _, err := s.Run(); err != nil {
@@ -95,7 +96,6 @@ func TestFrameParseCharges(t *testing.T) {
 			updates[2]-updates[1] != sim.Time(syscall+copied(len(payload)))) {
 			t.Errorf("window updates landed at %v, want one per read, each a copy's wake after the last", updates)
 		}
-		pkt := r.inbox.Poll()
 		if pkt == nil || pkt.Kind != core.PktEager || !bytes.Equal(pkt.Data, payload) || conn.Readable() {
 			t.Errorf("split %v: surfaced %+v, %d bytes left buffered; want the eager frame, nothing left", split, pkt, conn.Buffered())
 		}

@@ -49,7 +49,7 @@ func (dc pollChecker) Poll(p *sim.Proc) *core.Packet {
 	case *atm.RUDP:
 		readable = l.Readable()
 	case unetLink:
-		readable = l.u.Readable()
+		readable = l.Readable()
 	}
 	if readable {
 		dc.t.Errorf("%s: rank %d at %v: Poll found nothing with a datagram delivered or queued", dc.cell, dc.rank, p.Now())

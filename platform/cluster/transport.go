@@ -40,10 +40,14 @@ type transport struct {
 	// hold count (dgramLink.Frame).
 	pool *core.BufPool
 
-	inbox core.Inbox        // parsed frames waiting for Poll
-	rr    int               // round-robin parse start
-	hdr   [headerBytes]byte // parseTCP's: a TCP read's buffer escapes
-	parse tcpParse          // parseTCP's chain
+	// The parse (Step), whose frames wait in inbox for Poll: off is a
+	// pass's cursor, frame the message in hand; progress is set once this
+	// pass parsed something, any once the parse did.
+	inbox                  core.Inbox
+	rr, off                int
+	parsing, progress, any bool
+	hdr                    [headerBytes]byte // frame's: a TCP read's buffer escapes
+	frame                  tcpParse
 
 	// Credit flow control, receiver side: freed reservation owed back to
 	// each sender (the sender's side is the engine's send queue).
@@ -73,7 +77,7 @@ func newTransport(eng *core.Engine, rank, size, eager, credit int, kind string) 
 func (t *transport) attachConn(peer int, c *atm.TCP) {
 	t.conns[peer] = c
 	// An arrival marks the connection ready (frames are never empty, so it
-	// always leaves bytes buffered); parseAvailable unmarks it once drained.
+	// always leaves bytes buffered); the parse (Step) unmarks it once drained.
 	c.OnReadable(func() {
 		t.ready.set(peer)
 		t.eng.Wake()
@@ -89,15 +93,17 @@ func (t *transport) attachConn(peer int, c *atm.TCP) {
 // flow-controlled switch links are lossless and ordered by construction).
 // A datagram is one buffer that is held instead of copied: Frame draws it,
 // SendFrame takes the caller's hold (Headroom bytes the link fills in, then
-// the message), and TryRecv returns a read-only view of the sender's frame
-// that stays valid until the reader passes it to Release. Discard drops, in
-// event context, what reaches a closed rank. OnArrival's fn is told whether
-// the arrival left anything to read.
+// the message). A receive is RecvStep's steps (a sim.Stepper's), then
+// TryRecv, which returns a read-only view of the sender's frame that stays
+// valid until the reader passes it to Release. Discard drops, in event
+// context, what reaches a closed rank. OnArrival's fn is told whether the
+// arrival left anything to read.
 type dgramLink interface {
 	Headroom() int
 	Frame(n int) *atm.Frame
 	SendFrame(p *sim.Proc, dst int, f *atm.Frame) error
-	TryRecv(p *sim.Proc) (d atm.Datagram, ok bool, err error)
+	RecvStep() (sim.Cat, sim.Duration, *sim.Cond)
+	TryRecv() (d atm.Datagram, ok bool, err error)
 	Release(d atm.Datagram)
 	Discard()
 	MaxDatagram() int
@@ -106,28 +112,21 @@ type dgramLink interface {
 
 // unetLink adapts the U-Net endpoint to dgramLink. Its frames are GC-owned:
 // U-Net queues the bytes themselves at the peer and never gives them back.
-type unetLink struct{ u *atm.UNet }
+type unetLink struct{ *atm.UNet }
 
 func (l unetLink) Headroom() int          { return 0 }
 func (l unetLink) Frame(n int) *atm.Frame { return &atm.Frame{B: make([]byte, n)} }
 func (l unetLink) Release(d atm.Datagram) {}
 
 func (l unetLink) SendFrame(p *sim.Proc, dst int, f *atm.Frame) error {
-	l.u.Send(p, dst, f.B)
+	l.Send(p, dst, f.B)
 	return nil
-}
-
-func (l unetLink) TryRecv(p *sim.Proc) (atm.Datagram, bool, error) {
-	if !l.u.Readable() {
-		return atm.Datagram{}, false, nil
-	}
-	return l.u.Recv(p, atm.UNetMaxPDU), true, nil
 }
 
 // Discard keeps the frames queued: no U-Net sender waits for an ack.
 func (l unetLink) Discard()                {}
 func (l unetLink) MaxDatagram() int        { return atm.UNetMaxPDU }
-func (l unetLink) OnArrival(fn func(bool)) { l.u.OnReadable(func() { fn(true) }) }
+func (l unetLink) OnArrival(fn func(bool)) { l.OnReadable(func() { fn(true) }) }
 
 // attachDgram wakes an open rank on an arrival it can read; a closed one's
 // link discards. Pure acks leave nothing to read, so they only Nudge: a
@@ -247,7 +246,8 @@ func (t *transport) SendPayload(p *sim.Proc, req *core.Request, pkt *core.Packet
 		// closes, parse whatever has arrived before parking.
 		frame := t.tcpFrame(dst, core.PktData, req.Env, name, data)
 		t.conns[dst].WriteInterleaved(p, frame, func() {
-			if !t.parseAvailable(p) {
+			t.begin()
+			if p.RunSteps(t); !t.any {
 				t.eng.Park(p)
 			}
 		})
@@ -283,47 +283,73 @@ func (t *transport) PeerDown(rank int) {
 	}
 }
 
-// Poll implements core.Transport. A header's piggybacked credit goes to
+// Poll implements core.Transport: PollStep's steps, each charge spent and
+// each block waited out in p. A header's piggybacked credit goes to
 // Engine.Credit as it is parsed; the sends it releases ship once Poll has
 // returned (see Engine.pollOnce).
 func (t *transport) Poll(p *sim.Proc) *core.Packet {
 	if t.inbox.Len() == 0 {
-		t.parseAvailable(p)
+		t.begin()
+		p.RunSteps(t)
 	}
 	return t.inbox.Poll()
 }
 
-// parseAvailable consumes every complete message currently readable,
-// reporting whether anything was processed.
-func (t *transport) parseAvailable(p *sim.Proc) bool {
-	any := false
-	if t.kind != "tcp" {
-		for t.parseDgram(p) {
-			any = true
-		}
-		return any
+// PollStep is Poll's next step (core's stepped wire): the parse's, or once
+// it is over, or with no parse needed, the packet Poll returns.
+func (t *transport) PollStep() (sim.Cat, sim.Duration, *core.Packet, *sim.Cond) {
+	if !t.parsing && t.inbox.Len() == 0 {
+		t.begin()
 	}
-	// Passes over the ready connections, cyclic from rr, until one finds
-	// nothing; rr advances once per pass, that last one included. Parse order
-	// is model behaviour: parseTCP advances time, and a connection that
-	// becomes readable meanwhile is served in this pass if the cursor has not
-	// reached it — which "next ready at or after the cursor" preserves,
-	// because after re-reads the set on every step.
-	progress := true
-	for progress {
-		progress = false
-		for off := t.ready.after(t.rr, 0, t.size); off < t.size; off = t.ready.after(t.rr, off+1, t.size) {
-			j := (t.rr + off) % t.size
-			conn := t.conns[j]
-			t.parseTCP(p, j, conn)
-			if !conn.Readable() {
-				t.ready.clear(j)
+	if c, d, w := t.Step(); d > 0 || w != nil {
+		return c, d, nil, w
+	}
+	return 0, 0, t.inbox.Poll(), nil
+}
+
+// begin starts a parse of every complete message currently readable.
+func (t *transport) begin() {
+	t.parsing, t.progress, t.any = true, false, false
+	t.off = t.ready.after(t.rr, 0, t.size)
+}
+
+func (t *transport) Relay() (sim.Cat, sim.Duration, sim.Step) { return sim.StepRelay(t.Step()) }
+
+// Step runs the parse begin started to its next charge (sim.Stepper): on
+// datagrams, receives until one finds none; on TCP, passes over the ready
+// connections, cyclic from rr, until one finds nothing, rr advancing once
+// per pass. Parse order is model behaviour: a connection that becomes
+// readable while a frame's reads advance time is served in this pass if
+// the cursor has not reached it, as the set is re-read after every frame.
+func (t *transport) Step() (sim.Cat, sim.Duration, *sim.Cond) {
+	for t.parsing {
+		if t.kind != "tcp" {
+			if c, d, w := t.dgram.RecvStep(); d > 0 || w != nil {
+				return c, d, w
 			}
-			progress, any = true, true
+			t.parsing = t.parseDgram()
+			t.any = t.any || t.parsing
+			continue
+		}
+		if r := &t.frame; r.conn != nil {
+			if c, d, w := t.frameStep(); d > 0 || w != nil {
+				return c, d, w
+			}
+			if !t.conns[r.src].Readable() {
+				t.ready.clear(r.src)
+			}
+			t.progress, t.any = true, true
+			t.off = t.ready.after(t.rr, t.off+1, t.size)
+		}
+		if t.off < t.size {
+			t.beginFrame((t.rr + t.off) % t.size)
+			continue
 		}
 		t.rr = (t.rr + 1) % t.size
+		t.parsing, t.progress = t.progress, false
+		t.off = t.ready.after(t.rr, 0, t.size)
 	}
-	return any
+	return 0, 0, nil
 }
 
 // readySet is one bit per peer.
@@ -360,88 +386,80 @@ func (r readySet) next(lo, hi int) int {
 	return hi
 }
 
-// parseTCP consumes one message from conn, performing the paper's two
-// header reads (message type, then credit+envelope) and any eager payload
-// read as one chain (tcpParse). A Data frame's payload is readData's.
-func (t *transport) parseTCP(p *sim.Proc, src int, conn *atm.TCP) {
-	if t.eng.PayloadLeft(src) > 0 {
-		// Resume the partially-read Data frame before touching headers:
-		// everything readable on this stream is its remaining payload.
-		t.readData(p, src, conn)
-		return
-	}
-	r := &t.parse
-	*r = tcpParse{t: t, src: src, conn: conn, buf: t.hdr[:1], t0: p.Now()}
-	p.SpendThen(sim.Syscall, conn.ReadCharge(), r)
-	for r.blocked {
-		// A read's syscall found nothing buffered: block, as a socket read
-		// does, then go on from its copy.
-		r.blocked = false
-		p.SpendThen(sim.Kernel, conn.Await(p), r)
-	}
-	if r.kind == core.PktData {
-		t.readData(p, src, conn)
-	}
-}
-
-// tcpParse is a frame's reads as a chain of charges, each read as
-// atm.TCP.Read charges it: the syscall; at its wake, the copy of what is
-// buffered; at the copy's wake, the window update, then another syscall
-// for the rest until the read is full. A full read is booked (the Read*
-// spans and counters) and the next begins at the same wake: the envelope
-// after the type, an eager payload after the envelope. The kernel runs the
-// chain in the rank's place at each charge's wake; the rank resumes once
-// the frame is parsed, or when a syscall finds nothing buffered (blocked).
+// tcpParse is one message's reads from a connection: the paper's two
+// header reads (type, then credit+envelope) and an eager payload's read, or
+// a Data frame's payload landing as it arrives. Each read is atm.TCP.Read's
+// steps, repeated until the buffer is full; a full read is booked (the
+// Read* spans and counters) and the next begins at the same wake.
 type tcpParse struct {
-	t       *transport
-	src     int
-	conn    *atm.TCP
-	buf     []byte   // the read in progress ...
-	off     int      // ... how much of it is filled ...
-	n       int      // ... by the copy whose wake comes next
-	t0      sim.Time // when the read began
-	stage   uint8    // which read: parseType, parseEnv or parsePayload
-	copied  bool     // the next call is at a copy's wake, not a syscall's
-	blocked bool
-	kind    core.PacketKind // the header's, once read
-	env     core.Envelope
+	src   int
+	conn  *atm.TCP      // nil: no message in hand
+	buf   []byte        // the read in progress ...
+	off   int           // ... how much of it is filled ...
+	rd    *atm.SockRead // ... and the read into the rest, once begun
+	t0    sim.Time      // when the read (a landing's: its first read) began
+	stage uint8         // which read: parseType, parseEnv, parsePayload, parseLand or parseJunk
+	chunk int           // a landing's bytes: what was buffered when it began
+	kind  core.PacketKind
+	env   core.Envelope
 }
 
-// A frame's reads, in order.
+// A message's reads, in order: a Data frame's payload lands in chunks, each
+// the receive's share (parseLand) then what is past it, drained (parseJunk).
 const (
 	parseType = iota
 	parseEnv
 	parsePayload
+	parseLand
+	parseJunk
 )
 
-func (r *tcpParse) Relay() (sim.Cat, sim.Duration, sim.Step) {
-	if !r.copied { // a syscall's wake
-		if !r.conn.Readable() {
-			r.blocked = true
-			return 0, 0, sim.Decline
-		}
-		n, d := r.conn.Take(r.buf[r.off:])
-		r.n, r.copied = n, true
-		return sim.Syscall, d, sim.More
+// beginFrame takes the message at the head of src's stream in hand, or the
+// rest of the Data frame whose payload is partly read: everything readable
+// on the stream is its payload.
+func (t *transport) beginFrame(src int) {
+	r := &t.frame
+	r.src, r.conn = src, t.conns[src]
+	if t.eng.PayloadLeft(src) > 0 {
+		t.land()
+	} else {
+		r.buf, r.off, r.stage, r.t0 = t.hdr[:1], 0, parseType, t.eng.Scheduler().Now()
 	}
-	r.copied = false
-	r.conn.Consumed(r.n)
-	if r.off += r.n; r.off < len(r.buf) || r.next() {
-		return sim.Syscall, r.conn.ReadCharge(), sim.More
-	}
-	return 0, 0, sim.Decline
 }
 
-// next books the read just filled and reports whether another follows it.
-func (r *tcpParse) next() bool {
-	t := r.t
+// frameStep runs the message in hand to its next charge, or reports the
+// connection to block on; nothing once the message is parsed (conn nil).
+func (t *transport) frameStep() (sim.Cat, sim.Duration, *sim.Cond) {
+	r := &t.frame
+	for r.conn != nil {
+		if r.rd == nil { // the read into the rest of the buffer
+			r.rd = r.conn.ReadStep(r.buf[r.off:])
+		}
+		if c, d, w := r.rd.Step(); d > 0 || w != nil {
+			return c, d, w
+		}
+		n := r.rd.Done()
+		r.rd = nil
+		r.conn.Consumed(n)
+		if r.off += n; r.off == len(r.buf) {
+			t.next()
+		}
+	}
+	return 0, 0, nil
+}
+
+// next books the read just filled and sets up the one after it, or lets go
+// of the message.
+func (t *transport) next() {
+	r := &t.frame
 	now := t.eng.Scheduler().Now()
 	acct := t.eng.Acct()
+	r.off = 0
 	switch r.stage {
 	case parseType:
 		acct.Record(sim.ReadType, sim.Duration(now-r.t0))
 		acct.Add(ctrReadType, 1)
-		r.buf, r.stage = t.hdr[1:], parseEnv
+		r.buf, r.stage, r.t0 = t.hdr[1:], parseEnv, now
 	case parseEnv:
 		acct.Record(sim.ReadEnv, sim.Duration(now-r.t0))
 		acct.Add(ctrReadEnv, 1)
@@ -452,22 +470,50 @@ func (r *tcpParse) next() bool {
 		case core.PktEager:
 			r.buf, r.stage, r.t0 = t.pool.Get(env.Count), parsePayload, now
 			if env.Count == 0 { // nothing to read
-				return r.next()
+				t.next()
 			}
 		case core.PktData:
 			t.eng.DataFrame(r.src, env, int64(aux))
-			return false
+			t.land()
 		default:
 			t.surface(r.src, kind, env, aux)
-			return false
+			r.conn = nil
 		}
-	default:
+	case parsePayload:
 		acct.Record(sim.ReadData, sim.Duration(now-r.t0))
 		t.inbox.Push(core.Packet{Kind: r.kind, Env: r.env, Data: r.buf, Pool: t.pool})
-		return false
+		r.conn = nil
+	default:
+		if rest := r.chunk - len(r.buf); r.stage == parseLand && rest > 0 {
+			r.buf, r.stage = t.pool.Get(rest), parseJunk
+			return
+		}
+		if r.stage == parseJunk {
+			t.pool.Put(r.buf)
+		}
+		acct.Record(sim.ReadData, sim.Duration(now-r.t0))
+		t.eng.Landed(r.src, r.chunk, &t.inbox)
+		t.land()
 	}
-	r.off, r.t0 = 0, now
-	return true
+}
+
+// land begins the next chunk of the Data frame in hand: what the kernel
+// buffer holds of its payload, read into where Place puts it; with nothing
+// buffered, a later poll resumes. Never blocking for more keeps two peers
+// that exchange window-exceeding payloads deadlock-free: each alternates
+// between pushing its own frame and draining the other's.
+func (t *transport) land() {
+	r := &t.frame
+	r.chunk = min(r.conn.Buffered(), t.eng.PayloadLeft(r.src))
+	if r.chunk == 0 {
+		r.conn = nil
+		return
+	}
+	r.t0 = t.eng.Scheduler().Now()
+	r.buf, r.off, r.stage = t.eng.Place(r.src, r.chunk), 0, parseLand
+	if len(r.buf) == 0 { // past what the landing holds: drain and discard
+		t.next()
+	}
 }
 
 // surface handles a frame that carries no payload, which is therefore the
@@ -488,37 +534,11 @@ func (t *transport) surface(src int, kind core.PacketKind, env core.Envelope, au
 	}
 }
 
-// readData lands however much of a rendezvous payload the kernel buffer
-// holds, resuming on later polls until the frame completes. Reading only
-// buffered bytes — never parking for more — is what keeps two peers
-// exchanging window-exceeding payloads deadlock-free: each side alternates
-// between pushing its own frame and draining the other's.
-func (t *transport) readData(p *sim.Proc, src int, conn *atm.TCP) {
-	acct := t.eng.Acct()
-	for left := t.eng.PayloadLeft(src); left > 0; left = t.eng.PayloadLeft(src) {
-		n := min(conn.Buffered(), left)
-		if n == 0 {
-			return // resume when the next segment arrives
-		}
-		t2 := p.Now()
-		land := t.eng.Place(src, n)
-		conn.ReadFull(p, land)
-		if rest := n - len(land); rest > 0 {
-			// Past what the landing holds: drain and discard.
-			junk := t.pool.Get(rest)
-			conn.ReadFull(p, junk)
-			t.pool.Put(junk)
-		}
-		acct.Record(sim.ReadData, sim.Duration(p.Now()-t2))
-		t.eng.Landed(src, n, &t.inbox)
-	}
-}
-
-// parseDgram consumes one reliable datagram, reporting whether one was
-// available. The frame is released once its bytes are copied out or
-// parsed, except an eager payload's.
-func (t *transport) parseDgram(p *sim.Proc) bool {
-	d, ok, err := t.dgram.TryRecv(p)
+// parseDgram consumes the datagram the receive's steps read, reporting
+// whether there was one. The frame is released once its bytes are copied
+// out or parsed, except an eager payload's.
+func (t *transport) parseDgram() bool {
+	d, ok, err := t.dgram.TryRecv()
 	if err != nil {
 		t.fail(err)
 	}

@@ -198,7 +198,7 @@ func (t *lowlatTransport) PeerDown(rank int) {}
 // unexpected queue. Its steps are PollStep's, each charge spent between.
 func (t *lowlatTransport) Poll(p *sim.Proc) *core.Packet {
 	for {
-		c, d, pkt := t.PollStep()
+		c, d, pkt, _ := t.PollStep()
 		if d == 0 {
 			return pkt
 		}
@@ -210,30 +210,30 @@ func (t *lowlatTransport) Poll(p *sim.Proc) *core.Packet {
 // envelope the slot-free issue, then the slot-free transaction. The engine
 // runs these steps as the head of its receive chain, so a rank parked in
 // Wait is dispatched once per message, not once per charge.
-func (t *lowlatTransport) PollStep() (sim.Cat, sim.Duration, *core.Packet) {
+func (t *lowlatTransport) PollStep() (sim.Cat, sim.Duration, *core.Packet, *sim.Cond) {
 	switch t.pollAt {
 	case 0:
 		if t.inbox.Len() == 0 {
-			return 0, 0, nil
+			return 0, 0, nil, nil
 		}
 		t.pollAt = 1
-		return sim.Protocol, slotPollCost, nil
+		return sim.Protocol, slotPollCost, nil, nil
 	case 1:
 		pkt := t.inbox.Poll()
 		if pkt.Kind != core.PktEager && pkt.Kind != core.PktRTS {
 			t.pollAt = 0
-			return 0, 0, pkt
+			return 0, 0, pkt, nil
 		}
 		t.pollAt = 2
 		if d := t.m.Costs.TxnIssue; d > 0 {
-			return sim.Protocol, d, nil
+			return sim.Protocol, d, nil, nil
 		}
 	}
 	pkt := t.inbox.Polled()
 	t.pollAt = 0
 	slotFree := core.Envelope{Source: t.eng.Rank(), Count: 1}
 	t.ship(pkt.Env.Source, ctrlTxnBytes, core.Packet{Kind: core.PktCredit, Env: slotFree})
-	return 0, 0, pkt
+	return 0, 0, pkt, nil
 }
 
 // ------------------------------------------------------------ RemoteMemory --

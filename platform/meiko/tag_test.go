@@ -1,11 +1,14 @@
 package meiko
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/meiko"
+	"repro/internal/sim"
 )
 
 // Property: the MPICH tag encoding round-trips (ctx, src, tag) and the
@@ -63,5 +66,33 @@ func TestSyncBitIgnoredInMatching(t *testing.T) {
 	env := encodeMPICHTag(1, 2, 7) | mpichSyncBit
 	if env&mask != want&mask {
 		t.Fatal("sync-mode envelope did not match a plain receive")
+	}
+}
+
+// The MPICH device takes ranks 0..size-1 on both sides: a source or a
+// destination equal to size is the typed invalid-rank error, never a post
+// (ROADMAP item 30: a `>=` weakened to `>` on the receive's bound passed
+// every test and record), and size-1 is accepted.
+func TestMPICHRankBoundIsSize(t *testing.T) {
+	s := sim.NewScheduler(1)
+	e := newMPICHEndpoint(meiko.NewMachine(s, 2, meiko.DefaultCosts()), 0, 2)
+	invalid := func(err error) bool {
+		var ce *core.Error
+		return errors.As(err, &ce) && ce.Code == core.ErrInternal
+	}
+	s.Spawn("rank0", func(p *sim.Proc) {
+		buf := make([]byte, 1)
+		if req, err := e.Irecv(p, 2, 0, 0, buf); req != nil || !invalid(err) {
+			t.Errorf("Irecv from source 2 of 2: %v, %v; want the invalid-rank error", req, err)
+		}
+		if req, err := e.Isend(p, 2, 0, 0, core.ModeStandard, buf); req != nil || !invalid(err) {
+			t.Errorf("Isend to rank 2 of 2: %v, %v; want the invalid-rank error", req, err)
+		}
+		if _, err := e.Irecv(p, 1, 0, 0, buf); err != nil {
+			t.Errorf("Irecv from source 1 of 2: %v", err)
+		}
+	})
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
