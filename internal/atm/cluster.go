@@ -180,7 +180,7 @@ func (cl *Cluster) record(h int, r SockRead) *SockRead {
 // read runs r in p to its end, gives its record back and returns it as its
 // copy left it.
 func (r *SockRead) read(p *sim.Proc) SockRead {
-	p.RunSteps(r)
+	sim.RunSteps(p, r)
 	v := *r
 	r.Done()
 	return v

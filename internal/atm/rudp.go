@@ -467,7 +467,7 @@ func (r *RUDP) drain(p *sim.Proc) {
 		}
 		return
 	}
-	p.RunSteps(&r.chain)
+	sim.RunSteps(p, &r.chain)
 }
 
 // rudpDrain is drain's loop for a reader, as steps (a sim.Stepper): a

@@ -37,8 +37,8 @@ type Engine struct {
 
 	// The send side of the protocol (see send): the eager/rendezvous
 	// crossover in payload bytes, the wire's flow-control queue (nil when
-	// sends never wait), and the sends a credit parsed inside Poll released,
-	// which pollOnce ships once Poll has returned.
+	// sends never wait), and the sends a credit parsed inside the poll
+	// released, which the proc ships where the receive chain stops.
 	eager    int
 	fc       *SendQueue
 	released sim.Queue[*Request]
@@ -188,27 +188,23 @@ var plainKernel bool
 type pollKind uint8
 
 const (
-	parkPoll  pollKind = iota // nothing: the rank wakes and polls itself
+	parkPoll  pollKind = iota // nothing: the rank wakes and polls itself (the plain kernel)
 	freePoll                  // all of Progress: no poll charges the rank
-	stepsPoll                 // the receive chain: the wire's Poll has steps
+	stepsPoll                 // the receive chain, charges and blocks as its steps
 )
 
 // SetTransport attaches the platform transport; must be called before use.
 // It also reads the cost tables for whether a poll can charge the rank:
 // not when every engine cost is zero and the wire's only charge, its poll
-// cost, is zero too (mem); and whether the wire's Poll has steps that the
-// receive chain runs (pollStepper: the Meiko's and the sockets'). The
-// plain kernel (plainKernel) parks every wire's Wait plainly.
+// cost, is zero too (mem), where the kernel runs all of Progress at a
+// parked rank's wake (freePoll); everywhere else it runs the receive chain
+// (stepsPoll). The plain kernel (plainKernel) parks every wire's Wait
+// plainly.
 func (e *Engine) SetTransport(tr Transport) {
-	e.tr = tr
-	e.poll = parkPoll
+	e.tr, e.poll = tr, stepsPoll
 	if plainKernel {
-		return
-	}
-	if _, ok := tr.(pollStepper); ok {
-		e.poll = stepsPoll
-	}
-	if w, ok := tr.(interface{ PollCost() sim.Duration }); ok && w.PollCost() == 0 && e.costs == (EngineCosts{}) {
+		e.poll = parkPoll
+	} else if w, ok := tr.(interface{ PollCost() sim.Duration }); ok && w.PollCost() == 0 && e.costs == (EngineCosts{}) {
 		e.poll = freePoll
 	}
 }
@@ -364,8 +360,8 @@ func (e *Engine) landCredit(src, n int) {
 }
 
 // Credit takes back n units of capacity toward src for a wire whose own
-// Poll parsed the credit: the sends it clears ship from pollOnce once Poll
-// has returned, in the rank's context, which charges the wire's writes.
+// poll parsed the credit: the sends it clears ship where the receive chain
+// stops (carryOn), in the rank's context, which charges the wire's writes.
 func (e *Engine) Credit(src, n int) {
 	if n > 0 {
 		e.fc.Grant(src, n, e.released.Push)
@@ -378,8 +374,8 @@ func (e *Engine) control(p *sim.Proc, dst int, kind PacketKind, env Envelope) {
 }
 
 // release returns n bytes of eager bounce space to src: the wire ships the
-// credit, piggybacks it later, or (the Meiko, whose slot freed when Poll
-// read the envelope) drops it.
+// credit, piggybacks it later, or (the Meiko, whose slot freed when the
+// poll read the envelope) drops it.
 func (e *Engine) release(p *sim.Proc, src, n int) {
 	e.tr.Ship(p, src, Packet{Kind: PktCredit, Env: Envelope{Source: e.rank, Count: n}})
 }
@@ -395,7 +391,8 @@ func (e *Engine) selfSend(p *sim.Proc, req *Request, mode Mode, data []byte) (*R
 	if mode == ModeSync {
 		req.ackWanted = true
 	}
-	e.arrive(p, InMsg{Env: req.Env, Data: stable, Pool: e.pool})
+	e.scratch, e.stage = InMsg{Env: req.Env, Data: stable, Pool: e.pool}, stArrived
+	e.chain(p)
 	req.sendMaybeComplete()
 	e.retire(req)
 	return req, nil
@@ -458,42 +455,42 @@ func (e *Engine) recvDone(req *Request, env Envelope, n int, note string) {
 
 // ----------------------------------------------------------------- progress --
 
-// pollOnce surfaces and handles at most one transport packet, reporting
-// whether one was processed. The sends a credit parsed by Poll released
-// ship first: parsing is what returns credits, and a send freed by this
-// very poll must go out now (Progress stops once nothing surfaces).
-// Shipping takes time in which more may arrive, so with nothing surfaced
-// it polls again: false means the wire is drained as of now.
+// pollOnce runs the receive chain from the poll in p. It reports whether
+// the chain took a packet in hand or the poll released sends: parsing is
+// what returns credits, and a send freed by this very poll ships before
+// the next pollOnce polls again (Progress stops once nothing surfaces).
+// false means the wire is drained as of now.
 func (e *Engine) pollOnce(p *sim.Proc) bool {
-	pkt := e.tr.Poll(p)
-	if e.released.Len() > 0 {
-		pkt = e.shipReleased(p, pkt)
-	}
-	if pkt == nil {
-		return false
-	}
-	e.handle(p, pkt)
-	return true
+	e.stage = stPoll
+	return e.chain(p)
 }
 
-// shipReleased ships the sends a credit parsed by Poll released, Poll
-// having surfaced pkt, and returns the packet to handle.
-func (e *Engine) shipReleased(p *sim.Proc, pkt *Packet) *Packet {
-	for e.released.Len() > 0 {
-		e.transmit(p, e.released.Pop())
-		if pkt == nil && e.released.Len() == 0 {
-			pkt = e.tr.Poll(p)
+// chain runs the receive chain from its stage in p, as waitChain runs it
+// at a parked rank's wake: each run of charges is one SpendThen chain
+// through the receive relay, and each block a Cond.Wait; then carryOn,
+// whose report it returns.
+func (e *Engine) chain(p *sim.Proc) bool {
+	for {
+		c, d, step, wait := e.step()
+		switch {
+		case wait != nil:
+			wait.Wait(p)
+		case step != sim.Decline:
+			p.SpendThen(c, d, (*receive)(e))
+		case e.stage == stIdle:
+			return false
+		default:
+			return e.carryOn(p)
 		}
 	}
-	return pkt
 }
 
 // Progress drains all currently pending arrivals: the poll model's one
 // progress rule. A rank runs its protocol only here, inside its own MPI
 // calls, and only the modelled hardware and kernel act for it outside them,
 // through event-context upcalls — the latency/background-progress trade the
-// paper studies. Poll returns nil with no time charged since it looked, so a
-// caller may Park at once without losing a wakeup.
+// paper studies. The poll surfaces nothing with no time charged since it
+// looked, so a caller may Park at once without losing a wakeup.
 func (e *Engine) Progress(p *sim.Proc) {
 	for e.pollOnce(p) {
 	}
@@ -502,7 +499,8 @@ func (e *Engine) Progress(p *sim.Proc) {
 func (e *Engine) handle(p *sim.Proc, pkt *Packet) {
 	switch pkt.Kind {
 	case PktEager, PktRTS:
-		e.arrive(p, inMsg(pkt))
+		e.scratch, e.stage = inMsg(pkt), stArrived
+		e.chain(p)
 	case PktCTS:
 		req := e.resolve(pkt.ReqID)
 		if req == nil {
@@ -569,8 +567,8 @@ func (e *Engine) SendAcked(name int64) *Request {
 }
 
 // Wake rouses the rank parked in Park to re-poll: the wire holds something
-// Poll would surface (an arrival, credits to ship, a readable connection).
-// Callable from event context.
+// the poll would surface (an arrival, credits to ship, a readable
+// connection). Callable from event context.
 func (e *Engine) Wake() { e.cond.Broadcast() }
 
 // Nudge follows a completion or a returned credit: it rouses the parked
@@ -631,8 +629,9 @@ func (e *Engine) FatalErr() error { return e.fatal }
 // -------------------------------------------------------- completion ops --
 
 // Wait blocks until r completes, making progress while waiting, and
-// consumes r. On a charge-free or stepped wire the kernel runs what the
-// rank does at each wake (waitRelay, waitChain).
+// consumes r. The kernel runs what the rank does at each wake (waitRelay
+// on a charge-free wire, waitChain on the others), except on the plain
+// kernel (parkPoll).
 func (e *Engine) Wait(p *sim.Proc, r *Request) (Status, error) {
 	if err := e.stale(r); err != nil {
 		return Status{}, err

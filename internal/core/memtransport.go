@@ -43,11 +43,8 @@ func NewMemFabric(s *sim.Scheduler, latency sim.Duration, eager int) *MemFabric 
 	return &MemFabric{S: s, Latency: latency, Eager: eager}
 }
 
-// schedFor reports the scheduler owning rank's endpoint.
-func (f *MemFabric) schedFor(rank int) *sim.Scheduler { return f.S.Node(rank, len(f.eps)) }
-
-// laneFor reports rank's lane.
-func (f *MemFabric) laneFor(rank int) int { return f.schedFor(rank).LaneID() }
+// laneFor reports the lane of the scheduler owning rank's endpoint.
+func (f *MemFabric) laneFor(rank int) int { return f.S.Node(rank, len(f.eps)).LaneID() }
 
 // Attach creates the rank's transport and wires it to engine e, which must
 // have been built on its rank's node scheduler.
@@ -55,7 +52,7 @@ func (f *MemFabric) Attach(e *Engine) *MemTransport {
 	if f.eps == nil {
 		f.eps = make([]*MemTransport, e.Size())
 	}
-	t := &MemTransport{fab: f, eng: e, s: f.schedFor(e.Rank())}
+	t := &MemTransport{fab: f, eng: e}
 	t.inbox.Init(e)
 	// With unlimited credits no send waits, so no queue is built, for the
 	// reason lastArrival is built lazily.
@@ -72,9 +69,11 @@ func (f *MemFabric) Attach(e *Engine) *MemTransport {
 // MemTransport is one rank's endpoint on a MemFabric.
 type MemTransport struct {
 	fab   *MemFabric
-	eng   *Engine
-	s     *sim.Scheduler // this rank's (lane) scheduler
+	eng   *Engine // on this rank's (lane) scheduler
 	inbox Inbox
+
+	// checked: the poll's PollCost charge is paid, the packet is next.
+	checked bool
 
 	// lastArrival[dst] is the latest mailbox delivery already scheduled
 	// toward dst. Allocated on first use and only when PerByte > 0: a
@@ -95,7 +94,7 @@ func (f *MemFabric) delay(n int) sim.Duration {
 // order, so a small burst never lands before an earlier, larger one toward
 // the same destination; with a flat latency arrivals are monotone already.
 func (t *MemTransport) arrival(dst, n int) sim.Time {
-	at := t.s.Now() + sim.Time(t.fab.delay(n))
+	at := t.eng.s.Now() + sim.Time(t.fab.delay(n))
 	if t.fab.PerByte > 0 {
 		if t.lastArrival == nil {
 			t.lastArrival = make(map[int]sim.Time)
@@ -115,7 +114,7 @@ func (t *MemTransport) deliver(dst int, pkt Packet) {
 	if to == nil {
 		panic(fmt.Sprintf("memtransport: no endpoint for rank %d", dst))
 	}
-	t.s.Route(t.fab.laneFor(dst), t.arrival(dst, len(pkt.Data)), t.inbox.Flight(&to.inbox, pkt))
+	t.eng.s.Route(t.fab.laneFor(dst), t.arrival(dst, len(pkt.Data)), t.inbox.Flight(&to.inbox, pkt))
 }
 
 // Ship implements Transport: an eager payload travels in a bounce copy,
@@ -148,17 +147,22 @@ func (t *MemTransport) SendPayload(p *sim.Proc, req *Request, pkt *Packet) {
 // PeerDown implements Transport: a store burst holds no per-peer state.
 func (t *MemTransport) PeerDown(rank int) {}
 
-// PollCost reports the one charge the fabric makes a rank: Poll's, per
+// PollCost reports the one charge the fabric makes a rank: the poll's, per
 // packet (see Engine.SetTransport).
 func (t *MemTransport) PollCost() sim.Duration { return t.fab.PollCost }
 
-// Poll implements Transport.
-func (t *MemTransport) Poll(p *sim.Proc) *Packet {
-	if t.inbox.Len() == 0 {
-		return nil
+// PollStep implements Transport: the mailbox check's PollCost charge, then
+// the packet at the mailbox's head.
+func (t *MemTransport) PollStep() (sim.Cat, sim.Duration, *Packet, *sim.Cond) {
+	if t.inbox.Len() == 0 { // only the poll empties it: checked is false
+		return 0, 0, nil, nil
 	}
-	t.eng.Acct().Spend(p, sim.Protocol, t.fab.PollCost)
-	return t.inbox.Poll()
+	if d := t.fab.PollCost; d > 0 && !t.checked {
+		t.checked = true
+		return sim.Protocol, d, nil, nil
+	}
+	t.checked = false
+	return 0, 0, t.inbox.Poll(), nil
 }
 
 // ------------------------------------------------------------ RemoteMemory --
@@ -179,10 +183,10 @@ var _ RemoteMemory = (*MemTransport)(nil)
 func (t *MemTransport) RMAWrite(p *sim.Proc, dst, win, off int, data []byte, done func()) {
 	snap := make([]byte, len(data))
 	copy(snap, data)
-	home := t.s.LaneID()
-	t.s.RouteAfter(t.fab.laneFor(dst), t.fab.delay(len(snap)), func() {
+	home := t.eng.s.LaneID()
+	t.eng.s.RouteAfter(t.fab.laneFor(dst), t.fab.delay(len(snap)), func() {
 		peer := t.fab.eps[dst]
 		copy(peer.eng.Win(win)[off:], snap)
-		peer.s.RouteAfter(home, t.fab.delay(0), done)
+		peer.eng.s.RouteAfter(home, t.fab.delay(0), done)
 	})
 }

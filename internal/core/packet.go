@@ -76,9 +76,11 @@ type Packet struct {
 // crossover and its SendQueue once, with Engine.SetFlow.
 //
 // All methods taking a *sim.Proc run in that proc's context, inside an MPI
-// call, may charge it time and wait only in Engine.Park. Delivery upcalls
-// into the Engine (SendDone, Land, Wake) may instead come from event context:
-// the modelled hardware and kernel, all that acts outside MPI (see Progress).
+// call, may charge it time and wait only in Engine.Park; PollStep takes
+// none, for the engine spends its charges and waits out its blocks.
+// Delivery upcalls into the Engine (SendDone, Land, Wake) may instead come
+// from event context: the modelled hardware and kernel, all that acts
+// outside MPI (see Progress).
 type Transport interface {
 	// Ship moves one packet to rank dst: an eager envelope with its payload
 	// in Data (the caller's buffer, which the wire copies before Ship
@@ -93,18 +95,25 @@ type Transport interface {
 	// land in req.Buf, then calls Engine.Land.
 	Accept(p *sim.Proc, msg *InMsg, req *Request)
 
-	// SendPayload handles a CTS that surfaced through Poll (stream
+	// SendPayload handles a CTS that surfaced through PollStep (stream
 	// transports, where the sending process itself must push the data):
 	// transmit req's payload toward the receive named by pkt.Landing. The
 	// engine completes the send when it returns.
 	SendPayload(p *sim.Proc, req *Request, pkt *Packet)
 
-	// Poll surfaces the next arrived packet, charging p the platform's
-	// per-packet receive costs (kernel reads, slot scans); nil only when
-	// nothing is left to surface, with no time charged since it looked. The
-	// packet is the transport's until the next Poll: the engine copies out
-	// what it keeps. A credit Poll parses goes to Engine.Credit.
-	Poll(p *sim.Proc) *Packet
+	// PollStep is the wire's poll, in steps: the code up to its next
+	// charge, which it reports (d > 0), called again at the charge's wake;
+	// or where the poll blocks (a socket read that found nothing buffered
+	// mid-frame) the Cond to wait on, reported again by a second call at
+	// that instant, the step at its wake charging the wakeup; or, with
+	// neither, the next packet, nil only when nothing is left to surface,
+	// with no time charged since it looked. Between its steps it never
+	// charges or blocks, so the engine runs them as the head of its receive
+	// chain, in the rank's proc or at a parked rank's wake (DESIGN §4). The
+	// packet is the transport's until the next PollStep. A credit the poll
+	// parses goes to Engine.Credit, whose released sends the engine ships
+	// before it polls again.
+	PollStep() (c sim.Cat, d sim.Duration, pkt *Packet, wait *sim.Cond)
 
 	// PeerDown tells the transport that rank was declared dead (the engine
 	// already failed the doomed requests and dropped the sends queued

@@ -5,89 +5,77 @@ import (
 	"repro/internal/trace"
 )
 
-// The receive path as a chain (DESIGN §4, relay): an arrival's match
-// charge, the match and an eager copy-out charge are one relay, which the
-// kernel runs at each charge's wake in the proc's place. On a wire whose
-// Poll has steps (pollStepper) the poll is the chain's head, and the kernel
-// runs the whole chain for a rank parked in Wait (waitChain). Where the
-// chain stops, its stage says what the proc carries on with (carryOn):
-// after a copy-out the credit release and the completion (a socket's
-// credit Ship may write), and whatever else needs the proc.
+// The receive path as a chain (DESIGN §4, relay): the wire's poll
+// (Transport.PollStep), an arrival's match charge, the match and an eager
+// copy-out charge are one relay, which the kernel runs at each charge's
+// wake in the proc's place. The rank's own Progress runs it (pollOnce), and
+// so does the kernel for a rank parked in Wait (waitChain). Where the chain
+// stops, its stage says what the proc carries on with (carryOn): after a
+// copy-out the credit release and the completion (a socket's credit Ship
+// may write), and whatever else needs the proc.
 
 // stage is where the receive chain stands.
 type stage uint8
 
 const (
 	stIdle    stage = iota // nothing in hand: at a Wait wake, or the poll surfaced nothing
-	stPoll                 // the wire's stepped Poll is under way
+	stPoll                 // the wire's PollStep is under way
+	stArrived              // e.scratch is an arrival in hand: its match charge is next
 	stMatch                // the match charge is paid: match e.scratch
 	stCopied               // e.scratch is copied out to e.matched: credit and completion are left
 	stRndv                 // e.scratch is an RTS matched to e.matched: the accept is left
 	stQueue                // e.scratch matched nothing: queueing it is left
 	stRevoked              // e.scratch came on a revoked communicator: dropping it is left
-	stPacket               // e.held is not an arrival, or sends wait in e.released: pollOnce's rest is left
+	stPacket               // e.held is not an arrival, or sends wait in e.released: shipping and handling are left
 )
-
-// pollStepper is a wire whose Poll is charges and blocks with code between
-// them that never blocks (the Meiko's, the sockets'). PollStep runs Poll's
-// code up to its next charge and reports it (d > 0); or where Poll blocks
-// (a socket read that found nothing buffered mid-frame) the Cond it waits
-// on, its next step charging the wakeup; or, with neither, the packet Poll
-// returns. After a charge it is called again at its wake, after a block at
-// the Cond's. The wire's Poll is PollStep's steps with each charge spent
-// and each block waited out in between, so the proc's poll and the
-// kernel's are one code path. A credit the Meiko's poll reads lands in its
-// Inbox; one a socket's parses goes through Credit, whose released sends
-// the proc ships (pollOnce), so the chain stops there.
-type pollStepper interface {
-	PollStep() (c sim.Cat, d sim.Duration, pkt *Packet, wait *sim.Cond)
-}
 
 // receive is the chain as a sim.Relay.
 type receive Engine
 
-func (r *receive) Relay() (sim.Cat, sim.Duration, sim.Step) { return (*Engine)(r).step() }
+func (r *receive) Relay() (sim.Cat, sim.Duration, sim.Step) {
+	c, d, step, _ := (*Engine)(r).step()
+	return c, d, step
+}
 
 // step runs the chain from its stage to its next charge and reports it:
-// More, or Last for an eager copy-out. A poll that blocks Stays on the
-// Cond it names. It declines, charging nothing, where the proc carries on
-// (with pkt in hand, or sends the poll's credits released), and at stIdle
-// once the poll surfaced nothing.
-func (e *Engine) step() (sim.Cat, sim.Duration, sim.Step) {
-	for {
-		switch e.stage {
-		case stPoll:
-			c, d, pkt, wait := e.tr.(pollStepper).PollStep()
-			switch {
-			case d > 0:
-				return c, d, sim.More
-			case wait != nil:
-				wait.Requeue(e.waiter)
-				return 0, 0, sim.Stay
-			case e.released.Len() > 0:
-				e.held, e.stage = pkt, stPacket
-				return 0, 0, sim.Decline
-			case pkt == nil:
-				e.stage = stIdle
-				return 0, 0, sim.Decline
-			case pkt.Kind == PktEager || pkt.Kind == PktRTS:
-				e.scratch, e.stage = inMsg(pkt), stMatch
-				if d := e.costs.Match; d > 0 {
-					return sim.Match, d, sim.More
-				}
-			default:
-				e.held, e.stage = pkt, stPacket
-				return 0, 0, sim.Decline
-			}
-		case stMatch:
-			if d := e.matchArrival(); d > 0 {
-				return sim.Copy, d, sim.Last
-			}
-			return 0, 0, sim.Decline
-		default:
-			return 0, 0, sim.Decline
+// More, or Last for an eager copy-out. Where the poll blocks it declines
+// with the Cond to wait on, which a second step at that instant reports
+// again. It declines, charging nothing, where the proc carries on (with
+// pkt in hand, or sends the poll's credits released), and at stIdle once
+// the poll surfaced nothing.
+func (e *Engine) step() (sim.Cat, sim.Duration, sim.Step, *sim.Cond) {
+	switch e.stage {
+	case stPoll:
+		c, d, pkt, wait := e.tr.PollStep()
+		switch {
+		case d > 0:
+			return c, d, sim.More, nil
+		case wait != nil:
+			return 0, 0, sim.Decline, wait
+		case e.released.Len() > 0:
+			e.held, e.stage = pkt, stPacket
+			return 0, 0, sim.Decline, nil
+		case pkt == nil:
+			e.stage = stIdle
+			return 0, 0, sim.Decline, nil
+		case pkt.Kind != PktEager && pkt.Kind != PktRTS:
+			e.held, e.stage = pkt, stPacket
+			return 0, 0, sim.Decline, nil
+		}
+		e.scratch = inMsg(pkt)
+		fallthrough
+	case stArrived:
+		e.stage = stMatch
+		if d := e.costs.Match; d > 0 {
+			return sim.Match, d, sim.More, nil
+		}
+		fallthrough
+	case stMatch:
+		if d := e.matchArrival(); d > 0 {
+			return sim.Copy, d, sim.Last, nil
 		}
 	}
+	return 0, 0, sim.Decline, nil
 }
 
 // inMsg is the message an eager or RTS packet carries.
@@ -99,7 +87,7 @@ func inMsg(pkt *Packet) InMsg {
 }
 
 // carryOn does what the chain left to the proc where it stopped, and
-// reports whether the chain took a packet in hand.
+// reports whether it had anything in hand: a packet, or released sends.
 func (e *Engine) carryOn(p *sim.Proc) bool {
 	st, req, pkt := e.stage, e.matched, e.held
 	if st == stIdle {
@@ -116,30 +104,22 @@ func (e *Engine) carryOn(p *sim.Proc) bool {
 	case stRevoked:
 		e.dropRevoked(p)
 	case stPacket:
-		if pkt = e.shipReleased(p, pkt); pkt != nil {
+		for e.released.Len() > 0 {
+			e.transmit(p, e.released.Pop())
+		}
+		if pkt != nil {
 			e.handle(p, pkt)
 		}
 	}
 	return true
 }
 
-// arrive matches a message arriving at this rank — an eager payload, a
-// rendezvous announcement or a self-send — against the posted receives:
-// matched, it is delivered through the reusable scratch node so the hot path
-// performs no allocation; otherwise it queues as unexpected. The match
-// charge, the match and an eager copy-out are one chain.
-func (e *Engine) arrive(p *sim.Proc, msg InMsg) {
-	e.scratch, e.stage = msg, stMatch
-	if d := e.costs.Match; d > 0 {
-		p.SpendThen(sim.Match, d, (*receive)(e))
-	} else if d := e.matchArrival(); d > 0 {
-		p.Spend(sim.Copy, d)
-	}
-	e.carryOn(p)
-}
-
-// matchArrival is arrive's code after the match charge: it sets the stage
-// for what is left and returns an eager copy-out's charge.
+// matchArrival matches the message arriving at this rank in e.scratch — an
+// eager payload, a rendezvous announcement or a self-send — against the
+// posted receives, once its match charge is paid: matched, it is
+// delivered through the reusable scratch node, so the hot path performs no
+// allocation; otherwise it queues as unexpected. It sets the stage for
+// what is left and returns an eager copy-out's charge.
 func (e *Engine) matchArrival() sim.Duration {
 	msg := &e.scratch
 	env := msg.Env
@@ -260,10 +240,12 @@ func (e *Engine) delivered(p *sim.Proc, msg *InMsg, req *Request) {
 	e.recvDone(req, msg.Env, n, "")
 }
 
-// waitChain is what a rank parked in Wait on a stepped wire does at each
-// wake, run by the kernel in its place: the check of the awaited request,
-// the receive chain, each charge at its own wake, then the check again,
-// and back on the Cond while the request is pending and the rank alive.
+// waitChain is what a rank parked in Wait does at each wake where a poll
+// may charge (stepsPoll), run by the kernel in its place: the check of the
+// awaited request, the receive chain, each charge at its own wake and a
+// blocked poll Staying on the Cond it names, then the check again, and
+// back on the engine's Cond while the request is pending and the rank
+// alive.
 type waitChain Engine
 
 func (w *waitChain) Relay() (sim.Cat, sim.Duration, sim.Step) {
@@ -276,7 +258,12 @@ func (w *waitChain) Relay() (sim.Cat, sim.Duration, sim.Step) {
 		}
 		e.stage = stPoll
 	}
-	if c, d, step := e.step(); step != sim.Decline || e.stage != stIdle {
+	c, d, step, wait := e.step()
+	if wait != nil {
+		wait.Requeue(e.waiter)
+		return 0, 0, sim.Stay
+	}
+	if step != sim.Decline || e.stage != stIdle {
 		return c, d, step
 	}
 	if r.Done() || e.fatal != nil {

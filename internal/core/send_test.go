@@ -10,9 +10,10 @@ import (
 	"repro/internal/sim"
 )
 
-// fakeWire is a Transport that records what the engine asks of it. Poll
-// runs the next scripted step, which may call Engine.Credit as a socket
-// Poll does when it parses a header, and surfaces what the step returns.
+// fakeWire is a Transport that records what the engine asks of it. Its
+// PollStep runs the next scripted step, which may call Engine.Credit as a
+// socket poll does when it parses a header, and surfaces what the step
+// returns, charging nothing.
 type fakeWire struct {
 	e     *Engine
 	inbox Inbox // lands PktCredit flights, as the Meiko and mem wires do
@@ -34,14 +35,14 @@ func (w *fakeWire) SendPayload(p *sim.Proc, req *Request, pkt *Packet) {
 	w.log = append(w.log, "payload")
 }
 
-func (w *fakeWire) Poll(p *sim.Proc) *Packet {
+func (w *fakeWire) PollStep() (sim.Cat, sim.Duration, *Packet, *sim.Cond) {
 	w.log = append(w.log, "poll")
 	if len(w.steps) == 0 {
-		return nil
+		return 0, 0, nil, nil
 	}
 	step := w.steps[0]
 	w.steps = w.steps[1:]
-	return step()
+	return 0, 0, step(), nil
 }
 
 // PeerDown records what the engine still holds toward rank.
@@ -110,9 +111,9 @@ func TestSendInboxCreditShipsAtOnce(t *testing.T) {
 	wantLog(t, log, "ship eager tag 0 to 1 (rank)", "ship eager tag 1 to 1 (event)")
 }
 
-// A credit the wire parses inside Poll releases its send to the engine,
-// which ships it once Poll has returned, from the rank; it polls again only
-// when that Poll surfaced nothing.
+// A credit the wire parses inside its poll releases its send to the
+// engine, which ships it once the poll has surfaced, from the rank, then
+// polls again.
 func TestSendPolledCreditShipsAfterPoll(t *testing.T) {
 	log := runFake(t, func(p *sim.Proc, e *Engine, w *fakeWire) {
 		for tag := range 3 {

@@ -179,8 +179,10 @@ func StepRelay(c Cat, d Duration, w *Cond) (Cat, Duration, Step) {
 
 // RunSteps runs s in p to its end: each run of charges as one SpendThen
 // chain, so p is dispatched once per run, not per charge, and each block as
-// a Cond.Wait.
-func (p *Proc) RunSteps(s Stepper) {
+// a Cond.Wait. It takes s's concrete type, so s becomes a Relay through a
+// static itab: the runtime fills an interface conversion's itab cache at
+// random calls, an allocation no warm-up rules out.
+func RunSteps[S Stepper](p *Proc, s S) {
 	for {
 		c, d, w := s.Step()
 		switch {

@@ -596,11 +596,13 @@ func TestSendrecvAllocsPerLegTCP(t *testing.T) {
 // where tests that pin a shortcut's own counts skip.
 var plainKernel bool
 
-// dispatchesPerMessage runs a 2-rank exchange of n-byte messages
-// (Sendrecv, so each rank's events interleave with the other's) on kind
+// dispatchesPerMessage runs a 2-rank exchange of n-byte messages on kind
 // and reports the proc dispatches each message costs (Report.Dispatches):
-// two runs' difference, so the world's start and end cancel.
-func dispatchesPerMessage(t *testing.T, kind string, n int) float64 {
+// two runs' difference, so the world's start and end cancel. The exchange
+// is Sendrecv, so each rank's events interleave with the other's; or with
+// probe, Isend, then Probe and Recv, so each rank finds the message in
+// its own calls, then Wait.
+func dispatchesPerMessage(t *testing.T, kind string, n int, probe bool) float64 {
 	t.Helper()
 	run := func(iters int) uint64 {
 		s := registry.SpecFor(kind)
@@ -612,7 +614,23 @@ func dispatchesPerMessage(t *testing.T, kind string, n int) float64 {
 		rep, err := mpi.Launch(w, func(c *mpi.Comm) error {
 			out, in, peer := make([]byte, n), make([]byte, n), 1-c.Rank()
 			for i := 0; i < iters; i++ {
-				if _, err := c.Sendrecv(peer, 0, out, peer, 0, in); err != nil {
+				if !probe {
+					if _, err := c.Sendrecv(peer, 0, out, peer, 0, in); err != nil {
+						return err
+					}
+					continue
+				}
+				s, err := c.Isend(peer, 0, out)
+				if err != nil {
+					return err
+				}
+				if _, err := c.Probe(peer, 0); err != nil {
+					return err
+				}
+				if _, err := c.Recv(peer, 0, in); err != nil {
+					return err
+				}
+				if _, err := s.Wait(); err != nil {
 					return err
 				}
 			}
@@ -630,21 +648,25 @@ func dispatchesPerMessage(t *testing.T, kind string, n int) float64 {
 // A socket message's reads are one chain (DESIGN §4, relay): the kernel
 // runs a TCP frame's type, envelope and payload reads, and an RUDP
 // datagram's read and its ack's write, at each charge's wake in the rank's
-// place, and an arrival's match charge, match and copy-out are one chain
-// on every wire. On a stepped wire (the sockets and the Meiko) the kernel
-// runs the whole receive at the wake of a rank parked in Wait — the poll's
-// reads, or the Meiko's slot scan and slot-free, then the match and the
-// copy-out — so the rank is dispatched only where the receive leaves it
-// work. Per eager 1 KiB message, sender and receiver together, that is 5
-// dispatches on tcp (7 with the rank dispatched at each wake to poll, 8
+// place, and a wire's poll, an arrival's match charge, match and copy-out
+// are one chain on every wire, in the rank's own calls too. Where a poll
+// may charge (every wire but mem) the kernel runs the whole receive at the
+// wake of a rank parked in Wait — the poll's reads, the Meiko's slot scan
+// and slot-free, or the shared-memory mailbox check, then the match and
+// the copy-out — so the rank is dispatched only where the receive leaves
+// it work. Per eager 1 KiB message, sender and receiver together, that is
+// 5 dispatches on tcp (7 with the rank dispatched at each wake to poll, 8
 // with the match and copy-out parked apart, 10 with one dispatch per read)
-// and 4 on udp (6, 7, 8); on the Meiko a 1 B eager message costs 4 (8
-// with a dispatch per charge) and a 1 KiB rendezvous 7 (10). On mem, where
-// a poll charges nothing, the kernel polls for a rank parked in Wait at
-// each wake (DESIGN §4, relay at a Cond wake), so the wake that only turns
-// an RTS into a CTS dispatches no one: 2 per rendezvous message (3 with a
-// dispatch per wake). The counts are the shortcuts' own, so the plain
-// kernel (the plainkernel build tag) skips this test.
+// and 4 on udp (6, 7, 8), and 3 on cluster/shm (5 with the rank dispatched
+// at each wake), whose 64 KiB rendezvous costs 5 (9); on the Meiko a 1 B
+// eager message costs 4 (8 with a dispatch per charge) and a 1 KiB
+// rendezvous 7 (10), and where each rank finds the message with Probe in
+// its own call, 6 (8 with the poll's charges spent one by one). On mem,
+// where a poll charges nothing, the kernel polls for a rank parked in Wait
+// at each wake (DESIGN §4, relay at a Cond wake), so the wake that only
+// turns an RTS into a CTS dispatches no one: 2 per rendezvous message (3
+// with a dispatch per wake). The counts are the shortcuts' own, so the
+// plain kernel (the plainkernel build tag) skips this test.
 func TestDispatchesPerMessage(t *testing.T) {
 	if plainKernel {
 		t.Skip("the plain kernel takes none of the shortcuts these counts pin")
@@ -652,11 +674,14 @@ func TestDispatchesPerMessage(t *testing.T) {
 	for _, c := range []struct {
 		kind  string
 		bytes int
+		probe bool
 		want  float64
-	}{{"cluster/tcp", 1024, 5}, {"cluster/udp", 1024, 4}, {"mem", 1024, 2},
-		{"meiko/lowlatency", 1, 4}, {"meiko/lowlatency", 1024, 7}} {
-		if got := dispatchesPerMessage(t, c.kind, c.bytes); got != c.want {
-			t.Errorf("%s, %d B: %.2f dispatches per message, pinned at %v", c.kind, c.bytes, got, c.want)
+	}{{"cluster/tcp", 1024, false, 5}, {"cluster/udp", 1024, false, 4}, {"mem", 1024, false, 2},
+		{"cluster/shm", 1024, false, 3}, {"cluster/shm", 64 << 10, false, 5},
+		{"meiko/lowlatency", 1, false, 4}, {"meiko/lowlatency", 1024, false, 7},
+		{"meiko/lowlatency", 1, true, 6}} {
+		if got := dispatchesPerMessage(t, c.kind, c.bytes, c.probe); got != c.want {
+			t.Errorf("%s, %d B, probe %v: %.2f dispatches per message, pinned at %v", c.kind, c.bytes, c.probe, got, c.want)
 		}
 	}
 }

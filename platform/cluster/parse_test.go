@@ -21,7 +21,7 @@ import (
 // relayed), and the payload landing after its read's syscall has found
 // nothing (the steps stop on the connection, and the rank blocks, then goes
 // on with the copy). Both must surface the eager packet intact from one
-// Poll, and each read return its window at its copy's wake.
+// poll, and each read return its window at its copy's wake.
 func TestFrameParseCharges(t *testing.T) {
 	k := atm.DefaultCosts()
 	syscall, copied := k.SyscallRead+k.ReadExtraATM, func(n int) sim.Duration { return sim.Duration(n) * k.CopyPerByte }
@@ -56,7 +56,7 @@ func TestFrameParseCharges(t *testing.T) {
 		s.Spawn("reader", func(p *sim.Proc) {
 			p.Ledger = &acct.Ledger
 			p.Advance(start)
-			pkt = r.Poll(p)
+			pkt = poll(p, r)
 			end = p.Now()
 		})
 		if _, err := s.Run(); err != nil {
@@ -98,6 +98,22 @@ func TestFrameParseCharges(t *testing.T) {
 		}
 		if pkt == nil || pkt.Kind != core.PktEager || !bytes.Equal(pkt.Data, payload) || conn.Readable() {
 			t.Errorf("split %v: surfaced %+v, %d bytes left buffered; want the eager frame, nothing left", split, pkt, conn.Buffered())
+		}
+	}
+}
+
+// poll runs r's PollStep in p up to the packet it surfaces, each charge
+// spent and each block waited out, as the engine's receive chain runs it.
+func poll(p *sim.Proc, r *transport) *core.Packet {
+	for {
+		c, d, pkt, w := r.PollStep()
+		switch {
+		case w != nil:
+			w.Wait(p)
+		case d > 0:
+			p.Spend(c, d)
+		default:
+			return pkt
 		}
 	}
 }

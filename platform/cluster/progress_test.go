@@ -13,11 +13,12 @@ import (
 )
 
 // pollChecker is a rank's transport with two invariants asserted after
-// every poll. A peer's ready bit is set exactly when its connection has
-// buffered bytes. And a Poll that surfaces nothing, which is when
-// Engine.Progress returns, leaves the wire drained: the inbox is empty, no
-// TCP connection is readable, and the datagram link has nothing delivered
-// or queued, so a caller that parks then can miss no arrival.
+// every poll step that surfaces. A peer's ready bit is set exactly when its
+// connection has buffered bytes. And a PollStep that surfaces nothing,
+// which is when Engine.Progress returns, leaves the wire drained: the inbox
+// is empty, no TCP connection is readable, and the datagram link has
+// nothing delivered or queued, so a caller that parks then can miss no
+// arrival.
 type pollChecker struct {
 	*transport
 	t     *testing.T
@@ -25,23 +26,27 @@ type pollChecker struct {
 	polls *int
 }
 
-func (dc pollChecker) Poll(p *sim.Proc) *core.Packet {
-	pkt := dc.transport.Poll(p)
+func (dc pollChecker) PollStep() (sim.Cat, sim.Duration, *core.Packet, *sim.Cond) {
+	c, d, pkt, w := dc.transport.PollStep()
+	if d > 0 || w != nil {
+		return c, d, pkt, w
+	}
 	*dc.polls++
+	now := dc.eng.Scheduler().Now()
 	for j, c := range dc.conns {
 		if has, readable := dc.ready.has(j), c != nil && c.Readable(); has != readable {
-			dc.t.Errorf("%s: rank %d at %v: peer %d ready bit %v, Readable %v", dc.cell, dc.rank, p.Now(), j, has, readable)
+			dc.t.Errorf("%s: rank %d at %v: peer %d ready bit %v, Readable %v", dc.cell, dc.rank, now, j, has, readable)
 		}
 	}
 	if pkt != nil {
-		return pkt
+		return 0, 0, pkt, nil
 	}
 	if n := dc.inbox.Len(); n > 0 {
-		dc.t.Errorf("%s: rank %d at %v: Poll found nothing with %d packets in the inbox", dc.cell, dc.rank, p.Now(), n)
+		dc.t.Errorf("%s: rank %d at %v: the poll found nothing with %d packets in the inbox", dc.cell, dc.rank, now, n)
 	}
 	for j, c := range dc.conns {
 		if c != nil && c.Readable() {
-			dc.t.Errorf("%s: rank %d at %v: Poll found nothing with the connection from %d readable", dc.cell, dc.rank, p.Now(), j)
+			dc.t.Errorf("%s: rank %d at %v: the poll found nothing with the connection from %d readable", dc.cell, dc.rank, now, j)
 		}
 	}
 	readable := false
@@ -52,9 +57,9 @@ func (dc pollChecker) Poll(p *sim.Proc) *core.Packet {
 		readable = l.Readable()
 	}
 	if readable {
-		dc.t.Errorf("%s: rank %d at %v: Poll found nothing with a datagram delivered or queued", dc.cell, dc.rank, p.Now())
+		dc.t.Errorf("%s: rank %d at %v: the poll found nothing with a datagram delivered or queued", dc.cell, dc.rank, now)
 	}
-	return nil
+	return 0, 0, nil, nil
 }
 
 // storm has every rank send eight messages of mixed sizes, eager and

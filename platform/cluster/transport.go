@@ -40,7 +40,7 @@ type transport struct {
 	// hold count (dgramLink.Frame).
 	pool *core.BufPool
 
-	// The parse (Step), whose frames wait in inbox for Poll: off is a
+	// The parse (Step), whose frames wait in inbox for PollStep: off is a
 	// pass's cursor, frame the message in hand; progress is set once this
 	// pass parsed something, any once the parse did.
 	inbox                  core.Inbox
@@ -247,7 +247,7 @@ func (t *transport) SendPayload(p *sim.Proc, req *core.Request, pkt *core.Packet
 		frame := t.tcpFrame(dst, core.PktData, req.Env, name, data)
 		t.conns[dst].WriteInterleaved(p, frame, func() {
 			t.begin()
-			if p.RunSteps(t); !t.any {
+			if sim.RunSteps(p, t); !t.any {
 				t.eng.Park(p)
 			}
 		})
@@ -283,20 +283,10 @@ func (t *transport) PeerDown(rank int) {
 	}
 }
 
-// Poll implements core.Transport: PollStep's steps, each charge spent and
-// each block waited out in p. A header's piggybacked credit goes to
-// Engine.Credit as it is parsed; the sends it releases ship once Poll has
-// returned (see Engine.pollOnce).
-func (t *transport) Poll(p *sim.Proc) *core.Packet {
-	if t.inbox.Len() == 0 {
-		t.begin()
-		p.RunSteps(t)
-	}
-	return t.inbox.Poll()
-}
-
-// PollStep is Poll's next step (core's stepped wire): the parse's, or once
-// it is over, or with no parse needed, the packet Poll returns.
+// PollStep implements core.Transport: the parse's next step, or once it
+// is over, or with no parse needed, the packet at the inbox's head. A
+// header's piggybacked credit goes to Engine.Credit as it is parsed; the
+// engine ships the sends it releases before it polls again.
 func (t *transport) PollStep() (sim.Cat, sim.Duration, *core.Packet, *sim.Cond) {
 	if !t.parsing && t.inbox.Len() == 0 {
 		t.begin()

@@ -13,7 +13,7 @@ const envelopeTxnBytes = 20
 // ctrlTxnBytes is a small control transaction (CTS, slot-free, sync ack).
 const ctrlTxnBytes = 8
 
-// slotPollCost is the SPARC cost to scan the arrival slots in Poll.
+// slotPollCost is the SPARC cost to scan the arrival slots in the poll.
 const slotPollCost = 6000 // ns
 
 // The counters the Meiko transports book.
@@ -34,13 +34,13 @@ type lowlatTransport struct {
 	all  []*lowlatTransport // indexed by rank
 
 	// Envelopes and control packets land in inbox and surface through
-	// Poll; a slot-free is a PktCredit the receiving Elan consumes.
+	// PollStep; a slot-free is a PktCredit the receiving Elan consumes.
 	inbox    core.Inbox
 	rndvIdle sim.FreeList[rndv] // rendezvous pool (see rndv)
 
-	// Where Poll stands between its charges (see PollStep): 0 before the
-	// slot scan, 1 after it, 2 after the slot-free issue for the envelope
-	// the inbox last surfaced.
+	// Where the poll stands between its charges (see PollStep): 0 before
+	// the slot scan, 1 after it, 2 after the slot-free issue for the
+	// envelope the inbox last surfaced.
 	pollAt uint8
 
 	// Hardware-broadcast state; the slot wait parks on the engine.
@@ -73,7 +73,7 @@ var _ core.Transport = (*lowlatTransport)(nil)
 
 // ship sends pkt to rank dst in one transaction of nbytes, on a flight of
 // this rank's inbox: an envelope or control packet lands in the
-// destination's slot area and surfaces through its Poll, a slot-free
+// destination's slot area and surfaces through its PollStep, a slot-free
 // acknowledgement goes to its Elan. Every envelope is answered by a
 // slot-free the other way, which keeps the inboxes' pools balanced.
 func (t *lowlatTransport) ship(dst, nbytes int, pkt core.Packet) {
@@ -85,8 +85,9 @@ func (t *lowlatTransport) ship(dst, nbytes int, pkt core.Packet) {
 // An eager message rides into the destination's envelope slot, modelled by
 // a bounce buffer the receiving engine recycles after the copy-out that
 // frees the slot; a rendezvous envelope's slot frees when the receiver
-// consumes the RTS (see Poll), and its local completion comes with the DMA.
-// A credit is not shipped: the slot was freed when Poll read the envelope.
+// consumes the RTS (see PollStep), and its local completion comes with the
+// DMA. A credit is not shipped: the slot was freed when the poll read the
+// envelope.
 func (t *lowlatTransport) Ship(p *sim.Proc, dst int, pkt core.Packet) {
 	if pkt.Kind == core.PktCredit {
 		return
@@ -190,26 +191,15 @@ func (t *lowlatTransport) SendPayload(p *sim.Proc, req *core.Request, pkt *core.
 // too, which then rechecks the dead set (see HWBcast).
 func (t *lowlatTransport) PeerDown(rank int) {}
 
-// Poll implements core.Transport: scan the slot area for the next
+// PollStep implements core.Transport: scan the slot area for the next
 // arrival. Consuming any envelope — eager payload copied to the library's
 // buffer, or a rendezvous announcement read out — frees the sender's slot
 // with a small acknowledgement transaction, so the pair's next envelope
 // may travel while this message waits (possibly unmatched) in the
-// unexpected queue. Its steps are PollStep's, each charge spent between.
-func (t *lowlatTransport) Poll(p *sim.Proc) *core.Packet {
-	for {
-		c, d, pkt, _ := t.PollStep()
-		if d == 0 {
-			return pkt
-		}
-		t.eng.Acct().Spend(p, c, d)
-	}
-}
-
-// PollStep runs Poll up to its next charge: the slot scan, then for an
-// envelope the slot-free issue, then the slot-free transaction. The engine
-// runs these steps as the head of its receive chain, so a rank parked in
-// Wait is dispatched once per message, not once per charge.
+// unexpected queue. Its steps end at the slot scan, then for an envelope
+// the slot-free issue, then the slot-free transaction; the engine runs
+// them as the head of its receive chain, so a rank is dispatched once per
+// message, not once per charge.
 func (t *lowlatTransport) PollStep() (sim.Cat, sim.Duration, *core.Packet, *sim.Cond) {
 	switch t.pollAt {
 	case 0:
