@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/sim"
+import (
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
 
 // Endpoint is the per-rank device interface the mpi package drives. The
 // poll-model Engine (the paper's low-latency design) implements it, and so
@@ -21,12 +24,14 @@ type Endpoint interface {
 	Isend(p *sim.Proc, dst, tag, ctx int, mode Mode, data []byte) (*Request, error)
 	Irecv(p *sim.Proc, src, tag, ctx int, buf []byte) (*Request, error)
 	Wait(p *sim.Proc, r *Request) (Status, error)
+	Recv(p *sim.Proc, src, tag, ctx int, buf []byte) (Status, error) // Irecv then Wait
 	Test(p *sim.Proc, r *Request) (Status, bool, error)
 	Probe(p *sim.Proc, src, tag, ctx int) (Status, error)
 	Iprobe(p *sim.Proc, src, tag, ctx int) (Status, bool, error)
 	Cancel(p *sim.Proc, r *Request) (bool, error)
 	BufferAttach(n int)
 	BufferDetach() int
+	TraceLog() *trace.Log // the attached timeline log, nil when tracing is off
 
 	// Finalize drives progress until no locally-initiated transfer still
 	// needs this process (MPI_Finalize's completion guarantee: buffered

@@ -52,9 +52,8 @@ type Engine struct {
 	nextSeq uint64
 	unsent  int
 
-	// wins holds the registered one-sided windows by id (see window.go);
-	// lazily allocated by WinCreate.
-	wins map[int]*window
+	// rma is the one-sided side (see window.go), built at first use.
+	rma *rmaState
 
 	// Each source's rendezvous payload landing (see landing.go); nil until
 	// first use.
@@ -90,10 +89,10 @@ type Engine struct {
 	// only) makes every Nudge wake, and nudgesDropped counts those that did
 	// not. The two share closed's padding, as do poll (how Wait parks: see
 	// SetTransport) and stage, where the receive chain stands (receive.go).
-	// Unless poll is parkPoll, Wait parks through a relay (waitRelay,
-	// waitChain) with waiter, the parked proc, beside it, and waited, its
-	// request, for waitChain. held and matched are what the chain leaves
-	// the proc to carry on with.
+	// Unless poll is parkPoll, Wait and Probe park through a relay
+	// (waitRelay, waitChain, probeRelay) with waiter, the parked proc,
+	// beside it, and waited, its request, for waitChain. held and matched
+	// are what the chain leaves the proc to carry on with.
 	nudgeAll      bool
 	poll          pollKind
 	stage         stage
@@ -403,6 +402,49 @@ func (e *Engine) selfSend(p *sim.Proc, req *Request, mode Mode, data []byte) (*R
 // Irecv posts a nonblocking receive into buf matching (src, tag, ctx);
 // src may be AnySource and tag may be AnyTag.
 func (e *Engine) Irecv(p *sim.Proc, src, tag, ctx int, buf []byte) (*Request, error) {
+	req, err := e.newRecv(p, src, tag, ctx, buf)
+	if err != nil {
+		return nil, err
+	}
+	e.acct.Spend2(p, sim.Overhead, e.costs.RecvOverhead, sim.Match, e.costs.Match)
+	e.acct.Spend(p, sim.Copy, e.post(req))
+	e.carryOn(p)
+	return req, nil
+}
+
+// Recv is Irecv then Wait (MPI_Recv). Where the kernel runs the receive
+// chain for a parked rank (stepsPoll) and the receive's bookkeeping
+// charges, the two are one chain, which the kernel runs in p's place at
+// each charge's wake (recvChained): the bookkeeping and match charges, the
+// post, Wait's first poll and its park. p is dispatched where the post
+// takes a queued message, which p delivers, or where the chain leaves p
+// work, as at a Wait wake.
+func (e *Engine) Recv(p *sim.Proc, src, tag, ctx int, buf []byte) (Status, error) {
+	if e.poll != stepsPoll || e.costs.RecvOverhead <= 0 {
+		r, err := e.Irecv(p, src, tag, ctx, buf)
+		if err != nil {
+			return Status{}, err
+		}
+		return e.Wait(p, r)
+	}
+	r, err := e.newRecv(p, src, tag, ctx, buf)
+	if err != nil {
+		return Status{}, err
+	}
+	e.recvChained(p, r)
+	if e.stage == stPosted {
+		e.carryOn(p)
+		return e.Wait(p, r)
+	}
+	if e.carryOn(p) {
+		e.Progress(p)
+	}
+	return e.await(p, r)
+}
+
+// newRecv is a receive's checks and drain, then its request, not yet
+// posted (see post).
+func (e *Engine) newRecv(p *sim.Proc, src, tag, ctx int, buf []byte) (*Request, error) {
 	if e.fatal != nil {
 		return nil, e.fatal
 	}
@@ -426,16 +468,6 @@ func (e *Engine) Irecv(p *sim.Proc, src, tag, ctx int, buf []byte) (*Request, er
 		return nil, err
 	}
 	req.IsRecv, req.Env, req.Buf = true, Envelope{Source: src, Tag: tag, Context: ctx}, buf
-	e.acct.Spend2(p, sim.Overhead, e.costs.RecvOverhead, sim.Match, e.costs.Match)
-	e.acct.Add(ctrRecv, 1)
-	e.trc(trace.RecvPost, src, tag, len(buf), "")
-
-	if msg := e.match.PostRecv(req); msg != nil {
-		e.deliverMatched(p, msg, req)
-		e.freeInMsg(msg)
-	} else {
-		e.acct.Raise(ctrPostedMax, int64(e.match.PostedLen()))
-	}
 	return req, nil
 }
 
@@ -639,6 +671,11 @@ func (e *Engine) Wait(p *sim.Proc, r *Request) (Status, error) {
 	if !r.Done() {
 		e.Progress(p)
 	}
+	return e.await(p, r)
+}
+
+// await is Wait past its first poll.
+func (e *Engine) await(p *sim.Proc, r *Request) (Status, error) {
 	for !r.Done() {
 		if e.fatal != nil {
 			r.complete(Status{}, e.fatal)
@@ -731,24 +768,26 @@ func (e *Engine) Cancel(p *sim.Proc, r *Request) (bool, error) {
 // reports its envelope without receiving it. Like MPI_Probe, it observes
 // only the unexpected queue: a message already matched to a posted
 // receive is in delivery and deliberately invisible here (see
-// Matcher.Probe).
+// Matcher.Probe). Once the first Iprobe finds nothing, the rank parks and
+// the Iprobe of each wake is the kernel's (probeParked), except on the
+// plain kernel (parkPoll).
 func (e *Engine) Probe(p *sim.Proc, src, tag, ctx int) (Status, error) {
-	for {
-		st, ok, err := e.Iprobe(p, src, tag, ctx)
-		if err != nil {
-			return st, err
-		}
-		if ok {
-			return st, nil
-		}
+	st, ok, _ := e.Iprobe(p, src, tag, ctx)
+	for !ok {
 		if e.fatal != nil {
 			return Status{}, e.fatal
 		}
-		if ferr := e.ftRecvCheck(src, ctx); ferr != nil {
-			return Status{}, ferr
+		if err := e.ftRecvCheck(src, ctx); err != nil {
+			return Status{}, err
 		}
-		e.Park(p)
+		if e.poll == parkPoll {
+			e.Park(p)
+			st, ok, _ = e.Iprobe(p, src, tag, ctx)
+		} else {
+			st, ok = e.probeParked(p, src, tag, ctx)
+		}
 	}
+	return st, nil
 }
 
 // Iprobe makes progress and reports whether a matching message is queued
@@ -759,10 +798,16 @@ func (e *Engine) Probe(p *sim.Proc, src, tag, ctx int) (Status, error) {
 func (e *Engine) Iprobe(p *sim.Proc, src, tag, ctx int) (Status, bool, error) {
 	e.acct.Spend(p, sim.Match, e.costs.Match)
 	e.Progress(p)
+	st, ok := e.probed(src, tag, ctx)
+	return st, ok, nil
+}
+
+// probed is Iprobe's check, after its poll.
+func (e *Engine) probed(src, tag, ctx int) (Status, bool) {
 	if msg := e.match.Probe(src, tag, ctx); msg != nil {
-		return Status{Source: msg.Env.Source, Tag: msg.Env.Tag, Count: msg.Env.Count}, true, nil
+		return Status{Source: msg.Env.Source, Tag: msg.Env.Tag, Count: msg.Env.Count}, true
 	}
-	return Status{}, false, nil
+	return Status{}, false
 }
 
 // Finalize implements Endpoint: poll until every locally-initiated send

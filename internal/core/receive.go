@@ -9,21 +9,24 @@ import (
 // (Transport.PollStep), an arrival's match charge, the match and an eager
 // copy-out charge are one relay, which the kernel runs at each charge's
 // wake in the proc's place. The rank's own Progress runs it (pollOnce), and
-// so does the kernel for a rank parked in Wait (waitChain). Where the chain
-// stops, its stage says what the proc carries on with (carryOn): after a
-// copy-out the credit release and the completion (a socket's credit Ship
-// may write), and whatever else needs the proc.
+// so does the kernel for a rank parked in Wait (waitChain), in Recv from
+// the receive's own charges on (stRecv), and in Probe (probeRelay). Where
+// the chain stops, its stage says what the proc carries on with (carryOn):
+// after a copy-out the credit release and the completion (a socket's credit
+// Ship may write), and whatever else needs the proc.
 
 // stage is where the receive chain stands.
 type stage uint8
 
 const (
 	stIdle    stage = iota // nothing in hand: at a Wait wake, or the poll surfaced nothing
-	stPoll                 // the wire's PollStep is under way
+	stRecv                 // Recv's bookkeeping charge is paid: its match charge and the post are next
+	stPost                 // Recv's match charge is paid: posting e.waited is next
+	stPoll                 // the wire's PollStep is next or under way
 	stArrived              // e.scratch is an arrival in hand: its match charge is next
 	stMatch                // the match charge is paid: match e.scratch
-	stCopied               // e.scratch is copied out to e.matched: credit and completion are left
-	stRndv                 // e.scratch is an RTS matched to e.matched: the accept is left
+	stMatched              // e.scratch matched e.matched: its copy-out is paid, its delivery is left
+	stPosted               // as stMatched, for a queued message the post of e.matched took
 	stQueue                // e.scratch matched nothing: queueing it is left
 	stRevoked              // e.scratch came on a revoked communicator: dropping it is left
 	stPacket               // e.held is not an arrival, or sends wait in e.released: shipping and handling are left
@@ -95,10 +98,12 @@ func (e *Engine) carryOn(p *sim.Proc) bool {
 	}
 	e.stage, e.matched, e.held = stIdle, nil, nil
 	switch st {
-	case stCopied:
-		e.delivered(p, &e.scratch, req)
-	case stRndv:
-		e.acceptRndv(p, &e.scratch, req)
+	case stMatched, stPosted:
+		if e.scratch.Rndv {
+			e.acceptRndv(p, &e.scratch, req)
+		} else {
+			e.delivered(p, &e.scratch, req)
+		}
 	case stQueue:
 		e.queueUnexpected()
 	case stRevoked:
@@ -139,11 +144,25 @@ func (e *Engine) matchArrival() sim.Duration {
 		e.stage = stQueue
 		return 0
 	}
-	e.matched, e.stage = req, stCopied
-	if msg.Rndv {
-		e.stage = stRndv
-	}
+	e.matched, e.stage = req, stMatched
 	return e.matchedMsg(msg, req)
+}
+
+// post enters receive r into the matcher once its charges are paid. Where
+// r takes a queued message, the message moves to e.scratch, matched to r
+// (stPosted), and post returns an eager copy-out's charge.
+func (e *Engine) post(r *Request) sim.Duration {
+	e.acct.Add(ctrRecv, 1)
+	e.trc(trace.RecvPost, r.Env.Source, r.Env.Tag, len(r.Buf), "")
+	msg := e.match.PostRecv(r)
+	if msg == nil {
+		e.acct.Raise(ctrPostedMax, int64(e.match.PostedLen()))
+		return 0
+	}
+	e.scratch = *msg
+	e.freeInMsg(msg)
+	e.matched, e.stage = r, stPosted
+	return e.matchedMsg(&e.scratch, r)
 }
 
 // dropRevoked drops stale traffic on a revoked communicator. An eager
@@ -170,19 +189,6 @@ func (e *Engine) queueUnexpected() {
 	*m = e.scratch
 	e.match.AddUnexpected(m)
 	e.acct.Raise(ctrUnexpectedMax, int64(e.match.UnexpectedLen()))
-}
-
-// deliverMatched finishes the match of an in-queue message with receive req:
-// eager payloads are copied out of bounce space (and the space released);
-// rendezvous messages are accepted so the transport can move the payload.
-func (e *Engine) deliverMatched(p *sim.Proc, msg *InMsg, req *Request) {
-	d := e.matchedMsg(msg, req)
-	if msg.Rndv {
-		e.acceptRndv(p, msg, req)
-		return
-	}
-	e.acct.Spend(p, sim.Copy, d)
-	e.delivered(p, msg, req)
 }
 
 // matchedMsg marks req matched with msg and copies an eager payload out,
@@ -245,31 +251,62 @@ func (e *Engine) delivered(p *sim.Proc, msg *InMsg, req *Request) {
 // awaited request, the receive chain, each charge at its own wake and a
 // blocked poll Staying on the Cond it names, then the check again, and
 // back on the engine's Cond while the request is pending and the rank
-// alive.
+// alive. Recv enters it at stRecv, as the relay of its bookkeeping charge:
+// the match charge and the post come first, and unless the post took a
+// queued message, which the proc delivers, Wait's first poll follows.
 type waitChain Engine
 
 func (w *waitChain) Relay() (sim.Cat, sim.Duration, sim.Step) {
 	e := (*Engine)(w)
 	r := e.waited
-	if e.stage == stIdle { // a wake
+	switch e.stage {
+	case stRecv:
+		e.stage = stPost
+		if d := e.costs.Match; d > 0 {
+			return sim.Match, d, sim.More
+		}
+		fallthrough
+	case stPost:
+		if d := e.post(r); e.stage == stPosted {
+			if d > 0 {
+				return sim.Copy, d, sim.Last
+			}
+			return 0, 0, sim.Decline
+		}
+		fallthrough
+	case stIdle: // a wake
 		e.awaiting = nil // as Wait's loop has it once Park returns
 		if r.Done() {
 			return 0, 0, sim.Decline
 		}
 		e.stage = stPoll
 	}
-	c, d, step, wait := e.step()
-	if wait != nil {
-		wait.Requeue(e.waiter)
-		return 0, 0, sim.Stay
-	}
-	if step != sim.Decline || e.stage != stIdle {
+	c, d, step, drained := e.waitStep()
+	if !drained {
 		return c, d, step
 	}
 	if r.Done() || e.fatal != nil {
 		return 0, 0, sim.Decline
 	}
 	e.awaiting = r
+	return e.stay()
+}
+
+// waitStep is the receive chain run by the kernel for a rank parked in a
+// relay wait (waitChain, probeRelay): a blocked poll Stays on the Cond it
+// names; a charge, or a stop that leaves the proc work, is reported; and
+// drained reports that the poll surfaced nothing, for the caller's check.
+func (e *Engine) waitStep() (c sim.Cat, d sim.Duration, step sim.Step, drained bool) {
+	c, d, step, wait := e.step()
+	if wait != nil {
+		wait.Requeue(e.waiter)
+		return 0, 0, sim.Stay, false
+	}
+	return c, d, step, step == sim.Decline && e.stage == stIdle
+}
+
+// stay puts the parked rank back on the engine's Cond.
+func (e *Engine) stay() (sim.Cat, sim.Duration, sim.Step) {
 	e.cond.Requeue(e.waiter)
 	return 0, 0, sim.Stay
 }
@@ -285,4 +322,52 @@ func (e *Engine) waitChained(p *sim.Proc, r *Request) bool {
 	defer func() { e.waiter, e.waited = nil, nil }()
 	e.cond.WaitThen(p, (*waitChain)(e))
 	return e.carryOn(p)
+}
+
+// recvChained runs Recv's chain in p for receive r: its bookkeeping charge
+// with waitChain, from stRecv, as the relay.
+func (e *Engine) recvChained(p *sim.Proc, r *Request) {
+	e.waiter, e.waited, e.stage = p, r, stRecv
+	defer func() { e.waiter, e.waited = nil, nil }()
+	p.SpendThen(sim.Overhead, e.costs.RecvOverhead, (*waitChain)(e))
+}
+
+// probeRelay is what a rank parked in Probe does at each wake, run by the
+// kernel in its place: that wake's Iprobe — its match charge, the receive
+// chain, then the check — and back on the engine's Cond until a message
+// may match, the rank dies or a peer's death or a revoke may fail the
+// probe. Only the proc queues an unexpected message (carryOn, where the
+// chain declines), so a drained poll leaves the unexpected queue as the
+// proc last checked it; a fault is the proc's to check (ftRecvCheck).
+type probeRelay Engine
+
+func (w *probeRelay) Relay() (sim.Cat, sim.Duration, sim.Step) {
+	e := (*Engine)(w)
+	if e.stage == stIdle { // a wake
+		e.stage = stPoll
+		if d := e.costs.Match; d > 0 {
+			return sim.Match, d, sim.More
+		}
+	}
+	c, d, step, drained := e.waitStep()
+	if !drained {
+		return c, d, step
+	}
+	if e.fatal != nil || e.ftActive() {
+		return 0, 0, sim.Decline
+	}
+	return e.stay()
+}
+
+// probeParked parks p in Probe for (src, tag, ctx), with probeRelay run at
+// each wake, so p is dispatched only where a wake's Iprobe leaves it work
+// or ends the wait; p finishes that Iprobe and reports its check.
+func (e *Engine) probeParked(p *sim.Proc, src, tag, ctx int) (Status, bool) {
+	e.waiter = p
+	defer func() { e.waiter = nil }()
+	e.cond.WaitThen(p, (*probeRelay)(e))
+	if e.carryOn(p) {
+		e.Progress(p)
+	}
+	return e.probed(src, tag, ctx)
 }

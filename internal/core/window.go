@@ -40,13 +40,26 @@ type window struct {
 	outstanding int
 }
 
+// rmaState is an engine's one-sided side: the wire's RemoteMemory (nil
+// without one), resolved once, and the registered windows by id.
+type rmaState struct {
+	rm   RemoteMemory
+	wins map[int]*window
+}
+
+// remote reports the engine's one-sided side, built at its first use.
+func (e *Engine) remote() *rmaState {
+	if e.rma == nil {
+		rm, _ := e.tr.(RemoteMemory)
+		e.rma = &rmaState{rm: rm, wins: map[int]*window{}}
+	}
+	return e.rma
+}
+
 // SupportsRMA reports whether this engine's transport implements the
 // RemoteMemory capability (native one-sided operations). Without it the
 // mpi layer emulates windows over matched sends at fence time.
-func (e *Engine) SupportsRMA() bool {
-	_, ok := e.tr.(RemoteMemory)
-	return ok
-}
+func (e *Engine) SupportsRMA() bool { return e.remote().rm != nil }
 
 // WinCreate registers a window of size bytes under id and returns its
 // region. The id must be unused on this engine.
@@ -54,29 +67,27 @@ func (e *Engine) WinCreate(id, size int) ([]byte, error) {
 	if e.fatal != nil {
 		return nil, e.fatal
 	}
-	if e.wins == nil {
-		e.wins = make(map[int]*window)
-	}
-	if e.wins[id] != nil {
+	wins := e.remote().wins
+	if wins[id] != nil {
 		return nil, Errorf(ErrInternal, "window id %d already exists", id)
 	}
 	w := &window{mem: make([]byte, size)}
-	e.wins[id] = w
+	wins[id] = w
 	return w.mem, nil
 }
 
 // WinFree unregisters window id.
 func (e *Engine) WinFree(id int) {
-	delete(e.wins, id)
+	delete(e.remote().wins, id)
 }
 
 // Win reports the region of the window registered under id. Transports
 // use it to locate the target region when applying remote operations.
-func (e *Engine) Win(id int) []byte { return e.wins[id].mem }
+func (e *Engine) Win(id int) []byte { return e.remote().wins[id].mem }
 
 // winFor looks up a window for an origin-side operation.
 func (e *Engine) winFor(id int) (*window, error) {
-	w := e.wins[id]
+	w := e.remote().wins[id]
 	if w == nil {
 		return nil, Errorf(ErrInternal, "no window with id %d", id)
 	}
@@ -90,8 +101,8 @@ func (e *Engine) RMAPut(p *sim.Proc, dst, id, off int, data []byte) error {
 	if e.fatal != nil {
 		return e.fatal
 	}
-	rm, ok := e.tr.(RemoteMemory)
-	if !ok {
+	rm := e.remote().rm
+	if rm == nil {
 		return Errorf(ErrInternal, "transport has no remote-memory capability")
 	}
 	if dst < 0 || dst >= e.size {

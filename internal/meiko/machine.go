@@ -148,9 +148,18 @@ func (n *Node) getXfer(dst, nbytes int, perByte, land sim.Duration) *xfer {
 func (x *xfer) run() {
 	switch x.stage {
 	case xferInject:
-		x.stage = xferDepart
 		wire := sim.Duration(x.nbytes) * x.perByte
 		x.src.Ledger.Record(sim.Wire, wire)
+		if x.onLocal == nil {
+			// Nothing waits for the last byte to leave (every Txn): the
+			// port is booked at issue and the landing routed from here,
+			// to the instant the departure event would have routed it to.
+			x.stage = xferLand
+			end := x.src.Out.UseAsync(wire, nil)
+			x.src.S.Route(x.dst.Lane, end+sim.Time(x.src.M.Costs.WireLatency), x.step)
+			return
+		}
+		x.stage = xferDepart
 		x.src.Out.UseAsync(wire, x.step)
 	case xferDepart:
 		if x.onLocal != nil {

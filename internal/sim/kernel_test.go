@@ -248,6 +248,82 @@ func TestRelayThatChargesPanicsByName(t *testing.T) {
 	}
 }
 
+// stayChain is a SpendThen relay whose chain ends in a Cond wait: a charge,
+// a Stay on c, signalled gap later, then a charge with More and one with
+// Last, run at the wait's wake.
+type stayChain struct {
+	p    *Proc
+	c    *Cond
+	gap  Duration
+	step int
+}
+
+func (r *stayChain) Relay() (Cat, Duration, Step) {
+	r.step++
+	switch r.step {
+	case 1:
+		return Match, 7, More
+	case 2:
+		r.c.Requeue(r.p)
+		r.p.s.After(r.gap, r.c.Signal)
+		return 0, 0, Stay
+	case 3:
+		return Copy, 11, More
+	}
+	return Sync, 13, Last
+}
+
+// A SpendThen chain that Stays turns into a wait: the time from the Stay
+// to the proc's resumption is parked, less the charges after it, the Last
+// one too. Spent, Parked and the finish time equal the plain kernel's,
+// where the proc runs the relay itself and waits plainly at the Stay,
+// whether the charges run ahead or park (a ticker keeps the queue busy).
+func TestSpendThenEndingInWaitBooksParked(t *testing.T) {
+	run := func(slow, ticker bool, gap Duration) (Ledger, Time, uint64) {
+		s := NewScheduler(1)
+		s.noFastPath = slow
+		var l Ledger
+		c := NewCond(s)
+		var end Time
+		s.Spawn("chain", func(p *Proc) {
+			p.Ledger = &l
+			p.Spend(Compute, 3)
+			if !p.SpendThen(Overhead, 5, &stayChain{p: p, c: c, gap: gap}) {
+				t.Error("SpendThen reported Decline, want Last")
+			}
+			p.Spend(Compute, 2)
+			end = p.Now()
+		})
+		if ticker {
+			s.Spawn("ticker", func(p *Proc) {
+				for range 40 {
+					p.Advance(3)
+				}
+			})
+		}
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return l, end, s.Dispatches()
+	}
+	for _, ticker := range []bool{false, true} {
+		for _, gap := range []Duration{0, 40} {
+			want, wantEnd, plain := run(true, ticker, gap)
+			got, gotEnd, fast := run(false, ticker, gap)
+			if got != want || gotEnd != wantEnd {
+				t.Errorf("ticker %v, gap %v: spent %v parked %v, finish %v; plain kernel %v, %v, %v",
+					ticker, gap, got.Spent, got.Spent[Parked], gotEnd, want.Spent, want.Spent[Parked], wantEnd)
+			}
+			if want.Spent[Parked] != gap || wantEnd != Time(3+5+7+gap+11+13+2) {
+				t.Errorf("ticker %v, gap %v: plain kernel parked %v, finished at %v", ticker, gap, want.Spent[Parked], wantEnd)
+			}
+			if fast >= plain {
+				t.Errorf("ticker %v, gap %v: %d dispatches, the plain kernel %d: the chain never ran in the proc's place", ticker, gap, fast, plain)
+			}
+		}
+	}
+}
+
 // The event limit is exact on every driver: a run whose MaxEvents equals
 // its event count finishes clean, and one fewer stops it with an event
 // LimitError, on a shard as on a standalone scheduler (ROADMAP item 30:

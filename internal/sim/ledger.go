@@ -87,16 +87,23 @@ func (p *Proc) checkCharge(d Duration) {
 // reports whether r's last step was Last rather than Decline. Where a charge
 // parks p, the kernel runs r at its wake in p's place (DESIGN §4), so p is
 // dispatched once, after the last charge or at the wake where r declines,
-// instead of once after each charge.
+// instead of once after each charge. A chain may end in a Cond wait: r
+// reports Stay, having put p on a Cond with Requeue, and from then on it is
+// a WaitThen relay, run at each wake of that wait; the time from the Stay
+// to p's resumption is parked time, less the charges r reports after it.
 func (p *Proc) SpendThen(c Cat, d Duration, r Relay) bool {
 	s := p.s
 	p.checkCharge(d)
-	if s.noFastPath { // the oracle: plain Spends, p running r itself
+	if s.noFastPath { // the oracle: plain Spends and Waits, p running r itself
 		p.Spend(c, d)
 		for {
 			c, d, step := p.callRelay(r)
-			if step == Decline {
+			switch step {
+			case Decline:
 				return false
+			case Stay:
+				p.wait()
+				continue
 			}
 			p.Spend(c, d)
 			if step == Last {
@@ -123,7 +130,9 @@ func (p *Proc) SpendThen(c Cat, d Duration, r Relay) bool {
 // its charge runs ahead, it goes round again at the new instant. It reports
 // whether p stays parked: also after Stay, with the relay kept for p's next
 // wake. A charge of a WaitThen relay is taken out of p's parked time, which
-// Cond.Wait counts from the first park to the last wake.
+// Cond.Wait counts from the first park to the last wake; so is one that
+// follows a SpendThen relay's Stay, whose wait ends (endStay) where the
+// relay declines or reports its Last charge.
 func (s *Scheduler) runRelay(p *Proc) bool {
 	for {
 		if p.Ledger != nil {
@@ -135,14 +144,19 @@ func (s *Scheduler) runRelay(p *Proc) bool {
 		c, d, step := p.callRelay(p.relay)
 		switch step {
 		case Decline:
+			p.endStay()
 			p.relay, p.relayed = nil, false // only now: this package's tests look
 			return false
 		case Stay:
+			if !p.waiting { // a SpendThen chain's: its wait starts now
+				p.waiting, p.stayed, p.d2 = true, true, Duration(s.now)
+			}
 			// The relay queued p on its Cond again; the next wake books
 			// nothing, whatever charge came before this one.
 			p.c1, p.d1 = 0, 0
 			return true
 		case Last:
+			p.endStay()
 			p.relay, p.relayed, p.c2, p.d2 = nil, true, c, d
 		default:
 			p.c1, p.d1 = c, d
@@ -154,6 +168,15 @@ func (s *Scheduler) runRelay(p *Proc) bool {
 		if step == Last {
 			return false
 		}
+	}
+}
+
+// endStay ends the wait a SpendThen relay's Stay began (at d2): p resumes
+// now, or after the Last charge the relay reports now, which stays p's.
+func (p *Proc) endStay() {
+	if p.stayed {
+		p.parked += Duration(p.s.now) - p.d2
+		p.waiting, p.stayed = false, false
 	}
 }
 

@@ -340,6 +340,7 @@ type Proc struct {
 	done    bool
 	inRelay bool     // a relay of p's is running (see callRelay)
 	waiting bool     // p is parked in WaitThen: its relay's charges are not parked time
+	stayed  bool     // a SpendThen relay reported Stay: the rest of its chain is a wait, since d2
 	relayed bool     // SpendThen's charges: the kernel books c1 at its
 	c1, c2  Cat      // wake (each in turn, in a chain), p books c2 when it
 	d1, d2  Duration // resumes, if the relay's last step reported it

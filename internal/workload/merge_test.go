@@ -94,6 +94,10 @@ func TestRunOrderMatchesStableSortOracle(t *testing.T) {
 // event-sized buffer the merge may allocate: sized exactly, sorted in
 // place, no scratch.
 func TestMergeEventsAllocatesOneBuffer(t *testing.T) {
+	// On one P, as testing.AllocsPerRun measures: the runtime's own work
+	// (a timer re-armed, a new M for an idle P) then cannot allocate inside
+	// the window.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const n = 50_000
 	logs := make([]laneLog, 2)
 	var before, after runtime.MemStats

@@ -58,14 +58,10 @@ func (k collComm) Wait(r coll.Req) error {
 	return err
 }
 
-func (k collComm) HasHW() bool {
-	_, ok := k.c.ep.(core.HWBcaster)
-	return ok && k.c.isWorld()
-}
+func (k collComm) HasHW() bool { return k.c.w.hw != nil && k.c.isWorld() }
 
 func (k collComm) HWBcast(root int, buf []byte) error {
-	hb, ok := k.c.ep.(core.HWBcaster)
-	if !ok {
+	if k.c.w.hw == nil {
 		return core.Errorf(core.ErrInternal, "hardware broadcast on a device without one")
 	}
 	if !k.c.isWorld() {
@@ -75,7 +71,7 @@ func (k collComm) HWBcast(root int, buf []byte) error {
 	if err != nil {
 		return err
 	}
-	return hb.HWBcast(k.c.p, wr, k.c.ctx+1, buf)
+	return k.c.w.hw[k.c.ep.Rank()].HWBcast(k.c.p, wr, k.c.ctx+1, buf)
 }
 
 // Borrow and Return lend the process's scratch, one LIFO per world rank
@@ -88,12 +84,7 @@ func (k collComm) scratch() *coll.Scratch {
 
 func (k collComm) Acct() *core.Acct { return k.c.ep.Acct() }
 
-func (k collComm) TraceLog() *trace.Log {
-	if t, ok := k.c.ep.(interface{ TraceLog() *trace.Log }); ok {
-		return t.TraceLog()
-	}
-	return nil
-}
+func (k collComm) TraceLog() *trace.Log { return k.c.ep.TraceLog() }
 
 func (k collComm) WorldRank() int { return k.c.ep.Rank() }
 func (k collComm) Now() sim.Time  { return k.c.p.Now() }

@@ -53,6 +53,25 @@ func TestAlltoallv(t *testing.T) {
 	})
 }
 
+// Alltoallv's linear shift exchanges with each other rank once and copies
+// its own block: a 4-rank call books exactly 3 sends per rank, none to
+// itself.
+func TestAlltoallvSendsOncePerPeer(t *testing.T) {
+	const n = 4
+	launch(t, n, func(c *Comm) error {
+		counts, displs := []int{2, 2, 2, 2}, []int{0, 2, 4, 6}
+		sends := func() int64 { return c.Endpoint().Acct().View().Count["send"] }
+		before := sends()
+		if err := c.Alltoallv(make([]byte, 8), counts, displs, make([]byte, 8), counts, displs); err != nil {
+			return err
+		}
+		if got := sends() - before; got != n-1 {
+			return fmt.Errorf("rank %d booked %d sends, want %d", c.Rank(), got, n-1)
+		}
+		return nil
+	})
+}
+
 func TestReduceScatter(t *testing.T) {
 	const n = 4
 	counts := []int{8, 8, 8, 8} // one float64 each

@@ -44,6 +44,10 @@ func sendrecvMallocs(t *testing.T, lanes, n, legs int) uint64 {
 // are subtracted so world construction and warm-up cancel.
 func TestSendrecvAllocsPerLeg(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// On one P, as testing.AllocsPerRun measures: the runtime's own work
+	// (a timer re-armed, a new M for an idle P) then cannot allocate inside
+	// the window.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const short, long = 200, 2200
 	for _, k := range []struct {
 		name  string
@@ -220,6 +224,10 @@ func collMallocs(t *testing.T, row collRow, lanes, n, calls int) uint64 {
 // TestSendrecvAllocsPerLeg.
 func TestCollectiveAllocsPerCall(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// On one P, as testing.AllocsPerRun measures: the runtime's own work
+	// (a timer re-armed, a new M for an idle P) then cannot allocate inside
+	// the window.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const short, long = 64, 128 // past the matcher's warm-up; whole rotations of the root
 	for _, k := range []struct {
 		name  string

@@ -62,7 +62,8 @@ type World struct {
 	// loss-recovery horizon; zero falls back to a 100 µs default.
 	FTDetect sim.Duration
 	eps      []core.Endpoint
-	mu       sync.Mutex // guards nextCtx (ranks may run on parallel lanes)
+	hw       []core.HWBcaster // each rank's hardware broadcast; nil when no endpoint has one
+	mu       sync.Mutex       // guards nextCtx (ranks may run on parallel lanes)
 	nextCtx  int
 	// shrinkCtxs memoizes the context pair agreed for each (parent context,
 	// dead set) so every survivor of a Shrink picks the same fresh contexts
@@ -82,11 +83,17 @@ type World struct {
 // NewWorld wraps endpoints (one per rank, indexed by rank, each built on
 // its rank's node scheduler) into a world.
 func NewWorld(s *sim.Scheduler, eps []core.Endpoint) *World {
-	group := make([]int, len(eps))
-	for i := range group {
-		group[i] = i
+	w := &World{S: s, eps: eps, nextCtx: 2, group: make([]int, len(eps)), scratch: make([]coll.Scratch, len(eps))}
+	for i, ep := range eps {
+		w.group[i] = i
+		if hb, ok := ep.(core.HWBcaster); ok {
+			if w.hw == nil {
+				w.hw = make([]core.HWBcaster, len(eps))
+			}
+			w.hw[i] = hb
+		}
 	}
-	return &World{S: s, eps: eps, nextCtx: 2, group: group, scratch: make([]coll.Scratch, len(eps))}
+	return w
 }
 
 // Sched reports the scheduler that owns rank r.

@@ -141,11 +141,11 @@ func (c *Comm) Irecv(src, tag int, buf []byte) (*Request, error) {
 
 // Recv is the blocking receive (MPI_Recv).
 func (c *Comm) Recv(src, tag int, buf []byte) (Status, error) {
-	req, err := c.startRecv(src, tag, buf)
+	wr, err := c.peer(src, tag, true)
 	if err != nil {
 		return Status{}, err
 	}
-	st, err := c.ep.Wait(c.p, req)
+	st, err := c.ep.Recv(c.p, wr, tag, c.ctx, buf)
 	return c.fixStatus(st), err
 }
 

@@ -583,6 +583,10 @@ func sendrecvMallocs(t *testing.T, legs int) uint64 {
 // and long runs are subtracted so world construction and warm-up cancel.
 func TestSendrecvAllocsPerLegTCP(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// On one P, as testing.AllocsPerRun measures: the runtime's own work
+	// (a timer re-armed, a new M for an idle P) then cannot allocate inside
+	// the window.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const short, long, perLeg = 200, 2200, 0
 	extra := int64(sendrecvMallocs(t, long)) - int64(sendrecvMallocs(t, short))
 	calls := int64(2 * (long - short)) // both ranks
@@ -596,13 +600,24 @@ func TestSendrecvAllocsPerLegTCP(t *testing.T) {
 // where tests that pin a shortcut's own counts skip.
 var plainKernel bool
 
+// exchange is how dispatchesPerMessage's two ranks trade messages.
+type exchange uint8
+
+const (
+	sendrecv  exchange = iota // Sendrecv: each rank's events interleave with the other's
+	probed                    // Isend, then Probe and Recv, then Wait: each rank finds the message in its own calls
+	pingpong                  // rank 0 Sends then Recvs, rank 1 Recvs then Sends: each Recv waits for its message
+	probePark                 // pingpong with a Probe before each Recv, which parks before the message lands
+)
+
+func (x exchange) String() string {
+	return [...]string{"Sendrecv", "Isend+Probe+Recv", "Send/Recv", "Send/Probe+Recv"}[x]
+}
+
 // dispatchesPerMessage runs a 2-rank exchange of n-byte messages on kind
 // and reports the proc dispatches each message costs (Report.Dispatches):
-// two runs' difference, so the world's start and end cancel. The exchange
-// is Sendrecv, so each rank's events interleave with the other's; or with
-// probe, Isend, then Probe and Recv, so each rank finds the message in
-// its own calls, then Wait.
-func dispatchesPerMessage(t *testing.T, kind string, n int, probe bool) float64 {
+// two runs' difference, so the world's start and end cancel.
+func dispatchesPerMessage(t *testing.T, kind string, n int, x exchange) float64 {
 	t.Helper()
 	run := func(iters int) uint64 {
 		s := registry.SpecFor(kind)
@@ -613,25 +628,46 @@ func dispatchesPerMessage(t *testing.T, kind string, n int, probe bool) float64 
 		}
 		rep, err := mpi.Launch(w, func(c *mpi.Comm) error {
 			out, in, peer := make([]byte, n), make([]byte, n), 1-c.Rank()
+			recv := func() error {
+				if x == probed || x == probePark {
+					if _, err := c.Probe(peer, 0); err != nil {
+						return err
+					}
+				}
+				_, err := c.Recv(peer, 0, in)
+				return err
+			}
 			for i := 0; i < iters; i++ {
-				if !probe {
+				switch x {
+				case sendrecv:
 					if _, err := c.Sendrecv(peer, 0, out, peer, 0, in); err != nil {
 						return err
 					}
-					continue
-				}
-				s, err := c.Isend(peer, 0, out)
-				if err != nil {
-					return err
-				}
-				if _, err := c.Probe(peer, 0); err != nil {
-					return err
-				}
-				if _, err := c.Recv(peer, 0, in); err != nil {
-					return err
-				}
-				if _, err := s.Wait(); err != nil {
-					return err
+				case probed:
+					s, err := c.Isend(peer, 0, out)
+					if err != nil {
+						return err
+					}
+					if err := recv(); err != nil {
+						return err
+					}
+					if _, err := s.Wait(); err != nil {
+						return err
+					}
+				default:
+					if c.Rank() == 0 {
+						if err := c.Send(peer, 0, out); err != nil {
+							return err
+						}
+					}
+					if err := recv(); err != nil {
+						return err
+					}
+					if c.Rank() == 1 {
+						if err := c.Send(peer, 0, out); err != nil {
+							return err
+						}
+					}
 				}
 			}
 			return nil
@@ -661,11 +697,18 @@ func dispatchesPerMessage(t *testing.T, kind string, n int, probe bool) float64 
 // at each wake), whose 64 KiB rendezvous costs 5 (9); on the Meiko a 1 B
 // eager message costs 4 (8 with a dispatch per charge) and a 1 KiB
 // rendezvous 7 (10), and where each rank finds the message with Probe in
-// its own call, 6 (8 with the poll's charges spent one by one). On mem,
-// where a poll charges nothing, the kernel polls for a rank parked in Wait
-// at each wake (DESIGN §4, relay at a Cond wake), so the wake that only
-// turns an RTS into a CTS dispatches no one: 2 per rendezvous message (3
-// with a dispatch per wake). The counts are the shortcuts' own, so the
+// its own call, 5 (6 with Recv's post and Wait apart, 8 with the poll's
+// charges spent one by one). On mem, where a poll charges nothing, the
+// kernel polls for a rank parked in Wait at each wake (DESIGN §4, relay at
+// a Cond wake), so the wake that only turns an RTS into a CTS dispatches
+// no one: 2 per rendezvous message (3 with a dispatch per wake). A
+// blocking Recv is one chain from its own charges to the message's
+// delivery (Engine.Recv): in a Send/Recv ping-pong the Meiko's 1 B message
+// costs 1 dispatch and cluster/shm's 1 KiB 1 (2 each with the post and the
+// Wait apart); tcp and udp stay at 2, where the sender's write parks it.
+// A Probe that parks before the message lands runs each wake's Iprobe as
+// the kernel's relay: 3 per Meiko 1 B ping-pong message (7 with the rank
+// dispatched at each wake). The counts are the shortcuts' own, so the
 // plain kernel (the plainkernel build tag) skips this test.
 func TestDispatchesPerMessage(t *testing.T) {
 	if plainKernel {
@@ -674,14 +717,16 @@ func TestDispatchesPerMessage(t *testing.T) {
 	for _, c := range []struct {
 		kind  string
 		bytes int
-		probe bool
+		x     exchange
 		want  float64
-	}{{"cluster/tcp", 1024, false, 5}, {"cluster/udp", 1024, false, 4}, {"mem", 1024, false, 2},
-		{"cluster/shm", 1024, false, 3}, {"cluster/shm", 64 << 10, false, 5},
-		{"meiko/lowlatency", 1, false, 4}, {"meiko/lowlatency", 1024, false, 7},
-		{"meiko/lowlatency", 1, true, 6}} {
-		if got := dispatchesPerMessage(t, c.kind, c.bytes, c.probe); got != c.want {
-			t.Errorf("%s, %d B, probe %v: %.2f dispatches per message, pinned at %v", c.kind, c.bytes, c.probe, got, c.want)
+	}{{"cluster/tcp", 1024, sendrecv, 5}, {"cluster/udp", 1024, sendrecv, 4}, {"mem", 1024, sendrecv, 2},
+		{"cluster/shm", 1024, sendrecv, 3}, {"cluster/shm", 64 << 10, sendrecv, 5},
+		{"meiko/lowlatency", 1, sendrecv, 4}, {"meiko/lowlatency", 1024, sendrecv, 7},
+		{"meiko/lowlatency", 1, probed, 5},
+		{"meiko/lowlatency", 1, pingpong, 1}, {"cluster/tcp", 1024, pingpong, 2}, {"cluster/udp", 1024, pingpong, 2},
+		{"cluster/shm", 1024, pingpong, 1}, {"meiko/lowlatency", 1, probePark, 3}} {
+		if got := dispatchesPerMessage(t, c.kind, c.bytes, c.x); got != c.want {
+			t.Errorf("%s, %d B, %v: %.2f dispatches per message, pinned at %v", c.kind, c.bytes, c.x, got, c.want)
 		}
 	}
 }

@@ -241,6 +241,15 @@ func (e *MPICHEndpoint) Wait(p *sim.Proc, r *core.Request) (core.Status, error) 
 	return e.finalize(p, r, op)
 }
 
+// Recv implements core.Endpoint: Irecv then Wait.
+func (e *MPICHEndpoint) Recv(p *sim.Proc, src, tag, ctx int, buf []byte) (core.Status, error) {
+	r, err := e.Irecv(p, src, tag, ctx, buf)
+	if err != nil {
+		return core.Status{}, err
+	}
+	return e.Wait(p, r)
+}
+
 // Test implements core.Endpoint.
 func (e *MPICHEndpoint) Test(p *sim.Proc, r *core.Request) (core.Status, bool, error) {
 	op := e.ops[r]
