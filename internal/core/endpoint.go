@@ -25,6 +25,8 @@ type Endpoint interface {
 	Irecv(p *sim.Proc, src, tag, ctx int, buf []byte) (*Request, error)
 	Wait(p *sim.Proc, r *Request) (Status, error)
 	Recv(p *sim.Proc, src, tag, ctx int, buf []byte) (Status, error) // Irecv then Wait
+	// Sendrecv is Irecv, Isend, then a Wait on each (see Sendrecv).
+	Sendrecv(p *sim.Proc, dst, sendTag int, data []byte, src, recvTag, ctx int, buf []byte) (Status, error)
 	Test(p *sim.Proc, r *Request) (Status, bool, error)
 	Probe(p *sim.Proc, src, tag, ctx int) (Status, error)
 	Iprobe(p *sim.Proc, src, tag, ctx int) (Status, bool, error)
@@ -57,6 +59,32 @@ type HWBcaster interface {
 // completion themselves via Complete.
 func NewRequest(isRecv bool, env Envelope, buf []byte) *Request {
 	return &Request{IsRecv: isRecv, Env: env, Buf: buf}
+}
+
+// Sendrecv is MPI_Sendrecv on ep: the receive is posted, the send started,
+// and each waited for; pair, where not nil, waits for both before the
+// send's Wait. A failed send takes the receive down with it: cancelled, or
+// waited out where it has matched already, so no receive the call posted
+// outlives it and takes a message meant for a later one.
+func Sendrecv(ep Endpoint, p *sim.Proc, dst, sendTag int, data []byte, src, recvTag, ctx int, buf []byte, pair func(p *sim.Proc, s, r *Request)) (Status, error) {
+	r, err := ep.Irecv(p, src, recvTag, ctx, buf)
+	if err != nil {
+		return Status{}, err
+	}
+	s, err := ep.Isend(p, dst, sendTag, ctx, ModeStandard, data)
+	if err == nil {
+		if pair != nil {
+			pair(p, s, r)
+		}
+		_, err = ep.Wait(p, s)
+	}
+	if err == nil {
+		return ep.Wait(p, r)
+	}
+	if ok, _ := ep.Cancel(p, r); !ok {
+		ep.Wait(p, r)
+	}
+	return Status{}, err
 }
 
 // Complete finishes the request with the given status and error; exported

@@ -442,6 +442,18 @@ func (e *Engine) Recv(p *sim.Proc, src, tag, ctx int, buf []byte) (Status, error
 	return e.await(p, r)
 }
 
+// Sendrecv is MPI_Sendrecv (see the package's Sendrecv). On a charge-free
+// wire (freePoll) the send's wait carries on for the receive (pairWait), so
+// p is dispatched at the wake that ends the pair, not at the send's and
+// again at the receive's.
+func (e *Engine) Sendrecv(p *sim.Proc, dst, sendTag int, data []byte, src, recvTag, ctx int, buf []byte) (Status, error) {
+	var pair func(p *sim.Proc, s, r *Request)
+	if e.poll == freePoll {
+		pair = e.pairWait
+	}
+	return Sendrecv(e, p, dst, sendTag, data, src, recvTag, ctx, buf, pair)
+}
+
 // newRecv is a receive's checks and drain, then its request, not yet
 // posted (see post).
 func (e *Engine) newRecv(p *sim.Proc, src, tag, ctx int, buf []byte) (*Request, error) {
@@ -707,7 +719,7 @@ func (e *Engine) waitRelayed(p *sim.Proc, r *Request) {
 	e.waiter = p
 	// Also when Shutdown unwinds p: a world must not hold a rank's proc,
 	// and through it the rank's body, past its Wait.
-	defer func() { e.waiter = nil }()
+	defer func() { e.waiter, e.waited = nil, nil }()
 	e.cond.WaitThen(p, (*waitRelay)(e))
 	if !r.Done() {
 		r.complete(Status{}, e.fatal)
@@ -715,7 +727,10 @@ func (e *Engine) waitRelayed(p *sim.Proc, r *Request) {
 }
 
 // waitRelay is what a rank parked in Wait does at each wake: Progress, the
-// check, and Park again, all charged nothing (freePoll).
+// check, and Park again, all charged nothing (freePoll). A Sendrecv's wait
+// (pairWait) names its receive in waited: once the send is out, the check,
+// and awaiting with it, move to the receive, so Nudge drops the wakes that
+// would find the pair unfinished.
 type waitRelay Engine
 
 func (w *waitRelay) Relay() (sim.Cat, sim.Duration, sim.Step) {
@@ -723,12 +738,29 @@ func (w *waitRelay) Relay() (sim.Cat, sim.Duration, sim.Step) {
 	r := e.awaiting
 	e.awaiting = nil // as Wait's loop has it while it polls
 	e.Progress(e.waiter)
+	if e.waited != nil && r.Done() && r.Err() == nil {
+		r = e.waited
+	}
 	if r.Done() || e.fatal != nil {
 		return 0, 0, sim.Decline
 	}
 	e.awaiting = r
 	e.cond.Requeue(e.waiter)
 	return 0, 0, sim.Stay
+}
+
+// pairWait is Sendrecv's wait for send s on a charge-free wire: Wait's
+// first poll, then, while s is pending, one park (waitRelayed) that lasts
+// until s is out and receive r done too, s has failed or the rank is dead.
+// Both Waits that follow find their request done.
+func (e *Engine) pairWait(p *sim.Proc, s, r *Request) {
+	if !s.Done() {
+		e.Progress(p)
+	}
+	if !s.Done() && e.fatal == nil {
+		e.awaiting, e.waited = s, r
+		e.waitRelayed(p, s)
+	}
 }
 
 // Test makes progress and reports whether r has completed; a Test that

@@ -171,20 +171,18 @@ func (c *Comm) Iprobe(src, tag int) (Status, bool, error) {
 }
 
 // Sendrecv concurrently sends to dst and receives from src, avoiding the
-// cyclic-blocking pitfall (MPI_Sendrecv).
+// cyclic-blocking pitfall (MPI_Sendrecv). Both peers and tags are checked
+// before anything is posted.
 func (c *Comm) Sendrecv(dst, sendTag int, sendData []byte, src, recvTag int, recvBuf []byte) (Status, error) {
-	rr, err := c.startRecv(src, recvTag, recvBuf)
+	ws, err := c.peer(src, recvTag, true)
 	if err != nil {
 		return Status{}, err
 	}
-	sr, err := c.startSend(dst, sendTag, core.ModeStandard, sendData)
+	wd, err := c.peer(dst, sendTag, false)
 	if err != nil {
 		return Status{}, err
 	}
-	if _, err := c.ep.Wait(c.p, sr); err != nil {
-		return Status{}, err
-	}
-	st, err := c.ep.Wait(c.p, rr)
+	st, err := c.ep.Sendrecv(c.p, wd, sendTag, sendData, ws, recvTag, c.ctx, recvBuf)
 	return c.fixStatus(st), err
 }
 

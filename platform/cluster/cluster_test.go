@@ -608,10 +608,11 @@ const (
 	probed                    // Isend, then Probe and Recv, then Wait: each rank finds the message in its own calls
 	pingpong                  // rank 0 Sends then Recvs, rank 1 Recvs then Sends: each Recv waits for its message
 	probePark                 // pingpong with a Probe before each Recv, which parks before the message lands
+	skewed                    // Sendrecv of n bytes from rank 0 and 1 byte back: rank 0's receive completes before its send
 )
 
 func (x exchange) String() string {
-	return [...]string{"Sendrecv", "Isend+Probe+Recv", "Send/Recv", "Send/Probe+Recv"}[x]
+	return [...]string{"Sendrecv", "Isend+Probe+Recv", "Send/Recv", "Send/Probe+Recv", "skewed Sendrecv"}[x]
 }
 
 // dispatchesPerMessage runs a 2-rank exchange of n-byte messages on kind
@@ -628,6 +629,11 @@ func dispatchesPerMessage(t *testing.T, kind string, n int, x exchange) float64 
 		}
 		rep, err := mpi.Launch(w, func(c *mpi.Comm) error {
 			out, in, peer := make([]byte, n), make([]byte, n), 1-c.Rank()
+			if x == skewed && c.Rank() == 0 {
+				in = in[:1]
+			} else if x == skewed {
+				out = out[:1]
+			}
 			recv := func() error {
 				if x == probed || x == probePark {
 					if _, err := c.Probe(peer, 0); err != nil {
@@ -639,7 +645,7 @@ func dispatchesPerMessage(t *testing.T, kind string, n int, x exchange) float64 
 			}
 			for i := 0; i < iters; i++ {
 				switch x {
-				case sendrecv:
+				case sendrecv, skewed:
 					if _, err := c.Sendrecv(peer, 0, out, peer, 0, in); err != nil {
 						return err
 					}
@@ -701,7 +707,10 @@ func dispatchesPerMessage(t *testing.T, kind string, n int, x exchange) float64 
 // charges spent one by one). On mem, where a poll charges nothing, the
 // kernel polls for a rank parked in Wait at each wake (DESIGN §4, relay at
 // a Cond wake), so the wake that only turns an RTS into a CTS dispatches
-// no one: 2 per rendezvous message (3 with a dispatch per wake). A
+// no one, and a Sendrecv parks once for its send and its receive
+// (Engine.Sendrecv): 1 per rendezvous message (2 with the two Waits parked
+// apart, 3 with a dispatch per wake), also where rank 0's 1 B receive
+// completes before its 1 KiB send. A
 // blocking Recv is one chain from its own charges to the message's
 // delivery (Engine.Recv): in a Send/Recv ping-pong the Meiko's 1 B message
 // costs 1 dispatch and cluster/shm's 1 KiB 1 (2 each with the post and the
@@ -719,7 +728,7 @@ func TestDispatchesPerMessage(t *testing.T) {
 		bytes int
 		x     exchange
 		want  float64
-	}{{"cluster/tcp", 1024, sendrecv, 5}, {"cluster/udp", 1024, sendrecv, 4}, {"mem", 1024, sendrecv, 2},
+	}{{"cluster/tcp", 1024, sendrecv, 5}, {"cluster/udp", 1024, sendrecv, 4}, {"mem", 1024, sendrecv, 1}, {"mem", 1024, skewed, 1},
 		{"cluster/shm", 1024, sendrecv, 3}, {"cluster/shm", 64 << 10, sendrecv, 5},
 		{"meiko/lowlatency", 1, sendrecv, 4}, {"meiko/lowlatency", 1024, sendrecv, 7},
 		{"meiko/lowlatency", 1, probed, 5},

@@ -250,6 +250,11 @@ func (e *MPICHEndpoint) Recv(p *sim.Proc, src, tag, ctx int, buf []byte) (core.S
 	return e.Wait(p, r)
 }
 
+// Sendrecv implements core.Endpoint: Irecv, Isend, then a Wait on each.
+func (e *MPICHEndpoint) Sendrecv(p *sim.Proc, dst, sendTag int, data []byte, src, recvTag, ctx int, buf []byte) (core.Status, error) {
+	return core.Sendrecv(e, p, dst, sendTag, data, src, recvTag, ctx, buf, nil)
+}
+
 // Test implements core.Endpoint.
 func (e *MPICHEndpoint) Test(p *sim.Proc, r *core.Request) (core.Status, bool, error) {
 	op := e.ops[r]
