@@ -35,7 +35,7 @@ func alltoallShift(c Comm, send, recv []byte) error {
 	for round := 1; round < p; round++ {
 		to := (me + round) % p
 		from := (me - round + p) % p
-		if err := sendrecv(c, to, send[to*n:(to+1)*n], from, recv[from*n:(from+1)*n], tagAlltoall); err != nil {
+		if err := c.Sendrecv(to, send[to*n:(to+1)*n], from, recv[from*n:(from+1)*n], tagAlltoall); err != nil {
 			return err
 		}
 	}
@@ -50,7 +50,7 @@ func alltoallPairwise(c Comm, send, recv []byte) error {
 	copy(recv[me*n:(me+1)*n], send[me*n:(me+1)*n])
 	for round := 1; round < p; round++ {
 		peer := me ^ round
-		if err := sendrecv(c, peer, send[peer*n:(peer+1)*n], peer, recv[peer*n:(peer+1)*n], tagAlltoall); err != nil {
+		if err := c.Sendrecv(peer, send[peer*n:(peer+1)*n], peer, recv[peer*n:(peer+1)*n], tagAlltoall); err != nil {
 			return err
 		}
 	}
@@ -65,7 +65,7 @@ func alltoallvShift(c Comm, send []byte, scounts, sdispls []int, recv []byte, rc
 	for round := 1; round < p; round++ {
 		to := (me + round) % p
 		from := (me - round + p) % p
-		if err := sendrecv(c, to, send[sdispls[to]:sdispls[to]+scounts[to]],
+		if err := c.Sendrecv(to, send[sdispls[to]:sdispls[to]+scounts[to]],
 			from, recv[rdispls[from]:rdispls[from]+rcounts[from]], tagAlltoall); err != nil {
 			return err
 		}

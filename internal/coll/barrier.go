@@ -32,8 +32,8 @@ func barrierDissemination(c Comm) error {
 	for k := 1; k < p; k <<= 1 {
 		to := (me + k) % p
 		from := (me - k + p) % p
-		if err := sendrecv(c, to, buf[:1], from, buf[1:], tagBarrier); err != nil {
-			return err
+		if err := c.Sendrecv(to, buf[:1], from, buf[1:], tagBarrier); err != nil {
+			return giveBack(c, buf, err)
 		}
 	}
 	c.Return(buf)
@@ -53,13 +53,13 @@ func barrierTree(c Comm, t Tuning) error {
 	for mask := 1; mask < p; mask <<= 1 {
 		if me&mask != 0 {
 			if err := c.Send(me&^mask, tagBarrier, token); err != nil {
-				return err
+				return giveBack(c, token, err)
 			}
 			break
 		}
 		if src := me | mask; src < p {
 			if err := c.Recv(src, tagBarrier, token); err != nil {
-				return err
+				return giveBack(c, token, err)
 			}
 		}
 	}

@@ -32,8 +32,11 @@ type Comm interface {
 
 	Send(dst, tag int, data []byte) error
 	Recv(src, tag int, buf []byte) error
+	// Sendrecv sends out to rank to and receives from rank from into in,
+	// both under tag: the deadlock-free pairwise exchange every symmetric
+	// algorithm uses. One that fails leaves no receive posted.
+	Sendrecv(to int, out []byte, from int, in []byte, tag int) error
 	Isend(dst, tag int, data []byte) (Req, error)
-	Irecv(src, tag int, buf []byte) (Req, error)
 	Wait(r Req) error
 
 	// HasHW reports whether the platform's hardware broadcast can reach
@@ -44,8 +47,9 @@ type Comm interface {
 	HWBcast(root int, buf []byte) error
 
 	// Borrow and Return lend the calling process's Scratch. An algorithm
-	// returns a buffer only once every operation touching it has completed,
-	// so after an error it keeps it: a posted receive may still target it.
+	// returns a buffer once its last operation on it has returned, after
+	// an error too: every receive it posts is a Recv or a Sendrecv, so none
+	// outlives the call that posted it.
 	Borrow(n int) []byte
 	Return(b []byte)
 
@@ -91,10 +95,9 @@ func (s *Scratch) Return(b []byte) {
 	s.top = b[:cap(b)]
 }
 
-// giveBack returns b, if any, to c's scratch when err is nil — only then has
-// every operation on it completed — and passes err through.
+// giveBack returns b, if any, to c's scratch and passes err through.
 func giveBack(c Comm, b []byte, err error) error {
-	if err == nil && b != nil {
+	if b != nil {
 		c.Return(b)
 	}
 	return err
@@ -393,17 +396,4 @@ func log2Ceil(p int) int {
 		n++
 	}
 	return n
-}
-
-// sendrecv posts the receive, runs the send, and completes the receive —
-// the deadlock-free pairwise exchange every symmetric algorithm uses.
-func sendrecv(c Comm, to int, out []byte, from int, in []byte, tag int) error {
-	rr, err := c.Irecv(from, tag, in)
-	if err != nil {
-		return err
-	}
-	if err := c.Send(to, tag, out); err != nil {
-		return err
-	}
-	return c.Wait(rr)
 }

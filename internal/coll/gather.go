@@ -122,7 +122,7 @@ func allgatherRing(c Comm, send, recv []byte) error {
 	for i := 0; i < p-1; i++ {
 		outBlk := (me - i + p) % p
 		inBlk := (me - i - 1 + 2*p) % p
-		if err := sendrecv(c, right, recv[outBlk*n:(outBlk+1)*n], left, recv[inBlk*n:(inBlk+1)*n], tagGather); err != nil {
+		if err := c.Sendrecv(right, recv[outBlk*n:(outBlk+1)*n], left, recv[inBlk*n:(inBlk+1)*n], tagGather); err != nil {
 			return err
 		}
 	}

@@ -89,7 +89,7 @@ func reduceTree(c Comm, root int, op func(dst, src []byte), send, acc []byte) er
 		for mask := 1; mask < p && rel&mask == 0; mask <<= 1 {
 			if src := rel | mask; src < p {
 				if err := c.Recv((src+root)%p, tagReduce, in); err != nil {
-					return err
+					return giveBack(c, in, err)
 				}
 				op(acc, in)
 			}
@@ -118,8 +118,8 @@ func allreduceRdbl(c Comm, op func(dst, src []byte), send, recv []byte) error {
 	in := c.Borrow(len(send))
 	for mask := 1; mask < p; mask <<= 1 {
 		partner := me ^ mask
-		if err := sendrecv(c, partner, acc, partner, in, tagReduce); err != nil {
-			return err
+		if err := c.Sendrecv(partner, acc, partner, in, tagReduce); err != nil {
+			return giveBack(c, in, err)
 		}
 		if partner < me {
 			// in holds the lower rank range: acc = in ∘ acc.
@@ -172,8 +172,8 @@ func allreduceRsag(c Comm, op func(dst, src []byte), elem int, send, recv []byte
 			st = step{partner: me &^ mask, kLo: mid, kHi: hi, sLo: lo, sHi: mid}
 		}
 		in := scratch[:(st.kHi-st.kLo)*elem]
-		if err := sendrecv(c, st.partner, acc[st.sLo*elem:st.sHi*elem], st.partner, in, tagReduce); err != nil {
-			return err
+		if err := c.Sendrecv(st.partner, acc[st.sLo*elem:st.sHi*elem], st.partner, in, tagReduce); err != nil {
+			return giveBack(c, scratch, err)
 		}
 		kept := acc[st.kLo*elem : st.kHi*elem]
 		if lower {
@@ -196,7 +196,7 @@ func allreduceRsag(c Comm, op func(dst, src []byte), elem int, send, recv []byte
 	// rebuilds the step's whole block.
 	for i := n - 1; i >= 0; i-- {
 		st := steps[i]
-		if err := sendrecv(c, st.partner, acc[st.kLo*elem:st.kHi*elem], st.partner, acc[st.sLo*elem:st.sHi*elem], tagReduce); err != nil {
+		if err := c.Sendrecv(st.partner, acc[st.kLo*elem:st.kHi*elem], st.partner, acc[st.sLo*elem:st.sHi*elem], tagReduce); err != nil {
 			return err
 		}
 	}

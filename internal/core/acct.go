@@ -79,16 +79,6 @@ func (a *Acct) Spend(p *sim.Proc, c sim.Cat, d sim.Duration) {
 	}
 }
 
-// Spend2 is Spend(p, c1, d1) then Spend(p, c2, d2), dispatching p once.
-func (a *Acct) Spend2(p *sim.Proc, c1 sim.Cat, d1 sim.Duration, c2 sim.Cat, d2 sim.Duration) {
-	if d1 <= 0 || d2 <= 0 {
-		a.Spend(p, c1, d1)
-		a.Spend(p, c2, d2)
-		return
-	}
-	p.Spend2(c1, d1, c2, d2)
-}
-
 // Add bumps counter c by n.
 func (a *Acct) Add(c Ctr, n int64) {
 	if a != nil {

@@ -406,9 +406,9 @@ func (e *Engine) Irecv(p *sim.Proc, src, tag, ctx int, buf []byte) (*Request, er
 	if err != nil {
 		return nil, err
 	}
-	e.acct.Spend2(p, sim.Overhead, e.costs.RecvOverhead, sim.Match, e.costs.Match)
-	e.acct.Spend(p, sim.Copy, e.post(req))
-	e.carryOn(p)
+	e.waited, e.stage = req, stNewRecv
+	e.chain(p)
+	e.waited = nil
 	return req, nil
 }
 
@@ -717,10 +717,8 @@ func (e *Engine) await(p *sim.Proc, r *Request) (Status, error) {
 // nothing charged, p is dispatched only at the wake that ends the wait.
 func (e *Engine) waitRelayed(p *sim.Proc, r *Request) {
 	e.waiter = p
-	// Also when Shutdown unwinds p: a world must not hold a rank's proc,
-	// and through it the rank's body, past its Wait.
-	defer func() { e.waiter, e.waited = nil, nil }()
 	e.cond.WaitThen(p, (*waitRelay)(e))
+	e.waiter, e.waited = nil, nil
 	if !r.Done() {
 		r.complete(Status{}, e.fatal)
 	}

@@ -5,23 +5,26 @@ import (
 	"repro/internal/trace"
 )
 
-// The receive path as a chain (DESIGN §4, relay): the wire's poll
+// The receive path as a chain (DESIGN §4, relay): a new receive's
+// bookkeeping and match charges and its post, the wire's poll
 // (Transport.PollStep), an arrival's match charge, the match and an eager
 // copy-out charge are one relay, which the kernel runs at each charge's
-// wake in the proc's place. The rank's own Progress runs it (pollOnce), and
-// so does the kernel for a rank parked in Wait (waitChain), in Recv from
-// the receive's own charges on (stRecv), and in Probe (probeRelay). Where
-// the chain stops, its stage says what the proc carries on with (carryOn):
-// after a copy-out the credit release and the completion (a socket's credit
-// Ship may write), and whatever else needs the proc.
+// wake in the proc's place. The rank's own Irecv and Progress run it
+// (chain, pollOnce), and so does the kernel for a rank parked in Wait
+// (waitChain), in Recv from the receive's own charges on (stRecv), and in
+// Probe (probeRelay). Where the chain stops, its stage says what the proc
+// carries on with (carryOn): after a copy-out the credit release and the
+// completion (a socket's credit Ship may write), and whatever else needs
+// the proc.
 
 // stage is where the receive chain stands.
 type stage uint8
 
 const (
 	stIdle    stage = iota // nothing in hand: at a Wait wake, or the poll surfaced nothing
-	stRecv                 // Recv's bookkeeping charge is paid: its match charge and the post are next
-	stPost                 // Recv's match charge is paid: posting e.waited is next
+	stNewRecv              // e.waited is a new receive: its bookkeeping charge is next
+	stRecv                 // its bookkeeping charge is paid: its match charge and the post are next
+	stPost                 // its match charge is paid: posting it is next
 	stPoll                 // the wire's PollStep is next or under way
 	stArrived              // e.scratch is an arrival in hand: its match charge is next
 	stMatch                // the match charge is paid: match e.scratch
@@ -44,10 +47,28 @@ func (r *receive) Relay() (sim.Cat, sim.Duration, sim.Step) {
 // More, or Last for an eager copy-out. Where the poll blocks it declines
 // with the Cond to wait on, which a second step at that instant reports
 // again. It declines, charging nothing, where the proc carries on (with
-// pkt in hand, or sends the poll's credits released), and at stIdle once
-// the poll surfaced nothing.
+// pkt in hand, sends the poll's credits released, or a queued message the
+// post took), and at stIdle once the poll surfaced nothing or the post
+// took nothing.
 func (e *Engine) step() (sim.Cat, sim.Duration, sim.Step, *sim.Cond) {
 	switch e.stage {
+	case stNewRecv:
+		e.stage = stRecv
+		if d := e.costs.RecvOverhead; d > 0 {
+			return sim.Overhead, d, sim.More, nil
+		}
+		fallthrough
+	case stRecv:
+		e.stage = stPost
+		if d := e.costs.Match; d > 0 {
+			return sim.Match, d, sim.More, nil
+		}
+		fallthrough
+	case stPost:
+		e.stage = stIdle
+		if d := e.post(e.waited); d > 0 {
+			return sim.Copy, d, sim.Last, nil
+		}
 	case stPoll:
 		c, d, pkt, wait := e.tr.PollStep()
 		switch {
@@ -252,29 +273,19 @@ func (e *Engine) delivered(p *sim.Proc, msg *InMsg, req *Request) {
 // blocked poll Staying on the Cond it names, then the check again, and
 // back on the engine's Cond while the request is pending and the rank
 // alive. Recv enters it at stRecv, as the relay of its bookkeeping charge:
-// the match charge and the post come first, and unless the post took a
-// queued message, which the proc delivers, Wait's first poll follows.
+// the receive's own stages come first, and unless the post took a queued
+// message, which the proc delivers, Wait's first poll follows.
 type waitChain Engine
 
 func (w *waitChain) Relay() (sim.Cat, sim.Duration, sim.Step) {
 	e := (*Engine)(w)
 	r := e.waited
-	switch e.stage {
-	case stRecv:
-		e.stage = stPost
-		if d := e.costs.Match; d > 0 {
-			return sim.Match, d, sim.More
+	if e.stage == stRecv || e.stage == stPost {
+		if c, d, step, _ := e.step(); step != sim.Decline || e.stage != stIdle {
+			return c, d, step
 		}
-		fallthrough
-	case stPost:
-		if d := e.post(r); e.stage == stPosted {
-			if d > 0 {
-				return sim.Copy, d, sim.Last
-			}
-			return 0, 0, sim.Decline
-		}
-		fallthrough
-	case stIdle: // a wake
+	}
+	if e.stage == stIdle { // a wake, or the post took nothing
 		e.awaiting = nil // as Wait's loop has it once Park returns
 		if r.Done() {
 			return 0, 0, sim.Decline
@@ -317,10 +328,8 @@ func (e *Engine) stay() (sim.Cat, sim.Duration, sim.Step) {
 // rest of Progress to p.
 func (e *Engine) waitChained(p *sim.Proc, r *Request) bool {
 	e.waiter, e.waited = p, r
-	// Also when Shutdown unwinds p: a world must not hold a rank's proc,
-	// and through it the rank's body, past its Wait.
-	defer func() { e.waiter, e.waited = nil, nil }()
 	e.cond.WaitThen(p, (*waitChain)(e))
+	e.waiter, e.waited = nil, nil
 	return e.carryOn(p)
 }
 
@@ -328,8 +337,8 @@ func (e *Engine) waitChained(p *sim.Proc, r *Request) bool {
 // with waitChain, from stRecv, as the relay.
 func (e *Engine) recvChained(p *sim.Proc, r *Request) {
 	e.waiter, e.waited, e.stage = p, r, stRecv
-	defer func() { e.waiter, e.waited = nil, nil }()
 	p.SpendThen(sim.Overhead, e.costs.RecvOverhead, (*waitChain)(e))
+	e.waiter, e.waited = nil, nil
 }
 
 // probeRelay is what a rank parked in Probe does at each wake, run by the
@@ -364,8 +373,8 @@ func (w *probeRelay) Relay() (sim.Cat, sim.Duration, sim.Step) {
 // or ends the wait; p finishes that Iprobe and reports its check.
 func (e *Engine) probeParked(p *sim.Proc, src, tag, ctx int) (Status, bool) {
 	e.waiter = p
-	defer func() { e.waiter = nil }()
 	e.cond.WaitThen(p, (*probeRelay)(e))
+	e.waiter = nil
 	if e.carryOn(p) {
 		e.Progress(p)
 	}

@@ -346,8 +346,8 @@ type fpNode struct {
 
 	// How often the program met each shortcut's precondition, read from the
 	// kernel's own state, so a run that never exercised them cannot pass.
-	runAheadChances, sameInstantSeen, chainAppends, relays, spend2Parks, chainHops, waitStays int
-	waitCharges, chargedStays, otherStays                                                     int
+	runAheadChances, sameInstantSeen, chainAppends, relays, pairParks, chainHops, waitStays int
+	waitCharges, chargedStays, otherStays                                                   int
 }
 
 func (n *fpNode) note(actor, what int) {
@@ -395,6 +395,11 @@ func (r *fpRelay) Relay() (Cat, Duration, Step) {
 	}
 	return Sync, r.d, Last
 }
+
+// fpSecond is a relay that only reports a second charge, Overhead d.
+type fpSecond Duration
+
+func (r fpSecond) Relay() (Cat, Duration, Step) { return Overhead, Duration(r), Last }
 
 // fpChain is a chained relay of 1–4 steps: each touches the node as
 // fpRelay does and reports its own charge, More until the last; it
@@ -497,9 +502,9 @@ type fpResult struct {
 	stats   ShardStats // zero on a standalone scheduler
 	limit   uint64     // LimitError.Events when the run hit maxEvents
 
-	runAheadChances, sameInstantSeen, chainAppends, relays, spend2Parks, chainHops, waitStays int
-	waitCharges, chargedStays, otherStays                                                     int
-	cutChains                                                                                 int // chains parked mid-way when the run stopped
+	runAheadChances, sameInstantSeen, chainAppends, relays, pairParks, chainHops, waitStays int
+	waitCharges, chargedStays, otherStays                                                   int
+	cutChains                                                                               int // chains parked mid-way when the run stopped
 }
 
 // runFastPathProgram runs the seeded random program on the given kernel
@@ -616,9 +621,9 @@ func runFastPathProgram(t *testing.T, seed int64, lanes int, parallel, slow bool
 				case 16:
 					d1, d2 := Duration(rng.Intn(40)), Duration(rng.Intn(40))
 					if parks(d1) {
-						n.spend2Parks++
+						n.pairParks++
 					}
-					p.Spend2(Compute, d1, Overhead, d2)
+					p.SpendThen(Compute, d1, fpSecond(d2))
 				case 17:
 					d := Duration(rng.Intn(40))
 					r := &fpRelay{n: n, p: p, id: id, d: Duration(rng.Intn(40)), parked: parks(d)}
@@ -725,7 +730,7 @@ func runFastPathProgram(t *testing.T, seed int64, lanes int, parallel, slow bool
 		res.sameInstantSeen += n.sameInstantSeen
 		res.chainAppends += n.chainAppends
 		res.relays += n.relays
-		res.spend2Parks += n.spend2Parks
+		res.pairParks += n.pairParks
 		res.chainHops += n.chainHops
 		res.waitStays += n.waitStays
 		res.waitCharges += n.waitCharges
@@ -777,22 +782,23 @@ func sameRun(t *testing.T, seed int64, want, got fpResult) {
 }
 
 // Seeded random programs — procs mixing fine and coarse Advances, Yield,
-// Cond wait/signal/broadcast, FIFO.Use/UseAsync, At, Route, Spawn, Spend2,
-// and SpendThen with a relay or a chain of 1–4 steps that touches the
-// node, with a quarter of the nodes woken late across lanes and a Route
-// staged before Run — must execute the same actors at the same times in
-// the same order, count the same events, book the same ledgers, and leave
-// the same control-plane statistics (epochs, stalls, routed, mailbox
-// high-water, per-lane events) with the shortcuts on and off, on every
-// driver; and so must the same programs cut off mid-run by an event limit,
-// which must report the same count, with some chains cut between steps.
+// Cond wait/signal/broadcast, FIFO.Use/UseAsync, At, Route, Spawn, and
+// SpendThen with a relay that only reports a second charge, with one that
+// touches the node or with a chain of 1–4 steps that does, with a quarter
+// of the nodes woken late across lanes and a Route staged before Run —
+// must execute the same actors at the same times in the same order, count
+// the same events, book the same ledgers, and leave the same control-plane
+// statistics (epochs, stalls, routed, mailbox high-water, per-lane events)
+// with the shortcuts on and off, on every driver; and so must the same
+// programs cut off mid-run by an event limit, which must report the same
+// count, with some chains cut between steps.
 func TestFastPathsMatchPlainKernel(t *testing.T) {
 	for _, k := range []struct {
 		lanes    int
 		parallel bool
 	}{{0, false}, {1, false}, {4, false}, {4, true}, {16, false}, {16, true}} {
 		t.Run(fmt.Sprintf("lanes%d-parallel%v", k.lanes, k.parallel), func(t *testing.T) {
-			chances, same, chained, relays, spend2Parks, hops, stays, cut := 0, 0, 0, 0, 0, 0, 0, 0
+			chances, same, chained, relays, pairParks, hops, stays, cut := 0, 0, 0, 0, 0, 0, 0, 0
 			waitCharges, chargedStays, otherStays := 0, 0, 0
 			for _, seed := range []int64{1, 2, 3, 5, 8, 13} {
 				want := runFastPathProgram(t, seed, k.lanes, k.parallel, true, 0)
@@ -802,7 +808,7 @@ func TestFastPathsMatchPlainKernel(t *testing.T) {
 				same += got.sameInstantSeen
 				chained += got.chainAppends
 				relays += got.relays
-				spend2Parks += got.spend2Parks
+				pairParks += got.pairParks
 				hops += got.chainHops
 				stays += got.waitStays
 				waitCharges += got.waitCharges
@@ -820,10 +826,10 @@ func TestFastPathsMatchPlainKernel(t *testing.T) {
 				sameRun(t, seed, want, got)
 				cut += got.cutChains
 			}
-			if chances == 0 || same == 0 || relays == 0 || spend2Parks == 0 || hops == 0 || stays == 0 || waitCharges == 0 || chargedStays == 0 || otherStays == 0 || cut == 0 {
-				t.Fatalf("programs never exercised the shortcuts: %d run-ahead chances, %d same-instant sightings, %d relays, %d parked Spend2s, %d chain steps, %d Cond-wait stays (%d after a charge, %d on another Cond) and %d Cond-wait charges run in a parked proc's place, %d chains cut by the limit", chances, same, relays, spend2Parks, hops, stays, chargedStays, otherStays, waitCharges, cut)
+			if chances == 0 || same == 0 || relays == 0 || pairParks == 0 || hops == 0 || stays == 0 || waitCharges == 0 || chargedStays == 0 || otherStays == 0 || cut == 0 {
+				t.Fatalf("programs never exercised the shortcuts: %d run-ahead chances, %d same-instant sightings, %d relays, %d parked two-charge relays, %d chain steps, %d Cond-wait stays (%d after a charge, %d on another Cond) and %d Cond-wait charges run in a parked proc's place, %d chains cut by the limit", chances, same, relays, pairParks, hops, stays, chargedStays, otherStays, waitCharges, cut)
 			}
-			t.Logf("%d run-ahead chances, %d same-instant sightings, %d chained pushes, %d relays, %d parked Spend2s, %d chain steps, %d Cond-wait stays (%d after a charge, %d on another Cond) and %d Cond-wait charges run in a parked proc's place, %d chains cut by the limit", chances, same, chained, relays, spend2Parks, hops, stays, chargedStays, otherStays, waitCharges, cut)
+			t.Logf("%d run-ahead chances, %d same-instant sightings, %d chained pushes, %d relays, %d parked two-charge relays, %d chain steps, %d Cond-wait stays (%d after a charge, %d on another Cond) and %d Cond-wait charges run in a parked proc's place, %d chains cut by the limit", chances, same, chained, relays, pairParks, hops, stays, chargedStays, otherStays, waitCharges, cut)
 		})
 	}
 }

@@ -88,28 +88,16 @@ func (p *Proc) checkCharge(d Duration) {
 // parks p, the kernel runs r at its wake in p's place (DESIGN §4), so p is
 // dispatched once, after the last charge or at the wake where r declines,
 // instead of once after each charge. A chain may end in a Cond wait: r
-// reports Stay, having put p on a Cond with Requeue, and from then on it is
-// a WaitThen relay, run at each wake of that wait; the time from the Stay
-// to p's resumption is parked time, less the charges r reports after it.
+// reports Stay, having put p on a Cond with Requeue, and from then on r is
+// run at each wake of that wait (see WaitThen, a chain that starts there);
+// the time from the Stay to p's resumption is parked time, less the
+// charges r reports after it.
 func (p *Proc) SpendThen(c Cat, d Duration, r Relay) bool {
 	s := p.s
 	p.checkCharge(d)
 	if s.noFastPath { // the oracle: plain Spends and Waits, p running r itself
 		p.Spend(c, d)
-		for {
-			c, d, step := p.callRelay(r)
-			switch step {
-			case Decline:
-				return false
-			case Stay:
-				p.wait()
-				continue
-			}
-			p.Spend(c, d)
-			if step == Last {
-				return true
-			}
-		}
+		return p.relayPlainly(r)
 	}
 	p.relay, p.c1, p.d1 = r, c, d
 	if t := s.now + Time(max(d, 0)); !s.runAhead(t) {
@@ -118,6 +106,32 @@ func (p *Proc) SpendThen(c Cat, d Duration, r Relay) bool {
 	} else if s.runRelay(p) {
 		p.park()
 	}
+	return p.relayEnded()
+}
+
+// relayPlainly is the oracle for a relay the kernel runs in p's place: p
+// runs r itself, each charge a plain Spend and each Stay a plain wait, and
+// it reports whether r's last step was Last.
+func (p *Proc) relayPlainly(r Relay) bool {
+	for {
+		c, d, step := p.callRelay(r)
+		switch step {
+		case Decline:
+			return false
+		case Stay:
+			p.wait()
+			continue
+		}
+		p.Spend(c, d)
+		if step == Last {
+			return true
+		}
+	}
+}
+
+// relayEnded books, once p resumes, the Last charge its relay reported, as
+// Spend would, and reports whether there was one.
+func (p *Proc) relayEnded() bool {
 	if p.relayed && p.Ledger != nil {
 		p.Ledger.Spent[p.c2] += p.d2
 	}
@@ -125,14 +139,14 @@ func (p *Proc) SpendThen(c Cat, d Duration, r Relay) bool {
 }
 
 // runRelay does what p would do at a SpendThen charge's wake, or at a
-// WaitThen wake (a charge of 0): book that charge, run the relay, and book
-// the charge it reports as Advance would. While the relay reports More and
-// its charge runs ahead, it goes round again at the new instant. It reports
-// whether p stays parked: also after Stay, with the relay kept for p's next
-// wake. A charge of a WaitThen relay is taken out of p's parked time, which
-// Cond.Wait counts from the first park to the last wake; so is one that
-// follows a SpendThen relay's Stay, whose wait ends (endStay) where the
-// relay declines or reports its Last charge.
+// Cond wake of a chain in a wait (a charge of 0): book that charge, run the
+// relay, and book the charge it reports as Advance would. While the relay
+// reports More and its charge runs ahead, it goes round again at the new
+// instant. It reports whether p stays parked: also after Stay, with the
+// relay kept for p's next wake. A Stay starts a wait (Proc.waiting, from
+// d2), whose charges are taken out of p's parked time where they are
+// booked, and which ends (endStay) where the relay declines or reports its
+// Last charge.
 func (s *Scheduler) runRelay(p *Proc) bool {
 	for {
 		if p.Ledger != nil {
@@ -148,8 +162,8 @@ func (s *Scheduler) runRelay(p *Proc) bool {
 			p.relay, p.relayed = nil, false // only now: this package's tests look
 			return false
 		case Stay:
-			if !p.waiting { // a SpendThen chain's: its wait starts now
-				p.waiting, p.stayed, p.d2 = true, true, Duration(s.now)
+			if !p.waiting {
+				p.stay()
 			}
 			// The relay queued p on its Cond again; the next wake books
 			// nothing, whatever charge came before this one.
@@ -171,12 +185,15 @@ func (s *Scheduler) runRelay(p *Proc) bool {
 	}
 }
 
-// endStay ends the wait a SpendThen relay's Stay began (at d2): p resumes
-// now, or after the Last charge the relay reports now, which stays p's.
+// stay starts the wait of p's chain now, keeping its start in d2.
+func (p *Proc) stay() { p.waiting, p.d2 = true, Duration(p.s.now) }
+
+// endStay ends the wait of p's chain, if it is in one: p resumes now, or
+// after the Last charge the relay reports now, which stays p's.
 func (p *Proc) endStay() {
-	if p.stayed {
+	if p.waiting {
 		p.parked += Duration(p.s.now) - p.d2
-		p.waiting, p.stayed = false, false
+		p.waiting = false
 	}
 }
 
@@ -218,14 +235,3 @@ func RunSteps[S Stepper](p *Proc, s S) {
 		}
 	}
 }
-
-// Spend2 is Spend(c1, d1) then Spend(c2, d2): SpendThen with p's own second
-// charge as the relay, which needs no closure.
-func (p *Proc) Spend2(c1 Cat, d1 Duration, c2 Cat, d2 Duration) {
-	p.c2, p.d2 = c2, d2
-	p.SpendThen(c1, d1, (*second)(p))
-}
-
-type second Proc
-
-func (r *second) Relay() (Cat, Duration, Step) { return r.c2, r.d2, Last }

@@ -339,8 +339,7 @@ type Proc struct {
 	name    string
 	done    bool
 	inRelay bool     // a relay of p's is running (see callRelay)
-	waiting bool     // p is parked in WaitThen: its relay's charges are not parked time
-	stayed  bool     // a SpendThen relay reported Stay: the rest of its chain is a wait, since d2
+	waiting bool     // p's relay chain is in a Cond wait, since d2: its charges are not parked time
 	relayed bool     // SpendThen's charges: the kernel books c1 at its
 	c1, c2  Cat      // wake (each in turn, in a chain), p books c2 when it
 	d1, d2  Duration // resumes, if the relay's last step reported it
@@ -504,44 +503,29 @@ func (p *Proc) wait() {
 	p.parked += Duration(p.s.now - t0)
 }
 
-// Requeue queues p on c without parking it: a WaitThen relay that leaves p
-// waiting calls it, then reports Stay.
+// Requeue queues p on c without parking it: a relay that leaves p waiting
+// calls it, then reports Stay.
 func (c *Cond) Requeue(p *Proc) { c.waiters = append(c.waiters, p) }
 
 // WaitThen is Wait with r run at each wake, as p would run it first thing
 // on waking, and again at the wake of each charge r reports: r reports
 // Stay, having put p back on c with Requeue, Decline, or a charge with More
 // or Last, as a SpendThen relay does. WaitThen returns at the wake where r
-// declines, or once the charge r reported with Last has passed. The kernel
-// runs r at each wake in p's place (DESIGN §4, relay), so p is dispatched
-// only at that last wake. The charges are p's time, not parked time.
+// declines, or once the charge r reported with Last has passed. It is a
+// SpendThen chain that starts in Stay: the kernel runs r at each wake in
+// p's place (DESIGN §4, relay), so p is dispatched only at that last wake,
+// and the charges are p's time, not parked time.
 func (c *Cond) WaitThen(p *Proc, r Relay) {
+	c.Requeue(p)
 	if p.s.noFastPath { // the oracle: plain Waits and Spends, p running r itself
-		c.Wait(p)
-		for {
-			cat, d, step := p.callRelay(r)
-			switch step {
-			case Decline:
-				return
-			case Stay:
-				p.wait()
-				continue
-			}
-			p.Spend(cat, d)
-			if step == Last {
-				return
-			}
-		}
+		p.wait()
+		p.relayPlainly(r)
+		return
 	}
-	p.relay, p.c1, p.d1, p.waiting = r, 0, 0, true
-	c.Wait(p)
-	p.waiting = false
-	if p.relayed {
-		p.parked -= max(p.d2, 0)
-		if p.Ledger != nil {
-			p.Ledger.Spent[p.c2] += p.d2
-		}
-	}
+	p.relay, p.c1, p.d1 = r, 0, 0
+	p.stay()
+	p.park()
+	p.relayEnded()
 }
 
 // Signal wakes the longest-waiting proc, if any. It runs in O(1): the wait
@@ -716,5 +700,8 @@ func (s *Scheduler) Shutdown() {
 		p.stop()
 		p.done = true
 		delete(s.procs, p)
+		// A Cond's waiters may still name p: let go of its coroutine, and
+		// through it the body's closure.
+		p.next, p.stop, p.yieldTo, p.relay = nil, nil, nil, nil
 	}
 }

@@ -30,11 +30,25 @@ func (k collComm) Send(dst, tag int, data []byte) error {
 }
 
 func (k collComm) Recv(src, tag int, buf []byte) error {
-	r, err := k.Irecv(src, tag, buf)
+	wr, err := k.c.worldRank(src)
 	if err != nil {
 		return err
 	}
-	return k.Wait(r)
+	_, err = k.c.ep.Recv(k.c.p, wr, tag, k.c.ctx+1, buf)
+	return err
+}
+
+func (k collComm) Sendrecv(to int, out []byte, from int, in []byte, tag int) error {
+	wf, err := k.c.worldRank(from)
+	if err != nil {
+		return err
+	}
+	wt, err := k.c.worldRank(to)
+	if err != nil {
+		return err
+	}
+	_, err = k.c.ep.Sendrecv(k.c.p, wt, tag, out, wf, tag, k.c.ctx+1, in)
+	return err
 }
 
 func (k collComm) Isend(dst, tag int, data []byte) (coll.Req, error) {
@@ -43,14 +57,6 @@ func (k collComm) Isend(dst, tag int, data []byte) (coll.Req, error) {
 		return nil, err
 	}
 	return k.c.ep.Isend(k.c.p, wr, tag, k.c.ctx+1, core.ModeStandard, data)
-}
-
-func (k collComm) Irecv(src, tag int, buf []byte) (coll.Req, error) {
-	wr, err := k.c.worldRank(src)
-	if err != nil {
-		return nil, err
-	}
-	return k.c.ep.Irecv(k.c.p, wr, tag, k.c.ctx+1, buf)
 }
 
 func (k collComm) Wait(r coll.Req) error {

@@ -604,15 +604,17 @@ var plainKernel bool
 type exchange uint8
 
 const (
-	sendrecv  exchange = iota // Sendrecv: each rank's events interleave with the other's
-	probed                    // Isend, then Probe and Recv, then Wait: each rank finds the message in its own calls
-	pingpong                  // rank 0 Sends then Recvs, rank 1 Recvs then Sends: each Recv waits for its message
-	probePark                 // pingpong with a Probe before each Recv, which parks before the message lands
-	skewed                    // Sendrecv of n bytes from rank 0 and 1 byte back: rank 0's receive completes before its send
+	sendrecv   exchange = iota // Sendrecv: each rank's events interleave with the other's
+	probed                     // Isend, then Probe and Recv, then Wait: each rank finds the message in its own calls
+	pingpong                   // rank 0 Sends then Recvs, rank 1 Recvs then Sends: each Recv waits for its message
+	probePark                  // pingpong with a Probe before each Recv, which parks before the message lands
+	skewed                     // Sendrecv of n bytes from rank 0 and 1 byte back: rank 0's receive completes before its send
+	probeIrecv                 // probePark with Irecv+Wait for the Recv: the post takes the queued message
+	bcast                      // a Bcast from rank 0, then one from rank 1, forced to linear: each receive is the collectives' Recv
 )
 
 func (x exchange) String() string {
-	return [...]string{"Sendrecv", "Isend+Probe+Recv", "Send/Recv", "Send/Probe+Recv", "skewed Sendrecv"}[x]
+	return [...]string{"Sendrecv", "Isend+Probe+Recv", "Send/Recv", "Send/Probe+Recv", "skewed Sendrecv", "Send/Probe+Irecv+Wait", "linear Bcast"}[x]
 }
 
 // dispatchesPerMessage runs a 2-rank exchange of n-byte messages on kind
@@ -623,6 +625,9 @@ func dispatchesPerMessage(t *testing.T, kind string, n int, x exchange) float64 
 	run := func(iters int) uint64 {
 		s := registry.SpecFor(kind)
 		s.Ranks, s.Seed = 2, 1
+		if x == bcast {
+			s.Coll = "bcast=linear"
+		}
 		w, err := registry.Build(s)
 		if err != nil {
 			t.Fatal(err)
@@ -635,10 +640,17 @@ func dispatchesPerMessage(t *testing.T, kind string, n int, x exchange) float64 
 				out = out[:1]
 			}
 			recv := func() error {
-				if x == probed || x == probePark {
+				if x == probed || x == probePark || x == probeIrecv {
 					if _, err := c.Probe(peer, 0); err != nil {
 						return err
 					}
+				}
+				if x == probeIrecv {
+					r, err := c.Irecv(peer, 0, in)
+					if err == nil {
+						_, err = r.Wait()
+					}
+					return err
 				}
 				_, err := c.Recv(peer, 0, in)
 				return err
@@ -648,6 +660,12 @@ func dispatchesPerMessage(t *testing.T, kind string, n int, x exchange) float64 
 				case sendrecv, skewed:
 					if _, err := c.Sendrecv(peer, 0, out, peer, 0, in); err != nil {
 						return err
+					}
+				case bcast:
+					for root := range 2 {
+						if err := c.Bcast(root, in); err != nil {
+							return err
+						}
 					}
 				case probed:
 					s, err := c.Isend(peer, 0, out)
@@ -733,7 +751,9 @@ func TestDispatchesPerMessage(t *testing.T) {
 		{"meiko/lowlatency", 1, sendrecv, 4}, {"meiko/lowlatency", 1024, sendrecv, 7},
 		{"meiko/lowlatency", 1, probed, 5},
 		{"meiko/lowlatency", 1, pingpong, 1}, {"cluster/tcp", 1024, pingpong, 2}, {"cluster/udp", 1024, pingpong, 2},
-		{"cluster/shm", 1024, pingpong, 1}, {"meiko/lowlatency", 1, probePark, 3}} {
+		{"cluster/shm", 1024, pingpong, 1}, {"meiko/lowlatency", 1, probePark, 3},
+		{"meiko/lowlatency", 1, probeIrecv, 3}, // 3 while Irecv's post was a charge apart from its chain
+		{"meiko/lowlatency", 1, bcast, 1}} {    // 2 while the collectives' Recv was Irecv + Wait
 		if got := dispatchesPerMessage(t, c.kind, c.bytes, c.x); got != c.want {
 			t.Errorf("%s, %d B, %v: %.2f dispatches per message, pinned at %v", c.kind, c.bytes, c.x, got, c.want)
 		}
